@@ -234,12 +234,23 @@ impl Session {
     /// until every connected client has disconnected and the engine is
     /// drained — the front door to `rdx-net` (see `examples/net_server.rs`).
     /// Register relations *before* calling; the returned [`NetStats`]
-    /// summarise the connection lifecycle.
+    /// summarise the connection lifecycle and how the loop waited.
+    ///
+    /// The loop is [`NetServer::serve`]'s: it wakes on arrival, not on a
+    /// timer — polling again at once after progress, yielding the CPU
+    /// between polls for a short quiet window (milliseconds) after the
+    /// last progress, and sleeping between polls only after that.  A
+    /// session that receives a request in every such window therefore
+    /// keeps this thread's core busy; a quiet one sleeps.  Callers that
+    /// want a different wait take
+    /// [`Session::into_server`] and drive [`NetServer::poll_cycle`]
+    /// (which never blocks) in a loop of their own.
     pub fn serve(self, listener: NetListener) -> NetStats {
         self.serve_with(listener, NetConfig::default())
     }
 
-    /// [`Session::serve`] with explicit poll-loop tuning.
+    /// [`Session::serve`] with explicit poll-loop tuning (`NetConfig` sizes
+    /// the cycle; the wait between cycles is not configurable).
     pub fn serve_with(self, listener: NetListener, config: NetConfig) -> NetStats {
         NetServer::new(listener, self.engine, config).serve()
     }

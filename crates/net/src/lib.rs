@@ -15,9 +15,15 @@
 //!   connection's buffers, and [`rdx_serve::QueryEngine::step`].
 //!   Per-connection bounded outbound queues give backpressure that never
 //!   blocks the engine; protocol violations tear down one connection,
-//!   never the server.
+//!   never the server.  [`NetServer::poll_cycle`] never blocks;
+//!   [`NetServer::serve`] wraps it in a wake-on-arrival loop (poll again
+//!   after progress, yield between polls for a short quiet window after
+//!   the last progress, timed sleeps only after that) whose two waits are
+//!   counted in [`NetStats`].  A finished query's columns are encoded once, from
+//!   the result into an exactly-sized `Done` buffer.
 //! - [`client`] — [`NetClient`]: a small blocking client for tests,
-//!   examples, and other processes.
+//!   examples, and other processes.  It reads each frame straight into a
+//!   buffer sized by the validated header, never beyond the payload cap.
 //!
 //! The result columns ride the wire in full, so a networked query is
 //! byte-identical to the same query run in-process — the conformance

@@ -4,7 +4,23 @@
 //! One thread owns everything — the listener, every connection's buffers,
 //! and the engine.  A poll cycle services sockets *between* engine steps,
 //! so a slow client never stalls query execution and a long chunk never
-//! stalls `accept` for longer than one chunk's work.  Backpressure is
+//! stalls `accept` for longer than one chunk's work.
+//!
+//! **Waiting.**  [`NetServer::poll_cycle`] never blocks; what happens
+//! between cycles is the caller's choice.  [`NetServer::serve`] wakes on
+//! arrival rather than on a timer: after a cycle that moved anything it
+//! polls again at once, for a quiet window of 2 ms after the last progress
+//! it re-polls with `std::thread::yield_now()` in between (a client
+//! sharing the core gets the CPU, a client on another core is answered
+//! within a cycle instead of after a timer tick), and only once the window
+//! has passed with nothing to do does it fall back to 200 µs sleeps.  The
+//! trade-off is CPU: a server that sees at least one request per quiet
+//! window holds its core at 100 %, while a quiet server sleeps exactly as
+//! a plain sleep loop would.  [`NetStats::idle_yields`] and
+//! [`NetStats::idle_sleeps`] count the two kinds of wait.  Embedders that
+//! call `poll_cycle()` themselves pick their own wait.
+//!
+//! Backpressure is
 //! per-connection: each connection has a bounded outbound queue, and when
 //! a client stops draining replies the server stops *decoding that
 //! connection's requests* (bytes stay in its inbound buffer, the socket's
@@ -17,7 +33,8 @@
 //! and the engine all survive.
 
 use crate::wire::{
-    decode_frame, encode_frame, Frame, SubmitSpec, WireReport, DEFAULT_MAX_PAYLOAD, WIRE_VERSION,
+    decode_frame, encode_done, encode_frame, DoneHead, Frame, SubmitSpec, DEFAULT_MAX_PAYLOAD,
+    WIRE_VERSION,
 };
 use rdx_core::budget::MemoryBudget;
 use rdx_core::error::RdxError;
@@ -31,7 +48,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A non-blocking listening socket, TCP or unix-domain.
 #[derive(Debug)]
@@ -162,7 +179,11 @@ pub struct NetConfig {
     /// drains replies — backpressure that never blocks the engine.
     pub outbound_limit: usize,
     /// Engine steps per poll cycle: the knob trading socket latency
-    /// against query throughput.
+    /// against query throughput.  It bounds how long sockets go unserviced
+    /// while the engine has work; how the loop waits when a cycle finds
+    /// *no* work is not configurable — [`NetServer::serve`] applies its
+    /// fixed yield-then-sleep policy, and callers of
+    /// [`NetServer::poll_cycle`] wait however they like.
     pub steps_per_cycle: usize,
 }
 
@@ -193,6 +214,65 @@ pub struct NetStats {
     /// Times a connection's request decoding paused because its outbound
     /// queue hit [`NetConfig::outbound_limit`].
     pub backpressure_pauses: u64,
+    /// Idle cycles [`NetServer::serve`] answered with a
+    /// `std::thread::yield_now()` (inside the quiet window after the last
+    /// progress).  Zero when the caller drives [`NetServer::poll_cycle`]
+    /// itself.
+    pub idle_yields: u64,
+    /// Idle cycles [`NetServer::serve`] answered with a 200 µs sleep (the
+    /// quiet window had passed).  A busy connection should add next to
+    /// none; a count that grows with the number of requests means clients
+    /// are paying a timer tick per round trip.
+    pub idle_sleeps: u64,
+}
+
+/// How long after the last cycle that made progress [`NetServer::serve`]
+/// keeps re-polling (yielding in between) before it starts to sleep.  Long
+/// enough to cover a closed-loop client's turnaround — including the
+/// 200 µs poll interval of [`crate::NetClient::wait`] and the timer slack
+/// on top of it — short enough that an abandoned server spins for a
+/// negligible time.
+const QUIET_WINDOW: Duration = Duration::from_millis(2);
+
+/// One sleep of a server that has been quiet for longer than
+/// [`QUIET_WINDOW`]: the bound on how late a request into a sleeping
+/// server is noticed.
+const IDLE_SLEEP: Duration = Duration::from_micros(200);
+
+/// What [`NetServer::serve`] does between two poll cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IdleAction {
+    /// The cycle made progress: poll again immediately.
+    Continue,
+    /// Nothing moved, but something did recently: let another thread run,
+    /// then poll again.
+    Yield,
+    /// Nothing has moved for a whole quiet window: sleep this long.
+    Sleep(Duration),
+}
+
+/// The idle policy of [`NetServer::serve`] as a clock-free state machine:
+/// fed each cycle's outcome and the time since the previous cycle, it
+/// tracks how long the loop has been quiet and answers how to wait.
+#[derive(Debug, Default)]
+struct IdlePolicy {
+    /// Time accumulated since the last cycle that made progress.
+    quiet: Duration,
+}
+
+impl IdlePolicy {
+    fn next(&mut self, progressed: bool, elapsed: Duration) -> IdleAction {
+        if progressed {
+            self.quiet = Duration::ZERO;
+            return IdleAction::Continue;
+        }
+        self.quiet = self.quiet.saturating_add(elapsed);
+        if self.quiet < QUIET_WINDOW {
+            IdleAction::Yield
+        } else {
+            IdleAction::Sleep(IDLE_SLEEP)
+        }
+    }
 }
 
 /// Per-connection state: buffered bytes in, queued frames out, and the
@@ -308,7 +388,9 @@ impl NetServer {
     /// decode requests (respecting per-connection backpressure), then run
     /// up to [`NetConfig::steps_per_cycle`] engine steps.  Returns `true`
     /// when the cycle did any work (socket bytes moved, frames handled, or
-    /// engine progress) — `false` means the caller may sleep briefly.
+    /// engine progress).  Never blocks: after a `false` the caller decides
+    /// how to wait — yield, sleep, or poll again (see the module docs for
+    /// what [`NetServer::serve`] does).
     pub fn poll_cycle(&mut self) -> bool {
         let mut progressed = false;
 
@@ -362,16 +444,42 @@ impl NetServer {
     /// call [`NetServer::poll_cycle`] in their own loop instead.  Borrows
     /// rather than consumes, so the caller can inspect the engine (stats,
     /// traces, tenant accounting) after the run.
+    ///
+    /// Between cycles the loop wakes on arrival, not on a timer: it polls
+    /// again at once after progress, yields the CPU between polls for 2 ms
+    /// after the last progress, and sleeps 200 µs per idle cycle after
+    /// that.  A server with at least one request per 2 ms therefore keeps
+    /// its core busy; a quiet one costs what a sleep loop costs.  The two
+    /// waits are counted in [`NetStats::idle_yields`] and
+    /// [`NetStats::idle_sleeps`].
     pub fn serve(&mut self) -> NetStats {
+        let mut idle = IdlePolicy::default();
+        let mut last_cycle = Instant::now();
         loop {
             let progressed = self.poll_cycle();
-            if self.seen_any && self.conns.is_empty() && self.engine.is_idle() {
+            if self.drained() {
                 return self.stats;
             }
-            if !progressed {
-                std::thread::sleep(Duration::from_micros(200));
+            let now = Instant::now();
+            match idle.next(progressed, now - last_cycle) {
+                IdleAction::Continue => {}
+                IdleAction::Yield => {
+                    self.stats.idle_yields += 1;
+                    std::thread::yield_now();
+                }
+                IdleAction::Sleep(d) => {
+                    self.stats.idle_sleeps += 1;
+                    std::thread::sleep(d);
+                }
             }
+            last_cycle = now;
         }
+    }
+
+    /// [`NetServer::serve`]'s exit rule: at least one client has been
+    /// seen, every connection is gone, and the engine has nothing left.
+    fn drained(&self) -> bool {
+        self.seen_any && self.conns.is_empty() && self.engine.is_idle()
     }
 
     /// Cancels and drains a departing connection's outstanding tickets so
@@ -428,6 +536,12 @@ impl NetServer {
                 Ok(n) => {
                     *progressed = true;
                     conn.inbound.extend_from_slice(&buf[..n]);
+                    if n < buf.len() {
+                        // A short read emptied the socket; asking again
+                        // would only buy a `WouldBlock`.  (An EOF behind
+                        // these bytes is seen next cycle.)
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -479,6 +593,11 @@ impl NetServer {
     fn enqueue(&mut self, idx: usize, frame: &Frame) {
         let mut bytes = Vec::new();
         encode_frame(frame, &mut bytes);
+        self.enqueue_bytes(idx, bytes);
+    }
+
+    /// Queues one already-encoded frame.
+    fn enqueue_bytes(&mut self, idx: usize, bytes: Vec<u8>) {
         self.conns[idx].outbound.push_back(bytes);
         self.stats.frames_out += 1;
     }
@@ -609,19 +728,23 @@ impl NetServer {
                         outcome: Ok(result),
                         ..
                     }) => {
-                        let report = WireReport {
+                        // Encoded straight from the result's columns into
+                        // one exactly-sized buffer: a `Done` is the one
+                        // frame that can run to megabytes.
+                        let head = DoneHead {
+                            ticket,
                             rows: result.stats.rows as u64,
                             chunks: result.stats.chunks as u64,
                             cache_hit: result.stats.cache_hit,
                             share_bytes: result.stats.share_bytes as u64,
-                            columns: result
-                                .result
-                                .columns()
-                                .iter()
-                                .map(|c| c.as_slice().to_vec())
-                                .collect(),
                         };
-                        self.enqueue(idx, &Frame::Done { ticket, report });
+                        let mut bytes = Vec::new();
+                        encode_done(
+                            &head,
+                            result.result.columns().iter().map(|c| c.as_slice()),
+                            &mut bytes,
+                        );
+                        self.enqueue_bytes(idx, bytes);
                     }
                     Some(QueryOutcome {
                         outcome: Err(error),
@@ -652,3 +775,120 @@ impl NetServer {
 /// which no `MemoryBudget` value can represent).  Real tickets count up
 /// from zero and can never reach it.
 pub const NO_TICKET: u64 = u64::MAX;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdx_serve::ServeConfig;
+
+    const US: Duration = Duration::from_micros(1);
+
+    /// Feeds `(progressed, elapsed)` pairs, returns the actions.
+    fn run(policy: &mut IdlePolicy, script: &[(bool, Duration)]) -> Vec<IdleAction> {
+        script
+            .iter()
+            .map(|&(progressed, elapsed)| policy.next(progressed, elapsed))
+            .collect()
+    }
+
+    #[test]
+    fn progress_polls_again_at_once_and_resets_the_quiet_window() {
+        let mut policy = IdlePolicy::default();
+        let almost = QUIET_WINDOW - US;
+        assert_eq!(
+            run(
+                &mut policy,
+                &[
+                    (true, US),
+                    // Quiet for almost a whole window: still yielding.
+                    (false, almost),
+                    // Progress — however late — starts the window afresh,
+                    (true, 10 * QUIET_WINDOW),
+                    // so the same quiet stretch yields again,
+                    (false, almost),
+                    // and only its completion sleeps.
+                    (false, US),
+                ]
+            ),
+            [
+                IdleAction::Continue,
+                IdleAction::Yield,
+                IdleAction::Continue,
+                IdleAction::Yield,
+                IdleAction::Sleep(IDLE_SLEEP),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_yield_window_is_bounded_and_every_idle_cycle_after_it_sleeps() {
+        let mut policy = IdlePolicy::default();
+        let step = 50 * US;
+        let actions = run(&mut policy, &[(false, step); 1_000]);
+        let yields = actions
+            .iter()
+            .take_while(|a| **a == IdleAction::Yield)
+            .count();
+        // Quiet time reaches the window on cycle ⌈window / step⌉.
+        assert_eq!(
+            yields as u128,
+            QUIET_WINDOW.as_nanos() / step.as_nanos() - 1
+        );
+        assert!(
+            actions[yields..]
+                .iter()
+                .all(|a| *a == IdleAction::Sleep(IDLE_SLEEP)),
+            "a server quiet past its window sleeps on every idle cycle"
+        );
+        // However long a sleep overshoots, the quiet time cannot wrap
+        // around into a fresh window.
+        assert_eq!(
+            policy.next(false, Duration::MAX),
+            IdleAction::Sleep(IDLE_SLEEP)
+        );
+        assert_eq!(policy.next(false, US), IdleAction::Sleep(IDLE_SLEEP));
+    }
+
+    #[test]
+    fn one_slow_idle_cycle_goes_straight_to_sleep() {
+        // The thread was descheduled for longer than the window: the
+        // first idle cycle after it already sleeps.
+        let mut policy = IdlePolicy::default();
+        assert_eq!(
+            policy.next(false, QUIET_WINDOW),
+            IdleAction::Sleep(IDLE_SLEEP)
+        );
+    }
+
+    #[test]
+    fn serve_exits_only_after_a_client_has_come_and_gone() {
+        let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
+        let addr = listener.tcp_addr().expect("addr");
+        let engine = QueryEngine::new(ServeConfig::default());
+        let mut server = NetServer::new(listener, engine, NetConfig::default());
+
+        // Idle engine, no connection yet: not drained, however often polled.
+        assert!(!server.poll_cycle());
+        assert!(!server.drained());
+
+        // The kernel completes the handshake against the backlog, so one
+        // thread can play both ends.
+        let client = TcpStream::connect(addr).expect("connect");
+        while server.connections() == 0 {
+            server.poll_cycle();
+        }
+        assert!(!server.drained(), "a live connection keeps serve() running");
+
+        drop(client);
+        while server.connections() > 0 {
+            server.poll_cycle();
+        }
+        assert!(server.drained());
+        let stats = server.stats();
+        assert_eq!((stats.accepted, stats.closed), (1, 1));
+        // The waits are serve()'s: a caller-driven loop counts none.
+        assert_eq!((stats.idle_yields, stats.idle_sleeps), (0, 0));
+        // serve() on a drained server returns on its first cycle.
+        assert_eq!(server.serve(), stats);
+    }
+}

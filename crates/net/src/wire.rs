@@ -229,6 +229,10 @@ pub enum Frame {
     },
 }
 
+/// [`Frame::Done`]'s wire type byte, shared by [`encode_frame`],
+/// [`encode_done`] and [`decode_frame`].
+const TYPE_DONE: u8 = 0x85;
+
 impl Frame {
     /// This frame's wire type byte.
     fn type_byte(&self) -> u8 {
@@ -241,7 +245,7 @@ impl Frame {
             Frame::Submitted { .. } => 0x82,
             Frame::Queued { .. } => 0x83,
             Frame::Chunk { .. } => 0x84,
-            Frame::Done { .. } => 0x85,
+            Frame::Done { .. } => TYPE_DONE,
             Frame::Rejected { .. } => 0x86,
             Frame::CancelResult { .. } => 0x87,
             Frame::ProtocolError { .. } => 0x88,
@@ -383,14 +387,81 @@ fn put_error(out: &mut Vec<u8>, e: &RdxError) {
     }
 }
 
-/// Appends `frame`, fully encoded (header + payload), to `out`.
-pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
+/// Appends a frame header with a zero payload length and returns where
+/// the length sits, for [`end_frame`] to patch once the payload is written.
+fn begin_frame(out: &mut Vec<u8>, type_byte: u8) -> usize {
     out.extend_from_slice(&MAGIC);
     out.push(WIRE_VERSION);
-    out.push(frame.type_byte());
+    out.push(type_byte);
     let len_at = out.len();
-    put_u32(out, 0); // patched below
-    let payload_start = out.len();
+    put_u32(out, 0);
+    len_at
+}
+
+/// Patches the payload length of the frame [`begin_frame`] opened at
+/// `len_at`: everything appended since.
+fn end_frame(out: &mut [u8], len_at: usize) {
+    let payload_len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
+}
+
+/// Everything a [`Frame::Done`] carries except the result columns, so the
+/// server can encode a finished query straight from the columns it
+/// already holds (see [`encode_done`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DoneHead {
+    pub ticket: u64,
+    pub rows: u64,
+    pub chunks: u64,
+    pub cache_hit: bool,
+    pub share_bytes: u64,
+}
+
+/// The one `Done` payload layout: head fields, column count, then each
+/// column as a `u32` length and its little-endian values.
+fn put_done<'a>(
+    out: &mut Vec<u8>,
+    head: &DoneHead,
+    columns: impl ExactSizeIterator<Item = &'a [i32]>,
+) {
+    put_u64(out, head.ticket);
+    put_u64(out, head.rows);
+    put_u64(out, head.chunks);
+    out.push(u8::from(head.cache_hit));
+    put_u64(out, head.share_bytes);
+    put_u16(out, columns.len() as u16);
+    for col in columns {
+        put_u32(out, col.len() as u32);
+        for v in col {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+/// Appends a complete `Done` frame encoded from **borrowed** columns —
+/// byte for byte what [`encode_frame`] emits for the equivalent
+/// [`Frame::Done`], without first copying the columns into a
+/// [`WireReport`].  The frame's exact size is reserved up front, so a
+/// multi-megabyte result is written once into a buffer that never
+/// reallocates.
+pub(crate) fn encode_done<'a>(
+    head: &DoneHead,
+    columns: impl ExactSizeIterator<Item = &'a [i32]> + Clone,
+    out: &mut Vec<u8>,
+) {
+    // Four u64 head fields, the cache-hit byte and the u16 column count,
+    // then a u32 length and 4 B per value for each column.
+    let fixed = 4 * 8 + 1 + 2;
+    let columns_len: usize = columns.clone().map(|c| 4 + 4 * c.len()).sum();
+    out.reserve_exact(HEADER_LEN + fixed + columns_len);
+    let len_at = begin_frame(out, TYPE_DONE);
+    put_done(out, head, columns);
+    end_frame(out, len_at);
+}
+
+/// Appends `frame`, fully encoded (header + payload), to `out`.
+pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
+    let len_at = begin_frame(out, frame.type_byte());
     match frame {
         Frame::Hello { tenant } => match tenant {
             Some(name) => {
@@ -444,20 +515,17 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             put_u64(out, *chunks);
             put_u64(out, *rows);
         }
-        Frame::Done { ticket, report } => {
-            put_u64(out, *ticket);
-            put_u64(out, report.rows);
-            put_u64(out, report.chunks);
-            out.push(u8::from(report.cache_hit));
-            put_u64(out, report.share_bytes);
-            put_u16(out, report.columns.len() as u16);
-            for col in &report.columns {
-                put_u32(out, col.len() as u32);
-                for v in col {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
+        Frame::Done { ticket, report } => put_done(
+            out,
+            &DoneHead {
+                ticket: *ticket,
+                rows: report.rows,
+                chunks: report.chunks,
+                cache_hit: report.cache_hit,
+                share_bytes: report.share_bytes,
+            },
+            report.columns.iter().map(Vec::as_slice),
+        ),
         Frame::Rejected { ticket, error } => {
             put_u64(out, *ticket);
             put_error(out, error);
@@ -468,8 +536,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
         }
         Frame::ProtocolError { detail } => put_string(out, detail),
     }
-    let payload_len = (out.len() - payload_start) as u32;
-    out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
+    end_frame(out, len_at);
 }
 
 // ---------------------------------------------------------------- reading
@@ -625,6 +692,16 @@ fn read_error(r: &mut Reader<'_>) -> Result<RdxError, WireError> {
     })
 }
 
+/// The payload length announced by the frame at the head of `buf`, once
+/// its 8 header bytes are there.  Validates nothing: [`decode_frame`]
+/// checks it against the cap, and a reader sizes its buffer with it only
+/// after `decode_frame` answered `Ok(None)` for the same bytes — header
+/// accepted (magic, version, cap), payload incomplete.
+pub(crate) fn announced_payload_len(buf: &[u8]) -> Option<u32> {
+    let len = buf.get(4..HEADER_LEN)?;
+    Some(u32::from_le_bytes([len[0], len[1], len[2], len[3]]))
+}
+
 /// Decodes the first complete frame in `buf`.
 ///
 /// Returns `Ok(Some((frame, consumed)))` when a whole frame was present
@@ -633,9 +710,9 @@ fn read_error(r: &mut Reader<'_>) -> Result<RdxError, WireError> {
 /// never become a valid frame (the caller should tear the connection
 /// down — resynchronising inside a corrupt byte stream is guesswork).
 pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize)>, WireError> {
-    if buf.len() < HEADER_LEN {
+    let Some(payload_len) = announced_payload_len(buf) else {
         return Ok(None);
-    }
+    };
     if buf[0..2] != MAGIC {
         return Err(WireError::BadMagic {
             found: [buf[0], buf[1]],
@@ -645,7 +722,6 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize
         return Err(WireError::UnsupportedVersion { found: buf[2] });
     }
     let frame_type = buf[3];
-    let payload_len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
     if payload_len > max_payload {
         return Err(WireError::Oversized {
             len: payload_len,
@@ -711,7 +787,7 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize
             chunks: r.u64()?,
             rows: r.u64()?,
         },
-        0x85 => {
+        TYPE_DONE => {
             let ticket = r.u64()?;
             let rows = r.u64()?;
             let chunks = r.u64()?;
@@ -837,6 +913,82 @@ mod tests {
         round_trip(Frame::ProtocolError {
             detail: "bad frame magic".into(),
         });
+    }
+
+    /// Encodes `columns` both ways — owned through [`encode_frame`],
+    /// borrowed through [`encode_done`] — after `prefix` bytes already in
+    /// the buffer, and returns the borrowed buffer once the two agree.
+    fn done_both_ways(prefix: &[u8], columns: Vec<Vec<i32>>) -> Vec<u8> {
+        let head = DoneHead {
+            ticket: 0x0102_0304_0506_0708,
+            rows: columns.first().map_or(0, |c| c.len() as u64),
+            chunks: 19,
+            cache_hit: true,
+            share_bytes: 800_000,
+        };
+        let mut borrowed = prefix.to_vec();
+        encode_done(&head, columns.iter().map(Vec::as_slice), &mut borrowed);
+        let grown_to = borrowed.capacity();
+
+        let frame = Frame::Done {
+            ticket: head.ticket,
+            report: WireReport {
+                rows: head.rows,
+                chunks: head.chunks,
+                cache_hit: head.cache_hit,
+                share_bytes: head.share_bytes,
+                columns,
+            },
+        };
+        let mut owned = prefix.to_vec();
+        encode_frame(&frame, &mut owned);
+        assert_eq!(borrowed, owned, "one Done layout, whichever door");
+        assert_eq!(
+            (borrowed.len(), borrowed.capacity()),
+            (grown_to, grown_to),
+            "reserved exactly once, filled exactly"
+        );
+        let (decoded, used) = decode_frame(&borrowed[prefix.len()..], u32::MAX)
+            .expect("valid")
+            .expect("complete");
+        assert_eq!((decoded, used), (frame, borrowed.len() - prefix.len()));
+        borrowed
+    }
+
+    #[test]
+    fn borrowed_done_is_byte_identical_and_never_reallocates() {
+        // 0, 1 and many columns; empty, tiny and multi-megabyte ones.
+        let big: Vec<i32> = (0..800_000).map(|i| i * 7 - 1_000_000).collect();
+        let shapes: Vec<Vec<Vec<i32>>> = vec![
+            vec![],
+            vec![vec![]],
+            vec![vec![i32::MIN, -1, 0, 1, i32::MAX]],
+            vec![vec![], vec![], vec![]],
+            (0..8).map(|c| vec![c; 3]).collect(),
+            vec![big.clone(), big],
+        ];
+        for columns in shapes {
+            let values: usize = columns.iter().map(Vec::len).sum();
+            let bytes = done_both_ways(&[], columns.clone());
+            assert_eq!(
+                bytes.len(),
+                HEADER_LEN + 35 + 4 * columns.len() + 4 * values
+            );
+            // Appending behind bytes already queued changes nothing.
+            let behind = done_both_ways(b"earlier frame", columns);
+            assert_eq!(behind[13..], bytes[..]);
+        }
+    }
+
+    #[test]
+    fn announced_payload_len_needs_a_whole_header() {
+        let mut buf = Vec::new();
+        encode_frame(&Frame::Poll { ticket: 9 }, &mut buf);
+        for cut in 0..HEADER_LEN {
+            assert_eq!(announced_payload_len(&buf[..cut]), None);
+        }
+        assert_eq!(announced_payload_len(&buf[..HEADER_LEN]), Some(8));
+        assert_eq!(announced_payload_len(&buf), Some(8));
     }
 
     #[test]

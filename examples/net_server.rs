@@ -6,8 +6,10 @@
 //! The server runs single-threaded: socket I/O and engine chunk-steps
 //! interleave in one loop, so a slow client can never block another
 //! query's progress — its replies queue under per-connection
-//! backpressure instead.  It exits once at least one client has been
-//! seen and every connection has drained.
+//! backpressure instead.  Between requests the loop wakes on arrival
+//! (yielding for 2 ms after the last progress, sleeping only after that);
+//! it exits once at least one client has been seen and every connection
+//! has drained.
 //!
 //! Run with `cargo run --release --example net_server [addr]`
 //! (default `127.0.0.1:7744`), then in another terminal:
@@ -57,6 +59,12 @@ fn main() {
         "all clients disconnected: {} conns, {} frames in / {} out, {} decode errors, \
          {} backpressure pauses",
         net.accepted, net.frames_in, net.frames_out, net.decode_errors, net.backpressure_pauses,
+    );
+    // How the loop waited: yields inside the 2 ms quiet window after the
+    // last progress, 200 µs sleeps once it had passed.
+    println!(
+        "idle waits: {} yields, {} sleeps",
+        net.idle_yields, net.idle_sleeps,
     );
     println!(
         "engine admitted {} queries ({} rejected, {} cancelled)",

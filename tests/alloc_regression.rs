@@ -1,7 +1,7 @@
 //! Allocation-regression tests for the zero-allocation scatter engine.
 //!
 //! A counting global allocator wraps `System` and tallies every `alloc` /
-//! `realloc` in the test binary.  The headline guarantee (the PR 4
+//! `realloc` **of the calling thread**.  The headline guarantee (the PR 4
 //! acceptance gate): once a streaming [`PipelineRun`] has emitted its first
 //! chunk on a single-threaded policy, **every further
 //! [`PipelineRun::step`] performs zero heap allocations** — the chunk loop
@@ -13,18 +13,32 @@
 use radix_decluster::core::cluster::SWWC_SLOT_ELEMS;
 use radix_decluster::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Counts allocations (and reallocations — a `realloc` is a new buffer as
 /// far as steady-state reuse is concerned); frees are irrelevant here.
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's allocation tally.  Per thread, because a
+    /// process-global counter also counts libtest's own threads (output
+    /// capture, spawning the next test) into whatever window happens to be
+    /// open — the ~1-in-4 flake this replaced.  Const-initialised and
+    /// without a destructor, so touching it from inside the allocator
+    /// neither allocates nor registers anything.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Bumps the calling thread's tally.  `try_with`: an allocation during
+/// thread teardown, after the slot is gone, is simply not counted.
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -33,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,10 +55,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// The allocation counter is process-global, so concurrently running tests
-/// would count each other's allocations into any measured window.  Every
-/// test in this binary holds this lock for its whole body; a panicked test
-/// must not wedge the rest, so poisoning is ignored.
+/// The tally is per thread, so another test's allocations can no longer
+/// land in a measured window; the lock stays so that the measured kernels
+/// also never compete for cache and CPU with one another, and every test
+/// in this binary holds it for its whole body.  A panicked test must not
+/// wedge the rest, so poisoning is ignored.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serialized() -> MutexGuard<'static, ()> {
@@ -53,12 +68,16 @@ fn serialized() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Runs `f` and returns how many allocations it performed.  Only meaningful
-/// while [`serialized`] is held.
+/// Runs `f` and returns how many allocations **this thread** performed
+/// meanwhile.  Every measured path here runs on the measuring thread
+/// (`ExecPolicy::with_threads(1)`, sequential kernels); a test that wants
+/// morsel-pool workers counted has to opt them in itself — run the
+/// measured call on the worker and read the tally there — because their
+/// allocations are, by design, not in this number.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// A sink that verifies geometry but holds no memory: the steady-state
@@ -74,6 +93,34 @@ impl RowChunkSink for NullSink {
         self.rows += columns.first().map(|c| c.len()).unwrap_or(0);
         self.chunks += 1;
     }
+}
+
+/// The harness itself: the tally sees this thread's allocations, and only
+/// this thread's — so a zero below means "the measured code allocated
+/// nothing", not "the measured code ran somewhere the counter cannot see".
+#[test]
+fn the_tally_counts_the_measuring_thread_and_no_other() {
+    let _guard = serialized();
+    let own = allocations_during(|| {
+        let mut v: Vec<u64> = Vec::with_capacity(4); // 1: alloc
+        v.extend(0..64); // 2: realloc
+        std::hint::black_box(&v);
+    });
+    assert_eq!(own, 2);
+    // Spawning allocates on this thread (the handle, the boxed closure);
+    // what the child allocates must not be added on top.  The first spawn
+    // of a process also reads `RUST_MIN_STACK`, so it is not the baseline.
+    let spawn_and_join = |work: fn()| drop(std::thread::spawn(work).join());
+    spawn_and_join(|| {});
+    let idle_child = allocations_during(|| spawn_and_join(|| {}));
+    let busy_child = allocations_during(|| {
+        spawn_and_join(|| {
+            let junk: Vec<Vec<u8>> = (0..1_000).map(|i| vec![0u8; 1 + i]).collect();
+            std::hint::black_box(junk);
+        })
+    });
+    assert!(idle_child > 0);
+    assert_eq!(busy_child, idle_child);
 }
 
 #[test]
@@ -101,8 +148,13 @@ fn pipeline_step_allocates_nothing_in_steady_state() {
     let mut sink = NullSink { rows: 0, chunks: 0 };
 
     // Warm-up: the first chunk grows the scratch to its high-water mark
-    // (chunks after the first are never larger).
-    assert!(run.step(&mut sink).is_some());
+    // (chunks after the first are never larger) — on this thread, where
+    // the tally can see it.
+    let warmup_allocs = allocations_during(|| assert!(run.step(&mut sink).is_some()));
+    assert!(
+        warmup_allocs > 0,
+        "the chunk loop must run on the measuring thread for the zeros below to mean anything"
+    );
 
     // Steady state: zero heap allocations per chunk, across many chunks.
     let mut steady_chunks = 0;

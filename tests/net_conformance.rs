@@ -535,6 +535,69 @@ fn zero_budget_is_refused_before_a_ticket_exists() {
     handle.join().expect("server thread");
 }
 
+/// The wake-on-arrival contract of `NetServer::serve`, read off its own
+/// counters: a connection that keeps the server busy — one warm point
+/// query after the other, each submitted only when the previous result is
+/// in hand — must not put the loop to sleep between requests.  A loop that
+/// slept whenever one cycle moved nothing took about two 200 µs sleeps per
+/// query here (one per round trip) whenever client and server ran on
+/// different cores.
+#[test]
+fn a_busy_connection_is_not_served_on_a_timer() {
+    const QUERIES: usize = 512;
+    let w = JoinWorkloadBuilder::equal(2_000, 2).seed(23).build();
+    let cfg = ServeConfig {
+        params: CacheParams::tiny_for_tests(),
+        plan_shares: Some(1),
+        ..ServeConfig::default()
+    };
+    let expected = {
+        let mut session = Session::new(cfg.clone());
+        let larger = session.register(w.larger.clone());
+        let smaller = session.register(w.smaller.clone());
+        let report = session
+            .query(larger, smaller)
+            .project(QuerySpec::symmetric(1))
+            .run()
+            .expect("oracle");
+        raw_columns(&report.result)
+    };
+    let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
+    let addr = listener.tcp_addr().expect("addr");
+    let handle = run_server(
+        listener,
+        cfg,
+        vec![w.larger.clone(), w.smaller.clone()],
+        NetConfig::default(),
+        None,
+        |engine, stats| (engine.cache_stats(), stats),
+    );
+    let mut client = NetClient::connect_tcp(addr).expect("connect");
+    client.hello(None).expect("hello");
+    for i in 0..QUERIES {
+        let ticket = client.submit(wire_spec(1, 1, None)).expect("submit");
+        let report = client.wait(ticket).expect("wait").expect("done");
+        assert_eq!(report.columns, expected, "query {i}");
+    }
+    drop(client);
+    let (cache, stats) = handle.join().expect("server thread");
+    assert_eq!(
+        cache.hits as usize,
+        QUERIES - 1,
+        "all but the first are warm"
+    );
+    // The sleeps left are the ones outside the ping-pong — before the
+    // client connects, and wherever the scheduler kept the client off the
+    // CPU for a whole quiet window — not one per round trip.  The bound is
+    // an eighth of the timer-driven count.
+    assert!(
+        stats.idle_sleeps < (QUERIES / 4) as u64,
+        "{} idle sleeps over {QUERIES} queries: the loop is waiting on a timer ({stats:?})",
+        stats.idle_sleeps
+    );
+    assert!(stats.idle_yields > 0, "the quiet-window wait never engaged");
+}
+
 /// The timing-independent shape of one trace event: everything the
 /// scripted engine decides deterministically, with wall-clock fields
 /// dropped.
