@@ -4,13 +4,13 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rdx_cache::{CacheParams, MemorySystem};
-use rdx_core::cluster::{radix_cluster_oids, RadixClusterSpec};
+use rdx_core::cluster::{radix_cluster, radix_cluster_oids, RadixClusterSpec};
 use rdx_core::decluster::traced::radix_decluster_traced;
 use rdx_core::decluster::{choose_window_bytes, radix_decluster};
 use rdx_core::jive::{jive_bits, jive_join_projection};
-use rdx_core::join::{hash_join, join_cluster_spec, partitioned_hash_join};
+use rdx_core::join::{hash_join, join_cluster_spec, partitioned_hash_join, HashTable};
 use rdx_core::positional::{clustered_positional_join, positional_join, sparse_positional_join};
 use rdx_core::strategy::{
     dsm_pre_projection, nsm_post_projection_decluster, nsm_post_projection_jive,
@@ -605,7 +605,7 @@ pub fn default_join_bits(n: usize, params: &CacheParams) -> u32 {
 pub struct MissProxyCell {
     /// Stable metric name, e.g. `"decluster.n16384.b6.l2_misses"`.
     pub name: String,
-    /// Unit label (`"misses"`, `"accesses"` or `"cycles"`).
+    /// Unit label (`"misses"`, `"accesses"`, `"cycles"` or `"steps"`).
     pub unit: &'static str,
     /// The simulated count.
     pub value: f64,
@@ -633,9 +633,30 @@ fn push_counts(
     ));
 }
 
+/// Chain nodes visited when each of `n` seeded random keys probes the hash
+/// table built over its own partition of a Radix-Cluster on `bits` bits.
+/// The bucket must come from hash bits the cluster did not consume: with
+/// the low bits, every chain — and so this count — grows by `2^bits`.
+fn join_chain_steps(n: usize, bits: u32, seed: u64) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let keys: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+    let clustered = radix_cluster(&keys, &keys, RadixClusterSpec::single_pass(bits));
+    let mut table = HashTable::build(&[]);
+    let mut steps = 0;
+    for p in 0..clustered.num_clusters() {
+        let partition = clustered.cluster_keys(p);
+        table.rebuild(partition);
+        for &k in partition {
+            steps += table.probe(k).count();
+        }
+    }
+    steps
+}
+
 /// The deterministic miss-count measurement mode: replays the Radix-Decluster
-/// kernel and a profiled end-to-end pipeline through the cache simulator and
-/// reports every count as a named cell.
+/// kernel and a profiled end-to-end pipeline through the cache simulator,
+/// counts the hash-join's chain steps, and reports every count as a named
+/// cell.
 ///
 /// `detune_window` deliberately runs the kernel cells with the insertion
 /// window collapsed to a single last-level cache line — the left edge of
@@ -709,6 +730,16 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
             name: format!("pipeline.e2e.{name}"),
             unit,
             value,
+        });
+    }
+
+    // Join cells: the per-partition hash table keeps O(1) chains whether or
+    // not the build side was Radix-Clustered first.
+    for bits in [0u32, 6] {
+        cells.push(MissProxyCell {
+            name: format!("join.n65536.b{bits}.chain_steps"),
+            unit: "steps",
+            value: join_chain_steps(1 << 16, bits, 17) as f64,
         });
     }
     cells

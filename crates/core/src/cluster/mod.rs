@@ -86,6 +86,11 @@ impl<K, P> Clustered<K, P> {
         &self.payloads[self.cluster_range(j)]
     }
 
+    /// `(keys, payloads)` of cluster `j`.
+    pub fn cluster(&self, j: usize) -> (&[K], &[P]) {
+        (self.cluster_keys(j), self.cluster_payloads(j))
+    }
+
     /// Consumes the clustering, returning `(keys, payloads, bounds)`.
     pub fn into_parts(self) -> (Vec<K>, Vec<P>, Vec<usize>) {
         (self.keys, self.payloads, self.bounds)

@@ -9,6 +9,11 @@
 //! "For oids, hashing is not applied as oids are integers already and not
 //! skewed", which is also what makes Radix-Cluster on all significant bits a
 //! Radix-Sort.
+//!
+//! Every consumer of [`hash_key`] after a Radix-Cluster follows one rule:
+//! **cluster on the low `B` bits of the hash, bucket on bits the cluster
+//! never looked at.**  The low bits are identical inside a partition, so the
+//! join's [`crate::join::HashTable`] takes its bucket from the top bits.
 
 /// Hashes a join-key value so that its low bits are well mixed.
 #[inline]

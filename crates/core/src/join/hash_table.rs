@@ -6,6 +6,11 @@
 //! chain entries (which are positions into the build relation) — this is the
 //! random access pattern that Partitioned Hash-Join keeps inside the cache by
 //! making each build partition small (§2.1).
+//!
+//! The bucket is the **top** `log2(nbuckets)` bits of [`hash_key`]: cluster
+//! on the low `B` bits of the hash, bucket on bits the cluster never looked
+//! at.  The low bits are identical inside a partition, so indexing by them
+//! would fill one bucket in `2^B` and make every probe a `2^B`-long walk.
 
 use crate::hash::hash_key;
 use rdx_dsm::Oid;
@@ -17,7 +22,8 @@ const NONE: u32 = u32::MAX;
 /// build-side key column.
 #[derive(Debug, Clone)]
 pub struct HashTable {
-    mask: u64,
+    /// `64 − log2(nbuckets)`: the bucket of a key is `hash >> shift`.
+    shift: u32,
     buckets: Vec<u32>,
     next: Vec<u32>,
 }
@@ -26,40 +32,48 @@ impl HashTable {
     /// Builds a table over `keys`, with roughly one bucket per key (rounded up
     /// to a power of two).
     pub fn build(keys: &[u64]) -> Self {
-        let nbuckets = keys.len().next_power_of_two().max(1);
         let mut table = HashTable {
-            mask: (nbuckets - 1) as u64,
-            buckets: vec![NONE; nbuckets],
-            next: vec![NONE; keys.len()],
+            shift: 63,
+            buckets: Vec::new(),
+            next: Vec::new(),
         };
-        for (i, &k) in keys.iter().enumerate() {
-            let b = (hash_key(k) & table.mask) as usize;
-            table.next[i] = table.buckets[b];
-            table.buckets[b] = i as u32;
-        }
+        table.rebuild(keys);
         table
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.next.len()
+    /// Replaces the contents with a table over `keys`, exactly as
+    /// [`HashTable::build`] would produce, reusing both arrays: one table
+    /// serves every partition of a join.
+    pub fn rebuild(&mut self, keys: &[u64]) {
+        // At least two buckets, so the shift stays below 64: a 64-bit shift
+        // is not a no-op.
+        let nbuckets = keys.len().next_power_of_two().max(2);
+        self.shift = 64 - nbuckets.trailing_zeros();
+        self.buckets.clear();
+        self.buckets.resize(nbuckets, NONE);
+        self.next.clear();
+        self.next.resize(keys.len(), NONE);
+        for (i, &k) in keys.iter().enumerate() {
+            let b = self.bucket(k);
+            self.next[i] = self.buckets[b];
+            self.buckets[b] = i as u32;
+        }
     }
 
-    /// `true` if the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.next.is_empty()
+    #[inline]
+    fn bucket(&self, key: u64) -> usize {
+        (hash_key(key) >> self.shift) as usize
     }
 
     /// Iterates over the *positions* of all build-side entries whose key
     /// equals `key` (the caller re-checks equality against its key column, so
     /// hash collisions across different keys are filtered there).
     #[inline]
-    pub fn probe(&self, key: u64) -> ChainIter<'_> {
-        let b = (hash_key(key) & self.mask) as usize;
-        ChainIter {
-            next: &self.next,
-            cursor: self.buckets[b],
-        }
+    pub fn probe(&self, key: u64) -> impl Iterator<Item = Oid> + '_ {
+        let entry = |pos: u32| (pos != NONE).then_some(pos);
+        std::iter::successors(entry(self.buckets[self.bucket(key)]), move |&pos| {
+            entry(self.next[pos as usize])
+        })
     }
 
     /// Convenience: probe and filter by actual key equality against the build
@@ -75,30 +89,82 @@ impl HashTable {
     }
 }
 
-/// Iterator over one hash chain.
-pub struct ChainIter<'a> {
-    next: &'a [u32],
-    cursor: u32,
-}
-
-impl Iterator for ChainIter<'_> {
-    type Item = Oid;
-
-    #[inline]
-    fn next(&mut self) -> Option<Oid> {
-        if self.cursor == NONE {
-            None
-        } else {
-            let pos = self.cursor;
-            self.cursor = self.next[pos as usize];
-            Some(pos)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{radix_cluster, RadixClusterSpec};
+
+    /// The positions `probe_matches` yields for every key of `probes`.
+    fn matches(table: &HashTable, build: &[u64], probes: &[u64]) -> Vec<Vec<Oid>> {
+        probes
+            .iter()
+            .map(|&k| table.probe_matches(k, build).collect())
+            .collect()
+    }
+
+    /// The regression the top-bit index exists for, on a count rather than a
+    /// clock: inside a partition of a Radix-Cluster on `B` bits, chains stay
+    /// short.  With the bucket taken from the low hash bits the mean chain
+    /// is `2^B`.
+    #[test]
+    fn chains_stay_short_inside_radix_partitions() {
+        let n = 1u64 << 16;
+        let sequential: Vec<u64> = (0..n).collect();
+        let random: Vec<u64> = (0..n).map(|i| hash_key(i ^ 0x5eed) >> 7).collect();
+        for keys in [&sequential, &random] {
+            for (bits, passes) in [(0, 1), (4, 1), (8, 1), (8, 2), (11, 1), (11, 2)] {
+                let clustered = radix_cluster(keys, keys, RadixClusterSpec::new(bits, passes));
+                let mut table = HashTable::build(&[]);
+                let (mut steps, mut longest) = (0usize, 0usize);
+                for p in 0..clustered.num_clusters() {
+                    let part = clustered.cluster_keys(p);
+                    table.rebuild(part);
+                    for &k in part {
+                        let chain = table.probe(k).count();
+                        steps += chain;
+                        longest = longest.max(chain);
+                    }
+                }
+                let mean = steps as f64 / n as f64;
+                assert!(mean <= 2.0, "B={bits} P={passes}: mean chain {mean}");
+                assert!(longest <= 16, "B={bits} P={passes}: max chain {longest}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_bucket_tables_find_their_keys() {
+        // 0, 1 and 2 keys all get the two-bucket floor, i.e. a shift of 63.
+        assert_eq!(HashTable::build(&[]).probe(42).count(), 0);
+        for keys in [vec![42u64], vec![42, 7], vec![42, 42]] {
+            let table = HashTable::build(&keys);
+            for &k in &keys {
+                let hits: Vec<Oid> = table.probe_matches(k, &keys).collect();
+                let expected: Vec<Oid> = (0..keys.len() as Oid)
+                    .rev()
+                    .filter(|&i| keys[i as usize] == k)
+                    .collect();
+                assert_eq!(hits, expected);
+            }
+            assert_eq!(table.probe_matches(8, &keys).count(), 0);
+        }
+    }
+
+    #[test]
+    fn rebuild_returns_what_a_fresh_build_returns() {
+        let probes: Vec<u64> = (0..600).collect();
+        let mut reused = HashTable::build(&[]);
+        for n in [500u64, 37, 2, 0, 1, 300, 512, 3] {
+            let keys: Vec<u64> = (0..n).map(|i| hash_key(i) % 400).collect();
+            reused.rebuild(&keys);
+            let fresh = HashTable::build(&keys);
+            assert_eq!(
+                matches(&reused, &keys, &probes),
+                matches(&fresh, &keys, &probes),
+                "n={n}"
+            );
+        }
+    }
 
     #[test]
     fn probe_finds_all_duplicates() {
@@ -120,7 +186,6 @@ mod tests {
     #[test]
     fn empty_table() {
         let ht = HashTable::build(&[]);
-        assert!(ht.is_empty());
         assert_eq!(ht.probe(5).count(), 0);
     }
 
@@ -128,7 +193,6 @@ mod tests {
     fn all_positions_reachable() {
         let keys: Vec<u64> = (0..1000).map(|i| i % 100).collect();
         let ht = HashTable::build(&keys);
-        assert_eq!(ht.len(), 1000);
         let mut found = vec![false; 1000];
         for k in 0..100u64 {
             for pos in ht.probe_matches(k, &keys) {

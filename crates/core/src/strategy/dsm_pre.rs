@@ -166,6 +166,7 @@ pub fn try_dsm_pre_projection(
 
     // Per-partition hash join, emitting fully projected result rows directly.
     let mut result_cols: Vec<Vec<i32>> = vec![Vec::new(); spec.total()];
+    let mut table = HashTable::build(&[]);
     for p in 0..larger_bounds.len() - 1 {
         let (ls, le) = (larger_bounds[p], larger_bounds[p + 1]);
         let (ss, se) = (smaller_bounds[p], smaller_bounds[p + 1]);
@@ -173,7 +174,7 @@ pub fn try_dsm_pre_projection(
             continue;
         }
         let build_keys = &smaller_clustered.keys[ss..se];
-        let table = HashTable::build(build_keys);
+        table.rebuild(build_keys);
         for l in ls..le {
             let key = larger_clustered.keys[l];
             for pos in table.probe_matches(key, build_keys) {

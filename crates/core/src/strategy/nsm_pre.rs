@@ -116,6 +116,7 @@ fn join_partitions(
     spec: &QuerySpec,
 ) -> Vec<Vec<i32>> {
     let mut result_cols: Vec<Vec<i32>> = vec![Vec::new(); spec.total()];
+    let mut table = HashTable::build(&[]);
     for p in 0..larger_bounds.len() - 1 {
         let (ls, le) = (larger_bounds[p], larger_bounds[p + 1]);
         let (ss, se) = (smaller_bounds[p], smaller_bounds[p + 1]);
@@ -123,7 +124,7 @@ fn join_partitions(
             continue;
         }
         let build_keys = &smaller.keys[ss..se];
-        let table = HashTable::build(build_keys);
+        table.rebuild(build_keys);
         for l in ls..le {
             for pos in table.probe_matches(larger.keys[l], build_keys) {
                 let s = ss + pos as usize;

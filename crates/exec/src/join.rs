@@ -3,16 +3,17 @@
 //!
 //! After (parallel) radix-clustering both inputs, the partitions are
 //! independent: partition `p` of the larger side only ever joins partition
-//! `p` of the smaller side.  Workers claim partitions morsel-style, emit
-//! per-partition pair buffers, and the buffers are concatenated in partition
-//! order — which is exactly the order the sequential loop emits, so the
-//! resulting [`JoinIndex`] is byte-identical to
+//! `p` of the smaller side.  Workers claim partitions morsel-style, run the
+//! sequential join's own per-partition kernel into per-partition oid
+//! columns, and the columns are concatenated in partition order — which is
+//! exactly the order the sequential loop emits, so the resulting
+//! [`JoinIndex`] is byte-identical to
 //! [`rdx_core::join::partitioned_hash_join`].
 
 use crate::cluster::par_radix_cluster;
 use crate::pool::{run_workers, ExecPolicy, MorselQueue};
 use rdx_core::cluster::RadixClusterSpec;
-use rdx_core::join::{partitioned_hash_join, HashTable};
+use rdx_core::join::{join_partition, partitioned_hash_join, HashTable};
 use rdx_dsm::{JoinIndex, Oid};
 
 /// Parallel Partitioned Hash-Join; byte-identical to the sequential
@@ -26,33 +27,23 @@ pub fn par_partitioned_hash_join(
     if spec.bits == 0 || policy.worker_threads() == 1 {
         return partitioned_hash_join(larger_keys, smaller_keys, spec);
     }
-    let larger_oids: Vec<Oid> = (0..larger_keys.len() as Oid).collect();
-    let smaller_oids: Vec<Oid> = (0..smaller_keys.len() as Oid).collect();
-    let larger = par_radix_cluster(larger_keys, &larger_oids, spec, policy);
-    let smaller = par_radix_cluster(smaller_keys, &smaller_oids, spec, policy);
+    let (n_l, n_s) = (larger_keys.len(), smaller_keys.len());
+    let oids: Vec<Oid> = (0..n_l.max(n_s) as Oid).collect();
+    let larger = par_radix_cluster(larger_keys, &oids[..n_l], spec, policy);
+    let smaller = par_radix_cluster(smaller_keys, &oids[..n_s], spec, policy);
 
     // Workers claim partitions dynamically (join cost is highly skew
-    // sensitive) and keep their pair buffers tagged by partition id.
+    // sensitive) and keep their output columns tagged by partition id.
     let queue = MorselQueue::new(spec.num_clusters(), 1);
-    let mut tagged: Vec<(usize, Vec<(Oid, Oid)>)> = run_workers(policy.worker_threads(), |_| {
+    let mut tagged: Vec<(usize, Vec<Oid>, Vec<Oid>)> = run_workers(policy.worker_threads(), |_| {
+        let mut table = HashTable::build(&[]);
         let mut mine = Vec::new();
         while let Some(range) = queue.claim() {
             for p in range {
-                let l_keys = larger.cluster_keys(p);
-                let s_keys = smaller.cluster_keys(p);
-                if l_keys.is_empty() || s_keys.is_empty() {
-                    continue;
-                }
-                let l_oids = larger.cluster_payloads(p);
-                let s_oids = smaller.cluster_payloads(p);
-                let table = HashTable::build(s_keys);
-                let mut pairs = Vec::new();
-                for (i, &key) in l_keys.iter().enumerate() {
-                    for pos in table.probe_matches(key, s_keys) {
-                        pairs.push((l_oids[i], s_oids[pos as usize]));
-                    }
-                }
-                mine.push((p, pairs));
+                let ((l_keys, l_oids), (s_keys, s_oids)) = (larger.cluster(p), smaller.cluster(p));
+                let (mut l, mut s) = (Vec::new(), Vec::new());
+                join_partition(&mut table, l_keys, l_oids, s_keys, s_oids, &mut l, &mut s);
+                mine.push((p, l, s));
             }
         }
         mine
@@ -62,14 +53,14 @@ pub fn par_partitioned_hash_join(
     .collect();
 
     // Concatenate in partition order — the sequential emission order.
-    tagged.sort_unstable_by_key(|(p, _)| *p);
-    let mut out = JoinIndex::with_capacity(tagged.iter().map(|(_, v)| v.len()).sum());
-    for (_, pairs) in tagged {
-        for (l, s) in pairs {
-            out.push(l, s);
-        }
+    tagged.sort_unstable_by_key(|&(p, ..)| p);
+    let total = tagged.iter().map(|(_, l, _)| l.len()).sum();
+    let (mut out_larger, mut out_smaller) = (Vec::with_capacity(total), Vec::with_capacity(total));
+    for (_, l, s) in &tagged {
+        out_larger.extend_from_slice(l);
+        out_smaller.extend_from_slice(s);
     }
-    out
+    JoinIndex::from_columns(out_larger, out_smaller)
 }
 
 #[cfg(test)]

@@ -191,7 +191,7 @@ proptest! {
     fn joins_agree_with_reference(
         larger in proptest::collection::vec(0u64..500, 0..400),
         smaller in proptest::collection::vec(0u64..500, 0..400),
-        bits in 0u32..8,
+        bits in 0u32..13,
         passes in 1u32..3,
     ) {
         let reference: HashSet<(Oid, Oid)> = larger
