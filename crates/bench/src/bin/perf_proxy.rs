@@ -99,10 +99,16 @@ fn main() -> ExitCode {
     let mut regressed = 0usize;
     let mut improved = 0usize;
     let mut new = 0usize;
-    for m in &metrics {
+    for (m, cell) in metrics.iter().zip(&cells) {
         match baseline.metric(&m.name) {
             Some(base) => {
-                let verdict = classify(&base.ci(), &m.ci());
+                // `classify` reads lower as better; swap the sides for the
+                // cells where higher is.
+                let verdict = if cell.higher_is_better {
+                    classify(&m.ci(), &base.ci())
+                } else {
+                    classify(&base.ci(), &m.ci())
+                };
                 let delta = if base.point != 0.0 {
                     (m.point - base.point) / base.point * 100.0
                 } else if m.point == 0.0 {

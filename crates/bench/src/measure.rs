@@ -19,6 +19,7 @@ use rdx_core::strategy::{
 };
 use rdx_dsm::{Column, JoinIndex, Oid};
 use rdx_workload::{HitRate, JoinWorkload, JoinWorkloadBuilder, SparseWorkload};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Times a closure, returning `(result, milliseconds)`.
@@ -605,10 +606,13 @@ pub fn default_join_bits(n: usize, params: &CacheParams) -> u32 {
 pub struct MissProxyCell {
     /// Stable metric name, e.g. `"decluster.n16384.b6.l2_misses"`.
     pub name: String,
-    /// Unit label (`"misses"`, `"accesses"`, `"cycles"` or `"steps"`).
+    /// Unit label (`"misses"`, `"accesses"`, `"cycles"`, `"steps"`, ...).
     pub unit: &'static str,
     /// The simulated count.
     pub value: f64,
+    /// `true` for the few cells where a larger value is the better one
+    /// (a hit share); the gate compares those the other way round.
+    pub higher_is_better: bool,
 }
 
 fn push_counts(
@@ -621,6 +625,7 @@ fn push_counts(
         name: format!("{prefix}.{name}"),
         unit,
         value,
+        higher_is_better: false,
     };
     out.push(cell("accesses", "accesses", counts.accesses as f64));
     out.push(cell("l1_misses", "misses", counts.l1_misses as f64));
@@ -730,6 +735,7 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
             name: format!("pipeline.e2e.{name}"),
             unit,
             value,
+            higher_is_better: false,
         });
     }
 
@@ -740,9 +746,83 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
             name: format!("join.n65536.b{bits}.chain_steps"),
             unit: "steps",
             value: join_chain_steps(1 << 16, bits, 17) as f64,
+            higher_is_better: false,
         });
     }
+    cells.extend(serve_cache_cells(params));
     cells
+}
+
+/// Serve-layer cells — the cache-hit vs cache-miss split of a query's cost,
+/// as counts: twelve pairs in the `mix_budget_wire` size ratios (1/100
+/// scale, hottest = largest, every plan declustering) behind one `Session`
+/// whose prefix cache holds half of what the twelve prefixes need, driven
+/// by a fixed zipf-expectation sequence of 600 queries.
+fn serve_cache_cells(params: &CacheParams) -> Vec<MissProxyCell> {
+    const ROWS: [usize; 12] = [2000, 1500, 1000, 800, 600, 400, 300, 200, 150, 100, 80, 60];
+    let pairs: Vec<_> = (ROWS.iter().zip(1..))
+        .map(|(&rows, seed)| JoinWorkloadBuilder::equal(rows, 1).seed(seed).build())
+        .map(|w| (Arc::new(w.larger), Arc::new(w.smaller)))
+        .collect();
+    // Replays `sequence` against a cache of `cache_bytes`; returns the
+    // final cache counters and the prefix rows rebuilt on misses.
+    let replay = |cache_bytes: usize, sequence: &[usize]| {
+        let mut session = rdx_api::Session::new(rdx_serve::ServeConfig {
+            params: params.clone(),
+            max_concurrent: 1,
+            threads_per_query: 1,
+            cache_bytes,
+            ..rdx_serve::ServeConfig::default()
+        });
+        let ids: Vec<_> = pairs
+            .iter()
+            .map(|(l, s)| {
+                (
+                    session.register_arc(l.clone()),
+                    session.register_arc(s.clone()),
+                )
+            })
+            .collect();
+        let mut rebuilt_rows = 0;
+        for &t in sequence {
+            let stats = session
+                .query(ids[t].0, ids[t].1)
+                .project(QuerySpec::symmetric(1))
+                .codes(DsmPostProjection::with_codes(
+                    ProjectionCode::PartialCluster,
+                    SecondSideCode::Decluster,
+                ))
+                .run()
+                .expect("serve proxy query")
+                .stats;
+            rebuilt_rows += if stats.cache_hit { 0 } else { stats.rows };
+        }
+        (session.cache_stats(), rebuilt_rows)
+    };
+    let (all_resident, all_rows) = replay(usize::MAX, &(0..ROWS.len()).collect::<Vec<_>>());
+    let sequence = rdx_workload::Zipf::new(ROWS.len(), 1.0).expectation_sequence(600, 11);
+    let (stats, rebuilt_rows) = replay(all_resident.resident_bytes / 2, &sequence);
+    let cell = |name: &str, unit, value: usize, higher_is_better| MissProxyCell {
+        name: name.to_string(),
+        unit,
+        value: value as f64,
+        higher_is_better,
+    };
+    vec![
+        cell(
+            "prefix.decluster.bytes_per_row",
+            "bytes",
+            all_resident.resident_bytes / all_rows,
+            false,
+        ),
+        cell(
+            "cache.zipf12.hit_permille",
+            "permille",
+            (stats.hits * 1000 / (stats.hits + stats.misses)) as usize,
+            true,
+        ),
+        cell("cache.zipf12.rebuilt_rows", "rows", rebuilt_rows, false),
+    ]
 }
 
 #[cfg(test)]

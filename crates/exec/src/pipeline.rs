@@ -132,7 +132,7 @@ pub struct ProjectionPipeline {
 /// radix-cluster — and it depends only on the two relations, the projection
 /// codes and the clustering spec, **not** on the memory budget, the thread
 /// count or the sink.  It is therefore the unit of *cross-query reuse*: the
-/// serving layer keeps these in a byte-budgeted LRU keyed by
+/// serving layer keeps these in a byte-budgeted cache keyed by
 /// `(relations, codes, cluster spec)` and starts every cache-hit query
 /// directly at the chunk loop.  Fig. 4's `CLUST_SMALLER`/`CLUST_RESULT`
 /// arrays, made a first-class shareable value.
@@ -140,11 +140,20 @@ pub struct ProjectionPipeline {
 pub struct PreparedProjection {
     plan: DsmPostProjection,
     first_oids: Vec<Oid>,
-    second_oids: Vec<Oid>,
-    clustered: Option<Clustered<Oid, Oid>>,
+    second: SecondSide,
     smaller_cardinality: usize,
     smaller_value_width: usize,
     timings: PhaseTimings,
+}
+
+/// What the chunk loop reads for the plan's [`SecondSideCode`], and nothing
+/// else: a declustering prefix cannot carry the column it was clustered from.
+#[derive(Debug, Clone)]
+enum SecondSide {
+    /// `u`: the smaller relation's oids in result order, fetched positionally.
+    ResultOrder(Vec<Oid>),
+    /// `d`: Fig. 4's `(oid, result position)` pairs, radix-clustered on oid.
+    Clustered(Clustered<Oid, Oid>),
 }
 
 impl PreparedProjection {
@@ -175,15 +184,20 @@ impl PreparedProjection {
     }
 
     /// Resident heap bytes of this prefix — what a byte-budgeted cache
-    /// charges for keeping it: the two reordered oid arrays plus, when the
-    /// second side declusters, the clustered `(oid, position)` pairs and the
-    /// `H + 1` cluster borders.
+    /// charges for keeping it: the first side's reordered oids (4 B/row)
+    /// plus either the second side's result-order oids (4 B/row, unsorted
+    /// fetch) or its clustered `(oid, position)` pairs and the `H + 1`
+    /// cluster borders (8 B/row + borders, decluster).
     pub fn resident_bytes(&self) -> usize {
-        let oids = (self.first_oids.len() + self.second_oids.len()) * std::mem::size_of::<Oid>();
-        let clustered = self.clustered.as_ref().map_or(0, |c| {
-            c.len() * 2 * std::mem::size_of::<Oid>() + std::mem::size_of_val(c.bounds())
-        });
-        oids + clustered
+        let second = match &self.second {
+            SecondSide::ResultOrder(oids) => std::mem::size_of_val(oids.as_slice()),
+            SecondSide::Clustered(c) => {
+                std::mem::size_of_val(c.keys())
+                    + std::mem::size_of_val(c.payloads())
+                    + std::mem::size_of_val(c.bounds())
+            }
+        };
+        std::mem::size_of_val(self.first_oids.as_slice()) + second
     }
 }
 
@@ -525,17 +539,17 @@ where
             policy.budget,
             policy.threads,
         );
-        if let Some(clustered) = &prepared.clustered {
-            debug_assert_eq!(
-                *clustered.spec(),
-                streaming.cluster_spec,
-                "prepared clustering drifted from the streaming plan"
-            );
-        }
-        let cursors = prepared
-            .clustered
-            .as_ref()
-            .map(|c| ChunkCursorState::new(c.bounds()));
+        let cursors = match &prepared.second {
+            SecondSide::Clustered(clustered) => {
+                debug_assert_eq!(
+                    *clustered.spec(),
+                    streaming.cluster_spec,
+                    "prepared clustering drifted from the streaming plan"
+                );
+                Some(ChunkCursorState::new(clustered.bounds()))
+            }
+            SecondSide::ResultOrder(_) => None,
+        };
         PipelineRun {
             prepared,
             fetch_larger,
@@ -852,8 +866,8 @@ where
         let mut second_fetch_elapsed = None;
         let mut decluster_elapsed = None;
         let t = Instant::now();
-        match (&self.prepared.clustered, &mut self.cursors) {
-            (Some(clustered), Some(cursors)) => {
+        match (&self.prepared.second, &mut self.cursors) {
+            (SecondSide::Clustered(clustered), Some(cursors)) => {
                 cursors.next_chunk_into(clustered.payloads(), chunk_end, &mut scratch.chunk);
                 let chunk = &scratch.chunk;
                 debug_assert_eq!(chunk.result_range, emitted..chunk_end);
@@ -896,9 +910,12 @@ where
                 self.timings.decluster += elapsed;
                 decluster_elapsed = Some(elapsed);
             }
-            _ => {
+            (SecondSide::Clustered(_), None) => {
+                unreachable!("PipelineRun::new builds cursors for every clustered prefix")
+            }
+            (SecondSide::ResultOrder(second_oids), _) => {
                 par_project_columns_into(
-                    &self.prepared.second_oids[emitted..chunk_end],
+                    &second_oids[emitted..chunk_end],
                     &self.fetch_smaller,
                     &self.policy,
                     &mut scratch.columns[self.spec.project_larger..],
@@ -948,7 +965,7 @@ where
                 .last()
                 .map(|c| c.as_slice())
                 .unwrap_or(&[]);
-            let second = if self.prepared.clustered.is_some() {
+            let second = if matches!(self.prepared.second, SecondSide::Clustered(_)) {
                 SecondSideReplay::Decluster {
                     local_oids: &scratch.local_oids,
                     local_positions: &scratch.local_positions,
@@ -1279,10 +1296,10 @@ impl ProjectionPipeline {
         let (cluster_spec, scatter) =
             cluster_plan_for(smaller_cardinality, smaller_value_width, params);
         let t = Instant::now();
-        let clustered: Option<Clustered<Oid, Oid>> = match self.plan.second_side {
+        let second = match self.plan.second_side {
             SecondSideCode::Decluster => {
                 let result_positions: Vec<Oid> = (0..n as Oid).collect();
-                Some(par_radix_cluster_oids_with_scratch(
+                SecondSide::Clustered(par_radix_cluster_oids_with_scratch(
                     &second_oids,
                     &result_positions,
                     cluster_spec,
@@ -1291,15 +1308,14 @@ impl ProjectionPipeline {
                     &mut ParClusterScratch::new(),
                 ))
             }
-            SecondSideCode::Unsorted => None,
+            SecondSideCode::Unsorted => SecondSide::ResultOrder(second_oids),
         };
         timings.decluster += t.elapsed();
 
         PreparedProjection {
             plan: self.plan,
             first_oids,
-            second_oids,
-            clustered,
+            second,
             smaller_cardinality,
             smaller_value_width,
             timings,
@@ -1489,6 +1505,40 @@ mod tests {
                 sink.max_chunk_rows,
                 stats.streaming.chunk_rows.min(sink.rows)
             );
+        }
+    }
+
+    #[test]
+    fn prefix_charges_only_what_the_chunk_loop_reads() {
+        let n = 3_000;
+        let w = JoinWorkloadBuilder::equal(n, 1).seed(5).build();
+        let params = CacheParams::tiny_for_tests();
+        for first in [ProjectionCode::Unsorted, ProjectionCode::PartialCluster] {
+            for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
+                let prepared =
+                    ProjectionPipeline::new(DsmPostProjection::with_codes(first, second)).prepare(
+                        &w.larger,
+                        &w.smaller,
+                        &params,
+                        &ExecPolicy::with_threads(2),
+                    );
+                assert_eq!(prepared.result_rows(), n);
+                let expected = match &prepared.second {
+                    // 4 B first-side oid + 4 B second-side oid per row.
+                    SecondSide::ResultOrder(oids) => {
+                        assert_eq!(second, SecondSideCode::Unsorted);
+                        assert_eq!(oids.len(), n);
+                        8 * n
+                    }
+                    // 4 B first-side oid + (oid, position) pair per row + borders.
+                    SecondSide::Clustered(c) => {
+                        assert_eq!(second, SecondSideCode::Decluster);
+                        assert_eq!(c.len(), n);
+                        12 * n + std::mem::size_of_val(c.bounds())
+                    }
+                };
+                assert_eq!(prepared.resident_bytes(), expected, "{first:?}/{second:?}");
+            }
         }
     }
 

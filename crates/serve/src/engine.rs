@@ -251,6 +251,7 @@ impl ResolvedQuery {
 struct EngineObs {
     cache_hits: rdx_obs::Counter,
     cache_misses: rdx_obs::Counter,
+    cache_bypassed: rdx_obs::Counter,
     admissions: rdx_obs::Counter,
     rejections: rdx_obs::Counter,
     replans: rdx_obs::Counter,
@@ -274,6 +275,7 @@ impl EngineObs {
         Some(Box::new(EngineObs {
             cache_hits: metrics.counter("engine.cache_hits"),
             cache_misses: metrics.counter("engine.cache_misses"),
+            cache_bypassed: metrics.counter("engine.cache_bypassed"),
             admissions: metrics.counter("engine.admissions"),
             rejections: metrics.counter("engine.rejections"),
             replans: metrics.counter("engine.replans"),
@@ -1106,6 +1108,7 @@ impl QueryEngine {
         if self.faults.evict_cache(ordinal) {
             self.cache.clear();
         }
+        let bypassed_before = self.cache.stats().bypassed;
         let (prepared, cache_hit) = self.cache.get_or_prepare(key, || {
             pipeline.prepare(&larger, &smaller, shared_params, &policy)
         });
@@ -1122,6 +1125,8 @@ impl QueryEngine {
             } else {
                 eo.cache_misses.inc();
             }
+            eo.cache_bypassed
+                .add(self.cache.stats().bypassed - bypassed_before);
         }
         let mut run = DsmPipelineRun::over_dsm_arc(
             prepared,

@@ -23,8 +23,8 @@
 //!   (round-robin, or weighted by the Appendix-A predicted per-chunk cost
 //!   at each query's cache share), using PR 2's chunk boundaries as
 //!   preemption points so a big scan cannot starve small lookups.
-//! * [`cache`] — the [`ClusterCache`], a byte-budgeted LRU over
-//!   [`rdx_exec::PreparedProjection`] prefixes keyed by
+//! * [`cache`] — the [`ClusterCache`], a byte-budgeted, use-count-ranked
+//!   cache of [`rdx_exec::PreparedProjection`] prefixes keyed by
 //!   `(relation ids, codes, cluster spec)`: repeated queries over the same
 //!   join reuse the radix-clustered product instead of re-clustering.
 //! * [`engine`] — the **ticket-granular [`QueryEngine`]** tying them

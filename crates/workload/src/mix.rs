@@ -13,6 +13,7 @@
 
 use crate::join_pair::{HitRate, JoinWorkload, JoinWorkloadBuilder};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// A deterministic Zipf sampler over ranks `0..n` with exponent `s`:
@@ -61,6 +62,29 @@ impl Zipf {
         let u = rng.gen_f64();
         // partition_point: first rank whose cdf exceeds u.
         self.cdf.partition_point(|&c| c <= u).min(self.ranks() - 1)
+    }
+
+    /// The *expectation* of `count` draws as a sequence: rank `k` appears
+    /// `count · P(k)` times (largest-remainder rounding, ties to the lower
+    /// rank), shuffled by `seed`.  Every seed gives the same multiset — the
+    /// same amount of work — and a different order, which is what a cache's
+    /// insert/evict behaviour depends on.
+    pub fn expectation_sequence(&self, count: usize, seed: u64) -> Vec<usize> {
+        let shares: Vec<f64> = (0..self.ranks())
+            .map(|k| self.probability(k) * count as f64)
+            .collect();
+        let mut counts: Vec<usize> = shares.iter().map(|s| s.floor() as usize).collect();
+        let mut by_remainder: Vec<usize> = (0..self.ranks()).collect();
+        by_remainder.sort_by(|&a, &b| shares[b].fract().total_cmp(&shares[a].fract()));
+        let short = count.saturating_sub(counts.iter().sum());
+        for &k in by_remainder.iter().take(short) {
+            counts[k] += 1;
+        }
+        let mut sequence: Vec<usize> = (counts.iter().enumerate())
+            .flat_map(|(k, &n)| std::iter::repeat_n(k, n))
+            .collect();
+        sequence.shuffle(&mut StdRng::seed_from_u64(seed));
+        sequence
     }
 }
 
@@ -282,6 +306,24 @@ mod tests {
         assert!(counts.iter().all(|&c| c > 0));
         // Rank 0 dominates under skew.
         assert!(counts[0] > counts[1] && counts[1] > counts[2]);
+    }
+
+    #[test]
+    fn expectation_sequence_fixes_the_multiset_and_lets_the_seed_order_it() {
+        let z = Zipf::new(4, 1.0);
+        let a = z.expectation_sequence(100, 1);
+        assert_eq!(a, z.expectation_sequence(100, 1));
+        let b = z.expectation_sequence(100, 2);
+        assert_ne!(a, b);
+        let counts = |seq: &[usize]| {
+            let mut c = [0usize; 4];
+            seq.iter().for_each(|&k| c[k] += 1);
+            c
+        };
+        // 100 · (1, 1/2, 1/3, 1/4) / (25/12) = 48, 24, 16, 12.
+        assert_eq!(counts(&a), [48, 24, 16, 12]);
+        assert_eq!(counts(&b), [48, 24, 16, 12]);
+        assert_eq!(z.expectation_sequence(7, 3).len(), 7);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! * [`serve`] — the cache-aware **multi-query serving layer**: a relation
 //!   catalog, an admission controller splitting one global memory budget
 //!   into per-query shares, a fair (stride) chunk scheduler interleaving
-//!   concurrent queries at chunk boundaries, a byte-budgeted LRU cache
-//!   of clustered join indexes for cross-query reuse — and the
-//!   ticket-granular [`serve::QueryEngine`] underneath it all.
+//!   concurrent queries at chunk boundaries, a byte-budgeted cache of
+//!   clustered join indexes, ranked by use count, for cross-query reuse —
+//!   and the ticket-granular [`serve::QueryEngine`] underneath it all.
 //! * [`api`] — **one front door**: the unified [`api::Session`] /
 //!   [`api::Query`] surface with non-blocking submission tickets.  A
 //!   `Session` owns the catalog, shared cache params, global budget,
