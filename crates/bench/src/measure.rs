@@ -11,7 +11,9 @@ use rdx_core::decluster::traced::radix_decluster_traced;
 use rdx_core::decluster::{choose_window_bytes, radix_decluster};
 use rdx_core::jive::{jive_bits, jive_join_projection};
 use rdx_core::join::{hash_join, join_cluster_spec, partitioned_hash_join, HashTable};
-use rdx_core::positional::{clustered_positional_join, positional_join, sparse_positional_join};
+use rdx_core::positional::{
+    clustered_positional_join, positional_join, sparse_positional_join, CountingSource,
+};
 use rdx_core::strategy::{
     dsm_pre_projection, nsm_post_projection_decluster, nsm_post_projection_jive,
     nsm_pre_projection_hash, nsm_pre_projection_phash, DsmPostProjection, ProjectionCode,
@@ -750,7 +752,38 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
         });
     }
     cells.extend(serve_cache_cells(params));
+    cells.push(MissProxyCell {
+        name: "pipeline.fetch.source_calls".into(),
+        unit: "calls",
+        value: fetch_source_calls(&w, params) as f64,
+        higher_is_better: false,
+    });
     cells
+}
+
+/// The fetch contract as a count: the `pipeline.e2e` query (same relations,
+/// codes and 64 KiB grant) stepped over counting sources.  A source is asked
+/// once per morsel × column × chunk; a per-value path would ask 16 000 times.
+fn fetch_source_calls(w: &JoinWorkload, params: &CacheParams) -> usize {
+    let policy = rdx_exec::ExecPolicy::with_threads(1)
+        .budget(rdx_core::budget::MemoryBudget::bytes(64 * 1024));
+    let pipeline = rdx_exec::ProjectionPipeline::new(DsmPostProjection::with_codes(
+        ProjectionCode::PartialCluster,
+        SecondSideCode::Decluster,
+    ));
+    let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, params, &policy));
+    let larger = CountingSource::new(&w.larger);
+    let smaller = CountingSource::new(&w.smaller);
+    let mut run = rdx_exec::PipelineRun::new(
+        prepared,
+        &larger,
+        &smaller,
+        &QuerySpec::symmetric(2),
+        params,
+        &policy,
+    );
+    run.run_to_completion(&mut rdx_core::strategy::sink::MaterializeSink::new());
+    larger.calls() + smaller.calls()
 }
 
 /// Serve-layer cells — the cache-hit vs cache-miss split of a query's cost,

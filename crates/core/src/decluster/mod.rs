@@ -192,6 +192,14 @@ pub fn radix_decluster_windows<T: Copy>(
 /// [`radix_decluster_windows`] with a caller-provided [`DeclusterScratch`]
 /// holding the live-cluster cursor array, so repeated sweeps (per chunk, per
 /// query) allocate nothing.  Same contract and byte-identical output.
+///
+/// **Cluster visiting order is part of the contract.**  Within a window the
+/// live clusters are visited in array order, a drained cluster is replaced by
+/// the last live one (which is visited next), and each visit drains the
+/// cluster's tuples in cursor order up to the window limit.
+/// [`traced::radix_decluster_traced`] mirrors exactly this sequence, and every
+/// `cache.sim_*` / `perf_proxy` count is a function of it — a rewrite may
+/// change how the loop is expressed, never the order of its accesses.
 #[inline]
 pub fn radix_decluster_windows_with_scratch<T: Copy>(
     values: &[T],
@@ -230,26 +238,29 @@ pub fn radix_decluster_windows_with_scratch<T: Copy>(
         }
         let mut i = 0;
         while i < nclusters {
-            loop {
-                let (cursor, end) = clusters[i];
-                let pos = result_positions[cursor] as usize;
+            // The live cluster's cursor stays in registers for its whole run
+            // through this window; `clusters[i]` is written back once.
+            let (cursor, end) = clusters[i];
+            let run = result_positions[cursor..end]
+                .iter()
+                .zip(&values[cursor..end]);
+            let mut drained = 0;
+            for (&pos, &value) in run {
+                let pos = pos as usize;
                 if pos >= window_limit {
-                    i += 1;
                     break;
                 }
-                out[pos - base] = values[cursor];
-                let next = cursor + 1;
-                if next >= end {
-                    // Delete the drained cluster by swapping in the last live one;
-                    // the swapped-in cluster is processed next without advancing `i`.
-                    nclusters -= 1;
-                    clusters[i] = clusters[nclusters];
-                    if i >= nclusters {
-                        i += 1;
-                    }
-                    break;
-                }
-                clusters[i].0 = next;
+                out[pos - base] = value;
+                drained += 1;
+            }
+            if cursor + drained < end {
+                clusters[i].0 = cursor + drained;
+                i += 1;
+            } else {
+                // Delete the drained cluster by swapping in the last live one;
+                // the swapped-in cluster is processed next without advancing `i`.
+                nclusters -= 1;
+                clusters[i] = clusters[nclusters];
             }
         }
         window_limit += window_elems;

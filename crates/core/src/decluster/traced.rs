@@ -5,6 +5,12 @@
 //! in Fig. 7a: the same code path as [`super::radix_decluster`], but every
 //! array reference is also issued to a [`MemorySystem`], so we obtain L1, L2
 //! and TLB miss counts for any insertion-window size and cluster count.
+//!
+//! The twin mirrors the production kernel's **cluster visiting order**
+//! (array order within a window, swap-delete of drained clusters, tuples in
+//! cursor order) — that order is part of
+//! [`super::radix_decluster_windows_with_scratch`]'s contract, so the
+//! simulated counts stay those of the shipped loop however it is written.
 
 use rdx_cache::{AddressSpace, EventCounts, MemorySystem};
 use rdx_dsm::Oid;

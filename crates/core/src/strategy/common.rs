@@ -3,8 +3,10 @@
 //! DSM and NSM post-projection share the same structure — create a join index,
 //! reorder it for the first side, project the first side, re-cluster for the
 //! second side, project + decluster the second side — and differ only in how a
-//! single projected value is fetched.  The helpers here are therefore generic
-//! over a `fetch(oid, attr) -> i32` closure.
+//! block of one projected column is fetched.  The helpers here are therefore
+//! generic over an [`AttrSource`], asked once per column — never per value.
+//! (`jive.rs` keeps its own per-tuple fetch closures: Jive-Join interleaves
+//! both sides tuple by tuple and is a different algorithm, not this contract.)
 
 use crate::cluster::{
     plan_cluster_passes, plan_partial_cluster, radix_cluster_oids_with_scratch, ClusterScratch,
@@ -12,6 +14,7 @@ use crate::cluster::{
 };
 use crate::decluster::{choose_window_bytes, radix_decluster};
 use crate::hash::significant_bits;
+use crate::positional::AttrSource;
 use rdx_cache::CacheParams;
 use rdx_dsm::{JoinIndex, Oid};
 
@@ -104,13 +107,13 @@ pub fn order_join_index(
 /// Projects `n_attrs` columns of the first side: for every result row `r`,
 /// fetch attribute `a` of `oids[r]`.  The access pattern is whatever the
 /// ordering step made of `oids` — that is the whole point of the codes.
-pub fn project_first_side(
-    oids: &[Oid],
-    n_attrs: usize,
-    fetch: impl Fn(Oid, usize) -> i32,
-) -> Vec<Vec<i32>> {
+pub fn project_first_side(oids: &[Oid], n_attrs: usize, source: &impl AttrSource) -> Vec<Vec<i32>> {
     (0..n_attrs)
-        .map(|a| oids.iter().map(|&oid| fetch(oid, a)).collect())
+        .map(|a| {
+            let mut column = vec![0; oids.len()];
+            source.gather_into(a, oids, &mut column);
+            column
+        })
         .collect()
 }
 
@@ -118,9 +121,9 @@ pub fn project_first_side(
 pub fn project_second_side_unsorted(
     oids: &[Oid],
     n_attrs: usize,
-    fetch: impl Fn(Oid, usize) -> i32,
+    source: &impl AttrSource,
 ) -> Vec<Vec<i32>> {
-    project_first_side(oids, n_attrs, fetch)
+    project_first_side(oids, n_attrs, source)
 }
 
 /// Projects the second side with the Radix-Decluster pipeline of Fig. 4:
@@ -136,7 +139,7 @@ pub fn project_second_side_unsorted(
 pub fn project_second_side_decluster(
     second_oids_in_result_order: &[Oid],
     n_attrs: usize,
-    fetch: impl Fn(Oid, usize) -> i32,
+    source: &impl AttrSource,
     second_cardinality: usize,
     value_width: usize,
     params: &CacheParams,
@@ -154,11 +157,12 @@ pub fn project_second_side_decluster(
     );
     let window = choose_window_bytes(value_width, clustered.num_clusters(), params);
 
+    // One CLUST_VALUES staging column, refilled per projected attribute.
+    let mut clust_values = vec![0; n];
     let columns = (0..n_attrs)
         .map(|a| {
             // CLUST_VALUES: clustered positional join into the source column.
-            let clust_values: Vec<i32> =
-                clustered.keys().iter().map(|&oid| fetch(oid, a)).collect();
+            source.gather_into(a, clustered.keys(), &mut clust_values);
             // Radix-Decluster into final result order.
             radix_decluster(
                 &clust_values,
@@ -174,11 +178,7 @@ pub fn project_second_side_decluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdx_dsm::Column;
-
-    fn fetcher(cols: &[Column<i32>]) -> impl Fn(Oid, usize) -> i32 + '_ {
-        move |oid, a| cols[a].value(oid as usize)
-    }
+    use rdx_dsm::{Column, DsmRelation};
 
     fn sample_index() -> JoinIndex {
         JoinIndex::from_pairs([(5, 1), (0, 3), (3, 3), (1, 0), (4, 2), (2, 1)])
@@ -219,12 +219,13 @@ mod tests {
         let cols: Vec<Column<i32>> = (0..2)
             .map(|a| Column::from_vec((0..1000).map(|i| i * 10 + a).collect()))
             .collect();
+        let rel = DsmRelation::new(Column::from_vec((0..1000).collect()), cols);
         // Second-side oids in some arbitrary result order, with duplicates.
         let oids: Vec<Oid> = (0..3000).map(|r| ((r * 37 + 11) % 1000) as Oid).collect();
         let params = CacheParams::tiny_for_tests();
-        let unsorted = project_second_side_unsorted(&oids, 2, fetcher(&cols));
+        let unsorted = project_second_side_unsorted(&oids, 2, &rel);
         let (declustered, clusters) =
-            project_second_side_decluster(&oids, 2, fetcher(&cols), 1000, 4, &params);
+            project_second_side_decluster(&oids, 2, &rel, 1000, 4, &params);
         assert_eq!(unsorted, declustered);
         assert!(clusters >= 1);
     }

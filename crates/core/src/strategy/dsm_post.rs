@@ -125,9 +125,7 @@ impl DsmPostProjection {
 
         // Phase 2b: project the first side.
         let t = Instant::now();
-        let first_columns = project_first_side(&first_oids, spec.project_larger, |oid, a| {
-            larger.attr(a).value(oid as usize)
-        });
+        let first_columns = project_first_side(&first_oids, spec.project_larger, larger);
         timings.project_larger = t.elapsed();
 
         // Phase 3: project the second side.
@@ -135,9 +133,7 @@ impl DsmPostProjection {
         let second_columns = match self.second_side {
             SecondSideCode::Unsorted => {
                 let cols =
-                    project_second_side_unsorted(&second_oids, spec.project_smaller, |oid, b| {
-                        smaller.attr(b).value(oid as usize)
-                    });
+                    project_second_side_unsorted(&second_oids, spec.project_smaller, smaller);
                 timings.project_smaller = t.elapsed();
                 cols
             }
@@ -145,7 +141,7 @@ impl DsmPostProjection {
                 let (cols, _clusters) = project_second_side_decluster(
                     &second_oids,
                     spec.project_smaller,
-                    |oid, b| smaller.attr(b).value(oid as usize),
+                    smaller,
                     smaller.cardinality(),
                     VALUE_WIDTH,
                     params,

@@ -87,16 +87,14 @@ pub fn try_nsm_post_projection_decluster(
     timings.reorder = t.elapsed();
 
     let t = Instant::now();
-    let first_columns = project_first_side(&first_oids, spec.project_larger, |oid, a| {
-        larger.value(oid as usize, a + 1)
-    });
+    let first_columns = project_first_side(&first_oids, spec.project_larger, larger);
     timings.project_larger = t.elapsed();
 
     let t = Instant::now();
     let (second_columns, _clusters) = project_second_side_decluster(
         &second_oids,
         spec.project_smaller,
-        |oid, b| smaller.value(oid as usize, b + 1),
+        smaller,
         smaller.cardinality(),
         smaller.tuple_bytes(),
         params,

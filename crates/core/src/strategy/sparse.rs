@@ -87,9 +87,7 @@ pub fn try_dsm_post_projection_sparse(
     timings.reorder = t.elapsed();
 
     let t = Instant::now();
-    let first_columns = project_first_side(&first_oids, spec.project_larger, |oid, a| {
-        larger.attr(a).value(oid as usize)
-    });
+    let first_columns = project_first_side(&first_oids, spec.project_larger, larger);
     timings.project_larger = t.elapsed();
 
     // Second side: cluster on the *base-table* oids (that is the region the

@@ -71,9 +71,7 @@ pub fn try_dsm_post_projection_with_strings(
     timings.reorder = t.elapsed();
 
     let t = Instant::now();
-    let first_columns = project_first_side(&first_oids, spec.project_larger, |oid, a| {
-        larger.attr(a).value(oid as usize)
-    });
+    let first_columns = project_first_side(&first_oids, spec.project_larger, larger);
     timings.project_larger = t.elapsed();
 
     // Smaller side: one partial clustering reused by every column (fixed and
@@ -90,13 +88,9 @@ pub fn try_dsm_post_projection_with_strings(
         result.push_column(Column::from_vec(col));
     }
     for b in 0..spec.project_smaller {
-        let clust_values: Vec<i32> = clustered
-            .keys()
-            .iter()
-            .map(|&oid| smaller.attr(b).value(oid as usize))
-            .collect();
+        let clust_values = smaller.attr(b).gather(clustered.keys());
         result.push_column(Column::from_vec(crate::decluster::radix_decluster(
-            &clust_values,
+            clust_values.as_slice(),
             clustered.payloads(),
             clustered.bounds(),
             window,

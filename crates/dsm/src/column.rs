@@ -118,6 +118,35 @@ impl<T> Column<T> {
 }
 
 impl<T: Copy> Column<T> {
+    /// Positional gather into a caller-provided block:
+    /// `out[i] = self[oids[i]]`, honouring the void seqbase.
+    ///
+    /// This is the one DSM gather loop of the workspace — [`Column::gather`],
+    /// `rdx-core`'s positional joins and the streaming pipeline's per-morsel
+    /// fetch all run it — so an oid means the same thing on every path.  The
+    /// value slice and the seqbase are hoisted out of the loop; each element
+    /// is safe-indexed.
+    ///
+    /// # Panics
+    /// Panics if `oids` and `out` differ in length or any oid is out of range
+    /// — a join index referring to oids that do not exist in the projection
+    /// column is a logic error, never data.
+    pub fn gather_into(&self, oids: &[Oid], out: &mut [T]) {
+        assert_eq!(oids.len(), out.len(), "oid/output block length mismatch");
+        let (seqbase, data) = (self.seqbase, self.data.as_slice());
+        for (slot, &oid) in out.iter_mut().zip(oids) {
+            *slot = data[(oid - seqbase) as usize];
+        }
+    }
+
+    /// Copies `self[pos]`, panicking on out-of-range positions.
+    #[inline]
+    pub fn value(&self, pos: usize) -> T {
+        self.data[pos]
+    }
+}
+
+impl<T: Copy + Default> Column<T> {
     /// Positional gather: `out[i] = self[oids[i]]` for every oid in `oids`.
     ///
     /// This is the DSM *Positional-Join* of paper §3 in its simplest (unsorted)
@@ -125,20 +154,11 @@ impl<T: Copy> Column<T> {
     /// same values but with different access patterns.
     ///
     /// # Panics
-    /// Panics if any oid is out of range — a join index referring to oids that
-    /// do not exist in the projection column is a logic error, never data.
+    /// Panics if any oid is out of range (see [`Column::gather_into`]).
     pub fn gather(&self, oids: &[Oid]) -> Column<T> {
-        let mut out = Vec::with_capacity(oids.len());
-        for &oid in oids {
-            out.push(self.data[(oid - self.seqbase) as usize]);
-        }
+        let mut out = vec![T::default(); oids.len()];
+        self.gather_into(oids, &mut out);
         Column::from_vec(out)
-    }
-
-    /// Copies `self[pos]`, panicking on out-of-range positions.
-    #[inline]
-    pub fn value(&self, pos: usize) -> T {
-        self.data[pos]
     }
 }
 
@@ -202,6 +222,21 @@ mod tests {
         let col = Column::with_seqbase(10, vec![5_i32, 6, 7]);
         let out = col.gather(&[12, 10]);
         assert_eq!(out.as_slice(), &[7, 5]);
+    }
+
+    #[test]
+    fn gather_into_fills_a_block_and_respects_seqbase() {
+        let col = Column::with_seqbase(10, vec![5_i32, 6, 7]);
+        let mut out = [0; 3];
+        col.gather_into(&[12, 10, 11], &mut out);
+        assert_eq!(out, [7, 5, 6]);
+        assert_eq!(col.gather(&[12, 10, 11]).as_slice(), &out);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn gather_into_rejects_mismatched_blocks() {
+        Column::from_vec(vec![1_i32, 2]).gather_into(&[0, 1], &mut [0]);
     }
 
     #[test]

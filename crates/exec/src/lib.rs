@@ -59,8 +59,8 @@ pub use cluster::{
 pub use decluster::{par_radix_decluster, par_radix_decluster_into};
 pub use join::par_partitioned_hash_join;
 pub use pipeline::{
-    cluster_plan_for, cluster_spec_for, dsm_cluster_spec, BoxedFetch, ChunkScratch, DsmPipelineRun,
-    PipelineRun, PipelineStats, PreparedProjection, ProjectionPipeline,
+    cluster_plan_for, cluster_spec_for, dsm_cluster_spec, BoxedSource, ChunkScratch,
+    DsmPipelineRun, PipelineRun, PipelineStats, PreparedProjection, ProjectionPipeline,
 };
 pub use pool::{ExecPolicy, MorselQueue, WorkerPanic};
 pub use strategy::{par_dsm_post_projection, par_nsm_post_projection_decluster};

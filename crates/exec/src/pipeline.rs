@@ -40,12 +40,20 @@
 //! chunking changes only *when* a result row is produced, never its value or
 //! position: each chunk is a self-contained Radix-Decluster problem over
 //! rebased positions (`rdx_core::decluster::chunks`).
+//!
+//! **Fetch contract.**  §3's positional joins are "pointer-based joins …
+//! with negligible CPU cost" only as tight array loops, so the chunk loop
+//! never asks a relation for a value: *a source is asked for a block of one
+//! column* ([`AttrSource::gather_into`]) — once per morsel × column, for the
+//! first side, the staged `CLUST_VALUES` fill and the unsorted second side
+//! alike.  The dynamic call, the column lookup and the seqbase / record
+//! stride are paid per block; a unit test pins the call count.
 
 use crate::cluster::{par_radix_cluster_oids_with_scratch, ParClusterScratch};
 use crate::decluster::par_radix_decluster_into;
 use crate::join::par_partitioned_hash_join;
 use crate::pool::{for_each_output_morsel, ExecPolicy};
-use crate::strategy::{par_order_join_index, par_project_columns_into};
+use crate::strategy::{par_gather_into, par_order_join_index, par_project_columns_into};
 use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, Region};
 use rdx_core::budget::MemoryBudget;
 use rdx_core::cluster::{plan_partial_cluster, Clustered, RadixClusterSpec, ScatterMode};
@@ -54,6 +62,7 @@ use rdx_core::decluster::traced::radix_decluster_traced;
 use rdx_core::decluster::DeclusterScratch;
 use rdx_core::error::RdxError;
 use rdx_core::join::join_cluster_spec;
+use rdx_core::positional::AttrSource;
 use rdx_core::strategy::adapt::{
     resplit_budget, AdaptiveController, AdaptiveDecision, AdaptivePolicy, FeedbackSource,
     SharedMissCounts,
@@ -466,13 +475,14 @@ fn per_chunk_prediction_ns(
     ((total_ms / plan.num_chunks.max(1) as f64) * 1e6) as u64
 }
 
-/// A boxed attribute fetcher `(oid, attr) → value`, the type-erased form the
-/// serving layer uses so runs over different storage models are homogeneous.
-pub type BoxedFetch<'a> = Box<dyn Fn(Oid, usize) -> i32 + Sync + 'a>;
+/// A boxed [`AttrSource`], the type-erased form the serving layer uses so
+/// runs over different storage models are homogeneous.  The dynamic call is
+/// per block (one morsel of one column), never per value.
+pub type BoxedSource<'a> = Box<dyn AttrSource + Sync + 'a>;
 
-/// A [`PipelineRun`] over boxed fetchers (what [`PipelineRun::over_dsm`]
+/// A [`PipelineRun`] over boxed sources (what [`PipelineRun::over_dsm`]
 /// returns).
-pub type DsmPipelineRun<'a> = PipelineRun<BoxedFetch<'a>, BoxedFetch<'a>>;
+pub type DsmPipelineRun<'a> = PipelineRun<BoxedSource<'a>, BoxedSource<'a>>;
 
 /// One in-flight streaming projection, resumable chunk by chunk.
 ///
@@ -485,10 +495,10 @@ pub type DsmPipelineRun<'a> = PipelineRun<BoxedFetch<'a>, BoxedFetch<'a>>;
 /// to completion produces output byte-identical to the one-shot
 /// [`ProjectionPipeline::execute`], independent of how steps interleave
 /// with other runs.
-pub struct PipelineRun<FL, FS> {
+pub struct PipelineRun<L, S> {
     prepared: Arc<PreparedProjection>,
-    fetch_larger: FL,
-    fetch_smaller: FS,
+    larger: L,
+    smaller: S,
     spec: QuerySpec,
     policy: ExecPolicy,
     streaming: StreamingPlan,
@@ -505,21 +515,22 @@ pub struct PipelineRun<FL, FS> {
     profile: Option<Box<RunProfile>>,
 }
 
-impl<FL, FS> PipelineRun<FL, FS>
+impl<L, S> PipelineRun<L, S>
 where
-    FL: Fn(Oid, usize) -> i32 + Sync,
-    FS: Fn(Oid, usize) -> i32 + Sync,
+    L: AttrSource + Sync,
+    S: AttrSource + Sync,
 {
     /// A run over a prepared prefix, with the chunking planned from the
     /// policy's budget.
     ///
     /// # Panics
-    /// Panics if the query asks for more projection columns than the fetch
-    /// closures can serve (checked by the callers that know the relations).
+    /// Panics (on the first step) if the query asks for more projection
+    /// columns than the sources can serve; callers that know the relations
+    /// check up front.
     pub fn new(
         prepared: Arc<PreparedProjection>,
-        fetch_larger: FL,
-        fetch_smaller: FS,
+        larger: L,
+        smaller: S,
         spec: &QuerySpec,
         params: &CacheParams,
         policy: &ExecPolicy,
@@ -552,8 +563,8 @@ where
         };
         PipelineRun {
             prepared,
-            fetch_larger,
-            fetch_smaller,
+            larger,
+            smaller,
             spec: *spec,
             policy,
             streaming,
@@ -855,7 +866,7 @@ where
         let t = Instant::now();
         par_project_columns_into(
             &self.prepared.first_oids[emitted..chunk_end],
-            &self.fetch_larger,
+            &self.larger,
             &self.policy,
             &mut scratch.columns[..self.spec.project_larger],
         );
@@ -887,14 +898,7 @@ where
                 {
                     // On-demand clustered positional join: the chunk's
                     // CLUST_VALUES, never the whole column.
-                    let fetch = &self.fetch_smaller;
-                    let local_oids = &scratch.local_oids;
-                    for_each_output_morsel(staged, &self.policy, |off, slots| {
-                        let oids = &local_oids[off..off + slots.len()];
-                        for (slot, &oid) in slots.iter_mut().zip(oids) {
-                            *slot = fetch(oid, b);
-                        }
-                    });
+                    par_gather_into(&self.smaller, b, &scratch.local_oids, &self.policy, staged);
                     column.resize(rows, 0);
                     par_radix_decluster_into(
                         staged,
@@ -916,7 +920,7 @@ where
             (SecondSide::ResultOrder(second_oids), _) => {
                 par_project_columns_into(
                     &second_oids[emitted..chunk_end],
-                    &self.fetch_smaller,
+                    &self.smaller,
                     &self.policy,
                     &mut scratch.columns[self.spec.project_larger..],
                 );
@@ -1154,8 +1158,8 @@ impl<'a> DsmPipelineRun<'a> {
         );
         PipelineRun::new(
             prepared,
-            Box::new(move |oid, a| larger.attr(a).value(oid as usize)),
-            Box::new(move |oid, b| smaller.attr(b).value(oid as usize)),
+            Box::new(larger),
+            Box::new(smaller),
             spec,
             params,
             policy,
@@ -1192,8 +1196,8 @@ impl DsmPipelineRun<'static> {
         );
         PipelineRun::new(
             prepared,
-            Box::new(move |oid, a| larger.attr(a).value(oid as usize)),
-            Box::new(move |oid, b| smaller.attr(b).value(oid as usize)),
+            Box::new(larger),
+            Box::new(smaller),
             spec,
             params,
             policy,
@@ -1387,14 +1391,7 @@ impl ProjectionPipeline {
             params,
             policy,
         ));
-        let mut run = PipelineRun::new(
-            prepared,
-            |oid: Oid, a: usize| larger.value(oid as usize, a + 1),
-            |oid: Oid, b: usize| smaller.value(oid as usize, b + 1),
-            spec,
-            params,
-            policy,
-        );
+        let mut run = PipelineRun::new(prepared, larger, smaller, spec, params, policy);
         run.run_to_completion(sink);
         let mut stats = run.stats();
         stats.timings.join += scan_time;
@@ -1572,6 +1569,116 @@ mod tests {
                 .map(|c| c.as_slice().to_vec())
                 .collect::<Vec<_>>()
         });
+    }
+
+    /// The fetch contract, pinned by a count instead of a clock: one `step`
+    /// over `rows` rows asks each source exactly once per morsel and
+    /// projected column.  Any per-value path would make `calls == values`.
+    #[test]
+    fn a_step_asks_each_source_once_per_morsel_and_column() {
+        use rdx_core::positional::CountingSource;
+        use rdx_core::strategy::planner::streaming_bytes_per_row;
+
+        let n = 19 * 160;
+        let w = JoinWorkloadBuilder::equal(n, 3).seed(13).build();
+        let spec = QuerySpec {
+            project_larger: 2,
+            project_smaller: 3,
+        };
+        let params = CacheParams::tiny_for_tests();
+        let chunked = MemoryBudget::bytes(160 * streaming_bytes_per_row(&spec));
+        for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
+            let plan = DsmPostProjection::with_codes(ProjectionCode::PartialCluster, second);
+            let pipeline = ProjectionPipeline::new(plan);
+            for (budget, chunks, morsel, threads) in [
+                (MemoryBudget::unbounded(), 1, 1_000, 1),
+                (chunked, 19, 64, 1),
+                (chunked, 19, 64, 2),
+            ] {
+                let policy = ExecPolicy::with_threads(threads)
+                    .budget(budget)
+                    .morsel_tuples(morsel);
+                let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
+                let larger = CountingSource::new(&w.larger);
+                let smaller = CountingSource::new(&w.smaller);
+                let mut run =
+                    PipelineRun::new(prepared, &larger, &smaller, &spec, &params, &policy);
+                let mut sink = MaterializeSink::new();
+                let mut steps = 0;
+                loop {
+                    let before = (larger.calls(), smaller.calls());
+                    let Some(rows) = run.step(&mut sink) else {
+                        break;
+                    };
+                    steps += 1;
+                    let blocks = rows.div_ceil(morsel);
+                    let label = format!("{} chunk {steps}/{chunks}", plan.label());
+                    assert_eq!(larger.calls() - before.0, 2 * blocks, "{label}");
+                    assert_eq!(smaller.calls() - before.1, 3 * blocks, "{label}");
+                }
+                assert_eq!(steps, chunks);
+                assert_eq!((larger.values(), smaller.values()), (2 * n, 3 * n));
+                assert!(larger.largest_block() <= morsel && smaller.largest_block() <= morsel);
+                let (expected, _) =
+                    pipeline.execute_materialized(&w.larger, &w.smaller, &spec, &params, &policy);
+                assert_eq!(sink.into_result(), expected.result);
+            }
+        }
+    }
+
+    /// A column's oids start at its seqbase on every path: the pipeline's
+    /// per-block fetch and `Column::gather` are the same loop.
+    #[test]
+    fn pipeline_fetch_honours_seqbase_like_gather() {
+        use rdx_dsm::Column;
+        // The first `base` tuples of each relation match nothing, so every
+        // joined oid lies inside the columns' void heads `[base, n)`.
+        let (n, base) = (600usize, 100usize);
+        let rel = |dead_keys: u64, salt: i32| {
+            let key = (0..n as u64).map(|i| if i < base as u64 { dead_keys + i } else { i });
+            let attrs = (0..2)
+                .map(|a| {
+                    let data = (0..n as i32).map(|i| i * 7 + a + salt).collect();
+                    Column::with_seqbase(base as Oid, data)
+                })
+                .collect();
+            DsmRelation::new(key.collect(), attrs)
+        };
+        let (larger, smaller) = (rel(1_000_000, 0), rel(2_000_000, 3));
+        let spec = QuerySpec::symmetric(2);
+        let params = CacheParams::tiny_for_tests();
+        let policy = ExecPolicy::with_threads(1).budget(MemoryBudget::bytes(2048));
+        let run_codes = |second| {
+            let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
+                ProjectionCode::PartialCluster,
+                second,
+            ));
+            let prepared = Arc::new(pipeline.prepare(&larger, &smaller, &params, &policy));
+            let mut run = DsmPipelineRun::over_dsm(
+                prepared.clone(),
+                &larger,
+                &smaller,
+                &spec,
+                &params,
+                &policy,
+            );
+            let mut sink = MaterializeSink::new();
+            run.run_to_completion(&mut sink);
+            assert!(run.run_stats().chunks_emitted > 1);
+            (prepared, sink.into_result())
+        };
+        let (prepared, unsorted) = run_codes(SecondSideCode::Unsorted);
+        let SecondSide::ResultOrder(second_oids) = &prepared.second else {
+            panic!("an unsorted plan keeps the result-order oids");
+        };
+        assert_eq!(prepared.result_rows(), n - base);
+        let expected: Vec<Column<i32>> = (0..2)
+            .map(|a| larger.attr(a).gather(&prepared.first_oids))
+            .chain((0..2).map(|b| smaller.attr(b).gather(second_oids)))
+            .collect();
+        assert_eq!(unsorted.columns(), expected.as_slice());
+        let (_, declustered) = run_codes(SecondSideCode::Decluster);
+        assert_eq!(declustered, unsorted);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use rdx_core::cluster::{
 use rdx_core::decluster::choose_window_bytes;
 use rdx_core::hash::significant_bits;
 use rdx_core::join::join_cluster_spec;
+use rdx_core::positional::AttrSource;
 use rdx_core::strategy::{
     DsmPostProjection, PhaseTimings, ProjectionCode, QuerySpec, SecondSideCode, StrategyOutcome,
 };
@@ -86,19 +87,31 @@ pub fn par_order_join_index(
     }
 }
 
-/// Morsel-parallel positional joins: projects `n_attrs` columns by gathering
-/// `fetch(oids[r], attr)` for every result row `r`.
-pub fn par_project_columns<F>(
+/// Morsel-parallel block fetch of one column: `out[r]` = attribute `attr` of
+/// tuple `oids[r]`, with the source asked once per **morsel** — never per
+/// value (the contract of [`AttrSource`]).
+pub fn par_gather_into<S: AttrSource + Sync + ?Sized>(
+    source: &S,
+    attr: usize,
+    oids: &[Oid],
+    policy: &ExecPolicy,
+    out: &mut [i32],
+) {
+    for_each_output_morsel(out, policy, |offset, block| {
+        source.gather_into(attr, &oids[offset..offset + block.len()], block);
+    });
+}
+
+/// Morsel-parallel positional joins: projects the first `n_attrs` attributes
+/// of `source` through `oids`, one [`par_gather_into`] per column.
+pub fn par_project_columns<S: AttrSource + Sync + ?Sized>(
     oids: &[Oid],
     n_attrs: usize,
-    fetch: F,
+    source: &S,
     policy: &ExecPolicy,
-) -> Vec<Vec<i32>>
-where
-    F: Fn(Oid, usize) -> i32 + Sync,
-{
+) -> Vec<Vec<i32>> {
     let mut columns: Vec<Vec<i32>> = (0..n_attrs).map(|_| Vec::new()).collect();
-    par_project_columns_into(oids, fetch, policy, &mut columns);
+    par_project_columns_into(oids, source, policy, &mut columns);
     columns
 }
 
@@ -106,41 +119,31 @@ where
 /// resized to `oids.len()` (keeping its capacity) and filled in place, so a
 /// caller projecting chunk after chunk allocates nothing once the buffers
 /// have grown — the streaming pipeline's steady state.  Column `b` is
-/// filled with `fetch(oid, b)`.
-pub fn par_project_columns_into<F>(
+/// filled with attribute `b`.
+pub fn par_project_columns_into<S: AttrSource + Sync + ?Sized>(
     oids: &[Oid],
-    fetch: F,
+    source: &S,
     policy: &ExecPolicy,
     columns: &mut [Vec<i32>],
-) where
-    F: Fn(Oid, usize) -> i32 + Sync,
-{
+) {
     for (attr, column) in columns.iter_mut().enumerate() {
         column.resize(oids.len(), 0);
-        for_each_output_morsel(column, policy, |offset, chunk| {
-            let oids = &oids[offset..offset + chunk.len()];
-            for (slot, &oid) in chunk.iter_mut().zip(oids) {
-                *slot = fetch(oid, attr);
-            }
-        });
+        par_gather_into(source, attr, oids, policy, column);
     }
 }
 
 /// Parallel second-side Radix-Decluster pipeline (Fig. 4): parallel partial
 /// cluster, morsel-parallel clustered positional join, parallel decluster.
 /// The insertion window is sized to each worker's cache share.
-pub fn par_project_second_side_decluster<F>(
+pub fn par_project_second_side_decluster<S: AttrSource + Sync + ?Sized>(
     second_oids_in_result_order: &[Oid],
     n_attrs: usize,
-    fetch: F,
+    source: &S,
     second_cardinality: usize,
     value_width: usize,
     params: &CacheParams,
     policy: &ExecPolicy,
-) -> (Vec<Vec<i32>>, usize)
-where
-    F: Fn(Oid, usize) -> i32 + Sync,
-{
+) -> (Vec<Vec<i32>>, usize) {
     let n = second_oids_in_result_order.len();
     let (spec, mode) =
         plan_partial_cluster(second_cardinality, value_width, OID_PAIR_BYTES, params);
@@ -159,16 +162,11 @@ where
         &params.per_core_share(policy.worker_threads()),
     );
 
+    // One CLUST_VALUES staging column, refilled per projected attribute.
+    let mut clust_values = vec![0i32; n];
     let columns = (0..n_attrs)
         .map(|attr| {
-            let mut clust_values = vec![0i32; n];
-            for_each_output_morsel(&mut clust_values, policy, |offset, chunk| {
-                let len = chunk.len();
-                let keys = &clustered.keys()[offset..offset + len];
-                for (slot, &oid) in chunk.iter_mut().zip(keys) {
-                    *slot = fetch(oid, attr);
-                }
-            });
+            par_gather_into(source, attr, clustered.keys(), policy, &mut clust_values);
             par_radix_decluster(
                 &clust_values,
                 clustered.payloads(),
@@ -230,24 +228,14 @@ pub fn par_dsm_post_projection(
 
     // Phase 2b: project the first side.
     let t = Instant::now();
-    let first_columns = par_project_columns(
-        &first_oids,
-        spec.project_larger,
-        |oid, a| larger.attr(a).value(oid as usize),
-        policy,
-    );
+    let first_columns = par_project_columns(&first_oids, spec.project_larger, larger, policy);
     timings.project_larger = t.elapsed();
 
     // Phase 3: project the second side.
     let t = Instant::now();
     let second_columns = match plan.second_side {
         SecondSideCode::Unsorted => {
-            let cols = par_project_columns(
-                &second_oids,
-                spec.project_smaller,
-                |oid, b| smaller.attr(b).value(oid as usize),
-                policy,
-            );
+            let cols = par_project_columns(&second_oids, spec.project_smaller, smaller, policy);
             timings.project_smaller = t.elapsed();
             cols
         }
@@ -255,7 +243,7 @@ pub fn par_dsm_post_projection(
             let (cols, _clusters) = par_project_second_side_decluster(
                 &second_oids,
                 spec.project_smaller,
-                |oid, b| smaller.attr(b).value(oid as usize),
+                smaller,
                 smaller.cardinality(),
                 VALUE_WIDTH,
                 params,
@@ -323,19 +311,14 @@ pub fn par_nsm_post_projection_decluster(
     timings.reorder = t.elapsed();
 
     let t = Instant::now();
-    let first_columns = par_project_columns(
-        &first_oids,
-        spec.project_larger,
-        |oid, a| larger.value(oid as usize, a + 1),
-        policy,
-    );
+    let first_columns = par_project_columns(&first_oids, spec.project_larger, larger, policy);
     timings.project_larger = t.elapsed();
 
     let t = Instant::now();
     let (second_columns, _clusters) = par_project_second_side_decluster(
         &second_oids,
         spec.project_smaller,
-        |oid, b| smaller.value(oid as usize, b + 1),
+        smaller,
         smaller.cardinality(),
         smaller.tuple_bytes(),
         params,

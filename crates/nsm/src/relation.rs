@@ -91,6 +91,24 @@ impl NsmRelation {
         self.data[row * self.width + attr]
     }
 
+    /// Block-wise positional fetch of one attribute:
+    /// `out[i] = value(oids[i], attr)`, with the record stride and the
+    /// attribute offset hoisted out of the loop — the NSM counterpart of
+    /// [`Column::gather_into`].  Every loaded cache line still drags the
+    /// whole record in, which is the §4.2 cost this layout cannot avoid.
+    ///
+    /// # Panics
+    /// Panics if `oids` and `out` differ in length, `attr` is not an
+    /// attribute of the relation, or an oid is out of range.
+    pub fn gather_attr_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
+        assert_eq!(oids.len(), out.len(), "oid/output block length mismatch");
+        assert!(attr < self.width, "attribute {attr} out of range");
+        let (width, data) = (self.width, self.data.as_slice());
+        for (slot, &oid) in out.iter_mut().zip(oids) {
+            *slot = data[oid as usize * width + attr];
+        }
+    }
+
     /// The NSM record projection routine: copies the attributes listed in
     /// `projection` out of record `row` and appends them to `out`.
     ///
@@ -159,6 +177,24 @@ mod tests {
         assert_eq!(r.tuple(1), &[20, 4, 5, 6]);
         assert_eq!(r.key(2), 30);
         assert_eq!(r.value(0, 3), 3);
+    }
+
+    #[test]
+    fn gather_attr_into_matches_value() {
+        let r = sample();
+        let oids = [2, 0, 2, 1];
+        for attr in 0..r.width() {
+            let mut out = [0; 4];
+            r.gather_attr_into(attr, &oids, &mut out);
+            let expected = oids.map(|oid| r.value(oid as usize, attr));
+            assert_eq!(out, expected, "attr {attr}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn gather_attr_into_rejects_a_foreign_attribute() {
+        sample().gather_attr_into(4, &[0], &mut [0]);
     }
 
     #[test]

@@ -185,6 +185,72 @@ proptest! {
         prop_assert_eq!(out, expected);
     }
 
+    /// The windowed kernel is the reference scatter `out[pos[i]] = values[i]`
+    /// restricted to any sub-range of windows — with empty clusters (up to
+    /// 2^10 of them over small inputs), one-element windows (4 bytes) and
+    /// windows wider than the input — and again over every chunk's rebased
+    /// chunk-local inputs from `ChunkCursorState`, all through one scratch.
+    #[test]
+    fn decluster_kernel_equals_reference_scatter(
+        n in 1usize..20_001,
+        bits in 0u32..11,
+        window_pick in 0usize..4,
+        range_lo in 0usize..1_000_000,
+        range_len in 0usize..1_000_000,
+        chunk_rows in 1usize..5_000,
+        seed in 0u64..u64::MAX,
+    ) {
+        use radix_decluster::core::decluster::chunks::ChunkCursorState;
+        use radix_decluster::core::decluster::window_elems;
+
+        let mut smaller: Vec<Oid> = (0..n as Oid).collect();
+        let mut state = seed | 1;
+        for i in (1..n).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let j = (state >> 33) as usize % (i + 1);
+            smaller.swap(i, j);
+        }
+        let result_positions: Vec<Oid> = (0..n as Oid).collect();
+        let clustered = radix_cluster_oids(&smaller, &result_positions, RadixClusterSpec::single_pass(bits));
+        let (positions, bounds) = (clustered.payloads(), clustered.bounds());
+        let values: Vec<i32> = clustered.keys().iter().map(|&o| o as i32 * 3 + 1).collect();
+        let mut reference = vec![0i32; n];
+        for (&p, &v) in positions.iter().zip(&values) {
+            reference[p as usize] = v;
+        }
+
+        let elems = window_elems([4, 64, 4_096, 1 << 20][window_pick], 4);
+        let windows = n.div_ceil(elems);
+        let lo = range_lo % (windows + 1);
+        let hi = lo + range_len % (windows - lo + 1);
+        let covered = (lo * elems).min(n)..(hi * elems).min(n);
+        let mut scratch = DeclusterScratch::new();
+        // Every covered slot must be overwritten: values are positive.
+        let mut out = vec![i32::MIN; covered.len()];
+        radix_decluster_windows_with_scratch(
+            &values, positions, bounds, elems, lo..hi, &mut scratch, &mut out,
+        );
+        prop_assert_eq!(&out[..], &reference[covered]);
+
+        let mut cursors = ChunkCursorState::new(bounds);
+        let mut result_end = 0;
+        while result_end < n {
+            result_end = (result_end + chunk_rows).min(n);
+            let chunk = cursors.next_chunk(positions, result_end);
+            let mut out = vec![i32::MIN; chunk.len()];
+            radix_decluster_windows_with_scratch(
+                &chunk.gather(&values),
+                &chunk.rebased_positions(positions),
+                &chunk.local_bounds(),
+                elems,
+                0..chunk.len().div_ceil(elems),
+                &mut scratch,
+                &mut out,
+            );
+            prop_assert_eq!(&out[..], &reference[chunk.result_range.clone()]);
+        }
+    }
+
     /// Partitioned Hash-Join equals naive Hash-Join equals a set-based
     /// reference, for arbitrary key multisets.
     #[test]
