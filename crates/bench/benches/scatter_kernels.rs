@@ -13,8 +13,15 @@
 //! * `scratch_plain` / `scratch_buffered` — the same with a reused arena
 //!   (the steady state of the streaming pipeline and the serving layer).
 //!
-//! Every variant is checked byte-identical to `seed` before timing.  Emits
-//! `BENCH_kernels.json` next to `BENCH_serve.json`.
+//! Every variant is checked byte-identical to `seed` before timing.
+//!
+//! First, a **fan-out sweep**: one pass of 1M pairs to 16 … 256 clusters,
+//! plain and buffered, for the join's hashed `(u64, u32)` pairs and the
+//! reordering codes' `(u32, u32)` oid pairs, clustered inside a reused arena
+//! so no output allocation is timed.  It shows where one plain pass falls off
+//! the TLB cliff `rdx_core::cluster::TLB_BOUNDED_FANOUT` is set by.
+//!
+//! Emits `BENCH_kernels.json` next to `BENCH_serve.json`.
 //!
 //! Run with `cargo bench -p rdx-bench --bench scatter_kernels [samples]
 //! [seed]` (default 9 samples per cell, key-mix seed 17; the median is
@@ -23,6 +30,7 @@
 //! the committed improvement claim is statistical, not a single median.
 
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rdx_bench::stats::{bootstrap_median_ci, classify, BootstrapCi, MIN_SAMPLES};
 use rdx_bench::EnvMeta;
@@ -180,6 +188,81 @@ fn series_ci(series: &[Duration]) -> Option<BootstrapCi> {
     Some(bootstrap_median_ci(&ms, 1_000, 0.95, 23))
 }
 
+/// One fan-out of the sweep: median one-pass times, plain and buffered.
+struct FanoutCell {
+    pairs: &'static str,
+    clusters: usize,
+    plain: Duration,
+    buffered: Duration,
+}
+
+/// The fan-out sweep: 1M pairs clustered in one pass to `2^4 … 2^8`
+/// clusters, each variant in its own warmed arena, rounds interleaved.
+fn fanout_sweep(samples: usize, key_seed: u64) -> Vec<FanoutCell> {
+    const N: usize = 1_000_000;
+    let mut rng = StdRng::seed_from_u64(key_seed);
+    let keys: Vec<u64> = (0..N).map(|_| rng.gen_range(0..N as u64)).collect();
+    let mut oids: Vec<u32> = (0..N as u32).collect();
+    oids.shuffle(&mut rng);
+    let payloads: Vec<u32> = (0..N as u32).collect();
+    let mut cells = Vec::new();
+    for bits in 4u32..=8 {
+        let spec = RadixClusterSpec::single_pass(bits);
+        let (plain, buffered) = (ScatterMode::Plain, ScatterMode::Buffered);
+        let (mut wide_p, mut wide_b) = (ClusterScratch::new(), ClusterScratch::new());
+        let (mut oid_p, mut oid_b) = (ClusterScratch::new(), ClusterScratch::new());
+        let mut wide_plain_f = || {
+            wide_p
+                .cluster_hashed_in_scratch(&keys, &payloads, spec, plain)
+                .len()
+        };
+        let mut wide_buffered_f = || {
+            wide_b
+                .cluster_hashed_in_scratch(&keys, &payloads, spec, buffered)
+                .len()
+        };
+        let mut oid_plain_f = || {
+            oid_p
+                .cluster_oids_in_scratch(&oids, &payloads, spec, plain)
+                .len()
+        };
+        let mut oid_buffered_f = || {
+            oid_b
+                .cluster_oids_in_scratch(&oids, &payloads, spec, buffered)
+                .len()
+        };
+        // One untimed round grows every arena to its steady-state size.
+        let medians: Vec<Duration> = time_interleaved(
+            samples + 1,
+            &mut [
+                &mut wide_plain_f,
+                &mut wide_buffered_f,
+                &mut oid_plain_f,
+                &mut oid_buffered_f,
+            ],
+        )
+        .into_iter()
+        .map(|mut series| median(series.split_off(1)))
+        .collect();
+        for (pairs, plain, buffered) in [
+            ("(u64, u32)", medians[0], medians[1]),
+            ("(u32, u32)", medians[2], medians[3]),
+        ] {
+            println!(
+                "fan-out {:>3} {pairs}  plain {plain:>8.2?}  buffered {buffered:>8.2?}",
+                1usize << bits
+            );
+            cells.push(FanoutCell {
+                pairs,
+                clusters: 1 << bits,
+                plain,
+                buffered,
+            });
+        }
+    }
+    cells
+}
+
 struct Cell {
     n: usize,
     bits: u32,
@@ -220,6 +303,7 @@ fn main() {
         params.cache_capacity() / 1024,
         params.last_level().line_size,
     );
+    let fanout = fanout_sweep(samples, key_seed);
     let mut cells: Vec<Cell> = Vec::new();
 
     for &n in &[1_000_000usize, 4_000_000] {
@@ -395,8 +479,19 @@ fn main() {
     json.push_str(&EnvMeta::capture(&params, samples).to_json("  "));
     json.push_str(",\n");
     json.push_str(&format!(
-        "  \"samples\": {samples},\n  \"seed\": {key_seed},\n  \"cells\": [\n"
+        "  \"samples\": {samples},\n  \"seed\": {key_seed},\n  \"fanout\": [\n"
     ));
+    for (i, c) in fanout.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"tuples\": 1000000, \"pairs\": \"{}\", \"clusters\": {}, \"plain_ms\": {:.3}, \"buffered_ms\": {:.3}}}{}\n",
+            c.pairs,
+            c.clusters,
+            ms(c.plain),
+            ms(c.buffered),
+            if i + 1 == fanout.len() { "" } else { "," },
+        ));
+    }
+    json.push_str("  ],\n  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let verdict = match (&c.seed_ci, &c.planned_ci) {
             (Some(s), Some(p)) => format!("\"{}\"", classify(s, p).label()),

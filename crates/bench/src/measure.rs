@@ -304,8 +304,8 @@ pub fn fig9_radix_cluster(n: usize, bits: u32, params: &CacheParams) -> ModelPoi
     }
 }
 
-/// Fig. 9b: Partitioned Hash-Join of two relations of `n` keys, pre-clustered
-/// on `bits` bits (bits = 0 means the naive Hash-Join).
+/// Fig. 9b: Partitioned Hash-Join of two relations of `n` keys on `bits`
+/// bits, clustering included (bits = 0 means the naive Hash-Join).
 pub fn fig9_partitioned_hash_join(n: usize, bits: u32, params: &CacheParams) -> ModelPoint {
     let keys = |seed: u64| -> Vec<u64> {
         let mut k: Vec<u64> = (0..n as u64).collect();
@@ -318,15 +318,12 @@ pub fn fig9_partitioned_hash_join(n: usize, bits: u32, params: &CacheParams) -> 
         std::hint::black_box(partitioned_hash_join(
             &larger,
             &smaller,
-            RadixClusterSpec::new(bits, if bits > 11 { 2 } else { 1 }),
+            RadixClusterSpec::single_pass(bits),
         ))
     });
     let region = rdx_cost::DataRegion::new(n, 8);
-    let modeled_ms = if bits == 0 {
-        rdx_cost::algorithms::hash_join(region, region, n, params).millis(params)
-    } else {
-        rdx_cost::algorithms::partitioned_hash_join(region, region, bits, n, params).millis(params)
-    };
+    let modeled_ms =
+        rdx_cost::algorithms::partitioned_hash_join(region, region, bits, n, params).millis(params);
     ModelPoint {
         bits,
         measured_ms,
@@ -640,30 +637,32 @@ fn push_counts(
     ));
 }
 
-/// Chain nodes visited when each of `n` seeded random keys probes the hash
-/// table built over its own partition of a Radix-Cluster on `bits` bits.
-/// The bucket must come from hash bits the cluster did not consume: with
-/// the low bits, every chain — and so this count — grows by `2^bits`.
-fn join_chain_steps(n: usize, bits: u32, seed: u64) -> usize {
+/// Hash-table entries examined when each of `n` seeded random keys probes
+/// the table built over its own partition of a Radix-Cluster on `bits`
+/// bits: one per bucket read plus one per overflow entry walked.  The
+/// bucket must come from hash bits the cluster did not consume: with the
+/// low bits, one bucket in `2^bits` fills and every probe walks its
+/// overflow chain.
+fn join_entries_examined(n: usize, bits: u32, seed: u64) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let keys: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
     let clustered = radix_cluster(&keys, &keys, RadixClusterSpec::single_pass(bits));
     let mut table = HashTable::build(&[]);
-    let mut steps = 0;
+    let mut examined = 0;
     for p in 0..clustered.num_clusters() {
         let partition = clustered.cluster_keys(p);
         table.rebuild(partition);
         for &k in partition {
-            steps += table.probe(k).count();
+            examined += table.entries_examined(k);
         }
     }
-    steps
+    examined
 }
 
 /// The deterministic miss-count measurement mode: replays the Radix-Decluster
 /// kernel and a profiled end-to-end pipeline through the cache simulator,
-/// counts the hash-join's chain steps, and reports every count as a named
-/// cell.
+/// counts the hash-join's table entries examined, and reports every count
+/// as a named cell.
 ///
 /// `detune_window` deliberately runs the kernel cells with the insertion
 /// window collapsed to a single last-level cache line — the left edge of
@@ -741,13 +740,13 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
         });
     }
 
-    // Join cells: the per-partition hash table keeps O(1) chains whether or
-    // not the build side was Radix-Clustered first.
+    // Join cells: a probe of the per-partition hash table examines O(1)
+    // entries whether or not the build side was Radix-Clustered first.
     for bits in [0u32, 6] {
         cells.push(MissProxyCell {
-            name: format!("join.n65536.b{bits}.chain_steps"),
-            unit: "steps",
-            value: join_chain_steps(1 << 16, bits, 17) as f64,
+            name: format!("join.n65536.b{bits}.entries_examined"),
+            unit: "entries",
+            value: join_entries_examined(1 << 16, bits, 17) as f64,
             higher_is_better: false,
         });
     }

@@ -16,7 +16,7 @@ mod spec;
 pub use scratch::{
     buffered_cursor_budget, plan_cluster_passes, plan_partial_cluster, scatter_cursor_budget,
     ClusterScratch, ScatterMode, ScratchClustered, DEFAULT_SCATTER_CURSOR_BUDGET, OID_PAIR_BYTES,
-    SWWC_SLOT_ELEMS,
+    SWWC_SLOT_ELEMS, TLB_BOUNDED_FANOUT,
 };
 pub use spec::RadixClusterSpec;
 

@@ -48,13 +48,32 @@ pub const SWWC_SLOT_ELEMS: usize = 8;
 /// the paper's Pentium 4).
 pub const DEFAULT_SCATTER_CURSOR_BUDGET: usize = 2048;
 
+/// The widest plain scatter one pass may run over data that is **not**
+/// cache-resident.  Every open output page needs a data-TLB entry, and a
+/// pass over `(key, payload)` pairs keeps two output arrays open per
+/// cluster, so a 64-entry data TLB — the paper's Pentium 4, and the x86
+/// cores the join was measured on — holds the write streams of 32 clusters.
+/// Past that the scatter falls off a cliff: one plain pass over 1 M hashed
+/// `(u64, u32)` pairs took 4.3 ms to 32 clusters and 13.2 ms to 64, with
+/// the cursor lines still cache-resident (median of 7, 2-vCPU Xeon with
+/// 48 KB L1d / 2 MB L2 / 105 MB L3; `benches/scatter_kernels.rs`' fan-out
+/// sweep).  Partitioned Hash-Join takes its one out-of-cache pass at this
+/// fan-out and splits the remaining radix bits inside the cache.
+pub const TLB_BOUNDED_FANOUT: usize = 64 / 2;
+
 /// The largest number of scatter cursors one *plain* pass can sustain under
 /// `params` before the cursors start evicting each other: half the
 /// outermost cache's lines (the same conservative usable-line rule the
 /// `rdx-cost` `nest` pattern applies, so the pass rule and the cost model
-/// can never disagree), floored by the TLB entry count — a cursor set larger
-/// than the TLB but within the line budget still wins, because a TLB refill
-/// costs far less than a per-tuple cache-line miss.
+/// can never disagree), floored by the TLB entry count.
+///
+/// The rule counts clusters, not write streams, and lets a pass outgrow the
+/// TLB while its cursor lines fit the cache.  Measured, that costs more than
+/// it saves: a plain pass over `(key, payload)` pairs slows about threefold
+/// per tuple once its `2 · 2^B` streams exceed the TLB, with every cursor
+/// line still cache-resident (see [`TLB_BOUNDED_FANOUT`]).  The rule stays
+/// as is for the reordering codes' clusterings and the radix sorts, whose
+/// plans it decides; the join does not use it.
 ///
 /// For [`CacheParams::paper_pentium4`] this is exactly
 /// [`DEFAULT_SCATTER_CURSOR_BUDGET`] (4096 L2 lines / 2 = 2048 > 64 TLB
@@ -231,6 +250,11 @@ impl<'a, K: Copy, P: Copy> ScratchClustered<'a, K, P> {
     /// Payloads of cluster `j`.
     pub fn cluster_payloads(&self, j: usize) -> &'a [P] {
         &self.payloads[self.cluster_range(j)]
+    }
+
+    /// `(keys, payloads)` of cluster `j`.
+    pub fn cluster(&self, j: usize) -> (&'a [K], &'a [P]) {
+        (self.cluster_keys(j), self.cluster_payloads(j))
     }
 
     /// Copies the view into an owned [`Clustered`].

@@ -4,13 +4,27 @@
 //! clustering" (§2.2), so inside a partition those bits say nothing: cluster
 //! on the low `B` bits of the hash, bucket on bits the cluster never looked
 //! at — [`HashTable`] indexes by the top hash bits.
+//!
+//! Each input makes one pass over memory, on the high bits of the `B`-bit
+//! field at no more than [`TLB_BOUNDED_FANOUT`] clusters; [`PartitionJoiner`]
+//! splits the remaining bits of each partition while it is cache-resident.
+//! Every pass is stable, so the output is the same for every pass structure.
 
 mod hash_table;
 
 pub use hash_table::HashTable;
 
-use crate::cluster::{radix_cluster_with_scratch, ClusterScratch, RadixClusterSpec, ScatterMode};
+use crate::cluster::{
+    passes_for_budget, radix_cluster_with_scratch, ClusterScratch, RadixClusterSpec, ScatterMode,
+    DEFAULT_SCATTER_CURSOR_BUDGET, TLB_BOUNDED_FANOUT,
+};
 use rdx_dsm::{JoinIndex, Oid};
+
+/// One side of a join: its keys and their oids.
+pub type JoinSide<'a> = (&'a [u64], &'a [Oid]);
+
+/// The two oid columns a join appends to: `(larger, smaller)`.
+pub type JoinColumns = (Vec<Oid>, Vec<Oid>);
 
 /// Naive (non-partitioned) Hash-Join between two key columns.
 ///
@@ -20,37 +34,53 @@ use rdx_dsm::{JoinIndex, Oid};
 /// hash table that may far exceed the CPU cache, this is the baseline the
 /// cache-conscious variant improves on ("NSM-pre-hash" in Fig. 10a).
 pub fn hash_join(larger_keys: &[u64], smaller_keys: &[u64]) -> JoinIndex {
-    let table = HashTable::build(smaller_keys);
-    let mut out = JoinIndex::with_capacity(larger_keys.len());
-    for (l_oid, &key) in larger_keys.iter().enumerate() {
-        for s_oid in table.probe_matches(key, smaller_keys) {
-            out.push(l_oid as Oid, s_oid);
-        }
-    }
-    out
+    partitioned_hash_join(larger_keys, smaller_keys, RadixClusterSpec::single_pass(0))
+}
+
+/// The one out-of-cache Radix-Cluster pass of a Partitioned Hash-Join on
+/// `spec`: the high `min(B, log2 TLB_BOUNDED_FANOUT)` bits of the `B`-bit
+/// field, in one plain pass.
+pub fn join_first_pass(spec: RadixClusterSpec) -> RadixClusterSpec {
+    let bits = spec.bits.min(TLB_BOUNDED_FANOUT.trailing_zeros());
+    RadixClusterSpec::partial(bits, 1, spec.ignore + spec.bits - bits)
 }
 
 /// The per-partition kernel of Partitioned Hash-Join, shared by the
-/// sequential and the parallel executor: rebuilds `table` over the build
-/// partition `s_keys`, probes it with `l_keys` in order and appends the
-/// original oids of every match to the two output columns.
-pub fn join_partition(
-    table: &mut HashTable,
-    l_keys: &[u64],
-    l_oids: &[Oid],
-    s_keys: &[u64],
-    s_oids: &[Oid],
-    out_larger: &mut Vec<Oid>,
-    out_smaller: &mut Vec<Oid>,
-) {
-    if l_keys.is_empty() || s_keys.is_empty() {
-        return;
+/// sequential and the parallel executor: splits both sides of one
+/// [`join_first_pass`] partition on the remaining bits and joins the
+/// sub-partitions in order, reusing one table and two split arenas.
+#[derive(Debug)]
+pub struct PartitionJoiner {
+    split: RadixClusterSpec,
+    table: HashTable,
+    larger: ClusterScratch<u64, Oid>,
+    smaller: ClusterScratch<u64, Oid>,
+}
+
+impl PartitionJoiner {
+    /// A joiner for the first-pass partitions of a join on `spec`.
+    pub fn new(spec: RadixClusterSpec) -> Self {
+        let bits = spec.bits - join_first_pass(spec).bits;
+        let passes = passes_for_budget(bits, DEFAULT_SCATTER_CURSOR_BUDGET);
+        PartitionJoiner {
+            split: RadixClusterSpec::partial(bits, passes, spec.ignore),
+            table: HashTable::default(),
+            larger: ClusterScratch::new(),
+            smaller: ClusterScratch::new(),
+        }
     }
-    table.rebuild(s_keys);
-    for (&key, &l_oid) in l_keys.iter().zip(l_oids) {
-        for pos in table.probe_matches(key, s_keys) {
-            out_larger.push(l_oid);
-            out_smaller.push(s_oids[pos as usize]);
+
+    /// Joins one first-pass partition, given as `(keys, oids)` per side.
+    pub fn join(&mut self, larger: JoinSide, smaller: JoinSide, out: &mut JoinColumns) {
+        let (split, table) = (self.split, &mut self.table);
+        if split.bits == 0 || larger.0.is_empty() || smaller.0.is_empty() {
+            return table.join_into(larger, smaller, out);
+        }
+        let auto = ScatterMode::Auto;
+        let l = (self.larger).cluster_hashed_in_scratch(larger.0, larger.1, split, auto);
+        let s = (self.smaller).cluster_hashed_in_scratch(smaller.0, smaller.1, split, auto);
+        for q in 0..split.num_clusters() {
+            table.join_into(l.cluster(q), s.cluster(q), out);
         }
     }
 }
@@ -58,7 +88,8 @@ pub fn join_partition(
 /// Partitioned Hash-Join (§2.1): both inputs are Radix-Clustered on `B` bits
 /// of the hashed key, then a simple Hash-Join is run per pair of matching
 /// partitions, keeping every build partition (plus its hash table) inside the
-/// CPU cache.
+/// CPU cache.  The clustering is one [`join_first_pass`] per input plus
+/// [`PartitionJoiner`]'s split, whatever `spec.passes` says.
 ///
 /// The produced [`JoinIndex`] refers to the *original* oids of both inputs;
 /// as §3.1 notes, neither side comes out in ascending order, which is exactly
@@ -68,34 +99,35 @@ pub fn partitioned_hash_join(
     smaller_keys: &[u64],
     spec: RadixClusterSpec,
 ) -> JoinIndex {
-    if spec.bits == 0 {
-        return hash_join(larger_keys, smaller_keys);
-    }
-    // Identity oids are the payload of both sides; one scratch serves both.
     let (n_l, n_s) = (larger_keys.len(), smaller_keys.len());
+    // Identity oids are the payload of both sides.
     let oids: Vec<Oid> = (0..n_l.max(n_s) as Oid).collect();
-    let (mut scratch, auto) = (ClusterScratch::new(), ScatterMode::Auto);
-    let larger = radix_cluster_with_scratch(larger_keys, &oids[..n_l], spec, auto, &mut scratch);
-    let smaller = radix_cluster_with_scratch(smaller_keys, &oids[..n_s], spec, auto, &mut scratch);
-    drop(scratch);
-
-    let mut table = HashTable::build(&[]);
-    let (mut out_l, mut out_s) = (Vec::with_capacity(n_l), Vec::with_capacity(n_l));
-    for p in 0..spec.num_clusters() {
-        let ((l_keys, l_oids), (s_keys, s_oids)) = (larger.cluster(p), smaller.cluster(p));
-        join_partition(
-            &mut table, l_keys, l_oids, s_keys, s_oids, &mut out_l, &mut out_s,
-        );
+    let (larger, smaller) = ((larger_keys, &oids[..n_l]), (smaller_keys, &oids[..n_s]));
+    let mut joiner = PartitionJoiner::new(spec);
+    let cap = n_l + hash_table::SLOTS;
+    let mut out = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+    if spec.bits == 0 {
+        joiner.join(larger, smaller, &mut out);
+    } else {
+        let (first, plain) = (join_first_pass(spec), ScatterMode::Plain);
+        let mut scratch = ClusterScratch::new();
+        let larger = radix_cluster_with_scratch(larger.0, larger.1, first, plain, &mut scratch);
+        let smaller = radix_cluster_with_scratch(smaller.0, smaller.1, first, plain, &mut scratch);
+        drop((scratch, oids));
+        for p in 0..first.num_clusters() {
+            joiner.join(larger.cluster(p), smaller.cluster(p), &mut out);
+        }
     }
-    JoinIndex::from_columns(out_l, out_s)
+    JoinIndex::from_columns(out.0, out.1)
 }
 
 /// Chooses the number of radix bits for Partitioned Hash-Join so that one
 /// build partition fits the cache at 12 bytes per tuple — 8 key + 4 oid; the
-/// table's 4 `next` + ≥ 4 bucket bytes come on top — and caps single-pass
-/// fanout by using two passes beyond 2^11 clusters — the §2 recipe.  B is
-/// left there: with O(1) probes a 1M × 1M join costs the same 59–80 ms for
-/// every B in 3…14, and the planner prices its plans with this B.
+/// table's 28–56 bytes come on top — and caps single-pass fanout by using
+/// two passes beyond 2^11 clusters — the §2 recipe.  On a 1M × 1M join one
+/// plain pass to all `2^B` clusters took 42–43 ms at B = 5 and 54–56 at B =
+/// 7; bounded by [`TLB_BOUNDED_FANOUT`], 34–36 and 38–39 ms (fastest of 7,
+/// 2-vCPU Xeon, 2 MB L2).  The planner prices its plans with this B.
 pub fn join_cluster_spec(smaller_tuples: usize, cache_bytes: usize) -> RadixClusterSpec {
     const BYTES_PER_BUILD_TUPLE: usize = 12;
     let build_bytes = smaller_tuples.saturating_mul(BYTES_PER_BUILD_TUPLE);
@@ -201,6 +233,23 @@ mod tests {
         assert!(spec.bits >= 8);
         let tiny = join_cluster_spec(10_000, 512 * 1024);
         assert_eq!(tiny.bits, 0);
+    }
+
+    #[test]
+    fn the_first_pass_takes_the_high_bits_at_tlb_bounded_fanout() {
+        assert_eq!(
+            TLB_BOUNDED_FANOUT,
+            1 << rdx_cost::algorithms::JOIN_FIRST_PASS_BITS
+        );
+        let first = |bits, passes| join_first_pass(RadixClusterSpec::new(bits, passes));
+        assert_eq!(first(3, 1), RadixClusterSpec::partial(3, 1, 0));
+        assert_eq!(first(5, 1), RadixClusterSpec::partial(5, 1, 0));
+        assert_eq!(first(7, 1), RadixClusterSpec::partial(5, 1, 2));
+        assert_eq!(first(14, 2), RadixClusterSpec::partial(5, 1, 9));
+        assert_eq!(
+            join_first_pass(RadixClusterSpec::partial(9, 2, 3)),
+            RadixClusterSpec::partial(5, 1, 7)
+        );
     }
 
     #[test]

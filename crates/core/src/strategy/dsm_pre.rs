@@ -177,7 +177,7 @@ pub fn try_dsm_pre_projection(
         table.rebuild(build_keys);
         for l in ls..le {
             let key = larger_clustered.keys[l];
-            for pos in table.probe_matches(key, build_keys) {
+            for pos in table.matches(key) {
                 let s = ss + pos as usize;
                 let lrow = larger_clustered.row(l);
                 let srow = smaller_clustered.row(s);

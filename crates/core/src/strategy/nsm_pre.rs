@@ -126,7 +126,7 @@ fn join_partitions(
         let build_keys = &smaller.keys[ss..se];
         table.rebuild(build_keys);
         for l in ls..le {
-            for pos in table.probe_matches(larger.keys[l], build_keys) {
+            for pos in table.matches(larger.keys[l]) {
                 let s = ss + pos as usize;
                 for (a, &v) in larger.row(l).iter().enumerate() {
                     result_cols[a].push(v);

@@ -688,6 +688,48 @@ mod tests {
         }
     }
 
+    /// The engine plans every query at a quarter of the cache
+    /// (`max_concurrent = 4`) with one thread.  The join is the same for
+    /// every code, so how it is priced must not move the benchmark's plans:
+    /// `c/d` for the 1M × 1M `scan_cold` pair at every π, and for every
+    /// `mix_budget_wire` tenant whose columns outgrow that share.
+    #[test]
+    fn benchmark_shapes_keep_their_plans() {
+        use ProjectionCode::{PartialCluster as C, Unsorted as U};
+        use SecondSideCode::{Decluster as D, Unsorted as Uu};
+        let params = CacheParams::paper_pentium4().per_query_share(4);
+        let relation = |n: usize| DsmRelation::from_key(rdx_dsm::Column::from_vec(vec![0; n]));
+        // (rows per side, width, plan at every π ≤ width): `scan_cold`, then
+        // the twelve `mix_budget_wire` tenants.
+        let shapes = [
+            (1_000_000, 4, (C, D)),
+            (200_000, 2, (C, D)),
+            (150_000, 4, (C, D)),
+            (100_000, 1, (C, D)),
+            (80_000, 2, (C, D)),
+            (60_000, 4, (C, D)),
+            (40_000, 2, (C, Uu)),
+            (30_000, 1, (U, Uu)),
+            (20_000, 2, (U, Uu)),
+            (15_000, 4, (U, Uu)),
+            (10_000, 2, (U, Uu)),
+            (8_000, 1, (U, Uu)),
+            (6_000, 2, (U, Uu)),
+        ];
+        for (n, width, (first, second)) in shapes {
+            let (larger, smaller) = (relation(n), relation(n));
+            for pi in 1..=width {
+                let spec = QuerySpec::symmetric(pi);
+                let plan = plan_by_cost_with_threads(&larger, &smaller, &spec, &params, 1);
+                assert_eq!(
+                    plan,
+                    DsmPostProjection::with_codes(first, second),
+                    "n={n} π={pi}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn cost_planner_agrees_with_heuristic_planner_at_the_extremes() {
         let params = CacheParams::paper_pentium4();

@@ -1,19 +1,20 @@
 //! Parallel Partitioned Hash-Join: the §2.1 algorithm with both the
 //! clustering and the per-partition joins spread over workers.
 //!
-//! After (parallel) radix-clustering both inputs, the partitions are
-//! independent: partition `p` of the larger side only ever joins partition
-//! `p` of the smaller side.  Workers claim partitions morsel-style, run the
-//! sequential join's own per-partition kernel into per-partition oid
-//! columns, and the columns are concatenated in partition order — which is
-//! exactly the order the sequential loop emits, so the resulting
-//! [`JoinIndex`] is byte-identical to
+//! After the (parallel) out-of-cache first pass over both inputs, the
+//! partitions are independent: partition `p` of the larger side only ever
+//! joins partition `p` of the smaller side.  Workers claim partitions
+//! morsel-style, each runs the sequential join's own per-partition kernel
+//! ([`PartitionJoiner`]: in-cache split, then one table per sub-partition)
+//! into per-partition oid columns, and the columns are concatenated in
+//! partition order — which is exactly the order the sequential loop emits,
+//! so the resulting [`JoinIndex`] is byte-identical to
 //! [`rdx_core::join::partitioned_hash_join`].
 
 use crate::cluster::par_radix_cluster;
 use crate::pool::{run_workers, ExecPolicy, MorselQueue};
 use rdx_core::cluster::RadixClusterSpec;
-use rdx_core::join::{join_partition, partitioned_hash_join, HashTable};
+use rdx_core::join::{join_first_pass, partitioned_hash_join, PartitionJoiner};
 use rdx_dsm::{JoinIndex, Oid};
 
 /// Parallel Partitioned Hash-Join; byte-identical to the sequential
@@ -29,21 +30,21 @@ pub fn par_partitioned_hash_join(
     }
     let (n_l, n_s) = (larger_keys.len(), smaller_keys.len());
     let oids: Vec<Oid> = (0..n_l.max(n_s) as Oid).collect();
-    let larger = par_radix_cluster(larger_keys, &oids[..n_l], spec, policy);
-    let smaller = par_radix_cluster(smaller_keys, &oids[..n_s], spec, policy);
+    let first = join_first_pass(spec);
+    let larger = par_radix_cluster(larger_keys, &oids[..n_l], first, policy);
+    let smaller = par_radix_cluster(smaller_keys, &oids[..n_s], first, policy);
 
     // Workers claim partitions dynamically (join cost is highly skew
     // sensitive) and keep their output columns tagged by partition id.
-    let queue = MorselQueue::new(spec.num_clusters(), 1);
+    let queue = MorselQueue::new(first.num_clusters(), 1);
     let mut tagged: Vec<(usize, Vec<Oid>, Vec<Oid>)> = run_workers(policy.worker_threads(), |_| {
-        let mut table = HashTable::build(&[]);
+        let mut joiner = PartitionJoiner::new(spec);
         let mut mine = Vec::new();
         while let Some(range) = queue.claim() {
             for p in range {
-                let ((l_keys, l_oids), (s_keys, s_oids)) = (larger.cluster(p), smaller.cluster(p));
-                let (mut l, mut s) = (Vec::new(), Vec::new());
-                join_partition(&mut table, l_keys, l_oids, s_keys, s_oids, &mut l, &mut s);
-                mine.push((p, l, s));
+                let mut out = (Vec::new(), Vec::new());
+                joiner.join(larger.cluster(p), smaller.cluster(p), &mut out);
+                mine.push((p, out.0, out.1));
             }
         }
         mine
@@ -82,7 +83,7 @@ mod tests {
     fn parallel_join_is_byte_identical_to_sequential() {
         let larger = keys(5_000, 2_000, 1);
         let smaller = keys(2_000, 2_000, 2);
-        for bits in [1u32, 4, 7] {
+        for bits in [1u32, 4, 7, 9, 13] {
             let spec = RadixClusterSpec::new(bits, 1);
             let expected = partitioned_hash_join(&larger, &smaller, spec);
             for threads in [2usize, 4, 8] {

@@ -6,11 +6,44 @@ use radix_decluster::core::cluster::{
 };
 use radix_decluster::core::decluster::paged::radix_decluster_paged;
 use radix_decluster::core::decluster::radix_decluster;
+use radix_decluster::core::hash::hash_key;
 use radix_decluster::core::join::{hash_join, partitioned_hash_join};
 use radix_decluster::dsm::VarColumn;
 use radix_decluster::nsm::BufferManager;
 use radix_decluster::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
+
+/// 64 distinct keys whose hashes agree on their low 14 bits: one partition
+/// of every Radix-Cluster on `B ≤ 14` bits.
+fn one_partition_keys() -> &'static [u64] {
+    static KEYS: OnceLock<Vec<u64>> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let field = hash_key(0) & 0x3fff;
+        (0u64..)
+            .filter(|&k| hash_key(k) & 0x3fff == field)
+            .take(64)
+            .collect()
+    })
+}
+
+/// The join by definition: every `(l, s)` with equal keys, sorted.
+fn naive_pairs(larger: &[u64], smaller: &[u64]) -> Vec<(Oid, Oid)> {
+    let mut positions: HashMap<u64, Vec<Oid>> = HashMap::new();
+    for (s, &k) in smaller.iter().enumerate() {
+        positions.entry(k).or_default().push(s as Oid);
+    }
+    let mut pairs: Vec<(Oid, Oid)> = larger
+        .iter()
+        .enumerate()
+        .flat_map(|(l, k)| {
+            let matches = positions.get(k).map_or(&[][..], Vec::as_slice);
+            matches.iter().map(move |&s| (l as Oid, s))
+        })
+        .collect();
+    pairs.sort_unstable();
+    pairs
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -324,6 +357,59 @@ proptest! {
             let expected = &strings[smaller[r] as usize];
             prop_assert_eq!(placed.read(&bm, r, expected.len()), expected.as_bytes());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Partitioned Hash-Join — one out-of-cache pass, the in-cache split
+    /// for `B > 5`, the bucketized probe — is byte-identical between the
+    /// sequential and the parallel executor at every thread count, and
+    /// equals the join by definition.  Domains: mostly distinct keys, about
+    /// seven copies of each key, `i % 7`, and 64 keys that all share one
+    /// partition; either side may be empty.
+    #[test]
+    fn partitioned_join_is_the_same_sequential_parallel_and_naive(
+        n_larger in 0usize..20_001,
+        n_smaller in 0usize..20_001,
+        domain in 0u32..4,
+        empty in 0u32..6,
+        bits in 0u32..15,
+        passes in 1u32..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        use radix_decluster::exec::par_partitioned_hash_join;
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let n = n_larger.max(n_smaller) as u64;
+        let mut keys = |len: usize| -> Vec<u64> {
+            match domain {
+                0 => (0..len).map(|_| next()).collect(),
+                1 => (0..len).map(|_| next() % (n / 7).max(1)).collect(),
+                // The cross product grows as len² / 7: keep it small.
+                2 => (0..len.min(700) as u64).map(|i| i % 7).collect(),
+                _ => {
+                    let pool = one_partition_keys();
+                    (0..len.min(2_000)).map(|_| pool[next() as usize % pool.len()]).collect()
+                }
+            }
+        };
+        let larger = if empty == 0 { Vec::new() } else { keys(n_larger) };
+        let smaller = if empty == 1 { Vec::new() } else { keys(n_smaller) };
+
+        let spec = RadixClusterSpec::new(bits, passes);
+        let sequential = partitioned_hash_join(&larger, &smaller, spec);
+        for threads in [1usize, 2, 4] {
+            let parallel =
+                par_partitioned_hash_join(&larger, &smaller, spec, &ExecPolicy::with_threads(threads));
+            prop_assert_eq!(parallel.larger(), sequential.larger());
+            prop_assert_eq!(parallel.smaller(), sequential.smaller());
+        }
+        prop_assert_eq!(sequential.canonical_pairs(), naive_pairs(&larger, &smaller));
     }
 }
 
