@@ -2,10 +2,10 @@
 //!
 //! Four PRs of growth left the workspace with four disjoint entry points —
 //! `DsmPostProjection::plan/execute` in `rdx-core`, the parallel executors
-//! in `rdx-exec`, the streaming `ProjectionPipeline`/`PipelineRun`, and
-//! `RdxServer::run_batch` in `rdx-serve` — each with its own config plumbing
-//! and its own error conventions.  This crate is the single public surface
-//! that replaces all of them:
+//! in `rdx-exec`, the streaming `ProjectionPipeline`/`PipelineRun`, and a
+//! synchronous batch call in `rdx-serve` (since removed) — each with its own
+//! config plumbing and its own error conventions.  This crate is the single
+//! public surface that replaces all of them:
 //!
 //! * a [`Session`] owns the catalog, the shared [`CacheParams`], the global
 //!   [`MemoryBudget`], the clustered-join-index cache and the scratch pools;

@@ -21,7 +21,9 @@
 //! so no output allocation is timed.  It shows where one plain pass falls off
 //! the TLB cliff `rdx_core::cluster::TLB_BOUNDED_FANOUT` is set by.
 //!
-//! Emits `BENCH_kernels.json` next to `BENCH_serve.json`.
+//! Writes the grid, env-stamped and with its key-mix seed, to
+//! `scatter_kernels.json` in the cargo profile directory
+//! (`target/release/` under `cargo bench`): build output, never committed.
 //!
 //! Run with `cargo bench -p rdx-bench --bench scatter_kernels [samples]
 //! [seed]` (default 9 samples per cell, key-mix seed 17; the median is
@@ -520,7 +522,11 @@ fn main() {
     json.push_str(&format!(
         "  ],\n  \"hot_path_worst_improvement_pct\": {worst:.1}\n}}\n"
     ));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(path, &json).expect("write BENCH_kernels.json");
-    println!("wrote {path}");
+    // Bench binaries run from `<target>/<profile>/deps/`.
+    let path = std::env::current_exe()
+        .ok()
+        .and_then(|exe| Some(exe.parent()?.parent()?.join("scatter_kernels.json")))
+        .expect("bench binary path has a profile directory");
+    std::fs::write(&path, &json).expect("write scatter_kernels.json");
+    println!("wrote {}", path.display());
 }

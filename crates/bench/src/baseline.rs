@@ -3,9 +3,9 @@
 //! A benchmark number is only meaningful next to the number it is being
 //! compared against.  This module defines the schema'd JSON file that holds
 //! that reference point — one [`Baseline`] per bench, committed at the
-//! workspace root next to the `BENCH_*.json` trajectory files — plus the env
-//! metadata stamp ([`EnvMeta`]) that makes any baseline self-describing:
-//! which machine shape, which cache geometry, how many samples, which commit.
+//! workspace root — plus the env metadata stamp ([`EnvMeta`]) that makes any
+//! baseline self-describing: which machine shape, which cache geometry, how
+//! many samples, which commit.
 //!
 //! Serialisation is a hand-rolled writer and a minimal recursive-descent JSON
 //! reader (objects / arrays / strings / numbers / literals), keeping the
@@ -20,7 +20,7 @@ use std::path::Path;
 /// changes so stale committed baselines fail loudly instead of misparsing.
 pub const BASELINE_SCHEMA: u64 = 1;
 
-/// Environment stamp carried by every baseline and `BENCH_*.json` emitter:
+/// Environment stamp carried by every baseline and bench JSON emitter:
 /// enough to tell whether two measurement files are comparable at all.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnvMeta {

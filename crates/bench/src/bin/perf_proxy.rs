@@ -25,7 +25,7 @@ use rdx_cache::CacheParams;
 use std::path::Path;
 use std::process::ExitCode;
 
-/// The committed baseline, next to the `BENCH_*.json` trajectory files.
+/// The committed baseline, at the workspace root.
 const BASELINE_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../BASELINE_perf_proxy.json"

@@ -1,11 +1,9 @@
 //! The **ticket-granular query engine**: the persistent core the whole
 //! serving layer (and the `rdx-api` `Session` front door) runs on.
 //!
-//! PR 3's [`crate::server::RdxServer::run_batch`] was a synchronous
-//! all-or-nothing call: admission, scheduling and chunk execution lived
-//! inside one loop whose in-flight state borrowed the catalog, so there was
-//! no API surface on which to accept a query while a batch was in flight.
-//! This module factors that loop into a value with *open* edges:
+//! Admission, scheduling and chunk execution live in a value with *open*
+//! edges, so a query can be accepted or observed while others are in
+//! flight:
 //!
 //! * [`QueryEngine::submit`] validates a request against the catalog and
 //!   enqueues it, returning a non-blocking [`TicketId`] immediately — at any
@@ -13,8 +11,8 @@
 //!   async-front enabler the ROADMAP asks for);
 //! * [`QueryEngine::step`] pumps exactly one scheduler decision: admit from
 //!   the queue head while budget and slots allow, then run **one chunk of
-//!   one query** under the stride-scheduling fairness policy — the same
-//!   decision sequence the old batch loop made, now resumable from outside;
+//!   one query** under the stride-scheduling fairness policy, resumable
+//!   from outside;
 //! * [`QueryEngine::status`] / [`QueryEngine::take_outcome`] observe a
 //!   ticket without blocking.
 //!
@@ -37,14 +35,14 @@
 //! Everything fallible reports the workspace-wide [`RdxError`]; the engine
 //! never panics on untrusted input.
 //!
-//! [`crate::server::RdxServer::run_batch`] is now a documented thin wrapper
-//! over these primitives: submit all, step until idle, take all outcomes.
+//! Serving a whole batch is these primitives in a row: submit all, step
+//! until [`EngineStep::Idle`], take every outcome.
 
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::cache::{CacheStats, ClusterCache, ClusterKey};
 use crate::registry::{Catalog, RelationId};
+use crate::request::{QueryOutcome, QueryResult, QueryStats, ServeConfig, ServerRequest};
 use crate::scheduler::ChunkScheduler;
-use crate::server::{QueryOutcome, QueryResult, QueryStats, ServeConfig, ServerRequest};
 use crate::tenant::{TenantId, TenantRegistry, TenantStats};
 use rdx_cache::CacheParams;
 use rdx_core::budget::{BudgetError, MemoryBudget};
@@ -134,9 +132,8 @@ pub enum EngineStep {
 
 /// Cumulative engine counters since the last [`QueryEngine::reset_stats`].
 ///
-/// Ticket-granular callers (who never call `reset_stats`) see these as
-/// engine-lifetime totals — the aggregate view `BatchStats` used to be the
-/// only source of; the legacy batch wrapper resets them per batch.
+/// Callers that never call `reset_stats` see engine-lifetime totals; the
+/// counters of one pass are the difference of two snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Peak over time of `Σ` active queries' planned working-set bounds.
@@ -539,8 +536,7 @@ impl QueryEngine {
         self.stats
     }
 
-    /// Resets the cumulative counters (the batch wrapper calls this so
-    /// [`crate::BatchStats`] keeps its per-batch semantics).
+    /// Resets the cumulative counters, peaks included.
     pub fn reset_stats(&mut self) {
         self.stats = EngineStats::default();
     }
@@ -1534,8 +1530,8 @@ mod tests {
     use rdx_dsm::ResultRelation;
     use rdx_workload::JoinWorkloadBuilder;
 
-    fn engine(budget: MemoryBudget) -> QueryEngine {
-        QueryEngine::new(ServeConfig {
+    fn config(budget: MemoryBudget) -> ServeConfig {
+        ServeConfig {
             params: CacheParams::tiny_for_tests(),
             global_budget: budget,
             max_concurrent: 2,
@@ -1546,7 +1542,22 @@ mod tests {
             observability: false,
             profiled: false,
             tenant_quotas: crate::tenant::TenantQuotas::default(),
-        })
+        }
+    }
+
+    fn engine(budget: MemoryBudget) -> QueryEngine {
+        QueryEngine::new(config(budget))
+    }
+
+    /// Submits every request, steps until idle, and takes the served
+    /// results back in submission order.
+    fn serve_all(engine: &mut QueryEngine, requests: &[ServerRequest]) -> Vec<QueryResult> {
+        let tickets: Vec<TicketId> = requests.iter().map(|r| engine.submit(*r)).collect();
+        while engine.step() != EngineStep::Idle {}
+        tickets
+            .into_iter()
+            .map(|t| engine.take_outcome(t).unwrap().outcome.expect("served"))
+            .collect()
     }
 
     fn columns(result: &ResultRelation) -> Vec<Vec<i32>> {
@@ -1618,6 +1629,95 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_tickets_match_the_solo_executor() {
+        let w = JoinWorkloadBuilder::equal(1_500, 2).seed(31).build();
+        let mut engine = QueryEngine::new(ServeConfig {
+            max_concurrent: 3,
+            ..config(MemoryBudget::bytes(8 * 1024))
+        });
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let spec = QuerySpec::symmetric(2);
+        let results = serve_all(&mut engine, &[ServerRequest::new(larger, smaller, spec); 5]);
+        assert!(engine.stats().peak_concurrency >= 2);
+        assert!(engine.stats().peak_concurrent_bytes <= 8 * 1024);
+        for q in &results {
+            // Byte-identical to running the engine-chosen plan alone.
+            let solo = q
+                .stats
+                .plan
+                .execute(&w.larger, &w.smaller, &spec, engine.shared_params());
+            assert_eq!(columns(&q.result), columns(&solo.result));
+            assert_eq!(q.stats.rows, w.expected_matches);
+            assert!(q.stats.chunks >= 1);
+            assert!(q.stats.share_bytes <= 8 * 1024);
+        }
+        // Five identical requests: one miss builds the prefix, four hits.
+        assert_eq!(engine.cache_stats().misses, 1);
+        assert_eq!(engine.cache_stats().hits, 4);
+        assert!(!results[0].stats.cache_hit);
+        assert!(results[4].stats.cache_hit);
+        // Only the cache-missing query paid the prefix build time.
+        assert!(results[0].stats.timings.join.as_nanos() > 0);
+        assert_eq!(results[4].stats.timings.join, Duration::ZERO);
+    }
+
+    #[test]
+    fn scratch_pool_hands_warm_buffers_to_later_queries() {
+        let w = JoinWorkloadBuilder::equal(1_200, 2).seed(61).build();
+        let mut engine = QueryEngine::new(ServeConfig {
+            max_concurrent: 1, // strictly sequential: reuse is deterministic
+            ..config(MemoryBudget::bytes(4 * 1024))
+        });
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(2));
+        let results = serve_all(&mut engine, &[request; 4]);
+        // First query grows its scratch; the next three inherit it.
+        assert_eq!(engine.stats().scratch_reuses, 3);
+        assert!(!results[0].stats.scratch_reused);
+        for q in &results[1..] {
+            assert!(q.stats.scratch_reused);
+            assert_eq!(q.stats.rows, w.expected_matches);
+        }
+        // Reuse is invisible in the results: all four are identical.
+        let first = columns(&results[0].result);
+        for q in &results[1..] {
+            assert_eq!(columns(&q.result), first);
+        }
+        // The pool persists across drains too.
+        serve_all(&mut engine, &[request]);
+        assert_eq!(engine.stats().scratch_reuses, 4);
+    }
+
+    #[test]
+    fn request_hints_flow_through_the_ticket_path() {
+        let w = JoinWorkloadBuilder::equal(900, 1).seed(17).build();
+        let mut engine = QueryEngine::new(ServeConfig {
+            max_concurrent: 3,
+            ..config(MemoryBudget::bytes(64 * 1024))
+        });
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let spec = QuerySpec::symmetric(1);
+        let pinned = DsmPostProjection::with_codes(
+            rdx_core::strategy::ProjectionCode::Unsorted,
+            rdx_core::strategy::SecondSideCode::Decluster,
+        );
+        let request = ServerRequest::new(larger, smaller, spec)
+            .with_codes(pinned)
+            .with_threads(2)
+            .with_budget_hint(MemoryBudget::bytes(256));
+        let q = serve_all(&mut engine, &[request]).remove(0);
+        assert_eq!(q.stats.plan, pinned);
+        // The hint tightened the share below the fair split.
+        assert_eq!(q.stats.share_bytes, 256);
+        assert!(q.stats.chunks > 1);
+        let solo = pinned.execute(&w.larger, &w.smaller, &spec, engine.shared_params());
+        assert_eq!(columns(&q.result), columns(&solo.result));
+    }
+
+    #[test]
     fn invalid_submissions_finish_immediately_with_typed_errors() {
         let w = JoinWorkloadBuilder::equal(300, 1).seed(7).build();
         let mut engine = engine(MemoryBudget::bytes(4 * 1024));
@@ -1633,16 +1733,25 @@ mod tests {
             engine.take_outcome(ghost).unwrap().outcome.unwrap_err(),
             RdxError::UnknownRelation { id: 99 }
         );
-        // A hint below the one-row floor fails at admission time.
+        let wide = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(9)));
+        assert!(matches!(
+            engine.take_outcome(wide).unwrap().outcome.unwrap_err(),
+            RdxError::TooManyColumns { .. }
+        ));
+        // A hint below the one-row floor fails at admission time, without
+        // blocking the valid query queued behind it.
         let starved = engine.submit(
             ServerRequest::new(larger, smaller, QuerySpec::symmetric(1))
                 .with_budget_hint(MemoryBudget::bytes(1)),
         );
+        let valid = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(1)));
         while engine.step() != EngineStep::Idle {}
         assert!(matches!(
             engine.take_outcome(starved).unwrap().outcome.unwrap_err(),
             RdxError::Budget(BudgetError::BelowOneRow { .. })
         ));
+        let served = engine.take_outcome(valid).unwrap().outcome.unwrap();
+        assert_eq!(served.stats.rows, w.expected_matches);
         // Unknown tickets report None, not a panic.  (u64::MAX is never
         // issued: the process-wide counter counts up from zero.)
         assert_eq!(engine.status(TicketId(u64::MAX)), None);

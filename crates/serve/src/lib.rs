@@ -40,8 +40,9 @@
 //!   `engine.tenant.*` instruments — the paper's memory-budgeted execution
 //!   model extended from queries to principals.
 //!
-//! [`RdxServer::run_batch`] is the legacy synchronous shape, now a thin
-//! wrapper over tickets.  The load-bearing guarantee, exercised by the
+//! [`request`] holds what goes in and comes out: the engine-wide
+//! [`ServeConfig`], one query's [`ServerRequest`], and the [`QueryOutcome`]
+//! each ticket resolves to.  The load-bearing guarantee, exercised by the
 //! workspace conformance grid: **any** interleaving of **any** admitted mix
 //! produces, per query, output byte-identical to running that query alone —
 //! scheduling changes *when* chunks run, never what they contain.
@@ -65,7 +66,7 @@
 //! every degradation path a pure function of the script.
 //!
 //! All fallible paths report the workspace-wide
-//! [`rdx_core::error::RdxError`] ([`ServeError`] remains as an alias).
+//! [`rdx_core::error::RdxError`].
 //!
 //! [`Catalog`]: registry::Catalog
 //! [`RelationId`]: registry::RelationId
@@ -85,17 +86,14 @@ pub mod admission;
 pub mod cache;
 pub mod engine;
 pub mod registry;
+pub mod request;
 pub mod scheduler;
-pub mod server;
 pub mod tenant;
 
 pub use admission::{AdmissionController, AdmissionDecision};
 pub use cache::{CacheStats, ClusterCache, ClusterKey};
 pub use engine::{EngineStats, EngineStep, QueryEngine, ResolvedQuery, TicketId, TicketStatus};
 pub use registry::{Catalog, RelationId};
+pub use request::{QueryOutcome, QueryResult, QueryStats, ServeConfig, ServerRequest};
 pub use scheduler::{ChunkScheduler, FairnessPolicy};
-pub use server::{
-    BatchReport, BatchStats, QueryOutcome, QueryResult, QueryStats, RdxServer, ServeConfig,
-    ServeError, ServerRequest,
-};
 pub use tenant::{TenantId, TenantQuota, TenantQuotas, TenantStats};

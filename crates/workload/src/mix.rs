@@ -8,8 +8,8 @@
 //! tenant's pair each query hits, and per-query projection widths cycle
 //! through the tenant's available columns.
 //!
-//! Everything is seeded, so a mix is reproducible across the bench
-//! (`serve_mix`), the conformance grid and examples.
+//! Everything is seeded, so a mix is reproducible across the benchmark, the
+//! conformance grid and examples.
 
 use crate::join_pair::{HitRate, JoinWorkload, JoinWorkloadBuilder};
 use rand::rngs::StdRng;

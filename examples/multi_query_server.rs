@@ -53,7 +53,7 @@ fn summarize(label: &str, pass: &PassReport) {
 
 /// Submits every query of the mix as a ticket, drives the session to
 /// completion with bounded `drive` calls, and polls outcomes as they land.
-fn serve_mix(
+fn serve_pass(
     session: &mut Session,
     mix: &QueryMix,
     ids: &[(RelationId, RelationId)],
@@ -160,14 +160,14 @@ fn main() {
         ..base.clone()
     });
     let ids = register_all(&mut serial);
-    summarize("serial (no cache)", &serve_mix(&mut serial, &mix, &ids));
+    summarize("serial (no cache)", &serve_pass(&mut serial, &mix, &ids));
 
     // 2. Interleaved: admission + fair chunk scheduling, still cold.
     let mut interleaved = Session::new(base.clone());
     let ids = register_all(&mut interleaved);
     summarize(
         "interleaved (no cache)",
-        &serve_mix(&mut interleaved, &mix, &ids),
+        &serve_pass(&mut interleaved, &mix, &ids),
     );
 
     // 3. Interleaved + clustered-index cache, cold then warm pass.
@@ -178,11 +178,11 @@ fn main() {
     let ids = register_all(&mut cached);
     summarize(
         "interleaved + cache (cold)",
-        &serve_mix(&mut cached, &mix, &ids),
+        &serve_pass(&mut cached, &mix, &ids),
     );
     summarize(
         "interleaved + cache (warm)",
-        &serve_mix(&mut cached, &mix, &ids),
+        &serve_pass(&mut cached, &mix, &ids),
     );
     let stats = cached.cache_stats();
     println!(

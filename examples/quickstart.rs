@@ -5,9 +5,6 @@
 //! ```text
 //! cargo run --release --example quickstart [cardinality] [projected_columns]
 //! ```
-//!
-//! (The legacy per-crate entry points this used to call directly are pinned
-//! by `examples/legacy_surface.rs`.)
 
 use radix_decluster::prelude::*;
 

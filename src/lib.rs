@@ -135,10 +135,9 @@ pub mod prelude {
         QueryId, TraceEvent, TraceSnapshot,
     };
     pub use rdx_serve::{
-        BatchReport, BatchStats, CacheStats, Catalog, EngineStats, EngineStep, FairnessPolicy,
-        QueryEngine, QueryOutcome, QueryResult, QueryStats, RdxServer, RelationId, ResolvedQuery,
-        ServeConfig, ServeError, ServerRequest, TenantId, TenantQuota, TenantQuotas, TenantStats,
-        TicketId, TicketStatus,
+        CacheStats, Catalog, EngineStats, EngineStep, FairnessPolicy, QueryEngine, QueryOutcome,
+        QueryResult, QueryStats, RelationId, ResolvedQuery, ServeConfig, ServerRequest, TenantId,
+        TenantQuota, TenantQuotas, TenantStats, TicketId, TicketStatus,
     };
     pub use rdx_workload::{
         self as workload, BudgetedWorkload, JoinWorkloadBuilder, MixConfig, QueryMix,

@@ -10,18 +10,13 @@
 //! ratio scripts, so every re-plan point is a pure function of the script
 //! and the assertions never depend on machine speed.
 
+mod common;
+
+use common::{columns, serve_all};
 use proptest::prelude::*;
 use radix_decluster::prelude::*;
 use radix_decluster::workload::JoinWorkload;
 use std::sync::Arc;
-
-fn columns(result: &ResultRelation) -> Vec<Vec<i32>> {
-    result
-        .columns()
-        .iter()
-        .map(|c| c.as_slice().to_vec())
-        .collect()
-}
 
 fn decluster_codes() -> DsmPostProjection {
     DsmPostProjection::with_codes(ProjectionCode::PartialCluster, SecondSideCode::Decluster)
@@ -238,20 +233,19 @@ fn adaptive_grid_is_byte_identical_through_the_server() {
                     .build();
                 let spec = QuerySpec::symmetric(width);
 
-                let mut server = RdxServer::new(config);
-                let larger = server.register(w.larger.clone());
-                let smaller = server.register(w.smaller.clone());
+                let mut session = Session::new(config);
+                let larger = session.register(w.larger.clone());
+                let smaller = session.register(w.smaller.clone());
                 let plain = ServerRequest::new(larger, smaller, spec);
                 let requests = [
                     plain,
                     plain.with_adaptive(AdaptivePolicy::default()),
                     plain.with_adaptive(AdaptivePolicy::hair_trigger()),
                 ];
-                let report = server.run_batch(&requests);
-                let reference =
-                    columns(&report.outcomes[0].outcome.as_ref().expect("served").result);
-                for (i, outcome) in report.outcomes.iter().enumerate().skip(1) {
-                    let q = outcome.outcome.as_ref().expect("served");
+                let outcomes = serve_all(&mut session, &requests);
+                let reference = columns(&outcomes[0].as_ref().expect("served").result);
+                for (i, outcome) in outcomes.iter().enumerate().skip(1) {
+                    let q = outcome.as_ref().expect("served");
                     assert_eq!(
                         columns(&q.result),
                         reference,
@@ -260,21 +254,12 @@ fn adaptive_grid_is_byte_identical_through_the_server() {
                     let policy = requests[i].adaptive.expect("adaptive request");
                     assert!(q.stats.adaptive_replans <= policy.replan_budget as usize);
                 }
+                assert_eq!(outcomes[0].as_ref().unwrap().stats.adaptive_replans, 0);
                 assert_eq!(
-                    report.outcomes[0]
-                        .outcome
-                        .as_ref()
-                        .unwrap()
-                        .stats
-                        .adaptive_replans,
-                    0
-                );
-                assert_eq!(
-                    report.stats.adaptive_replans,
-                    report
-                        .outcomes
+                    session.engine_mut().stats().adaptive_replans,
+                    outcomes
                         .iter()
-                        .map(|o| o.outcome.as_ref().unwrap().stats.adaptive_replans as u64)
+                        .map(|o| o.as_ref().unwrap().stats.adaptive_replans as u64)
                         .sum::<u64>()
                 );
             }

@@ -1,27 +1,21 @@
 //! API-equivalence conformance: the `Session`/`Query` front door must be
 //! **byte-identical** to every legacy entry point — the sequential
-//! `DsmPostProjection::execute`, the parallel `par_dsm_post_projection`,
-//! the streaming `ProjectionPipeline`, and the batch `RdxServer::run_batch`
-//! — across the workspace `(N, h, ω, π, params)` grid and every
-//! `u/s/c × u/d` code combination; and the non-blocking ticket loop
-//! (`submit` / `Session::drive` / `Ticket::poll`) must reproduce
-//! `run_batch` outputs **chunk for chunk**, while accepting new
-//! submissions between chunk steps of in-flight queries (the async-front
-//! enabler of the one-front-door redesign).
+//! `DsmPostProjection::execute`, the parallel `par_dsm_post_projection` and
+//! the streaming `ProjectionPipeline` — across the workspace
+//! `(N, h, ω, π, params)` grid and every `u/s/c × u/d` code combination;
+//! and the non-blocking ticket loop (`submit` / `Session::drive` /
+//! `Ticket::poll`) must reproduce a submit-all, drain-to-idle pass
+//! **chunk for chunk**, while accepting new submissions between chunk
+//! steps of in-flight queries (the async-front enabler of the
+//! one-front-door redesign).
 
+mod common;
+
+use common::{columns, serve_all};
 use radix_decluster::api::Session;
 use radix_decluster::core::strategy::planner::streaming_bytes_per_row;
 use radix_decluster::prelude::*;
 use radix_decluster::workload::HitRate;
-
-/// Raw column-by-column contents, for byte-identity comparisons.
-fn raw_columns(result: &ResultRelation) -> Vec<Vec<i32>> {
-    result
-        .columns()
-        .iter()
-        .map(|c| c.as_slice().to_vec())
-        .collect()
-}
 
 const CARDINALITIES: [usize; 4] = [1, 13, 100, 640];
 const HIT_RATES: [f64; 3] = [1.0 / 3.0, 1.0, 3.0];
@@ -71,7 +65,7 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
                     for plan in all_codes() {
                         // Legacy front door #1: sequential executor.
                         let legacy = plan.execute(&w.larger, &w.smaller, &spec, &params);
-                        let expected = raw_columns(&legacy.result);
+                        let expected = columns(&legacy.result);
                         // Legacy front door #2: parallel executor.
                         let par = par_dsm_post_projection(
                             &plan,
@@ -81,14 +75,14 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
                             &params,
                             &ExecPolicy::with_threads(2),
                         );
-                        assert_eq!(raw_columns(&par.result), expected, "{cell} par");
+                        assert_eq!(columns(&par.result), expected, "{cell} par");
                         // Legacy front door #3: streaming pipeline at 1/16
                         // of the data.
                         let policy = ExecPolicy::with_threads(1)
                             .budget(MemoryBudget::fraction_of(data_bytes, 16));
                         let (piped, _) = ProjectionPipeline::new(plan)
                             .execute_materialized(&w.larger, &w.smaller, &spec, &params, &policy);
-                        assert_eq!(raw_columns(&piped.result), expected, "{cell} pipeline");
+                        assert_eq!(columns(&piped.result), expected, "{cell} pipeline");
                         // The front door: one-shot run with pinned codes.
                         let report = session
                             .query(larger, smaller)
@@ -97,7 +91,7 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
                             .run()
                             .expect("session run");
                         assert_eq!(
-                            raw_columns(&report.result),
+                            columns(&report.result),
                             expected,
                             "{cell} session run {}",
                             plan.label()
@@ -118,7 +112,7 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
                             .stream(&mut sink)
                             .expect("session stream");
                         assert_eq!(
-                            raw_columns(&sink.inner.into_result()),
+                            columns(&sink.inner.into_result()),
                             expected,
                             "{cell} session stream {}",
                             plan.label()
@@ -137,7 +131,7 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
     );
 }
 
-/// Builds the request mix used by the batch-vs-ticket comparison: repeated
+/// Builds the request mix used by the drain-vs-ticket comparison: repeated
 /// and distinct queries, a budget hint, pinned codes, and a threads hint.
 fn mixed_requests(larger: RelationId, smaller: RelationId, spec: QuerySpec) -> Vec<ServerRequest> {
     vec![
@@ -154,7 +148,7 @@ fn mixed_requests(larger: RelationId, smaller: RelationId, spec: QuerySpec) -> V
 }
 
 #[test]
-fn interleaved_tickets_reproduce_run_batch_chunk_for_chunk() {
+fn interleaved_tickets_reproduce_drain_to_idle_chunk_for_chunk() {
     let w = JoinWorkloadBuilder::equal(1_800, 2).seed(71).build();
     let spec = QuerySpec::symmetric(2);
     let config = ServeConfig {
@@ -170,14 +164,14 @@ fn interleaved_tickets_reproduce_run_batch_chunk_for_chunk() {
         ..ServeConfig::default()
     };
 
-    // Legacy batch shape.
-    let mut server = RdxServer::new(config.clone());
+    // Submit everything, then drain the engine to idle.
+    let mut drained = Session::new(config.clone());
     let requests = mixed_requests(
-        server.register(w.larger.clone()),
-        server.register(w.smaller.clone()),
+        drained.register(w.larger.clone()),
+        drained.register(w.smaller.clone()),
         spec,
     );
-    let report = server.run_batch(&requests);
+    let outcomes = serve_all(&mut drained, &requests);
 
     // Ticket shape: same config, same requests, driven incrementally with
     // polls between steps.
@@ -218,27 +212,27 @@ fn interleaved_tickets_reproduce_run_batch_chunk_for_chunk() {
         }
     }
 
-    // Chunk-for-chunk equivalence with the batch path, per query.
-    for (i, outcome) in report.outcomes.iter().enumerate() {
-        let batch = outcome.outcome.as_ref().expect("batch query served");
+    // Chunk-for-chunk equivalence with the drained pass, per query.
+    for (i, outcome) in outcomes.iter().enumerate() {
+        let drain = outcome.as_ref().expect("drained query served");
         let ticket = reports[i].take().expect("ticket query served");
         assert_eq!(
-            raw_columns(&batch.result),
-            raw_columns(&ticket.result),
+            columns(&drain.result),
+            columns(&ticket.result),
             "query {i} bytes"
         );
-        assert_eq!(batch.stats.chunks, ticket.stats.chunks, "query {i} chunks");
-        assert_eq!(batch.stats.rows, ticket.stats.rows, "query {i} rows");
-        assert_eq!(batch.stats.plan, ticket.stats.plan, "query {i} plan");
+        assert_eq!(drain.stats.chunks, ticket.stats.chunks, "query {i} chunks");
+        assert_eq!(drain.stats.rows, ticket.stats.rows, "query {i} rows");
+        assert_eq!(drain.stats.plan, ticket.stats.plan, "query {i} plan");
         assert_eq!(
-            batch.stats.share_bytes, ticket.stats.share_bytes,
+            drain.stats.share_bytes, ticket.stats.share_bytes,
             "query {i} share"
         );
     }
 }
 
 /// Forward the optional hints of a [`ServerRequest`] onto a [`Query`] —
-/// test-local sugar so the ticket path reuses the batch path's requests.
+/// test-local sugar so the ticket path reuses the drained pass's requests.
 trait PipeHints<'s> {
     fn pipe_hints(self, request: &ServerRequest) -> Query<'s>;
 }
@@ -308,7 +302,7 @@ fn a_submission_lands_between_chunk_steps_of_an_in_flight_query() {
         &QuerySpec::symmetric(1),
         session.params(),
     );
-    assert_eq!(raw_columns(&ra.result), raw_columns(&solo.result));
-    assert_eq!(raw_columns(&rb.result), raw_columns(&solo.result));
+    assert_eq!(columns(&ra.result), columns(&solo.result));
+    assert_eq!(columns(&rb.result), columns(&solo.result));
     assert!(session.engine_mut().stats().peak_concurrency >= 2);
 }

@@ -17,6 +17,9 @@
 //! below 1/16 of the data size, with the per-chunk working-set bound
 //! asserted.
 
+mod common;
+
+use common::columns;
 use radix_decluster::core::budget::MemoryBudget;
 use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use radix_decluster::core::decluster::chunks::ChunkCursors;
@@ -58,15 +61,6 @@ fn oracle_rows(larger_keys: &[u64], smaller_keys: &[u64], spec: &QuerySpec) -> V
     }
     rows.sort_unstable();
     rows
-}
-
-/// Raw column-by-column contents, for byte-identity comparisons.
-fn raw_columns(result: &ResultRelation) -> Vec<Vec<i32>> {
-    result
-        .columns()
-        .iter()
-        .map(|c| c.as_slice().to_vec())
-        .collect()
 }
 
 /// The grid's workload cells: every combination of these axes.
@@ -216,7 +210,7 @@ fn streaming_pipeline_is_byte_identical_to_dsm_post_across_the_grid() {
                 for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
                     let plan = DsmPostProjection::with_codes(first, second);
                     let expected =
-                        raw_columns(&plan.execute(&w.larger, &w.smaller, &spec, &params).result);
+                        columns(&plan.execute(&w.larger, &w.smaller, &spec, &params).result);
                     for denom in [1usize, 16, 64] {
                         for threads in [1usize, 2] {
                             let policy = ExecPolicy::with_threads(threads)
@@ -225,7 +219,7 @@ fn streaming_pipeline_is_byte_identical_to_dsm_post_across_the_grid() {
                             let stats = ProjectionPipeline::new(plan)
                                 .execute(&w.larger, &w.smaller, &spec, &params, &policy, &mut sink);
                             assert_eq!(
-                                raw_columns(&sink.into_result()),
+                                columns(&sink.into_result()),
                                 expected,
                                 "N={n} ω={omega} codes {} denom {denom} threads {threads}",
                                 plan.label()

@@ -7,6 +7,9 @@
 //! surviving queries stay byte-identical to their serial runs: degradation
 //! changes *which* queries finish, never the bytes of those that do.
 
+mod common;
+
+use common::columns;
 use proptest::prelude::*;
 use radix_decluster::prelude::*;
 
@@ -27,14 +30,6 @@ fn config(budget_bytes: usize, observability: bool) -> ServeConfig {
         profiled: false,
         ..ServeConfig::default()
     }
-}
-
-fn columns(result: &ResultRelation) -> Vec<Vec<i32>> {
-    result
-        .columns()
-        .iter()
-        .map(|c| c.as_slice().to_vec())
-        .collect()
 }
 
 /// The serial oracle: the same request alone in a fresh one-slot engine.

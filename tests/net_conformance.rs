@@ -12,6 +12,9 @@
 //! scripted [`FaultPlan`] produces the **same per-query trace** whether
 //! the queries arrive over the wire or in-process.
 
+mod common;
+
+use common::columns;
 use radix_decluster::api::Session;
 use radix_decluster::net::{encode_frame, NO_TICKET};
 use radix_decluster::prelude::*;
@@ -21,15 +24,6 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-
-/// Raw column-by-column contents, for byte-identity comparisons.
-fn raw_columns(result: &ResultRelation) -> Vec<Vec<i32>> {
-    result
-        .columns()
-        .iter()
-        .map(|c| c.as_slice().to_vec())
-        .collect()
-}
 
 const CARDINALITIES: [usize; 4] = [1, 13, 100, 640];
 const HIT_RATES: [f64; 3] = [1.0 / 3.0, 1.0, 3.0];
@@ -146,7 +140,7 @@ fn grid_is_byte_identical_over(transport: Transport) {
                                 .codes(plan)
                                 .run()
                                 .expect("oracle run");
-                            raw_columns(&report.result)
+                            columns(&report.result)
                         })
                         .collect();
 
@@ -247,7 +241,7 @@ fn malformed_frames_tear_down_the_connection_but_never_the_server() {
         let larger = session.register(w.larger.clone());
         let smaller = session.register(w.smaller.clone());
         let report = session.query(larger, smaller).run().expect("oracle");
-        raw_columns(&report.result)
+        columns(&report.result)
     };
     let cfg = ServeConfig {
         params: CacheParams::tiny_for_tests(),
@@ -366,7 +360,7 @@ fn over_quota_tenant_is_shed_while_the_other_tenant_stays_byte_identical() {
             .project(spec)
             .run()
             .expect("solo oracle");
-        raw_columns(&report.result)
+        columns(&report.result)
     };
 
     let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
@@ -560,7 +554,7 @@ fn a_busy_connection_is_not_served_on_a_timer() {
             .project(QuerySpec::symmetric(1))
             .run()
             .expect("oracle");
-        raw_columns(&report.result)
+        columns(&report.result)
     };
     let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
     let addr = listener.tcp_addr().expect("addr");
@@ -669,7 +663,7 @@ fn a_scripted_fault_plan_produces_the_same_trace_over_the_wire() {
             QueryPoll::Rejected(RdxError::WorkerPanicked { worker: 1 })
         ));
         let columns = match survivor.poll(&mut session) {
-            QueryPoll::Done(q) => raw_columns(&q.result),
+            QueryPoll::Done(q) => columns(&q.result),
             other => panic!("survivor must finish, got {other:?}"),
         };
         (session.trace_snapshot().expect("trace"), columns)

@@ -9,8 +9,10 @@
 //! exactly the scheduler's `chunks_dispatched`, and the engine-level
 //! counters agree with the per-query reports they aggregate.
 
+mod common;
+
+use common::{columns, register_mix, result_columns, serve_all};
 use radix_decluster::prelude::*;
-use radix_decluster::serve::BatchReport;
 
 /// A compact multi-tenant mix parameterised by the grid axes.
 fn mix(rows: usize, width: usize) -> QueryMix {
@@ -21,41 +23,6 @@ fn mix(rows: usize, width: usize) -> QueryMix {
         seed: 41,
         ..MixConfig::default()
     })
-}
-
-fn submit(server: &mut RdxServer, mix: &QueryMix) -> Vec<ServerRequest> {
-    let ids: Vec<(RelationId, RelationId)> = mix
-        .tenants
-        .iter()
-        .map(|w| {
-            (
-                server.register(w.larger.clone()),
-                server.register(w.smaller.clone()),
-            )
-        })
-        .collect();
-    mix.queries
-        .iter()
-        .map(|q| {
-            let (larger, smaller) = ids[q.tenant];
-            ServerRequest::new(larger, smaller, QuerySpec::symmetric(q.project))
-        })
-        .collect()
-}
-
-fn result_columns(report: &BatchReport) -> Vec<Vec<Vec<i32>>> {
-    report
-        .outcomes
-        .iter()
-        .map(|o| {
-            let q = o.outcome.as_ref().expect("query served");
-            q.result
-                .columns()
-                .iter()
-                .map(|c| c.as_slice().to_vec())
-                .collect()
-        })
-        .collect()
 }
 
 fn config(budget: MemoryBudget, threads: usize, observability: bool) -> ServeConfig {
@@ -82,15 +49,15 @@ fn observed_results_are_byte_identical_to_unobserved() {
         for threads in [1usize, 2] {
             for budget_bytes in [32 * 1024usize, 128 * 1024] {
                 let budget = MemoryBudget::bytes(budget_bytes);
-                let mut plain = RdxServer::new(config(budget, threads, false));
-                let requests = submit(&mut plain, &mix);
-                let expected = result_columns(&plain.run_batch(&requests));
+                let mut plain = Session::new(config(budget, threads, false));
+                let requests = register_mix(&mut plain, &mix, false);
+                let expected = result_columns(&serve_all(&mut plain, &requests));
 
-                let mut observed = RdxServer::new(config(budget, threads, true));
-                let requests = submit(&mut observed, &mix);
-                let report = observed.run_batch(&requests);
+                let mut observed = Session::new(config(budget, threads, true));
+                let requests = register_mix(&mut observed, &mix, false);
+                let outcomes = serve_all(&mut observed, &requests);
                 assert_eq!(
-                    result_columns(&report),
+                    result_columns(&outcomes),
                     expected,
                     "rows {rows} width {width} threads {threads} budget {budget_bytes}"
                 );
@@ -318,12 +285,7 @@ fn profiled_execution_is_byte_identical_and_deterministic() {
                 .adaptive(AdaptivePolicy::default())
                 .run()
                 .expect("serves");
-            let cols: Vec<Vec<i32>> = out
-                .result
-                .columns()
-                .iter()
-                .map(|c| c.as_slice().to_vec())
-                .collect();
+            let cols = columns(&out.result);
             let metrics = session.metrics().expect("observability on");
             let counts = [
                 "profile.accesses",
@@ -394,18 +356,10 @@ fn per_query_profiled_flag_traces_only_that_query() {
     );
     assert_eq!(profile_events(plain.stats.query_id), 0);
     assert_eq!(
-        raw(&profiled.result),
-        raw(&plain.result),
+        columns(&profiled.result),
+        columns(&plain.result),
         "profiling changed bytes"
     );
-}
-
-fn raw(result: &ResultRelation) -> Vec<Vec<i32>> {
-    result
-        .columns()
-        .iter()
-        .map(|c| c.as_slice().to_vec())
-        .collect()
 }
 
 /// The cumulative engine counters aggregate what the per-query reports say
@@ -413,22 +367,24 @@ fn raw(result: &ResultRelation) -> Vec<Vec<i32>> {
 #[test]
 fn engine_counters_agree_with_per_query_reports() {
     let mix = mix(2_000, 2);
-    let mut server = RdxServer::new(config(MemoryBudget::bytes(48 * 1024), 1, true));
-    let requests = submit(&mut server, &mix);
-    let cold = server.run_batch(&requests);
-    let warm = server.run_batch(&requests);
+    let mut session = Session::new(config(MemoryBudget::bytes(48 * 1024), 1, true));
+    let requests = register_mix(&mut session, &mix, false);
+    let cold = serve_all(&mut session, &requests);
+    let after_cold = session.engine_mut().stats();
+    let warm = serve_all(&mut session, &requests);
+    let warm_hits = session.engine_mut().stats().cache_hits - after_cold.cache_hits;
 
-    let hits = |r: &BatchReport| {
-        r.outcomes
+    let hits = |outcomes: &[Result<QueryResult, RdxError>]| {
+        outcomes
             .iter()
-            .filter(|o| o.outcome.as_ref().unwrap().stats.cache_hit)
+            .filter(|o| o.as_ref().unwrap().stats.cache_hit)
             .count() as u64
     };
-    assert_eq!(cold.stats.cache_hits + cold.stats.cache_misses, 9);
-    assert_eq!(cold.stats.cache_hits, hits(&cold));
-    assert_eq!(cold.stats.admissions, 9);
-    assert_eq!(cold.stats.rejections, 0);
+    assert_eq!(after_cold.cache_hits + after_cold.cache_misses, 9);
+    assert_eq!(after_cold.cache_hits, hits(&cold));
+    assert_eq!(after_cold.admissions, 9);
+    assert_eq!(after_cold.rejections, 0);
     // Second pass: every prepared prefix is already resident.
-    assert_eq!(warm.stats.cache_hits, hits(&warm));
+    assert_eq!(warm_hits, hits(&warm));
     assert_eq!(hits(&warm), 9);
 }

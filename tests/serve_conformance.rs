@@ -8,8 +8,10 @@
 //! cache.  It also asserts the admission guarantee: the sum of concurrent
 //! working-set bounds never exceeds the global `MemoryBudget`.
 
+mod common;
+
+use common::{register_mix, result_columns, serve_all};
 use radix_decluster::prelude::*;
-use radix_decluster::serve::BatchReport;
 
 /// A small multi-tenant mix: one scan-ish tenant, three lookup-ish ones,
 /// zipfian popularity, mixed π and budget hints.
@@ -21,49 +23,6 @@ fn mix() -> QueryMix {
         seed: 23,
         ..MixConfig::default()
     })
-}
-
-/// Registers every tenant pair and builds the request list for `mix`.
-fn submit(server: &mut RdxServer, mix: &QueryMix) -> Vec<ServerRequest> {
-    let ids: Vec<(RelationId, RelationId)> = mix
-        .tenants
-        .iter()
-        .map(|w| {
-            (
-                server.register(w.larger.clone()),
-                server.register(w.smaller.clone()),
-            )
-        })
-        .collect();
-    mix.queries
-        .iter()
-        .map(|q| {
-            let (larger, smaller) = ids[q.tenant];
-            let mut request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(q.project));
-            if let Some(d) = q.budget_denominator {
-                request = request.with_budget_hint(MemoryBudget::fraction_of(
-                    mix.tenant_data_bytes(q.tenant),
-                    d,
-                ));
-            }
-            request
-        })
-        .collect()
-}
-
-fn result_columns(report: &BatchReport) -> Vec<Vec<Vec<i32>>> {
-    report
-        .outcomes
-        .iter()
-        .map(|o| {
-            let q = o.outcome.as_ref().expect("query served");
-            q.result
-                .columns()
-                .iter()
-                .map(|c| c.as_slice().to_vec())
-                .collect()
-        })
-        .collect()
 }
 
 fn config(
@@ -97,29 +56,29 @@ fn concurrent_equals_serial_across_threads_and_fairness() {
         // The serial oracle at this thread count: one query at a time,
         // cache disabled.  (Plans adapt to the worker count, so the oracle
         // must run on the same one; `plan_shares` is pinned by `config`.)
-        let mut serial_server = RdxServer::new(config(budget, 1, threads, 0));
-        let serial_requests = submit(&mut serial_server, &mix);
-        let serial = serial_server.run_batch(&serial_requests);
-        let expected = result_columns(&serial);
-        assert_eq!(serial.stats.peak_concurrency, 1);
-        assert_eq!(serial.stats.cache.hits, 0);
+        let mut serial = Session::new(config(budget, 1, threads, 0));
+        let serial_requests = register_mix(&mut serial, &mix, true);
+        let expected = result_columns(&serve_all(&mut serial, &serial_requests));
+        assert_eq!(serial.engine_mut().stats().peak_concurrency, 1);
+        assert_eq!(serial.cache_stats().hits, 0);
 
         for fairness in [FairnessPolicy::RoundRobin, FairnessPolicy::CostWeighted] {
             let mut cfg = config(budget, 4, threads, 1 << 20);
             cfg.fairness = fairness;
-            let mut server = RdxServer::new(cfg);
-            let requests = submit(&mut server, &mix);
-            let report = server.run_batch(&requests);
+            let mut session = Session::new(cfg);
+            let requests = register_mix(&mut session, &mix, true);
+            let outcomes = serve_all(&mut session, &requests);
             assert_eq!(
-                result_columns(&report),
+                result_columns(&outcomes),
                 expected,
                 "threads {threads} fairness {fairness:?}"
             );
             // Genuinely concurrent, and interleaved at chunk granularity.
-            assert!(report.stats.peak_concurrency > 1, "threads {threads}");
-            assert!(report.stats.chunks_dispatched as usize > mix.queries.len());
+            let stats = session.engine_mut().stats();
+            assert!(stats.peak_concurrency > 1, "threads {threads}");
+            assert!(stats.chunks_dispatched as usize > mix.queries.len());
             // The zipfian mix repeats joins: the cache must see hits.
-            assert!(report.stats.cache.hits > 0, "threads {threads}");
+            assert!(session.cache_stats().hits > 0, "threads {threads}");
         }
     }
 }
@@ -127,17 +86,17 @@ fn concurrent_equals_serial_across_threads_and_fairness() {
 #[test]
 fn warm_cache_path_is_byte_identical_to_cold() {
     let mix = mix();
-    let mut server = RdxServer::new(config(MemoryBudget::bytes(48 * 1024), 3, 1, 1 << 20));
-    let requests = submit(&mut server, &mix);
-    let cold = server.run_batch(&requests);
-    let warm = server.run_batch(&requests);
+    let mut session = Session::new(config(MemoryBudget::bytes(48 * 1024), 3, 1, 1 << 20));
+    let requests = register_mix(&mut session, &mix, true);
+    let cold = serve_all(&mut session, &requests);
+    let cold_misses = session.cache_stats().misses;
+    let warm = serve_all(&mut session, &requests);
     assert_eq!(result_columns(&cold), result_columns(&warm));
     // Second pass: every prepared prefix is already resident.
-    assert_eq!(warm.stats.cache.misses, cold.stats.cache.misses);
+    assert_eq!(session.cache_stats().misses, cold_misses);
     let warm_hits: usize = warm
-        .outcomes
         .iter()
-        .filter(|o| o.outcome.as_ref().unwrap().stats.cache_hit)
+        .filter(|o| o.as_ref().unwrap().stats.cache_hit)
         .count();
     assert_eq!(warm_hits, mix.queries.len());
 }
@@ -147,16 +106,13 @@ fn admission_never_over_commits_the_global_budget() {
     let mix = mix();
     for budget_bytes in [16 * 1024usize, 64 * 1024, 256 * 1024] {
         let budget = MemoryBudget::bytes(budget_bytes);
-        let mut server = RdxServer::new(config(budget, 4, 2, 1 << 20));
-        let requests = submit(&mut server, &mix);
-        let report = server.run_batch(&requests);
-        assert!(
-            report.stats.peak_concurrent_bytes <= budget_bytes,
-            "budget {budget_bytes}: peak {}",
-            report.stats.peak_concurrent_bytes
-        );
-        for outcome in &report.outcomes {
-            let q = outcome.outcome.as_ref().expect("query served");
+        let mut session = Session::new(config(budget, 4, 2, 1 << 20));
+        let requests = register_mix(&mut session, &mix, true);
+        let outcomes = serve_all(&mut session, &requests);
+        let peak = session.engine_mut().stats().peak_concurrent_bytes;
+        assert!(peak <= budget_bytes, "budget {budget_bytes}: peak {peak}");
+        for outcome in &outcomes {
+            let q = outcome.as_ref().expect("query served");
             // Every query's measured peak stays inside its admitted share.
             assert!(
                 q.stats.peak_chunk_bytes <= q.stats.share_bytes,
@@ -181,13 +137,13 @@ fn degenerate_budgets_surface_typed_errors_not_panics() {
     let clamped = plan_streaming(300, 300, 4, &spec, &params, MemoryBudget::bytes(2), 1);
     assert_eq!(clamped.chunk_rows, 1);
     // Serving layer: the same condition is a typed rejection per request.
-    let mut server = RdxServer::new(config(MemoryBudget::bytes(3), 2, 1, 0));
-    let larger = server.register(w.larger.clone());
-    let smaller = server.register(w.smaller.clone());
-    let report = server.run_batch(&[ServerRequest::new(larger, smaller, spec)]);
+    let mut session = Session::new(config(MemoryBudget::bytes(3), 2, 1, 0));
+    let larger = session.register(w.larger.clone());
+    let smaller = session.register(w.smaller.clone());
+    let outcomes = serve_all(&mut session, &[ServerRequest::new(larger, smaller, spec)]);
     assert!(matches!(
-        report.outcomes[0].outcome.as_ref().unwrap_err(),
-        ServeError::Budget(BudgetError::BelowOneRow { .. })
+        outcomes[0].as_ref().unwrap_err(),
+        RdxError::Budget(BudgetError::BelowOneRow { .. })
     ));
     // And zero-byte budget construction is a typed error, not a panic.
     assert!(matches!(
