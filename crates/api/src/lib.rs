@@ -328,13 +328,23 @@ mod tests {
     }
 
     #[test]
-    fn observability_accessors_are_none_when_disabled_and_live_when_enabled() {
+    fn metrics_are_always_live_and_the_trace_only_when_enabled() {
         let w = JoinWorkloadBuilder::equal(900, 1).seed(73).build();
 
-        // Default session: no registry, no trace, no query events.
-        let off = Session::with_params(CacheParams::tiny_for_tests());
+        // Default session: the registry counts, but there is no trace.
+        let mut off = Session::with_params(CacheParams::tiny_for_tests());
         assert!(!off.observability());
-        assert!(off.metrics().is_none());
+        let (larger, smaller) = (
+            off.register(w.larger.clone()),
+            off.register(w.smaller.clone()),
+        );
+        off.query(larger, smaller).run().expect("served");
+        let metrics = off.metrics().expect("always kept");
+        assert_eq!(metrics.counter("engine.admissions"), Some(1));
+        assert!(
+            metrics.histogram("pipeline.chunk_ns").is_none(),
+            "no per-chunk timing"
+        );
         assert!(off.trace_snapshot().is_none());
 
         // Observability on: one ticket's full lifecycle is replayable.

@@ -180,17 +180,19 @@ impl Session {
         self.engine.cache_stats()
     }
 
-    /// Whether this session records metrics and trace events
-    /// ([`ServeConfig::observability`]).
+    /// Whether this session traces ([`ServeConfig::observability`]): the
+    /// trace ring, per-chunk timing and profiling.  Metrics are kept
+    /// either way.
     pub fn observability(&self) -> bool {
         self.engine.obs().is_enabled()
     }
 
-    /// A point-in-time copy of the session's metrics registry — engine
-    /// counters and gauges, queue-wait / service-latency histograms, and
-    /// the pipeline's `chunk_ns` / `predicted_vs_observed_permille`
-    /// distributions.  `None` unless the session was built with
-    /// [`ServeConfig::observability`] set.
+    /// A point-in-time copy of the session's metrics registry — every
+    /// engine, cache and tenant count, the queue-wait / service-latency
+    /// histograms, and (when observability is on) the pipeline's
+    /// `chunk_ns` / `predicted_vs_observed_permille` distributions.
+    /// Always `Some`: the registry exists whether or not the session
+    /// traces.
     pub fn metrics(&self) -> Option<MetricsSnapshot> {
         self.engine.obs().metrics_snapshot()
     }

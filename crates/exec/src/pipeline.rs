@@ -287,7 +287,6 @@ struct RunObs {
     predicted_chunk_ns: u64,
     chunk_ns: rdx_obs::Histogram,
     ratio_permille: rdx_obs::Histogram,
-    adaptive_replans: rdx_obs::Counter,
     resplit_delta: rdx_obs::Histogram,
 }
 
@@ -310,6 +309,8 @@ struct RunAdapt {
     /// re-deriving the same plan.
     correction_permille: u64,
     replans: usize,
+    /// The registry counter every fired re-split bumps, here and only here.
+    fired: rdx_obs::Counter,
 }
 
 /// The cache-truth profiling state a [`PipelineRun`] carries when the
@@ -588,19 +589,19 @@ where
     /// histograms (observed ns × 1000 / `predicted_chunk_ns` — the Fig. 9
     /// measured-vs-modeled comparison as a live distribution).  Histogram
     /// handles are resolved here, once, so the chunk loop itself never
-    /// touches the registry.  A disabled `obs` is a no-op: the run stays
-    /// exactly as cheap as an unobserved one.
+    /// touches the registry.  An untraced `obs` is a no-op: the run stays
+    /// exactly as cheap — and as clock-free — as an unobserved one.
     pub fn attach_obs(&mut self, obs: &Obs, query: QueryId, predicted_chunk_ns: u64) {
-        let Some(metrics) = obs.metrics() else {
-            return; // disabled obs: stay as cheap as an unobserved run
-        };
+        if !obs.is_enabled() {
+            return;
+        }
+        let metrics = obs.metrics();
         self.obs = Some(Box::new(RunObs {
             obs: obs.clone(),
             query,
             predicted_chunk_ns,
             chunk_ns: metrics.histogram("pipeline.chunk_ns"),
             ratio_permille: metrics.histogram("pipeline.predicted_vs_observed_permille"),
-            adaptive_replans: metrics.counter("pipeline.adaptive_replans"),
             resplit_delta: metrics.histogram("pipeline.resplit_chunk_delta"),
         }));
     }
@@ -614,11 +615,11 @@ where
     /// ([`Self::profile_shared`]) so an adaptive controller can react to
     /// simulated cache pressure instead of wall-clock.  Output is untouched
     /// — the replay only simulates — so a profiled run stays byte-identical
-    /// to an unprofiled one by construction.  A disabled `obs` is a no-op:
+    /// to an unprofiled one by construction.  An untraced `obs` is a no-op:
     /// the run stays exactly as cheap as an unprofiled one.
     pub fn attach_profile(&mut self, obs: &Obs, query: QueryId, params: &CacheParams) {
         let Some(profile) = obs.profile() else {
-            return; // disabled obs: stay as cheap as an unprofiled run
+            return; // untraced obs: stay as cheap as an unprofiled run
         };
         // The shared prefix's cluster build is accounted once, at attach —
         // prepare_keys books its wall-clock under the decluster phase.
@@ -698,7 +699,10 @@ where
     /// [`plan_streaming`] and resumes from the same cursors.  Already-
     /// emitted chunks are never touched and the cluster spec never changes,
     /// so adaptive output is byte-identical to non-adaptive output by
-    /// construction — only chunk boundaries move.  The grant is a ceiling:
+    /// construction — only chunk boundaries move.  Every fired re-split
+    /// bumps `replans` (the engine passes its `pipeline.adaptive_replans`
+    /// counter; a standalone run may pass `Counter::default()`).  The
+    /// grant is a ceiling:
     /// slower-than-predicted feedback *shrinks* the effective budget
     /// ([`resplit_budget`]); faster-than-predicted feedback restores at
     /// most the original budget, never more.
@@ -711,6 +715,7 @@ where
         policy: AdaptivePolicy,
         source: Box<dyn FeedbackSource + Send>,
         params: &CacheParams,
+        replans: rdx_obs::Counter,
     ) {
         self.adapt = Some(Box::new(RunAdapt {
             controller: AdaptiveController::new(policy),
@@ -719,6 +724,7 @@ where
             predicted_chunk_ns: self.predicted_chunk_ns(params).max(1),
             correction_permille: 1_000,
             replans: 0,
+            fired: replans,
         }));
     }
 
@@ -1083,11 +1089,11 @@ where
         adapt.predicted_chunk_ns =
             (model_ns.saturating_mul(adapt.correction_permille) / 1_000).max(1);
         adapt.replans += 1;
+        adapt.fired.inc();
         let corrected = adapt.predicted_chunk_ns;
         self.streaming = new_plan;
         if let Some(run_obs) = self.obs.as_deref_mut() {
             run_obs.predicted_chunk_ns = corrected;
-            run_obs.adaptive_replans.inc();
             run_obs
                 .resplit_delta
                 .record(old_chunks.abs_diff(new_chunks) as u64);
@@ -1855,6 +1861,7 @@ mod tests {
                     AdaptivePolicy::default(),
                     Box::new(MissCountFeedback::new(shared.clone())),
                     &params,
+                    rdx_obs::Counter::default(),
                 );
                 let mut sink = MaterializeSink::new();
                 run.run_to_completion(&mut sink);

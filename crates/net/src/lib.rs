@@ -19,8 +19,9 @@
 //!   [`NetServer::serve`] wraps it in a wake-on-arrival loop (poll again
 //!   after progress, yield between polls for a short quiet window after
 //!   the last progress, timed sleeps only after that) whose two waits are
-//!   counted in [`NetStats`].  A finished query's columns are encoded once, from
-//!   the result into an exactly-sized `Done` buffer.
+//!   counted in [`NetStats`], a read of the `net.*` counters in the
+//!   engine's `rdx-obs` registry.  A finished query's columns are encoded
+//!   once, from the result into an exactly-sized `Done` buffer.
 //! - [`client`] — [`NetClient`]: a small blocking client for tests,
 //!   examples, and other processes.  It reads each frame straight into a
 //!   buffer sized by the validated header, never beyond the payload cap.

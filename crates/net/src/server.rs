@@ -39,6 +39,7 @@ use crate::wire::{
 use rdx_core::budget::MemoryBudget;
 use rdx_core::error::RdxError;
 use rdx_core::strategy::QuerySpec;
+use rdx_obs::Counter;
 use rdx_serve::{
     QueryEngine, QueryOutcome, RelationId, ServerRequest, TenantId, TicketId, TicketStatus,
 };
@@ -197,7 +198,8 @@ impl Default for NetConfig {
     }
 }
 
-/// Cumulative counters for one server's lifetime.
+/// Cumulative counters for one server's lifetime — a read of the `net.*`
+/// counters in the engine's registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Connections accepted.
@@ -224,6 +226,18 @@ pub struct NetStats {
     /// none; a count that grows with the number of requests means clients
     /// are paying a timer tick per round trip.
     pub idle_sleeps: u64,
+}
+
+/// The `net.*` registry counters, resolved once when the server is built.
+struct NetCounters {
+    accepted: Counter,
+    closed: Counter,
+    frames_in: Counter,
+    frames_out: Counter,
+    decode_errors: Counter,
+    backpressure_pauses: Counter,
+    idle_yields: Counter,
+    idle_sleeps: Counter,
 }
 
 /// How long after the last cycle that made progress [`NetServer::serve`]
@@ -339,21 +353,32 @@ pub struct NetServer {
     engine: QueryEngine,
     config: NetConfig,
     conns: Vec<Conn>,
-    stats: NetStats,
+    counters: NetCounters,
     /// `serve` runs until the server has seen at least one client and then
     /// drained back to zero connections with an idle engine.
     seen_any: bool,
 }
 
 impl NetServer {
-    /// Wraps `engine` behind `listener`.
+    /// Wraps `engine` behind `listener`; the server counts into the
+    /// engine's registry under `net.*`.
     pub fn new(listener: NetListener, engine: QueryEngine, config: NetConfig) -> NetServer {
+        let metrics = engine.obs().metrics();
         NetServer {
+            counters: NetCounters {
+                accepted: metrics.counter("net.accepted"),
+                closed: metrics.counter("net.closed"),
+                frames_in: metrics.counter("net.frames_in"),
+                frames_out: metrics.counter("net.frames_out"),
+                decode_errors: metrics.counter("net.decode_errors"),
+                backpressure_pauses: metrics.counter("net.backpressure_pauses"),
+                idle_yields: metrics.counter("net.idle_yields"),
+                idle_sleeps: metrics.counter("net.idle_sleeps"),
+            },
             listener,
             engine,
             config,
             conns: Vec::new(),
-            stats: NetStats::default(),
             seen_any: false,
         }
     }
@@ -374,9 +399,19 @@ impl NetServer {
         self.listener.tcp_addr()
     }
 
-    /// Lifetime counters so far.
+    /// Lifetime counters so far, read from the registry.
     pub fn stats(&self) -> NetStats {
-        self.stats
+        let c = &self.counters;
+        NetStats {
+            accepted: c.accepted.get(),
+            closed: c.closed.get(),
+            frames_in: c.frames_in.get(),
+            frames_out: c.frames_out.get(),
+            decode_errors: c.decode_errors.get(),
+            backpressure_pauses: c.backpressure_pauses.get(),
+            idle_yields: c.idle_yields.get(),
+            idle_sleeps: c.idle_sleeps.get(),
+        }
     }
 
     /// Live connection count.
@@ -399,7 +434,7 @@ impl NetServer {
         while let Ok(Some(stream)) = self.listener.accept() {
             if stream.set_nonblocking(true).is_ok() {
                 self.conns.push(Conn::new(stream));
-                self.stats.accepted += 1;
+                self.counters.accepted.inc();
                 self.seen_any = true;
                 progressed = true;
             }
@@ -415,7 +450,7 @@ impl NetServer {
                 ConnFate::Close => {
                     let conn = self.conns.swap_remove(idx);
                     self.teardown(conn);
-                    self.stats.closed += 1;
+                    self.counters.closed.inc();
                     progressed = true;
                 }
             }
@@ -458,17 +493,17 @@ impl NetServer {
         loop {
             let progressed = self.poll_cycle();
             if self.drained() {
-                return self.stats;
+                return self.stats();
             }
             let now = Instant::now();
             match idle.next(progressed, now - last_cycle) {
                 IdleAction::Continue => {}
                 IdleAction::Yield => {
-                    self.stats.idle_yields += 1;
+                    self.counters.idle_yields.inc();
                     std::thread::yield_now();
                 }
                 IdleAction::Sleep(d) => {
-                    self.stats.idle_sleeps += 1;
+                    self.counters.idle_sleeps.inc();
                     std::thread::sleep(d);
                 }
             }
@@ -558,7 +593,7 @@ impl NetServer {
             if conn.outbound.len() >= self.config.outbound_limit {
                 if !conn.paused {
                     conn.paused = true;
-                    self.stats.backpressure_pauses += 1;
+                    self.counters.backpressure_pauses.inc();
                 }
                 break;
             }
@@ -567,14 +602,14 @@ impl NetServer {
                 Ok(None) => break,
                 Ok(Some((frame, consumed))) => {
                     conn.inbound.drain(..consumed);
-                    self.stats.frames_in += 1;
+                    self.counters.frames_in.inc();
                     *progressed = true;
                     self.handle_frame(idx, frame);
                 }
                 Err(err) => {
                     // Protocol violation: best-effort notice, then tear
                     // down this connection only.
-                    self.stats.decode_errors += 1;
+                    self.counters.decode_errors.inc();
                     *progressed = true;
                     self.enqueue(
                         idx,
@@ -599,7 +634,7 @@ impl NetServer {
     /// Queues one already-encoded frame.
     fn enqueue_bytes(&mut self, idx: usize, bytes: Vec<u8>) {
         self.conns[idx].outbound.push_back(bytes);
-        self.stats.frames_out += 1;
+        self.counters.frames_out.inc();
     }
 
     fn handle_frame(&mut self, idx: usize, frame: Frame) {
@@ -627,7 +662,7 @@ impl NetServer {
             // A client echoing server frames is a protocol violation of
             // the same severity as unparseable bytes.
             _ => {
-                self.stats.decode_errors += 1;
+                self.counters.decode_errors.inc();
                 self.enqueue(
                     idx,
                     &Frame::ProtocolError {

@@ -10,10 +10,10 @@
 //!
 //! ## The `Obs` handle
 //!
-//! [`Obs`] is the thing threaded through the stack.  It is either
-//! *disabled* — a `None`, so every record call is one branch and the hot
-//! chunk loop stays allocation-free and observation-free — or *enabled*,
-//! an `Arc` over a registry + trace that clones cheaply into every layer:
+//! [`Obs`] is the thing threaded through the stack, an `Arc` that clones
+//! cheaply into every layer.  It **always** owns the registry every count
+//! lives in; only an [`Obs::enabled`] handle also keeps a trace ring (and
+//! lets per-chunk timing and profiling arm):
 //!
 //! ```
 //! use rdx_obs::{EventKind, Obs, ObsConfig, QueryId};
@@ -28,10 +28,12 @@
 //! let life: Vec<_> = trace.events_for(query).iter().map(|e| e.kind.label()).collect();
 //! assert_eq!(life, ["submit", "cache_lookup", "done"]);
 //!
-//! // Disabled is free: no storage, records are discarded on one branch.
+//! // Untraced: events are dropped on one branch, counts are still kept.
 //! let off = Obs::disabled();
 //! off.record(query, EventKind::Submit);
+//! off.metrics().counter("engine.admissions").inc();
 //! assert!(off.trace_snapshot().is_none());
+//! assert_eq!(off.metrics_snapshot().unwrap().counter("engine.admissions"), Some(1));
 //! ```
 //!
 //! ## Metrics
@@ -43,7 +45,7 @@
 //! use rdx_obs::{Obs, ObsConfig};
 //!
 //! let obs = Obs::enabled(ObsConfig::default());
-//! let metrics = obs.metrics().unwrap();
+//! let metrics = obs.metrics();
 //! let latency = metrics.histogram("pipeline.chunk_ns");
 //! for ns in [800u64, 950, 1200, 40_000] {
 //!     latency.record(ns);
@@ -92,77 +94,71 @@ impl Default for ObsConfig {
 #[derive(Debug)]
 struct ObsInner {
     metrics: MetricsRegistry,
-    trace: EventTrace,
+    trace: Option<EventTrace>,
     epoch: Instant,
 }
 
 /// The shared observability handle threaded through engine, pipeline and
-/// session.  Clones are cheap (`Option<Arc>`); a disabled handle stores
-/// nothing and records nothing.
-#[derive(Debug, Clone, Default)]
-pub struct Obs(Option<Arc<ObsInner>>);
+/// session.  Clones are cheap (one `Arc`) and share one registry; the
+/// trace ring is present only on [`Obs::enabled`] handles.
+#[derive(Debug, Clone)]
+pub struct Obs(Arc<ObsInner>);
 
 impl Obs {
-    /// A disabled handle: every record is a no-op behind one branch.
-    pub fn disabled() -> Self {
-        Obs(None)
-    }
-
-    /// An enabled handle with its own registry and trace ring.
-    pub fn enabled(config: ObsConfig) -> Self {
-        Obs(Some(Arc::new(ObsInner {
+    fn new(trace: Option<EventTrace>) -> Self {
+        Obs(Arc::new(ObsInner {
             metrics: MetricsRegistry::new(),
-            trace: EventTrace::new(config.trace_capacity),
+            trace,
             epoch: Instant::now(),
-        })))
+        }))
     }
 
-    /// Whether this handle records anything.
+    /// A handle with a registry and no trace ring: every trace record is a
+    /// no-op behind one branch.
+    pub fn disabled() -> Self {
+        Obs::new(None)
+    }
+
+    /// A handle with a registry and a trace ring.
+    pub fn enabled(config: ObsConfig) -> Self {
+        Obs::new(Some(EventTrace::new(config.trace_capacity)))
+    }
+
+    /// Whether this handle traces (and so lets per-chunk timing and
+    /// profiling arm).
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
+        self.0.trace.is_some()
     }
 
-    /// Nanoseconds since this handle was created (0 when disabled).
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        match &self.0 {
-            Some(inner) => inner.epoch.elapsed().as_nanos() as u64,
-            None => 0,
-        }
-    }
-
-    /// Records one trace event for `query` (no-op when disabled).
+    /// Records one trace event for `query` (no-op when not tracing).
     #[inline]
     pub fn record(&self, query: QueryId, kind: EventKind) {
-        if let Some(inner) = &self.0 {
-            inner
-                .trace
-                .record(inner.epoch.elapsed().as_nanos() as u64, query, kind);
+        if let Some(trace) = &self.0.trace {
+            trace.record(self.0.epoch.elapsed().as_nanos() as u64, query, kind);
         }
     }
 
-    /// The metrics registry, when enabled.
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.0.as_deref().map(|inner| &inner.metrics)
+    /// The metrics registry.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.0.metrics
     }
 
-    /// A point-in-time copy of the registry, when enabled.
+    /// A point-in-time copy of the registry.  Always `Some`: every handle
+    /// owns a registry.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.0.as_deref().map(|inner| inner.metrics.snapshot())
+        Some(self.0.metrics.snapshot())
     }
 
-    /// A point-in-time copy of the event trace, when enabled.
+    /// A point-in-time copy of the event trace, when tracing.
     pub fn trace_snapshot(&self) -> Option<TraceSnapshot> {
-        self.0.as_deref().map(|inner| inner.trace.snapshot())
+        self.0.trace.as_ref().map(EventTrace::snapshot)
     }
 
     /// Pre-resolved [`Profile`] instruments for cache-truth accounting,
-    /// when enabled (see the [`profile`](crate::Profile) subsystem).
+    /// when tracing (see the [`profile`](crate::Profile) subsystem).
     pub fn profile(&self) -> Option<Profile> {
-        self.0
-            .as_deref()
-            .map(|inner| Profile::resolve(&inner.metrics))
+        self.is_enabled().then(|| Profile::resolve(&self.0.metrics))
     }
 }
 
@@ -171,16 +167,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_handle_is_inert() {
+    fn disabled_handle_traces_nothing_but_counts() {
         let obs = Obs::disabled();
         assert!(!obs.is_enabled());
-        assert_eq!(obs.now_ns(), 0);
         obs.record(QueryId::next(), EventKind::Submit);
-        assert!(obs.metrics().is_none());
-        assert!(obs.metrics_snapshot().is_none());
         assert!(obs.trace_snapshot().is_none());
-        // Clones of a disabled handle stay disabled.
-        assert!(!obs.clone().is_enabled());
+        assert!(obs.profile().is_none());
+        // Clones of a disabled handle stay disabled and share its registry.
+        let clone = obs.clone();
+        assert!(!clone.is_enabled());
+        clone.metrics().counter("c").add(2);
+        assert_eq!(obs.metrics_snapshot().unwrap().counter("c"), Some(2));
     }
 
     #[test]
@@ -196,7 +193,7 @@ mod tests {
                 wall_ns: 5,
             },
         );
-        clone.metrics().unwrap().counter("c").inc();
+        clone.metrics().counter("c").inc();
 
         let trace = obs.trace_snapshot().unwrap();
         assert_eq!(trace.events_for(q).len(), 2);

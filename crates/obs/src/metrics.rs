@@ -345,19 +345,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The histogram registered under a runtime-built `name` (created on
-    /// first use; the name is interned once per distinct string).
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different instrument
-    /// kind.
-    pub fn histogram_named(&self, name: &str) -> Histogram {
-        match self.get_or_insert_named(name, || Instrument::Histogram(Histogram::default())) {
-            Instrument::Histogram(h) => h,
-            other => panic!("{name} already registered as {other:?}"),
-        }
-    }
-
     /// A point-in-time copy of every registered instrument, in registration
     /// order.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -617,17 +604,10 @@ mod tests {
         registry.counter("engine.shared").add(1);
         registry.counter_named("engine.shared").add(2);
         assert_eq!(registry.snapshot().counter("engine.shared"), Some(3));
-        // Gauges and histograms take the same path.
+        // Gauges take the same path.
         registry.gauge_named("engine.tenant.acme.in_flight").set(2);
-        registry
-            .histogram_named("engine.tenant.acme.wait_ns")
-            .record(64);
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("engine.tenant.acme.in_flight"), Some(2));
-        assert_eq!(
-            snap.histogram("engine.tenant.acme.wait_ns").unwrap().count,
-            1
-        );
         // Exporters render interned names unchanged.
         assert!(snap
             .to_prometheus()

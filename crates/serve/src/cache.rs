@@ -25,6 +25,7 @@ use crate::registry::RelationId;
 use rdx_core::cluster::RadixClusterSpec;
 use rdx_core::strategy::DsmPostProjection;
 use rdx_exec::PreparedProjection;
+use rdx_obs::{Counter, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -54,7 +55,8 @@ struct Slot {
     last_used: u64,
 }
 
-/// Hit/miss/eviction counters, readable at any time.
+/// Hit/miss/eviction counters, readable at any time — a read of the
+/// `engine.cache_*` registry counters plus the resident byte count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -77,20 +79,29 @@ pub struct ClusterCache {
     slots: HashMap<ClusterKey, Slot>,
     tick: u64,
     inflation: u64,
-    stats: CacheStats,
+    resident_bytes: usize,
+    hits: Counter,
+    misses: Counter,
+    bypassed: Counter,
+    evictions: Counter,
 }
 
 impl ClusterCache {
-    /// A cache holding at most `capacity_bytes` of prepared prefixes.
-    /// Zero disables caching entirely (every lookup is a miss and nothing
-    /// is retained) — the serving layer's "cold" mode.
-    pub fn new(capacity_bytes: usize) -> Self {
+    /// A cache holding at most `capacity_bytes` of prepared prefixes,
+    /// counting into `metrics`' `engine.cache_*` counters.  Zero disables
+    /// caching entirely (every lookup is a miss and nothing is retained) —
+    /// the serving layer's "cold" mode.
+    pub fn new(capacity_bytes: usize, metrics: &MetricsRegistry) -> Self {
         ClusterCache {
             capacity_bytes,
             slots: HashMap::new(),
             tick: 0,
             inflation: 0,
-            stats: CacheStats::default(),
+            resident_bytes: 0,
+            hits: metrics.counter("engine.cache_hits"),
+            misses: metrics.counter("engine.cache_misses"),
+            bypassed: metrics.counter("engine.cache_bypassed"),
+            evictions: metrics.counter("engine.cache_evictions"),
         }
     }
 
@@ -101,7 +112,13 @@ impl ClusterCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            bypassed: self.bypassed.get(),
+            evictions: self.evictions.get(),
+            resident_bytes: self.resident_bytes,
+        }
     }
 
     /// Number of resident entries.
@@ -132,18 +149,18 @@ impl ClusterCache {
         slot.priority = self.inflation + slot.uses;
         slot.last_used = self.tick;
         if let Some((prepared, _)) = &slot.resident {
-            self.stats.hits += 1;
+            self.hits.inc();
             return (Arc::clone(prepared), true);
         }
         let priority = slot.priority;
-        self.stats.misses += 1;
+        self.misses.inc();
         let prepared = Arc::new(build());
         let bytes = prepared.resident_bytes();
         if bytes <= self.capacity_bytes && self.make_room(bytes, priority) {
-            self.stats.resident_bytes += bytes;
+            self.resident_bytes += bytes;
             self.slots.entry(key).or_default().resident = Some((Arc::clone(&prepared), bytes));
         } else {
-            self.stats.bypassed += 1;
+            self.bypassed.inc();
         }
         (prepared, false)
     }
@@ -153,7 +170,7 @@ impl ClusterCache {
     /// priority.  Refuses (`false`, nothing evicted, `inflation += 1`) when a
     /// victim would out-rank the newcomer's `priority`.
     fn make_room(&mut self, incoming: usize, priority: u64) -> bool {
-        let over = (self.stats.resident_bytes + incoming).saturating_sub(self.capacity_bytes);
+        let over = (self.resident_bytes + incoming).saturating_sub(self.capacity_bytes);
         let mut ranked: Vec<_> = (self.slots.iter())
             .filter_map(|(k, s)| Some((s.priority, s.last_used, s.resident.as_ref()?.1, *k)))
             .collect();
@@ -170,8 +187,8 @@ impl ClusterCache {
         }
         for (victim_priority, _, bytes, key) in ranked {
             self.slots.entry(key).or_default().resident = None;
-            self.stats.resident_bytes -= bytes;
-            self.stats.evictions += 1;
+            self.resident_bytes -= bytes;
+            self.evictions.inc();
             self.inflation = self.inflation.max(victim_priority);
         }
         true
@@ -185,9 +202,10 @@ impl ClusterCache {
     /// it unaffected; only the cache's references are released.
     pub fn clear(&mut self) {
         for slot in self.slots.values_mut() {
-            self.stats.evictions += u64::from(slot.resident.take().is_some());
+            self.evictions
+                .add(u64::from(slot.resident.take().is_some()));
         }
-        self.stats.resident_bytes = 0;
+        self.resident_bytes = 0;
     }
 }
 
@@ -227,7 +245,7 @@ mod tests {
 
     #[test]
     fn hit_after_miss_shares_the_same_prefix() {
-        let mut cache = ClusterCache::new(1 << 20);
+        let mut cache = ClusterCache::new(1 << 20, &MetricsRegistry::new());
         let (first, hit) = cache.get_or_prepare(key(0, 1), || prepared_for(256, 1));
         assert!(!hit);
         let (second, hit) = cache.get_or_prepare(key(0, 1), || panic!("must not rebuild"));
@@ -242,7 +260,7 @@ mod tests {
     fn eviction_respects_byte_budget_and_takes_the_least_used() {
         // Budget sized for roughly two of the three prefixes.
         let one = prepared_for(512, 2).resident_bytes();
-        let mut cache = ClusterCache::new(2 * one + one / 2);
+        let mut cache = ClusterCache::new(2 * one + one / 2, &MetricsRegistry::new());
         cache.get_or_prepare(key(0, 1), || prepared_for(512, 2));
         cache.get_or_prepare(key(2, 3), || prepared_for(512, 3));
         // Use the first again so the second ranks lowest.
@@ -259,7 +277,7 @@ mod tests {
 
     #[test]
     fn oversized_entries_are_served_but_never_retained() {
-        let mut cache = ClusterCache::new(8);
+        let mut cache = ClusterCache::new(8, &MetricsRegistry::new());
         let (prepared, hit) = cache.get_or_prepare(key(0, 1), || prepared_for(512, 5));
         assert!(!hit);
         assert!(prepared.resident_bytes() > 8);
@@ -267,7 +285,7 @@ mod tests {
         assert_eq!(cache.stats().resident_bytes, 0);
         assert_eq!((cache.stats().misses, cache.stats().bypassed), (1, 1));
         // Zero capacity = caching disabled.
-        let mut off = ClusterCache::new(0);
+        let mut off = ClusterCache::new(0, &MetricsRegistry::new());
         off.get_or_prepare(key(0, 1), || prepared_for(256, 6));
         let (_, hit) = off.get_or_prepare(key(0, 1), || prepared_for(256, 6));
         assert!(!hit);
@@ -276,7 +294,7 @@ mod tests {
 
     #[test]
     fn clear_evicts_everything_but_live_arcs_survive() {
-        let mut cache = ClusterCache::new(1 << 20);
+        let mut cache = ClusterCache::new(1 << 20, &MetricsRegistry::new());
         let (held, _) = cache.get_or_prepare(key(0, 1), || prepared_for(128, 8));
         cache.get_or_prepare(key(2, 3), || prepared_for(128, 9));
         assert_eq!(cache.len(), 2);
@@ -294,7 +312,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_alias() {
-        let mut cache = ClusterCache::new(1 << 20);
+        let mut cache = ClusterCache::new(1 << 20, &MetricsRegistry::new());
         cache.get_or_prepare(key(0, 1), || prepared_for(128, 7));
         // Same relations, different codes → different prefix.
         let other = ClusterKey {
@@ -316,7 +334,7 @@ mod tests {
         // one-off already evicts the (least recently used) hot entry.
         let hot = prepared_for(600, 1);
         let one_off = prepared_for(300, 2);
-        let mut cache = ClusterCache::new(hot.resident_bytes() * 10 / 6);
+        let mut cache = ClusterCache::new(hot.resident_bytes() * 10 / 6, &MetricsRegistry::new());
         assert!(hot.resident_bytes() + 2 * one_off.resident_bytes() > cache.capacity_bytes());
         for _ in 0..20 {
             cache.get_or_prepare(key(0, 1), || hot.clone());
@@ -342,7 +360,7 @@ mod tests {
         const USES: u64 = 8;
         let stale = prepared_for(600, 1);
         let one_off = prepared_for(500, 2);
-        let mut cache = ClusterCache::new(stale.resident_bytes() * 10 / 6);
+        let mut cache = ClusterCache::new(stale.resident_bytes() * 10 / 6, &MetricsRegistry::new());
         for _ in 0..USES {
             cache.get_or_prepare(key(0, 1), || stale.clone());
         }
@@ -368,7 +386,7 @@ mod tests {
         let total: usize = prefixes.iter().map(|p| p.resident_bytes()).sum();
         let sequence = rdx_workload::Zipf::new(12, 1.0).expectation_sequence(600, 11);
         let replay = || {
-            let mut cache = ClusterCache::new(total / 2);
+            let mut cache = ClusterCache::new(total / 2, &MetricsRegistry::new());
             for &t in &sequence {
                 cache.get_or_prepare(key(t as u32, 0), || prefixes[t].clone());
             }
@@ -397,7 +415,7 @@ mod tests {
             let prefixes: Vec<PreparedProjection> = (TENANT_ROWS[6..].iter().zip(1..))
                 .map(|(&rows, seed)| prepared_for(rows, seed))
                 .collect();
-            let mut cache = ClusterCache::new(capacity_rows * 12);
+            let mut cache = ClusterCache::new(capacity_rows * 12, &MetricsRegistry::new());
             let mut handed_out = Vec::new();
             for op in script {
                 match prefixes.get(op) {

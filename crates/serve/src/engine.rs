@@ -56,7 +56,7 @@ use rdx_core::strategy::planner::{
 use rdx_core::strategy::{DsmPostProjection, MaterializeSink, PhaseTimings, RowChunkSink};
 use rdx_dsm::DsmRelation;
 use rdx_exec::{DsmPipelineRun, ExecPolicy, ProjectionPipeline};
-use rdx_obs::{EventKind, Obs, ObsConfig, QueryId};
+use rdx_obs::{Counter, EventKind, Gauge, Histogram, MetricsRegistry, Obs, ObsConfig, QueryId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -130,10 +130,10 @@ pub enum EngineStep {
     Idle,
 }
 
-/// Cumulative engine counters since the last [`QueryEngine::reset_stats`].
-///
-/// Callers that never call `reset_stats` see engine-lifetime totals; the
-/// counters of one pass are the difference of two snapshots.
+/// Cumulative engine counters over the engine's lifetime — a read of its
+/// `engine.*` registry counters plus the two peaks, which are state, not
+/// counts.  The counters of one pass are the difference of two snapshots;
+/// the peaks cannot be windowed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Peak over time of `Σ` active queries' planned working-set bounds.
@@ -242,42 +242,39 @@ impl ResolvedQuery {
     }
 }
 
-/// Mirror instruments the engine records into when observability is on —
-/// handles resolved **once** at construction, so the per-decision cost is
-/// a few relaxed atomics, never a registry lookup.
-struct EngineObs {
-    cache_hits: rdx_obs::Counter,
-    cache_misses: rdx_obs::Counter,
-    cache_bypassed: rdx_obs::Counter,
-    admissions: rdx_obs::Counter,
-    rejections: rdx_obs::Counter,
-    replans: rdx_obs::Counter,
-    adaptive_replans: rdx_obs::Counter,
-    chunks_dispatched: rdx_obs::Counter,
-    budget_rejects: rdx_obs::Counter,
-    deadline_rejects: rdx_obs::Counter,
-    cancellations: rdx_obs::Counter,
-    worker_panics: rdx_obs::Counter,
-    retries: rdx_obs::Counter,
-    tenant_quota_rejects: rdx_obs::Counter,
-    in_flight: rdx_obs::Gauge,
-    queued: rdx_obs::Gauge,
-    queue_wait_ns: rdx_obs::Histogram,
-    service_ns: rdx_obs::Histogram,
+/// The engine's registry handles, resolved once at construction: each
+/// decision is counted here and nowhere else, and [`QueryEngine::stats`]
+/// reads them back.
+struct Counters {
+    admissions: Counter,
+    rejections: Counter,
+    replans: Counter,
+    adaptive_replans: Counter,
+    chunks_dispatched: Counter,
+    scratch_reuses: Counter,
+    budget_rejects: Counter,
+    deadline_rejects: Counter,
+    cancellations: Counter,
+    worker_panics: Counter,
+    retries: Counter,
+    tenant_quota_rejects: Counter,
+    in_flight: Gauge,
+    queued: Gauge,
+    queue_wait_ns: Histogram,
+    service_ns: Histogram,
 }
 
-impl EngineObs {
-    fn new(obs: &Obs) -> Option<Box<EngineObs>> {
-        let metrics = obs.metrics()?;
-        Some(Box::new(EngineObs {
-            cache_hits: metrics.counter("engine.cache_hits"),
-            cache_misses: metrics.counter("engine.cache_misses"),
-            cache_bypassed: metrics.counter("engine.cache_bypassed"),
+impl Counters {
+    fn new(metrics: &MetricsRegistry) -> Counters {
+        Counters {
             admissions: metrics.counter("engine.admissions"),
             rejections: metrics.counter("engine.rejections"),
             replans: metrics.counter("engine.replans"),
-            adaptive_replans: metrics.counter("engine.adaptive_replans"),
+            // Handed to each adaptive run: the pipeline bumps it where a
+            // re-split fires, so torn-down runs are counted too.
+            adaptive_replans: metrics.counter("pipeline.adaptive_replans"),
             chunks_dispatched: metrics.counter("engine.chunks_dispatched"),
+            scratch_reuses: metrics.counter("engine.scratch_reuses"),
             budget_rejects: metrics.counter("engine.budget_rejects"),
             deadline_rejects: metrics.counter("engine.deadline_rejects"),
             cancellations: metrics.counter("engine.cancellations"),
@@ -288,7 +285,7 @@ impl EngineObs {
             queued: metrics.gauge("engine.queued"),
             queue_wait_ns: metrics.histogram("engine.queue_wait_ns"),
             service_ns: metrics.histogram("engine.service_ns"),
-        }))
+        }
     }
 }
 
@@ -385,9 +382,10 @@ pub struct QueryEngine {
     running: Vec<Running>,
     retry_parked: Vec<RetryParked>,
     finished: HashMap<u64, QueryOutcome>,
-    stats: EngineStats,
     obs: Obs,
-    engine_obs: Option<Box<EngineObs>>,
+    counters: Counters,
+    peak_concurrency: usize,
+    peak_concurrent_bytes: usize,
     /// Monotone count of [`QueryEngine::step`] calls — the deterministic
     /// clock retry backoffs are measured against.
     step_count: u64,
@@ -416,11 +414,10 @@ impl QueryEngine {
         } else {
             Obs::disabled()
         };
-        let engine_obs = EngineObs::new(&obs);
         QueryEngine {
             shared_params,
             catalog: Catalog::new(),
-            cache: ClusterCache::new(config.cache_bytes),
+            cache: ClusterCache::new(config.cache_bytes, obs.metrics()),
             scratch_pool: Vec::new(),
             admission: AdmissionController::new(config.global_budget, config.max_concurrent),
             scheduler: ChunkScheduler::new(config.fairness),
@@ -428,9 +425,10 @@ impl QueryEngine {
             running: Vec::new(),
             retry_parked: Vec::new(),
             finished: HashMap::new(),
-            stats: EngineStats::default(),
+            counters: Counters::new(obs.metrics()),
             obs,
-            engine_obs,
+            peak_concurrency: 0,
+            peak_concurrent_bytes: 0,
             step_count: 0,
             next_ordinal: 0,
             faults: FaultInjector::new(FaultPlan::new()),
@@ -446,7 +444,7 @@ impl QueryEngine {
     /// Requests carrying the returned [`TenantId`] (see
     /// [`ServerRequest::with_tenant`]) are quota-checked at admission.
     pub fn tenant_id(&mut self, name: &str) -> TenantId {
-        self.tenants.intern(name, &self.obs)
+        self.tenants.intern(name, self.obs.metrics())
     }
 
     /// The tenant's quota accounting, or `None` for an id this engine
@@ -478,9 +476,10 @@ impl QueryEngine {
         self.admission.committed_bytes()
     }
 
-    /// The engine's observability handle (disabled unless
-    /// [`ServeConfig::observability`] was set) — where the `rdx-api`
-    /// `Session` takes metrics and trace snapshots from.
+    /// The engine's observability handle — where the `rdx-api` `Session`
+    /// takes metrics and trace snapshots from.  Its registry holds every
+    /// count the engine keeps; its trace ring exists only when
+    /// [`ServeConfig::observability`] was set.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -531,14 +530,28 @@ impl QueryEngine {
         self.queue.is_empty() && self.running.is_empty() && self.retry_parked.is_empty()
     }
 
-    /// Cumulative counters since the last [`QueryEngine::reset_stats`].
+    /// Cumulative counters over the engine's lifetime, read from its
+    /// registry.
     pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// Resets the cumulative counters, peaks included.
-    pub fn reset_stats(&mut self) {
-        self.stats = EngineStats::default();
+        let (c, cache) = (&self.counters, self.cache.stats());
+        EngineStats {
+            peak_concurrent_bytes: self.peak_concurrent_bytes,
+            peak_concurrency: self.peak_concurrency,
+            chunks_dispatched: c.chunks_dispatched.get(),
+            scratch_reuses: c.scratch_reuses.get(),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            admissions: c.admissions.get(),
+            rejections: c.rejections.get(),
+            replans: c.replans.get(),
+            adaptive_replans: c.adaptive_replans.get(),
+            budget_rejects: c.budget_rejects.get(),
+            deadline_rejects: c.deadline_rejects.get(),
+            cancellations: c.cancellations.get(),
+            worker_panics: c.worker_panics.get(),
+            retries: c.retries.get(),
+            tenant_quota_rejects: c.tenant_quota_rejects.get(),
+        }
     }
 
     /// Submits a query, returning its ticket **without blocking**: the call
@@ -565,9 +578,7 @@ impl QueryEngine {
                     ordinal,
                     attempt: 0,
                 });
-                if let Some(eo) = &self.engine_obs {
-                    eo.queued.set(self.queue.len() as i64);
-                }
+                self.counters.queued.set(self.queue.len() as i64);
             }
             Err(e) => {
                 self.reject(query, &e);
@@ -585,26 +596,13 @@ impl QueryEngine {
 
     /// Counts a refusal (per-reason) and records its trace event.
     fn reject(&mut self, query: QueryId, e: &RdxError) {
-        self.stats.rejections += 1;
+        self.counters.rejections.inc();
         match e {
-            RdxError::Budget(_) => {
-                self.stats.budget_rejects += 1;
-                if let Some(eo) = &self.engine_obs {
-                    eo.budget_rejects.inc();
-                }
-            }
-            RdxError::Deadline(_) => {
-                self.stats.deadline_rejects += 1;
-                if let Some(eo) = &self.engine_obs {
-                    eo.deadline_rejects.inc();
-                }
-            }
+            RdxError::Budget(_) => self.counters.budget_rejects.inc(),
+            RdxError::Deadline(_) => self.counters.deadline_rejects.inc(),
             RdxError::TenantQuota { tenant, .. } => {
-                self.stats.tenant_quota_rejects += 1;
+                self.counters.tenant_quota_rejects.inc();
                 self.tenants.count_reject(TenantId(*tenant));
-                if let Some(eo) = &self.engine_obs {
-                    eo.tenant_quota_rejects.inc();
-                }
             }
             _ => {}
         }
@@ -614,17 +612,6 @@ impl QueryEngine {
                 reason: reject_reason(e),
             },
         );
-        if let Some(eo) = &self.engine_obs {
-            eo.rejections.inc();
-        }
-    }
-
-    /// Counts a teardown (cancellation or deadline enforcement).
-    fn count_cancellation(&mut self) {
-        self.stats.cancellations += 1;
-        if let Some(eo) = &self.engine_obs {
-            eo.cancellations.inc();
-        }
     }
 
     /// Where `ticket` is in its state machine, or `None` for a ticket this
@@ -671,18 +658,16 @@ impl QueryEngine {
         self.step_count += 1;
         self.requeue_ready_retries();
         self.admit_from_queue();
-        if let Some(eo) = &self.engine_obs {
-            eo.in_flight.set(self.running.len() as i64);
-            eo.queued.set(self.queue.len() as i64);
-        }
+        self.counters.in_flight.set(self.running.len() as i64);
+        self.counters.queued.set(self.queue.len() as i64);
 
-        self.stats.peak_concurrency = self.stats.peak_concurrency.max(self.running.len());
+        self.peak_concurrency = self.peak_concurrency.max(self.running.len());
         let concurrent_bytes: usize = self
             .running
             .iter()
             .map(|r| r.rq.run.streaming().max_working_set_bytes())
             .sum();
-        self.stats.peak_concurrent_bytes = self.stats.peak_concurrent_bytes.max(concurrent_bytes);
+        self.peak_concurrent_bytes = self.peak_concurrent_bytes.max(concurrent_bytes);
         if self.config.global_budget.is_bounded() {
             debug_assert!(concurrent_bytes <= self.config.global_budget.limit_bytes());
         }
@@ -739,10 +724,7 @@ impl QueryEngine {
                     .saturating_add(wall_ns)
                     .saturating_add(slow_ns);
                 let ticket = running.ticket;
-                self.stats.chunks_dispatched += 1;
-                if let Some(eo) = &self.engine_obs {
-                    eo.chunks_dispatched.inc();
-                }
+                self.counters.chunks_dispatched.inc();
                 EngineStep::Chunk { ticket, rows }
             }
             Ok(None) => {
@@ -780,10 +762,7 @@ impl QueryEngine {
                 let r = self.running.swap_remove(pos);
                 self.admission.release(r.share);
                 self.release_tenant(r.tenant);
-                self.stats.worker_panics += 1;
-                if let Some(eo) = &self.engine_obs {
-                    eo.worker_panics.inc();
-                }
+                self.counters.worker_panics.inc();
                 let query = QueryId(r.rq.stats.query_id);
                 self.obs.record(
                     query,
@@ -798,7 +777,7 @@ impl QueryEngine {
                         EngineStep::Waiting
                     }
                     _ => {
-                        self.count_cancellation();
+                        self.counters.cancellations.inc();
                         self.finished.insert(
                             ticket.0,
                             QueryOutcome {
@@ -829,7 +808,7 @@ impl QueryEngine {
             };
             self.obs
                 .record(p.query, EventKind::Cancel { reason: "user" });
-            self.count_cancellation();
+            self.counters.cancellations.inc();
             self.finished.insert(
                 ticket.0,
                 QueryOutcome {
@@ -843,7 +822,7 @@ impl QueryEngine {
             let p = self.retry_parked.remove(idx);
             self.obs
                 .record(p.query, EventKind::Cancel { reason: "user" });
-            self.count_cancellation();
+            self.counters.cancellations.inc();
             self.finished.insert(
                 ticket.0,
                 QueryOutcome {
@@ -865,7 +844,7 @@ impl QueryEngine {
             }
             let query = QueryId(r.rq.stats.query_id);
             self.obs.record(query, EventKind::Cancel { reason: "user" });
-            self.count_cancellation();
+            self.counters.cancellations.inc();
             self.finished.insert(
                 ticket.0,
                 QueryOutcome {
@@ -915,7 +894,7 @@ impl QueryEngine {
             );
             self.obs
                 .record(query, EventKind::Cancel { reason: "deadline" });
-            self.count_cancellation();
+            self.counters.cancellations.inc();
             self.finished.insert(
                 ticket.0,
                 QueryOutcome {
@@ -941,10 +920,7 @@ impl QueryEngine {
         attempt: u32,
         policy: RetryPolicy,
     ) {
-        self.stats.retries += 1;
-        if let Some(eo) = &self.engine_obs {
-            eo.retries.inc();
-        }
+        self.counters.retries.inc();
         let ready_at_step = self.step_count.saturating_add(policy.delay_before(attempt));
         self.retry_parked.push(RetryParked {
             ticket,
@@ -1066,7 +1042,8 @@ impl QueryEngine {
                 }));
             }
         }
-        self.stats.admissions += 1;
+        self.counters.admissions.inc();
+        self.counters.queue_wait_ns.record(queue_wait_ns);
         self.obs.record(
             query,
             EventKind::Admit {
@@ -1074,10 +1051,6 @@ impl QueryEngine {
                 queue_wait_ns,
             },
         );
-        if let Some(eo) = &self.engine_obs {
-            eo.admissions.inc();
-            eo.queue_wait_ns.record(queue_wait_ns);
-        }
         let policy = ExecPolicy::with_threads(threads).budget(budget);
         let shared_params = &self.shared_params;
         let plan = request.codes.unwrap_or_else(|| {
@@ -1104,26 +1077,11 @@ impl QueryEngine {
         if self.faults.evict_cache(ordinal) {
             self.cache.clear();
         }
-        let bypassed_before = self.cache.stats().bypassed;
         let (prepared, cache_hit) = self.cache.get_or_prepare(key, || {
             pipeline.prepare(&larger, &smaller, shared_params, &policy)
         });
         self.obs
             .record(query, EventKind::CacheLookup { hit: cache_hit });
-        if cache_hit {
-            self.stats.cache_hits += 1;
-        } else {
-            self.stats.cache_misses += 1;
-        }
-        if let Some(eo) = &self.engine_obs {
-            if cache_hit {
-                eo.cache_hits.inc();
-            } else {
-                eo.cache_misses.inc();
-            }
-            eo.cache_bypassed
-                .add(self.cache.stats().bypassed - bypassed_before);
-        }
         let mut run = DsmPipelineRun::over_dsm_arc(
             prepared,
             larger,
@@ -1150,14 +1108,19 @@ impl QueryEngine {
                 Some(shared) => Box::new(MissCountFeedback::new(shared)),
                 None => Box::new(WallClockFeedback),
             };
-            run.attach_adaptive(policy, source, shared_params);
+            run.attach_adaptive(
+                policy,
+                source,
+                shared_params,
+                self.counters.adaptive_replans.clone(),
+            );
         }
         // Warm start: hand down scratch harvested from an earlier query.
         let mut scratch_reused = false;
         if let Some(scratch) = self.scratch_pool.pop() {
             run.attach_scratch(scratch);
             scratch_reused = true;
-            self.stats.scratch_reuses += 1;
+            self.counters.scratch_reuses.inc();
         }
         Ok(ResolvedQuery {
             run,
@@ -1218,12 +1181,6 @@ impl QueryEngine {
         rq.stats.rows = run_stats.rows_emitted;
         rq.stats.peak_chunk_bytes = run_stats.peak_chunk_bytes;
         rq.stats.adaptive_replans = run_stats.adaptive_replans;
-        self.stats.adaptive_replans += run_stats.adaptive_replans as u64;
-        if run_stats.adaptive_replans > 0 {
-            if let Some(eo) = &self.engine_obs {
-                eo.adaptive_replans.add(run_stats.adaptive_replans as u64);
-            }
-        }
         rq.stats.timings = run_stats.timings;
         rq.stats.service = rq.started.elapsed();
         let service_ns = rq.stats.service.as_nanos() as u64;
@@ -1234,9 +1191,7 @@ impl QueryEngine {
                 wall_ns: service_ns,
             },
         );
-        if let Some(eo) = &self.engine_obs {
-            eo.service_ns.record(service_ns);
-        }
+        self.counters.service_ns.record(service_ns);
         rq.stats
     }
 
@@ -1391,10 +1346,7 @@ impl QueryEngine {
                             rq.stats.replanned = replanned;
                             rq.stats.wait = wait;
                             if replanned {
-                                self.stats.replans += 1;
-                                if let Some(eo) = &self.engine_obs {
-                                    eo.replans.inc();
-                                }
+                                self.counters.replans.inc();
                             }
                             let urgency = deadline_urgency(&request, &rq);
                             self.scheduler.add_weighted(

@@ -35,10 +35,11 @@ pub struct ServeConfig {
     /// concurrency settings, which is also what lets the conformance grid
     /// compare a serial and a concurrent server byte for byte.
     pub plan_shares: Option<usize>,
-    /// Whether the engine records metrics and per-query trace events
-    /// (`rdx-obs`).  Off by default: a disabled engine carries no registry
-    /// or trace ring and every record site is one branch, so the
-    /// steady-state chunk loop stays allocation-free and observation-free.
+    /// Whether the engine traces (`rdx-obs`).  The registry — every engine,
+    /// cache, tenant and `net.*` count — is kept either way; this switches
+    /// on the trace ring, per-chunk timing (`pipeline.chunk_ns` and the
+    /// predicted-vs-observed histogram) and profiling's permission to arm.
+    /// Off by default: the chunk loop then reads no clock.
     pub observability: bool,
     /// Whether every query runs in cache-truth **profiled** mode: each
     /// emitted chunk's memory-access pattern is replayed through the
@@ -73,27 +74,6 @@ impl Default for ServeConfig {
             profiled: false,
             tenant_quotas: crate::tenant::TenantQuotas::default(),
         }
-    }
-}
-
-impl ServeConfig {
-    /// Turns observability on or off (builder form).
-    pub fn with_observability(mut self, enabled: bool) -> Self {
-        self.observability = enabled;
-        self
-    }
-
-    /// Turns cache-truth profiling on for every query (builder form);
-    /// implies nothing unless observability is also on.
-    pub fn with_profiled(mut self, enabled: bool) -> Self {
-        self.profiled = enabled;
-        self
-    }
-
-    /// Installs per-tenant admission quotas (builder form).
-    pub fn with_tenant_quotas(mut self, quotas: crate::tenant::TenantQuotas) -> Self {
-        self.tenant_quotas = quotas;
-        self
     }
 }
 

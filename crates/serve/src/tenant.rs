@@ -15,11 +15,11 @@
 //! invariant.
 //!
 //! Tenants are interned by name ([`crate::engine::QueryEngine::tenant_id`])
-//! into the `Copy` [`TenantId`] requests carry, and each tenant gets its
-//! own `engine.tenant.<name>.*` instruments when observability is on.
+//! into the `Copy` [`TenantId`] requests carry, and each tenant's
+//! accounting lives in its own `engine.tenant.<name>.*` instruments.
 
 use rdx_core::error::{RdxError, TenantQuotaKind};
-use rdx_obs::Obs;
+use rdx_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::HashMap;
 
 /// Opaque handle to an interned tenant — what [`crate::ServerRequest`]
@@ -116,7 +116,8 @@ impl TenantQuotas {
     }
 }
 
-/// A point-in-time view of one tenant's admission accounting.
+/// A point-in-time view of one tenant's admission accounting — a read of
+/// its `engine.tenant.<name>.*` instruments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantStats {
     /// The name the tenant was interned under.
@@ -135,39 +136,26 @@ pub struct TenantStats {
     pub rejections: u64,
 }
 
-/// Per-tenant mirror instruments, resolved once at interning time (same
-/// pattern as the engine's own `EngineObs`).
-#[derive(Debug)]
-struct TenantObs {
-    admissions: rdx_obs::Counter,
-    rejections: rdx_obs::Counter,
-    in_flight: rdx_obs::Gauge,
-    committed_bytes: rdx_obs::Gauge,
-}
-
-impl TenantObs {
-    fn new(obs: &Obs, name: &str) -> Option<TenantObs> {
-        let metrics = obs.metrics()?;
-        let label = |suffix: &str| format!("engine.tenant.{name}.{suffix}");
-        Some(TenantObs {
-            admissions: metrics.counter_named(&label("admissions")),
-            rejections: metrics.counter_named(&label("rejections")),
-            in_flight: metrics.gauge_named(&label("in_flight")),
-            committed_bytes: metrics.gauge_named(&label("committed_bytes")),
-        })
-    }
-}
-
-/// One interned tenant's state.
+/// One interned tenant: its quota and the instruments that hold its
+/// accounting (the gauges are the state admission checks read).
 #[derive(Debug)]
 struct TenantState {
     name: String,
     quota: TenantQuota,
-    in_flight: usize,
-    committed_bytes: usize,
-    admissions: u64,
-    rejections: u64,
-    obs: Option<TenantObs>,
+    in_flight: Gauge,
+    committed_bytes: Gauge,
+    admissions: Counter,
+    rejections: Counter,
+}
+
+impl TenantState {
+    fn in_flight(&self) -> usize {
+        self.in_flight.get() as usize
+    }
+
+    fn committed_bytes(&self) -> usize {
+        self.committed_bytes.get() as usize
+    }
 }
 
 /// The engine's tenant table: name interning plus per-tenant admission
@@ -192,19 +180,19 @@ impl TenantRegistry {
 
     /// Interns `name`, resolving its quota and registering its
     /// `engine.tenant.<name>.*` instruments on first sight.
-    pub(crate) fn intern(&mut self, name: &str, obs: &Obs) -> TenantId {
+    pub(crate) fn intern(&mut self, name: &str, metrics: &MetricsRegistry) -> TenantId {
         if let Some(&id) = self.by_name.get(name) {
             return TenantId(id);
         }
         let id = self.tenants.len() as u32;
+        let label = |suffix: &str| format!("engine.tenant.{name}.{suffix}");
         self.tenants.push(TenantState {
             name: name.to_owned(),
             quota: self.quotas.quota_for(name),
-            in_flight: 0,
-            committed_bytes: 0,
-            admissions: 0,
-            rejections: 0,
-            obs: TenantObs::new(obs, name),
+            in_flight: metrics.gauge_named(&label("in_flight")),
+            committed_bytes: metrics.gauge_named(&label("committed_bytes")),
+            admissions: metrics.counter_named(&label("admissions")),
+            rejections: metrics.counter_named(&label("rejections")),
         });
         self.by_name.insert(name.to_owned(), id);
         TenantId(id)
@@ -218,24 +206,24 @@ impl TenantRegistry {
             return Ok(());
         };
         if let Some(limit) = state.quota.max_in_flight {
-            if state.in_flight >= limit {
+            if state.in_flight() >= limit {
                 return Err(RdxError::TenantQuota {
                     tenant: t.0,
                     kind: TenantQuotaKind::InFlight {
-                        in_flight: state.in_flight,
+                        in_flight: state.in_flight(),
                         limit,
                     },
                 });
             }
         }
         if let Some(limit) = state.quota.max_resident_bytes {
-            let remaining = limit.saturating_sub(state.committed_bytes);
+            let remaining = limit.saturating_sub(state.committed_bytes());
             if remaining < bytes_per_row {
                 return Err(RdxError::TenantQuota {
                     tenant: t.0,
                     kind: TenantQuotaKind::ResidentBytes {
                         needed: bytes_per_row,
-                        in_use: state.committed_bytes,
+                        in_use: state.committed_bytes(),
                         limit,
                     },
                 });
@@ -249,48 +237,37 @@ impl TenantRegistry {
     pub(crate) fn remaining_bytes(&self, t: TenantId) -> Option<usize> {
         let state = self.tenants.get(t.0 as usize)?;
         let limit = state.quota.max_resident_bytes?;
-        Some(limit.saturating_sub(state.committed_bytes))
+        Some(limit.saturating_sub(state.committed_bytes()))
     }
 
     /// Charges an admission against the tenant: one in-flight slot plus
     /// `bytes` against the byte cap (0 when the tenant has none).
     pub(crate) fn charge(&mut self, t: TenantId, bytes: usize) {
-        let Some(state) = self.tenants.get_mut(t.0 as usize) else {
+        let Some(state) = self.tenants.get(t.0 as usize) else {
             return;
         };
-        state.in_flight += 1;
-        state.committed_bytes += bytes;
-        state.admissions += 1;
-        if let Some(o) = &state.obs {
-            o.admissions.inc();
-            o.in_flight.set(state.in_flight as i64);
-            o.committed_bytes.set(state.committed_bytes as i64);
-        }
+        state.in_flight.add(1);
+        state.committed_bytes.add(bytes as i64);
+        state.admissions.inc();
     }
 
     /// Returns a completed (or torn-down) query's charge to the tenant.
     pub(crate) fn release(&mut self, t: TenantId, bytes: usize) {
-        let Some(state) = self.tenants.get_mut(t.0 as usize) else {
+        let Some(state) = self.tenants.get(t.0 as usize) else {
             return;
         };
-        debug_assert!(state.in_flight > 0, "tenant release without charge");
-        debug_assert!(bytes <= state.committed_bytes, "foreign tenant charge");
-        state.in_flight = state.in_flight.saturating_sub(1);
-        state.committed_bytes = state.committed_bytes.saturating_sub(bytes);
-        if let Some(o) = &state.obs {
-            o.in_flight.set(state.in_flight as i64);
-            o.committed_bytes.set(state.committed_bytes as i64);
-        }
+        debug_assert!(state.in_flight() > 0, "tenant release without charge");
+        debug_assert!(bytes <= state.committed_bytes(), "foreign tenant charge");
+        let in_flight = state.in_flight().saturating_sub(1);
+        state.in_flight.set(in_flight as i64);
+        let committed = state.committed_bytes().saturating_sub(bytes);
+        state.committed_bytes.set(committed as i64);
     }
 
     /// Counts one [`RdxError::TenantQuota`] refusal against the tenant.
     pub(crate) fn count_reject(&mut self, t: TenantId) {
-        let Some(state) = self.tenants.get_mut(t.0 as usize) else {
-            return;
-        };
-        state.rejections += 1;
-        if let Some(o) = &state.obs {
-            o.rejections.inc();
+        if let Some(state) = self.tenants.get(t.0 as usize) {
+            state.rejections.inc();
         }
     }
 
@@ -299,10 +276,10 @@ impl TenantRegistry {
         self.tenants.get(t.0 as usize).map(|s| TenantStats {
             name: s.name.clone(),
             quota: s.quota,
-            in_flight: s.in_flight,
-            committed_bytes: s.committed_bytes,
-            admissions: s.admissions,
-            rejections: s.rejections,
+            in_flight: s.in_flight(),
+            committed_bytes: s.committed_bytes(),
+            admissions: s.admissions.get(),
+            rejections: s.rejections.get(),
         })
     }
 }
@@ -334,10 +311,10 @@ mod tests {
             TenantQuota::unlimited().in_flight(2).resident_bytes(100),
         );
         let mut reg = TenantRegistry::new(quotas);
-        let obs = Obs::disabled();
-        let capped = reg.intern("capped", &obs);
-        assert_eq!(reg.intern("capped", &obs), capped);
-        let free = reg.intern("free", &obs);
+        let metrics = MetricsRegistry::new();
+        let capped = reg.intern("capped", &metrics);
+        assert_eq!(reg.intern("capped", &metrics), capped);
+        let free = reg.intern("free", &metrics);
         assert_ne!(capped, free);
         assert_eq!(capped.to_string(), "tenant#0");
 
@@ -394,8 +371,7 @@ mod tests {
         let quotas =
             TenantQuotas::unlimited().with_tenant("t", TenantQuota::unlimited().in_flight(8));
         let mut reg = TenantRegistry::new(quotas);
-        let obs = Obs::disabled();
-        let t = reg.intern("t", &obs);
+        let t = reg.intern("t", &MetricsRegistry::new());
         reg.charge(t, 32);
         reg.charge(t, 16);
         reg.count_reject(t);
@@ -412,15 +388,15 @@ mod tests {
     }
 
     #[test]
-    fn per_tenant_instruments_register_when_observability_is_on() {
-        let obs = Obs::enabled(rdx_obs::ObsConfig::default());
+    fn per_tenant_accounting_lives_in_the_registry() {
+        let metrics = MetricsRegistry::new();
         let mut reg = TenantRegistry::new(
             TenantQuotas::unlimited().with_default(TenantQuota::unlimited().resident_bytes(256)),
         );
-        let t = reg.intern("acme", &obs);
+        let t = reg.intern("acme", &metrics);
         reg.charge(t, 128);
         reg.count_reject(t);
-        let snap = obs.metrics_snapshot().unwrap();
+        let snap = metrics.snapshot();
         assert_eq!(snap.counter("engine.tenant.acme.admissions"), Some(1));
         assert_eq!(snap.counter("engine.tenant.acme.rejections"), Some(1));
         assert_eq!(snap.gauge("engine.tenant.acme.in_flight"), Some(1));

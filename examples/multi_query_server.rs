@@ -25,10 +25,12 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[idx]
 }
 
-/// One served pass: per-query latency (wait + service) and cache hits.
+/// One served pass: per-query latency (wait + service), the pass's counts
+/// (deltas of the engine's cumulative stats) and the session's peaks.
 struct PassReport {
     latencies: Vec<Duration>,
-    cache_hits: usize,
+    cache_hits: u64,
+    chunks: u64,
     peak_concurrency: usize,
     peak_bytes: usize,
     wall: Duration,
@@ -40,26 +42,29 @@ fn summarize(label: &str, pass: &PassReport) {
     let wall = pass.wall.as_secs_f64();
     println!(
         "{label:<28} wall {:>7.1} ms  thr {:>6.1} q/s  p50 {:>7.1} ms  p99 {:>7.1} ms  \
-         peak-conc {}  peak-bytes {:>9}  cache-hits {}",
+         chunks {:>5}  cache-hits {}  session peak-conc {}  peak-bytes {:>9}",
         wall * 1e3,
         latencies.len() as f64 / wall.max(1e-9),
         percentile(&latencies, 0.50).as_secs_f64() * 1e3,
         percentile(&latencies, 0.99).as_secs_f64() * 1e3,
+        pass.chunks,
+        pass.cache_hits,
         pass.peak_concurrency,
         pass.peak_bytes,
-        pass.cache_hits,
     );
 }
 
 /// Submits every query of the mix as a ticket, drives the session to
 /// completion with bounded `drive` calls, and polls outcomes as they land.
+/// Counts are this pass's share of the engine's lifetime totals; the peaks
+/// cannot be windowed, so they are the session's so far.
 fn serve_pass(
     session: &mut Session,
     mix: &QueryMix,
     ids: &[(RelationId, RelationId)],
 ) -> PassReport {
     let started = std::time::Instant::now();
-    session.engine_mut().reset_stats();
+    let before = session.engine_mut().stats();
     let tickets: Vec<Ticket> = mix
         .queries
         .iter()
@@ -72,7 +77,6 @@ fn serve_pass(
         })
         .collect();
     let mut latencies = Vec::with_capacity(tickets.len());
-    let mut cache_hits = 0;
     let mut open: Vec<Ticket> = tickets;
     // The async-front loop shape: run a bounded burst of chunk-steps, then
     // poll — submissions, polls and drives interleave freely.
@@ -81,7 +85,6 @@ fn serve_pass(
         open.retain(|t| match t.poll(session) {
             QueryPoll::Done(report) => {
                 latencies.push(report.stats.wait + report.stats.service);
-                cache_hits += report.stats.cache_hit as usize;
                 false
             }
             QueryPoll::Rejected(e) => panic!("query rejected: {e}"),
@@ -91,12 +94,13 @@ fn serve_pass(
             break;
         }
     }
-    let stats = session.engine_mut().stats();
+    let after = session.engine_mut().stats();
     PassReport {
         latencies,
-        cache_hits,
-        peak_concurrency: stats.peak_concurrency,
-        peak_bytes: stats.peak_concurrent_bytes,
+        cache_hits: after.cache_hits - before.cache_hits,
+        chunks: after.chunks_dispatched - before.chunks_dispatched,
+        peak_concurrency: after.peak_concurrency,
+        peak_bytes: after.peak_concurrent_bytes,
         wall: started.elapsed(),
     }
 }
@@ -184,6 +188,7 @@ fn main() {
         "interleaved + cache (warm)",
         &serve_pass(&mut cached, &mix, &ids),
     );
+    println!("(the warm pass runs on the cold pass's session: its peaks are session-lifetime)");
     let stats = cached.cache_stats();
     println!(
         "cache after both passes: {} hits / {} misses / {} evictions, {} B resident",

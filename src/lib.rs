@@ -59,8 +59,10 @@
 //!   metrics registry (counters, gauges, power-of-two latency histograms),
 //!   a bounded ring of per-query trace events (submit → admit → cache
 //!   lookup → chunk steps → done), and text / JSON / Prometheus
-//!   exporters.  Enabled per session via `ServeConfig::observability`;
-//!   disabled it costs one branch per record site and nothing else.
+//!   exporters.  The registry is always on — every engine, cache, tenant
+//!   and `net.*` count lives there, and the `*Stats` structs are reads of
+//!   it; `ServeConfig::observability` switches on the trace ring,
+//!   per-chunk timing and profiling.
 //!
 //! ## Quickstart
 //!

@@ -14,6 +14,7 @@ mod common;
 
 use common::{columns, serve_all};
 use proptest::prelude::*;
+use radix_decluster::obs::Counter;
 use radix_decluster::prelude::*;
 use radix_decluster::workload::JoinWorkload;
 use std::sync::Arc;
@@ -88,7 +89,7 @@ impl Fixture {
         script: ScriptedFeedback,
     ) -> radix_decluster::exec::PipelineStats {
         let mut run = self.run();
-        run.attach_adaptive(policy, Box::new(script), &self.params);
+        run.attach_adaptive(policy, Box::new(script), &self.params, Counter::default());
         let mut sink = MaterializeSink::new();
         run.run_to_completion(&mut sink);
         assert_eq!(
@@ -103,8 +104,8 @@ impl Fixture {
 
 /// The acceptance scenario: a 3×-slower-than-predicted feedback stream must
 /// force a re-split of the remaining chunks — tighter chunks, visible in the
-/// `pipeline.adaptive_replans` counter and a `Replan{reason: "slow"}` trace
-/// event — while the output stays byte-identical.
+/// `pipeline.resplit_chunk_delta` histogram and a `Replan{reason: "slow"}`
+/// trace event — while the output stays byte-identical.
 #[test]
 fn three_x_slow_feedback_resplits_and_stays_byte_identical() {
     let fx = Fixture::new(6_000, 2, 7, 1, 2 * 1024);
@@ -124,6 +125,7 @@ fn three_x_slow_feedback_resplits_and_stays_byte_identical() {
         AdaptivePolicy::default(),
         Box::new(ScriptedFeedback::constant(3_000)),
         &fx.params,
+        Counter::default(),
     );
     let mut sink = MaterializeSink::new();
     run.run_to_completion(&mut sink);
@@ -141,10 +143,6 @@ fn three_x_slow_feedback_resplits_and_stays_byte_identical() {
     assert!(stats.peak_chunk_bytes <= 2 * 1024);
 
     let metrics = obs.metrics_snapshot().expect("enabled");
-    assert_eq!(
-        metrics.counter("pipeline.adaptive_replans"),
-        Some(stats.adaptive_replans as u64)
-    );
     let delta = metrics
         .histogram("pipeline.resplit_chunk_delta")
         .expect("recorded");
@@ -324,6 +322,35 @@ fn engine_counts_adaptive_replans_distinct_from_admission_replans() {
     assert_eq!(stats.adaptive_replans, 0);
 }
 
+/// The engine counts a re-split where it fires, not when the query
+/// retires: a run torn down after re-splitting — here a direct run dropped
+/// mid-stream, the teardown a cancelled ticket gets — still shows in
+/// `EngineStats::adaptive_replans`.
+#[test]
+fn a_resplit_run_torn_down_before_retiring_still_counts() {
+    let w = JoinWorkloadBuilder::equal(6_000, 1).seed(29).build();
+    let mut engine = QueryEngine::new(ServeConfig {
+        params: CacheParams::tiny_for_tests(),
+        global_budget: MemoryBudget::bytes(2 * 1024),
+        max_concurrent: 1,
+        plan_shares: Some(1),
+        ..ServeConfig::default()
+    });
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
+    let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(1))
+        .with_adaptive(AdaptivePolicy::default().replans(1));
+    let mut rq = engine.resolve_direct(&request).expect("resolves");
+    rq.replace_feedback(Box::new(ScriptedFeedback::constant(3_000)));
+    let mut sink = MaterializeSink::new();
+    while engine.stats().adaptive_replans == 0 {
+        assert!(rq.step(&mut sink).is_some(), "the slow script must fire");
+    }
+    assert!(!rq.is_done(), "torn down mid-stream");
+    drop(rq);
+    assert_eq!(engine.stats().adaptive_replans, 1);
+}
+
 /// The `rdx-api` builder: `.adaptive(policy)` flows through the front door,
 /// defaults to off, and never changes bytes.
 #[test]
@@ -467,6 +494,7 @@ proptest! {
             policy,
             Box::new(ScriptedFeedback::from_ratios(&ratios)),
             &fx.params,
+            Counter::default(),
         );
         let mut sink = MaterializeSink::new();
         let total = fx.workload.expected_matches;

@@ -250,6 +250,52 @@ fn observed_pipeline_step_allocates_nothing_in_steady_state() {
     assert_eq!(h.count, sink.chunks as u64);
 }
 
+/// The serving engine's steady state, observability off: once a
+/// multi-chunk ticket has run its first chunk, every further
+/// [`QueryEngine::step`] in the middle of it — the scheduler decision, the
+/// chunk, and every count the engine keeps — allocates nothing.
+#[test]
+fn engine_step_allocates_nothing_mid_ticket() {
+    let _guard = serialized();
+    let w = JoinWorkloadBuilder::equal(6_000, 2).seed(77).build();
+    let mut engine = QueryEngine::new(ServeConfig {
+        params: CacheParams::tiny_for_tests(),
+        global_budget: MemoryBudget::bytes(2 * 1024),
+        max_concurrent: 1,
+        threads_per_query: 1,
+        plan_shares: Some(1),
+        observability: false,
+        ..ServeConfig::default()
+    });
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
+    let ticket = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(2)));
+
+    // Warm-up: admission, the prefix build and the first chunk allocate.
+    assert!(matches!(engine.step(), EngineStep::Chunk { .. }));
+
+    let mut steady_chunks = 0;
+    loop {
+        let mut step = EngineStep::Idle;
+        let allocs = allocations_during(|| step = engine.step());
+        if !matches!(step, EngineStep::Chunk { .. }) {
+            break;
+        }
+        steady_chunks += 1;
+        assert_eq!(
+            allocs, 0,
+            "steady-state engine step {steady_chunks} allocated {allocs} times"
+        );
+    }
+    assert!(
+        steady_chunks >= 16,
+        "budget should force many chunks, got {steady_chunks}"
+    );
+    while engine.step() != EngineStep::Idle {}
+    let served = engine.take_outcome(ticket).expect("finished").outcome;
+    assert_eq!(served.expect("served").stats.rows, w.expected_matches);
+}
+
 /// Runtime adaptation must not cost the zero-allocation guarantee: with a
 /// policy armed and accurate feedback (every chunk observes exactly its
 /// prediction), the controller holds on every chunk and the steady-state
@@ -279,6 +325,7 @@ fn adaptive_hold_steps_allocate_nothing_in_steady_state() {
         AdaptivePolicy::default(),
         Box::new(ScriptedFeedback::constant(1_000)),
         &params,
+        radix_decluster::obs::Counter::default(),
     );
     let mut sink = NullSink { rows: 0, chunks: 0 };
 
@@ -346,6 +393,7 @@ fn steps_after_a_resplit_return_to_zero_allocations() {
             1_000, 1_000, 1_000, 3_000, 1_000,
         ])),
         &params,
+        radix_decluster::obs::Counter::default(),
     );
     let wide_chunk_rows = run.streaming().chunk_rows;
     let mut sink = NullSink { rows: 0, chunks: 0 };

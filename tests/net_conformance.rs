@@ -529,6 +529,53 @@ fn zero_budget_is_refused_before_a_ticket_exists() {
     handle.join().expect("server thread");
 }
 
+/// Counts live in one place, and the place exists without observability:
+/// after a loopback exchange on an untraced server, the engine's registry
+/// holds the engine's and the wire's counters, equal to what
+/// `QueryEngine::stats` and `NetServer::stats` report.
+#[test]
+fn the_registry_counts_engine_and_wire_with_observability_off() {
+    let w = JoinWorkloadBuilder::equal(200, 1).seed(9).build();
+    let cfg = ServeConfig {
+        params: CacheParams::tiny_for_tests(),
+        plan_shares: Some(1),
+        observability: false,
+        ..ServeConfig::default()
+    };
+    let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
+    let addr = listener.tcp_addr().expect("addr");
+    let handle = run_server(
+        listener,
+        cfg,
+        vec![w.larger.clone(), w.smaller.clone()],
+        NetConfig::default(),
+        None,
+        |engine, net| (engine.obs().metrics_snapshot(), engine.stats(), net),
+    );
+    let mut client = NetClient::connect_tcp(addr).expect("connect");
+    client.hello(None).expect("hello");
+    for _ in 0..3 {
+        let ticket = client.submit(wire_spec(1, 1, None)).expect("submit");
+        client.wait(ticket).expect("wait").expect("done");
+    }
+    drop(client);
+    let (metrics, engine, net) = handle.join().expect("server thread");
+    let metrics = metrics.expect("the registry exists with observability off");
+    assert_eq!(engine.admissions, 3);
+    assert_eq!(engine.cache_hits, 2);
+    assert!(net.frames_in >= 7 && net.frames_out == net.frames_in);
+    assert_eq!(
+        metrics.counter("engine.admissions"),
+        Some(engine.admissions)
+    );
+    assert_eq!(
+        metrics.counter("engine.cache_hits"),
+        Some(engine.cache_hits)
+    );
+    assert_eq!(metrics.counter("net.frames_in"), Some(net.frames_in));
+    assert_eq!(metrics.counter("net.frames_out"), Some(net.frames_out));
+}
+
 /// The wake-on-arrival contract of `NetServer::serve`, read off its own
 /// counters: a connection that keeps the server busy — one warm point
 /// query after the other, each submitted only when the previous result is

@@ -112,11 +112,7 @@ fn chunk_step_events_sum_to_scheduler_steps() {
 
     let stats = session.engine_mut().stats();
     assert_eq!(total_chunks, stats.chunks_dispatched);
-    let metrics = session.metrics().expect("observability on");
-    assert_eq!(
-        metrics.counter("engine.chunks_dispatched"),
-        Some(stats.chunks_dispatched)
-    );
+    let metrics = session.metrics().expect("always kept");
     let h = metrics.histogram("pipeline.chunk_ns").expect("recorded");
     assert_eq!(h.count, total_chunks);
 }
@@ -241,14 +237,10 @@ fn adaptive_replans_keep_chunk_accounting_and_lifecycle_order() {
     let replans = inner.iter().filter(|l| **l == "replan").count();
     assert_eq!(replans, report.adaptive_replans);
 
-    // Pipeline-, engine- and trace-level replan counts all agree.
-    let metrics = session.metrics().expect("observability on");
+    // The one replan counter and the trace agree.
+    let metrics = session.metrics().expect("always kept");
     assert_eq!(
         metrics.counter("pipeline.adaptive_replans"),
-        Some(replans as u64)
-    );
-    assert_eq!(
-        metrics.counter("engine.adaptive_replans"),
         Some(replans as u64)
     );
     let delta = metrics
@@ -286,7 +278,7 @@ fn profiled_execution_is_byte_identical_and_deterministic() {
                 .run()
                 .expect("serves");
             let cols = columns(&out.result);
-            let metrics = session.metrics().expect("observability on");
+            let metrics = session.metrics().expect("always kept");
             let counts = [
                 "profile.accesses",
                 "profile.l1_misses",
