@@ -53,10 +53,10 @@ impl std::error::Error for BudgetError {}
 ///
 /// The cap governs the per-chunk working set: staged clustered values,
 /// chunk-local result positions, and the chunk's output columns.  Fixed
-/// per-relation index structures (the join index, the clustered oid/position
-/// arrays) are priced separately by the planner — they scale with `8 N` bytes
-/// and are the streaming pipeline's irreducible floor, exactly like the
-/// `CLUST_SMALLER`/`CLUST_RESULT` arrays of Fig. 4.
+/// per-relation index structures (the clustered oid/position arrays, the
+/// oids packed under their clusters) are priced separately by the planner —
+/// they scale with `6 N` bytes and are the streaming pipeline's irreducible
+/// floor, exactly like the `CLUST_SMALLER`/`CLUST_RESULT` arrays of Fig. 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// Budget in bytes; `usize::MAX` encodes "unbounded".

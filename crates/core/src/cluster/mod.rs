@@ -5,14 +5,18 @@
 //! that no single pass creates more output cursors than the caches and TLB can
 //! sustain.  The *partial* variant additionally ignores the lowermost `I` bits
 //! — stopping early — which is what turns Radix-Sort of a join index into the
-//! much cheaper partial clustering that Positional-Join needs (§3.1).
+//! much cheaper partial clustering that Positional-Join needs (§3.1).  A
+//! partial clustering's oids can then be stored as their low bits under
+//! their cluster ([`PackedOids`]).
 //!
 //! Keys from dense oid domains are clustered without hashing; arbitrary join
 //! keys are hashed first (see [`crate::hash`]).
 
+mod packed;
 mod scratch;
 mod spec;
 
+pub use packed::{PackedOids, PackedSlice, PACKED_LOW_BITS};
 pub use scratch::{
     buffered_cursor_budget, plan_cluster_passes, plan_partial_cluster, scatter_cursor_budget,
     ClusterScratch, ScatterMode, ScratchClustered, DEFAULT_SCATTER_CURSOR_BUDGET, OID_PAIR_BYTES,

@@ -167,9 +167,16 @@ pub const OID_PAIR_BYTES: usize = 2 * std::mem::size_of::<rdx_dsm::Oid>();
 /// scatter mode derived from the hardware model: bits from the
 /// fits-in-cache rule, passes and plain/buffered from
 /// [`plan_cluster_passes`] for key/payload pairs of `pair_bytes`.  The
-/// single source of truth shared by the streaming planner (which prices
-/// it), the pipeline's prepare phase (which runs it) and the serving
-/// layer's cache keys (which name it) — so the three can never drift apart.
+/// single source of truth shared by the planners (which price it), the
+/// pipeline's prepare phase (which runs it) and the serving layer's cache
+/// keys (which name it) — so the three can never drift apart.
+///
+/// One more rule rides along: `bits` is raised to at least
+/// `significant_bits(column_tuples) − 16`, so no cluster spans more than
+/// `2^16` oids and every clustering it plans packs into [`PackedOids`].  At
+/// 4-byte values it binds only for caches above 128 KB.
+///
+/// [`PackedOids`]: super::PackedOids
 pub fn plan_partial_cluster(
     column_tuples: usize,
     value_width: usize,
@@ -178,12 +185,16 @@ pub fn plan_partial_cluster(
 ) -> (RadixClusterSpec, ScatterMode) {
     let base =
         RadixClusterSpec::optimal_partial(column_tuples, value_width, params.cache_capacity());
-    let (passes, mode) = plan_cluster_passes(base.bits, pair_bytes, params);
+    let significant = crate::hash::significant_bits(column_tuples);
+    let bits = base
+        .bits
+        .max(significant.saturating_sub(super::PACKED_LOW_BITS));
+    let (passes, mode) = plan_cluster_passes(bits, pair_bytes, params);
     (
         RadixClusterSpec {
-            bits: base.bits,
+            bits,
             passes,
-            ignore: base.ignore,
+            ignore: significant.saturating_sub(bits),
         },
         mode,
     )
@@ -896,6 +907,53 @@ mod tests {
         assert_eq!(buffered_cursor_budget(8, &p), 4096);
         // Wider pairs shrink the buffered reach.
         assert!(buffered_cursor_budget(16, &p) < buffered_cursor_budget(8, &p));
+    }
+
+    /// The packing rule: a cache share large enough for one cluster to span
+    /// more than `2^16` oids gets more bits instead, the clustering packs,
+    /// and what a projection computes through it stays the reference.
+    #[test]
+    fn a_large_share_spec_ignores_at_most_16_bits_and_projects_the_same_bytes() {
+        use crate::cluster::{radix_cluster_oids, PackedOids, PACKED_LOW_BITS};
+        use crate::hash::significant_bits;
+        use crate::strategy::reference::{reference_rows, result_rows};
+        use crate::strategy::{DsmPostProjection, ProjectionCode, QuerySpec, SecondSideCode};
+
+        // 512 KB: the fits-in-cache rule alone picks 1 bit and ignores 17.
+        let p = CacheParams::paper_pentium4();
+        let n = (1 << 17) + 3;
+        let unraised = RadixClusterSpec::optimal_partial(n, 4, p.cache_capacity());
+        assert_eq!((unraised.bits, unraised.ignore), (1, 17));
+        let (spec, _) = plan_partial_cluster(n, 4, OID_PAIR_BYTES, &p);
+        assert_eq!((spec.bits, spec.ignore), (2, PACKED_LOW_BITS));
+        assert_eq!(spec.bits + spec.ignore, significant_bits(n));
+        // The benchmark's 128 KB share is below the rule: nothing moves.
+        let share = p.per_query_share(4);
+        for tuples in [6_000usize, 40_000, 200_000, 1_000_000] {
+            let (planned, _) = plan_partial_cluster(tuples, 4, OID_PAIR_BYTES, &share);
+            let base = RadixClusterSpec::optimal_partial(tuples, 4, share.cache_capacity());
+            assert_eq!((planned.bits, planned.ignore), (base.bits, base.ignore));
+            assert!(planned.ignore <= PACKED_LOW_BITS, "{tuples}");
+        }
+
+        let oids: Vec<Oid> = (0..n as Oid).rev().collect();
+        let clustered = radix_cluster_oids(&oids, &oids, spec);
+        let keys = clustered.keys().to_vec();
+        assert_eq!(PackedOids::pack(clustered).0.to_oids(), keys);
+
+        let w = rdx_workload::JoinWorkloadBuilder::equal(n, 1)
+            .seed(3)
+            .build();
+        let spec = QuerySpec::symmetric(1);
+        let plan = DsmPostProjection::with_codes(
+            ProjectionCode::PartialCluster,
+            SecondSideCode::Decluster,
+        );
+        let out = plan.execute(&w.larger, &w.smaller, &spec, &p);
+        assert_eq!(
+            result_rows(&out.result),
+            reference_rows(&w.larger, &w.smaller, &spec)
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! `rdx_exec::par_radix_decluster`) therefore apply unchanged per chunk,
 //! and the peak working set shrinks from `O(N)` values to `O(chunk)` values.
 
+use crate::cluster::PackedOids;
 use rdx_dsm::Oid;
 use std::ops::Range;
 
@@ -114,6 +115,17 @@ impl ChunkRuns {
         }
     }
 
+    /// [`ChunkRuns::gather_into`] from a packed clustered oid array: the
+    /// runs' oids, widened to [`Oid`] (each run lies inside one cluster, so
+    /// it widens under one base).
+    pub fn expand_into(&self, src: &PackedOids, out: &mut Vec<Oid>) {
+        out.clear();
+        out.reserve(self.len());
+        for r in &self.runs {
+            src.slice(r.clone()).extend_into(out);
+        }
+    }
+
     /// Calls `f(clustered_index)` for every clustered tuple of the chunk, in
     /// run order — the on-demand fetch loop of the streaming pipeline.
     pub fn for_each_index(&self, mut f: impl FnMut(usize)) {
@@ -133,8 +145,8 @@ impl ChunkRuns {
 /// state does not borrow the clustered index, a paused query (the serving
 /// layer parks many of these while other queries run their chunk) is a plain
 /// struct with no self-referential lifetime — the positions live in a shared
-/// [`crate::cluster::Clustered`] (possibly behind an `Arc` in a cross-query
-/// cache) and are passed back in on resume.
+/// clustered prefix (possibly behind an `Arc` in a cross-query cache) and are
+/// passed back in on resume.
 #[derive(Debug, Clone)]
 pub struct ChunkCursorState {
     /// `(cursor, end)` per original cluster; drained clusters keep
@@ -395,6 +407,27 @@ mod tests {
             assert_eq!(bounds_buf, fresh.local_bounds());
         }
         assert!(ChunkRuns::empty().is_empty());
+    }
+
+    #[test]
+    fn expand_into_widens_what_gather_into_copies() {
+        let mut smaller: Vec<Oid> = (0..2_048).collect();
+        smaller.shuffle(&mut StdRng::seed_from_u64(29));
+        let positions: Vec<Oid> = (0..2_048).collect();
+        let clustered =
+            radix_cluster_oids(&smaller, &positions, RadixClusterSpec::partial(4, 1, 7));
+        let (keys, bounds) = (clustered.keys().to_vec(), clustered.bounds().to_vec());
+        let (packed, positions) = PackedOids::pack(clustered);
+        let mut state = ChunkCursorState::new(&bounds);
+        let (mut wide, mut expanded) = (Vec::new(), Vec::new());
+        let mut end = 0;
+        while !state.is_done(positions.len()) {
+            end += 300;
+            let chunk = state.next_chunk(&positions, end);
+            chunk.gather_into(&keys, &mut wide);
+            chunk.expand_into(&packed, &mut expanded);
+            assert_eq!(expanded, wide, "chunk ending at {end}");
+        }
     }
 
     #[test]

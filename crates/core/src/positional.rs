@@ -19,8 +19,11 @@
 //! lookup, the seqbase / record stride and the dynamic call are paid once per
 //! block; what remains per value is one safe-indexed load and one store.  All
 //! DSM variants end in the single loop [`Column::gather_into`]; the NSM
-//! layout has its one counterpart, `NsmRelation::gather_attr_into`.
+//! layout has its one counterpart, `NsmRelation::gather_attr_into`.  A block
+//! of radix-clustered oids stored packed ([`PackedSlice`]) is fetched the
+//! same way, one loop per cluster run ([`AttrSource::gather_packed_into`]).
 
+use crate::cluster::PackedSlice;
 use rdx_dsm::{Column, DsmRelation, Oid, Selection};
 use rdx_nsm::NsmRelation;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,11 +43,26 @@ pub trait AttrSource {
     /// Panics if the block lengths differ, or `attr` / an oid does not exist
     /// in the relation.
     fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]);
+
+    /// [`AttrSource::gather_into`] over a block of packed clustered oids:
+    /// the same values, read through 2-byte offsets under each cluster's
+    /// base.
+    ///
+    /// # Panics
+    /// As [`AttrSource::gather_into`].
+    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]);
 }
 
 impl AttrSource for DsmRelation {
     fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
         self.attr(attr).gather_into(oids, out);
+    }
+
+    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
+        let column = self.attr(attr);
+        oids.for_each_run(out, |base, offsets, block| {
+            column.gather_offsets_into(base, offsets, block);
+        });
     }
 }
 
@@ -53,11 +71,21 @@ impl AttrSource for NsmRelation {
         // Attribute 0 of the record is the join key.
         self.gather_attr_into(attr + 1, oids, out);
     }
+
+    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
+        oids.for_each_run(out, |base, offsets, block| {
+            self.gather_attr_offsets_into(attr + 1, base, offsets, block);
+        });
+    }
 }
 
 impl<S: AttrSource + ?Sized> AttrSource for &S {
     fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
         (**self).gather_into(attr, oids, out);
+    }
+
+    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
+        (**self).gather_packed_into(attr, oids, out);
     }
 }
 
@@ -65,11 +93,65 @@ impl<S: AttrSource + ?Sized> AttrSource for Box<S> {
     fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
         (**self).gather_into(attr, oids, out);
     }
+
+    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
+        (**self).gather_packed_into(attr, oids, out);
+    }
 }
 
 impl<S: AttrSource + ?Sized> AttrSource for Arc<S> {
     fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
         (**self).gather_into(attr, oids, out);
+    }
+
+    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
+        (**self).gather_packed_into(attr, oids, out);
+    }
+}
+
+/// A block of oids as a fetch reads it: a plain `u32` slice, or a slice of
+/// packed clustered oids.  Either way it names the same tuples in the same
+/// order; only the bytes per oid differ.
+#[derive(Debug, Clone, Copy)]
+pub enum OidBlock<'a> {
+    /// One [`Oid`] per row.
+    Wide(&'a [Oid]),
+    /// Low bits under cluster bases (see [`crate::cluster::PackedOids`]).
+    Packed(PackedSlice<'a>),
+}
+
+impl<'a> OidBlock<'a> {
+    /// Number of oids.
+    pub fn len(&self) -> usize {
+        match self {
+            OidBlock::Wide(oids) => oids.len(),
+            OidBlock::Packed(oids) => oids.len(),
+        }
+    }
+
+    /// `true` if the block names no tuple.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes each oid occupies in the array the block reads.
+    pub fn index_width(&self) -> usize {
+        match self {
+            OidBlock::Wide(_) => std::mem::size_of::<Oid>(),
+            OidBlock::Packed(_) => std::mem::size_of::<u16>(),
+        }
+    }
+
+    /// The block's oids widened to [`Oid`].
+    pub fn to_vec(&self) -> Vec<Oid> {
+        match self {
+            OidBlock::Wide(oids) => oids.to_vec(),
+            OidBlock::Packed(oids) => {
+                let mut out = Vec::new();
+                oids.extend_into(&mut out);
+                out
+            }
+        }
     }
 }
 
@@ -110,15 +192,24 @@ impl<S> CountingSource<S> {
     pub fn largest_block(&self) -> usize {
         self.largest_block.load(Ordering::Relaxed)
     }
+
+    fn count(&self, block: usize) {
+        // Statistics only: nothing is published through these counters.
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.values.fetch_add(block, Ordering::Relaxed);
+        self.largest_block.fetch_max(block, Ordering::Relaxed);
+    }
 }
 
 impl<S: AttrSource> AttrSource for CountingSource<S> {
     fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
-        // Statistics only: nothing is published through these counters.
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.values.fetch_add(oids.len(), Ordering::Relaxed);
-        self.largest_block.fetch_max(oids.len(), Ordering::Relaxed);
+        self.count(oids.len());
         self.inner.gather_into(attr, oids, out);
+    }
+
+    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
+        self.count(oids.len());
+        self.inner.gather_packed_into(attr, oids, out);
     }
 }
 
@@ -216,6 +307,32 @@ mod tests {
             assert_eq!(from_dsm, from_nsm, "attr {attr}");
             assert_eq!(from_dsm[0], dsm.attr(attr).value(49));
         }
+    }
+
+    #[test]
+    fn packed_blocks_fetch_what_wide_blocks_fetch() {
+        use crate::cluster::{radix_cluster_oids, PackedOids, RadixClusterSpec};
+        let mut nsm = NsmRelation::new(3);
+        for row in 0..300 {
+            nsm.push_tuple(&[row, row * 10, -row]);
+        }
+        let dsm = nsm.to_dsm();
+        let oids: Vec<Oid> = (0..300).map(|i| (i * 7 + 3) % 300).collect();
+        let clustered = radix_cluster_oids(&oids, &oids, RadixClusterSpec::partial(3, 1, 6));
+        let wide = clustered.keys().to_vec();
+        let (packed, _) = PackedOids::pack(clustered);
+        let sources: [&dyn AttrSource; 3] = [&dsm, &nsm, &CountingSource::new(&dsm)];
+        for source in sources {
+            for (attr, range) in [(0, 0..300), (1, 41..250)] {
+                let (mut expected, mut got) = (vec![0; range.len()], vec![0; range.len()]);
+                source.gather_into(attr, &wide[range.clone()], &mut expected);
+                source.gather_packed_into(attr, packed.slice(range.clone()), &mut got);
+                assert_eq!(got, expected, "attr {attr} {range:?}");
+            }
+        }
+        let counted = CountingSource::new(&dsm);
+        counted.gather_packed_into(0, packed.slice(5..105), &mut [0; 100]);
+        assert_eq!((counted.calls(), counted.values()), (1, 100));
     }
 
     #[test]

@@ -87,7 +87,8 @@ pub fn order_join_index(
                 mode,
                 &mut ClusterScratch::new(),
             );
-            (sorted.keys().to_vec(), sorted.payloads().to_vec())
+            let (keys, payloads, _) = sorted.into_parts();
+            (keys, payloads)
         }
         ProjectionCode::PartialCluster => {
             let (spec, mode) =
@@ -99,7 +100,8 @@ pub fn order_join_index(
                 mode,
                 &mut ClusterScratch::new(),
             );
-            (clustered.keys().to_vec(), clustered.payloads().to_vec())
+            let (keys, payloads, _) = clustered.into_parts();
+            (keys, payloads)
         }
     }
 }

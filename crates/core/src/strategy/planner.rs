@@ -64,7 +64,7 @@ pub fn predict_projection_cost(
     let join_index = DataRegion::new(result_tuples, 8);
 
     // --- first (larger) side -------------------------------------------------
-    let first_bits = optimal_bits(larger_tuples, cache);
+    let first_bits = partial_cluster_bits(larger_tuples, params);
     let first_cost = match first {
         ProjectionCode::Unsorted => {
             spec.project_larger as f64
@@ -93,7 +93,7 @@ pub fn predict_projection_cost(
     };
 
     // --- second (smaller) side -----------------------------------------------
-    let second_bits = optimal_bits(smaller_tuples, cache);
+    let second_bits = partial_cluster_bits(smaller_tuples, params);
     let window = cache / 2;
     let second_cost = match second {
         SecondSideCode::Unsorted => {
@@ -369,14 +369,13 @@ pub fn predict_streaming_cost(
                 .millis(params))
 }
 
-/// The §3.1 cluster-count rule, shared with `RadixClusterSpec::optimal_partial`.
-fn optimal_bits(column_tuples: usize, cache_bytes: usize) -> u32 {
-    let bytes = column_tuples.saturating_mul(VALUE_WIDTH);
-    let mut bits = 0u32;
-    while (bytes >> bits) > cache_bytes && bits < 30 {
-        bits += 1;
-    }
-    bits
+/// The radix bits of the partial clustering the executors run over a column
+/// of `column_tuples` integer values: [`plan_partial_cluster`]'s, so the
+/// priced and the executed clusterings are one rule.
+fn partial_cluster_bits(column_tuples: usize, params: &CacheParams) -> u32 {
+    plan_partial_cluster(column_tuples, VALUE_WIDTH, OID_PAIR_BYTES, params)
+        .0
+        .bits
 }
 
 #[cfg(test)]
@@ -597,14 +596,15 @@ mod tests {
         );
         assert_eq!(plain.scatter, ScatterMode::Plain);
         assert_eq!(plain.cluster_spec.passes, 1);
-        // A smaller relation needing 2^12 clusters: beyond the 2048-cursor
-        // plain budget, within the write-combining staging budget — the
-        // planner now runs ONE buffered pass where the seed rule ran two
-        // plain ones, and prices it with the buffered cost term.
+        // A smaller relation of 8-byte records needing 2^12 clusters (of at
+        // most 2^16 oids each): beyond the 2048-cursor plain budget, within
+        // the write-combining staging budget — the planner now runs ONE
+        // buffered pass where the seed rule ran two plain ones, and prices
+        // it with the buffered cost term.
         let buffered = plan_streaming(
             1_000_000,
-            300_000_000,
-            4,
+            150_000_000,
+            8,
             &spec,
             &params,
             MemoryBudget::unbounded(),
@@ -624,8 +624,8 @@ mod tests {
             ..buffered
         };
         let n = 1_000_000;
-        let fast = predict_streaming_cost(&buffered, 300_000_000, n, &spec, &params);
-        let slow = predict_streaming_cost(&seed_style, 300_000_000, n, &spec, &params);
+        let fast = predict_streaming_cost(&buffered, 150_000_000, n, &spec, &params);
+        let slow = predict_streaming_cost(&seed_style, 150_000_000, n, &spec, &params);
         assert!(fast < slow, "buffered {fast} vs seed-style {slow}");
     }
 

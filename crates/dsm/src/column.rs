@@ -139,6 +139,25 @@ impl<T: Copy> Column<T> {
         }
     }
 
+    /// [`Column::gather_into`] over oids given as `base + offsets[i]` — one
+    /// run of a clustered oid array stored as low bits under its cluster.
+    /// The rebasing is hoisted out of the loop, which reads 2-byte offsets.
+    ///
+    /// # Panics
+    /// Panics if `offsets` and `out` differ in length or any oid is out of
+    /// range.
+    pub fn gather_offsets_into(&self, base: Oid, offsets: &[u16], out: &mut [T]) {
+        assert_eq!(offsets.len(), out.len(), "oid/output block length mismatch");
+        // `base` may lie below the seqbase while every oid of the run does not.
+        let (data, below) = match base.checked_sub(self.seqbase) {
+            Some(start) => (&self.data[start as usize..], 0),
+            None => (self.data.as_slice(), (self.seqbase - base) as usize),
+        };
+        for (slot, &offset) in out.iter_mut().zip(offsets) {
+            *slot = data[usize::from(offset) - below];
+        }
+    }
+
     /// Copies `self[pos]`, panicking on out-of-range positions.
     #[inline]
     pub fn value(&self, pos: usize) -> T {
@@ -231,6 +250,17 @@ mod tests {
         col.gather_into(&[12, 10, 11], &mut out);
         assert_eq!(out, [7, 5, 6]);
         assert_eq!(col.gather(&[12, 10, 11]).as_slice(), &out);
+    }
+
+    #[test]
+    fn gather_offsets_into_matches_gather_on_either_side_of_the_seqbase() {
+        let col = Column::with_seqbase(10, (0..20).map(|v| v * 3).collect::<Vec<i32>>());
+        for (base, offsets) in [(12, vec![0u16, 5, 1]), (8, vec![2, 9, 21])] {
+            let oids: Vec<Oid> = offsets.iter().map(|&o| base + Oid::from(o)).collect();
+            let mut out = [0; 3];
+            col.gather_offsets_into(base, &offsets, &mut out);
+            assert_eq!(col.gather(&oids).as_slice(), &out, "base {base}");
+        }
     }
 
     #[test]

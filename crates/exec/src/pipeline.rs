@@ -10,11 +10,13 @@
 //! the result through a [`RowChunkSink`] in contiguous chunks:
 //!
 //! 1. **join** and **reorder** run exactly as in
-//!    [`crate::strategy::par_dsm_post_projection`] (the join index and the
-//!    clustered oid/position arrays are the `8 N`-byte irreducible floor, the
-//!    Fig. 4 `CLUST_SMALLER`/`CLUST_RESULT` analogue); this whole prefix is
-//!    factored out as [`PreparedProjection`] — a self-contained, *shareable*
-//!    product (the serving layer caches it across queries under an `Arc`);
+//!    [`crate::strategy::par_dsm_post_projection`] (the clustered oid/position
+//!    arrays are the `6 N`-byte irreducible floor, the Fig. 4
+//!    `CLUST_SMALLER`/`CLUST_RESULT` analogue: every radix-clustered oid array
+//!    is stored as 2-byte low bits under its cluster, [`PackedOids`]); this
+//!    whole prefix is factored out as [`PreparedProjection`] — a
+//!    self-contained, *shareable* product (the serving layer caches it across
+//!    queries under an `Arc`);
 //! 2. the result rows are cut into chunks of
 //!    [`StreamingPlan::chunk_rows`] = `budget / bytes_per_row` rows;
 //! 3. per chunk, a [`ChunkCursorState`] advances one cursor per cluster
@@ -29,8 +31,9 @@
 //!    pages (§5).  The chunk's columns are lent to the sink, which may take
 //!    them: when one chunk is the whole result, [`MaterializeSink`] keeps
 //!    the buffers the kernels wrote and that chunk reads the prefix's
-//!    clustered `CLUST_SMALLER` / `CLUST_RESULT` in place, so each result
-//!    column is written once, in result order, and never copied.
+//!    clustered `CLUST_SMALLER` / `CLUST_RESULT` in place, packed oids
+//!    included, so each result column is written once, in result order, and
+//!    never copied.
 //!
 //! The chunk loop itself is a **resumable** [`PipelineRun`]: each
 //! [`PipelineRun::step`] emits exactly one chunk and returns, so a scheduler
@@ -57,16 +60,18 @@ use crate::cluster::{par_radix_cluster_oids_with_scratch, ParClusterScratch};
 use crate::decluster::par_radix_decluster_into;
 use crate::join::par_partitioned_hash_join;
 use crate::pool::{for_each_output_morsel, ExecPolicy};
-use crate::strategy::{par_gather_into, par_order_join_index, par_project_columns_into};
+use crate::strategy::{
+    par_gather_into, par_order_join_index, par_partial_cluster_join_index, par_project_columns_into,
+};
 use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, Region};
 use rdx_core::budget::MemoryBudget;
-use rdx_core::cluster::{plan_partial_cluster, Clustered, RadixClusterSpec, ScatterMode};
+use rdx_core::cluster::{plan_partial_cluster, PackedOids, RadixClusterSpec, ScatterMode};
 use rdx_core::decluster::chunks::{ChunkCursorState, ChunkRuns};
 use rdx_core::decluster::traced::radix_decluster_traced;
 use rdx_core::decluster::DeclusterScratch;
 use rdx_core::error::RdxError;
 use rdx_core::join::join_cluster_spec;
-use rdx_core::positional::AttrSource;
+use rdx_core::positional::{AttrSource, OidBlock};
 use rdx_core::strategy::adapt::{
     resplit_budget, AdaptiveController, AdaptiveDecision, AdaptivePolicy, FeedbackSource,
     SharedMissCounts,
@@ -76,11 +81,12 @@ use rdx_core::strategy::planner::{
 };
 use rdx_core::strategy::sink::{MaterializeSink, RowChunkSink};
 use rdx_core::strategy::{
-    DsmPostProjection, PhaseTimings, QuerySpec, SecondSideCode, StrategyOutcome,
+    DsmPostProjection, PhaseTimings, ProjectionCode, QuerySpec, SecondSideCode, StrategyOutcome,
 };
 use rdx_dsm::{DsmRelation, Oid};
 use rdx_nsm::NsmRelation;
 use rdx_obs::{EventKind, MissCounts, Obs, Phase, QueryId};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -152,11 +158,44 @@ pub struct ProjectionPipeline {
 #[derive(Debug, Clone)]
 pub struct PreparedProjection {
     plan: DsmPostProjection,
-    first_oids: Vec<Oid>,
+    first: FirstSide,
     second: SecondSide,
     smaller_cardinality: usize,
     smaller_value_width: usize,
     timings: PhaseTimings,
+}
+
+/// The first side's oids in result order.  A `c` reorder radix-clusters
+/// them, so they are stored packed under their clusters; `u` and `s` keep
+/// one [`Oid`] per row.
+#[derive(Debug, Clone)]
+enum FirstSide {
+    Wide(Vec<Oid>),
+    Packed(PackedOids),
+}
+
+impl FirstSide {
+    fn len(&self) -> usize {
+        match self {
+            FirstSide::Wide(oids) => oids.len(),
+            FirstSide::Packed(oids) => oids.len(),
+        }
+    }
+
+    /// The oids of result rows `rows`.
+    fn block(&self, rows: Range<usize>) -> OidBlock<'_> {
+        match self {
+            FirstSide::Wide(oids) => OidBlock::Wide(&oids[rows]),
+            FirstSide::Packed(oids) => OidBlock::Packed(oids.slice(rows)),
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        match self {
+            FirstSide::Wide(oids) => std::mem::size_of_val(oids.as_slice()),
+            FirstSide::Packed(oids) => oids.resident_bytes(),
+        }
+    }
 }
 
 /// What the chunk loop reads for the plan's [`SecondSideCode`], and nothing
@@ -165,8 +204,23 @@ pub struct PreparedProjection {
 enum SecondSide {
     /// `u`: the smaller relation's oids in result order, fetched positionally.
     ResultOrder(Vec<Oid>),
-    /// `d`: Fig. 4's `(oid, result position)` pairs, radix-clustered on oid.
-    Clustered(Clustered<Oid, Oid>),
+    /// `d`: Fig. 4's `(oid, result position)` pairs, radix-clustered on oid:
+    /// `CLUST_SMALLER` packed under its clusters, `CLUST_RESULT` as is.
+    Clustered {
+        smaller: PackedOids,
+        positions: Vec<Oid>,
+    },
+}
+
+impl SecondSide {
+    /// The oids the smaller side is fetched through: in result order (`u`)
+    /// or `CLUST_SMALLER` (`d`).
+    fn oids(&self) -> OidBlock<'_> {
+        match self {
+            SecondSide::ResultOrder(oids) => OidBlock::Wide(oids),
+            SecondSide::Clustered { smaller, .. } => OidBlock::Packed(smaller.as_slice()),
+        }
+    }
 }
 
 impl PreparedProjection {
@@ -177,7 +231,7 @@ impl PreparedProjection {
 
     /// Result cardinality (join-index length).
     pub fn result_rows(&self) -> usize {
-        self.first_oids.len()
+        self.first.len()
     }
 
     /// Cardinality of the smaller relation the clustering was sized for.
@@ -197,26 +251,27 @@ impl PreparedProjection {
     }
 
     /// Resident heap bytes of this prefix — what a byte-budgeted cache
-    /// charges for keeping it: the first side's reordered oids (4 B/row)
-    /// plus either the second side's result-order oids (4 B/row, unsorted
-    /// fetch) or its clustered `(oid, position)` pairs and the `H + 1`
-    /// cluster borders (8 B/row + borders, decluster).
+    /// charges for keeping it, which is exactly what it stores.  The first
+    /// side's reordered oids cost 2 B/row plus the `H + 1` cluster borders
+    /// when `c` clustered them, 4 B/row for `u` and `s`.  The second side
+    /// adds either its result-order oids (4 B/row, unsorted fetch) or its
+    /// packed `CLUST_SMALLER` (2 B/row), its `CLUST_RESULT` positions
+    /// (4 B/row) and the cluster borders (decluster).  A `c/d` prefix is
+    /// therefore 8 B/row + borders.
     pub fn resident_bytes(&self) -> usize {
         let second = match &self.second {
             SecondSide::ResultOrder(oids) => std::mem::size_of_val(oids.as_slice()),
-            SecondSide::Clustered(c) => {
-                std::mem::size_of_val(c.keys())
-                    + std::mem::size_of_val(c.payloads())
-                    + std::mem::size_of_val(c.bounds())
+            SecondSide::Clustered { smaller, positions } => {
+                smaller.resident_bytes() + std::mem::size_of_val(positions.as_slice())
             }
         };
-        std::mem::size_of_val(self.first_oids.as_slice()) + second
+        self.first.resident_bytes() + second
     }
 }
 
 /// What one pipeline run did: the chunking it planned, what it actually
 /// emitted, and the measured peak chunk working set: the bytes the chunk
-/// itself holds.  The fixed `8 N`-byte index floor is excluded, and so are
+/// itself holds.  The fixed `6 N`-byte index floor is excluded, and so are
 /// the clustered arrays a whole-result chunk borrows from the prefix
 /// (already counted by [`PreparedProjection::resident_bytes`]), so the peak
 /// never exceeds what
@@ -360,11 +415,12 @@ enum SecondSideReplay<'a> {
     /// Straight positional fetch from `second_oids[emitted..]`.
     Unsorted { rows: usize },
     /// Cluster-side gather + windowed decluster over the chunk's clustered
-    /// arrays (the Fig. 5 access pattern).  The oid stream is charged at
-    /// the chunk-local region's addresses whether the chunk copied it or
-    /// borrowed the prefix's: the pattern is one sequential read either way.
+    /// arrays (the Fig. 5 access pattern).  The oid stream is charged where
+    /// the gather reads it: the prefix's packed `CLUST_SMALLER` (2 B/row)
+    /// when the chunk borrows it, the chunk-local widened copy (4 B/row)
+    /// otherwise.
     Decluster {
-        local_oids: &'a [Oid],
+        local_oids: OidBlock<'a>,
         local_positions: &'a [Oid],
         local_bounds: &'a [usize],
         staged: &'a [i32],
@@ -387,24 +443,28 @@ impl RunProfile {
 
     /// Replays one emitted chunk's logical memory accesses through the
     /// simulator and returns the miss counts it charged: per projected
-    /// column, the sequential oid-stream read, the random positional read
-    /// into the base relation and the sequential staging write; plus, for
-    /// declustering chunks, one traced windowed decluster scaled to the
-    /// smaller-side column count (the decluster's address pattern is
-    /// value-independent, so every column replays identically).
+    /// column, the sequential oid-stream read (at the width the oids are
+    /// stored in), the random positional read into the base relation and the
+    /// sequential staging write; plus, for declustering chunks, one traced
+    /// windowed decluster scaled to the smaller-side column count (the
+    /// decluster's address pattern is value-independent, so every column
+    /// replays identically).
     fn replay_chunk(
         &mut self,
         emitted: usize,
-        chunk_first_oids: &[Oid],
+        chunk_first_oids: OidBlock<'_>,
         second: SecondSideReplay<'_>,
     ) -> EventCounts {
-        let rows = chunk_first_oids.len();
+        let first_oids = chunk_first_oids.to_vec();
+        let rows = first_oids.len();
         self.ensure_chunk_capacity(rows);
         let before = self.mem.counts();
+        let first_width = self.first_oids_region.elem_width();
         for col in 0..self.larger_cols.len() {
             let region = self.larger_cols[col];
-            for (i, &oid) in chunk_first_oids.iter().enumerate() {
-                self.mem.read(self.first_oids_region.addr(emitted + i), 4);
+            for (i, &oid) in first_oids.iter().enumerate() {
+                self.mem
+                    .read(self.first_oids_region.addr(emitted + i), first_width);
                 self.mem
                     .read(region.addr(oid as usize), region.elem_width());
                 self.mem.write(self.chunk_out.addr(i), VALUE_WIDTH);
@@ -413,10 +473,12 @@ impl RunProfile {
         let mut scaled = EventCounts::zero();
         match second {
             SecondSideReplay::Unsorted { rows } => {
+                let width = self.second_oids_region.elem_width();
                 for col in 0..self.smaller_cols.len() {
                     let region = self.smaller_cols[col];
                     for i in 0..rows {
-                        self.mem.read(self.second_oids_region.addr(emitted + i), 4);
+                        self.mem
+                            .read(self.second_oids_region.addr(emitted + i), width);
                         // The replay charges the average positional read; the
                         // oid itself is irrelevant to the address *pattern*
                         // class (uniform random into the column), so we model
@@ -435,10 +497,15 @@ impl RunProfile {
                 window_bytes,
                 declustered,
             } => {
+                let oids_region = match local_oids {
+                    OidBlock::Packed(_) => self.second_oids_region,
+                    OidBlock::Wide(_) => self.chunk_oids,
+                };
+                let oids = local_oids.to_vec();
                 for col in 0..self.smaller_cols.len() {
                     let region = self.smaller_cols[col];
-                    for (i, &oid) in local_oids.iter().enumerate() {
-                        self.mem.read(self.chunk_oids.addr(i), 4);
+                    for (i, &oid) in oids.iter().enumerate() {
+                        self.mem.read(oids_region.addr(i), oids_region.elem_width());
                         self.mem
                             .read(region.addr(oid as usize), region.elem_width());
                         self.mem.write(self.chunk_out.addr(i), VALUE_WIDTH);
@@ -566,13 +633,13 @@ where
             policy.threads,
         );
         let cursors = match &prepared.second {
-            SecondSide::Clustered(clustered) => {
+            SecondSide::Clustered { smaller, .. } => {
                 debug_assert_eq!(
-                    *clustered.spec(),
+                    *smaller.spec(),
                     streaming.cluster_spec,
                     "prepared clustering drifted from the streaming plan"
                 );
-                Some(ChunkCursorState::new(clustered.bounds()))
+                Some(ChunkCursorState::new(smaller.bounds()))
             }
             SecondSide::ResultOrder(_) => None,
         };
@@ -643,15 +710,14 @@ where
         );
         let mut space = AddressSpace::new();
         let n = self.prepared.result_rows();
-        let first_oids_region = space.alloc(n.max(1), 4);
-        let second_oids_region = space.alloc(n.max(1), 4);
-        let larger_rows = self
-            .prepared
-            .first_oids
-            .iter()
-            .map(|&oid| oid as usize + 1)
+        let first_oids = self.prepared.first.block(0..n);
+        let first_oids_region = space.alloc(n.max(1), first_oids.index_width());
+        let second_oids_region = space.alloc(n.max(1), self.prepared.second.oids().index_width());
+        let larger_rows = first_oids
+            .to_vec()
+            .into_iter()
             .max()
-            .unwrap_or(1);
+            .map_or(1, |oid| oid as usize + 1);
         let larger_cols = (0..self.spec.project_larger)
             .map(|_| space.alloc(larger_rows, VALUE_WIDTH))
             .collect();
@@ -886,7 +952,7 @@ where
         // First side: morsel-parallel gather straight into the chunk.
         let t = Instant::now();
         par_project_columns_into(
-            &self.prepared.first_oids[emitted..chunk_end],
+            self.prepared.first.block(emitted..chunk_end),
             &self.larger,
             &self.policy,
             &mut scratch.columns[..self.spec.project_larger],
@@ -899,23 +965,26 @@ where
         let mut decluster_elapsed = None;
         let t = Instant::now();
         match (&self.prepared.second, &mut self.cursors) {
-            (SecondSide::Clustered(clustered), Some(cursors)) => {
-                cursors.next_chunk_into(clustered.payloads(), chunk_end, &mut scratch.chunk);
+            (SecondSide::Clustered { smaller, positions }, Some(cursors)) => {
+                cursors.next_chunk_into(positions, chunk_end, &mut scratch.chunk);
                 let chunk = &scratch.chunk;
                 debug_assert_eq!(chunk.result_range, emitted..chunk_end);
                 // CLUST_SMALLER / CLUST_RESULT, shared by all smaller-side
                 // columns of this chunk.  A whole-result chunk's runs are
                 // every cluster in order, so it reads the prefix's arrays in
-                // place; a partial chunk copies its runs into chunk-local
-                // arrays with rebased positions.
+                // place, the oids still packed; a partial chunk widens its
+                // runs' oids and copies their rebased positions into
+                // chunk-local arrays.
                 let (local_oids, local_positions) = if rows == n {
-                    (clustered.keys(), clustered.payloads())
+                    (self.prepared.second.oids(), &positions[..])
                 } else {
-                    chunk.gather_into(clustered.keys(), &mut scratch.local_oids);
-                    chunk
-                        .rebased_positions_into(clustered.payloads(), &mut scratch.local_positions);
+                    chunk.expand_into(smaller, &mut scratch.local_oids);
+                    chunk.rebased_positions_into(positions, &mut scratch.local_positions);
                     chunk_bytes += 2 * rows * VALUE_WIDTH;
-                    (&scratch.local_oids[..], &scratch.local_positions[..])
+                    (
+                        OidBlock::Wide(&scratch.local_oids),
+                        &scratch.local_positions[..],
+                    )
                 };
                 chunk.local_bounds_into(&mut scratch.local_bounds);
                 scratch.staged.resize(rows, 0);
@@ -943,12 +1012,12 @@ where
                 self.timings.decluster += elapsed;
                 decluster_elapsed = Some(elapsed);
             }
-            (SecondSide::Clustered(_), None) => {
+            (SecondSide::Clustered { .. }, None) => {
                 unreachable!("PipelineRun::new builds cursors for every clustered prefix")
             }
             (SecondSide::ResultOrder(second_oids), _) => {
                 par_project_columns_into(
-                    &second_oids[emitted..chunk_end],
+                    OidBlock::Wide(&second_oids[emitted..chunk_end]),
                     &self.smaller,
                     &self.policy,
                     &mut scratch.columns[self.spec.project_larger..],
@@ -963,7 +1032,7 @@ where
         // The sink may take the columns.  A profiled debug build keeps the
         // declustered one for the replay's equality check below.
         let declustered = match (&self.profile, &self.prepared.second) {
-            (Some(_), SecondSide::Clustered(_)) if cfg!(debug_assertions) => scratch.columns
+            (Some(_), SecondSide::Clustered { .. }) if cfg!(debug_assertions) => scratch.columns
                 [self.spec.project_larger..]
                 .last()
                 .cloned()
@@ -1002,14 +1071,17 @@ where
             // `profile` is a distinct field from `prepared`/`scratch`/
             // `spec`/`streaming`, so these immutable borrows coexist with
             // the `&mut` taken above.
-            let chunk_first_oids = &self.prepared.first_oids[emitted..chunk_end];
+            let chunk_first_oids = self.prepared.first.block(emitted..chunk_end);
             let scratch = &self.scratch;
             let second = match &self.prepared.second {
-                SecondSide::Clustered(clustered) => {
+                SecondSide::Clustered { positions, .. } => {
                     let (local_oids, local_positions) = if rows == n {
-                        (clustered.keys(), clustered.payloads())
+                        (self.prepared.second.oids(), &positions[..])
                     } else {
-                        (&scratch.local_oids[..], &scratch.local_positions[..])
+                        (
+                            OidBlock::Wide(&scratch.local_oids),
+                            &scratch.local_positions[..],
+                        )
                     };
                     SecondSideReplay::Decluster {
                         local_oids,
@@ -1317,41 +1389,58 @@ impl ProjectionPipeline {
         let join_index = par_partitioned_hash_join(larger_keys, smaller_keys, join_spec, policy);
         timings.join = t.elapsed();
 
-        // Phase 2: reorder for the first side (determines the result order).
+        // Phase 2: reorder for the first side (determines the result order);
+        // a partial clustering is packed under its clusters.
         let t = Instant::now();
-        let (first_oids, second_oids) = par_order_join_index(
-            &join_index,
-            self.plan.first_side,
-            larger_cardinality,
-            VALUE_WIDTH,
-            params,
-            policy,
-        );
-        timings.reorder = t.elapsed();
+        let (first, second_oids) = match self.plan.first_side {
+            ProjectionCode::PartialCluster => {
+                let (packed, second_oids) = PackedOids::pack(par_partial_cluster_join_index(
+                    &join_index,
+                    larger_cardinality,
+                    VALUE_WIDTH,
+                    params,
+                    policy,
+                ));
+                (FirstSide::Packed(packed), second_oids)
+            }
+            code => {
+                let (first_oids, second_oids) = par_order_join_index(
+                    &join_index,
+                    code,
+                    larger_cardinality,
+                    VALUE_WIDTH,
+                    params,
+                    policy,
+                );
+                (FirstSide::Wide(first_oids), second_oids)
+            }
+        };
         drop(join_index);
+        timings.reorder = t.elapsed();
 
-        // Phase 3: second-side partial clustering (the 8 N-byte
+        // Phase 3: second-side partial clustering (the 6 N-byte packed
         // CLUST_SMALLER / CLUST_RESULT floor the chunks stream over), on the
         // §3.1 spec `plan_streaming` also derives — the same
         // `plan_partial_cluster` rule, so prepared prefix and streaming plan
         // can never drift apart, including the pass count and the
         // plain/buffered scatter choice.  Counted as decluster time,
         // matching project_second_side_decluster.
-        let n = first_oids.len();
+        let n = first.len();
         let (cluster_spec, scatter) =
             cluster_plan_for(smaller_cardinality, smaller_value_width, params);
         let t = Instant::now();
         let second = match self.plan.second_side {
             SecondSideCode::Decluster => {
                 let result_positions: Vec<Oid> = (0..n as Oid).collect();
-                SecondSide::Clustered(par_radix_cluster_oids_with_scratch(
+                let (smaller, positions) = PackedOids::pack(par_radix_cluster_oids_with_scratch(
                     &second_oids,
                     &result_positions,
                     cluster_spec,
                     scatter,
                     policy,
                     &mut ParClusterScratch::new(),
-                ))
+                ));
+                SecondSide::Clustered { smaller, positions }
             }
             SecondSideCode::Unsorted => SecondSide::ResultOrder(second_oids),
         };
@@ -1359,7 +1448,7 @@ impl ProjectionPipeline {
 
         PreparedProjection {
             plan: self.plan,
-            first_oids,
+            first,
             second,
             smaller_cardinality,
             smaller_value_width,
@@ -1551,7 +1640,11 @@ mod tests {
         let n = 3_000;
         let w = JoinWorkloadBuilder::equal(n, 1).seed(5).build();
         let params = CacheParams::tiny_for_tests();
-        for first in [ProjectionCode::Unsorted, ProjectionCode::PartialCluster] {
+        for first in [
+            ProjectionCode::Unsorted,
+            ProjectionCode::Sorted,
+            ProjectionCode::PartialCluster,
+        ] {
             for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
                 let prepared =
                     ProjectionPipeline::new(DsmPostProjection::with_codes(first, second)).prepare(
@@ -1561,21 +1654,151 @@ mod tests {
                         &ExecPolicy::with_threads(2),
                     );
                 assert_eq!(prepared.result_rows(), n);
-                let expected = match &prepared.second {
-                    // 4 B first-side oid + 4 B second-side oid per row.
+                // First side: a 2 B packed oid per row plus borders for `c`,
+                // a 4 B oid for `u` and `s`.
+                let first_bytes = match &prepared.first {
+                    FirstSide::Packed(oids) => {
+                        assert_eq!(first, ProjectionCode::PartialCluster);
+                        assert!(
+                            oids.num_clusters() > 1,
+                            "tiny cache clusters the first side"
+                        );
+                        2 * n + std::mem::size_of_val(oids.bounds())
+                    }
+                    FirstSide::Wide(_) => 4 * n,
+                };
+                let second_bytes = match &prepared.second {
+                    // A 4 B second-side oid per row.
                     SecondSide::ResultOrder(oids) => {
                         assert_eq!(second, SecondSideCode::Unsorted);
                         assert_eq!(oids.len(), n);
-                        8 * n
+                        4 * n
                     }
-                    // 4 B first-side oid + (oid, position) pair per row + borders.
-                    SecondSide::Clustered(c) => {
+                    // A 2 B packed oid and a 4 B position per row + borders.
+                    SecondSide::Clustered { smaller, positions } => {
                         assert_eq!(second, SecondSideCode::Decluster);
-                        assert_eq!(c.len(), n);
-                        12 * n + std::mem::size_of_val(c.bounds())
+                        assert_eq!((smaller.len(), positions.len()), (n, n));
+                        6 * n + std::mem::size_of_val(smaller.bounds())
                     }
                 };
-                assert_eq!(prepared.resident_bytes(), expected, "{first:?}/{second:?}");
+                assert_eq!(
+                    prepared.resident_bytes(),
+                    first_bytes + second_bytes,
+                    "{first:?}/{second:?}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// Packed ≡ wide.  Over `c/d`, `c/u`, `s/d` and `u/d` (rotated across
+        /// the sizes), results of 0, 1, 2^16 − 1, 2^16, 2^16 + 1 and a random
+        /// ≤ 300 k rows, at a tiny and at a large cache share: every packed
+        /// prefix array widens to exactly the `u32` array the sequential
+        /// kernels build, and a whole-result run and a multi-chunk run both
+        /// stream the materialising executor's bytes.
+        #[test]
+        fn packed_prefix_widens_to_the_wide_arrays_and_streams_the_same_bytes(
+            code_offset in 0usize..4,
+            large_share in 0usize..2,
+            random_rows in 0usize..300_001,
+            seed in 0u64..1_000,
+        ) {
+            use rdx_core::cluster::radix_cluster_oids;
+            use rdx_core::join::partitioned_hash_join;
+            use rdx_core::strategy::common::order_join_index;
+            use rdx_core::strategy::planner::streaming_bytes_per_row;
+            use ProjectionCode::{PartialCluster as C, Sorted as S, Unsorted as U};
+            use SecondSideCode::{Decluster as D, Unsorted as Uu};
+
+            let codes = [(C, D), (C, Uu), (S, D), (U, D)];
+            let params = if large_share == 1 {
+                CacheParams::paper_pentium4()
+            } else {
+                CacheParams::tiny_for_tests()
+            };
+            let spec = QuerySpec::symmetric(2);
+            let policy = ExecPolicy::with_threads(2).morsel_tuples(4_096);
+            let sizes = [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, random_rows];
+            for (i, n) in sizes.into_iter().enumerate() {
+                let (first, second) = codes[(i + code_offset) % codes.len()];
+                let plan = DsmPostProjection::with_codes(first, second);
+                let label = format!("{} n={n} large_share={large_share}", plan.label());
+                let w = JoinWorkloadBuilder::equal(n, 2).seed(seed).build();
+                let pipeline = ProjectionPipeline::new(plan);
+                let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
+
+                // The wide arrays, built by the sequential kernels.
+                let join_index = partitioned_hash_join(
+                    w.larger.key().as_slice(),
+                    w.smaller.key().as_slice(),
+                    join_cluster_spec(n, params.cache_capacity()),
+                );
+                let (first_oids, second_oids) =
+                    order_join_index(&join_index, first, n, VALUE_WIDTH, &params);
+                let rows = first_oids.len();
+                proptest::prop_assert_eq!(prepared.result_rows(), rows, "{}", label);
+                proptest::prop_assert_eq!(
+                    matches!(prepared.first, FirstSide::Packed(_)),
+                    first == C,
+                    "{}",
+                    label
+                );
+                proptest::prop_assert!(
+                    prepared.first.block(0..rows).to_vec() == first_oids,
+                    "{}: first side",
+                    label
+                );
+                match &prepared.second {
+                    SecondSide::Clustered { smaller, positions } => {
+                        let result_positions: Vec<Oid> = (0..rows as Oid).collect();
+                        let wide = radix_cluster_oids(
+                            &second_oids,
+                            &result_positions,
+                            cluster_spec_for(n, VALUE_WIDTH, &params),
+                        );
+                        proptest::prop_assert!(smaller.spec().ignore <= 16, "{}", label);
+                        proptest::prop_assert_eq!(smaller.spec(), wide.spec(), "{}", label);
+                        proptest::prop_assert!(
+                            smaller.to_oids() == wide.keys(),
+                            "{}: CLUST_SMALLER",
+                            label
+                        );
+                        proptest::prop_assert!(positions == wide.payloads(), "{}", label);
+                        proptest::prop_assert_eq!(smaller.bounds(), wide.bounds(), "{}", label);
+                    }
+                    SecondSide::ResultOrder(oids) => {
+                        proptest::prop_assert!(*oids == second_oids, "{}", label);
+                    }
+                }
+
+                let expected = raw_columns(&plan.execute(&w.larger, &w.smaller, &spec, &params));
+                let row_bytes = streaming_bytes_per_row(&spec);
+                let chunked = MemoryBudget::bytes((rows * row_bytes / 5).max(row_bytes));
+                for budget in [MemoryBudget::unbounded(), chunked] {
+                    let policy = policy.budget(budget);
+                    let mut run = DsmPipelineRun::over_dsm(
+                        prepared.clone(),
+                        &w.larger,
+                        &w.smaller,
+                        &spec,
+                        &params,
+                        &policy,
+                    );
+                    let mut sink = MaterializeSink::new();
+                    run.run_to_completion(&mut sink);
+                    let chunks = run.run_stats().chunks_emitted;
+                    proptest::prop_assert!(budget.is_bounded() == (chunks > 1) || rows < 5);
+                    let got: Vec<Vec<i32>> = sink
+                        .into_result()
+                        .columns()
+                        .iter()
+                        .map(|c| c.as_slice().to_vec())
+                        .collect();
+                    proptest::prop_assert!(got == expected, "{}: {} chunks", label, chunks);
+                }
             }
         }
     }
@@ -1713,8 +1936,9 @@ mod tests {
             panic!("an unsorted plan keeps the result-order oids");
         };
         assert_eq!(prepared.result_rows(), n - base);
+        let first_oids = prepared.first.block(0..n - base).to_vec();
         let expected: Vec<Column<i32>> = (0..2)
-            .map(|a| larger.attr(a).gather(&prepared.first_oids))
+            .map(|a| larger.attr(a).gather(&first_oids))
             .chain((0..2).map(|b| smaller.attr(b).gather(second_oids)))
             .collect();
         assert_eq!(unsorted.columns(), expected.as_slice());

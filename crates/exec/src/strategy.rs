@@ -26,12 +26,12 @@ use crate::join::par_partitioned_hash_join;
 use crate::pool::{for_each_output_morsel, ExecPolicy};
 use rdx_cache::CacheParams;
 use rdx_core::cluster::{
-    plan_cluster_passes, plan_partial_cluster, RadixClusterSpec, OID_PAIR_BYTES,
+    plan_cluster_passes, plan_partial_cluster, Clustered, RadixClusterSpec, OID_PAIR_BYTES,
 };
 use rdx_core::decluster::choose_window_bytes;
 use rdx_core::hash::significant_bits;
 use rdx_core::join::join_cluster_spec;
-use rdx_core::positional::AttrSource;
+use rdx_core::positional::{AttrSource, OidBlock};
 use rdx_core::strategy::{
     DsmPostProjection, PhaseTimings, ProjectionCode, QuerySpec, SecondSideCode, StrategyOutcome,
 };
@@ -71,35 +71,60 @@ pub fn par_order_join_index(
             (keys, payloads)
         }
         ProjectionCode::PartialCluster => {
-            let (spec, mode) =
-                plan_partial_cluster(first_cardinality, value_width, OID_PAIR_BYTES, params);
-            let clustered = par_radix_cluster_oids_with_scratch(
-                join_index.larger(),
-                join_index.smaller(),
-                spec,
-                mode,
+            let (keys, payloads, _) = par_partial_cluster_join_index(
+                join_index,
+                first_cardinality,
+                value_width,
+                params,
                 policy,
-                &mut ParClusterScratch::new(),
-            );
-            let (keys, payloads, _) = clustered.into_parts();
+            )
+            .into_parts();
             (keys, payloads)
         }
     }
 }
 
+/// The `c` reorder of [`par_order_join_index`], returned as the clustering
+/// itself — keys are the first side's oids, payloads the second side's — so
+/// a caller that keeps the index can pack it under its cluster bounds.
+pub fn par_partial_cluster_join_index(
+    join_index: &JoinIndex,
+    first_cardinality: usize,
+    value_width: usize,
+    params: &CacheParams,
+    policy: &ExecPolicy,
+) -> Clustered<Oid, Oid> {
+    let (spec, mode) = plan_partial_cluster(first_cardinality, value_width, OID_PAIR_BYTES, params);
+    par_radix_cluster_oids_with_scratch(
+        join_index.larger(),
+        join_index.smaller(),
+        spec,
+        mode,
+        policy,
+        &mut ParClusterScratch::new(),
+    )
+}
+
 /// Morsel-parallel block fetch of one column: `out[r]` = attribute `attr` of
 /// tuple `oids[r]`, with the source asked once per **morsel** — never per
-/// value (the contract of [`AttrSource`]).
+/// value (the contract of [`AttrSource`]) — whether the oids are plain or
+/// packed.  The form is matched once per column, so each morsel loop is
+/// the plain one of its form.
 pub fn par_gather_into<S: AttrSource + Sync + ?Sized>(
     source: &S,
     attr: usize,
-    oids: &[Oid],
+    oids: OidBlock<'_>,
     policy: &ExecPolicy,
     out: &mut [i32],
 ) {
-    for_each_output_morsel(out, policy, |offset, block| {
-        source.gather_into(attr, &oids[offset..offset + block.len()], block);
-    });
+    match oids {
+        OidBlock::Wide(oids) => for_each_output_morsel(out, policy, |offset, block| {
+            source.gather_into(attr, &oids[offset..offset + block.len()], block);
+        }),
+        OidBlock::Packed(oids) => for_each_output_morsel(out, policy, |offset, block| {
+            source.gather_packed_into(attr, oids.slice(offset..offset + block.len()), block);
+        }),
+    }
 }
 
 /// Morsel-parallel positional joins: projects the first `n_attrs` attributes
@@ -111,7 +136,7 @@ pub fn par_project_columns<S: AttrSource + Sync + ?Sized>(
     policy: &ExecPolicy,
 ) -> Vec<Vec<i32>> {
     let mut columns: Vec<Vec<i32>> = (0..n_attrs).map(|_| Vec::new()).collect();
-    par_project_columns_into(oids, source, policy, &mut columns);
+    par_project_columns_into(OidBlock::Wide(oids), source, policy, &mut columns);
     columns
 }
 
@@ -121,7 +146,7 @@ pub fn par_project_columns<S: AttrSource + Sync + ?Sized>(
 /// have grown — the streaming pipeline's steady state.  Column `b` is
 /// filled with attribute `b`.
 pub fn par_project_columns_into<S: AttrSource + Sync + ?Sized>(
-    oids: &[Oid],
+    oids: OidBlock<'_>,
     source: &S,
     policy: &ExecPolicy,
     columns: &mut [Vec<i32>],
@@ -166,7 +191,13 @@ pub fn par_project_second_side_decluster<S: AttrSource + Sync + ?Sized>(
     let mut clust_values = vec![0i32; n];
     let columns = (0..n_attrs)
         .map(|attr| {
-            par_gather_into(source, attr, clustered.keys(), policy, &mut clust_values);
+            par_gather_into(
+                source,
+                attr,
+                OidBlock::Wide(clustered.keys()),
+                policy,
+                &mut clust_values,
+            );
             par_radix_decluster(
                 &clust_values,
                 clustered.payloads(),

@@ -366,8 +366,8 @@ fn a_whole_result_profiled_chunk_replays_the_same_counts() {
     // (second-side code, profile.accesses, profile.l2_misses), recorded
     // from the chunk loop that copied the prefix into chunk-local arrays.
     for (second, accesses, l2_misses) in [
-        (SecondSideCode::Unsorted, 24_000u64, 2_242u64),
-        (SecondSideCode::Decluster, 36_006, 3_706),
+        (SecondSideCode::Unsorted, 24_000u64, 2_072u64),
+        (SecondSideCode::Decluster, 36_006, 3_274),
     ] {
         let mut session = Session::new(ServeConfig {
             params: CacheParams::tiny_for_tests(),
