@@ -5,9 +5,7 @@ use crate::Session;
 use rdx_core::budget::MemoryBudget;
 use rdx_core::error::RdxError;
 use rdx_core::fault::RetryPolicy;
-use rdx_core::strategy::{
-    AdaptivePolicy, DsmPostProjection, MaterializeSink, QuerySpec, RowChunkSink,
-};
+use rdx_core::strategy::{DsmPostProjection, MaterializeSink, QuerySpec, RowChunkSink};
 use rdx_serve::{QueryResult, QueryStats, RelationId, ServerRequest, TenantId};
 
 /// A projection query under construction:
@@ -73,27 +71,13 @@ impl<'s> Query<'s> {
         self
     }
 
-    /// Arms **runtime-adaptive chunk re-tuning** under `policy` (default
-    /// off): after every emitted chunk the pipeline compares observed
-    /// wall-clock against the cost model's per-chunk prediction and, when
-    /// the EWMA leaves the policy's hysteresis band, re-plans the remaining
-    /// rows — tighter chunks when slower than predicted, back toward the
-    /// full share when faster.  Adaptation moves only chunk boundaries,
-    /// never bytes, so results are unaffected; re-plans show up in
-    /// [`QueryStats::adaptive_replans`] and as `Replan` trace events.
-    pub fn adaptive(mut self, policy: AdaptivePolicy) -> Self {
-        self.request = self.request.with_adaptive(policy);
-        self
-    }
-
     /// Arms **cache-truth profiling** (default off): every emitted chunk's
     /// memory-access pattern is replayed through the session's simulated
     /// cache hierarchy, recording per-phase spans, per-chunk miss counts
     /// (`profile.*` metrics) and `ChunkProfile` trace events — deterministic
-    /// numbers that survive any container, unlike wall-clock.  Combined with
-    /// [`Query::adaptive`], the controller is fed simulated stall time
-    /// instead of wall-clock.  Output stays byte-identical by construction;
-    /// requires the session's observability to be on to take effect.
+    /// numbers that survive any container, unlike wall-clock.  Output stays
+    /// byte-identical by construction; requires the session's observability
+    /// to be on to take effect.
     pub fn profiled(mut self) -> Self {
         self.request = self.request.with_profiled();
         self

@@ -1,5 +1,6 @@
 //! Figure-reproduction harness: one subcommand per table/figure of the
-//! paper's evaluation (see DESIGN.md §4 for the experiment index).
+//! paper's evaluation (§4; the subcommand names follow the paper's figure
+//! numbers).
 //!
 //! ```text
 //! cargo run --release -p rdx-bench --bin figures -- <figure> [--scale small|medium|paper] [--sparse]
@@ -9,8 +10,7 @@
 //!
 //! Every subcommand prints the same rows/series the corresponding paper figure
 //! plots.  Absolute milliseconds belong to this host; the shapes (orderings,
-//! crossovers, knee positions) are what EXPERIMENTS.md compares against the
-//! paper.
+//! crossovers, knee positions) are what reproduces the paper.
 
 use rdx_bench::measure::*;
 use rdx_bench::table::ms;

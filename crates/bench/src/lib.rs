@@ -1,7 +1,7 @@
 //! # rdx-bench — shared pieces of the figure-reproduction harness
 //!
 //! The `figures` binary (one subcommand per table/figure of the paper's
-//! evaluation, see DESIGN.md §4) and the Criterion benches both build on the
+//! evaluation, §4) and the Criterion benches both build on the
 //! helpers here: scale presets, timed single-figure measurement routines and a
 //! small fixed-width table printer.
 //!

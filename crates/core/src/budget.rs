@@ -127,8 +127,8 @@ impl MemoryBudget {
     }
 
     /// Checks that at least one result row of `bytes_per_row` resident bytes
-    /// fits under this cap — the plan-time guard behind
-    /// `plan_streaming_checked`.  A bounded budget below the one-row floor
+    /// fits under this cap — the guard the serving layer's admission runs
+    /// before it plans a query.  A bounded budget below the one-row floor
     /// yields [`BudgetError::BelowOneRow`]; the panicking/clamping paths
     /// ([`MemoryBudget::chunk_rows`]) stay available for callers that prefer
     /// the documented clamp.

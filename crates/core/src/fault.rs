@@ -1,6 +1,5 @@
 //! The **deterministic fault-injection harness**: scripted degradation for
-//! the serving stack, in the spirit of
-//! [`crate::strategy::adapt::ScriptedFeedback`].
+//! the serving stack.
 //!
 //! Robustness paths — worker panics, deadline misses, admission denials,
 //! cache evictions — are the hardest code in a serving system to test,

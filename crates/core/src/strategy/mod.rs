@@ -18,7 +18,6 @@
 //! (larger-side attributes first, then smaller-side) plus per-phase wall-clock
 //! timings, which is what the figure harness plots.
 
-pub mod adapt;
 pub mod common;
 pub mod dsm_post;
 pub mod dsm_pre;
@@ -30,10 +29,6 @@ pub mod sink;
 pub mod sparse;
 pub mod strings;
 
-pub use adapt::{
-    resplit_budget, AdaptiveController, AdaptiveDecision, AdaptivePolicy, FeedbackSource,
-    MissCountFeedback, ScriptedFeedback, SharedMissCounts, WallClockFeedback,
-};
 pub use common::{ProjectionCode, SecondSideCode};
 pub use dsm_post::DsmPostProjection;
 pub use dsm_pre::{dsm_pre_projection, try_dsm_pre_projection};
@@ -45,7 +40,7 @@ pub use nsm_pre::{
     nsm_pre_projection_hash, nsm_pre_projection_phash, try_nsm_pre_projection_hash,
     try_nsm_pre_projection_phash,
 };
-pub use planner::{plan_by_cost, plan_streaming, plan_streaming_checked, StreamingPlan};
+pub use planner::{plan_by_cost, plan_streaming, StreamingPlan};
 pub use sink::{CountingSink, MaterializeSink, PagedSink, RowChunkSink};
 pub use sparse::{dsm_post_projection_sparse, try_dsm_post_projection_sparse};
 pub use strings::{dsm_post_projection_with_strings, try_dsm_post_projection_with_strings};

@@ -10,7 +10,7 @@
 //! adapts to π, N and the cache parameters instead of using only the
 //! fits-in-cache rule of [`DsmPostProjection::plan`].
 
-use crate::budget::{BudgetError, MemoryBudget};
+use crate::budget::MemoryBudget;
 use crate::cluster::{
     plan_cluster_passes, plan_partial_cluster, RadixClusterSpec, ScatterMode, OID_PAIR_BYTES,
 };
@@ -254,9 +254,10 @@ impl StreamingPlan {
 /// ([`streaming_bytes_per_row`]) is clamped to a one-row chunk, so the
 /// pipeline's actual peak working set exceeds the stated limit by up to
 /// `bytes_per_row - 1` bytes.  Callers that must not exceed the limit —
-/// the serving layer's admission controller — use
-/// [`plan_streaming_checked`], which turns the clamp into a typed
-/// [`BudgetError::BelowOneRow`] instead.
+/// the serving layer's admission controller — first call
+/// [`MemoryBudget::check_one_row`], which turns the clamp into a typed
+/// [`BudgetError::BelowOneRow`](crate::budget::BudgetError::BelowOneRow)
+/// instead.
 pub fn plan_streaming(
     result_rows: usize,
     smaller_tuples: usize,
@@ -289,33 +290,6 @@ pub fn plan_streaming(
         cluster_spec,
         scatter,
     }
-}
-
-/// The non-clamping form of [`plan_streaming`]: a bounded budget that cannot
-/// hold even one resident result row is rejected with
-/// [`BudgetError::BelowOneRow`] at plan time, instead of the documented
-/// clamp (or, in older code paths, a deep panic once the over-budget chunk
-/// tried to allocate).  Everything admissible plans exactly as
-/// [`plan_streaming`] does.
-pub fn plan_streaming_checked(
-    result_rows: usize,
-    smaller_tuples: usize,
-    smaller_value_width: usize,
-    spec: &QuerySpec,
-    params: &CacheParams,
-    budget: MemoryBudget,
-    threads: usize,
-) -> Result<StreamingPlan, BudgetError> {
-    budget.check_one_row(streaming_bytes_per_row(spec))?;
-    Ok(plan_streaming(
-        result_rows,
-        smaller_tuples,
-        smaller_value_width,
-        spec,
-        params,
-        budget,
-        threads,
-    ))
 }
 
 /// Predicted cost (milliseconds on the modeled platform) of the second-side
@@ -508,31 +482,12 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_budget_is_a_typed_error_when_checked_and_a_clamp_otherwise() {
+    fn degenerate_budget_clamps_to_a_one_row_chunking() {
         let params = CacheParams::paper_pentium4();
         let spec = QuerySpec::symmetric(2);
         let floor = streaming_bytes_per_row(&spec);
         assert_eq!(floor, (2 + 2 + 3) * 4);
-        // Checked path: one byte below the one-row floor is rejected with the
-        // offending numbers attached.
-        let err = plan_streaming_checked(
-            1_000,
-            1_000,
-            4,
-            &spec,
-            &params,
-            MemoryBudget::bytes(floor - 1),
-            1,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            crate::budget::BudgetError::BelowOneRow {
-                budget_bytes: floor - 1,
-                bytes_per_row: floor
-            }
-        );
-        // Unchecked path: the same budget clamps to a documented one-row
+        // One byte below the one-row floor clamps to a documented one-row
         // chunking instead of panicking anywhere downstream.
         let clamped = plan_streaming(
             1_000,
@@ -545,39 +500,6 @@ mod tests {
         );
         assert_eq!(clamped.chunk_rows, 1);
         assert_eq!(clamped.num_chunks, 1_000);
-        // At exactly the floor (and for unbounded budgets) checked == unchecked.
-        let at_floor = plan_streaming_checked(
-            1_000,
-            1_000,
-            4,
-            &spec,
-            &params,
-            MemoryBudget::bytes(floor),
-            1,
-        )
-        .unwrap();
-        assert_eq!(
-            at_floor,
-            plan_streaming(
-                1_000,
-                1_000,
-                4,
-                &spec,
-                &params,
-                MemoryBudget::bytes(floor),
-                1
-            )
-        );
-        assert!(plan_streaming_checked(
-            1_000,
-            1_000,
-            4,
-            &spec,
-            &params,
-            MemoryBudget::unbounded(),
-            1
-        )
-        .is_ok());
     }
 
     #[test]

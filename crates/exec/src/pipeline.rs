@@ -1,6 +1,6 @@
 //! The memory-budgeted **streaming projection pipeline** — cluster →
 //! decluster → fetch in chunks sized by an explicit
-//! [`MemoryBudget`].
+//! [`MemoryBudget`](rdx_core::budget::MemoryBudget).
 //!
 //! Every other executor in the workspace (sequential and parallel)
 //! materialises the full projected relation: `O(N · π)` value bytes live in
@@ -64,21 +64,13 @@ use crate::strategy::{
     par_gather_into, par_order_join_index, par_partial_cluster_join_index, par_project_columns_into,
 };
 use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, Region};
-use rdx_core::budget::MemoryBudget;
 use rdx_core::cluster::{plan_partial_cluster, PackedOids, RadixClusterSpec, ScatterMode};
 use rdx_core::decluster::chunks::{ChunkCursorState, ChunkRuns};
 use rdx_core::decluster::traced::radix_decluster_traced;
 use rdx_core::decluster::DeclusterScratch;
-use rdx_core::error::RdxError;
 use rdx_core::join::join_cluster_spec;
 use rdx_core::positional::{AttrSource, OidBlock};
-use rdx_core::strategy::adapt::{
-    resplit_budget, AdaptiveController, AdaptiveDecision, AdaptivePolicy, FeedbackSource,
-    SharedMissCounts,
-};
-use rdx_core::strategy::planner::{
-    plan_streaming, plan_streaming_checked, predict_streaming_cost, StreamingPlan,
-};
+use rdx_core::strategy::planner::{plan_streaming, predict_streaming_cost, StreamingPlan};
 use rdx_core::strategy::sink::{MaterializeSink, RowChunkSink};
 use rdx_core::strategy::{
     DsmPostProjection, PhaseTimings, ProjectionCode, QuerySpec, SecondSideCode, StrategyOutcome,
@@ -286,9 +278,6 @@ pub struct PipelineStats {
     pub rows_emitted: usize,
     /// Largest per-chunk working set observed, in bytes.
     pub peak_chunk_bytes: usize,
-    /// Mid-flight re-splits the adaptive controller fired (0 unless
-    /// [`PipelineRun::attach_adaptive`] was called).
-    pub adaptive_replans: usize,
     /// Phase wall-clock breakdown ([`PhaseTimings`] semantics; chunked
     /// phases accumulate across chunks).
     pub timings: PhaseTimings,
@@ -354,39 +343,14 @@ struct RunObs {
     predicted_chunk_ns: u64,
     chunk_ns: rdx_obs::Histogram,
     ratio_permille: rdx_obs::Histogram,
-    resplit_delta: rdx_obs::Histogram,
-}
-
-/// The adaptive-execution state a [`PipelineRun`] carries when a policy is
-/// attached: the EWMA controller, the feedback source it listens to, the
-/// cache parameters re-plans re-price against, and the current (possibly
-/// correction-folded) per-chunk prediction.  All of it is allocated once at
-/// [`PipelineRun::attach_adaptive`]; observing a chunk and *holding* — the
-/// steady state — allocates nothing.
-struct RunAdapt {
-    controller: AdaptiveController,
-    source: Box<dyn FeedbackSource + Send>,
-    params: CacheParams,
-    predicted_chunk_ns: u64,
-    /// Cumulative observed-vs-model correction in permille.  Each re-plan's
-    /// EWMA is measured against the *already corrected* prediction, so the
-    /// total mispricing is the product of the fired EWMAs — this is what
-    /// [`resplit_budget`] shrinks the grant by, letting sustained slow
-    /// feedback tighten chunks further on every fired re-plan instead of
-    /// re-deriving the same plan.
-    correction_permille: u64,
-    replans: usize,
-    /// The registry counter every fired re-split bumps, here and only here.
-    fired: rdx_obs::Counter,
 }
 
 /// The cache-truth profiling state a [`PipelineRun`] carries when the
 /// profiled mode is on: a persistent [`MemorySystem`] the run replays every
 /// chunk's memory-access pattern through, the simulated regions standing
-/// for the operand arrays, the pre-resolved [`rdx_obs::Profile`]
-/// instruments, and the [`SharedMissCounts`] mailbox a
-/// [`MissCountFeedback`](rdx_core::strategy::adapt::MissCountFeedback)
-/// reads from.
+/// for the operand arrays, and the pre-resolved [`rdx_obs::Profile`]
+/// instruments.  The chunk-local regions are sized once, at attach, for the
+/// run's fixed chunking.
 ///
 /// Profiling never touches the output path — the chunk is computed by the
 /// normal kernels and the replay only *simulates* the same accesses — so
@@ -399,8 +363,6 @@ struct RunProfile {
     obs: Obs,
     query: QueryId,
     mem: MemorySystem,
-    shared: SharedMissCounts,
-    space: AddressSpace,
     first_oids_region: Region,
     second_oids_region: Region,
     larger_cols: Vec<Region>,
@@ -430,17 +392,6 @@ enum SecondSideReplay<'a> {
 }
 
 impl RunProfile {
-    /// Grows the chunk-local regions to hold `rows` elements (fresh
-    /// addresses model a re-grown scratch buffer; reached only when a
-    /// re-plan raises the chunk size past every previous chunk).
-    fn ensure_chunk_capacity(&mut self, rows: usize) {
-        if rows > self.chunk_capacity {
-            self.chunk_oids = self.space.alloc(rows, 4);
-            self.chunk_out = self.space.alloc(rows, VALUE_WIDTH);
-            self.chunk_capacity = rows;
-        }
-    }
-
     /// Replays one emitted chunk's logical memory accesses through the
     /// simulator and returns the miss counts it charged: per projected
     /// column, the sequential oid-stream read (at the width the oids are
@@ -456,8 +407,10 @@ impl RunProfile {
         second: SecondSideReplay<'_>,
     ) -> EventCounts {
         let first_oids = chunk_first_oids.to_vec();
-        let rows = first_oids.len();
-        self.ensure_chunk_capacity(rows);
+        debug_assert!(
+            first_oids.len() <= self.chunk_capacity,
+            "a chunk outgrew the run's fixed chunking"
+        );
         let before = self.mem.counts();
         let first_width = self.first_oids_region.elem_width();
         for col in 0..self.larger_cols.len() {
@@ -543,20 +496,6 @@ impl RunProfile {
     }
 }
 
-/// The cost model's per-chunk prediction for `plan` covering `result_rows`
-/// rows, in nanoseconds — [`predict_streaming_cost`] (whole-run millis)
-/// divided across the plan's chunks.
-fn per_chunk_prediction_ns(
-    plan: &StreamingPlan,
-    smaller_tuples: usize,
-    result_rows: usize,
-    spec: &QuerySpec,
-    params: &CacheParams,
-) -> u64 {
-    let total_ms = predict_streaming_cost(plan, smaller_tuples, result_rows, spec, params);
-    ((total_ms / plan.num_chunks.max(1) as f64) * 1e6) as u64
-}
-
 /// A boxed [`AttrSource`], the type-erased form the serving layer uses so
 /// runs over different storage models are homogeneous.  The dynamic call is
 /// per block (one morsel of one column), never per value.
@@ -593,7 +532,6 @@ pub struct PipelineRun<L, S> {
     begun: bool,
     finished: bool,
     obs: Option<Box<RunObs>>,
-    adapt: Option<Box<RunAdapt>>,
     profile: Option<Box<RunProfile>>,
 }
 
@@ -659,7 +597,6 @@ where
             begun: false,
             finished: false,
             obs: None,
-            adapt: None,
             profile: None,
         }
     }
@@ -683,7 +620,6 @@ where
             predicted_chunk_ns,
             chunk_ns: metrics.histogram("pipeline.chunk_ns"),
             ratio_permille: metrics.histogram("pipeline.predicted_vs_observed_permille"),
-            resplit_delta: metrics.histogram("pipeline.resplit_chunk_delta"),
         }));
     }
 
@@ -691,13 +627,10 @@ where
     /// the emitted chunk's memory-access pattern through a simulated
     /// [`MemorySystem`] under `params`, records per-phase spans and
     /// per-chunk [`rdx_obs::MissCounts`] into `obs` (`ChunkProfile` trace
-    /// events adjacent to each `ChunkStep`, `profile.*` metrics), and
-    /// publishes the raw counts to a [`SharedMissCounts`] mailbox
-    /// ([`Self::profile_shared`]) so an adaptive controller can react to
-    /// simulated cache pressure instead of wall-clock.  Output is untouched
-    /// — the replay only simulates — so a profiled run stays byte-identical
-    /// to an unprofiled one by construction.  An untraced `obs` is a no-op:
-    /// the run stays exactly as cheap as an unprofiled one.
+    /// events adjacent to each `ChunkStep`, `profile.*` metrics).  Output is
+    /// untouched — the replay only simulates — so a profiled run stays
+    /// byte-identical to an unprofiled one by construction.  An untraced
+    /// `obs` is a no-op: the run stays exactly as cheap as an unprofiled one.
     pub fn attach_profile(&mut self, obs: &Obs, query: QueryId, params: &CacheParams) {
         let Some(profile) = obs.profile() else {
             return; // untraced obs: stay as cheap as an unprofiled run
@@ -737,8 +670,6 @@ where
             obs: obs.clone(),
             query,
             mem: MemorySystem::new(params),
-            shared: SharedMissCounts::new(),
-            space,
             first_oids_region,
             second_oids_region,
             larger_cols,
@@ -749,130 +680,20 @@ where
         }));
     }
 
-    /// The profiled run's miss-count mailbox — what a
-    /// [`MissCountFeedback`](rdx_core::strategy::adapt::MissCountFeedback)
-    /// handed to [`Self::attach_adaptive`] reads from.  `None` unless
-    /// [`Self::attach_profile`] armed profiling.
-    pub fn profile_shared(&self) -> Option<SharedMissCounts> {
-        self.profile.as_deref().map(|p| p.shared.clone())
-    }
-
-    /// The cost model's current per-chunk prediction for this run, in
+    /// The cost model's per-chunk prediction for this run, in
     /// nanoseconds — [`predict_streaming_cost`] over the run's streaming
-    /// plan, divided across its chunks.  The single pricing rule the
-    /// observability attach, the adaptive controller and mid-flight
-    /// re-plans all share, so they can never disagree about what "as
-    /// predicted" means.
+    /// plan, divided across its chunks.  The one pricing rule the
+    /// observability attach and the engine's deadline stride share, so they
+    /// can never disagree about what "as predicted" means.
     pub fn predicted_chunk_ns(&self, params: &CacheParams) -> u64 {
-        per_chunk_prediction_ns(
+        let total_ms = predict_streaming_cost(
             &self.streaming,
             self.prepared.smaller_cardinality,
             self.prepared.result_rows(),
             &self.spec,
             params,
-        )
-    }
-
-    /// Arms runtime adaptation: after every emitted chunk the run feeds
-    /// `source`'s observation into an EWMA-with-hysteresis controller and,
-    /// when the controller fires, re-prices the **remaining** rows with
-    /// [`plan_streaming`] and resumes from the same cursors.  Already-
-    /// emitted chunks are never touched and the cluster spec never changes,
-    /// so adaptive output is byte-identical to non-adaptive output by
-    /// construction — only chunk boundaries move.  Every fired re-split
-    /// bumps `replans` (the engine passes its `pipeline.adaptive_replans`
-    /// counter; a standalone run may pass `Counter::default()`).  The
-    /// grant is a ceiling:
-    /// slower-than-predicted feedback *shrinks* the effective budget
-    /// ([`resplit_budget`]); faster-than-predicted feedback restores at
-    /// most the original budget, never more.
-    ///
-    /// All adaptive state (controller, feedback source, prediction) is
-    /// allocated here, once: observing chunks that *hold* allocates
-    /// nothing, preserving the steady-state zero-allocation guarantee.
-    pub fn attach_adaptive(
-        &mut self,
-        policy: AdaptivePolicy,
-        source: Box<dyn FeedbackSource + Send>,
-        params: &CacheParams,
-        replans: rdx_obs::Counter,
-    ) {
-        self.adapt = Some(Box::new(RunAdapt {
-            controller: AdaptiveController::new(policy),
-            source,
-            params: params.clone(),
-            predicted_chunk_ns: self.predicted_chunk_ns(params).max(1),
-            correction_permille: 1_000,
-            replans: 0,
-            fired: replans,
-        }));
-    }
-
-    /// Swaps the feedback source of an already-armed run (no-op when
-    /// adaptation is off) — how a deterministic harness injects a scripted
-    /// timing sequence into a run the serving layer built with the
-    /// production wall-clock source.
-    pub fn replace_feedback(&mut self, source: Box<dyn FeedbackSource + Send>) {
-        if let Some(adapt) = self.adapt.as_deref_mut() {
-            adapt.source = source;
-        }
-    }
-
-    /// Re-prices the remaining rows under a new budget mid-flight (an
-    /// engine share change), resuming from the current cursors.  Fails with
-    /// the typed [`RdxError::Budget`] — never a silent clamp — when the new
-    /// budget cannot hold even one row; on failure the run is unchanged and
-    /// still streams under its previous plan.
-    pub fn rebudget(&mut self, budget: MemoryBudget, params: &CacheParams) -> Result<(), RdxError> {
-        let remaining = self.prepared.result_rows() - self.emitted;
-        let new_plan = plan_streaming_checked(
-            remaining.max(1),
-            self.prepared.smaller_cardinality,
-            self.prepared.smaller_value_width,
-            &self.spec,
-            params,
-            budget,
-            self.policy.threads,
-        )
-        .map_err(RdxError::Budget)?;
-        debug_assert_eq!(
-            new_plan.cluster_spec, self.streaming.cluster_spec,
-            "mid-flight rebudget drifted the cluster spec"
         );
-        let old_chunks = remaining.div_ceil(self.streaming.chunk_rows.max(1));
-        let new_chunks = remaining.div_ceil(new_plan.chunk_rows.max(1));
-        self.policy.budget = budget;
-        if remaining > 0 {
-            self.streaming = new_plan;
-        }
-        let corrected = per_chunk_prediction_ns(
-            &self.streaming,
-            self.prepared.smaller_cardinality,
-            remaining.max(1),
-            &self.spec,
-            params,
-        )
-        .max(1);
-        if let Some(adapt) = self.adapt.as_deref_mut() {
-            adapt.predicted_chunk_ns = corrected;
-        }
-        if let Some(run_obs) = self.obs.as_deref_mut() {
-            run_obs.predicted_chunk_ns = corrected;
-            run_obs.obs.record(
-                run_obs.query,
-                EventKind::Replan {
-                    old_chunks: old_chunks as u32,
-                    new_chunks: new_chunks as u32,
-                    reason: "rebudget",
-                },
-            );
-        }
-        Ok(())
-    }
-
-    /// Mid-flight re-splits the adaptive controller has fired so far.
-    pub fn adaptive_replans(&self) -> usize {
-        self.adapt.as_ref().map_or(0, |a| a.replans)
+        ((total_ms / self.streaming.num_chunks.max(1) as f64) * 1e6) as u64
     }
 
     /// Replaces this run's chunk scratch with `scratch` (typically one
@@ -938,9 +759,8 @@ where
         let chunk_end = (emitted + self.streaming.chunk_rows).min(n);
         let rows = chunk_end - emitted;
         let mut chunk_bytes = rows * self.spec.total() * VALUE_WIDTH;
-        // Chunk wall-clock is only measured when someone consumes it: an
-        // observer, an adaptive controller, or both.
-        let chunk_start = (self.obs.is_some() || self.adapt.is_some()).then(Instant::now);
+        // Chunk wall-clock is only measured when an observer consumes it.
+        let chunk_start = self.obs.is_some().then(Instant::now);
 
         // All chunk-local buffers come from the run's scratch: after the
         // first (largest) chunk has grown them, a steady-state step
@@ -1042,8 +862,8 @@ where
         sink.emit(emitted, &mut scratch.columns);
         self.chunks_emitted += 1;
         self.emitted = chunk_end;
-        let observed_ns = chunk_start.map(|start| start.elapsed().as_nanos() as u64);
-        if let (Some(run_obs), Some(observed_ns)) = (self.obs.as_deref(), observed_ns) {
+        if let (Some(run_obs), Some(start)) = (self.obs.as_deref(), chunk_start) {
+            let observed_ns = start.elapsed().as_nanos() as u64;
             run_obs.chunk_ns.record(observed_ns);
             if let Some(permille) = observed_ns
                 .saturating_mul(1000)
@@ -1063,10 +883,8 @@ where
             );
         }
         // Profiled mode: replay this chunk's memory-access pattern through
-        // the simulator and publish the counts BEFORE the adaptive
-        // controller observes the chunk, so a MissCountFeedback sees the
-        // very chunk it is asked about.  Output was already emitted above —
-        // the replay only simulates.
+        // the simulator.  Output was already emitted above — the replay
+        // only simulates.
         if let Some(prof) = self.profile.as_deref_mut() {
             // `profile` is a distinct field from `prepared`/`scratch`/
             // `spec`/`streaming`, so these immutable borrows coexist with
@@ -1112,7 +930,6 @@ where
                 tlb_misses: counts.tlb_misses,
                 stall_cycles: counts.stall_cycles(params).round() as u64,
             };
-            prof.shared.publish(&counts, params);
             prof.profile.record_chunk(
                 &prof.obs,
                 prof.query,
@@ -1120,99 +937,7 @@ where
                 miss,
             );
         }
-        // Feed the adaptive controller last, once the chunk's own event is
-        // recorded: a Replan therefore always trails the ChunkStep that
-        // triggered it, and only fires while rows remain to re-split.
-        if self.adapt.is_some() && self.emitted < n {
-            self.maybe_resplit(rows, observed_ns.unwrap_or(0));
-        }
         Some(rows)
-    }
-
-    /// The between-chunks re-split point: feeds the just-emitted chunk to
-    /// the feedback source and controller; on a `Replan` decision,
-    /// re-prices the remaining rows (under the correction-scaled budget)
-    /// and swaps the streaming plan in place.  The cursors are untouched —
-    /// they accept any non-decreasing chunk end — so the next [`Self::step`]
-    /// simply continues at the new granularity.
-    fn maybe_resplit(&mut self, rows: usize, measured_ns: u64) {
-        let remaining = self.prepared.result_rows() - self.emitted;
-        let (ewma_permille, reason) = {
-            let Some(adapt) = self.adapt.as_deref_mut() else {
-                return;
-            };
-            let predicted = adapt.predicted_chunk_ns;
-            let observed =
-                adapt
-                    .source
-                    .observe_chunk(self.chunks_emitted - 1, rows, measured_ns, predicted);
-            match adapt.controller.observe(observed, predicted) {
-                AdaptiveDecision::Hold => return,
-                AdaptiveDecision::Replan {
-                    ewma_permille,
-                    reason,
-                } => (ewma_permille, reason),
-            }
-        };
-        let Some(adapt) = self.adapt.as_deref_mut() else {
-            return;
-        };
-        // Slower than predicted: the model under-priced the cache pressure,
-        // so re-plan the tail under a proportionally smaller working set.
-        // Faster: restore at most the original grant — never exceed it.
-        // The EWMA is relative to the already-corrected prediction, so the
-        // total mispricing compounds across fired re-plans.
-        adapt.correction_permille = adapt
-            .correction_permille
-            .saturating_mul(ewma_permille)
-            .max(1_000)
-            / 1_000;
-        let effective = resplit_budget(self.policy.budget, adapt.correction_permille);
-        let new_plan = plan_streaming(
-            remaining,
-            self.prepared.smaller_cardinality,
-            self.prepared.smaller_value_width,
-            &self.spec,
-            &adapt.params,
-            effective,
-            self.policy.threads,
-        );
-        debug_assert_eq!(
-            new_plan.cluster_spec, self.streaming.cluster_spec,
-            "adaptive re-split drifted the cluster spec"
-        );
-        let old_chunks = remaining.div_ceil(self.streaming.chunk_rows.max(1));
-        let new_chunks = remaining.div_ceil(new_plan.chunk_rows.max(1));
-        // Fold the learned correction into the prediction: if the world
-        // really is `correction/1000` times the model, the next ratio lands
-        // near 1000 and the controller settles instead of re-firing forever.
-        let model_ns = per_chunk_prediction_ns(
-            &new_plan,
-            self.prepared.smaller_cardinality,
-            remaining,
-            &self.spec,
-            &adapt.params,
-        );
-        adapt.predicted_chunk_ns =
-            (model_ns.saturating_mul(adapt.correction_permille) / 1_000).max(1);
-        adapt.replans += 1;
-        adapt.fired.inc();
-        let corrected = adapt.predicted_chunk_ns;
-        self.streaming = new_plan;
-        if let Some(run_obs) = self.obs.as_deref_mut() {
-            run_obs.predicted_chunk_ns = corrected;
-            run_obs
-                .resplit_delta
-                .record(old_chunks.abs_diff(new_chunks) as u64);
-            run_obs.obs.record(
-                run_obs.query,
-                EventKind::Replan {
-                    old_chunks: old_chunks as u32,
-                    new_chunks: new_chunks as u32,
-                    reason,
-                },
-            );
-        }
     }
 
     /// Steps the run to completion.
@@ -1229,7 +954,6 @@ where
             chunks_emitted: self.chunks_emitted,
             rows_emitted: self.emitted,
             peak_chunk_bytes: self.peak_chunk_bytes,
-            adaptive_replans: self.adaptive_replans(),
             timings: self.timings,
         }
     }
@@ -2087,8 +1811,7 @@ mod tests {
 
     #[test]
     fn profiled_run_is_byte_identical_and_counts_are_deterministic() {
-        use rdx_core::strategy::adapt::MissCountFeedback;
-        use rdx_obs::{Obs, ObsConfig, QueryId};
+        use rdx_obs::{EventKind, Obs, ObsConfig, QueryId};
 
         let w = JoinWorkloadBuilder::equal(2_000, 2).seed(11).build();
         let spec = QuerySpec::symmetric(2);
@@ -2115,13 +1838,7 @@ mod tests {
                     &policy,
                 );
                 run.attach_profile(&obs, query, &params);
-                let shared = run.profile_shared().expect("profiling armed");
-                run.attach_adaptive(
-                    AdaptivePolicy::default(),
-                    Box::new(MissCountFeedback::new(shared.clone())),
-                    &params,
-                    rdx_obs::Counter::default(),
-                );
+                assert!(run.profile.is_some(), "profiling armed");
                 let mut sink = MaterializeSink::new();
                 run.run_to_completion(&mut sink);
                 let cols: Vec<Vec<i32>> = sink
@@ -2131,8 +1848,6 @@ mod tests {
                     .map(|c| c.as_slice().to_vec())
                     .collect();
                 assert_eq!(cols, expected, "profiled output drifted ({second:?})");
-                // The mailbox saw the last chunk's counts.
-                assert!(shared.last().accesses > 0);
 
                 let snap = obs.metrics_snapshot().unwrap();
                 let total = [
@@ -2152,6 +1867,16 @@ mod tests {
                     .filter(|e| e.kind.label() == "chunk_profile")
                     .count();
                 assert_eq!(profiles, run.run_stats().chunks_emitted);
+                // The last chunk's replay charged accesses too.
+                let last = events
+                    .iter()
+                    .rev()
+                    .find_map(|e| match e.kind {
+                        EventKind::ChunkProfile { accesses, .. } => Some(accesses),
+                        _ => None,
+                    })
+                    .unwrap();
+                assert!(last > 0);
                 assert_eq!(snap.histogram("profile.phase.cluster_ns").unwrap().count, 1);
                 totals.push(total);
             }
@@ -2174,9 +1899,9 @@ mod tests {
         let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
         let mut run =
             DsmPipelineRun::over_dsm(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
-        assert!(run.profile_shared().is_none());
+        assert!(run.profile.is_none());
         run.attach_profile(&Obs::disabled(), QueryId::next(), &params);
-        assert!(run.profile_shared().is_none(), "disabled obs must not arm");
+        assert!(run.profile.is_none(), "disabled obs must not arm");
         let mut sink = MaterializeSink::new();
         run.run_to_completion(&mut sink);
         assert_eq!(run.rows_emitted(), w.expected_matches);

@@ -103,8 +103,8 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// The submit payload: the wire form of a `ServerRequest` minus the
-/// in-process-only knobs (adaptive policies, fault injection, profiling
-/// stay server-side; the tenant rides the connection's `Hello`).
+/// in-process-only knobs (fault injection and profiling stay server-side;
+/// the tenant rides the connection's `Hello`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubmitSpec {
     /// Raw id of the larger (probing) relation.

@@ -6,8 +6,8 @@
 //! value straddle a page boundary, which a slotted page cannot represent; we
 //! therefore use the page-aware variant (bump to the next page when a value
 //! does not fit), which keeps the same sequential-prefix-sum structure and the
-//! same per-record `sizeof(short)` directory charge.  DESIGN.md records this
-//! as the one intentional refinement over the figure.
+//! same per-record `sizeof(short)` directory charge.  This is the one
+//! intentional refinement over the figure.
 
 use crate::buffer::{BufferManager, PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 

@@ -110,17 +110,6 @@ pub enum EventKind {
         /// Modeled stall cycles under the profiling cache parameters.
         stall_cycles: u64,
     },
-    /// The adaptive controller re-planned the remaining rows mid-query:
-    /// the chunk count covering the un-emitted tail changed from
-    /// `old_chunks` to `new_chunks`.
-    Replan {
-        /// Chunks the old plan needed for the remaining rows.
-        old_chunks: u32,
-        /// Chunks the new plan needs for the same rows.
-        new_chunks: u32,
-        /// Why the controller fired (`"slow"`, `"fast"` or `"rebudget"`).
-        reason: &'static str,
-    },
     /// The query's consumed service time passed its deadline: the engine
     /// tore it down at the next chunk boundary (an adjacent
     /// [`EventKind::Cancel`] with reason `"deadline"` records the
@@ -160,7 +149,6 @@ impl EventKind {
             EventKind::CacheLookup { .. } => "cache_lookup",
             EventKind::ChunkStep { .. } => "chunk_step",
             EventKind::ChunkProfile { .. } => "chunk_profile",
-            EventKind::Replan { .. } => "replan",
             EventKind::DeadlineMiss { .. } => "deadline_miss",
             EventKind::Cancel { .. } => "cancel",
             EventKind::Done { .. } => "done",
@@ -342,11 +330,6 @@ impl TraceSnapshot {
                     out,
                     "profile #{chunk} accesses={accesses} l1={l1_misses} l2={l2_misses} tlb={tlb_misses} stall={stall_cycles}cy"
                 ),
-                EventKind::Replan {
-                    old_chunks,
-                    new_chunks,
-                    reason,
-                } => writeln!(out, "replan  {reason} chunks {old_chunks}->{new_chunks}"),
                 EventKind::DeadlineMiss {
                     deadline_ns,
                     consumed_ns,
@@ -416,14 +399,6 @@ impl TraceSnapshot {
                 } => write!(
                     out,
                     ",\"chunk\":{chunk},\"accesses\":{accesses},\"l1_misses\":{l1_misses},\"l2_misses\":{l2_misses},\"tlb_misses\":{tlb_misses},\"stall_cycles\":{stall_cycles}"
-                ),
-                EventKind::Replan {
-                    old_chunks,
-                    new_chunks,
-                    reason,
-                } => write!(
-                    out,
-                    ",\"old_chunks\":{old_chunks},\"new_chunks\":{new_chunks},\"reason\":\"{reason}\""
                 ),
                 EventKind::DeadlineMiss {
                     deadline_ns,

@@ -48,7 +48,6 @@ use rdx_cache::CacheParams;
 use rdx_core::budget::{BudgetError, MemoryBudget};
 use rdx_core::error::{DeadlineError, RdxError, Side};
 use rdx_core::fault::{FaultInjector, FaultPlan, RetryPolicy};
-use rdx_core::strategy::adapt::{FeedbackSource, MissCountFeedback, WallClockFeedback};
 use rdx_core::strategy::planner::{
     plan_by_cost_with_threads, plan_streaming, predict_streaming_cost, streaming_bytes_per_row,
     StreamingPlan,
@@ -157,10 +156,6 @@ pub struct EngineStats {
     pub rejections: u64,
     /// Admissions granted less than the fair share (tighter chunking).
     pub replans: u64,
-    /// Mid-flight re-splits fired by per-query adaptive controllers —
-    /// counted apart from [`EngineStats::replans`], which is an *admission*
-    /// decision: an adaptive query re-plans after it started running.
-    pub adaptive_replans: u64,
     /// Of [`EngineStats::rejections`]: refused because the budget could
     /// not admit them (load shedding).
     pub budget_rejects: u64,
@@ -229,17 +224,6 @@ impl ResolvedQuery {
     pub fn is_done(&self) -> bool {
         self.run.is_done()
     }
-
-    /// Swaps the feedback source of an adaptive query (no-op when the
-    /// request did not enable adaptation) — how a deterministic harness
-    /// replaces the production wall-clock source with a scripted timing
-    /// sequence on an engine-resolved run.
-    pub fn replace_feedback(
-        &mut self,
-        source: Box<dyn rdx_core::strategy::adapt::FeedbackSource + Send>,
-    ) {
-        self.run.replace_feedback(source)
-    }
 }
 
 /// The engine's registry handles, resolved once at construction: each
@@ -249,7 +233,6 @@ struct Counters {
     admissions: Counter,
     rejections: Counter,
     replans: Counter,
-    adaptive_replans: Counter,
     chunks_dispatched: Counter,
     scratch_reuses: Counter,
     budget_rejects: Counter,
@@ -270,9 +253,6 @@ impl Counters {
             admissions: metrics.counter("engine.admissions"),
             rejections: metrics.counter("engine.rejections"),
             replans: metrics.counter("engine.replans"),
-            // Handed to each adaptive run: the pipeline bumps it where a
-            // re-split fires, so torn-down runs are counted too.
-            adaptive_replans: metrics.counter("pipeline.adaptive_replans"),
             chunks_dispatched: metrics.counter("engine.chunks_dispatched"),
             scratch_reuses: metrics.counter("engine.scratch_reuses"),
             budget_rejects: metrics.counter("engine.budget_rejects"),
@@ -553,7 +533,6 @@ impl QueryEngine {
             admissions: c.admissions.get(),
             rejections: c.rejections.get(),
             replans: c.replans.get(),
-            adaptive_replans: c.adaptive_replans.get(),
             budget_rejects: c.budget_rejects.get(),
             deadline_rejects: c.deadline_rejects.get(),
             cancellations: c.cancellations.get(),
@@ -1099,30 +1078,15 @@ impl QueryEngine {
             shared_params,
             &policy,
         );
-        // One pricing rule for everyone: the scheduler's stride weight, the
-        // chunk loop's observed-vs-predicted recording, and the adaptive
-        // controller all read the same per-chunk prediction.
+        // One pricing rule for everyone: the scheduler's stride weight, its
+        // deadline urgency and the chunk loop's observed-vs-predicted
+        // recording all read the same per-chunk prediction, over the one
+        // chunking the run streams under.
         let predicted_chunk_ns = run.predicted_chunk_ns(shared_params);
         let predicted_chunk_cost_ms = predicted_chunk_ns as f64 / 1e6;
         run.attach_obs(&self.obs, query, predicted_chunk_ns);
         if request.profiled || self.config.profiled {
             run.attach_profile(&self.obs, query, shared_params);
-        }
-        if let Some(policy) = request.adaptive {
-            // A profiled adaptive query reacts to simulated cache pressure —
-            // deterministic stall time from the miss-count mailbox — instead
-            // of wall-clock.  Falls back to wall-clock when profiling did
-            // not arm (observability off).
-            let source: Box<dyn FeedbackSource + Send> = match run.profile_shared() {
-                Some(shared) => Box::new(MissCountFeedback::new(shared)),
-                None => Box::new(WallClockFeedback),
-            };
-            run.attach_adaptive(
-                policy,
-                source,
-                shared_params,
-                self.counters.adaptive_replans.clone(),
-            );
         }
         // Warm start: hand down scratch harvested from an earlier query.
         let mut scratch_reused = false;
@@ -1143,7 +1107,6 @@ impl QueryEngine {
                 chunks: 0,
                 rows: 0,
                 peak_chunk_bytes: 0,
-                adaptive_replans: 0,
                 predicted_chunk_cost_ms,
                 timings: PhaseTimings::default(),
                 wait: Duration::ZERO,
@@ -1189,7 +1152,6 @@ impl QueryEngine {
         rq.stats.chunks = run_stats.chunks_emitted;
         rq.stats.rows = run_stats.rows_emitted;
         rq.stats.peak_chunk_bytes = run_stats.peak_chunk_bytes;
-        rq.stats.adaptive_replans = run_stats.adaptive_replans;
         rq.stats.timings = run_stats.timings;
         rq.stats.service = rq.started.elapsed();
         let service_ns = rq.stats.service.as_nanos() as u64;

@@ -9,7 +9,7 @@ use rdx_cache::CacheParams;
 use rdx_core::budget::MemoryBudget;
 use rdx_core::error::RdxError;
 use rdx_core::fault::RetryPolicy;
-use rdx_core::strategy::{AdaptivePolicy, DsmPostProjection, PhaseTimings, QuerySpec};
+use rdx_core::strategy::{DsmPostProjection, PhaseTimings, QuerySpec};
 use rdx_dsm::ResultRelation;
 use std::time::Duration;
 
@@ -43,10 +43,9 @@ pub struct ServeConfig {
     pub observability: bool,
     /// Whether every query runs in cache-truth **profiled** mode: each
     /// emitted chunk's memory-access pattern is replayed through the
-    /// simulated [`CacheParams`] hierarchy, recording per-phase spans,
+    /// simulated [`CacheParams`] hierarchy, recording per-phase spans and
     /// per-chunk miss counts (`profile.*` metrics, `ChunkProfile` trace
-    /// events) and feeding adaptive queries *simulated stall time* instead
-    /// of wall-clock.  Requires [`ServeConfig::observability`]; output is
+    /// events).  Requires [`ServeConfig::observability`]; output is
     /// byte-identical to unprofiled runs by construction.  Off by default —
     /// the replay costs simulator time, so it is a measurement mode, not a
     /// serving mode.  Per-request opt-in: [`ServerRequest::with_profiled`].
@@ -97,12 +96,6 @@ pub struct ServerRequest {
     /// (what the conformance grid uses to drive every `u/s/c × u/d` cell
     /// through the one planner entry).
     pub codes: Option<DsmPostProjection>,
-    /// Optional runtime-adaptive re-tuning policy.  `None` — the default —
-    /// trusts the one-shot plan; `Some` arms the per-chunk
-    /// observe→re-plan loop (wall-clock feedback, EWMA + hysteresis, see
-    /// `rdx_core::strategy::adapt`).  Adaptation moves only chunk
-    /// boundaries, never bytes, so this cannot affect results.
-    pub adaptive: Option<AdaptivePolicy>,
     /// Runs this query in cache-truth profiled mode (see
     /// [`ServeConfig::profiled`] for semantics); `false` — the default —
     /// can still be overridden engine-wide by the config flag.
@@ -149,7 +142,6 @@ impl ServerRequest {
             budget_hint: None,
             threads_hint: None,
             codes: None,
-            adaptive: None,
             profiled: false,
             deadline_ns: None,
             priority: 1,
@@ -176,16 +168,9 @@ impl ServerRequest {
         self
     }
 
-    /// Arms runtime-adaptive chunk re-tuning under `policy` (default off).
-    pub fn with_adaptive(mut self, policy: AdaptivePolicy) -> Self {
-        self.adaptive = Some(policy);
-        self
-    }
-
-    /// Arms cache-truth profiling for this query (default off).  When the
-    /// query is also adaptive, the controller is fed simulated miss-count
-    /// stall time instead of wall-clock — deterministic feedback that
-    /// survives any container.  Needs engine observability to take effect.
+    /// Arms cache-truth profiling for this query (default off): each chunk
+    /// also reports the deterministic simulated miss counts of its access
+    /// pattern.  Needs engine observability to take effect.
     pub fn with_profiled(mut self) -> Self {
         self.profiled = true;
         self
@@ -247,10 +232,6 @@ pub struct QueryStats {
     pub rows: usize,
     /// Largest observed per-chunk working set, bytes.
     pub peak_chunk_bytes: usize,
-    /// Mid-flight re-splits this query's adaptive controller fired (0 when
-    /// [`ServerRequest::adaptive`] was off — the default — or when the
-    /// hysteresis band held).
-    pub adaptive_replans: usize,
     /// Predicted *per-chunk* second-side streaming cost at this query's
     /// cache share, in modeled milliseconds (the total streaming prediction
     /// divided by the planned chunk count) — the stride the cost-weighted

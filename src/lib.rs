@@ -114,10 +114,8 @@ pub mod prelude {
     pub use rdx_core::fault::{FaultAction, FaultInjector, FaultPlan, RetryPolicy};
     pub use rdx_core::join::partitioned_hash_join;
     pub use rdx_core::strategy::{
-        plan_streaming, plan_streaming_checked, resplit_budget, AdaptiveController,
-        AdaptiveDecision, AdaptivePolicy, CountingSink, DsmPostProjection, FeedbackSource,
-        MaterializeSink, MissCountFeedback, PagedSink, ProjectionCode, QuerySpec, RowChunkSink,
-        ScriptedFeedback, SecondSideCode, SharedMissCounts, StreamingPlan, WallClockFeedback,
+        plan_streaming, CountingSink, DsmPostProjection, MaterializeSink, PagedSink,
+        ProjectionCode, QuerySpec, RowChunkSink, SecondSideCode, StreamingPlan,
     };
     pub use rdx_dsm::{Column, DsmRelation, JoinIndex, Oid, ResultRelation};
     pub use rdx_exec::{

@@ -362,155 +362,6 @@ fn a_warm_whole_result_query_allocates_its_result_once() {
     );
 }
 
-/// Runtime adaptation must not cost the zero-allocation guarantee: with a
-/// policy armed and accurate feedback (every chunk observes exactly its
-/// prediction), the controller holds on every chunk and the steady-state
-/// loop stays allocation-free — the controller, feedback source and
-/// prediction state are all pre-allocated by `attach_adaptive`.
-#[test]
-fn adaptive_hold_steps_allocate_nothing_in_steady_state() {
-    let _guard = serialized();
-    let w = JoinWorkloadBuilder::equal(6_000, 2).seed(77).build();
-    let spec = QuerySpec::symmetric(2);
-    let params = CacheParams::tiny_for_tests();
-    let data_bytes = 2 * 6_000 * 2 * 4;
-    let policy = ExecPolicy::with_threads(1).budget(MemoryBudget::fraction_of(data_bytes, 32));
-    let plan =
-        DsmPostProjection::with_codes(ProjectionCode::PartialCluster, SecondSideCode::Decluster);
-    let pipeline = ProjectionPipeline::new(plan);
-    let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
-    let mut run = DsmPipelineRun::over_dsm(
-        prepared.clone(),
-        &w.larger,
-        &w.smaller,
-        &spec,
-        &params,
-        &policy,
-    );
-    run.attach_adaptive(
-        AdaptivePolicy::default(),
-        Box::new(ScriptedFeedback::constant(1_000)),
-        &params,
-        radix_decluster::obs::Counter::default(),
-    );
-    let mut sink = NullSink { rows: 0, chunks: 0 };
-
-    // Warm-up: the first chunk grows the scratch to its high-water mark.
-    assert!(run.step(&mut sink).is_some());
-
-    let mut steady_chunks = 0;
-    loop {
-        let allocs = allocations_during(|| {
-            let _ = run.step(&mut sink);
-        });
-        if run.is_done() {
-            break;
-        }
-        steady_chunks += 1;
-        assert_eq!(
-            allocs, 0,
-            "adaptive hold chunk {steady_chunks} allocated {allocs} times"
-        );
-    }
-    assert!(
-        steady_chunks >= 16,
-        "budget should force many chunks, got {steady_chunks}"
-    );
-    assert_eq!(sink.rows, w.expected_matches);
-    assert_eq!(
-        run.run_stats().adaptive_replans,
-        0,
-        "accurate feedback holds"
-    );
-}
-
-/// A fired re-split may allocate in the re-split step itself (the planner
-/// runs once) — but the chunks *after* it must return to zero allocations:
-/// a slow re-split only shrinks the chunk working set, so the warmed
-/// scratch never regrows.
-#[test]
-fn steps_after_a_resplit_return_to_zero_allocations() {
-    let _guard = serialized();
-    let w = JoinWorkloadBuilder::equal(6_000, 2).seed(77).build();
-    let spec = QuerySpec::symmetric(2);
-    let params = CacheParams::tiny_for_tests();
-    let data_bytes = 2 * 6_000 * 2 * 4;
-    let policy = ExecPolicy::with_threads(1).budget(MemoryBudget::fraction_of(data_bytes, 32));
-    let plan =
-        DsmPostProjection::with_codes(ProjectionCode::PartialCluster, SecondSideCode::Decluster);
-    let pipeline = ProjectionPipeline::new(plan);
-    let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
-    let mut run = DsmPipelineRun::over_dsm(
-        prepared.clone(),
-        &w.larger,
-        &w.smaller,
-        &spec,
-        &params,
-        &policy,
-    );
-    // React instantly, once: accurate for three observations, then a 3x
-    // shock — the single re-plan fires at a known chunk index.
-    run.attach_adaptive(
-        AdaptivePolicy::default()
-            .alpha(1_000)
-            .observations(1)
-            .replans(1),
-        Box::new(ScriptedFeedback::from_ratios(&[
-            1_000, 1_000, 1_000, 3_000, 1_000,
-        ])),
-        &params,
-        radix_decluster::obs::Counter::default(),
-    );
-    let wide_chunk_rows = run.streaming().chunk_rows;
-    let mut sink = NullSink { rows: 0, chunks: 0 };
-
-    // Warm-up chunk 0, then two accurate steady chunks: still 0-alloc.
-    assert!(run.step(&mut sink).is_some());
-    for i in 1..3 {
-        let allocs = allocations_during(|| {
-            let _ = run.step(&mut sink);
-        });
-        assert_eq!(allocs, 0, "pre-resplit chunk {i} allocated {allocs} times");
-    }
-
-    // Chunk 3 observes the shock and fires the re-split — the one step
-    // allowed to allocate (the planner's arithmetic, measured separately).
-    let resplit_allocs = allocations_during(|| {
-        let _ = run.step(&mut sink);
-    });
-    assert_eq!(run.run_stats().adaptive_replans, 1, "the shock must fire");
-    assert!(
-        run.streaming().chunk_rows < wide_chunk_rows,
-        "a slow re-split must tighten chunks"
-    );
-    assert!(
-        resplit_allocs <= 8,
-        "the re-split step itself grew unexpectedly: {resplit_allocs} allocations"
-    );
-
-    // Every chunk after the re-split is allocation-free again: the
-    // tightened chunks fit the already-warmed scratch.
-    let mut steady_chunks = 0;
-    loop {
-        let allocs = allocations_during(|| {
-            let _ = run.step(&mut sink);
-        });
-        if run.is_done() {
-            break;
-        }
-        steady_chunks += 1;
-        assert_eq!(
-            allocs, 0,
-            "post-resplit chunk {steady_chunks} allocated {allocs} times"
-        );
-    }
-    assert!(
-        steady_chunks >= 16,
-        "the tightened tail should stream many chunks, got {steady_chunks}"
-    );
-    assert_eq!(sink.rows, w.expected_matches);
-}
-
 #[test]
 fn cluster_with_scratch_allocates_only_the_output() {
     let _guard = serialized();

@@ -234,6 +234,12 @@ fn streaming_pipeline_is_byte_identical_to_dsm_post_across_the_grid() {
                                 stats.peak_chunk_bytes,
                                 stats.streaming.max_working_set_bytes()
                             );
+                            // The plan is what runs: the chunking fixed at
+                            // `PipelineRun::new` is the chunking emitted.
+                            assert_eq!(
+                                stats.chunks_emitted, stats.streaming.num_chunks,
+                                "N={n} denom {denom}: emitted chunks drifted from the plan"
+                            );
                             let budget = data_bytes / denom;
                             if denom > 1 && budget >= stats.streaming.bytes_per_row {
                                 assert!(

@@ -653,11 +653,6 @@ fn event_shape(kind: &EventKind) -> String {
         EventKind::ChunkProfile {
             chunk, accesses, ..
         } => format!("profile:{chunk}:{accesses}"),
-        EventKind::Replan {
-            old_chunks,
-            new_chunks,
-            reason,
-        } => format!("replan:{old_chunks}->{new_chunks}:{reason}"),
         EventKind::DeadlineMiss { deadline_ns, .. } => format!("deadline_miss:{deadline_ns}"),
         EventKind::Cancel { reason } => format!("cancel:{reason}"),
         EventKind::Done { rows, .. } => format!("done:{rows}"),

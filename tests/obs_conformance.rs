@@ -174,85 +174,10 @@ fn trace_replays_each_lifecycle_in_order() {
     assert_eq!(stats.cache_hits, 0);
 }
 
-/// Adaptive re-splits change the chunk count mid-flight — the trace must
-/// still account for every chunk: Σ `chunk_step` events equals the chunks
-/// the report claims, each `replan` event sits in lifecycle order (after
-/// the chunk that triggered it, before `done`), and the replan counters
-/// agree across the pipeline, the engine and the trace.
-#[test]
-fn adaptive_replans_keep_chunk_accounting_and_lifecycle_order() {
-    let w = JoinWorkloadBuilder::equal(3_000, 2).seed(59).build();
-    let mut session = Session::new(ServeConfig {
-        params: CacheParams::tiny_for_tests(),
-        global_budget: MemoryBudget::bytes(2 * 1024),
-        observability: true,
-        ..ServeConfig::default()
-    });
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
-    let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(2))
-        .with_adaptive(AdaptivePolicy::default());
-
-    let engine = session.engine_mut();
-    let mut rq = engine.resolve_direct(&request).expect("resolves");
-    // Swap the wall-clock source for a deterministic 3x-slow script, so the
-    // re-split is forced regardless of machine speed.
-    rq.replace_feedback(Box::new(ScriptedFeedback::constant(3_000)));
-    let mut sink = MaterializeSink::new();
-    rq.run_to_completion(&mut sink);
-    let report = engine.retire(rq);
-    assert!(
-        report.adaptive_replans >= 1,
-        "scripted slow stream must fire"
-    );
-
-    let trace = session.trace_snapshot().expect("observability on");
-    let labels: Vec<&str> = trace
-        .events_for(QueryId(report.query_id))
-        .iter()
-        .map(|e| e.kind.label())
-        .collect();
-
-    // Full direct-run lifecycle, with the re-splits inside the chunk loop.
-    assert_eq!(labels.first(), Some(&"submit"));
-    assert_eq!(labels.get(1), Some(&"admit"));
-    assert_eq!(labels.get(2), Some(&"cache_lookup"));
-    assert_eq!(labels.last(), Some(&"done"));
-    let inner = &labels[3..labels.len() - 1];
-    assert!(inner.iter().all(|l| *l == "chunk_step" || *l == "replan"));
-    for (i, label) in inner.iter().enumerate() {
-        if *label == "replan" {
-            assert!(i > 0, "a replan needs an observed chunk before it");
-            assert_eq!(
-                inner[i - 1],
-                "chunk_step",
-                "each replan trails the chunk that triggered it"
-            );
-        }
-    }
-
-    // Chunk accounting survives the mid-flight chunk-count changes.
-    let steps = inner.iter().filter(|l| **l == "chunk_step").count();
-    assert_eq!(steps, report.chunks, "every dispatched chunk is traced");
-    let replans = inner.iter().filter(|l| **l == "replan").count();
-    assert_eq!(replans, report.adaptive_replans);
-
-    // The one replan counter and the trace agree.
-    let metrics = session.metrics().expect("always kept");
-    assert_eq!(
-        metrics.counter("pipeline.adaptive_replans"),
-        Some(replans as u64)
-    );
-    let delta = metrics
-        .histogram("pipeline.resplit_chunk_delta")
-        .expect("recorded");
-    assert_eq!(delta.count, replans as u64);
-}
-
 /// Cache-truth profiling is a pure observer: a profiled session (engine-wide
-/// `profiled` plus a miss-count-adaptive query) returns bytes identical to an
-/// unprofiled one on both second-side codes, two profiled runs charge
-/// identical simulated miss counts, and an unprofiled run charges none.
+/// `profiled`) returns bytes identical to an unprofiled one on both
+/// second-side codes, two profiled runs charge identical simulated miss
+/// counts, and an unprofiled run charges none.
 #[test]
 fn profiled_execution_is_byte_identical_and_deterministic() {
     let w = JoinWorkloadBuilder::equal(2_000, 2).seed(61).build();
@@ -274,7 +199,6 @@ fn profiled_execution_is_byte_identical_and_deterministic() {
                 .query(larger, smaller)
                 .project(spec)
                 .codes(codes)
-                .adaptive(AdaptivePolicy::default())
                 .run()
                 .expect("serves");
             let cols = columns(&out.result);

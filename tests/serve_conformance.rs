@@ -127,16 +127,13 @@ fn admission_never_over_commits_the_global_budget() {
 #[test]
 fn degenerate_budgets_surface_typed_errors_not_panics() {
     let w = JoinWorkloadBuilder::equal(300, 1).seed(77).build();
-    // Plan-time: checked planning rejects a below-one-row budget…
+    // Plan-time: the planner documents a clamp to one-row chunks…
     let spec = QuerySpec::symmetric(1);
     let params = CacheParams::tiny_for_tests();
-    let err =
-        plan_streaming_checked(300, 300, 4, &spec, &params, MemoryBudget::bytes(2), 1).unwrap_err();
-    assert!(matches!(err, BudgetError::BelowOneRow { .. }));
-    // …while the unchecked planner documents a clamp to one-row chunks.
     let clamped = plan_streaming(300, 300, 4, &spec, &params, MemoryBudget::bytes(2), 1);
     assert_eq!(clamped.chunk_rows, 1);
-    // Serving layer: the same condition is a typed rejection per request.
+    // …while in the serving layer the same condition is a typed rejection
+    // per request.
     let mut session = Session::new(config(MemoryBudget::bytes(3), 2, 1, 0));
     let larger = session.register(w.larger.clone());
     let smaller = session.register(w.smaller.clone());
@@ -145,6 +142,21 @@ fn degenerate_budgets_surface_typed_errors_not_panics() {
         outcomes[0].as_ref().unwrap_err(),
         RdxError::Budget(BudgetError::BelowOneRow { .. })
     ));
+    // A global budget of exactly one row, split two ways: the fair share
+    // is below one row, so admission re-plans the query at the one-row
+    // floor instead of rejecting it, and the engine counts that re-plan
+    // once, as the query records it.
+    let Err(RdxError::Budget(BudgetError::BelowOneRow { bytes_per_row, .. })) = outcomes[0] else {
+        unreachable!()
+    };
+    let mut session = Session::new(config(MemoryBudget::bytes(bytes_per_row), 2, 1, 0));
+    let larger = session.register(w.larger.clone());
+    let smaller = session.register(w.smaller.clone());
+    let outcomes = serve_all(&mut session, &[ServerRequest::new(larger, smaller, spec)]);
+    let q = outcomes[0].as_ref().expect("admitted at the one-row floor");
+    assert!(q.stats.replanned);
+    assert_eq!(q.stats.share_bytes, bytes_per_row);
+    assert_eq!(session.engine_mut().stats().replans, 1);
     // And zero-byte budget construction is a typed error, not a panic.
     assert!(matches!(
         MemoryBudget::try_bytes(0),
