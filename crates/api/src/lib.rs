@@ -121,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_the_legacy_executor_at_the_same_params() {
+    fn run_matches_the_one_chunk_materialize_at_the_same_params() {
         let w = JoinWorkloadBuilder::equal(1_500, 2).seed(41).build();
         let params = CacheParams::tiny_for_tests();
         let mut session = Session::with_params(params.clone());
@@ -134,12 +134,18 @@ mod tests {
             .run()
             .expect("runs");
         // plan_shares = 1: the session planned at exactly `params`, so the
-        // legacy executor with the session's chosen codes is byte-identical.
-        let legacy = report
-            .stats
-            .plan
-            .execute(&w.larger, &w.smaller, &spec, &params);
-        assert_eq!(columns(&report.result), columns(&legacy.result));
+        // one-chunk materialise with the session's chosen codes is
+        // byte-identical.
+        let (one_chunk, _) = rdx_exec::ProjectionPipeline::new(report.stats.plan)
+            .materialize(
+                &w.larger,
+                &w.smaller,
+                &spec,
+                &params,
+                &rdx_exec::ExecPolicy::with_threads(1),
+            )
+            .unwrap();
+        assert_eq!(columns(&report.result), columns(&one_chunk.result));
         assert_eq!(report.stats.rows, w.expected_matches);
     }
 

@@ -141,8 +141,9 @@ impl<'s> Query<'s> {
 
     /// **One-shot materialise**: resolves, streams every chunk into a
     /// [`MaterializeSink`] and returns the full result with its
-    /// statistics — the front-door replacement for
-    /// `DsmPostProjection::execute` and `par_dsm_post_projection`.
+    /// statistics — the front-door counterpart of
+    /// `rdx_exec::ProjectionPipeline::materialize`, under the session's
+    /// budget share.
     pub fn run(self) -> Result<QueryResult, RdxError> {
         let engine = self.session.engine();
         let mut resolved = engine.resolve_direct(&self.request)?;
@@ -156,8 +157,8 @@ impl<'s> Query<'s> {
     }
 
     /// **Chunked execution**: resolves and emits the result through `sink`
-    /// in budget-sized chunks, returning the statistics — the front-door
-    /// replacement for `ProjectionPipeline::execute`.  The sink sees the
+    /// in budget-sized chunks, returning the statistics — the front door to
+    /// a `rdx_exec::PipelineRun` stepped to completion.  The sink sees the
     /// exact `begin`/`emit`/`finish` protocol of
     /// [`rdx_core::strategy::RowChunkSink`].
     pub fn stream(self, sink: &mut dyn RowChunkSink) -> Result<QueryStats, RdxError> {

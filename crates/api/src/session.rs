@@ -16,8 +16,7 @@ use std::sync::Arc;
 /// One front door to the whole workspace: a `Session` owns the relation
 /// [`Catalog`], the shared [`CacheParams`] every plan is priced against,
 /// the global [`rdx_core::budget::MemoryBudget`] admission splits, the
-/// clustered-join-index cache, and the warmed scratch pools — the state the
-/// four legacy entry points each plumbed separately.
+/// clustered-join-index cache, and the warmed scratch pools.
 ///
 /// Queries start at [`Session::query`] (a fluent builder) and resolve
 /// through one planner entry to any execution mode; submitted queries are
@@ -50,8 +49,7 @@ impl Session {
     /// A session over the given hierarchy with every other knob at its
     /// default — and plans priced against the *whole* cache
     /// (`plan_shares = 1`), so single-query sessions plan exactly as the
-    /// legacy `DsmPostProjection::plan`-style entry points did at the same
-    /// `params`.
+    /// cost planner (`plan_by_cost_with_threads`) does at the same `params`.
     pub fn with_params(params: CacheParams) -> Self {
         Session::new(ServeConfig {
             params,

@@ -1,9 +1,9 @@
 //! Scaling bench for the `rdx-exec` morsel-driven engine: sequential
 //! baselines vs. the parallel kernels at 1/2/4/8 worker threads.
 //!
-//! Three tiers: the Radix-Decluster kernel alone (the ISSUE's acceptance
-//! gate: ≥ 4M tuples), the Radix-Cluster kernel, and the end-to-end parallel
-//! DSM post-projection.  Absolute numbers depend on the host's core count —
+//! Three tiers: the Radix-Decluster kernel alone (≥ 4M tuples), the
+//! Radix-Cluster kernel, and the end-to-end DSM post-projection
+//! (`ProjectionPipeline::materialize`, whose sequential run is `threads_1`).  Absolute numbers depend on the host's core count —
 //! on a single-core container the parallel runs measure scheduling overhead
 //! only; on a multi-core host the decluster windows and cluster shards are
 //! independent and scale with cores.
@@ -15,7 +15,7 @@ use rdx_core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use rdx_core::decluster::{choose_window_bytes, radix_decluster};
 use rdx_core::strategy::{DsmPostProjection, ProjectionCode, QuerySpec, SecondSideCode};
 use rdx_dsm::Oid;
-use rdx_exec::{par_dsm_post_projection, par_radix_cluster_oids, par_radix_decluster, ExecPolicy};
+use rdx_exec::{par_radix_cluster_oids, par_radix_decluster, ExecPolicy, ProjectionPipeline};
 use rdx_workload::JoinWorkloadBuilder;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -82,14 +82,13 @@ fn bench_parallel_strategy(c: &mut Criterion) {
     let w = JoinWorkloadBuilder::equal(1_000_000, 2).seed(7).build();
     let spec = QuerySpec::symmetric(2);
     let params = CacheParams::paper_pentium4();
-    let plan =
-        DsmPostProjection::with_codes(ProjectionCode::PartialCluster, SecondSideCode::Decluster);
+    let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
+        ProjectionCode::PartialCluster,
+        SecondSideCode::Decluster,
+    ));
 
     let mut group = c.benchmark_group("parallel_scaling_dsm_post_1m");
     group.sample_size(10);
-    group.bench_function(BenchmarkId::from_parameter("sequential"), |b| {
-        b.iter(|| plan.execute(&w.larger, &w.smaller, &spec, &params))
-    });
     for threads in THREAD_COUNTS {
         let policy = ExecPolicy::with_threads(threads);
         group.bench_with_input(
@@ -97,7 +96,9 @@ fn bench_parallel_strategy(c: &mut Criterion) {
             &policy,
             |b, policy| {
                 b.iter(|| {
-                    par_dsm_post_projection(&plan, &w.larger, &w.smaller, &spec, &params, policy)
+                    pipeline
+                        .materialize(&w.larger, &w.smaller, &spec, &params, policy)
+                        .expect("π = 2 fits the workload")
                 })
             },
         );

@@ -3,8 +3,8 @@
 //!
 //! One workload (1M-tuple equal join, π = 1 per side) executed by
 //! `ProjectionPipeline` under budgets of 1/4, 1/16 and 1/64 of the value
-//! data, plus the unbounded (single-chunk) run and the materialising
-//! `DsmPostProjection` baseline.  The interesting read-out is how little
+//! data, plus the unbounded (single-chunk) run and the one-chunk
+//! materialise (`ProjectionPipeline::materialize`) baseline.  The interesting read-out is how little
 //! throughput a 16× tighter working set costs: the chunk-restart overhead is
 //! `O(chunks · 2^B)` cursor repositionings against an `O(N)` pipeline.
 
@@ -13,8 +13,9 @@ use rdx_cache::CacheParams;
 use rdx_core::budget::MemoryBudget;
 use rdx_core::strategy::sink::RowChunkSink;
 use rdx_core::strategy::{DsmPostProjection, ProjectionCode, QuerySpec, SecondSideCode};
-use rdx_exec::{ExecPolicy, ProjectionPipeline};
+use rdx_exec::{DsmPipelineRun, ExecPolicy, ProjectionPipeline};
 use rdx_workload::BudgetedWorkload;
+use std::sync::Arc;
 
 /// A sink that consumes the stream without retaining it (checksums every
 /// value), so the bench measures the pipeline, not a materialising consumer.
@@ -41,25 +42,35 @@ fn bench_streaming_budget(c: &mut Criterion) {
     let w = &preset.workload;
     let spec = QuerySpec::symmetric(1);
     let params = CacheParams::paper_pentium4();
-    let plan =
-        DsmPostProjection::with_codes(ProjectionCode::PartialCluster, SecondSideCode::Decluster);
+    let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
+        ProjectionCode::PartialCluster,
+        SecondSideCode::Decluster,
+    ));
 
     let mut group = c.benchmark_group("streaming_budget_1m");
     group.sample_size(10);
     group.throughput(Throughput::Elements(n as u64));
 
+    let sequential = ExecPolicy::with_threads(1);
     group.bench_function(BenchmarkId::from_parameter("materializing_baseline"), |b| {
-        b.iter(|| plan.execute(&w.larger, &w.smaller, &spec, &params))
+        b.iter(|| {
+            pipeline
+                .materialize(&w.larger, &w.smaller, &spec, &params, &sequential)
+                .expect("π = 1 fits the workload")
+        })
     });
 
     let mut run = |label: String, budget: MemoryBudget| {
         let policy = ExecPolicy::with_threads(1).budget(budget);
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
+                let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
+                let mut run = DsmPipelineRun::over_dsm(
+                    prepared, &w.larger, &w.smaller, &spec, &params, &policy,
+                );
                 let mut sink = ChecksumSink::default();
-                let stats = ProjectionPipeline::new(plan)
-                    .execute(&w.larger, &w.smaller, &spec, &params, &policy, &mut sink);
-                assert_eq!(sink.rows, stats.rows_emitted);
+                run.run_to_completion(&mut sink);
+                assert_eq!(sink.rows, run.run_stats().rows_emitted);
                 sink.sum
             })
         });

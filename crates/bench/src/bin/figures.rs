@@ -3,10 +3,13 @@
 //! numbers).
 //!
 //! ```text
-//! cargo run --release -p rdx-bench --bin figures -- <figure> [--scale small|medium|paper] [--sparse]
+//! cargo run --release -p rdx-bench --bin figures -- <figure>... [--scale small|medium|paper] [--sparse]
 //!     figure ∈ { fig7a, fig7b, fig8, fig9a, fig9b, fig9c, fig9d, fig9e, fig9f,
 //!                fig10a, fig10b, fig10c, fig11, fig12, all }
 //! ```
+//!
+//! Every figure named is drawn, in the order above; an unknown name prints
+//! the usage and exits non-zero.
 //!
 //! Every subcommand prints the same rows/series the corresponding paper figure
 //! plots.  Absolute milliseconds belong to this host; the shapes (orderings,
@@ -21,26 +24,80 @@ use rdx_core::decluster::paged::radix_decluster_paged;
 use rdx_core::strategy::QuerySpec;
 use rdx_dsm::{Oid, VarColumn};
 use rdx_nsm::BufferManager;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let figure = args.first().map(String::as_str).unwrap_or("help");
-    let scale = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| Scale::parse(s))
-        .unwrap_or(Scale::Small);
-    let sparse = args.iter().any(|a| a == "--sparse");
-    let params = CacheParams::paper_pentium4();
+/// Every figure the harness draws, in the order it draws them; `all` names
+/// them all.
+const FIGURES: [&str; 14] = [
+    "fig7a", "fig7b", "fig8", "fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f", "fig10a",
+    "fig10b", "fig10c", "fig11", "fig12",
+];
 
-    if figure == "help" || figure == "--help" {
-        eprintln!(
-            "usage: figures <fig7a|fig7b|fig8|fig9a..fig9f|fig10a|fig10b|fig10c|fig11|fig12|all> \
-             [--scale small|medium|paper] [--sparse]"
-        );
-        return;
+const USAGE: &str =
+    "usage: figures <fig7a|fig7b|fig8|fig9a..fig9f|fig10a|fig10b|fig10c|fig11|fig12|all>... \
+                     [--scale small|medium|paper] [--sparse]";
+
+/// A parsed command line: the figures to draw (a subset of [`FIGURES`]),
+/// the scale and the Fig. 10a `--sparse` switch.
+#[derive(Debug, PartialEq)]
+struct Args {
+    figures: Vec<&'static str>,
+    scale: Scale,
+    sparse: bool,
+}
+
+/// Parses the arguments after the program name.  `Ok(None)` asks for the
+/// usage (no figure named, or `help`); an unknown figure, flag or scale is
+/// an error.
+fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
+    let mut named = Vec::new();
+    let mut scale = Scale::Small;
+    let mut sparse = false;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "help" | "--help" => return Ok(None),
+            "--sparse" => sparse = true,
+            "--scale" => {
+                let value = args.next().ok_or("--scale needs a value")?;
+                scale = Scale::parse(value).ok_or(format!("unknown scale `{value}`"))?;
+            }
+            "all" => named.extend(FIGURES),
+            name => match FIGURES.iter().find(|f| **f == name) {
+                Some(f) => named.push(*f),
+                None => return Err(format!("unknown figure or flag `{name}`")),
+            },
+        }
     }
+    if named.is_empty() {
+        return Ok(None);
+    }
+    let figures = FIGURES.into_iter().filter(|f| named.contains(f)).collect();
+    Ok(Some(Args {
+        figures,
+        scale,
+        sparse,
+    }))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        figures,
+        scale,
+        sparse,
+    } = match parse_args(&args) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("figures: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let params = CacheParams::paper_pentium4();
 
     assert!(
         sanity_check(),
@@ -49,45 +106,26 @@ fn main() {
     println!("# scale = {scale:?}, cache model = paper Pentium 4 (512 KB L2, 64-entry TLB)");
     println!();
 
-    let run_all = figure == "all";
-    let want = |f: &str| run_all || figure == f;
-
-    if want("fig7a") {
-        fig7a(scale, &params);
-    }
-    if want("fig7b") {
-        fig7b(scale, &params);
-    }
-    if want("fig8") {
-        fig8(scale, &params);
-    }
-    for (name, panel) in [
-        ("fig9a", Fig9Panel::RadixCluster),
-        ("fig9b", Fig9Panel::PartitionedHashJoin),
-        ("fig9c", Fig9Panel::ClusteredPositionalJoin),
-        ("fig9d", Fig9Panel::RadixDecluster),
-        ("fig9e", Fig9Panel::LeftJive),
-        ("fig9f", Fig9Panel::RightJive),
-    ] {
-        if want(name) {
-            fig9(name, panel, scale, &params);
+    for figure in figures {
+        match figure {
+            "fig7a" => fig7a(scale, &params),
+            "fig7b" => fig7b(scale, &params),
+            "fig8" => fig8(scale, &params),
+            "fig9a" => fig9(figure, Fig9Panel::RadixCluster, scale, &params),
+            "fig9b" => fig9(figure, Fig9Panel::PartitionedHashJoin, scale, &params),
+            "fig9c" => fig9(figure, Fig9Panel::ClusteredPositionalJoin, scale, &params),
+            "fig9d" => fig9(figure, Fig9Panel::RadixDecluster, scale, &params),
+            "fig9e" => fig9(figure, Fig9Panel::LeftJive, scale, &params),
+            "fig9f" => fig9(figure, Fig9Panel::RightJive, scale, &params),
+            "fig10a" => fig10a(scale, sparse, &params),
+            "fig10b" => fig10b(scale, &params),
+            "fig10c" => fig10c(scale, &params),
+            "fig11" => fig11(scale, &params),
+            "fig12" => fig12(scale, &params),
+            other => unreachable!("parse_args admits only FIGURES, not `{other}`"),
         }
     }
-    if want("fig10a") {
-        fig10a(scale, sparse, &params);
-    }
-    if want("fig10b") {
-        fig10b(scale, &params);
-    }
-    if want("fig10c") {
-        fig10c(scale, &params);
-    }
-    if want("fig11") {
-        fig11(scale, &params);
-    }
-    if want("fig12") {
-        fig12(scale, &params);
-    }
+    ExitCode::SUCCESS
 }
 
 /// Fig. 7a — Radix-Decluster in isolation: insertion-window sweep with
@@ -438,4 +476,47 @@ fn fig12(scale: Scale, params: &CacheParams) {
     t.row(vec!["verified samples".to_string(), format!("{checked}")]);
     t.print();
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Option<Args>, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn every_named_figure_is_drawn_in_order() {
+        let args = parse("fig10c fig10a fig10b --scale medium")
+            .unwrap()
+            .unwrap();
+        assert_eq!(args.figures, ["fig10a", "fig10b", "fig10c"]);
+        assert_eq!(args.scale, Scale::Medium);
+        assert!(!args.sparse);
+        let args = parse("--sparse fig10a fig10a").unwrap().unwrap();
+        assert_eq!(
+            (args.figures, args.scale, args.sparse),
+            (vec!["fig10a"], Scale::Small, true)
+        );
+        assert_eq!(parse("all").unwrap().unwrap().figures, FIGURES);
+    }
+
+    #[test]
+    fn no_figure_or_help_asks_for_the_usage() {
+        assert_eq!(parse(""), Ok(None));
+        assert_eq!(parse("--scale small"), Ok(None));
+        assert_eq!(parse("fig7a help"), Ok(None));
+        assert_eq!(parse("--help"), Ok(None));
+    }
+
+    #[test]
+    fn an_unknown_figure_flag_or_scale_is_an_error() {
+        assert!(parse("fig10x").unwrap_err().contains("fig10x"));
+        assert!(parse("fig10a fig10x").is_err());
+        assert!(parse("fig10a --scale huge").unwrap_err().contains("huge"));
+        assert!(parse("fig10a --scale").is_err());
+        assert!(parse("fig10a --spars").is_err());
+    }
 }

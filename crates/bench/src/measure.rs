@@ -20,6 +20,7 @@ use rdx_core::strategy::{
     QuerySpec, SecondSideCode,
 };
 use rdx_dsm::{Column, JoinIndex, Oid};
+use rdx_exec::{ExecPolicy, ProjectionPipeline};
 use rdx_workload::{HitRate, JoinWorkload, JoinWorkloadBuilder, SparseWorkload};
 use std::sync::Arc;
 use std::time::Instant;
@@ -455,47 +456,42 @@ impl OverallStrategy {
 }
 
 /// Runs one overall strategy on a generated workload, returning total ms and
-/// (for DSM post-projection) the planner's code label.
+/// (for DSM post-projection) the planner's code label.  DSM post-projection
+/// is the one-chunk stream on one worker, as sequential as the baselines.
+///
+/// # Panics
+/// Panics if `spec` projects more columns than the workload has.
 pub fn run_overall_strategy(
     strategy: OverallStrategy,
     workload: &JoinWorkload,
     spec: &QuerySpec,
     params: &CacheParams,
 ) -> (f64, Option<String>) {
-    match strategy {
+    let (larger, smaller) = (&workload.larger, &workload.smaller);
+    let (larger_nsm, smaller_nsm) = (&workload.larger_nsm, &workload.smaller_nsm);
+    let mut codes = None;
+    let out = match strategy {
         OverallStrategy::DsmPostDecluster => {
-            let plan = DsmPostProjection::plan(&workload.larger, &workload.smaller, params);
-            let out = plan.execute(&workload.larger, &workload.smaller, spec, params);
-            (out.timings.total_millis(), Some(plan.label()))
+            let plan = DsmPostProjection::plan(larger, smaller, params);
+            codes = Some(plan.label());
+            ProjectionPipeline::new(plan)
+                .materialize(larger, smaller, spec, params, &ExecPolicy::with_threads(1))
+                .map(|(out, _)| out)
         }
-        OverallStrategy::DsmPrePhash => {
-            let out = dsm_pre_projection(&workload.larger, &workload.smaller, spec, params);
-            (out.timings.total_millis(), None)
-        }
+        OverallStrategy::DsmPrePhash => dsm_pre_projection(larger, smaller, spec, params),
         OverallStrategy::NsmPrePhash => {
-            let out =
-                nsm_pre_projection_phash(&workload.larger_nsm, &workload.smaller_nsm, spec, params);
-            (out.timings.total_millis(), None)
+            nsm_pre_projection_phash(larger_nsm, smaller_nsm, spec, params)
         }
-        OverallStrategy::NsmPreHash => {
-            let out = nsm_pre_projection_hash(&workload.larger_nsm, &workload.smaller_nsm, spec);
-            (out.timings.total_millis(), None)
-        }
+        OverallStrategy::NsmPreHash => nsm_pre_projection_hash(larger_nsm, smaller_nsm, spec),
         OverallStrategy::NsmPostDecluster => {
-            let out = nsm_post_projection_decluster(
-                &workload.larger_nsm,
-                &workload.smaller_nsm,
-                spec,
-                params,
-            );
-            (out.timings.total_millis(), None)
+            nsm_post_projection_decluster(larger_nsm, smaller_nsm, spec, params)
         }
         OverallStrategy::NsmPostJive => {
-            let out =
-                nsm_post_projection_jive(&workload.larger_nsm, &workload.smaller_nsm, spec, params);
-            (out.timings.total_millis(), None)
+            nsm_post_projection_jive(larger_nsm, smaller_nsm, spec, params)
         }
     }
+    .expect("the Fig. 10 workloads project at most their width");
+    (out.timings.total_millis(), codes)
 }
 
 /// Generates the Fig. 10 workload: two relations of `n` tuples, ω stored
@@ -572,11 +568,18 @@ pub fn sanity_check() -> bool {
     let spec = QuerySpec::symmetric(2);
     let params = CacheParams::paper_pentium4();
     let expected = reference_rows(&w.larger, &w.smaller, &spec);
-    let a =
-        DsmPostProjection::with_codes(ProjectionCode::PartialCluster, SecondSideCode::Decluster)
-            .execute(&w.larger, &w.smaller, &spec, &params);
+    let plan =
+        DsmPostProjection::with_codes(ProjectionCode::PartialCluster, SecondSideCode::Decluster);
+    let a = ProjectionPipeline::new(plan).materialize(
+        &w.larger,
+        &w.smaller,
+        &spec,
+        &params,
+        &ExecPolicy::with_threads(1),
+    );
     let b = nsm_pre_projection_phash(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
-    result_rows(&a.result) == expected && result_rows(&b.result) == expected
+    matches!(a, Ok((a, _)) if result_rows(&a.result) == expected)
+        && matches!(b, Ok(b) if result_rows(&b.result) == expected)
 }
 
 /// Fallback naive join used in the harness's own tests.
@@ -771,8 +774,8 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
 /// streamed into a `MaterializeSink`.  This is what the serving engine
 /// pools for the next query.
 fn scratch_bytes_per_row(w: &JoinWorkload, params: &CacheParams) -> usize {
-    let policy = rdx_exec::ExecPolicy::with_threads(1);
-    let pipeline = rdx_exec::ProjectionPipeline::new(DsmPostProjection::with_codes(
+    let policy = ExecPolicy::with_threads(1);
+    let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
         ProjectionCode::PartialCluster,
         SecondSideCode::Decluster,
     ));
@@ -794,9 +797,9 @@ fn scratch_bytes_per_row(w: &JoinWorkload, params: &CacheParams) -> usize {
 /// codes and 64 KiB grant) stepped over counting sources.  A source is asked
 /// once per morsel × column × chunk; a per-value path would ask 16 000 times.
 fn fetch_source_calls(w: &JoinWorkload, params: &CacheParams) -> usize {
-    let policy = rdx_exec::ExecPolicy::with_threads(1)
-        .budget(rdx_core::budget::MemoryBudget::bytes(64 * 1024));
-    let pipeline = rdx_exec::ProjectionPipeline::new(DsmPostProjection::with_codes(
+    let policy =
+        ExecPolicy::with_threads(1).budget(rdx_core::budget::MemoryBudget::bytes(64 * 1024));
+    let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
         ProjectionCode::PartialCluster,
         SecondSideCode::Decluster,
     ));

@@ -158,7 +158,7 @@ pub fn plan_cluster_passes(
 /// Bytes of one clustered `(oid, payload-oid)` pair — what the reordering
 /// codes scatter, and hence the staging granularity their buffered-scatter
 /// planning sizes against.  The one definition shared by the cost planner,
-/// the materialising executors and the streaming pipeline, so the priced
+/// the baseline strategies and the streaming pipeline, so the priced
 /// and executed pass structures cannot drift if [`rdx_dsm::Oid`] ever
 /// changes width.
 pub const OID_PAIR_BYTES: usize = 2 * std::mem::size_of::<rdx_dsm::Oid>();
@@ -910,14 +910,13 @@ mod tests {
     }
 
     /// The packing rule: a cache share large enough for one cluster to span
-    /// more than `2^16` oids gets more bits instead, the clustering packs,
-    /// and what a projection computes through it stays the reference.
+    /// more than `2^16` oids gets more bits instead, and the clustering
+    /// packs.  What a projection computes through it is
+    /// `rdx-exec`'s `packed_prefix_at_a_large_share_materializes_the_reference`.
     #[test]
-    fn a_large_share_spec_ignores_at_most_16_bits_and_projects_the_same_bytes() {
+    fn a_large_share_spec_ignores_at_most_16_bits_and_packs() {
         use crate::cluster::{radix_cluster_oids, PackedOids, PACKED_LOW_BITS};
         use crate::hash::significant_bits;
-        use crate::strategy::reference::{reference_rows, result_rows};
-        use crate::strategy::{DsmPostProjection, ProjectionCode, QuerySpec, SecondSideCode};
 
         // 512 KB: the fits-in-cache rule alone picks 1 bit and ignores 17.
         let p = CacheParams::paper_pentium4();
@@ -940,20 +939,6 @@ mod tests {
         let clustered = radix_cluster_oids(&oids, &oids, spec);
         let keys = clustered.keys().to_vec();
         assert_eq!(PackedOids::pack(clustered).0.to_oids(), keys);
-
-        let w = rdx_workload::JoinWorkloadBuilder::equal(n, 1)
-            .seed(3)
-            .build();
-        let spec = QuerySpec::symmetric(1);
-        let plan = DsmPostProjection::with_codes(
-            ProjectionCode::PartialCluster,
-            SecondSideCode::Decluster,
-        );
-        let out = plan.execute(&w.larger, &w.smaller, &spec, &p);
-        assert_eq!(
-            result_rows(&out.result),
-            reference_rows(&w.larger, &w.smaller, &spec)
-        );
     }
 
     #[test]

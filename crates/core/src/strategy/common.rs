@@ -119,15 +119,6 @@ pub fn project_first_side(oids: &[Oid], n_attrs: usize, source: &impl AttrSource
         .collect()
 }
 
-/// Projects the second side with plain unsorted positional joins.
-pub fn project_second_side_unsorted(
-    oids: &[Oid],
-    n_attrs: usize,
-    source: &impl AttrSource,
-) -> Vec<Vec<i32>> {
-    project_first_side(oids, n_attrs, source)
-}
-
 /// Projects the second side with the Radix-Decluster pipeline of Fig. 4:
 ///
 /// 1. partially Radix-Cluster `(second_oid, result_position)` on the second
@@ -225,7 +216,7 @@ mod tests {
         // Second-side oids in some arbitrary result order, with duplicates.
         let oids: Vec<Oid> = (0..3000).map(|r| ((r * 37 + 11) % 1000) as Oid).collect();
         let params = CacheParams::tiny_for_tests();
-        let unsorted = project_second_side_unsorted(&oids, 2, &rel);
+        let unsorted = project_first_side(&oids, 2, &rel);
         let (declustered, clusters) =
             project_second_side_decluster(&oids, 2, &rel, 1000, 4, &params);
         assert_eq!(unsorted, declustered);

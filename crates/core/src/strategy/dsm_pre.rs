@@ -118,20 +118,8 @@ impl WideBuffer {
 
 /// Executes the DSM pre-projection strategy with Partitioned Hash-Join.
 ///
-/// **Legacy surface**: thin panicking wrapper over
-/// [`try_dsm_pre_projection`].
+/// Validation failures are reported as typed [`RdxError`]s.
 pub fn dsm_pre_projection(
-    larger: &DsmRelation,
-    smaller: &DsmRelation,
-    spec: &QuerySpec,
-    params: &CacheParams,
-) -> StrategyOutcome {
-    try_dsm_pre_projection(larger, smaller, spec, params).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`dsm_pre_projection`] with validation failures reported as typed
-/// [`RdxError`]s instead of panics.
-pub fn try_dsm_pre_projection(
     larger: &DsmRelation,
     smaller: &DsmRelation,
     spec: &QuerySpec,
@@ -210,7 +198,7 @@ mod tests {
         let w = JoinWorkloadBuilder::equal(2_500, 3).seed(2).build();
         let spec = QuerySpec::symmetric(2);
         let params = CacheParams::tiny_for_tests();
-        let out = dsm_pre_projection(&w.larger, &w.smaller, &spec, &params);
+        let out = dsm_pre_projection(&w.larger, &w.smaller, &spec, &params).unwrap();
         assert_eq!(
             result_rows(&out.result),
             reference_rows(&w.larger, &w.smaller, &spec)
@@ -226,7 +214,7 @@ mod tests {
             .build();
         let spec = QuerySpec::symmetric(1);
         let params = CacheParams::tiny_for_tests();
-        let out = dsm_pre_projection(&w.larger, &w.smaller, &spec, &params);
+        let out = dsm_pre_projection(&w.larger, &w.smaller, &spec, &params).unwrap();
         assert_eq!(out.result.cardinality(), w.expected_matches);
         assert_eq!(
             result_rows(&out.result),
@@ -242,7 +230,7 @@ mod tests {
             project_smaller: 2,
         };
         let params = CacheParams::tiny_for_tests();
-        let out = dsm_pre_projection(&w.larger, &w.smaller, &spec, &params);
+        let out = dsm_pre_projection(&w.larger, &w.smaller, &spec, &params).unwrap();
         assert_eq!(out.result.num_columns(), 2);
         assert_eq!(
             result_rows(&out.result),
@@ -251,11 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn try_variant_reports_over_projection_as_typed_error() {
+    fn over_projection_is_a_typed_error() {
         use crate::error::Side;
         let w = JoinWorkloadBuilder::equal(100, 1).build();
         let params = CacheParams::tiny_for_tests();
-        let err = try_dsm_pre_projection(&w.larger, &w.smaller, &QuerySpec::symmetric(7), &params)
+        let err = dsm_pre_projection(&w.larger, &w.smaller, &QuerySpec::symmetric(7), &params)
             .unwrap_err();
         assert_eq!(
             err,

@@ -31,19 +31,13 @@ pub mod strings;
 
 pub use common::{ProjectionCode, SecondSideCode};
 pub use dsm_post::DsmPostProjection;
-pub use dsm_pre::{dsm_pre_projection, try_dsm_pre_projection};
-pub use nsm_post::{
-    nsm_post_projection_decluster, nsm_post_projection_jive, try_nsm_post_projection_decluster,
-    try_nsm_post_projection_jive,
-};
-pub use nsm_pre::{
-    nsm_pre_projection_hash, nsm_pre_projection_phash, try_nsm_pre_projection_hash,
-    try_nsm_pre_projection_phash,
-};
+pub use dsm_pre::dsm_pre_projection;
+pub use nsm_post::{nsm_post_projection_decluster, nsm_post_projection_jive};
+pub use nsm_pre::{nsm_pre_projection_hash, nsm_pre_projection_phash};
 pub use planner::{plan_by_cost, plan_streaming, StreamingPlan};
 pub use sink::{CountingSink, MaterializeSink, PagedSink, RowChunkSink};
-pub use sparse::{dsm_post_projection_sparse, try_dsm_post_projection_sparse};
-pub use strings::{dsm_post_projection_with_strings, try_dsm_post_projection_with_strings};
+pub use sparse::dsm_post_projection_sparse;
+pub use strings::dsm_post_projection_with_strings;
 
 use rdx_dsm::ResultRelation;
 use std::time::Duration;

@@ -39,22 +39,10 @@ fn nsm_join_index(
 
 /// NSM post-projection using partial clustering + Radix-Decluster.
 ///
-/// **Legacy surface**: thin panicking wrapper over
-/// [`try_nsm_post_projection_decluster`].
+/// Validation failures are reported as typed [`RdxError`]s (the join-key
+/// attribute is not projectable, so an NSM relation of width `ω` offers
+/// `ω − 1` columns).
 pub fn nsm_post_projection_decluster(
-    larger: &NsmRelation,
-    smaller: &NsmRelation,
-    spec: &QuerySpec,
-    params: &CacheParams,
-) -> StrategyOutcome {
-    try_nsm_post_projection_decluster(larger, smaller, spec, params)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`nsm_post_projection_decluster`] with validation failures reported as
-/// typed [`RdxError`]s (the join-key attribute is not projectable, so an NSM
-/// relation of width `ω` offers `ω − 1` columns).
-pub fn try_nsm_post_projection_decluster(
     larger: &NsmRelation,
     smaller: &NsmRelation,
     spec: &QuerySpec,
@@ -110,20 +98,8 @@ pub fn try_nsm_post_projection_decluster(
 
 /// NSM post-projection using Jive-Join for the projection phase.
 ///
-/// **Legacy surface**: thin panicking wrapper over
-/// [`try_nsm_post_projection_jive`].
+/// Validation failures are reported as typed [`RdxError`]s.
 pub fn nsm_post_projection_jive(
-    larger: &NsmRelation,
-    smaller: &NsmRelation,
-    spec: &QuerySpec,
-    params: &CacheParams,
-) -> StrategyOutcome {
-    try_nsm_post_projection_jive(larger, smaller, spec, params).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`nsm_post_projection_jive`] with validation failures reported as typed
-/// [`RdxError`]s.
-pub fn try_nsm_post_projection_jive(
     larger: &NsmRelation,
     smaller: &NsmRelation,
     spec: &QuerySpec,
@@ -176,7 +152,8 @@ mod tests {
         let w = JoinWorkloadBuilder::equal(2_000, 3).seed(21).build();
         let spec = QuerySpec::symmetric(2);
         let params = CacheParams::tiny_for_tests();
-        let out = nsm_post_projection_decluster(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
+        let out =
+            nsm_post_projection_decluster(&w.larger_nsm, &w.smaller_nsm, &spec, &params).unwrap();
         assert_eq!(
             result_rows(&out.result),
             reference_rows(&w.larger, &w.smaller, &spec)
@@ -188,7 +165,7 @@ mod tests {
         let w = JoinWorkloadBuilder::equal(2_000, 3).seed(22).build();
         let spec = QuerySpec::symmetric(2);
         let params = CacheParams::tiny_for_tests();
-        let out = nsm_post_projection_jive(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
+        let out = nsm_post_projection_jive(&w.larger_nsm, &w.smaller_nsm, &spec, &params).unwrap();
         assert_eq!(
             result_rows(&out.result),
             reference_rows(&w.larger, &w.smaller, &spec)
@@ -203,14 +180,15 @@ mod tests {
             .build();
         let spec = QuerySpec::symmetric(1);
         let params = CacheParams::tiny_for_tests();
-        let a = nsm_post_projection_decluster(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
-        let b = nsm_post_projection_jive(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
+        let a =
+            nsm_post_projection_decluster(&w.larger_nsm, &w.smaller_nsm, &spec, &params).unwrap();
+        let b = nsm_post_projection_jive(&w.larger_nsm, &w.smaller_nsm, &spec, &params).unwrap();
         assert_eq!(result_rows(&a.result), result_rows(&b.result));
         assert_eq!(a.result.cardinality(), w.expected_matches);
     }
 
     #[test]
-    fn try_variants_report_the_key_exclusive_width_as_typed_errors() {
+    fn the_key_exclusive_width_is_a_typed_error() {
         use crate::error::{RdxError, Side};
         // ω = 2 record: one key + one projectable attribute.
         let w = JoinWorkloadBuilder::equal(300, 1).seed(24).build();
@@ -220,10 +198,9 @@ mod tests {
             project_smaller: 2,
         };
         for err in [
-            try_nsm_post_projection_decluster(&w.larger_nsm, &w.smaller_nsm, &spec, &params)
+            nsm_post_projection_decluster(&w.larger_nsm, &w.smaller_nsm, &spec, &params)
                 .unwrap_err(),
-            try_nsm_post_projection_jive(&w.larger_nsm, &w.smaller_nsm, &spec, &params)
-                .unwrap_err(),
+            nsm_post_projection_jive(&w.larger_nsm, &w.smaller_nsm, &spec, &params).unwrap_err(),
         ] {
             assert_eq!(
                 err,

@@ -151,19 +151,8 @@ fn to_outcome(result_cols: Vec<Vec<i32>>, timings: PhaseTimings) -> StrategyOutc
 /// NSM pre-projection with a **naive** (non-partitioned) Hash-Join —
 /// "NSM-pre-hash", the no-cache-optimisation baseline of Fig. 10a.
 ///
-/// **Legacy surface**: thin panicking wrapper over
-/// [`try_nsm_pre_projection_hash`].
+/// Validation failures are reported as typed [`RdxError`]s.
 pub fn nsm_pre_projection_hash(
-    larger: &NsmRelation,
-    smaller: &NsmRelation,
-    spec: &QuerySpec,
-) -> StrategyOutcome {
-    try_nsm_pre_projection_hash(larger, smaller, spec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`nsm_pre_projection_hash`] with validation failures reported as typed
-/// [`RdxError`]s.
-pub fn try_nsm_pre_projection_hash(
     larger: &NsmRelation,
     smaller: &NsmRelation,
     spec: &QuerySpec,
@@ -192,20 +181,8 @@ pub fn try_nsm_pre_projection_hash(
 /// NSM pre-projection with **Partitioned Hash-Join** — "NSM-pre-phash", the
 /// conventional plan upgraded with the paper's cache-conscious join.
 ///
-/// **Legacy surface**: thin panicking wrapper over
-/// [`try_nsm_pre_projection_phash`].
+/// Validation failures are reported as typed [`RdxError`]s.
 pub fn nsm_pre_projection_phash(
-    larger: &NsmRelation,
-    smaller: &NsmRelation,
-    spec: &QuerySpec,
-    params: &CacheParams,
-) -> StrategyOutcome {
-    try_nsm_pre_projection_phash(larger, smaller, spec, params).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`nsm_pre_projection_phash`] with validation failures reported as typed
-/// [`RdxError`]s.
-pub fn try_nsm_pre_projection_phash(
     larger: &NsmRelation,
     smaller: &NsmRelation,
     spec: &QuerySpec,
@@ -254,8 +231,9 @@ mod tests {
         let spec = QuerySpec::symmetric(2);
         let params = CacheParams::tiny_for_tests();
         let expected = reference_rows(&w.larger, &w.smaller, &spec);
-        let naive = nsm_pre_projection_hash(&w.larger_nsm, &w.smaller_nsm, &spec);
-        let phash = nsm_pre_projection_phash(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
+        let naive = nsm_pre_projection_hash(&w.larger_nsm, &w.smaller_nsm, &spec).unwrap();
+        let phash =
+            nsm_pre_projection_phash(&w.larger_nsm, &w.smaller_nsm, &spec, &params).unwrap();
         assert_eq!(result_rows(&naive.result), expected);
         assert_eq!(result_rows(&phash.result), expected);
     }
@@ -268,7 +246,7 @@ mod tests {
             .build();
         let spec = QuerySpec::symmetric(1);
         let params = CacheParams::tiny_for_tests();
-        let out = nsm_pre_projection_phash(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
+        let out = nsm_pre_projection_phash(&w.larger_nsm, &w.smaller_nsm, &spec, &params).unwrap();
         assert_eq!(out.result.cardinality(), w.expected_matches);
         assert_eq!(
             result_rows(&out.result),
@@ -277,14 +255,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn projecting_more_than_record_width_panics() {
-        let w = JoinWorkloadBuilder::equal(100, 1).build();
-        nsm_pre_projection_hash(&w.larger_nsm, &w.smaller_nsm, &QuerySpec::symmetric(4));
-    }
-
-    #[test]
-    fn try_variants_report_over_projection_as_typed_errors() {
+    fn over_projection_is_a_typed_error() {
         use crate::error::{RdxError, Side};
         let w = JoinWorkloadBuilder::equal(100, 1).build();
         let params = CacheParams::tiny_for_tests();
@@ -295,12 +266,11 @@ mod tests {
             available: 1,
         };
         assert_eq!(
-            try_nsm_pre_projection_hash(&w.larger_nsm, &w.smaller_nsm, &spec).unwrap_err(),
+            nsm_pre_projection_hash(&w.larger_nsm, &w.smaller_nsm, &spec).unwrap_err(),
             want
         );
         assert_eq!(
-            try_nsm_pre_projection_phash(&w.larger_nsm, &w.smaller_nsm, &spec, &params)
-                .unwrap_err(),
+            nsm_pre_projection_phash(&w.larger_nsm, &w.smaller_nsm, &spec, &params).unwrap_err(),
             want
         );
     }

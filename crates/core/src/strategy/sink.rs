@@ -1,6 +1,6 @@
 //! Incremental result emission for the streaming projection pipeline.
 //!
-//! The materialising executors ([`crate::strategy::DsmPostProjection`] etc.)
+//! The baseline strategies ([`crate::strategy::dsm_pre_projection`] etc.)
 //! return a fully built [`ResultRelation`] — which is exactly what a
 //! memory-budgeted pipeline must *not* do.  A [`RowChunkSink`] receives the
 //! projected result chunk by chunk instead, in final result order, so the

@@ -29,23 +29,9 @@ use std::time::Instant;
 /// *not* materialised — they are fetched sparsely from the base table during
 /// the projection phase, which is the whole point of the experiment.
 ///
-/// **Legacy surface**: thin panicking wrapper over
-/// [`try_dsm_post_projection_sparse`].
+/// Validation failures — over-wide specs, and a selection that does not
+/// belong to the supplied base table — are reported as typed [`RdxError`]s.
 pub fn dsm_post_projection_sparse(
-    larger: &DsmRelation,
-    smaller_base: &DsmRelation,
-    selection: &Selection,
-    spec: &QuerySpec,
-    params: &CacheParams,
-) -> StrategyOutcome {
-    try_dsm_post_projection_sparse(larger, smaller_base, selection, spec, params)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`dsm_post_projection_sparse`] with validation failures — over-wide
-/// specs, and a selection that does not belong to the supplied base table —
-/// reported as typed [`RdxError`]s instead of panics.
-pub fn try_dsm_post_projection_sparse(
     larger: &DsmRelation,
     smaller_base: &DsmRelation,
     selection: &Selection,
@@ -156,7 +142,8 @@ mod tests {
                 &sparse.selection,
                 &spec,
                 &params,
-            );
+            )
+            .unwrap();
 
             let dense_smaller = materialise_selection(&sparse.base, &sparse.selection);
             let expected = reference_rows(&larger, &dense_smaller, &spec);
@@ -169,7 +156,7 @@ mod tests {
     }
 
     #[test]
-    fn full_selection_equals_dense_strategy() {
+    fn full_selection_equals_the_dense_reference() {
         let sparse = SparseWorkload::generate(1_500, 1.0, 1, 40);
         let larger = RelationBuilder::new(1_500)
             .columns(1)
@@ -179,35 +166,22 @@ mod tests {
         let spec = QuerySpec::symmetric(1);
         let params = CacheParams::tiny_for_tests();
         let sparse_out =
-            dsm_post_projection_sparse(&larger, &sparse.base, &sparse.selection, &spec, &params);
-        let dense = crate::strategy::DsmPostProjection::plan(&larger, &sparse.base, &params)
-            .execute(&larger, &sparse.base, &spec, &params);
-        assert_eq!(result_rows(&sparse_out.result), result_rows(&dense.result));
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_selection_rejected() {
-        let sparse = SparseWorkload::generate(100, 0.5, 1, 1);
-        let other_base = RelationBuilder::new(50).columns(1).build_dsm();
-        let larger = RelationBuilder::new(100).columns(1).build_dsm();
-        dsm_post_projection_sparse(
-            &larger,
-            &other_base,
-            &sparse.selection,
-            &QuerySpec::symmetric(1),
-            &CacheParams::tiny_for_tests(),
+            dsm_post_projection_sparse(&larger, &sparse.base, &sparse.selection, &spec, &params)
+                .unwrap();
+        assert_eq!(
+            result_rows(&sparse_out.result),
+            reference_rows(&larger, &sparse.base, &spec)
         );
     }
 
     #[test]
-    fn try_variant_reports_mismatch_and_over_projection_as_typed_errors() {
+    fn mismatch_and_over_projection_are_typed_errors() {
         use crate::error::{RdxError, Side};
         let sparse = SparseWorkload::generate(100, 0.5, 1, 1);
         let other_base = RelationBuilder::new(50).columns(1).build_dsm();
         let larger = RelationBuilder::new(100).columns(1).build_dsm();
         let params = CacheParams::tiny_for_tests();
-        let err = try_dsm_post_projection_sparse(
+        let err = dsm_post_projection_sparse(
             &larger,
             &other_base,
             &sparse.selection,
@@ -222,7 +196,7 @@ mod tests {
                 base_cardinality: 50
             }
         );
-        let err = try_dsm_post_projection_sparse(
+        let err = dsm_post_projection_sparse(
             &larger,
             &sparse.base,
             &sparse.selection,

@@ -24,21 +24,8 @@ use std::time::Instant;
 /// string column is fetched with a clustered positional gather and put into
 /// final order with the variable-size Radix-Decluster.
 ///
-/// **Legacy surface**: thin panicking wrapper over
-/// [`try_dsm_post_projection_with_strings`].
+/// Validation failures are reported as typed [`RdxError`]s.
 pub fn dsm_post_projection_with_strings(
-    larger: &DsmRelation,
-    smaller: &DsmRelation,
-    spec: &QuerySpec,
-    params: &CacheParams,
-) -> StrategyOutcome {
-    try_dsm_post_projection_with_strings(larger, smaller, spec, params)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`dsm_post_projection_with_strings`] with validation failures reported as
-/// typed [`RdxError`]s instead of panics.
-pub fn try_dsm_post_projection_with_strings(
     larger: &DsmRelation,
     smaller: &DsmRelation,
     spec: &QuerySpec,
@@ -132,7 +119,7 @@ mod tests {
         let spec = QuerySpec::symmetric(1);
         let params = CacheParams::tiny_for_tests();
 
-        let out = dsm_post_projection_with_strings(&larger, &smaller, &spec, &params);
+        let out = dsm_post_projection_with_strings(&larger, &smaller, &spec, &params).unwrap();
         assert_eq!(out.result.num_columns(), 3); // 1 int from each side + 1 string
         assert_eq!(out.result.var_columns().len(), 1);
         assert_eq!(out.result.cardinality(), n);
@@ -171,17 +158,18 @@ mod tests {
             &smaller,
             &QuerySpec::symmetric(1),
             &CacheParams::tiny_for_tests(),
-        );
+        )
+        .unwrap();
         assert_eq!(out.result.var_columns().len(), 0);
         assert_eq!(out.result.cardinality(), 500);
     }
 
     #[test]
-    fn try_variant_reports_over_projection_as_typed_error() {
+    fn over_projection_is_a_typed_error() {
         use crate::error::{RdxError, Side};
         let larger = RelationBuilder::new(100).columns(1).seed(64).build_dsm();
         let smaller = RelationBuilder::new(100).columns(1).seed(65).build_dsm();
-        let err = try_dsm_post_projection_with_strings(
+        let err = dsm_post_projection_with_strings(
             &larger,
             &smaller,
             &QuerySpec::symmetric(2),

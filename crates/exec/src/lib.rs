@@ -26,12 +26,10 @@
 //! * [`pipeline`] — the memory-budgeted **streaming** projection pipeline:
 //!   cluster → decluster → fetch in chunks sized by an explicit
 //!   [`rdx_core::budget::MemoryBudget`], emitting through a
-//!   [`rdx_core::strategy::RowChunkSink`] instead of materialising the
-//!   result; byte-identical to the materialising executors.
-//! * [`strategy`] — parallel end-to-end executors
-//!   ([`par_dsm_post_projection`], [`par_nsm_post_projection_decluster`])
-//!   that mirror the sequential phase structure and report the same
-//!   [`rdx_core::strategy::PhaseTimings`].
+//!   [`rdx_core::strategy::RowChunkSink`]; a whole result is the one-chunk
+//!   stream, [`ProjectionPipeline::materialize`].
+//! * [`strategy`] — the morsel-parallel reorder and positional-join phases
+//!   the pipeline runs, byte-identical to their sequential counterparts.
 //!
 //! ## Thread count and the cost model
 //!
@@ -59,8 +57,7 @@ pub use cluster::{
 pub use decluster::{par_radix_decluster, par_radix_decluster_into};
 pub use join::par_partitioned_hash_join;
 pub use pipeline::{
-    cluster_plan_for, cluster_spec_for, dsm_cluster_spec, BoxedSource, ChunkScratch,
-    DsmPipelineRun, PipelineRun, PipelineStats, PreparedProjection, ProjectionPipeline,
+    cluster_plan_for, cluster_spec_for, BoxedSource, ChunkScratch, DsmPipelineRun, PipelineRun,
+    PipelineStats, PreparedProjection, ProjectionPipeline,
 };
 pub use pool::{ExecPolicy, MorselQueue, WorkerPanic};
-pub use strategy::{par_dsm_post_projection, par_nsm_post_projection_decluster};

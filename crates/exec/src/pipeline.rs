@@ -2,21 +2,23 @@
 //! decluster → fetch in chunks sized by an explicit
 //! [`MemoryBudget`](rdx_core::budget::MemoryBudget).
 //!
-//! Every other executor in the workspace (sequential and parallel)
-//! materialises the full projected relation: `O(N · π)` value bytes live in
-//! RAM at once, plus a full `CLUST_VALUES` staging column per projected
-//! attribute.  That forfeits the paper's own regime of interest — bounded
-//! fast memory — one level up the hierarchy.  This pipeline instead streams
-//! the result through a [`RowChunkSink`] in contiguous chunks:
+//! This is the one executor of the paper's DSM post-projection (§3, §4.1,
+//! Fig. 4).  Materialising the whole projected relation at once would hold
+//! `O(N · π)` value bytes plus a full `CLUST_VALUES` staging column per
+//! projected attribute, which forfeits the paper's own regime of interest —
+//! bounded fast memory — one level up the hierarchy.  The pipeline instead
+//! streams the result through a [`RowChunkSink`] in contiguous chunks, and
+//! a whole result is simply the one-chunk stream
+//! ([`ProjectionPipeline::materialize`], under an unbounded budget):
 //!
-//! 1. **join** and **reorder** run exactly as in
-//!    [`crate::strategy::par_dsm_post_projection`] (the clustered oid/position
-//!    arrays are the `6 N`-byte irreducible floor, the Fig. 4
-//!    `CLUST_SMALLER`/`CLUST_RESULT` analogue: every radix-clustered oid array
-//!    is stored as 2-byte low bits under its cluster, [`PackedOids`]); this
-//!    whole prefix is factored out as [`PreparedProjection`] — a
-//!    self-contained, *shareable* product (the serving layer caches it across
-//!    queries under an `Arc`);
+//! 1. **join** (Partitioned Hash-Join on the key columns) and **reorder**
+//!    (the `u`/`s`/`c` code on the first side, a partial Radix-Cluster on
+//!    the second) build the clustered oid/position arrays — the `6 N`-byte
+//!    irreducible floor, the Fig. 4 `CLUST_SMALLER`/`CLUST_RESULT` analogue:
+//!    every radix-clustered oid array is stored as 2-byte low bits under its
+//!    cluster, [`PackedOids`]; this whole prefix is factored out as
+//!    [`PreparedProjection`] — a self-contained, *shareable* product (the
+//!    serving layer caches it across queries under an `Arc`);
 //! 2. the result rows are cut into chunks of
 //!    [`StreamingPlan::chunk_rows`] = `budget / bytes_per_row` rows;
 //! 3. per chunk, a [`ChunkCursorState`] advances one cursor per cluster
@@ -26,8 +28,8 @@
 //!    by the unchanged windowed kernel — morsel-parallel across insertion
 //!    windows — and emitted;
 //! 4. the sink decides what full-result memory (if any) to pay:
-//!    [`MaterializeSink`] rebuilds the materialising executors' output byte
-//!    for byte, [`rdx_core::strategy::PagedSink`] spools to buffer-manager
+//!    [`MaterializeSink`] concatenates the chunks into the whole result,
+//!    [`rdx_core::strategy::PagedSink`] spools to buffer-manager
 //!    pages (§5).  The chunk's columns are lent to the sink, which may take
 //!    them: when one chunk is the whole result, [`MaterializeSink`] keeps
 //!    the buffers the kernels wrote and that chunk reads the prefix's
@@ -39,14 +41,14 @@
 //! [`PipelineRun::step`] emits exactly one chunk and returns, so a scheduler
 //! can interleave chunks from many concurrent queries — chunk boundaries are
 //! natural preemption points, which is what makes the multi-query serving
-//! layer (`rdx-serve`) possible.  [`ProjectionPipeline::execute`] is simply
-//! `prepare` + `step` until done.
+//! layer (`rdx-serve`) possible.  [`ProjectionPipeline::materialize`] is
+//! simply `prepare` + `step` until done into a [`MaterializeSink`].
 //!
-//! The output is **byte-identical** to [`DsmPostProjection::execute`] with
-//! the same codes for every budget and any step interleaving, because
-//! chunking changes only *when* a result row is produced, never its value or
-//! position: each chunk is a self-contained Radix-Decluster problem over
-//! rebased positions (`rdx_core::decluster::chunks`).
+//! The output is **byte-identical**, in row order, for every budget, thread
+//! count and step interleaving, because chunking changes only *when* a
+//! result row is produced, never its value or position: each chunk is a
+//! self-contained Radix-Decluster problem over rebased positions
+//! (`rdx_core::decluster::chunks`).
 //!
 //! **Fetch contract.**  §3's positional joins are "pointer-based joins …
 //! with negligible CPU cost" only as tight array loops, so the chunk loop
@@ -59,7 +61,7 @@
 use crate::cluster::{par_radix_cluster_oids_with_scratch, ParClusterScratch};
 use crate::decluster::par_radix_decluster_into;
 use crate::join::par_partitioned_hash_join;
-use crate::pool::{for_each_output_morsel, ExecPolicy};
+use crate::pool::ExecPolicy;
 use crate::strategy::{
     par_gather_into, par_order_join_index, par_partial_cluster_join_index, par_project_columns_into,
 };
@@ -68,6 +70,7 @@ use rdx_core::cluster::{plan_partial_cluster, PackedOids, RadixClusterSpec, Scat
 use rdx_core::decluster::chunks::{ChunkCursorState, ChunkRuns};
 use rdx_core::decluster::traced::radix_decluster_traced;
 use rdx_core::decluster::DeclusterScratch;
+use rdx_core::error::{check_projection_widths, RdxError};
 use rdx_core::join::join_cluster_spec;
 use rdx_core::positional::{AttrSource, OidBlock};
 use rdx_core::strategy::planner::{plan_streaming, predict_streaming_cost, StreamingPlan};
@@ -76,7 +79,6 @@ use rdx_core::strategy::{
     DsmPostProjection, PhaseTimings, ProjectionCode, QuerySpec, SecondSideCode, StrategyOutcome,
 };
 use rdx_dsm::{DsmRelation, Oid};
-use rdx_nsm::NsmRelation;
 use rdx_obs::{EventKind, MissCounts, Obs, Phase, QueryId};
 use std::ops::Range;
 use std::sync::Arc;
@@ -86,19 +88,14 @@ use std::time::Instant;
 const VALUE_WIDTH: usize = 4;
 
 /// The second-side clustering spec the streaming pipeline uses for a
-/// smaller relation of `smaller_tuples` tuples whose cache-relevant value
-/// width is `smaller_value_width` (4 for DSM columns, the record width for
-/// NSM) — the §3.1 `optimal_partial` rule against the given cache.
+/// smaller relation of `smaller_tuples` tuples of 4-byte DSM values — the
+/// §3.1 `optimal_partial` rule against the given cache.
 ///
 /// Exposed so layers that must *name* the clustering without building it —
 /// the serving layer's clustered-index cache key — derive it from the same
-/// function [`ProjectionPipeline::prepare_keys`] uses, and cannot drift.
-pub fn cluster_spec_for(
-    smaller_tuples: usize,
-    smaller_value_width: usize,
-    params: &CacheParams,
-) -> RadixClusterSpec {
-    cluster_plan_for(smaller_tuples, smaller_value_width, params).0
+/// function [`ProjectionPipeline::prepare`] uses, and cannot drift.
+pub fn cluster_spec_for(smaller_tuples: usize, params: &CacheParams) -> RadixClusterSpec {
+    cluster_plan_for(smaller_tuples, params).0
 }
 
 /// [`cluster_spec_for`] together with the scatter mode the clustering runs
@@ -108,20 +105,14 @@ pub fn cluster_spec_for(
 /// all agree.
 pub fn cluster_plan_for(
     smaller_tuples: usize,
-    smaller_value_width: usize,
     params: &CacheParams,
 ) -> (RadixClusterSpec, ScatterMode) {
     plan_partial_cluster(
         smaller_tuples,
-        smaller_value_width.max(1),
+        VALUE_WIDTH,
         rdx_core::cluster::OID_PAIR_BYTES,
         params,
     )
-}
-
-/// [`cluster_spec_for`] with the DSM column width filled in.
-pub fn dsm_cluster_spec(smaller_tuples: usize, params: &CacheParams) -> RadixClusterSpec {
-    cluster_spec_for(smaller_tuples, VALUE_WIDTH, params)
 }
 
 /// A planned streaming projection: the `u/s/c × u/d` codes of the underlying
@@ -153,7 +144,6 @@ pub struct PreparedProjection {
     first: FirstSide,
     second: SecondSide,
     smaller_cardinality: usize,
-    smaller_value_width: usize,
     timings: PhaseTimings,
 }
 
@@ -229,12 +219,6 @@ impl PreparedProjection {
     /// Cardinality of the smaller relation the clustering was sized for.
     pub fn smaller_cardinality(&self) -> usize {
         self.smaller_cardinality
-    }
-
-    /// Value width the second-side clustering granularity was sized for
-    /// (4 for DSM columns, the record width for NSM).
-    pub fn smaller_value_width(&self) -> usize {
-        self.smaller_value_width
     }
 
     /// Wall-clock spent building this prefix (join + reorder + cluster).
@@ -513,9 +497,9 @@ pub type DsmPipelineRun<'a> = PipelineRun<BoxedSource<'a>, BoxedSource<'a>>;
 /// [`PipelineRun::step`] emits exactly one chunk into the sink and returns;
 /// between calls the run is a plain parked value, which is what lets a fair
 /// scheduler interleave many queries at chunk granularity.  Stepping a run
-/// to completion produces output byte-identical to the one-shot
-/// [`ProjectionPipeline::execute`], independent of how steps interleave
-/// with other runs.
+/// to completion produces output byte-identical to the one-chunk
+/// [`ProjectionPipeline::materialize`], independent of the budget and of
+/// how steps interleave with other runs.
 pub struct PipelineRun<L, S> {
     prepared: Arc<PreparedProjection>,
     larger: L,
@@ -564,7 +548,7 @@ where
         let streaming = plan_streaming(
             prepared.result_rows(),
             prepared.smaller_cardinality,
-            prepared.smaller_value_width,
+            VALUE_WIDTH,
             spec,
             params,
             policy.budget,
@@ -636,7 +620,7 @@ where
             return; // untraced obs: stay as cheap as an unprofiled run
         };
         // The shared prefix's cluster build is accounted once, at attach —
-        // prepare_keys books its wall-clock under the decluster phase.
+        // prepare books its wall-clock under the decluster phase.
         profile.record_span(
             Phase::Cluster,
             self.prepared.timings.decluster.as_nanos() as u64,
@@ -655,12 +639,7 @@ where
             .map(|_| space.alloc(larger_rows, VALUE_WIDTH))
             .collect();
         let smaller_cols = (0..self.spec.project_smaller)
-            .map(|_| {
-                space.alloc(
-                    self.prepared.smaller_cardinality.max(1),
-                    self.prepared.smaller_value_width.max(1),
-                )
-            })
+            .map(|_| space.alloc(self.prepared.smaller_cardinality.max(1), VALUE_WIDTH))
             .collect();
         let chunk_capacity = self.streaming.chunk_rows.min(n).max(1);
         let chunk_oids = space.alloc(chunk_capacity, 4);
@@ -1067,7 +1046,10 @@ impl ProjectionPipeline {
     }
 
     /// Builds the shareable prefix for a projection over two DSM relations:
-    /// join, first-side reorder, second-side partial clustering.
+    /// join over the key columns, reorder for the first side, partial-cluster
+    /// the second side on exactly the clustering the streaming planner
+    /// prices (`StreamingPlan::cluster_spec` stays the single source of
+    /// truth).
     pub fn prepare(
         &self,
         larger: &DsmRelation,
@@ -1075,42 +1057,22 @@ impl ProjectionPipeline {
         params: &CacheParams,
         policy: &ExecPolicy,
     ) -> PreparedProjection {
-        self.prepare_keys(
-            larger.key().as_slice(),
-            smaller.key().as_slice(),
-            larger.cardinality(),
-            smaller.cardinality(),
-            VALUE_WIDTH,
-            params,
-            policy,
-        )
-    }
-
-    /// The storage-model-generic prepare: join over the key columns, reorder
-    /// for the first side, partial-cluster the second side on exactly the
-    /// clustering the streaming planner prices
-    /// (`StreamingPlan::cluster_spec` stays the single source of truth).
-    #[allow(clippy::too_many_arguments)]
-    pub fn prepare_keys(
-        &self,
-        larger_keys: &[u64],
-        smaller_keys: &[u64],
-        larger_cardinality: usize,
-        smaller_cardinality: usize,
-        smaller_value_width: usize,
-        params: &CacheParams,
-        policy: &ExecPolicy,
-    ) -> PreparedProjection {
         let policy = &ExecPolicy {
             threads: policy.worker_threads(),
             ..*policy
         };
+        let smaller_cardinality = smaller.cardinality();
         let mut timings = PhaseTimings::default();
 
         // Phase 1: join index over the key columns only.
         let t = Instant::now();
         let join_spec = join_cluster_spec(smaller_cardinality, params.cache_capacity());
-        let join_index = par_partitioned_hash_join(larger_keys, smaller_keys, join_spec, policy);
+        let join_index = par_partitioned_hash_join(
+            larger.key().as_slice(),
+            smaller.key().as_slice(),
+            join_spec,
+            policy,
+        );
         timings.join = t.elapsed();
 
         // Phase 2: reorder for the first side (determines the result order);
@@ -1120,22 +1082,15 @@ impl ProjectionPipeline {
             ProjectionCode::PartialCluster => {
                 let (packed, second_oids) = PackedOids::pack(par_partial_cluster_join_index(
                     &join_index,
-                    larger_cardinality,
-                    VALUE_WIDTH,
+                    larger.cardinality(),
                     params,
                     policy,
                 ));
                 (FirstSide::Packed(packed), second_oids)
             }
             code => {
-                let (first_oids, second_oids) = par_order_join_index(
-                    &join_index,
-                    code,
-                    larger_cardinality,
-                    VALUE_WIDTH,
-                    params,
-                    policy,
-                );
+                let (first_oids, second_oids) =
+                    par_order_join_index(&join_index, code, larger.cardinality(), params, policy);
                 (FirstSide::Wide(first_oids), second_oids)
             }
         };
@@ -1147,11 +1102,9 @@ impl ProjectionPipeline {
         // §3.1 spec `plan_streaming` also derives — the same
         // `plan_partial_cluster` rule, so prepared prefix and streaming plan
         // can never drift apart, including the pass count and the
-        // plain/buffered scatter choice.  Counted as decluster time,
-        // matching project_second_side_decluster.
+        // plain/buffered scatter choice.  Counted as decluster time.
         let n = first.len();
-        let (cluster_spec, scatter) =
-            cluster_plan_for(smaller_cardinality, smaller_value_width, params);
+        let (cluster_spec, scatter) = cluster_plan_for(smaller_cardinality, params);
         let t = Instant::now();
         let second = match self.plan.second_side {
             SecondSideCode::Decluster => {
@@ -1175,103 +1128,45 @@ impl ProjectionPipeline {
             first,
             second,
             smaller_cardinality,
-            smaller_value_width,
             timings,
         }
     }
 
-    /// Executes over DSM relations, streaming the result into `sink`.
+    /// Materialises the whole result: validates the spec, prepares the
+    /// prefix and streams a run into a [`MaterializeSink`] under the
+    /// policy's budget — one chunk under the default unbounded budget, in
+    /// which case the sink keeps the columns the kernels wrote.  The one
+    /// whole-result entry; "sequential" is [`ExecPolicy::with_threads`]`(1)`.
     ///
-    /// # Panics
-    /// Panics if the query asks for more projection columns than a relation
-    /// has.
-    pub fn execute(
+    /// Empty relations and zero-width specs are degenerate successes.
+    ///
+    /// # Errors
+    /// [`RdxError::TooManyColumns`] if the query asks for more projection
+    /// columns than either relation has.
+    pub fn materialize(
         &self,
         larger: &DsmRelation,
         smaller: &DsmRelation,
         spec: &QuerySpec,
         params: &CacheParams,
         policy: &ExecPolicy,
-        sink: &mut dyn RowChunkSink,
-    ) -> PipelineStats {
+    ) -> Result<(StrategyOutcome, PipelineStats), RdxError> {
+        check_projection_widths(
+            spec.project_larger,
+            larger.width(),
+            spec.project_smaller,
+            smaller.width(),
+        )?;
         let prepared = Arc::new(self.prepare(larger, smaller, params, policy));
         let mut run = DsmPipelineRun::over_dsm(prepared, larger, smaller, spec, params, policy);
-        run.run_to_completion(sink);
-        run.stats()
-    }
-
-    /// Executes over NSM relations (attribute 0 is the join key), streaming
-    /// the result into `sink`.
-    ///
-    /// # Panics
-    /// Panics if the query asks for more projection columns than a relation
-    /// has beyond its key attribute.
-    pub fn execute_nsm(
-        &self,
-        larger: &NsmRelation,
-        smaller: &NsmRelation,
-        spec: &QuerySpec,
-        params: &CacheParams,
-        policy: &ExecPolicy,
-        sink: &mut dyn RowChunkSink,
-    ) -> PipelineStats {
-        assert!(spec.project_larger < larger.width());
-        assert!(spec.project_smaller < smaller.width());
-        // The unavoidable NSM entry fee: scan the key attribute out of the
-        // wide records (morsel parallel, as in the materialising executor).
-        let scan = Instant::now();
-        let mut larger_keys = vec![0u64; larger.cardinality()];
-        for_each_output_morsel(&mut larger_keys, policy, |offset, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = larger.key(offset + i);
-            }
-        });
-        let mut smaller_keys = vec![0u64; smaller.cardinality()];
-        for_each_output_morsel(&mut smaller_keys, policy, |offset, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = smaller.key(offset + i);
-            }
-        });
-        let scan_time = scan.elapsed();
-        let prepared = Arc::new(self.prepare_keys(
-            &larger_keys,
-            &smaller_keys,
-            larger.cardinality(),
-            smaller.cardinality(),
-            // A cache-line fetch from an NSM relation drags the full record
-            // in, so the clustering granularity must be sized to the record
-            // width (exactly as par_nsm_post_projection_decluster does).
-            smaller.tuple_bytes(),
-            params,
-            policy,
-        ));
-        let mut run = PipelineRun::new(prepared, larger, smaller, spec, params, policy);
-        run.run_to_completion(sink);
-        let mut stats = run.stats();
-        stats.timings.join += scan_time;
-        stats
-    }
-
-    /// Convenience: streams into a [`MaterializeSink`] and returns the
-    /// materialised [`StrategyOutcome`] — the drop-in replacement for
-    /// [`DsmPostProjection::execute`] used by agreement tests.
-    pub fn execute_materialized(
-        &self,
-        larger: &DsmRelation,
-        smaller: &DsmRelation,
-        spec: &QuerySpec,
-        params: &CacheParams,
-        policy: &ExecPolicy,
-    ) -> (StrategyOutcome, PipelineStats) {
         let mut sink = MaterializeSink::new();
-        let stats = self.execute(larger, smaller, spec, params, policy, &mut sink);
-        (
-            StrategyOutcome {
-                result: sink.into_result(),
-                timings: stats.timings,
-            },
-            stats,
-        )
+        run.run_to_completion(&mut sink);
+        let stats = run.stats();
+        let outcome = StrategyOutcome {
+            result: sink.into_result(),
+            timings: stats.timings,
+        };
+        Ok((outcome, stats))
     }
 }
 
@@ -1279,9 +1174,22 @@ impl ProjectionPipeline {
 mod tests {
     use super::*;
     use rdx_core::budget::MemoryBudget;
+    use rdx_core::error::Side;
+    use rdx_core::strategy::reference::{reference_rows, result_rows};
     use rdx_core::strategy::sink::CountingSink;
     use rdx_core::strategy::ProjectionCode;
+    use rdx_dsm::Column;
     use rdx_workload::JoinWorkloadBuilder;
+
+    /// The six `u/s/c × u/d` code pairs of §4.1.
+    const CODES: [(ProjectionCode, SecondSideCode); 6] = [
+        (ProjectionCode::Unsorted, SecondSideCode::Unsorted),
+        (ProjectionCode::Unsorted, SecondSideCode::Decluster),
+        (ProjectionCode::Sorted, SecondSideCode::Unsorted),
+        (ProjectionCode::Sorted, SecondSideCode::Decluster),
+        (ProjectionCode::PartialCluster, SecondSideCode::Unsorted),
+        (ProjectionCode::PartialCluster, SecondSideCode::Decluster),
+    ];
 
     fn raw_columns(outcome: &StrategyOutcome) -> Vec<Vec<i32>> {
         outcome
@@ -1292,38 +1200,233 @@ mod tests {
             .collect()
     }
 
+    /// Prepares and streams one run into `sink`, returning its folded stats.
+    fn stream(
+        pipeline: ProjectionPipeline,
+        larger: &DsmRelation,
+        smaller: &DsmRelation,
+        spec: &QuerySpec,
+        params: &CacheParams,
+        policy: &ExecPolicy,
+        sink: &mut dyn RowChunkSink,
+    ) -> PipelineStats {
+        let prepared = Arc::new(pipeline.prepare(larger, smaller, params, policy));
+        let mut run = DsmPipelineRun::over_dsm(prepared, larger, smaller, spec, params, policy);
+        run.run_to_completion(sink);
+        run.stats()
+    }
+
     #[test]
-    fn streaming_is_byte_identical_to_dsm_post_for_every_code_and_budget() {
+    fn materialize_is_the_reference_for_every_code_and_thread_count() {
+        let w = JoinWorkloadBuilder::equal(3_000, 2).seed(5).build();
+        let spec = QuerySpec::symmetric(2);
+        let params = CacheParams::tiny_for_tests();
+        let expected = reference_rows(&w.larger, &w.smaller, &spec);
+        for (first, second) in CODES {
+            let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
+            let label = pipeline.plan.label();
+            let materialize = |threads| {
+                let policy = ExecPolicy::with_threads(threads);
+                let (out, stats) = pipeline
+                    .materialize(&w.larger, &w.smaller, &spec, &params, &policy)
+                    .unwrap();
+                assert_eq!(stats.chunks_emitted, 1, "{label}: one chunk");
+                out
+            };
+            let sequential = materialize(1);
+            assert_eq!(result_rows(&sequential.result), expected, "{label}");
+            assert_eq!(sequential.result.cardinality(), w.expected_matches);
+            for threads in [4, 8] {
+                assert_eq!(
+                    materialize(threads).result,
+                    sequential.result,
+                    "{label}: threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_budget_streams_the_one_chunk_bytes_for_every_code() {
         let w = JoinWorkloadBuilder::equal(3_000, 2).seed(7).build();
         let spec = QuerySpec::symmetric(2);
         let params = CacheParams::tiny_for_tests();
         let data_bytes = 2 * 3_000 * 2 * VALUE_WIDTH;
-        for first in [
-            ProjectionCode::Unsorted,
-            ProjectionCode::Sorted,
-            ProjectionCode::PartialCluster,
-        ] {
-            for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
-                let plan = DsmPostProjection::with_codes(first, second);
-                let expected = raw_columns(&plan.execute(&w.larger, &w.smaller, &spec, &params));
-                for denom in [1usize, 16, 64] {
-                    let policy = ExecPolicy::with_threads(2)
-                        .budget(MemoryBudget::fraction_of(data_bytes, denom));
-                    let (out, stats) = ProjectionPipeline::new(plan)
-                        .execute_materialized(&w.larger, &w.smaller, &spec, &params, &policy);
-                    assert_eq!(
-                        raw_columns(&out),
-                        expected,
-                        "codes {} denom {denom}",
-                        plan.label()
-                    );
-                    assert_eq!(stats.rows_emitted, w.expected_matches);
-                    if denom > 1 {
-                        assert!(stats.chunks_emitted > 1, "denom {denom} did not chunk");
-                    }
+        for (first, second) in CODES {
+            let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
+            let label = pipeline.plan.label();
+            let (whole, _) = pipeline
+                .materialize(
+                    &w.larger,
+                    &w.smaller,
+                    &spec,
+                    &params,
+                    &ExecPolicy::with_threads(1),
+                )
+                .unwrap();
+            assert_eq!(
+                result_rows(&whole.result),
+                reference_rows(&w.larger, &w.smaller, &spec),
+                "{label}"
+            );
+            let expected = raw_columns(&whole);
+            for denom in [1usize, 16, 64] {
+                let policy = ExecPolicy::with_threads(2)
+                    .budget(MemoryBudget::fraction_of(data_bytes, denom));
+                let (out, stats) = pipeline
+                    .materialize(&w.larger, &w.smaller, &spec, &params, &policy)
+                    .unwrap();
+                assert_eq!(raw_columns(&out), expected, "{label} denom {denom}");
+                assert_eq!(stats.rows_emitted, w.expected_matches);
+                if denom > 1 {
+                    assert!(stats.chunks_emitted > 1, "denom {denom} did not chunk");
                 }
             }
         }
+    }
+
+    #[test]
+    fn materialize_works_with_asymmetric_projection() {
+        let w = JoinWorkloadBuilder::equal(1_000, 3).seed(8).build();
+        let spec = QuerySpec {
+            project_larger: 3,
+            project_smaller: 1,
+        };
+        let params = CacheParams::tiny_for_tests();
+        let plan = DsmPostProjection::plan(&w.larger, &w.smaller, &params);
+        let (out, _) = ProjectionPipeline::new(plan)
+            .materialize(
+                &w.larger,
+                &w.smaller,
+                &spec,
+                &params,
+                &ExecPolicy::with_threads(1),
+            )
+            .unwrap();
+        assert_eq!(
+            result_rows(&out.result),
+            reference_rows(&w.larger, &w.smaller, &spec)
+        );
+        assert_eq!(out.result.num_columns(), 4);
+    }
+
+    #[test]
+    fn materialize_populates_the_phase_timings() {
+        let w = JoinWorkloadBuilder::equal(2_000, 1).build();
+        let params = CacheParams::tiny_for_tests();
+        let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
+            ProjectionCode::PartialCluster,
+            SecondSideCode::Decluster,
+        ));
+        for threads in [1, 2] {
+            let (out, stats) = pipeline
+                .materialize(
+                    &w.larger,
+                    &w.smaller,
+                    &QuerySpec::symmetric(1),
+                    &params,
+                    &ExecPolicy::with_threads(threads),
+                )
+                .unwrap();
+            assert!(out.timings.total().as_nanos() > 0);
+            assert!(out.timings.join.as_nanos() > 0);
+            assert_eq!(out.timings, stats.timings);
+        }
+    }
+
+    #[test]
+    fn materialize_reports_over_projection_as_a_typed_error_on_either_side() {
+        let w = JoinWorkloadBuilder::equal(100, 1).build();
+        let params = CacheParams::tiny_for_tests();
+        let pipeline =
+            ProjectionPipeline::new(DsmPostProjection::plan(&w.larger, &w.smaller, &params));
+        let materialize = |spec| {
+            pipeline
+                .materialize(
+                    &w.larger,
+                    &w.smaller,
+                    &spec,
+                    &params,
+                    &ExecPolicy::with_threads(1),
+                )
+                .unwrap_err()
+        };
+        assert_eq!(
+            materialize(QuerySpec::symmetric(5)),
+            RdxError::TooManyColumns {
+                side: Side::Larger,
+                requested: 5,
+                available: 1
+            }
+        );
+        assert_eq!(
+            materialize(QuerySpec {
+                project_larger: 1,
+                project_smaller: 5,
+            }),
+            RdxError::TooManyColumns {
+                side: Side::Smaller,
+                requested: 5,
+                available: 1
+            }
+        );
+    }
+
+    #[test]
+    fn zero_width_specs_and_empty_relations_are_degenerate_successes() {
+        let w = JoinWorkloadBuilder::equal(200, 1).seed(2).build();
+        let empty = DsmRelation::new(Column::from_vec(vec![]), vec![Column::from_vec(vec![])]);
+        let params = CacheParams::tiny_for_tests();
+        let policy = ExecPolicy::with_threads(1);
+        for (first, second) in CODES {
+            let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
+            let label = pipeline.plan.label();
+            let (out, _) = pipeline
+                .materialize(
+                    &w.larger,
+                    &w.smaller,
+                    &QuerySpec::symmetric(0),
+                    &params,
+                    &policy,
+                )
+                .expect("zero-width spec must run");
+            assert_eq!(out.result.num_columns(), 0, "{label}");
+            let (out, stats) = pipeline
+                .materialize(&empty, &empty, &QuerySpec::symmetric(1), &params, &policy)
+                .expect("empty relations must run");
+            assert_eq!(out.result.cardinality(), 0, "{label}");
+            assert_eq!(out.result.num_columns(), 2, "{label}");
+            assert_eq!(stats.chunks_emitted, 0, "{label}");
+        }
+    }
+
+    /// The packing rule at a large cache share: 512 KB lets one cluster
+    /// span more than `2^16` oids, so the planner raises the bits, the
+    /// prefix packs, and the one-chunk run still computes the reference.
+    #[test]
+    fn packed_prefix_at_a_large_share_materializes_the_reference() {
+        let n = (1 << 17) + 3;
+        let w = JoinWorkloadBuilder::equal(n, 1).seed(3).build();
+        let spec = QuerySpec::symmetric(1);
+        let params = CacheParams::paper_pentium4();
+        let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
+            ProjectionCode::PartialCluster,
+            SecondSideCode::Decluster,
+        ));
+        let policy = ExecPolicy::with_threads(1);
+        let prepared = pipeline.prepare(&w.larger, &w.smaller, &params, &policy);
+        let SecondSide::Clustered { smaller, .. } = &prepared.second else {
+            panic!("a decluster plan clusters the second side");
+        };
+        assert_eq!(smaller.spec().ignore, rdx_core::cluster::PACKED_LOW_BITS);
+        assert!(matches!(prepared.first, FirstSide::Packed(_)));
+        let (out, _) = pipeline
+            .materialize(&w.larger, &w.smaller, &spec, &params, &policy)
+            .unwrap();
+        assert_eq!(
+            result_rows(&out.result),
+            reference_rows(&w.larger, &w.smaller, &spec)
+        );
     }
 
     #[test]
@@ -1338,8 +1441,15 @@ mod tests {
         for budget_bytes in [512usize, 4 * 1024, 64 * 1024] {
             let policy = ExecPolicy::with_threads(2).budget(MemoryBudget::bytes(budget_bytes));
             let mut sink = CountingSink::new(MaterializeSink::new());
-            let stats = ProjectionPipeline::new(plan)
-                .execute(&w.larger, &w.smaller, &spec, &params, &policy, &mut sink);
+            let stats = stream(
+                ProjectionPipeline::new(plan),
+                &w.larger,
+                &w.smaller,
+                &spec,
+                &params,
+                &policy,
+                &mut sink,
+            );
             assert!(
                 stats.peak_chunk_bytes <= stats.streaming.max_working_set_bytes(),
                 "budget {budget_bytes}: peak {} exceeds planned bound {}",
@@ -1421,8 +1531,8 @@ mod tests {
         /// the sizes), results of 0, 1, 2^16 − 1, 2^16, 2^16 + 1 and a random
         /// ≤ 300 k rows, at a tiny and at a large cache share: every packed
         /// prefix array widens to exactly the `u32` array the sequential
-        /// kernels build, and a whole-result run and a multi-chunk run both
-        /// stream the materialising executor's bytes.
+        /// kernels build, the whole-result run computes the reference rows,
+        /// and a multi-chunk run streams the whole-result run's bytes.
         #[test]
         fn packed_prefix_widens_to_the_wide_arrays_and_streams_the_same_bytes(
             code_offset in 0usize..4,
@@ -1481,7 +1591,7 @@ mod tests {
                         let wide = radix_cluster_oids(
                             &second_oids,
                             &result_positions,
-                            cluster_spec_for(n, VALUE_WIDTH, &params),
+                            cluster_spec_for(n, &params),
                         );
                         proptest::prop_assert!(smaller.spec().ignore <= 16, "{}", label);
                         proptest::prop_assert_eq!(smaller.spec(), wide.spec(), "{}", label);
@@ -1498,7 +1608,8 @@ mod tests {
                     }
                 }
 
-                let expected = raw_columns(&plan.execute(&w.larger, &w.smaller, &spec, &params));
+                let reference = reference_rows(&w.larger, &w.smaller, &spec);
+                let mut expected = None;
                 let row_bytes = streaming_bytes_per_row(&spec);
                 let chunked = MemoryBudget::bytes((rows * row_bytes / 5).max(row_bytes));
                 for budget in [MemoryBudget::unbounded(), chunked] {
@@ -1515,48 +1626,67 @@ mod tests {
                     run.run_to_completion(&mut sink);
                     let chunks = run.run_stats().chunks_emitted;
                     proptest::prop_assert!(budget.is_bounded() == (chunks > 1) || rows < 5);
-                    let got: Vec<Vec<i32>> = sink
-                        .into_result()
-                        .columns()
-                        .iter()
-                        .map(|c| c.as_slice().to_vec())
-                        .collect();
-                    proptest::prop_assert!(got == expected, "{}: {} chunks", label, chunks);
+                    let got = sink.into_result();
+                    match &expected {
+                        // The unbounded budget runs first: one chunk, the
+                        // reference rows.
+                        None => {
+                            proptest::prop_assert!(
+                                result_rows(&got) == reference,
+                                "{}: whole result",
+                                label
+                            );
+                            expected = Some(got);
+                        }
+                        Some(whole) => proptest::prop_assert!(
+                            got == *whole,
+                            "{}: {} chunks",
+                            label,
+                            chunks
+                        ),
+                    }
                 }
             }
         }
     }
 
+    /// A run fetches through any [`AttrSource`]: over the NSM records of the
+    /// same relations it streams the DSM run's bytes, at any thread count.
     #[test]
-    fn nsm_streaming_matches_dsm_streaming() {
-        let w = JoinWorkloadBuilder::equal(1_500, 2).seed(19).build();
+    fn nsm_sources_stream_the_dsm_bytes_at_any_thread_count() {
+        let w = JoinWorkloadBuilder::equal(1_500, 3).seed(19).build();
         let spec = QuerySpec::symmetric(2);
         let params = CacheParams::tiny_for_tests();
-        let plan = DsmPostProjection::with_codes(
+        let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
             ProjectionCode::PartialCluster,
             SecondSideCode::Decluster,
+        ));
+        let sequential = ExecPolicy::with_threads(1);
+        let (dsm_out, _) = pipeline
+            .materialize(&w.larger, &w.smaller, &spec, &params, &sequential)
+            .unwrap();
+        assert_eq!(
+            result_rows(&dsm_out.result),
+            reference_rows(&w.larger, &w.smaller, &spec)
         );
-        let policy = ExecPolicy::with_threads(2).budget(MemoryBudget::bytes(2048));
-        let pipeline = ProjectionPipeline::new(plan);
-        let (dsm_out, _) =
-            pipeline.execute_materialized(&w.larger, &w.smaller, &spec, &params, &policy);
-        let mut sink = MaterializeSink::new();
-        pipeline.execute_nsm(
-            &w.larger_nsm,
-            &w.smaller_nsm,
-            &spec,
-            &params,
-            &policy,
-            &mut sink,
-        );
-        assert_eq!(raw_columns(&dsm_out), {
-            let nsm_result = sink.into_result();
-            nsm_result
-                .columns()
-                .iter()
-                .map(|c| c.as_slice().to_vec())
-                .collect::<Vec<_>>()
-        });
+        let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &sequential));
+        for (threads, budget) in [
+            (1, MemoryBudget::unbounded()),
+            (2, MemoryBudget::bytes(2048)),
+        ] {
+            let policy = ExecPolicy::with_threads(threads).budget(budget);
+            let mut run = PipelineRun::new(
+                prepared.clone(),
+                &w.larger_nsm,
+                &w.smaller_nsm,
+                &spec,
+                &params,
+                &policy,
+            );
+            let mut sink = MaterializeSink::new();
+            run.run_to_completion(&mut sink);
+            assert_eq!(sink.into_result(), dsm_out.result, "threads {threads}");
+        }
     }
 
     /// The fetch contract, pinned by a count instead of a clock: one `step`
@@ -1607,8 +1737,9 @@ mod tests {
                 assert_eq!(steps, chunks);
                 assert_eq!((larger.values(), smaller.values()), (2 * n, 3 * n));
                 assert!(larger.largest_block() <= morsel && smaller.largest_block() <= morsel);
-                let (expected, _) =
-                    pipeline.execute_materialized(&w.larger, &w.smaller, &spec, &params, &policy);
+                let (expected, _) = pipeline
+                    .materialize(&w.larger, &w.smaller, &spec, &params, &policy)
+                    .unwrap();
                 assert_eq!(sink.into_result(), expected.result);
             }
         }
@@ -1687,7 +1818,8 @@ mod tests {
         let plan =
             DsmPostProjection::with_codes(ProjectionCode::Unsorted, SecondSideCode::Decluster);
         let (out, stats) = ProjectionPipeline::new(plan)
-            .execute_materialized(&larger, &smaller, &spec, &params, &policy);
+            .materialize(&larger, &smaller, &spec, &params, &policy)
+            .unwrap();
         assert_eq!(stats.chunks_emitted, 0);
         assert_eq!(stats.rows_emitted, 0);
         assert_eq!(out.result.cardinality(), 0);
@@ -1695,16 +1827,24 @@ mod tests {
     }
 
     #[test]
-    fn planned_pipeline_matches_planned_executor() {
-        let w = JoinWorkloadBuilder::equal(2_000, 1).seed(23).build();
-        let spec = QuerySpec::symmetric(1);
+    fn planned_codes_materialize_the_reference_rows() {
+        let w = JoinWorkloadBuilder::equal(3_000, 2).seed(55).build();
+        let spec = QuerySpec::symmetric(2);
         let params = CacheParams::tiny_for_tests();
-        let policy = ExecPolicy::with_threads(1).budget(MemoryBudget::bytes(1024));
-        let pipeline = ProjectionPipeline::planned(&w.larger, &w.smaller, &spec, &params, &policy);
-        let (out, _) =
-            pipeline.execute_materialized(&w.larger, &w.smaller, &spec, &params, &policy);
-        let expected = pipeline.plan.execute(&w.larger, &w.smaller, &spec, &params);
-        assert_eq!(raw_columns(&out), raw_columns(&expected));
+        let expected = reference_rows(&w.larger, &w.smaller, &spec);
+        let sequential = ExecPolicy::with_threads(1);
+        let pipeline =
+            ProjectionPipeline::planned(&w.larger, &w.smaller, &spec, &params, &sequential);
+        let (whole, _) = pipeline
+            .materialize(&w.larger, &w.smaller, &spec, &params, &sequential)
+            .unwrap();
+        assert_eq!(result_rows(&whole.result), expected);
+        let chunked = sequential.budget(MemoryBudget::bytes(1024));
+        let (out, stats) = pipeline
+            .materialize(&w.larger, &w.smaller, &spec, &params, &chunked)
+            .unwrap();
+        assert!(stats.chunks_emitted > 1);
+        assert_eq!(out.result, whole.result);
     }
 
     #[test]
@@ -1722,8 +1862,9 @@ mod tests {
         );
         let policy = ExecPolicy::with_threads(2).budget(MemoryBudget::bytes(1024));
         let pipeline = ProjectionPipeline::new(plan);
-        let (expected, _) =
-            pipeline.execute_materialized(&w.larger, &w.smaller, &spec, &params, &policy);
+        let (expected, _) = pipeline
+            .materialize(&w.larger, &w.smaller, &spec, &params, &policy)
+            .unwrap();
         let expected = raw_columns(&expected);
 
         let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
@@ -1820,8 +1961,9 @@ mod tests {
         for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
             let plan = DsmPostProjection::with_codes(ProjectionCode::PartialCluster, second);
             let pipeline = ProjectionPipeline::new(plan);
-            let (expected, _) =
-                pipeline.execute_materialized(&w.larger, &w.smaller, &spec, &params, &policy);
+            let (expected, _) = pipeline
+                .materialize(&w.larger, &w.smaller, &spec, &params, &policy)
+                .unwrap();
             let expected = raw_columns(&expected);
 
             let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));

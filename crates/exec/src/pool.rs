@@ -28,9 +28,9 @@ pub struct ExecPolicy {
     pub threads: usize,
     /// Morsel size in tuples for dynamically scheduled loops.
     pub morsel_tuples: usize,
-    /// Memory budget for streaming executors (`rdx_exec::pipeline`): caps the
-    /// per-chunk working set of value data.  Ignored by the materialising
-    /// kernels; defaults to unbounded.
+    /// Memory budget of the streaming pipeline (`rdx_exec::pipeline`): caps
+    /// the per-chunk working set of value data.  Defaults to unbounded, under
+    /// which a run is one chunk; the standalone kernels ignore it.
     pub budget: MemoryBudget,
 }
 

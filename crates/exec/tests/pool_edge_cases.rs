@@ -7,12 +7,13 @@ use rdx_cache::CacheParams;
 use rdx_core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use rdx_core::decluster::radix_decluster;
 use rdx_core::join::partitioned_hash_join;
+use rdx_core::strategy::reference::{reference_rows, result_rows};
 use rdx_core::strategy::{DsmPostProjection, QuerySpec};
 use rdx_dsm::Oid;
 use rdx_exec::pool::{detected_parallelism, for_each_output_morsel, MorselQueue};
 use rdx_exec::{
-    par_dsm_post_projection, par_partitioned_hash_join, par_radix_cluster_oids,
-    par_radix_decluster, ExecPolicy,
+    par_partitioned_hash_join, par_radix_cluster_oids, par_radix_decluster, ExecPolicy,
+    ProjectionPipeline,
 };
 use rdx_workload::JoinWorkloadBuilder;
 
@@ -95,19 +96,20 @@ fn zero_threads_policy_agrees_with_sequential_end_to_end() {
     let w = JoinWorkloadBuilder::equal(1_200, 2).seed(13).build();
     let spec = QuerySpec::symmetric(2);
     let params = CacheParams::tiny_for_tests();
-    let plan = DsmPostProjection::plan(&w.larger, &w.smaller, &params);
-    let seq = plan.execute(&w.larger, &w.smaller, &spec, &params);
-    let auto = par_dsm_post_projection(
-        &plan,
-        &w.larger,
-        &w.smaller,
-        &spec,
-        &params,
-        &ExecPolicy::with_threads(0),
+    let pipeline = ProjectionPipeline::new(DsmPostProjection::plan(&w.larger, &w.smaller, &params));
+    let materialize = |threads| {
+        let policy = ExecPolicy::with_threads(threads);
+        let (out, _) = pipeline
+            .materialize(&w.larger, &w.smaller, &spec, &params, &policy)
+            .unwrap();
+        out.result
+    };
+    let seq = materialize(1);
+    assert_eq!(
+        result_rows(&seq),
+        reference_rows(&w.larger, &w.smaller, &spec)
     );
-    let seq_cols: Vec<&[i32]> = seq.result.columns().iter().map(|c| c.as_slice()).collect();
-    let auto_cols: Vec<&[i32]> = auto.result.columns().iter().map(|c| c.as_slice()).collect();
-    assert_eq!(auto_cols, seq_cols);
+    assert_eq!(materialize(0), seq);
 }
 
 #[test]

@@ -1052,7 +1052,7 @@ impl QueryEngine {
         });
         // Derived by the same function the prepared prefix itself uses, so
         // the cache key can never drift from what it names.
-        let cluster = rdx_exec::dsm_cluster_spec(smaller.cardinality(), shared_params);
+        let cluster = rdx_exec::cluster_spec_for(smaller.cardinality(), shared_params);
         let key = ClusterKey {
             larger: request.larger,
             smaller: request.smaller,
@@ -1566,10 +1566,15 @@ mod tests {
         assert!(engine.stats().peak_concurrent_bytes <= 8 * 1024);
         for q in &results {
             // Byte-identical to running the engine-chosen plan alone.
-            let solo = q
-                .stats
-                .plan
-                .execute(&w.larger, &w.smaller, &spec, engine.shared_params());
+            let (solo, _) = ProjectionPipeline::new(q.stats.plan)
+                .materialize(
+                    &w.larger,
+                    &w.smaller,
+                    &spec,
+                    engine.shared_params(),
+                    &ExecPolicy::with_threads(1),
+                )
+                .unwrap();
             assert_eq!(columns(&q.result), columns(&solo.result));
             assert_eq!(q.stats.rows, w.expected_matches);
             assert!(q.stats.chunks >= 1);
@@ -1636,7 +1641,15 @@ mod tests {
         // The hint tightened the share below the fair split.
         assert_eq!(q.stats.share_bytes, 256);
         assert!(q.stats.chunks > 1);
-        let solo = pinned.execute(&w.larger, &w.smaller, &spec, engine.shared_params());
+        let (solo, _) = ProjectionPipeline::new(pinned)
+            .materialize(
+                &w.larger,
+                &w.smaller,
+                &spec,
+                engine.shared_params(),
+                &ExecPolicy::with_threads(1),
+            )
+            .unwrap();
         assert_eq!(columns(&q.result), columns(&solo.result));
     }
 

@@ -48,7 +48,15 @@ fn main() {
         paper_plan.label()
     );
 
-    let outcome = host_plan.execute(&workload.larger, &workload.smaller, &spec, &host_params);
+    let (outcome, _) = ProjectionPipeline::new(host_plan)
+        .materialize(
+            &workload.larger,
+            &workload.smaller,
+            &spec,
+            &host_params,
+            &ExecPolicy::with_threads(1),
+        )
+        .expect("π = 4 fits the workload");
     println!(
         "executed host-calibrated plan: {} result tuples in {:.2} ms",
         outcome.result.cardinality(),

@@ -33,16 +33,21 @@ fn main() {
         project_smaller: features,
     };
 
-    let unsorted = DsmPostProjection::with_codes(
-        ProjectionCode::Unsorted,
-        SecondSideCode::Unsorted,
-    )
-    .execute(&workload.larger, &workload.smaller, &spec, &params);
-    let declustered = DsmPostProjection::with_codes(
-        ProjectionCode::Unsorted,
-        SecondSideCode::Decluster,
-    )
-    .execute(&workload.larger, &workload.smaller, &spec, &params);
+    let materialize = |second_side| {
+        let plan = DsmPostProjection::with_codes(ProjectionCode::Unsorted, second_side);
+        let (out, _) = ProjectionPipeline::new(plan)
+            .materialize(
+                &workload.larger,
+                &workload.smaller,
+                &spec,
+                &params,
+                &ExecPolicy::with_threads(1),
+            )
+            .expect("the spec fits the workload");
+        out
+    };
+    let unsorted = materialize(SecondSideCode::Unsorted);
+    let declustered = materialize(SecondSideCode::Decluster);
 
     let u_ms = unsorted.timings.total_millis();
     let d_ms = declustered.timings.total_millis();

@@ -35,28 +35,39 @@ fn main() {
     let mut rows: Vec<(String, f64, usize)> = Vec::new();
 
     let plan = DsmPostProjection::plan(&workload.larger, &workload.smaller, &params);
-    let out = plan.execute(&workload.larger, &workload.smaller, &spec, &params);
+    let (out, _) = ProjectionPipeline::new(plan)
+        .materialize(
+            &workload.larger,
+            &workload.smaller,
+            &spec,
+            &params,
+            &ExecPolicy::with_threads(1),
+        )
+        .expect("π fits the workload");
     rows.push((
         format!("DSM-post-decluster ({})", plan.label()),
         out.timings.total_millis(),
         out.result.cardinality(),
     ));
 
-    let out = dsm_pre_projection(&workload.larger, &workload.smaller, &spec, &params);
+    let out = dsm_pre_projection(&workload.larger, &workload.smaller, &spec, &params)
+        .expect("π fits the workload");
     rows.push((
         "DSM-pre-phash".into(),
         out.timings.total_millis(),
         out.result.cardinality(),
     ));
 
-    let out = nsm_pre_projection_phash(&workload.larger_nsm, &workload.smaller_nsm, &spec, &params);
+    let out = nsm_pre_projection_phash(&workload.larger_nsm, &workload.smaller_nsm, &spec, &params)
+        .expect("π fits the workload");
     rows.push((
         "NSM-pre-phash".into(),
         out.timings.total_millis(),
         out.result.cardinality(),
     ));
 
-    let out = nsm_pre_projection_hash(&workload.larger_nsm, &workload.smaller_nsm, &spec);
+    let out = nsm_pre_projection_hash(&workload.larger_nsm, &workload.smaller_nsm, &spec)
+        .expect("π fits the workload");
     rows.push((
         "NSM-pre-hash".into(),
         out.timings.total_millis(),
@@ -64,14 +75,16 @@ fn main() {
     ));
 
     let out =
-        nsm_post_projection_decluster(&workload.larger_nsm, &workload.smaller_nsm, &spec, &params);
+        nsm_post_projection_decluster(&workload.larger_nsm, &workload.smaller_nsm, &spec, &params)
+            .expect("π fits the workload");
     rows.push((
         "NSM-post-decluster".into(),
         out.timings.total_millis(),
         out.result.cardinality(),
     ));
 
-    let out = nsm_post_projection_jive(&workload.larger_nsm, &workload.smaller_nsm, &spec, &params);
+    let out = nsm_post_projection_jive(&workload.larger_nsm, &workload.smaller_nsm, &spec, &params)
+        .expect("π fits the workload");
     rows.push((
         "NSM-post-jive".into(),
         out.timings.total_millis(),

@@ -1,12 +1,11 @@
-//! Parallel DSM post-projection on a 10M-tuple workload: the morsel-driven
-//! executor (`rdx-exec`) against the sequential reference, wall-clock and
-//! per-phase.
+//! Parallel DSM post-projection on a 10M-tuple workload: the one-chunk
+//! materialise (`ProjectionPipeline::materialize`) on `threads` workers
+//! against the same run on one worker, wall-clock and per-phase.
 //!
 //! Run with `cargo run --release --example parallel_projection [threads]`
 //! (default: one worker per hardware thread).
 
 use radix_decluster::core::strategy::planner::plan_by_cost_with_threads;
-use radix_decluster::exec::par_dsm_post_projection;
 use radix_decluster::prelude::*;
 use std::time::Instant;
 
@@ -24,28 +23,30 @@ fn main() {
     let spec = QuerySpec::symmetric(pi);
     let params = CacheParams::paper_pentium4();
 
-    // Plan against each core's cache share, then run both executors.
+    // Plan against each core's cache share, then run on one and on
+    // `threads` workers.
     let plan =
         plan_by_cost_with_threads(&workload.larger, &workload.smaller, &spec, &params, threads);
     println!("planned codes: {} ({threads} threads)", plan.label());
 
-    let t = Instant::now();
-    let sequential = plan.execute(&workload.larger, &workload.smaller, &spec, &params);
-    let sequential_wall = t.elapsed();
+    let pipeline = ProjectionPipeline::new(plan);
+    let materialize = |threads| {
+        let t = Instant::now();
+        let (out, _) = pipeline
+            .materialize(
+                &workload.larger,
+                &workload.smaller,
+                &spec,
+                &params,
+                &ExecPolicy::with_threads(threads),
+            )
+            .expect("π fits the workload");
+        (out, t.elapsed())
+    };
+    let (sequential, sequential_wall) = materialize(1);
+    let (parallel, parallel_wall) = materialize(threads);
 
-    let policy = ExecPolicy::with_threads(threads);
-    let t = Instant::now();
-    let parallel = par_dsm_post_projection(
-        &plan,
-        &workload.larger,
-        &workload.smaller,
-        &spec,
-        &params,
-        &policy,
-    );
-    let parallel_wall = t.elapsed();
-
-    // The executors must agree byte for byte before timings mean anything.
+    // The runs must agree byte for byte before timings mean anything.
     assert_eq!(
         sequential.result.cardinality(),
         parallel.result.cardinality()
@@ -99,7 +100,7 @@ fn main() {
         sequential_wall.as_secs_f64() / parallel_wall.as_secs_f64()
     );
     println!(
-        "result: {} rows × {} columns, identical under both executors",
+        "result: {} rows × {} columns, identical on 1 and {threads} workers",
         parallel.result.cardinality(),
         parallel.result.num_columns()
     );

@@ -20,12 +20,13 @@
 //!   projection strategies compared in §4.
 //! * [`exec`] — the morsel-driven parallel execution engine: work-stealing
 //!   morsel scheduling over scoped threads, parallel Radix-Cluster /
-//!   Radix-Decluster / Partitioned Hash-Join kernels, parallel end-to-end
-//!   strategy executors (all byte-identical to their sequential
-//!   counterparts), and the memory-budgeted **streaming projection
-//!   pipeline** (`exec::pipeline`) that emits the result in chunks sized by
-//!   a `core::budget::MemoryBudget` through a `RowChunkSink` — resumable
-//!   chunk by chunk (`exec::PipelineRun`).
+//!   Radix-Decluster / Partitioned Hash-Join kernels (all byte-identical to
+//!   their sequential counterparts), and the memory-budgeted **streaming
+//!   projection pipeline** (`exec::pipeline`), the one executor of the DSM
+//!   post-projection: it emits the result in chunks sized by a
+//!   `core::budget::MemoryBudget` through a `RowChunkSink`, resumable chunk
+//!   by chunk (`exec::PipelineRun`), and a whole result is its one-chunk
+//!   stream (`exec::ProjectionPipeline::materialize`).
 //! * [`serve`] — the cache-aware **multi-query serving layer**: a relation
 //!   catalog, an admission controller splitting one global memory budget
 //!   into per-query shares, a fair (stride) chunk scheduler interleaving
@@ -38,8 +39,7 @@
 //!   join-index cache and scratch pools; the fluent builder resolves
 //!   through one planner entry to `run()` (one-shot materialise),
 //!   `stream(sink)` (chunked) or `submit()` (a [`api::Ticket`] polled
-//!   without blocking, pumped by [`api::Session::drive`]).  The per-crate
-//!   entry points above remain as documented legacy wrappers.
+//!   without blocking, pumped by [`api::Session::drive`]).
 //!   Requests may carry a **deadline** (checked against the cost model at
 //!   admission, enforced at chunk boundaries), a **priority**, and a capped
 //!   **retry policy**; tickets can be **cancelled** mid-flight, worker
@@ -119,11 +119,10 @@ pub mod prelude {
     };
     pub use rdx_dsm::{Column, DsmRelation, JoinIndex, Oid, ResultRelation};
     pub use rdx_exec::{
-        par_dsm_post_projection, par_nsm_post_projection_decluster, par_partitioned_hash_join,
-        par_radix_cluster, par_radix_cluster_oids, par_radix_cluster_oids_with_scratch,
-        par_radix_cluster_with_scratch, par_radix_decluster, par_radix_decluster_into,
-        ChunkScratch, DsmPipelineRun, ExecPolicy, ParClusterScratch, PipelineRun,
-        PreparedProjection, ProjectionPipeline,
+        par_partitioned_hash_join, par_radix_cluster, par_radix_cluster_oids,
+        par_radix_cluster_oids_with_scratch, par_radix_cluster_with_scratch, par_radix_decluster,
+        par_radix_decluster_into, ChunkScratch, DsmPipelineRun, ExecPolicy, ParClusterScratch,
+        PipelineRun, PreparedProjection, ProjectionPipeline,
     };
     pub use rdx_net::{
         ClientError, Frame, NetClient, NetConfig, NetListener, NetServer, NetStats, NetStream,

@@ -1,8 +1,9 @@
-//! API-equivalence conformance: the `Session`/`Query` front door must be
-//! **byte-identical** to every legacy entry point — the sequential
-//! `DsmPostProjection::execute`, the parallel `par_dsm_post_projection` and
-//! the streaming `ProjectionPipeline` — across the workspace
-//! `(N, h, ω, π, params)` grid and every `u/s/c × u/d` code combination;
+//! API-equivalence conformance: the `Session`/`Query` front door must
+//! compute the reference multiset of rows and be **byte-identical** to the
+//! one materialise entry, `ProjectionPipeline::materialize` — one chunk on
+//! one worker, on two workers, and chunked at 1/16 of the data — across the
+//! workspace `(N, h, ω, π, params)` grid and every `u/s/c × u/d` code
+//! combination;
 //! and the non-blocking ticket loop (`submit` / `Session::drive` /
 //! `Ticket::poll`) must reproduce a submit-all, drain-to-idle pass
 //! **chunk for chunk**, while accepting new submissions between chunk
@@ -11,9 +12,10 @@
 
 mod common;
 
-use common::{columns, serve_all};
+use common::{columns, materialize, serve_all};
 use radix_decluster::api::Session;
 use radix_decluster::core::strategy::planner::streaming_bytes_per_row;
+use radix_decluster::core::strategy::reference::{reference_rows, result_rows};
 use radix_decluster::prelude::*;
 use radix_decluster::workload::HitRate;
 
@@ -57,32 +59,26 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
                 let data_bytes = (2 * n * omega * 4).max(64);
                 for params in grid_params() {
                     let cell = format!("N={n} h={h} ω={omega} π=({pi_l},{pi_s})");
+                    let reference = reference_rows(&w.larger, &w.smaller, &spec);
                     // plan_shares = 1 ⇒ the session plans at exactly
-                    // `params`, like the legacy entry points.
+                    // `params`, like the materialise entry.
                     let mut session = Session::with_params(params.clone());
                     let larger = session.register(w.larger.clone());
                     let smaller = session.register(w.smaller.clone());
                     for plan in all_codes() {
-                        // Legacy front door #1: sequential executor.
-                        let legacy = plan.execute(&w.larger, &w.smaller, &spec, &params);
-                        let expected = columns(&legacy.result);
-                        // Legacy front door #2: parallel executor.
-                        let par = par_dsm_post_projection(
-                            &plan,
-                            &w.larger,
-                            &w.smaller,
-                            &spec,
-                            &params,
-                            &ExecPolicy::with_threads(2),
-                        );
-                        assert_eq!(columns(&par.result), expected, "{cell} par");
-                        // Legacy front door #3: streaming pipeline at 1/16
-                        // of the data.
+                        let run = |policy: &ExecPolicy| {
+                            columns(
+                                &materialize(plan, &w.larger, &w.smaller, &spec, &params, policy).0,
+                            )
+                        };
+                        // The one materialise entry: one chunk, one worker.
+                        let expected = run(&ExecPolicy::with_threads(1));
+                        // Two workers.
+                        assert_eq!(run(&ExecPolicy::with_threads(2)), expected, "{cell} par");
+                        // Chunked at 1/16 of the data.
                         let policy = ExecPolicy::with_threads(1)
                             .budget(MemoryBudget::fraction_of(data_bytes, 16));
-                        let (piped, _) = ProjectionPipeline::new(plan)
-                            .execute_materialized(&w.larger, &w.smaller, &spec, &params, &policy);
-                        assert_eq!(columns(&piped.result), expected, "{cell} pipeline");
+                        assert_eq!(run(&policy), expected, "{cell} pipeline");
                         // The front door: one-shot run with pinned codes.
                         let report = session
                             .query(larger, smaller)
@@ -90,6 +86,12 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
                             .codes(plan)
                             .run()
                             .expect("session run");
+                        assert_eq!(
+                            result_rows(&report.result),
+                            reference,
+                            "{cell} session ≡ oracle {}",
+                            plan.label()
+                        );
                         assert_eq!(
                             columns(&report.result),
                             expected,
@@ -296,13 +298,15 @@ fn a_submission_lands_between_chunk_steps_of_an_in_flight_query() {
         other => panic!("both must finish, got {other:?}"),
     };
     // Interleaving is invisible in the bytes: both equal the solo run.
-    let solo = ra.stats.plan.execute(
+    let (solo, _) = materialize(
+        ra.stats.plan,
         &w.larger,
         &w.smaller,
         &QuerySpec::symmetric(1),
         session.params(),
+        &ExecPolicy::with_threads(1),
     );
-    assert_eq!(columns(&ra.result), columns(&solo.result));
-    assert_eq!(columns(&rb.result), columns(&solo.result));
+    assert_eq!(columns(&ra.result), columns(&solo));
+    assert_eq!(columns(&rb.result), columns(&solo));
     assert!(session.engine_mut().stats().peak_concurrency >= 2);
 }

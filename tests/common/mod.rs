@@ -4,6 +4,25 @@
 
 use radix_decluster::prelude::*;
 
+/// `plan` materialised under `policy`: one chunk under the default
+/// unbounded budget, chunked under a bounded one.
+///
+/// # Panics
+/// Panics if `spec` projects more columns than a relation has.
+pub fn materialize(
+    plan: DsmPostProjection,
+    larger: &DsmRelation,
+    smaller: &DsmRelation,
+    spec: &QuerySpec,
+    params: &CacheParams,
+    policy: &ExecPolicy,
+) -> (ResultRelation, radix_decluster::exec::PipelineStats) {
+    let (out, stats) = ProjectionPipeline::new(plan)
+        .materialize(larger, smaller, spec, params, policy)
+        .expect("the spec fits the relations");
+    (out.result, stats)
+}
+
 /// Raw column-by-column contents, for byte-identity comparisons.
 pub fn columns(result: &ResultRelation) -> Vec<Vec<i32>> {
     result

@@ -1,8 +1,10 @@
-//! Workspace-wide conformance grid: every executor — sequential, parallel,
-//! and streaming — checked against a brute-force oracle built purely from
-//! `rdx_workload::attr_value`, over a sweep of `(N, ω, h, π, cache params,
-//! memory budget)` cells, plus a kernel-level `(N, B, window)` sweep of
-//! Radix-Decluster itself against a scatter oracle.
+//! Workspace-wide conformance grid: every strategy — the DSM
+//! post-projection's one-chunk and chunked streams on one and on several
+//! workers, and the paper's baselines — checked against a brute-force
+//! oracle built purely from `rdx_workload::attr_value`, over a sweep of
+//! `(N, ω, h, π, cache params, memory budget)` cells, plus a kernel-level
+//! `(N, B, window)` sweep of Radix-Decluster itself against a scatter
+//! oracle.
 //!
 //! The oracle never reads the generated relations' attribute columns: since
 //! the builders define attribute `a` of row `r` as `attr_value(r, a)`, the
@@ -10,16 +12,16 @@
 //! divergence — in the generators or in any strategy — fails the grid.
 //!
 //! Result-order conventions differ legitimately between strategies, so
-//! cross-strategy agreement is checked as a sorted multiset of rows; the
-//! streaming pipeline, which shares the DSM post-projection's order exactly,
-//! is additionally checked **byte-identically** (same columns, same order)
-//! against `DsmPostProjection::execute` for every budget, including budgets
-//! below 1/16 of the data size, with the per-chunk working-set bound
-//! asserted.
+//! agreement with the oracle is checked as a sorted multiset of rows; the
+//! order is checked separately: every chunked run and every thread count is
+//! **byte-identical** (same columns, same row order) to the one-chunk
+//! `ProjectionPipeline::materialize` of the same codes on one worker, for
+//! budgets down to 1/64 of the data size, with the per-chunk working-set
+//! bound asserted.
 
 mod common;
 
-use common::columns;
+use common::{columns, materialize};
 use radix_decluster::core::budget::MemoryBudget;
 use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use radix_decluster::core::decluster::chunks::ChunkCursors;
@@ -30,9 +32,7 @@ use radix_decluster::core::strategy::{
     dsm_post_projection_sparse, dsm_pre_projection, nsm_post_projection_decluster,
     nsm_post_projection_jive, nsm_pre_projection_hash, nsm_pre_projection_phash,
 };
-use radix_decluster::exec::{
-    par_dsm_post_projection, par_nsm_post_projection_decluster, ProjectionPipeline,
-};
+use radix_decluster::exec::PipelineRun;
 use radix_decluster::prelude::*;
 use radix_decluster::workload::{attr_value, HitRate, JoinWorkloadBuilder, SparseWorkload};
 use std::collections::HashMap;
@@ -92,7 +92,9 @@ fn all_strategies_agree_with_the_attr_value_oracle() {
                 assert_eq!(expected.len(), w.expected_matches, "N={n} h={h}");
                 for params in grid_params() {
                     let cell = format!("N={n} h={h} ω={omega} π=({pi_l},{pi_s})");
-                    // DSM post-projection: every u/s/c × u/d code combination.
+                    // DSM post-projection: every u/s/c × u/d code combination,
+                    // one chunk on one worker.
+                    let sequential = ExecPolicy::with_threads(1);
                     for first in [
                         ProjectionCode::Unsorted,
                         ProjectionCode::Sorted,
@@ -100,9 +102,16 @@ fn all_strategies_agree_with_the_attr_value_oracle() {
                     ] {
                         for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
                             let plan = DsmPostProjection::with_codes(first, second);
-                            let out = plan.execute(&w.larger, &w.smaller, &spec, &params);
+                            let (out, _) = materialize(
+                                plan,
+                                &w.larger,
+                                &w.smaller,
+                                &spec,
+                                &params,
+                                &sequential,
+                            );
                             assert_eq!(
-                                result_rows(&out.result),
+                                result_rows(&out),
                                 expected,
                                 "{cell} dsm_post {}",
                                 plan.label()
@@ -110,7 +119,7 @@ fn all_strategies_agree_with_the_attr_value_oracle() {
                         }
                     }
                     // DSM pre-projection.
-                    let out = dsm_pre_projection(&w.larger, &w.smaller, &spec, &params);
+                    let out = dsm_pre_projection(&w.larger, &w.smaller, &spec, &params).unwrap();
                     assert_eq!(result_rows(&out.result), expected, "{cell} dsm_pre");
                     // NSM post-projection (Radix-Decluster and Jive-Join).
                     let out = nsm_post_projection_decluster(
@@ -118,59 +127,65 @@ fn all_strategies_agree_with_the_attr_value_oracle() {
                         &w.smaller_nsm,
                         &spec,
                         &params,
-                    );
+                    )
+                    .unwrap();
                     assert_eq!(
                         result_rows(&out.result),
                         expected,
                         "{cell} nsm_post_decluster"
                     );
                     let out =
-                        nsm_post_projection_jive(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
+                        nsm_post_projection_jive(&w.larger_nsm, &w.smaller_nsm, &spec, &params)
+                            .unwrap();
                     assert_eq!(result_rows(&out.result), expected, "{cell} nsm_post_jive");
                     // NSM pre-projection (naive and partitioned hash join).
-                    let out = nsm_pre_projection_hash(&w.larger_nsm, &w.smaller_nsm, &spec);
+                    let out =
+                        nsm_pre_projection_hash(&w.larger_nsm, &w.smaller_nsm, &spec).unwrap();
                     assert_eq!(result_rows(&out.result), expected, "{cell} nsm_pre_hash");
                     let out =
-                        nsm_pre_projection_phash(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
+                        nsm_pre_projection_phash(&w.larger_nsm, &w.smaller_nsm, &spec, &params)
+                            .unwrap();
                     assert_eq!(result_rows(&out.result), expected, "{cell} nsm_pre_phash");
-                    // Parallel executors, including the threads = 0
-                    // (auto-detect) policy.
+                    // The planned codes on several workers, including the
+                    // threads = 0 (auto-detect) policy.
                     let plan = DsmPostProjection::plan(&w.larger, &w.smaller, &params);
                     for threads in [0usize, 3] {
                         let policy = ExecPolicy::with_threads(threads);
-                        let out = par_dsm_post_projection(
-                            &plan, &w.larger, &w.smaller, &spec, &params, &policy,
-                        );
+                        let (out, _) =
+                            materialize(plan, &w.larger, &w.smaller, &spec, &params, &policy);
                         assert_eq!(
-                            result_rows(&out.result),
+                            result_rows(&out),
                             expected,
                             "{cell} par_dsm threads={threads}"
                         );
                     }
-                    let out = par_nsm_post_projection_decluster(
+                    // The same prefix fetching through the NSM records, on
+                    // two workers.
+                    let c_d = ProjectionPipeline::new(DsmPostProjection::with_codes(
+                        ProjectionCode::PartialCluster,
+                        SecondSideCode::Decluster,
+                    ));
+                    let policy = ExecPolicy::with_threads(2);
+                    let prepared = c_d.prepare(&w.larger, &w.smaller, &params, &policy);
+                    let mut run = PipelineRun::new(
+                        prepared.into(),
                         &w.larger_nsm,
                         &w.smaller_nsm,
                         &spec,
                         &params,
-                        &ExecPolicy::with_threads(2),
+                        &policy,
                     );
-                    assert_eq!(result_rows(&out.result), expected, "{cell} par_nsm");
+                    let mut sink = MaterializeSink::new();
+                    run.run_to_completion(&mut sink);
+                    assert_eq!(result_rows(&sink.into_result()), expected, "{cell} par_nsm");
                     // Streaming pipeline, tightest budget (byte-identity is
                     // covered exhaustively by the dedicated test below).
                     let data_bytes = 2 * n * omega * 4;
                     let policy = ExecPolicy::with_threads(2)
                         .budget(MemoryBudget::fraction_of(data_bytes, 64));
-                    let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
-                        ProjectionCode::PartialCluster,
-                        SecondSideCode::Decluster,
-                    ));
-                    let mut sink = MaterializeSink::new();
-                    pipeline.execute(&w.larger, &w.smaller, &spec, &params, &policy, &mut sink);
-                    assert_eq!(
-                        result_rows(&sink.into_result()),
-                        expected,
-                        "{cell} streaming"
-                    );
+                    let (out, _) =
+                        materialize(c_d.plan, &w.larger, &w.smaller, &spec, &params, &policy);
+                    assert_eq!(result_rows(&out), expected, "{cell} streaming");
                     cells += 1;
                 }
             }
@@ -184,10 +199,11 @@ fn all_strategies_agree_with_the_attr_value_oracle() {
     );
 }
 
-/// The acceptance gate: `ProjectionPipeline` output is byte-identical to
-/// `DsmPostProjection::execute` — same columns, same row order — for every
-/// code combination and budgets down to 1/64 of the data size, with the
-/// per-chunk working-set bound asserted.
+/// The acceptance gate: every chunked run, on one and on two workers, is
+/// byte-identical — same columns, same row order — to the one-chunk
+/// `ProjectionPipeline::materialize` on one worker, which is itself the
+/// oracle's multiset, for every code combination and budgets down to 1/64 of
+/// the data size, with the per-chunk working-set bound asserted.
 #[test]
 fn streaming_pipeline_is_byte_identical_to_dsm_post_across_the_grid() {
     for n in [13usize, 257, 1_000] {
@@ -209,17 +225,25 @@ fn streaming_pipeline_is_byte_identical_to_dsm_post_across_the_grid() {
             ] {
                 for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
                     let plan = DsmPostProjection::with_codes(first, second);
-                    let expected =
-                        columns(&plan.execute(&w.larger, &w.smaller, &spec, &params).result);
+                    let sequential = ExecPolicy::with_threads(1);
+                    let (one_chunk, stats) =
+                        materialize(plan, &w.larger, &w.smaller, &spec, &params, &sequential);
+                    assert_eq!(stats.chunks_emitted, 1, "N={n} {}", plan.label());
+                    assert_eq!(
+                        result_rows(&one_chunk),
+                        oracle_rows(w.larger.key().as_slice(), w.smaller.key().as_slice(), &spec),
+                        "N={n} ω={omega} codes {}",
+                        plan.label()
+                    );
+                    let expected = columns(&one_chunk);
                     for denom in [1usize, 16, 64] {
                         for threads in [1usize, 2] {
                             let policy = ExecPolicy::with_threads(threads)
                                 .budget(MemoryBudget::fraction_of(data_bytes, denom));
-                            let mut sink = MaterializeSink::new();
-                            let stats = ProjectionPipeline::new(plan)
-                                .execute(&w.larger, &w.smaller, &spec, &params, &policy, &mut sink);
+                            let (out, stats) =
+                                materialize(plan, &w.larger, &w.smaller, &spec, &params, &policy);
                             assert_eq!(
-                                columns(&sink.into_result()),
+                                columns(&out),
                                 expected,
                                 "N={n} ω={omega} codes {} denom {denom} threads {threads}",
                                 plan.label()
@@ -337,7 +361,8 @@ fn sparse_strategy_agrees_with_the_attr_value_oracle() {
                 &sparse.selection,
                 &spec,
                 &params,
-            );
+            )
+            .unwrap();
             // Oracle over (larger row, selected base row) with smaller-side
             // values keyed by the *base* row id.
             let selected_keys: Vec<u64> = sparse

@@ -1,5 +1,7 @@
-//! The `rdx-exec` agreement suite: every parallel kernel and executor must be
-//! **byte-identical** to its sequential reference, for every thread count.
+//! The `rdx-exec` agreement suite: every parallel kernel must be
+//! **byte-identical** to its sequential reference, and the one materialise
+//! entry on `threads` workers to itself on one worker, for every thread
+//! count.
 //!
 //! Parallelism here is pure work division — per-thread histograms merge with
 //! a prefix sum, decluster windows tile the result disjointly, partitions
@@ -11,12 +13,10 @@ use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use radix_decluster::core::decluster::{choose_window_bytes, radix_decluster};
 use radix_decluster::core::strategy::nsm_post_projection_decluster;
 use radix_decluster::core::strategy::reference::{reference_rows, result_rows};
-use radix_decluster::exec::{
-    par_dsm_post_projection, par_nsm_post_projection_decluster, par_radix_cluster_oids,
-    par_radix_decluster,
-};
+use radix_decluster::exec::{par_radix_cluster_oids, par_radix_decluster};
 use radix_decluster::prelude::*;
 use radix_decluster::workload::HitRate;
+use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -120,8 +120,17 @@ fn parallel_dsm_strategy_agrees_across_workloads() {
             ProjectionCode::PartialCluster,
         ] {
             for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
-                let plan = DsmPostProjection::with_codes(first, second);
-                let seq = plan.execute(&w.larger, &w.smaller, &spec, &params);
+                let pipeline =
+                    ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
+                let plan = pipeline.plan;
+                let materialize = |threads| {
+                    let policy = ExecPolicy::with_threads(threads);
+                    let (out, _) = pipeline
+                        .materialize(&w.larger, &w.smaller, &spec, &params, &policy)
+                        .unwrap();
+                    out
+                };
+                let seq = materialize(1);
                 assert_eq!(
                     result_rows(&seq.result),
                     expected,
@@ -129,14 +138,7 @@ fn parallel_dsm_strategy_agrees_across_workloads() {
                     plan.label()
                 );
                 for threads in THREAD_COUNTS {
-                    let par = par_dsm_post_projection(
-                        &plan,
-                        &w.larger,
-                        &w.smaller,
-                        &spec,
-                        &params,
-                        &ExecPolicy::with_threads(threads),
-                    );
+                    let par = materialize(threads);
                     // Byte-identical: same columns in the same row order,
                     // not merely the same multiset of rows.
                     for (c, (seq_col, par_col)) in seq
@@ -168,22 +170,36 @@ fn parallel_nsm_strategy_agrees() {
             .seed(77)
             .build();
         let spec = QuerySpec::symmetric(pi);
-        let seq = nsm_post_projection_decluster(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
-        for threads in THREAD_COUNTS {
-            let par = par_nsm_post_projection_decluster(
+        let expected = reference_rows(&w.larger, &w.smaller, &spec);
+        let seq =
+            nsm_post_projection_decluster(&w.larger_nsm, &w.smaller_nsm, &spec, &params).unwrap();
+        assert_eq!(result_rows(&seq.result), expected, "NSM-post-decluster");
+        // The pipeline fetching from the NSM records: the oracle's rows on
+        // one worker, the same bytes on `threads`.
+        let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
+            ProjectionCode::PartialCluster,
+            SecondSideCode::Decluster,
+        ));
+        let stream = |threads| {
+            let policy = ExecPolicy::with_threads(threads);
+            let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
+            let mut run = PipelineRun::new(
+                prepared,
                 &w.larger_nsm,
                 &w.smaller_nsm,
                 &spec,
                 &params,
-                &ExecPolicy::with_threads(threads),
+                &policy,
             );
-            for (c, (seq_col, par_col)) in seq
-                .result
-                .columns()
-                .iter()
-                .zip(par.result.columns())
-                .enumerate()
-            {
+            let mut sink = MaterializeSink::new();
+            run.run_to_completion(&mut sink);
+            sink.into_result()
+        };
+        let one = stream(1);
+        assert_eq!(result_rows(&one), expected, "NSM sources pi={pi}");
+        for threads in THREAD_COUNTS {
+            let par = stream(threads);
+            for (c, (seq_col, par_col)) in one.columns().iter().zip(par.columns()).enumerate() {
                 assert_eq!(
                     seq_col.as_slice(),
                     par_col.as_slice(),
@@ -196,7 +212,7 @@ fn parallel_nsm_strategy_agrees() {
 
 #[test]
 fn planned_parallel_execution_is_correct_end_to_end() {
-    // The threads-aware planner + parallel executor path a caller would use.
+    // The threads-aware planner + materialise path a caller would use.
     use radix_decluster::core::strategy::planner::plan_by_cost_with_threads;
     let params = CacheParams::tiny_for_tests();
     let w = JoinWorkloadBuilder::equal(5_000, 2).seed(99).build();
@@ -204,14 +220,15 @@ fn planned_parallel_execution_is_correct_end_to_end() {
     let expected = reference_rows(&w.larger, &w.smaller, &spec);
     for threads in THREAD_COUNTS {
         let plan = plan_by_cost_with_threads(&w.larger, &w.smaller, &spec, &params, threads);
-        let out = par_dsm_post_projection(
-            &plan,
-            &w.larger,
-            &w.smaller,
-            &spec,
-            &params,
-            &ExecPolicy::with_threads(threads),
-        );
+        let (out, _) = ProjectionPipeline::new(plan)
+            .materialize(
+                &w.larger,
+                &w.smaller,
+                &spec,
+                &params,
+                &ExecPolicy::with_threads(threads),
+            )
+            .unwrap();
         assert_eq!(result_rows(&out.result), expected, "threads {threads}");
         assert_eq!(out.result.cardinality(), w.expected_matches);
     }

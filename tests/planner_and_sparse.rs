@@ -37,7 +37,15 @@ fn cost_planner_output_is_executable_and_correct() {
     let spec = QuerySpec::symmetric(2);
     let w = JoinWorkloadBuilder::equal(4_000, 2).seed(3).build();
     let plan = plan_by_cost(&w.larger, &w.smaller, &spec, &params);
-    let out = plan.execute(&w.larger, &w.smaller, &spec, &params);
+    let (out, _) = ProjectionPipeline::new(plan)
+        .materialize(
+            &w.larger,
+            &w.smaller,
+            &spec,
+            &params,
+            &ExecPolicy::with_threads(1),
+        )
+        .unwrap();
     assert_eq!(
         result_rows(&out.result),
         reference_rows(&w.larger, &w.smaller, &spec)
@@ -67,7 +75,15 @@ fn planner_accepts_calibrated_host_parameters() {
     let w = JoinWorkloadBuilder::equal(50_000, 2).seed(4).build();
     let spec = QuerySpec::symmetric(2);
     let plan = plan_by_cost(&w.larger, &w.smaller, &spec, &params);
-    let out = plan.execute(&w.larger, &w.smaller, &spec, &params);
+    let (out, _) = ProjectionPipeline::new(plan)
+        .materialize(
+            &w.larger,
+            &w.smaller,
+            &spec,
+            &params,
+            &ExecPolicy::with_threads(1),
+        )
+        .unwrap();
     assert_eq!(out.result.cardinality(), w.expected_matches);
 }
 
@@ -84,7 +100,8 @@ fn sparse_post_projection_matches_dense_reference_at_all_selectivities() {
             .build_dsm();
 
         let out =
-            dsm_post_projection_sparse(&larger, &sparse.base, &sparse.selection, &spec, &params);
+            dsm_post_projection_sparse(&larger, &sparse.base, &sparse.selection, &spec, &params)
+                .unwrap();
 
         // Reference: materialise the selection as a dense relation.
         let keys = sparse.selection.project_key(sparse.base.key());

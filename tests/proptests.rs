@@ -430,8 +430,10 @@ proptest! {
         let w = JoinWorkloadBuilder::equal(n, pi).seed(seed).build();
         let spec = QuerySpec::symmetric(pi);
         let params = CacheParams::tiny_for_tests();
-        let out = DsmPostProjection::plan(&w.larger, &w.smaller, &params)
-            .execute(&w.larger, &w.smaller, &spec, &params);
+        let plan = DsmPostProjection::plan(&w.larger, &w.smaller, &params);
+        let (out, _) = ProjectionPipeline::new(plan)
+            .materialize(&w.larger, &w.smaller, &spec, &params, &ExecPolicy::with_threads(1))
+            .unwrap();
         prop_assert_eq!(result_rows(&out.result), reference_rows(&w.larger, &w.smaller, &spec));
     }
 }

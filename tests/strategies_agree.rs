@@ -10,6 +10,21 @@ use radix_decluster::core::strategy::{
 use radix_decluster::prelude::*;
 use radix_decluster::workload::{HitRate, JoinWorkloadBuilder};
 
+/// The DSM post-projection's one materialise entry, on one worker.
+fn dsm_post(
+    plan: DsmPostProjection,
+    larger: &DsmRelation,
+    smaller: &DsmRelation,
+    spec: &QuerySpec,
+    params: &CacheParams,
+) -> ResultRelation {
+    let policy = ExecPolicy::with_threads(1);
+    let (out, _) = ProjectionPipeline::new(plan)
+        .materialize(larger, smaller, spec, params, &policy)
+        .unwrap();
+    out.result
+}
+
 fn check_all_strategies(n: usize, omega: usize, pi: usize, hit_rate: f64, seed: u64) {
     let workload = JoinWorkloadBuilder::equal(n, omega)
         .hit_rate(HitRate(hit_rate))
@@ -21,13 +36,15 @@ fn check_all_strategies(n: usize, omega: usize, pi: usize, hit_rate: f64, seed: 
     let params = CacheParams::tiny_for_tests();
     let expected = reference_rows(&workload.larger, &workload.smaller, &spec);
 
-    let planned = DsmPostProjection::plan(&workload.larger, &workload.smaller, &params).execute(
-        &workload.larger,
-        &workload.smaller,
+    let (larger, smaller) = (&workload.larger, &workload.smaller);
+    let planned = dsm_post(
+        DsmPostProjection::plan(larger, smaller, &params),
+        larger,
+        smaller,
         &spec,
         &params,
     );
-    assert_eq!(result_rows(&planned.result), expected, "DSM-post (planned)");
+    assert_eq!(result_rows(&planned), expected, "DSM-post (planned)");
 
     for first in [
         ProjectionCode::Unsorted,
@@ -35,14 +52,10 @@ fn check_all_strategies(n: usize, omega: usize, pi: usize, hit_rate: f64, seed: 
         ProjectionCode::PartialCluster,
     ] {
         for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
-            let out = DsmPostProjection::with_codes(first, second).execute(
-                &workload.larger,
-                &workload.smaller,
-                &spec,
-                &params,
-            );
+            let plan = DsmPostProjection::with_codes(first, second);
+            let out = dsm_post(plan, larger, smaller, &spec, &params);
             assert_eq!(
-                result_rows(&out.result),
+                result_rows(&out),
                 expected,
                 "DSM-post {}/{}",
                 first.letter(),
@@ -51,20 +64,20 @@ fn check_all_strategies(n: usize, omega: usize, pi: usize, hit_rate: f64, seed: 
         }
     }
 
-    let out = dsm_pre_projection(&workload.larger, &workload.smaller, &spec, &params);
+    let out = dsm_pre_projection(larger, smaller, &spec, &params).unwrap();
     assert_eq!(result_rows(&out.result), expected, "DSM-pre-phash");
 
-    let out = nsm_pre_projection_hash(&workload.larger_nsm, &workload.smaller_nsm, &spec);
+    let (larger_nsm, smaller_nsm) = (&workload.larger_nsm, &workload.smaller_nsm);
+    let out = nsm_pre_projection_hash(larger_nsm, smaller_nsm, &spec).unwrap();
     assert_eq!(result_rows(&out.result), expected, "NSM-pre-hash");
 
-    let out = nsm_pre_projection_phash(&workload.larger_nsm, &workload.smaller_nsm, &spec, &params);
+    let out = nsm_pre_projection_phash(larger_nsm, smaller_nsm, &spec, &params).unwrap();
     assert_eq!(result_rows(&out.result), expected, "NSM-pre-phash");
 
-    let out =
-        nsm_post_projection_decluster(&workload.larger_nsm, &workload.smaller_nsm, &spec, &params);
+    let out = nsm_post_projection_decluster(larger_nsm, smaller_nsm, &spec, &params).unwrap();
     assert_eq!(result_rows(&out.result), expected, "NSM-post-decluster");
 
-    let out = nsm_post_projection_jive(&workload.larger_nsm, &workload.smaller_nsm, &spec, &params);
+    let out = nsm_post_projection_jive(larger_nsm, smaller_nsm, &spec, &params).unwrap();
     assert_eq!(result_rows(&out.result), expected, "NSM-post-jive");
 }
 
@@ -102,8 +115,8 @@ fn all_strategies_agree_larger_workload() {
     let params = CacheParams::paper_pentium4();
     let plan = DsmPostProjection::plan(&workload.larger, &workload.smaller, &params);
     assert_eq!(plan.label(), "c/d");
-    let out = plan.execute(&workload.larger, &workload.smaller, &spec, &params);
-    assert_eq!(out.result.cardinality(), workload.expected_matches);
-    let pre = dsm_pre_projection(&workload.larger, &workload.smaller, &spec, &params);
-    assert_eq!(result_rows(&out.result), result_rows(&pre.result));
+    let out = dsm_post(plan, &workload.larger, &workload.smaller, &spec, &params);
+    assert_eq!(out.cardinality(), workload.expected_matches);
+    let pre = dsm_pre_projection(&workload.larger, &workload.smaller, &spec, &params).unwrap();
+    assert_eq!(result_rows(&out), result_rows(&pre.result));
 }
