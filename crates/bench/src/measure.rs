@@ -6,7 +6,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 use rdx_cache::{CacheParams, MemorySystem};
+use rdx_core::budget::MemoryBudget;
 use rdx_core::cluster::{radix_cluster, radix_cluster_oids, RadixClusterSpec};
+use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::traced::radix_decluster_traced;
 use rdx_core::decluster::{choose_window_bytes, radix_decluster};
 use rdx_core::jive::{jive_bits, jive_join_projection};
@@ -106,7 +108,7 @@ pub fn decluster_window_sweep(
                 let (_, counts) = radix_decluster_traced(
                     &input.values,
                     &input.positions,
-                    &input.bounds,
+                    &ChunkRuns::whole(&input.bounds),
                     window_bytes,
                     &mut mem,
                 );
@@ -689,7 +691,7 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
         let (_, counts) = radix_decluster_traced(
             &input.values,
             &input.positions,
-            &input.bounds,
+            &ChunkRuns::whole(&input.bounds),
             window,
             &mut mem,
         );
@@ -706,7 +708,7 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
     let w = JoinWorkloadBuilder::equal(4_000, 2).seed(7).build();
     let mut session = rdx_api::Session::new(rdx_serve::ServeConfig {
         params: params.clone(),
-        global_budget: rdx_core::budget::MemoryBudget::bytes(64 * 1024),
+        global_budget: MemoryBudget::bytes(64 * 1024),
         max_concurrent: 1,
         threads_per_query: 1,
         observability: true,
@@ -760,21 +762,28 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
         value: fetch_source_calls(&w, params) as f64,
         higher_is_better: false,
     });
-    cells.push(MissProxyCell {
-        name: "pipeline.scratch.bytes_per_row".into(),
-        unit: "bytes",
-        value: scratch_bytes_per_row(&w, params) as f64,
-        higher_is_better: false,
-    });
+    for (name, budget) in [
+        ("bytes_per_row", MemoryBudget::unbounded()),
+        ("multi_chunk_bytes_per_row", MemoryBudget::bytes(64 * 1024)),
+    ] {
+        cells.push(MissProxyCell {
+            name: format!("pipeline.scratch.{name}"),
+            unit: "bytes",
+            value: scratch_bytes_per_row(&w, params, budget) as f64,
+            higher_is_better: false,
+        });
+    }
     cells
 }
 
-/// What a one-chunk query leaves in its chunk scratch, per result row: the
-/// `pipeline.e2e` relations and codes (π = 2) under an unbounded budget,
-/// streamed into a `MaterializeSink`.  This is what the serving engine
-/// pools for the next query.
-fn scratch_bytes_per_row(w: &JoinWorkload, params: &CacheParams) -> usize {
-    let policy = ExecPolicy::with_threads(1);
+/// What a query leaves in its chunk scratch, per row of its largest chunk:
+/// the `pipeline.e2e` relations and codes (π = 2) under `budget`, streamed
+/// into a `MaterializeSink`.  This is what the serving engine pools for the
+/// next query.  Unbounded, the one chunk's columns go to the sink; under
+/// the `pipeline.e2e` query's 64 KiB grant the run streams two chunks and
+/// the scratch keeps its columns too.
+fn scratch_bytes_per_row(w: &JoinWorkload, params: &CacheParams, budget: MemoryBudget) -> usize {
+    let policy = ExecPolicy::with_threads(1).budget(budget);
     let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
         ProjectionCode::PartialCluster,
         SecondSideCode::Decluster,
@@ -789,16 +798,17 @@ fn scratch_bytes_per_row(w: &JoinWorkload, params: &CacheParams) -> usize {
         &policy,
     );
     run.run_to_completion(&mut rdx_core::strategy::sink::MaterializeSink::new());
-    assert_eq!(run.run_stats().chunks_emitted, 1, "one whole-result chunk");
-    run.take_scratch().resident_bytes() / run.rows_emitted()
+    let chunks = run.run_stats().chunks_emitted;
+    assert_eq!(chunks > 1, budget.is_bounded(), "{chunks} chunks");
+    let largest_chunk = run.streaming().chunk_rows.min(run.rows_emitted());
+    run.take_scratch().resident_bytes() / largest_chunk
 }
 
 /// The fetch contract as a count: the `pipeline.e2e` query (same relations,
 /// codes and 64 KiB grant) stepped over counting sources.  A source is asked
 /// once per morsel × column × chunk; a per-value path would ask 16 000 times.
 fn fetch_source_calls(w: &JoinWorkload, params: &CacheParams) -> usize {
-    let policy =
-        ExecPolicy::with_threads(1).budget(rdx_core::budget::MemoryBudget::bytes(64 * 1024));
+    let policy = ExecPolicy::with_threads(1).budget(MemoryBudget::bytes(64 * 1024));
     let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
         ProjectionCode::PartialCluster,
         SecondSideCode::Decluster,

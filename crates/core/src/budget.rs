@@ -51,10 +51,10 @@ impl std::error::Error for BudgetError {}
 /// A cap on the bytes of *value data* a streaming operator may keep resident
 /// at once.
 ///
-/// The cap governs the per-chunk working set: staged clustered values,
-/// chunk-local result positions, and the chunk's output columns.  Fixed
-/// per-relation index structures (the clustered oid/position arrays, the
-/// oids packed under their clusters) are priced separately by the planner —
+/// The cap governs the per-chunk working set: the staged clustered values
+/// and the chunk's output columns.  Fixed per-relation index structures (the
+/// clustered oid/position arrays, the oids packed under their clusters),
+/// which every chunk reads in place, are priced separately by the planner —
 /// they scale with `6 N` bytes and are the streaming pipeline's irreducible
 /// floor, exactly like the `CLUST_SMALLER`/`CLUST_RESULT` arrays of Fig. 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +64,8 @@ pub struct MemoryBudget {
 }
 
 impl MemoryBudget {
-    /// No cap: the pipeline runs as a single chunk (the materialising
-    /// executors' behaviour).
+    /// No cap: the pipeline runs as a single chunk, the whole result
+    /// (what `ProjectionPipeline::materialize` runs under by default).
     pub const fn unbounded() -> Self {
         MemoryBudget { bytes: usize::MAX }
     }

@@ -11,7 +11,9 @@
 //!
 //! Nothing downstream ever widens the whole array back: a gather asks its
 //! source for one [`PackedSlice`] per block, and the source walks the slice
-//! run by run ([`PackedSlice::runs`]), one cluster base per run.
+//! run by run ([`PackedSlice::runs`]), one cluster base per run.  A slice is
+//! a contiguous stretch ([`PackedOids::slice`]) or a streamed chunk's
+//! per-cluster runs read in place ([`PackedOids::select`]).
 
 use super::{Clustered, RadixClusterSpec};
 use rdx_dsm::Oid;
@@ -97,17 +99,38 @@ impl PackedOids {
 
     /// The whole array as a [`PackedSlice`].
     pub fn as_slice(&self) -> PackedSlice<'_> {
-        PackedSlice {
-            low: &self.low,
-            bounds: &self.bounds,
-            start: 0,
-            shift: self.spec.ignore,
-        }
+        self.view((0, self.len()), &[], self.len())
     }
 
     /// The oids at positions `range`.
     pub fn slice(&self, range: Range<usize>) -> PackedSlice<'_> {
         self.as_slice().slice(range)
+    }
+
+    /// The oids at the positions `runs` name, run after run — how a
+    /// streamed chunk reads its per-cluster runs in place.
+    pub fn select<'a>(&'a self, runs: &'a [Range<usize>]) -> PackedSlice<'a> {
+        let len = runs.iter().map(|r| r.len()).sum();
+        match runs.split_first() {
+            Some((head, tail)) => self.view((head.start, head.end), tail, len),
+            None => self.view((0, 0), &[], len),
+        }
+    }
+
+    fn view<'a>(
+        &'a self,
+        head: (usize, usize),
+        tail: &'a [Range<usize>],
+        len: usize,
+    ) -> PackedSlice<'a> {
+        PackedSlice {
+            low: &self.low,
+            bounds: &self.bounds,
+            shift: self.spec.ignore,
+            head,
+            tail,
+            len,
+        }
     }
 
     /// Every oid widened to [`Oid`], in order.
@@ -118,33 +141,54 @@ impl PackedOids {
     }
 }
 
-/// A contiguous run of a [`PackedOids`] array — what one block of a gather
-/// reads.  It may span several clusters.
+/// A view of a [`PackedOids`] array — what one block of a gather reads: the
+/// positions `head`, then those of the `tail` runs, cut to `len` oids.  A
+/// contiguous stretch is a `head` that may span several clusters; a chunk's
+/// runs each lie inside one cluster.
 #[derive(Debug, Clone, Copy)]
 pub struct PackedSlice<'a> {
+    // The whole array's low bits, cluster bounds and shift.
     low: &'a [u16],
     bounds: &'a [usize],
-    /// Position of `low[0]` in the whole array.
-    start: usize,
     shift: u32,
+    head: (usize, usize),
+    tail: &'a [Range<usize>],
+    len: usize,
 }
 
 impl<'a> PackedSlice<'a> {
     /// Number of oids.
     pub fn len(&self) -> usize {
-        self.low.len()
+        self.len
     }
 
     /// `true` if the slice holds no oid.
     pub fn is_empty(&self) -> bool {
-        self.low.is_empty()
+        self.len == 0
     }
 
     /// The oids at positions `range` of this slice.
+    ///
+    /// # Panics
+    /// Panics if `range` reaches past the slice.
     pub fn slice(&self, range: Range<usize>) -> PackedSlice<'a> {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "slice {range:?} of {} oids",
+            self.len
+        );
+        let (mut head, mut tail, mut skip) = (self.head, self.tail, range.start);
+        while skip >= head.1 - head.0 {
+            let Some((next, rest)) = tail.split_first() else {
+                break;
+            };
+            skip -= head.1 - head.0;
+            (head, tail) = ((next.start, next.end), rest);
+        }
         PackedSlice {
-            low: &self.low[range.clone()],
-            start: self.start + range.start,
+            head: (head.0 + skip, head.1),
+            tail,
+            len: range.len(),
             ..*self
         }
     }
@@ -152,17 +196,29 @@ impl<'a> PackedSlice<'a> {
     /// The slice cut at its cluster borders, in order: `(base, low)` pairs
     /// whose oids are `base + low[i]`.  Empty runs are skipped.
     pub fn runs(&self) -> impl Iterator<Item = (Oid, &'a [u16])> + 'a {
-        let (low, start, shift) = (self.low, self.start, self.shift);
-        let end = start + low.len();
-        // The cluster holding `start`: the last one beginning at or before it.
-        let first = self.bounds.partition_point(|&b| b <= start).max(1) - 1;
-        self.bounds[first..]
-            .windows(2)
-            .zip(first..)
-            .take_while(move |(cluster, _)| cluster[0] < end)
-            .filter_map(move |(cluster, j)| {
-                let (s, e) = (cluster[0].max(start), cluster[1].min(end));
-                (s < e).then(|| ((j as Oid) << shift, &low[s - start..e - start]))
+        let (low, bounds, shift) = (self.low, self.bounds, self.shift);
+        let mut left = self.len;
+        let spans = std::iter::once(self.head).chain(self.tail.iter().map(|r| (r.start, r.end)));
+        spans
+            .map_while(move |(start, end)| {
+                (left > 0).then(|| {
+                    let end = end.min(start + left);
+                    left -= end - start;
+                    (start, end)
+                })
+            })
+            .flat_map(move |(start, end)| {
+                // The cluster holding `start`: the last one beginning at or
+                // before it.
+                let first = bounds.partition_point(|&b| b <= start).max(1) - 1;
+                bounds[first..]
+                    .windows(2)
+                    .zip(first..)
+                    .take_while(move |(cluster, _)| cluster[0] < end)
+                    .filter_map(move |(cluster, j)| {
+                        let (s, e) = (cluster[0].max(start), cluster[1].min(end));
+                        (s < e).then(|| ((j as Oid) << shift, &low[s..e]))
+                    })
             })
     }
 
@@ -242,6 +298,47 @@ mod tests {
             inner.extend_into(&mut again);
             assert_eq!(again, widened);
         }
+    }
+
+    #[test]
+    fn a_selection_of_runs_reads_the_oids_they_name() {
+        let c = clustered(3_000, 4, 8);
+        let keys = c.keys().to_vec();
+        let (packed, _) = PackedOids::pack(c);
+        // The middle third of every cluster, as a chunk's runs are cut.
+        let runs: Vec<Range<usize>> = packed
+            .bounds()
+            .windows(2)
+            .map(|w| (w[0] + (w[1] - w[0]) / 3)..(w[1] - (w[1] - w[0]) / 3))
+            .filter(|r| !r.is_empty())
+            .collect();
+        let expected: Vec<Oid> = runs.iter().flat_map(|r| keys[r.clone()].to_vec()).collect();
+        let n = expected.len();
+        let view = packed.select(&runs);
+        assert_eq!(view.len(), n);
+        // One (base, low) piece per run, widening to the oids the runs name.
+        assert_eq!(view.runs().count(), runs.len());
+        let mut widened = Vec::new();
+        view.extend_into(&mut widened);
+        assert_eq!(widened, expected);
+        for range in [0..0, 0..n, 5..6, 17..n - 3, n..n] {
+            let mut got = Vec::new();
+            view.slice(range.clone()).extend_into(&mut got);
+            assert_eq!(got, expected[range.clone()], "{range:?}");
+        }
+        let mut again = Vec::new();
+        view.slice(3..n).slice(2..40).extend_into(&mut again);
+        assert_eq!(again, expected[5..43]);
+        // Morsels of any size tile the view.
+        for morsel in [1, 7, 64, n] {
+            let mut tiled = Vec::new();
+            for start in (0..n).step_by(morsel) {
+                view.slice(start..(start + morsel).min(n))
+                    .extend_into(&mut tiled);
+            }
+            assert_eq!(tiled, expected, "morsel {morsel}");
+        }
+        assert!(packed.select(&[]).is_empty());
     }
 
     #[test]

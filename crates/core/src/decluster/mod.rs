@@ -19,6 +19,7 @@ pub mod varsize;
 
 use rdx_cache::CacheParams;
 use rdx_dsm::Oid;
+use std::ops::Range;
 
 /// Picks an insertion-window size: half the (outermost) cache by default,
 /// shrunk never below one cache line and never above the cache capacity, and
@@ -85,7 +86,10 @@ pub fn radix_decluster<T: Copy + Default>(
 /// nothing in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct DeclusterScratch {
-    clusters: Vec<(usize, usize)>,
+    /// Live clusters as `(cursor, end, at)`: the run's next and
+    /// past-the-end position indices, and the staged index of the value
+    /// under the cursor.
+    clusters: Vec<(usize, usize, usize)>,
 }
 
 impl DeclusterScratch {
@@ -96,7 +100,7 @@ impl DeclusterScratch {
 
     /// Resident heap bytes of the cursor array (capacity, not length).
     pub fn resident_bytes(&self) -> usize {
-        self.clusters.capacity() * std::mem::size_of::<(usize, usize)>()
+        self.clusters.capacity() * std::mem::size_of::<(usize, usize, usize)>()
     }
 }
 
@@ -135,17 +139,12 @@ pub fn radix_decluster_into<T: Copy>(
         n,
         "cluster borders do not cover the input"
     );
-    if n == 0 {
-        return;
-    }
-    let elems = window_elems(window_bytes, std::mem::size_of::<T>());
-    let windows = n.div_ceil(elems);
     radix_decluster_windows_with_scratch(
         values,
         result_positions,
-        bounds,
-        elems,
-        0..windows,
+        bounds.windows(2).map(|w| w[0]..w[1]),
+        0,
+        window_elems(window_bytes, std::mem::size_of::<T>()),
         scratch,
         out,
     );
@@ -158,45 +157,22 @@ pub fn window_elems(window_bytes: usize, value_width: usize) -> usize {
     (window_bytes / value_width.max(1)).max(1)
 }
 
-/// The windowed Radix-Decluster kernel: processes only the insertion windows
-/// in `window_range` (window `w` covers result positions
-/// `[w · window_elems, (w + 1) · window_elems)`), writing into the disjoint
-/// output slice `out`, whose first element corresponds to result position
-/// `window_range.start · window_elems`.
+/// The windowed Radix-Decluster kernel over per-cluster runs of a
+/// `CLUST_RESULT` array.  Each of `runs` is a range of `result_positions`
+/// inside one cluster; `values` holds the runs' values run after run, in
+/// the runs' order; `out` receives result rows `base..base + out.len()`,
+/// one insertion window of `window_elems` rows at a time.  Tuples destined
+/// for rows before `base` are skipped by binary search (positions ascend
+/// within a cluster), and the runs must hold every tuple destined for
+/// `out`'s rows.
 ///
-/// Because every write of window `w` lands inside that window's result range,
-/// distinct window ranges touch disjoint output regions — this is the entry
-/// point the parallel executor (`rdx-exec`) hands one `&mut` output shard per
-/// worker.  Calling it with the full `0..ceil(N / window_elems)` range is
-/// exactly the sequential [`radix_decluster`].
-///
-/// # Panics
-/// Panics (possibly via slice indexing) if `out` is shorter than the result
-/// positions covered by `window_range`, or if the inputs violate the
-/// [`radix_decluster`] contract.
-#[inline]
-pub fn radix_decluster_windows<T: Copy>(
-    values: &[T],
-    result_positions: &[Oid],
-    bounds: &[usize],
-    window_elems: usize,
-    window_range: std::ops::Range<usize>,
-    out: &mut [T],
-) {
-    radix_decluster_windows_with_scratch(
-        values,
-        result_positions,
-        bounds,
-        window_elems,
-        window_range,
-        &mut DeclusterScratch::new(),
-        out,
-    );
-}
-
-/// [`radix_decluster_windows`] with a caller-provided [`DeclusterScratch`]
-/// holding the live-cluster cursor array, so repeated sweeps (per chunk, per
-/// query) allocate nothing.  Same contract and byte-identical output.
+/// The whole result is the case where the runs are the clusters and `base`
+/// is 0 ([`radix_decluster_into`]); a streamed chunk passes its
+/// [`chunks::ChunkRuns`] and first row, reading the prefix's positions in
+/// place.  Because every write of a window lands inside that window's rows,
+/// disjoint stretches of windows touch disjoint output — the parallel
+/// executor (`rdx-exec`) hands each worker one `&mut` shard, with the shard's
+/// first row as `base`.
 ///
 /// **Cluster visiting order is part of the contract.**  Within a window the
 /// live clusters are visited in array order, a drained cluster is replaced by
@@ -205,50 +181,43 @@ pub fn radix_decluster_windows<T: Copy>(
 /// [`traced::radix_decluster_traced`] mirrors exactly this sequence, and every
 /// `cache.sim_*` / `perf_proxy` count is a function of it — a rewrite may
 /// change how the loop is expressed, never the order of its accesses.
+///
+/// # Panics
+/// Panics (possibly via slice indexing) if a run holds a tuple destined past
+/// `out`, or if the inputs violate the [`radix_decluster`] contract.
 #[inline]
 pub fn radix_decluster_windows_with_scratch<T: Copy>(
     values: &[T],
     result_positions: &[Oid],
-    bounds: &[usize],
+    runs: impl IntoIterator<Item = Range<usize>>,
+    base: usize,
     window_elems: usize,
-    window_range: std::ops::Range<usize>,
     scratch: &mut DeclusterScratch,
     out: &mut [T],
 ) {
-    let base = window_range.start * window_elems;
-
-    // Live clusters as (cursor, end) pairs: cursors pre-advanced (binary
-    // search — positions are ascending within a cluster) past every tuple
-    // that belongs to an earlier window range; drained clusters are dropped.
+    // Live clusters: cursors pre-advanced past every tuple destined before
+    // `base`; drained runs are dropped.
     let clusters = &mut scratch.clusters;
     clusters.clear();
-    clusters.extend(bounds.windows(2).filter_map(|w| {
-        let (s, e) = (w[0], w[1]);
-        if s >= e {
-            return None;
-        }
-        let skip = result_positions[s..e].partition_point(|&p| (p as usize) < base);
-        if s + skip >= e {
-            None
-        } else {
-            Some((s + skip, e))
-        }
+    let mut staged = 0;
+    clusters.extend(runs.into_iter().filter_map(|run| {
+        let value = staged;
+        staged += run.len();
+        let skip = result_positions[run.clone()].partition_point(|&p| (p as usize) < base);
+        (skip < run.len()).then_some((run.start + skip, run.end, value + skip))
     }));
     let mut nclusters = clusters.len();
 
-    let mut window_limit = base + window_elems;
-    for _ in window_range {
-        if nclusters == 0 {
-            break;
-        }
+    let rows_end = base + out.len();
+    let mut window_limit = base;
+    while nclusters > 0 && window_limit < rows_end {
+        window_limit += window_elems;
         let mut i = 0;
         while i < nclusters {
-            // The live cluster's cursor stays in registers for its whole run
+            // The live cluster's cursors stay in registers for its whole run
             // through this window; `clusters[i]` is written back once.
-            let (cursor, end) = clusters[i];
-            let run = result_positions[cursor..end]
-                .iter()
-                .zip(&values[cursor..end]);
+            let (cursor, end, at) = clusters[i];
+            let run = result_positions[cursor..end].iter().zip(&values[at..]);
             let mut drained = 0;
             for (&pos, &value) in run {
                 let pos = pos as usize;
@@ -259,7 +228,7 @@ pub fn radix_decluster_windows_with_scratch<T: Copy>(
                 drained += 1;
             }
             if cursor + drained < end {
-                clusters[i].0 = cursor + drained;
+                clusters[i] = (cursor + drained, end, at + drained);
                 i += 1;
             } else {
                 // Delete the drained cluster by swapping in the last live one;
@@ -268,7 +237,6 @@ pub fn radix_decluster_windows_with_scratch<T: Copy>(
                 clusters[i] = clusters[nclusters];
             }
         }
-        window_limit += window_elems;
     }
 }
 

@@ -12,12 +12,16 @@
 //! [`super::radix_decluster_windows_with_scratch`]'s contract, so the
 //! simulated counts stay those of the shipped loop however it is written.
 
+use super::chunks::ChunkRuns;
 use rdx_cache::{AddressSpace, EventCounts, MemorySystem};
 use rdx_dsm::Oid;
 
-/// Runs Radix-Decluster over `values`/`result_positions`/`bounds` while
-/// simulating its memory accesses, returning the reordered values and the
-/// simulator's event counts.
+/// Runs Radix-Decluster over one chunk while simulating its memory
+/// accesses, returning the chunk's values in result order and the
+/// simulator's event counts: [`super::radix_decluster_windows_with_scratch`]
+/// over `chunk`'s runs of `result_positions`, with `values` staged run after
+/// run and the chunk's first row as the base.  The whole result is
+/// [`ChunkRuns::whole`] over the cluster bounds.
 ///
 /// `value_width` is the byte width of one projected value (4 for the paper's
 /// integer columns); the value array, position array, result array and
@@ -25,35 +29,43 @@ use rdx_dsm::Oid;
 pub fn radix_decluster_traced<T: Copy + Default>(
     values: &[T],
     result_positions: &[Oid],
-    bounds: &[usize],
+    chunk: &ChunkRuns,
     window_bytes: usize,
     mem: &mut MemorySystem,
 ) -> (Vec<T>, EventCounts) {
     let n = values.len();
-    assert_eq!(result_positions.len(), n);
-    assert_eq!(*bounds.last().unwrap_or(&0), n);
+    assert_eq!(chunk.len(), n, "values/chunk length mismatch");
 
     let value_width = std::mem::size_of::<T>().max(1);
     let mut space = AddressSpace::new();
     let values_region = space.alloc(n.max(1), value_width);
-    let positions_region = space.alloc(n.max(1), 4);
+    let positions_region = space.alloc(result_positions.len().max(1), 4);
     let result_region = space.alloc(n.max(1), value_width);
-    let borders_region = space.alloc(bounds.len().max(1), 8);
+    let borders_region = space.alloc(chunk.runs.len() + 1, 8);
 
     let mut result = vec![T::default(); n];
     if n == 0 {
         return (result, mem.counts());
     }
 
-    let mut clusters: Vec<(usize, usize)> = bounds
-        .windows(2)
-        .map(|w| (w[0], w[1]))
-        .filter(|(s, e)| s < e)
+    // `(cursor, end, at)` per non-empty run, as the production kernel
+    // keeps them.
+    let mut staged = 0;
+    let mut clusters: Vec<(usize, usize, usize)> = chunk
+        .runs
+        .iter()
+        .map(|run| {
+            let value = staged;
+            staged += run.len();
+            (run.start, run.end, value)
+        })
+        .filter(|(s, e, _)| s < e)
         .collect();
     let mut nclusters = clusters.len();
 
+    let base = chunk.result_range.start;
     let window_elems = (window_bytes / value_width).max(1);
-    let mut window_limit = window_elems;
+    let mut window_limit = base + window_elems;
 
     let before = mem.counts();
     while nclusters > 0 {
@@ -63,7 +75,7 @@ pub fn radix_decluster_traced<T: Copy + Default>(
             // scan over the start/end array of Fig. 5).
             mem.read(borders_region.addr(i.min(borders_region.elems() - 1)), 8);
             loop {
-                let (cursor, end) = clusters[i];
+                let (cursor, end, at) = clusters[i];
                 // Read the destination oid for the tuple under the cursor.
                 mem.read(positions_region.addr(cursor), 4);
                 let dest = result_positions[cursor] as usize;
@@ -72,11 +84,10 @@ pub fn radix_decluster_traced<T: Copy + Default>(
                     break;
                 }
                 // Read the value and write it to its final position.
-                mem.read(values_region.addr(cursor), value_width);
-                mem.write(result_region.addr(dest), value_width);
-                result[dest] = values[cursor];
-                let next = cursor + 1;
-                if next >= end {
+                mem.read(values_region.addr(at), value_width);
+                mem.write(result_region.addr(dest - base), value_width);
+                result[dest - base] = values[at];
+                if cursor + 1 >= end {
                     nclusters -= 1;
                     clusters[i] = clusters[nclusters];
                     if i >= nclusters {
@@ -84,7 +95,7 @@ pub fn radix_decluster_traced<T: Copy + Default>(
                     }
                     break;
                 }
-                clusters[i].0 = next;
+                clusters[i] = (cursor + 1, end, at + 1);
             }
         }
         window_limit += window_elems;
@@ -124,7 +135,13 @@ mod tests {
         let (values, positions, bounds) = clustered_input(5_000, 5);
         let plain = radix_decluster(&values, &positions, &bounds, 4096);
         let mut mem = MemorySystem::new(&CacheParams::paper_pentium4());
-        let (traced, counts) = radix_decluster_traced(&values, &positions, &bounds, 4096, &mut mem);
+        let (traced, counts) = radix_decluster_traced(
+            &values,
+            &positions,
+            &ChunkRuns::whole(&bounds),
+            4096,
+            &mut mem,
+        );
         assert_eq!(plain, traced);
         assert!(counts.accesses > 0);
         assert!(counts.l1_misses > 0);
@@ -139,11 +156,21 @@ mod tests {
         let (values, positions, bounds) = clustered_input(n, 4);
 
         let mut mem_small = MemorySystem::new(&params);
-        let (_, small) =
-            radix_decluster_traced(&values, &positions, &bounds, 4 * 1024, &mut mem_small);
+        let (_, small) = radix_decluster_traced(
+            &values,
+            &positions,
+            &ChunkRuns::whole(&bounds),
+            4 * 1024,
+            &mut mem_small,
+        );
         let mut mem_big = MemorySystem::new(&params);
-        let (_, big) =
-            radix_decluster_traced(&values, &positions, &bounds, 64 * 1024, &mut mem_big);
+        let (_, big) = radix_decluster_traced(
+            &values,
+            &positions,
+            &ChunkRuns::whole(&bounds),
+            64 * 1024,
+            &mut mem_big,
+        );
 
         assert!(
             big.l2_misses > small.l2_misses * 2,
@@ -162,10 +189,21 @@ mod tests {
         let (values, positions, bounds) = clustered_input(n, 6); // 64 clusters > 8 TLB entries
 
         let mut mem_tiny = MemorySystem::new(&params);
-        let (_, tiny) = radix_decluster_traced(&values, &positions, &bounds, 256, &mut mem_tiny);
+        let (_, tiny) = radix_decluster_traced(
+            &values,
+            &positions,
+            &ChunkRuns::whole(&bounds),
+            256,
+            &mut mem_tiny,
+        );
         let mut mem_good = MemorySystem::new(&params);
-        let (_, good) =
-            radix_decluster_traced(&values, &positions, &bounds, 4 * 1024, &mut mem_good);
+        let (_, good) = radix_decluster_traced(
+            &values,
+            &positions,
+            &ChunkRuns::whole(&bounds),
+            4 * 1024,
+            &mut mem_good,
+        );
 
         assert!(
             tiny.tlb_misses > good.tlb_misses,

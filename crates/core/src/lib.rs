@@ -52,9 +52,9 @@ pub use cluster::{
     radix_cluster_with_scratch, radix_count, radix_sort_oids, scatter_cursor_budget,
     ClusterScratch, Clustered, RadixClusterSpec, ScatterMode,
 };
-pub use decluster::chunks::{ChunkCursorState, ChunkCursors, ChunkRuns};
+pub use decluster::chunks::{ChunkCursorState, ChunkRuns};
 pub use decluster::{
-    choose_window_bytes, radix_decluster, radix_decluster_into, radix_decluster_windows,
+    choose_window_bytes, radix_decluster, radix_decluster_into,
     radix_decluster_windows_with_scratch, window_elems, DeclusterScratch,
 };
 pub use error::{DeadlineError, RdxError, Side, TenantQuotaKind};

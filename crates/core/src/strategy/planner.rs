@@ -187,18 +187,15 @@ pub fn plan_by_cost_with_threads(
 
 /// Resident bytes one result row costs the streaming pipeline while its
 /// chunk is in flight: all `π` output column values held until the chunk is
-/// emitted, plus the chunk-local rebased result positions, the chunk-local
-/// clustered smaller oids (shared by all smaller-side columns), and the
-/// staged clustered values of the column currently being declustered.
-///
-/// The two chunk-local arrays are priced even though a chunk that covers
-/// the whole result borrows the prefix's own instead: every chunk of a
-/// multi-chunk run allocates them, and the plan must hold for those.
+/// emitted, plus the staged clustered values of the column currently being
+/// declustered.  Every chunk, whole-result or partial, reads the prefix's
+/// clustered oids and result positions in place, so they cost the chunk
+/// nothing.
 ///
 /// This is the `bytes_per_row` the chunk-count rule divides the
 /// [`MemoryBudget`] by — the analogue of `per_core_share` dividing the cache.
 pub fn streaming_bytes_per_row(spec: &QuerySpec) -> usize {
-    (spec.total() + 3) * VALUE_WIDTH
+    (spec.total() + 1) * VALUE_WIDTH
 }
 
 /// The chunking a [`MemoryBudget`] imposes on a streaming projection.
@@ -486,7 +483,7 @@ mod tests {
         let params = CacheParams::paper_pentium4();
         let spec = QuerySpec::symmetric(2);
         let floor = streaming_bytes_per_row(&spec);
-        assert_eq!(floor, (2 + 2 + 3) * 4);
+        assert_eq!(floor, (2 + 2 + 1) * 4);
         // One byte below the one-row floor clamps to a documented one-row
         // chunking instead of panicking anywhere downstream.
         let clamped = plan_streaming(

@@ -6,15 +6,16 @@
 //! together with the matching disjoint `&mut` result shard.  A worker finds
 //! its per-cluster start cursors by binary search (positions are ascending
 //! within every cluster — §3.2 property 2) and then runs the unchanged
-//! sequential window loop ([`rdx_core::decluster::radix_decluster_windows`])
-//! over its shard.  No synchronisation happens inside the loop, and the
-//! output is **byte-identical** to the sequential kernel: every tuple's
-//! destination is data-determined, workers merely split who writes it.
+//! sequential window loop
+//! ([`rdx_core::decluster::radix_decluster_windows_with_scratch`]) over its
+//! shard.  No synchronisation happens inside the loop, and the output is
+//! **byte-identical** to the sequential kernel: every tuple's destination is
+//! data-determined, workers merely split who writes it.
 
 use crate::pool::{partition_ranges, split_by_bounds, ExecPolicy};
+use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::{
-    radix_decluster_windows, radix_decluster_windows_with_scratch, validate_inputs, window_elems,
-    DeclusterScratch,
+    radix_decluster_windows_with_scratch, validate_inputs, window_elems, DeclusterScratch,
 };
 use rdx_dsm::Oid;
 
@@ -25,8 +26,8 @@ use rdx_dsm::Oid;
 /// reusable output buffer should use [`par_radix_decluster_into`].
 ///
 /// # Panics
-/// Panics if the slices disagree in length or the borders do not cover the
-/// input (same contract as the sequential kernel).
+/// Panics if the borders do not cover the values or the positions (same
+/// contract as the sequential kernel).
 pub fn par_radix_decluster<T: Copy + Default + Send + Sync>(
     values: &[T],
     result_positions: &[Oid],
@@ -39,7 +40,7 @@ pub fn par_radix_decluster<T: Copy + Default + Send + Sync>(
     par_radix_decluster_into(
         values,
         result_positions,
-        bounds,
+        &ChunkRuns::whole(bounds),
         window_bytes,
         policy,
         &mut DeclusterScratch::new(),
@@ -48,51 +49,45 @@ pub fn par_radix_decluster<T: Copy + Default + Send + Sync>(
     result
 }
 
-/// Parallel Radix-Decluster into a caller-provided output slice: the
-/// parallel counterpart of [`rdx_core::decluster::radix_decluster_into`].
-/// Every slot of `out` is overwritten, so no allocation or zero-fill is
-/// paid for the result; with one worker the whole sweep runs inline through
-/// `scratch` and is allocation-free in steady state (multi-worker sweeps
-/// still allocate their per-worker cursor arrays alongside the thread
-/// spawns they already require).
+/// Parallel Radix-Decluster of one chunk into a caller-provided output
+/// slice: `chunk`'s runs of `result_positions` are read in place, `values`
+/// holds their values run after run, and `out` receives the chunk's rows
+/// (the whole result is [`ChunkRuns::whole`]).  Every slot of `out` is
+/// overwritten, so no allocation or zero-fill is paid for the result; with
+/// one worker the whole sweep runs inline through `scratch` and is
+/// allocation-free in steady state (multi-worker sweeps still allocate
+/// their per-worker cursor arrays alongside the thread spawns they already
+/// require).
 ///
 /// # Panics
-/// Panics if the slices disagree in length, `out` has the wrong length, or
-/// the borders do not cover the input.
+/// Panics if `values` or `out` is not as long as the chunk, or the runs
+/// violate the kernel's contract.
 pub fn par_radix_decluster_into<T: Copy + Send + Sync>(
     values: &[T],
     result_positions: &[Oid],
-    bounds: &[usize],
+    chunk: &ChunkRuns,
     window_bytes: usize,
     policy: &ExecPolicy,
     scratch: &mut DeclusterScratch,
     out: &mut [T],
 ) {
-    let n = values.len();
-    assert_eq!(
-        result_positions.len(),
-        n,
-        "values/positions length mismatch"
-    );
+    let n = chunk.len();
+    assert_eq!(values.len(), n, "values/chunk length mismatch");
     assert_eq!(out.len(), n, "output length mismatch");
-    assert_eq!(
-        *bounds.last().unwrap_or(&0),
-        n,
-        "cluster borders do not cover the input"
-    );
     if n == 0 {
         return;
     }
     let elems = window_elems(window_bytes, std::mem::size_of::<T>());
     let windows = n.div_ceil(elems);
     let threads = policy.worker_threads().min(windows).max(1);
+    let (base, runs) = (chunk.result_range.start, || chunk.runs.iter().cloned());
     if threads == 1 {
         radix_decluster_windows_with_scratch(
             values,
             result_positions,
-            bounds,
+            runs(),
+            base,
             elems,
-            0..windows,
             scratch,
             out,
         );
@@ -100,8 +95,8 @@ pub fn par_radix_decluster_into<T: Copy + Send + Sync>(
     }
 
     // Cut the window sequence into contiguous per-worker ranges and split the
-    // result at the corresponding positions: window range [a, b) owns result
-    // positions [a·elems, min(b·elems, n)).
+    // chunk's rows at the corresponding offsets: window range [a, b) owns
+    // rows [a·elems, min(b·elems, n)) of the chunk.
     let groups = partition_ranges(windows, threads);
     let cuts: Vec<usize> = std::iter::once(0)
         .chain(groups.iter().map(|g| (g.end * elems).min(n)))
@@ -111,7 +106,15 @@ pub fn par_radix_decluster_into<T: Copy + Send + Sync>(
     std::thread::scope(|scope| {
         for (range, shard) in groups.into_iter().zip(shards) {
             scope.spawn(move || {
-                radix_decluster_windows(values, result_positions, bounds, elems, range, shard)
+                radix_decluster_windows_with_scratch(
+                    values,
+                    result_positions,
+                    runs(),
+                    base + range.start * elems,
+                    elems,
+                    &mut DeclusterScratch::new(),
+                    shard,
+                )
             });
         }
     });
@@ -198,7 +201,7 @@ mod tests {
             par_radix_decluster_into(
                 &values,
                 &positions,
-                &bounds,
+                &ChunkRuns::whole(&bounds),
                 512,
                 &ExecPolicy::with_threads(threads),
                 &mut scratch,

@@ -24,18 +24,17 @@
 //! 3. per chunk, a [`ChunkCursorState`] advances one cursor per cluster
 //!    (§3.2's ascending-within-cluster property makes every result prefix a
 //!    prefix of every cluster), attribute values are fetched **on demand**
-//!    from the base relations into a chunk-local `CLUST_VALUES`, declustered
-//!    by the unchanged windowed kernel — morsel-parallel across insertion
-//!    windows — and emitted;
+//!    from the base relations into a chunk-local `CLUST_VALUES` through the
+//!    chunk's runs of the prefix's packed `CLUST_SMALLER`, declustered by the
+//!    windowed kernel over the same runs of its `CLUST_RESULT` — both read in
+//!    place, morsel-parallel across insertion windows — and emitted;
 //! 4. the sink decides what full-result memory (if any) to pay:
 //!    [`MaterializeSink`] concatenates the chunks into the whole result,
 //!    [`rdx_core::strategy::PagedSink`] spools to buffer-manager
 //!    pages (§5).  The chunk's columns are lent to the sink, which may take
 //!    them: when one chunk is the whole result, [`MaterializeSink`] keeps
-//!    the buffers the kernels wrote and that chunk reads the prefix's
-//!    clustered `CLUST_SMALLER` / `CLUST_RESULT` in place, packed oids
-//!    included, so each result column is written once, in result order, and
-//!    never copied.
+//!    the buffers the kernels wrote, so each result column is written once,
+//!    in result order, and never copied.
 //!
 //! The chunk loop itself is a **resumable** [`PipelineRun`]: each
 //! [`PipelineRun::step`] emits exactly one chunk and returns, so a scheduler
@@ -46,9 +45,10 @@
 //!
 //! The output is **byte-identical**, in row order, for every budget, thread
 //! count and step interleaving, because chunking changes only *when* a
-//! result row is produced, never its value or position: each chunk is a
-//! self-contained Radix-Decluster problem over rebased positions
-//! (`rdx_core::decluster::chunks`).
+//! result row is produced, never its value or position: each chunk is the
+//! windowed kernel over the chunk's per-cluster runs, based at its first row
+//! (`rdx_core::decluster::chunks`); the whole result is the chunk whose runs
+//! are the clusters.
 //!
 //! **Fetch contract.**  §3's positional joins are "pointer-based joins …
 //! with negligible CPU cost" only as tight array loops, so the chunk loop
@@ -195,12 +195,14 @@ enum SecondSide {
 }
 
 impl SecondSide {
-    /// The oids the smaller side is fetched through: in result order (`u`)
-    /// or `CLUST_SMALLER` (`d`).
-    fn oids(&self) -> OidBlock<'_> {
+    /// Bytes per oid of the array the smaller side is fetched through: the
+    /// result-order oids (`u`) or the packed `CLUST_SMALLER` (`d`).
+    fn index_width(&self) -> usize {
         match self {
-            SecondSide::ResultOrder(oids) => OidBlock::Wide(oids),
-            SecondSide::Clustered { smaller, .. } => OidBlock::Packed(smaller.as_slice()),
+            SecondSide::ResultOrder(oids) => OidBlock::Wide(oids).index_width(),
+            SecondSide::Clustered { smaller, .. } => {
+                OidBlock::Packed(smaller.as_slice()).index_width()
+            }
         }
     }
 }
@@ -247,10 +249,10 @@ impl PreparedProjection {
 
 /// What one pipeline run did: the chunking it planned, what it actually
 /// emitted, and the measured peak chunk working set: the bytes the chunk
-/// itself holds.  The fixed `6 N`-byte index floor is excluded, and so are
-/// the clustered arrays a whole-result chunk borrows from the prefix
-/// (already counted by [`PreparedProjection::resident_bytes`]), so the peak
-/// never exceeds what
+/// itself holds — its output columns and, when it declusters, its staged
+/// `CLUST_VALUES`.  The clustered index every chunk reads in place is the
+/// prefix's (counted by [`PreparedProjection::resident_bytes`]), so a
+/// declustering chunk holds exactly what
 /// [`rdx_core::strategy::planner::streaming_bytes_per_row`] prices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineStats {
@@ -268,14 +270,11 @@ pub struct PipelineStats {
 }
 
 /// The reusable per-run working memory of the streaming chunk loop: the
-/// output columns lent to the sink, the chunk-local
-/// `CLUST_SMALLER`/`CLUST_RESULT` staging arrays, the staged clustered
-/// values, the run list of the current chunk, and the decluster cursor
-/// scratch.
+/// output columns lent to the sink, the staged clustered values, the run
+/// list of the current chunk, and the decluster cursor scratch.
 ///
-/// A whole-result chunk fills neither staging array (it reads the prefix's
-/// own), and a sink that takes the output columns leaves them empty, so a
-/// one-chunk query retains only its staged values and cursors.  Otherwise
+/// A sink that takes the output columns leaves them empty, so a one-chunk
+/// query retains only its staged values, runs and cursors.  Otherwise
 /// every buffer grows to the chunk high-water mark on the first chunk and
 /// is reused afterwards, which is what makes a steady-state
 /// [`PipelineRun::step`] **allocation-free** on a single-threaded policy
@@ -287,9 +286,6 @@ pub struct PipelineStats {
 pub struct ChunkScratch {
     columns: Vec<Vec<i32>>,
     chunk: ChunkRuns,
-    local_oids: Vec<Oid>,
-    local_positions: Vec<Oid>,
-    local_bounds: Vec<usize>,
     staged: Vec<i32>,
     decluster: DeclusterScratch,
 }
@@ -307,9 +303,7 @@ impl ChunkScratch {
             .iter()
             .map(|c| c.capacity() * std::mem::size_of::<i32>())
             .sum();
-        cols + (self.local_oids.capacity() + self.local_positions.capacity()) * 4
-            + self.local_bounds.capacity() * std::mem::size_of::<usize>()
-            + self.staged.capacity() * 4
+        cols + self.staged.capacity() * 4
             + self.chunk.runs.capacity() * std::mem::size_of::<std::ops::Range<usize>>()
             + self.decluster.resident_bytes()
     }
@@ -333,8 +327,8 @@ struct RunObs {
 /// profiled mode is on: a persistent [`MemorySystem`] the run replays every
 /// chunk's memory-access pattern through, the simulated regions standing
 /// for the operand arrays, and the pre-resolved [`rdx_obs::Profile`]
-/// instruments.  The chunk-local regions are sized once, at attach, for the
-/// run's fixed chunking.
+/// instruments.  The chunk's output region is sized once, at attach, for
+/// the run's fixed chunking.
 ///
 /// Profiling never touches the output path — the chunk is computed by the
 /// normal kernels and the replay only *simulates* the same accesses — so
@@ -351,7 +345,6 @@ struct RunProfile {
     second_oids_region: Region,
     larger_cols: Vec<Region>,
     smaller_cols: Vec<Region>,
-    chunk_oids: Region,
     chunk_out: Region,
     chunk_capacity: usize,
 }
@@ -360,15 +353,14 @@ struct RunProfile {
 enum SecondSideReplay<'a> {
     /// Straight positional fetch from `second_oids[emitted..]`.
     Unsorted { rows: usize },
-    /// Cluster-side gather + windowed decluster over the chunk's clustered
-    /// arrays (the Fig. 5 access pattern).  The oid stream is charged where
-    /// the gather reads it: the prefix's packed `CLUST_SMALLER` (2 B/row)
-    /// when the chunk borrows it, the chunk-local widened copy (4 B/row)
-    /// otherwise.
+    /// Cluster-side gather + windowed decluster over the chunk's runs of the
+    /// prefix's clustered arrays (the Fig. 5 access pattern), the oid stream
+    /// charged where the gather reads it: the packed `CLUST_SMALLER`, 2 B per
+    /// row.
     Decluster {
-        local_oids: OidBlock<'a>,
-        local_positions: &'a [Oid],
-        local_bounds: &'a [usize],
+        smaller: &'a PackedOids,
+        positions: &'a [Oid],
+        chunk: &'a ChunkRuns,
         staged: &'a [i32],
         window_bytes: usize,
         declustered: &'a [i32],
@@ -427,22 +419,20 @@ impl RunProfile {
                 }
             }
             SecondSideReplay::Decluster {
-                local_oids,
-                local_positions,
-                local_bounds,
+                smaller,
+                positions,
+                chunk,
                 staged,
                 window_bytes,
                 declustered,
             } => {
-                let oids_region = match local_oids {
-                    OidBlock::Packed(_) => self.second_oids_region,
-                    OidBlock::Wide(_) => self.chunk_oids,
-                };
-                let oids = local_oids.to_vec();
+                let width = self.second_oids_region.elem_width();
+                let oids = OidBlock::Packed(smaller.select(&chunk.runs)).to_vec();
                 for col in 0..self.smaller_cols.len() {
                     let region = self.smaller_cols[col];
-                    for (i, &oid) in oids.iter().enumerate() {
-                        self.mem.read(oids_region.addr(i), oids_region.elem_width());
+                    let indices = chunk.runs.iter().flat_map(|r| r.clone());
+                    for (i, (index, &oid)) in indices.zip(&oids).enumerate() {
+                        self.mem.read(self.second_oids_region.addr(index), width);
                         self.mem
                             .read(region.addr(oid as usize), region.elem_width());
                         self.mem.write(self.chunk_out.addr(i), VALUE_WIDTH);
@@ -451,8 +441,8 @@ impl RunProfile {
                 if !self.smaller_cols.is_empty() {
                     let (replayed, counts) = radix_decluster_traced(
                         staged,
-                        local_positions,
-                        local_bounds,
+                        positions,
+                        chunk,
                         window_bytes,
                         &mut self.mem,
                     );
@@ -629,7 +619,7 @@ where
         let n = self.prepared.result_rows();
         let first_oids = self.prepared.first.block(0..n);
         let first_oids_region = space.alloc(n.max(1), first_oids.index_width());
-        let second_oids_region = space.alloc(n.max(1), self.prepared.second.oids().index_width());
+        let second_oids_region = space.alloc(n.max(1), self.prepared.second.index_width());
         let larger_rows = first_oids
             .to_vec()
             .into_iter()
@@ -642,7 +632,6 @@ where
             .map(|_| space.alloc(self.prepared.smaller_cardinality.max(1), VALUE_WIDTH))
             .collect();
         let chunk_capacity = self.streaming.chunk_rows.min(n).max(1);
-        let chunk_oids = space.alloc(chunk_capacity, 4);
         let chunk_out = space.alloc(chunk_capacity, VALUE_WIDTH);
         self.profile = Some(Box::new(RunProfile {
             profile,
@@ -653,7 +642,6 @@ where
             second_oids_region,
             larger_cols,
             smaller_cols,
-            chunk_oids,
             chunk_out,
             chunk_capacity,
         }));
@@ -768,24 +756,10 @@ where
                 cursors.next_chunk_into(positions, chunk_end, &mut scratch.chunk);
                 let chunk = &scratch.chunk;
                 debug_assert_eq!(chunk.result_range, emitted..chunk_end);
-                // CLUST_SMALLER / CLUST_RESULT, shared by all smaller-side
-                // columns of this chunk.  A whole-result chunk's runs are
-                // every cluster in order, so it reads the prefix's arrays in
-                // place, the oids still packed; a partial chunk widens its
-                // runs' oids and copies their rebased positions into
-                // chunk-local arrays.
-                let (local_oids, local_positions) = if rows == n {
-                    (self.prepared.second.oids(), &positions[..])
-                } else {
-                    chunk.expand_into(smaller, &mut scratch.local_oids);
-                    chunk.rebased_positions_into(positions, &mut scratch.local_positions);
-                    chunk_bytes += 2 * rows * VALUE_WIDTH;
-                    (
-                        OidBlock::Wide(&scratch.local_oids),
-                        &scratch.local_positions[..],
-                    )
-                };
-                chunk.local_bounds_into(&mut scratch.local_bounds);
+                // The chunk's runs of CLUST_SMALLER (still packed) and
+                // CLUST_RESULT, read in place by every smaller-side column; a
+                // whole-result chunk's runs are the clusters.
+                let oids = OidBlock::Packed(smaller.select(&chunk.runs));
                 scratch.staged.resize(rows, 0);
                 let staged = &mut scratch.staged[..rows];
                 chunk_bytes += staged.len() * VALUE_WIDTH;
@@ -795,12 +769,12 @@ where
                 {
                     // On-demand clustered positional join: the chunk's
                     // CLUST_VALUES, never the whole column.
-                    par_gather_into(&self.smaller, b, local_oids, &self.policy, staged);
+                    par_gather_into(&self.smaller, b, oids, &self.policy, staged);
                     column.resize(rows, 0);
                     par_radix_decluster_into(
                         staged,
-                        local_positions,
-                        &scratch.local_bounds,
+                        positions,
+                        chunk,
                         self.streaming.window_bytes,
                         &self.policy,
                         &mut scratch.decluster,
@@ -871,24 +845,14 @@ where
             let chunk_first_oids = self.prepared.first.block(emitted..chunk_end);
             let scratch = &self.scratch;
             let second = match &self.prepared.second {
-                SecondSide::Clustered { positions, .. } => {
-                    let (local_oids, local_positions) = if rows == n {
-                        (self.prepared.second.oids(), &positions[..])
-                    } else {
-                        (
-                            OidBlock::Wide(&scratch.local_oids),
-                            &scratch.local_positions[..],
-                        )
-                    };
-                    SecondSideReplay::Decluster {
-                        local_oids,
-                        local_positions,
-                        local_bounds: &scratch.local_bounds,
-                        staged: &scratch.staged,
-                        window_bytes: self.streaming.window_bytes,
-                        declustered: &declustered,
-                    }
-                }
+                SecondSide::Clustered { smaller, positions } => SecondSideReplay::Decluster {
+                    smaller,
+                    positions,
+                    chunk: &scratch.chunk,
+                    staged: &scratch.staged,
+                    window_bytes: self.streaming.window_bytes,
+                    declustered: &declustered,
+                },
                 SecondSide::ResultOrder(_) => SecondSideReplay::Unsorted { rows },
             };
             prof.profile
@@ -1429,8 +1393,13 @@ mod tests {
         );
     }
 
+    /// The peak stays inside the budget and the plan's bound, and equals the
+    /// price exactly: a declustering chunk holds its output columns and one
+    /// staged column, whether it is the whole result or a part of it.
     #[test]
     fn peak_working_set_respects_the_budget() {
+        use rdx_core::strategy::planner::streaming_bytes_per_row;
+
         let w = JoinWorkloadBuilder::equal(4_096, 1).seed(3).build();
         let spec = QuerySpec::symmetric(1);
         let params = CacheParams::tiny_for_tests();
@@ -1438,8 +1407,14 @@ mod tests {
             ProjectionCode::PartialCluster,
             SecondSideCode::Decluster,
         );
-        for budget_bytes in [512usize, 4 * 1024, 64 * 1024] {
-            let policy = ExecPolicy::with_threads(2).budget(MemoryBudget::bytes(budget_bytes));
+        for budget in [
+            MemoryBudget::bytes(512),
+            MemoryBudget::bytes(4 * 1024),
+            MemoryBudget::bytes(64 * 1024),
+            MemoryBudget::unbounded(),
+        ] {
+            let budget_bytes = budget.limit_bytes();
+            let policy = ExecPolicy::with_threads(2).budget(budget);
             let mut sink = CountingSink::new(MaterializeSink::new());
             let stats = stream(
                 ProjectionPipeline::new(plan),
@@ -1465,6 +1440,11 @@ mod tests {
             assert_eq!(
                 sink.max_chunk_rows,
                 stats.streaming.chunk_rows.min(sink.rows)
+            );
+            assert_eq!(
+                stats.peak_chunk_bytes,
+                stats.streaming.chunk_rows.min(sink.rows) * streaming_bytes_per_row(&spec),
+                "budget {budget_bytes}: the peak is the price"
             );
         }
     }

@@ -107,8 +107,8 @@ pub mod prelude {
         ClusterScratch, RadixClusterSpec, ScatterMode, ScratchClustered,
     };
     pub use rdx_core::decluster::{
-        radix_decluster, radix_decluster_into, radix_decluster_windows,
-        radix_decluster_windows_with_scratch, DeclusterScratch,
+        radix_decluster, radix_decluster_into, radix_decluster_windows_with_scratch,
+        DeclusterScratch,
     };
     pub use rdx_core::error::{DeadlineError, RdxError, Side, TenantQuotaKind};
     pub use rdx_core::fault::{FaultAction, FaultInjector, FaultPlan, RetryPolicy};

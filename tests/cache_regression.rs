@@ -22,7 +22,7 @@
 
 use radix_decluster::cache::{CacheParams, EventCounts, MemorySystem};
 use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
-use radix_decluster::core::decluster::chunks::ChunkCursors;
+use radix_decluster::core::decluster::chunks::{ChunkCursorState, ChunkRuns};
 use radix_decluster::core::decluster::traced::radix_decluster_traced;
 use radix_decluster::cost::algorithms as cost;
 use radix_decluster::dsm::Oid;
@@ -41,9 +41,10 @@ fn clustered_input(n: usize, bits: u32) -> (Vec<i32>, Vec<Oid>, Vec<usize>) {
     (values, c.payloads().to_vec(), c.bounds().to_vec())
 }
 
-/// Replays the *streaming* decluster — `chunks` chunk-local kernel runs over
-/// [`ChunkCursors`] — through one continuous [`MemorySystem`], returning the
-/// reassembled result and the summed event counts.
+/// Replays the *streaming* decluster — `chunks` kernel runs over the runs of
+/// [`ChunkCursorState`] chunks, positions read in place — through one
+/// continuous [`MemorySystem`], returning the reassembled result and the
+/// summed event counts.
 fn traced_streaming_decluster(
     values: &[i32],
     positions: &[Oid],
@@ -54,20 +55,18 @@ fn traced_streaming_decluster(
 ) -> (Vec<i32>, EventCounts) {
     let n = values.len();
     let chunk_rows = n.div_ceil(chunks.max(1)).max(1);
-    let mut cursors = ChunkCursors::new(positions, bounds);
+    let mut cursors = ChunkCursorState::new(bounds);
     let mut out = Vec::with_capacity(n);
     let mut acc = EventCounts::default();
-    while !cursors.is_done() {
-        let chunk = cursors.next_chunk(cursors.consumed() + chunk_rows);
-        let local_values = chunk.gather(values);
-        let local_positions = chunk.rebased_positions(positions);
-        let (chunk_out, delta) = radix_decluster_traced(
-            &local_values,
-            &local_positions,
-            &chunk.local_bounds(),
-            window_bytes,
-            mem,
-        );
+    while !cursors.is_done(n) {
+        let chunk = cursors.next_chunk(positions, cursors.consumed() + chunk_rows);
+        let staged: Vec<i32> = chunk
+            .runs
+            .iter()
+            .flat_map(|r| values[r.clone()].iter().copied())
+            .collect();
+        let (chunk_out, delta) =
+            radix_decluster_traced(&staged, positions, &chunk, window_bytes, mem);
         out.extend(chunk_out);
         acc.accesses += delta.accesses;
         acc.l1_misses += delta.l1_misses;
@@ -92,7 +91,8 @@ fn monolithic_decluster_misses_stay_within_the_model() {
         for window in [2_048usize, 4_096] {
             let (values, positions, bounds) = clustered_input(n, bits);
             let mut mem = MemorySystem::new(&params);
-            let (_, sim) = radix_decluster_traced(&values, &positions, &bounds, window, &mut mem);
+            let whole = ChunkRuns::whole(&bounds);
+            let (_, sim) = radix_decluster_traced(&values, &positions, &whole, window, &mut mem);
             let pred = cost::radix_decluster(n, 4, bits, window, &params);
             let ctx = format!("monolithic bits={bits} window={window}");
             assert!(sim.accesses > 0 && sim.l2_misses > 0, "{ctx}: trace empty");
@@ -139,7 +139,8 @@ fn streaming_never_costs_more_l2_misses_than_monolithic() {
     for bits in [4u32, 6] {
         let (values, positions, bounds) = clustered_input(n, bits);
         let mut mem = MemorySystem::new(&params);
-        let (_, mono) = radix_decluster_traced(&values, &positions, &bounds, 2_048, &mut mem);
+        let whole = ChunkRuns::whole(&bounds);
+        let (_, mono) = radix_decluster_traced(&values, &positions, &whole, 2_048, &mut mem);
         for chunks in [8usize, 64] {
             let mut mem = MemorySystem::new(&params);
             let (_, stream) =

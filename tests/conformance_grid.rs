@@ -24,8 +24,8 @@ mod common;
 use common::{columns, materialize};
 use radix_decluster::core::budget::MemoryBudget;
 use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
-use radix_decluster::core::decluster::chunks::ChunkCursors;
-use radix_decluster::core::decluster::radix_decluster;
+use radix_decluster::core::decluster::chunks::ChunkCursorState;
+use radix_decluster::core::decluster::{radix_decluster, window_elems};
 use radix_decluster::core::strategy::reference::result_rows;
 use radix_decluster::core::strategy::sink::MaterializeSink;
 use radix_decluster::core::strategy::{
@@ -316,20 +316,29 @@ fn decluster_kernel_grid_matches_scatter_oracle() {
                     window_bytes,
                 );
                 assert_eq!(got, expected, "n={n} B={bits} window={window_bytes}");
-                // Chunk-streamed: same kernel over ChunkCursors chunks.
+                // Chunk-streamed: same kernel over ChunkCursorState chunks,
+                // each chunk's runs read in place.
                 for chunk_rows in [1usize, 3, 50, n] {
-                    let mut cursors = ChunkCursors::new(clustered.payloads(), clustered.bounds());
-                    let mut streamed = Vec::with_capacity(n);
-                    while !cursors.is_done() {
-                        let chunk = cursors.next_chunk(cursors.consumed() + chunk_rows);
-                        let local_values = chunk.gather(&values);
-                        let local_positions = chunk.rebased_positions(clustered.payloads());
-                        streamed.extend(radix_decluster(
-                            &local_values,
-                            &local_positions,
-                            &chunk.local_bounds(),
-                            window_bytes,
-                        ));
+                    let positions = clustered.payloads();
+                    let mut cursors = ChunkCursorState::new(clustered.bounds());
+                    let mut scratch = DeclusterScratch::new();
+                    let mut streamed = vec![i32::MIN; n];
+                    while !cursors.is_done(n) {
+                        let chunk = cursors.next_chunk(positions, cursors.consumed() + chunk_rows);
+                        let staged: Vec<i32> = chunk
+                            .runs
+                            .iter()
+                            .flat_map(|r| values[r.clone()].iter().copied())
+                            .collect();
+                        radix_decluster_windows_with_scratch(
+                            &staged,
+                            positions,
+                            chunk.runs.iter().cloned(),
+                            chunk.result_range.start,
+                            window_elems(window_bytes, 4),
+                            &mut scratch,
+                            &mut streamed[chunk.result_range.clone()],
+                        );
                     }
                     assert_eq!(
                         streamed, expected,

@@ -6,6 +6,7 @@ use radix_decluster::cache::MemorySystem;
 use radix_decluster::core::cluster::{
     is_clustered, radix_cluster_oids, radix_count, RadixClusterSpec,
 };
+use radix_decluster::core::decluster::chunks::ChunkRuns;
 use radix_decluster::core::decluster::traced::radix_decluster_traced;
 use radix_decluster::core::decluster::{choose_window_bytes, radix_decluster, validate_inputs};
 use radix_decluster::core::join::{join_cluster_spec, partitioned_hash_join};
@@ -109,7 +110,7 @@ fn traced_decluster_reproduces_fig7a_knees() {
         let (out, counts) = radix_decluster_traced(
             &values,
             clustered.payloads(),
-            clustered.bounds(),
+            &ChunkRuns::whole(clustered.bounds()),
             window,
             &mut mem,
         );

@@ -221,8 +221,8 @@ proptest! {
     /// The windowed kernel is the reference scatter `out[pos[i]] = values[i]`
     /// restricted to any sub-range of windows — with empty clusters (up to
     /// 2^10 of them over small inputs), one-element windows (4 bytes) and
-    /// windows wider than the input — and again over every chunk's rebased
-    /// chunk-local inputs from `ChunkCursorState`, all through one scratch.
+    /// windows wider than the input — and again over every chunk's runs from
+    /// `ChunkCursorState`, read in place, all through one scratch.
     #[test]
     fn decluster_kernel_equals_reference_scatter(
         n in 1usize..20_001,
@@ -261,7 +261,13 @@ proptest! {
         // Every covered slot must be overwritten: values are positive.
         let mut out = vec![i32::MIN; covered.len()];
         radix_decluster_windows_with_scratch(
-            &values, positions, bounds, elems, lo..hi, &mut scratch, &mut out,
+            &values,
+            positions,
+            bounds.windows(2).map(|w| w[0]..w[1]),
+            covered.start,
+            elems,
+            &mut scratch,
+            &mut out,
         );
         prop_assert_eq!(&out[..], &reference[covered]);
 
@@ -271,12 +277,14 @@ proptest! {
             result_end = (result_end + chunk_rows).min(n);
             let chunk = cursors.next_chunk(positions, result_end);
             let mut out = vec![i32::MIN; chunk.len()];
+            let staged: Vec<i32> =
+                chunk.runs.iter().flat_map(|r| values[r.clone()].iter().copied()).collect();
             radix_decluster_windows_with_scratch(
-                &chunk.gather(&values),
-                &chunk.rebased_positions(positions),
-                &chunk.local_bounds(),
+                &staged,
+                positions,
+                chunk.runs.iter().cloned(),
+                chunk.result_range.start,
                 elems,
-                0..chunk.len().div_ceil(elems),
                 &mut scratch,
                 &mut out,
             );
