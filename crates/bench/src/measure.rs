@@ -9,8 +9,7 @@ use rdx_cache::{CacheParams, MemorySystem};
 use rdx_core::budget::MemoryBudget;
 use rdx_core::cluster::{radix_cluster, radix_cluster_oids, RadixClusterSpec};
 use rdx_core::decluster::chunks::ChunkRuns;
-use rdx_core::decluster::traced::radix_decluster_traced;
-use rdx_core::decluster::{choose_window_bytes, radix_decluster};
+use rdx_core::decluster::{choose_window_bytes, radix_decluster, simulate_decluster};
 use rdx_core::jive::{jive_bits, jive_join_projection};
 use rdx_core::join::{hash_join, join_cluster_spec, partitioned_hash_join, HashTable};
 use rdx_core::positional::{
@@ -105,7 +104,7 @@ pub fn decluster_window_sweep(
             });
             let (l1, l2, tlb) = if simulate {
                 let mut mem = MemorySystem::new(params);
-                let (_, counts) = radix_decluster_traced(
+                let (_, counts) = simulate_decluster(
                     &input.values,
                     &input.positions,
                     &ChunkRuns::whole(&input.bounds),
@@ -678,7 +677,7 @@ fn join_entries_examined(n: usize, bits: u32, seed: u64) -> usize {
 pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<MissProxyCell> {
     let mut cells = Vec::new();
 
-    // Kernel cells: the traced Radix-Decluster at two (N, bits) shapes.
+    // Kernel cells: the simulated Radix-Decluster at two (N, bits) shapes.
     for &(n, bits) in &[(1usize << 14, 6u32), (1 << 16, 8)] {
         let input = make_decluster_input(n, bits, 17);
         let tuned = choose_window_bytes(4, input.bounds.len(), params);
@@ -688,7 +687,7 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
             tuned
         };
         let mut mem = MemorySystem::new(params);
-        let (_, counts) = radix_decluster_traced(
+        let (_, counts) = simulate_decluster(
             &input.values,
             &input.positions,
             &ChunkRuns::whole(&input.bounds),

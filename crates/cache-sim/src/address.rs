@@ -1,11 +1,12 @@
-//! A virtual address space for traced algorithm runs.
+//! A virtual address space for traced kernel runs.
 //!
-//! Traced variants of the algorithms (in `rdx-core::trace`) replay their
-//! logical memory access pattern through the [`crate::MemorySystem`] without
-//! owning real memory for the operand arrays.  [`AddressSpace`] hands out
-//! non-overlapping [`Region`]s, each standing for one array (a DSM column, a
-//! cluster, a hash table, …), and a `Region` converts element indices to byte
-//! addresses.
+//! A kernel run under a [`crate::SimProbe`] replays its array references
+//! through the [`crate::MemorySystem`] without the simulator owning real
+//! memory for the operand arrays.  [`AddressSpace`] hands out non-overlapping
+//! [`Region`]s, each standing for one array (a DSM column, a cluster, a hash
+//! table, …), and a `Region` converts element indices to byte addresses.
+//! Regions that one run charges together come from one `AddressSpace`, so
+//! they never alias.
 
 /// A contiguous range of the simulated address space representing one array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +40,8 @@ impl Region {
     /// Address of element `index`.
     ///
     /// # Panics
-    /// Panics if `index >= elems` — a traced algorithm addressing outside its
-    /// own array is a bug in the trace, not a recoverable condition.
+    /// Panics if `index >= elems` — a kernel addressing outside its own array
+    /// is a bug in the kernel or its layout, not a recoverable condition.
     #[inline]
     pub fn addr(&self, index: usize) -> u64 {
         assert!(

@@ -71,6 +71,20 @@ impl std::ops::Add for EventCounts {
     }
 }
 
+impl std::ops::Sub for EventCounts {
+    type Output = EventCounts;
+
+    /// The events between two readings of one [`crate::MemorySystem`].
+    fn sub(self, rhs: EventCounts) -> EventCounts {
+        EventCounts {
+            accesses: self.accesses - rhs.accesses,
+            l1_misses: self.l1_misses - rhs.l1_misses,
+            l2_misses: self.l2_misses - rhs.l2_misses,
+            tlb_misses: self.tlb_misses - rhs.tlb_misses,
+        }
+    }
+}
+
 impl std::iter::Sum for EventCounts {
     fn sum<I: Iterator<Item = EventCounts>>(iter: I) -> Self {
         iter.fold(EventCounts::zero(), |acc, x| acc + x)

@@ -15,15 +15,16 @@
 //!   512 KB L2 / 128 B lines / 350-cycle miss ≙ 178 ns, 64-entry TLB /
 //!   50-cycle miss, 4 KB pages).
 //! * [`MemorySystem`] is a set-associative, LRU, inclusive two-level cache +
-//!   TLB simulator.  Algorithms in `rdx-core` expose *traced* variants that
-//!   replay their exact logical access pattern through it, reproducing the
-//!   miss-count curves of Fig. 7a and validating the Appendix-A cost models.
+//!   TLB simulator.  The shipped kernels in `rdx-core` and `rdx-dsm` take a
+//!   [`Probe`] type parameter; run under a [`SimProbe`], their own loops
+//!   replay every array reference through it, reproducing the miss-count
+//!   curves of Fig. 7a and validating the Appendix-A cost models.
 //! * [`Calibrator`] measures approximate access latencies on the host for a
 //!   range of working-set sizes, so the cost models can also be fed host
 //!   parameters instead of the paper's.
 //! * [`AddressSpace`] / [`Region`] lay out simulated arrays in a virtual
-//!   address space so traced algorithms can talk about addresses without
-//!   owning real memory.
+//!   address space so a probe can name addresses without owning real
+//!   memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +34,11 @@ pub mod calibrator;
 pub mod counters;
 pub mod hierarchy;
 pub mod params;
+pub mod probe;
 
 pub use address::{AddressSpace, Region};
 pub use calibrator::{CalibrationPoint, Calibrator};
 pub use counters::EventCounts;
 pub use hierarchy::{CacheLevelSim, MemorySystem, TlbSim};
 pub use params::{CacheLevel, CacheParams, Tlb};
+pub use probe::{NoProbe, Probe, SimProbe};

@@ -101,7 +101,7 @@ impl<K, P> Clustered<K, P> {
     }
 
     /// Assembles a `Clustered` from already-clustered parts.  Used by the
-    /// traced variants in [`crate::trace`] and by the parallel kernels in
+    /// scatter engine's owned path and by the parallel kernels in
     /// `rdx-exec`, which run the same algorithm but own their scatter loops
     /// (per-thread histograms + prefix-sum merge into disjoint output slices).
     ///

@@ -31,7 +31,7 @@
 
 use super::spec::RadixClusterSpec;
 use super::Clustered;
-use rdx_cache::CacheParams;
+use rdx_cache::{CacheParams, NoProbe, Probe};
 
 /// Elements per software-write-combining staging slot.  Eight 8-byte keys
 /// fill one 64-byte cache line exactly; narrower keys/payloads simply flush
@@ -314,10 +314,11 @@ pub struct ClusterScratch<K, P> {
     /// Segment boundaries entering / leaving the current pass.
     segments: Vec<usize>,
     new_segments: Vec<usize>,
-    /// Software-write-combining staging area (`fanout × SWWC_SLOT_ELEMS`).
+    /// Software-write-combining staging area (`fanout × SWWC_SLOT_ELEMS`)
+    /// and each cluster's `cursor · SWWC_SLOT_ELEMS + staged count`.
     stage_keys: Vec<K>,
     stage_pay: Vec<P>,
-    stage_fill: Vec<usize>,
+    stage_cursors: Vec<usize>,
     /// Spec of the last in-scratch run (what [`ClusterScratch::view`] serves).
     view_spec: Option<RadixClusterSpec>,
 }
@@ -343,7 +344,7 @@ impl<K, P> ClusterScratch<K, P> {
             new_segments: Vec::new(),
             stage_keys: Vec::new(),
             stage_pay: Vec::new(),
-            stage_fill: Vec::new(),
+            stage_cursors: Vec::new(),
             view_spec: None,
         }
     }
@@ -361,7 +362,7 @@ impl<K, P> ClusterScratch<K, P> {
                 + self.offsets.capacity()
                 + self.segments.capacity()
                 + self.new_segments.capacity()
-                + self.stage_fill.capacity())
+                + self.stage_cursors.capacity())
                 * std::mem::size_of::<usize>()
     }
 }
@@ -412,8 +413,9 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
                     new_segments: &mut this.new_segments,
                     stage_keys: &mut this.stage_keys,
                     stage_pay: &mut this.stage_pay,
-                    stage_fill: &mut this.stage_fill,
+                    stage_cursors: &mut this.stage_cursors,
                 },
+                &mut NoProbe,
             );
         }
         self.view_spec = Some(spec);
@@ -444,6 +446,20 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
         spec: RadixClusterSpec,
         mode: ScatterMode,
         bucket_of: F,
+    ) -> Clustered<K, P> {
+        self.cluster_probed(keys, payloads, spec, mode, bucket_of, &mut NoProbe)
+    }
+
+    /// [`ClusterScratch::cluster_by`] reporting the scatter engine's
+    /// references to `probe` (array ids as in [`run_passes`]).
+    fn cluster_probed<F: Fn(&K) -> u64, Pr: Probe>(
+        &mut self,
+        keys: &[K],
+        payloads: &[P],
+        spec: RadixClusterSpec,
+        mode: ScatterMode,
+        bucket_of: F,
+        probe: &mut Pr,
     ) -> Clustered<K, P> {
         assert_eq!(keys.len(), payloads.len(), "keys/payloads length mismatch");
         // The owned path reuses `segments` (and, multi-pass, the front
@@ -479,8 +495,9 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
                 new_segments: &mut self.new_segments,
                 stage_keys: &mut self.stage_keys,
                 stage_pay: &mut self.stage_pay,
-                stage_fill: &mut self.stage_fill,
+                stage_cursors: &mut self.stage_cursors,
             },
+            probe,
         );
         debug_assert_eq!(self.segments.len(), spec.num_clusters() + 1);
         Clustered::from_parts(out_keys, out_pay, self.segments.clone(), spec)
@@ -525,17 +542,31 @@ struct PassScratch<'s, K, P> {
     new_segments: &'s mut Vec<usize>,
     stage_keys: &'s mut Vec<K>,
     stage_pay: &'s mut Vec<P>,
-    stage_fill: &'s mut Vec<usize>,
+    stage_cursors: &'s mut Vec<usize>,
 }
+
+/// Probe array ids of the scatter engine: the input, ping and output pairs
+/// (keys at the even id, payloads at the next), then its working arrays.
+const IN: usize = 0;
+const PING: usize = 2;
+const OUT: usize = 4;
+const RADIX: usize = 6;
+const COUNTS: usize = 7;
+const OFFSETS: usize = 8;
+const SEGMENTS: [usize; 2] = [9, 10];
+const STAGE_KEYS: usize = 11;
+const STAGE_PAY: usize = 12;
+const STAGE_CURSORS: usize = 13;
 
 /// The multi-pass scatter engine.  Pass destinations alternate between the
 /// `ping` pair and the `out` pair, phased so the **final** pass always lands
 /// in `out` — the caller decides whether `out` is an owned output (the
 /// `with_scratch` entry points) or the arena's front buffer (the in-scratch
 /// entry points).  On return, `scratch.segments` holds the final `H + 1`
-/// cluster borders.
+/// cluster borders.  Every element reference of every array is reported to
+/// `probe`, by the ids above.
 #[allow(clippy::too_many_arguments)]
-fn run_passes<K: Copy, P: Copy>(
+fn run_passes<K: Copy, P: Copy, Pr: Probe>(
     keys: &[K],
     payloads: &[P],
     spec: RadixClusterSpec,
@@ -546,6 +577,7 @@ fn run_passes<K: Copy, P: Copy>(
     out_keys: &mut Vec<K>,
     out_pay: &mut Vec<P>,
     scratch: &mut PassScratch<'_, K, P>,
+    probe: &mut Pr,
 ) {
     let n = keys.len();
     debug_assert!(n > 0 && spec.bits > 0);
@@ -559,6 +591,10 @@ fn run_passes<K: Copy, P: Copy>(
     scratch.segments.clear();
     scratch.segments.push(0);
     scratch.segments.push(n);
+    (0..2).for_each(|i| probe.write(SEGMENTS[0], i));
+    // Probe id of the pair a pass reads: the input, then the last pass's
+    // destination.
+    let mut src = IN;
 
     let mut bits_remaining = spec.bits;
     for pass in 0..num_passes {
@@ -584,6 +620,8 @@ fn run_passes<K: Copy, P: Copy>(
                 (false, true) => (ping_keys, ping_pay, out_keys, out_pay),
                 (false, false) => (out_keys, out_pay, ping_keys, ping_pay),
             };
+        let dst = if into_out { OUT } else { PING };
+        let (segments, new_segments) = (SEGMENTS[pass % 2], SEGMENTS[(pass + 1) % 2]);
         // `resize` (not clone) sizes the destination: cheap fill on first
         // growth, a no-op in steady state — and immediately fully
         // overwritten by the scatter below either way.
@@ -606,18 +644,27 @@ fn run_passes<K: Copy, P: Copy>(
         if buffered {
             scratch.stage_keys.resize(hp * SWWC_SLOT_ELEMS, src_keys[0]);
             scratch.stage_pay.resize(hp * SWWC_SLOT_ELEMS, src_pay[0]);
-            scratch.stage_fill.resize(hp, 0);
+            scratch.stage_cursors.resize(hp, 0);
         }
 
         let seg_count = scratch.segments.len() - 1;
         for seg in 0..seg_count {
             let (s, e) = (scratch.segments[seg], scratch.segments[seg + 1]);
+            (seg..seg + 2).for_each(|i| probe.read(segments, i));
             let counts = &mut scratch.counts[..hp];
             counts.fill(0);
+            (0..hp).for_each(|b| probe.write(COUNTS, b));
             // Histogram + radix memoization in one traversal: each key is
             // hashed exactly once this pass.
-            for (slot, k) in scratch.radix[s..e].iter_mut().zip(&src_keys[s..e]) {
+            for (i, (slot, k)) in scratch.radix[s..e]
+                .iter_mut()
+                .zip(&src_keys[s..e])
+                .enumerate()
+            {
                 let r = ((bucket_of(k) >> shift) & mask) as u32;
+                probe.read(src, s + i);
+                probe.write(RADIX, s + i);
+                probe.write(COUNTS, r as usize);
                 *slot = r;
                 counts[r as usize] += 1;
             }
@@ -626,6 +673,9 @@ fn run_passes<K: Copy, P: Copy>(
             let mut cursor = s;
             let offsets = &mut scratch.offsets[..hp];
             for (b, &count) in counts.iter().enumerate() {
+                probe.read(COUNTS, b);
+                probe.write(OFFSETS, b);
+                probe.write(new_segments, scratch.new_segments.len());
                 offsets[b] = cursor;
                 scratch.new_segments.push(cursor);
                 cursor += count;
@@ -640,26 +690,34 @@ fn run_passes<K: Copy, P: Copy>(
                     offsets,
                     scratch.stage_keys,
                     scratch.stage_pay,
-                    scratch.stage_fill,
+                    scratch.stage_cursors,
                     dst_keys,
                     dst_pay,
+                    (src, dst),
+                    probe,
                 );
             } else {
-                for ((&r, &k), &p) in scratch.radix[s..e]
+                for (i, ((&r, &k), &p)) in scratch.radix[s..e]
                     .iter()
                     .zip(&src_keys[s..e])
                     .zip(&src_pay[s..e])
+                    .enumerate()
                 {
                     let b = r as usize;
-                    let dst = offsets[b];
+                    let at = offsets[b];
+                    probe.read_all([RADIX, src, src + 1], s + i);
+                    probe.write(OFFSETS, b);
+                    probe.write_all([dst, dst + 1], at);
                     offsets[b] += 1;
-                    dst_keys[dst] = k;
-                    dst_pay[dst] = p;
+                    dst_keys[at] = k;
+                    dst_pay[at] = p;
                 }
             }
         }
+        probe.write(new_segments, scratch.new_segments.len());
         scratch.new_segments.push(n);
         std::mem::swap(scratch.segments, scratch.new_segments);
+        src = dst;
     }
     debug_assert_eq!(scratch.segments.len(), spec.num_clusters() + 1);
     debug_assert_eq!(out_keys.len(), n);
@@ -670,55 +728,80 @@ fn run_passes<K: Copy, P: Copy>(
 /// [`SWWC_SLOT_ELEMS`]-element copy, partial slots are drained at segment
 /// end.  Tuples reach exactly the cursor positions, in exactly the order,
 /// the plain scatter would have written them to — the output is
-/// byte-identical.
+/// byte-identical.  Staging a tuple and flushing its slot touch one 8-byte
+/// `stage_cursors` entry; `(src, dst)` are the pairs' probe ids.
 #[allow(clippy::too_many_arguments)]
-fn scatter_buffered<K: Copy, P: Copy>(
+fn scatter_buffered<K: Copy, P: Copy, Pr: Probe>(
     src_keys: &[K],
     src_pay: &[P],
     radix: &[u32],
     range: std::ops::Range<usize>,
-    offsets: &mut [usize],
+    offsets: &[usize],
     stage_keys: &mut [K],
     stage_pay: &mut [P],
-    stage_fill: &mut [usize],
+    stage_cursors: &mut [usize],
     dst_keys: &mut [K],
     dst_pay: &mut [P],
+    (src, dst): (usize, usize),
+    probe: &mut Pr,
 ) {
     let hp = offsets.len();
-    stage_fill[..hp].fill(0);
-    for ((&r, &key), &pay) in radix[range.clone()]
+    for (b, (entry, &offset)) in stage_cursors[..hp].iter_mut().zip(offsets).enumerate() {
+        probe.read(OFFSETS, b);
+        probe.write(STAGE_CURSORS, b);
+        *entry = offset * SWWC_SLOT_ELEMS;
+    }
+    for (i, ((&r, &key), &pay)) in radix[range.clone()]
         .iter()
         .zip(&src_keys[range.clone()])
-        .zip(&src_pay[range])
+        .zip(&src_pay[range.clone()])
+        .enumerate()
     {
         let b = r as usize;
         let slot = b * SWWC_SLOT_ELEMS;
-        let fill = stage_fill[b];
+        let entry = stage_cursors[b];
+        let fill = entry % SWWC_SLOT_ELEMS;
+        probe.read_all([RADIX, src, src + 1], range.start + i);
+        probe.write(STAGE_CURSORS, b);
+        probe.write_all([STAGE_KEYS, STAGE_PAY], slot + fill);
         stage_keys[slot + fill] = key;
         stage_pay[slot + fill] = pay;
         if fill + 1 == SWWC_SLOT_ELEMS {
-            let dst = offsets[b];
-            dst_keys[dst..dst + SWWC_SLOT_ELEMS]
+            let at = entry / SWWC_SLOT_ELEMS;
+            flush_probe(probe, (slot, at, SWWC_SLOT_ELEMS), dst);
+            dst_keys[at..at + SWWC_SLOT_ELEMS]
                 .copy_from_slice(&stage_keys[slot..slot + SWWC_SLOT_ELEMS]);
-            dst_pay[dst..dst + SWWC_SLOT_ELEMS]
+            dst_pay[at..at + SWWC_SLOT_ELEMS]
                 .copy_from_slice(&stage_pay[slot..slot + SWWC_SLOT_ELEMS]);
-            offsets[b] += SWWC_SLOT_ELEMS;
-            stage_fill[b] = 0;
+            stage_cursors[b] = (at + SWWC_SLOT_ELEMS) * SWWC_SLOT_ELEMS;
         } else {
-            stage_fill[b] = fill + 1;
+            stage_cursors[b] = entry + 1;
         }
     }
     // Drain partial slots, in cluster order (order across clusters is
     // irrelevant for correctness — the regions are disjoint — but keeping it
     // deterministic costs nothing).
-    for b in 0..hp {
-        let fill = stage_fill[b];
+    for (b, &entry) in stage_cursors[..hp].iter().enumerate() {
+        probe.read(STAGE_CURSORS, b);
+        let (at, fill) = (entry / SWWC_SLOT_ELEMS, entry % SWWC_SLOT_ELEMS);
         if fill > 0 {
             let slot = b * SWWC_SLOT_ELEMS;
-            let dst = offsets[b];
-            dst_keys[dst..dst + fill].copy_from_slice(&stage_keys[slot..slot + fill]);
-            dst_pay[dst..dst + fill].copy_from_slice(&stage_pay[slot..slot + fill]);
-            offsets[b] += fill;
+            flush_probe(probe, (slot, at, fill), dst);
+            dst_keys[at..at + fill].copy_from_slice(&stage_keys[slot..slot + fill]);
+            dst_pay[at..at + fill].copy_from_slice(&stage_pay[slot..slot + fill]);
+        }
+    }
+}
+
+/// The references of one slot flush: per staged tuple, its key and payload
+/// read from the stage at `slot` and written to the destination pair at
+/// `at`.
+#[inline(always)]
+fn flush_probe<Pr: Probe>(probe: &mut Pr, (slot, at, len): (usize, usize, usize), dst: usize) {
+    if Pr::ACTIVE {
+        for j in 0..len {
+            probe.read_all([STAGE_KEYS, STAGE_PAY], slot + j);
+            probe.write_all([dst, dst + 1], at + j);
         }
     }
 }
@@ -730,12 +813,164 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
+    use rdx_cache::{AddressSpace, EventCounts, MemorySystem, SimProbe};
     use rdx_dsm::Oid;
 
     fn shuffled_oids(n: usize, seed: u64) -> Vec<Oid> {
         let mut v: Vec<Oid> = (0..n as Oid).collect();
         v.shuffle(&mut StdRng::seed_from_u64(seed));
         v
+    }
+
+    fn reversed_oids(n: usize) -> Vec<Oid> {
+        (0..n as Oid).rev().collect()
+    }
+
+    /// Clusters oids through the owned path under a [`SimProbe`] on a fresh
+    /// simulator for `params`, every array the engine touches laid out in a
+    /// fresh address space; returns the clustering and its events.
+    fn probed<P: Copy>(
+        oids: &[Oid],
+        payloads: &[P],
+        spec: RadixClusterSpec,
+        mode: ScatterMode,
+        mem: &mut MemorySystem,
+    ) -> (Clustered<Oid, P>, EventCounts) {
+        let (n, fanout) = (oids.len().max(1), 1usize << spec.bits);
+        let (key, pay) = (4, std::mem::size_of::<P>().max(1));
+        let stage = fanout * SWWC_SLOT_ELEMS;
+        let mut space = AddressSpace::new();
+        let regions = [
+            (n, key),
+            (n, pay),
+            (n, key),
+            (n, pay),
+            (n, key),
+            (n, pay),
+            (n, 4),
+            (fanout, 8),
+            (fanout, 8),
+            (fanout + 1, 8),
+            (fanout + 1, 8),
+            (stage, key),
+            (stage, pay),
+            (fanout, 8),
+        ]
+        .map(|(elems, width)| space.alloc(elems, width));
+        let mut probe = SimProbe::new(mem, &regions);
+        let clustered = ClusterScratch::new().cluster_probed(
+            oids,
+            payloads,
+            spec,
+            mode,
+            |&o| o as u64,
+            &mut probe,
+        );
+        (clustered, probe.counts())
+    }
+
+    #[test]
+    fn probed_cluster_matches_unprobed() {
+        let oids = reversed_oids(4_000);
+        let payloads: Vec<u32> = (0..4_000).collect();
+        // One pass, and two and three passes (every source / destination
+        // pairing), plain and buffered.
+        for spec in [
+            RadixClusterSpec::single_pass(5),
+            RadixClusterSpec::partial(6, 2, 0),
+            RadixClusterSpec::partial(6, 3, 1),
+        ] {
+            for mode in [ScatterMode::Plain, ScatterMode::Buffered] {
+                let mut mem = MemorySystem::new(&CacheParams::tiny_for_tests());
+                let (probed, counts) = probed(&oids, &payloads, spec, mode, &mut mem);
+                let plain = radix_cluster_oids(&oids, &payloads, spec);
+                assert_eq!(probed.keys(), plain.keys());
+                assert_eq!(probed.payloads(), plain.payloads());
+                assert_eq!(probed.bounds(), plain.bounds());
+                assert!(counts.accesses > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_fanout_beyond_tlb_explodes_misses_fig9a() {
+        let params = CacheParams::tiny_for_tests(); // 8-entry TLB
+        let oids = reversed_oids(16_384);
+        let payloads = vec![0u32; 16_384];
+        let run = |bits: u32| {
+            let mut mem = MemorySystem::new(&params);
+            let spec = RadixClusterSpec::single_pass(bits);
+            probed(&oids, &payloads, spec, ScatterMode::Plain, &mut mem).1
+        };
+        // With 1 radix bit the scatter touches 3 input streams plus 2×2 output
+        // cursors and the cursor array = 8 concurrent pages, within the
+        // 8-entry TLB; with 8 bits it juggles 3 + 2×256 cursors and thrashes
+        // on every write.
+        let few = run(1);
+        let many = run(8);
+        assert!(
+            many.tlb_misses > 4 * few.tlb_misses,
+            "256 cursors should thrash the 8-entry TLB: {} vs {}",
+            many.tlb_misses,
+            few.tlb_misses
+        );
+    }
+
+    #[test]
+    fn buffered_probed_cluster_matches_unprobed_and_cuts_misses() {
+        let params = CacheParams::tiny_for_tests(); // 8-entry TLB, 1 KB L1
+        let oids = reversed_oids(16_384);
+        let payloads: Vec<u32> = (0..16_384).collect();
+        // 256 output cursors: far beyond the tiny TLB and L1 line budget, so
+        // the plain scatter thrashes on every write (the regime where the
+        // planner switches to the buffered mode).
+        let spec = RadixClusterSpec::single_pass(8);
+        let expected = radix_cluster_oids(&oids, &payloads, spec);
+
+        let mut mem_plain = MemorySystem::new(&params);
+        let (plain, plain_misses) =
+            probed(&oids, &payloads, spec, ScatterMode::Plain, &mut mem_plain);
+        let mut mem_buf = MemorySystem::new(&params);
+        let (buffered, buf_misses) =
+            probed(&oids, &payloads, spec, ScatterMode::Buffered, &mut mem_buf);
+
+        // Both probed runs are byte-identical to the unprobed kernel.
+        assert_eq!(&plain, &expected);
+        assert_eq!(&buffered, &expected);
+
+        // The simulated hierarchy confirms what the buffered cost term
+        // predicts: staging shrinks the random working set, so the flushes
+        // touch the output one slot at a time instead of tuple by tuple.
+        assert!(
+            buf_misses.tlb_misses * 2 < plain_misses.tlb_misses,
+            "buffered TLB misses {} vs plain {}",
+            buf_misses.tlb_misses,
+            plain_misses.tlb_misses
+        );
+        assert!(
+            buf_misses.l2_misses < plain_misses.l2_misses,
+            "buffered L2 misses {} vs plain {}",
+            buf_misses.l2_misses,
+            plain_misses.l2_misses
+        );
+    }
+
+    #[test]
+    fn probed_cluster_handles_empty_and_skewed_inputs() {
+        let mut mem = MemorySystem::new(&CacheParams::tiny_for_tests());
+        for mode in [ScatterMode::Plain, ScatterMode::Buffered] {
+            let spec = RadixClusterSpec::single_pass(3);
+            let (c, counts) = probed::<u32>(&[], &[], spec, mode, &mut mem);
+            assert!(c.is_empty());
+            assert_eq!(counts.accesses, 0);
+        }
+        // All-one-cluster skew with a non-slot-multiple tail: partial
+        // flushes must drain exactly.
+        let oids = vec![0 as Oid; 77];
+        let payloads: Vec<u32> = (0..77).collect();
+        let spec = RadixClusterSpec::single_pass(4);
+        let (c, _) = probed(&oids, &payloads, spec, ScatterMode::Buffered, &mut mem);
+        assert_eq!(&c, &radix_cluster_oids(&oids, &payloads, spec));
     }
 
     #[test]

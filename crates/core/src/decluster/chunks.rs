@@ -196,6 +196,7 @@ mod tests {
             window_elems(64, std::mem::size_of::<i64>()),
             scratch,
             &mut out[chunk.result_range.clone()],
+            &mut rdx_cache::NoProbe,
         );
     }
 

@@ -14,10 +14,12 @@
 
 pub mod chunks;
 pub mod paged;
-pub mod traced;
 pub mod varsize;
 
-use rdx_cache::CacheParams;
+use chunks::ChunkRuns;
+use rdx_cache::{
+    AddressSpace, CacheParams, EventCounts, MemorySystem, NoProbe, Probe, Region, SimProbe,
+};
 use rdx_dsm::Oid;
 use std::ops::Range;
 
@@ -147,6 +149,7 @@ pub fn radix_decluster_into<T: Copy>(
         window_elems(window_bytes, std::mem::size_of::<T>()),
         scratch,
         out,
+        &mut NoProbe,
     );
 }
 
@@ -177,16 +180,19 @@ pub fn window_elems(window_bytes: usize, value_width: usize) -> usize {
 /// **Cluster visiting order is part of the contract.**  Within a window the
 /// live clusters are visited in array order, a drained cluster is replaced by
 /// the last live one (which is visited next), and each visit drains the
-/// cluster's tuples in cursor order up to the window limit.
-/// [`traced::radix_decluster_traced`] mirrors exactly this sequence, and every
-/// `cache.sim_*` / `perf_proxy` count is a function of it — a rewrite may
-/// change how the loop is expressed, never the order of its accesses.
+/// cluster's tuples in cursor order up to the window limit.  `probe` sees
+/// exactly this sequence: per visit the cursor entry's read, then per tuple
+/// its position's read and, when it falls inside the window, its value's
+/// read and its row's write — the arrays [`probe_regions`] lays out.  Every
+/// `cache.sim_*` / `perf_proxy` count is a function of it; production passes
+/// [`NoProbe`], which compiles the calls away.
 ///
 /// # Panics
 /// Panics (possibly via slice indexing) if a run holds a tuple destined past
 /// `out`, or if the inputs violate the [`radix_decluster`] contract.
 #[inline]
-pub fn radix_decluster_windows_with_scratch<T: Copy>(
+#[allow(clippy::too_many_arguments)]
+pub fn radix_decluster_windows_with_scratch<T: Copy, P: Probe>(
     values: &[T],
     result_positions: &[Oid],
     runs: impl IntoIterator<Item = Range<usize>>,
@@ -194,6 +200,7 @@ pub fn radix_decluster_windows_with_scratch<T: Copy>(
     window_elems: usize,
     scratch: &mut DeclusterScratch,
     out: &mut [T],
+    probe: &mut P,
 ) {
     // Live clusters: cursors pre-advanced past every tuple destined before
     // `base`; drained runs are dropped.
@@ -216,14 +223,18 @@ pub fn radix_decluster_windows_with_scratch<T: Copy>(
         while i < nclusters {
             // The live cluster's cursors stay in registers for its whole run
             // through this window; `clusters[i]` is written back once.
+            probe.read(CURSORS, i);
             let (cursor, end, at) = clusters[i];
             let run = result_positions[cursor..end].iter().zip(&values[at..]);
             let mut drained = 0;
             for (&pos, &value) in run {
+                probe.read(POSITIONS, cursor + drained);
                 let pos = pos as usize;
                 if pos >= window_limit {
                     break;
                 }
+                probe.read(VALUES, at + drained);
+                probe.write(OUT, pos - base);
                 out[pos - base] = value;
                 drained += 1;
             }
@@ -238,6 +249,71 @@ pub fn radix_decluster_windows_with_scratch<T: Copy>(
             }
         }
     }
+}
+
+/// Probe array ids of [`radix_decluster_windows_with_scratch`], in
+/// [`probe_regions`] order.
+const VALUES: usize = 0;
+const POSITIONS: usize = 1;
+const OUT: usize = 2;
+const CURSORS: usize = 3;
+
+/// Lays out, in `space`, the four arrays the windowed kernel charges its
+/// probe with, in array-id order: `rows` staged values and `rows` output rows
+/// of `value_width` bytes, the `positions`-long `CLUST_RESULT` array of
+/// 4-byte positions, and the cursor array as `runs + 1` 8-byte borders.
+pub fn probe_regions(
+    space: &mut AddressSpace,
+    rows: usize,
+    positions: usize,
+    runs: usize,
+    value_width: usize,
+) -> [Region; 4] {
+    let values = space.alloc(rows.max(1), value_width);
+    let positions = space.alloc(positions.max(1), std::mem::size_of::<Oid>());
+    let out = space.alloc(rows.max(1), value_width);
+    let cursors = space.alloc(runs + 1, 8);
+    [values, positions, out, cursors]
+}
+
+/// The windowed kernel over `chunk`'s runs of `result_positions` (`values`
+/// staged run after run, the chunk's first row as the base) under a
+/// [`SimProbe`] charging `mem`, its arrays laid out by [`probe_regions`] in a
+/// fresh address space.  Returns the chunk's rows and the simulated events —
+/// the Fig. 7a miss counts of the shipped loop.  The whole result is
+/// [`ChunkRuns::whole`] over the cluster bounds.
+///
+/// # Panics
+/// Panics if `values` is not as long as the chunk.
+pub fn simulate_decluster<T: Copy + Default>(
+    values: &[T],
+    result_positions: &[Oid],
+    chunk: &ChunkRuns,
+    window_bytes: usize,
+    mem: &mut MemorySystem,
+) -> (Vec<T>, EventCounts) {
+    assert_eq!(chunk.len(), values.len(), "values/chunk length mismatch");
+    let width = std::mem::size_of::<T>();
+    let regions = probe_regions(
+        &mut AddressSpace::new(),
+        chunk.len(),
+        result_positions.len(),
+        chunk.runs.len(),
+        width.max(1),
+    );
+    let mut probe = SimProbe::new(mem, &regions);
+    let mut out = vec![T::default(); chunk.len()];
+    radix_decluster_windows_with_scratch(
+        values,
+        result_positions,
+        chunk.runs.iter().cloned(),
+        chunk.result_range.start,
+        window_elems(window_bytes, width),
+        &mut DeclusterScratch::new(),
+        &mut out,
+        &mut probe,
+    );
+    (out, probe.counts())
 }
 
 /// Checks the two §3.2 properties Radix-Decluster relies on:
@@ -426,6 +502,77 @@ mod tests {
             64,
             &mut DeclusterScratch::new(),
             &mut out,
+        );
+    }
+
+    /// [`clustered_input`] with 4-byte values, the paper's integer columns.
+    fn clustered_i32_input(n: usize, bits: u32) -> (Vec<i32>, Vec<Oid>, Vec<usize>) {
+        let (values, positions, bounds) = clustered_input(n, bits, n as u64);
+        (
+            values.iter().map(|&v| v as i32).collect(),
+            positions,
+            bounds,
+        )
+    }
+
+    #[test]
+    fn simulated_result_matches_unsimulated() {
+        let (values, positions, bounds) = clustered_i32_input(5_000, 5);
+        let plain = radix_decluster(&values, &positions, &bounds, 4096);
+        let mut mem = MemorySystem::new(&CacheParams::paper_pentium4());
+        let (simulated, counts) = simulate_decluster(
+            &values,
+            &positions,
+            &ChunkRuns::whole(&bounds),
+            4096,
+            &mut mem,
+        );
+        assert_eq!(plain, simulated);
+        assert!(counts.accesses > 0);
+        assert!(counts.l1_misses > 0);
+    }
+
+    #[test]
+    fn oversized_window_causes_more_l2_misses_fig7a() {
+        // The Fig. 7a knee: once ‖W‖ exceeds the L2 capacity the random writes
+        // into the window stop being cache-resident and L2 misses jump.
+        let params = CacheParams::tiny_for_tests(); // 8 KB "L2"
+        let n = 16_384; // 64 KB of i32 output
+        let (values, positions, bounds) = clustered_i32_input(n, 4);
+        let whole = ChunkRuns::whole(&bounds);
+
+        let mut mem_small = MemorySystem::new(&params);
+        let (_, small) = simulate_decluster(&values, &positions, &whole, 4 * 1024, &mut mem_small);
+        let mut mem_big = MemorySystem::new(&params);
+        let (_, big) = simulate_decluster(&values, &positions, &whole, 64 * 1024, &mut mem_big);
+
+        assert!(
+            big.l2_misses > small.l2_misses * 2,
+            "window > cache should thrash L2: {} vs {}",
+            big.l2_misses,
+            small.l2_misses
+        );
+    }
+
+    #[test]
+    fn tiny_windows_cost_more_tlb_misses_than_tuned_ones() {
+        // The other Fig. 7a effect: very small windows re-start every cluster
+        // per window, paying per-cluster TLB/line misses over and over.
+        let params = CacheParams::tiny_for_tests();
+        let n = 16_384;
+        let (values, positions, bounds) = clustered_i32_input(n, 6); // 64 clusters > 8 TLB entries
+        let whole = ChunkRuns::whole(&bounds);
+
+        let mut mem_tiny = MemorySystem::new(&params);
+        let (_, tiny) = simulate_decluster(&values, &positions, &whole, 256, &mut mem_tiny);
+        let mut mem_good = MemorySystem::new(&params);
+        let (_, good) = simulate_decluster(&values, &positions, &whole, 4 * 1024, &mut mem_good);
+
+        assert!(
+            tiny.tlb_misses > good.tlb_misses,
+            "tiny windows should pay more TLB misses: {} vs {}",
+            tiny.tlb_misses,
+            good.tlb_misses
         );
     }
 

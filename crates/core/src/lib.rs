@@ -15,8 +15,9 @@
 //!   clustered / sparse) used by every post-projection strategy (§3).
 //! * [`decluster`] — **Radix-Decluster** (§3.2, Fig. 5/6), the paper's main
 //!   contribution, plus the §5 buffer-manager variant for variable-size
-//!   values (Fig. 12) and a traced variant that replays its access pattern
-//!   through the `rdx-cache` simulator (Fig. 7a).
+//!   values (Fig. 12).  The windowed kernel, like the Radix-Cluster scatter
+//!   and the DSM gather, takes an `rdx-cache` probe, so the simulator's
+//!   Fig. 7a / 9 miss counts are those of the shipped loops.
 //! * [`jive`] — the Jive-Join baseline \[LR99\] (§4.2).
 //! * [`strategy`] — the end-to-end projected-join strategies compared in §4:
 //!   DSM post-projection (u/s/c/d), DSM pre-projection, NSM pre-projection
@@ -44,7 +45,6 @@ pub mod jive;
 pub mod join;
 pub mod positional;
 pub mod strategy;
-pub mod trace;
 
 pub use budget::{BudgetError, MemoryBudget};
 pub use cluster::{

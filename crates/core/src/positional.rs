@@ -234,8 +234,9 @@ pub fn positional_join_into<T: Copy + Default>(oids: &[Oid], column: &Column<T>,
 ///
 /// Functionally identical to [`positional_join`]; it exists so that the
 /// benchmark harness can measure the per-cluster loop the paper describes
-/// (Fig. 9c) rather than one flat gather, and so the traced variants can
-/// attribute accesses to clusters.
+/// (Fig. 9c) rather than one flat gather.  Each cluster runs the one DSM
+/// gather loop, whose simulated misses are read off that loop itself
+/// ([`Column::gather_into_probed`]).
 pub fn clustered_positional_join<T: Copy + Default>(
     oids: &[Oid],
     bounds: &[usize],

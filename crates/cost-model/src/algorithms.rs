@@ -77,8 +77,8 @@ pub const SWWC_SLOT_ELEMS: usize = 8;
 /// The crossover this predicts — buffered cheaper than plain exactly when
 /// the fan-out exceeds the plain cursor budget but the staging area still
 /// fits — is what `rdx_core::cluster::plan_cluster_passes` encodes
-/// geometrically, and what the `cache-sim` traced kernels reproduce in
-/// simulated miss counts.
+/// geometrically, and what the shipped scatter reproduces in simulated miss
+/// counts when run under an `rdx-cache` probe.
 pub fn radix_cluster_buffered(
     input: DataRegion,
     bits: u32,

@@ -13,6 +13,7 @@
 //! data-determined, workers merely split who writes it.
 
 use crate::pool::{partition_ranges, split_by_bounds, ExecPolicy};
+use rdx_cache::{NoProbe, Probe};
 use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::{
     radix_decluster_windows_with_scratch, validate_inputs, window_elems, DeclusterScratch,
@@ -45,6 +46,7 @@ pub fn par_radix_decluster<T: Copy + Default + Send + Sync>(
         policy,
         &mut DeclusterScratch::new(),
         &mut result,
+        &mut NoProbe,
     );
     result
 }
@@ -57,12 +59,14 @@ pub fn par_radix_decluster<T: Copy + Default + Send + Sync>(
 /// one worker the whole sweep runs inline through `scratch` and is
 /// allocation-free in steady state (multi-worker sweeps still allocate
 /// their per-worker cursor arrays alongside the thread spawns they already
-/// require).
+/// require).  An active `probe` sees the sweep on one worker, so its
+/// reference sequence is the sequential kernel's at every thread count.
 ///
 /// # Panics
 /// Panics if `values` or `out` is not as long as the chunk, or the runs
 /// violate the kernel's contract.
-pub fn par_radix_decluster_into<T: Copy + Send + Sync>(
+#[allow(clippy::too_many_arguments)]
+pub fn par_radix_decluster_into<T: Copy + Send + Sync, P: Probe>(
     values: &[T],
     result_positions: &[Oid],
     chunk: &ChunkRuns,
@@ -70,6 +74,7 @@ pub fn par_radix_decluster_into<T: Copy + Send + Sync>(
     policy: &ExecPolicy,
     scratch: &mut DeclusterScratch,
     out: &mut [T],
+    probe: &mut P,
 ) {
     let n = chunk.len();
     assert_eq!(values.len(), n, "values/chunk length mismatch");
@@ -81,7 +86,7 @@ pub fn par_radix_decluster_into<T: Copy + Send + Sync>(
     let windows = n.div_ceil(elems);
     let threads = policy.worker_threads().min(windows).max(1);
     let (base, runs) = (chunk.result_range.start, || chunk.runs.iter().cloned());
-    if threads == 1 {
+    if threads == 1 || P::ACTIVE {
         radix_decluster_windows_with_scratch(
             values,
             result_positions,
@@ -90,6 +95,7 @@ pub fn par_radix_decluster_into<T: Copy + Send + Sync>(
             elems,
             scratch,
             out,
+            probe,
         );
         return;
     }
@@ -114,6 +120,7 @@ pub fn par_radix_decluster_into<T: Copy + Send + Sync>(
                     elems,
                     &mut DeclusterScratch::new(),
                     shard,
+                    &mut NoProbe,
                 )
             });
         }
@@ -206,8 +213,50 @@ mod tests {
                 &ExecPolicy::with_threads(threads),
                 &mut scratch,
                 &mut buf,
+                &mut NoProbe,
             );
             assert_eq!(buf, expected, "n={n} threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_probed_sweep_charges_the_sequential_kernel_at_every_thread_count() {
+        use rdx_cache::{AddressSpace, CacheParams, MemorySystem, SimProbe};
+        use rdx_core::decluster::{probe_regions, simulate_decluster};
+
+        let (values, positions, bounds) = clustered_input(20_000, 5, 3);
+        let chunk = ChunkRuns::whole(&bounds);
+        let params = CacheParams::tiny_for_tests();
+        let (expected, counts) = simulate_decluster(
+            &values,
+            &positions,
+            &chunk,
+            512,
+            &mut MemorySystem::new(&params),
+        );
+        for threads in [1usize, 2, 8] {
+            let regions = probe_regions(
+                &mut AddressSpace::new(),
+                chunk.len(),
+                positions.len(),
+                chunk.runs.len(),
+                std::mem::size_of::<i64>(),
+            );
+            let mut mem = MemorySystem::new(&params);
+            let mut probe = SimProbe::new(&mut mem, &regions);
+            let mut out = vec![0i64; values.len()];
+            par_radix_decluster_into(
+                &values,
+                &positions,
+                &chunk,
+                512,
+                &ExecPolicy::with_threads(threads),
+                &mut DeclusterScratch::new(),
+                &mut out,
+                &mut probe,
+            );
+            assert_eq!(out, expected, "threads={threads}");
+            assert_eq!(probe.counts(), counts, "threads={threads}");
         }
     }
 

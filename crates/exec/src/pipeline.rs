@@ -65,11 +65,10 @@ use crate::pool::ExecPolicy;
 use crate::strategy::{
     par_gather_into, par_order_join_index, par_partial_cluster_join_index, par_project_columns_into,
 };
-use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, Region};
+use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, NoProbe, Region, SimProbe};
 use rdx_core::cluster::{plan_partial_cluster, PackedOids, RadixClusterSpec, ScatterMode};
 use rdx_core::decluster::chunks::{ChunkCursorState, ChunkRuns};
-use rdx_core::decluster::traced::radix_decluster_traced;
-use rdx_core::decluster::DeclusterScratch;
+use rdx_core::decluster::{probe_regions, DeclusterScratch};
 use rdx_core::error::{check_projection_widths, RdxError};
 use rdx_core::join::join_cluster_spec;
 use rdx_core::positional::{AttrSource, OidBlock};
@@ -309,6 +308,22 @@ impl ChunkScratch {
     }
 }
 
+/// One chunk's smaller-side decluster inputs, shared by every column: the
+/// staged values, `CLUST_RESULT`, the chunk's runs, the window and the policy.
+type Sweep<'a> = (&'a [i32], &'a [Oid], &'a ChunkRuns, usize, &'a ExecPolicy);
+
+/// Declusters one column under `probe`: the one call every column makes.
+fn decluster<P: rdx_cache::Probe>(
+    (values, positions, chunk, window, policy): Sweep<'_>,
+    scratch: &mut DeclusterScratch,
+    out: &mut [i32],
+    probe: &mut P,
+) {
+    par_radix_decluster_into(
+        values, positions, chunk, window, policy, scratch, out, probe,
+    );
+}
+
 /// The per-run observability state a [`PipelineRun`] carries when tracing
 /// is enabled: the query id its chunk events are keyed by, the cost
 /// model's per-chunk prediction, and the two histograms it records into —
@@ -324,18 +339,14 @@ struct RunObs {
 }
 
 /// The cache-truth profiling state a [`PipelineRun`] carries when the
-/// profiled mode is on: a persistent [`MemorySystem`] the run replays every
-/// chunk's memory-access pattern through, the simulated regions standing
-/// for the operand arrays, and the pre-resolved [`rdx_obs::Profile`]
-/// instruments.  The chunk's output region is sized once, at attach, for
-/// the run's fixed chunking.
-///
-/// Profiling never touches the output path — the chunk is computed by the
-/// normal kernels and the replay only *simulates* the same accesses — so
-/// profiled output is byte-identical to unprofiled output by construction.
-/// The replay allocates (the traced decluster builds its reference result),
-/// which is why profiling is opt-in: the unprofiled steady state keeps its
-/// zero-allocation guarantee untouched.
+/// profiled mode is on: a persistent [`MemorySystem`], the regions standing
+/// for the operand arrays — laid out once, at attach, from one
+/// [`AddressSpace`], so no two alias — and the [`rdx_obs::Profile`]
+/// instruments.  The first smaller-side column's decluster runs under a
+/// [`SimProbe`] on this simulator as it emits; the fetches read `dyn`
+/// sources the simulator cannot see, so [`RunProfile::replay_chunk`]
+/// charges them after the emit.  Neither changes what a chunk computes.
+/// The replay allocates, which is why profiling is opt-in.
 struct RunProfile {
     profile: rdx_obs::Profile,
     obs: Obs,
@@ -346,126 +357,46 @@ struct RunProfile {
     larger_cols: Vec<Region>,
     smaller_cols: Vec<Region>,
     chunk_out: Region,
-    chunk_capacity: usize,
-}
-
-/// What the second side of one chunk did, for the profiled replay.
-enum SecondSideReplay<'a> {
-    /// Straight positional fetch from `second_oids[emitted..]`.
-    Unsorted { rows: usize },
-    /// Cluster-side gather + windowed decluster over the chunk's runs of the
-    /// prefix's clustered arrays (the Fig. 5 access pattern), the oid stream
-    /// charged where the gather reads it: the packed `CLUST_SMALLER`, 2 B per
-    /// row.
-    Decluster {
-        smaller: &'a PackedOids,
-        positions: &'a [Oid],
-        chunk: &'a ChunkRuns,
-        staged: &'a [i32],
-        window_bytes: usize,
-        declustered: &'a [i32],
-    },
+    /// The probed decluster's arrays ([`probe_regions`]).
+    decluster_regions: [Region; 4],
+    /// What the current chunk's probed decluster charged.
+    declustered: EventCounts,
 }
 
 impl RunProfile {
-    /// Replays one emitted chunk's logical memory accesses through the
-    /// simulator and returns the miss counts it charged: per projected
-    /// column, the sequential oid-stream read (at the width the oids are
-    /// stored in), the random positional read into the base relation and the
-    /// sequential staging write; plus, for declustering chunks, one traced
-    /// windowed decluster scaled to the smaller-side column count (the
-    /// decluster's address pattern is value-independent, so every column
-    /// replays identically).
+    /// Replays one emitted chunk's fetches through the simulator and returns
+    /// the chunk's miss counts: per side and projected column, per row the
+    /// oid stream's read at the row's index (at the width the oids are
+    /// stored in), the column's read at its oid and the chunk's write; plus
+    /// the probed decluster's counts once per smaller-side column (its
+    /// address pattern is value-independent, so every column charges the
+    /// same).
     fn replay_chunk(
         &mut self,
-        emitted: usize,
-        chunk_first_oids: OidBlock<'_>,
-        second: SecondSideReplay<'_>,
+        first: (Vec<usize>, OidBlock<'_>),
+        second: (Vec<usize>, OidBlock<'_>),
     ) -> EventCounts {
-        let first_oids = chunk_first_oids.to_vec();
-        debug_assert!(
-            first_oids.len() <= self.chunk_capacity,
-            "a chunk outgrew the run's fixed chunking"
-        );
         let before = self.mem.counts();
-        let first_width = self.first_oids_region.elem_width();
-        for col in 0..self.larger_cols.len() {
-            let region = self.larger_cols[col];
-            for (i, &oid) in first_oids.iter().enumerate() {
-                self.mem
-                    .read(self.first_oids_region.addr(emitted + i), first_width);
-                self.mem
-                    .read(region.addr(oid as usize), region.elem_width());
-                self.mem.write(self.chunk_out.addr(i), VALUE_WIDTH);
-            }
-        }
-        let mut scaled = EventCounts::zero();
-        match second {
-            SecondSideReplay::Unsorted { rows } => {
-                let width = self.second_oids_region.elem_width();
-                for col in 0..self.smaller_cols.len() {
-                    let region = self.smaller_cols[col];
-                    for i in 0..rows {
-                        self.mem
-                            .read(self.second_oids_region.addr(emitted + i), width);
-                        // The replay charges the average positional read; the
-                        // oid itself is irrelevant to the address *pattern*
-                        // class (uniform random into the column), so we model
-                        // it with the stream position folded into the region.
-                        self.mem
-                            .read(region.addr(i % region.elems()), region.elem_width());
-                        self.mem.write(self.chunk_out.addr(i), VALUE_WIDTH);
-                    }
-                }
-            }
-            SecondSideReplay::Decluster {
-                smaller,
-                positions,
-                chunk,
-                staged,
-                window_bytes,
-                declustered,
-            } => {
-                let width = self.second_oids_region.elem_width();
-                let oids = OidBlock::Packed(smaller.select(&chunk.runs)).to_vec();
-                for col in 0..self.smaller_cols.len() {
-                    let region = self.smaller_cols[col];
-                    let indices = chunk.runs.iter().flat_map(|r| r.clone());
-                    for (i, (index, &oid)) in indices.zip(&oids).enumerate() {
-                        self.mem.read(self.second_oids_region.addr(index), width);
-                        self.mem
-                            .read(region.addr(oid as usize), region.elem_width());
-                        self.mem.write(self.chunk_out.addr(i), VALUE_WIDTH);
-                    }
-                }
-                if !self.smaller_cols.is_empty() {
-                    let (replayed, counts) = radix_decluster_traced(
-                        staged,
-                        positions,
-                        chunk,
-                        window_bytes,
-                        &mut self.mem,
-                    );
-                    debug_assert_eq!(
-                        replayed, declustered,
-                        "traced decluster diverged from the emitted chunk"
-                    );
-                    // Columns beyond the first replay the identical address
-                    // pattern; charge them without re-running the kernel.
-                    for _ in 1..self.smaller_cols.len() {
-                        scaled.accumulate(&counts);
-                    }
+        let sides = [
+            (self.first_oids_region, first, &self.larger_cols),
+            (self.second_oids_region, second, &self.smaller_cols),
+        ];
+        for (stream, (indices, oids), columns) in sides {
+            let oids = oids.to_vec();
+            for column in columns {
+                for (i, (&index, &oid)) in indices.iter().zip(&oids).enumerate() {
+                    self.mem.read(stream.addr(index), stream.elem_width());
+                    self.mem
+                        .read(column.addr(oid as usize), column.elem_width());
+                    self.mem.write(self.chunk_out.addr(i), VALUE_WIDTH);
                 }
             }
         }
-        let after = self.mem.counts();
-        let mut delta = EventCounts {
-            accesses: after.accesses - before.accesses,
-            l1_misses: after.l1_misses - before.l1_misses,
-            l2_misses: after.l2_misses - before.l2_misses,
-            tlb_misses: after.tlb_misses - before.tlb_misses,
-        };
-        delta.accumulate(&scaled);
+        let mut delta = self.mem.counts() - before;
+        let declustered = std::mem::take(&mut self.declustered);
+        for _ in 0..self.smaller_cols.len() {
+            delta.accumulate(&declustered);
+        }
         delta
     }
 }
@@ -597,13 +528,13 @@ where
         }));
     }
 
-    /// Arms cache-truth profiling: every subsequent [`Self::step`] replays
-    /// the emitted chunk's memory-access pattern through a simulated
-    /// [`MemorySystem`] under `params`, records per-phase spans and
-    /// per-chunk [`rdx_obs::MissCounts`] into `obs` (`ChunkProfile` trace
-    /// events adjacent to each `ChunkStep`, `profile.*` metrics).  Output is
-    /// untouched — the replay only simulates — so a profiled run stays
-    /// byte-identical to an unprofiled one by construction.  An untraced
+    /// Arms cache-truth profiling: every subsequent [`Self::step`] charges
+    /// the chunk's memory accesses to a simulated [`MemorySystem`] under
+    /// `params` — the decluster through its probe, the fetches by replay —
+    /// and records per-phase spans and per-chunk [`rdx_obs::MissCounts`]
+    /// into `obs` (`ChunkProfile` trace events adjacent to each
+    /// `ChunkStep`, `profile.*` metrics).  Output is untouched, so a
+    /// profiled run stays byte-identical to an unprofiled one.  An untraced
     /// `obs` is a no-op: the run stays exactly as cheap as an unprofiled one.
     pub fn attach_profile(&mut self, obs: &Obs, query: QueryId, params: &CacheParams) {
         let Some(profile) = obs.profile() else {
@@ -633,6 +564,12 @@ where
             .collect();
         let chunk_capacity = self.streaming.chunk_rows.min(n).max(1);
         let chunk_out = space.alloc(chunk_capacity, VALUE_WIDTH);
+        // The cursor array follows the prefix the kernel indexes.
+        let clusters = match &self.prepared.second {
+            SecondSide::Clustered { smaller, .. } => smaller.bounds().len() - 1,
+            SecondSide::ResultOrder(_) => 0,
+        };
+        let decluster_regions = probe_regions(&mut space, chunk_capacity, n, clusters, VALUE_WIDTH);
         self.profile = Some(Box::new(RunProfile {
             profile,
             obs: obs.clone(),
@@ -643,7 +580,8 @@ where
             larger_cols,
             smaller_cols,
             chunk_out,
-            chunk_capacity,
+            decluster_regions,
+            declustered: EventCounts::zero(),
         }));
     }
 
@@ -763,6 +701,7 @@ where
                 scratch.staged.resize(rows, 0);
                 let staged = &mut scratch.staged[..rows];
                 chunk_bytes += staged.len() * VALUE_WIDTH;
+                let window = self.streaming.window_bytes;
                 for (b, column) in scratch.columns[self.spec.project_larger..]
                     .iter_mut()
                     .enumerate()
@@ -771,15 +710,17 @@ where
                     // CLUST_VALUES, never the whole column.
                     par_gather_into(&self.smaller, b, oids, &self.policy, staged);
                     column.resize(rows, 0);
-                    par_radix_decluster_into(
-                        staged,
-                        positions,
-                        chunk,
-                        self.streaming.window_bytes,
-                        &self.policy,
-                        &mut scratch.decluster,
-                        column,
-                    );
+                    let sweep = (&*staged, &positions[..], chunk, window, &self.policy);
+                    // A profiled run's first column declusters under the
+                    // simulator; the others charge the same pattern.
+                    match self.profile.as_deref_mut().filter(|_| b == 0) {
+                        Some(prof) => {
+                            let mut probe = SimProbe::new(&mut prof.mem, &prof.decluster_regions);
+                            decluster(sweep, &mut scratch.decluster, column, &mut probe);
+                            prof.declustered = probe.counts();
+                        }
+                        None => decluster(sweep, &mut scratch.decluster, column, &mut NoProbe),
+                    }
                 }
                 let elapsed = t.elapsed();
                 self.timings.decluster += elapsed;
@@ -802,16 +743,6 @@ where
         }
 
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(chunk_bytes);
-        // The sink may take the columns.  A profiled debug build keeps the
-        // declustered one for the replay's equality check below.
-        let declustered = match (&self.profile, &self.prepared.second) {
-            (Some(_), SecondSide::Clustered { .. }) if cfg!(debug_assertions) => scratch.columns
-                [self.spec.project_larger..]
-                .last()
-                .cloned()
-                .unwrap_or_default(),
-            _ => Vec::new(),
-        };
         sink.emit(emitted, &mut scratch.columns);
         self.chunks_emitted += 1;
         self.emitted = chunk_end;
@@ -835,25 +766,25 @@ where
                 },
             );
         }
-        // Profiled mode: replay this chunk's memory-access pattern through
-        // the simulator.  Output was already emitted above — the replay
-        // only simulates.
+        // Profiled mode: replay this chunk's fetches through the simulator.
+        // Output was already emitted above — the replay only simulates.
         if let Some(prof) = self.profile.as_deref_mut() {
-            // `profile` is a distinct field from `prepared`/`scratch`/
-            // `spec`/`streaming`, so these immutable borrows coexist with
-            // the `&mut` taken above.
-            let chunk_first_oids = self.prepared.first.block(emitted..chunk_end);
-            let scratch = &self.scratch;
+            // `profile` is a distinct field from `prepared`/`scratch`, so
+            // these immutable borrows coexist with the `&mut` taken above.
+            // The first side's fetch reads the chunk's stretch of its oids;
+            // the second side's the chunk's runs of the packed
+            // `CLUST_SMALLER`, or its stretch of the result-order oids.
+            let stretch = || (emitted..chunk_end).collect();
+            let first = (stretch(), self.prepared.first.block(emitted..chunk_end));
             let second = match &self.prepared.second {
-                SecondSide::Clustered { smaller, positions } => SecondSideReplay::Decluster {
-                    smaller,
-                    positions,
-                    chunk: &scratch.chunk,
-                    staged: &scratch.staged,
-                    window_bytes: self.streaming.window_bytes,
-                    declustered: &declustered,
-                },
-                SecondSide::ResultOrder(_) => SecondSideReplay::Unsorted { rows },
+                SecondSide::Clustered { smaller, .. } => {
+                    let runs = &self.scratch.chunk.runs;
+                    let indices = runs.iter().flat_map(|r| r.clone()).collect();
+                    (indices, OidBlock::Packed(smaller.select(runs)))
+                }
+                SecondSide::ResultOrder(oids) => {
+                    (stretch(), OidBlock::Wide(&oids[emitted..chunk_end]))
+                }
             };
             prof.profile
                 .record_span(Phase::Fetch, first_elapsed.as_nanos() as u64);
@@ -864,7 +795,7 @@ where
                 prof.profile
                     .record_span(Phase::Decluster, d.as_nanos() as u64);
             }
-            let counts = prof.replay_chunk(emitted, chunk_first_oids, second);
+            let counts = prof.replay_chunk(first, second);
             let params = prof.mem.params();
             let miss = MissCounts {
                 accesses: counts.accesses,
@@ -2005,6 +1936,98 @@ mod tests {
             // Two identical profiled runs charge identical simulated counts.
             assert_eq!(totals[0], totals[1], "simulated counts not deterministic");
         }
+    }
+
+    #[test]
+    fn a_profiled_run_lays_out_every_region_disjointly() {
+        use rdx_obs::{Obs, ObsConfig, QueryId};
+
+        let w = JoinWorkloadBuilder::equal(2_000, 2).seed(3).build();
+        let params = CacheParams::tiny_for_tests();
+        let policy = ExecPolicy::with_threads(1).budget(MemoryBudget::bytes(4096));
+        for (first, second) in CODES {
+            let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
+            let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
+            let mut run = DsmPipelineRun::over_dsm(
+                prepared,
+                &w.larger,
+                &w.smaller,
+                &QuerySpec::symmetric(2),
+                &params,
+                &policy,
+            );
+            let obs = Obs::enabled(ObsConfig::default());
+            run.attach_profile(&obs, QueryId::next(), &params);
+            let prof = run.profile.as_deref().expect("profiling armed");
+            let mut regions = vec![
+                prof.first_oids_region,
+                prof.second_oids_region,
+                prof.chunk_out,
+            ];
+            regions.extend(&prof.larger_cols);
+            regions.extend(&prof.smaller_cols);
+            regions.extend(prof.decluster_regions);
+            assert_eq!(regions.len(), 11);
+            let span = |r: &Region| r.base()..r.base() + r.byte_size() as u64;
+            for (i, a) in regions.iter().enumerate() {
+                for b in &regions[i + 1..] {
+                    let (a, b) = (span(a), span(b));
+                    assert!(
+                        a.end <= b.start || b.end <= a.start,
+                        "{first:?}/{second:?}: {a:?} overlaps {b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shuffled_unsorted_second_side_charges_more_l2_misses_than_an_ascending_one() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        use rdx_obs::{Obs, ObsConfig, QueryId};
+
+        // A 64 KB smaller column on the 8 KB simulated cache: a random fetch
+        // misses where an ascending one streams.
+        let n = 16_384;
+        let w = JoinWorkloadBuilder::equal(n, 1).seed(9).build();
+        let params = CacheParams::tiny_for_tests();
+        let policy = ExecPolicy::with_threads(1);
+        let spec = QuerySpec::symmetric(1);
+        let ascending: Vec<Oid> = (0..n as Oid).collect();
+        let mut shuffled = ascending.clone();
+        shuffled.shuffle(&mut StdRng::seed_from_u64(4));
+        let l2_misses = |second_oids: &[Oid]| {
+            let prepared = Arc::new(PreparedProjection {
+                plan: DsmPostProjection::with_codes(
+                    ProjectionCode::PartialCluster,
+                    SecondSideCode::Unsorted,
+                ),
+                first: FirstSide::Wide(ascending.clone()),
+                second: SecondSide::ResultOrder(second_oids.to_vec()),
+                smaller_cardinality: n,
+                timings: PhaseTimings::default(),
+            });
+            let mut run =
+                DsmPipelineRun::over_dsm(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
+            let obs = Obs::enabled(ObsConfig::default());
+            run.attach_profile(&obs, QueryId::next(), &params);
+            let mut sink = MaterializeSink::new();
+            run.run_to_completion(&mut sink);
+            let values = sink.into_result().columns()[1].as_slice().to_vec();
+            let expected = w.smaller.attr(0).gather(second_oids).into_vec();
+            assert_eq!(values, expected);
+            obs.metrics_snapshot()
+                .unwrap()
+                .counter("profile.l2_misses")
+                .unwrap()
+        };
+        let (sequential, random) = (l2_misses(&ascending), l2_misses(&shuffled));
+        assert!(
+            random > sequential,
+            "a random fetch charged {random} L2 misses, a sequential one {sequential}"
+        );
     }
 
     #[test]

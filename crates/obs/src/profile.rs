@@ -1,7 +1,7 @@
 //! The **Profile** subsystem: cache-truth accounting for profiled runs.
 //!
-//! When a pipeline runs in profiled mode it replays every chunk's memory
-//! accesses through the traced kernels and learns *simulated* cache/TLB
+//! When a pipeline runs in profiled mode it charges every chunk's memory
+//! accesses to the `rdx-cache` simulator and learns *simulated* cache/TLB
 //! miss counts — deterministic numbers that survive any container, unlike
 //! wall-clock.  This module gives those numbers a first-class home in the
 //! observability layer:

@@ -92,7 +92,7 @@ pub enum EventKind {
     },
     /// Simulated cache truth for one streaming chunk, recorded right after
     /// its [`EventKind::ChunkStep`] when the profiled pipeline mode is on:
-    /// the chunk's accesses were replayed through the traced kernels and
+    /// the chunk's accesses were charged to the cache simulator and
     /// these are the resulting miss counts (deterministic — a pure function
     /// of the access pattern, independent of wall-clock).
     ChunkProfile {

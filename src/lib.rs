@@ -99,7 +99,7 @@ pub use rdx_workload as workload;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use rdx_api::{ChunkProgress, Query, QueryPoll, Session, Ticket};
-    pub use rdx_cache::{CacheParams, MemorySystem};
+    pub use rdx_cache::{CacheParams, MemorySystem, NoProbe};
     pub use rdx_core::budget::{BudgetError, MemoryBudget};
     pub use rdx_core::cluster::{
         plan_cluster_passes, plan_partial_cluster, radix_cluster, radix_cluster_oids,

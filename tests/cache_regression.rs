@@ -23,7 +23,7 @@
 use radix_decluster::cache::{CacheParams, EventCounts, MemorySystem};
 use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use radix_decluster::core::decluster::chunks::{ChunkCursorState, ChunkRuns};
-use radix_decluster::core::decluster::traced::radix_decluster_traced;
+use radix_decluster::core::decluster::simulate_decluster;
 use radix_decluster::cost::algorithms as cost;
 use radix_decluster::dsm::Oid;
 
@@ -41,11 +41,11 @@ fn clustered_input(n: usize, bits: u32) -> (Vec<i32>, Vec<Oid>, Vec<usize>) {
     (values, c.payloads().to_vec(), c.bounds().to_vec())
 }
 
-/// Replays the *streaming* decluster — `chunks` kernel runs over the runs of
-/// [`ChunkCursorState`] chunks, positions read in place — through one
+/// Runs the *streaming* decluster — `chunks` kernel runs over the runs of
+/// [`ChunkCursorState`] chunks, positions read in place — under one
 /// continuous [`MemorySystem`], returning the reassembled result and the
 /// summed event counts.
-fn traced_streaming_decluster(
+fn simulated_streaming_decluster(
     values: &[i32],
     positions: &[Oid],
     bounds: &[usize],
@@ -65,8 +65,7 @@ fn traced_streaming_decluster(
             .iter()
             .flat_map(|r| values[r.clone()].iter().copied())
             .collect();
-        let (chunk_out, delta) =
-            radix_decluster_traced(&staged, positions, &chunk, window_bytes, mem);
+        let (chunk_out, delta) = simulate_decluster(&staged, positions, &chunk, window_bytes, mem);
         out.extend(chunk_out);
         acc.accesses += delta.accesses;
         acc.l1_misses += delta.l1_misses;
@@ -92,7 +91,7 @@ fn monolithic_decluster_misses_stay_within_the_model() {
             let (values, positions, bounds) = clustered_input(n, bits);
             let mut mem = MemorySystem::new(&params);
             let whole = ChunkRuns::whole(&bounds);
-            let (_, sim) = radix_decluster_traced(&values, &positions, &whole, window, &mut mem);
+            let (_, sim) = simulate_decluster(&values, &positions, &whole, window, &mut mem);
             let pred = cost::radix_decluster(n, 4, bits, window, &params);
             let ctx = format!("monolithic bits={bits} window={window}");
             assert!(sim.accesses > 0 && sim.l2_misses > 0, "{ctx}: trace empty");
@@ -112,9 +111,10 @@ fn streaming_decluster_misses_stay_within_the_model() {
             let window = 2_048;
             let (values, positions, bounds) = clustered_input(n, bits);
             let mut mem = MemorySystem::new(&params);
-            let (out, sim) =
-                traced_streaming_decluster(&values, &positions, &bounds, window, chunks, &mut mem);
-            // The traced streaming path is still the exact permutation.
+            let (out, sim) = simulated_streaming_decluster(
+                &values, &positions, &bounds, window, chunks, &mut mem,
+            );
+            // The simulated streaming path is still the exact permutation.
             let mut expected = vec![0i32; n];
             for (i, &p) in positions.iter().enumerate() {
                 expected[p as usize] = values[i];
@@ -140,11 +140,12 @@ fn streaming_never_costs_more_l2_misses_than_monolithic() {
         let (values, positions, bounds) = clustered_input(n, bits);
         let mut mem = MemorySystem::new(&params);
         let whole = ChunkRuns::whole(&bounds);
-        let (_, mono) = radix_decluster_traced(&values, &positions, &whole, 2_048, &mut mem);
+        let (_, mono) = simulate_decluster(&values, &positions, &whole, 2_048, &mut mem);
         for chunks in [8usize, 64] {
             let mut mem = MemorySystem::new(&params);
-            let (_, stream) =
-                traced_streaming_decluster(&values, &positions, &bounds, 2_048, chunks, &mut mem);
+            let (_, stream) = simulated_streaming_decluster(
+                &values, &positions, &bounds, 2_048, chunks, &mut mem,
+            );
             assert!(
                 (stream.l2_misses as f64) <= (mono.l2_misses as f64) * 1.5,
                 "bits={bits} chunks={chunks}: streaming L2 {} vs monolithic {}",

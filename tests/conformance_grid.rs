@@ -338,6 +338,7 @@ fn decluster_kernel_grid_matches_scatter_oracle() {
                             window_elems(window_bytes, 4),
                             &mut scratch,
                             &mut streamed[chunk.result_range.clone()],
+                            &mut NoProbe,
                         );
                     }
                     assert_eq!(

@@ -1,5 +1,5 @@
 //! Integration tests of the Fig. 3 / Fig. 4 post-projection pipeline and of
-//! the traced Radix-Decluster against the cache simulator (the Fig. 7a
+//! the shipped Radix-Decluster kernel under the cache simulator (the Fig. 7a
 //! effects).
 
 use radix_decluster::cache::MemorySystem;
@@ -7,8 +7,9 @@ use radix_decluster::core::cluster::{
     is_clustered, radix_cluster_oids, radix_count, RadixClusterSpec,
 };
 use radix_decluster::core::decluster::chunks::ChunkRuns;
-use radix_decluster::core::decluster::traced::radix_decluster_traced;
-use radix_decluster::core::decluster::{choose_window_bytes, radix_decluster, validate_inputs};
+use radix_decluster::core::decluster::{
+    choose_window_bytes, radix_decluster, simulate_decluster, validate_inputs,
+};
 use radix_decluster::core::join::{join_cluster_spec, partitioned_hash_join};
 use radix_decluster::core::positional::{clustered_positional_join, positional_join};
 use radix_decluster::prelude::*;
@@ -107,7 +108,7 @@ fn traced_decluster_reproduces_fig7a_knees() {
 
     let run = |window: usize| {
         let mut mem = MemorySystem::new(&params);
-        let (out, counts) = radix_decluster_traced(
+        let (out, counts) = simulate_decluster(
             &values,
             clustered.payloads(),
             &ChunkRuns::whole(clustered.bounds()),

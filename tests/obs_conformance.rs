@@ -280,17 +280,21 @@ fn per_query_profiled_flag_traces_only_that_query() {
 
 /// A profiled query under an unbounded budget streams one chunk that is the
 /// whole result, so the sink takes the chunk's columns and the chunk reads
-/// the prefix's clustered arrays in place.  Its replay must still run
-/// (the declustering code replays the borrowed arrays) and charge exactly
-/// the simulated counts the copying chunk loop charged, with each
-/// `chunk_step` followed by its `chunk_profile`.
+/// the prefix's clustered arrays in place.  Its profile must still be
+/// charged (the declustering code probes the borrowed arrays as it emits)
+/// with the pinned simulated counts, with each `chunk_step` followed by its
+/// `chunk_profile`.
 #[test]
 fn a_whole_result_profiled_chunk_replays_the_same_counts() {
     let w = JoinWorkloadBuilder::equal(2_000, 2).seed(71).build();
-    // (second-side code, profile.accesses, profile.l2_misses), recorded
-    // from the chunk loop that copied the prefix into chunk-local arrays.
+    // (second-side code, profile.accesses, profile.l2_misses), the access
+    // counts recorded from the chunk loop that copied the prefix into
+    // chunk-local arrays.  The unsorted L2 count moved 2 072 → 2 782 when
+    // the replay started charging each second-side fetch at the oid it
+    // reads instead of at its row; the declustering one did not move when
+    // its decluster began running under the simulator probe.
     for (second, accesses, l2_misses) in [
-        (SecondSideCode::Unsorted, 24_000u64, 2_072u64),
+        (SecondSideCode::Unsorted, 24_000u64, 2_782u64),
         (SecondSideCode::Decluster, 36_006, 3_274),
     ] {
         let mut session = Session::new(ServeConfig {

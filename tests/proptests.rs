@@ -268,6 +268,7 @@ proptest! {
             elems,
             &mut scratch,
             &mut out,
+            &mut NoProbe,
         );
         prop_assert_eq!(&out[..], &reference[covered]);
 
@@ -287,6 +288,7 @@ proptest! {
                 elems,
                 &mut scratch,
                 &mut out,
+                &mut NoProbe,
             );
             prop_assert_eq!(&out[..], &reference[chunk.result_range.clone()]);
         }
