@@ -8,17 +8,20 @@
 //!   input copies, two flip-buffer `clone`s, per-segment cursor vectors,
 //!   two hashes per key per pass), kept here as the committed baseline so
 //!   the improvement is measured inside one build;
-//! * `plain` — the scratch engine with a one-shot arena, plain scatter;
-//! * `buffered` — one-shot arena, software write-combining scatter;
-//! * `scratch_plain` / `scratch_buffered` — the same with a reused arena
-//!   (the steady state of the streaming pipeline and the serving layer).
+//! * `plain` — the scratch engine with a one-shot arena;
+//! * `scratch_plain` — the same with a reused arena (the steady state of
+//!   the streaming pipeline and the serving layer);
+//! * `planned` — the reused arena at the pass count the hardware-aware
+//!   planner picks for this host.
 //!
 //! Every variant is checked byte-identical to `seed` before timing.
+//! Radix-Cluster has one scatter, the plain one; a fan-out past the cursor
+//! budget runs more passes (§2.1).
 //!
 //! First, a **fan-out sweep**: one pass of 1M pairs to 16 … 256 clusters,
-//! plain and buffered, for the join's hashed `(u64, u32)` pairs and the
-//! reordering codes' `(u32, u32)` oid pairs, clustered inside a reused arena
-//! so no output allocation is timed.  It shows where one plain pass falls off
+//! for the join's hashed `(u64, u32)` pairs and the reordering codes'
+//! `(u32, u32)` oid pairs, clustered inside a reused arena so no output
+//! allocation is timed.  It shows where one plain pass falls off
 //! the TLB cliff `rdx_core::cluster::TLB_BOUNDED_FANOUT` is set by.
 //!
 //! Writes the grid, env-stamped and with its key-mix seed, to
@@ -38,8 +41,8 @@ use rdx_bench::stats::{bootstrap_median_ci, classify, BootstrapCi, MIN_SAMPLES};
 use rdx_bench::EnvMeta;
 use rdx_cache::{CacheLevel, CacheParams};
 use rdx_core::cluster::{
-    plan_cluster_passes, radix_cluster_with_scratch, ClusterScratch, Clustered, RadixClusterSpec,
-    ScatterMode,
+    passes_for_budget, radix_cluster_with_scratch, scatter_cursor_budget, ClusterScratch,
+    Clustered, RadixClusterSpec,
 };
 use rdx_core::hash::hash_key;
 use std::time::{Duration, Instant};
@@ -47,7 +50,7 @@ use std::time::{Duration, Instant};
 /// The host's data-cache geometry from sysfs (sizes and line widths are all
 /// the pass planner consumes), falling back to the paper's Pentium 4 when
 /// sysfs is unavailable.  Latency/bandwidth fields keep nominal values —
-/// `plan_cluster_passes` only reads the geometry.
+/// `scatter_cursor_budget` only reads the geometry.
 fn host_params() -> CacheParams {
     let read = |idx: usize, file: &str| -> Option<String> {
         std::fs::read_to_string(format!(
@@ -190,12 +193,11 @@ fn series_ci(series: &[Duration]) -> Option<BootstrapCi> {
     Some(bootstrap_median_ci(&ms, 1_000, 0.95, 23))
 }
 
-/// One fan-out of the sweep: median one-pass times, plain and buffered.
+/// One fan-out of the sweep: the median one-pass time.
 struct FanoutCell {
     pairs: &'static str,
     clusters: usize,
     plain: Duration,
-    buffered: Duration,
 }
 
 /// The fan-out sweep: 1M pairs clustered in one pass to `2^4 … 2^8`
@@ -210,55 +212,20 @@ fn fanout_sweep(samples: usize, key_seed: u64) -> Vec<FanoutCell> {
     let mut cells = Vec::new();
     for bits in 4u32..=8 {
         let spec = RadixClusterSpec::single_pass(bits);
-        let (plain, buffered) = (ScatterMode::Plain, ScatterMode::Buffered);
-        let (mut wide_p, mut wide_b) = (ClusterScratch::new(), ClusterScratch::new());
-        let (mut oid_p, mut oid_b) = (ClusterScratch::new(), ClusterScratch::new());
-        let mut wide_plain_f = || {
-            wide_p
-                .cluster_hashed_in_scratch(&keys, &payloads, spec, plain)
-                .len()
-        };
-        let mut wide_buffered_f = || {
-            wide_b
-                .cluster_hashed_in_scratch(&keys, &payloads, spec, buffered)
-                .len()
-        };
-        let mut oid_plain_f = || {
-            oid_p
-                .cluster_oids_in_scratch(&oids, &payloads, spec, plain)
-                .len()
-        };
-        let mut oid_buffered_f = || {
-            oid_b
-                .cluster_oids_in_scratch(&oids, &payloads, spec, buffered)
-                .len()
-        };
+        let (mut wide, mut oid) = (ClusterScratch::new(), ClusterScratch::new());
+        let mut wide_f = || wide.cluster_hashed_in_scratch(&keys, &payloads, spec).len();
+        let mut oid_f = || oid.cluster_oids_in_scratch(&oids, &payloads, spec).len();
         // One untimed round grows every arena to its steady-state size.
-        let medians: Vec<Duration> = time_interleaved(
-            samples + 1,
-            &mut [
-                &mut wide_plain_f,
-                &mut wide_buffered_f,
-                &mut oid_plain_f,
-                &mut oid_buffered_f,
-            ],
-        )
-        .into_iter()
-        .map(|mut series| median(series.split_off(1)))
-        .collect();
-        for (pairs, plain, buffered) in [
-            ("(u64, u32)", medians[0], medians[1]),
-            ("(u32, u32)", medians[2], medians[3]),
-        ] {
-            println!(
-                "fan-out {:>3} {pairs}  plain {plain:>8.2?}  buffered {buffered:>8.2?}",
-                1usize << bits
-            );
+        let medians: Vec<Duration> = time_interleaved(samples + 1, &mut [&mut wide_f, &mut oid_f])
+            .into_iter()
+            .map(|mut series| median(series.split_off(1)))
+            .collect();
+        for (pairs, plain) in [("(u64, u32)", medians[0]), ("(u32, u32)", medians[1])] {
+            println!("fan-out {:>3} {pairs}  plain {plain:>8.2?}", 1usize << bits);
             cells.push(FanoutCell {
                 pairs,
                 clusters: 1 << bits,
                 plain,
-                buffered,
             });
         }
     }
@@ -270,12 +237,9 @@ struct Cell {
     bits: u32,
     seed_passes: u32,
     planned_passes: u32,
-    planned_mode: ScatterMode,
     seed: Duration,
     plain: Duration,
-    buffered: Duration,
     scratch_plain: Duration,
-    scratch_buffered: Duration,
     planned: Duration,
     seed_ci: Option<BootstrapCi>,
     planned_ci: Option<BootstrapCi>,
@@ -283,7 +247,7 @@ struct Cell {
 
 impl Cell {
     /// The gate comparison: what the planner actually ships (hardware-derived
-    /// pass count and scatter mode, reused arena) vs. the pre-PR kernel.
+    /// pass count, reused arena) vs. the pre-PR kernel.
     fn improvement_pct(&self) -> f64 {
         (1.0 - self.planned.as_secs_f64() / self.seed.as_secs_f64()) * 100.0
     }
@@ -323,25 +287,18 @@ fn main() {
             // What the hardware-aware planner ships for this fan-out —
             // on hosts with large outer caches this is one pass where the
             // seed rule took two.
-            let (planned_passes, planned_mode) = plan_cluster_passes(bits, 8 + 4, &params);
+            let planned_passes = passes_for_budget(bits, scatter_cursor_budget(&params));
             let planned_spec = RadixClusterSpec::partial(bits, planned_passes, 0);
 
             // Correctness gate before timing: every variant byte-identical.
             let reference = seed_radix_cluster(&keys, &payloads, spec);
             let mut check = ClusterScratch::new();
-            for mode in [ScatterMode::Plain, ScatterMode::Buffered] {
-                let got = radix_cluster_with_scratch(&keys, &payloads, spec, mode, &mut check);
-                assert_eq!(got, reference, "n={n} bits={bits} mode={mode:?}");
-            }
+            let got = radix_cluster_with_scratch(&keys, &payloads, spec, &mut check);
+            assert_eq!(got, reference, "n={n} bits={bits}");
             // The planned variant may use a different pass count (same
             // bytes, different spec tag), so compare the arrays.
-            let planned_out = radix_cluster_with_scratch(
-                &keys,
-                &payloads,
-                planned_spec,
-                planned_mode,
-                &mut check,
-            );
+            let planned_out =
+                radix_cluster_with_scratch(&keys, &payloads, planned_spec, &mut check);
             assert_eq!(planned_out.keys(), reference.keys());
             assert_eq!(planned_out.payloads(), reference.payloads());
             assert_eq!(planned_out.bounds(), reference.bounds());
@@ -350,109 +307,55 @@ fn main() {
             let mut arena = ClusterScratch::new();
             // Warm the arena for the reused-scratch variants (the one-shot
             // variants construct theirs inside the timed region).
-            let _ = radix_cluster_with_scratch(
-                &keys,
-                &payloads,
-                spec,
-                ScatterMode::Buffered,
-                &mut arena,
-            );
+            let _ = radix_cluster_with_scratch(&keys, &payloads, spec, &mut arena);
             let mut seed_f = || seed_radix_cluster(&keys, &payloads, spec).len();
             let mut plain_f = || {
-                radix_cluster_with_scratch(
-                    &keys,
-                    &payloads,
-                    spec,
-                    ScatterMode::Plain,
-                    &mut ClusterScratch::new(),
-                )
-                .len()
-            };
-            let mut buffered_f = || {
-                radix_cluster_with_scratch(
-                    &keys,
-                    &payloads,
-                    spec,
-                    ScatterMode::Buffered,
-                    &mut ClusterScratch::new(),
-                )
-                .len()
+                radix_cluster_with_scratch(&keys, &payloads, spec, &mut ClusterScratch::new()).len()
             };
             let arena_cell = std::cell::RefCell::new(&mut arena);
             let mut scratch_plain_f = || {
-                radix_cluster_with_scratch(
-                    &keys,
-                    &payloads,
-                    spec,
-                    ScatterMode::Plain,
-                    &mut **arena_cell.borrow_mut(),
-                )
-                .len()
-            };
-            let mut scratch_buffered_f = || {
-                radix_cluster_with_scratch(
-                    &keys,
-                    &payloads,
-                    spec,
-                    ScatterMode::Buffered,
-                    &mut **arena_cell.borrow_mut(),
-                )
-                .len()
+                radix_cluster_with_scratch(&keys, &payloads, spec, &mut **arena_cell.borrow_mut())
+                    .len()
             };
             let mut planned_f = || {
-                radix_cluster_with_scratch(
-                    &keys,
-                    &payloads,
-                    planned_spec,
-                    planned_mode,
-                    &mut **arena_cell.borrow_mut(),
-                )
-                .len()
+                let arena = &mut **arena_cell.borrow_mut();
+                radix_cluster_with_scratch(&keys, &payloads, planned_spec, arena).len()
             };
             let series = time_interleaved(
                 samples,
                 &mut [
                     &mut seed_f,
                     &mut plain_f,
-                    &mut buffered_f,
                     &mut scratch_plain_f,
-                    &mut scratch_buffered_f,
                     &mut planned_f,
                 ],
             );
-            let (seed_ci, planned_ci) = (series_ci(&series[0]), series_ci(&series[5]));
+            let (seed_ci, planned_ci) = (series_ci(&series[0]), series_ci(&series[3]));
             let medians: Vec<Duration> = series.into_iter().map(median).collect();
-            let (seed, plain, buffered, scratch_plain, scratch_buffered, planned) = (
-                medians[0], medians[1], medians[2], medians[3], medians[4], medians[5],
-            );
+            let (seed, plain, scratch_plain, planned) =
+                (medians[0], medians[1], medians[2], medians[3]);
 
             let cell = Cell {
                 n,
                 bits,
                 seed_passes: passes,
                 planned_passes,
-                planned_mode,
                 seed,
                 plain,
-                buffered,
                 scratch_plain,
-                scratch_buffered,
                 planned,
                 seed_ci,
                 planned_ci,
             };
             println!(
-                "n={:>9} B={:>2}  seed(P={}) {:>8.2?}  plain {:>8.2?}  buffered {:>8.2?}  scratch_p {:>8.2?}  scratch_b {:>8.2?}  planned(P={},{:?}) {:>8.2?}  -{:.1}%",
+                "n={:>9} B={:>2}  seed(P={}) {:>8.2?}  plain {:>8.2?}  scratch_p {:>8.2?}  planned(P={}) {:>8.2?}  -{:.1}%",
                 cell.n,
                 cell.bits,
                 cell.seed_passes,
                 cell.seed,
                 cell.plain,
-                cell.buffered,
                 cell.scratch_plain,
-                cell.scratch_buffered,
                 cell.planned_passes,
-                cell.planned_mode,
                 cell.planned,
                 cell.improvement_pct(),
             );
@@ -485,11 +388,10 @@ fn main() {
     ));
     for (i, c) in fanout.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"tuples\": 1000000, \"pairs\": \"{}\", \"clusters\": {}, \"plain_ms\": {:.3}, \"buffered_ms\": {:.3}}}{}\n",
+            "    {{\"tuples\": 1000000, \"pairs\": \"{}\", \"clusters\": {}, \"plain_ms\": {:.3}}}{}\n",
             c.pairs,
             c.clusters,
             ms(c.plain),
-            ms(c.buffered),
             if i + 1 == fanout.len() { "" } else { "," },
         ));
     }
@@ -500,17 +402,14 @@ fn main() {
             _ => "null".to_string(),
         };
         json.push_str(&format!(
-            "    {{\"tuples\": {}, \"bits\": {}, \"seed_passes\": {}, \"planned_passes\": {}, \"planned_mode\": \"{:?}\", \"seed_ms\": {:.3}, \"plain_ms\": {:.3}, \"buffered_ms\": {:.3}, \"scratch_plain_ms\": {:.3}, \"scratch_buffered_ms\": {:.3}, \"planned_ms\": {:.3}, \"planned_improvement_pct\": {:.1}, \"seed_ci\": {}, \"planned_ci\": {}, \"planned_vs_seed\": {}}}{}\n",
+            "    {{\"tuples\": {}, \"bits\": {}, \"seed_passes\": {}, \"planned_passes\": {}, \"seed_ms\": {:.3}, \"plain_ms\": {:.3}, \"scratch_plain_ms\": {:.3}, \"planned_ms\": {:.3}, \"planned_improvement_pct\": {:.1}, \"seed_ci\": {}, \"planned_ci\": {}, \"planned_vs_seed\": {}}}{}\n",
             c.n,
             c.bits,
             c.seed_passes,
             c.planned_passes,
-            c.planned_mode,
             ms(c.seed),
             ms(c.plain),
-            ms(c.buffered),
             ms(c.scratch_plain),
-            ms(c.scratch_buffered),
             ms(c.planned),
             c.improvement_pct(),
             ci_json(&c.seed_ci),

@@ -7,7 +7,9 @@ use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 use rdx_cache::{CacheParams, MemorySystem};
 use rdx_core::budget::MemoryBudget;
-use rdx_core::cluster::{radix_cluster, radix_cluster_oids, RadixClusterSpec};
+use rdx_core::cluster::{
+    passes_for_budget, radix_cluster, radix_cluster_oids, scatter_cursor_budget, RadixClusterSpec,
+};
 use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::{choose_window_bytes, radix_decluster, simulate_decluster};
 use rdx_core::jive::{jive_bits, jive_join_projection};
@@ -172,7 +174,7 @@ pub fn decluster_components_sweep(
     bits_list
         .iter()
         .map(|&bits| {
-            let passes = if bits > 11 { 2 } else { 1 };
+            let passes = passes_for_budget(bits, scatter_cursor_budget(params));
             let (clustered, cluster_ms) = time_ms(|| {
                 radix_cluster_oids(
                     &smaller,

@@ -18,9 +18,8 @@ mod spec;
 
 pub use packed::{PackedOids, PackedSlice, PACKED_LOW_BITS};
 pub use scratch::{
-    buffered_cursor_budget, plan_cluster_passes, plan_partial_cluster, scatter_cursor_budget,
-    ClusterScratch, ScatterMode, ScratchClustered, DEFAULT_SCATTER_CURSOR_BUDGET, OID_PAIR_BYTES,
-    SWWC_SLOT_ELEMS, TLB_BOUNDED_FANOUT,
+    plan_partial_cluster, scatter_cursor_budget, ClusterScratch, ScratchClustered,
+    DEFAULT_SCATTER_CURSOR_BUDGET, TLB_BOUNDED_FANOUT,
 };
 pub use spec::RadixClusterSpec;
 
@@ -140,27 +139,19 @@ pub fn radix_cluster<P: Copy>(
     payloads: &[P],
     spec: RadixClusterSpec,
 ) -> Clustered<u64, P> {
-    radix_cluster_with_scratch(
-        keys,
-        payloads,
-        spec,
-        ScatterMode::Auto,
-        &mut ClusterScratch::new(),
-    )
+    radix_cluster_with_scratch(keys, payloads, spec, &mut ClusterScratch::new())
 }
 
-/// [`radix_cluster`] with caller-provided working memory and an explicit
-/// scatter mode: the returned [`Clustered`] is the only per-call allocation
-/// once the scratch has warmed up, and each key is hashed exactly once per
-/// pass.  Output is byte-identical to [`radix_cluster`] for every mode.
+/// [`radix_cluster`] with caller-provided working memory: the returned
+/// [`Clustered`] is the only per-call allocation once the scratch has
+/// warmed up, and each key is hashed exactly once per pass.
 pub fn radix_cluster_with_scratch<P: Copy>(
     keys: &[u64],
     payloads: &[P],
     spec: RadixClusterSpec,
-    mode: ScatterMode,
     scratch: &mut ClusterScratch<u64, P>,
 ) -> Clustered<u64, P> {
-    scratch.cluster_by(keys, payloads, spec, mode, |&k| hash_key(k))
+    scratch.cluster_by(keys, payloads, spec, |&k| hash_key(k))
 }
 
 /// Radix-clusters `(oid, payload)` pairs on the *unhashed* oid value (the
@@ -174,25 +165,18 @@ pub fn radix_cluster_oids<P: Copy>(
     payloads: &[P],
     spec: RadixClusterSpec,
 ) -> Clustered<Oid, P> {
-    radix_cluster_oids_with_scratch(
-        oids,
-        payloads,
-        spec,
-        ScatterMode::Auto,
-        &mut ClusterScratch::new(),
-    )
+    radix_cluster_oids_with_scratch(oids, payloads, spec, &mut ClusterScratch::new())
 }
 
-/// [`radix_cluster_oids`] with caller-provided working memory and an
-/// explicit scatter mode (see [`radix_cluster_with_scratch`]).
+/// [`radix_cluster_oids`] with caller-provided working memory (see
+/// [`radix_cluster_with_scratch`]).
 pub fn radix_cluster_oids_with_scratch<P: Copy>(
     oids: &[Oid],
     payloads: &[P],
     spec: RadixClusterSpec,
-    mode: ScatterMode,
     scratch: &mut ClusterScratch<Oid, P>,
 ) -> Clustered<Oid, P> {
-    scratch.cluster_by(oids, payloads, spec, mode, |&o| o as u64)
+    scratch.cluster_by(oids, payloads, spec, |&o| o as u64)
 }
 
 /// Radix-Sort of an oid column: a Radix-Cluster on *all* significant bits with
@@ -439,11 +423,8 @@ mod tests {
             RadixClusterSpec::partial(6, 1, 3),
         ] {
             let expected = radix_cluster_oids(&oids, &payloads, spec);
-            for mode in [ScatterMode::Plain, ScatterMode::Buffered, ScatterMode::Auto] {
-                let got =
-                    radix_cluster_oids_with_scratch(&oids, &payloads, spec, mode, &mut scratch);
-                assert_eq!(got, expected, "spec {spec:?} mode {mode:?}");
-            }
+            let got = radix_cluster_oids_with_scratch(&oids, &payloads, spec, &mut scratch);
+            assert_eq!(got, expected, "spec {spec:?}");
         }
         // Hashed-key variant too, 1-pass.
         let keys: Vec<u64> = (0..1_000).collect();
@@ -451,7 +432,7 @@ mod tests {
         let spec = RadixClusterSpec::single_pass(4);
         let mut hscratch = ClusterScratch::new();
         assert_eq!(
-            radix_cluster_with_scratch(&keys, &pay, spec, ScatterMode::Buffered, &mut hscratch),
+            radix_cluster_with_scratch(&keys, &pay, spec, &mut hscratch),
             radix_cluster(&keys, &pay, spec),
         );
     }

@@ -8,44 +8,32 @@
 //! vectors inside the pass loop.  Layers that cluster per chunk or per query
 //! (the streaming pipeline, the serving layer) multiplied those costs.
 //!
-//! This module replaces that with an explicit **scratch arena** plus two
-//! scatter strategies:
+//! This module replaces that with an explicit **scratch arena**:
+//! [`ClusterScratch`] owns every working buffer a multi-pass radix scatter
+//! needs — the ping-pong key/payload buffers, the histogram and cursor
+//! arrays (hoisted out of the segment loop), the segment-boundary lists, and
+//! a memoized per-pass radix-value buffer so each key is hashed **once** per
+//! pass.  Reusing one scratch across calls makes the steady state
+//! allocation-free except for the caller-owned output.
 //!
-//! * [`ClusterScratch`] owns every working buffer a multi-pass radix scatter
-//!   needs — the ping-pong key/payload buffers, the histogram and cursor
-//!   arrays (hoisted out of the segment loop), the segment-boundary lists,
-//!   and a memoized per-pass radix-value buffer so each key is hashed
-//!   **once** per pass.  Reusing one scratch across calls makes the steady
-//!   state allocation-free except for the caller-owned output.
-//! * [`ScatterMode`] selects between the plain per-tuple scatter and a
-//!   **software write-combining** scatter (`Buffered`): tuples are staged in
-//!   per-cluster cache-line-sized buffers that are flushed as full-line
-//!   copies, so the randomly-addressed working set shrinks from one open
-//!   cache line *and* TLB entry per cluster to a compact staging area —
-//!   which is what lets a single buffered pass replace two plain passes once
-//!   the fan-out `2^B` exceeds the plain-scatter cursor budget.
-//!
-//! Both modes produce output **byte-identical** to the original kernel: the
-//! per-pass counting sort is stable either way (staged tuples are flushed to
-//! the same cursor positions, in the same order, as direct writes).
+//! Every pass is the paper's plain scatter, one output cursor per cluster.
+//! A fan-out too wide for one pass gets more passes (§2.1), never a second
+//! scatter loop: [`scatter_cursor_budget`] bounds each pass and
+//! [`super::passes_for_budget`] splits the bits.  The output is
+//! **byte-identical** to the original kernel, since every pass is a stable
+//! counting sort.
 
 use super::spec::RadixClusterSpec;
 use super::Clustered;
 use rdx_cache::{CacheParams, NoProbe, Probe};
 
-/// Elements per software-write-combining staging slot.  Eight 8-byte keys
-/// fill one 64-byte cache line exactly; narrower keys/payloads simply flush
-/// more than one slot per line, which costs nothing extra (the copies stay
-/// line-contained and sequential per cluster).
-pub const SWWC_SLOT_ELEMS: usize = 8;
-
 /// The documented default plain-scatter cursor budget: the "few thousand
 /// output cursors" beyond which the paper observes single-pass clustering
-/// stops scaling (§2.1).  Used when no [`CacheParams`] is available — e.g.
-/// by [`ScatterMode::Auto`] and the parameterless
-/// [`super::radix_sort_spec`]; [`scatter_cursor_budget`] derives the same
-/// number from the hardware model instead (and reproduces exactly 2048 for
-/// the paper's Pentium 4).
+/// stops scaling (§2.1).  Used when no [`CacheParams`] is available — by
+/// the parameterless [`super::radix_sort_spec`] and the join's in-cache
+/// split; [`scatter_cursor_budget`] derives the same number from the
+/// hardware model instead (and reproduces exactly 2048 for the paper's
+/// Pentium 4).
 pub const DEFAULT_SCATTER_CURSOR_BUDGET: usize = 2048;
 
 /// The widest plain scatter one pass may run over data that is **not**
@@ -84,89 +72,9 @@ pub fn scatter_cursor_budget(params: &CacheParams) -> usize {
         .max(1)
 }
 
-/// The largest fan-out a *buffered* (software write-combining) pass can
-/// sustain under `params` for tuples of `pair_bytes` (key + payload) bytes:
-/// the staging area — one [`SWWC_SLOT_ELEMS`]-element slot per cluster —
-/// must fit half the outermost cache, since it is the only randomly
-/// addressed working set the buffered scatter keeps hot.
-pub fn buffered_cursor_budget(pair_bytes: usize, params: &CacheParams) -> usize {
-    let slot_bytes = SWWC_SLOT_ELEMS * pair_bytes.max(1);
-    ((params.cache_capacity() / 2) / slot_bytes).max(1)
-}
-
-/// How a clustering pass scatters tuples to its output cursors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ScatterMode {
-    /// Direct per-tuple writes through one cursor per cluster — cheapest
-    /// while the cursor set is cache/TLB-resident.
-    Plain,
-    /// Software write-combining: stage tuples per cluster and flush full
-    /// [`SWWC_SLOT_ELEMS`]-element slots as line copies.  Worth it once the
-    /// fan-out exceeds the plain cursor budget; pure overhead below it.
-    Buffered,
-    /// Per pass: [`ScatterMode::Buffered`] when that pass's fan-out exceeds
-    /// [`DEFAULT_SCATTER_CURSOR_BUDGET`], [`ScatterMode::Plain`] otherwise.
-    /// The hardware-aware planner makes the same decision against the
-    /// measured [`CacheParams`] instead (see
-    /// [`plan_cluster_passes`]).
-    #[default]
-    Auto,
-}
-
-impl ScatterMode {
-    /// Whether a pass with `fanout` output cursors runs buffered.
-    #[inline]
-    pub fn buffered_for(self, fanout: usize) -> bool {
-        match self {
-            ScatterMode::Plain => false,
-            ScatterMode::Buffered => true,
-            ScatterMode::Auto => fanout > DEFAULT_SCATTER_CURSOR_BUDGET,
-        }
-    }
-}
-
-/// The pass count and scatter mode one radix clustering of `2^bits` clusters
-/// should run with under `params`, for key/payload pairs of `pair_bytes`:
-///
-/// 1. fan-out within the plain cursor budget → one plain pass;
-/// 2. fan-out beyond it but whose staging area fits the cache → **one
-///    buffered pass**, replacing the two plain passes the seed kernel used;
-/// 3. otherwise → plain passes of at most `log2(budget)` bits each.
-///
-/// This is the [`scatter_cursor_budget`] rule the planner, the pipeline and
-/// [`super::radix_sort_spec_for`] all share, so the executed pass structure
-/// and the priced one can never drift apart.
-pub fn plan_cluster_passes(
-    bits: u32,
-    pair_bytes: usize,
-    params: &CacheParams,
-) -> (u32, ScatterMode) {
-    if bits == 0 {
-        return (1, ScatterMode::Plain);
-    }
-    let budget = scatter_cursor_budget(params);
-    let fanout = 1usize.checked_shl(bits).unwrap_or(usize::MAX);
-    if fanout <= budget {
-        return (1, ScatterMode::Plain);
-    }
-    if fanout <= buffered_cursor_budget(pair_bytes, params) {
-        return (1, ScatterMode::Buffered);
-    }
-    (super::passes_for_budget(bits, budget), ScatterMode::Plain)
-}
-
-/// Bytes of one clustered `(oid, payload-oid)` pair — what the reordering
-/// codes scatter, and hence the staging granularity their buffered-scatter
-/// planning sizes against.  The one definition shared by the cost planner,
-/// the baseline strategies and the streaming pipeline, so the priced
-/// and executed pass structures cannot drift if [`rdx_dsm::Oid`] ever
-/// changes width.
-pub const OID_PAIR_BYTES: usize = 2 * std::mem::size_of::<rdx_dsm::Oid>();
-
-/// The §3.1 `optimal_partial` clustering with its pass structure and
-/// scatter mode derived from the hardware model: bits from the
-/// fits-in-cache rule, passes and plain/buffered from
-/// [`plan_cluster_passes`] for key/payload pairs of `pair_bytes`.  The
+/// The §3.1 `optimal_partial` clustering with its pass structure derived
+/// from the hardware model: bits from the fits-in-cache rule, passes from
+/// [`super::passes_for_budget`] under [`scatter_cursor_budget`].  The
 /// single source of truth shared by the planners (which price it), the
 /// pipeline's prepare phase (which runs it) and the serving layer's cache
 /// keys (which name it) — so the three can never drift apart.
@@ -180,24 +88,19 @@ pub const OID_PAIR_BYTES: usize = 2 * std::mem::size_of::<rdx_dsm::Oid>();
 pub fn plan_partial_cluster(
     column_tuples: usize,
     value_width: usize,
-    pair_bytes: usize,
     params: &CacheParams,
-) -> (RadixClusterSpec, ScatterMode) {
+) -> RadixClusterSpec {
     let base =
         RadixClusterSpec::optimal_partial(column_tuples, value_width, params.cache_capacity());
     let significant = crate::hash::significant_bits(column_tuples);
     let bits = base
         .bits
         .max(significant.saturating_sub(super::PACKED_LOW_BITS));
-    let (passes, mode) = plan_cluster_passes(bits, pair_bytes, params);
-    (
-        RadixClusterSpec {
-            bits,
-            passes,
-            ignore: significant.saturating_sub(bits),
-        },
-        mode,
-    )
+    RadixClusterSpec {
+        bits,
+        passes: super::passes_for_budget(bits, scatter_cursor_budget(params)),
+        ignore: significant.saturating_sub(bits),
+    }
 }
 
 /// A borrowed view of a clustering whose arrays live inside a
@@ -280,11 +183,10 @@ impl<'a, K: Copy, P: Copy> ScratchClustered<'a, K, P> {
 }
 
 /// The reusable working memory of the multi-pass radix scatter: ping-pong
-/// key/payload buffers, histogram and cursor arrays, segment-boundary lists,
-/// the memoized per-pass radix values, and the software-write-combining
-/// staging area.  One scratch serves any number of calls of any size; every
-/// buffer grows to the high-water mark and stays, so the steady state
-/// allocates nothing.
+/// key/payload buffers, histogram and cursor arrays, segment-boundary lists
+/// and the memoized per-pass radix values.  One scratch serves any number
+/// of calls of any size; every buffer grows to the high-water mark and
+/// stays, so the steady state allocates nothing.
 ///
 /// Two entry-point families use it:
 ///
@@ -314,11 +216,6 @@ pub struct ClusterScratch<K, P> {
     /// Segment boundaries entering / leaving the current pass.
     segments: Vec<usize>,
     new_segments: Vec<usize>,
-    /// Software-write-combining staging area (`fanout × SWWC_SLOT_ELEMS`)
-    /// and each cluster's `cursor · SWWC_SLOT_ELEMS + staged count`.
-    stage_keys: Vec<K>,
-    stage_pay: Vec<P>,
-    stage_cursors: Vec<usize>,
     /// Spec of the last in-scratch run (what [`ClusterScratch::view`] serves).
     view_spec: Option<RadixClusterSpec>,
 }
@@ -342,9 +239,6 @@ impl<K, P> ClusterScratch<K, P> {
             offsets: Vec::new(),
             segments: Vec::new(),
             new_segments: Vec::new(),
-            stage_keys: Vec::new(),
-            stage_pay: Vec::new(),
-            stage_cursors: Vec::new(),
             view_spec: None,
         }
     }
@@ -353,16 +247,13 @@ impl<K, P> ClusterScratch<K, P> {
     pub fn resident_bytes(&self) -> usize {
         self.ping_keys.capacity() * std::mem::size_of::<K>()
             + self.front_keys.capacity() * std::mem::size_of::<K>()
-            + self.stage_keys.capacity() * std::mem::size_of::<K>()
             + self.ping_pay.capacity() * std::mem::size_of::<P>()
             + self.front_pay.capacity() * std::mem::size_of::<P>()
-            + self.stage_pay.capacity() * std::mem::size_of::<P>()
             + self.radix.capacity() * std::mem::size_of::<u32>()
             + (self.counts.capacity()
                 + self.offsets.capacity()
                 + self.segments.capacity()
-                + self.new_segments.capacity()
-                + self.stage_cursors.capacity())
+                + self.new_segments.capacity())
                 * std::mem::size_of::<usize>()
     }
 }
@@ -376,7 +267,6 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
         keys: &[K],
         payloads: &[P],
         spec: RadixClusterSpec,
-        mode: ScatterMode,
         bucket_of: impl Fn(&K) -> u64,
     ) -> ScratchClustered<'a, K, P> {
         assert_eq!(keys.len(), payloads.len(), "keys/payloads length mismatch");
@@ -399,7 +289,6 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
                 keys,
                 payloads,
                 spec,
-                mode,
                 &bucket_of,
                 &mut this.ping_keys,
                 &mut this.ping_pay,
@@ -411,9 +300,6 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
                     offsets: &mut this.offsets,
                     segments: &mut this.segments,
                     new_segments: &mut this.new_segments,
-                    stage_keys: &mut this.stage_keys,
-                    stage_pay: &mut this.stage_pay,
-                    stage_cursors: &mut this.stage_cursors,
                 },
                 &mut NoProbe,
             );
@@ -444,10 +330,9 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
         keys: &[K],
         payloads: &[P],
         spec: RadixClusterSpec,
-        mode: ScatterMode,
         bucket_of: F,
     ) -> Clustered<K, P> {
-        self.cluster_probed(keys, payloads, spec, mode, bucket_of, &mut NoProbe)
+        self.cluster_probed(keys, payloads, spec, bucket_of, &mut NoProbe)
     }
 
     /// [`ClusterScratch::cluster_by`] reporting the scatter engine's
@@ -457,7 +342,6 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
         keys: &[K],
         payloads: &[P],
         spec: RadixClusterSpec,
-        mode: ScatterMode,
         bucket_of: F,
         probe: &mut Pr,
     ) -> Clustered<K, P> {
@@ -481,7 +365,6 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
             keys,
             payloads,
             spec,
-            mode,
             &bucket_of,
             &mut self.ping_keys,
             &mut self.ping_pay,
@@ -493,9 +376,6 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
                 offsets: &mut self.offsets,
                 segments: &mut self.segments,
                 new_segments: &mut self.new_segments,
-                stage_keys: &mut self.stage_keys,
-                stage_pay: &mut self.stage_pay,
-                stage_cursors: &mut self.stage_cursors,
             },
             probe,
         );
@@ -512,9 +392,8 @@ impl<P: Copy> ClusterScratch<u64, P> {
         keys: &[u64],
         payloads: &[P],
         spec: RadixClusterSpec,
-        mode: ScatterMode,
     ) -> ScratchClustered<'a, u64, P> {
-        self.cluster_by_in_scratch(keys, payloads, spec, mode, |&k| crate::hash::hash_key(k))
+        self.cluster_by_in_scratch(keys, payloads, spec, |&k| crate::hash::hash_key(k))
     }
 }
 
@@ -526,23 +405,19 @@ impl<P: Copy> ClusterScratch<rdx_dsm::Oid, P> {
         oids: &[rdx_dsm::Oid],
         payloads: &[P],
         spec: RadixClusterSpec,
-        mode: ScatterMode,
     ) -> ScratchClustered<'a, rdx_dsm::Oid, P> {
-        self.cluster_by_in_scratch(oids, payloads, spec, mode, |&o| o as u64)
+        self.cluster_by_in_scratch(oids, payloads, spec, |&o| o as u64)
     }
 }
 
 /// The non-buffer working state shared by every pass (bundled so the engine
 /// signature stays readable).
-struct PassScratch<'s, K, P> {
+struct PassScratch<'s> {
     radix: &'s mut Vec<u32>,
     counts: &'s mut Vec<usize>,
     offsets: &'s mut Vec<usize>,
     segments: &'s mut Vec<usize>,
     new_segments: &'s mut Vec<usize>,
-    stage_keys: &'s mut Vec<K>,
-    stage_pay: &'s mut Vec<P>,
-    stage_cursors: &'s mut Vec<usize>,
 }
 
 /// Probe array ids of the scatter engine: the input, ping and output pairs
@@ -554,9 +429,6 @@ const RADIX: usize = 6;
 const COUNTS: usize = 7;
 const OFFSETS: usize = 8;
 const SEGMENTS: [usize; 2] = [9, 10];
-const STAGE_KEYS: usize = 11;
-const STAGE_PAY: usize = 12;
-const STAGE_CURSORS: usize = 13;
 
 /// The multi-pass scatter engine.  Pass destinations alternate between the
 /// `ping` pair and the `out` pair, phased so the **final** pass always lands
@@ -570,13 +442,12 @@ fn run_passes<K: Copy, P: Copy, Pr: Probe>(
     keys: &[K],
     payloads: &[P],
     spec: RadixClusterSpec,
-    mode: ScatterMode,
     bucket_of: &impl Fn(&K) -> u64,
     ping_keys: &mut Vec<K>,
     ping_pay: &mut Vec<P>,
     out_keys: &mut Vec<K>,
     out_pay: &mut Vec<P>,
-    scratch: &mut PassScratch<'_, K, P>,
+    scratch: &mut PassScratch<'_>,
     probe: &mut Pr,
 ) {
     let n = keys.len();
@@ -640,13 +511,6 @@ fn run_passes<K: Copy, P: Copy, Pr: Probe>(
         scratch.offsets.resize(hp, 0);
         scratch.new_segments.clear();
 
-        let buffered = mode.buffered_for(hp);
-        if buffered {
-            scratch.stage_keys.resize(hp * SWWC_SLOT_ELEMS, src_keys[0]);
-            scratch.stage_pay.resize(hp * SWWC_SLOT_ELEMS, src_pay[0]);
-            scratch.stage_cursors.resize(hp, 0);
-        }
-
         let seg_count = scratch.segments.len() - 1;
         for seg in 0..seg_count {
             let (s, e) = (scratch.segments[seg], scratch.segments[seg + 1]);
@@ -681,37 +545,20 @@ fn run_passes<K: Copy, P: Copy, Pr: Probe>(
                 cursor += count;
             }
             debug_assert_eq!(cursor, e);
-            if buffered {
-                scatter_buffered(
-                    src_keys,
-                    src_pay,
-                    scratch.radix,
-                    s..e,
-                    offsets,
-                    scratch.stage_keys,
-                    scratch.stage_pay,
-                    scratch.stage_cursors,
-                    dst_keys,
-                    dst_pay,
-                    (src, dst),
-                    probe,
-                );
-            } else {
-                for (i, ((&r, &k), &p)) in scratch.radix[s..e]
-                    .iter()
-                    .zip(&src_keys[s..e])
-                    .zip(&src_pay[s..e])
-                    .enumerate()
-                {
-                    let b = r as usize;
-                    let at = offsets[b];
-                    probe.read_all([RADIX, src, src + 1], s + i);
-                    probe.write(OFFSETS, b);
-                    probe.write_all([dst, dst + 1], at);
-                    offsets[b] += 1;
-                    dst_keys[at] = k;
-                    dst_pay[at] = p;
-                }
+            for (i, ((&r, &k), &p)) in scratch.radix[s..e]
+                .iter()
+                .zip(&src_keys[s..e])
+                .zip(&src_pay[s..e])
+                .enumerate()
+            {
+                let b = r as usize;
+                let at = offsets[b];
+                probe.read_all([RADIX, src, src + 1], s + i);
+                probe.write(OFFSETS, b);
+                probe.write_all([dst, dst + 1], at);
+                offsets[b] += 1;
+                dst_keys[at] = k;
+                dst_pay[at] = p;
             }
         }
         probe.write(new_segments, scratch.new_segments.len());
@@ -721,89 +568,6 @@ fn run_passes<K: Copy, P: Copy, Pr: Probe>(
     }
     debug_assert_eq!(scratch.segments.len(), spec.num_clusters() + 1);
     debug_assert_eq!(out_keys.len(), n);
-}
-
-/// One segment's software-write-combining scatter: stage each tuple in its
-/// cluster's slot; a full slot is flushed as one contiguous
-/// [`SWWC_SLOT_ELEMS`]-element copy, partial slots are drained at segment
-/// end.  Tuples reach exactly the cursor positions, in exactly the order,
-/// the plain scatter would have written them to — the output is
-/// byte-identical.  Staging a tuple and flushing its slot touch one 8-byte
-/// `stage_cursors` entry; `(src, dst)` are the pairs' probe ids.
-#[allow(clippy::too_many_arguments)]
-fn scatter_buffered<K: Copy, P: Copy, Pr: Probe>(
-    src_keys: &[K],
-    src_pay: &[P],
-    radix: &[u32],
-    range: std::ops::Range<usize>,
-    offsets: &[usize],
-    stage_keys: &mut [K],
-    stage_pay: &mut [P],
-    stage_cursors: &mut [usize],
-    dst_keys: &mut [K],
-    dst_pay: &mut [P],
-    (src, dst): (usize, usize),
-    probe: &mut Pr,
-) {
-    let hp = offsets.len();
-    for (b, (entry, &offset)) in stage_cursors[..hp].iter_mut().zip(offsets).enumerate() {
-        probe.read(OFFSETS, b);
-        probe.write(STAGE_CURSORS, b);
-        *entry = offset * SWWC_SLOT_ELEMS;
-    }
-    for (i, ((&r, &key), &pay)) in radix[range.clone()]
-        .iter()
-        .zip(&src_keys[range.clone()])
-        .zip(&src_pay[range.clone()])
-        .enumerate()
-    {
-        let b = r as usize;
-        let slot = b * SWWC_SLOT_ELEMS;
-        let entry = stage_cursors[b];
-        let fill = entry % SWWC_SLOT_ELEMS;
-        probe.read_all([RADIX, src, src + 1], range.start + i);
-        probe.write(STAGE_CURSORS, b);
-        probe.write_all([STAGE_KEYS, STAGE_PAY], slot + fill);
-        stage_keys[slot + fill] = key;
-        stage_pay[slot + fill] = pay;
-        if fill + 1 == SWWC_SLOT_ELEMS {
-            let at = entry / SWWC_SLOT_ELEMS;
-            flush_probe(probe, (slot, at, SWWC_SLOT_ELEMS), dst);
-            dst_keys[at..at + SWWC_SLOT_ELEMS]
-                .copy_from_slice(&stage_keys[slot..slot + SWWC_SLOT_ELEMS]);
-            dst_pay[at..at + SWWC_SLOT_ELEMS]
-                .copy_from_slice(&stage_pay[slot..slot + SWWC_SLOT_ELEMS]);
-            stage_cursors[b] = (at + SWWC_SLOT_ELEMS) * SWWC_SLOT_ELEMS;
-        } else {
-            stage_cursors[b] = entry + 1;
-        }
-    }
-    // Drain partial slots, in cluster order (order across clusters is
-    // irrelevant for correctness — the regions are disjoint — but keeping it
-    // deterministic costs nothing).
-    for (b, &entry) in stage_cursors[..hp].iter().enumerate() {
-        probe.read(STAGE_CURSORS, b);
-        let (at, fill) = (entry / SWWC_SLOT_ELEMS, entry % SWWC_SLOT_ELEMS);
-        if fill > 0 {
-            let slot = b * SWWC_SLOT_ELEMS;
-            flush_probe(probe, (slot, at, fill), dst);
-            dst_keys[at..at + fill].copy_from_slice(&stage_keys[slot..slot + fill]);
-            dst_pay[at..at + fill].copy_from_slice(&stage_pay[slot..slot + fill]);
-        }
-    }
-}
-
-/// The references of one slot flush: per staged tuple, its key and payload
-/// read from the stage at `slot` and written to the destination pair at
-/// `at`.
-#[inline(always)]
-fn flush_probe<Pr: Probe>(probe: &mut Pr, (slot, at, len): (usize, usize, usize), dst: usize) {
-    if Pr::ACTIVE {
-        for j in 0..len {
-            probe.read_all([STAGE_KEYS, STAGE_PAY], slot + j);
-            probe.write_all([dst, dst + 1], at + j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -833,12 +597,10 @@ mod tests {
         oids: &[Oid],
         payloads: &[P],
         spec: RadixClusterSpec,
-        mode: ScatterMode,
         mem: &mut MemorySystem,
     ) -> (Clustered<Oid, P>, EventCounts) {
         let (n, fanout) = (oids.len().max(1), 1usize << spec.bits);
         let (key, pay) = (4, std::mem::size_of::<P>().max(1));
-        let stage = fanout * SWWC_SLOT_ELEMS;
         let mut space = AddressSpace::new();
         let regions = [
             (n, key),
@@ -852,20 +614,11 @@ mod tests {
             (fanout, 8),
             (fanout + 1, 8),
             (fanout + 1, 8),
-            (stage, key),
-            (stage, pay),
-            (fanout, 8),
         ]
         .map(|(elems, width)| space.alloc(elems, width));
         let mut probe = SimProbe::new(mem, &regions);
-        let clustered = ClusterScratch::new().cluster_probed(
-            oids,
-            payloads,
-            spec,
-            mode,
-            |&o| o as u64,
-            &mut probe,
-        );
+        let clustered =
+            ClusterScratch::new().cluster_probed(oids, payloads, spec, |&o| o as u64, &mut probe);
         (clustered, probe.counts())
     }
 
@@ -874,21 +627,19 @@ mod tests {
         let oids = reversed_oids(4_000);
         let payloads: Vec<u32> = (0..4_000).collect();
         // One pass, and two and three passes (every source / destination
-        // pairing), plain and buffered.
+        // pairing).
         for spec in [
             RadixClusterSpec::single_pass(5),
             RadixClusterSpec::partial(6, 2, 0),
             RadixClusterSpec::partial(6, 3, 1),
         ] {
-            for mode in [ScatterMode::Plain, ScatterMode::Buffered] {
-                let mut mem = MemorySystem::new(&CacheParams::tiny_for_tests());
-                let (probed, counts) = probed(&oids, &payloads, spec, mode, &mut mem);
-                let plain = radix_cluster_oids(&oids, &payloads, spec);
-                assert_eq!(probed.keys(), plain.keys());
-                assert_eq!(probed.payloads(), plain.payloads());
-                assert_eq!(probed.bounds(), plain.bounds());
-                assert!(counts.accesses > 0);
-            }
+            let mut mem = MemorySystem::new(&CacheParams::tiny_for_tests());
+            let (probed, counts) = probed(&oids, &payloads, spec, &mut mem);
+            let plain = radix_cluster_oids(&oids, &payloads, spec);
+            assert_eq!(probed.keys(), plain.keys());
+            assert_eq!(probed.payloads(), plain.payloads());
+            assert_eq!(probed.bounds(), plain.bounds());
+            assert!(counts.accesses > 0);
         }
     }
 
@@ -900,7 +651,7 @@ mod tests {
         let run = |bits: u32| {
             let mut mem = MemorySystem::new(&params);
             let spec = RadixClusterSpec::single_pass(bits);
-            probed(&oids, &payloads, spec, ScatterMode::Plain, &mut mem).1
+            probed(&oids, &payloads, spec, &mut mem).1
         };
         // With 1 radix bit the scatter touches 3 input streams plus 2×2 output
         // cursors and the cursor array = 8 concurrent pages, within the
@@ -917,83 +668,18 @@ mod tests {
     }
 
     #[test]
-    fn buffered_probed_cluster_matches_unprobed_and_cuts_misses() {
-        let params = CacheParams::tiny_for_tests(); // 8-entry TLB, 1 KB L1
-        let oids = reversed_oids(16_384);
-        let payloads: Vec<u32> = (0..16_384).collect();
-        // 256 output cursors: far beyond the tiny TLB and L1 line budget, so
-        // the plain scatter thrashes on every write (the regime where the
-        // planner switches to the buffered mode).
-        let spec = RadixClusterSpec::single_pass(8);
-        let expected = radix_cluster_oids(&oids, &payloads, spec);
-
-        let mut mem_plain = MemorySystem::new(&params);
-        let (plain, plain_misses) =
-            probed(&oids, &payloads, spec, ScatterMode::Plain, &mut mem_plain);
-        let mut mem_buf = MemorySystem::new(&params);
-        let (buffered, buf_misses) =
-            probed(&oids, &payloads, spec, ScatterMode::Buffered, &mut mem_buf);
-
-        // Both probed runs are byte-identical to the unprobed kernel.
-        assert_eq!(&plain, &expected);
-        assert_eq!(&buffered, &expected);
-
-        // The simulated hierarchy confirms what the buffered cost term
-        // predicts: staging shrinks the random working set, so the flushes
-        // touch the output one slot at a time instead of tuple by tuple.
-        assert!(
-            buf_misses.tlb_misses * 2 < plain_misses.tlb_misses,
-            "buffered TLB misses {} vs plain {}",
-            buf_misses.tlb_misses,
-            plain_misses.tlb_misses
-        );
-        assert!(
-            buf_misses.l2_misses < plain_misses.l2_misses,
-            "buffered L2 misses {} vs plain {}",
-            buf_misses.l2_misses,
-            plain_misses.l2_misses
-        );
-    }
-
-    #[test]
     fn probed_cluster_handles_empty_and_skewed_inputs() {
         let mut mem = MemorySystem::new(&CacheParams::tiny_for_tests());
-        for mode in [ScatterMode::Plain, ScatterMode::Buffered] {
-            let spec = RadixClusterSpec::single_pass(3);
-            let (c, counts) = probed::<u32>(&[], &[], spec, mode, &mut mem);
-            assert!(c.is_empty());
-            assert_eq!(counts.accesses, 0);
-        }
-        // All-one-cluster skew with a non-slot-multiple tail: partial
-        // flushes must drain exactly.
+        let spec = RadixClusterSpec::single_pass(3);
+        let (c, counts) = probed::<u32>(&[], &[], spec, &mut mem);
+        assert!(c.is_empty());
+        assert_eq!(counts.accesses, 0);
+        // All-one-cluster skew: every other cursor stays untouched.
         let oids = vec![0 as Oid; 77];
         let payloads: Vec<u32> = (0..77).collect();
         let spec = RadixClusterSpec::single_pass(4);
-        let (c, _) = probed(&oids, &payloads, spec, ScatterMode::Buffered, &mut mem);
+        let (c, _) = probed(&oids, &payloads, spec, &mut mem);
         assert_eq!(&c, &radix_cluster_oids(&oids, &payloads, spec));
-    }
-
-    #[test]
-    fn buffered_scatter_is_byte_identical_to_plain() {
-        let oids = shuffled_oids(10_000, 42);
-        let payloads: Vec<u32> = (0..10_000).collect();
-        let mut scratch = ClusterScratch::new();
-        for bits in [1u32, 3, 7, 10] {
-            for passes in [1u32, 2, 3] {
-                for ignore in [0u32, 2] {
-                    let spec = RadixClusterSpec::partial(bits, passes, ignore);
-                    let plain = radix_cluster_oids(&oids, &payloads, spec);
-                    let buffered =
-                        scratch.cluster_by(&oids, &payloads, spec, ScatterMode::Buffered, |&o| {
-                            o as u64
-                        });
-                    assert_eq!(
-                        buffered, plain,
-                        "bits={bits} passes={passes} ignore={ignore}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1004,36 +690,36 @@ mod tests {
         for (i, &n) in [8_192usize, 100, 3_001, 1, 513].iter().enumerate() {
             let oids = shuffled_oids(n, i as u64);
             let payloads: Vec<u32> = (0..n as u32).collect();
-            for mode in [ScatterMode::Plain, ScatterMode::Buffered, ScatterMode::Auto] {
-                let spec = RadixClusterSpec::partial(4, 2, 1);
-                let expected = radix_cluster_oids(&oids, &payloads, spec);
-                let owned = scratch.cluster_by(&oids, &payloads, spec, mode, |&o| o as u64);
-                assert_eq!(owned, expected, "n={n} mode={mode:?} (owned)");
-                let view =
-                    scratch.cluster_by_in_scratch(&oids, &payloads, spec, mode, |&o| o as u64);
-                assert_eq!(view.keys(), expected.keys(), "n={n} mode={mode:?} (view)");
-                assert_eq!(view.payloads(), expected.payloads());
-                assert_eq!(view.bounds(), expected.bounds());
-                assert_eq!(view.len(), n);
-                assert_eq!(view.num_clusters(), 16);
-            }
+            let spec = RadixClusterSpec::partial(4, 2, 1);
+            let expected = radix_cluster_oids(&oids, &payloads, spec);
+            let owned = scratch.cluster_by(&oids, &payloads, spec, |&o| o as u64);
+            assert_eq!(owned, expected, "n={n} (owned)");
+            let view = scratch.cluster_by_in_scratch(&oids, &payloads, spec, |&o| o as u64);
+            assert_eq!(view.keys(), expected.keys(), "n={n} (view)");
+            assert_eq!(view.payloads(), expected.payloads());
+            assert_eq!(view.bounds(), expected.bounds());
+            assert_eq!(view.len(), n);
+            assert_eq!(view.num_clusters(), 16);
         }
         assert!(scratch.resident_bytes() > 0);
     }
 
     #[test]
-    fn all_one_cluster_skew_flushes_partial_slots_correctly() {
-        // Every tuple lands in cluster 0 (plus a 3-element tail in another),
-        // with a total that is not a multiple of the staging slot size: the
-        // flush path must drain partial slots exactly.
-        let mut oids = vec![0 as Oid; SWWC_SLOT_ELEMS * 7 + 5];
+    fn all_one_cluster_skew_keeps_bounds_and_input_order() {
+        // Every tuple lands in cluster 0 except a 3-element tail in cluster
+        // 17: all other cursors stay empty, and each cluster keeps its
+        // tuples in input order.
+        let mut oids = vec![0 as Oid; 61];
         oids.extend([17 as Oid; 3]);
         let payloads: Vec<u32> = (0..oids.len() as u32).collect();
         let spec = RadixClusterSpec::single_pass(5);
-        let expected = radix_cluster_oids(&oids, &payloads, spec);
-        let mut scratch = ClusterScratch::new();
-        let got = scratch.cluster_by(&oids, &payloads, spec, ScatterMode::Buffered, |&o| o as u64);
-        assert_eq!(got, expected);
+        let got = ClusterScratch::new().cluster_by(&oids, &payloads, spec, |&o| o as u64);
+        let mut bounds = vec![0usize];
+        bounds.extend([61; 17]);
+        bounds.extend([64; 15]);
+        assert_eq!(got.bounds(), &bounds[..]);
+        assert_eq!(got.keys(), &oids[..]);
+        assert_eq!(got.payloads(), &payloads[..]);
     }
 
     #[test]
@@ -1043,7 +729,7 @@ mod tests {
         let spec = RadixClusterSpec::new(6, 2);
         let expected = radix_cluster(&keys, &payloads, spec);
         let mut scratch = ClusterScratch::new();
-        let view = scratch.cluster_hashed_in_scratch(&keys, &payloads, spec, ScatterMode::Auto);
+        let view = scratch.cluster_hashed_in_scratch(&keys, &payloads, spec);
         assert_eq!(view.keys(), expected.keys());
         assert_eq!(view.payloads(), expected.payloads());
         assert_eq!(view.bounds(), expected.bounds());
@@ -1065,20 +751,15 @@ mod tests {
         let oids = vec![5 as Oid, 3, 9];
         let pay = vec![0u32, 1, 2];
         let spec = RadixClusterSpec::single_pass(0);
-        let owned = scratch.cluster_by(&oids, &pay, spec, ScatterMode::Auto, |&o| o as u64);
+        let owned = scratch.cluster_by(&oids, &pay, spec, |&o| o as u64);
         assert_eq!(owned.keys(), &oids[..]);
         assert_eq!(owned.payloads(), &pay[..]);
         assert_eq!(owned.bounds(), &[0, 3]);
-        let view = scratch.cluster_oids_in_scratch(&oids, &pay, spec, ScatterMode::Auto);
+        let view = scratch.cluster_oids_in_scratch(&oids, &pay, spec);
         assert_eq!(view.keys(), &oids[..]);
         assert_eq!(view.bounds(), &[0, 3]);
         // Empty input: H empty clusters.
-        let view = scratch.cluster_oids_in_scratch(
-            &[],
-            &[],
-            RadixClusterSpec::single_pass(3),
-            ScatterMode::Auto,
-        );
+        let view = scratch.cluster_oids_in_scratch(&[], &[], RadixClusterSpec::single_pass(3));
         assert!(view.is_empty());
         assert_eq!(view.num_clusters(), 8);
         assert_eq!(view.bounds(), &[0usize; 9][..]);
@@ -1100,24 +781,20 @@ mod tests {
         let small: Vec<Oid> = (0..64).rev().collect();
         let small_pay: Vec<u32> = (0..64).collect();
         let spec = RadixClusterSpec::single_pass(3);
-        let view = scratch.cluster_oids_in_scratch(&small, &small_pay, spec, ScatterMode::Auto);
+        let view = scratch.cluster_oids_in_scratch(&small, &small_pay, spec);
         assert_eq!(view.len(), 64);
         let big: Vec<Oid> = (0..4_096).rev().collect();
         let big_pay: Vec<u32> = (0..4_096).collect();
-        let owned = scratch.cluster_by(
-            &big,
-            &big_pay,
-            RadixClusterSpec::single_pass(6),
-            ScatterMode::Auto,
-            |&o| o as u64,
-        );
+        let owned = scratch.cluster_by(&big, &big_pay, RadixClusterSpec::single_pass(6), |&o| {
+            o as u64
+        });
         assert_eq!(owned.len(), 4_096);
         assert!(
             scratch.view().is_none(),
             "stale view must not survive an owned run"
         );
         // A fresh in-scratch run re-establishes a coherent view.
-        let view = scratch.cluster_oids_in_scratch(&small, &small_pay, spec, ScatterMode::Auto);
+        let view = scratch.cluster_oids_in_scratch(&small, &small_pay, spec);
         assert_eq!(
             view.to_clustered(),
             radix_cluster_oids(&small, &small_pay, spec)
@@ -1125,23 +802,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_buffers_only_beyond_the_default_budget() {
-        assert!(!ScatterMode::Auto.buffered_for(DEFAULT_SCATTER_CURSOR_BUDGET));
-        assert!(ScatterMode::Auto.buffered_for(DEFAULT_SCATTER_CURSOR_BUDGET + 1));
-        assert!(!ScatterMode::Plain.buffered_for(usize::MAX));
-        assert!(ScatterMode::Buffered.buffered_for(2));
-        assert_eq!(ScatterMode::default(), ScatterMode::Auto);
-    }
-
-    #[test]
     fn cursor_budgets_match_the_paper_platform() {
         let p = CacheParams::paper_pentium4();
         // 4096 L2 lines / 2 = 2048 — exactly the documented default.
         assert_eq!(scatter_cursor_budget(&p), DEFAULT_SCATTER_CURSOR_BUDGET);
-        // Oid pairs (4 + 4 bytes): 256 KB of staging budget / 64-byte slots.
-        assert_eq!(buffered_cursor_budget(8, &p), 4096);
-        // Wider pairs shrink the buffered reach.
-        assert!(buffered_cursor_budget(16, &p) < buffered_cursor_budget(8, &p));
     }
 
     /// The packing rule: a cache share large enough for one cluster to span
@@ -1158,13 +822,13 @@ mod tests {
         let n = (1 << 17) + 3;
         let unraised = RadixClusterSpec::optimal_partial(n, 4, p.cache_capacity());
         assert_eq!((unraised.bits, unraised.ignore), (1, 17));
-        let (spec, _) = plan_partial_cluster(n, 4, OID_PAIR_BYTES, &p);
+        let spec = plan_partial_cluster(n, 4, &p);
         assert_eq!((spec.bits, spec.ignore), (2, PACKED_LOW_BITS));
         assert_eq!(spec.bits + spec.ignore, significant_bits(n));
         // The benchmark's 128 KB share is below the rule: nothing moves.
         let share = p.per_query_share(4);
         for tuples in [6_000usize, 40_000, 200_000, 1_000_000] {
-            let (planned, _) = plan_partial_cluster(tuples, 4, OID_PAIR_BYTES, &share);
+            let planned = plan_partial_cluster(tuples, 4, &share);
             let base = RadixClusterSpec::optimal_partial(tuples, 4, share.cache_capacity());
             assert_eq!((planned.bits, planned.ignore), (base.bits, base.ignore));
             assert!(planned.ignore <= PACKED_LOW_BITS, "{tuples}");
@@ -1174,23 +838,5 @@ mod tests {
         let clustered = radix_cluster_oids(&oids, &oids, spec);
         let keys = clustered.keys().to_vec();
         assert_eq!(PackedOids::pack(clustered).0.to_oids(), keys);
-    }
-
-    #[test]
-    fn plan_cluster_passes_prefers_one_buffered_pass_over_two_plain() {
-        let p = CacheParams::paper_pentium4();
-        // Within the plain budget: one plain pass.
-        assert_eq!(plan_cluster_passes(10, 8, &p), (1, ScatterMode::Plain));
-        assert_eq!(plan_cluster_passes(11, 8, &p), (1, ScatterMode::Plain));
-        // Beyond plain but within the staging budget: ONE buffered pass
-        // where the seed rule (`bits > 11 → 2 passes`) planned two.
-        assert_eq!(plan_cluster_passes(12, 8, &p), (1, ScatterMode::Buffered));
-        // Beyond both budgets: multi-pass plain, each pass within budget.
-        let (passes, mode) = plan_cluster_passes(20, 8, &p);
-        assert_eq!(mode, ScatterMode::Plain);
-        assert_eq!(passes, 2);
-        assert!(20u32.div_ceil(passes) <= 11);
-        // Degenerate.
-        assert_eq!(plan_cluster_passes(0, 8, &p), (1, ScatterMode::Plain));
     }
 }

@@ -15,7 +15,7 @@ mod hash_table;
 pub use hash_table::HashTable;
 
 use crate::cluster::{
-    passes_for_budget, radix_cluster_with_scratch, ClusterScratch, RadixClusterSpec, ScatterMode,
+    passes_for_budget, radix_cluster_with_scratch, ClusterScratch, RadixClusterSpec,
     DEFAULT_SCATTER_CURSOR_BUDGET, TLB_BOUNDED_FANOUT,
 };
 use rdx_dsm::{JoinIndex, Oid};
@@ -76,9 +76,8 @@ impl PartitionJoiner {
         if split.bits == 0 || larger.0.is_empty() || smaller.0.is_empty() {
             return table.join_into(larger, smaller, out);
         }
-        let auto = ScatterMode::Auto;
-        let l = (self.larger).cluster_hashed_in_scratch(larger.0, larger.1, split, auto);
-        let s = (self.smaller).cluster_hashed_in_scratch(smaller.0, smaller.1, split, auto);
+        let l = (self.larger).cluster_hashed_in_scratch(larger.0, larger.1, split);
+        let s = (self.smaller).cluster_hashed_in_scratch(smaller.0, smaller.1, split);
         for q in 0..split.num_clusters() {
             table.join_into(l.cluster(q), s.cluster(q), out);
         }
@@ -109,10 +108,10 @@ pub fn partitioned_hash_join(
     if spec.bits == 0 {
         joiner.join(larger, smaller, &mut out);
     } else {
-        let (first, plain) = (join_first_pass(spec), ScatterMode::Plain);
+        let first = join_first_pass(spec);
         let mut scratch = ClusterScratch::new();
-        let larger = radix_cluster_with_scratch(larger.0, larger.1, first, plain, &mut scratch);
-        let smaller = radix_cluster_with_scratch(smaller.0, smaller.1, first, plain, &mut scratch);
+        let larger = radix_cluster_with_scratch(larger.0, larger.1, first, &mut scratch);
+        let smaller = radix_cluster_with_scratch(smaller.0, smaller.1, first, &mut scratch);
         drop((scratch, oids));
         for p in 0..first.num_clusters() {
             joiner.join(larger.cluster(p), smaller.cluster(p), &mut out);

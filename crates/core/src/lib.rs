@@ -48,9 +48,8 @@ pub mod strategy;
 
 pub use budget::{BudgetError, MemoryBudget};
 pub use cluster::{
-    plan_cluster_passes, radix_cluster, radix_cluster_oids_with_scratch,
-    radix_cluster_with_scratch, radix_count, radix_sort_oids, scatter_cursor_budget,
-    ClusterScratch, Clustered, RadixClusterSpec, ScatterMode,
+    radix_cluster, radix_cluster_oids_with_scratch, radix_cluster_with_scratch, radix_count,
+    radix_sort_oids, scatter_cursor_budget, ClusterScratch, Clustered, RadixClusterSpec,
 };
 pub use decluster::chunks::{ChunkCursorState, ChunkRuns};
 pub use decluster::{

@@ -9,11 +9,9 @@
 //! both sides tuple by tuple and is a different algorithm, not this contract.)
 
 use crate::cluster::{
-    plan_cluster_passes, plan_partial_cluster, radix_cluster_oids_with_scratch, ClusterScratch,
-    RadixClusterSpec, OID_PAIR_BYTES,
+    plan_partial_cluster, radix_cluster_oids_with_scratch, radix_sort_spec_for, ClusterScratch,
 };
 use crate::decluster::{choose_window_bytes, radix_decluster};
-use crate::hash::significant_bits;
 use crate::positional::AttrSource;
 use rdx_cache::CacheParams;
 use rdx_dsm::{JoinIndex, Oid};
@@ -75,29 +73,23 @@ pub fn order_join_index(
     match code {
         ProjectionCode::Unsorted => (join_index.larger().to_vec(), join_index.smaller().to_vec()),
         ProjectionCode::Sorted => {
-            // Radix-Sort on all significant bits, with passes and scatter
-            // mode from the same `plan_cluster_passes` rule the cost
-            // planner prices — priced and executed pass structures match.
-            let bits = significant_bits(first_cardinality);
-            let (passes, mode) = plan_cluster_passes(bits, OID_PAIR_BYTES, params);
+            // Radix-Sort on all significant bits, with the pass count the
+            // cost planner prices — priced and executed pass structures
+            // match.
             let sorted = radix_cluster_oids_with_scratch(
                 join_index.larger(),
                 join_index.smaller(),
-                RadixClusterSpec::partial(bits, passes, 0),
-                mode,
+                radix_sort_spec_for(first_cardinality, params),
                 &mut ClusterScratch::new(),
             );
             let (keys, payloads, _) = sorted.into_parts();
             (keys, payloads)
         }
         ProjectionCode::PartialCluster => {
-            let (spec, mode) =
-                plan_partial_cluster(first_cardinality, value_width, OID_PAIR_BYTES, params);
             let clustered = radix_cluster_oids_with_scratch(
                 join_index.larger(),
                 join_index.smaller(),
-                spec,
-                mode,
+                plan_partial_cluster(first_cardinality, value_width, params),
                 &mut ClusterScratch::new(),
             );
             let (keys, payloads, _) = clustered.into_parts();
@@ -138,14 +130,11 @@ pub fn project_second_side_decluster(
     params: &CacheParams,
 ) -> (Vec<Vec<i32>>, usize) {
     let n = second_oids_in_result_order.len();
-    let (spec, mode) =
-        plan_partial_cluster(second_cardinality, value_width, OID_PAIR_BYTES, params);
     let result_positions: Vec<Oid> = (0..n as Oid).collect();
     let clustered = radix_cluster_oids_with_scratch(
         second_oids_in_result_order,
         &result_positions,
-        spec,
-        mode,
+        plan_partial_cluster(second_cardinality, value_width, params),
         &mut ClusterScratch::new(),
     );
     let window = choose_window_bytes(value_width, clustered.num_clusters(), params);

@@ -12,7 +12,7 @@
 
 use crate::budget::MemoryBudget;
 use crate::cluster::{
-    plan_cluster_passes, plan_partial_cluster, RadixClusterSpec, ScatterMode, OID_PAIR_BYTES,
+    passes_for_budget, plan_partial_cluster, scatter_cursor_budget, RadixClusterSpec,
 };
 use crate::decluster::choose_window_bytes;
 use crate::hash::significant_bits;
@@ -26,22 +26,13 @@ use rdx_dsm::DsmRelation;
 /// Value width of the paper's integer attribute columns.
 const VALUE_WIDTH: usize = 4;
 
-/// Predicted cost of radix-clustering `region` into `2^bits` clusters, with
-/// the pass count and plain/buffered scatter chosen by
-/// [`plan_cluster_passes`] — so the planner prices exactly the pass
-/// structure the kernels will run, including the "one buffered pass instead
-/// of two plain ones" move.
+/// Predicted cost of radix-clustering `region` into `2^bits` clusters, in
+/// the passes [`passes_for_budget`] splits them into under
+/// [`scatter_cursor_budget`] — so the planner prices exactly the pass
+/// structure the kernels will run.
 fn cluster_cost_millis(region: DataRegion, bits: u32, params: &CacheParams) -> f64 {
-    let (passes, mode) = plan_cluster_passes(bits, OID_PAIR_BYTES, params);
-    match mode {
-        ScatterMode::Plain | ScatterMode::Auto => {
-            cost::radix_cluster(region, bits, passes, params).millis(params)
-        }
-        ScatterMode::Buffered => {
-            cost::radix_cluster_buffered(region, bits, passes, OID_PAIR_BYTES, params)
-                .millis(params)
-        }
-    }
+    let passes = passes_for_budget(bits, scatter_cursor_budget(params));
+    cost::radix_cluster(region, bits, passes, params).millis(params)
 }
 
 /// Predicted cost (milliseconds on the modeled platform) of the *projection
@@ -216,12 +207,6 @@ pub struct StreamingPlan {
     /// [`predict_streaming_cost`] (which prices it), so the two can never
     /// drift apart.
     pub cluster_spec: RadixClusterSpec,
-    /// How that clustering scatters: plain cursors, or software
-    /// write-combining once the fan-out exceeds the plain cursor budget
-    /// (see [`plan_cluster_passes`]).  Chosen together with
-    /// `cluster_spec.passes` by [`crate::cluster::plan_partial_cluster`];
-    /// has no effect on the produced bytes, only on how fast they appear.
-    pub scatter: ScatterMode,
 }
 
 impl StreamingPlan {
@@ -267,12 +252,7 @@ pub fn plan_streaming(
     let bytes_per_row = streaming_bytes_per_row(spec);
     let chunk_rows = budget.chunk_rows(result_rows, bytes_per_row);
     let num_chunks = budget.num_chunks(result_rows, bytes_per_row);
-    let (cluster_spec, scatter) = plan_partial_cluster(
-        smaller_tuples,
-        smaller_value_width.max(1),
-        OID_PAIR_BYTES,
-        params,
-    );
+    let cluster_spec = plan_partial_cluster(smaller_tuples, smaller_value_width.max(1), params);
     let window = choose_window_bytes(
         VALUE_WIDTH,
         cluster_spec.num_clusters(),
@@ -285,7 +265,6 @@ pub fn plan_streaming(
         window_bytes,
         bytes_per_row,
         cluster_spec,
-        scatter,
     }
 }
 
@@ -306,20 +285,7 @@ pub fn predict_streaming_cost(
     let smaller_col = DataRegion::new(smaller_tuples, VALUE_WIDTH);
     let join_index = DataRegion::new(result_tuples, 8);
     let bits = plan.cluster_spec.bits;
-    let cluster_millis = match plan.scatter {
-        ScatterMode::Plain | ScatterMode::Auto => {
-            cost::radix_cluster(join_index, bits, plan.cluster_spec.passes, params).millis(params)
-        }
-        ScatterMode::Buffered => cost::radix_cluster_buffered(
-            join_index,
-            bits,
-            plan.cluster_spec.passes,
-            OID_PAIR_BYTES,
-            params,
-        )
-        .millis(params),
-    };
-    cluster_millis
+    cost::radix_cluster(join_index, bits, plan.cluster_spec.passes, params).millis(params)
         + spec.project_smaller as f64
             * (cost::positional_join_clustered(
                 result_tuples,
@@ -344,9 +310,7 @@ pub fn predict_streaming_cost(
 /// of `column_tuples` integer values: [`plan_partial_cluster`]'s, so the
 /// priced and the executed clusterings are one rule.
 fn partial_cluster_bits(column_tuples: usize, params: &CacheParams) -> u32 {
-    plan_partial_cluster(column_tuples, VALUE_WIDTH, OID_PAIR_BYTES, params)
-        .0
-        .bits
+    plan_partial_cluster(column_tuples, VALUE_WIDTH, params).bits
 }
 
 #[cfg(test)]
@@ -497,55 +461,6 @@ mod tests {
         );
         assert_eq!(clamped.chunk_rows, 1);
         assert_eq!(clamped.num_chunks, 1_000);
-    }
-
-    #[test]
-    fn streaming_plan_switches_to_one_buffered_pass_beyond_the_cursor_budget() {
-        let params = CacheParams::paper_pentium4();
-        let spec = QuerySpec::symmetric(1);
-        // Small smaller relation: few clusters, plain scatter, one pass.
-        let plain = plan_streaming(
-            1_000_000,
-            1_000_000,
-            4,
-            &spec,
-            &params,
-            MemoryBudget::unbounded(),
-            1,
-        );
-        assert_eq!(plain.scatter, ScatterMode::Plain);
-        assert_eq!(plain.cluster_spec.passes, 1);
-        // A smaller relation of 8-byte records needing 2^12 clusters (of at
-        // most 2^16 oids each): beyond the 2048-cursor plain budget, within
-        // the write-combining staging budget — the planner now runs ONE
-        // buffered pass where the seed rule ran two plain ones, and prices
-        // it with the buffered cost term.
-        let buffered = plan_streaming(
-            1_000_000,
-            150_000_000,
-            8,
-            &spec,
-            &params,
-            MemoryBudget::unbounded(),
-            1,
-        );
-        assert_eq!(buffered.cluster_spec.bits, 12);
-        assert_eq!(buffered.scatter, ScatterMode::Buffered);
-        assert_eq!(buffered.cluster_spec.passes, 1);
-        // The buffered prediction undercuts the same plan priced as the
-        // seed's two plain passes.
-        let seed_style = StreamingPlan {
-            cluster_spec: RadixClusterSpec {
-                passes: 2,
-                ..buffered.cluster_spec
-            },
-            scatter: ScatterMode::Plain,
-            ..buffered
-        };
-        let n = 1_000_000;
-        let fast = predict_streaming_cost(&buffered, 150_000_000, n, &spec, &params);
-        let slow = predict_streaming_cost(&seed_style, 150_000_000, n, &spec, &params);
-        assert!(fast < slow, "buffered {fast} vs seed-style {slow}");
     }
 
     #[test]

@@ -27,7 +27,9 @@ pub const JOIN_FIRST_PASS_BITS: u32 = 5;
 /// Every pass reads the whole input sequentially and appends to `2^{B_p}`
 /// output cursors; once the cursor count exceeds the cache-line or TLB budget
 /// the nest term degrades to per-tuple random misses (the thrashing that
-/// motivates multi-pass clustering, §2.1/§2.2).
+/// motivates multi-pass clustering, §2.1/§2.2).  This plain scatter is the
+/// only one the kernels run: a fan-out past the cursor budget is priced,
+/// and run, as more passes.
 pub fn radix_cluster(
     input: DataRegion,
     bits: u32,
@@ -48,71 +50,6 @@ pub fn radix_cluster(
         let read = patterns::s_trav(&input, params);
         let write = patterns::nest(&input, partitions, params);
         total.accumulate(&concurrent(&[read, write]));
-    }
-    total
-}
-
-/// Elements per software-write-combining staging slot, mirroring the kernel
-/// constant `rdx_core::cluster::SWWC_SLOT_ELEMS` (the two are asserted equal
-/// by the workspace conformance tests; `rdx-cost` cannot depend on
-/// `rdx-core` without a cycle).
-pub const SWWC_SLOT_ELEMS: usize = 8;
-
-/// Cost of `radix_cluster` run with the **software write-combining** scatter
-/// (`rdx_core::cluster::ScatterMode::Buffered`): tuples are staged in
-/// per-cluster cache-line slots and flushed as full-slot copies.
-///
-/// Per pass, against the plain [`radix_cluster`] model:
-///
-/// * the sequential input read is unchanged;
-/// * the per-tuple random writes move from the `2^B`-cursor output `nest`
-///   (which thrashes once the cursors exceed the line/TLB budget) to the
-///   **staging area** of `2^B · SWWC_SLOT_ELEMS · pair_bytes` bytes — cheap
-///   while that fits the cache, the whole point of the trick;
-/// * the output is written by flushes: line-granular sequential traffic
-///   plus one cursor re-visit per flushed slot (`N / SWWC_SLOT_ELEMS`
-///   random touches instead of `N`);
-/// * one extra CPU copy per tuple (stage then flush).
-///
-/// The crossover this predicts — buffered cheaper than plain exactly when
-/// the fan-out exceeds the plain cursor budget but the staging area still
-/// fits — is what `rdx_core::cluster::plan_cluster_passes` encodes
-/// geometrically, and what the shipped scatter reproduces in simulated miss
-/// counts when run under an `rdx-cache` probe.
-pub fn radix_cluster_buffered(
-    input: DataRegion,
-    bits: u32,
-    passes: u32,
-    pair_bytes: usize,
-    params: &CacheParams,
-) -> PatternCost {
-    if bits == 0 || passes == 0 {
-        return PatternCost::zero();
-    }
-    let passes = passes.min(bits);
-    let mut per_pass_bits = vec![bits / passes; passes as usize];
-    for bp in per_pass_bits.iter_mut().take((bits % passes) as usize) {
-        *bp += 1;
-    }
-    let mut total = PatternCost::zero();
-    for bp in per_pass_bits {
-        let partitions = 1usize << bp;
-        let read = patterns::s_trav(&input, params);
-        // All staged writes land in the compact staging area…
-        let stage = DataRegion::new(partitions * SWWC_SLOT_ELEMS, pair_bytes.max(1));
-        let staging = patterns::r_acc(input.tuples, &stage, params);
-        // …and reach the output slot-at-a-time: sequential line traffic plus
-        // one cursor re-visit per flush.
-        let mut flush = patterns::s_trav(&input, params);
-        flush.accumulate(&patterns::r_acc(
-            input.tuples.div_ceil(SWWC_SLOT_ELEMS),
-            &input,
-            params,
-        ));
-        // The staged copy costs one extra CPU touch per tuple.
-        let mut pass_cost = concurrent(&[read, staging, flush]);
-        pass_cost.cpu_cycles += input.tuples as f64 * CPU_CYCLES_PER_ITEM;
-        total.accumulate(&pass_cost);
     }
     total
 }
@@ -438,45 +375,6 @@ mod tests {
         // Two passes tame the 16-bit clustering.
         let two_pass = radix_cluster(input, 16, 2, &p).millis(&p);
         assert!(two_pass < thrash);
-    }
-
-    #[test]
-    fn buffered_scatter_beats_thrashing_plain_and_loses_below_the_budget() {
-        let p = params();
-        let input = DataRegion::new(MB8, 8);
-        // 2^14 cursors thrash a plain single pass; the 2^14 · 64-byte staging
-        // area (1 MB > L2) is also too big — but at 2^12 staging fits and
-        // buffered must win while plain still thrashes.
-        let plain_12 = radix_cluster(input, 12, 1, &p).millis(&p);
-        let buffered_12 = radix_cluster_buffered(input, 12, 1, 8, &p).millis(&p);
-        assert!(
-            buffered_12 < plain_12 / 2.0,
-            "buffered {buffered_12} vs plain {plain_12}"
-        );
-        // One buffered pass also beats the two plain passes the seed kernel
-        // would have used — the planner's `1 buffered ≻ 2 plain` move.
-        let two_plain = radix_cluster(input, 12, 2, &p).millis(&p);
-        assert!(
-            buffered_12 < two_plain,
-            "buffered {buffered_12} vs two plain passes {two_plain}"
-        );
-        // With the cursor set fully resident (within even the TLB budget)
-        // the staging copy and flush re-visits are pure overhead.
-        let plain_5 = radix_cluster(input, 5, 1, &p).millis(&p);
-        let buffered_5 = radix_cluster_buffered(input, 5, 1, 8, &p).millis(&p);
-        assert!(
-            buffered_5 > plain_5,
-            "buffered {buffered_5} vs plain {plain_5}"
-        );
-        // Degenerate inputs cost nothing.
-        assert_eq!(
-            radix_cluster_buffered(input, 0, 1, 8, &p),
-            PatternCost::zero()
-        );
-        assert_eq!(
-            radix_cluster_buffered(input, 4, 0, 8, &p),
-            PatternCost::zero()
-        );
     }
 
     #[test]

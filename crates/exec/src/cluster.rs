@@ -20,7 +20,7 @@
 
 use crate::pool::{partition_ranges, ExecPolicy};
 use rdx_core::cluster::{
-    radix_sort_spec, ClusterScratch, Clustered, RadixClusterSpec, ScatterMode, ScratchClustered,
+    radix_sort_spec, ClusterScratch, Clustered, RadixClusterSpec, ScratchClustered,
 };
 use rdx_dsm::Oid;
 
@@ -58,27 +58,18 @@ pub fn par_radix_cluster<P: Copy + Send + Sync>(
     spec: RadixClusterSpec,
     policy: &ExecPolicy,
 ) -> Clustered<u64, P> {
-    par_radix_cluster_with_scratch(
-        keys,
-        payloads,
-        spec,
-        ScatterMode::Auto,
-        policy,
-        &mut ParClusterScratch::new(),
-    )
+    par_radix_cluster_with_scratch(keys, payloads, spec, policy, &mut ParClusterScratch::new())
 }
 
-/// [`par_radix_cluster`] with an explicit scatter mode and reusable
-/// per-worker arenas.
+/// [`par_radix_cluster`] with reusable per-worker arenas.
 pub fn par_radix_cluster_with_scratch<P: Copy + Send + Sync>(
     keys: &[u64],
     payloads: &[P],
     spec: RadixClusterSpec,
-    mode: ScatterMode,
     policy: &ExecPolicy,
     scratch: &mut ParClusterScratch<u64, P>,
 ) -> Clustered<u64, P> {
-    par_cluster_impl(keys, payloads, spec, mode, policy, scratch, |&k| {
+    par_cluster_impl(keys, payloads, spec, policy, scratch, |&k| {
         rdx_core::hash::hash_key(k)
     })
 }
@@ -94,27 +85,18 @@ pub fn par_radix_cluster_oids<P: Copy + Send + Sync>(
     spec: RadixClusterSpec,
     policy: &ExecPolicy,
 ) -> Clustered<Oid, P> {
-    par_radix_cluster_oids_with_scratch(
-        oids,
-        payloads,
-        spec,
-        ScatterMode::Auto,
-        policy,
-        &mut ParClusterScratch::new(),
-    )
+    par_radix_cluster_oids_with_scratch(oids, payloads, spec, policy, &mut ParClusterScratch::new())
 }
 
-/// [`par_radix_cluster_oids`] with an explicit scatter mode and reusable
-/// per-worker arenas.
+/// [`par_radix_cluster_oids`] with reusable per-worker arenas.
 pub fn par_radix_cluster_oids_with_scratch<P: Copy + Send + Sync>(
     oids: &[Oid],
     payloads: &[P],
     spec: RadixClusterSpec,
-    mode: ScatterMode,
     policy: &ExecPolicy,
     scratch: &mut ParClusterScratch<Oid, P>,
 ) -> Clustered<Oid, P> {
-    par_cluster_impl(oids, payloads, spec, mode, policy, scratch, |&o| o as u64)
+    par_cluster_impl(oids, payloads, spec, policy, scratch, |&o| o as u64)
 }
 
 /// Parallel Radix-Sort of an oid column: all significant bits, no ignore
@@ -132,7 +114,6 @@ fn par_cluster_impl<K, P, F>(
     keys: &[K],
     payloads: &[P],
     spec: RadixClusterSpec,
-    mode: ScatterMode,
     policy: &ExecPolicy,
     scratch: &mut ParClusterScratch<K, P>,
     bucket_of: F,
@@ -151,7 +132,7 @@ where
             .resize_with(threads.max(1), ClusterScratch::new);
     }
     if threads == 1 || n == 0 || spec.bits == 0 {
-        return scratch.workers[0].cluster_by(keys, payloads, spec, mode, bucket_of);
+        return scratch.workers[0].cluster_by(keys, payloads, spec, bucket_of);
     }
 
     // Phase 1 — per-worker local clustering: each worker runs the full
@@ -164,7 +145,7 @@ where
         for (worker, range) in scratch.workers.iter_mut().zip(&shards) {
             let r = range.clone();
             scope.spawn(move || {
-                worker.cluster_by_in_scratch(&keys[r.clone()], &payloads[r], spec, mode, bucket_of);
+                worker.cluster_by_in_scratch(&keys[r.clone()], &payloads[r], spec, bucket_of);
             });
         }
     });
@@ -250,37 +231,6 @@ mod tests {
             let got = par_radix_cluster(&keys, &payloads, spec, &ExecPolicy::with_threads(threads));
             assert_eq!(got, expected, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn buffered_parallel_equals_sequential_across_scratch_reuse() {
-        // One scratch pool across many (spec, mode, threads) calls — the
-        // serving layer's reuse pattern — must stay byte-identical to the
-        // sequential kernel throughout.
-        let mut scratch = ParClusterScratch::new();
-        let oids = shuffled_oids(9_000, 17);
-        let payloads: Vec<u32> = (0..9_000).collect();
-        for spec in [
-            RadixClusterSpec::single_pass(5),
-            RadixClusterSpec::partial(8, 2, 1),
-            RadixClusterSpec::single_pass(0),
-        ] {
-            let expected = radix_cluster_oids(&oids, &payloads, spec);
-            for mode in [ScatterMode::Plain, ScatterMode::Buffered, ScatterMode::Auto] {
-                for threads in [1usize, 3, 4] {
-                    let got = par_radix_cluster_oids_with_scratch(
-                        &oids,
-                        &payloads,
-                        spec,
-                        mode,
-                        &ExecPolicy::with_threads(threads),
-                        &mut scratch,
-                    );
-                    assert_eq!(got, expected, "spec={spec:?} mode={mode:?} t={threads}");
-                }
-            }
-        }
-        assert!(scratch.resident_bytes() > 0);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use cluster::{
 pub use decluster::{par_radix_decluster, par_radix_decluster_into};
 pub use join::par_partitioned_hash_join;
 pub use pipeline::{
-    cluster_plan_for, cluster_spec_for, BoxedSource, ChunkScratch, DsmPipelineRun, PipelineRun,
-    PipelineStats, PreparedProjection, ProjectionPipeline,
+    cluster_spec_for, BoxedSource, ChunkScratch, DsmPipelineRun, PipelineRun, PipelineStats,
+    PreparedProjection, ProjectionPipeline,
 };
 pub use pool::{ExecPolicy, MorselQueue, WorkerPanic};

@@ -66,7 +66,7 @@ use crate::strategy::{
     par_gather_into, par_order_join_index, par_partial_cluster_join_index, par_project_columns_into,
 };
 use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, NoProbe, Region, SimProbe};
-use rdx_core::cluster::{plan_partial_cluster, PackedOids, RadixClusterSpec, ScatterMode};
+use rdx_core::cluster::{plan_partial_cluster, PackedOids, RadixClusterSpec};
 use rdx_core::decluster::chunks::{ChunkCursorState, ChunkRuns};
 use rdx_core::decluster::{probe_regions, DeclusterScratch};
 use rdx_core::error::{check_projection_widths, RdxError};
@@ -87,31 +87,14 @@ use std::time::Instant;
 const VALUE_WIDTH: usize = 4;
 
 /// The second-side clustering spec the streaming pipeline uses for a
-/// smaller relation of `smaller_tuples` tuples of 4-byte DSM values — the
-/// §3.1 `optimal_partial` rule against the given cache.
+/// smaller relation of `smaller_tuples` tuples of 4-byte DSM values:
+/// [`plan_partial_cluster`], the same call `plan_streaming` makes.
 ///
 /// Exposed so layers that must *name* the clustering without building it —
 /// the serving layer's clustered-index cache key — derive it from the same
 /// function [`ProjectionPipeline::prepare`] uses, and cannot drift.
 pub fn cluster_spec_for(smaller_tuples: usize, params: &CacheParams) -> RadixClusterSpec {
-    cluster_plan_for(smaller_tuples, params).0
-}
-
-/// [`cluster_spec_for`] together with the scatter mode the clustering runs
-/// with (plain cursors vs. software write-combining), both derived by
-/// [`plan_partial_cluster`] — the same call `plan_streaming` makes, so the
-/// executed clustering, the priced one and the serving layer's cache keys
-/// all agree.
-pub fn cluster_plan_for(
-    smaller_tuples: usize,
-    params: &CacheParams,
-) -> (RadixClusterSpec, ScatterMode) {
-    plan_partial_cluster(
-        smaller_tuples,
-        VALUE_WIDTH,
-        rdx_core::cluster::OID_PAIR_BYTES,
-        params,
-    )
+    plan_partial_cluster(smaller_tuples, VALUE_WIDTH, params)
 }
 
 /// A planned streaming projection: the `u/s/c × u/d` codes of the underlying
@@ -996,10 +979,10 @@ impl ProjectionPipeline {
         // CLUST_SMALLER / CLUST_RESULT floor the chunks stream over), on the
         // §3.1 spec `plan_streaming` also derives — the same
         // `plan_partial_cluster` rule, so prepared prefix and streaming plan
-        // can never drift apart, including the pass count and the
-        // plain/buffered scatter choice.  Counted as decluster time.
+        // can never drift apart, including the pass count.  Counted as
+        // decluster time.
         let n = first.len();
-        let (cluster_spec, scatter) = cluster_plan_for(smaller_cardinality, params);
+        let cluster_spec = cluster_spec_for(smaller_cardinality, params);
         let t = Instant::now();
         let second = match self.plan.second_side {
             SecondSideCode::Decluster => {
@@ -1008,7 +991,6 @@ impl ProjectionPipeline {
                     &second_oids,
                     &result_positions,
                     cluster_spec,
-                    scatter,
                     policy,
                     &mut ParClusterScratch::new(),
                 ));

@@ -8,10 +8,7 @@
 use crate::cluster::{par_radix_cluster_oids_with_scratch, ParClusterScratch};
 use crate::pool::{for_each_output_morsel, ExecPolicy};
 use rdx_cache::CacheParams;
-use rdx_core::cluster::{
-    plan_cluster_passes, plan_partial_cluster, Clustered, RadixClusterSpec, OID_PAIR_BYTES,
-};
-use rdx_core::hash::significant_bits;
+use rdx_core::cluster::{plan_partial_cluster, radix_sort_spec_for, Clustered};
 use rdx_core::positional::{AttrSource, OidBlock};
 use rdx_core::strategy::ProjectionCode;
 use rdx_dsm::{JoinIndex, Oid};
@@ -31,15 +28,11 @@ pub fn par_order_join_index(
     match code {
         ProjectionCode::Unsorted => (join_index.larger().to_vec(), join_index.smaller().to_vec()),
         ProjectionCode::Sorted => {
-            // Radix-Sort with passes and scatter mode from the same
-            // `plan_cluster_passes` rule the cost planner prices.
-            let bits = significant_bits(first_cardinality);
-            let (passes, mode) = plan_cluster_passes(bits, OID_PAIR_BYTES, params);
+            // Radix-Sort with the pass count the cost planner prices.
             let sorted = par_radix_cluster_oids_with_scratch(
                 join_index.larger(),
                 join_index.smaller(),
-                RadixClusterSpec::partial(bits, passes, 0),
-                mode,
+                radix_sort_spec_for(first_cardinality, params),
                 policy,
                 &mut ParClusterScratch::new(),
             );
@@ -64,12 +57,10 @@ pub fn par_partial_cluster_join_index(
     params: &CacheParams,
     policy: &ExecPolicy,
 ) -> Clustered<Oid, Oid> {
-    let (spec, mode) = plan_partial_cluster(first_cardinality, VALUE_WIDTH, OID_PAIR_BYTES, params);
     par_radix_cluster_oids_with_scratch(
         join_index.larger(),
         join_index.smaller(),
-        spec,
-        mode,
+        plan_partial_cluster(first_cardinality, VALUE_WIDTH, params),
         policy,
         &mut ParClusterScratch::new(),
     )

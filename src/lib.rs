@@ -102,9 +102,9 @@ pub mod prelude {
     pub use rdx_cache::{CacheParams, MemorySystem, NoProbe};
     pub use rdx_core::budget::{BudgetError, MemoryBudget};
     pub use rdx_core::cluster::{
-        plan_cluster_passes, plan_partial_cluster, radix_cluster, radix_cluster_oids,
-        radix_cluster_oids_with_scratch, radix_cluster_with_scratch, scatter_cursor_budget,
-        ClusterScratch, RadixClusterSpec, ScatterMode, ScratchClustered,
+        radix_cluster, radix_cluster_oids, radix_cluster_oids_with_scratch,
+        radix_cluster_with_scratch, scatter_cursor_budget, ClusterScratch, RadixClusterSpec,
+        ScratchClustered,
     };
     pub use rdx_core::decluster::{
         radix_decluster, radix_decluster_into, radix_decluster_windows_with_scratch,
@@ -142,4 +142,20 @@ pub mod prelude {
         self as workload, BudgetedWorkload, JoinWorkloadBuilder, MixConfig, QueryMix,
         RelationBuilder,
     };
+
+    /// [`rdx_core::cluster::plan_partial_cluster`] in the four-argument
+    /// shape it had while a scatter mode rode along: `_pair_bytes` is
+    /// ignored and the second result is `()`.  It keeps the `benchmark/`
+    /// package, which calls `let (spec, _) = plan_partial_cluster(n, 4, 8,
+    /// &params)`, compiling; it is the only place that shape survives, and
+    /// new code calls the core function.
+    pub fn plan_partial_cluster(
+        column_tuples: usize,
+        value_width: usize,
+        _pair_bytes: usize,
+        params: &CacheParams,
+    ) -> (RadixClusterSpec, ()) {
+        let spec = rdx_core::cluster::plan_partial_cluster(column_tuples, value_width, params);
+        (spec, ())
+    }
 }

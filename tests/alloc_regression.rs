@@ -11,7 +11,6 @@
 //! buffers fails loudly, and the bytes a warm one-chunk query allocates, so
 //! a result copied instead of handed over fails too.
 
-use radix_decluster::core::cluster::SWWC_SLOT_ELEMS;
 use radix_decluster::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -369,34 +368,27 @@ fn cluster_with_scratch_allocates_only_the_output() {
     let payloads: Vec<Oid> = (0..50_000).collect();
     let spec = RadixClusterSpec::partial(6, 2, 0);
     let mut scratch = ClusterScratch::new();
-    for mode in [ScatterMode::Plain, ScatterMode::Buffered] {
-        // Warm-up grows the arena (the buffered mode additionally owns its
-        // staging buffers, so each mode warms its own working set).
-        let _ = radix_cluster_oids_with_scratch(&oids, &payloads, spec, mode, &mut scratch);
-        let mut out = None;
-        let allocs = allocations_during(|| {
-            out = Some(radix_cluster_oids_with_scratch(
-                &oids,
-                &payloads,
-                spec,
-                mode,
-                &mut scratch,
-            ));
-        });
-        // Exactly the owned output: keys + payloads + bounds (the seed
-        // kernel allocated four full-size working buffers and two cursor
-        // vectors per segment on top).
-        assert!(
-            allocs <= 3,
-            "{mode:?}: {allocs} allocations for an owned-output call"
-        );
-        assert_eq!(out.unwrap().len(), 50_000);
-    }
+    // Warm-up grows the arena.
+    let _ = radix_cluster_oids_with_scratch(&oids, &payloads, spec, &mut scratch);
+    let mut out = None;
+    let allocs = allocations_during(|| {
+        out = Some(radix_cluster_oids_with_scratch(
+            &oids,
+            &payloads,
+            spec,
+            &mut scratch,
+        ));
+    });
+    // Exactly the owned output: keys + payloads + bounds (the seed kernel
+    // allocated four full-size working buffers and two cursor vectors per
+    // segment on top).
+    assert!(allocs <= 3, "{allocs} allocations for an owned-output call");
+    assert_eq!(out.unwrap().len(), 50_000);
     // The borrowed-view entry point allocates nothing at all (its result
     // buffers are part of the arena, warmed by its own first run).
-    let _ = scratch.cluster_oids_in_scratch(&oids, &payloads, spec, ScatterMode::Buffered);
+    let _ = scratch.cluster_oids_in_scratch(&oids, &payloads, spec);
     let view_allocs = allocations_during(|| {
-        let view = scratch.cluster_oids_in_scratch(&oids, &payloads, spec, ScatterMode::Buffered);
+        let view = scratch.cluster_oids_in_scratch(&oids, &payloads, spec);
         assert_eq!(view.len(), 50_000);
     });
     assert_eq!(view_allocs, 0, "in-scratch clustering must not allocate");
@@ -445,14 +437,4 @@ fn radix_decluster_cluster(
         positions,
         RadixClusterSpec::single_pass(5),
     )
-}
-
-#[test]
-fn swwc_slot_constant_agrees_between_kernel_and_cost_model() {
-    // `rdx-cost` cannot depend on `rdx-core` (the planner would create a
-    // cycle), so the staging-slot size is mirrored; this pins the mirror.
-    assert_eq!(
-        SWWC_SLOT_ELEMS,
-        radix_decluster::cost::algorithms::SWWC_SLOT_ELEMS
-    );
 }

@@ -6,7 +6,7 @@ use radix_decluster::core::cluster::{
 };
 use radix_decluster::core::decluster::paged::radix_decluster_paged;
 use radix_decluster::core::decluster::radix_decluster;
-use radix_decluster::core::hash::hash_key;
+use radix_decluster::core::hash::{hash_key, radix_field};
 use radix_decluster::core::join::{hash_join, partitioned_hash_join};
 use radix_decluster::dsm::VarColumn;
 use radix_decluster::nsm::BufferManager;
@@ -48,15 +48,25 @@ fn naive_pairs(larger: &[u64], smaller: &[u64]) -> Vec<(Oid, Oid)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Radix-clustering is a permutation: nothing added, nothing lost, pairs
-    /// stay together, and the output really is clustered on the radix field.
+    /// Radix-clustering is a stable permutation: nothing added, nothing
+    /// lost, pairs stay together, the output really is clustered on the
+    /// radix field, and inside every cluster the payloads (input positions)
+    /// still ascend — the order the decluster's binary search relies on.
+    /// Skew reaches the all-one-cluster extreme (`modulus == 1`); a dirty
+    /// scratch reused for a second call and the hashed-key kernel give the
+    /// same result.
     #[test]
     fn radix_cluster_is_a_stable_permutation(
-        oids in proptest::collection::vec(0u32..50_000, 0..2_000),
-        bits in 0u32..10,
+        raw in proptest::collection::vec(0u32..u32::MAX, 0..2_500),
+        modulus in 1u32..60_000,
+        bits in 0u32..11,
         passes in 1u32..4,
         ignore in 0u32..6,
     ) {
+        use radix_decluster::core::cluster::{
+            radix_cluster_oids_with_scratch, radix_cluster_with_scratch, ClusterScratch,
+        };
+        let oids: Vec<Oid> = raw.iter().map(|&v| v % modulus).collect();
         let payloads: Vec<u32> = (0..oids.len() as u32).collect();
         let spec = RadixClusterSpec::partial(bits, passes, ignore);
         let clustered = radix_cluster_oids(&oids, &payloads, spec);
@@ -70,6 +80,30 @@ proptest! {
         }
         // radix_count over the clustered keys reproduces the bounds.
         prop_assert_eq!(radix_count(clustered.keys(), bits, ignore), clustered.bounds().to_vec());
+        // Stable: input order survives inside every cluster.
+        for j in 0..clustered.num_clusters() {
+            let cluster = clustered.cluster_payloads(j);
+            prop_assert!(cluster.windows(2).all(|w| w[0] < w[1]), "cluster {}", j);
+        }
+        // Reusing the same (now dirty) scratch must not change the result.
+        let mut scratch = ClusterScratch::new();
+        for _ in 0..2 {
+            let again = radix_cluster_oids_with_scratch(&oids, &payloads, spec, &mut scratch);
+            prop_assert_eq!(&again, &clustered);
+        }
+        // The hashed-key kernel is the same stable permutation, clustered
+        // on the hash's radix field.
+        let keys: Vec<u64> = oids.iter().map(|&o| o as u64).collect();
+        let hashed = radix_cluster_with_scratch(&keys, &payloads, spec, &mut ClusterScratch::new());
+        let field = |k: u64| radix_field(hash_key(k), bits, ignore);
+        prop_assert!(hashed.keys().windows(2).all(|w| field(w[0]) <= field(w[1])));
+        for (&k, &p) in hashed.keys().iter().zip(hashed.payloads()) {
+            prop_assert_eq!(keys[p as usize], k);
+        }
+        for j in 0..hashed.num_clusters() {
+            let cluster = hashed.cluster_payloads(j);
+            prop_assert!(cluster.windows(2).all(|w| w[0] < w[1]), "hashed cluster {}", j);
+        }
     }
 
     /// Parallel Radix-Cluster (rdx-exec) is byte-identical to the sequential
@@ -98,47 +132,6 @@ proptest! {
             prop_assert_eq!(oids[p as usize], k);
         }
         prop_assert_eq!(radix_count(parallel.keys(), bits, ignore), parallel.bounds().to_vec());
-    }
-
-    /// The software write-combining (buffered) scatter is byte-identical to
-    /// the plain scatter for arbitrary `(bits, passes, ignore)` and skew —
-    /// including the all-one-cluster extreme (`modulus == 1`) and cluster
-    /// sizes that are not multiples of the staging slot, which exercise the
-    /// partial-flush path.  Scratch reuse across cases is part of the
-    /// property.
-    #[test]
-    fn buffered_scatter_equals_plain_scatter(
-        raw in proptest::collection::vec(0u32..u32::MAX, 0..2_500),
-        modulus in 1u32..60_000,
-        bits in 0u32..11,
-        passes in 1u32..4,
-        ignore in 0u32..6,
-    ) {
-        use radix_decluster::core::cluster::{
-            radix_cluster_oids_with_scratch, radix_cluster_with_scratch, ClusterScratch,
-            ScatterMode,
-        };
-        let oids: Vec<Oid> = raw.iter().map(|&v| v % modulus).collect();
-        let payloads: Vec<u32> = (0..oids.len() as u32).collect();
-        let spec = RadixClusterSpec::partial(bits, passes, ignore);
-        let plain = radix_cluster_oids(&oids, &payloads, spec);
-        let mut scratch = ClusterScratch::new();
-        let buffered = radix_cluster_oids_with_scratch(
-            &oids, &payloads, spec, ScatterMode::Buffered, &mut scratch,
-        );
-        prop_assert_eq!(&buffered, &plain);
-        // Reusing the same (now dirty) scratch must not change the result.
-        let again = radix_cluster_oids_with_scratch(
-            &oids, &payloads, spec, ScatterMode::Buffered, &mut scratch,
-        );
-        prop_assert_eq!(&again, &plain);
-        // The hashed-key kernel obeys the same equivalence.
-        let keys: Vec<u64> = oids.iter().map(|&o| o as u64).collect();
-        let hashed_plain = radix_cluster(&keys, &payloads, spec);
-        let hashed_buffered = radix_cluster_with_scratch(
-            &keys, &payloads, spec, ScatterMode::Buffered, &mut ClusterScratch::new(),
-        );
-        prop_assert_eq!(&hashed_buffered, &hashed_plain);
     }
 
     /// Parallel Radix-Decluster inverts the clustering permutation exactly
