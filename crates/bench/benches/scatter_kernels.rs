@@ -8,11 +8,11 @@
 //!   input copies, two flip-buffer `clone`s, per-segment cursor vectors,
 //!   two hashes per key per pass), kept here as the committed baseline so
 //!   the improvement is measured inside one build;
-//! * `plain` — the scratch engine with a one-shot arena;
-//! * `scratch_plain` — the same with a reused arena (the steady state of
-//!   the streaming pipeline and the serving layer);
-//! * `planned` — the reused arena at the pass count the hardware-aware
-//!   planner picks for this host.
+//! * `plain` — the scratch engine with a one-shot arena and output;
+//! * `scratch_plain` — the same with a reused arena and output (the steady
+//!   state of the join's per-partition split);
+//! * `planned` — the reused arena and output at the pass count the
+//!   hardware-aware planner picks for this host.
 //!
 //! Every variant is checked byte-identical to `seed` before timing.
 //! Radix-Cluster has one scatter, the plain one; a fan-out past the cursor
@@ -20,8 +20,8 @@
 //!
 //! First, a **fan-out sweep**: one pass of 1M pairs to 16 … 256 clusters,
 //! for the join's hashed `(u64, u32)` pairs and the reordering codes'
-//! `(u32, u32)` oid pairs, clustered inside a reused arena so no output
-//! allocation is timed.  It shows where one plain pass falls off
+//! `(u32, u32)` oid pairs, clustered by a reused arena into a reused output
+//! so no allocation is timed.  It shows where one plain pass falls off
 //! the TLB cliff `rdx_core::cluster::TLB_BOUNDED_FANOUT` is set by.
 //!
 //! Writes the grid, env-stamped and with its key-mix seed, to
@@ -39,10 +39,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rdx_bench::stats::{bootstrap_median_ci, classify, BootstrapCi, MIN_SAMPLES};
 use rdx_bench::EnvMeta;
-use rdx_cache::{CacheLevel, CacheParams};
+use rdx_cache::{CacheLevel, CacheParams, NoProbe};
 use rdx_core::cluster::{
-    passes_for_budget, radix_cluster_with_scratch, scatter_cursor_budget, ClusterScratch,
-    Clustered, RadixClusterSpec,
+    passes_for_budget, radix_cluster, scatter_cursor_budget, ClusterScratch, Clustered,
+    RadixClusterSpec,
 };
 use rdx_core::hash::hash_key;
 use std::time::{Duration, Instant};
@@ -212,9 +212,18 @@ fn fanout_sweep(samples: usize, key_seed: u64) -> Vec<FanoutCell> {
     let mut cells = Vec::new();
     for bits in 4u32..=8 {
         let spec = RadixClusterSpec::single_pass(bits);
-        let (mut wide, mut oid) = (ClusterScratch::new(), ClusterScratch::new());
-        let mut wide_f = || wide.cluster_hashed_in_scratch(&keys, &payloads, spec).len();
-        let mut oid_f = || oid.cluster_oids_in_scratch(&oids, &payloads, spec).len();
+        let (mut wide, mut wide_out) = (ClusterScratch::new(), Clustered::default());
+        let (mut oid, mut oid_out) = (ClusterScratch::new(), Clustered::default());
+        let mut wide_f = || {
+            let hash = |&k: &u64| hash_key(k);
+            wide.cluster_into(&keys, &payloads, spec, hash, &mut wide_out, &mut NoProbe);
+            wide_out.len()
+        };
+        let mut oid_f = || {
+            let bucket = |&o: &u32| o as u64;
+            oid.cluster_into(&oids, &payloads, spec, bucket, &mut oid_out, &mut NoProbe);
+            oid_out.len()
+        };
         // One untimed round grows every arena to its steady-state size.
         let medians: Vec<Duration> = time_interleaved(samples + 1, &mut [&mut wide_f, &mut oid_f])
             .into_iter()
@@ -292,35 +301,34 @@ fn main() {
 
             // Correctness gate before timing: every variant byte-identical.
             let reference = seed_radix_cluster(&keys, &payloads, spec);
-            let mut check = ClusterScratch::new();
-            let got = radix_cluster_with_scratch(&keys, &payloads, spec, &mut check);
-            assert_eq!(got, reference, "n={n} bits={bits}");
+            assert_eq!(
+                radix_cluster(&keys, &payloads, spec),
+                reference,
+                "n={n} bits={bits}"
+            );
             // The planned variant may use a different pass count (same
             // bytes, different spec tag), so compare the arrays.
-            let planned_out =
-                radix_cluster_with_scratch(&keys, &payloads, planned_spec, &mut check);
+            let planned_out = radix_cluster(&keys, &payloads, planned_spec);
             assert_eq!(planned_out.keys(), reference.keys());
             assert_eq!(planned_out.payloads(), reference.payloads());
             assert_eq!(planned_out.bounds(), reference.bounds());
-            drop((check, planned_out));
+            drop(planned_out);
 
-            let mut arena = ClusterScratch::new();
-            // Warm the arena for the reused-scratch variants (the one-shot
-            // variants construct theirs inside the timed region).
-            let _ = radix_cluster_with_scratch(&keys, &payloads, spec, &mut arena);
+            // One arena and output, warmed here, serve the reused-scratch
+            // variants (the one-shot variant allocates both inside the timed
+            // region).
+            let reused = std::cell::RefCell::new((ClusterScratch::new(), Clustered::default()));
+            let cluster_reused = |spec: RadixClusterSpec| {
+                let (arena, out) = &mut *reused.borrow_mut();
+                let hash = |&k: &u64| hash_key(k);
+                arena.cluster_into(&keys, &payloads, spec, hash, out, &mut NoProbe);
+                out.len()
+            };
+            cluster_reused(spec);
             let mut seed_f = || seed_radix_cluster(&keys, &payloads, spec).len();
-            let mut plain_f = || {
-                radix_cluster_with_scratch(&keys, &payloads, spec, &mut ClusterScratch::new()).len()
-            };
-            let arena_cell = std::cell::RefCell::new(&mut arena);
-            let mut scratch_plain_f = || {
-                radix_cluster_with_scratch(&keys, &payloads, spec, &mut **arena_cell.borrow_mut())
-                    .len()
-            };
-            let mut planned_f = || {
-                let arena = &mut **arena_cell.borrow_mut();
-                radix_cluster_with_scratch(&keys, &payloads, planned_spec, arena).len()
-            };
+            let mut plain_f = || radix_cluster(&keys, &payloads, spec).len();
+            let mut scratch_plain_f = || cluster_reused(spec);
+            let mut planned_f = || cluster_reused(planned_spec);
             let series = time_interleaved(
                 samples,
                 &mut [

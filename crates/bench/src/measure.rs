@@ -713,7 +713,6 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
         max_concurrent: 1,
         threads_per_query: 1,
         observability: true,
-        profiled: true,
         ..rdx_serve::ServeConfig::default()
     });
     let larger = session.register(w.larger.clone());
@@ -725,6 +724,7 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
             ProjectionCode::PartialCluster,
             SecondSideCode::Decluster,
         ))
+        .profiled()
         .run()
         .expect("profiled proxy query");
     let metrics = session.metrics().expect("observability on");

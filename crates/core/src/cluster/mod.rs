@@ -18,17 +18,18 @@ mod spec;
 
 pub use packed::{PackedOids, PackedSlice, PACKED_LOW_BITS};
 pub use scratch::{
-    plan_partial_cluster, scatter_cursor_budget, ClusterScratch, ScratchClustered,
-    DEFAULT_SCATTER_CURSOR_BUDGET, TLB_BOUNDED_FANOUT,
+    plan_partial_cluster, scatter_cursor_budget, ClusterScratch, DEFAULT_SCATTER_CURSOR_BUDGET,
+    TLB_BOUNDED_FANOUT,
 };
 pub use spec::RadixClusterSpec;
 
 use crate::hash::{hash_key, radix_field, significant_bits};
-use rdx_cache::CacheParams;
+use rdx_cache::{CacheParams, NoProbe};
 use rdx_dsm::Oid;
 
 /// The result of radix-clustering a `(key, payload)` sequence: both arrays
 /// reordered so that cluster 0 comes first, plus the cluster boundaries.
+/// [`ClusterScratch::cluster_into`] fills one in place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Clustered<K, P> {
     keys: Vec<K>,
@@ -36,6 +37,18 @@ pub struct Clustered<K, P> {
     /// `bounds[j]..bounds[j+1]` is the range of cluster `j`; `len = H + 1`.
     bounds: Vec<usize>,
     spec: RadixClusterSpec,
+}
+
+impl<K, P> Default for Clustered<K, P> {
+    /// An empty output: no tuples, one empty cluster.
+    fn default() -> Self {
+        Clustered {
+            keys: Vec::new(),
+            payloads: Vec::new(),
+            bounds: vec![0, 0],
+            spec: RadixClusterSpec::single_pass(0),
+        }
+    }
 }
 
 impl<K, P> Clustered<K, P> {
@@ -99,10 +112,9 @@ impl<K, P> Clustered<K, P> {
         (self.keys, self.payloads, self.bounds)
     }
 
-    /// Assembles a `Clustered` from already-clustered parts.  Used by the
-    /// scatter engine's owned path and by the parallel kernels in
-    /// `rdx-exec`, which run the same algorithm but own their scatter loops
-    /// (per-thread histograms + prefix-sum merge into disjoint output slices).
+    /// Assembles a `Clustered` from already-clustered parts: the parallel
+    /// kernel in `rdx-exec` merges its per-worker shard clusterings into
+    /// one.
     ///
     /// The caller guarantees the semantic invariant that `keys` really is
     /// clustered on `spec` with the given `bounds`; only the structural
@@ -130,53 +142,38 @@ impl<K, P> Clustered<K, P> {
 }
 
 /// Radix-clusters `(key, payload)` pairs on the hashed key (the join-input
-/// case): `radix_cluster(B, P)` of §2.2.
-///
-/// Allocates a one-shot [`ClusterScratch`]; callers on a hot path should
-/// hold their own and use [`radix_cluster_with_scratch`] instead.
+/// case): `radix_cluster(B, P)` of §2.2.  A one-shot scratch and output;
+/// hot paths hold their own and call [`ClusterScratch::cluster_into`].
 pub fn radix_cluster<P: Copy>(
     keys: &[u64],
     payloads: &[P],
     spec: RadixClusterSpec,
 ) -> Clustered<u64, P> {
-    radix_cluster_with_scratch(keys, payloads, spec, &mut ClusterScratch::new())
-}
-
-/// [`radix_cluster`] with caller-provided working memory: the returned
-/// [`Clustered`] is the only per-call allocation once the scratch has
-/// warmed up, and each key is hashed exactly once per pass.
-pub fn radix_cluster_with_scratch<P: Copy>(
-    keys: &[u64],
-    payloads: &[P],
-    spec: RadixClusterSpec,
-    scratch: &mut ClusterScratch<u64, P>,
-) -> Clustered<u64, P> {
-    scratch.cluster_by(keys, payloads, spec, |&k| hash_key(k))
+    cluster_fresh(keys, payloads, spec, |&k| hash_key(k))
 }
 
 /// Radix-clusters `(oid, payload)` pairs on the *unhashed* oid value (the
 /// join-index case of §3.1): oids come from a dense domain, so the radix bits
-/// of the value itself are already uniform and order-preserving.
-///
-/// Allocates a one-shot [`ClusterScratch`]; callers on a hot path should
-/// hold their own and use [`radix_cluster_oids_with_scratch`] instead.
+/// of the value itself are already uniform and order-preserving.  A one-shot
+/// scratch and output, like [`radix_cluster`].
 pub fn radix_cluster_oids<P: Copy>(
     oids: &[Oid],
     payloads: &[P],
     spec: RadixClusterSpec,
 ) -> Clustered<Oid, P> {
-    radix_cluster_oids_with_scratch(oids, payloads, spec, &mut ClusterScratch::new())
+    cluster_fresh(oids, payloads, spec, |&o| o as u64)
 }
 
-/// [`radix_cluster_oids`] with caller-provided working memory (see
-/// [`radix_cluster_with_scratch`]).
-pub fn radix_cluster_oids_with_scratch<P: Copy>(
-    oids: &[Oid],
+/// [`ClusterScratch::cluster_into`] with a fresh scratch and output.
+fn cluster_fresh<K: Copy, P: Copy>(
+    keys: &[K],
     payloads: &[P],
     spec: RadixClusterSpec,
-    scratch: &mut ClusterScratch<Oid, P>,
-) -> Clustered<Oid, P> {
-    scratch.cluster_by(oids, payloads, spec, |&o| o as u64)
+    bucket_of: impl Fn(&K) -> u64,
+) -> Clustered<K, P> {
+    let mut out = Clustered::default();
+    ClusterScratch::new().cluster_into(keys, payloads, spec, bucket_of, &mut out, &mut NoProbe);
+    out
 }
 
 /// Radix-Sort of an oid column: a Radix-Cluster on *all* significant bits with
@@ -410,31 +407,43 @@ mod tests {
     }
 
     #[test]
-    fn with_scratch_single_pass_and_zero_bits_match_the_wrapper() {
+    fn cluster_into_single_pass_and_zero_bits_match_the_wrapper() {
         // The degenerate (`bits == 0`) and 1-pass paths are where the seed
-        // kernel wasted its flip-buffer copies; the arena paths must agree
-        // with the wrappers bit for bit on both, across scratch reuse.
+        // kernel wasted its flip-buffer copies; one reused scratch and
+        // output must agree with the wrappers bit for bit on both.
         let oids = shuffled_oids(2_000, 11);
         let payloads: Vec<u32> = (0..2_000).collect();
-        let mut scratch = ClusterScratch::new();
+        let (mut scratch, mut got) = (ClusterScratch::new(), Clustered::default());
         for spec in [
             RadixClusterSpec::single_pass(0),
             RadixClusterSpec::single_pass(5),
             RadixClusterSpec::partial(6, 1, 3),
         ] {
             let expected = radix_cluster_oids(&oids, &payloads, spec);
-            let got = radix_cluster_oids_with_scratch(&oids, &payloads, spec, &mut scratch);
+            scratch.cluster_into(
+                &oids,
+                &payloads,
+                spec,
+                |&o| o as u64,
+                &mut got,
+                &mut NoProbe,
+            );
             assert_eq!(got, expected, "spec {spec:?}");
         }
         // Hashed-key variant too, 1-pass.
         let keys: Vec<u64> = (0..1_000).collect();
         let pay = vec![(); 1_000];
         let spec = RadixClusterSpec::single_pass(4);
-        let mut hscratch = ClusterScratch::new();
-        assert_eq!(
-            radix_cluster_with_scratch(&keys, &pay, spec, &mut hscratch),
-            radix_cluster(&keys, &pay, spec),
+        let mut hashed = Clustered::default();
+        ClusterScratch::new().cluster_into(
+            &keys,
+            &pay,
+            spec,
+            |&k| hash_key(k),
+            &mut hashed,
+            &mut NoProbe,
         );
+        assert_eq!(hashed, radix_cluster(&keys, &pay, spec));
     }
 
     #[test]

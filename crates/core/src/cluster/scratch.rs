@@ -13,8 +13,8 @@
 //! needs — the ping-pong key/payload buffers, the histogram and cursor
 //! arrays (hoisted out of the segment loop), the segment-boundary lists, and
 //! a memoized per-pass radix-value buffer so each key is hashed **once** per
-//! pass.  Reusing one scratch across calls makes the steady state
-//! allocation-free except for the caller-owned output.
+//! pass.  Reusing one scratch and one output across calls makes the steady
+//! state allocation-free.
 //!
 //! Every pass is the paper's plain scatter, one output cursor per cluster.
 //! A fan-out too wide for one pass gets more passes (§2.1), never a second
@@ -25,7 +25,7 @@
 
 use super::spec::RadixClusterSpec;
 use super::Clustered;
-use rdx_cache::{CacheParams, NoProbe, Probe};
+use rdx_cache::{CacheParams, Probe};
 
 /// The documented default plain-scatter cursor budget: the "few thousand
 /// output cursors" beyond which the paper observes single-pass clustering
@@ -103,110 +103,23 @@ pub fn plan_partial_cluster(
     }
 }
 
-/// A borrowed view of a clustering whose arrays live inside a
-/// [`ClusterScratch`] — what the zero-allocation entry points return.  Same
-/// accessors as [`Clustered`]; call [`ScratchClustered::to_clustered`] to pay
-/// for an owned copy.
-#[derive(Debug, Clone, Copy)]
-pub struct ScratchClustered<'a, K, P> {
-    keys: &'a [K],
-    payloads: &'a [P],
-    bounds: &'a [usize],
-    spec: RadixClusterSpec,
-}
-
-impl<'a, K: Copy, P: Copy> ScratchClustered<'a, K, P> {
-    /// Number of clusters `H = 2^B`.
-    pub fn num_clusters(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// Total number of tuples.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// `true` if the input was empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The clustering specification that produced this result.
-    pub fn spec(&self) -> &RadixClusterSpec {
-        &self.spec
-    }
-
-    /// The reordered keys.
-    pub fn keys(&self) -> &'a [K] {
-        self.keys
-    }
-
-    /// The reordered payloads.
-    pub fn payloads(&self) -> &'a [P] {
-        self.payloads
-    }
-
-    /// The cluster boundary offsets (`H + 1` entries).
-    pub fn bounds(&self) -> &'a [usize] {
-        self.bounds
-    }
-
-    /// The tuple range of cluster `j`.
-    pub fn cluster_range(&self, j: usize) -> std::ops::Range<usize> {
-        self.bounds[j]..self.bounds[j + 1]
-    }
-
-    /// Keys of cluster `j`.
-    pub fn cluster_keys(&self, j: usize) -> &'a [K] {
-        &self.keys[self.cluster_range(j)]
-    }
-
-    /// Payloads of cluster `j`.
-    pub fn cluster_payloads(&self, j: usize) -> &'a [P] {
-        &self.payloads[self.cluster_range(j)]
-    }
-
-    /// `(keys, payloads)` of cluster `j`.
-    pub fn cluster(&self, j: usize) -> (&'a [K], &'a [P]) {
-        (self.cluster_keys(j), self.cluster_payloads(j))
-    }
-
-    /// Copies the view into an owned [`Clustered`].
-    pub fn to_clustered(&self) -> Clustered<K, P> {
-        Clustered::from_parts(
-            self.keys.to_vec(),
-            self.payloads.to_vec(),
-            self.bounds.to_vec(),
-            self.spec,
-        )
-    }
-}
-
-/// The reusable working memory of the multi-pass radix scatter: ping-pong
+/// The reusable working memory of the multi-pass radix scatter: the ping
 /// key/payload buffers, histogram and cursor arrays, segment-boundary lists
 /// and the memoized per-pass radix values.  One scratch serves any number
 /// of calls of any size; every buffer grows to the high-water mark and
-/// stays, so the steady state allocates nothing.
+/// stays.
 ///
-/// Two entry-point families use it:
-///
-/// * [`super::radix_cluster_with_scratch`] /
-///   [`super::radix_cluster_oids_with_scratch`] return an owned
-///   [`Clustered`] — the only per-call allocation is that output;
-/// * [`ClusterScratch::cluster_oids_in_scratch`] /
-///   [`ClusterScratch::cluster_hashed_in_scratch`] leave the result inside
-///   the arena and return a borrowed [`ScratchClustered`] — zero
-///   allocations in steady state, the form the parallel executor's
-///   per-worker shard clustering uses.
+/// [`ClusterScratch::cluster_into`] is the one entry: its final pass writes
+/// the caller's [`Clustered`], so a reused output makes the steady state
+/// allocation-free and a fresh one ([`Clustered::default`]) is the owned
+/// form.  The parallel executor gives each worker its own scratch and
+/// output for its shard.
 #[derive(Debug, Clone)]
 pub struct ClusterScratch<K, P> {
-    /// Intermediate ping buffer (passes 2, 4, … read or write it).
+    /// Intermediate ping buffer (the passes before the last alternate
+    /// between it and the output).
     ping_keys: Vec<K>,
     ping_pay: Vec<P>,
-    /// Result buffer of the in-scratch entry points; intermediate buffer of
-    /// the owned entry points.
-    front_keys: Vec<K>,
-    front_pay: Vec<P>,
     /// Memoized per-pass radix values: each key is hashed once per pass.
     radix: Vec<u32>,
     /// Histogram, reused across segments (hoisted out of the segment loop).
@@ -216,8 +129,6 @@ pub struct ClusterScratch<K, P> {
     /// Segment boundaries entering / leaving the current pass.
     segments: Vec<usize>,
     new_segments: Vec<usize>,
-    /// Spec of the last in-scratch run (what [`ClusterScratch::view`] serves).
-    view_spec: Option<RadixClusterSpec>,
 }
 
 impl<K, P> Default for ClusterScratch<K, P> {
@@ -232,23 +143,18 @@ impl<K, P> ClusterScratch<K, P> {
         ClusterScratch {
             ping_keys: Vec::new(),
             ping_pay: Vec::new(),
-            front_keys: Vec::new(),
-            front_pay: Vec::new(),
             radix: Vec::new(),
             counts: Vec::new(),
             offsets: Vec::new(),
             segments: Vec::new(),
             new_segments: Vec::new(),
-            view_spec: None,
         }
     }
 
     /// Resident heap bytes currently held by the arena.
     pub fn resident_bytes(&self) -> usize {
         self.ping_keys.capacity() * std::mem::size_of::<K>()
-            + self.front_keys.capacity() * std::mem::size_of::<K>()
             + self.ping_pay.capacity() * std::mem::size_of::<P>()
-            + self.front_pay.capacity() * std::mem::size_of::<P>()
             + self.radix.capacity() * std::mem::size_of::<u32>()
             + (self.counts.capacity()
                 + self.offsets.capacity()
@@ -259,108 +165,41 @@ impl<K, P> ClusterScratch<K, P> {
 }
 
 impl<K: Copy, P: Copy> ClusterScratch<K, P> {
-    /// Clusters into the arena, returning a borrowed view: zero allocations
-    /// once the buffers have grown to the input size.  `bucket_of` maps a
-    /// key to its full radix value (hash for join keys, identity for oids).
-    pub fn cluster_by_in_scratch<'a>(
-        &'a mut self,
+    /// Radix-clusters `(key, payload)` pairs on `spec` into `out`, replacing
+    /// its contents; `bucket_of` maps a key to its full radix value (the
+    /// hash for join keys, the value itself for oids).  All working memory
+    /// comes from the arena and the final pass writes `out`'s arrays, so
+    /// once both have grown to the input size the call allocates nothing.
+    /// Every element reference of every array is reported to `probe`
+    /// ([`rdx_cache::NoProbe`] in production).
+    ///
+    /// # Panics
+    /// Panics if `keys` and `payloads` differ in length.
+    pub fn cluster_into<Pr: Probe>(
+        &mut self,
         keys: &[K],
         payloads: &[P],
         spec: RadixClusterSpec,
         bucket_of: impl Fn(&K) -> u64,
-    ) -> ScratchClustered<'a, K, P> {
+        out: &mut Clustered<K, P>,
+        probe: &mut Pr,
+    ) {
         assert_eq!(keys.len(), payloads.len(), "keys/payloads length mismatch");
         let n = keys.len();
+        out.spec = spec;
+        out.bounds.clear();
         if spec.bits == 0 || n == 0 {
             // Degenerate cases still uphold `bounds.len() == H + 1`: zero
             // bits is one cluster holding everything, an empty input is `H`
-            // empty clusters.  The input copy here is the output itself, not
-            // the flip-buffer waste the arena exists to remove.
-            self.front_keys.clear();
-            self.front_keys.extend_from_slice(keys);
-            self.front_pay.clear();
-            self.front_pay.extend_from_slice(payloads);
-            self.segments.clear();
-            self.segments.resize(spec.num_clusters(), 0);
-            self.segments.push(n);
-        } else {
-            let this = &mut *self;
-            run_passes(
-                keys,
-                payloads,
-                spec,
-                &bucket_of,
-                &mut this.ping_keys,
-                &mut this.ping_pay,
-                &mut this.front_keys,
-                &mut this.front_pay,
-                &mut PassScratch {
-                    radix: &mut this.radix,
-                    counts: &mut this.counts,
-                    offsets: &mut this.offsets,
-                    segments: &mut this.segments,
-                    new_segments: &mut this.new_segments,
-                },
-                &mut NoProbe,
-            );
+            // empty clusters.  The input copy here is the output itself.
+            out.keys.clear();
+            out.keys.extend_from_slice(keys);
+            out.payloads.clear();
+            out.payloads.extend_from_slice(payloads);
+            out.bounds.resize(spec.num_clusters(), 0);
+            out.bounds.push(n);
+            return;
         }
-        self.view_spec = Some(spec);
-        self.view().expect("view_spec just set")
-    }
-
-    /// The view of the last in-scratch clustering, or `None` if none ran
-    /// yet.  The view stays valid until the next clustering call reuses the
-    /// buffers — this is how the parallel executor reads per-worker results
-    /// back out after the worker scope ends.
-    pub fn view(&self) -> Option<ScratchClustered<'_, K, P>> {
-        let spec = self.view_spec?;
-        Some(ScratchClustered {
-            keys: &self.front_keys,
-            payloads: &self.front_pay,
-            bounds: &self.segments,
-            spec,
-        })
-    }
-
-    /// Clusters into a caller-owned output: the returned [`Clustered`] is
-    /// the only per-call allocation; all working memory comes from the
-    /// arena.
-    pub fn cluster_by<F: Fn(&K) -> u64>(
-        &mut self,
-        keys: &[K],
-        payloads: &[P],
-        spec: RadixClusterSpec,
-        bucket_of: F,
-    ) -> Clustered<K, P> {
-        self.cluster_probed(keys, payloads, spec, bucket_of, &mut NoProbe)
-    }
-
-    /// [`ClusterScratch::cluster_by`] reporting the scatter engine's
-    /// references to `probe` (array ids as in [`run_passes`]).
-    fn cluster_probed<F: Fn(&K) -> u64, Pr: Probe>(
-        &mut self,
-        keys: &[K],
-        payloads: &[P],
-        spec: RadixClusterSpec,
-        bucket_of: F,
-        probe: &mut Pr,
-    ) -> Clustered<K, P> {
-        assert_eq!(keys.len(), payloads.len(), "keys/payloads length mismatch");
-        // The owned path reuses `segments` (and, multi-pass, the front
-        // buffers) without establishing a new view generation — any view of
-        // an earlier in-scratch run would silently mix generations.
-        self.view_spec = None;
-        let n = keys.len();
-        if spec.bits == 0 || n == 0 {
-            let mut bounds = vec![0usize; spec.num_clusters()];
-            bounds.push(n);
-            return Clustered::from_parts(keys.to_vec(), payloads.to_vec(), bounds, spec);
-        }
-        // The output pair is written by the final scatter pass directly —
-        // the flip buffers are never initialised from data they are about to
-        // overwrite (the seed kernel's `out_keys = cur_keys.clone()` waste).
-        let mut out_keys: Vec<K> = Vec::new();
-        let mut out_pay: Vec<P> = Vec::new();
         run_passes(
             keys,
             payloads,
@@ -368,8 +207,8 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
             &bucket_of,
             &mut self.ping_keys,
             &mut self.ping_pay,
-            &mut out_keys,
-            &mut out_pay,
+            &mut out.keys,
+            &mut out.payloads,
             &mut PassScratch {
                 radix: &mut self.radix,
                 counts: &mut self.counts,
@@ -379,34 +218,7 @@ impl<K: Copy, P: Copy> ClusterScratch<K, P> {
             },
             probe,
         );
-        debug_assert_eq!(self.segments.len(), spec.num_clusters() + 1);
-        Clustered::from_parts(out_keys, out_pay, self.segments.clone(), spec)
-    }
-}
-
-impl<P: Copy> ClusterScratch<u64, P> {
-    /// In-scratch clustering of hashed join keys (see
-    /// [`super::radix_cluster`]).
-    pub fn cluster_hashed_in_scratch<'a>(
-        &'a mut self,
-        keys: &[u64],
-        payloads: &[P],
-        spec: RadixClusterSpec,
-    ) -> ScratchClustered<'a, u64, P> {
-        self.cluster_by_in_scratch(keys, payloads, spec, |&k| crate::hash::hash_key(k))
-    }
-}
-
-impl<P: Copy> ClusterScratch<rdx_dsm::Oid, P> {
-    /// In-scratch clustering of unhashed oids (see
-    /// [`super::radix_cluster_oids`]).
-    pub fn cluster_oids_in_scratch<'a>(
-        &'a mut self,
-        oids: &[rdx_dsm::Oid],
-        payloads: &[P],
-        spec: RadixClusterSpec,
-    ) -> ScratchClustered<'a, rdx_dsm::Oid, P> {
-        self.cluster_by_in_scratch(oids, payloads, spec, |&o| o as u64)
+        out.bounds.extend_from_slice(&self.segments);
     }
 }
 
@@ -430,13 +242,12 @@ const COUNTS: usize = 7;
 const OFFSETS: usize = 8;
 const SEGMENTS: [usize; 2] = [9, 10];
 
-/// The multi-pass scatter engine.  Pass destinations alternate between the
-/// `ping` pair and the `out` pair, phased so the **final** pass always lands
-/// in `out` — the caller decides whether `out` is an owned output (the
-/// `with_scratch` entry points) or the arena's front buffer (the in-scratch
-/// entry points).  On return, `scratch.segments` holds the final `H + 1`
-/// cluster borders.  Every element reference of every array is reported to
-/// `probe`, by the ids above.
+/// The multi-pass scatter engine behind [`ClusterScratch::cluster_into`].
+/// Pass destinations alternate between the `ping` pair and the `out` pair,
+/// phased so the **final** pass always lands in `out`.  On return,
+/// `scratch.segments` holds the final `H + 1` cluster borders.  Every
+/// element reference of every array is reported to `probe`, by the ids
+/// above.
 #[allow(clippy::too_many_arguments)]
 fn run_passes<K: Copy, P: Copy, Pr: Probe>(
     keys: &[K],
@@ -577,7 +388,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
-    use rdx_cache::{AddressSpace, EventCounts, MemorySystem, SimProbe};
+    use rdx_cache::{AddressSpace, EventCounts, MemorySystem, NoProbe, SimProbe};
     use rdx_dsm::Oid;
 
     fn shuffled_oids(n: usize, seed: u64) -> Vec<Oid> {
@@ -590,7 +401,7 @@ mod tests {
         (0..n as Oid).rev().collect()
     }
 
-    /// Clusters oids through the owned path under a [`SimProbe`] on a fresh
+    /// Clusters oids into a fresh output under a [`SimProbe`] on a fresh
     /// simulator for `params`, every array the engine touches laid out in a
     /// fresh address space; returns the clustering and its events.
     fn probed<P: Copy>(
@@ -617,8 +428,15 @@ mod tests {
         ]
         .map(|(elems, width)| space.alloc(elems, width));
         let mut probe = SimProbe::new(mem, &regions);
-        let clustered =
-            ClusterScratch::new().cluster_probed(oids, payloads, spec, |&o| o as u64, &mut probe);
+        let mut clustered = Clustered::default();
+        ClusterScratch::new().cluster_into(
+            oids,
+            payloads,
+            spec,
+            |&o| o as u64,
+            &mut clustered,
+            &mut probe,
+        );
         (clustered, probe.counts())
     }
 
@@ -682,24 +500,42 @@ mod tests {
         assert_eq!(&c, &radix_cluster_oids(&oids, &payloads, spec));
     }
 
+    /// [`ClusterScratch::cluster_into`] on unhashed oids, into a fresh
+    /// output, with no probe.
+    fn cluster_oids<P: Copy>(
+        scratch: &mut ClusterScratch<Oid, P>,
+        oids: &[Oid],
+        payloads: &[P],
+        spec: RadixClusterSpec,
+    ) -> Clustered<Oid, P> {
+        let mut out = Clustered::default();
+        scratch.cluster_into(oids, payloads, spec, |&o| o as u64, &mut out, &mut NoProbe);
+        out
+    }
+
     #[test]
     fn scratch_reuse_across_sizes_and_specs_stays_correct() {
         let mut scratch: ClusterScratch<Oid, u32> = ClusterScratch::new();
-        // Deliberately descending sizes: buffers shrink logically but keep
-        // their capacity, exercising the stale-tail handling.
+        assert_eq!(scratch.resident_bytes(), 0);
+        // One output reused throughout, at deliberately descending sizes:
+        // arena and output shrink logically but keep their capacity, so a
+        // stale tail from a larger run must never leak into a smaller one.
+        let mut out = Clustered::default();
         for (i, &n) in [8_192usize, 100, 3_001, 1, 513].iter().enumerate() {
             let oids = shuffled_oids(n, i as u64);
             let payloads: Vec<u32> = (0..n as u32).collect();
             let spec = RadixClusterSpec::partial(4, 2, 1);
-            let expected = radix_cluster_oids(&oids, &payloads, spec);
-            let owned = scratch.cluster_by(&oids, &payloads, spec, |&o| o as u64);
-            assert_eq!(owned, expected, "n={n} (owned)");
-            let view = scratch.cluster_by_in_scratch(&oids, &payloads, spec, |&o| o as u64);
-            assert_eq!(view.keys(), expected.keys(), "n={n} (view)");
-            assert_eq!(view.payloads(), expected.payloads());
-            assert_eq!(view.bounds(), expected.bounds());
-            assert_eq!(view.len(), n);
-            assert_eq!(view.num_clusters(), 16);
+            scratch.cluster_into(
+                &oids,
+                &payloads,
+                spec,
+                |&o| o as u64,
+                &mut out,
+                &mut NoProbe,
+            );
+            assert_eq!(out, radix_cluster_oids(&oids, &payloads, spec), "n={n}");
+            assert_eq!(out.len(), n);
+            assert_eq!(out.num_clusters(), 16);
         }
         assert!(scratch.resident_bytes() > 0);
     }
@@ -713,7 +549,7 @@ mod tests {
         oids.extend([17 as Oid; 3]);
         let payloads: Vec<u32> = (0..oids.len() as u32).collect();
         let spec = RadixClusterSpec::single_pass(5);
-        let got = ClusterScratch::new().cluster_by(&oids, &payloads, spec, |&o| o as u64);
+        let got = cluster_oids(&mut ClusterScratch::new(), &oids, &payloads, spec);
         let mut bounds = vec![0usize];
         bounds.extend([61; 17]);
         bounds.extend([64; 15]);
@@ -723,24 +559,28 @@ mod tests {
     }
 
     #[test]
-    fn hashed_in_scratch_matches_public_kernel() {
+    fn hashed_cluster_into_matches_public_kernel() {
         let keys: Vec<u64> = (0..5_000).map(|i| i * 37 % 1_000).collect();
         let payloads: Vec<u32> = (0..5_000).collect();
         let spec = RadixClusterSpec::new(6, 2);
         let expected = radix_cluster(&keys, &payloads, spec);
-        let mut scratch = ClusterScratch::new();
-        let view = scratch.cluster_hashed_in_scratch(&keys, &payloads, spec);
-        assert_eq!(view.keys(), expected.keys());
-        assert_eq!(view.payloads(), expected.payloads());
-        assert_eq!(view.bounds(), expected.bounds());
-        for j in 0..view.num_clusters() {
-            assert_eq!(view.cluster_keys(j), expected.cluster_keys(j));
-            assert_eq!(view.cluster_payloads(j), expected.cluster_payloads(j));
-            assert_eq!(view.cluster_range(j), expected.cluster_range(j));
+        let mut got = Clustered::default();
+        ClusterScratch::new().cluster_into(
+            &keys,
+            &payloads,
+            spec,
+            |&k| crate::hash::hash_key(k),
+            &mut got,
+            &mut NoProbe,
+        );
+        assert_eq!(got, expected);
+        for j in 0..got.num_clusters() {
+            assert_eq!(got.cluster_keys(j), expected.cluster_keys(j));
+            assert_eq!(got.cluster_payloads(j), expected.cluster_payloads(j));
+            assert_eq!(got.cluster_range(j), expected.cluster_range(j));
         }
-        assert_eq!(&view.to_clustered(), &expected);
-        assert!(!view.is_empty());
-        assert_eq!(view.spec(), &spec);
+        assert!(!got.is_empty());
+        assert_eq!(got.spec(), &spec);
     }
 
     #[test]
@@ -751,53 +591,21 @@ mod tests {
         let oids = vec![5 as Oid, 3, 9];
         let pay = vec![0u32, 1, 2];
         let spec = RadixClusterSpec::single_pass(0);
-        let owned = scratch.cluster_by(&oids, &pay, spec, |&o| o as u64);
-        assert_eq!(owned.keys(), &oids[..]);
-        assert_eq!(owned.payloads(), &pay[..]);
-        assert_eq!(owned.bounds(), &[0, 3]);
-        let view = scratch.cluster_oids_in_scratch(&oids, &pay, spec);
-        assert_eq!(view.keys(), &oids[..]);
-        assert_eq!(view.bounds(), &[0, 3]);
-        // Empty input: H empty clusters.
-        let view = scratch.cluster_oids_in_scratch(&[], &[], RadixClusterSpec::single_pass(3));
-        assert!(view.is_empty());
-        assert_eq!(view.num_clusters(), 8);
-        assert_eq!(view.bounds(), &[0usize; 9][..]);
-    }
-
-    #[test]
-    fn view_is_none_before_first_run() {
-        let scratch: ClusterScratch<Oid, u32> = ClusterScratch::new();
-        assert!(scratch.view().is_none());
+        let mut out = cluster_oids(&mut scratch, &oids, &pay, spec);
+        assert_eq!(out.keys(), &oids[..]);
+        assert_eq!(out.payloads(), &pay[..]);
+        assert_eq!(out.bounds(), &[0, 3]);
         assert_eq!(scratch.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn owned_clustering_invalidates_the_previous_view() {
-        // An owned-output `cluster_by` rewrites `segments` but not the front
-        // buffers; serving the old view afterwards would pair arrays from
-        // two different runs.  The view must be gone instead.
-        let mut scratch: ClusterScratch<Oid, u32> = ClusterScratch::new();
-        let small: Vec<Oid> = (0..64).rev().collect();
-        let small_pay: Vec<u32> = (0..64).collect();
+        // Empty input into the same output: H empty clusters.
         let spec = RadixClusterSpec::single_pass(3);
-        let view = scratch.cluster_oids_in_scratch(&small, &small_pay, spec);
-        assert_eq!(view.len(), 64);
-        let big: Vec<Oid> = (0..4_096).rev().collect();
-        let big_pay: Vec<u32> = (0..4_096).collect();
-        let owned = scratch.cluster_by(&big, &big_pay, RadixClusterSpec::single_pass(6), |&o| {
-            o as u64
-        });
-        assert_eq!(owned.len(), 4_096);
-        assert!(
-            scratch.view().is_none(),
-            "stale view must not survive an owned run"
-        );
-        // A fresh in-scratch run re-establishes a coherent view.
-        let view = scratch.cluster_oids_in_scratch(&small, &small_pay, spec);
+        scratch.cluster_into(&[], &[], spec, |&o| o as u64, &mut out, &mut NoProbe);
+        assert!(out.is_empty());
+        assert_eq!(out.num_clusters(), 8);
+        assert_eq!(out.bounds(), &[0usize; 9][..]);
+        // The fresh output is the empty input's clustering on zero bits.
         assert_eq!(
-            view.to_clustered(),
-            radix_cluster_oids(&small, &small_pay, spec)
+            Clustered::<Oid, u32>::default(),
+            cluster_oids(&mut scratch, &[], &[], RadixClusterSpec::single_pass(0))
         );
     }
 

@@ -68,24 +68,36 @@ pub fn radix_decluster<T: Copy + Default>(
     bounds: &[usize],
     window_bytes: usize,
 ) -> Vec<T> {
+    let n = values.len();
+    assert_eq!(
+        result_positions.len(),
+        n,
+        "values/positions length mismatch"
+    );
+    assert_eq!(
+        *bounds.last().unwrap_or(&0),
+        n,
+        "cluster borders do not cover the input"
+    );
     debug_assert!(validate_inputs(result_positions, bounds));
-    let mut result = vec![T::default(); values.len()];
-    radix_decluster_into(
+    let mut result = vec![T::default(); n];
+    radix_decluster_windows_with_scratch(
         values,
         result_positions,
-        bounds,
-        window_bytes,
+        bounds.windows(2).map(|w| w[0]..w[1]),
+        0,
+        window_elems(window_bytes, std::mem::size_of::<T>()),
         &mut DeclusterScratch::new(),
         &mut result,
+        &mut NoProbe,
     );
     result
 }
 
 /// The reusable working memory of a Radix-Decluster sweep: the live-cluster
 /// cursor array.  One scratch serves any number of
-/// [`radix_decluster_into`] / [`radix_decluster_windows_with_scratch`] calls
-/// of any size, so a caller declustering per chunk or per query allocates
-/// nothing in steady state.
+/// [`radix_decluster_windows_with_scratch`] calls of any size, so a caller
+/// declustering per chunk or per query allocates nothing in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct DeclusterScratch {
     /// Live clusters as `(cursor, end, at)`: the run's next and
@@ -106,53 +118,6 @@ impl DeclusterScratch {
     }
 }
 
-/// Radix-Decluster into a caller-provided output slice: no allocation, no
-/// zero-fill.  `out` must hold exactly `values.len()` elements; every slot
-/// is overwritten (the result positions are a permutation), so its prior
-/// contents are irrelevant — which is exactly why the per-call
-/// `vec![T::default(); n]` of [`radix_decluster`] is pure waste for callers
-/// that hold a reusable buffer.
-///
-/// Unlike the allocating wrapper, this hot-path entry point does **not**
-/// re-validate the two §3.2 ordering properties per call (beyond the length
-/// assertions); they are established by the clustering that produced the
-/// input and checked by the allocating wrappers' debug assertions.
-///
-/// # Panics
-/// Panics if the slices disagree in length, `out` has the wrong length, or
-/// the borders do not cover the input.
-pub fn radix_decluster_into<T: Copy>(
-    values: &[T],
-    result_positions: &[Oid],
-    bounds: &[usize],
-    window_bytes: usize,
-    scratch: &mut DeclusterScratch,
-    out: &mut [T],
-) {
-    let n = values.len();
-    assert_eq!(
-        result_positions.len(),
-        n,
-        "values/positions length mismatch"
-    );
-    assert_eq!(out.len(), n, "output length mismatch");
-    assert_eq!(
-        *bounds.last().unwrap_or(&0),
-        n,
-        "cluster borders do not cover the input"
-    );
-    radix_decluster_windows_with_scratch(
-        values,
-        result_positions,
-        bounds.windows(2).map(|w| w[0]..w[1]),
-        0,
-        window_elems(window_bytes, std::mem::size_of::<T>()),
-        scratch,
-        out,
-        &mut NoProbe,
-    );
-}
-
 /// Number of tuples one insertion window of `window_bytes` holds for values of
 /// `value_width` bytes (never zero, even for degenerate window sizes).
 #[inline]
@@ -170,7 +135,7 @@ pub fn window_elems(window_bytes: usize, value_width: usize) -> usize {
 /// `out`'s rows.
 ///
 /// The whole result is the case where the runs are the clusters and `base`
-/// is 0 ([`radix_decluster_into`]); a streamed chunk passes its
+/// is 0 ([`radix_decluster`]); a streamed chunk passes its
 /// [`chunks::ChunkRuns`] and first row, reading the prefix's positions in
 /// place.  Because every write of a window lands inside that window's rows,
 /// disjoint stretches of windows touch disjoint output — the parallel
@@ -468,13 +433,14 @@ mod tests {
     }
 
     #[test]
-    fn decluster_into_reuses_scratch_and_needs_no_default() {
-        // A Copy type without Default: `_into` never zero-fills, so the
+    fn windowed_kernel_reuses_scratch_and_needs_no_default() {
+        // A Copy type without Default: the kernel never zero-fills, so the
         // bound is genuinely weaker than the allocating wrapper's.
         #[derive(Debug, Clone, Copy, PartialEq)]
         struct NoDefault(i64);
 
         let mut scratch = DeclusterScratch::new();
+        let whole = |bounds: &[usize]| bounds.windows(2).map(|w| w[0]..w[1]).collect::<Vec<_>>();
         for &n in &[1usize, 17, 1_000, 4096] {
             let (values, positions, bounds) = clustered_input(n, 4, n as u64);
             let wrapped: Vec<NoDefault> = values.iter().map(|&v| NoDefault(v)).collect();
@@ -482,27 +448,38 @@ mod tests {
             // Deliberately garbage-initialised output: every slot must be
             // overwritten.
             let mut out = vec![NoDefault(i64::MIN); n];
-            radix_decluster_into(&wrapped, &positions, &bounds, 256, &mut scratch, &mut out);
+            let window = window_elems(256, std::mem::size_of::<NoDefault>());
+            radix_decluster_windows_with_scratch(
+                &wrapped,
+                &positions,
+                whole(&bounds),
+                0,
+                window,
+                &mut scratch,
+                &mut out,
+                &mut NoProbe,
+            );
             let got: Vec<i64> = out.iter().map(|v| v.0).collect();
             assert_eq!(got, expected, "n={n}");
         }
         // Empty input is a no-op.
         let mut out: [i32; 0] = [];
-        radix_decluster_into(&[], &[], &[0], 64, &mut scratch, &mut out);
+        radix_decluster_windows_with_scratch(
+            &[],
+            &[],
+            whole(&[0]),
+            0,
+            1,
+            &mut scratch,
+            &mut out,
+            &mut NoProbe,
+        );
     }
 
     #[test]
-    #[should_panic(expected = "output length mismatch")]
-    fn decluster_into_rejects_wrong_output_length() {
-        let mut out = vec![0i32; 3];
-        radix_decluster_into(
-            &[1, 2],
-            &[0, 1],
-            &[0, 2],
-            64,
-            &mut DeclusterScratch::new(),
-            &mut out,
-        );
+    #[should_panic(expected = "values/positions length mismatch")]
+    fn decluster_rejects_mismatched_lengths() {
+        radix_decluster(&[1i32, 2], &[0], &[0, 2], 64);
     }
 
     /// [`clustered_input`] with 4-byte values, the paper's integer columns.

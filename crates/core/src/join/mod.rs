@@ -15,9 +15,11 @@ mod hash_table;
 pub use hash_table::HashTable;
 
 use crate::cluster::{
-    passes_for_budget, radix_cluster_with_scratch, ClusterScratch, RadixClusterSpec,
-    DEFAULT_SCATTER_CURSOR_BUDGET, TLB_BOUNDED_FANOUT,
+    passes_for_budget, ClusterScratch, Clustered, RadixClusterSpec, DEFAULT_SCATTER_CURSOR_BUDGET,
+    TLB_BOUNDED_FANOUT,
 };
+use crate::hash::hash_key;
+use rdx_cache::NoProbe;
 use rdx_dsm::{JoinIndex, Oid};
 
 /// One side of a join: its keys and their oids.
@@ -48,13 +50,14 @@ pub fn join_first_pass(spec: RadixClusterSpec) -> RadixClusterSpec {
 /// The per-partition kernel of Partitioned Hash-Join, shared by the
 /// sequential and the parallel executor: splits both sides of one
 /// [`join_first_pass`] partition on the remaining bits and joins the
-/// sub-partitions in order, reusing one table and two split arenas.
+/// sub-partitions in order, reusing one table and, per side, one split
+/// arena and output.
 #[derive(Debug)]
 pub struct PartitionJoiner {
     split: RadixClusterSpec,
     table: HashTable,
-    larger: ClusterScratch<u64, Oid>,
-    smaller: ClusterScratch<u64, Oid>,
+    larger: (ClusterScratch<u64, Oid>, Clustered<u64, Oid>),
+    smaller: (ClusterScratch<u64, Oid>, Clustered<u64, Oid>),
 }
 
 impl PartitionJoiner {
@@ -65,8 +68,8 @@ impl PartitionJoiner {
         PartitionJoiner {
             split: RadixClusterSpec::partial(bits, passes, spec.ignore),
             table: HashTable::default(),
-            larger: ClusterScratch::new(),
-            smaller: ClusterScratch::new(),
+            larger: Default::default(),
+            smaller: Default::default(),
         }
     }
 
@@ -76,8 +79,10 @@ impl PartitionJoiner {
         if split.bits == 0 || larger.0.is_empty() || smaller.0.is_empty() {
             return table.join_into(larger, smaller, out);
         }
-        let l = (self.larger).cluster_hashed_in_scratch(larger.0, larger.1, split);
-        let s = (self.smaller).cluster_hashed_in_scratch(smaller.0, smaller.1, split);
+        let ((ls, l), (ss, s)) = (&mut self.larger, &mut self.smaller);
+        let hash = |&k: &u64| hash_key(k);
+        ls.cluster_into(larger.0, larger.1, split, hash, l, &mut NoProbe);
+        ss.cluster_into(smaller.0, smaller.1, split, hash, s, &mut NoProbe);
         for q in 0..split.num_clusters() {
             table.join_into(l.cluster(q), s.cluster(q), out);
         }
@@ -109,12 +114,13 @@ pub fn partitioned_hash_join(
         joiner.join(larger, smaller, &mut out);
     } else {
         let first = join_first_pass(spec);
-        let mut scratch = ClusterScratch::new();
-        let larger = radix_cluster_with_scratch(larger.0, larger.1, first, &mut scratch);
-        let smaller = radix_cluster_with_scratch(smaller.0, smaller.1, first, &mut scratch);
+        let (mut scratch, hash) = (ClusterScratch::new(), |&k: &u64| hash_key(k));
+        let (mut l, mut s) = (Clustered::default(), Clustered::default());
+        scratch.cluster_into(larger.0, larger.1, first, hash, &mut l, &mut NoProbe);
+        scratch.cluster_into(smaller.0, smaller.1, first, hash, &mut s, &mut NoProbe);
         drop((scratch, oids));
         for p in 0..first.num_clusters() {
-            joiner.join(larger.cluster(p), smaller.cluster(p), &mut out);
+            joiner.join(l.cluster(p), s.cluster(p), &mut out);
         }
     }
     JoinIndex::from_columns(out.0, out.1)
@@ -122,11 +128,15 @@ pub fn partitioned_hash_join(
 
 /// Chooses the number of radix bits for Partitioned Hash-Join so that one
 /// build partition fits the cache at 12 bytes per tuple — 8 key + 4 oid; the
-/// table's 28–56 bytes come on top — and caps single-pass fanout by using
-/// two passes beyond 2^11 clusters — the §2 recipe.  On a 1M × 1M join one
-/// plain pass to all `2^B` clusters took 42–43 ms at B = 5 and 54–56 at B =
-/// 7; bounded by [`TLB_BOUNDED_FANOUT`], 34–36 and 38–39 ms (fastest of 7,
-/// 2-vCPU Xeon, 2 MB L2).  The planner prices its plans with this B.
+/// table's 28–56 bytes come on top.  On a 1M × 1M join one plain pass to all
+/// `2^B` clusters took 42–43 ms at B = 5 and 54–56 at B = 7; bounded by
+/// [`TLB_BOUNDED_FANOUT`], 34–36 and 38–39 ms (fastest of 7, 2-vCPU Xeon,
+/// 2 MB L2).  The planner prices its plans with this B.
+///
+/// The spec also says two passes beyond 2^11 clusters, the §2 recipe, but
+/// only the `dsm_pre` / `nsm_pre` baselines read `passes`: the served join
+/// ([`partitioned_hash_join`] and `rdx-exec`'s `par_partitioned_hash_join`)
+/// always runs one [`join_first_pass`] plus [`PartitionJoiner`]'s split.
 pub fn join_cluster_spec(smaller_tuples: usize, cache_bytes: usize) -> RadixClusterSpec {
     const BYTES_PER_BUILD_TUPLE: usize = 12;
     let build_bytes = smaller_tuples.saturating_mul(BYTES_PER_BUILD_TUPLE);

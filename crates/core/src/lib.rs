@@ -48,13 +48,13 @@ pub mod strategy;
 
 pub use budget::{BudgetError, MemoryBudget};
 pub use cluster::{
-    radix_cluster, radix_cluster_oids_with_scratch, radix_cluster_with_scratch, radix_count,
-    radix_sort_oids, scatter_cursor_budget, ClusterScratch, Clustered, RadixClusterSpec,
+    radix_cluster, radix_cluster_oids, radix_count, radix_sort_oids, scatter_cursor_budget,
+    ClusterScratch, Clustered, RadixClusterSpec,
 };
 pub use decluster::chunks::{ChunkCursorState, ChunkRuns};
 pub use decluster::{
-    choose_window_bytes, radix_decluster, radix_decluster_into,
-    radix_decluster_windows_with_scratch, window_elems, DeclusterScratch,
+    choose_window_bytes, radix_decluster, radix_decluster_windows_with_scratch, window_elems,
+    DeclusterScratch,
 };
 pub use error::{DeadlineError, RdxError, Side, TenantQuotaKind};
 pub use fault::{FaultAction, FaultInjector, FaultPlan, RetryPolicy};

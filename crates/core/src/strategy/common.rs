@@ -8,9 +8,7 @@
 //! (`jive.rs` keeps its own per-tuple fetch closures: Jive-Join interleaves
 //! both sides tuple by tuple and is a different algorithm, not this contract.)
 
-use crate::cluster::{
-    plan_partial_cluster, radix_cluster_oids_with_scratch, radix_sort_spec_for, ClusterScratch,
-};
+use crate::cluster::{plan_partial_cluster, radix_cluster_oids, radix_sort_spec_for};
 use crate::decluster::{choose_window_bytes, radix_decluster};
 use crate::positional::AttrSource;
 use rdx_cache::CacheParams;
@@ -76,21 +74,19 @@ pub fn order_join_index(
             // Radix-Sort on all significant bits, with the pass count the
             // cost planner prices — priced and executed pass structures
             // match.
-            let sorted = radix_cluster_oids_with_scratch(
+            let sorted = radix_cluster_oids(
                 join_index.larger(),
                 join_index.smaller(),
                 radix_sort_spec_for(first_cardinality, params),
-                &mut ClusterScratch::new(),
             );
             let (keys, payloads, _) = sorted.into_parts();
             (keys, payloads)
         }
         ProjectionCode::PartialCluster => {
-            let clustered = radix_cluster_oids_with_scratch(
+            let clustered = radix_cluster_oids(
                 join_index.larger(),
                 join_index.smaller(),
                 plan_partial_cluster(first_cardinality, value_width, params),
-                &mut ClusterScratch::new(),
             );
             let (keys, payloads, _) = clustered.into_parts();
             (keys, payloads)
@@ -131,11 +127,10 @@ pub fn project_second_side_decluster(
 ) -> (Vec<Vec<i32>>, usize) {
     let n = second_oids_in_result_order.len();
     let result_positions: Vec<Oid> = (0..n as Oid).collect();
-    let clustered = radix_cluster_oids_with_scratch(
+    let clustered = radix_cluster_oids(
         second_oids_in_result_order,
         &result_positions,
         plan_partial_cluster(second_cardinality, value_width, params),
-        &mut ClusterScratch::new(),
     );
     let window = choose_window_bytes(value_width, clustered.num_clusters(), params);
 

@@ -1,11 +1,11 @@
 //! Parallel Radix-Cluster: per-thread local clustering + prefix-sum merge.
 //!
-//! Each worker radix-clusters one contiguous shard of the input with the
-//! sequential scatter engine **inside its own [`ClusterScratch`] arena** (so
-//! every per-pass cursor set stays cache-contained *per core* and no worker
-//! allocates per shard), then the per-shard cluster sizes are prefix-summed
-//! into global cluster borders and the shards are merged — in worker order,
-//! so the result is **byte-identical** to the sequential
+//! Each worker radix-clusters one contiguous shard of the input with
+//! [`ClusterScratch::cluster_into`], in its own arena and into its own
+//! output (so every per-pass cursor set stays cache-contained *per core*),
+//! then the per-shard cluster sizes are prefix-summed into global cluster
+//! borders and the shards are merged — in worker order, so the result is
+//! **byte-identical** to the sequential
 //! [`rdx_core::cluster::radix_cluster`]: the sequential kernel is a stable
 //! counting sort, worker shards are contiguous input ranges, and
 //! concatenating each cluster's per-shard segments in shard order reproduces
@@ -19,95 +19,35 @@
 //! beat a single sequential pass, so the double-init is simply gone.
 
 use crate::pool::{partition_ranges, ExecPolicy};
-use rdx_core::cluster::{
-    radix_sort_spec, ClusterScratch, Clustered, RadixClusterSpec, ScratchClustered,
-};
+use rdx_cache::NoProbe;
+use rdx_core::cluster::{ClusterScratch, Clustered, RadixClusterSpec};
 use rdx_dsm::Oid;
-
-/// Reusable per-worker [`ClusterScratch`] arenas for the parallel cluster
-/// kernels: one arena per worker thread, grown on demand and retained
-/// across calls, so repeated parallel clusterings (per query, per batch)
-/// allocate only their outputs.
-#[derive(Debug, Default)]
-pub struct ParClusterScratch<K, P> {
-    workers: Vec<ClusterScratch<K, P>>,
-}
-
-impl<K, P> ParClusterScratch<K, P> {
-    /// An empty pool; per-worker arenas are created on first use.
-    pub fn new() -> Self {
-        ParClusterScratch {
-            workers: Vec::new(),
-        }
-    }
-
-    /// Resident heap bytes across all per-worker arenas.
-    pub fn resident_bytes(&self) -> usize {
-        self.workers.iter().map(|w| w.resident_bytes()).sum()
-    }
-}
 
 /// Parallel `radix_cluster(B, P)` over hashed keys; byte-identical to the
 /// sequential [`rdx_core::cluster::radix_cluster`] for every
-/// `(spec, policy)`.  Allocates one-shot per-worker scratch; hot paths
-/// should hold a [`ParClusterScratch`] and call
-/// [`par_radix_cluster_with_scratch`].
+/// `(spec, policy)`.
 pub fn par_radix_cluster<P: Copy + Send + Sync>(
     keys: &[u64],
     payloads: &[P],
     spec: RadixClusterSpec,
     policy: &ExecPolicy,
 ) -> Clustered<u64, P> {
-    par_radix_cluster_with_scratch(keys, payloads, spec, policy, &mut ParClusterScratch::new())
-}
-
-/// [`par_radix_cluster`] with reusable per-worker arenas.
-pub fn par_radix_cluster_with_scratch<P: Copy + Send + Sync>(
-    keys: &[u64],
-    payloads: &[P],
-    spec: RadixClusterSpec,
-    policy: &ExecPolicy,
-    scratch: &mut ParClusterScratch<u64, P>,
-) -> Clustered<u64, P> {
-    par_cluster_impl(keys, payloads, spec, policy, scratch, |&k| {
+    par_cluster_impl(keys, payloads, spec, policy, |&k| {
         rdx_core::hash::hash_key(k)
     })
 }
 
 /// Parallel clustering of unhashed oids (the join-index case of §3.1);
 /// byte-identical to the sequential
-/// [`rdx_core::cluster::radix_cluster_oids`].  Allocates one-shot per-worker
-/// scratch; hot paths should hold a [`ParClusterScratch`] and call
-/// [`par_radix_cluster_oids_with_scratch`].
+/// [`rdx_core::cluster::radix_cluster_oids`].  A Radix-Sort is this on
+/// [`rdx_core::cluster::radix_sort_spec`].
 pub fn par_radix_cluster_oids<P: Copy + Send + Sync>(
     oids: &[Oid],
     payloads: &[P],
     spec: RadixClusterSpec,
     policy: &ExecPolicy,
 ) -> Clustered<Oid, P> {
-    par_radix_cluster_oids_with_scratch(oids, payloads, spec, policy, &mut ParClusterScratch::new())
-}
-
-/// [`par_radix_cluster_oids`] with reusable per-worker arenas.
-pub fn par_radix_cluster_oids_with_scratch<P: Copy + Send + Sync>(
-    oids: &[Oid],
-    payloads: &[P],
-    spec: RadixClusterSpec,
-    policy: &ExecPolicy,
-    scratch: &mut ParClusterScratch<Oid, P>,
-) -> Clustered<Oid, P> {
-    par_cluster_impl(oids, payloads, spec, policy, scratch, |&o| o as u64)
-}
-
-/// Parallel Radix-Sort of an oid column: all significant bits, no ignore
-/// bits; byte-identical to [`rdx_core::cluster::radix_sort_oids`].
-pub fn par_radix_sort_oids<P: Copy + Send + Sync>(
-    oids: &[Oid],
-    payloads: &[P],
-    domain: usize,
-    policy: &ExecPolicy,
-) -> Clustered<Oid, P> {
-    par_radix_cluster_oids(oids, payloads, radix_sort_spec(domain), policy)
+    par_cluster_impl(oids, payloads, spec, policy, |&o| o as u64)
 }
 
 fn par_cluster_impl<K, P, F>(
@@ -115,7 +55,6 @@ fn par_cluster_impl<K, P, F>(
     payloads: &[P],
     spec: RadixClusterSpec,
     policy: &ExecPolicy,
-    scratch: &mut ParClusterScratch<K, P>,
     bucket_of: F,
 ) -> Clustered<K, P>
 where
@@ -126,37 +65,34 @@ where
     assert_eq!(keys.len(), payloads.len(), "keys/payloads length mismatch");
     let n = keys.len();
     let threads = policy.worker_threads();
-    if scratch.workers.len() < threads.max(1) {
-        scratch
-            .workers
-            .resize_with(threads.max(1), ClusterScratch::new);
-    }
     if threads == 1 || n == 0 || spec.bits == 0 {
-        return scratch.workers[0].cluster_by(keys, payloads, spec, bucket_of);
+        let mut out = Clustered::default();
+        ClusterScratch::new().cluster_into(keys, payloads, spec, bucket_of, &mut out, &mut NoProbe);
+        return out;
     }
 
     // Phase 1 — per-worker local clustering: each worker runs the full
-    // (multi-pass, stable) scatter engine on its contiguous shard, entirely
-    // inside its own arena — no per-shard histograms, flip buffers or
-    // result vectors are allocated.
+    // (multi-pass, stable) scatter engine on its contiguous shard, in its
+    // own arena, into its own output.
     let shards = partition_ranges(n, threads);
+    let mut locals: Vec<Clustered<K, P>> = shards.iter().map(|_| Clustered::default()).collect();
     std::thread::scope(|scope| {
         let bucket_of = &bucket_of;
-        for (worker, range) in scratch.workers.iter_mut().zip(&shards) {
+        for (local, range) in locals.iter_mut().zip(&shards) {
             let r = range.clone();
             scope.spawn(move || {
-                worker.cluster_by_in_scratch(&keys[r.clone()], &payloads[r], spec, bucket_of);
+                let (keys, payloads) = (&keys[r.clone()], &payloads[r]);
+                ClusterScratch::new().cluster_into(
+                    keys,
+                    payloads,
+                    spec,
+                    bucket_of,
+                    local,
+                    &mut NoProbe,
+                );
             });
         }
     });
-    let locals: Vec<ScratchClustered<'_, K, P>> = scratch.workers[..threads]
-        .iter()
-        .map(|w| match w.view() {
-            Some(v) => v,
-            // The scope above ran cluster_by_in_scratch on every worker.
-            None => unreachable!("worker clustered its shard"),
-        })
-        .collect();
 
     // Phase 2 — prefix sum of the per-shard cluster sizes into global borders.
     let clusters = spec.num_clusters();
@@ -193,7 +129,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
-    use rdx_core::cluster::{radix_cluster, radix_cluster_oids, radix_sort_oids};
+    use rdx_core::cluster::{radix_cluster, radix_cluster_oids, radix_sort_oids, radix_sort_spec};
 
     fn shuffled_oids(n: usize, seed: u64) -> Vec<Oid> {
         let mut v: Vec<Oid> = (0..n as Oid).collect();
@@ -238,7 +174,12 @@ mod tests {
         let oids = shuffled_oids(20_000, 9);
         let payloads: Vec<u32> = (0..20_000).collect();
         let expected = radix_sort_oids(&oids, &payloads, 20_000);
-        let got = par_radix_sort_oids(&oids, &payloads, 20_000, &ExecPolicy::with_threads(4));
+        let got = par_radix_cluster_oids(
+            &oids,
+            &payloads,
+            radix_sort_spec(20_000),
+            &ExecPolicy::with_threads(4),
+        );
         assert_eq!(got, expected);
     }
 

@@ -16,9 +16,10 @@
 //! * [`pool`] — [`ExecPolicy`] (thread count + morsel size), scoped worker
 //!   spawning, the work-stealing [`MorselQueue`], and safe disjoint-slice
 //!   distribution helpers.
-//! * [`cluster`] — parallel Radix-Cluster / Radix-Sort: per-thread local
-//!   clustering, prefix-sum of per-thread histograms, parallel merge into
-//!   cluster-border shards.  Byte-identical to the sequential kernels.
+//! * [`cluster`] — parallel Radix-Cluster (a Radix-Sort is one on
+//!   `radix_sort_spec`): each worker fills its own `Clustered` from its
+//!   shard, the per-shard cluster sizes prefix-sum into global borders and
+//!   the shards merge in order.  Byte-identical to the sequential kernels.
 //! * [`decluster`] — parallel Radix-Decluster: independent insertion-window
 //!   ranges per worker, cursors recovered by binary search.  Byte-identical
 //!   to the sequential kernel.
@@ -50,10 +51,7 @@ pub mod pipeline;
 pub mod pool;
 pub mod strategy;
 
-pub use cluster::{
-    par_radix_cluster, par_radix_cluster_oids, par_radix_cluster_oids_with_scratch,
-    par_radix_cluster_with_scratch, par_radix_sort_oids, ParClusterScratch,
-};
+pub use cluster::{par_radix_cluster, par_radix_cluster_oids};
 pub use decluster::{par_radix_decluster, par_radix_decluster_into};
 pub use join::par_partitioned_hash_join;
 pub use pipeline::{

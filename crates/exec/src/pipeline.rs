@@ -58,7 +58,7 @@
 //! alike.  The dynamic call, the column lookup and the seqbase / record
 //! stride are paid per block; a unit test pins the call count.
 
-use crate::cluster::{par_radix_cluster_oids_with_scratch, ParClusterScratch};
+use crate::cluster::par_radix_cluster_oids;
 use crate::decluster::par_radix_decluster_into;
 use crate::join::par_partitioned_hash_join;
 use crate::pool::ExecPolicy;
@@ -987,12 +987,11 @@ impl ProjectionPipeline {
         let second = match self.plan.second_side {
             SecondSideCode::Decluster => {
                 let result_positions: Vec<Oid> = (0..n as Oid).collect();
-                let (smaller, positions) = PackedOids::pack(par_radix_cluster_oids_with_scratch(
+                let (smaller, positions) = PackedOids::pack(par_radix_cluster_oids(
                     &second_oids,
                     &result_positions,
                     cluster_spec,
                     policy,
-                    &mut ParClusterScratch::new(),
                 ));
                 SecondSide::Clustered { smaller, positions }
             }

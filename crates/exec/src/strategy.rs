@@ -5,7 +5,7 @@
 //! slices.  Each reproduces its sequential counterpart in
 //! [`rdx_core::strategy::common`] exactly.
 
-use crate::cluster::{par_radix_cluster_oids_with_scratch, ParClusterScratch};
+use crate::cluster::par_radix_cluster_oids;
 use crate::pool::{for_each_output_morsel, ExecPolicy};
 use rdx_cache::CacheParams;
 use rdx_core::cluster::{plan_partial_cluster, radix_sort_spec_for, Clustered};
@@ -29,12 +29,11 @@ pub fn par_order_join_index(
         ProjectionCode::Unsorted => (join_index.larger().to_vec(), join_index.smaller().to_vec()),
         ProjectionCode::Sorted => {
             // Radix-Sort with the pass count the cost planner prices.
-            let sorted = par_radix_cluster_oids_with_scratch(
+            let sorted = par_radix_cluster_oids(
                 join_index.larger(),
                 join_index.smaller(),
                 radix_sort_spec_for(first_cardinality, params),
                 policy,
-                &mut ParClusterScratch::new(),
             );
             let (keys, payloads, _) = sorted.into_parts();
             (keys, payloads)
@@ -57,12 +56,11 @@ pub fn par_partial_cluster_join_index(
     params: &CacheParams,
     policy: &ExecPolicy,
 ) -> Clustered<Oid, Oid> {
-    par_radix_cluster_oids_with_scratch(
+    par_radix_cluster_oids(
         join_index.larger(),
         join_index.smaller(),
         plan_partial_cluster(first_cardinality, VALUE_WIDTH, params),
         policy,
-        &mut ParClusterScratch::new(),
     )
 }
 

@@ -1085,7 +1085,7 @@ impl QueryEngine {
         let predicted_chunk_ns = run.predicted_chunk_ns(shared_params);
         let predicted_chunk_cost_ms = predicted_chunk_ns as f64 / 1e6;
         run.attach_obs(&self.obs, query, predicted_chunk_ns);
-        if request.profiled || self.config.profiled {
+        if request.profiled {
             run.attach_profile(&self.obs, query, shared_params);
         }
         // Warm start: hand down scratch harvested from an earlier query.
@@ -1463,7 +1463,6 @@ mod tests {
             fairness: crate::FairnessPolicy::CostWeighted,
             plan_shares: None,
             observability: false,
-            profiled: false,
             tenant_quotas: crate::tenant::TenantQuotas::default(),
         }
     }
@@ -1978,7 +1977,6 @@ mod tests {
             fairness: crate::FairnessPolicy::CostWeighted,
             plan_shares: Some(1),
             observability: false,
-            profiled: false,
             tenant_quotas: TenantQuotas::unlimited()
                 .with_tenant("burst", TenantQuota::unlimited().in_flight(1)),
         });
@@ -2029,7 +2027,6 @@ mod tests {
             fairness: crate::FairnessPolicy::CostWeighted,
             plan_shares: Some(1),
             observability: false,
-            profiled: false,
             tenant_quotas: TenantQuotas::unlimited()
                 .with_default(TenantQuota::unlimited().resident_bytes(512)),
         });

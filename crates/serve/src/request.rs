@@ -41,15 +41,6 @@ pub struct ServeConfig {
     /// predicted-vs-observed histogram) and profiling's permission to arm.
     /// Off by default: the chunk loop then reads no clock.
     pub observability: bool,
-    /// Whether every query runs in cache-truth **profiled** mode: each
-    /// emitted chunk's memory-access pattern is replayed through the
-    /// simulated [`CacheParams`] hierarchy, recording per-phase spans and
-    /// per-chunk miss counts (`profile.*` metrics, `ChunkProfile` trace
-    /// events).  Requires [`ServeConfig::observability`]; output is
-    /// byte-identical to unprofiled runs by construction.  Off by default —
-    /// the replay costs simulator time, so it is a measurement mode, not a
-    /// serving mode.  Per-request opt-in: [`ServerRequest::with_profiled`].
-    pub profiled: bool,
     /// Per-tenant admission caps layered on top of [`Self::global_budget`]
     /// (see [`crate::tenant`]): max in-flight queries and max resident
     /// grant bytes per tenant, enforced *before* the global
@@ -70,7 +61,6 @@ impl Default for ServeConfig {
             fairness: FairnessPolicy::CostWeighted,
             plan_shares: None,
             observability: false,
-            profiled: false,
             tenant_quotas: crate::tenant::TenantQuotas::default(),
         }
     }
@@ -96,9 +86,14 @@ pub struct ServerRequest {
     /// (what the conformance grid uses to drive every `u/s/c × u/d` cell
     /// through the one planner entry).
     pub codes: Option<DsmPostProjection>,
-    /// Runs this query in cache-truth profiled mode (see
-    /// [`ServeConfig::profiled`] for semantics); `false` — the default —
-    /// can still be overridden engine-wide by the config flag.
+    /// Runs this query in cache-truth **profiled** mode: each emitted
+    /// chunk's memory-access pattern is replayed through the simulated
+    /// [`CacheParams`] hierarchy, recording per-phase spans and per-chunk
+    /// miss counts (`profile.*` metrics, `ChunkProfile` trace events).
+    /// Requires [`ServeConfig::observability`]; output is byte-identical to
+    /// unprofiled runs by construction.  Off by default — the replay costs
+    /// simulator time, so it is a measurement mode, not a serving mode.
+    /// Set it with [`ServerRequest::with_profiled`].
     pub profiled: bool,
     /// Optional completion deadline, nanoseconds of *service time* from
     /// admission.  `Some` arms two enforcement points: admission rejects

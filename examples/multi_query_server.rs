@@ -143,7 +143,6 @@ fn main() {
         fairness: FairnessPolicy::CostWeighted,
         plan_shares: Some(4),
         observability: false,
-        profiled: false,
         ..ServeConfig::default()
     };
     let register_all = |session: &mut Session| -> Vec<(RelationId, RelationId)> {

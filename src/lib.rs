@@ -102,13 +102,11 @@ pub mod prelude {
     pub use rdx_cache::{CacheParams, MemorySystem, NoProbe};
     pub use rdx_core::budget::{BudgetError, MemoryBudget};
     pub use rdx_core::cluster::{
-        radix_cluster, radix_cluster_oids, radix_cluster_oids_with_scratch,
-        radix_cluster_with_scratch, scatter_cursor_budget, ClusterScratch, RadixClusterSpec,
-        ScratchClustered,
+        radix_cluster, radix_cluster_oids, scatter_cursor_budget, ClusterScratch, Clustered,
+        RadixClusterSpec,
     };
     pub use rdx_core::decluster::{
-        radix_decluster, radix_decluster_into, radix_decluster_windows_with_scratch,
-        DeclusterScratch,
+        radix_decluster, radix_decluster_windows_with_scratch, DeclusterScratch,
     };
     pub use rdx_core::error::{DeadlineError, RdxError, Side, TenantQuotaKind};
     pub use rdx_core::fault::{FaultAction, FaultInjector, FaultPlan, RetryPolicy};
@@ -119,10 +117,9 @@ pub mod prelude {
     };
     pub use rdx_dsm::{Column, DsmRelation, JoinIndex, Oid, ResultRelation};
     pub use rdx_exec::{
-        par_partitioned_hash_join, par_radix_cluster, par_radix_cluster_oids,
-        par_radix_cluster_oids_with_scratch, par_radix_cluster_with_scratch, par_radix_decluster,
-        par_radix_decluster_into, ChunkScratch, DsmPipelineRun, ExecPolicy, ParClusterScratch,
-        PipelineRun, PreparedProjection, ProjectionPipeline,
+        par_partitioned_hash_join, par_radix_cluster, par_radix_cluster_oids, par_radix_decluster,
+        par_radix_decluster_into, ChunkScratch, DsmPipelineRun, ExecPolicy, PipelineRun,
+        PreparedProjection, ProjectionPipeline,
     };
     pub use rdx_net::{
         ClientError, Frame, NetClient, NetConfig, NetListener, NetServer, NetStats, NetStream,

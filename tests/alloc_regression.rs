@@ -362,36 +362,32 @@ fn a_warm_whole_result_query_allocates_its_result_once() {
 }
 
 #[test]
-fn cluster_with_scratch_allocates_only_the_output() {
+fn cluster_into_a_warm_output_allocates_nothing() {
     let _guard = serialized();
     let oids: Vec<Oid> = (0..50_000u32).rev().collect();
     let payloads: Vec<Oid> = (0..50_000).collect();
     let spec = RadixClusterSpec::partial(6, 2, 0);
-    let mut scratch = ClusterScratch::new();
-    // Warm-up grows the arena.
-    let _ = radix_cluster_oids_with_scratch(&oids, &payloads, spec, &mut scratch);
-    let mut out = None;
-    let allocs = allocations_during(|| {
-        out = Some(radix_cluster_oids_with_scratch(
+    let (mut scratch, mut out) = (ClusterScratch::new(), Clustered::default());
+    let mut run = || {
+        scratch.cluster_into(
             &oids,
             &payloads,
             spec,
-            &mut scratch,
-        ));
-    });
-    // Exactly the owned output: keys + payloads + bounds (the seed kernel
-    // allocated four full-size working buffers and two cursor vectors per
-    // segment on top).
-    assert!(allocs <= 3, "{allocs} allocations for an owned-output call");
-    assert_eq!(out.unwrap().len(), 50_000);
-    // The borrowed-view entry point allocates nothing at all (its result
-    // buffers are part of the arena, warmed by its own first run).
-    let _ = scratch.cluster_oids_in_scratch(&oids, &payloads, spec);
-    let view_allocs = allocations_during(|| {
-        let view = scratch.cluster_oids_in_scratch(&oids, &payloads, spec);
-        assert_eq!(view.len(), 50_000);
-    });
-    assert_eq!(view_allocs, 0, "in-scratch clustering must not allocate");
+            |&o| o as u64,
+            &mut out,
+            &mut NoProbe,
+        )
+    };
+    // Warm-up grows the arena and the output (the seed kernel allocated
+    // four full-size working buffers, two cursor vectors per segment and
+    // the output on every call).
+    run();
+    let allocs = allocations_during(run);
+    assert_eq!(
+        allocs, 0,
+        "cluster_into into a warm output must not allocate"
+    );
+    assert_eq!(out, radix_cluster_oids(&oids, &payloads, spec));
 }
 
 #[test]
@@ -404,14 +400,29 @@ fn decluster_into_allocates_nothing_after_warmup() {
     let (values, positions, bounds) = clustered;
     let mut scratch = DeclusterScratch::new();
     let mut out = vec![0i32; n];
+    let mut decluster = || {
+        radix_decluster_windows_with_scratch(
+            &values,
+            &positions,
+            bounds.windows(2).map(|w| w[0]..w[1]),
+            0,
+            4096 / 4,
+            &mut scratch,
+            &mut out,
+            &mut NoProbe,
+        )
+    };
     // Warm-up.
-    radix_decluster_into(&values, &positions, &bounds, 4096, &mut scratch, &mut out);
+    decluster();
     let allocs = allocations_during(|| {
         for _ in 0..5 {
-            radix_decluster_into(&values, &positions, &bounds, 4096, &mut scratch, &mut out);
+            decluster();
         }
     });
-    assert_eq!(allocs, 0, "decluster_into must reuse its cursor scratch");
+    assert_eq!(
+        allocs, 0,
+        "the windowed decluster must reuse its cursor scratch"
+    );
     let expected = radix_decluster(&values, &positions, &bounds, 4096);
     assert_eq!(out, expected);
 }

@@ -162,7 +162,6 @@ fn interleaved_tickets_reproduce_drain_to_idle_chunk_for_chunk() {
         fairness: FairnessPolicy::CostWeighted,
         plan_shares: None,
         observability: false,
-        profiled: false,
         ..ServeConfig::default()
     };
 
@@ -267,7 +266,6 @@ fn a_submission_lands_between_chunk_steps_of_an_in_flight_query() {
         fairness: FairnessPolicy::RoundRobin,
         plan_shares: Some(1),
         observability: false,
-        profiled: false,
         ..ServeConfig::default()
     });
     let larger = session.register(w.larger.clone());

@@ -27,7 +27,6 @@ fn config(budget_bytes: usize, observability: bool) -> ServeConfig {
         fairness: FairnessPolicy::CostWeighted,
         plan_shares: Some(2),
         observability,
-        profiled: false,
         ..ServeConfig::default()
     }
 }

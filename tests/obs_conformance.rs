@@ -35,7 +35,6 @@ fn config(budget: MemoryBudget, threads: usize, observability: bool) -> ServeCon
         fairness: FairnessPolicy::CostWeighted,
         plan_shares: Some(3),
         observability,
-        profiled: false,
         ..ServeConfig::default()
     }
 }
@@ -174,8 +173,8 @@ fn trace_replays_each_lifecycle_in_order() {
     assert_eq!(stats.cache_hits, 0);
 }
 
-/// Cache-truth profiling is a pure observer: a profiled session (engine-wide
-/// `profiled`) returns bytes identical to an unprofiled one on both
+/// Cache-truth profiling is a pure observer: a profiled query returns bytes
+/// identical to an unprofiled one on both
 /// second-side codes, two profiled runs charge identical simulated miss
 /// counts, and an unprofiled run charges none.
 #[test]
@@ -190,17 +189,13 @@ fn profiled_execution_is_byte_identical_and_deterministic() {
                 global_budget: MemoryBudget::bytes(4 * 1024),
                 plan_shares: Some(1),
                 observability: true,
-                profiled,
                 ..ServeConfig::default()
             });
             let larger = session.register(w.larger.clone());
             let smaller = session.register(w.smaller.clone());
-            let out = session
-                .query(larger, smaller)
-                .project(spec)
-                .codes(codes)
-                .run()
-                .expect("serves");
+            let query = session.query(larger, smaller).project(spec).codes(codes);
+            let query = if profiled { query.profiled() } else { query };
+            let out = query.run().expect("serves");
             let cols = columns(&out.result);
             let metrics = session.metrics().expect("always kept");
             let counts = [

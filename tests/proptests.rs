@@ -63,9 +63,6 @@ proptest! {
         passes in 1u32..4,
         ignore in 0u32..6,
     ) {
-        use radix_decluster::core::cluster::{
-            radix_cluster_oids_with_scratch, radix_cluster_with_scratch, ClusterScratch,
-        };
         let oids: Vec<Oid> = raw.iter().map(|&v| v % modulus).collect();
         let payloads: Vec<u32> = (0..oids.len() as u32).collect();
         let spec = RadixClusterSpec::partial(bits, passes, ignore);
@@ -85,16 +82,17 @@ proptest! {
             let cluster = clustered.cluster_payloads(j);
             prop_assert!(cluster.windows(2).all(|w| w[0] < w[1]), "cluster {}", j);
         }
-        // Reusing the same (now dirty) scratch must not change the result.
-        let mut scratch = ClusterScratch::new();
+        // Reusing the same (now dirty) scratch and output must not change
+        // the result.
+        let (mut scratch, mut again) = (ClusterScratch::new(), Clustered::default());
         for _ in 0..2 {
-            let again = radix_cluster_oids_with_scratch(&oids, &payloads, spec, &mut scratch);
+            scratch.cluster_into(&oids, &payloads, spec, |&o| o as u64, &mut again, &mut NoProbe);
             prop_assert_eq!(&again, &clustered);
         }
         // The hashed-key kernel is the same stable permutation, clustered
         // on the hash's radix field.
         let keys: Vec<u64> = oids.iter().map(|&o| o as u64).collect();
-        let hashed = radix_cluster_with_scratch(&keys, &payloads, spec, &mut ClusterScratch::new());
+        let hashed = radix_cluster(&keys, &payloads, spec);
         let field = |k: u64| radix_field(hash_key(k), bits, ignore);
         prop_assert!(hashed.keys().windows(2).all(|w| field(w[0]) <= field(w[1])));
         for (&k, &p) in hashed.keys().iter().zip(hashed.payloads()) {

@@ -43,7 +43,6 @@ fn config(
         // scheduling, never plan drift.
         plan_shares: Some(4),
         observability: false,
-        profiled: false,
         ..ServeConfig::default()
     }
 }
