@@ -11,11 +11,10 @@
 //!   [`MemoryBudget`], the clustered-join-index cache and the scratch pools;
 //! * a fluent [`Query`] builder
 //!   (`session.query(larger, smaller).project(spec).budget(b).threads(t)`)
-//!   resolves through **one planner entry**
-//!   ([`rdx_serve::QueryEngine::resolve`]) to any execution mode:
-//!   [`Query::run`] (one-shot materialise), [`Query::stream`] (chunked into
-//!   a caller sink), or [`Query::submit`] (enqueue into the serve
-//!   scheduler);
+//!   ends in [`Query::submit`] (enqueue into the serve scheduler) or
+//!   [`Query::run`] (one-shot materialise), which is that same ticket
+//!   submitted and driven until it finishes — one query lifecycle either
+//!   way;
 //! * [`Query::submit`] returns a **non-blocking [`Ticket`]** whose
 //!   [`Ticket::poll`] reports [`QueryPoll::Queued`],
 //!   [`QueryPoll::Chunk`]`(progress)`, [`QueryPoll::Done`]`(report)` or
@@ -40,8 +39,8 @@
 //! poll that observes completion takes the parked report (or error) with
 //! it, and any later poll of the same ticket reports
 //! [`RdxError::UnknownTicket`].  Work only happens inside
-//! [`Session::drive`] (or the blocking [`Query::run`]/[`Query::stream`]
-//! modes): `submit` and `poll` are safe to call between chunk steps of any
+//! [`Session::drive`] (which the blocking [`Query::run`] calls): `submit`
+//! and `poll` are safe to call between chunk steps of any
 //! in-flight query, which is exactly the surface an async network front
 //! needs — accept and observe queries while a batch is in flight, without
 //! touching the executors.
@@ -95,7 +94,7 @@ pub use rdx_cache::CacheParams;
 pub use rdx_core::budget::{BudgetError, MemoryBudget};
 pub use rdx_core::error::{DeadlineError, RdxError, Side};
 pub use rdx_core::fault::{FaultAction, FaultInjector, FaultPlan, RetryPolicy};
-pub use rdx_core::strategy::{PhaseTimings, QuerySpec, RowChunkSink};
+pub use rdx_core::strategy::{PhaseTimings, QuerySpec};
 pub use rdx_obs::{
     EventKind, HistogramSnapshot, MetricValue, MetricsSnapshot, QueryId, TraceEvent, TraceSnapshot,
 };
@@ -106,9 +105,7 @@ pub use rdx_serve::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdx_core::strategy::{
-        CountingSink, DsmPostProjection, MaterializeSink, ProjectionCode, SecondSideCode,
-    };
+    use rdx_core::strategy::{DsmPostProjection, ProjectionCode, SecondSideCode};
     use rdx_dsm::ResultRelation;
     use rdx_workload::JoinWorkloadBuilder;
 
@@ -150,25 +147,59 @@ mod tests {
     }
 
     #[test]
-    fn stream_honours_the_budget_and_the_sink_protocol() {
+    fn run_honours_its_budget_hint() {
         let w = JoinWorkloadBuilder::equal(2_000, 1).seed(43).build();
         let mut session = Session::with_params(CacheParams::tiny_for_tests());
         let larger = session.register(w.larger.clone());
         let smaller = session.register(w.smaller.clone());
-        let budget = MemoryBudget::bytes(512);
-        let mut sink = CountingSink::new(MaterializeSink::new());
         let stats = session
             .query(larger, smaller)
             .project(QuerySpec::symmetric(1))
-            .budget(budget)
+            .budget(MemoryBudget::bytes(512))
             .threads(2)
-            .stream(&mut sink)
-            .expect("streams");
+            .run()
+            .expect("runs")
+            .stats;
         assert_eq!(stats.rows, w.expected_matches);
         assert!(stats.chunks > 1, "512 B must chunk 2000 rows");
-        assert_eq!(sink.chunks, stats.chunks);
         assert!(stats.peak_chunk_bytes <= 512);
         assert_eq!(stats.share_bytes, 512);
+    }
+
+    #[test]
+    fn run_waits_in_fifo_behind_tickets_holding_the_budget() {
+        let w = JoinWorkloadBuilder::equal(1_000, 1).seed(13).build();
+        let mut session = Session::new(ServeConfig {
+            params: CacheParams::tiny_for_tests(),
+            global_budget: MemoryBudget::bytes(4_096),
+            max_concurrent: 2,
+            plan_shares: Some(1),
+            ..ServeConfig::default()
+        });
+        let larger = session.register(w.larger.clone());
+        let smaller = session.register(w.smaller.clone());
+        // Two tickets take both 2 KB fair shares: the whole budget.
+        let a = session.query(larger, smaller).submit();
+        let b = session.query(larger, smaller).submit();
+        assert_eq!(session.drive(1), 1);
+        assert_eq!(session.in_flight(), 2);
+        assert_eq!(session.engine_mut().committed_bytes(), 4_096);
+        // A run() is a ticket like any other: it queues behind them, runs
+        // at its own fair share once one releases, and finishes after both.
+        // Every step it drives checks `Σ grants = committed ≤ global` in
+        // debug builds.
+        let report = session.query(larger, smaller).run().expect("served");
+        assert_eq!(report.stats.rows, w.expected_matches);
+        assert_eq!(report.stats.share_bytes, 2_048);
+        assert!(report.stats.wait > std::time::Duration::ZERO);
+        for ticket in [a, b] {
+            match ticket.poll(&mut session) {
+                QueryPoll::Done(q) => assert_eq!(columns(&q.result), columns(&report.result)),
+                other => panic!("expected Done before the run returned, got {other:?}"),
+            }
+        }
+        assert_eq!(session.engine_mut().committed_bytes(), 0);
+        assert!(session.is_idle());
     }
 
     #[test]
@@ -236,7 +267,13 @@ mod tests {
     #[test]
     fn invalid_queries_reject_with_typed_errors() {
         let w = JoinWorkloadBuilder::equal(400, 1).seed(59).build();
-        let mut session = Session::with_params(CacheParams::tiny_for_tests());
+        let mut session = Session::new(ServeConfig {
+            params: CacheParams::tiny_for_tests(),
+            plan_shares: Some(1),
+            tenant_quotas: rdx_serve::TenantQuotas::unlimited()
+                .with_tenant("solo", rdx_serve::TenantQuota::unlimited().in_flight(1)),
+            ..ServeConfig::default()
+        });
         let smaller = session.register(w.smaller.clone());
         // An id minted by a *different* session: unknown to this catalog.
         let foreign = {
@@ -264,6 +301,24 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, RdxError::Budget(_)));
+        // A run() for a tenant already at its in-flight quota is shed at
+        // admission like any ticket, and without a policy never retried.
+        let solo = session.tenant_id("solo");
+        let holder = session.query(larger, smaller).tenant(solo).submit();
+        assert_eq!(session.drive(1), 1);
+        let err = session
+            .query(larger, smaller)
+            .tenant(solo)
+            .run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            RdxError::TenantQuota { tenant, kind: rdx_core::error::TenantQuotaKind::InFlight { limit: 1, .. } }
+                if tenant == solo.raw()
+        ));
+        assert_eq!(session.engine_mut().stats().retries, 0);
+        while session.drive(16) > 0 {}
+        assert!(matches!(holder.poll(&mut session), QueryPoll::Done(_)));
     }
 
     #[test]
@@ -299,7 +354,7 @@ mod tests {
         let larger = session.register(w.larger.clone());
         let smaller = session.register(w.smaller.clone());
 
-        // Direct run: the phase breakdown of the work it actually did.
+        // One-shot run: the phase breakdown of the work it actually did.
         let report = session
             .query(larger, smaller)
             .project(QuerySpec::symmetric(2))
@@ -322,7 +377,7 @@ mod tests {
         while session.drive(16) > 0 {}
         match ticket.poll(&mut session) {
             QueryPoll::Done(done) => {
-                assert!(done.stats.cache_hit, "prefix warmed by the direct run");
+                assert!(done.stats.cache_hit, "prefix warmed by the one-shot run");
                 // A cache hit never paid the join prefix…
                 assert_eq!(done.stats.timings.join, std::time::Duration::ZERO);
                 // …but the chunk-loop phases are still accounted.

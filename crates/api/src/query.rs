@@ -1,30 +1,32 @@
-//! The fluent [`Query`] builder and its three execution modes.
+//! The fluent [`Query`] builder and its two execution modes.
 
-use crate::ticket::Ticket;
+use crate::ticket::{QueryPoll, Ticket};
 use crate::Session;
 use rdx_core::budget::MemoryBudget;
 use rdx_core::error::RdxError;
 use rdx_core::fault::RetryPolicy;
-use rdx_core::strategy::{DsmPostProjection, MaterializeSink, QuerySpec, RowChunkSink};
-use rdx_serve::{QueryResult, QueryStats, RelationId, ServerRequest, TenantId};
+use rdx_core::strategy::{DsmPostProjection, QuerySpec};
+use rdx_serve::{QueryResult, RelationId, ServerRequest, TenantId};
 
 /// A projection query under construction:
 /// `session.query(larger, smaller).project(spec).budget(b).threads(t)`
 /// followed by exactly one execution mode.
 ///
-/// All modes resolve through **one planner entry**
-/// ([`rdx_serve::QueryEngine::resolve`]): validation, cost-based code
-/// planning at the session's shared cache share, clustered-prefix cache
-/// lookup and scratch warm-up are identical whichever mode finishes the
-/// sentence — which is what makes their outputs byte-identical by
-/// construction.
+/// Both modes are one ticket of the session's engine, with one lifecycle:
+/// FIFO admission under the global budget and tenant quotas, cost-based
+/// code planning at the session's shared cache share, clustered-prefix
+/// cache lookup, scratch warm-up, deadline enforcement and panic isolation
+/// are identical whichever mode finishes the sentence — which is what
+/// makes their outputs byte-identical by construction.
 ///
-/// * [`Query::run`] — execute now, materialise the whole result.
-/// * [`Query::stream`] — execute now, emit budget-sized chunks into a
-///   caller-provided [`RowChunkSink`].
 /// * [`Query::submit`] — enqueue into the serve scheduler and return a
 ///   non-blocking [`Ticket`] immediately.
-#[must_use = "a query does nothing until run(), stream(..) or submit()"]
+/// * [`Query::run`] — submit, then drive the session until that ticket
+///   finishes and return its outcome.
+///
+/// A chunked run into a caller's own `RowChunkSink` is
+/// `rdx_exec::PipelineRun::step`.
+#[must_use = "a query does nothing until run() or submit()"]
 pub struct Query<'s> {
     session: &'s mut Session,
     request: ServerRequest,
@@ -45,11 +47,9 @@ impl<'s> Query<'s> {
         self
     }
 
-    /// Caps this query's resident working set at `budget`.  For `run` /
-    /// `stream` this is the execution budget (default: the global budget's
-    /// *uncommitted residual*, so a direct run can never over-commit past
-    /// the grants of tickets still in flight); for `submit` it tightens the
-    /// admission grant (a hint can only shrink the share, never grow it).
+    /// Caps this query's resident working set at `budget`: it tightens the
+    /// admission grant (default: the fair share of the global budget), and
+    /// a hint can only shrink the share, never grow it.
     pub fn budget(mut self, budget: MemoryBudget) -> Self {
         self.request = self.request.with_budget_hint(budget);
         self
@@ -84,9 +84,9 @@ impl<'s> Query<'s> {
     }
 
     /// Gives this query a **deadline**: at most `deadline_ns` nanoseconds
-    /// of service time from admission.  Two enforcement points, both
-    /// deterministic in what they decide (only *when* wall-clock trips the
-    /// second varies):
+    /// of service time from admission, under `run` and `submit` alike.
+    /// Two enforcement points, both deterministic in what they decide
+    /// (only *when* wall-clock trips the second varies):
     ///
     /// 1. **Admission** — the Appendix-A cost model predicts the streaming
     ///    cost at this query's cache share; an infeasible deadline is
@@ -117,7 +117,7 @@ impl<'s> Query<'s> {
     }
 
     /// Bills this query to a tenant (interned via [`Session::tenant_id`]):
-    /// submission is admitted against that tenant's
+    /// it is admitted, under `run` and `submit` alike, against that tenant's
     /// [`rdx_serve::TenantQuota`] — in-flight cap and resident-byte cap —
     /// *before* the global budget, and its admissions/rejections show up
     /// in the tenant's `engine.tenant.*` metrics.  Tags change admission
@@ -127,45 +127,33 @@ impl<'s> Query<'s> {
         self
     }
 
-    /// Arms a capped **retry policy** for submitted queries: a
-    /// budget-rejected or worker-panicked attempt is re-queued after a
-    /// deterministic backoff measured in [`Session::drive`] steps (doubling
-    /// per attempt), up to [`RetryPolicy::max_retries`] times.  Deadline
-    /// failures and below-floor budget hints are permanent and never
-    /// retried.  Only [`Query::submit`] consults the policy — `run` /
-    /// `stream` surface their first error.
+    /// Arms a capped **retry policy**: a budget-rejected, over-quota or
+    /// worker-panicked attempt is re-queued after a deterministic backoff
+    /// measured in [`Session::drive`] steps (doubling per attempt), up to
+    /// [`RetryPolicy::max_retries`] times.  Deadline failures and
+    /// below-floor budget hints are permanent and never retried.  Without
+    /// a policy the first error is the outcome, for `run` and `submit`
+    /// alike.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.request = self.request.with_retry(policy);
         self
     }
 
-    /// **One-shot materialise**: resolves, streams every chunk into a
-    /// [`MaterializeSink`] and returns the full result with its
-    /// statistics — the front-door counterpart of
-    /// `rdx_exec::ProjectionPipeline::materialize`, under the session's
-    /// budget share.
+    /// **One-shot materialise**: submits this query, drives the session
+    /// until its ticket finishes and returns the outcome — the materialised
+    /// result with its statistics, or the typed error its ticket parked.
+    /// Tickets already in flight keep running: the loop steps the whole
+    /// engine, and this query waits its FIFO turn behind them.
     pub fn run(self) -> Result<QueryResult, RdxError> {
-        let engine = self.session.engine();
-        let mut resolved = engine.resolve_direct(&self.request)?;
-        let mut sink = MaterializeSink::new();
-        resolved.run_to_completion(&mut sink);
-        let stats = engine.retire(resolved);
-        Ok(QueryResult {
-            result: sink.into_result(),
-            stats,
-        })
-    }
-
-    /// **Chunked execution**: resolves and emits the result through `sink`
-    /// in budget-sized chunks, returning the statistics — the front door to
-    /// a `rdx_exec::PipelineRun` stepped to completion.  The sink sees the
-    /// exact `begin`/`emit`/`finish` protocol of
-    /// [`rdx_core::strategy::RowChunkSink`].
-    pub fn stream(self, sink: &mut dyn RowChunkSink) -> Result<QueryStats, RdxError> {
-        let engine = self.session.engine();
-        let mut resolved = engine.resolve_direct(&self.request)?;
-        resolved.run_to_completion(sink);
-        Ok(engine.retire(resolved))
+        let Query { session, request } = self;
+        let ticket = Ticket::new(session.engine().submit(request));
+        loop {
+            match ticket.poll(session) {
+                QueryPoll::Done(report) => return Ok(report),
+                QueryPoll::Rejected(e) => return Err(e),
+                QueryPoll::Queued | QueryPoll::Chunk(_) => session.drive(1),
+            };
+        }
     }
 
     /// **Non-blocking submission**: enqueues into the serve scheduler and

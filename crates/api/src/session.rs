@@ -18,9 +18,10 @@ use std::sync::Arc;
 /// the global [`rdx_core::budget::MemoryBudget`] admission splits, the
 /// clustered-join-index cache, and the warmed scratch pools.
 ///
-/// Queries start at [`Session::query`] (a fluent builder) and resolve
-/// through one planner entry to any execution mode; submitted queries are
-/// pumped by [`Session::drive`] and observed with [`Ticket::poll`].
+/// Queries start at [`Session::query`] (a fluent builder) and become
+/// tickets of one engine; they are pumped by [`Session::drive`] (which a
+/// one-shot [`Query::run`] calls itself) and observed with
+/// [`Ticket::poll`].
 pub struct Session {
     engine: QueryEngine,
 }

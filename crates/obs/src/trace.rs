@@ -45,8 +45,8 @@ impl std::fmt::Display for QueryId {
 /// reasons are static strings) so recording never allocates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
-    /// The query entered the system (ticket submission or direct
-    /// `run`/`stream`).
+    /// The query entered the system as a ticket (`submit`, or the
+    /// ticket a one-shot `run` submits).
     Submit,
     /// The query was attributed to a tenant — recorded right after
     /// [`EventKind::Submit`] when the request carried one, so a trace
@@ -57,8 +57,7 @@ pub enum EventKind {
         tenant: u32,
     },
     /// Admission granted a share of the global budget after
-    /// `queue_wait_ns` in the FIFO queue (0 for direct runs, which skip
-    /// the queue).
+    /// `queue_wait_ns` in the FIFO queue.
     Admit {
         /// Granted budget share in bytes (`usize::MAX` when unbounded).
         share_bytes: usize,

@@ -9,9 +9,11 @@
 //! Because a streaming plan's peak working set never exceeds the budget it
 //! was planned under (PR 2's asserted invariant), `Σ grants ≤ global`
 //! implies `Σ peak working sets ≤ global` — over-commit is impossible by
-//! construction, not by monitoring.
+//! construction, not by monitoring.  Every query the engine runs holds a
+//! grant from here, a front-door `run()` included (it is a ticket like any
+//! other); nothing runs on whatever budget happens to be left over.
 //!
-//! Decisions, in order:
+//! Decisions, in order (the *residual* is the budget not yet granted):
 //! * at the concurrency cap → **queue**;
 //! * a fair share (`global / max_concurrent`) fits → **admit** at the fair
 //!   share (or less if the residual is smaller — that is the *re-plan*:
@@ -81,18 +83,6 @@ impl AdmissionController {
     /// The even per-query split of the global budget.
     pub fn fair_share(&self) -> MemoryBudget {
         self.global.per_query_share(self.max_concurrent)
-    }
-
-    /// The budget still uncommitted — what a query running *outside* the
-    /// grant path (the engine's direct `run`/`stream` modes) may use
-    /// without over-committing the global budget alongside the shares
-    /// already granted to in-flight queries.  [`BudgetError::ZeroBytes`]
-    /// when every byte is granted out.
-    pub fn residual(&self) -> Result<MemoryBudget, BudgetError> {
-        if !self.global.is_bounded() {
-            return Ok(MemoryBudget::unbounded());
-        }
-        MemoryBudget::try_bytes(self.global.limit_bytes() - self.committed_bytes)
     }
 
     /// Attempts to admit a query whose streaming plan needs `bytes_per_row`

@@ -35,8 +35,13 @@
 //! Everything fallible reports the workspace-wide [`RdxError`]; the engine
 //! never panics on untrusted input.
 //!
+//! Every query is a ticket; there is no second lifecycle beside this one.
 //! Serving a whole batch is these primitives in a row: submit all, step
-//! until [`EngineStep::Idle`], take every outcome.
+//! until [`EngineStep::Idle`], take every outcome.  The front door's
+//! one-shot `run()` is the one-ticket case: submit, step until that
+//! ticket is `Finished`, take its outcome — so it is admitted, shed,
+//! retried, deadline-checked and panic-isolated exactly like any other
+//! ticket.
 
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::cache::{CacheStats, ClusterCache, ClusterKey};
@@ -47,12 +52,11 @@ use crate::tenant::{TenantId, TenantRegistry, TenantStats};
 use rdx_cache::CacheParams;
 use rdx_core::budget::{BudgetError, MemoryBudget};
 use rdx_core::error::{DeadlineError, RdxError, Side};
-use rdx_core::fault::{FaultInjector, FaultPlan, RetryPolicy};
+use rdx_core::fault::{FaultInjector, FaultPlan};
 use rdx_core::strategy::planner::{
     plan_by_cost_with_threads, plan_streaming, predict_streaming_cost, streaming_bytes_per_row,
-    StreamingPlan,
 };
-use rdx_core::strategy::{DsmPostProjection, MaterializeSink, PhaseTimings, RowChunkSink};
+use rdx_core::strategy::{MaterializeSink, PhaseTimings};
 use rdx_dsm::DsmRelation;
 use rdx_exec::{DsmPipelineRun, ExecPolicy, ProjectionPipeline};
 use rdx_obs::{Counter, EventKind, Gauge, Histogram, MetricsRegistry, Obs, ObsConfig, QueryId};
@@ -148,11 +152,10 @@ pub struct EngineStats {
     pub cache_hits: u64,
     /// Resolved queries that had to build their prepared prefix.
     pub cache_misses: u64,
-    /// Queries granted a budget share and resolved (ticket admissions plus
-    /// direct `resolve` calls).
+    /// Tickets granted a budget share and started.
     pub admissions: u64,
-    /// Queries refused with a typed error (validation, admission or budget
-    /// failures, on any path).
+    /// Tickets refused with a typed error before running a chunk
+    /// (validation, tenant-quota, budget or infeasible-deadline failures).
     pub rejections: u64,
     /// Admissions granted less than the fair share (tighter chunking).
     pub replans: u64,
@@ -177,53 +180,6 @@ pub struct EngineStats {
     /// before the global budget, so tenant bursts shed at their own cap
     /// without consuming shared-pool decisions.
     pub tenant_quota_rejects: u64,
-}
-
-/// A validated, planned, cache-resolved query, ready to stream chunks —
-/// what the single planner entry [`QueryEngine::resolve`] returns.
-///
-/// Every execution mode of the front door funnels through this value: a
-/// one-shot `run()` steps it to completion into a
-/// [`MaterializeSink`], a `stream(sink)` into the caller's sink, and a
-/// submitted ticket is stepped by the engine's own scheduler — so all modes
-/// exercise one code path and stay byte-identical by construction.
-pub struct ResolvedQuery {
-    run: DsmPipelineRun<'static>,
-    stats: QueryStats,
-    started: Instant,
-}
-
-impl ResolvedQuery {
-    /// The projection codes the planner chose (or the request pinned).
-    pub fn plan(&self) -> DsmPostProjection {
-        self.stats.plan
-    }
-
-    /// The chunking this query streams under.
-    pub fn streaming(&self) -> &StreamingPlan {
-        self.run.streaming()
-    }
-
-    /// Whether the prepared prefix came from the clustered-index cache.
-    pub fn cache_hit(&self) -> bool {
-        self.stats.cache_hit
-    }
-
-    /// Emits the next chunk into `sink`; `None` once complete (see
-    /// [`rdx_exec::PipelineRun::step`] for the begin/finish protocol).
-    pub fn step(&mut self, sink: &mut dyn RowChunkSink) -> Option<usize> {
-        self.run.step(sink)
-    }
-
-    /// Steps the query to completion.
-    pub fn run_to_completion(&mut self, sink: &mut dyn RowChunkSink) {
-        self.run.run_to_completion(sink)
-    }
-
-    /// `true` once the sink has been finished.
-    pub fn is_done(&self) -> bool {
-        self.run.is_done()
-    }
 }
 
 /// The engine's registry handles, resolved once at construction: each
@@ -284,11 +240,13 @@ fn reject_reason(e: &RdxError) -> &'static str {
     }
 }
 
-/// One queued (submitted, not yet admitted) ticket.
+/// One submitted query's identity, carried through every state: queued,
+/// running and parked for retry.
 struct Pending {
     ticket: TicketId,
     query: QueryId,
     request: ServerRequest,
+    /// When this attempt entered the queue (the start of its queue wait).
     submitted_at: Instant,
     /// 0-based submission ordinal — how the fault injector addresses this
     /// query.  Stable across retries.
@@ -297,19 +255,18 @@ struct Pending {
     attempt: u32,
 }
 
-/// One admitted, in-flight ticket.
+/// One admitted, in-flight ticket: a parked run and the sink it fills.
 struct Running {
-    ticket: TicketId,
-    request: ServerRequest,
-    rq: ResolvedQuery,
+    pending: Pending,
+    run: DsmPipelineRun<'static>,
+    /// Plan-time statistics, finalised from the run at completion.
+    stats: QueryStats,
+    /// When the run was started (its service time counts from here).
+    started: Instant,
     sink: MaterializeSink,
     /// The admission grant (released on completion; may exceed the
     /// effective budget when a hint tightened it).
     share: MemoryBudget,
-    /// Submission ordinal (see [`Pending::ordinal`]).
-    ordinal: usize,
-    /// Retry attempts already consumed.
-    attempt: u32,
     /// Service time charged against the deadline so far: wall-clock of
     /// this query's chunk steps (measured only when a deadline is armed)
     /// plus any injected artificial slowdowns.
@@ -322,13 +279,8 @@ struct Running {
 /// One query parked between retry attempts, waiting out its backoff in
 /// engine drive steps.
 struct RetryParked {
-    ticket: TicketId,
-    query: QueryId,
-    request: ServerRequest,
-    submitted_at: Instant,
-    ordinal: usize,
-    /// Retry attempts consumed *including* the one this parking pays for.
-    attempt: u32,
+    /// `attempt` already counts the retry this parking pays for.
+    pending: Pending,
     /// The engine step count at which this query re-enters the queue.
     ready_at_step: u64,
 }
@@ -554,38 +506,44 @@ impl QueryEngine {
             self.obs
                 .record(query, EventKind::Tenant { tenant: t.raw() });
         }
-        let ordinal = self.next_ordinal;
+        let pending = Pending {
+            ticket,
+            query,
+            request,
+            submitted_at: Instant::now(),
+            ordinal: self.next_ordinal,
+            attempt: 0,
+        };
         self.next_ordinal += 1;
         match validate(&self.catalog, &request) {
             Ok(()) => {
-                self.queue.push_back(Pending {
-                    ticket,
-                    query,
-                    request,
-                    submitted_at: Instant::now(),
-                    ordinal,
-                    attempt: 0,
-                });
+                self.queue.push_back(pending);
                 self.counters.queued.set(self.queue.len() as i64);
             }
-            Err(e) => {
-                self.reject(query, &e);
-                self.finished.insert(
-                    ticket.0,
-                    QueryOutcome {
-                        request,
-                        outcome: Err(e),
-                    },
-                );
-            }
+            Err(e) => self.reject(pending, e),
         }
+        #[cfg(debug_assertions)]
+        self.check_invariants();
         ticket
     }
 
-    /// Counts a refusal (per-reason) and records its trace event.
-    fn reject(&mut self, query: QueryId, e: &RdxError) {
+    /// Parks `outcome` for [`QueryEngine::take_outcome`] — the one place a
+    /// ticket reaches `Finished`.
+    fn finish(
+        &mut self,
+        ticket: TicketId,
+        request: ServerRequest,
+        outcome: Result<QueryResult, RdxError>,
+    ) {
+        self.finished
+            .insert(ticket.0, QueryOutcome { request, outcome });
+    }
+
+    /// Refuses a ticket that never ran: counts the refusal (per reason),
+    /// records its trace event and parks the typed error.
+    fn reject(&mut self, p: Pending, e: RdxError) {
         self.counters.rejections.inc();
-        match e {
+        match &e {
             RdxError::Budget(_) => self.counters.budget_rejects.inc(),
             RdxError::Deadline(_) => self.counters.deadline_rejects.inc(),
             RdxError::TenantQuota { tenant, .. } => {
@@ -595,11 +553,20 @@ impl QueryEngine {
             _ => {}
         }
         self.obs.record(
-            query,
+            p.query,
             EventKind::Reject {
-                reason: reject_reason(e),
+                reason: reject_reason(&e),
             },
         );
+        self.finish(p.ticket, p.request, Err(e));
+    }
+
+    /// Tears a ticket off the engine before completion: records its
+    /// `Cancel` event, counts the cancellation and parks `e`.
+    fn cancelled(&mut self, p: Pending, reason: &'static str, e: RdxError) {
+        self.obs.record(p.query, EventKind::Cancel { reason });
+        self.counters.cancellations.inc();
+        self.finish(p.ticket, p.request, Err(e));
     }
 
     /// Where `ticket` is in its state machine, or `None` for a ticket this
@@ -608,14 +575,18 @@ impl QueryEngine {
         if let Some(position) = self.queue.iter().position(|p| p.ticket == ticket) {
             return Some(TicketStatus::Queued { position });
         }
-        if let Some(r) = self.running.iter().find(|r| r.ticket == ticket) {
-            let s = r.rq.run.run_stats();
+        if let Some(r) = self.running.iter().find(|r| r.pending.ticket == ticket) {
+            let s = r.run.run_stats();
             return Some(TicketStatus::Running {
                 chunks: s.chunks_emitted,
                 rows: s.rows_emitted,
             });
         }
-        if let Some(idx) = self.retry_parked.iter().position(|p| p.ticket == ticket) {
+        if let Some(idx) = self
+            .retry_parked
+            .iter()
+            .position(|r| r.pending.ticket == ticket)
+        {
             // Parked retries re-enter behind the live queue.
             return Some(TicketStatus::Queued {
                 position: self.queue.len() + idx,
@@ -631,7 +602,10 @@ impl QueryEngine {
     /// exactly once; `None` for unknown, already-taken, or still-unfinished
     /// tickets (check [`QueryEngine::status`] to tell these apart).
     pub fn take_outcome(&mut self, ticket: TicketId) -> Option<QueryOutcome> {
-        self.finished.remove(&ticket.0)
+        let outcome = self.finished.remove(&ticket.0);
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+        outcome
     }
 
     /// Pumps the engine by one scheduler decision: re-queue retries whose
@@ -643,6 +617,14 @@ impl QueryEngine {
     /// *this* step (retry backoff, or budget freed mid-step) — keep
     /// stepping.
     pub fn step(&mut self) -> EngineStep {
+        let step = self.advance();
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+        step
+    }
+
+    /// [`QueryEngine::step`]'s body.
+    fn advance(&mut self) -> EngineStep {
         self.step_count += 1;
         self.requeue_ready_retries();
         self.admit_from_queue();
@@ -653,7 +635,7 @@ impl QueryEngine {
         let concurrent_bytes: usize = self
             .running
             .iter()
-            .map(|r| r.rq.run.streaming().max_working_set_bytes())
+            .map(|r| r.run.streaming().max_working_set_bytes())
             .sum();
         self.peak_concurrent_bytes = self.peak_concurrent_bytes.max(concurrent_bytes);
         if self.config.global_budget.is_bounded() {
@@ -674,20 +656,25 @@ impl QueryEngine {
             }
             return EngineStep::Idle;
         };
-        let Some(pos) = self.running.iter().position(|r| r.ticket.0 as usize == id) else {
+        let Some(pos) = self
+            .running
+            .iter()
+            .position(|r| r.pending.ticket.0 as usize == id)
+        else {
             // Unreachable by construction: every scheduled id has a
             // running slot.  Degrade to a lost turn instead of panicking.
             debug_assert!(false, "scheduled ticket vanished");
             self.scheduler.remove(id);
             return EngineStep::Waiting;
         };
-        let ordinal = self.running[pos].ordinal;
-        let chunk_index = self.running[pos].rq.run.run_stats().chunks_emitted;
+        let ordinal = self.running[pos].pending.ordinal;
+        let chunk_index = self.running[pos].run.run_stats().chunks_emitted;
         // Scripted worker panic?  Raised *inside* the catch below with the
         // exact payload a real crashed worker produces, so the injected
         // path and the real path are one recovery path.
         let injected_panic = self.faults.panic_at(ordinal, chunk_index);
         let chunk_started = self.running[pos]
+            .pending
             .request
             .deadline_ns
             .map(|_| Instant::now());
@@ -697,7 +684,7 @@ impl QueryEngine {
                 if let Some(worker) = injected_panic {
                     std::panic::panic_any(rdx_exec::WorkerPanic { worker });
                 }
-                running.rq.run.step(&mut running.sink)
+                running.run.step(&mut running.sink)
             }))
         };
         match stepped {
@@ -711,30 +698,14 @@ impl QueryEngine {
                     .consumed_ns
                     .saturating_add(wall_ns)
                     .saturating_add(slow_ns);
-                let ticket = running.ticket;
+                let ticket = running.pending.ticket;
                 self.counters.chunks_dispatched.inc();
                 EngineStep::Chunk { ticket, rows }
             }
             Ok(None) => {
-                // Completed: release the grant, free the slot, park the
-                // outcome.
-                self.scheduler.remove(id);
-                let r = self.running.swap_remove(pos);
-                self.admission.release(r.share);
-                self.release_tenant(r.tenant);
-                let ticket = r.ticket;
-                let (rq, sink) = (r.rq, r.sink);
-                let stats = self.retire(rq);
-                self.finished.insert(
-                    ticket.0,
-                    QueryOutcome {
-                        request: r.request,
-                        outcome: Ok(QueryResult {
-                            result: sink.into_result(),
-                            stats,
-                        }),
-                    },
-                );
+                let r = self.teardown(pos, true);
+                let ticket = r.pending.ticket;
+                self.retire(r);
                 EngineStep::Finished { ticket }
             }
             Err(payload) => {
@@ -746,38 +717,75 @@ impl QueryEngine {
                     .downcast_ref::<rdx_exec::WorkerPanic>()
                     .map(|wp| wp.worker)
                     .unwrap_or(0);
-                self.scheduler.remove(id);
-                let r = self.running.swap_remove(pos);
-                self.admission.release(r.share);
-                self.release_tenant(r.tenant);
+                let r = self.teardown(pos, false);
                 self.counters.worker_panics.inc();
-                let query = QueryId(r.rq.stats.query_id);
-                self.obs.record(
-                    query,
-                    EventKind::Cancel {
-                        reason: "worker_panic",
-                    },
-                );
-                let ticket = r.ticket;
-                match r.request.retry {
-                    Some(policy) if r.attempt < policy.max_retries => {
-                        self.park_retry(ticket, query, r.request, r.ordinal, r.attempt + 1, policy);
-                        EngineStep::Waiting
-                    }
-                    _ => {
-                        self.counters.cancellations.inc();
-                        self.finished.insert(
-                            ticket.0,
-                            QueryOutcome {
-                                request: r.request,
-                                outcome: Err(RdxError::WorkerPanicked { worker }),
+                let query = r.pending.query;
+                match self.retry(r.pending) {
+                    None => {
+                        self.obs.record(
+                            query,
+                            EventKind::Cancel {
+                                reason: "worker_panic",
                             },
                         );
+                        EngineStep::Waiting
+                    }
+                    Some(p) => {
+                        let ticket = p.ticket;
+                        self.cancelled(p, "worker_panic", RdxError::WorkerPanicked { worker });
                         EngineStep::Finished { ticket }
                     }
                 }
             }
         }
+    }
+
+    /// Takes the running ticket at `pos` out of the scheduler and the
+    /// running set, returning its admission grant and tenant charge.  With
+    /// `harvest` its warmed chunk scratch — consistent between chunks —
+    /// goes back into the pool; a panicked run's is dropped with it.
+    fn teardown(&mut self, pos: usize, harvest: bool) -> Running {
+        let mut r = self.running.swap_remove(pos);
+        self.scheduler.remove(r.pending.ticket.0 as usize);
+        self.admission.release(r.share);
+        self.release_tenant(r.tenant);
+        if harvest && self.scratch_pool.len() < self.config.max_concurrent {
+            self.scratch_pool.push(r.run.take_scratch());
+        }
+        r
+    }
+
+    /// Finalises a completed run's statistics, records its `Done` event and
+    /// parks its materialised result.
+    fn retire(&mut self, r: Running) {
+        // A cache-hit run never paid the prefix build; fold those timings in
+        // only when this query actually built it.
+        let run_stats = if r.stats.cache_hit {
+            r.run.run_stats()
+        } else {
+            r.run.stats()
+        };
+        let mut stats = r.stats;
+        stats.chunks = run_stats.chunks_emitted;
+        stats.rows = run_stats.rows_emitted;
+        stats.peak_chunk_bytes = run_stats.peak_chunk_bytes;
+        stats.timings = run_stats.timings;
+        stats.service = r.started.elapsed();
+        let service_ns = stats.service.as_nanos() as u64;
+        self.obs.record(
+            r.pending.query,
+            EventKind::Done {
+                rows: stats.rows as u64,
+                wall_ns: service_ns,
+            },
+        );
+        self.counters.service_ns.record(service_ns);
+        let result = r.sink.into_result();
+        self.finish(
+            r.pending.ticket,
+            r.pending.request,
+            Ok(QueryResult { result, stats }),
+        );
     }
 
     /// Cancels `ticket` wherever it is — queued, retry-parked, or running
@@ -790,59 +798,25 @@ impl QueryEngine {
     /// that are already finished or were never issued — their outcome (if
     /// any) is untouched.
     pub fn cancel(&mut self, ticket: TicketId) -> bool {
-        if let Some(idx) = self.queue.iter().position(|p| p.ticket == ticket) {
-            let Some(p) = self.queue.remove(idx) else {
-                return false;
-            };
-            self.obs
-                .record(p.query, EventKind::Cancel { reason: "user" });
-            self.counters.cancellations.inc();
-            self.finished.insert(
-                ticket.0,
-                QueryOutcome {
-                    request: p.request,
-                    outcome: Err(RdxError::Cancelled),
-                },
-            );
-            return true;
-        }
-        if let Some(idx) = self.retry_parked.iter().position(|p| p.ticket == ticket) {
-            let p = self.retry_parked.remove(idx);
-            self.obs
-                .record(p.query, EventKind::Cancel { reason: "user" });
-            self.counters.cancellations.inc();
-            self.finished.insert(
-                ticket.0,
-                QueryOutcome {
-                    request: p.request,
-                    outcome: Err(RdxError::Cancelled),
-                },
-            );
-            return true;
-        }
-        if let Some(pos) = self.running.iter().position(|r| r.ticket == ticket) {
-            self.scheduler.remove(ticket.0 as usize);
-            let mut r = self.running.swap_remove(pos);
-            self.admission.release(r.share);
-            self.release_tenant(r.tenant);
-            // Between chunks the run's scratch is consistent — harvest it
-            // for the next query before dropping the run.
-            if self.scratch_pool.len() < self.config.max_concurrent {
-                self.scratch_pool.push(r.rq.run.take_scratch());
-            }
-            let query = QueryId(r.rq.stats.query_id);
-            self.obs.record(query, EventKind::Cancel { reason: "user" });
-            self.counters.cancellations.inc();
-            self.finished.insert(
-                ticket.0,
-                QueryOutcome {
-                    request: r.request,
-                    outcome: Err(RdxError::Cancelled),
-                },
-            );
-            return true;
-        }
-        false
+        let pending = if let Some(idx) = self.queue.iter().position(|p| p.ticket == ticket) {
+            self.queue.remove(idx)
+        } else if let Some(idx) = self
+            .retry_parked
+            .iter()
+            .position(|r| r.pending.ticket == ticket)
+        {
+            Some(self.retry_parked.remove(idx).pending)
+        } else {
+            let pos = self.running.iter().position(|r| r.pending.ticket == ticket);
+            pos.map(|pos| self.teardown(pos, true).pending)
+        };
+        let Some(p) = pending else {
+            return false;
+        };
+        self.cancelled(p, "user", RdxError::Cancelled);
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+        true
     }
 
     /// Tears down every running query whose consumed service time passed
@@ -854,71 +828,48 @@ impl QueryEngine {
         let mut pos = 0;
         while pos < self.running.len() {
             let r = &self.running[pos];
-            let expired = match r.request.deadline_ns {
-                Some(deadline_ns) => r.consumed_ns > deadline_ns,
-                None => false,
-            };
-            if !expired {
+            let (consumed_ns, deadline) = (r.consumed_ns, r.pending.request.deadline_ns);
+            let Some(deadline_ns) = deadline.filter(|&d| consumed_ns > d) else {
                 pos += 1;
                 continue;
-            }
-            let ticket = r.ticket;
-            let deadline_ns = r.request.deadline_ns.unwrap_or(0);
-            let consumed_ns = r.consumed_ns;
-            self.scheduler.remove(ticket.0 as usize);
-            let mut r = self.running.swap_remove(pos);
-            self.admission.release(r.share);
-            self.release_tenant(r.tenant);
-            if self.scratch_pool.len() < self.config.max_concurrent {
-                self.scratch_pool.push(r.rq.run.take_scratch());
-            }
-            let query = QueryId(r.rq.stats.query_id);
+            };
+            // `swap_remove` moves another entry into `pos`: re-examine it.
+            let r = self.teardown(pos, true);
             self.obs.record(
-                query,
+                r.pending.query,
                 EventKind::DeadlineMiss {
                     deadline_ns,
                     consumed_ns,
                 },
             );
-            self.obs
-                .record(query, EventKind::Cancel { reason: "deadline" });
-            self.counters.cancellations.inc();
-            self.finished.insert(
-                ticket.0,
-                QueryOutcome {
-                    request: r.request,
-                    outcome: Err(RdxError::Deadline(DeadlineError::Exceeded {
-                        consumed_ns,
-                        deadline_ns,
-                    })),
-                },
-            );
-            // `swap_remove` moved another entry into `pos`: re-examine it.
+            let e = RdxError::Deadline(DeadlineError::Exceeded {
+                consumed_ns,
+                deadline_ns,
+            });
+            self.cancelled(r.pending, "deadline", e);
         }
     }
 
-    /// Parks a query for retry: charges one attempt, computes its
-    /// ready-step from the policy's exponential backoff, and counts it.
-    fn park_retry(
-        &mut self,
-        ticket: TicketId,
-        query: QueryId,
-        request: ServerRequest,
-        ordinal: usize,
-        attempt: u32,
-        policy: RetryPolicy,
-    ) {
+    /// Parks a refused or panicked attempt for a retry when its policy has
+    /// attempts left: charges one attempt and re-queues it after the
+    /// policy's exponential backoff, measured in engine steps.  Hands the
+    /// ticket back when the failure is final.
+    fn retry(&mut self, mut p: Pending) -> Option<Pending> {
+        let policy = match p.request.retry {
+            Some(policy) if p.attempt < policy.max_retries => policy,
+            _ => return Some(p),
+        };
         self.counters.retries.inc();
-        let ready_at_step = self.step_count.saturating_add(policy.delay_before(attempt));
+        p.attempt += 1;
+        p.submitted_at = Instant::now();
+        let ready_at_step = self
+            .step_count
+            .saturating_add(policy.delay_before(p.attempt));
         self.retry_parked.push(RetryParked {
-            ticket,
-            query,
-            request,
-            submitted_at: Instant::now(),
-            ordinal,
-            attempt,
+            pending: p,
             ready_at_step,
         });
+        None
     }
 
     /// Moves retries whose backoff expired back to the admission queue, in
@@ -928,70 +879,27 @@ impl QueryEngine {
         while i < self.retry_parked.len() {
             if self.retry_parked[i].ready_at_step <= self.step_count {
                 let rp = self.retry_parked.remove(i);
-                self.queue.push_back(Pending {
-                    ticket: rp.ticket,
-                    query: rp.query,
-                    request: rp.request,
-                    submitted_at: rp.submitted_at,
-                    ordinal: rp.ordinal,
-                    attempt: rp.attempt,
-                });
+                self.queue.push_back(rp.pending);
             } else {
                 i += 1;
             }
         }
     }
 
-    /// **The single planner entry** of the front door: validates `request`
-    /// against the catalog, checks `budget` can hold one resident result
-    /// row, chooses the projection codes (cost-based at the shared cache
+    /// Starts an admitted query under `budget`: checks the budget can hold
+    /// one resident result row, rejects a deadline the cost model cannot
+    /// meet, chooses the projection codes (cost-based at the shared cache
     /// share unless the request pinned them), resolves the prepared prefix
     /// through the clustered-index cache, warms the run from the scratch
     /// pool, and prices its per-chunk cost for the stride scheduler.
-    ///
-    /// Every execution mode — one-shot `run`, `stream`, and submitted
-    /// tickets — goes through this one function, which is what makes them
-    /// byte-identical by construction.
-    pub fn resolve(
-        &mut self,
-        request: &ServerRequest,
-        budget: MemoryBudget,
-    ) -> Result<ResolvedQuery, RdxError> {
-        // Direct runs skip the queue: their lifecycle is submit → admit
-        // (zero wait) → cache lookup → chunks → done, same shape as a
-        // ticket's.  They consume a submission ordinal like any ticket, so
-        // fault plans address both paths with one numbering.
-        let query = QueryId::next();
-        self.obs.record(query, EventKind::Submit);
-        // Direct runs are attributed to their tenant in the trace, but
-        // tenant quotas are an *admission* policy and the direct path is
-        // the caller's own synchronous loop — only the ticket path sheds.
-        if let Some(t) = request.tenant {
-            self.obs
-                .record(query, EventKind::Tenant { tenant: t.raw() });
-        }
-        let ordinal = self.next_ordinal;
-        self.next_ordinal += 1;
-        match self.resolve_with(request, budget, query, 0, ordinal) {
-            Ok(rq) => Ok(rq),
-            Err(e) => {
-                self.reject(query, &e);
-                Err(e)
-            }
-        }
-    }
-
-    /// [`QueryEngine::resolve`] under an already-minted query id and a
-    /// known queue wait — the shared tail of the direct and ticket paths.
     fn resolve_with(
         &mut self,
         request: &ServerRequest,
         budget: MemoryBudget,
         query: QueryId,
-        queue_wait_ns: u64,
+        wait: Duration,
         ordinal: usize,
-    ) -> Result<ResolvedQuery, RdxError> {
-        validate(&self.catalog, request)?;
+    ) -> Result<(DsmPipelineRun<'static>, QueryStats), RdxError> {
         budget.check_one_row(streaming_bytes_per_row(&request.spec))?;
         let Some(larger) = self.catalog.get_arc(request.larger) else {
             return Err(RdxError::UnknownRelation {
@@ -1030,6 +938,7 @@ impl QueryEngine {
                 }));
             }
         }
+        let queue_wait_ns = wait.as_nanos() as u64;
         self.counters.admissions.inc();
         self.counters.queue_wait_ns.record(queue_wait_ns);
         self.obs.record(
@@ -1095,263 +1004,186 @@ impl QueryEngine {
             scratch_reused = true;
             self.counters.scratch_reuses.inc();
         }
-        Ok(ResolvedQuery {
-            run,
-            stats: QueryStats {
-                query_id: query.raw(),
-                plan,
-                cache_hit,
-                scratch_reused,
-                share_bytes: budget.limit_bytes(),
-                replanned: false,
-                chunks: 0,
-                rows: 0,
-                peak_chunk_bytes: 0,
-                predicted_chunk_cost_ms,
-                timings: PhaseTimings::default(),
-                wait: Duration::ZERO,
-                service: Duration::ZERO,
-            },
-            started: Instant::now(),
-        })
-    }
-
-    /// [`QueryEngine::resolve`] with the direct-execution budget rule: the
-    /// *uncommitted residual* of the global budget, tightened by the
-    /// request's own hint if any.  In-flight tickets keep their admission
-    /// grants (their parked working buffers stay resident between chunk
-    /// steps), so capping a direct run at the residual preserves the
-    /// serving layer's load-bearing invariant — `Σ resident working sets ≤
-    /// global` — even when `run`/`stream` calls interleave with tickets on
-    /// one session.  When every byte is granted out, the direct run is
-    /// refused with a typed [`RdxError::Budget`] instead of over-committing.
-    pub fn resolve_direct(&mut self, request: &ServerRequest) -> Result<ResolvedQuery, RdxError> {
-        let residual = self.admission.residual().map_err(RdxError::Budget)?;
-        let budget = match request.budget_hint {
-            Some(hint) if hint.limit_bytes() < residual.limit_bytes() => hint,
-            _ => residual,
+        let stats = QueryStats {
+            query_id: query.raw(),
+            plan,
+            cache_hit,
+            scratch_reused,
+            share_bytes: budget.limit_bytes(),
+            replanned: false,
+            chunks: 0,
+            rows: 0,
+            peak_chunk_bytes: 0,
+            predicted_chunk_cost_ms,
+            timings: PhaseTimings::default(),
+            wait,
+            service: Duration::ZERO,
         };
-        self.resolve(request, budget)
-    }
-
-    /// Retires a resolved query: harvests its warmed chunk scratch back
-    /// into the pool and returns the finalised statistics.  The ticket path
-    /// calls this on completion; direct `run`/`stream` callers call it
-    /// after `run_to_completion`.
-    pub fn retire(&mut self, mut rq: ResolvedQuery) -> QueryStats {
-        if self.scratch_pool.len() < self.config.max_concurrent {
-            self.scratch_pool.push(rq.run.take_scratch());
-        }
-        // A cache-hit run never paid the prefix build; fold those timings in
-        // only when this query actually built it.
-        let run_stats = if rq.stats.cache_hit {
-            rq.run.run_stats()
-        } else {
-            rq.run.stats()
-        };
-        rq.stats.chunks = run_stats.chunks_emitted;
-        rq.stats.rows = run_stats.rows_emitted;
-        rq.stats.peak_chunk_bytes = run_stats.peak_chunk_bytes;
-        rq.stats.timings = run_stats.timings;
-        rq.stats.service = rq.started.elapsed();
-        let service_ns = rq.stats.service.as_nanos() as u64;
-        self.obs.record(
-            QueryId(rq.stats.query_id),
-            EventKind::Done {
-                rows: rq.stats.rows as u64,
-                wall_ns: service_ns,
-            },
-        );
-        self.counters.service_ns.record(service_ns);
-        rq.stats
+        Ok((run, stats))
     }
 
     /// Admits from the queue head while budget and slots allow (FIFO —
     /// admission never skips the head, so arrival order bounds waiting).
     fn admit_from_queue(&mut self) {
         while let Some(front) = self.queue.front() {
-            let request = front.request;
-            let front_ordinal = front.ordinal;
+            let (request, ordinal) = (front.request, front.ordinal);
             let effective_row_bytes = streaming_bytes_per_row(&request.spec);
             // A hint below the one-row floor can never run — permanently,
             // so retry policies do not apply; reject before it holds up
             // the queue.
-            if let Some(hint) = request.budget_hint {
-                if let Err(e) = hint.check_one_row(effective_row_bytes) {
-                    let Some(p) = self.queue.pop_front() else {
-                        break;
-                    };
-                    let err = RdxError::Budget(e);
-                    self.reject(p.query, &err);
-                    self.finished.insert(
-                        p.ticket.0,
-                        QueryOutcome {
-                            request,
-                            outcome: Err(err),
-                        },
-                    );
-                    continue;
-                }
+            if let Some(Err(e)) = request
+                .budget_hint
+                .map(|hint| hint.check_one_row(effective_row_bytes))
+            {
+                let Some(p) = self.queue.pop_front() else {
+                    break;
+                };
+                self.reject(p, RdxError::Budget(e));
+                continue;
             }
             // Tenant quotas are checked *before* the global budget is even
             // consulted: an over-quota tenant sheds at its own cap without
             // consuming a shared-pool admission decision.  Over-quota is
             // transient (a release cures it), so retry policies apply like
             // budget rejections.
-            if let Some(t) = request.tenant {
-                if let Err(err) = self.tenants.check_admit(t, effective_row_bytes) {
-                    let Some(p) = self.queue.pop_front() else {
-                        break;
+            let refusal = match request
+                .tenant
+                .map(|t| self.tenants.check_admit(t, effective_row_bytes))
+            {
+                Some(Err(e)) => e,
+                _ => {
+                    // A scripted grant denial rides the ordinary
+                    // budget-rejection path (and so also exercises retry
+                    // policies).
+                    let decision = if self.faults.deny_grant(ordinal) {
+                        AdmissionDecision::Reject(BudgetError::ZeroBytes)
+                    } else {
+                        self.admission.try_admit(effective_row_bytes)
                     };
-                    match p.request.retry {
-                        Some(policy) if p.attempt < policy.max_retries => {
-                            self.park_retry(
-                                p.ticket,
-                                p.query,
-                                p.request,
-                                p.ordinal,
-                                p.attempt + 1,
-                                policy,
-                            );
-                        }
-                        _ => {
-                            self.reject(p.query, &err);
-                            self.finished.insert(
-                                p.ticket.0,
-                                QueryOutcome {
-                                    request,
-                                    outcome: Err(err),
-                                },
-                            );
+                    match decision {
+                        AdmissionDecision::Queue => break,
+                        AdmissionDecision::Reject(e) => RdxError::Budget(e),
+                        AdmissionDecision::Admit { share, replanned } => {
+                            let Some(p) = self.queue.pop_front() else {
+                                break;
+                            };
+                            self.admit(p, share, replanned);
+                            continue;
                         }
                     }
-                    continue;
                 }
-            }
-            // A scripted grant denial rides the ordinary budget-rejection
-            // path (and so also exercises retry policies).
-            let decision = if self.faults.deny_grant(front_ordinal) {
-                AdmissionDecision::Reject(BudgetError::ZeroBytes)
-            } else {
-                self.admission.try_admit(effective_row_bytes)
             };
-            match decision {
-                AdmissionDecision::Queue => break,
-                AdmissionDecision::Reject(e) => {
-                    let Some(p) = self.queue.pop_front() else {
-                        break;
-                    };
-                    match p.request.retry {
-                        Some(policy) if p.attempt < policy.max_retries => {
-                            self.park_retry(
-                                p.ticket,
-                                p.query,
-                                p.request,
-                                p.ordinal,
-                                p.attempt + 1,
-                                policy,
-                            );
-                        }
-                        _ => {
-                            let err = RdxError::Budget(e);
-                            self.reject(p.query, &err);
-                            self.finished.insert(
-                                p.ticket.0,
-                                QueryOutcome {
-                                    request,
-                                    outcome: Err(err),
-                                },
-                            );
-                        }
-                    }
-                }
-                AdmissionDecision::Admit { share, replanned } => {
-                    let Some(p) = self.queue.pop_front() else {
-                        break;
-                    };
-                    // The effective budget: the admission grant, tightened
-                    // by the request's own hint if any (a hint can only
-                    // shrink the share, never grow it).
-                    let effective = match request.budget_hint {
-                        Some(hint) if hint.limit_bytes() < share.limit_bytes() => hint,
-                        _ => share,
-                    };
-                    // A tenant byte cap tightens the grant further — the
-                    // same mechanism as the hint — and the final limit is
-                    // charged against the tenant, so `Σ` of a tenant's
-                    // grants `≤` its cap holds by construction.  The
-                    // check above guaranteed the headroom holds one row.
-                    let tenant = match request.tenant {
-                        Some(t) => match self.tenants.remaining_bytes(t) {
-                            Some(remaining) => {
-                                let capped = if !effective.is_bounded()
-                                    || remaining < effective.limit_bytes()
-                                {
-                                    MemoryBudget::bytes(remaining)
-                                } else {
-                                    effective
-                                };
-                                Some((t, capped.limit_bytes()))
-                            }
-                            // No byte cap: track the in-flight slot only.
-                            None => Some((t, 0)),
-                        },
-                        None => None,
-                    };
-                    let effective = match tenant {
-                        Some((_, bytes)) if bytes > 0 => MemoryBudget::bytes(bytes),
-                        _ => effective,
-                    };
-                    if let Some((t, bytes)) = tenant {
-                        self.tenants.charge(t, bytes);
-                    }
-                    let wait = p.submitted_at.elapsed();
-                    match self.resolve_with(
-                        &request,
-                        effective,
-                        p.query,
-                        wait.as_nanos() as u64,
-                        p.ordinal,
-                    ) {
-                        Ok(mut rq) => {
-                            rq.stats.replanned = replanned;
-                            rq.stats.wait = wait;
-                            if replanned {
-                                self.counters.replans.inc();
-                            }
-                            let urgency = deadline_urgency(&request, &rq);
-                            self.scheduler.add_weighted(
-                                p.ticket.0 as usize,
-                                rq.stats.predicted_chunk_cost_ms,
-                                urgency,
-                            );
-                            self.running.push(Running {
-                                ticket: p.ticket,
-                                request,
-                                rq,
-                                sink: MaterializeSink::new(),
-                                share,
-                                ordinal: p.ordinal,
-                                attempt: p.attempt,
-                                consumed_ns: 0,
-                                tenant,
-                            });
-                        }
-                        Err(e) => {
-                            self.admission.release(share);
-                            self.release_tenant(tenant);
-                            self.reject(p.query, &e);
-                            self.finished.insert(
-                                p.ticket.0,
-                                QueryOutcome {
-                                    request,
-                                    outcome: Err(e),
-                                },
-                            );
-                        }
-                    }
-                }
+            let Some(p) = self.queue.pop_front() else {
+                break;
+            };
+            if let Some(p) = self.retry(p) {
+                self.reject(p, refusal);
             }
+        }
+    }
+
+    /// Starts the admitted ticket `p` under its grant `share` and hands it
+    /// to the scheduler; a start failure returns the grant and the tenant
+    /// charge and parks the typed error.
+    fn admit(&mut self, p: Pending, share: MemoryBudget, replanned: bool) {
+        let request = p.request;
+        // The effective budget: the admission grant, tightened by the
+        // request's own hint if any (a hint can only shrink the share,
+        // never grow it).
+        let effective = match request.budget_hint {
+            Some(hint) if hint.limit_bytes() < share.limit_bytes() => hint,
+            _ => share,
+        };
+        // A tenant byte cap tightens the grant further — the same
+        // mechanism as the hint — and the final limit is charged against
+        // the tenant, so `Σ` of a tenant's grants `≤` its cap holds by
+        // construction.  The check before admission guaranteed the
+        // headroom holds one row.
+        let tenant = request
+            .tenant
+            .map(|t| match self.tenants.remaining_bytes(t) {
+                Some(remaining)
+                    if !effective.is_bounded() || remaining < effective.limit_bytes() =>
+                {
+                    (t, remaining)
+                }
+                Some(_) => (t, effective.limit_bytes()),
+                // No byte cap: track the in-flight slot only.
+                None => (t, 0),
+            });
+        let effective = match tenant {
+            Some((_, bytes)) if bytes > 0 => MemoryBudget::bytes(bytes),
+            _ => effective,
+        };
+        if let Some((t, bytes)) = tenant {
+            self.tenants.charge(t, bytes);
+        }
+        let wait = p.submitted_at.elapsed();
+        match self.resolve_with(&request, effective, p.query, wait, p.ordinal) {
+            Ok((run, mut stats)) => {
+                stats.replanned = replanned;
+                if replanned {
+                    self.counters.replans.inc();
+                }
+                let r = Running {
+                    pending: p,
+                    run,
+                    stats,
+                    started: Instant::now(),
+                    sink: MaterializeSink::new(),
+                    share,
+                    consumed_ns: 0,
+                    tenant,
+                };
+                self.scheduler.add_weighted(
+                    r.pending.ticket.0 as usize,
+                    r.stats.predicted_chunk_cost_ms,
+                    deadline_urgency(&r),
+                );
+                self.running.push(r);
+            }
+            Err(e) => {
+                self.admission.release(share);
+                self.release_tenant(tenant);
+                self.reject(p, e);
+            }
+        }
+    }
+
+    /// The engine's bookkeeping invariants, asserted after every public
+    /// transition in debug builds: admission, the running set and the
+    /// scheduler agree on what is in flight; under a bounded budget the
+    /// committed bytes are exactly the running grants; each tenant's
+    /// charge is exactly its running tickets'; and no ticket is in two
+    /// states at once.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self) {
+        let in_flight = self.running.len();
+        assert_eq!(self.admission.in_flight(), in_flight, "admission slots");
+        assert_eq!(self.scheduler.len(), in_flight, "scheduled runs");
+        if self.config.global_budget.is_bounded() {
+            let granted: usize = self.running.iter().map(|r| r.share.limit_bytes()).sum();
+            assert_eq!(self.committed_bytes(), granted, "Σ grants");
+        }
+        for (t, in_flight, committed) in self.tenants.charges() {
+            let charged = self.running.iter().filter_map(|r| r.tenant);
+            let (n, bytes) = charged
+                .filter(|&(rt, _)| rt == t)
+                .fold((0, 0), |(n, sum), (_, b)| (n + 1, sum + b));
+            assert_eq!((in_flight, committed), (n, bytes), "{t} charge");
+        }
+        // Pairwise, not through a set: the check must not allocate, so the
+        // allocation-regression tests still see a silent engine step.
+        let live = || {
+            let queued = self.queue.iter().map(|p| p.ticket);
+            let running = self.running.iter().map(|r| r.pending.ticket);
+            queued
+                .chain(running)
+                .chain(self.retry_parked.iter().map(|r| r.pending.ticket))
+        };
+        for (i, t) in live().enumerate() {
+            let once = !self.finished.contains_key(&t.0) && live().skip(i + 1).all(|u| u != t);
+            assert!(once, "{t} is in two states");
         }
     }
 }
@@ -1365,12 +1197,13 @@ impl QueryEngine {
 /// × planned chunk count.  The urgency floor (1/16) keeps even a
 /// zero-slack query from monopolising the loop — deadlines shift service
 /// shares, they do not suspend fairness.
-fn deadline_urgency(request: &ServerRequest, rq: &ResolvedQuery) -> f64 {
+fn deadline_urgency(r: &Running) -> f64 {
+    let request = &r.pending.request;
     let priority = f64::from(request.priority.max(1));
     let slack_factor = match request.deadline_ns {
         Some(deadline_ns) => {
-            let chunk_ns = (rq.stats.predicted_chunk_cost_ms * 1e6).max(0.0) as u64;
-            let total_ns = chunk_ns.saturating_mul(rq.run.streaming().num_chunks as u64);
+            let chunk_ns = (r.stats.predicted_chunk_cost_ms * 1e6).max(0.0) as u64;
+            let total_ns = chunk_ns.saturating_mul(r.run.streaming().num_chunks as u64);
             let slack = deadline_ns.saturating_sub(total_ns);
             ((slack as f64 + 1.0) / (deadline_ns as f64 + 1.0)).clamp(1.0 / 16.0, 1.0)
         }
@@ -1449,7 +1282,8 @@ fn validate(catalog: &Catalog, request: &ServerRequest) -> Result<(), RdxError> 
 mod tests {
     use super::*;
     use rdx_core::budget::BudgetError;
-    use rdx_core::strategy::QuerySpec;
+    use rdx_core::fault::RetryPolicy;
+    use rdx_core::strategy::{DsmPostProjection, QuerySpec};
     use rdx_dsm::ResultRelation;
     use rdx_workload::JoinWorkloadBuilder;
 
@@ -1691,75 +1525,6 @@ mod tests {
         // issued: the process-wide counter counts up from zero.)
         assert_eq!(engine.status(TicketId(u64::MAX)), None);
         assert!(engine.take_outcome(TicketId(u64::MAX)).is_none());
-    }
-
-    #[test]
-    fn resolve_is_one_entry_for_direct_and_ticket_paths() {
-        let w = JoinWorkloadBuilder::equal(1_200, 2).seed(11).build();
-        let mut engine = engine(MemoryBudget::bytes(8 * 1024));
-        let larger = engine.register(w.larger.clone());
-        let smaller = engine.register(w.smaller.clone());
-        let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(2));
-
-        // Direct: resolve → run_to_completion → retire.
-        let mut rq = engine.resolve_direct(&request).expect("resolves");
-        assert!(!rq.cache_hit());
-        let mut sink = MaterializeSink::new();
-        rq.run_to_completion(&mut sink);
-        assert!(rq.is_done());
-        let stats = engine.retire(rq);
-        assert_eq!(stats.rows, w.expected_matches);
-        let direct = sink.into_result();
-
-        // Ticket: same request through the scheduler; the prefix now comes
-        // from the cache the direct run warmed.
-        let ticket = engine.submit(request);
-        while engine.step() != EngineStep::Idle {}
-        let q = engine.take_outcome(ticket).unwrap().outcome.unwrap();
-        assert!(q.stats.cache_hit);
-        assert_eq!(columns(&direct), columns(&q.result));
-
-        // Pinned codes override the planner through the same entry.
-        let pinned = engine
-            .resolve_direct(&request.with_codes(q.stats.plan))
-            .unwrap();
-        assert_eq!(pinned.plan(), q.stats.plan);
-        engine.retire(pinned);
-    }
-
-    #[test]
-    fn direct_runs_cannot_overcommit_past_in_flight_grants() {
-        let w = JoinWorkloadBuilder::equal(1_000, 1).seed(13).build();
-        let mut engine = engine(MemoryBudget::bytes(4_096)); // max_concurrent = 2
-        let larger = engine.register(w.larger.clone());
-        let smaller = engine.register(w.smaller.clone());
-        let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(1));
-
-        // One ticket in flight holds its 2 KB fair share…
-        engine.submit(request);
-        assert!(matches!(engine.step(), EngineStep::Chunk { .. }));
-        // …so a direct run is capped at the 2 KB residual, keeping
-        // Σ resident working sets ≤ the 4 KB global budget.
-        let rq = engine.resolve_direct(&request).expect("residual fits");
-        assert_eq!(rq.stats.share_bytes, 2_048);
-        engine.retire(rq);
-
-        // With the whole budget granted out, a direct run is refused with a
-        // typed error instead of over-committing.
-        engine.submit(request);
-        assert!(matches!(engine.step(), EngineStep::Chunk { .. }));
-        assert_eq!(engine.in_flight(), 2);
-        let err = match engine.resolve_direct(&request) {
-            Err(e) => e,
-            Ok(_) => panic!("fully committed budget must refuse direct runs"),
-        };
-        assert_eq!(err, RdxError::Budget(BudgetError::ZeroBytes));
-
-        // Draining the tickets frees the budget again.
-        while engine.step() != EngineStep::Idle {}
-        let rq = engine.resolve_direct(&request).expect("budget released");
-        assert_eq!(rq.stats.share_bytes, 4_096);
-        engine.retire(rq);
     }
 
     #[test]

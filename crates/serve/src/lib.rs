@@ -30,9 +30,10 @@
 //! * [`engine`] — the **ticket-granular [`QueryEngine`]** tying them
 //!   together as a persistent value with open edges: non-blocking
 //!   [`QueryEngine::submit`] returns a [`TicketId`] at any time (including
-//!   between chunk steps of in-flight queries), [`QueryEngine::step`] pumps
-//!   one admission-plus-chunk decision, and [`QueryEngine::resolve`] is the
-//!   **single planner entry** every execution mode funnels through.
+//!   between chunk steps of in-flight queries) and [`QueryEngine::step`]
+//!   pumps one admission-plus-chunk decision.  Every query is a ticket, so
+//!   every query is admitted under `Σ grants ≤ global` and planned by the
+//!   same single start-a-run step.
 //! * [`tenant`] — the **per-tenant quota layer**: [`TenantQuotas`] caps a
 //!   tenant's in-flight queries and resident grant bytes, checked at
 //!   admission *before* the global `per_query_share` (typed
@@ -76,7 +77,6 @@
 //! [`QueryEngine`]: engine::QueryEngine
 //! [`QueryEngine::submit`]: engine::QueryEngine::submit
 //! [`QueryEngine::step`]: engine::QueryEngine::step
-//! [`QueryEngine::resolve`]: engine::QueryEngine::resolve
 //! [`TicketId`]: engine::TicketId
 
 #![forbid(unsafe_code)]
@@ -92,7 +92,7 @@ pub mod tenant;
 
 pub use admission::{AdmissionController, AdmissionDecision};
 pub use cache::{CacheStats, ClusterCache, ClusterKey};
-pub use engine::{EngineStats, EngineStep, QueryEngine, ResolvedQuery, TicketId, TicketStatus};
+pub use engine::{EngineStats, EngineStep, QueryEngine, TicketId, TicketStatus};
 pub use registry::{Catalog, RelationId};
 pub use request::{QueryOutcome, QueryResult, QueryStats, ServeConfig, ServerRequest};
 pub use scheduler::{ChunkScheduler, FairnessPolicy};

@@ -271,6 +271,16 @@ impl TenantRegistry {
         }
     }
 
+    /// Every interned tenant's live charge: `(id, in_flight,
+    /// committed_bytes)`, read without allocating.
+    #[cfg(debug_assertions)]
+    pub(crate) fn charges(&self) -> impl Iterator<Item = (TenantId, usize, usize)> + '_ {
+        self.tenants
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (TenantId(i as u32), s.in_flight(), s.committed_bytes()))
+    }
+
     /// The tenant's accounting view, or `None` for a foreign id.
     pub(crate) fn stats(&self, t: TenantId) -> Option<TenantStats> {
         self.tenants.get(t.0 as usize).map(|s| TenantStats {

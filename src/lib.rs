@@ -36,10 +36,10 @@
 //! * [`api`] — **one front door**: the unified [`api::Session`] /
 //!   [`api::Query`] surface with non-blocking submission tickets.  A
 //!   `Session` owns the catalog, shared cache params, global budget,
-//!   join-index cache and scratch pools; the fluent builder resolves
-//!   through one planner entry to `run()` (one-shot materialise),
-//!   `stream(sink)` (chunked) or `submit()` (a [`api::Ticket`] polled
-//!   without blocking, pumped by [`api::Session::drive`]).
+//!   join-index cache and scratch pools; the fluent builder ends in
+//!   `submit()` (a [`api::Ticket`] polled without blocking, pumped by
+//!   [`api::Session::drive`]) or `run()`, which is one such ticket
+//!   submitted and driven until it finishes.
 //!   Requests may carry a **deadline** (checked against the cost model at
 //!   admission, enforced at chunk boundaries), a **priority**, and a capped
 //!   **retry policy**; tickets can be **cancelled** mid-flight, worker
@@ -132,8 +132,8 @@ pub mod prelude {
     };
     pub use rdx_serve::{
         CacheStats, Catalog, EngineStats, EngineStep, FairnessPolicy, QueryEngine, QueryOutcome,
-        QueryResult, QueryStats, RelationId, ResolvedQuery, ServeConfig, ServerRequest, TenantId,
-        TenantQuota, TenantQuotas, TenantStats, TicketId, TicketStatus,
+        QueryResult, QueryStats, RelationId, ServeConfig, ServerRequest, TenantId, TenantQuota,
+        TenantQuotas, TenantStats, TicketId, TicketStatus,
     };
     pub use rdx_workload::{
         self as workload, BudgetedWorkload, JoinWorkloadBuilder, MixConfig, QueryMix,

@@ -99,27 +99,30 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
                             plan.label()
                         );
                         assert_eq!(report.stats.plan, plan);
-                        // The front door, chunked: stream under the same
-                        // 1/16 budget (floored at one resident row — the
-                        // session's checked planner rejects anything
-                        // smaller by design), threads = 2.
+                        // The front door, chunked: a submitted ticket
+                        // under the same 1/16 budget (floored at one
+                        // resident row — the session's checked planner
+                        // rejects anything smaller by design), threads = 2.
                         let floored = (data_bytes / 16).max(streaming_bytes_per_row(&spec));
-                        let mut sink = CountingSink::new(MaterializeSink::new());
-                        let stats = session
+                        let ticket = session
                             .query(larger, smaller)
                             .project(spec)
                             .codes(plan)
                             .budget(MemoryBudget::bytes(floored))
                             .threads(2)
-                            .stream(&mut sink)
-                            .expect("session stream");
+                            .submit();
+                        session.drive_until_idle();
+                        let chunked = match ticket.poll(&mut session) {
+                            QueryPoll::Done(report) => report,
+                            other => panic!("{cell} session ticket: {other:?}"),
+                        };
                         assert_eq!(
-                            columns(&sink.inner.into_result()),
+                            columns(&chunked.result),
                             expected,
-                            "{cell} session stream {}",
+                            "{cell} session ticket {}",
                             plan.label()
                         );
-                        assert_eq!(stats.rows, w.expected_matches, "{cell}");
+                        assert_eq!(chunked.stats.rows, w.expected_matches, "{cell}");
                         cells += 1;
                     }
                 }

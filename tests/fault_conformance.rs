@@ -82,6 +82,13 @@ fn injected_worker_panic_poisons_exactly_one_query() {
     let engine = session.engine_mut();
     assert_eq!(engine.stats().worker_panics, 1);
     assert_eq!(engine.committed_bytes(), 0, "panicked grant reclaimed");
+
+    // A one-shot run() is a ticket too (submission ordinal 2): a scripted
+    // panic poisons it on its first chunk, typed, with its grant back.
+    session.inject_faults(FaultPlan::new().panic_at(2, 0, 1));
+    let err = session.query(larger, smaller).project(spec).run();
+    assert_eq!(err.unwrap_err(), RdxError::WorkerPanicked { worker: 1 });
+    assert_eq!(session.engine_mut().committed_bytes(), 0);
 }
 
 #[test]
@@ -141,6 +148,21 @@ fn scripted_slowdown_exceeds_the_deadline_deterministically() {
         }
         other => panic!("expected deadline-exceeded teardown, got {other:?}"),
     }
+    assert_eq!(session.engine_mut().committed_bytes(), 0);
+
+    // A one-shot run() (ordinal 1) is enforced at the same chunk boundary.
+    session.inject_faults(FaultPlan::new().slow_at(1, 1, 1_000_000_000_000));
+    let err = session
+        .query(larger, smaller)
+        .project(spec)
+        .deadline(1_000_000_000)
+        .run()
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        RdxError::Deadline(DeadlineError::Exceeded { consumed_ns, deadline_ns })
+            if consumed_ns > deadline_ns && deadline_ns == 1_000_000_000
+    ));
     assert_eq!(session.engine_mut().committed_bytes(), 0);
 }
 
