@@ -8,8 +8,8 @@ use rdx_dsm::DsmRelation;
 use rdx_net::{NetConfig, NetListener, NetServer, NetStats};
 use rdx_obs::{MetricsSnapshot, TraceSnapshot};
 use rdx_serve::{
-    CacheStats, Catalog, EngineStep, QueryEngine, RelationId, ServeConfig, TenantId, TenantStats,
-    TicketStatus,
+    CacheStats, Catalog, EngineStep, QueryEngine, RelationId, ServeConfig, Served, TenantId,
+    TenantStats, TicketStatus,
 };
 use std::sync::Arc;
 
@@ -116,7 +116,10 @@ impl Session {
                     });
                 };
                 match outcome.outcome {
-                    Ok(report) => QueryPoll::Done(report),
+                    Ok(Served::Columns(report)) => QueryPoll::Done(report),
+                    Ok(Served::Frame { .. }) => {
+                        unreachable!("a session submits every ticket in the columns form")
+                    }
                     Err(e) => QueryPoll::Rejected(e),
                 }
             }

@@ -196,6 +196,16 @@ pub enum RdxError {
         /// Which quota fired, with its numbers.
         kind: TenantQuotaKind,
     },
+    /// The query's result, encoded for its transport, would exceed the
+    /// transport's frame cap, so its reader would refuse it.  Refused once
+    /// the join fixed the result's size, before a single chunk ran; the
+    /// grant was reclaimed.
+    ResultTooLarge {
+        /// Bytes the encoded result would take.
+        bytes: usize,
+        /// The transport's cap on one frame.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for RdxError {
@@ -231,6 +241,12 @@ impl std::fmt::Display for RdxError {
             }
             RdxError::TenantQuota { tenant, kind } => {
                 write!(f, "tenant#{tenant} over quota ({kind})")
+            }
+            RdxError::ResultTooLarge { bytes, max } => {
+                write!(
+                    f,
+                    "encoded result of {bytes} B exceeds the {max} B frame cap"
+                )
             }
         }
     }

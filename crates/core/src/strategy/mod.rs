@@ -35,7 +35,7 @@ pub use dsm_pre::dsm_pre_projection;
 pub use nsm_post::{nsm_post_projection_decluster, nsm_post_projection_jive};
 pub use nsm_pre::{nsm_pre_projection_hash, nsm_pre_projection_phash};
 pub use planner::{plan_by_cost, plan_streaming, StreamingPlan};
-pub use sink::{CountingSink, MaterializeSink, PagedSink, RowChunkSink};
+pub use sink::{CountingSink, DoneHead, FrameSink, MaterializeSink, PagedSink, RowChunkSink};
 pub use sparse::dsm_post_projection_sparse;
 pub use strings::dsm_post_projection_with_strings;
 

@@ -5,10 +5,10 @@
 //! memory-budgeted pipeline must *not* do.  A [`RowChunkSink`] receives the
 //! projected result chunk by chunk instead, in final result order, so the
 //! producer never holds more than one chunk of output: the consumer may
-//! aggregate it, ship it over a network, or spool it to buffer-manager pages
-//! ([`PagedSink`], the §5 "DSM inside an NSM RDBMS" integration) — and only a
-//! consumer that explicitly chooses to materialise ([`MaterializeSink`]) pays
-//! full-result memory.
+//! aggregate it, encode it for the network ([`FrameSink`]), or spool it to
+//! buffer-manager pages ([`PagedSink`], the §5 "DSM inside an NSM RDBMS"
+//! integration) — and only a consumer that explicitly chooses to materialise
+//! ([`MaterializeSink`]) or encode pays full-result memory.
 
 use rdx_dsm::{Column, ResultRelation};
 use rdx_nsm::{assign_positions, BufferManager, PageId, Placement};
@@ -89,6 +89,169 @@ impl RowChunkSink for MaterializeSink {
                 }
                 acc.extend_from_slice(chunk);
             }
+        }
+    }
+}
+
+/// Everything a `Done` frame's payload carries besides the result columns.
+///
+/// This module owns the one `Done` payload layout: the head
+/// ([`DoneHead::put`] / [`DoneHead::read`]), then each column's section
+/// ([`put_column`] / [`read_column`]) in projection order.  The wire codec
+/// and [`FrameSink`] write through these, and the wire decoder reads
+/// through them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DoneHead {
+    /// The ticket the frame answers.
+    pub ticket: u64,
+    /// Result cardinality.
+    pub rows: u64,
+    /// Chunks the query streamed in.
+    pub chunks: u64,
+    /// Whether the prepared prefix came from the clustered-index cache.
+    pub cache_hit: bool,
+    /// The budget share the query ran under, in bytes.
+    pub share_bytes: u64,
+}
+
+impl DoneHead {
+    /// Payload bytes before the first column: four `u64` fields, the
+    /// cache-hit byte and the `u16` column count.
+    pub const LEN: usize = 4 * 8 + 1 + 2;
+
+    /// Bytes in front of every frame's payload: the wire header's magic,
+    /// version, type and payload length, which the wire codec writes.
+    pub const FRAME_HEADER_LEN: usize = 8;
+
+    /// Payload bytes of a `Done` carrying `num_columns` columns of `rows`
+    /// values each.
+    pub fn payload_len(rows: usize, num_columns: usize) -> usize {
+        Self::LEN + num_columns * (4 + 4 * rows)
+    }
+
+    /// Writes the head and the column count into `out[..LEN]`.
+    pub fn put(&self, num_columns: usize, out: &mut [u8]) {
+        let words = [self.ticket, self.rows, self.chunks];
+        for (dst, word) in out[..24].chunks_exact_mut(8).zip(words) {
+            dst.copy_from_slice(&word.to_le_bytes());
+        }
+        out[24] = u8::from(self.cache_hit);
+        out[25..33].copy_from_slice(&self.share_bytes.to_le_bytes());
+        out[33..Self::LEN].copy_from_slice(&(num_columns as u16).to_le_bytes());
+    }
+
+    /// Reads the head [`DoneHead::put`] wrote at the front of `payload`:
+    /// the head and its column count, or why the bytes are no head.
+    pub fn read(payload: &[u8]) -> Result<(DoneHead, usize), &'static str> {
+        let head = payload.get(..Self::LEN).ok_or("truncated payload")?;
+        let word = |at: usize| {
+            let mut b = [0; 8];
+            b.copy_from_slice(&head[at..at + 8]);
+            u64::from_le_bytes(b)
+        };
+        let cache_hit = match head[24] {
+            0 => false,
+            1 => true,
+            _ => return Err("boolean byte not 0/1"),
+        };
+        let done = DoneHead {
+            ticket: word(0),
+            rows: word(8),
+            chunks: word(16),
+            cache_hit,
+            share_bytes: word(25),
+        };
+        Ok((done, u16::from_le_bytes([head[33], head[34]]) as usize))
+    }
+}
+
+/// Writes rows `first_row..first_row + values.len()` of one `Done` column
+/// section into `section`, the column's `4 + 4 · rows` bytes: its `u32`
+/// length `rows`, then each value as a little-endian `i32` at its fixed
+/// offset.  The one column encoder — a bulk copy into a pre-sized slice,
+/// never a per-value push.
+pub fn put_column(section: &mut [u8], rows: usize, first_row: usize, values: &[i32]) {
+    let (len, body) = section.split_at_mut(4);
+    len.copy_from_slice(&(rows as u32).to_le_bytes());
+    let body = &mut body[4 * first_row..4 * (first_row + values.len())];
+    for (dst, v) in body.chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Reads the column section [`put_column`] wrote at the front of `bytes`:
+/// its values and the section's length in bytes, or why the bytes are no
+/// section.
+pub fn read_column(bytes: &[u8]) -> Result<(Vec<i32>, usize), &'static str> {
+    let len = bytes.get(..4).ok_or("truncated payload")?;
+    let rows = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
+    let end = rows
+        .checked_mul(4)
+        .and_then(|body| body.checked_add(4))
+        .ok_or("column length overflow")?;
+    let body = bytes.get(4..end).ok_or("truncated payload")?;
+    let values = body
+        .chunks_exact(4)
+        .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    Ok((values, end))
+}
+
+/// A sink that encodes the stream straight into one pre-sized `Done`
+/// frame: `begin` allocates [`DoneHead::FRAME_HEADER_LEN`] bytes for the
+/// wire header plus the whole payload, and since the payload is
+/// column-major with every column's length known at `begin`, `emit` copies
+/// each chunk's values to their fixed offsets, leaving the producer's
+/// buffers in place.  [`FrameSink::into_frame`] writes the head once the
+/// caller knows it.
+#[derive(Debug, Default)]
+pub struct FrameSink {
+    frame: Vec<u8>,
+    rows: usize,
+    num_columns: usize,
+}
+
+impl FrameSink {
+    /// An empty sink; `begin` sizes its frame.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The frame with `head` written into its payload; its first
+    /// [`DoneHead::FRAME_HEADER_LEN`] bytes are still the wire codec's to
+    /// fill.
+    pub fn into_frame(mut self, head: &DoneHead) -> Vec<u8> {
+        head.put(
+            self.num_columns,
+            &mut self.frame[DoneHead::FRAME_HEADER_LEN..],
+        );
+        self.frame
+    }
+
+    /// Column `c`'s section of the payload.
+    fn section(&mut self, c: usize) -> &mut [u8] {
+        let len = 4 + 4 * self.rows;
+        let at = DoneHead::FRAME_HEADER_LEN + DoneHead::LEN + c * len;
+        &mut self.frame[at..at + len]
+    }
+}
+
+impl RowChunkSink for FrameSink {
+    fn begin(&mut self, total_rows: usize, num_columns: usize) {
+        self.rows = total_rows;
+        self.num_columns = num_columns;
+        self.frame =
+            vec![0; DoneHead::FRAME_HEADER_LEN + DoneHead::payload_len(total_rows, num_columns)];
+        for c in 0..num_columns {
+            put_column(self.section(c), total_rows, 0, &[]);
+        }
+    }
+
+    fn emit(&mut self, first_row: usize, columns: &mut [Vec<i32>]) {
+        assert_eq!(columns.len(), self.num_columns, "column count changed");
+        let rows = self.rows;
+        for (c, values) in columns.iter().enumerate() {
+            put_column(self.section(c), rows, first_row, values);
         }
     }
 }
@@ -286,6 +449,53 @@ mod tests {
         let mut sink = MaterializeSink::new();
         sink.begin(4, 1);
         sink.emit(2, &mut chunk(&[&[3, 4]]));
+    }
+
+    #[test]
+    fn frame_sink_writes_each_chunk_at_its_fixed_offset() {
+        let mut sink = FrameSink::new();
+        sink.begin(3, 2);
+        let mut first = chunk(&[&[1, -2], &[10, 20]]);
+        sink.emit(0, &mut first);
+        assert_eq!(first[0], [1, -2], "the producer keeps its buffers");
+        sink.emit(2, &mut chunk(&[&[3], &[i32::MIN]]));
+        sink.finish();
+        let head = DoneHead {
+            ticket: 7,
+            rows: 3,
+            chunks: 2,
+            cache_hit: true,
+            share_bytes: 512,
+        };
+        let frame = sink.into_frame(&head);
+        let at = DoneHead::FRAME_HEADER_LEN;
+        assert_eq!(frame.len(), at + DoneHead::payload_len(3, 2));
+        let mut expected = vec![0; at + DoneHead::LEN];
+        head.put(2, &mut expected[at..]);
+        let columns = [[1, -2, 3], [10, 20, i32::MIN]];
+        for col in columns {
+            expected.extend_from_slice(&3u32.to_le_bytes());
+            expected.extend(col.iter().flat_map(|v| v.to_le_bytes()));
+        }
+        assert_eq!(frame, expected);
+        // The readers take back what the writers put.
+        let payload = &frame[at..];
+        assert_eq!(DoneHead::read(payload), Ok((head, 2)));
+        let mut rest = &payload[DoneHead::LEN..];
+        for col in columns {
+            let (values, len) = read_column(rest).expect("a whole section");
+            assert_eq!((values.as_slice(), len), (&col[..], 4 + 4 * 3));
+            rest = &rest[len..];
+        }
+        assert!(rest.is_empty());
+        assert_eq!(
+            read_column(&payload[DoneHead::LEN..DoneHead::LEN + 8]),
+            Err("truncated payload")
+        );
+        assert_eq!(
+            DoneHead::read(&payload[..DoneHead::LEN - 1]),
+            Err("truncated payload")
+        );
     }
 
     #[test]

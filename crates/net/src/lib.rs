@@ -20,8 +20,12 @@
 //!   after progress, yield between polls for a short quiet window after
 //!   the last progress, timed sleeps only after that) whose two waits are
 //!   counted in [`NetStats`], a read of the `net.*` counters in the
-//!   engine's `rdx-obs` registry.  A finished query's columns are encoded
-//!   once, from the result into an exactly-sized `Done` buffer.
+//!   engine's `rdx-obs` registry.  A query's result is encoded where it
+//!   is emitted: every wire ticket is submitted in the engine's frame form,
+//!   so the engine's frame sink copies each chunk into one pre-sized `Done`
+//!   frame and the server only writes its header before sending it.  A
+//!   result whose frame would exceed [`NetConfig::max_payload`] is refused
+//!   with a typed `ResultTooLarge` before it runs.
 //! - [`client`] — [`NetClient`]: a small blocking client for tests,
 //!   examples, and other processes.  It reads each frame straight into a
 //!   buffer sized by the validated header, never beyond the payload cap.

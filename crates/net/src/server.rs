@@ -33,15 +33,14 @@
 //! and the engine all survive.
 
 use crate::wire::{
-    decode_frame, encode_done, encode_frame, DoneHead, Frame, SubmitSpec, DEFAULT_MAX_PAYLOAD,
-    WIRE_VERSION,
+    decode_frame, encode_frame, seal_done, Frame, SubmitSpec, DEFAULT_MAX_PAYLOAD, WIRE_VERSION,
 };
 use rdx_core::budget::MemoryBudget;
 use rdx_core::error::RdxError;
 use rdx_core::strategy::QuerySpec;
 use rdx_obs::Counter;
 use rdx_serve::{
-    QueryEngine, QueryOutcome, RelationId, ServerRequest, TenantId, TicketId, TicketStatus,
+    QueryEngine, RelationId, ResultForm, Served, ServerRequest, TenantId, TicketId, TicketStatus,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -173,7 +172,9 @@ impl Write for NetStream {
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// Per-frame payload cap handed to the decoder — a hostile length
-    /// field is refused before any buffer grows to meet it.
+    /// field is refused before any buffer grows to meet it.  The server's
+    /// own `Done` frames keep to it too: a result whose frame would not is
+    /// refused with `RdxError::ResultTooLarge` before it runs.
     pub max_payload: u32,
     /// Bound on a connection's queued outbound frames.  At the bound the
     /// server stops decoding that connection's requests until the client
@@ -705,7 +706,12 @@ impl NetServer {
                 project_smaller: spec.project_smaller as usize,
             },
         )
-        .with_priority(spec.priority);
+        .with_priority(spec.priority)
+        // The engine encodes the result into its `Done` frame as it emits,
+        // and refuses one the client's decoder would.
+        .with_form(ResultForm::Frame {
+            max_payload: self.config.max_payload as usize,
+        });
         if let Some(b) = budget {
             request = request.with_budget_hint(b);
         }
@@ -756,36 +762,19 @@ impl NetServer {
             ),
             Some(TicketStatus::Finished) => {
                 // Consume the parked outcome; the ticket is spent.
-                let outcome = self.engine.take_outcome(tid);
+                let outcome = self.engine.take_outcome(tid).map(|o| o.outcome);
                 self.conns[idx].tickets.remove(&ticket);
                 match outcome {
-                    Some(QueryOutcome {
-                        outcome: Ok(result),
-                        ..
-                    }) => {
-                        // Encoded straight from the result's columns into
-                        // one exactly-sized buffer: a `Done` is the one
-                        // frame that can run to megabytes.
-                        let head = DoneHead {
-                            ticket,
-                            rows: result.stats.rows as u64,
-                            chunks: result.stats.chunks as u64,
-                            cache_hit: result.stats.cache_hit,
-                            share_bytes: result.stats.share_bytes as u64,
-                        };
-                        let mut bytes = Vec::new();
-                        encode_done(
-                            &head,
-                            result.result.columns().iter().map(|c| c.as_slice()),
-                            &mut bytes,
-                        );
-                        self.enqueue_bytes(idx, bytes);
+                    // The engine filled the frame as the query emitted;
+                    // only its header is left to write.
+                    Some(Ok(Served::Frame { mut frame, .. })) => {
+                        seal_done(&mut frame);
+                        self.enqueue_bytes(idx, frame);
                     }
-                    Some(QueryOutcome {
-                        outcome: Err(error),
-                        ..
-                    }) => self.enqueue(idx, &Frame::Rejected { ticket, error }),
-                    None => self.enqueue(
+                    Some(Err(error)) => self.enqueue(idx, &Frame::Rejected { ticket, error }),
+                    // Every wire ticket is submitted in the frame form, so
+                    // no columns outcome is this connection's to send.
+                    Some(Ok(Served::Columns(_))) | None => self.enqueue(
                         idx,
                         &Frame::Rejected {
                             ticket,
@@ -814,7 +803,10 @@ pub const NO_TICKET: u64 = u64::MAX;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdx_serve::ServeConfig;
+    use crate::wire::WireReport;
+    use rdx_dsm::{Column, DsmRelation};
+    use rdx_serve::{EngineStep, ServeConfig};
+    use rdx_workload::JoinWorkloadBuilder;
 
     const US: Duration = Duration::from_micros(1);
 
@@ -893,6 +885,108 @@ mod tests {
             policy.next(false, QUIET_WINDOW),
             IdleAction::Sleep(IDLE_SLEEP)
         );
+    }
+
+    /// The frame a frame-form ticket's sink fills, once sealed, is byte for
+    /// byte what `encode_frame` makes of the same request's columns — at
+    /// one chunk and many, for a zero-row join and asymmetric projections.
+    #[test]
+    fn a_frame_ticket_is_byte_identical_to_encode_frame() {
+        let w = JoinWorkloadBuilder::equal(3_000, 3).seed(21).build();
+        let relation = |keys: std::ops::Range<u64>| {
+            let attr = keys.clone().map(|k| k as i32 * 7).collect();
+            DsmRelation::new(
+                Column::from_vec(keys.collect()),
+                vec![Column::from_vec(attr)],
+            )
+        };
+        let mut engine = QueryEngine::new(ServeConfig::default());
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        // Disjoint keys: the join is empty.
+        let none_l = engine.register(relation(0..40));
+        let none_s = engine.register(relation(1_000..1_040));
+        let data_bytes = 2 * 3_000 * 3 * 4;
+        let two = QuerySpec::symmetric(2);
+        let cases = [
+            (larger, smaller, two, None, 1),
+            (larger, smaller, two, Some(4), 2),
+            (larger, smaller, two, Some(16), 8),
+            (
+                larger,
+                smaller,
+                QuerySpec {
+                    project_larger: 3,
+                    project_smaller: 1,
+                },
+                Some(16),
+                8,
+            ),
+            (
+                larger,
+                smaller,
+                QuerySpec {
+                    project_larger: 1,
+                    project_smaller: 3,
+                },
+                Some(4),
+                2,
+            ),
+            (none_l, none_s, QuerySpec::symmetric(1), None, 0),
+        ];
+        for (l, s, spec, denominator, min_chunks) in cases {
+            let cell = format!("π = {spec:?} at 1/{denominator:?}");
+            let mut request = ServerRequest::new(l, s, spec);
+            if let Some(d) = denominator {
+                request = request.with_budget_hint(MemoryBudget::fraction_of(data_bytes, d));
+            }
+            let columns = engine.submit(request);
+            let framed = engine.submit(request.with_form(ResultForm::Frame {
+                max_payload: usize::MAX,
+            }));
+            while engine.step() != EngineStep::Idle {}
+            let mut outcome = |t| engine.take_outcome(t).map(|o| o.outcome);
+            let Some(Ok(Served::Columns(result))) = outcome(columns) else {
+                panic!("{cell}: columns ticket not served");
+            };
+            let Some(Ok(Served::Frame { mut frame, stats })) = outcome(framed) else {
+                panic!("{cell}: frame ticket not served");
+            };
+            assert!(
+                stats.chunks >= min_chunks,
+                "{cell}: {} chunks",
+                stats.chunks
+            );
+            assert_eq!(stats.rows, result.stats.rows, "{cell}");
+            assert_eq!(
+                stats.rows == 0,
+                l == none_l,
+                "{cell}: only the disjoint join is empty"
+            );
+            assert_eq!(frame.len(), frame.capacity(), "{cell}: sized once");
+            seal_done(&mut frame);
+            let report = WireReport {
+                rows: stats.rows as u64,
+                chunks: stats.chunks as u64,
+                cache_hit: stats.cache_hit,
+                share_bytes: stats.share_bytes as u64,
+                columns: result
+                    .result
+                    .columns()
+                    .iter()
+                    .map(|c| c.as_slice().to_vec())
+                    .collect(),
+            };
+            let mut expected = Vec::new();
+            encode_frame(
+                &Frame::Done {
+                    ticket: framed.raw(),
+                    report,
+                },
+                &mut expected,
+            );
+            assert_eq!(frame, expected, "{cell}");
+        }
     }
 
     #[test]

@@ -28,7 +28,8 @@
 use rdx_core::budget::BudgetError;
 use rdx_core::error::{DeadlineError, RdxError, Side, TenantQuotaKind};
 use rdx_core::strategy::common::{ProjectionCode, SecondSideCode};
-use rdx_core::strategy::DsmPostProjection;
+use rdx_core::strategy::sink::{put_column, read_column};
+use rdx_core::strategy::{DoneHead, DsmPostProjection};
 
 /// The two magic bytes every frame starts with: `"RD"`.
 pub const MAGIC: [u8; 2] = [0x52, 0x44];
@@ -36,8 +37,9 @@ pub const MAGIC: [u8; 2] = [0x52, 0x44];
 /// The protocol version this build speaks.
 pub const WIRE_VERSION: u8 = 1;
 
-/// Header size in bytes (magic + version + type + payload length).
-pub const HEADER_LEN: usize = 8;
+/// Header size in bytes (magic + version + type + payload length) — the
+/// bytes the engine's frame sink leaves in front of a `Done` payload.
+pub const HEADER_LEN: usize = DoneHead::FRAME_HEADER_LEN;
 
 /// Default cap on a single frame's payload (16 MiB) — a decoded length
 /// above the cap is refused with [`WireError::Oversized`] *before* any
@@ -229,8 +231,8 @@ pub enum Frame {
     },
 }
 
-/// [`Frame::Done`]'s wire type byte, shared by [`encode_frame`],
-/// [`encode_done`] and [`decode_frame`].
+/// [`Frame::Done`]'s wire type byte, shared by [`encode_done`],
+/// [`seal_done`] and [`decode_frame`].
 const TYPE_DONE: u8 = 0x85;
 
 impl Frame {
@@ -254,10 +256,6 @@ impl Frame {
 }
 
 // ---------------------------------------------------------------- writing
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -384,6 +382,11 @@ fn put_error(out: &mut Vec<u8>, e: &RdxError) {
                 }
             }
         }
+        RdxError::ResultTooLarge { bytes, max } => {
+            out.push(9);
+            put_u64(out, *bytes as u64);
+            put_u64(out, *max as u64);
+        }
     }
 }
 
@@ -405,62 +408,56 @@ fn end_frame(out: &mut [u8], len_at: usize) {
     out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
 }
 
-/// Everything a [`Frame::Done`] carries except the result columns, so the
-/// server can encode a finished query straight from the columns it
-/// already holds (see [`encode_done`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DoneHead {
-    pub ticket: u64,
-    pub rows: u64,
-    pub chunks: u64,
-    pub cache_hit: bool,
-    pub share_bytes: u64,
-}
-
-/// The one `Done` payload layout: head fields, column count, then each
-/// column as a `u32` length and its little-endian values.
-fn put_done<'a>(
-    out: &mut Vec<u8>,
-    head: &DoneHead,
-    columns: impl ExactSizeIterator<Item = &'a [i32]>,
-) {
-    put_u64(out, head.ticket);
-    put_u64(out, head.rows);
-    put_u64(out, head.chunks);
-    out.push(u8::from(head.cache_hit));
-    put_u64(out, head.share_bytes);
-    put_u16(out, columns.len() as u16);
-    for col in columns {
-        put_u32(out, col.len() as u32);
-        for v in col {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-/// Appends a complete `Done` frame encoded from **borrowed** columns —
-/// byte for byte what [`encode_frame`] emits for the equivalent
-/// [`Frame::Done`], without first copying the columns into a
-/// [`WireReport`].  The frame's exact size is reserved up front, so a
-/// multi-megabyte result is written once into a buffer that never
-/// reallocates.
+/// Appends a complete `Done` frame encoded from **borrowed** columns — the
+/// encoder [`encode_frame`] hands a [`Frame::Done`] to.  The frame's exact
+/// size is reserved up front, so a multi-megabyte result is written once
+/// into a buffer that never reallocates: the head, then each column's
+/// section, in `rdx_core`'s one layout ([`DoneHead::put`], [`put_column`])
+/// — the same one the engine's frame sink fills.
 pub(crate) fn encode_done<'a>(
     head: &DoneHead,
     columns: impl ExactSizeIterator<Item = &'a [i32]> + Clone,
     out: &mut Vec<u8>,
 ) {
-    // Four u64 head fields, the cache-hit byte and the u16 column count,
-    // then a u32 length and 4 B per value for each column.
-    let fixed = 4 * 8 + 1 + 2;
     let columns_len: usize = columns.clone().map(|c| 4 + 4 * c.len()).sum();
-    out.reserve_exact(HEADER_LEN + fixed + columns_len);
-    let len_at = begin_frame(out, TYPE_DONE);
-    put_done(out, head, columns);
-    end_frame(out, len_at);
+    let start = out.len();
+    let len = HEADER_LEN + DoneHead::LEN + columns_len;
+    out.reserve_exact(len);
+    out.resize(start + len, 0);
+    let frame = &mut out[start..];
+    head.put(columns.len(), &mut frame[HEADER_LEN..]);
+    let mut at = HEADER_LEN + DoneHead::LEN;
+    for col in columns {
+        let end = at + 4 + 4 * col.len();
+        put_column(&mut frame[at..end], col.len(), 0, col);
+        at = end;
+    }
+    seal_done(frame);
+}
+
+/// Writes the header of the `Done` frame that fills `frame`, whose payload
+/// follows its first [`HEADER_LEN`] bytes — how a frame built in place,
+/// by [`encode_done`] or by the engine's frame sink, becomes sendable.
+pub(crate) fn seal_done(frame: &mut [u8]) {
+    frame[..2].copy_from_slice(&MAGIC);
+    frame[2] = WIRE_VERSION;
+    frame[3] = TYPE_DONE;
+    // The length follows magic, version and type, as `begin_frame` puts it.
+    end_frame(frame, 4);
 }
 
 /// Appends `frame`, fully encoded (header + payload), to `out`.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
+    if let Frame::Done { ticket, report } = frame {
+        let head = DoneHead {
+            ticket: *ticket,
+            rows: report.rows,
+            chunks: report.chunks,
+            cache_hit: report.cache_hit,
+            share_bytes: report.share_bytes,
+        };
+        return encode_done(&head, report.columns.iter().map(Vec::as_slice), out);
+    }
     let len_at = begin_frame(out, frame.type_byte());
     match frame {
         Frame::Hello { tenant } => match tenant {
@@ -515,17 +512,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             put_u64(out, *chunks);
             put_u64(out, *rows);
         }
-        Frame::Done { ticket, report } => put_done(
-            out,
-            &DoneHead {
-                ticket: *ticket,
-                rows: report.rows,
-                chunks: report.chunks,
-                cache_hit: report.cache_hit,
-                share_bytes: report.share_bytes,
-            },
-            report.columns.iter().map(Vec::as_slice),
-        ),
+        Frame::Done { .. } => unreachable!("encoded by encode_done above"),
         Frame::Rejected { ticket, error } => {
             put_u64(out, *ticket);
             put_error(out, error);
@@ -566,13 +553,13 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+    /// The bytes not yet read.
+    fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
@@ -688,6 +675,10 @@ fn read_error(r: &mut Reader<'_>) -> Result<RdxError, WireError> {
                 _ => return Err(bad("unknown tenant quota tag")),
             },
         },
+        9 => RdxError::ResultTooLarge {
+            bytes: r.u64()? as usize,
+            max: r.u64()? as usize,
+        },
         _ => return Err(bad("unknown error tag")),
     })
 }
@@ -788,32 +779,23 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize
             rows: r.u64()?,
         },
         TYPE_DONE => {
-            let ticket = r.u64()?;
-            let rows = r.u64()?;
-            let chunks = r.u64()?;
-            let cache_hit = r.bool()?;
-            let share_bytes = r.u64()?;
-            let ncols = r.u16()? as usize;
+            // The layout is `rdx_core`'s, read back through its readers.
+            let bad = |detail| WireError::BadPayload { detail };
+            let (head, ncols) = DoneHead::read(r.rest()).map_err(bad)?;
+            r.take(DoneHead::LEN)?;
             let mut columns = Vec::with_capacity(ncols);
             for _ in 0..ncols {
-                let len = r.u32()? as usize;
-                let bytes = r.take(len.checked_mul(4).ok_or(WireError::BadPayload {
-                    detail: "column length overflow",
-                })?)?;
-                columns.push(
-                    bytes
-                        .chunks_exact(4)
-                        .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                        .collect(),
-                );
+                let (values, len) = read_column(r.rest()).map_err(bad)?;
+                r.take(len)?;
+                columns.push(values);
             }
             Frame::Done {
-                ticket,
+                ticket: head.ticket,
                 report: WireReport {
-                    rows,
-                    chunks,
-                    cache_hit,
-                    share_bytes,
+                    rows: head.rows,
+                    chunks: head.chunks,
+                    cache_hit: head.cache_hit,
+                    share_bytes: head.share_bytes,
                     columns,
                 },
             }
@@ -1034,6 +1016,10 @@ mod tests {
                     in_use: 120,
                     limit: 128,
                 },
+            },
+            RdxError::ResultTooLarge {
+                bytes: 19_200_051,
+                max: 16 << 20,
             },
         ];
         for error in errors {

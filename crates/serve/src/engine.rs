@@ -46,7 +46,9 @@
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::cache::{CacheStats, ClusterCache, ClusterKey};
 use crate::registry::{Catalog, RelationId};
-use crate::request::{QueryOutcome, QueryResult, QueryStats, ServeConfig, ServerRequest};
+use crate::request::{
+    QueryOutcome, QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest,
+};
 use crate::scheduler::ChunkScheduler;
 use crate::tenant::{TenantId, TenantRegistry, TenantStats};
 use rdx_cache::CacheParams;
@@ -56,7 +58,7 @@ use rdx_core::fault::{FaultInjector, FaultPlan};
 use rdx_core::strategy::planner::{
     plan_by_cost_with_threads, plan_streaming, predict_streaming_cost, streaming_bytes_per_row,
 };
-use rdx_core::strategy::{MaterializeSink, PhaseTimings};
+use rdx_core::strategy::{DoneHead, FrameSink, MaterializeSink, PhaseTimings, RowChunkSink};
 use rdx_dsm::DsmRelation;
 use rdx_exec::{DsmPipelineRun, ExecPolicy, ProjectionPipeline};
 use rdx_obs::{Counter, EventKind, Gauge, Histogram, MetricsRegistry, Obs, ObsConfig, QueryId};
@@ -155,7 +157,8 @@ pub struct EngineStats {
     /// Tickets granted a budget share and started.
     pub admissions: u64,
     /// Tickets refused with a typed error before running a chunk
-    /// (validation, tenant-quota, budget or infeasible-deadline failures).
+    /// (validation, tenant-quota, budget, infeasible-deadline or
+    /// oversized-frame failures).
     pub rejections: u64,
     /// Admissions granted less than the fair share (tighter chunking).
     pub replans: u64,
@@ -237,6 +240,7 @@ fn reject_reason(e: &RdxError) -> &'static str {
         RdxError::Cancelled => "cancelled",
         RdxError::WorkerPanicked { .. } => "worker_panic",
         RdxError::TenantQuota { .. } => "tenant_quota",
+        RdxError::ResultTooLarge { .. } => "result_too_large",
     }
 }
 
@@ -255,6 +259,21 @@ struct Pending {
     attempt: u32,
 }
 
+/// The sink a running ticket fills, in its request's [`ResultForm`].
+enum TicketSink {
+    Columns(MaterializeSink),
+    Frame(FrameSink),
+}
+
+impl TicketSink {
+    fn as_dyn(&mut self) -> &mut dyn RowChunkSink {
+        match self {
+            TicketSink::Columns(sink) => sink,
+            TicketSink::Frame(sink) => sink,
+        }
+    }
+}
+
 /// One admitted, in-flight ticket: a parked run and the sink it fills.
 struct Running {
     pending: Pending,
@@ -263,7 +282,7 @@ struct Running {
     stats: QueryStats,
     /// When the run was started (its service time counts from here).
     started: Instant,
-    sink: MaterializeSink,
+    sink: TicketSink,
     /// The admission grant (released on completion; may exceed the
     /// effective budget when a hint tightened it).
     share: MemoryBudget,
@@ -288,7 +307,7 @@ struct RetryParked {
 /// The persistent, ticket-granular serving core.
 ///
 /// ```
-/// use rdx_serve::{QueryEngine, EngineStep, ServeConfig, ServerRequest, TicketStatus};
+/// use rdx_serve::{QueryEngine, EngineStep, ServeConfig, Served, ServerRequest, TicketStatus};
 /// use rdx_core::strategy::QuerySpec;
 /// use rdx_workload::JoinWorkloadBuilder;
 ///
@@ -299,8 +318,9 @@ struct RetryParked {
 /// let ticket = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(1)));
 /// while engine.step() != EngineStep::Idle {}
 /// assert_eq!(engine.status(ticket), Some(TicketStatus::Finished));
-/// let outcome = engine.take_outcome(ticket).unwrap();
-/// assert_eq!(outcome.outcome.unwrap().stats.rows, w.expected_matches);
+/// let outcome = engine.take_outcome(ticket).unwrap().outcome;
+/// let Ok(Served::Columns(result)) = outcome else { panic!("not served") };
+/// assert_eq!(result.stats.rows, w.expected_matches);
 /// ```
 pub struct QueryEngine {
     config: ServeConfig,
@@ -533,7 +553,7 @@ impl QueryEngine {
         &mut self,
         ticket: TicketId,
         request: ServerRequest,
-        outcome: Result<QueryResult, RdxError>,
+        outcome: Result<Served, RdxError>,
     ) {
         self.finished
             .insert(ticket.0, QueryOutcome { request, outcome });
@@ -684,7 +704,7 @@ impl QueryEngine {
                 if let Some(worker) = injected_panic {
                     std::panic::panic_any(rdx_exec::WorkerPanic { worker });
                 }
-                running.run.step(&mut running.sink)
+                running.run.step(running.sink.as_dyn())
             }))
         };
         match stepped {
@@ -756,7 +776,8 @@ impl QueryEngine {
     }
 
     /// Finalises a completed run's statistics, records its `Done` event and
-    /// parks its materialised result.
+    /// parks its result: the materialised columns, or the frame with its
+    /// head written.
     fn retire(&mut self, r: Running) {
         // A cache-hit run never paid the prefix build; fold those timings in
         // only when this query actually built it.
@@ -780,12 +801,23 @@ impl QueryEngine {
             },
         );
         self.counters.service_ns.record(service_ns);
-        let result = r.sink.into_result();
-        self.finish(
-            r.pending.ticket,
-            r.pending.request,
-            Ok(QueryResult { result, stats }),
-        );
+        let served = match r.sink {
+            TicketSink::Columns(sink) => Served::Columns(QueryResult {
+                result: sink.into_result(),
+                stats,
+            }),
+            TicketSink::Frame(sink) => Served::Frame {
+                frame: sink.into_frame(&DoneHead {
+                    ticket: r.pending.ticket.0,
+                    rows: stats.rows as u64,
+                    chunks: stats.chunks as u64,
+                    cache_hit: stats.cache_hit,
+                    share_bytes: stats.share_bytes as u64,
+                }),
+                stats,
+            },
+        };
+        self.finish(r.pending.ticket, r.pending.request, Ok(served));
     }
 
     /// Cancels `ticket` wherever it is — queued, retry-parked, or running
@@ -890,8 +922,9 @@ impl QueryEngine {
     /// one resident result row, rejects a deadline the cost model cannot
     /// meet, chooses the projection codes (cost-based at the shared cache
     /// share unless the request pinned them), resolves the prepared prefix
-    /// through the clustered-index cache, warms the run from the scratch
-    /// pool, and prices its per-chunk cost for the stride scheduler.
+    /// through the clustered-index cache, rejects a frame-form result its
+    /// transport would refuse, warms the run from the scratch pool, and
+    /// prices its per-chunk cost for the stride scheduler.
     fn resolve_with(
         &mut self,
         request: &ServerRequest,
@@ -938,16 +971,6 @@ impl QueryEngine {
                 }));
             }
         }
-        let queue_wait_ns = wait.as_nanos() as u64;
-        self.counters.admissions.inc();
-        self.counters.queue_wait_ns.record(queue_wait_ns);
-        self.obs.record(
-            query,
-            EventKind::Admit {
-                share_bytes: budget.limit_bytes(),
-                queue_wait_ns,
-            },
-        );
         let policy = ExecPolicy::with_threads(threads).budget(budget);
         let shared_params = &self.shared_params;
         let plan = request.codes.unwrap_or_else(|| {
@@ -977,6 +1000,28 @@ impl QueryEngine {
         let (prepared, cache_hit) = self.cache.get_or_prepare(key, || {
             pipeline.prepare(&larger, &smaller, shared_params, &policy)
         });
+        // The join fixed the result's size: a frame its reader would
+        // refuse is refused here, before the ticket counts as admitted and
+        // before a chunk runs.
+        if let ResultForm::Frame { max_payload } = request.form {
+            let bytes = DoneHead::payload_len(prepared.result_rows(), request.spec.total());
+            if bytes > max_payload {
+                return Err(RdxError::ResultTooLarge {
+                    bytes,
+                    max: max_payload,
+                });
+            }
+        }
+        let queue_wait_ns = wait.as_nanos() as u64;
+        self.counters.admissions.inc();
+        self.counters.queue_wait_ns.record(queue_wait_ns);
+        self.obs.record(
+            query,
+            EventKind::Admit {
+                share_bytes: budget.limit_bytes(),
+                queue_wait_ns,
+            },
+        );
         self.obs
             .record(query, EventKind::CacheLookup { hit: cache_hit });
         let mut run = DsmPipelineRun::over_dsm_arc(
@@ -1130,7 +1175,10 @@ impl QueryEngine {
                     run,
                     stats,
                     started: Instant::now(),
-                    sink: MaterializeSink::new(),
+                    sink: match request.form {
+                        ResultForm::Columns => TicketSink::Columns(MaterializeSink::new()),
+                        ResultForm::Frame { .. } => TicketSink::Frame(FrameSink::new()),
+                    },
                     share,
                     consumed_ns: 0,
                     tenant,
@@ -1312,8 +1360,16 @@ mod tests {
         while engine.step() != EngineStep::Idle {}
         tickets
             .into_iter()
-            .map(|t| engine.take_outcome(t).unwrap().outcome.expect("served"))
+            .map(|t| served(engine.take_outcome(t).unwrap()))
             .collect()
+    }
+
+    /// A columns ticket's served result.
+    fn served(outcome: QueryOutcome) -> QueryResult {
+        match outcome.outcome {
+            Ok(Served::Columns(result)) => result,
+            other => panic!("expected served columns, got {other:?}"),
+        }
     }
 
     fn columns(result: &ResultRelation) -> Vec<Vec<i32>> {
@@ -1348,7 +1404,7 @@ mod tests {
         while engine.step() != EngineStep::Idle {}
         assert_eq!(engine.status(ticket), Some(TicketStatus::Finished));
         let outcome = engine.take_outcome(ticket).expect("outcome parked");
-        let q = outcome.outcome.expect("query served");
+        let q = served(outcome);
         assert_eq!(q.stats.rows, w.expected_matches);
         assert!(q.stats.chunks > 1);
         // Taken exactly once.
@@ -1376,8 +1432,8 @@ mod tests {
             Some(TicketStatus::Running { .. })
         ));
         while engine.step() != EngineStep::Idle {}
-        let ra = engine.take_outcome(a).unwrap().outcome.unwrap();
-        let rb = engine.take_outcome(b).unwrap().outcome.unwrap();
+        let ra = served(engine.take_outcome(a).unwrap());
+        let rb = served(engine.take_outcome(b).unwrap());
         // Interleaving is invisible in the results.
         assert_eq!(columns(&ra.result), columns(&rb.result));
         assert_eq!(ra.stats.rows, w.expected_matches);
@@ -1519,7 +1575,7 @@ mod tests {
             engine.take_outcome(starved).unwrap().outcome.unwrap_err(),
             RdxError::Budget(BudgetError::BelowOneRow { .. })
         ));
-        let served = engine.take_outcome(valid).unwrap().outcome.unwrap();
+        let served = served(engine.take_outcome(valid).unwrap());
         assert_eq!(served.stats.rows, w.expected_matches);
         // Unknown tickets report None, not a panic.  (u64::MAX is never
         // issued: the process-wide counter counts up from zero.)
@@ -1566,7 +1622,7 @@ mod tests {
         // A survivor submitted afterwards is unaffected.
         let survivor = engine.submit(request);
         while engine.step() != EngineStep::Idle {}
-        let q = engine.take_outcome(survivor).unwrap().outcome.unwrap();
+        let q = served(engine.take_outcome(survivor).unwrap());
         assert_eq!(q.stats.rows, w.expected_matches);
     }
 
@@ -1599,7 +1655,7 @@ mod tests {
         // A generous deadline admits and completes normally.
         let fine = engine.submit(ServerRequest::new(larger, smaller, spec).with_deadline(u64::MAX));
         while engine.step() != EngineStep::Idle {}
-        let q = engine.take_outcome(fine).unwrap().outcome.unwrap();
+        let q = served(engine.take_outcome(fine).unwrap());
         assert_eq!(q.stats.rows, w.expected_matches);
     }
 
@@ -1655,8 +1711,8 @@ mod tests {
         let retried = engine.submit(request.with_retry(RetryPolicy::with_retries(1)));
         let clean = engine.submit(request);
         while engine.step() != EngineStep::Idle {}
-        let qr = engine.take_outcome(retried).unwrap().outcome.unwrap();
-        let qc = engine.take_outcome(clean).unwrap().outcome.unwrap();
+        let qr = served(engine.take_outcome(retried).unwrap());
+        let qc = served(engine.take_outcome(clean).unwrap());
         assert_eq!(columns(&qr.result), columns(&qc.result));
         assert_eq!(qr.stats.rows, w.expected_matches);
         let stats = engine.stats();
@@ -1684,7 +1740,7 @@ mod tests {
             }
         }
         assert!(saw_waiting, "backoff steps surface as Waiting, not Idle");
-        let q = engine.take_outcome(ticket).unwrap().outcome.unwrap();
+        let q = served(engine.take_outcome(ticket).unwrap());
         assert_eq!(q.stats.rows, w.expected_matches);
         assert_eq!(engine.stats().retries, 2);
         assert_eq!(engine.stats().budget_rejects, 0, "retried, never rejected");
@@ -1725,8 +1781,8 @@ mod tests {
             }
         }
         assert_eq!(finish_order, vec![tight, loose]);
-        let qt = engine.take_outcome(tight).unwrap().outcome.unwrap();
-        let ql = engine.take_outcome(loose).unwrap().outcome.unwrap();
+        let qt = served(engine.take_outcome(tight).unwrap());
+        let ql = served(engine.take_outcome(loose).unwrap());
         assert_eq!(columns(&qt.result), columns(&ql.result));
     }
 
@@ -1766,8 +1822,8 @@ mod tests {
             RdxError::TenantQuota { tenant, kind: rdx_core::error::TenantQuotaKind::InFlight { limit: 1, .. } }
                 if tenant == burst.raw()
         ));
-        let ok_first = engine.take_outcome(first).unwrap().outcome.unwrap();
-        let ok_other = engine.take_outcome(other).unwrap().outcome.unwrap();
+        let ok_first = served(engine.take_outcome(first).unwrap());
+        let ok_other = served(engine.take_outcome(other).unwrap());
         assert_eq!(columns(&ok_first.result), columns(&ok_other.result));
         assert_eq!(engine.stats().tenant_quota_rejects, 1);
 
@@ -1815,13 +1871,13 @@ mod tests {
             }
         }
         assert_eq!(seen_charge, 512);
-        let q = engine.take_outcome(t).unwrap().outcome.unwrap();
+        let q = served(engine.take_outcome(t).unwrap());
         assert_eq!(q.stats.share_bytes, 512);
         assert_eq!(q.result.cardinality(), w.expected_matches);
         // Untagged queries on the same engine bypass tenant accounting.
         let untagged = engine.submit(ServerRequest::new(larger, smaller, spec));
         while engine.step() != EngineStep::Idle {}
-        let qu = engine.take_outcome(untagged).unwrap().outcome.unwrap();
+        let qu = served(engine.take_outcome(untagged).unwrap());
         assert!(qu.stats.share_bytes > 512);
         assert_eq!(columns(&q.result), columns(&qu.result));
     }

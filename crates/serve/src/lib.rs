@@ -94,6 +94,8 @@ pub use admission::{AdmissionController, AdmissionDecision};
 pub use cache::{CacheStats, ClusterCache, ClusterKey};
 pub use engine::{EngineStats, EngineStep, QueryEngine, TicketId, TicketStatus};
 pub use registry::{Catalog, RelationId};
-pub use request::{QueryOutcome, QueryResult, QueryStats, ServeConfig, ServerRequest};
+pub use request::{
+    QueryOutcome, QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest,
+};
 pub use scheduler::{ChunkScheduler, FairnessPolicy};
 pub use tenant::{TenantId, TenantQuota, TenantQuotas, TenantStats};

@@ -1,7 +1,7 @@
 //! What goes into the [`crate::engine::QueryEngine`] and what comes out:
 //! the engine-wide [`ServeConfig`], one query's [`ServerRequest`], and the
-//! [`QueryOutcome`] a ticket resolves to — the materialised
-//! [`QueryResult`] with its [`QueryStats`], or a typed [`RdxError`].
+//! [`QueryOutcome`] a ticket resolves to — its result ([`Served`]) in the
+//! [`ResultForm`] its submitter chose, or a typed [`RdxError`].
 
 use crate::registry::RelationId;
 use crate::scheduler::FairnessPolicy;
@@ -125,6 +125,24 @@ pub struct ServerRequest {
     /// cap tightening the grant) and attributed in metrics and trace; tags
     /// change admission and accounting only, never bytes.
     pub tenant: Option<crate::tenant::TenantId>,
+    /// The form the finished result is delivered in (default: columns).
+    pub form: ResultForm,
+}
+
+/// The form a ticket's result is delivered in, chosen by its submitter.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ResultForm {
+    /// Materialised columns, for in-process callers.
+    #[default]
+    Columns,
+    /// One encoded `Done` frame ([`rdx_core::strategy::FrameSink`]): the
+    /// wire header's bytes, then the payload, filled chunk by chunk as the
+    /// run emits.  A result whose payload would exceed `max_payload` bytes
+    /// is refused with [`RdxError::ResultTooLarge`] before its first chunk.
+    Frame {
+        /// The transport's cap on one frame's payload.
+        max_payload: usize,
+    },
 }
 
 impl ServerRequest {
@@ -142,6 +160,7 @@ impl ServerRequest {
             priority: 1,
             retry: None,
             tenant: None,
+            form: ResultForm::Columns,
         }
     }
 
@@ -196,6 +215,12 @@ impl ServerRequest {
     /// Bills this query to `tenant` (see [`ServerRequest::tenant`]).
     pub fn with_tenant(mut self, tenant: crate::tenant::TenantId) -> Self {
         self.tenant = Some(tenant);
+        self
+    }
+
+    /// Delivers this query's result in `form` (see [`ResultForm`]).
+    pub fn with_form(mut self, form: ResultForm) -> Self {
+        self.form = form;
         self
     }
 }
@@ -259,11 +284,27 @@ pub struct QueryResult {
     pub stats: QueryStats,
 }
 
+/// A finished ticket's result, in the [`ResultForm`] it was submitted with.
+#[derive(Debug)]
+pub enum Served {
+    /// [`ResultForm::Columns`]: the materialised result.
+    Columns(QueryResult),
+    /// [`ResultForm::Frame`]: the encoded `Done` frame, its head written
+    /// and its first [`rdx_core::strategy::DoneHead::FRAME_HEADER_LEN`]
+    /// bytes left for the wire header.
+    Frame {
+        /// The frame.
+        frame: Vec<u8>,
+        /// Execution statistics.
+        stats: QueryStats,
+    },
+}
+
 /// The outcome of one submitted request.
 #[derive(Debug)]
 pub struct QueryOutcome {
     /// The request as submitted.
     pub request: ServerRequest,
     /// The result, or why it was refused.
-    pub outcome: Result<QueryResult, RdxError>,
+    pub outcome: Result<Served, RdxError>,
 }

@@ -132,8 +132,8 @@ pub mod prelude {
     };
     pub use rdx_serve::{
         CacheStats, Catalog, EngineStats, EngineStep, FairnessPolicy, QueryEngine, QueryOutcome,
-        QueryResult, QueryStats, RelationId, ServeConfig, ServerRequest, TenantId, TenantQuota,
-        TenantQuotas, TenantStats, TicketId, TicketStatus,
+        QueryResult, QueryStats, RelationId, ResultForm, ServeConfig, Served, ServerRequest,
+        TenantId, TenantQuota, TenantQuotas, TenantStats, TicketId, TicketStatus,
     };
     pub use rdx_workload::{
         self as workload, BudgetedWorkload, JoinWorkloadBuilder, MixConfig, QueryMix,

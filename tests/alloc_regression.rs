@@ -11,6 +11,7 @@
 //! buffers fails loudly, and the bytes a warm one-chunk query allocates, so
 //! a result copied instead of handed over fails too.
 
+use radix_decluster::net::HEADER_LEN;
 use radix_decluster::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -265,47 +266,135 @@ fn observed_pipeline_step_allocates_nothing_in_steady_state() {
 /// The serving engine's steady state, observability off: once a
 /// multi-chunk ticket has run its first chunk, every further
 /// [`QueryEngine::step`] in the middle of it — the scheduler decision, the
-/// chunk, and every count the engine keeps — allocates nothing.
+/// chunk, and every count the engine keeps — allocates nothing.  That
+/// holds in both result forms: a columns ticket's sink reserved its result
+/// at the first chunk, and a frame ticket's sink allocated its whole frame
+/// at `begin`, so each later chunk's copy into either allocates nothing.
 #[test]
 fn engine_step_allocates_nothing_mid_ticket() {
     let _guard = serialized();
     let w = JoinWorkloadBuilder::equal(6_000, 2).seed(77).build();
+    let frame = ResultForm::Frame {
+        max_payload: usize::MAX,
+    };
+    for form in [ResultForm::Columns, frame] {
+        let mut engine = QueryEngine::new(ServeConfig {
+            params: CacheParams::tiny_for_tests(),
+            global_budget: MemoryBudget::bytes(2 * 1024),
+            max_concurrent: 1,
+            threads_per_query: 1,
+            plan_shares: Some(1),
+            observability: false,
+            ..ServeConfig::default()
+        });
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(2));
+        let ticket = engine.submit(request.with_form(form));
+
+        // Warm-up: admission, the prefix build and the first chunk allocate.
+        assert!(matches!(engine.step(), EngineStep::Chunk { .. }));
+
+        let mut steady_chunks = 0;
+        loop {
+            let mut step = EngineStep::Idle;
+            let allocs = allocations_during(|| step = engine.step());
+            if !matches!(step, EngineStep::Chunk { .. }) {
+                break;
+            }
+            steady_chunks += 1;
+            assert_eq!(
+                allocs, 0,
+                "{form:?}: steady-state engine step {steady_chunks} allocated {allocs} times"
+            );
+        }
+        assert!(
+            steady_chunks >= 16,
+            "budget should force many chunks, got {steady_chunks}"
+        );
+        while engine.step() != EngineStep::Idle {}
+        let stats = match engine.take_outcome(ticket).expect("finished").outcome {
+            Ok(Served::Columns(result)) => result.stats,
+            Ok(Served::Frame { stats, .. }) => stats,
+            Err(e) => panic!("{form:?}: not served: {e}"),
+        };
+        assert_eq!(stats.rows, w.expected_matches);
+    }
+}
+
+/// A warm multi-chunk query served over the wire allocates its `Done`
+/// frame once: the engine copies every chunk into the frame its sink sized
+/// at `begin`, so no result column is allocated, and the server sends that
+/// frame instead of encoding a second one.  The server runs on the
+/// measuring thread; the client's allocations, on its own thread, are not
+/// counted.
+#[test]
+fn a_warm_multi_chunk_wire_query_allocates_its_frame_once() {
+    let _guard = serialized();
+    let w = JoinWorkloadBuilder::equal(20_000, 2).seed(79).build();
     let mut engine = QueryEngine::new(ServeConfig {
-        params: CacheParams::tiny_for_tests(),
-        global_budget: MemoryBudget::bytes(2 * 1024),
         max_concurrent: 1,
         threads_per_query: 1,
-        plan_shares: Some(1),
-        observability: false,
         ..ServeConfig::default()
     });
-    let larger = engine.register(w.larger.clone());
-    let smaller = engine.register(w.smaller.clone());
-    let ticket = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(2)));
+    engine.register(w.larger.clone());
+    engine.register(w.smaller.clone());
+    let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
+    let addr = listener.tcp_addr().expect("addr");
+    let mut server = NetServer::new(listener, engine, NetConfig::default());
+    let spec = SubmitSpec {
+        larger: 0,
+        smaller: 1,
+        project_larger: 2,
+        project_smaller: 2,
+        // (π + 1) · 4 = 20 B per streamed row: ≈ 3 300 rows per chunk.
+        budget_bytes: Some(64 * 1024),
+        threads: None,
+        codes: Some(DsmPostProjection::with_codes(
+            ProjectionCode::PartialCluster,
+            SecondSideCode::Decluster,
+        )),
+        deadline_ns: None,
+        priority: 1,
+    };
+    let (cold_done, cold_seen) = std::sync::mpsc::channel();
+    let (warm_go, warm_wait) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut client = NetClient::connect_tcp(addr).expect("connect");
+        let mut query = || {
+            let ticket = client.submit(spec).expect("submit");
+            client.wait(ticket).expect("wait").expect("served")
+        };
+        // Cold: builds and caches the prefix, and pools the chunk scratch.
+        query();
+        cold_done.send(()).expect("server listening");
+        warm_wait.recv().expect("server measuring");
+        query()
+    });
 
-    // Warm-up: admission, the prefix build and the first chunk allocate.
-    assert!(matches!(engine.step(), EngineStep::Chunk { .. }));
-
-    let mut steady_chunks = 0;
-    loop {
-        let mut step = EngineStep::Idle;
-        let allocs = allocations_during(|| step = engine.step());
-        if !matches!(step, EngineStep::Chunk { .. }) {
-            break;
+    let mut measured_from = None;
+    while server.stats().accepted == 0 || server.connections() > 0 {
+        if !server.poll_cycle() {
+            std::thread::yield_now();
         }
-        steady_chunks += 1;
-        assert_eq!(
-            allocs, 0,
-            "steady-state engine step {steady_chunks} allocated {allocs} times"
-        );
+        if measured_from.is_none() && cold_seen.try_recv().is_ok() {
+            measured_from = Some(BYTES.with(Cell::get));
+            warm_go.send(()).expect("client waiting");
+        }
     }
+    let bytes = BYTES.with(Cell::get) - measured_from.expect("the cold query finished");
+    let warm = client.join().expect("client thread");
     assert!(
-        steady_chunks >= 16,
-        "budget should force many chunks, got {steady_chunks}"
+        warm.cache_hit && warm.chunks > 1,
+        "a warm multi-chunk query"
     );
-    while engine.step() != EngineStep::Idle {}
-    let served = engine.take_outcome(ticket).expect("finished").outcome;
-    assert_eq!(served.expect("served").stats.rows, w.expected_matches);
+    let rows = warm.rows as usize;
+    assert_eq!(rows, w.expected_matches);
+    let frame_len = HEADER_LEN + 35 + warm.columns.len() * (4 + 4 * rows);
+    assert!(
+        (frame_len..frame_len + frame_len / 8).contains(&bytes),
+        "a warm wire query allocated {bytes} B for a {frame_len} B frame"
+    );
 }
 
 /// A warm query whose one chunk is the whole result allocates its result

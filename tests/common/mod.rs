@@ -78,10 +78,14 @@ pub fn serve_all(
     tickets
         .into_iter()
         .map(|t| {
-            engine
+            let outcome = engine
                 .take_outcome(t)
                 .expect("every ticket resolves before the session idles")
-                .outcome
+                .outcome;
+            outcome.map(|served| match served {
+                Served::Columns(result) => result,
+                Served::Frame { .. } => panic!("a request submitted as columns"),
+            })
         })
         .collect()
 }

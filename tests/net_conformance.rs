@@ -529,6 +529,74 @@ fn zero_budget_is_refused_before_a_ticket_exists() {
     handle.join().expect("server thread");
 }
 
+/// A result whose `Done` frame would exceed the payload cap is refused
+/// with a typed `ResultTooLarge` once the join has sized it — before it
+/// runs a chunk, its grant released — instead of arriving as a frame the
+/// reader refuses.  The connection keeps serving: a result exactly at the
+/// cap arrives whole on it.
+#[test]
+fn an_oversized_result_is_refused_before_it_runs_and_the_connection_serves_on() {
+    let w = JoinWorkloadBuilder::equal(300, 2).seed(31).build();
+    let rows = w.expected_matches;
+    // The payload of a two-column result: the 35-byte head, then a u32
+    // length and 4 B per value for each column.
+    let cap = 35 + 2 * (4 + 4 * rows);
+    let cfg = ServeConfig {
+        params: CacheParams::tiny_for_tests(),
+        global_budget: MemoryBudget::bytes(1 << 20),
+        plan_shares: Some(1),
+        observability: true,
+        ..ServeConfig::default()
+    };
+    let net = NetConfig {
+        max_payload: cap as u32,
+        ..NetConfig::default()
+    };
+    let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
+    let addr = listener.tcp_addr().expect("addr");
+    let handle = run_server(
+        listener,
+        cfg,
+        vec![w.larger.clone(), w.smaller.clone()],
+        net,
+        None,
+        |engine, net| {
+            let trace = engine.obs().trace_snapshot().expect("trace");
+            (engine.stats(), engine.committed_bytes(), net, trace)
+        },
+    );
+    let mut client = NetClient::connect_tcp(addr).expect("connect");
+    client.hello(None).expect("hello");
+    let wide = client.submit(wire_spec(2, 2, None)).expect("submit");
+    match client.wait(wide).expect("the connection survives") {
+        Err(RdxError::ResultTooLarge { bytes, max }) => {
+            assert_eq!((bytes, max), (35 + 4 * (4 + 4 * rows), cap));
+        }
+        other => panic!("expected a ResultTooLarge refusal, got {other:?}"),
+    }
+    let narrow = client.submit(wire_spec(1, 1, None)).expect("submit");
+    let report = client
+        .wait(narrow)
+        .expect("wait")
+        .expect("served at the cap");
+    assert_eq!(report.rows as usize, rows);
+    drop(client);
+    let (engine, committed, net, trace) = handle.join().expect("server thread");
+    assert_eq!(engine.rejections, 1);
+    assert_eq!(engine.admissions, 1, "only the served query was admitted");
+    assert_eq!(
+        trace_shapes(&trace)[0],
+        ["submit", "reject:result_too_large"],
+        "refused like any other typed rejection"
+    );
+    assert_eq!(
+        engine.chunks_dispatched, report.chunks,
+        "the refused query ran no chunk"
+    );
+    assert_eq!(committed, 0, "every grant returned");
+    assert_eq!(net.decode_errors, 0);
+}
+
 /// Counts live in one place, and the place exists without observability:
 /// after a loopback exchange on an untraced server, the engine's registry
 /// holds the engine's and the wire's counters, equal to what
