@@ -99,7 +99,7 @@ pub use rdx_obs::{
     EventKind, HistogramSnapshot, MetricValue, MetricsSnapshot, QueryId, TraceEvent, TraceSnapshot,
 };
 pub use rdx_serve::{
-    CacheStats, Catalog, FairnessPolicy, QueryResult, QueryStats, RelationId, ServeConfig, TicketId,
+    CacheStats, Catalog, QueryResult, QueryStats, RelationId, ServeConfig, TicketId,
 };
 
 #[cfg(test)]

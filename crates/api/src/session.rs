@@ -36,8 +36,8 @@ impl Default for Session {
 
 impl Session {
     /// A session running under `config` (the same knobs as the serving
-    /// layer: hierarchy params, global budget, concurrency, fairness,
-    /// cache bytes, plan shares).
+    /// layer: hierarchy params, global budget, concurrency, threads per
+    /// query, cache bytes, plan shares, observability, tenant quotas).
     ///
     /// # Panics
     /// Panics if `config.max_concurrent == 0`.
@@ -79,8 +79,8 @@ impl Session {
     /// Pumps the stride scheduler for at most `steps` chunk-steps and
     /// returns how many actually ran (0 = the session is drained).  Each
     /// step admits from the FIFO queue while budget and concurrency slots
-    /// allow, then runs **one chunk of one query** under the fairness
-    /// policy — so a caller alternating `drive` with [`Query::submit`] /
+    /// allow, then runs **one chunk of one query** under the stride
+    /// scheduler — so a caller alternating `drive` with [`Query::submit`] /
     /// [`Ticket::poll`] gets exactly the bounded-latency loop an async
     /// front needs.
     pub fn drive(&mut self, steps: usize) -> usize {

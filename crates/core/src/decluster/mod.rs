@@ -14,7 +14,6 @@
 
 pub mod chunks;
 pub mod paged;
-pub mod varsize;
 
 use chunks::ChunkRuns;
 use rdx_cache::{

@@ -9,9 +9,8 @@
 //! diagnosis — is absorbed as the [`RdxError::Budget`] variant; the serving
 //! layer's catalog failures are [`RdxError::UnknownRelation`] (raw relation
 //! id, since the `RelationId` newtype lives upstream); the strategy
-//! executors' former `assert!`/`panic!` validation sites are
-//! [`RdxError::TooManyColumns`] and [`RdxError::SelectionMismatch`]; the
-//! ticket front reports a consumed or never-issued ticket as
+//! executors' former `assert!`/`panic!` validation site is
+//! [`RdxError::TooManyColumns`]; the ticket front reports a consumed or never-issued ticket as
 //! [`RdxError::UnknownTicket`].
 
 use crate::budget::BudgetError;
@@ -155,14 +154,6 @@ pub enum RdxError {
         /// relations the join-key attribute is excluded).
         available: usize,
     },
-    /// A sparse projection's selection vector does not belong to the base
-    /// table it was paired with.
-    SelectionMismatch {
-        /// Base-table cardinality the selection was built over.
-        selection_base: usize,
-        /// Cardinality of the base table actually supplied.
-        base_cardinality: usize,
-    },
     /// A ticket was polled that this session never issued — or whose
     /// outcome was already taken by an earlier poll.
     UnknownTicket {
@@ -220,14 +211,6 @@ impl std::fmt::Display for RdxError {
             } => write!(
                 f,
                 "{side} relation has {available} projectable columns, {requested} requested"
-            ),
-            RdxError::SelectionMismatch {
-                selection_base,
-                base_cardinality,
-            } => write!(
-                f,
-                "selection over a {selection_base}-row base does not belong to \
-                 this {base_cardinality}-row base table"
             ),
             RdxError::UnknownTicket { ticket } => write!(
                 f,
@@ -337,12 +320,13 @@ mod tests {
         assert!(RdxError::UnknownTicket { ticket: 3 }
             .to_string()
             .contains("ticket#3"));
-        let mismatch = RdxError::SelectionMismatch {
-            selection_base: 10,
-            base_cardinality: 20,
+        let narrow = RdxError::TooManyColumns {
+            side: Side::Larger,
+            requested: 10,
+            available: 2,
         };
-        assert!(mismatch.to_string().contains("10"));
-        assert!(std::error::Error::source(&mismatch).is_none());
+        assert!(narrow.to_string().contains("10"));
+        assert!(std::error::Error::source(&narrow).is_none());
         assert_eq!(Side::Larger.to_string(), "larger");
         assert_eq!(Side::Smaller.to_string(), "smaller");
     }

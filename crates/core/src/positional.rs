@@ -222,14 +222,6 @@ pub fn positional_join<T: Copy + Default>(oids: &[Oid], column: &Column<T>) -> C
     column.gather(oids)
 }
 
-/// Positional-Join appending into an existing buffer (used by operators that
-/// project several columns back-to-back without reallocating).
-pub fn positional_join_into<T: Copy + Default>(oids: &[Oid], column: &Column<T>, out: &mut Vec<T>) {
-    let filled = out.len();
-    out.resize(filled + oids.len(), T::default());
-    column.gather_into(oids, &mut out[filled..]);
-}
-
 /// Clustered Positional-Join: processes the oid list cluster by cluster.
 ///
 /// Functionally identical to [`positional_join`]; it exists so that the
@@ -281,14 +273,6 @@ mod tests {
         let clustered = clustered_positional_join(&oids, &bounds, &col);
         assert_eq!(flat, clustered);
         assert_eq!(flat.as_slice(), &[170, 30, 990, 30, 420, 0]);
-    }
-
-    #[test]
-    fn join_into_appends() {
-        let col = column();
-        let mut out = vec![-1];
-        positional_join_into(&[1, 2], &col, &mut out);
-        assert_eq!(out, vec![-1, 10, 20]);
     }
 
     #[test]

@@ -26,8 +26,6 @@ pub mod nsm_pre;
 pub mod planner;
 pub mod reference;
 pub mod sink;
-pub mod sparse;
-pub mod strings;
 
 pub use common::{ProjectionCode, SecondSideCode};
 pub use dsm_post::DsmPostProjection;
@@ -35,9 +33,7 @@ pub use dsm_pre::dsm_pre_projection;
 pub use nsm_post::{nsm_post_projection_decluster, nsm_post_projection_jive};
 pub use nsm_pre::{nsm_pre_projection_hash, nsm_pre_projection_phash};
 pub use planner::{plan_by_cost, plan_streaming, StreamingPlan};
-pub use sink::{CountingSink, DoneHead, FrameSink, MaterializeSink, PagedSink, RowChunkSink};
-pub use sparse::dsm_post_projection_sparse;
-pub use strings::dsm_post_projection_with_strings;
+pub use sink::{CountingSink, DoneHead, FrameSink, MaterializeSink, RowChunkSink};
 
 use rdx_dsm::ResultRelation;
 use std::time::Duration;

@@ -5,13 +5,11 @@
 //! memory-budgeted pipeline must *not* do.  A [`RowChunkSink`] receives the
 //! projected result chunk by chunk instead, in final result order, so the
 //! producer never holds more than one chunk of output: the consumer may
-//! aggregate it, encode it for the network ([`FrameSink`]), or spool it to
-//! buffer-manager pages ([`PagedSink`], the §5 "DSM inside an NSM RDBMS"
-//! integration) — and only a consumer that explicitly chooses to materialise
-//! ([`MaterializeSink`]) or encode pays full-result memory.
+//! count or aggregate it ([`CountingSink`]) or encode it for the network
+//! ([`FrameSink`]) — and only a consumer that explicitly chooses to
+//! materialise ([`MaterializeSink`]) or encode pays full-result memory.
 
 use rdx_dsm::{Column, ResultRelation};
-use rdx_nsm::{assign_positions, BufferManager, PageId, Placement};
 
 /// Receives the projected result incrementally, chunk by chunk.
 ///
@@ -256,102 +254,6 @@ impl RowChunkSink for FrameSink {
     }
 }
 
-/// A sink that spools result rows into slotted buffer-manager pages, one
-/// NSM-style record of `num_columns` 4-byte attributes per row (§5, Fig. 12
-/// phase 2 arithmetic via [`assign_positions`]).
-///
-/// Pages are allocated chunk by chunk, so the resident *new* output per chunk
-/// is one chunk's worth of pages — the buffer manager is the spill target,
-/// standing in for a paged disk heap.
-#[derive(Debug)]
-pub struct PagedSink<'a> {
-    bm: &'a mut BufferManager,
-    first_page: Option<PageId>,
-    placements: Vec<Placement>,
-    num_columns: usize,
-    row_buf: Vec<u8>,
-}
-
-impl<'a> PagedSink<'a> {
-    /// A sink writing into `bm`.
-    pub fn new(bm: &'a mut BufferManager) -> Self {
-        PagedSink {
-            bm,
-            first_page: None,
-            placements: Vec::new(),
-            num_columns: 0,
-            row_buf: Vec::new(),
-        }
-    }
-
-    /// Bytes of one spooled record.
-    pub fn row_bytes(&self) -> usize {
-        self.num_columns * 4
-    }
-
-    /// Id of the first page written (`None` until the first non-empty chunk).
-    pub fn first_page(&self) -> Option<PageId> {
-        self.first_page
-    }
-
-    /// Where each emitted row landed (page relative to [`Self::first_page`]).
-    pub fn placements(&self) -> &[Placement] {
-        &self.placements
-    }
-
-    /// Reads back row `i` as `num_columns` attribute values.
-    pub fn read_row(&self, i: usize) -> Vec<i32> {
-        let p = self.placements[i];
-        let page = self
-            .bm
-            .page(self.first_page.expect("no rows written") + p.page);
-        let bytes = page.read(p.slot, self.row_bytes());
-        bytes
-            .chunks_exact(4)
-            .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect()
-    }
-}
-
-impl RowChunkSink for PagedSink<'_> {
-    fn begin(&mut self, total_rows: usize, num_columns: usize) {
-        self.num_columns = num_columns;
-        self.placements.reserve(total_rows);
-    }
-
-    fn emit(&mut self, first_row: usize, columns: &mut [Vec<i32>]) {
-        assert_eq!(self.placements.len(), first_row, "chunk out of order");
-        let rows = columns.first().map(|c| c.len()).unwrap_or(0);
-        if rows == 0 {
-            return;
-        }
-        // Fig. 12 phase 2 for this chunk: fixed-size records, page-aware
-        // placement, continuing on fresh pages after the previous chunk.
-        let lengths = vec![self.row_bytes(); rows];
-        let placements = assign_positions(&lengths, self.bm.page_size());
-        let pages = rdx_nsm::paged::pages_needed(&placements);
-        let base = self.bm.allocate(pages);
-        if self.first_page.is_none() {
-            self.first_page = Some(base);
-        }
-        let page_offset = base - self.first_page.unwrap();
-        for (r, p) in placements.into_iter().enumerate() {
-            self.row_buf.clear();
-            for col in columns.iter() {
-                self.row_buf.extend_from_slice(&col[r].to_le_bytes());
-            }
-            self.bm
-                .page_mut(base + p.page)
-                .write_at(p.slot, p.offset, &self.row_buf);
-            self.placements.push(Placement {
-                page: page_offset + p.page,
-                slot: p.slot,
-                offset: p.offset,
-            });
-        }
-    }
-}
-
 /// A test/instrumentation sink decorator: forwards to `inner` while
 /// recording chunk geometry (count, max rows per chunk) so tests can assert
 /// the streaming contract without re-implementing a consumer.
@@ -495,36 +397,6 @@ mod tests {
         assert_eq!(
             DoneHead::read(&payload[..DoneHead::LEN - 1]),
             Err("truncated payload")
-        );
-    }
-
-    #[test]
-    fn paged_sink_round_trips_rows() {
-        let mut bm = BufferManager::new(64);
-        let mut sink = PagedSink::new(&mut bm);
-        sink.begin(5, 3);
-        sink.emit(
-            0,
-            &mut chunk(&[&[1, 2, 3], &[10, 20, 30], &[100, 200, 300]]),
-        );
-        sink.emit(3, &mut chunk(&[&[4, 5], &[40, 50], &[400, 500]]));
-        sink.finish();
-        assert_eq!(sink.placements().len(), 5);
-        for (r, want) in [
-            [1, 10, 100],
-            [2, 20, 200],
-            [3, 30, 300],
-            [4, 40, 400],
-            [5, 50, 500],
-        ]
-        .iter()
-        .enumerate()
-        {
-            assert_eq!(sink.read_row(r), want.to_vec(), "row {r}");
-        }
-        assert!(
-            bm.num_pages() > 1,
-            "12-byte records on 64-byte pages must spill"
         );
     }
 

@@ -1,10 +1,10 @@
 //! Vertically fragmented relations: a key column plus ω attribute columns.
 
-use crate::{Column, Oid, VarColumn};
+use crate::{Column, Oid};
 
-/// A DSM relation: one join-key column plus `ω` fixed-width attribute columns
-/// (and optionally variable-size columns), all of the same cardinality and all
-/// addressed by the same implicit oid sequence `0..N`.
+/// A DSM relation: one join-key column plus `ω` fixed-width attribute
+/// columns, all of the same cardinality and all addressed by the same
+/// implicit oid sequence `0..N`.
 ///
 /// This is what the paper's example query joins:
 /// `SELECT larger.a1,…, smaller.b1,… FROM larger, smaller WHERE larger.key = smaller.key`.
@@ -15,7 +15,6 @@ use crate::{Column, Oid, VarColumn};
 pub struct DsmRelation {
     key: Column<u64>,
     attrs: Vec<Column<i32>>,
-    var_attrs: Vec<VarColumn>,
 }
 
 impl DsmRelation {
@@ -24,7 +23,6 @@ impl DsmRelation {
         DsmRelation {
             key,
             attrs: Vec::new(),
-            var_attrs: Vec::new(),
         }
     }
 
@@ -42,11 +40,7 @@ impl DsmRelation {
                 key.len()
             );
         }
-        DsmRelation {
-            key,
-            attrs,
-            var_attrs: Vec::new(),
-        }
+        DsmRelation { key, attrs }
     }
 
     /// Adds a fixed-width attribute column.
@@ -56,15 +50,6 @@ impl DsmRelation {
     pub fn push_attr(&mut self, col: Column<i32>) {
         assert_eq!(col.len(), self.key.len(), "attribute cardinality mismatch");
         self.attrs.push(col);
-    }
-
-    /// Adds a variable-size attribute column.
-    ///
-    /// # Panics
-    /// Panics on cardinality mismatch.
-    pub fn push_var_attr(&mut self, col: VarColumn) {
-        assert_eq!(col.len(), self.key.len(), "attribute cardinality mismatch");
-        self.var_attrs.push(col);
     }
 
     /// Number of tuples `N`.
@@ -92,11 +77,6 @@ impl DsmRelation {
         &self.attrs[i]
     }
 
-    /// The variable-size attribute columns.
-    pub fn var_attrs(&self) -> &[VarColumn] {
-        &self.var_attrs
-    }
-
     /// Key value of tuple `oid`.
     #[inline]
     pub fn key_at(&self, oid: Oid) -> u64 {
@@ -110,7 +90,6 @@ impl DsmRelation {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResultRelation {
     columns: Vec<Column<i32>>,
-    var_columns: Vec<VarColumn>,
 }
 
 impl ResultRelation {
@@ -124,33 +103,19 @@ impl ResultRelation {
         self.columns.push(col);
     }
 
-    /// Appends a materialized variable-size result column.
-    pub fn push_var_column(&mut self, col: VarColumn) {
-        self.var_columns.push(col);
-    }
-
     /// The fixed-width result columns.
     pub fn columns(&self) -> &[Column<i32>] {
         &self.columns
     }
 
-    /// The variable-size result columns.
-    pub fn var_columns(&self) -> &[VarColumn] {
-        &self.var_columns
-    }
-
     /// Number of result tuples (0 if no column has been produced yet).
     pub fn cardinality(&self) -> usize {
-        self.columns
-            .first()
-            .map(|c| c.len())
-            .or_else(|| self.var_columns.first().map(|c| c.len()))
-            .unwrap_or(0)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Total number of result columns.
     pub fn num_columns(&self) -> usize {
-        self.columns.len() + self.var_columns.len()
+        self.columns.len()
     }
 }
 
@@ -192,14 +157,6 @@ mod tests {
         assert_eq!(r.width(), 0);
         r.push_attr(Column::from_vec(vec![7, 8]));
         assert_eq!(r.width(), 1);
-    }
-
-    #[test]
-    fn var_attr_roundtrip() {
-        let mut r = DsmRelation::from_key(Column::from_vec(vec![5, 6]));
-        r.push_var_attr(VarColumn::from_strs(["x", "yz"]));
-        assert_eq!(r.var_attrs().len(), 1);
-        assert_eq!(r.var_attrs()[0].get_str(1), "yz");
     }
 
     #[test]

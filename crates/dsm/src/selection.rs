@@ -1,6 +1,6 @@
 //! Selections over base tables, for the sparse-projection experiments.
 
-use crate::{Column, Oid};
+use crate::Oid;
 
 /// The result of a selection on a base table: the list of qualifying oids, in
 /// ascending order, pointing into a base table of `base_cardinality` tuples.
@@ -85,11 +85,6 @@ impl Selection {
             .map(|&o| self.oids[o as usize])
             .collect()
     }
-
-    /// Materializes the selected key values from a base-table key column.
-    pub fn project_key(&self, base_key: &Column<u64>) -> Column<u64> {
-        base_key.gather(&self.oids)
-    }
 }
 
 #[cfg(test)]
@@ -128,13 +123,6 @@ mod tests {
     fn rebase_maps_to_base_oids() {
         let s = Selection::new(vec![10, 20, 30, 40], 50);
         assert_eq!(s.rebase(&[0, 3, 1]), vec![10, 40, 20]);
-    }
-
-    #[test]
-    fn project_key_gathers_selected_values() {
-        let base = Column::from_vec((0..10u64).map(|i| i * 100).collect());
-        let s = Selection::new(vec![1, 4, 9], 10);
-        assert_eq!(s.project_key(&base).as_slice(), &[100, 400, 900]);
     }
 
     #[test]

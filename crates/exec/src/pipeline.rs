@@ -30,11 +30,11 @@
 //!    place, morsel-parallel across insertion windows — and emitted;
 //! 4. the sink decides what full-result memory (if any) to pay:
 //!    [`MaterializeSink`] concatenates the chunks into the whole result,
-//!    [`rdx_core::strategy::PagedSink`] spools to buffer-manager
-//!    pages (§5).  The chunk's columns are lent to the sink, which may take
-//!    them: when one chunk is the whole result, [`MaterializeSink`] keeps
-//!    the buffers the kernels wrote, so each result column is written once,
-//!    in result order, and never copied.
+//!    [`rdx_core::strategy::FrameSink`] encodes them into one wire frame.
+//!    The chunk's columns are lent to the sink, which may take them: when
+//!    one chunk is the whole result, [`MaterializeSink`] keeps the buffers
+//!    the kernels wrote, so each result column is written once, in result
+//!    order, and never copied.
 //!
 //! The chunk loop itself is a **resumable** [`PipelineRun`]: each
 //! [`PipelineRun::step`] emits exactly one chunk and returns, so a scheduler
@@ -611,11 +611,6 @@ where
     /// Result rows emitted so far.
     pub fn rows_emitted(&self) -> usize {
         self.emitted
-    }
-
-    /// Result rows still to emit.
-    pub fn remaining_rows(&self) -> usize {
-        self.prepared.result_rows() - self.emitted
     }
 
     /// `true` once the sink has been finished.
@@ -1793,7 +1788,7 @@ mod tests {
                 .collect();
             assert_eq!(cols, expected, "run {label}");
             assert_eq!(run.rows_emitted(), w.expected_matches);
-            assert_eq!(run.remaining_rows(), 0);
+            assert_eq!(run.prepared().result_rows(), w.expected_matches);
             // Per-run stats exclude the shared prefix; folded stats add it.
             assert_eq!(run.run_stats().rows_emitted, w.expected_matches);
             assert!(run.stats().timings.total() >= run.run_stats().timings.total());

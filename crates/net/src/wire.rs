@@ -323,14 +323,6 @@ fn put_error(out: &mut Vec<u8>, e: &RdxError) {
             put_u64(out, *requested as u64);
             put_u64(out, *available as u64);
         }
-        RdxError::SelectionMismatch {
-            selection_base,
-            base_cardinality,
-        } => {
-            out.push(3);
-            put_u64(out, *selection_base as u64);
-            put_u64(out, *base_cardinality as u64);
-        }
         RdxError::UnknownTicket { ticket } => {
             out.push(4);
             put_u64(out, *ticket);
@@ -639,10 +631,6 @@ fn read_error(r: &mut Reader<'_>) -> Result<RdxError, WireError> {
             },
             requested: r.u64()? as usize,
             available: r.u64()? as usize,
-        },
-        3 => RdxError::SelectionMismatch {
-            selection_base: r.u64()? as usize,
-            base_cardinality: r.u64()? as usize,
         },
         4 => RdxError::UnknownTicket { ticket: r.u64()? },
         5 => RdxError::Deadline(match r.u8()? {
@@ -987,10 +975,6 @@ mod tests {
                 requested: 9,
                 available: 2,
             },
-            RdxError::SelectionMismatch {
-                selection_base: 100,
-                base_cardinality: 50,
-            },
             RdxError::UnknownTicket { ticket: 5 },
             RdxError::Deadline(DeadlineError::Infeasible {
                 predicted_ns: 10,
@@ -1025,6 +1009,19 @@ mod tests {
         for error in errors {
             round_trip(Frame::Rejected { ticket: 1, error });
         }
+        // Tag 3 is retired: the other tags keep their numbers and a 3
+        // decodes as a bad payload.
+        let mut buf = Vec::new();
+        let error = RdxError::UnknownTicket { ticket: 5 };
+        encode_frame(&Frame::Rejected { ticket: 1, error }, &mut buf);
+        assert_eq!(buf[HEADER_LEN + 8], 4);
+        buf[HEADER_LEN + 8] = 3;
+        assert_eq!(
+            decode_frame(&buf, DEFAULT_MAX_PAYLOAD),
+            Err(WireError::BadPayload {
+                detail: "unknown error tag"
+            })
+        );
     }
 
     #[test]

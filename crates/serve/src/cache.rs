@@ -208,6 +208,20 @@ impl ClusterCache {
         }
         self.resident_bytes = 0;
     }
+
+    /// Asserts the resident byte count is exactly the sum of the resident
+    /// slots' charged bytes.  Allocates nothing, so the engine can run it
+    /// after every step.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check_invariants(&self) {
+        let charged: usize = self
+            .slots
+            .values()
+            .filter_map(|s| s.resident.as_ref())
+            .map(|r| r.1)
+            .sum();
+        assert_eq!(self.resident_bytes, charged, "cache resident bytes");
+    }
 }
 
 #[cfg(test)]
@@ -255,6 +269,17 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.resident_bytes, first.resident_bytes());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "cache resident bytes")]
+    fn a_drifted_resident_count_fails_the_invariant_check() {
+        let mut cache = ClusterCache::new(1 << 20, &MetricsRegistry::new());
+        cache.get_or_prepare(key(0, 1), || prepared_for(256, 1));
+        cache.check_invariants();
+        cache.resident_bytes += 1;
+        cache.check_invariants();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   async-front enabler the ROADMAP asks for);
 //! * [`QueryEngine::step`] pumps exactly one scheduler decision: admit from
 //!   the queue head while budget and slots allow, then run **one chunk of
-//!   one query** under the stride-scheduling fairness policy, resumable
+//!   one query** under the stride scheduler, resumable
 //!   from outside;
 //! * [`QueryEngine::status`] / [`QueryEngine::take_outcome`] observe a
 //!   ticket without blocking.
@@ -234,7 +234,6 @@ fn reject_reason(e: &RdxError) -> &'static str {
         RdxError::Budget(_) => "budget",
         RdxError::UnknownRelation { .. } => "unknown_relation",
         RdxError::TooManyColumns { .. } => "too_many_columns",
-        RdxError::SelectionMismatch { .. } => "selection_mismatch",
         RdxError::UnknownTicket { .. } => "unknown_ticket",
         RdxError::Deadline(_) => "deadline",
         RdxError::Cancelled => "cancelled",
@@ -372,7 +371,7 @@ impl QueryEngine {
             cache: ClusterCache::new(config.cache_bytes, obs.metrics()),
             scratch_pool: Vec::new(),
             admission: AdmissionController::new(config.global_budget, config.max_concurrent),
-            scheduler: ChunkScheduler::new(config.fairness),
+            scheduler: ChunkScheduler::default(),
             queue: VecDeque::new(),
             running: Vec::new(),
             retry_parked: Vec::new(),
@@ -631,7 +630,7 @@ impl QueryEngine {
     /// Pumps the engine by one scheduler decision: re-queue retries whose
     /// backoff expired, admit from the queue head while budget and
     /// concurrency slots allow, enforce deadlines at the chunk boundary,
-    /// then run **one chunk of one query** under the fairness policy.
+    /// then run **one chunk of one query** under the stride scheduler.
     /// Returns what happened; [`EngineStep::Idle`] means the engine is
     /// drained, [`EngineStep::Waiting`] means pending work could not run
     /// *this* step (retry backoff, or budget freed mid-step) — keep
@@ -667,7 +666,7 @@ impl QueryEngine {
         // reclaimed) before the next chunk is dispatched.
         self.enforce_deadlines();
 
-        // One chunk of one query, per the fairness policy.
+        // One chunk of one query, per the stride scheduler.
         let Some(id) = self.scheduler.dispatch() else {
             if !self.queue.is_empty() || !self.retry_parked.is_empty() {
                 // A teardown this step freed budget the queue head will
@@ -1202,10 +1201,12 @@ impl QueryEngine {
     /// transition in debug builds: admission, the running set and the
     /// scheduler agree on what is in flight; under a bounded budget the
     /// committed bytes are exactly the running grants; each tenant's
-    /// charge is exactly its running tickets'; and no ticket is in two
-    /// states at once.
+    /// charge is exactly its running tickets'; the cache's resident bytes
+    /// are exactly its resident slots'; and no ticket is in two states at
+    /// once.
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
+        self.cache.check_invariants();
         let in_flight = self.running.len();
         assert_eq!(self.admission.in_flight(), in_flight, "admission slots");
         assert_eq!(self.scheduler.len(), in_flight, "scheduled runs");
@@ -1342,7 +1343,6 @@ mod tests {
             max_concurrent: 2,
             threads_per_query: 1,
             cache_bytes: 1 << 20,
-            fairness: crate::FairnessPolicy::CostWeighted,
             plan_shares: None,
             observability: false,
             tenant_quotas: crate::tenant::TenantQuotas::default(),
@@ -1795,7 +1795,6 @@ mod tests {
             max_concurrent: 4,
             threads_per_query: 1,
             cache_bytes: 1 << 20,
-            fairness: crate::FairnessPolicy::CostWeighted,
             plan_shares: Some(1),
             observability: false,
             tenant_quotas: TenantQuotas::unlimited()
@@ -1845,7 +1844,6 @@ mod tests {
             max_concurrent: 2,
             threads_per_query: 1,
             cache_bytes: 1 << 20,
-            fairness: crate::FairnessPolicy::CostWeighted,
             plan_shares: Some(1),
             observability: false,
             tenant_quotas: TenantQuotas::unlimited()

@@ -19,10 +19,11 @@
 //!   typed error — queries that could never run.  `Σ grants ≤ global`
 //!   holds at every instant, so over-commit is impossible by construction.
 //! * [`scheduler`] — the [`ChunkScheduler`] interleaves budget-sized
-//!   pipeline chunks from the active queries by stride scheduling
-//!   (round-robin, or weighted by the Appendix-A predicted per-chunk cost
-//!   at each query's cache share), using PR 2's chunk boundaries as
-//!   preemption points so a big scan cannot starve small lookups.
+//!   pipeline chunks from the active queries by stride scheduling,
+//!   weighted by the Appendix-A predicted per-chunk cost at each query's
+//!   cache share (round-robin at equal costs), using the pipeline's chunk
+//!   boundaries as preemption points so a big scan cannot starve small
+//!   lookups.
 //! * [`cache`] — the [`ClusterCache`], a byte-budgeted, use-count-ranked
 //!   cache of [`rdx_exec::PreparedProjection`] prefixes keyed by
 //!   `(relation ids, codes, cluster spec)`: repeated queries over the same
@@ -97,5 +98,5 @@ pub use registry::{Catalog, RelationId};
 pub use request::{
     QueryOutcome, QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest,
 };
-pub use scheduler::{ChunkScheduler, FairnessPolicy};
+pub use scheduler::ChunkScheduler;
 pub use tenant::{TenantId, TenantQuota, TenantQuotas, TenantStats};

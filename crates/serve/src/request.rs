@@ -4,7 +4,6 @@
 //! [`ResultForm`] its submitter chose, or a typed [`RdxError`].
 
 use crate::registry::RelationId;
-use crate::scheduler::FairnessPolicy;
 use rdx_cache::CacheParams;
 use rdx_core::budget::MemoryBudget;
 use rdx_core::error::RdxError;
@@ -26,8 +25,6 @@ pub struct ServeConfig {
     pub threads_per_query: usize,
     /// Byte budget of the clustered-join-index cache (`0` disables it).
     pub cache_bytes: usize,
-    /// How the chunk scheduler weighs queries.
-    pub fairness: FairnessPolicy,
     /// How many ways the shared cache is assumed split when *planning*
     /// (codes, cluster specs, predicted costs).  `None` — the default —
     /// uses `max_concurrent`.  Pinning it explicitly keeps plans, cluster
@@ -58,7 +55,6 @@ impl Default for ServeConfig {
             max_concurrent: 4,
             threads_per_query: 1,
             cache_bytes: 64 << 20,
-            fairness: FairnessPolicy::CostWeighted,
             plan_shares: None,
             observability: false,
             tenant_quotas: crate::tenant::TenantQuotas::default(),

@@ -9,24 +9,13 @@
 //! with the smallest pass (ties broken by arrival order, keeping the whole
 //! loop deterministic), then advances that query's pass by its `stride`.
 //!
-//! * [`FairnessPolicy::RoundRobin`] gives every query stride 1: strict
-//!   alternation, one chunk each.
-//! * [`FairnessPolicy::CostWeighted`] uses the *predicted per-chunk cost*
-//!   (Appendix-A models at the query's cache share) as the stride: passes
-//!   then advance in predicted milliseconds, so each query receives an
-//!   equal share of predicted machine time — a query with 10× cheaper
-//!   chunks runs 10× as many of them, and short lookups drain quickly while
-//!   a scan's expensive chunks space out.
-
-/// How the scheduler weighs queries against each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FairnessPolicy {
-    /// One chunk per query per round, in arrival order.
-    RoundRobin,
-    /// Equal shares of *predicted* time: stride = predicted per-chunk cost.
-    #[default]
-    CostWeighted,
-}
+//! The stride is the query's *predicted per-chunk cost* (Appendix-A models
+//! at its cache share) times its urgency: passes advance in predicted
+//! milliseconds, so each query receives an equal share of predicted machine
+//! time — a query with 10× cheaper chunks runs 10× as many of them, and
+//! short lookups drain quickly while a scan's expensive chunks space out.
+//! At equal costs and urgencies the rule is strict round-robin in arrival
+//! order.
 
 /// Floor on a cost-weighted stride: small enough that any genuinely cheap
 /// query still runs orders of magnitude more often than an expensive one,
@@ -50,31 +39,16 @@ struct Entry {
     arrival: u64,
 }
 
-/// Deterministic stride scheduler over opaque query ids.
-#[derive(Debug)]
+/// Deterministic stride scheduler over opaque query ids; `default()` is an
+/// empty one.
+#[derive(Debug, Default)]
 pub struct ChunkScheduler {
-    policy: FairnessPolicy,
     entries: Vec<Entry>,
     arrivals: u64,
     dispatches: u64,
 }
 
 impl ChunkScheduler {
-    /// An empty scheduler.
-    pub fn new(policy: FairnessPolicy) -> Self {
-        ChunkScheduler {
-            policy,
-            entries: Vec::new(),
-            arrivals: 0,
-            dispatches: 0,
-        }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> FairnessPolicy {
-        self.policy
-    }
-
     /// Number of queries currently scheduled.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -93,9 +67,8 @@ impl ChunkScheduler {
     }
 
     /// Adds a query.  `chunk_cost` is its predicted per-chunk cost (any
-    /// consistent unit; ignored under round-robin).  A newcomer starts at
-    /// the current minimum pass, so it neither starves nor gets to replay
-    /// the service it missed.
+    /// consistent unit).  A newcomer starts at the current minimum pass,
+    /// so it neither starves nor gets to replay the service it missed.
     ///
     /// # Panics
     /// Panics if `id` is already scheduled.
@@ -107,11 +80,9 @@ impl ChunkScheduler {
     /// hook.  `urgency` scales the stride: an urgent query (low deadline
     /// slack) passes `urgency < 1`, shrinking its stride so its pass
     /// advances slower and it wins more dispatches; `1.0` is plain fair
-    /// stride.  The weight applies under *both* policies (it is the whole
-    /// point for round-robin too: a deadline query must be able to outrank
-    /// strict alternation), and the product is clamped to the same
-    /// `MIN_STRIDE`/`MAX_STRIDE` guards as any stride, so a zero or
-    /// infinite urgency degrades gracefully instead of stalling the loop.
+    /// stride.  The product is clamped to the `MIN_STRIDE`/`MAX_STRIDE`
+    /// guards, so a zero or infinite cost or urgency degrades gracefully
+    /// instead of stalling the loop, and a NaN either way counts as `1.0`.
     ///
     /// # Panics
     /// Panics if `id` is already scheduled.
@@ -120,22 +91,8 @@ impl ChunkScheduler {
             self.entries.iter().all(|e| e.id != id),
             "query {id} scheduled twice"
         );
-        let base = match self.policy {
-            FairnessPolicy::RoundRobin => 1.0,
-            // Guard against degenerate predictions: every stride must be
-            // large enough to actually advance the pass (see [`MIN_STRIDE`])
-            // and small enough not to starve its query ([`MAX_STRIDE`]);
-            // a NaN prediction falls back to the neutral round-robin weight.
-            FairnessPolicy::CostWeighted => {
-                if chunk_cost.is_nan() {
-                    1.0
-                } else {
-                    chunk_cost
-                }
-            }
-        };
-        let urgency = if urgency.is_nan() { 1.0 } else { urgency };
-        let stride = (base * urgency).clamp(MIN_STRIDE, MAX_STRIDE);
+        let or_one = |x: f64| if x.is_nan() { 1.0 } else { x };
+        let stride = (or_one(chunk_cost) * or_one(urgency)).clamp(MIN_STRIDE, MAX_STRIDE);
         let pass = self
             .entries
             .iter()
@@ -178,9 +135,10 @@ mod tests {
 
     #[test]
     fn round_robin_alternates_in_arrival_order() {
-        let mut s = ChunkScheduler::new(FairnessPolicy::RoundRobin);
-        s.add(10, 99.0);
-        s.add(20, 0.001);
+        // Equal costs are round-robin: strict alternation in arrival order.
+        let mut s = ChunkScheduler::default();
+        s.add(10, 5.0);
+        s.add(20, 5.0);
         s.add(30, 5.0);
         let order: Vec<_> = (0..6).map(|_| s.dispatch().unwrap()).collect();
         assert_eq!(order, vec![10, 20, 30, 10, 20, 30]);
@@ -189,7 +147,7 @@ mod tests {
 
     #[test]
     fn cost_weighted_gives_cheap_chunks_more_turns() {
-        let mut s = ChunkScheduler::new(FairnessPolicy::CostWeighted);
+        let mut s = ChunkScheduler::default();
         s.add(1, 10.0); // expensive scan
         s.add(2, 1.0); // cheap lookup
         let mut counts = [0usize; 2];
@@ -207,7 +165,7 @@ mod tests {
 
     #[test]
     fn completion_and_late_arrival() {
-        let mut s = ChunkScheduler::new(FairnessPolicy::CostWeighted);
+        let mut s = ChunkScheduler::default();
         s.add(1, 1.0);
         s.add(2, 1.0);
         for _ in 0..10 {
@@ -228,7 +186,7 @@ mod tests {
         // Two equal-cost queries; one carries an urgency of 1/4 (tight
         // slack).  Equal predicted time per *pass unit* means the urgent
         // query now runs ~4 chunks per relaxed chunk.
-        let mut s = ChunkScheduler::new(FairnessPolicy::CostWeighted);
+        let mut s = ChunkScheduler::default();
         s.add_weighted(1, 2.0, 0.25);
         s.add(2, 2.0);
         let mut counts = [0usize; 2];
@@ -241,15 +199,15 @@ mod tests {
         }
         assert_eq!(counts[0], 80, "{counts:?}");
         assert_eq!(counts[1], 20, "{counts:?}");
-        // Round-robin honours urgency too — a deadline query must be able
-        // to outrank strict alternation.
-        let mut rr = ChunkScheduler::new(FairnessPolicy::RoundRobin);
+        // Urgency outranks equal-cost alternation too — a deadline query
+        // must be able to jump a round-robin.
+        let mut rr = ChunkScheduler::default();
         rr.add_weighted(1, 99.0, 0.5);
         rr.add(2, 99.0);
         let order: Vec<_> = (0..6).map(|_| rr.dispatch().unwrap()).collect();
         assert_eq!(order.iter().filter(|&&id| id == 1).count(), 4);
         // Degenerate urgencies clamp like any stride.
-        let mut d = ChunkScheduler::new(FairnessPolicy::CostWeighted);
+        let mut d = ChunkScheduler::default();
         d.add_weighted(7, 1.0, 0.0);
         d.add_weighted(8, 1.0, f64::NAN);
         d.add_weighted(9, 1.0, f64::INFINITY);
@@ -264,7 +222,7 @@ mod tests {
         // pass*: a co-runner three floors wide must keep getting turns.  (A
         // sub-ulp fallback stride would be absorbed by fp rounding and hand
         // the zero-cost query the loop forever.)
-        let mut s = ChunkScheduler::new(FairnessPolicy::CostWeighted);
+        let mut s = ChunkScheduler::default();
         s.add(1, 0.0);
         s.add(2, 3.0 * MIN_STRIDE);
         let mut counts = [0usize; 2];

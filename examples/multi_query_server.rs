@@ -140,7 +140,6 @@ fn main() {
         max_concurrent: 4,
         threads_per_query: 1,
         cache_bytes: 0,
-        fairness: FairnessPolicy::CostWeighted,
         plan_shares: Some(4),
         observability: false,
         ..ServeConfig::default()

@@ -112,8 +112,8 @@ pub mod prelude {
     pub use rdx_core::fault::{FaultAction, FaultInjector, FaultPlan, RetryPolicy};
     pub use rdx_core::join::partitioned_hash_join;
     pub use rdx_core::strategy::{
-        plan_streaming, CountingSink, DsmPostProjection, MaterializeSink, PagedSink,
-        ProjectionCode, QuerySpec, RowChunkSink, SecondSideCode, StreamingPlan,
+        plan_streaming, CountingSink, DsmPostProjection, MaterializeSink, ProjectionCode,
+        QuerySpec, RowChunkSink, SecondSideCode, StreamingPlan,
     };
     pub use rdx_dsm::{Column, DsmRelation, JoinIndex, Oid, ResultRelation};
     pub use rdx_exec::{
@@ -131,9 +131,9 @@ pub mod prelude {
         QueryId, TraceEvent, TraceSnapshot,
     };
     pub use rdx_serve::{
-        CacheStats, Catalog, EngineStats, EngineStep, FairnessPolicy, QueryEngine, QueryOutcome,
-        QueryResult, QueryStats, RelationId, ResultForm, ServeConfig, Served, ServerRequest,
-        TenantId, TenantQuota, TenantQuotas, TenantStats, TicketId, TicketStatus,
+        CacheStats, Catalog, EngineStats, EngineStep, QueryEngine, QueryOutcome, QueryResult,
+        QueryStats, RelationId, ResultForm, ServeConfig, Served, ServerRequest, TenantId,
+        TenantQuota, TenantQuotas, TenantStats, TicketId, TicketStatus,
     };
     pub use rdx_workload::{
         self as workload, BudgetedWorkload, JoinWorkloadBuilder, MixConfig, QueryMix,

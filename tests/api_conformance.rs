@@ -162,7 +162,6 @@ fn interleaved_tickets_reproduce_drain_to_idle_chunk_for_chunk() {
         max_concurrent: 3,
         threads_per_query: 1,
         cache_bytes: 1 << 20,
-        fairness: FairnessPolicy::CostWeighted,
         plan_shares: None,
         observability: false,
         ..ServeConfig::default()
@@ -266,7 +265,6 @@ fn a_submission_lands_between_chunk_steps_of_an_in_flight_query() {
         max_concurrent: 4,
         threads_per_query: 1,
         cache_bytes: 0, // cold: B must redo the prefix, still byte-identical
-        fairness: FairnessPolicy::RoundRobin,
         plan_shares: Some(1),
         observability: false,
         ..ServeConfig::default()

@@ -29,12 +29,12 @@ use radix_decluster::core::decluster::{radix_decluster, window_elems};
 use radix_decluster::core::strategy::reference::result_rows;
 use radix_decluster::core::strategy::sink::MaterializeSink;
 use radix_decluster::core::strategy::{
-    dsm_post_projection_sparse, dsm_pre_projection, nsm_post_projection_decluster,
-    nsm_post_projection_jive, nsm_pre_projection_hash, nsm_pre_projection_phash,
+    dsm_pre_projection, nsm_post_projection_decluster, nsm_post_projection_jive,
+    nsm_pre_projection_hash, nsm_pre_projection_phash,
 };
 use radix_decluster::exec::PipelineRun;
 use radix_decluster::prelude::*;
-use radix_decluster::workload::{attr_value, HitRate, JoinWorkloadBuilder, SparseWorkload};
+use radix_decluster::workload::{attr_value, HitRate, JoinWorkloadBuilder};
 use std::collections::HashMap;
 
 /// Brute-force oracle: the projected equi-join computed from the key columns
@@ -347,68 +347,6 @@ fn decluster_kernel_grid_matches_scatter_oracle() {
                     );
                 }
             }
-        }
-    }
-}
-
-/// Sparse projections ride the same oracle: the smaller side is a selection
-/// over a base table whose attributes are `attr_value(base_row, a)`.
-#[test]
-fn sparse_strategy_agrees_with_the_attr_value_oracle() {
-    for selectivity in [1.0f64, 0.1, 0.01] {
-        for n in [40usize, 400] {
-            let sparse = SparseWorkload::generate(n, selectivity, 2, n as u64);
-            let larger = radix_decluster::workload::RelationBuilder::new(n * 2)
-                .columns(2)
-                .seed(n as u64 + 1)
-                .key_domain(n as u64)
-                .build_dsm();
-            let spec = QuerySpec::symmetric(2);
-            let params = CacheParams::tiny_for_tests();
-            let out = dsm_post_projection_sparse(
-                &larger,
-                &sparse.base,
-                &sparse.selection,
-                &spec,
-                &params,
-            )
-            .unwrap();
-            // Oracle over (larger row, selected base row) with smaller-side
-            // values keyed by the *base* row id.
-            let selected_keys: Vec<u64> = sparse
-                .selection
-                .oids()
-                .iter()
-                .map(|&o| sparse.base.key_at(o))
-                .collect();
-            let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
-            for (i, &k) in selected_keys.iter().enumerate() {
-                by_key
-                    .entry(k)
-                    .or_default()
-                    .push(sparse.selection.oids()[i] as usize);
-            }
-            let mut expected = Vec::new();
-            for (l, &k) in larger.key().as_slice().iter().enumerate() {
-                if let Some(matches) = by_key.get(&k) {
-                    for &base_row in matches {
-                        let mut row = Vec::with_capacity(spec.total());
-                        for a in 0..spec.project_larger {
-                            row.push(attr_value(l, a));
-                        }
-                        for b in 0..spec.project_smaller {
-                            row.push(attr_value(base_row, b));
-                        }
-                        expected.push(row);
-                    }
-                }
-            }
-            expected.sort_unstable();
-            assert_eq!(
-                result_rows(&out.result),
-                expected,
-                "selectivity {selectivity} N={n}"
-            );
         }
     }
 }

@@ -24,7 +24,6 @@ fn config(budget_bytes: usize, observability: bool) -> ServeConfig {
         max_concurrent: 2,
         threads_per_query: 1,
         cache_bytes: 1 << 20,
-        fairness: FairnessPolicy::CostWeighted,
         plan_shares: Some(2),
         observability,
         ..ServeConfig::default()

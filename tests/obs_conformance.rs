@@ -32,7 +32,6 @@ fn config(budget: MemoryBudget, threads: usize, observability: bool) -> ServeCon
         max_concurrent: 3,
         threads_per_query: threads,
         cache_bytes: 1 << 20,
-        fairness: FairnessPolicy::CostWeighted,
         plan_shares: Some(3),
         observability,
         ..ServeConfig::default()

@@ -1,6 +1,5 @@
-//! Property tests for the paged backends — `decluster::paged`,
-//! `decluster::varsize` and `nsm::paged` — the modules with the thinnest
-//! direct coverage.  The axis deliberately stressed here: *random page
+//! Property tests for the paged backends — `decluster::paged` and
+//! `nsm::paged` — the modules with the thinnest direct coverage.  The axis deliberately stressed here: *random page
 //! sizes*, including pages far smaller than one insertion window (the §5
 //! regime where the output granularity is the page, not the window), and
 //! windows both smaller than one value and larger than the whole input.
@@ -8,7 +7,6 @@
 use proptest::prelude::*;
 use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use radix_decluster::core::decluster::paged::radix_decluster_paged;
-use radix_decluster::core::decluster::varsize::radix_decluster_varsize;
 use radix_decluster::dsm::{Oid, VarColumn};
 use radix_decluster::nsm::buffer::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 use radix_decluster::nsm::{assign_positions, BufferManager};
@@ -71,23 +69,6 @@ proptest! {
         // Result order implies non-decreasing page ids.
         for w in placed.placements.windows(2) {
             prop_assert!(w[0].page <= w[1].page);
-        }
-    }
-
-    /// The in-memory varsize decluster agrees with the paged one and with
-    /// the direct per-row expectation, for any window.
-    #[test]
-    fn varsize_decluster_round_trips_for_any_window(
-        n in 1usize..500,
-        bits in 0u32..7,
-        window_bytes in 1usize..65_536,
-        seed in 0u64..1_000,
-    ) {
-        let (values, positions, bounds, expected) = varsize_inputs(n, bits, seed);
-        let out = radix_decluster_varsize(&values, &positions, &bounds, window_bytes);
-        prop_assert_eq!(out.len(), n);
-        for (r, want) in expected.iter().enumerate() {
-            prop_assert_eq!(out.get_str(r), want.as_str());
         }
     }
 

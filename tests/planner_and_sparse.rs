@@ -1,13 +1,13 @@
-//! Integration tests for the two extensions beyond the paper's minimal
+//! Integration tests for two extensions beyond the paper's minimal
 //! pipeline: the cost-model-driven code planner and the sparse-selection
-//! variant of DSM post-projection.  Both tie several crates together
+//! workload behind Figs. 10 and 11.  Both tie several crates together
 //! (workload → core strategies → cost model → cache parameters).
 
 use radix_decluster::cache::{CalibrationPoint, Calibrator};
+use radix_decluster::core::strategy::plan_by_cost;
 use radix_decluster::core::strategy::reference::{reference_rows, result_rows};
-use radix_decluster::core::strategy::{dsm_post_projection_sparse, plan_by_cost};
 use radix_decluster::prelude::*;
-use radix_decluster::workload::{JoinWorkloadBuilder, RelationBuilder, SparseWorkload};
+use radix_decluster::workload::{JoinWorkloadBuilder, SparseWorkload};
 
 #[test]
 fn cost_planner_switches_codes_with_cardinality() {
@@ -85,36 +85,6 @@ fn planner_accepts_calibrated_host_parameters() {
         )
         .unwrap();
     assert_eq!(out.result.cardinality(), w.expected_matches);
-}
-
-#[test]
-fn sparse_post_projection_matches_dense_reference_at_all_selectivities() {
-    let params = CacheParams::tiny_for_tests();
-    let spec = QuerySpec::symmetric(2);
-    for (selectivity, seed) in [(1.0, 10u64), (0.1, 11), (0.01, 12)] {
-        let sparse = SparseWorkload::generate(1_500, selectivity, 2, seed);
-        let larger = RelationBuilder::new(2_000)
-            .columns(2)
-            .seed(seed + 100)
-            .key_domain(sparse.base.cardinality() as u64)
-            .build_dsm();
-
-        let out =
-            dsm_post_projection_sparse(&larger, &sparse.base, &sparse.selection, &spec, &params)
-                .unwrap();
-
-        // Reference: materialise the selection as a dense relation.
-        let keys = sparse.selection.project_key(sparse.base.key());
-        let mut dense = radix_decluster::dsm::DsmRelation::from_key(keys);
-        for a in 0..sparse.base.width() {
-            dense.push_attr(sparse.base.attr(a).gather(sparse.selection.oids()));
-        }
-        assert_eq!(
-            result_rows(&out.result),
-            reference_rows(&larger, &dense, &spec),
-            "selectivity {selectivity}"
-        );
-    }
 }
 
 #[test]

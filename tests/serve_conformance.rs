@@ -3,7 +3,8 @@
 //! The grid runs K-query mixes through the `rdx-serve` scheduler and checks,
 //! for every query, that the interleaved execution produces output
 //! byte-identical to serial execution — across thread counts (including the
-//! auto-detect `threads = 0`), both fairness policies, and both the
+//! auto-detect `threads = 0`), two scheduler interleavings (equal and
+//! skewed priorities), and both the
 //! cache-miss (cold) and cache-hit (warm) paths of the clustered-index
 //! cache.  It also asserts the admission guarantee: the sum of concurrent
 //! working-set bounds never exceeds the global `MemoryBudget`.
@@ -37,7 +38,6 @@ fn config(
         max_concurrent,
         threads_per_query: threads,
         cache_bytes: cache,
-        fairness: FairnessPolicy::CostWeighted,
         // Pin the planning share so serial and concurrent servers choose
         // identical plans/cluster specs — the grid then compares pure
         // scheduling, never plan drift.
@@ -61,16 +61,34 @@ fn concurrent_equals_serial_across_threads_and_fairness() {
         assert_eq!(serial.engine_mut().stats().peak_concurrency, 1);
         assert_eq!(serial.cache_stats().hits, 0);
 
-        for fairness in [FairnessPolicy::RoundRobin, FairnessPolicy::CostWeighted] {
+        // Two interleavings of the same mix: equal priorities, then skewed
+        // ones (1, 2, 4, 8 in submission order), which reorder the stride
+        // scheduler's dispatches and must not move a result byte.
+        let mut chunk_orders = Vec::new();
+        for skewed in [false, true] {
             let mut cfg = config(budget, 4, threads, 1 << 20);
-            cfg.fairness = fairness;
+            cfg.observability = true;
             let mut session = Session::new(cfg);
-            let requests = register_mix(&mut session, &mix, true);
+            let mut requests = register_mix(&mut session, &mix, true);
+            if skewed {
+                for (i, request) in requests.iter_mut().enumerate() {
+                    *request = request.with_priority(1 << (i % 4));
+                }
+            }
             let outcomes = serve_all(&mut session, &requests);
             assert_eq!(
                 result_columns(&outcomes),
                 expected,
-                "threads {threads} fairness {fairness:?}"
+                "threads {threads} skewed priorities {skewed}"
+            );
+            let trace = session.trace_snapshot().expect("observability is on");
+            chunk_orders.push(
+                trace
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e.kind, EventKind::ChunkStep { .. }))
+                    .map(|e| e.query)
+                    .collect::<Vec<_>>(),
             );
             // Genuinely concurrent, and interleaved at chunk granularity.
             let stats = session.engine_mut().stats();
@@ -79,6 +97,10 @@ fn concurrent_equals_serial_across_threads_and_fairness() {
             // The zipfian mix repeats joins: the cache must see hits.
             assert!(session.cache_stats().hits > 0, "threads {threads}");
         }
+        assert_ne!(
+            chunk_orders[0], chunk_orders[1],
+            "threads {threads}: the priorities must change the interleaving"
+        );
     }
 }
 
