@@ -1,7 +1,9 @@
-//! A minimal blocking client for the wire protocol — enough to drive a
-//! server from tests, examples, and other processes without pulling in
-//! any async machinery.
+//! A minimal client for the wire protocol — enough to drive a server from
+//! tests, examples, and other processes without pulling in any async
+//! machinery.  Each call returns once its reply is in; the wait for it
+//! follows the server's own idle policy (see [`NetClient`]).
 
+use crate::idle::{IdleAction, IdlePolicy};
 use crate::server::NetStream;
 use crate::wire::{
     announced_payload_len, decode_frame, encode_frame, Frame, SubmitSpec, WireError, WireReport,
@@ -11,7 +13,7 @@ use rdx_core::error::RdxError;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -69,6 +71,58 @@ impl From<WireError> for ClientError {
 /// new connection nothing.
 const MIN_READ: usize = 4096;
 
+/// A stream whose blocking mode can be switched, so a wait that has
+/// outlasted the quiet window can hand itself to the kernel.
+trait Blocking {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+}
+
+impl Blocking for NetStream {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        NetStream::set_nonblocking(self, nonblocking)
+    }
+}
+
+/// Runs `op` — one read or write on the non-blocking `stream` — until it
+/// moves bytes or fails for real, waiting out each `WouldBlock` under
+/// [`IdlePolicy`]: re-try after a `yield_now()` within the quiet window,
+/// then make one attempt in blocking mode and switch back.
+fn until_ready<S: Blocking>(
+    stream: &mut S,
+    mut op: impl FnMut(&mut S) -> io::Result<usize>,
+) -> io::Result<usize> {
+    let mut idle = IdlePolicy::default();
+    let mut last = Instant::now();
+    let mut block = false;
+    loop {
+        let result = if block {
+            stream.set_nonblocking(false)?;
+            let result = op(stream);
+            stream.set_nonblocking(true)?;
+            result
+        } else {
+            op(stream)
+        };
+        match result {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) => {}
+            done => return done,
+        }
+        let now = Instant::now();
+        block = match idle.next(false, now - last) {
+            IdleAction::Sleep(_) => true,
+            IdleAction::Continue | IdleAction::Yield => {
+                std::thread::yield_now();
+                false
+            }
+        };
+        last = now;
+    }
+}
+
 /// The receive side of a connection: bytes read off the stream but not yet
 /// decoded, in a buffer the stream reads into **directly**.
 ///
@@ -93,8 +147,8 @@ impl FrameReader {
         }
     }
 
-    /// Blocks until the next complete frame has arrived on `stream`.
-    fn read_frame(&mut self, stream: &mut impl Read) -> Result<Frame, ClientError> {
+    /// Waits until the next complete frame has arrived on `stream`.
+    fn read_frame<S: Read + Blocking>(&mut self, stream: &mut S) -> Result<Frame, ClientError> {
         loop {
             let received = &self.buf[..self.filled];
             // A malformed or oversized header fails here, before the
@@ -114,21 +168,33 @@ impl FrameReader {
                 self.buf.reserve_exact(want - self.buf.len());
                 self.buf.resize(want, 0);
             }
-            match stream.read(&mut self.buf[self.filled..]) {
+            let room = &mut self.buf[self.filled..];
+            match until_ready(stream, |s| s.read(room)) {
                 Ok(0) => return Err(ClientError::Disconnected),
                 Ok(n) => self.filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(ClientError::Io(e)),
             }
         }
     }
 }
 
-/// A blocking connection to a [`crate::NetServer`].
+/// A connection to a [`crate::NetServer`].
 ///
-/// One request/reply at a time: each helper sends its frame and blocks on
-/// the matching reply.  [`NetClient::wait`] layers a poll loop on top to
-/// block until a ticket finishes.
+/// One request/reply at a time: each helper sends its frame and returns
+/// once the matching reply is in.  [`NetClient::wait`] layers a poll loop
+/// on top to wait until a ticket finishes.
+///
+/// **Waiting.**  The stream is non-blocking, and a reply that is not in
+/// yet is waited for under the same policy [`crate::NetServer::serve`]
+/// uses between idle cycles: for a quiet window of 2 ms the client
+/// re-reads with `std::thread::yield_now()` in between, and after that it
+/// makes one blocking read and goes back to non-blocking.  A send that
+/// meets a full socket buffer waits the same way.  A reply from a server
+/// on another core is thus picked up by a running thread instead of
+/// waking a parked one.  The price is CPU: a waiting client holds its core
+/// for up to the quiet window per reply, and when it shares one core with
+/// the server its yields hand that core over but its re-reads still take
+/// turns with the server's work.
 pub struct NetClient {
     stream: NetStream,
     inbound: FrameReader,
@@ -139,33 +205,42 @@ pub struct NetClient {
 impl NetClient {
     /// Connects over TCP.
     pub fn connect_tcp(addr: SocketAddr) -> Result<NetClient, ClientError> {
-        Ok(NetClient::new(NetStream::connect_tcp(addr)?))
+        NetClient::new(NetStream::connect_tcp(addr)?)
     }
 
     /// Connects over a unix-domain socket.
     #[cfg(unix)]
     pub fn connect_unix(path: &Path) -> Result<NetClient, ClientError> {
-        Ok(NetClient::new(NetStream::connect_unix(path)?))
+        NetClient::new(NetStream::connect_unix(path)?)
     }
 
-    /// Wraps an already-connected (blocking-mode) stream.
-    pub fn new(stream: NetStream) -> NetClient {
-        NetClient {
+    /// Wraps an already-connected stream, switching it to non-blocking
+    /// mode (the client's waits switch it back for one blocking read or
+    /// write at a time, see [`NetClient`]).
+    pub fn new(stream: NetStream) -> Result<NetClient, ClientError> {
+        stream.set_nonblocking(true)?;
+        Ok(NetClient {
             stream,
             inbound: FrameReader::new(crate::wire::DEFAULT_MAX_PAYLOAD),
             poll_interval: Duration::from_micros(200),
-        }
+        })
     }
 
     /// Sends one frame.
     pub fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
         let mut bytes = Vec::new();
         encode_frame(frame, &mut bytes);
-        self.stream.write_all(&bytes)?;
+        let mut rest = &bytes[..];
+        while !rest.is_empty() {
+            match until_ready(&mut self.stream, |s| s.write(rest))? {
+                0 => return Err(ClientError::Io(io::ErrorKind::WriteZero.into())),
+                n => rest = &rest[n..],
+            }
+        }
         Ok(())
     }
 
-    /// Blocks until the next complete frame arrives.
+    /// Waits until the next complete frame arrives.
     pub fn recv(&mut self) -> Result<Frame, ClientError> {
         self.inbound.read_frame(&mut self.stream)
     }
@@ -251,38 +326,93 @@ impl NetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::idle::QUIET_WINDOW;
     use crate::wire::DEFAULT_MAX_PAYLOAD;
+    use std::cell::Cell;
     use std::collections::VecDeque;
+
+    /// One scripted answer of a [`Script`].
+    enum Delivery {
+        /// Bytes, handed out over as many reads as they take.
+        Bytes(Vec<u8>),
+        /// This many non-blocking reads answer `WouldBlock`; a blocking
+        /// read waits them out, as the kernel would.
+        WouldBlock(usize),
+    }
 
     /// A stream that delivers scripted pieces, one (or part of one) per
     /// `read`, then EOF — what a socket does, minus the kernel's freedom
     /// to coalesce.
     struct Script {
-        pieces: VecDeque<Vec<u8>>,
+        deliveries: VecDeque<Delivery>,
         reads: usize,
+        blocking: Cell<bool>,
+        blocking_reads: usize,
     }
 
     impl Script {
         fn new(pieces: impl IntoIterator<Item = Vec<u8>>) -> Script {
+            Script::with(
+                pieces
+                    .into_iter()
+                    .filter(|p| !p.is_empty())
+                    .map(Delivery::Bytes),
+            )
+        }
+
+        /// The same pieces with one `WouldBlock` before each.
+        fn stalled(pieces: impl IntoIterator<Item = Vec<u8>>) -> Script {
+            Script::with(
+                pieces
+                    .into_iter()
+                    .filter(|p| !p.is_empty())
+                    .flat_map(|p| [Delivery::WouldBlock(1), Delivery::Bytes(p)]),
+            )
+        }
+
+        fn with(deliveries: impl IntoIterator<Item = Delivery>) -> Script {
             Script {
-                pieces: pieces.into_iter().filter(|p| !p.is_empty()).collect(),
+                deliveries: deliveries.into_iter().collect(),
                 reads: 0,
+                blocking: Cell::new(false),
+                blocking_reads: 0,
             }
+        }
+    }
+
+    impl Blocking for Script {
+        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+            self.blocking.set(!nonblocking);
+            Ok(())
         }
     }
 
     impl Read for Script {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             self.reads += 1;
-            let Some(mut piece) = self.pieces.pop_front() else {
-                return Ok(0);
-            };
-            let n = piece.len().min(buf.len());
-            buf[..n].copy_from_slice(&piece[..n]);
-            if n < piece.len() {
-                self.pieces.push_front(piece.split_off(n));
+            if self.blocking.get() {
+                self.blocking_reads += 1;
             }
-            Ok(n)
+            loop {
+                match self.deliveries.pop_front() {
+                    None => return Ok(0),
+                    Some(Delivery::WouldBlock(n)) if n > 0 && !self.blocking.get() => {
+                        self.deliveries.push_front(Delivery::WouldBlock(n - 1));
+                        return Err(io::ErrorKind::WouldBlock.into());
+                    }
+                    // A blocking read waits the stall out.
+                    Some(Delivery::WouldBlock(_)) => {}
+                    Some(Delivery::Bytes(mut piece)) => {
+                        let n = piece.len().min(buf.len());
+                        buf[..n].copy_from_slice(&piece[..n]);
+                        if n < piece.len() {
+                            self.deliveries
+                                .push_front(Delivery::Bytes(piece.split_off(n)));
+                        }
+                        return Ok(n);
+                    }
+                }
+            }
         }
     }
 
@@ -335,11 +465,102 @@ mod tests {
         let bytes = encoded(&frames);
         // cut = 0 and cut = len deliver all three frames in one read;
         // cuts 1..8 split the first header; the rest split payloads,
-        // later headers and frame boundaries.
+        // later headers and frame boundaries.  Each split is delivered
+        // back to back and again with a `WouldBlock` before each piece.
         for cut in 0..=bytes.len() {
-            let mut stream = Script::new([bytes[..cut].to_vec(), bytes[cut..].to_vec()]);
-            assert_reads(&mut stream, &frames, &format!("split at {cut}"));
+            let pieces = || [bytes[..cut].to_vec(), bytes[cut..].to_vec()];
+            assert_reads(
+                &mut Script::new(pieces()),
+                &frames,
+                &format!("split at {cut}"),
+            );
+            assert_reads(
+                &mut Script::stalled(pieces()),
+                &frames,
+                &format!("stalled split at {cut}"),
+            );
         }
+    }
+
+    #[test]
+    fn a_reply_past_the_quiet_window_is_taken_by_one_blocking_read() {
+        let frame = sample_frames().swap_remove(1);
+        // No non-blocking read ever sees the bytes: only the fallback can.
+        let mut stream = Script::with([
+            Delivery::WouldBlock(usize::MAX),
+            Delivery::Bytes(encoded(std::slice::from_ref(&frame))),
+        ]);
+        let mut reader = FrameReader::new(DEFAULT_MAX_PAYLOAD);
+        let start = Instant::now();
+        assert_eq!(reader.read_frame(&mut stream).expect("read"), frame);
+        assert!(start.elapsed() >= QUIET_WINDOW, "re-read for the window");
+        assert_eq!(stream.blocking_reads, 1);
+        assert!(!stream.blocking.get(), "back to non-blocking");
+    }
+
+    /// A reply that comes after the quiet window — the server thread idles
+    /// for 10 ms first — arrives intact through the blocking fallback, and
+    /// the same client serves the next query straight after.
+    #[test]
+    fn a_late_reply_arrives_over_loopback_and_the_client_serves_on() {
+        const LATE: Duration = Duration::from_millis(10);
+        let report = |ticket: u64| WireReport {
+            rows: 2,
+            chunks: 1,
+            cache_hit: ticket > 1,
+            share_bytes: 64,
+            columns: vec![vec![ticket as i32, 7], vec![-1, -2]],
+        };
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // A scripted server: answer each submit (the first one late), then
+        // its poll with a `Done`.
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut stream = NetStream::Tcp(stream);
+            let mut reader = FrameReader::new(DEFAULT_MAX_PAYLOAD);
+            let reply = |stream: &mut NetStream, frame: &Frame| {
+                let mut bytes = Vec::new();
+                encode_frame(frame, &mut bytes);
+                stream.write_all(&bytes).expect("reply");
+            };
+            for (ticket, delay) in [(1, LATE), (2, Duration::ZERO)] {
+                assert!(matches!(
+                    reader.read_frame(&mut stream),
+                    Ok(Frame::Submit(_))
+                ));
+                std::thread::sleep(delay);
+                reply(&mut stream, &Frame::Submitted { ticket });
+                assert_eq!(
+                    reader.read_frame(&mut stream).expect("poll"),
+                    Frame::Poll { ticket }
+                );
+                let report = report(ticket);
+                reply(&mut stream, &Frame::Done { ticket, report });
+            }
+        });
+        let spec = SubmitSpec {
+            larger: 0,
+            smaller: 1,
+            project_larger: 1,
+            project_smaller: 1,
+            budget_bytes: None,
+            threads: None,
+            codes: None,
+            deadline_ns: None,
+            priority: 1,
+        };
+        let mut client = NetClient::connect_tcp(addr).expect("connect");
+        for ticket in [1, 2] {
+            let start = Instant::now();
+            assert_eq!(client.submit(spec).expect("submit"), ticket);
+            if ticket == 1 {
+                assert!(start.elapsed() >= LATE, "the reply was late");
+            }
+            let done = client.wait(ticket).expect("wait").expect("done");
+            assert_eq!(done, report(ticket));
+        }
+        server.join().expect("server thread");
     }
 
     #[test]

@@ -20,14 +20,19 @@
 //!   after progress, yield between polls for a short quiet window after
 //!   the last progress, timed sleeps only after that) whose two waits are
 //!   counted in [`NetStats`], a read of the `net.*` counters in the
-//!   engine's `rdx-obs` registry.  A query's result is encoded where it
-//!   is emitted: every wire ticket is submitted in the engine's frame form,
-//!   so the engine's frame sink copies each chunk into one pre-sized `Done`
-//!   frame and the server only writes its header before sending it.  A
-//!   result whose frame would exceed [`NetConfig::max_payload`] is refused
-//!   with a typed `ResultTooLarge` before it runs.
-//! - [`client`] — [`NetClient`]: a small blocking client for tests,
-//!   examples, and other processes.  It reads each frame straight into a
+//!   engine's `rdx-obs` registry.  Each cycle reads, decodes and handles
+//!   a connection's frames and then flushes its replies, so a reply is on
+//!   the socket before the cycle's engine steps run.  A query's result is
+//!   encoded where it is emitted: every wire ticket is submitted in the
+//!   engine's frame form, so the engine's frame sink copies each chunk
+//!   into one pre-sized `Done` frame and the server only writes its header
+//!   before sending it.  A result whose frame would exceed
+//!   [`NetConfig::max_payload`] is refused with a typed `ResultTooLarge`
+//!   before it runs.
+//! - [`client`] — [`NetClient`]: a small client for tests, examples, and
+//!   other processes.  Its stream is non-blocking, and it waits for a
+//!   reply under the server's idle policy (yield-and-retry for the quiet
+//!   window, then one blocking read).  It reads each frame straight into a
 //!   buffer sized by the validated header, never beyond the payload cap.
 //!
 //! The result columns ride the wire in full, so a networked query is
@@ -39,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod idle;
 pub mod server;
 pub mod wire;
 

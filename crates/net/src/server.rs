@@ -6,6 +6,13 @@
 //! so a slow client never stalls query execution and a long chunk never
 //! stalls `accept` for longer than one chunk's work.
 //!
+//! **Cycle order.**  Each connection is serviced read → decode and handle
+//! → flush, once per cycle: the replies its frames produced reach the
+//! socket in the cycle that asked for them, before the cycle's engine
+//! steps run, so a `Submitted`, status or `Done` reply never waits behind
+//! up to [`NetConfig::steps_per_cycle`] chunk steps.  What a cycle cannot
+//! write (a full socket buffer) stays queued for the next one.
+//!
 //! **Waiting.**  [`NetServer::poll_cycle`] never blocks; what happens
 //! between cycles is the caller's choice.  [`NetServer::serve`] wakes on
 //! arrival rather than on a timer: after a cycle that moved anything it
@@ -17,8 +24,9 @@
 //! trade-off is CPU: a server that sees at least one request per quiet
 //! window holds its core at 100 %, while a quiet server sleeps exactly as
 //! a plain sleep loop would.  [`NetStats::idle_yields`] and
-//! [`NetStats::idle_sleeps`] count the two kinds of wait.  Embedders that
-//! call `poll_cycle()` themselves pick their own wait.
+//! [`NetStats::idle_sleeps`] count the two kinds of wait.
+//! [`crate::NetClient`] waits for replies under the same policy.
+//! Embedders that call `poll_cycle()` themselves pick their own wait.
 //!
 //! Backpressure is
 //! per-connection: each connection has a bounded outbound queue, and when
@@ -32,6 +40,7 @@
 //! tears down that connection only — the listener, the other connections,
 //! and the engine all survive.
 
+use crate::idle::{IdleAction, IdlePolicy};
 use crate::wire::{
     decode_frame, encode_frame, seal_done, Frame, SubmitSpec, DEFAULT_MAX_PAYLOAD, WIRE_VERSION,
 };
@@ -48,7 +57,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A non-blocking listening socket, TCP or unix-domain.
 #[derive(Debug)]
@@ -107,7 +116,7 @@ impl NetListener {
 }
 
 /// One connected byte stream, TCP or unix-domain — the transport under
-/// both the server's connections and the blocking [`crate::NetClient`].
+/// both the server's connections and [`crate::NetClient`].
 #[derive(Debug)]
 pub enum NetStream {
     /// A TCP connection.
@@ -119,7 +128,8 @@ pub enum NetStream {
 
 impl NetStream {
     /// Connects to a TCP server (blocking mode — callers that poll flip
-    /// it with [`NetStream::set_nonblocking`]).
+    /// it with [`NetStream::set_nonblocking`], as [`crate::NetClient`]
+    /// does).
     pub fn connect_tcp(addr: SocketAddr) -> io::Result<NetStream> {
         Ok(NetStream::Tcp(TcpStream::connect(addr)?))
     }
@@ -239,55 +249,6 @@ struct NetCounters {
     backpressure_pauses: Counter,
     idle_yields: Counter,
     idle_sleeps: Counter,
-}
-
-/// How long after the last cycle that made progress [`NetServer::serve`]
-/// keeps re-polling (yielding in between) before it starts to sleep.  Long
-/// enough to cover a closed-loop client's turnaround — including the
-/// 200 µs poll interval of [`crate::NetClient::wait`] and the timer slack
-/// on top of it — short enough that an abandoned server spins for a
-/// negligible time.
-const QUIET_WINDOW: Duration = Duration::from_millis(2);
-
-/// One sleep of a server that has been quiet for longer than
-/// [`QUIET_WINDOW`]: the bound on how late a request into a sleeping
-/// server is noticed.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
-
-/// What [`NetServer::serve`] does between two poll cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IdleAction {
-    /// The cycle made progress: poll again immediately.
-    Continue,
-    /// Nothing moved, but something did recently: let another thread run,
-    /// then poll again.
-    Yield,
-    /// Nothing has moved for a whole quiet window: sleep this long.
-    Sleep(Duration),
-}
-
-/// The idle policy of [`NetServer::serve`] as a clock-free state machine:
-/// fed each cycle's outcome and the time since the previous cycle, it
-/// tracks how long the loop has been quiet and answers how to wait.
-#[derive(Debug, Default)]
-struct IdlePolicy {
-    /// Time accumulated since the last cycle that made progress.
-    quiet: Duration,
-}
-
-impl IdlePolicy {
-    fn next(&mut self, progressed: bool, elapsed: Duration) -> IdleAction {
-        if progressed {
-            self.quiet = Duration::ZERO;
-            return IdleAction::Continue;
-        }
-        self.quiet = self.quiet.saturating_add(elapsed);
-        if self.quiet < QUIET_WINDOW {
-            IdleAction::Yield
-        } else {
-            IdleAction::Sleep(IDLE_SLEEP)
-        }
-    }
 }
 
 /// Per-connection state: buffered bytes in, queued frames out, and the
@@ -420,13 +381,16 @@ impl NetServer {
         self.conns.len()
     }
 
-    /// Runs one cycle: accept pending connections, flush writes, read and
-    /// decode requests (respecting per-connection backpressure), then run
-    /// up to [`NetConfig::steps_per_cycle`] engine steps.  Returns `true`
-    /// when the cycle did any work (socket bytes moved, frames handled, or
-    /// engine progress).  Never blocks: after a `false` the caller decides
-    /// how to wait — yield, sleep, or poll again (see the module docs for
-    /// what [`NetServer::serve`] does).
+    /// Runs one cycle: accept pending connections; for each connection
+    /// read what its socket has, decode and handle its requests
+    /// (respecting per-connection backpressure) and flush the replies
+    /// that produced; then run up to [`NetConfig::steps_per_cycle`] engine
+    /// steps.  A reply to a frame this cycle decoded is therefore on the
+    /// socket when the cycle returns, unless the socket's buffer is full.
+    /// Returns `true` when the cycle did any work (socket bytes moved,
+    /// frames handled, or engine progress).  Never blocks: after a `false`
+    /// the caller decides how to wait — yield, sleep, or poll again (see
+    /// the module docs for what [`NetServer::serve`] does).
     pub fn poll_cycle(&mut self) -> bool {
         let mut progressed = false;
 
@@ -441,8 +405,9 @@ impl NetServer {
             }
         }
 
-        // Service each connection: writes first (draining replies is what
-        // releases backpressure), then reads.
+        // Service each connection: reads, then decoding, then one flush of
+        // everything queued — so replies leave before the engine steps
+        // below, and a drained queue lifts backpressure next cycle.
         let mut idx = 0;
         while idx < self.conns.len() {
             let fate = self.service_conn(idx, &mut progressed);
@@ -528,31 +493,6 @@ impl NetServer {
     }
 
     fn service_conn(&mut self, idx: usize, progressed: &mut bool) -> ConnFate {
-        // --- flush queued replies (partial writes resume at write_pos) ---
-        loop {
-            let conn = &mut self.conns[idx];
-            let Some(front) = conn.outbound.front() else {
-                break;
-            };
-            match conn.stream.write(&front[conn.write_pos..]) {
-                Ok(0) => return ConnFate::Close,
-                Ok(n) => {
-                    *progressed = true;
-                    conn.write_pos += n;
-                    if conn.write_pos == front.len() {
-                        conn.outbound.pop_front();
-                        conn.write_pos = 0;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return ConnFate::Close,
-            }
-        }
-        if self.conns[idx].outbound.is_empty() && self.conns[idx].close_after_flush {
-            return ConnFate::Close;
-        }
-
         // --- read whatever the socket has ---
         let mut buf = [0u8; 4096];
         loop {
@@ -564,9 +504,6 @@ impl NetServer {
                 Ok(0) => {
                     // EOF: finish flushing replies, then close.
                     conn.close_after_flush = true;
-                    if conn.outbound.is_empty() {
-                        return ConnFate::Close;
-                    }
                     break;
                 }
                 Ok(n) => {
@@ -623,7 +560,34 @@ impl NetServer {
                 }
             }
         }
-        ConnFate::Keep
+
+        // --- flush queued replies (partial writes resume at write_pos) ---
+        loop {
+            let conn = &mut self.conns[idx];
+            let Some(front) = conn.outbound.front() else {
+                break;
+            };
+            match conn.stream.write(&front[conn.write_pos..]) {
+                Ok(0) => return ConnFate::Close,
+                Ok(n) => {
+                    *progressed = true;
+                    conn.write_pos += n;
+                    if conn.write_pos == front.len() {
+                        conn.outbound.pop_front();
+                        conn.write_pos = 0;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return ConnFate::Close,
+            }
+        }
+        let conn = &self.conns[idx];
+        if conn.outbound.is_empty() && conn.close_after_flush {
+            ConnFate::Close
+        } else {
+            ConnFate::Keep
+        }
     }
 
     fn enqueue(&mut self, idx: usize, frame: &Frame) {
@@ -808,85 +772,6 @@ mod tests {
     use rdx_serve::{EngineStep, ServeConfig};
     use rdx_workload::JoinWorkloadBuilder;
 
-    const US: Duration = Duration::from_micros(1);
-
-    /// Feeds `(progressed, elapsed)` pairs, returns the actions.
-    fn run(policy: &mut IdlePolicy, script: &[(bool, Duration)]) -> Vec<IdleAction> {
-        script
-            .iter()
-            .map(|&(progressed, elapsed)| policy.next(progressed, elapsed))
-            .collect()
-    }
-
-    #[test]
-    fn progress_polls_again_at_once_and_resets_the_quiet_window() {
-        let mut policy = IdlePolicy::default();
-        let almost = QUIET_WINDOW - US;
-        assert_eq!(
-            run(
-                &mut policy,
-                &[
-                    (true, US),
-                    // Quiet for almost a whole window: still yielding.
-                    (false, almost),
-                    // Progress — however late — starts the window afresh,
-                    (true, 10 * QUIET_WINDOW),
-                    // so the same quiet stretch yields again,
-                    (false, almost),
-                    // and only its completion sleeps.
-                    (false, US),
-                ]
-            ),
-            [
-                IdleAction::Continue,
-                IdleAction::Yield,
-                IdleAction::Continue,
-                IdleAction::Yield,
-                IdleAction::Sleep(IDLE_SLEEP),
-            ]
-        );
-    }
-
-    #[test]
-    fn the_yield_window_is_bounded_and_every_idle_cycle_after_it_sleeps() {
-        let mut policy = IdlePolicy::default();
-        let step = 50 * US;
-        let actions = run(&mut policy, &[(false, step); 1_000]);
-        let yields = actions
-            .iter()
-            .take_while(|a| **a == IdleAction::Yield)
-            .count();
-        // Quiet time reaches the window on cycle ⌈window / step⌉.
-        assert_eq!(
-            yields as u128,
-            QUIET_WINDOW.as_nanos() / step.as_nanos() - 1
-        );
-        assert!(
-            actions[yields..]
-                .iter()
-                .all(|a| *a == IdleAction::Sleep(IDLE_SLEEP)),
-            "a server quiet past its window sleeps on every idle cycle"
-        );
-        // However long a sleep overshoots, the quiet time cannot wrap
-        // around into a fresh window.
-        assert_eq!(
-            policy.next(false, Duration::MAX),
-            IdleAction::Sleep(IDLE_SLEEP)
-        );
-        assert_eq!(policy.next(false, US), IdleAction::Sleep(IDLE_SLEEP));
-    }
-
-    #[test]
-    fn one_slow_idle_cycle_goes_straight_to_sleep() {
-        // The thread was descheduled for longer than the window: the
-        // first idle cycle after it already sleeps.
-        let mut policy = IdlePolicy::default();
-        assert_eq!(
-            policy.next(false, QUIET_WINDOW),
-            IdleAction::Sleep(IDLE_SLEEP)
-        );
-    }
-
     /// The frame a frame-form ticket's sink fills, once sealed, is byte for
     /// byte what `encode_frame` makes of the same request's columns — at
     /// one chunk and many, for a zero-row join and asymmetric projections.
@@ -987,6 +872,63 @@ mod tests {
             );
             assert_eq!(frame, expected, "{cell}");
         }
+    }
+
+    /// A reply leaves in the cycle that decoded its request: one
+    /// `poll_cycle()` reads a `Submit`, handles it and flushes the
+    /// `Submitted`, which the peer then reads without blocking and without
+    /// a second cycle.  A unix socket's write lands in the peer's receive
+    /// queue before it returns, so neither read races the other side.
+    #[cfg(unix)]
+    #[test]
+    fn a_submit_is_answered_in_the_cycle_that_decoded_it() {
+        let path =
+            std::env::temp_dir().join(format!("rdx-net-same-cycle-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = NetListener::bind_unix(&path).expect("bind");
+        let w = JoinWorkloadBuilder::equal(100, 1).seed(3).build();
+        let mut engine = QueryEngine::new(ServeConfig::default());
+        engine.register(w.larger);
+        engine.register(w.smaller);
+        let mut server = NetServer::new(listener, engine, NetConfig::default());
+        let mut peer = UnixStream::connect(&path).expect("connect");
+        std::fs::remove_file(&path).expect("unlink the socket path");
+        while server.connections() == 0 {
+            server.poll_cycle();
+        }
+
+        let mut submit = Vec::new();
+        encode_frame(
+            &Frame::Submit(SubmitSpec {
+                larger: 0,
+                smaller: 1,
+                project_larger: 1,
+                project_smaller: 1,
+                budget_bytes: None,
+                threads: None,
+                codes: None,
+                deadline_ns: None,
+                priority: 1,
+            }),
+            &mut submit,
+        );
+        peer.write_all(&submit).expect("send the submit");
+        assert!(server.poll_cycle());
+        assert_eq!(server.stats().frames_in, 1, "this cycle decoded it");
+
+        peer.set_nonblocking(true).expect("non-blocking peer");
+        let mut reply = [0u8; 64];
+        let n = peer
+            .read(&mut reply)
+            .expect("the reply is on the socket after one cycle");
+        assert!(
+            matches!(
+                decode_frame(&reply[..n], DEFAULT_MAX_PAYLOAD),
+                Ok(Some((Frame::Submitted { .. }, used))) if used == n
+            ),
+            "expected exactly one Submitted frame, got {:?}",
+            &reply[..n]
+        );
     }
 
     #[test]
