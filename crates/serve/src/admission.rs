@@ -1,4 +1,4 @@
-//! The **admission controller**: splits one global [`MemoryBudget`] across
+//! **Admission**: how one global [`MemoryBudget`] is split across
 //! concurrently admitted queries so their combined streaming working sets
 //! can never exceed it.
 //!
@@ -10,10 +10,14 @@
 //! was planned under (PR 2's asserted invariant), `Σ grants ≤ global`
 //! implies `Σ peak working sets ≤ global` — over-commit is impossible by
 //! construction, not by monitoring.  Every query the engine runs holds a
-//! grant from here, a front-door `run()` included (it is a ticket like any
-//! other); nothing runs on whatever budget happens to be left over.
+//! grant, a front-door `run()` included (it is a ticket like any other);
+//! nothing runs on whatever budget happens to be left over.
 //!
-//! Decisions, in order (the *residual* is the budget not yet granted):
+//! [`decide`] is a pure function of the budget, the concurrency cap and
+//! the load the engine reads off its running set — how many queries run
+//! and the bytes their grants hold — so no count is kept here to drift
+//! from that set.  Decisions, in order (the *residual* is the budget not
+//! yet granted):
 //! * at the concurrency cap → **queue**;
 //! * a fair share (`global / max_concurrent`) fits → **admit** at the fair
 //!   share (or less if the residual is smaller — that is the *re-plan*:
@@ -21,13 +25,13 @@
 //! * the fair share cannot hold even one resident row but the residual can
 //!   → **admit** at the one-row floor (maximally tight chunks);
 //! * the residual cannot hold one row and something is running → **queue**
-//!   until a release;
+//!   until a grant is returned;
 //! * nothing is running and the whole budget cannot hold one row →
 //!   **reject** with the typed [`BudgetError`] (the query can never run).
 
 use rdx_core::budget::{BudgetError, MemoryBudget};
 
-/// What the controller decided for one admission attempt.
+/// What admission decided for one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionDecision {
     /// Run now under `share`; `replanned` is `true` when the grant is
@@ -39,111 +43,108 @@ pub enum AdmissionDecision {
         /// Whether the grant is below the fair share.
         replanned: bool,
     },
-    /// Wait for a running query to release its grant.
+    /// Wait for a running query to return its grant.
     Queue,
     /// The query can never be admitted under this global budget.
     Reject(BudgetError),
 }
 
-/// Splits a global [`MemoryBudget`] across admitted queries.
-#[derive(Debug)]
-pub struct AdmissionController {
+/// Decides whether a query whose streaming plan needs `bytes_per_row`
+/// resident bytes per in-flight result row runs now, given `in_flight`
+/// running queries whose grants hold `committed` bytes of `global`
+/// (0 under an unbounded budget), at most `max_concurrent` at once.
+pub fn decide(
     global: MemoryBudget,
     max_concurrent: usize,
     in_flight: usize,
-    committed_bytes: usize,
-}
-
-impl AdmissionController {
-    /// A controller over `global`, admitting at most `max_concurrent`
-    /// queries at once.
-    ///
-    /// # Panics
-    /// Panics if `max_concurrent == 0`.
-    pub fn new(global: MemoryBudget, max_concurrent: usize) -> Self {
-        assert!(max_concurrent >= 1, "must admit at least one query");
-        AdmissionController {
-            global,
-            max_concurrent,
-            in_flight: 0,
-            committed_bytes: 0,
-        }
+    committed: usize,
+    bytes_per_row: usize,
+) -> AdmissionDecision {
+    if in_flight >= max_concurrent {
+        return AdmissionDecision::Queue;
     }
-
-    /// Queries currently holding a grant.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Bytes currently granted out (0 under an unbounded global budget).
-    pub fn committed_bytes(&self) -> usize {
-        self.committed_bytes
-    }
-
-    /// The even per-query split of the global budget.
-    pub fn fair_share(&self) -> MemoryBudget {
-        self.global.per_query_share(self.max_concurrent)
-    }
-
-    /// Attempts to admit a query whose streaming plan needs `bytes_per_row`
-    /// resident bytes per in-flight result row.
-    pub fn try_admit(&mut self, bytes_per_row: usize) -> AdmissionDecision {
-        if self.in_flight >= self.max_concurrent {
-            return AdmissionDecision::Queue;
-        }
-        if !self.global.is_bounded() {
-            self.in_flight += 1;
-            return AdmissionDecision::Admit {
-                share: MemoryBudget::unbounded(),
-                replanned: false,
-            };
-        }
-        let fair = self.fair_share().limit_bytes();
-        let available = self.global.limit_bytes() - self.committed_bytes;
-        let grant = fair.min(available);
-        let (grant, replanned) = if grant >= bytes_per_row {
-            (grant, grant < fair)
-        } else if available >= bytes_per_row {
-            // The fair share is too small for even one row: re-plan at the
-            // one-row floor rather than queueing forever.
-            (bytes_per_row, true)
-        } else if self.in_flight == 0 {
-            // Alone and still too big: no release can ever help.
-            return AdmissionDecision::Reject(BudgetError::BelowOneRow {
-                budget_bytes: self.global.limit_bytes(),
-                bytes_per_row,
-            });
-        } else {
-            return AdmissionDecision::Queue;
+    if !global.is_bounded() {
+        return AdmissionDecision::Admit {
+            share: MemoryBudget::unbounded(),
+            replanned: false,
         };
-        self.in_flight += 1;
-        self.committed_bytes += grant;
-        debug_assert!(self.committed_bytes <= self.global.limit_bytes());
-        AdmissionDecision::Admit {
-            share: MemoryBudget::bytes(grant),
-            replanned,
-        }
     }
-
-    /// Returns a completed query's grant to the pool.
-    ///
-    /// # Panics
-    /// Panics if nothing is in flight or `share` exceeds the committed total
-    /// (a share this controller never granted).
-    pub fn release(&mut self, share: MemoryBudget) {
-        assert!(self.in_flight > 0, "release without admission");
-        self.in_flight -= 1;
-        if self.global.is_bounded() {
-            let bytes = share.limit_bytes();
-            assert!(bytes <= self.committed_bytes, "foreign share released");
-            self.committed_bytes -= bytes;
-        }
+    let fair = global.per_query_share(max_concurrent).limit_bytes();
+    let available = global.limit_bytes() - committed;
+    let grant = fair.min(available);
+    let (grant, replanned) = if grant >= bytes_per_row {
+        (grant, grant < fair)
+    } else if available >= bytes_per_row {
+        // The fair share is too small for even one row: re-plan at the
+        // one-row floor rather than queueing forever.
+        (bytes_per_row, true)
+    } else if in_flight == 0 {
+        // Alone and still too big: no returned grant can ever help.
+        return AdmissionDecision::Reject(BudgetError::BelowOneRow {
+            budget_bytes: global.limit_bytes(),
+            bytes_per_row,
+        });
+    } else {
+        return AdmissionDecision::Queue;
+    };
+    AdmissionDecision::Admit {
+        share: MemoryBudget::bytes(grant),
+        replanned,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The grants admitted so far, standing in for the engine's running
+    /// set: admission reads its load off them, and returning a grant is
+    /// removing it.
+    struct Ledger {
+        global: MemoryBudget,
+        max_concurrent: usize,
+        grants: Vec<MemoryBudget>,
+    }
+
+    impl Ledger {
+        fn new(global: MemoryBudget, max_concurrent: usize) -> Self {
+            Ledger {
+                global,
+                max_concurrent,
+                grants: Vec::new(),
+            }
+        }
+
+        fn in_flight(&self) -> usize {
+            self.grants.len()
+        }
+
+        fn committed_bytes(&self) -> usize {
+            let bounded = self.grants.iter().filter(|g| g.is_bounded());
+            bounded.map(|g| g.limit_bytes()).sum()
+        }
+
+        fn try_admit(&mut self, bytes_per_row: usize) -> AdmissionDecision {
+            let (n, committed) = (self.in_flight(), self.committed_bytes());
+            let d = decide(
+                self.global,
+                self.max_concurrent,
+                n,
+                committed,
+                bytes_per_row,
+            );
+            if let AdmissionDecision::Admit { share, .. } = d {
+                self.grants.push(share);
+            }
+            d
+        }
+
+        fn release(&mut self, share: MemoryBudget) {
+            let at = self.grants.iter().position(|&g| g == share);
+            self.grants
+                .swap_remove(at.expect("a share this ledger granted"));
+        }
+    }
 
     fn admitted(d: AdmissionDecision) -> MemoryBudget {
         match d {
@@ -154,7 +155,7 @@ mod tests {
 
     #[test]
     fn fair_shares_split_the_global_budget() {
-        let mut ac = AdmissionController::new(MemoryBudget::bytes(4096), 4);
+        let mut ac = Ledger::new(MemoryBudget::bytes(4096), 4);
         let shares: Vec<_> = (0..4).map(|_| admitted(ac.try_admit(16))).collect();
         assert!(shares.iter().all(|s| s.limit_bytes() == 1024));
         assert_eq!(ac.committed_bytes(), 4096);
@@ -168,7 +169,7 @@ mod tests {
 
     #[test]
     fn never_over_commits() {
-        let mut ac = AdmissionController::new(MemoryBudget::bytes(1000), 3);
+        let mut ac = Ledger::new(MemoryBudget::bytes(1000), 3);
         let mut total = 0;
         while let AdmissionDecision::Admit { share, .. } = ac.try_admit(100) {
             total += share.limit_bytes();
@@ -180,7 +181,7 @@ mod tests {
 
     #[test]
     fn residual_admission_replans_to_tighter_chunks() {
-        let mut ac = AdmissionController::new(MemoryBudget::bytes(1024), 2);
+        let mut ac = Ledger::new(MemoryBudget::bytes(1024), 2);
         // First grant takes the 512-byte fair share; the second finds
         // exactly 512 remaining — both fit.
         admitted(ac.try_admit(16));
@@ -209,7 +210,7 @@ mod tests {
 
     #[test]
     fn impossible_queries_get_a_typed_rejection() {
-        let mut ac = AdmissionController::new(MemoryBudget::bytes(64), 2);
+        let mut ac = Ledger::new(MemoryBudget::bytes(64), 2);
         assert_eq!(
             ac.try_admit(65),
             AdmissionDecision::Reject(BudgetError::BelowOneRow {
@@ -224,7 +225,7 @@ mod tests {
 
     #[test]
     fn unbounded_budget_admits_up_to_the_concurrency_cap() {
-        let mut ac = AdmissionController::new(MemoryBudget::unbounded(), 2);
+        let mut ac = Ledger::new(MemoryBudget::unbounded(), 2);
         assert!(!admitted(ac.try_admit(usize::MAX / 2)).is_bounded());
         assert!(!admitted(ac.try_admit(usize::MAX / 2)).is_bounded());
         assert_eq!(ac.try_admit(1), AdmissionDecision::Queue);

@@ -57,7 +57,8 @@ struct Slot {
 }
 
 /// Hit/miss/eviction counters, readable at any time — a read of the
-/// `engine.cache_*` registry counters plus the resident byte count.
+/// `engine.cache_*` registry counters plus the bytes the resident slots
+/// hold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -80,7 +81,6 @@ pub struct ClusterCache {
     slots: HashMap<ClusterKey, Slot>,
     tick: u64,
     inflation: u64,
-    resident_bytes: usize,
     hits: Counter,
     misses: Counter,
     bypassed: Counter,
@@ -98,7 +98,6 @@ impl ClusterCache {
             slots: HashMap::new(),
             tick: 0,
             inflation: 0,
-            resident_bytes: 0,
             hits: metrics.counter("engine.cache_hits"),
             misses: metrics.counter("engine.cache_misses"),
             bypassed: metrics.counter("engine.cache_bypassed"),
@@ -118,8 +117,17 @@ impl ClusterCache {
             misses: self.misses.get(),
             bypassed: self.bypassed.get(),
             evictions: self.evictions.get(),
-            resident_bytes: self.resident_bytes,
+            resident_bytes: self.resident_bytes(),
         }
+    }
+
+    /// Bytes the resident slots hold — summed over the slots, which are the
+    /// one record of what is resident.
+    fn resident_bytes(&self) -> usize {
+        self.slots
+            .values()
+            .filter_map(|s| Some(s.resident.as_ref()?.1))
+            .sum()
     }
 
     /// Number of resident entries.
@@ -158,7 +166,6 @@ impl ClusterCache {
         let prepared = Arc::new(build());
         let bytes = prepared.resident_bytes();
         if bytes <= self.capacity_bytes && self.make_room(bytes, priority) {
-            self.resident_bytes += bytes;
             self.slots.entry(key).or_default().resident = Some((Arc::clone(&prepared), bytes));
         } else {
             self.bypassed.inc();
@@ -171,7 +178,7 @@ impl ClusterCache {
     /// priority.  Refuses (`false`, nothing evicted, `inflation += 1`) when a
     /// victim would out-rank the newcomer's `priority`.
     fn make_room(&mut self, incoming: usize, priority: u64) -> bool {
-        let over = (self.resident_bytes + incoming).saturating_sub(self.capacity_bytes);
+        let over = (self.resident_bytes() + incoming).saturating_sub(self.capacity_bytes);
         let mut ranked: Vec<_> = (self.slots.iter())
             .filter_map(|(k, s)| Some((s.priority, s.last_used, s.resident.as_ref()?.1, *k)))
             .collect();
@@ -186,9 +193,8 @@ impl ClusterCache {
             self.inflation += 1;
             return false;
         }
-        for (victim_priority, _, bytes, key) in ranked {
+        for (victim_priority, _, _, key) in ranked {
             self.slots.entry(key).or_default().resident = None;
-            self.resident_bytes -= bytes;
             self.evictions.inc();
             self.inflation = self.inflation.max(victim_priority);
         }
@@ -206,21 +212,6 @@ impl ClusterCache {
             self.evictions
                 .add(u64::from(slot.resident.take().is_some()));
         }
-        self.resident_bytes = 0;
-    }
-
-    /// Asserts the resident byte count is exactly the sum of the resident
-    /// slots' charged bytes.  Allocates nothing, so the engine can run it
-    /// after every step.
-    #[cfg(debug_assertions)]
-    pub(crate) fn check_invariants(&self) {
-        let charged: usize = self
-            .slots
-            .values()
-            .filter_map(|s| s.resident.as_ref())
-            .map(|r| r.1)
-            .sum();
-        assert_eq!(self.resident_bytes, charged, "cache resident bytes");
     }
 }
 
@@ -269,17 +260,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.resident_bytes, first.resident_bytes());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "cache resident bytes")]
-    fn a_drifted_resident_count_fails_the_invariant_check() {
-        let mut cache = ClusterCache::new(1 << 20, &MetricsRegistry::new());
-        cache.get_or_prepare(key(0, 1), || prepared_for(256, 1));
-        cache.check_invariants();
-        cache.resident_bytes += 1;
-        cache.check_invariants();
     }
 
     #[test]

@@ -43,14 +43,14 @@
 //! retried, deadline-checked and panic-isolated exactly like any other
 //! ticket.
 
-use crate::admission::{AdmissionController, AdmissionDecision};
+use crate::admission::{self, AdmissionDecision};
 use crate::cache::{CacheStats, ClusterCache, ClusterKey};
 use crate::registry::{Catalog, RelationId};
 use crate::request::{
     QueryOutcome, QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest,
 };
-use crate::scheduler::ChunkScheduler;
-use crate::tenant::{TenantId, TenantRegistry, TenantStats};
+use crate::scheduler::{self, Turn};
+use crate::tenant::{Load, TenantId, TenantRegistry, TenantStats};
 use rdx_cache::CacheParams;
 use rdx_core::budget::{BudgetError, MemoryBudget};
 use rdx_core::error::{DeadlineError, RdxError, Side};
@@ -273,7 +273,10 @@ impl TicketSink {
     }
 }
 
-/// One admitted, in-flight ticket: a parked run and the sink it fills.
+/// One admitted, in-flight ticket: a parked run, the sink it fills, and
+/// everything it holds — its grant, its tenant charge and its turn.  The
+/// running set is the one record of these: each exists exactly while its
+/// entry does, so removing the entry is what returns them.
 struct Running {
     pending: Pending,
     run: DsmPipelineRun<'static>,
@@ -282,16 +285,18 @@ struct Running {
     /// When the run was started (its service time counts from here).
     started: Instant,
     sink: TicketSink,
-    /// The admission grant (released on completion; may exceed the
-    /// effective budget when a hint tightened it).
+    /// The admission grant (may exceed the effective budget when a hint
+    /// tightened it).
     share: MemoryBudget,
     /// Service time charged against the deadline so far: wall-clock of
     /// this query's chunk steps (measured only when a deadline is armed)
     /// plus any injected artificial slowdowns.
     consumed_ns: u64,
-    /// The tenant this admission was charged to (with the byte charge),
-    /// released at every teardown alongside the admission grant.
+    /// The tenant this admission is charged to, with the bytes charged
+    /// against its byte cap (0 when it has none).
     tenant: Option<(TenantId, usize)>,
+    /// Its place in the stride order.
+    turn: Turn,
 }
 
 /// One query parked between retry attempts, waiting out its backoff in
@@ -327,8 +332,6 @@ pub struct QueryEngine {
     catalog: Catalog,
     cache: ClusterCache,
     scratch_pool: Vec<rdx_exec::ChunkScratch>,
-    admission: AdmissionController,
-    scheduler: ChunkScheduler,
     queue: VecDeque<Pending>,
     running: Vec<Running>,
     retry_parked: Vec<RetryParked>,
@@ -370,8 +373,6 @@ impl QueryEngine {
             catalog: Catalog::new(),
             cache: ClusterCache::new(config.cache_bytes, obs.metrics()),
             scratch_pool: Vec::new(),
-            admission: AdmissionController::new(config.global_budget, config.max_concurrent),
-            scheduler: ChunkScheduler::default(),
             queue: VecDeque::new(),
             running: Vec::new(),
             retry_parked: Vec::new(),
@@ -401,13 +402,21 @@ impl QueryEngine {
     /// The tenant's quota accounting, or `None` for an id this engine
     /// never interned.
     pub fn tenant_stats(&self, tenant: TenantId) -> Option<TenantStats> {
-        self.tenants.stats(tenant)
+        self.tenants.stats(tenant, self.tenant_load(tenant))
     }
 
-    /// Returns a torn-down admission's tenant charge, if any.
-    fn release_tenant(&mut self, charge: Option<(TenantId, usize)>) {
-        if let Some((t, bytes)) = charge {
-            self.tenants.release(t, bytes);
+    /// The tenant's load, read off the running set: its running tickets
+    /// and the bytes they hold against its byte cap.
+    fn tenant_load(&self, tenant: TenantId) -> Load {
+        let charges = self.running.iter().filter_map(|r| r.tenant);
+        (charges.filter(|&(t, _)| t == tenant)).fold((0, 0), |(n, sum), (_, b)| (n + 1, sum + b))
+    }
+
+    /// Writes a charged tenant's load to its `engine.tenant.<name>.*`
+    /// gauges.
+    fn publish_tenant(&self, charge: Option<(TenantId, usize)>) {
+        if let Some((t, _)) = charge {
+            self.tenants.publish(t, self.tenant_load(t));
         }
     }
 
@@ -421,10 +430,12 @@ impl QueryEngine {
     }
 
     /// `Σ` bytes currently granted to admitted queries — the left side of
-    /// the `Σ grants ≤ global` admission invariant, exposed so robustness
-    /// tests can assert the invariant across cancellations and panics.
+    /// the `Σ grants ≤ global` admission invariant, summed over the running
+    /// set (0 under an unbounded budget), exposed so robustness tests can
+    /// assert the invariant across cancellations and panics.
     pub fn committed_bytes(&self) -> usize {
-        self.admission.committed_bytes()
+        let bounded = self.running.iter().filter(|r| r.share.is_bounded());
+        bounded.map(|r| r.share.limit_bytes()).sum()
     }
 
     /// The engine's observability handle — where the `rdx-api` `Session`
@@ -667,24 +678,13 @@ impl QueryEngine {
         self.enforce_deadlines();
 
         // One chunk of one query, per the stride scheduler.
-        let Some(id) = self.scheduler.dispatch() else {
+        let Some(pos) = scheduler::dispatch(self.running.iter_mut().map(|r| &mut r.turn)) else {
             if !self.queue.is_empty() || !self.retry_parked.is_empty() {
                 // A teardown this step freed budget the queue head will
                 // claim next step, or retries are waiting out backoff.
                 return EngineStep::Waiting;
             }
             return EngineStep::Idle;
-        };
-        let Some(pos) = self
-            .running
-            .iter()
-            .position(|r| r.pending.ticket.0 as usize == id)
-        else {
-            // Unreachable by construction: every scheduled id has a
-            // running slot.  Degrade to a lost turn instead of panicking.
-            debug_assert!(false, "scheduled ticket vanished");
-            self.scheduler.remove(id);
-            return EngineStep::Waiting;
         };
         let ordinal = self.running[pos].pending.ordinal;
         let chunk_index = self.running[pos].run.run_stats().chunks_emitted;
@@ -759,15 +759,14 @@ impl QueryEngine {
         }
     }
 
-    /// Takes the running ticket at `pos` out of the scheduler and the
-    /// running set, returning its admission grant and tenant charge.  With
+    /// Takes the running ticket at `pos` off the running set.  Its grant,
+    /// tenant charge and turn live only on its entry, so they leave with
+    /// it; what remains is to republish its tenant's gauges.  With
     /// `harvest` its warmed chunk scratch — consistent between chunks —
     /// goes back into the pool; a panicked run's is dropped with it.
     fn teardown(&mut self, pos: usize, harvest: bool) -> Running {
         let mut r = self.running.swap_remove(pos);
-        self.scheduler.remove(r.pending.ticket.0 as usize);
-        self.admission.release(r.share);
-        self.release_tenant(r.tenant);
+        self.publish_tenant(r.tenant);
         if harvest && self.scratch_pool.len() < self.config.max_concurrent {
             self.scratch_pool.push(r.run.take_scratch());
         }
@@ -1090,10 +1089,11 @@ impl QueryEngine {
             // consuming a shared-pool admission decision.  Over-quota is
             // transient (a release cures it), so retry policies apply like
             // budget rejections.
-            let refusal = match request
-                .tenant
-                .map(|t| self.tenants.check_admit(t, effective_row_bytes))
-            {
+            let quota = |t| {
+                self.tenants
+                    .check_admit(t, self.tenant_load(t), effective_row_bytes)
+            };
+            let refusal = match request.tenant.map(quota) {
                 Some(Err(e)) => e,
                 _ => {
                     // A scripted grant denial rides the ordinary
@@ -1102,7 +1102,13 @@ impl QueryEngine {
                     let decision = if self.faults.deny_grant(ordinal) {
                         AdmissionDecision::Reject(BudgetError::ZeroBytes)
                     } else {
-                        self.admission.try_admit(effective_row_bytes)
+                        admission::decide(
+                            self.config.global_budget,
+                            self.config.max_concurrent,
+                            self.running.len(),
+                            self.committed_bytes(),
+                            effective_row_bytes,
+                        )
                     };
                     match decision {
                         AdmissionDecision::Queue => break,
@@ -1126,9 +1132,10 @@ impl QueryEngine {
         }
     }
 
-    /// Starts the admitted ticket `p` under its grant `share` and hands it
-    /// to the scheduler; a start failure returns the grant and the tenant
-    /// charge and parks the typed error.
+    /// Starts the admitted ticket `p` under its grant `share` and adds it
+    /// to the running set, which is what charges the grant, the tenant and
+    /// the turn; a start failure parks the typed error and has held
+    /// nothing.
     fn admit(&mut self, p: Pending, share: MemoryBudget, replanned: bool) {
         let request = p.request;
         // The effective budget: the admission grant, tightened by the
@@ -1143,9 +1150,8 @@ impl QueryEngine {
         // the tenant, so `Σ` of a tenant's grants `≤` its cap holds by
         // construction.  The check before admission guaranteed the
         // headroom holds one row.
-        let tenant = request
-            .tenant
-            .map(|t| match self.tenants.remaining_bytes(t) {
+        let tenant = request.tenant.map(|t| {
+            match self.tenants.remaining_bytes(t, self.tenant_load(t).1) {
                 Some(remaining)
                     if !effective.is_bounded() || remaining < effective.limit_bytes() =>
                 {
@@ -1154,13 +1160,14 @@ impl QueryEngine {
                 Some(_) => (t, effective.limit_bytes()),
                 // No byte cap: track the in-flight slot only.
                 None => (t, 0),
-            });
+            }
+        });
         let effective = match tenant {
             Some((_, bytes)) if bytes > 0 => MemoryBudget::bytes(bytes),
             _ => effective,
         };
-        if let Some((t, bytes)) = tenant {
-            self.tenants.charge(t, bytes);
+        if let Some((t, _)) = tenant {
+            self.tenants.count_admit(t);
         }
         let wait = p.submitted_at.elapsed();
         match self.resolve_with(&request, effective, p.query, wait, p.ordinal) {
@@ -1169,7 +1176,15 @@ impl QueryEngine {
                 if replanned {
                     self.counters.replans.inc();
                 }
-                let r = Running {
+                // Admission order breaks stride ties: the admission count,
+                // which the start just bumped.
+                let turn = Turn::new(
+                    stats.predicted_chunk_cost_ms,
+                    deadline_urgency(&request, &stats, &run),
+                    self.counters.admissions.get(),
+                    self.running.iter().map(|r| &r.turn),
+                );
+                self.running.push(Running {
                     pending: p,
                     run,
                     stats,
@@ -1181,46 +1196,28 @@ impl QueryEngine {
                     share,
                     consumed_ns: 0,
                     tenant,
-                };
-                self.scheduler.add_weighted(
-                    r.pending.ticket.0 as usize,
-                    r.stats.predicted_chunk_cost_ms,
-                    deadline_urgency(&r),
-                );
-                self.running.push(r);
+                    turn,
+                });
+                self.publish_tenant(tenant);
             }
-            Err(e) => {
-                self.admission.release(share);
-                self.release_tenant(tenant);
-                self.reject(p, e);
-            }
+            Err(e) => self.reject(p, e),
         }
     }
 
     /// The engine's bookkeeping invariants, asserted after every public
-    /// transition in debug builds: admission, the running set and the
-    /// scheduler agree on what is in flight; under a bounded budget the
-    /// committed bytes are exactly the running grants; each tenant's
-    /// charge is exactly its running tickets'; the cache's resident bytes
-    /// are exactly its resident slots'; and no ticket is in two states at
+    /// transition in debug builds.  Grants, tenant charges and turns exist
+    /// only on the running set, so no second count can drift from it; what
+    /// is left to check is what that set must satisfy: under a bounded
+    /// budget its grants sum to at most the global budget, it holds at
+    /// most `max_concurrent` tickets, and no ticket is in two states at
     /// once.
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
-        self.cache.check_invariants();
-        let in_flight = self.running.len();
-        assert_eq!(self.admission.in_flight(), in_flight, "admission slots");
-        assert_eq!(self.scheduler.len(), in_flight, "scheduled runs");
-        if self.config.global_budget.is_bounded() {
-            let granted: usize = self.running.iter().map(|r| r.share.limit_bytes()).sum();
-            assert_eq!(self.committed_bytes(), granted, "Σ grants");
-        }
-        for (t, in_flight, committed) in self.tenants.charges() {
-            let charged = self.running.iter().filter_map(|r| r.tenant);
-            let (n, bytes) = charged
-                .filter(|&(rt, _)| rt == t)
-                .fold((0, 0), |(n, sum), (_, b)| (n + 1, sum + b));
-            assert_eq!((in_flight, committed), (n, bytes), "{t} charge");
-        }
+        let global = self.config.global_budget;
+        let fits = !global.is_bounded() || self.committed_bytes() <= global.limit_bytes();
+        assert!(fits, "Σ grants above the global budget");
+        let slots = self.config.max_concurrent;
+        assert!(self.running.len() <= slots, "more than {slots} running");
         // Pairwise, not through a set: the check must not allocate, so the
         // allocation-regression tests still see a silent engine step.
         let live = || {
@@ -1246,13 +1243,12 @@ impl QueryEngine {
 /// × planned chunk count.  The urgency floor (1/16) keeps even a
 /// zero-slack query from monopolising the loop — deadlines shift service
 /// shares, they do not suspend fairness.
-fn deadline_urgency(r: &Running) -> f64 {
-    let request = &r.pending.request;
+fn deadline_urgency(request: &ServerRequest, stats: &QueryStats, run: &DsmPipelineRun) -> f64 {
     let priority = f64::from(request.priority.max(1));
     let slack_factor = match request.deadline_ns {
         Some(deadline_ns) => {
-            let chunk_ns = (r.stats.predicted_chunk_cost_ms * 1e6).max(0.0) as u64;
-            let total_ns = chunk_ns.saturating_mul(r.run.streaming().num_chunks as u64);
+            let chunk_ns = (stats.predicted_chunk_cost_ms * 1e6).max(0.0) as u64;
+            let total_ns = chunk_ns.saturating_mul(run.streaming().num_chunks as u64);
             let slack = deadline_ns.saturating_sub(total_ns);
             ((slack as f64 + 1.0) / (deadline_ns as f64 + 1.0)).clamp(1.0 / 16.0, 1.0)
         }

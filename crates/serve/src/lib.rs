@@ -11,19 +11,19 @@
 //! * [`registry`] — the relation [`Catalog`]: queries name data by
 //!   [`RelationId`], which is what makes cached intermediates safely
 //!   shareable.
-//! * [`admission`] — the [`AdmissionController`] splits a global
+//! * [`admission`] — [`admission::decide`] splits a global
 //!   [`rdx_core::budget::MemoryBudget`] into per-query grants
 //!   (`per_query_share`, the RAM analogue of the paper's per-core cache
 //!   share), queueing queries that do not fit, re-planning queries to
 //!   tighter chunks when only a sliver is free, and rejecting — with a
 //!   typed error — queries that could never run.  `Σ grants ≤ global`
 //!   holds at every instant, so over-commit is impossible by construction.
-//! * [`scheduler`] — the [`ChunkScheduler`] interleaves budget-sized
-//!   pipeline chunks from the active queries by stride scheduling,
-//!   weighted by the Appendix-A predicted per-chunk cost at each query's
-//!   cache share (round-robin at equal costs), using the pipeline's chunk
-//!   boundaries as preemption points so a big scan cannot starve small
-//!   lookups.
+//! * [`scheduler`] — the stride rule ([`scheduler::Turn`],
+//!   [`scheduler::dispatch`]) that interleaves budget-sized pipeline
+//!   chunks from the active queries, weighted by the Appendix-A predicted
+//!   per-chunk cost at each query's cache share (round-robin at equal
+//!   costs), using the pipeline's chunk boundaries as preemption points so
+//!   a big scan cannot starve small lookups.
 //! * [`cache`] — the [`ClusterCache`], a byte-budgeted, use-count-ranked
 //!   cache of [`rdx_exec::PreparedProjection`] prefixes keyed by
 //!   `(relation ids, codes, cluster spec)`: repeated queries over the same
@@ -34,13 +34,19 @@
 //!   between chunk steps of in-flight queries) and [`QueryEngine::step`]
 //!   pumps one admission-plus-chunk decision.  Every query is a ticket, so
 //!   every query is admitted under `Σ grants ≤ global` and planned by the
-//!   same single start-a-run step.
+//!   same single start-a-run step.  The engine's running set is the one
+//!   record of what is in flight: each running entry holds its grant, its
+//!   tenant charge and its stride turn, and admission, quotas and the
+//!   scheduler read their load off it, so tearing a query down is
+//!   removing its entry.
 //! * [`tenant`] — the **per-tenant quota layer**: [`TenantQuotas`] caps a
 //!   tenant's in-flight queries and resident grant bytes, checked at
 //!   admission *before* the global `per_query_share` (typed
 //!   [`rdx_core::error::RdxError::TenantQuota`] rejection) with per-tenant
 //!   `engine.tenant.*` instruments — the paper's memory-budgeted execution
-//!   model extended from queries to principals.
+//!   model extended from queries to principals.  A tenant's load is read
+//!   off the engine's running set; the registry keeps names, quotas and
+//!   counts.
 //!
 //! [`request`] holds what goes in and comes out: the engine-wide
 //! [`ServeConfig`], one query's [`ServerRequest`], and the [`QueryOutcome`]
@@ -72,8 +78,6 @@
 //!
 //! [`Catalog`]: registry::Catalog
 //! [`RelationId`]: registry::RelationId
-//! [`AdmissionController`]: admission::AdmissionController
-//! [`ChunkScheduler`]: scheduler::ChunkScheduler
 //! [`ClusterCache`]: cache::ClusterCache
 //! [`QueryEngine`]: engine::QueryEngine
 //! [`QueryEngine::submit`]: engine::QueryEngine::submit
@@ -91,12 +95,11 @@ pub mod request;
 pub mod scheduler;
 pub mod tenant;
 
-pub use admission::{AdmissionController, AdmissionDecision};
+pub use admission::AdmissionDecision;
 pub use cache::{CacheStats, ClusterCache, ClusterKey};
 pub use engine::{EngineStats, EngineStep, QueryEngine, TicketId, TicketStatus};
 pub use registry::{Catalog, RelationId};
 pub use request::{
     QueryOutcome, QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest,
 };
-pub use scheduler::ChunkScheduler;
 pub use tenant::{TenantId, TenantQuota, TenantQuotas, TenantStats};

@@ -1,6 +1,6 @@
 //! The **per-tenant quota layer**: admission caps per principal, on top of
-//! the global [`rdx_core::budget::MemoryBudget`] the
-//! [`crate::admission::AdmissionController`] splits.
+//! the global [`rdx_core::budget::MemoryBudget`] that
+//! [`crate::admission::decide`] splits.
 //!
 //! The paper's execution model budgets *queries*; a serving front budgets
 //! *principals* — the tenants behind the connections.  A [`TenantQuota`]
@@ -15,8 +15,13 @@
 //! invariant.
 //!
 //! Tenants are interned by name ([`crate::engine::QueryEngine::tenant_id`])
-//! into the `Copy` [`TenantId`] requests carry, and each tenant's
-//! accounting lives in its own `engine.tenant.<name>.*` instruments.
+//! into the `Copy` [`TenantId`] requests carry.  A tenant's *load* — its
+//! running queries and the bytes charged against its byte cap — is read
+//! off the engine's running set, which is the one record of who holds
+//! what; the registry keeps names, quotas and the admission and rejection
+//! counts.  Each tenant's `engine.tenant.<name>.*` instruments publish
+//! both: the engine writes the load gauges from its running set after
+//! every admission and teardown, and no check reads them.
 
 use rdx_core::error::{RdxError, TenantQuotaKind};
 use rdx_obs::{Counter, Gauge, MetricsRegistry};
@@ -116,8 +121,8 @@ impl TenantQuotas {
     }
 }
 
-/// A point-in-time view of one tenant's admission accounting — a read of
-/// its `engine.tenant.<name>.*` instruments.
+/// A point-in-time view of one tenant's admission accounting: its load,
+/// read off the engine's running set, and its lifetime counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantStats {
     /// The name the tenant was interned under.
@@ -136,8 +141,12 @@ pub struct TenantStats {
     pub rejections: u64,
 }
 
-/// One interned tenant: its quota and the instruments that hold its
-/// accounting (the gauges are the state admission checks read).
+/// A tenant's load: its running queries and the grant bytes they hold
+/// against its byte cap (0 each for a tenant with no byte cap).
+pub(crate) type Load = (usize, usize);
+
+/// One interned tenant: its quota and its `engine.tenant.<name>.*`
+/// instruments.
 #[derive(Debug)]
 struct TenantState {
     name: String,
@@ -148,20 +157,10 @@ struct TenantState {
     rejections: Counter,
 }
 
-impl TenantState {
-    fn in_flight(&self) -> usize {
-        self.in_flight.get() as usize
-    }
-
-    fn committed_bytes(&self) -> usize {
-        self.committed_bytes.get() as usize
-    }
-}
-
-/// The engine's tenant table: name interning plus per-tenant admission
-/// accounting.  Ids minted by one engine are meaningless to another; a
-/// foreign id simply resolves to no state (every check passes, nothing is
-/// charged), same contract as an unknown relation id resolving to `None`.
+/// The engine's tenant table: name interning, quotas and per-tenant
+/// counts.  Ids minted by one engine are meaningless to another; a foreign
+/// id simply resolves to no state (every check passes, nothing is
+/// counted), same contract as an unknown relation id resolving to `None`.
 #[derive(Debug)]
 pub(crate) struct TenantRegistry {
     quotas: TenantQuotas,
@@ -198,32 +197,33 @@ impl TenantRegistry {
         TenantId(id)
     }
 
-    /// Whether the tenant can admit one more query needing at least
-    /// `bytes_per_row` resident bytes — the check that runs *before*
-    /// [`crate::admission::AdmissionController::try_admit`].
-    pub(crate) fn check_admit(&self, t: TenantId, bytes_per_row: usize) -> Result<(), RdxError> {
+    /// Whether the tenant, under `load`, can admit one more query needing
+    /// at least `bytes_per_row` resident bytes — the check that runs
+    /// *before* [`crate::admission::decide`].
+    pub(crate) fn check_admit(
+        &self,
+        t: TenantId,
+        (in_flight, committed): Load,
+        bytes_per_row: usize,
+    ) -> Result<(), RdxError> {
         let Some(state) = self.tenants.get(t.0 as usize) else {
             return Ok(());
         };
         if let Some(limit) = state.quota.max_in_flight {
-            if state.in_flight() >= limit {
+            if in_flight >= limit {
                 return Err(RdxError::TenantQuota {
                     tenant: t.0,
-                    kind: TenantQuotaKind::InFlight {
-                        in_flight: state.in_flight(),
-                        limit,
-                    },
+                    kind: TenantQuotaKind::InFlight { in_flight, limit },
                 });
             }
         }
         if let Some(limit) = state.quota.max_resident_bytes {
-            let remaining = limit.saturating_sub(state.committed_bytes());
-            if remaining < bytes_per_row {
+            if limit.saturating_sub(committed) < bytes_per_row {
                 return Err(RdxError::TenantQuota {
                     tenant: t.0,
                     kind: TenantQuotaKind::ResidentBytes {
                         needed: bytes_per_row,
-                        in_use: state.committed_bytes(),
+                        in_use: committed,
                         limit,
                     },
                 });
@@ -232,62 +232,45 @@ impl TenantRegistry {
         Ok(())
     }
 
-    /// The tenant's uncommitted resident-byte headroom, or `None` when it
-    /// has no byte cap (nothing to tighten grants against).
-    pub(crate) fn remaining_bytes(&self, t: TenantId) -> Option<usize> {
+    /// The tenant's uncommitted resident-byte headroom when its queries
+    /// hold `committed` bytes, or `None` when it has no byte cap (nothing
+    /// to tighten grants against).
+    pub(crate) fn remaining_bytes(&self, t: TenantId, committed: usize) -> Option<usize> {
         let state = self.tenants.get(t.0 as usize)?;
         let limit = state.quota.max_resident_bytes?;
-        Some(limit.saturating_sub(state.committed_bytes()))
+        Some(limit.saturating_sub(committed))
     }
 
-    /// Charges an admission against the tenant: one in-flight slot plus
-    /// `bytes` against the byte cap (0 when the tenant has none).
-    pub(crate) fn charge(&mut self, t: TenantId, bytes: usize) {
-        let Some(state) = self.tenants.get(t.0 as usize) else {
-            return;
-        };
-        state.in_flight.add(1);
-        state.committed_bytes.add(bytes as i64);
-        state.admissions.inc();
-    }
-
-    /// Returns a completed (or torn-down) query's charge to the tenant.
-    pub(crate) fn release(&mut self, t: TenantId, bytes: usize) {
-        let Some(state) = self.tenants.get(t.0 as usize) else {
-            return;
-        };
-        debug_assert!(state.in_flight() > 0, "tenant release without charge");
-        debug_assert!(bytes <= state.committed_bytes(), "foreign tenant charge");
-        let in_flight = state.in_flight().saturating_sub(1);
-        state.in_flight.set(in_flight as i64);
-        let committed = state.committed_bytes().saturating_sub(bytes);
-        state.committed_bytes.set(committed as i64);
+    /// Counts one admission of the tenant's.
+    pub(crate) fn count_admit(&self, t: TenantId) {
+        if let Some(state) = self.tenants.get(t.0 as usize) {
+            state.admissions.inc();
+        }
     }
 
     /// Counts one [`RdxError::TenantQuota`] refusal against the tenant.
-    pub(crate) fn count_reject(&mut self, t: TenantId) {
+    pub(crate) fn count_reject(&self, t: TenantId) {
         if let Some(state) = self.tenants.get(t.0 as usize) {
             state.rejections.inc();
         }
     }
 
-    /// Every interned tenant's live charge: `(id, in_flight,
-    /// committed_bytes)`, read without allocating.
-    #[cfg(debug_assertions)]
-    pub(crate) fn charges(&self) -> impl Iterator<Item = (TenantId, usize, usize)> + '_ {
-        self.tenants
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (TenantId(i as u32), s.in_flight(), s.committed_bytes()))
+    /// Writes the tenant's `load` to its in-flight and committed gauges.
+    pub(crate) fn publish(&self, t: TenantId, (in_flight, committed): Load) {
+        if let Some(state) = self.tenants.get(t.0 as usize) {
+            state.in_flight.set(in_flight as i64);
+            state.committed_bytes.set(committed as i64);
+        }
     }
 
-    /// The tenant's accounting view, or `None` for a foreign id.
-    pub(crate) fn stats(&self, t: TenantId) -> Option<TenantStats> {
+    /// The tenant's accounting view under `load`, or `None` for a foreign
+    /// id.
+    pub(crate) fn stats(&self, t: TenantId, (in_flight, committed): Load) -> Option<TenantStats> {
         self.tenants.get(t.0 as usize).map(|s| TenantStats {
             name: s.name.clone(),
             quota: s.quota,
-            in_flight: s.in_flight(),
-            committed_bytes: s.committed_bytes(),
+            in_flight,
+            committed_bytes: committed,
             admissions: s.admissions.get(),
             rejections: s.rejections.get(),
         })
@@ -328,13 +311,11 @@ mod tests {
         assert_ne!(capped, free);
         assert_eq!(capped.to_string(), "tenant#0");
 
-        // First admission fits and is charged; a second exhausts the
-        // in-flight cap, and releasing one clears it.
-        assert_eq!(reg.check_admit(capped, 16), Ok(()));
-        reg.charge(capped, 30);
-        reg.charge(capped, 30);
+        // First admission fits; two running queries of 30 bytes each
+        // exhaust the in-flight cap, and one of them finishing clears it.
+        assert_eq!(reg.check_admit(capped, (0, 0), 16), Ok(()));
         assert!(matches!(
-            reg.check_admit(capped, 16),
+            reg.check_admit(capped, (2, 60), 16),
             Err(RdxError::TenantQuota {
                 kind: TenantQuotaKind::InFlight {
                     in_flight: 2,
@@ -343,15 +324,12 @@ mod tests {
                 ..
             })
         ));
-        reg.release(capped, 30);
-        assert_eq!(reg.check_admit(capped, 16), Ok(()));
+        assert_eq!(reg.check_admit(capped, (1, 30), 16), Ok(()));
 
         // The byte cap fires when the headroom cannot hold one row: one
         // query holding 90 of 100 bytes leaves an in-flight slot free but
         // only 10 bytes of headroom.
-        reg.release(capped, 30);
-        reg.charge(capped, 90);
-        let quota_err = reg.check_admit(capped, 16);
+        let quota_err = reg.check_admit(capped, (1, 90), 16);
         assert!(matches!(
             quota_err,
             Err(RdxError::TenantQuota {
@@ -363,17 +341,17 @@ mod tests {
                 ..
             })
         ));
-        assert_eq!(reg.remaining_bytes(capped), Some(10));
+        assert_eq!(reg.remaining_bytes(capped, 90), Some(10));
         // Unlimited tenants have no headroom notion and always pass.
-        assert_eq!(reg.remaining_bytes(free), None);
-        assert_eq!(reg.check_admit(free, usize::MAX), Ok(()));
+        assert_eq!(reg.remaining_bytes(free, 0), None);
+        assert_eq!(reg.check_admit(free, (0, 0), usize::MAX), Ok(()));
 
-        // Foreign ids resolve to no state: checks pass, charges no-op.
+        // Foreign ids resolve to no state: checks pass, counts no-op.
         let foreign = TenantId(99);
-        assert_eq!(reg.check_admit(foreign, 1), Ok(()));
-        reg.charge(foreign, 10);
-        reg.release(foreign, 10);
-        assert!(reg.stats(foreign).is_none());
+        assert_eq!(reg.check_admit(foreign, (0, 0), 1), Ok(()));
+        reg.count_admit(foreign);
+        reg.publish(foreign, (1, 10));
+        assert!(reg.stats(foreign, (1, 10)).is_none());
     }
 
     #[test]
@@ -382,17 +360,17 @@ mod tests {
             TenantQuotas::unlimited().with_tenant("t", TenantQuota::unlimited().in_flight(8));
         let mut reg = TenantRegistry::new(quotas);
         let t = reg.intern("t", &MetricsRegistry::new());
-        reg.charge(t, 32);
-        reg.charge(t, 16);
+        reg.count_admit(t);
+        reg.count_admit(t);
         reg.count_reject(t);
-        let s = reg.stats(t).unwrap();
+        let s = reg.stats(t, (2, 48)).unwrap();
         assert_eq!(s.name, "t");
         assert_eq!(s.in_flight, 2);
         assert_eq!(s.committed_bytes, 48);
         assert_eq!(s.admissions, 2);
         assert_eq!(s.rejections, 1);
-        reg.release(t, 32);
-        let s = reg.stats(t).unwrap();
+        // The load is the caller's: one of the two queries finished.
+        let s = reg.stats(t, (1, 16)).unwrap();
         assert_eq!(s.in_flight, 1);
         assert_eq!(s.committed_bytes, 16);
     }
@@ -404,7 +382,8 @@ mod tests {
             TenantQuotas::unlimited().with_default(TenantQuota::unlimited().resident_bytes(256)),
         );
         let t = reg.intern("acme", &metrics);
-        reg.charge(t, 128);
+        reg.count_admit(t);
+        reg.publish(t, (1, 128));
         reg.count_reject(t);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("engine.tenant.acme.admissions"), Some(1));
