@@ -680,7 +680,12 @@ impl NetServer {
             request = request.with_budget_hint(b);
         }
         if let Some(t) = spec.threads {
-            request = request.with_threads(t as usize);
+            // A peer's thread count is clamped to the machine's cores (`0`
+            // still means auto): results are byte-identical at every count,
+            // and an unbounded one would have the kernels allocate and
+            // spawn per worker until the process aborts.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            request = request.with_threads((t as usize).min(cores));
         }
         if let Some(codes) = spec.codes {
             request = request.with_codes(codes);

@@ -119,7 +119,8 @@ pub struct SubmitSpec {
     pub project_smaller: u32,
     /// Optional per-query budget cap in bytes.
     pub budget_bytes: Option<u64>,
-    /// Optional worker-thread count (`0` = auto-detect).
+    /// Optional worker-thread count (`0` = auto-detect); the server clamps
+    /// it to its cores.
     pub threads: Option<u32>,
     /// Optional pinned projection codes (bypasses the cost planner).
     pub codes: Option<DsmPostProjection>,

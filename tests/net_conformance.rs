@@ -597,6 +597,47 @@ fn an_oversized_result_is_refused_before_it_runs_and_the_connection_serves_on() 
     assert_eq!(net.decode_errors, 0);
 }
 
+/// A hostile thread count costs nothing: a `Submit` asking for
+/// `u32::MAX` or 100 000 workers is served with the cores the machine has,
+/// byte-identical to the default-threads run, and the same server goes on
+/// answering.  Unclamped, such a count reached the kernels, which abort the
+/// whole process when their per-worker buffers cannot be allocated or
+/// their workers cannot be spawned.
+#[test]
+fn a_hostile_thread_count_is_served_and_the_server_serves_on() {
+    let w = JoinWorkloadBuilder::equal(20_000, 1).seed(17).build();
+    let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
+    let addr = listener.tcp_addr().expect("addr");
+    let handle = run_server(
+        listener,
+        ServeConfig::default(),
+        vec![w.larger.clone(), w.smaller.clone()],
+        NetConfig::default(),
+        None,
+        |engine, _| engine.committed_bytes(),
+    );
+    let mut client = NetClient::connect_tcp(addr).expect("connect");
+    client.hello(None).expect("hello");
+    let mut serve = |threads: Option<u32>| {
+        let spec = SubmitSpec {
+            threads,
+            ..wire_spec(1, 1, None)
+        };
+        let ticket = client.submit(spec).expect("submit");
+        client.wait(ticket).expect("the connection survives")
+    };
+    let default = serve(None).expect("served");
+    assert_eq!(default.rows as usize, w.expected_matches);
+    for threads in [u32::MAX, 100_000, 0, 2] {
+        let report = serve(Some(threads)).expect("served");
+        assert_eq!(report.rows, default.rows, "threads = {threads}");
+        assert!(report.columns == default.columns, "threads = {threads}");
+    }
+    assert!(serve(None).expect("served").columns == default.columns);
+    drop(client);
+    assert_eq!(handle.join().expect("server thread"), 0);
+}
+
 /// Counts live in one place, and the place exists without observability:
 /// after a loopback exchange on an untraced server, the engine's registry
 /// holds the engine's and the wire's counters, equal to what
