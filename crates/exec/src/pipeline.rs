@@ -900,24 +900,6 @@ impl ProjectionPipeline {
         ProjectionPipeline { plan }
     }
 
-    /// A pipeline with the cost-model-planned codes for this workload and
-    /// thread count (`plan_by_cost_with_threads`).
-    pub fn planned(
-        larger: &DsmRelation,
-        smaller: &DsmRelation,
-        spec: &QuerySpec,
-        params: &CacheParams,
-        policy: &ExecPolicy,
-    ) -> Self {
-        Self::new(rdx_core::strategy::planner::plan_by_cost_with_threads(
-            larger,
-            smaller,
-            spec,
-            params,
-            policy.worker_threads(),
-        ))
-    }
-
     /// Builds the shareable prefix for a projection over two DSM relations:
     /// join over the key columns, reorder for the first side, partial-cluster
     /// the second side on exactly the clustering the streaming planner
@@ -1046,6 +1028,7 @@ mod tests {
     use super::*;
     use rdx_core::budget::MemoryBudget;
     use rdx_core::error::Side;
+    use rdx_core::strategy::planner::plan_by_cost_with_threads;
     use rdx_core::strategy::reference::{reference_rows, result_rows};
     use rdx_core::strategy::sink::CountingSink;
     use rdx_core::strategy::ProjectionCode;
@@ -1720,8 +1703,13 @@ mod tests {
         let params = CacheParams::tiny_for_tests();
         let expected = reference_rows(&w.larger, &w.smaller, &spec);
         let sequential = ExecPolicy::with_threads(1);
-        let pipeline =
-            ProjectionPipeline::planned(&w.larger, &w.smaller, &spec, &params, &sequential);
+        let pipeline = ProjectionPipeline::new(plan_by_cost_with_threads(
+            &w.larger,
+            &w.smaller,
+            &spec,
+            &params,
+            sequential.worker_threads(),
+        ));
         let (whole, _) = pipeline
             .materialize(&w.larger, &w.smaller, &spec, &params, &sequential)
             .unwrap();
