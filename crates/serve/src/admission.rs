@@ -70,7 +70,7 @@ pub fn decide(
         };
     }
     let fair = global.per_query_share(max_concurrent).limit_bytes();
-    let available = global.limit_bytes() - committed;
+    let available = global.limit_bytes().saturating_sub(committed);
     let grant = fair.min(available);
     let (grant, replanned) = if grant >= bytes_per_row {
         (grant, grant < fair)

@@ -21,6 +21,8 @@
 //! with 952.  Entries are `Arc`-shared: a hit hands the running query the
 //! same immutable prefix any number of concurrent runs may stream from, and
 //! eviction only drops the cache's reference — in-flight runs keep theirs.
+//! The slots are the one record of what is resident: the resident byte
+//! count is their sum, taken on each miss and each [`ClusterCache::stats`].
 
 use crate::registry::RelationId;
 use rdx_core::cluster::RadixClusterSpec;

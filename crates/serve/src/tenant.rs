@@ -141,8 +141,8 @@ pub struct TenantStats {
     pub rejections: u64,
 }
 
-/// A tenant's load: its running queries and the grant bytes they hold
-/// against its byte cap (0 each for a tenant with no byte cap).
+/// A tenant's load: its running queries, and the grant bytes they hold
+/// against its byte cap (0 for a tenant with none).
 pub(crate) type Load = (usize, usize);
 
 /// One interned tenant: its quota and its `engine.tenant.<name>.*`
