@@ -253,8 +253,9 @@ impl Session {
         self.serve_with(listener, NetConfig::default())
     }
 
-    /// [`Session::serve`] with explicit poll-loop tuning (`NetConfig` sizes
-    /// the cycle; the wait between cycles is not configurable).
+    /// [`Session::serve`] with explicit poll-loop tuning (`NetConfig` caps
+    /// frame payloads and per-connection outbound queues; the engine steps
+    /// per cycle and the wait between cycles are fixed).
     pub fn serve_with(self, listener: NetListener, config: NetConfig) -> NetStats {
         NetServer::new(listener, self.engine, config).serve()
     }

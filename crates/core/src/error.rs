@@ -23,11 +23,11 @@ use crate::budget::BudgetError;
 /// clock ran out).  All fields are nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeadlineError {
-    /// Rejected at admission: the Appendix-A streaming prediction at the
-    /// query's granted cache share already exceeds the deadline, so running
-    /// it would only waste the grant.  The query never ran a chunk.
+    /// Rejected at admission: the Appendix-A price of the query's plan at
+    /// its granted cache share already exceeds the deadline, so running it
+    /// would only waste the grant.  The query never ran a chunk.
     Infeasible {
-        /// Predicted total streaming cost at the granted share.
+        /// Predicted total cost of the plan at the granted share.
         predicted_ns: u64,
         /// The deadline the request carried.
         deadline_ns: u64,

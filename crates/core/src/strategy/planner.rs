@@ -5,10 +5,13 @@
 //! types in these projection columns, and the number of tuples in both input
 //! relations", and §1.1 motivates the Appendix-A cost models precisely as the
 //! tool to "draw conclusions on their optimal parameter settings".  This
-//! module closes that loop: it prices every `u/s/c × u/d` code combination
-//! with the `rdx-cost` formulas and picks the cheapest, giving a planner that
-//! adapts to π, N and the cache parameters instead of using only the
-//! fits-in-cache rule of [`DsmPostProjection::plan`].
+//! module closes that loop.  [`predict_cost`] is the one Appendix-A price of
+//! a plan: the `u/s/c × u/d` codes a run executes, streamed under its
+//! [`StreamingPlan`].  The planner prices every code combination with it at
+//! the one-chunk plan and picks the cheapest, adapting to π, N and the cache
+//! parameters instead of using only the fits-in-cache rule of
+//! [`DsmPostProjection::plan`]; the serving engine prices the chosen plan
+//! with the same function for its deadline check and stride weight.
 
 use crate::budget::MemoryBudget;
 use crate::cluster::{
@@ -20,102 +23,11 @@ use crate::strategy::common::{ProjectionCode, SecondSideCode};
 use crate::strategy::{DsmPostProjection, QuerySpec};
 use rdx_cache::CacheParams;
 use rdx_cost::algorithms as cost;
-use rdx_cost::DataRegion;
+use rdx_cost::{DataRegion, PatternCost};
 use rdx_dsm::DsmRelation;
 
 /// Value width of the paper's integer attribute columns.
 const VALUE_WIDTH: usize = 4;
-
-/// Predicted cost of radix-clustering `region` into `2^bits` clusters, in
-/// the passes [`passes_for_budget`] splits them into under
-/// [`scatter_cursor_budget`] — so the planner prices exactly the pass
-/// structure the kernels will run.
-fn cluster_cost_millis(region: DataRegion, bits: u32, params: &CacheParams) -> f64 {
-    let passes = passes_for_budget(bits, scatter_cursor_budget(params));
-    cost::radix_cluster(region, bits, passes, params).millis(params)
-}
-
-/// Predicted cost (milliseconds on the modeled platform) of the *projection
-/// phase* of a DSM post-projection with the given codes.
-///
-/// The join phase is identical for every code combination, so it is omitted;
-/// the comparison between code combinations is unaffected.
-pub fn predict_projection_cost(
-    first: ProjectionCode,
-    second: SecondSideCode,
-    larger_tuples: usize,
-    smaller_tuples: usize,
-    result_tuples: usize,
-    spec: &QuerySpec,
-    params: &CacheParams,
-) -> f64 {
-    let cache = params.cache_capacity();
-    let larger_col = DataRegion::new(larger_tuples, VALUE_WIDTH);
-    let smaller_col = DataRegion::new(smaller_tuples, VALUE_WIDTH);
-    let join_index = DataRegion::new(result_tuples, 8);
-
-    // --- first (larger) side -------------------------------------------------
-    let first_bits = partial_cluster_bits(larger_tuples, params);
-    let first_cost = match first {
-        ProjectionCode::Unsorted => {
-            spec.project_larger as f64
-                * cost::positional_join_unsorted(result_tuples, larger_col, VALUE_WIDTH, params)
-                    .millis(params)
-        }
-        ProjectionCode::Sorted => {
-            let sort_bits = significant_bits(larger_tuples);
-            cluster_cost_millis(join_index, sort_bits, params)
-                + spec.project_larger as f64
-                    * cost::positional_join_sorted(result_tuples, larger_col, VALUE_WIDTH, params)
-                        .millis(params)
-        }
-        ProjectionCode::PartialCluster => {
-            cluster_cost_millis(join_index, first_bits, params)
-                + spec.project_larger as f64
-                    * cost::positional_join_clustered(
-                        result_tuples,
-                        larger_col,
-                        VALUE_WIDTH,
-                        first_bits,
-                        params,
-                    )
-                    .millis(params)
-        }
-    };
-
-    // --- second (smaller) side -----------------------------------------------
-    let second_bits = partial_cluster_bits(smaller_tuples, params);
-    let window = cache / 2;
-    let second_cost = match second {
-        SecondSideCode::Unsorted => {
-            spec.project_smaller as f64
-                * cost::positional_join_unsorted(result_tuples, smaller_col, VALUE_WIDTH, params)
-                    .millis(params)
-        }
-        SecondSideCode::Decluster => {
-            cluster_cost_millis(join_index, second_bits, params)
-                + spec.project_smaller as f64
-                    * (cost::positional_join_clustered(
-                        result_tuples,
-                        smaller_col,
-                        VALUE_WIDTH,
-                        second_bits,
-                        params,
-                    )
-                    .millis(params)
-                        + cost::radix_decluster(
-                            result_tuples,
-                            VALUE_WIDTH,
-                            second_bits,
-                            window,
-                            params,
-                        )
-                        .millis(params))
-        }
-    };
-
-    first_cost + second_cost
-}
 
 /// Picks the cheapest `u/s/c × u/d` combination under the cost model.
 pub fn plan_by_cost(
@@ -147,8 +59,17 @@ pub fn plan_by_cost_with_threads(
 ) -> DsmPostProjection {
     let params = &params.per_core_share(threads);
     // With hit rate unknown at planning time, assume |result| ≈ |larger|, the
-    // paper's h = 1 default.
-    let result_tuples = larger.cardinality();
+    // paper's h = 1 default.  A whole result is the one-chunk stream.
+    let (larger_rows, smaller_rows) = (larger.cardinality(), smaller.cardinality());
+    let whole = plan_streaming(
+        larger_rows,
+        smaller_rows,
+        VALUE_WIDTH,
+        spec,
+        params,
+        MemoryBudget::unbounded(),
+        1,
+    );
     let mut best = (
         f64::INFINITY,
         DsmPostProjection::plan(larger, smaller, params),
@@ -159,17 +80,18 @@ pub fn plan_by_cost_with_threads(
         ProjectionCode::PartialCluster,
     ] {
         for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
-            let predicted = predict_projection_cost(
-                first,
-                second,
-                larger.cardinality(),
-                smaller.cardinality(),
-                result_tuples,
+            let codes = DsmPostProjection::with_codes(first, second);
+            let predicted = predict_cost(
+                codes,
+                &whole,
+                larger_rows,
+                smaller_rows,
+                larger_rows,
                 spec,
                 params,
             );
             if predicted < best.0 {
-                best = (predicted, DsmPostProjection::with_codes(first, second));
+                best = (predicted, codes);
             }
         }
     }
@@ -204,8 +126,8 @@ pub struct StreamingPlan {
     pub bytes_per_row: usize,
     /// The second-side partial clustering the chunks stream over — the
     /// single source of truth shared by the executor (which runs it) and
-    /// [`predict_streaming_cost`] (which prices it), so the two can never
-    /// drift apart.
+    /// [`predict_cost`] (which prices it), so the two can never drift
+    /// apart.
     pub cluster_spec: RadixClusterSpec,
 }
 
@@ -268,49 +190,76 @@ pub fn plan_streaming(
     }
 }
 
-/// Predicted cost (milliseconds on the modeled platform) of the second-side
-/// projection phase run *streaming* under `plan`, per Appendix A plus the
-/// chunk-restart term of [`cost::streaming_radix_decluster`].
+/// Predicted cost (milliseconds on the modeled platform) of the projection
+/// phase of a DSM post-projection running `codes`, streamed under `plan`:
+/// the one Appendix-A price of a plan.  The planner takes its arg-min at
+/// the one-chunk plan; the serving engine prices the chosen codes with it
+/// for the deadline check and the stride weight.
 ///
-/// Comparable with [`predict_projection_cost`]'s `Decluster` second-side
-/// term: the difference between them is the price paid for the bounded
-/// memory footprint.
-pub fn predict_streaming_cost(
+/// The first side is priced by its `u`/`s`/`c` code; the second by `u`, or
+/// by `d` at the plan's cluster spec, window and chunk count
+/// ([`cost::streaming_radix_decluster`]).  The join phase is identical for
+/// every code combination, so it is omitted.
+pub fn predict_cost(
+    codes: DsmPostProjection,
     plan: &StreamingPlan,
-    smaller_tuples: usize,
-    result_tuples: usize,
+    larger_rows: usize,
+    smaller_rows: usize,
+    result_rows: usize,
     spec: &QuerySpec,
     params: &CacheParams,
 ) -> f64 {
-    let smaller_col = DataRegion::new(smaller_tuples, VALUE_WIDTH);
-    let join_index = DataRegion::new(result_tuples, 8);
-    let bits = plan.cluster_spec.bits;
-    cost::radix_cluster(join_index, bits, plan.cluster_spec.passes, params).millis(params)
-        + spec.project_smaller as f64
-            * (cost::positional_join_clustered(
-                result_tuples,
-                smaller_col,
-                VALUE_WIDTH,
-                bits,
-                params,
-            )
-            .millis(params)
-                + cost::streaming_radix_decluster(
-                    result_tuples,
-                    VALUE_WIDTH,
-                    bits,
-                    plan.window_bytes,
-                    plan.num_chunks,
-                    params,
-                )
-                .millis(params))
-}
+    let ms = |pattern: PatternCost| pattern.millis(params);
+    let n = result_rows;
+    let join_index = DataRegion::new(n, 8);
+    let cluster = |bits, passes| ms(cost::radix_cluster(join_index, bits, passes, params));
+    let unsorted = |col| ms(cost::positional_join_unsorted(n, col, VALUE_WIDTH, params));
+    let clustered = |col, b| {
+        ms(cost::positional_join_clustered(
+            n,
+            col,
+            VALUE_WIDTH,
+            b,
+            params,
+        ))
+    };
 
-/// The radix bits of the partial clustering the executors run over a column
-/// of `column_tuples` integer values: [`plan_partial_cluster`]'s, so the
-/// priced and the executed clusterings are one rule.
-fn partial_cluster_bits(column_tuples: usize, params: &CacheParams) -> u32 {
-    plan_partial_cluster(column_tuples, VALUE_WIDTH, params).bits
+    // Each side: (reordering cost, cost per projected column).
+    let larger = DataRegion::new(larger_rows, VALUE_WIDTH);
+    let (first_reorder, first_column) = match codes.first_side {
+        ProjectionCode::Unsorted => (0.0, unsorted(larger)),
+        ProjectionCode::Sorted => {
+            let bits = significant_bits(larger_rows);
+            let sorted = cost::positional_join_sorted(n, larger, VALUE_WIDTH, params);
+            let passes = passes_for_budget(bits, scatter_cursor_budget(params));
+            (cluster(bits, passes), ms(sorted))
+        }
+        ProjectionCode::PartialCluster => {
+            let c = plan_partial_cluster(larger_rows, VALUE_WIDTH, params);
+            (cluster(c.bits, c.passes), clustered(larger, c.bits))
+        }
+    };
+    let smaller = DataRegion::new(smaller_rows, VALUE_WIDTH);
+    let (second_reorder, second_column) = match codes.second_side {
+        SecondSideCode::Unsorted => (0.0, unsorted(smaller)),
+        SecondSideCode::Decluster => {
+            let c = plan.cluster_spec;
+            let decluster = cost::streaming_radix_decluster(
+                n,
+                VALUE_WIDTH,
+                c.bits,
+                plan.window_bytes,
+                plan.num_chunks,
+                params,
+            );
+            (
+                cluster(c.bits, c.passes),
+                clustered(smaller, c.bits) + ms(decluster),
+            )
+        }
+    };
+    (first_reorder + spec.project_larger as f64 * first_column)
+        + (second_reorder + spec.project_smaller as f64 * second_column)
 }
 
 #[cfg(test)]
@@ -342,8 +291,11 @@ mod tests {
         let n = 8_000_000;
         let spec_low = QuerySpec::symmetric(1);
         let spec_high = QuerySpec::symmetric(64);
+        let whole =
+            |spec: &QuerySpec| plan_streaming(n, n, 4, spec, &params, MemoryBudget::unbounded(), 1);
         let price = |first, spec: &QuerySpec| {
-            predict_projection_cost(first, SecondSideCode::Unsorted, n, n, n, spec, &params)
+            let codes = DsmPostProjection::with_codes(first, SecondSideCode::Unsorted);
+            predict_cost(codes, &whole(spec), n, n, n, spec, &params)
         };
         // Large N: unsorted loses to both reordering codes at high π (Fig. 8).
         assert!(
@@ -484,13 +436,18 @@ mod tests {
         let params = CacheParams::paper_pentium4();
         let spec = QuerySpec::symmetric(1);
         let n = 4_000_000;
-        let monolithic = predict_streaming_cost(
-            &plan_streaming(n, n, 4, &spec, &params, MemoryBudget::unbounded(), 1),
+        let codes =
+            DsmPostProjection::with_codes(ProjectionCode::Unsorted, SecondSideCode::Decluster);
+        let price = |plan: &StreamingPlan| predict_cost(codes, plan, n, n, n, &spec, &params);
+        let monolithic = price(&plan_streaming(
             n,
             n,
+            4,
             &spec,
             &params,
-        );
+            MemoryBudget::unbounded(),
+            1,
+        ));
         for denom in [4usize, 64] {
             let plan = plan_streaming(
                 n,
@@ -501,7 +458,7 @@ mod tests {
                 MemoryBudget::fraction_of(n * 4, denom),
                 1,
             );
-            let streamed = predict_streaming_cost(&plan, n, n, &spec, &params);
+            let streamed = price(&plan);
             // At the *same* window, chunking never predicts cheaper than one
             // chunk (the restart term is pure overhead)…
             let one_chunk = StreamingPlan {
@@ -509,7 +466,7 @@ mod tests {
                 num_chunks: 1,
                 ..plan
             };
-            let reference = predict_streaming_cost(&one_chunk, n, n, &spec, &params);
+            let reference = price(&one_chunk);
             assert!(
                 streamed >= reference,
                 "denom {denom}: {streamed} vs {reference}"

@@ -281,32 +281,6 @@ pub fn streaming_radix_decluster(
     cost
 }
 
-/// Cost of one streaming Radix-Decluster run while `active_queries` streaming
-/// queries are admitted concurrently — the **concurrent-share** term the
-/// serving layer's admission controller prices queries with.
-///
-/// Concurrency changes nothing about the access pattern; what it changes is
-/// the *effective hierarchy*: the outermost cache and the sequential RAM
-/// bandwidth are shared, so each query sees a `1/active_queries` slice of
-/// both ([`CacheParams::per_query_share`]).  A window tuned to the full
-/// cache therefore starts missing once a co-runner evicts its lines — the
-/// model prices exactly that by re-evaluating the unchanged pattern against
-/// the shrunken share, the same move `per_core_share` makes for threads of a
-/// single query.  Monotone in `active_queries`; identical to
-/// [`streaming_radix_decluster`] at one query.
-pub fn concurrent_streaming_radix_decluster(
-    n: usize,
-    value_width: usize,
-    bits: u32,
-    window_bytes: usize,
-    chunks: usize,
-    active_queries: usize,
-    params: &CacheParams,
-) -> PatternCost {
-    let share = params.per_query_share(active_queries.max(1));
-    streaming_radix_decluster(n, value_width, bits, window_bytes, chunks, &share)
-}
-
 /// Cost of the first (Left) Jive-Join phase: merge the sorted join index with
 /// the left table sequentially, writing two cluster-partitioned outputs
 /// (access pattern analogous to single-pass Radix-Cluster).
@@ -465,7 +439,8 @@ mod tests {
         // per-query share, which is exactly the thrash the term must price.
         let window = p.cache_capacity();
         let at = |q: usize| {
-            concurrent_streaming_radix_decluster(MB8, 4, 8, window, 16, q, &p).millis(&p)
+            let share = p.per_query_share(q);
+            streaming_radix_decluster(MB8, 4, 8, window, 16, &share).millis(&p)
         };
         // One active query is priced exactly as the solo streaming run, and
         // a zero count degrades to one instead of dividing by zero.

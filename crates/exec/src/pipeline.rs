@@ -72,7 +72,7 @@ use rdx_core::decluster::{probe_regions, DeclusterScratch};
 use rdx_core::error::{check_projection_widths, RdxError};
 use rdx_core::join::join_cluster_spec;
 use rdx_core::positional::{AttrSource, OidBlock};
-use rdx_core::strategy::planner::{plan_streaming, predict_streaming_cost, StreamingPlan};
+use rdx_core::strategy::planner::{plan_streaming, StreamingPlan};
 use rdx_core::strategy::sink::{MaterializeSink, RowChunkSink};
 use rdx_core::strategy::{
     DsmPostProjection, PhaseTimings, ProjectionCode, QuerySpec, SecondSideCode, StrategyOutcome,
@@ -492,10 +492,10 @@ where
     /// Attaches an observability handle: every subsequent [`Self::step`]
     /// records a `ChunkStep` trace event keyed by `query` plus the
     /// `pipeline.chunk_ns` and `pipeline.predicted_vs_observed_permille`
-    /// histograms (observed ns × 1000 / `predicted_chunk_ns` — the Fig. 9
-    /// measured-vs-modeled comparison as a live distribution).  Histogram
-    /// handles are resolved here, once, so the chunk loop itself never
-    /// touches the registry.  An untraced `obs` is a no-op: the run stays
+    /// histograms (observed ns × 1000 / `predicted_chunk_ns`, the caller's
+    /// per-chunk price of this run — the Fig. 9 measured-vs-modeled
+    /// comparison as a live distribution).  Histogram handles are resolved
+    /// here, once, so the chunk loop itself never touches the registry.  An untraced `obs` is a no-op: the run stays
     /// exactly as cheap — and as clock-free — as an unobserved one.
     pub fn attach_obs(&mut self, obs: &Obs, query: QueryId, predicted_chunk_ns: u64) {
         if !obs.is_enabled() {
@@ -566,22 +566,6 @@ where
             decluster_regions,
             declustered: EventCounts::zero(),
         }));
-    }
-
-    /// The cost model's per-chunk prediction for this run, in
-    /// nanoseconds — [`predict_streaming_cost`] over the run's streaming
-    /// plan, divided across its chunks.  The one pricing rule the
-    /// observability attach and the engine's deadline stride share, so they
-    /// can never disagree about what "as predicted" means.
-    pub fn predicted_chunk_ns(&self, params: &CacheParams) -> u64 {
-        let total_ms = predict_streaming_cost(
-            &self.streaming,
-            self.prepared.smaller_cardinality,
-            self.prepared.result_rows(),
-            &self.spec,
-            params,
-        );
-        ((total_ms / self.streaming.num_chunks.max(1) as f64) * 1e6) as u64
     }
 
     /// Replaces this run's chunk scratch with `scratch` (typically one

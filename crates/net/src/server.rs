@@ -10,7 +10,7 @@
 //! → flush, once per cycle: the replies its frames produced reach the
 //! socket in the cycle that asked for them, before the cycle's engine
 //! steps run, so a `Submitted`, status or `Done` reply never waits behind
-//! up to [`NetConfig::steps_per_cycle`] chunk steps.  What a cycle cannot
+//! up to four chunk steps (`STEPS_PER_CYCLE`).  What a cycle cannot
 //! write (a full socket buffer) stays queued for the next one.
 //!
 //! **Waiting.**  [`NetServer::poll_cycle`] never blocks; what happens
@@ -178,7 +178,14 @@ impl Write for NetStream {
     }
 }
 
-/// Tuning knobs for the poll loop.
+/// Engine steps per poll cycle.  It bounds how long sockets go unserviced
+/// while the engine has work; how the loop waits when a cycle finds *no*
+/// work is [`NetServer::serve`]'s fixed yield-then-sleep policy, and
+/// callers of [`NetServer::poll_cycle`] wait however they like.
+const STEPS_PER_CYCLE: usize = 4;
+
+/// Tuning knobs for the poll loop: the decoder's frame cap and the
+/// per-connection outbound bound.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// Per-frame payload cap handed to the decoder — a hostile length
@@ -190,13 +197,6 @@ pub struct NetConfig {
     /// server stops decoding that connection's requests until the client
     /// drains replies — backpressure that never blocks the engine.
     pub outbound_limit: usize,
-    /// Engine steps per poll cycle: the knob trading socket latency
-    /// against query throughput.  It bounds how long sockets go unserviced
-    /// while the engine has work; how the loop waits when a cycle finds
-    /// *no* work is not configurable — [`NetServer::serve`] applies its
-    /// fixed yield-then-sleep policy, and callers of
-    /// [`NetServer::poll_cycle`] wait however they like.
-    pub steps_per_cycle: usize,
 }
 
 impl Default for NetConfig {
@@ -204,7 +204,6 @@ impl Default for NetConfig {
         NetConfig {
             max_payload: DEFAULT_MAX_PAYLOAD,
             outbound_limit: 64,
-            steps_per_cycle: 4,
         }
     }
 }
@@ -384,7 +383,7 @@ impl NetServer {
     /// Runs one cycle: accept pending connections; for each connection
     /// read what its socket has, decode and handle its requests
     /// (respecting per-connection backpressure) and flush the replies
-    /// that produced; then run up to [`NetConfig::steps_per_cycle`] engine
+    /// that produced; then run up to `STEPS_PER_CYCLE` (four) engine
     /// steps.  A reply to a frame this cycle decoded is therefore on the
     /// socket when the cycle returns, unless the socket's buffer is full.
     /// Returns `true` when the cycle did any work (socket bytes moved,
@@ -423,7 +422,7 @@ impl NetServer {
         }
 
         // Engine work, bounded so sockets are re-serviced between bursts.
-        for _ in 0..self.config.steps_per_cycle {
+        for _ in 0..STEPS_PER_CYCLE {
             match self.engine.step() {
                 rdx_serve::EngineStep::Idle => break,
                 rdx_serve::EngineStep::Waiting => {

@@ -56,7 +56,7 @@ use rdx_core::budget::{BudgetError, MemoryBudget};
 use rdx_core::error::{DeadlineError, RdxError, Side};
 use rdx_core::fault::{FaultInjector, FaultPlan};
 use rdx_core::strategy::planner::{
-    plan_by_cost_with_threads, plan_streaming, predict_streaming_cost, streaming_bytes_per_row,
+    plan_by_cost_with_threads, plan_streaming, predict_cost, streaming_bytes_per_row, StreamingPlan,
 };
 use rdx_core::strategy::{DoneHead, FrameSink, MaterializeSink, PhaseTimings, RowChunkSink};
 use rdx_dsm::DsmRelation;
@@ -917,11 +917,11 @@ impl QueryEngine {
     }
 
     /// Starts an admitted query under `budget`: checks the budget can hold
-    /// one resident result row, rejects a deadline the cost model cannot
-    /// meet, chooses the projection codes (cost-based at the shared cache
-    /// share unless the request pinned them), resolves the prepared prefix
-    /// through the clustered-index cache, rejects a frame-form result its
-    /// transport would refuse, warms the run from the scratch pool, and
+    /// one resident result row, chooses the projection codes (cost-based at
+    /// the shared cache share unless the request pinned them), rejects a
+    /// deadline the price of those codes cannot meet, resolves the prepared
+    /// prefix through the clustered-index cache, rejects a frame-form result
+    /// its transport would refuse, warms the run from the scratch pool, and
     /// prices its per-chunk cost for the stride scheduler.
     fn resolve_with(
         &mut self,
@@ -945,23 +945,51 @@ impl QueryEngine {
         let threads = request
             .threads_hint
             .unwrap_or(self.config.threads_per_query);
-        // Deadline-aware admission: price the *whole* streaming phase at
-        // this query's granted share with the Appendix-A model before
-        // spending anything on it.  An infeasible deadline is rejected
-        // here — the query never runs a chunk, and its grant is released
-        // by the caller like any admission failure.  The result
-        // cardinality is not known pre-join, so the larger side's
-        // cardinality bounds it from above (equi-join on a key): the check
-        // is conservative, never optimistic.
-        if let Some(deadline_ns) = request.deadline_ns {
-            let predicted_ns = predicted_total_ns(
-                &larger,
-                &smaller,
-                request,
-                &self.shared_params,
-                budget,
-                threads,
+        let policy = ExecPolicy::with_threads(threads).budget(budget);
+        let workers = policy.worker_threads();
+        let shared_params = &self.shared_params;
+        let plan = request.codes.unwrap_or_else(|| {
+            plan_by_cost_with_threads(&larger, &smaller, &request.spec, shared_params, workers)
+        });
+        // One price for the plan the run executes: the deadline check, the
+        // scheduler's stride weight and the chunk loop's observed-vs-predicted
+        // recording all read `predict_cost` of these codes at this query's
+        // granted share and resolved thread count.
+        let (larger_rows, smaller_rows) = (larger.cardinality(), smaller.cardinality());
+        let price = |streaming: &StreamingPlan, result_rows: usize| {
+            let ms = predict_cost(
+                plan,
+                streaming,
+                larger_rows,
+                smaller_rows,
+                result_rows,
+                &request.spec,
+                shared_params,
             );
+            if ms.is_finite() {
+                (ms * 1e6).max(0.0) as u64
+            } else {
+                u64::MAX
+            }
+        };
+        // Deadline-aware admission: price the whole run before spending
+        // anything on it.  An infeasible deadline is rejected here — the
+        // query never runs a chunk, and its grant is released by the caller
+        // like any admission failure.  The result cardinality is not known
+        // pre-join, so the larger side's cardinality bounds it from above
+        // (equi-join on a key): the check is conservative, never
+        // optimistic, and a non-finite price can only ever reject.
+        if let Some(deadline_ns) = request.deadline_ns {
+            let streaming = plan_streaming(
+                larger_rows,
+                smaller_rows,
+                4,
+                &request.spec,
+                shared_params,
+                budget,
+                workers,
+            );
+            let predicted_ns = price(&streaming, larger_rows);
             if predicted_ns > deadline_ns {
                 return Err(RdxError::Deadline(DeadlineError::Infeasible {
                     predicted_ns,
@@ -969,17 +997,6 @@ impl QueryEngine {
                 }));
             }
         }
-        let policy = ExecPolicy::with_threads(threads).budget(budget);
-        let shared_params = &self.shared_params;
-        let plan = request.codes.unwrap_or_else(|| {
-            plan_by_cost_with_threads(
-                &larger,
-                &smaller,
-                &request.spec,
-                shared_params,
-                policy.worker_threads(),
-            )
-        });
         // Derived by the same function the prepared prefix itself uses, so
         // the cache key can never drift from what it names.
         let cluster = rdx_exec::cluster_spec_for(smaller.cardinality(), shared_params);
@@ -1030,11 +1047,11 @@ impl QueryEngine {
             shared_params,
             &policy,
         );
-        // One pricing rule for everyone: the scheduler's stride weight, its
-        // deadline urgency and the chunk loop's observed-vs-predicted
-        // recording all read the same per-chunk prediction, over the one
-        // chunking the run streams under.
-        let predicted_chunk_ns = run.predicted_chunk_ns(shared_params);
+        // The stride weight, its deadline urgency and the observed-vs-
+        // predicted recording read the run's own price per chunk.
+        let streaming = run.streaming();
+        let predicted_chunk_ns =
+            price(streaming, run.prepared().result_rows()) / streaming.num_chunks.max(1) as u64;
         let predicted_chunk_cost_ms = predicted_chunk_ns as f64 / 1e6;
         run.attach_obs(&self.obs, query, predicted_chunk_ns);
         if request.profiled {
@@ -1255,43 +1272,6 @@ fn deadline_urgency(request: &ServerRequest, stats: &QueryStats, run: &DsmPipeli
         None => 1.0,
     };
     slack_factor / priority
-}
-
-/// The Appendix-A streaming prediction for the whole query at `budget`,
-/// in nanoseconds — the number deadline-aware admission compares against
-/// [`ServerRequest::deadline_ns`].  Result cardinality is bounded above by
-/// the larger side (equi-join on a key); a non-finite prediction saturates
-/// to `u64::MAX`, which can only ever *reject*, never admit optimistically.
-fn predicted_total_ns(
-    larger: &DsmRelation,
-    smaller: &DsmRelation,
-    request: &ServerRequest,
-    params: &CacheParams,
-    budget: MemoryBudget,
-    threads: usize,
-) -> u64 {
-    let result_rows = larger.cardinality();
-    let plan = plan_streaming(
-        result_rows,
-        smaller.cardinality(),
-        4,
-        &request.spec,
-        params,
-        budget,
-        threads,
-    );
-    let ms = predict_streaming_cost(
-        &plan,
-        smaller.cardinality(),
-        result_rows,
-        &request.spec,
-        params,
-    );
-    if ms.is_finite() {
-        (ms * 1e6).max(0.0) as u64
-    } else {
-        u64::MAX
-    }
 }
 
 /// Request validation against the catalog, in workspace-wide error terms.
@@ -1653,6 +1633,121 @@ mod tests {
         while engine.step() != EngineStep::Idle {}
         let q = served(engine.take_outcome(fine).unwrap());
         assert_eq!(q.stats.rows, w.expected_matches);
+    }
+
+    /// The one-price fixture: a 20 000-row pair of width 2 on the paper's
+    /// platform at a quarter share of its cache (as the benchmark plans),
+    /// and a request for it at π = 2 capped at `hint_bytes`.
+    fn pricing_fixture(hint_bytes: usize) -> (QueryEngine, ServerRequest, usize) {
+        let rows = 20_000;
+        let w = JoinWorkloadBuilder::equal(rows, 2).seed(43).build();
+        let mut engine = QueryEngine::new(ServeConfig {
+            params: CacheParams::paper_pentium4(),
+            max_concurrent: 4,
+            ..config(MemoryBudget::bytes(16 << 20))
+        });
+        let larger = engine.register(w.larger);
+        let smaller = engine.register(w.smaller);
+        let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(2))
+            .with_budget_hint(MemoryBudget::bytes(hint_bytes));
+        (engine, request, rows)
+    }
+
+    /// `predict_cost` of `codes` for the fixture's pair, streamed over
+    /// `result_rows` rows under `budget` on one worker, in nanoseconds,
+    /// with the plan it priced.
+    fn fixture_price(
+        engine: &QueryEngine,
+        codes: DsmPostProjection,
+        rows: usize,
+        result_rows: usize,
+        budget: MemoryBudget,
+    ) -> (u64, StreamingPlan) {
+        let spec = QuerySpec::symmetric(2);
+        let params = engine.shared_params();
+        let plan = plan_streaming(result_rows, rows, 4, &spec, params, budget, 1);
+        let ms = predict_cost(codes, &plan, rows, rows, result_rows, &spec, params);
+        ((ms * 1e6) as u64, plan)
+    }
+
+    #[test]
+    fn a_run_is_priced_by_its_own_codes() {
+        use rdx_core::strategy::{ProjectionCode as F, SecondSideCode as S};
+        // Four chunks of 5 000 rows.
+        let (mut engine, request, rows) = pricing_fixture(100_000);
+        let pinned = [
+            DsmPostProjection::with_codes(F::Unsorted, S::Unsorted),
+            DsmPostProjection::with_codes(F::PartialCluster, S::Decluster),
+            DsmPostProjection::with_codes(F::Sorted, S::Unsorted),
+        ];
+        let requests = pinned.map(|codes| request.with_codes(codes));
+        let served = serve_all(&mut engine, &requests);
+        let mut prices = Vec::new();
+        for (codes, q) in pinned.into_iter().zip(&served) {
+            assert_eq!(q.stats.plan, codes);
+            let budget = MemoryBudget::bytes(q.stats.share_bytes);
+            let (total_ns, plan) = fixture_price(&engine, codes, rows, q.stats.rows, budget);
+            assert_eq!(plan.num_chunks, q.stats.chunks);
+            assert!(q.stats.chunks > 1);
+            let chunk_ms = (total_ns / plan.num_chunks as u64) as f64 / 1e6;
+            assert_eq!(q.stats.predicted_chunk_cost_ms, chunk_ms, "{codes:?}");
+            prices.push(q.stats.predicted_chunk_cost_ms);
+        }
+        // Three codes, three prices: the stride reads what each run executes.
+        assert!(prices[0] != prices[1] && prices[1] != prices[2] && prices[0] != prices[2]);
+    }
+
+    #[test]
+    fn a_deadline_is_priced_by_the_pinned_codes() {
+        use rdx_core::strategy::{ProjectionCode as F, SecondSideCode as S};
+        let hint = 100_000;
+        let (mut engine, request, rows) = pricing_fixture(hint);
+        let pinned = [
+            DsmPostProjection::with_codes(F::Unsorted, S::Unsorted),
+            DsmPostProjection::with_codes(F::PartialCluster, S::Decluster),
+        ];
+        let mut verdicts = Vec::new();
+        for codes in pinned {
+            let ticket = engine.submit(request.with_codes(codes).with_deadline(1));
+            while engine.step() != EngineStep::Idle {}
+            let Err(RdxError::Deadline(DeadlineError::Infeasible { predicted_ns, .. })) =
+                engine.take_outcome(ticket).unwrap().outcome
+            else {
+                panic!("{codes:?}: expected an infeasible deadline");
+            };
+            // Priced over the larger side's rows, the pre-join bound.
+            let (expected, _) =
+                fixture_price(&engine, codes, rows, rows, MemoryBudget::bytes(hint));
+            assert_eq!(predicted_ns, expected, "{codes:?}");
+            verdicts.push(predicted_ns);
+        }
+        assert_ne!(verdicts[0], verdicts[1]);
+    }
+
+    #[test]
+    fn an_auto_thread_deadline_is_priced_at_the_resolved_count() {
+        use rdx_core::strategy::{ProjectionCode as F, SecondSideCode as S};
+        // One chunk, so the window is the thread share's, not the chunk's;
+        // a `d` plan, so the window is priced.
+        let (mut engine, request, _) = pricing_fixture(1 << 20);
+        let request = request.with_codes(DsmPostProjection::with_codes(
+            F::PartialCluster,
+            S::Decluster,
+        ));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut verdict = |threads: usize| {
+            let ticket = engine.submit(request.with_threads(threads).with_deadline(1));
+            while engine.step() != EngineStep::Idle {}
+            match engine.take_outcome(ticket).unwrap().outcome {
+                Err(RdxError::Deadline(e @ DeadlineError::Infeasible { .. })) => e,
+                other => panic!("threads {threads}: expected infeasible, got {other:?}"),
+            }
+        };
+        // 0 means auto: priced at the count the plan and the run use.
+        assert_eq!(verdict(0), verdict(cores));
+        if cores > 1 {
+            assert_ne!(verdict(1), verdict(cores), "the count moves the price");
+        }
     }
 
     #[test]

@@ -58,8 +58,8 @@
 //! ## Robustness
 //!
 //! The engine degrades *per query*, never per process.  A request may carry
-//! a **deadline** ([`ServerRequest::with_deadline`]): admission predicts the
-//! streaming cost at the query's cache share and rejects infeasible requests
+//! a **deadline** ([`ServerRequest::with_deadline`]): admission prices the
+//! chosen plan at the query's cache share and rejects infeasible requests
 //! with [`rdx_core::error::DeadlineError::Infeasible`] before a single chunk
 //! runs, and admitted queries that overrun are torn down at the next chunk
 //! boundary with [`rdx_core::error::DeadlineError::Exceeded`].  Any ticket

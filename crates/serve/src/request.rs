@@ -94,8 +94,8 @@ pub struct ServerRequest {
     /// Optional completion deadline, nanoseconds of *service time* from
     /// admission.  `Some` arms two enforcement points: admission rejects
     /// the query outright ([`rdx_core::error::DeadlineError::Infeasible`])
-    /// when the Appendix-A streaming prediction at its cache share already
-    /// exceeds the deadline, and the engine tears down an admitted run at
+    /// when the Appendix-A price of the chosen plan's codes, at its granted
+    /// share and resolved thread count, already exceeds the deadline, and the engine tears down an admitted run at
     /// the first chunk boundary after its consumed service time passes the
     /// deadline ([`rdx_core::error::DeadlineError::Exceeded`]), reclaiming
     /// its budget grant.  Deadlines also feed the scheduler: slack scales
@@ -248,10 +248,10 @@ pub struct QueryStats {
     pub rows: usize,
     /// Largest observed per-chunk working set, bytes.
     pub peak_chunk_bytes: usize,
-    /// Predicted *per-chunk* second-side streaming cost at this query's
-    /// cache share, in modeled milliseconds (the total streaming prediction
-    /// divided by the planned chunk count) — the stride the cost-weighted
-    /// scheduler charges per dispatched chunk.
+    /// Predicted *per-chunk* cost of the plan this query runs, at its cache
+    /// share, in modeled milliseconds (`predict_cost` of its codes over its
+    /// streaming plan, divided by the chunk count) — the stride the
+    /// cost-weighted scheduler charges per dispatched chunk.
     pub predicted_chunk_cost_ms: f64,
     /// Wall-clock phase breakdown of the work this query actually paid:
     /// chunk-loop phases always; the join/reorder/cluster prefix only when

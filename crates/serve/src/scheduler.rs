@@ -12,11 +12,14 @@
 //! turns live on the engine's running entries; nothing here keeps a list
 //! of its own.
 //!
-//! The stride is the query's *predicted per-chunk cost* (Appendix-A models
-//! at its cache share) times its urgency: passes advance in predicted
-//! milliseconds, so each query receives an equal share of predicted machine
-//! time — a query with 10× cheaper chunks runs 10× as many of them, and
-//! short lookups drain quickly while a scan's expensive chunks space out.
+//! The stride is the predicted chunk cost of the run's own codes — the
+//! Appendix-A price of the plan it executes
+//! ([`rdx_core::strategy::planner::predict_cost`] at its cache share),
+//! divided by its chunk count — times its urgency: passes advance in
+//! predicted milliseconds, so each query receives an equal share of
+//! predicted machine time — a query with 10× cheaper chunks runs 10× as
+//! many of them, and short lookups drain quickly while a scan's expensive
+//! chunks space out.
 //! At equal costs and urgencies the rule is strict round-robin in
 //! admission order.
 
