@@ -16,11 +16,11 @@
 //! crossovers, knee positions) are what reproduces the paper.
 
 use rdx_bench::measure::*;
+use rdx_bench::paper::radix_decluster_paged;
 use rdx_bench::table::ms;
 use rdx_bench::{Scale, Table};
 use rdx_cache::CacheParams;
 use rdx_core::cluster::{radix_cluster_oids, RadixClusterSpec};
-use rdx_core::decluster::paged::radix_decluster_paged;
 use rdx_core::strategy::QuerySpec;
 use rdx_dsm::{Oid, VarColumn};
 use rdx_nsm::BufferManager;

@@ -2,8 +2,9 @@
 //!
 //! The `figures` binary (one subcommand per table/figure of the paper's
 //! evaluation, §4) and the Criterion benches both build on the
-//! helpers here: scale presets, timed single-figure measurement routines and a
-//! small fixed-width table printer.
+//! helpers here: scale presets, timed single-figure measurement routines, the
+//! paper's baseline strategies ([`paper`]) and a small fixed-width table
+//! printer.
 //!
 //! Absolute milliseconds will differ from the paper's 2.2 GHz Pentium 4; what
 //! the harness reproduces is the *shape* of every figure — who wins, where the
@@ -13,6 +14,7 @@
 
 pub mod baseline;
 pub mod measure;
+pub mod paper;
 pub mod scale;
 pub mod stats;
 pub mod table;

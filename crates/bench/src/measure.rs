@@ -2,26 +2,27 @@
 //! benches: one function per experiment family, each returning plain numbers
 //! so callers can print, plot or assert on them.
 
+use crate::paper::jive::{jive_bits, jive_join_projection};
+use crate::paper::{
+    dsm_pre_projection, nsm_post_projection_decluster, nsm_post_projection_jive,
+    nsm_pre_projection_hash, nsm_pre_projection_phash,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 use rdx_cache::{CacheParams, MemorySystem};
 use rdx_core::budget::MemoryBudget;
 use rdx_core::cluster::{
-    passes_for_budget, radix_cluster, radix_cluster_oids, scatter_cursor_budget, RadixClusterSpec,
+    passes_for_budget, radix_cluster, radix_cluster_oids, radix_sort_spec_for,
+    scatter_cursor_budget, RadixClusterSpec,
 };
 use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::{choose_window_bytes, radix_decluster, simulate_decluster};
-use rdx_core::jive::{jive_bits, jive_join_projection};
 use rdx_core::join::{hash_join, join_cluster_spec, partitioned_hash_join, HashTable};
 use rdx_core::positional::{
     clustered_positional_join, positional_join, sparse_positional_join, CountingSource,
 };
-use rdx_core::strategy::{
-    dsm_pre_projection, nsm_post_projection_decluster, nsm_post_projection_jive,
-    nsm_pre_projection_hash, nsm_pre_projection_phash, DsmPostProjection, ProjectionCode,
-    QuerySpec, SecondSideCode,
-};
+use rdx_core::strategy::{DsmPostProjection, ProjectionCode, QuerySpec, SecondSideCode};
 use rdx_dsm::{Column, JoinIndex, Oid};
 use rdx_exec::{ExecPolicy, ProjectionPipeline};
 use rdx_workload::{HitRate, JoinWorkload, JoinWorkloadBuilder, SparseWorkload};
@@ -241,7 +242,8 @@ pub fn dsm_post_projection_phase_ms(code: char, n: usize, pi: usize, params: &Ca
             }
         }
         's' => {
-            let sorted = rdx_core::cluster::radix_sort_oids(&oids, &result_positions, n);
+            let sorted =
+                radix_cluster_oids(&oids, &result_positions, radix_sort_spec_for(n, params));
             for col in &columns {
                 std::hint::black_box(positional_join(sorted.keys(), col));
             }
@@ -402,6 +404,7 @@ pub fn fig9_jive(n: usize, bits: u32, left: bool, params: &CacheParams) -> Model
             |oid, _| smaller_col.value(oid as usize),
             n,
             bits,
+            params,
         ))
     });
     let table = rdx_cost::DataRegion::new(n, 4);

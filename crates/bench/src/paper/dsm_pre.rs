@@ -6,11 +6,11 @@
 //! `π · 4` extra bytes per tuple per pass — which is exactly the overhead the
 //! paper's comparison quantifies.
 
-use crate::error::{check_projection_widths, RdxError};
-use crate::hash::hash_key;
-use crate::join::{join_cluster_spec, HashTable};
-use crate::strategy::{PhaseTimings, QuerySpec, StrategyOutcome};
 use rdx_cache::CacheParams;
+use rdx_core::error::{check_projection_widths, RdxError};
+use rdx_core::hash::hash_key;
+use rdx_core::join::{join_cluster_spec, HashTable};
+use rdx_core::strategy::{PhaseTimings, QuerySpec, StrategyOutcome};
 use rdx_dsm::{Column, DsmRelation, ResultRelation};
 use std::time::Instant;
 
@@ -190,7 +190,7 @@ pub fn dsm_pre_projection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::reference::{reference_rows, result_rows};
+    use rdx_core::strategy::reference::{reference_rows, result_rows};
     use rdx_workload::{HitRate, JoinWorkloadBuilder};
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn over_projection_is_a_typed_error() {
-        use crate::error::Side;
+        use rdx_core::error::Side;
         let w = JoinWorkloadBuilder::equal(100, 1).build();
         let params = CacheParams::tiny_for_tests();
         let err = dsm_pre_projection(&w.larger, &w.smaller, &QuerySpec::symmetric(7), &params)

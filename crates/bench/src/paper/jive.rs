@@ -12,8 +12,9 @@
 //! (`fetch(oid, attr)`), so the same code serves the DSM columns and the NSM
 //! records the strategy layer feeds it.
 
-use crate::cluster::radix_sort_oids;
-use crate::hash::significant_bits;
+use rdx_cache::CacheParams;
+use rdx_core::cluster::{radix_cluster_oids, radix_sort_spec_for};
+use rdx_core::hash::significant_bits;
 use rdx_dsm::{JoinIndex, Oid};
 
 /// The projected result of a Jive-Join: `larger_columns[a][r]` /
@@ -37,7 +38,9 @@ pub struct JiveResult {
 /// * `n_smaller_attrs` / `fetch_smaller` — likewise for the smaller relation;
 /// * `smaller_cardinality` — domain of the smaller oids (for range
 ///   partitioning);
-/// * `bits` — number of right-phase partitions is `2^bits`.
+/// * `bits` — number of right-phase partitions is `2^bits`;
+/// * `params` — the cache the initial Radix-Sort sizes its passes to.
+#[allow(clippy::too_many_arguments)]
 pub fn jive_join_projection(
     join_index: &JoinIndex,
     n_larger_attrs: usize,
@@ -46,19 +49,23 @@ pub fn jive_join_projection(
     fetch_smaller: impl Fn(Oid, usize) -> i32,
     smaller_cardinality: usize,
     bits: u32,
+    params: &CacheParams,
 ) -> JiveResult {
     let n = join_index.len();
 
     // [LR99] assumes the join index is sorted on the left RowIds; establish
     // that order (Radix-Sort on the dense larger-oid domain).
-    let sorted = radix_sort_oids(join_index.larger(), join_index.smaller(), {
-        join_index
-            .larger()
-            .iter()
-            .map(|&o| o as usize + 1)
-            .max()
-            .unwrap_or(0)
-    });
+    let domain = join_index
+        .larger()
+        .iter()
+        .map(|&o| o as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let sorted = radix_cluster_oids(
+        join_index.larger(),
+        join_index.smaller(),
+        radix_sort_spec_for(domain, params),
+    );
     let larger_in_order = sorted.keys();
     let smaller_in_order = sorted.payloads();
 
@@ -140,6 +147,7 @@ mod tests {
             |oid, b| smaller_cols[b].value(oid as usize),
             n_smaller,
             3,
+            &CacheParams::paper_pentium4(),
         );
 
         // Expected: result ordered by larger oid.
@@ -168,6 +176,7 @@ mod tests {
             |oid, b| smaller_cols[b].value(oid as usize),
             50,
             0,
+            &CacheParams::paper_pentium4(),
         );
         assert_eq!(out.larger_columns[0].len(), 50);
         assert_eq!(out.smaller_columns[0][7], smaller_cols[0].value(7));
@@ -175,7 +184,8 @@ mod tests {
 
     #[test]
     fn empty_join_index() {
-        let out = jive_join_projection(&JoinIndex::new(), 1, |_, _| 0, 1, |_, _| 0, 10, 2);
+        let params = CacheParams::paper_pentium4();
+        let out = jive_join_projection(&JoinIndex::new(), 1, |_, _| 0, 1, |_, _| 0, 10, 2, &params);
         assert!(out.larger_columns[0].is_empty());
         assert!(out.smaller_columns[0].is_empty());
     }

@@ -11,14 +11,12 @@
 //!   penalty the paper derives.
 //! * `NSM-post-jive` uses Jive-Join \[LR99\] for the projection phase.
 
-use crate::error::{check_projection_widths, RdxError};
-use crate::jive::{jive_bits, jive_join_projection};
-use crate::join::{join_cluster_spec, partitioned_hash_join};
-use crate::strategy::common::{
-    order_join_index, project_first_side, project_second_side_decluster, ProjectionCode,
-};
-use crate::strategy::{PhaseTimings, QuerySpec, StrategyOutcome};
+use crate::paper::common::{order_join_index, project_first_side, project_second_side_decluster};
+use crate::paper::jive::{jive_bits, jive_join_projection};
 use rdx_cache::CacheParams;
+use rdx_core::error::{check_projection_widths, RdxError};
+use rdx_core::join::{join_cluster_spec, partitioned_hash_join};
+use rdx_core::strategy::{PhaseTimings, ProjectionCode, QuerySpec, StrategyOutcome};
 use rdx_dsm::{Column, ResultRelation};
 use rdx_nsm::NsmRelation;
 use std::time::Instant;
@@ -131,6 +129,7 @@ pub fn nsm_post_projection_jive(
         |oid, b| smaller.value(oid as usize, b + 1),
         smaller.cardinality(),
         bits,
+        params,
     );
     timings.project_larger = t.elapsed();
 
@@ -144,7 +143,7 @@ pub fn nsm_post_projection_jive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::reference::{reference_rows, result_rows};
+    use rdx_core::strategy::reference::{reference_rows, result_rows};
     use rdx_workload::{HitRate, JoinWorkloadBuilder};
 
     #[test]
@@ -189,7 +188,7 @@ mod tests {
 
     #[test]
     fn the_key_exclusive_width_is_a_typed_error() {
-        use crate::error::{RdxError, Side};
+        use rdx_core::error::{RdxError, Side};
         // ω = 2 record: one key + one projectable attribute.
         let w = JoinWorkloadBuilder::equal(300, 1).seed(24).build();
         let params = CacheParams::tiny_for_tests();

@@ -8,11 +8,11 @@
 //! two variants is the point the paper makes about Partitioned Hash-Join
 //! "carrying generic merit" beyond MonetDB.
 
-use crate::error::{check_projection_widths, RdxError};
-use crate::hash::hash_key;
-use crate::join::{join_cluster_spec, HashTable};
-use crate::strategy::{PhaseTimings, QuerySpec, StrategyOutcome};
 use rdx_cache::CacheParams;
+use rdx_core::error::{check_projection_widths, RdxError};
+use rdx_core::hash::hash_key;
+use rdx_core::join::{join_cluster_spec, HashTable};
+use rdx_core::strategy::{PhaseTimings, QuerySpec, StrategyOutcome};
 use rdx_dsm::{Column, ResultRelation};
 use rdx_nsm::NsmRelation;
 use std::time::Instant;
@@ -222,7 +222,7 @@ pub fn nsm_pre_projection_phash(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::reference::{reference_rows, result_rows};
+    use rdx_core::strategy::reference::{reference_rows, result_rows};
     use rdx_workload::{HitRate, JoinWorkloadBuilder};
 
     #[test]
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn over_projection_is_a_typed_error() {
-        use crate::error::{RdxError, Side};
+        use rdx_core::error::{RdxError, Side};
         let w = JoinWorkloadBuilder::equal(100, 1).build();
         let params = CacheParams::tiny_for_tests();
         let spec = QuerySpec::symmetric(4);

@@ -12,7 +12,7 @@
 //! 3. re-run Radix-Decluster, copying each value to its computed page and
 //!    offset.
 
-use crate::decluster::radix_decluster;
+use rdx_core::decluster::radix_decluster;
 use rdx_dsm::{Oid, VarColumn};
 use rdx_nsm::{assign_positions, BufferManager, PageId, Placement};
 
@@ -122,7 +122,7 @@ pub fn radix_decluster_paged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{radix_cluster_oids, RadixClusterSpec};
+    use rdx_core::cluster::{radix_cluster_oids, RadixClusterSpec};
 
     /// Builds the Fig. 4-style inputs for `n` string values.
     fn make_inputs(n: usize, bits: u32) -> (VarColumn, Vec<Oid>, Vec<usize>, Vec<String>) {

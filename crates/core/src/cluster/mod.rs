@@ -176,37 +176,14 @@ fn cluster_fresh<K: Copy, P: Copy>(
     out
 }
 
-/// Radix-Sort of an oid column: a Radix-Cluster on *all* significant bits with
-/// no ignore bits, "equivalent to Radix-Sort" (§3.1).  Uses two passes once
-/// more than 2048 clusters would be needed, mirroring the paper's observation
-/// that one pass stops scaling at a few thousand output cursors.
-pub fn radix_sort_oids<P: Copy>(oids: &[Oid], payloads: &[P], domain: usize) -> Clustered<Oid, P> {
-    radix_cluster_oids(oids, payloads, radix_sort_spec(domain))
-}
-
-/// The clustering configuration [`radix_sort_oids`] uses for a dense oid
-/// `domain`: all significant bits, no ignore bits, and a pass count that
-/// keeps every pass's cursor set within the
-/// [`DEFAULT_SCATTER_CURSOR_BUDGET`] of 2048 — the documented fallback for
-/// when no measured [`CacheParams`] is at hand (it reproduces the seed
-/// kernel's `bits > 11 → 2 passes` rule exactly).  Shared with the parallel
-/// sort in `rdx-exec` so the two can never drift apart; callers that *do*
-/// know their hardware should use [`radix_sort_spec_for`].
-pub fn radix_sort_spec(domain: usize) -> RadixClusterSpec {
-    let bits = significant_bits(domain);
-    RadixClusterSpec::partial(
-        bits,
-        passes_for_budget(bits, DEFAULT_SCATTER_CURSOR_BUDGET),
-        0,
-    )
-}
-
-/// [`radix_sort_spec`] with the pass threshold derived from the hardware
-/// model instead of the 2048-cursor default: a pass never creates more
-/// cursors than [`scatter_cursor_budget`] allows, so the pass rule and the
-/// cost-model planner can never disagree about where single-pass clustering
-/// stops scaling.  (For [`CacheParams::paper_pentium4`] the derived budget
-/// *is* 2048, so the two functions agree there.)
+/// The Radix-Sort of a dense oid `domain`: a Radix-Cluster on *all*
+/// significant bits with no ignore bits, "equivalent to Radix-Sort" (§3.1).
+/// A pass never creates more cursors than [`scatter_cursor_budget`] allows,
+/// so the pass rule and the cost-model planner can never disagree about
+/// where single-pass clustering stops scaling.  (For
+/// [`CacheParams::paper_pentium4`] the budget is 2048 cursors: two passes
+/// from 12 bits up, the paper's observation that one pass stops scaling at a
+/// few thousand output cursors.)
 pub fn radix_sort_spec_for(domain: usize, params: &CacheParams) -> RadixClusterSpec {
     let bits = significant_bits(domain);
     RadixClusterSpec::partial(
@@ -350,7 +327,8 @@ mod tests {
     fn radix_sort_sorts_oids() {
         let oids = shuffled_oids(10_000, 5);
         let pay: Vec<u32> = (0..10_000).collect();
-        let c = radix_sort_oids(&oids, &pay, 10_000);
+        let spec = radix_sort_spec_for(10_000, &CacheParams::paper_pentium4());
+        let c = radix_cluster_oids(&oids, &pay, spec);
         for w in c.keys().windows(2) {
             assert!(w[0] <= w[1]);
         }
@@ -447,15 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn radix_sort_spec_for_derives_the_documented_default_on_the_paper_platform() {
+    fn radix_sort_spec_for_splits_passes_at_the_cursor_budget() {
+        // The paper platform's budget is 2048 cursors: one pass up to 11
+        // bits, two from 12.
         let p = CacheParams::paper_pentium4();
-        // The derived budget is exactly 2048, so the two rules agree for
-        // every domain the 2048-fallback handles with ≤ 2 passes.
-        for domain in [100usize, 2_048, 10_000, 1 << 20, 1 << 22] {
-            assert_eq!(radix_sort_spec_for(domain, &p), radix_sort_spec(domain));
-        }
-        assert_eq!(radix_sort_spec(10_000).passes, 2);
-        assert_eq!(radix_sort_spec(2_048).passes, 1);
+        assert_eq!(scatter_cursor_budget(&p), DEFAULT_SCATTER_CURSOR_BUDGET);
+        assert_eq!(radix_sort_spec_for(10_000, &p).passes, 2);
+        assert_eq!(radix_sort_spec_for(2_048, &p).passes, 1);
         // A smaller cache tightens the threshold: the tiny hierarchy's
         // budget is 64 cursors, so 10 bits already need two passes.
         let tiny = CacheParams::tiny_for_tests();

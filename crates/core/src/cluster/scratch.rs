@@ -29,11 +29,10 @@ use rdx_cache::{CacheParams, Probe};
 
 /// The documented default plain-scatter cursor budget: the "few thousand
 /// output cursors" beyond which the paper observes single-pass clustering
-/// stops scaling (§2.1).  Used when no [`CacheParams`] is available — by
-/// the parameterless [`super::radix_sort_spec`] and the join's in-cache
-/// split; [`scatter_cursor_budget`] derives the same number from the
-/// hardware model instead (and reproduces exactly 2048 for the paper's
-/// Pentium 4).
+/// stops scaling (§2.1).  Used where no [`CacheParams`] is at hand — the
+/// join's in-cache split; [`scatter_cursor_budget`] derives the same number
+/// from the hardware model instead (and reproduces exactly 2048 for the
+/// paper's Pentium 4).
 pub const DEFAULT_SCATTER_CURSOR_BUDGET: usize = 2048;
 
 /// The widest plain scatter one pass may run over data that is **not**

@@ -13,7 +13,6 @@
 //! (`O(N log H)` CPU) and direct scattering (uncacheable random writes).
 
 pub mod chunks;
-pub mod paged;
 
 use chunks::ChunkRuns;
 use rdx_cache::{

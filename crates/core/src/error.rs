@@ -150,8 +150,8 @@ pub enum RdxError {
         side: Side,
         /// Columns the spec asked for.
         requested: usize,
-        /// Projectable columns the relation actually has (for NSM
-        /// relations the join-key attribute is excluded).
+        /// Projectable columns the relation actually has (the join key is
+        /// not projectable).
         available: usize,
     },
     /// A ticket was polled that this session never issued — or whose

@@ -87,6 +87,7 @@ impl HashTable {
     }
 
     /// The build positions holding `key`, in reverse insertion order.
+    #[inline]
     pub fn matches(&self, key: u64) -> impl Iterator<Item = Oid> + '_ {
         let bucket = self.bucket(key);
         let spilled = self.overflow_of(bucket).filter(move |e| e.key == key);

@@ -34,7 +34,7 @@ pub type JoinColumns = (Vec<Oid>, Vec<Oid>);
 /// with the *larger* (outer) one, emitting a [`JoinIndex`] of matching
 /// `(larger_oid, smaller_oid)` pairs.  Because the probes are random over a
 /// hash table that may far exceed the CPU cache, this is the baseline the
-/// cache-conscious variant improves on ("NSM-pre-hash" in Fig. 10a).
+/// cache-conscious variant improves on (the naive join of Fig. 10a).
 pub fn hash_join(larger_keys: &[u64], smaller_keys: &[u64]) -> JoinIndex {
     partitioned_hash_join(larger_keys, smaller_keys, RadixClusterSpec::single_pass(0))
 }
@@ -134,9 +134,10 @@ pub fn partitioned_hash_join(
 /// 2 MB L2).  The planner prices its plans with this B.
 ///
 /// The spec also says two passes beyond 2^11 clusters, the §2 recipe, but
-/// only the `dsm_pre` / `nsm_pre` baselines read `passes`: the served join
-/// ([`partitioned_hash_join`] and `rdx-exec`'s `par_partitioned_hash_join`)
-/// always runs one [`join_first_pass`] plus [`PartitionJoiner`]'s split.
+/// only the pre-projection baselines of `rdx_bench::paper` read `passes`:
+/// the served join ([`partitioned_hash_join`] and `rdx-exec`'s
+/// `par_partitioned_hash_join`) always runs one [`join_first_pass`] plus
+/// [`PartitionJoiner`]'s split.
 pub fn join_cluster_spec(smaller_tuples: usize, cache_bytes: usize) -> RadixClusterSpec {
     const BYTES_PER_BUILD_TUPLE: usize = 12;
     let build_bytes = smaller_tuples.saturating_mul(BYTES_PER_BUILD_TUPLE);

@@ -1,7 +1,9 @@
 //! # rdx-core — Cache-conscious Radix-Decluster projections
 //!
-//! The paper's algorithms, built on the `rdx-dsm` / `rdx-nsm` storage
-//! substrates:
+//! The paper's one algorithm — DSM post-projection with Radix-Cluster and
+//! Radix-Decluster — built on the `rdx-dsm` storage substrate.  The §4 / §5
+//! baselines it is measured against live in `rdx_bench::paper`, beside the
+//! harness that draws the figures:
 //!
 //! * [`hash`] — the integer hash used to derive radix bits from join keys
 //!   (oids are clustered without hashing, as the paper prescribes).
@@ -14,15 +16,11 @@
 //! * [`positional`] — the Positional-Join variants (unsorted / sorted /
 //!   clustered / sparse) used by every post-projection strategy (§3).
 //! * [`decluster`] — **Radix-Decluster** (§3.2, Fig. 5/6), the paper's main
-//!   contribution, plus the §5 buffer-manager variant for variable-size
-//!   values (Fig. 12).  The windowed kernel, like the Radix-Cluster scatter
+//!   contribution.  The windowed kernel, like the Radix-Cluster scatter
 //!   and the DSM gather, takes an `rdx-cache` probe, so the simulator's
 //!   Fig. 7a / 9 miss counts are those of the shipped loops.
-//! * [`jive`] — the Jive-Join baseline \[LR99\] (§4.2).
-//! * [`strategy`] — the end-to-end projected-join strategies compared in §4:
-//!   DSM post-projection (u/s/c/d), DSM pre-projection, NSM pre-projection
-//!   (naive and partitioned hash join), and NSM post-projection
-//!   (Radix-Decluster and Jive-Join).
+//! * [`strategy`] — DSM post-projection (the u/s/c × u/d codes of §4.1), its
+//!   cost-model planner, the result sinks and the brute-force reference.
 //! * [`error`] — the workspace-wide [`RdxError`] hierarchy: every fallible
 //!   path (budget checks, catalog lookups, projection-spec validation, the
 //!   ticket front, deadlines, cancellation, worker panics) reports this one
@@ -41,15 +39,14 @@ pub mod decluster;
 pub mod error;
 pub mod fault;
 pub mod hash;
-pub mod jive;
 pub mod join;
 pub mod positional;
 pub mod strategy;
 
 pub use budget::{BudgetError, MemoryBudget};
 pub use cluster::{
-    radix_cluster, radix_cluster_oids, radix_count, radix_sort_oids, scatter_cursor_budget,
-    ClusterScratch, Clustered, RadixClusterSpec,
+    radix_cluster, radix_cluster_oids, radix_count, scatter_cursor_budget, ClusterScratch,
+    Clustered, RadixClusterSpec,
 };
 pub use decluster::chunks::{ChunkCursorState, ChunkRuns};
 pub use decluster::{

@@ -18,23 +18,21 @@
 //! one column, never for a value** ([`AttrSource::gather_into`]).  The column
 //! lookup, the seqbase / record stride and the dynamic call are paid once per
 //! block; what remains per value is one safe-indexed load and one store.  All
-//! DSM variants end in the single loop [`Column::gather_into`]; the NSM
-//! layout has its one counterpart, `NsmRelation::gather_attr_into`.  A block
-//! of radix-clustered oids stored packed ([`PackedSlice`]) is fetched the
-//! same way, one loop per cluster run ([`AttrSource::gather_packed_into`]).
+//! variants end in the single loop [`Column::gather_into`].  A block of
+//! radix-clustered oids stored packed ([`PackedSlice`]) is fetched the same
+//! way, one loop per cluster run ([`AttrSource::gather_packed_into`]).
 
 use crate::cluster::PackedSlice;
 use rdx_dsm::{Column, DsmRelation, Oid, Selection};
-use rdx_nsm::NsmRelation;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A relation the projection phase can fetch attribute values from, one block
 /// of one column at a time: `out[i] = attribute attr of tuple oids[i]`.
 ///
-/// `attr` counts *projectable* attributes — for NSM, attribute 0 is the first
-/// one after the join key.  Callers hand over cache-sized blocks (a morsel, a
-/// chunk, a cluster); there is deliberately no per-value entry point.
+/// `attr` counts *projectable* attributes, not the join key.  Callers hand
+/// over cache-sized blocks (a morsel, a chunk, a cluster); there is
+/// deliberately no per-value entry point.
 pub trait AttrSource {
     /// Fills `out` (same length as `oids`) with attribute `attr` of the
     /// tuples `oids` name, in that order.
@@ -62,19 +60,6 @@ impl AttrSource for DsmRelation {
         let column = self.attr(attr);
         oids.for_each_run(out, |base, offsets, block| {
             column.gather_offsets_into(base, offsets, block);
-        });
-    }
-}
-
-impl AttrSource for NsmRelation {
-    fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
-        // Attribute 0 of the record is the join key.
-        self.gather_attr_into(attr + 1, oids, out);
-    }
-
-    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
-        oids.for_each_run(out, |base, offsets, block| {
-            self.gather_attr_offsets_into(attr + 1, base, offsets, block);
         });
     }
 }
@@ -276,37 +261,17 @@ mod tests {
     }
 
     #[test]
-    fn dsm_and_nsm_sources_serve_the_same_blocks() {
-        let mut nsm = NsmRelation::new(3);
-        for row in 0..50 {
-            nsm.push_tuple(&[row, row * 10, -row]);
-        }
-        let dsm = nsm.to_dsm();
-        let oids = [49, 0, 7, 7, 31];
-        for attr in 0..2 {
-            let (mut from_dsm, mut from_nsm) = ([0; 5], [0; 5]);
-            dsm.gather_into(attr, &oids, &mut from_dsm);
-            // Through the forwarding impls, as the executors hold them.
-            let boxed: Box<dyn AttrSource> = Box::new(&nsm);
-            boxed.gather_into(attr, &oids, &mut from_nsm);
-            assert_eq!(from_dsm, from_nsm, "attr {attr}");
-            assert_eq!(from_dsm[0], dsm.attr(attr).value(49));
-        }
-    }
-
-    #[test]
     fn packed_blocks_fetch_what_wide_blocks_fetch() {
         use crate::cluster::{radix_cluster_oids, PackedOids, RadixClusterSpec};
-        let mut nsm = NsmRelation::new(3);
-        for row in 0..300 {
-            nsm.push_tuple(&[row, row * 10, -row]);
-        }
-        let dsm = nsm.to_dsm();
+        let cols: Vec<Column<i32>> = [10, -1]
+            .map(|m| Column::from_vec((0..300).map(|row| row * m).collect()))
+            .into();
+        let dsm = DsmRelation::new(Column::from_vec((0..300).collect()), cols);
         let oids: Vec<Oid> = (0..300).map(|i| (i * 7 + 3) % 300).collect();
         let clustered = radix_cluster_oids(&oids, &oids, RadixClusterSpec::partial(3, 1, 6));
         let wide = clustered.keys().to_vec();
         let (packed, _) = PackedOids::pack(clustered);
-        let sources: [&dyn AttrSource; 3] = [&dsm, &nsm, &CountingSource::new(&dsm)];
+        let sources: [&dyn AttrSource; 2] = [&dsm, &CountingSource::new(&dsm)];
         for source in sources {
             for (attr, range) in [(0, 0..300), (1, 41..250)] {
                 let (mut expected, mut got) = (vec![0; range.len()], vec![0; range.len()]);

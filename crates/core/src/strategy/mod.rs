@@ -1,37 +1,27 @@
-//! End-to-end projected-join strategies (paper §4).
+//! DSM post-projection (paper §3, §4.1) — the projected-join strategy the
+//! paper contributes and the one the served library runs.
 //!
-//! Every strategy answers the same query
-//! (`SELECT larger.a1.., smaller.b1.. FROM larger, smaller WHERE larger.key =
-//! smaller.key`) and differs only in *when* and *how* the projection columns
-//! are handled:
+//! The query is `SELECT larger.a1.., smaller.b1.. FROM larger, smaller WHERE
+//! larger.key = smaller.key`: a join index first, then the projection
+//! columns fetched through it, the first side by its `u`/`s`/`c` code and
+//! the second by `u` or `d` (Radix-Decluster).  [`DsmPostProjection`] names
+//! the codes, [`planner`] prices and picks them, [`sink`] receives the
+//! result chunks and [`reference`](mod@reference) is the brute-force oracle
+//! the tests compare against.  The §4 baselines it is compared with in
+//! Fig. 10 live in `rdx_bench::paper`.
 //!
-//! | name (Fig. 10 legend)   | storage | projection timing | module |
-//! |--------------------------|---------|-------------------|--------|
-//! | `DSM-post-decluster`     | DSM     | post (u/s/c/d codes) | [`dsm_post`] |
-//! | `DSM-pre-phash`          | DSM     | pre, Partitioned Hash-Join | [`dsm_pre`] |
-//! | `NSM-pre-hash`           | NSM     | pre, naive Hash-Join | [`nsm_pre`] |
-//! | `NSM-pre-phash`          | NSM     | pre, Partitioned Hash-Join | [`nsm_pre`] |
-//! | `NSM-post-decluster`     | NSM     | post, Radix-Decluster | [`nsm_post`] |
-//! | `NSM-post-jive`          | NSM     | post, Jive-Join | [`nsm_post`] |
-//!
-//! All executors return a [`StrategyOutcome`]: the materialised result columns
+//! An executor returns a [`StrategyOutcome`]: the materialised result columns
 //! (larger-side attributes first, then smaller-side) plus per-phase wall-clock
 //! timings, which is what the figure harness plots.
 
 pub mod common;
 pub mod dsm_post;
-pub mod dsm_pre;
-pub mod nsm_post;
-pub mod nsm_pre;
 pub mod planner;
 pub mod reference;
 pub mod sink;
 
 pub use common::{ProjectionCode, SecondSideCode};
 pub use dsm_post::DsmPostProjection;
-pub use dsm_pre::dsm_pre_projection;
-pub use nsm_post::{nsm_post_projection_decluster, nsm_post_projection_jive};
-pub use nsm_pre::{nsm_pre_projection_hash, nsm_pre_projection_phash};
 pub use planner::{plan_by_cost, plan_streaming, StreamingPlan};
 pub use sink::{CountingSink, DoneHead, FrameSink, MaterializeSink, RowChunkSink};
 

@@ -64,7 +64,6 @@ pub fn plan_by_cost_with_threads(
     let whole = plan_streaming(
         larger_rows,
         smaller_rows,
-        VALUE_WIDTH,
         spec,
         params,
         MemoryBudget::unbounded(),
@@ -142,9 +141,8 @@ impl StreamingPlan {
 
 /// Picks the chunk count and per-chunk window for a streaming projection of
 /// `result_rows` rows over a smaller relation of `smaller_tuples` tuples of
-/// `smaller_value_width` bytes (4 for DSM columns, the full record width for
-/// NSM — a cache-line fetch drags the whole record in), declustered by
-/// `threads` concurrent workers, under `budget`.
+/// 4-byte integer columns, declustered by `threads` concurrent workers,
+/// under `budget`.
 ///
 /// The rule mirrors [`choose_window_bytes`] one level up: the budget divided
 /// by the per-row resident cost gives the chunk size (floored at one row, so
@@ -165,7 +163,6 @@ impl StreamingPlan {
 pub fn plan_streaming(
     result_rows: usize,
     smaller_tuples: usize,
-    smaller_value_width: usize,
     spec: &QuerySpec,
     params: &CacheParams,
     budget: MemoryBudget,
@@ -174,7 +171,7 @@ pub fn plan_streaming(
     let bytes_per_row = streaming_bytes_per_row(spec);
     let chunk_rows = budget.chunk_rows(result_rows, bytes_per_row);
     let num_chunks = budget.num_chunks(result_rows, bytes_per_row);
-    let cluster_spec = plan_partial_cluster(smaller_tuples, smaller_value_width.max(1), params);
+    let cluster_spec = plan_partial_cluster(smaller_tuples, VALUE_WIDTH, params);
     let window = choose_window_bytes(
         VALUE_WIDTH,
         cluster_spec.num_clusters(),
@@ -292,7 +289,7 @@ mod tests {
         let spec_low = QuerySpec::symmetric(1);
         let spec_high = QuerySpec::symmetric(64);
         let whole =
-            |spec: &QuerySpec| plan_streaming(n, n, 4, spec, &params, MemoryBudget::unbounded(), 1);
+            |spec: &QuerySpec| plan_streaming(n, n, spec, &params, MemoryBudget::unbounded(), 1);
         let price = |first, spec: &QuerySpec| {
             let codes = DsmPostProjection::with_codes(first, SecondSideCode::Unsorted);
             predict_cost(codes, &whole(spec), n, n, n, spec, &params)
@@ -350,7 +347,6 @@ mod tests {
             let plan = plan_streaming(
                 n,
                 n,
-                4,
                 &spec,
                 &params,
                 MemoryBudget::fraction_of(data_bytes, denom),
@@ -368,7 +364,7 @@ mod tests {
             last_chunks = plan.num_chunks;
         }
         // Unbounded budget degenerates to one chunk with the usual window.
-        let unbounded = plan_streaming(n, n, 4, &spec, &params, MemoryBudget::unbounded(), 1);
+        let unbounded = plan_streaming(n, n, &spec, &params, MemoryBudget::unbounded(), 1);
         assert_eq!(unbounded.num_chunks, 1);
         assert_eq!(unbounded.chunk_rows, n);
     }
@@ -380,7 +376,6 @@ mod tests {
         let plan = plan_streaming(
             100_000,
             100_000,
-            4,
             &spec,
             &params,
             MemoryBudget::bytes(1024),
@@ -389,7 +384,7 @@ mod tests {
         assert!(plan.window_bytes <= plan.chunk_rows * 4);
         assert!(plan.window_bytes >= 4);
         // One-row floor: even absurd budgets make progress.
-        let tiny = plan_streaming(100, 100, 4, &spec, &params, MemoryBudget::bytes(1), 1);
+        let tiny = plan_streaming(100, 100, &spec, &params, MemoryBudget::bytes(1), 1);
         assert_eq!(tiny.chunk_rows, 1);
         assert_eq!(tiny.num_chunks, 100);
     }
@@ -405,7 +400,6 @@ mod tests {
         let clamped = plan_streaming(
             1_000,
             1_000,
-            4,
             &spec,
             &params,
             MemoryBudget::bytes(floor - 1),
@@ -416,19 +410,15 @@ mod tests {
     }
 
     #[test]
-    fn streaming_plan_adapts_to_value_width_and_thread_count() {
+    fn streaming_plan_adapts_to_thread_count() {
         let params = CacheParams::paper_pentium4();
         let spec = QuerySpec::symmetric(1);
         let n = 1_000_000;
-        // Wider records (the NSM case) need more radix bits to keep one
-        // cluster's slice of the relation cache-resident.
-        let narrow = plan_streaming(n, n, 4, &spec, &params, MemoryBudget::unbounded(), 1);
-        let wide = plan_streaming(n, n, 64, &spec, &params, MemoryBudget::unbounded(), 1);
-        assert!(wide.cluster_spec.bits > narrow.cluster_spec.bits);
+        let one = plan_streaming(n, n, &spec, &params, MemoryBudget::unbounded(), 1);
         // More concurrent workers shrink the per-worker insertion window
         // (each worker owns only a share of the cache).
-        let eight = plan_streaming(n, n, 4, &spec, &params, MemoryBudget::unbounded(), 8);
-        assert!(eight.window_bytes < narrow.window_bytes);
+        let eight = plan_streaming(n, n, &spec, &params, MemoryBudget::unbounded(), 8);
+        assert!(eight.window_bytes < one.window_bytes);
     }
 
     #[test]
@@ -442,7 +432,6 @@ mod tests {
         let monolithic = price(&plan_streaming(
             n,
             n,
-            4,
             &spec,
             &params,
             MemoryBudget::unbounded(),
@@ -452,7 +441,6 @@ mod tests {
             let plan = plan_streaming(
                 n,
                 n,
-                4,
                 &spec,
                 &params,
                 MemoryBudget::fraction_of(n * 4, denom),

@@ -1,7 +1,7 @@
 //! Incremental result emission for the streaming projection pipeline.
 //!
-//! The baseline strategies ([`crate::strategy::dsm_pre_projection`] etc.)
-//! return a fully built [`ResultRelation`] — which is exactly what a
+//! The paper's baseline strategies (in `rdx_bench::paper`) return a fully
+//! built [`ResultRelation`] — which is exactly what a
 //! memory-budgeted pipeline must *not* do.  A [`RowChunkSink`] receives the
 //! projected result chunk by chunk instead, in final result order, so the
 //! producer never holds more than one chunk of output: the consumer may

@@ -40,7 +40,7 @@ pub fn par_radix_cluster<P: Copy + Send + Sync>(
 /// Parallel clustering of unhashed oids (the join-index case of §3.1);
 /// byte-identical to the sequential
 /// [`rdx_core::cluster::radix_cluster_oids`].  A Radix-Sort is this on
-/// [`rdx_core::cluster::radix_sort_spec`].
+/// [`rdx_core::cluster::radix_sort_spec_for`].
 pub fn par_radix_cluster_oids<P: Copy + Send + Sync>(
     oids: &[Oid],
     payloads: &[P],
@@ -129,7 +129,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
-    use rdx_core::cluster::{radix_cluster, radix_cluster_oids, radix_sort_oids, radix_sort_spec};
+    use rdx_cache::CacheParams;
+    use rdx_core::cluster::{radix_cluster, radix_cluster_oids, radix_sort_spec_for};
 
     fn shuffled_oids(n: usize, seed: u64) -> Vec<Oid> {
         let mut v: Vec<Oid> = (0..n as Oid).collect();
@@ -173,13 +174,9 @@ mod tests {
     fn parallel_sort_equals_sequential_sort() {
         let oids = shuffled_oids(20_000, 9);
         let payloads: Vec<u32> = (0..20_000).collect();
-        let expected = radix_sort_oids(&oids, &payloads, 20_000);
-        let got = par_radix_cluster_oids(
-            &oids,
-            &payloads,
-            radix_sort_spec(20_000),
-            &ExecPolicy::with_threads(4),
-        );
+        let spec = radix_sort_spec_for(20_000, &CacheParams::paper_pentium4());
+        let expected = radix_cluster_oids(&oids, &payloads, spec);
+        let got = par_radix_cluster_oids(&oids, &payloads, spec, &ExecPolicy::with_threads(4));
         assert_eq!(got, expected);
     }
 

@@ -17,7 +17,7 @@
 //!   spawning, the work-stealing [`MorselQueue`], and safe disjoint-slice
 //!   distribution helpers.
 //! * [`cluster`] — parallel Radix-Cluster (a Radix-Sort is one on
-//!   `radix_sort_spec`): each worker fills its own `Clustered` from its
+//!   `radix_sort_spec_for`): each worker fills its own `Clustered` from its
 //!   shard, the per-shard cluster sizes prefix-sum into global borders and
 //!   the shards merge in order.  Byte-identical to the sequential kernels.
 //! * [`decluster`] — parallel Radix-Decluster: independent insertion-window

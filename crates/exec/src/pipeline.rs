@@ -452,7 +452,6 @@ where
         let streaming = plan_streaming(
             prepared.result_rows(),
             prepared.smaller_cardinality,
-            VALUE_WIDTH,
             spec,
             params,
             policy.budget,
@@ -1394,9 +1393,8 @@ mod tests {
             random_rows in 0usize..300_001,
             seed in 0u64..1_000,
         ) {
-            use rdx_core::cluster::radix_cluster_oids;
+            use rdx_core::cluster::{plan_partial_cluster, radix_cluster_oids, radix_sort_spec_for};
             use rdx_core::join::partitioned_hash_join;
-            use rdx_core::strategy::common::order_join_index;
             use rdx_core::strategy::planner::streaming_bytes_per_row;
             use ProjectionCode::{PartialCluster as C, Sorted as S, Unsorted as U};
             use SecondSideCode::{Decluster as D, Unsorted as Uu};
@@ -1424,8 +1422,20 @@ mod tests {
                     w.smaller.key().as_slice(),
                     join_cluster_spec(n, params.cache_capacity()),
                 );
-                let (first_oids, second_oids) =
-                    order_join_index(&join_index, first, n, VALUE_WIDTH, &params);
+                let (first_oids, second_oids) = match first {
+                    U => (join_index.larger().to_vec(), join_index.smaller().to_vec()),
+                    S | C => {
+                        let reorder = if first == S {
+                            radix_sort_spec_for(n, &params)
+                        } else {
+                            plan_partial_cluster(n, VALUE_WIDTH, &params)
+                        };
+                        let (keys, payloads, _) =
+                            radix_cluster_oids(join_index.larger(), join_index.smaller(), reorder)
+                                .into_parts();
+                        (keys, payloads)
+                    }
+                };
                 let rows = first_oids.len();
                 proptest::prop_assert_eq!(prepared.result_rows(), rows, "{}", label);
                 proptest::prop_assert_eq!(
@@ -1501,45 +1511,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// A run fetches through any [`AttrSource`]: over the NSM records of the
-    /// same relations it streams the DSM run's bytes, at any thread count.
-    #[test]
-    fn nsm_sources_stream_the_dsm_bytes_at_any_thread_count() {
-        let w = JoinWorkloadBuilder::equal(1_500, 3).seed(19).build();
-        let spec = QuerySpec::symmetric(2);
-        let params = CacheParams::tiny_for_tests();
-        let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
-            ProjectionCode::PartialCluster,
-            SecondSideCode::Decluster,
-        ));
-        let sequential = ExecPolicy::with_threads(1);
-        let (dsm_out, _) = pipeline
-            .materialize(&w.larger, &w.smaller, &spec, &params, &sequential)
-            .unwrap();
-        assert_eq!(
-            result_rows(&dsm_out.result),
-            reference_rows(&w.larger, &w.smaller, &spec)
-        );
-        let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &sequential));
-        for (threads, budget) in [
-            (1, MemoryBudget::unbounded()),
-            (2, MemoryBudget::bytes(2048)),
-        ] {
-            let policy = ExecPolicy::with_threads(threads).budget(budget);
-            let mut run = PipelineRun::new(
-                prepared.clone(),
-                &w.larger_nsm,
-                &w.smaller_nsm,
-                &spec,
-                &params,
-                &policy,
-            );
-            let mut sink = MaterializeSink::new();
-            run.run_to_completion(&mut sink);
-            assert_eq!(sink.into_result(), dsm_out.result, "threads {threads}");
         }
     }
 
@@ -1811,7 +1782,7 @@ mod tests {
 
     #[test]
     fn profiled_run_is_byte_identical_and_counts_are_deterministic() {
-        use rdx_obs::{EventKind, Obs, ObsConfig, QueryId};
+        use rdx_obs::{EventKind, Obs, QueryId};
 
         let w = JoinWorkloadBuilder::equal(2_000, 2).seed(11).build();
         let spec = QuerySpec::symmetric(2);
@@ -1828,7 +1799,7 @@ mod tests {
             let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
             let mut totals = Vec::new();
             for _ in 0..2 {
-                let obs = Obs::enabled(ObsConfig::default());
+                let obs = Obs::enabled();
                 let query = QueryId::next();
                 let mut run = DsmPipelineRun::over_dsm(
                     prepared.clone(),
@@ -1888,7 +1859,7 @@ mod tests {
 
     #[test]
     fn a_profiled_run_lays_out_every_region_disjointly() {
-        use rdx_obs::{Obs, ObsConfig, QueryId};
+        use rdx_obs::{Obs, QueryId};
 
         let w = JoinWorkloadBuilder::equal(2_000, 2).seed(3).build();
         let params = CacheParams::tiny_for_tests();
@@ -1904,7 +1875,7 @@ mod tests {
                 &params,
                 &policy,
             );
-            let obs = Obs::enabled(ObsConfig::default());
+            let obs = Obs::enabled();
             run.attach_profile(&obs, QueryId::next(), &params);
             let prof = run.profile.as_deref().expect("profiling armed");
             let mut regions = vec![
@@ -1934,7 +1905,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
-        use rdx_obs::{Obs, ObsConfig, QueryId};
+        use rdx_obs::{Obs, QueryId};
 
         // A 64 KB smaller column on the 8 KB simulated cache: a random fetch
         // misses where an ascending one streams.
@@ -1959,7 +1930,7 @@ mod tests {
             });
             let mut run =
                 DsmPipelineRun::over_dsm(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
-            let obs = Obs::enabled(ObsConfig::default());
+            let obs = Obs::enabled();
             run.attach_profile(&obs, QueryId::next(), &params);
             let mut sink = MaterializeSink::new();
             run.run_to_completion(&mut sink);

@@ -2,8 +2,8 @@
 //! (§3, §4.1) that [`crate::pipeline`] runs: the first-side `u`/`s`/`c`
 //! reorder of the join index on the parallel cluster kernels, and the
 //! positional joins as morsel-parallel block fetches into disjoint output
-//! slices.  Each reproduces its sequential counterpart in
-//! [`rdx_core::strategy::common`] exactly.
+//! slices.  Each is byte-identical to the same clustering or gather on the
+//! sequential kernels of `rdx-core`.
 
 use crate::cluster::par_radix_cluster_oids;
 use crate::pool::{for_each_output_morsel, ExecPolicy};
@@ -16,8 +16,10 @@ use rdx_dsm::{JoinIndex, Oid};
 /// Width of the fixed-size attribute values (the paper's integer columns).
 const VALUE_WIDTH: usize = 4;
 
-/// Parallel [`rdx_core::strategy::common::order_join_index`]: reorders the
-/// join index per the first-side code using the parallel cluster kernels.
+/// Reorders the join index per the first-side code using the parallel
+/// cluster kernels: `u` keeps it, `s` Radix-Sorts it on the first side's
+/// oids and `c` partially Radix-Clusters it (§3.1).  Returns
+/// `(first_side_oids, second_side_oids)`, aligned row by row.
 pub fn par_order_join_index(
     join_index: &JoinIndex,
     code: ProjectionCode,

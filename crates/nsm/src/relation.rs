@@ -109,29 +109,6 @@ impl NsmRelation {
         }
     }
 
-    /// [`NsmRelation::gather_attr_into`] over oids given as
-    /// `base + offsets[i]` — the NSM counterpart of
-    /// [`Column::gather_offsets_into`].
-    ///
-    /// # Panics
-    /// Panics if `offsets` and `out` differ in length, `attr` is not an
-    /// attribute of the relation, or an oid is out of range.
-    pub fn gather_attr_offsets_into(
-        &self,
-        attr: usize,
-        base: Oid,
-        offsets: &[u16],
-        out: &mut [i32],
-    ) {
-        assert_eq!(offsets.len(), out.len(), "oid/output block length mismatch");
-        assert!(attr < self.width, "attribute {attr} out of range");
-        let width = self.width;
-        let data = &self.data[base as usize * width..];
-        for (slot, &offset) in out.iter_mut().zip(offsets) {
-            *slot = data[usize::from(offset) * width + attr];
-        }
-    }
-
     /// The NSM record projection routine: copies the attributes listed in
     /// `projection` out of record `row` and appends them to `out`.
     ///
@@ -210,18 +187,6 @@ mod tests {
             let mut out = [0; 4];
             r.gather_attr_into(attr, &oids, &mut out);
             let expected = oids.map(|oid| r.value(oid as usize, attr));
-            assert_eq!(out, expected, "attr {attr}");
-        }
-    }
-
-    #[test]
-    fn gather_attr_offsets_into_matches_value() {
-        let r = sample();
-        let offsets = [1u16, 0, 1];
-        for attr in 0..r.width() {
-            let mut out = [0; 3];
-            r.gather_attr_offsets_into(attr, 1, &offsets, &mut out);
-            let expected = offsets.map(|o| r.value(1 + usize::from(o), attr));
             assert_eq!(out, expected, "attr {attr}");
         }
     }

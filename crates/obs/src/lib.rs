@@ -16,9 +16,9 @@
 //! lets per-chunk timing and profiling arm):
 //!
 //! ```
-//! use rdx_obs::{EventKind, Obs, ObsConfig, QueryId};
+//! use rdx_obs::{EventKind, Obs, QueryId};
 //!
-//! let obs = Obs::enabled(ObsConfig::default());
+//! let obs = Obs::enabled();
 //! let query = QueryId::next();
 //! obs.record(query, EventKind::Submit);
 //! obs.record(query, EventKind::CacheLookup { hit: false });
@@ -42,9 +42,9 @@
 //! (per engine or per query), record from any thread without locks:
 //!
 //! ```
-//! use rdx_obs::{Obs, ObsConfig};
+//! use rdx_obs::Obs;
 //!
-//! let obs = Obs::enabled(ObsConfig::default());
+//! let obs = Obs::enabled();
 //! let metrics = obs.metrics();
 //! let latency = metrics.histogram("pipeline.chunk_ns");
 //! for ns in [800u64, 950, 1200, 40_000] {
@@ -73,23 +73,10 @@ pub use trace::{EventKind, EventTrace, QueryId, TraceEvent, TraceSnapshot};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration of an enabled [`Obs`] handle.
-#[derive(Debug, Clone, Copy)]
-pub struct ObsConfig {
-    /// Maximum events the trace ring retains (oldest overwritten beyond
-    /// this).  Pre-allocated up front.
-    pub trace_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        // 4096 events ≈ hundreds of queries' lifecycles at typical chunk
-        // counts; ~160 KiB of pre-allocated ring.
-        ObsConfig {
-            trace_capacity: 4096,
-        }
-    }
-}
+/// Events the trace ring of an [`Obs::enabled`] handle retains (oldest
+/// overwritten beyond this), pre-allocated up front: hundreds of queries'
+/// lifecycles at typical chunk counts, ~160 KiB of ring.
+pub const TRACE_CAPACITY: usize = 4096;
 
 #[derive(Debug)]
 struct ObsInner {
@@ -119,9 +106,9 @@ impl Obs {
         Obs::new(None)
     }
 
-    /// A handle with a registry and a trace ring.
-    pub fn enabled(config: ObsConfig) -> Self {
-        Obs::new(Some(EventTrace::new(config.trace_capacity)))
+    /// A handle with a registry and a [`TRACE_CAPACITY`]-event trace ring.
+    pub fn enabled() -> Self {
+        Obs::new(Some(EventTrace::new(TRACE_CAPACITY)))
     }
 
     /// Whether this handle traces (and so lets per-chunk timing and
@@ -182,7 +169,7 @@ mod tests {
 
     #[test]
     fn enabled_clones_share_one_registry_and_trace() {
-        let obs = Obs::enabled(ObsConfig { trace_capacity: 16 });
+        let obs = Obs::new(Some(EventTrace::new(16)));
         let clone = obs.clone();
         let q = QueryId::next();
         obs.record(q, EventKind::Submit);

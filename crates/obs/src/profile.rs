@@ -19,9 +19,9 @@
 //! plain [`MissCounts`] at the recording site.
 //!
 //! ```
-//! use rdx_obs::{MissCounts, Obs, ObsConfig, Phase, QueryId};
+//! use rdx_obs::{MissCounts, Obs, Phase, QueryId};
 //!
-//! let obs = Obs::enabled(ObsConfig::default());
+//! let obs = Obs::enabled();
 //! let profile = obs.profile().unwrap();
 //! let query = QueryId::next();
 //!
@@ -175,11 +175,11 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Obs, ObsConfig};
+    use crate::Obs;
 
     #[test]
     fn phases_have_distinct_labels_and_instruments() {
-        let obs = Obs::enabled(ObsConfig::default());
+        let obs = Obs::enabled();
         let profile = obs.profile().unwrap();
         profile.record_span(Phase::Cluster, 10);
         profile.record_span(Phase::Fetch, 20);
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn chunk_counts_feed_histograms_totals_and_trace() {
-        let obs = Obs::enabled(ObsConfig::default());
+        let obs = Obs::enabled();
         let profile = obs.profile().unwrap();
         let q = QueryId::next();
         let mut totals = MissCounts::default();

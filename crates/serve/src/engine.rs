@@ -61,7 +61,7 @@ use rdx_core::strategy::planner::{
 use rdx_core::strategy::{DoneHead, FrameSink, MaterializeSink, PhaseTimings, RowChunkSink};
 use rdx_dsm::DsmRelation;
 use rdx_exec::{DsmPipelineRun, ExecPolicy, ProjectionPipeline};
-use rdx_obs::{Counter, EventKind, Gauge, Histogram, MetricsRegistry, Obs, ObsConfig, QueryId};
+use rdx_obs::{Counter, EventKind, Gauge, Histogram, MetricsRegistry, Obs, QueryId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -364,7 +364,7 @@ impl QueryEngine {
         let shares = config.plan_shares.unwrap_or(config.max_concurrent).max(1);
         let shared_params = config.params.per_query_share(shares);
         let obs = if config.observability {
-            Obs::enabled(ObsConfig::default())
+            Obs::enabled()
         } else {
             Obs::disabled()
         };
@@ -983,7 +983,6 @@ impl QueryEngine {
             let streaming = plan_streaming(
                 larger_rows,
                 smaller_rows,
-                4,
                 &request.spec,
                 shared_params,
                 budget,
@@ -1665,7 +1664,7 @@ mod tests {
     ) -> (u64, StreamingPlan) {
         let spec = QuerySpec::symmetric(2);
         let params = engine.shared_params();
-        let plan = plan_streaming(result_rows, rows, 4, &spec, params, budget, 1);
+        let plan = plan_streaming(result_rows, rows, &spec, params, budget, 1);
         let ms = predict_cost(codes, &plan, rows, rows, result_rows, &spec, params);
         ((ms * 1e6) as u64, plan)
     }

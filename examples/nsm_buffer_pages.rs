@@ -11,10 +11,10 @@
 //! ```
 
 use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
-use radix_decluster::core::decluster::paged::radix_decluster_paged;
 use radix_decluster::dsm::VarColumn;
 use radix_decluster::nsm::BufferManager;
 use radix_decluster::prelude::*;
+use rdx_bench::paper::radix_decluster_paged;
 
 fn main() {
     let n: usize = std::env::args()

@@ -10,11 +10,11 @@
 //! cargo run --release --example olap_projection [cardinality]
 //! ```
 
-use radix_decluster::core::strategy::{
+use radix_decluster::prelude::*;
+use rdx_bench::paper::{
     dsm_pre_projection, nsm_post_projection_decluster, nsm_post_projection_jive,
     nsm_pre_projection_hash, nsm_pre_projection_phash,
 };
-use radix_decluster::prelude::*;
 
 fn main() {
     let cardinality: usize = std::env::args()

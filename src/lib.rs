@@ -15,9 +15,13 @@
 //! * [`cost`] — the Appendix-A hierarchical-memory cost models.
 //! * [`workload`] — generators for the evaluation workloads (cardinality N,
 //!   width ω, join hit rate h, selectivity s).
-//! * [`core`] — the paper's algorithms: Radix-Cluster, Radix-Decluster,
-//!   Partitioned Hash-Join, positional joins, Jive-Join, and the end-to-end
-//!   projection strategies compared in §4.
+//! * [`core`] — the paper's one algorithm, DSM post-projection: Radix-Cluster,
+//!   Radix-Decluster, Partitioned Hash-Join, positional joins, the
+//!   `u/s/c × u/d` codes and their cost-model planner.  The §4 / §5
+//!   baselines it is compared with (DSM and NSM pre-projection, NSM
+//!   post-projection, Jive-Join, the buffer-manager decluster) live in
+//!   `rdx_bench::paper`, beside the figure harness; the facade does not
+//!   re-export them.
 //! * [`exec`] — the morsel-driven parallel execution engine: work-stealing
 //!   morsel scheduling over scoped threads, parallel Radix-Cluster /
 //!   Radix-Decluster / Partitioned Hash-Join kernels (all byte-identical to
@@ -127,8 +131,8 @@ pub mod prelude {
     };
     pub use rdx_nsm::NsmRelation;
     pub use rdx_obs::{
-        EventKind, MetricsRegistry, MetricsSnapshot, MissCounts, Obs, ObsConfig, Phase, Profile,
-        QueryId, TraceEvent, TraceSnapshot,
+        EventKind, MetricsRegistry, MetricsSnapshot, MissCounts, Obs, Phase, Profile, QueryId,
+        TraceEvent, TraceSnapshot,
     };
     pub use rdx_serve::{
         CacheStats, Catalog, EngineStats, EngineStep, QueryEngine, QueryOutcome, QueryResult,

@@ -229,7 +229,7 @@ fn observed_pipeline_step_allocates_nothing_in_steady_state() {
     // Recording on: the handles (registry Arcs, trace ring) are resolved
     // and sized up-front by `attach_obs`, so the chunk loop itself records
     // through atomics and a pre-allocated ring only.
-    let obs = Obs::enabled(ObsConfig::default());
+    let obs = Obs::enabled();
     run.attach_obs(&obs, QueryId::next(), 1_000);
     let mut sink = NullSink { rows: 0, chunks: 0 };
 

@@ -27,14 +27,12 @@ use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use radix_decluster::core::decluster::chunks::ChunkCursorState;
 use radix_decluster::core::decluster::{radix_decluster, window_elems};
 use radix_decluster::core::strategy::reference::result_rows;
-use radix_decluster::core::strategy::sink::MaterializeSink;
-use radix_decluster::core::strategy::{
+use radix_decluster::prelude::*;
+use radix_decluster::workload::{attr_value, HitRate, JoinWorkloadBuilder};
+use rdx_bench::paper::{
     dsm_pre_projection, nsm_post_projection_decluster, nsm_post_projection_jive,
     nsm_pre_projection_hash, nsm_pre_projection_phash,
 };
-use radix_decluster::exec::PipelineRun;
-use radix_decluster::prelude::*;
-use radix_decluster::workload::{attr_value, HitRate, JoinWorkloadBuilder};
 use std::collections::HashMap;
 
 /// Brute-force oracle: the projected equi-join computed from the key columns
@@ -159,32 +157,16 @@ fn all_strategies_agree_with_the_attr_value_oracle() {
                             "{cell} par_dsm threads={threads}"
                         );
                     }
-                    // The same prefix fetching through the NSM records, on
-                    // two workers.
-                    let c_d = ProjectionPipeline::new(DsmPostProjection::with_codes(
-                        ProjectionCode::PartialCluster,
-                        SecondSideCode::Decluster,
-                    ));
-                    let policy = ExecPolicy::with_threads(2);
-                    let prepared = c_d.prepare(&w.larger, &w.smaller, &params, &policy);
-                    let mut run = PipelineRun::new(
-                        prepared.into(),
-                        &w.larger_nsm,
-                        &w.smaller_nsm,
-                        &spec,
-                        &params,
-                        &policy,
-                    );
-                    let mut sink = MaterializeSink::new();
-                    run.run_to_completion(&mut sink);
-                    assert_eq!(result_rows(&sink.into_result()), expected, "{cell} par_nsm");
                     // Streaming pipeline, tightest budget (byte-identity is
                     // covered exhaustively by the dedicated test below).
+                    let c_d = DsmPostProjection::with_codes(
+                        ProjectionCode::PartialCluster,
+                        SecondSideCode::Decluster,
+                    );
                     let data_bytes = 2 * n * omega * 4;
                     let policy = ExecPolicy::with_threads(2)
                         .budget(MemoryBudget::fraction_of(data_bytes, 64));
-                    let (out, _) =
-                        materialize(c_d.plan, &w.larger, &w.smaller, &spec, &params, &policy);
+                    let (out, _) = materialize(c_d, &w.larger, &w.smaller, &spec, &params, &policy);
                     assert_eq!(result_rows(&out), expected, "{cell} streaming");
                     cells += 1;
                 }

@@ -1,4 +1,4 @@
-//! Property tests for the paged backends — `decluster::paged` and
+//! Property tests for the paged backends — `rdx_bench::paper::paged` and
 //! `nsm::paged` — the modules with the thinnest direct coverage.  The axis deliberately stressed here: *random page
 //! sizes*, including pages far smaller than one insertion window (the §5
 //! regime where the output granularity is the page, not the window), and
@@ -6,10 +6,10 @@
 
 use proptest::prelude::*;
 use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
-use radix_decluster::core::decluster::paged::radix_decluster_paged;
 use radix_decluster::dsm::{Oid, VarColumn};
 use radix_decluster::nsm::buffer::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 use radix_decluster::nsm::{assign_positions, BufferManager};
+use rdx_bench::paper::radix_decluster_paged;
 
 /// Deterministic variable-size strings plus the Fig. 4-style clustered input
 /// over them.

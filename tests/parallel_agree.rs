@@ -11,12 +11,11 @@
 
 use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use radix_decluster::core::decluster::{choose_window_bytes, radix_decluster};
-use radix_decluster::core::strategy::nsm_post_projection_decluster;
 use radix_decluster::core::strategy::reference::{reference_rows, result_rows};
 use radix_decluster::exec::{par_radix_cluster_oids, par_radix_decluster};
 use radix_decluster::prelude::*;
 use radix_decluster::workload::HitRate;
-use std::sync::Arc;
+use rdx_bench::paper::nsm_post_projection_decluster;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -174,39 +173,6 @@ fn parallel_nsm_strategy_agrees() {
         let seq =
             nsm_post_projection_decluster(&w.larger_nsm, &w.smaller_nsm, &spec, &params).unwrap();
         assert_eq!(result_rows(&seq.result), expected, "NSM-post-decluster");
-        // The pipeline fetching from the NSM records: the oracle's rows on
-        // one worker, the same bytes on `threads`.
-        let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
-            ProjectionCode::PartialCluster,
-            SecondSideCode::Decluster,
-        ));
-        let stream = |threads| {
-            let policy = ExecPolicy::with_threads(threads);
-            let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
-            let mut run = PipelineRun::new(
-                prepared,
-                &w.larger_nsm,
-                &w.smaller_nsm,
-                &spec,
-                &params,
-                &policy,
-            );
-            let mut sink = MaterializeSink::new();
-            run.run_to_completion(&mut sink);
-            sink.into_result()
-        };
-        let one = stream(1);
-        assert_eq!(result_rows(&one), expected, "NSM sources pi={pi}");
-        for threads in THREAD_COUNTS {
-            let par = stream(threads);
-            for (c, (seq_col, par_col)) in one.columns().iter().zip(par.columns()).enumerate() {
-                assert_eq!(
-                    seq_col.as_slice(),
-                    par_col.as_slice(),
-                    "NSM column {c} threads {threads} pi={pi} h={hit_rate}"
-                );
-            }
-        }
     }
 }
 

@@ -2,15 +2,16 @@
 
 use proptest::prelude::*;
 use radix_decluster::core::cluster::{
-    is_clustered, radix_cluster, radix_cluster_oids, radix_count, radix_sort_oids, RadixClusterSpec,
+    is_clustered, radix_cluster, radix_cluster_oids, radix_count, radix_sort_spec_for,
+    RadixClusterSpec,
 };
-use radix_decluster::core::decluster::paged::radix_decluster_paged;
 use radix_decluster::core::decluster::radix_decluster;
 use radix_decluster::core::hash::{hash_key, radix_field};
 use radix_decluster::core::join::{hash_join, partitioned_hash_join};
 use radix_decluster::dsm::VarColumn;
 use radix_decluster::nsm::BufferManager;
 use radix_decluster::prelude::*;
+use rdx_bench::paper::radix_decluster_paged;
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -174,7 +175,8 @@ proptest! {
     ) {
         let payloads: Vec<u32> = (0..oids.len() as u32).collect();
         let domain = oids.iter().map(|&o| o as usize + 1).max().unwrap_or(0);
-        let sorted = radix_sort_oids(&oids, &payloads, domain);
+        let spec = radix_sort_spec_for(domain, &CacheParams::paper_pentium4());
+        let sorted = radix_cluster_oids(&oids, &payloads, spec);
         prop_assert!(sorted.keys().windows(2).all(|w| w[0] <= w[1]));
         let mut expected = oids.clone();
         expected.sort_unstable();

@@ -3,12 +3,12 @@
 //! rates, projectivities and cardinalities.
 
 use radix_decluster::core::strategy::reference::{reference_rows, result_rows};
-use radix_decluster::core::strategy::{
+use radix_decluster::prelude::*;
+use radix_decluster::workload::{HitRate, JoinWorkloadBuilder};
+use rdx_bench::paper::{
     dsm_pre_projection, nsm_post_projection_decluster, nsm_post_projection_jive,
     nsm_pre_projection_hash, nsm_pre_projection_phash,
 };
-use radix_decluster::prelude::*;
-use radix_decluster::workload::{HitRate, JoinWorkloadBuilder};
 
 /// The DSM post-projection's one materialise entry, on one worker.
 fn dsm_post(
