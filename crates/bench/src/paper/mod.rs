@@ -22,7 +22,6 @@
 //! columns (larger-side attributes first, then smaller-side) plus per-phase
 //! wall-clock timings.
 
-pub mod common;
 pub mod dsm_pre;
 pub mod jive;
 pub mod nsm_post;

@@ -6,18 +6,20 @@
 //!
 //! * `NSM-post-decluster` reuses the DSM post-projection machinery
 //!   (partial cluster for the larger side, Radix-Decluster for the smaller
-//!   side), but every fetch reads from a wide NSM record, so each cache line
-//!   loaded carries mostly unneeded attributes — the `O(C²/T²)` scalability
-//!   penalty the paper derives.
+//!   side), but every fetch reads from a wide NSM record, one block of one
+//!   attribute at a time through [`NsmRelation::gather_attr_into`], so each
+//!   cache line loaded carries mostly unneeded attributes — the `O(C²/T²)`
+//!   scalability penalty the paper derives.
 //! * `NSM-post-jive` uses Jive-Join \[LR99\] for the projection phase.
 
-use crate::paper::common::{order_join_index, project_first_side, project_second_side_decluster};
 use crate::paper::jive::{jive_bits, jive_join_projection};
 use rdx_cache::CacheParams;
+use rdx_core::cluster::{plan_partial_cluster, radix_cluster_oids};
+use rdx_core::decluster::{choose_window_bytes, radix_decluster};
 use rdx_core::error::{check_projection_widths, RdxError};
 use rdx_core::join::{join_cluster_spec, partitioned_hash_join};
-use rdx_core::strategy::{PhaseTimings, ProjectionCode, QuerySpec, StrategyOutcome};
-use rdx_dsm::{Column, ResultRelation};
+use rdx_core::strategy::{PhaseTimings, QuerySpec, StrategyOutcome};
+use rdx_dsm::{Column, Oid, ResultRelation};
 use rdx_nsm::NsmRelation;
 use std::time::Instant;
 
@@ -63,28 +65,21 @@ pub fn nsm_post_projection_decluster(
     // formula is the full record width — that is what a cache line fetch
     // actually drags in, and what limits NSM scalability (§4.2).
     let t = Instant::now();
-    let (first_oids, second_oids) = order_join_index(
-        &join_index,
-        ProjectionCode::PartialCluster,
-        larger.cardinality(),
-        larger.tuple_bytes(),
-        params,
-    );
+    let (first_oids, second_oids, _) = radix_cluster_oids(
+        join_index.larger(),
+        join_index.smaller(),
+        plan_partial_cluster(larger.cardinality(), larger.tuple_bytes(), params),
+    )
+    .into_parts();
     timings.reorder = t.elapsed();
 
     let t = Instant::now();
-    let first_columns = project_first_side(&first_oids, spec.project_larger, larger);
+    let first_columns = project_columns(&first_oids, spec.project_larger, larger);
     timings.project_larger = t.elapsed();
 
     let t = Instant::now();
-    let (second_columns, _clusters) = project_second_side_decluster(
-        &second_oids,
-        spec.project_smaller,
-        smaller,
-        smaller.cardinality(),
-        smaller.tuple_bytes(),
-        params,
-    );
+    let second_columns =
+        project_second_side_decluster(&second_oids, spec.project_smaller, smaller, params);
     timings.decluster = t.elapsed();
 
     let mut result = ResultRelation::new();
@@ -92,6 +87,62 @@ pub fn nsm_post_projection_decluster(
         result.push_column(Column::from_vec(col));
     }
     Ok(StrategyOutcome { result, timings })
+}
+
+/// Projects `n_attrs` columns of `source`: for every result row `r`, fetch
+/// attribute `a` of `oids[r]`.  The access pattern is whatever the ordering
+/// step made of `oids`.
+fn project_columns(oids: &[Oid], n_attrs: usize, source: &NsmRelation) -> Vec<Vec<i32>> {
+    (0..n_attrs)
+        .map(|a| {
+            let mut column = vec![0; oids.len()];
+            // Attribute 0 of the record is the join key.
+            source.gather_attr_into(a + 1, oids, &mut column);
+            column
+        })
+        .collect()
+}
+
+/// Projects the second side with the Radix-Decluster pipeline of Fig. 4:
+///
+/// 1. partially Radix-Cluster `(second_oid, result_position)` on the second
+///    oid (`CLUST_SMALLER` / `CLUST_RESULT`);
+/// 2. per projected column, a clustered positional join produces
+///    `CLUST_VALUES`;
+/// 3. Radix-Decluster puts the values into final result order.
+///
+/// The clustering and the insertion window are sized by the full record
+/// width, as for the first side.
+fn project_second_side_decluster(
+    second_oids_in_result_order: &[Oid],
+    n_attrs: usize,
+    source: &NsmRelation,
+    params: &CacheParams,
+) -> Vec<Vec<i32>> {
+    let (n, value_width) = (second_oids_in_result_order.len(), source.tuple_bytes());
+    let result_positions: Vec<Oid> = (0..n as Oid).collect();
+    let clustered = radix_cluster_oids(
+        second_oids_in_result_order,
+        &result_positions,
+        plan_partial_cluster(source.cardinality(), value_width, params),
+    );
+    let window = choose_window_bytes(value_width, clustered.num_clusters(), params);
+
+    // One CLUST_VALUES staging column, refilled per projected attribute.
+    let mut clust_values = vec![0; n];
+    (0..n_attrs)
+        .map(|a| {
+            // CLUST_VALUES: clustered positional join into the source column.
+            source.gather_attr_into(a + 1, clustered.keys(), &mut clust_values);
+            // Radix-Decluster into final result order.
+            radix_decluster(
+                &clust_values,
+                clustered.payloads(),
+                clustered.bounds(),
+                window,
+            )
+        })
+        .collect()
 }
 
 /// NSM post-projection using Jive-Join for the projection phase.
@@ -144,7 +195,58 @@ pub fn nsm_post_projection_jive(
 mod tests {
     use super::*;
     use rdx_core::strategy::reference::{reference_rows, result_rows};
+    use rdx_dsm::JoinIndex;
     use rdx_workload::{HitRate, JoinWorkloadBuilder};
+
+    #[test]
+    fn order_partial_cluster_keeps_pairs() {
+        let ji = JoinIndex::from_pairs([(5, 1), (0, 3), (3, 3), (1, 0), (4, 2), (2, 1)]);
+        let params = CacheParams::paper_pentium4();
+        // The first-side reorder of `nsm_post_projection_decluster`.
+        let (l, s, _) = radix_cluster_oids(
+            ji.larger(),
+            ji.smaller(),
+            plan_partial_cluster(6, 4, &params),
+        )
+        .into_parts();
+        let mut pairs: Vec<_> = l.iter().zip(&s).map(|(&a, &b)| (a, b)).collect();
+        pairs.sort_unstable();
+        assert_eq!(pairs, ji.canonical_pairs());
+    }
+
+    #[test]
+    fn dsm_and_nsm_sources_serve_the_same_blocks() {
+        use rdx_core::positional::AttrSource;
+        let mut nsm = NsmRelation::new(3);
+        for row in 0..50 {
+            nsm.push_tuple(&[row, row * 10, -row]);
+        }
+        let dsm = nsm.to_dsm();
+        let oids = [49, 0, 7, 7, 31];
+        // The NSM fetch of the post-projection, against the DSM source the
+        // served pipeline fetches through.
+        let from_nsm = project_columns(&oids, 2, &nsm);
+        for (attr, nsm_column) in from_nsm.iter().enumerate() {
+            let mut from_dsm = [0; 5];
+            dsm.gather_into(attr, &oids, &mut from_dsm);
+            assert_eq!(from_dsm.as_slice(), nsm_column, "attr {attr}");
+            assert_eq!(from_dsm[0], dsm.attr(attr).value(49));
+        }
+    }
+
+    #[test]
+    fn second_side_decluster_matches_unsorted() {
+        let mut rel = NsmRelation::new(3);
+        for i in 0..1000 {
+            rel.push_tuple(&[i, i * 10, i * 10 + 1]);
+        }
+        // Second-side oids in some arbitrary result order, with duplicates.
+        let oids: Vec<Oid> = (0..3000).map(|r| ((r * 37 + 11) % 1000) as Oid).collect();
+        let params = CacheParams::tiny_for_tests();
+        let unsorted = project_columns(&oids, 2, &rel);
+        let declustered = project_second_side_decluster(&oids, 2, &rel, &params);
+        assert_eq!(unsorted, declustered);
+    }
 
     #[test]
     fn decluster_variant_matches_reference() {
