@@ -109,7 +109,7 @@ pub fn decluster_window_sweep(
                 let mut mem = MemorySystem::new(params);
                 let (_, counts) = simulate_decluster(
                     &input.values,
-                    &input.positions,
+                    input.positions.as_slice(),
                     &ChunkRuns::whole(&input.bounds),
                     window_bytes,
                     &mut mem,
@@ -372,7 +372,7 @@ pub fn fig9_radix_decluster(n: usize, bits: u32, params: &CacheParams) -> ModelP
     let (_, measured_ms) = time_ms(|| {
         std::hint::black_box(radix_decluster(
             &input.values,
-            &input.positions,
+            input.positions.as_slice(),
             &input.bounds,
             window,
         ))
@@ -694,7 +694,7 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
         let mut mem = MemorySystem::new(params);
         let (_, counts) = simulate_decluster(
             &input.values,
-            &input.positions,
+            input.positions.as_slice(),
             &ChunkRuns::whole(&input.bounds),
             window,
             &mut mem,
@@ -934,7 +934,7 @@ mod tests {
         assert_eq!(input.values.len(), 2_000);
         assert_eq!(*input.bounds.last().unwrap(), 2_000);
         assert!(rdx_core::decluster::validate_inputs(
-            &input.positions,
+            input.positions.as_slice(),
             &input.bounds
         ));
     }

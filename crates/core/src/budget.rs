@@ -53,10 +53,11 @@ impl std::error::Error for BudgetError {}
 ///
 /// The cap governs the per-chunk working set: the staged clustered values
 /// and the chunk's output columns.  Fixed per-relation index structures (the
-/// clustered oid/position arrays, the oids packed under their clusters),
-/// which every chunk reads in place, are priced separately by the planner —
-/// they scale with `6 N` bytes and are the streaming pipeline's irreducible
-/// floor, exactly like the `CLUST_SMALLER`/`CLUST_RESULT` arrays of Fig. 4.
+/// clustered oids packed under their clusters, the positions packed under
+/// their result blocks), which every chunk reads in place, are priced
+/// separately by the planner — the `CLUST_SMALLER`/`CLUST_RESULT` arrays of
+/// Fig. 4 scale with `4 N` bytes and are the streaming pipeline's
+/// irreducible floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// Budget in bytes; `usize::MAX` encodes "unbounded".

@@ -16,7 +16,7 @@ mod packed;
 mod scratch;
 mod spec;
 
-pub use packed::{PackedOids, PackedSlice, PACKED_LOW_BITS};
+pub use packed::{PackedOids, PackedPositions, PackedSlice, PACKED_LOW_BITS, POSITION_BLOCK_ROWS};
 pub use scratch::{
     plan_partial_cluster, scatter_cursor_budget, ClusterScratch, DEFAULT_SCATTER_CURSOR_BUDGET,
     TLB_BOUNDED_FANOUT,

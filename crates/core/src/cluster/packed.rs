@@ -14,6 +14,14 @@
 //! run by run ([`PackedSlice::runs`]), one cluster base per run.  A slice is
 //! a contiguous stretch ([`PackedOids::slice`]) or a streamed chunk's
 //! per-cluster runs read in place ([`PackedOids::select`]).
+//!
+//! The result positions clustered beside those oids (`CLUST_RESULT`) pack
+//! the same way under a different base.  Radix-Cluster is stable over
+//! result-ordered input, so a cluster's positions ascend (§3.2), and the
+//! entries of each [`POSITION_BLOCK_ROWS`]-row result block form one
+//! contiguous sub-run of the cluster.  [`PackedPositions`] stores each
+//! position's 16 low bits plus where every (cluster, block) sub-run starts:
+//! a position's high bits are its block.
 
 use super::{Clustered, RadixClusterSpec};
 use rdx_dsm::Oid;
@@ -247,6 +255,100 @@ impl<'a> PackedSlice<'a> {
     }
 }
 
+/// Rows per result block of a [`PackedPositions`] array: a position is
+/// stored as its offset in its block.
+pub const POSITION_BLOCK_ROWS: usize = 1 << PACKED_LOW_BITS;
+
+/// A clustered `CLUST_RESULT` array stored as each position's low 16 bits
+/// under its [`POSITION_BLOCK_ROWS`]-row result block: inside a cluster the
+/// positions ascend, so the entries of one block are one contiguous
+/// sub-run, and the block is where that sub-run lies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedPositions {
+    /// `position & 0xFFFF`, one per clustered tuple.
+    pub(crate) low: Vec<u16>,
+    /// Where each (cluster, block) sub-run starts, cluster-major: sub-run
+    /// `k = j · blocks + b` holds the tuples of cluster `j` in block `b`
+    /// and spans `starts[k]..starts[k + 1]`.  `H · blocks + 1` entries, so
+    /// `starts[j · blocks]` is cluster `j`'s border.
+    pub(crate) starts: Vec<u32>,
+    /// Result blocks covered (at least 1).
+    pub(crate) blocks: usize,
+}
+
+impl PackedPositions {
+    /// Packs the clustered `positions` whose clusters are `bounds`
+    /// (`H + 1` offsets).
+    ///
+    /// # Panics
+    /// Panics if the borders do not cover the positions, or a cluster's
+    /// positions do not ascend or reach past the result's last block — the
+    /// two §3.2 properties a clustering of result positions guarantees.
+    pub fn pack(positions: &[Oid], bounds: &[usize]) -> Self {
+        let n = positions.len();
+        assert_eq!(
+            bounds.last(),
+            Some(&n),
+            "cluster borders do not cover the positions"
+        );
+        let blocks = n.div_ceil(POSITION_BLOCK_ROWS).max(1);
+        let mut starts = Vec::with_capacity((bounds.len() - 1) * blocks + 1);
+        let mut low = Vec::with_capacity(n);
+        let mut ascending = true;
+        for cluster in bounds.windows(2) {
+            // Blocks up to a tuple's own start at or before it.
+            let (mut next, mut last) = (0, None);
+            for (i, &pos) in positions[cluster[0]..cluster[1]].iter().enumerate() {
+                ascending &= last < Some(pos);
+                last = Some(pos);
+                while next <= pos as usize / POSITION_BLOCK_ROWS {
+                    starts.push((cluster[0] + i) as u32);
+                    next += 1;
+                }
+                low.push(pos as u16);
+            }
+            starts.extend((next..blocks).map(|_| cluster[1] as u32));
+        }
+        assert!(
+            ascending && starts.len() == (bounds.len() - 1) * blocks,
+            "clustered positions must ascend inside their result blocks"
+        );
+        starts.push(n as u32);
+        PackedPositions {
+            low,
+            starts,
+            blocks,
+        }
+    }
+
+    /// Number of positions.
+    pub fn len(&self) -> usize {
+        self.low.len()
+    }
+
+    /// `true` if no position is stored.
+    pub fn is_empty(&self) -> bool {
+        self.low.is_empty()
+    }
+
+    /// Heap bytes held: 2 B per position plus a 4 B start per (cluster,
+    /// block) sub-run.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(self.low.as_slice()) + std::mem::size_of_val(self.starts.as_slice())
+    }
+
+    /// Every position widened to [`Oid`], in clustered order.
+    pub fn to_positions(&self) -> Vec<Oid> {
+        let mut out = Vec::with_capacity(self.len());
+        for (k, run) in self.starts.windows(2).enumerate() {
+            let base = (k % self.blocks * POSITION_BLOCK_ROWS) as Oid;
+            let run = &self.low[run[0] as usize..run[1] as usize];
+            out.extend(run.iter().map(|&l| base + Oid::from(l)));
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +460,49 @@ mod tests {
                 }
             });
         assert_eq!(out, [2, 3, 12, 13, 14]);
+    }
+
+    #[test]
+    fn packed_positions_round_trip_around_the_block_boundaries() {
+        const BLOCK: usize = POSITION_BLOCK_ROWS;
+        for n in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5] {
+            let c = clustered(n, 3, 14);
+            let packed = PackedPositions::pack(c.payloads(), c.bounds());
+            assert_eq!(packed.to_positions(), c.payloads(), "n={n}");
+            assert_eq!(packed.len(), n);
+            let blocks = n.div_ceil(BLOCK).max(1);
+            assert_eq!(packed.resident_bytes(), 2 * n + 4 * (8 * blocks + 1));
+            // Every eighth start is a cluster border.
+            let borders: Vec<usize> = packed
+                .starts
+                .iter()
+                .step_by(blocks)
+                .map(|&s| s as usize)
+                .collect();
+            assert_eq!(borders, c.bounds(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_cluster_with_an_empty_block_starts_its_next_block_where_it_ends() {
+        const BLOCK: usize = POSITION_BLOCK_ROWS;
+        // Cluster 0 holds rows 0 and 2·2^16 (nothing of block 1); cluster 1
+        // the rows between.
+        let n = 2 * BLOCK + 1;
+        let positions: Vec<Oid> = [0, 2 * BLOCK as Oid]
+            .into_iter()
+            .chain(1..2 * BLOCK as Oid)
+            .collect();
+        let packed = PackedPositions::pack(&positions, &[0, 2, n]);
+        let n32 = n as u32;
+        assert_eq!(packed.starts, [0, 1, 1, 2, BLOCK as u32 + 1, n32, n32]);
+        assert_eq!(packed.to_positions(), positions);
+    }
+
+    #[test]
+    #[should_panic(expected = "must ascend")]
+    fn positions_that_do_not_ascend_in_their_cluster_are_refused() {
+        PackedPositions::pack(&[1, 0, 2], &[0, 2, 3]);
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //! row, which is all the windowed kernel
 //! ([`super::radix_decluster_windows_with_scratch`]) needs: it reads the
 //! runs' positions in place, so the peak working set shrinks from `O(N)`
-//! values to `O(chunk)` values without copying any index array.
+//! values to `O(chunk)` values without copying any index array.  Over
+//! packed positions a cursor finds its chunk end through the block starts
+//! ([`super::ResultPositions::seek`]): only the one block's sub-run holding
+//! the end is searched.
 
-use rdx_dsm::Oid;
+use super::ResultPositions;
+use rdx_cache::NoProbe;
 use std::ops::Range;
 
 /// The per-cluster runs making up one contiguous chunk of the result.
@@ -25,6 +29,8 @@ pub struct ChunkRuns {
     /// chunk, in cluster order.  Their total length equals
     /// `result_range.len()`.
     pub runs: Vec<Range<usize>>,
+    /// The cluster each run lies in.
+    pub clusters: Vec<usize>,
 }
 
 impl Default for ChunkRuns {
@@ -40,6 +46,7 @@ impl ChunkRuns {
         ChunkRuns {
             result_range: 0..0,
             runs: Vec::new(),
+            clusters: Vec::new(),
         }
     }
 
@@ -47,13 +54,16 @@ impl ChunkRuns {
     /// `bounds` (`H + 1` offsets) is a run — the chunk a sweep's first
     /// [`ChunkCursorState::next_chunk`] returns when it covers the result.
     pub fn whole(bounds: &[usize]) -> Self {
+        let (clusters, runs) = bounds
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(j, w)| (j, w[0]..w[1]))
+            .unzip();
         ChunkRuns {
             result_range: 0..bounds.last().copied().unwrap_or(0),
-            runs: bounds
-                .windows(2)
-                .filter(|w| w[0] < w[1])
-                .map(|w| w[0]..w[1])
-                .collect(),
+            runs,
+            clusters,
         }
     }
 
@@ -69,7 +79,7 @@ impl ChunkRuns {
 }
 
 /// The *owned* cursor state of a chunked sweep: per-cluster `(cursor, end)`
-/// pairs plus the consumed-row count, with the `positions` slice supplied at
+/// pairs plus the consumed-row count, with the `positions` array supplied at
 /// every call instead of being borrowed at construction.
 ///
 /// This is what a **resumable** pipeline stores between chunks: because the
@@ -112,8 +122,12 @@ impl ChunkCursorState {
     /// Advances every cluster past the tuples destined for result rows
     /// `< result_end` of `positions` and returns their runs as one chunk.
     /// `result_end` is clamped to `N`; calls must use non-decreasing
-    /// `result_end` and the same `positions` slice throughout the sweep.
-    pub fn next_chunk(&mut self, positions: &[Oid], result_end: usize) -> ChunkRuns {
+    /// `result_end` and the same `positions` throughout the sweep.
+    pub fn next_chunk<R: ResultPositions + ?Sized>(
+        &mut self,
+        positions: &R,
+        result_end: usize,
+    ) -> ChunkRuns {
         let mut chunk = ChunkRuns::empty();
         self.next_chunk_into(positions, result_end, &mut chunk);
         chunk
@@ -123,20 +137,27 @@ impl ChunkCursorState {
     /// list is cleared first): allocation-free once the run list has grown
     /// to the live-cluster count — what the streaming pipeline's
     /// zero-allocation steady state uses.
-    pub fn next_chunk_into(&mut self, positions: &[Oid], result_end: usize, chunk: &mut ChunkRuns) {
-        let result_end = result_end.min(positions.len());
+    pub fn next_chunk_into<R: ResultPositions + ?Sized>(
+        &mut self,
+        positions: &R,
+        result_end: usize,
+        chunk: &mut ChunkRuns,
+    ) {
+        let result_end = result_end.min(positions.stored().len());
         let start = self.consumed;
-        let runs = &mut chunk.runs;
+        let (runs, clusters) = (&mut chunk.runs, &mut chunk.clusters);
         runs.clear();
-        for c in &mut self.cursors {
+        clusters.clear();
+        for (j, c) in self.cursors.iter_mut().enumerate() {
             let (cursor, end) = *c;
             if cursor >= end {
                 continue;
             }
-            let advance = positions[cursor..end].partition_point(|&p| (p as usize) < result_end);
-            if advance > 0 {
-                runs.push(cursor..cursor + advance);
-                c.0 = cursor + advance;
+            let stop = positions.seek(j, cursor..end, result_end, &mut NoProbe);
+            if stop > cursor {
+                runs.push(cursor..stop);
+                clusters.push(j);
+                c.0 = stop;
             }
         }
         let produced: usize = runs.iter().map(|r| r.len()).sum();
@@ -156,6 +177,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
+    use rdx_dsm::Oid;
 
     fn clustered_input(n: usize, bits: u32, seed: u64) -> (Vec<i64>, Vec<Oid>, Vec<usize>) {
         let mut smaller: Vec<Oid> = (0..n as Oid).collect();
@@ -191,7 +213,7 @@ mod tests {
         radix_decluster_windows_with_scratch(
             &staged,
             positions,
-            chunk.runs.iter().cloned(),
+            chunk,
             chunk.result_range.start,
             window_elems(64, std::mem::size_of::<i64>()),
             scratch,
@@ -208,7 +230,7 @@ mod tests {
         let mut end = 0;
         while !cursors.is_done(positions.len()) {
             end += 170;
-            let chunk = cursors.next_chunk(&positions, end);
+            let chunk = cursors.next_chunk(positions.as_slice(), end);
             for r in &chunk.runs {
                 for i in r.clone() {
                     assert!(!covered[i], "clustered tuple {i} in two chunks");
@@ -230,7 +252,8 @@ mod tests {
             let mut scratch = DeclusterScratch::new();
             let mut out = vec![i64::MIN; n];
             while !cursors.is_done(n) {
-                let chunk = cursors.next_chunk(&positions, cursors.consumed() + chunk_rows);
+                let chunk =
+                    cursors.next_chunk(positions.as_slice(), cursors.consumed() + chunk_rows);
                 decluster_chunk(&chunk, &values, &positions, &mut scratch, &mut out);
             }
             assert_eq!(out, expected, "n={n} bits={bits} chunk={chunk_rows}");
@@ -241,7 +264,7 @@ mod tests {
     fn oversized_chunk_is_the_whole_input() {
         let (_, positions, bounds) = clustered_input(100, 3, 9);
         let mut cursors = ChunkCursorState::new(&bounds);
-        let chunk = cursors.next_chunk(&positions, usize::MAX);
+        let chunk = cursors.next_chunk(positions.as_slice(), usize::MAX);
         assert_eq!(chunk.result_range, 0..100);
         assert_eq!(chunk.len(), 100);
         assert_eq!(chunk, ChunkRuns::whole(&bounds));
@@ -254,7 +277,7 @@ mod tests {
         let bounds = vec![0];
         let mut cursors = ChunkCursorState::new(&bounds);
         assert!(cursors.is_done(positions.len()));
-        let chunk = cursors.next_chunk(&positions, 10);
+        let chunk = cursors.next_chunk(positions.as_slice(), 10);
         assert!(chunk.is_empty());
         assert!(chunk.runs.is_empty());
         assert_eq!(chunk, ChunkRuns::whole(&bounds));
@@ -271,8 +294,8 @@ mod tests {
         let mut end = 0;
         while !state.is_done(positions.len()) {
             end += 300;
-            let fresh = state.next_chunk(&positions, end);
-            reused_state.next_chunk_into(&positions, end, &mut reused);
+            let fresh = state.next_chunk(positions.as_slice(), end);
+            reused_state.next_chunk_into(positions.as_slice(), end, &mut reused);
             assert_eq!(reused, fresh);
             // A scratch reused across chunks declusters what a fresh one does.
             let mut scratch = DeclusterScratch::new();

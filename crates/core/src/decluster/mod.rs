@@ -14,6 +14,7 @@
 
 pub mod chunks;
 
+use crate::cluster::{PackedPositions, POSITION_BLOCK_ROWS};
 use chunks::ChunkRuns;
 use rdx_cache::{
     AddressSpace, CacheParams, EventCounts, MemorySystem, NoProbe, Probe, Region, SimProbe,
@@ -82,7 +83,7 @@ pub fn radix_decluster<T: Copy + Default>(
     radix_decluster_windows_with_scratch(
         values,
         result_positions,
-        bounds.windows(2).map(|w| w[0]..w[1]),
+        &ChunkRuns::whole(bounds),
         0,
         window_elems(window_bytes, std::mem::size_of::<T>()),
         &mut DeclusterScratch::new(),
@@ -98,10 +99,168 @@ pub fn radix_decluster<T: Copy + Default>(
 /// declustering per chunk or per query allocates nothing in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct DeclusterScratch {
-    /// Live clusters as `(cursor, end, at)`: the run's next and
-    /// past-the-end position indices, and the staged index of the value
-    /// under the cursor.
-    clusters: Vec<(usize, usize, usize)>,
+    clusters: Vec<Live>,
+}
+
+/// A live cluster of the windowed kernel: its run's next and past-the-end
+/// tuple indices, the staged index of the value under the cursor, its
+/// cluster, and the base row and end of the segment holding the cursor
+/// ([`ResultPositions::segment`]).
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    cursor: usize,
+    end: usize,
+    at: usize,
+    cluster: usize,
+    base: usize,
+    segment_end: usize,
+}
+
+/// How a `CLUST_RESULT` array stores the result position of each clustered
+/// tuple: as is (`[Oid]`), or as its low bits under its result block
+/// ([`PackedPositions`]).  The windowed kernel and the chunk cursors read
+/// either in place.  A *segment* is a stretch of one cluster's tuples
+/// whose stored positions are offsets from one base row: a (cluster, block)
+/// sub-run of packed positions, a whole run of wide ones.
+pub trait ResultPositions {
+    /// One stored position.
+    type Stored: Copy;
+
+    /// The stored positions, one per clustered tuple.
+    fn stored(&self) -> &[Self::Stored];
+
+    /// Entries of the block-start array the kernel's probe charges.
+    fn starts_len(&self) -> usize;
+
+    /// The result row of a position stored as `stored` in a segment based
+    /// at `base`.
+    fn row(base: usize, stored: Self::Stored) -> usize;
+
+    /// The first tuple of `run`, inside cluster `cluster`, destined for
+    /// row `row` or later (`run.end` if none is).
+    fn seek<P: Probe>(&self, cluster: usize, run: Range<usize>, row: usize, probe: &mut P)
+        -> usize;
+
+    /// The base row and past-the-end tuple index (`usize::MAX` when only
+    /// the run's own end bounds it) of the segment holding tuple `cursor`
+    /// of cluster `cluster`, whose run holds only tuples destined for
+    /// `rows`.
+    fn segment<P: Probe>(
+        &self,
+        cluster: usize,
+        cursor: usize,
+        rows: Range<usize>,
+        probe: &mut P,
+    ) -> (usize, usize);
+}
+
+/// The first index of `range` whose stored position is not `below`, by
+/// binary search: positions ascend inside a segment.
+fn search<S: Copy, P: Probe>(
+    stored: &[S],
+    range: Range<usize>,
+    below: impl Fn(S) -> bool,
+    probe: &mut P,
+) -> usize {
+    let (mut lo, mut hi) = (range.start, range.end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        probe.read(POSITIONS, mid);
+        if below(stored[mid]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+impl ResultPositions for [Oid] {
+    type Stored = Oid;
+
+    fn stored(&self) -> &[Oid] {
+        self
+    }
+
+    fn starts_len(&self) -> usize {
+        0
+    }
+
+    #[inline(always)]
+    fn row(_base: usize, stored: Oid) -> usize {
+        stored as usize
+    }
+
+    fn seek<P: Probe>(&self, _: usize, run: Range<usize>, row: usize, probe: &mut P) -> usize {
+        search(self, run, |p| (p as usize) < row, probe)
+    }
+
+    fn segment<P: Probe>(&self, _: usize, _: usize, _: Range<usize>, _: &mut P) -> (usize, usize) {
+        (0, usize::MAX)
+    }
+}
+
+impl ResultPositions for PackedPositions {
+    type Stored = u16;
+
+    fn stored(&self) -> &[u16] {
+        &self.low
+    }
+
+    fn starts_len(&self) -> usize {
+        self.starts.len()
+    }
+
+    #[inline(always)]
+    fn row(base: usize, stored: u16) -> usize {
+        base + usize::from(stored)
+    }
+
+    /// One block-start pair bounds the sub-run holding `row`; a binary
+    /// search inside it finds the tuple.
+    fn seek<P: Probe>(
+        &self,
+        cluster: usize,
+        run: Range<usize>,
+        row: usize,
+        probe: &mut P,
+    ) -> usize {
+        let block = row / POSITION_BLOCK_ROWS;
+        if block >= self.blocks {
+            return run.end;
+        }
+        let k = cluster * self.blocks + block;
+        probe.read(STARTS, k);
+        probe.read(STARTS, k + 1);
+        let lo = (self.starts[k] as usize).clamp(run.start, run.end);
+        let hi = (self.starts[k + 1] as usize).clamp(lo, run.end);
+        let low = (row % POSITION_BLOCK_ROWS) as u16;
+        search(&self.low, lo..hi, |l| l < low, probe)
+    }
+
+    /// Rows inside one block need no lookup: the run lies in that block's
+    /// sub-run.  Otherwise the sub-run ends are read from the first block
+    /// of `rows` on until one lies past the cursor.
+    fn segment<P: Probe>(
+        &self,
+        cluster: usize,
+        cursor: usize,
+        rows: Range<usize>,
+        probe: &mut P,
+    ) -> (usize, usize) {
+        let mut block = rows.start / POSITION_BLOCK_ROWS;
+        if rows.end <= (block + 1) * POSITION_BLOCK_ROWS {
+            return (block * POSITION_BLOCK_ROWS, usize::MAX);
+        }
+        loop {
+            let k = cluster * self.blocks + block;
+            probe.read(STARTS, k + 1);
+            if self.starts[k + 1] as usize > cursor {
+                return (block * POSITION_BLOCK_ROWS, self.starts[k + 1] as usize);
+            }
+            block += 1;
+        }
+    }
 }
 
 impl DeclusterScratch {
@@ -112,7 +271,7 @@ impl DeclusterScratch {
 
     /// Resident heap bytes of the cursor array (capacity, not length).
     pub fn resident_bytes(&self) -> usize {
-        self.clusters.capacity() * std::mem::size_of::<(usize, usize, usize)>()
+        self.clusters.capacity() * std::mem::size_of::<Live>()
     }
 }
 
@@ -123,22 +282,23 @@ pub fn window_elems(window_bytes: usize, value_width: usize) -> usize {
     (window_bytes / value_width.max(1)).max(1)
 }
 
-/// The windowed Radix-Decluster kernel over per-cluster runs of a
-/// `CLUST_RESULT` array.  Each of `runs` is a range of `result_positions`
-/// inside one cluster; `values` holds the runs' values run after run, in
+/// The windowed Radix-Decluster kernel over a chunk's per-cluster runs of a
+/// `CLUST_RESULT` array.  Each of `chunk.runs` is a range of `positions`
+/// inside one cluster (`chunk.clusters`), holding only tuples destined for
+/// `chunk.result_range`; `values` holds the runs' values run after run, in
 /// the runs' order; `out` receives result rows `base..base + out.len()`,
-/// one insertion window of `window_elems` rows at a time.  Tuples destined
-/// for rows before `base` are skipped by binary search (positions ascend
-/// within a cluster), and the runs must hold every tuple destined for
-/// `out`'s rows.
+/// one insertion window of `window_elems` rows at a time.  A `base` past
+/// the chunk's first row skips each run's tuples destined before it
+/// ([`ResultPositions::seek`]), and the runs must hold every tuple destined
+/// for `out`'s rows.
 ///
 /// The whole result is the case where the runs are the clusters and `base`
 /// is 0 ([`radix_decluster`]); a streamed chunk passes its
 /// [`chunks::ChunkRuns`] and first row, reading the prefix's positions in
-/// place.  Because every write of a window lands inside that window's rows,
-/// disjoint stretches of windows touch disjoint output — the parallel
-/// executor (`rdx-exec`) hands each worker one `&mut` shard, with the shard's
-/// first row as `base`.
+/// place, wide or packed.  Because every write of a window lands inside
+/// that window's rows, disjoint stretches of windows touch disjoint output
+/// — the parallel executor (`rdx-exec`) hands each worker one `&mut` shard,
+/// with the shard's first row as `base`.
 ///
 /// **Cluster visiting order is part of the contract.**  Within a window the
 /// live clusters are visited in array order, a drained cluster is replaced by
@@ -146,37 +306,57 @@ pub fn window_elems(window_bytes: usize, value_width: usize) -> usize {
 /// cluster's tuples in cursor order up to the window limit.  `probe` sees
 /// exactly this sequence: per visit the cursor entry's read, then per tuple
 /// its position's read and, when it falls inside the window, its value's
-/// read and its row's write — the arrays [`probe_regions`] lays out.  Every
-/// `cache.sim_*` / `perf_proxy` count is a function of it; production passes
-/// [`NoProbe`], which compiles the calls away.
+/// read and its row's write, and a block start's read wherever a packed
+/// run's segment is looked up or ends — the arrays [`probe_regions`] lays
+/// out.  Every `cache.sim_*` / `perf_proxy` count is a function of it;
+/// production passes [`NoProbe`], which compiles the calls away.
 ///
 /// # Panics
 /// Panics (possibly via slice indexing) if a run holds a tuple destined past
 /// `out`, or if the inputs violate the [`radix_decluster`] contract.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub fn radix_decluster_windows_with_scratch<T: Copy, P: Probe>(
+pub fn radix_decluster_windows_with_scratch<T, R, P>(
     values: &[T],
-    result_positions: &[Oid],
-    runs: impl IntoIterator<Item = Range<usize>>,
+    positions: &R,
+    chunk: &ChunkRuns,
     base: usize,
     window_elems: usize,
     scratch: &mut DeclusterScratch,
     out: &mut [T],
     probe: &mut P,
-) {
-    // Live clusters: cursors pre-advanced past every tuple destined before
+) where
+    T: Copy,
+    R: ResultPositions + ?Sized,
+    P: Probe,
+{
+    // Live clusters: cursors advanced past every tuple destined before
     // `base`; drained runs are dropped.
     let clusters = &mut scratch.clusters;
     clusters.clear();
+    let rows = base.max(chunk.result_range.start)..chunk.result_range.end;
     let mut staged = 0;
-    clusters.extend(runs.into_iter().filter_map(|run| {
-        let value = staged;
+    for (run, &cluster) in chunk.runs.iter().zip(&chunk.clusters) {
+        let cursor = if base > chunk.result_range.start {
+            positions.seek(cluster, run.clone(), base, probe)
+        } else {
+            run.start
+        };
+        if cursor < run.end {
+            let (base, segment_end) = positions.segment(cluster, cursor, rows.clone(), probe);
+            clusters.push(Live {
+                cursor,
+                end: run.end,
+                at: staged + cursor - run.start,
+                cluster,
+                base,
+                segment_end,
+            });
+        }
         staged += run.len();
-        let skip = result_positions[run.clone()].partition_point(|&p| (p as usize) < base);
-        (skip < run.len()).then_some((run.start + skip, run.end, value + skip))
-    }));
+    }
     let mut nclusters = clusters.len();
+    let stored = positions.stored();
 
     let rows_end = base + out.len();
     let mut window_limit = base;
@@ -187,22 +367,35 @@ pub fn radix_decluster_windows_with_scratch<T: Copy, P: Probe>(
             // The live cluster's cursors stay in registers for its whole run
             // through this window; `clusters[i]` is written back once.
             probe.read(CURSORS, i);
-            let (cursor, end, at) = clusters[i];
-            let run = result_positions[cursor..end].iter().zip(&values[at..]);
-            let mut drained = 0;
-            for (&pos, &value) in run {
-                probe.read(POSITIONS, cursor + drained);
-                let pos = pos as usize;
-                if pos >= window_limit {
+            let mut live = clusters[i];
+            let Live { end, cluster, .. } = live;
+            let (mut cursor, mut at) = (live.cursor, live.at);
+            loop {
+                let stop = end.min(live.segment_end);
+                let run = stored[cursor..stop].iter().zip(&values[at..]);
+                let mut drained = 0;
+                for (&pos, &value) in run {
+                    probe.read(POSITIONS, cursor + drained);
+                    let pos = R::row(live.base, pos);
+                    if pos >= window_limit {
+                        break;
+                    }
+                    probe.read(VALUES, at + drained);
+                    probe.write(OUT, pos - base);
+                    out[pos - base] = value;
+                    drained += 1;
+                }
+                cursor += drained;
+                at += drained;
+                // Stopped inside the segment by the window, or drained.
+                if cursor < stop || cursor == end {
                     break;
                 }
-                probe.read(VALUES, at + drained);
-                probe.write(OUT, pos - base);
-                out[pos - base] = value;
-                drained += 1;
+                let rest = live.base..rows.end;
+                (live.base, live.segment_end) = positions.segment(cluster, cursor, rest, probe);
             }
-            if cursor + drained < end {
-                clusters[i] = (cursor + drained, end, at + drained);
+            if cursor < end {
+                clusters[i] = Live { cursor, at, ..live };
                 i += 1;
             } else {
                 // Delete the drained cluster by swapping in the last live one;
@@ -220,37 +413,43 @@ const VALUES: usize = 0;
 const POSITIONS: usize = 1;
 const OUT: usize = 2;
 const CURSORS: usize = 3;
+const STARTS: usize = 4;
 
-/// Lays out, in `space`, the four arrays the windowed kernel charges its
-/// probe with, in array-id order: `rows` staged values and `rows` output rows
-/// of `value_width` bytes, the `positions`-long `CLUST_RESULT` array of
-/// 4-byte positions, and the cursor array as `runs + 1` 8-byte borders.
-pub fn probe_regions(
+/// Lays out, in `space`, the five arrays the windowed kernel charges its
+/// probe with, in array-id order: `rows` staged values and `rows` output
+/// rows of `value_width` bytes, the `CLUST_RESULT` array of `positions` at
+/// the width it stores, the cursor array as `runs + 1` 8-byte borders, and
+/// the block starts of packed positions as 4-byte entries.
+pub fn probe_regions<R: ResultPositions + ?Sized>(
     space: &mut AddressSpace,
     rows: usize,
-    positions: usize,
+    positions: &R,
     runs: usize,
     value_width: usize,
-) -> [Region; 4] {
+) -> [Region; 5] {
     let values = space.alloc(rows.max(1), value_width);
-    let positions = space.alloc(positions.max(1), std::mem::size_of::<Oid>());
+    let stored = space.alloc(
+        positions.stored().len().max(1),
+        std::mem::size_of::<R::Stored>(),
+    );
     let out = space.alloc(rows.max(1), value_width);
     let cursors = space.alloc(runs + 1, 8);
-    [values, positions, out, cursors]
+    let starts = space.alloc(positions.starts_len().max(1), 4);
+    [values, stored, out, cursors, starts]
 }
 
-/// The windowed kernel over `chunk`'s runs of `result_positions` (`values`
-/// staged run after run, the chunk's first row as the base) under a
-/// [`SimProbe`] charging `mem`, its arrays laid out by [`probe_regions`] in a
-/// fresh address space.  Returns the chunk's rows and the simulated events —
-/// the Fig. 7a miss counts of the shipped loop.  The whole result is
+/// The windowed kernel over `chunk`'s runs of `positions` (`values` staged
+/// run after run, the chunk's first row as the base) under a [`SimProbe`]
+/// charging `mem`, its arrays laid out by [`probe_regions`] in a fresh
+/// address space.  Returns the chunk's rows and the simulated events — the
+/// Fig. 7a miss counts of the shipped loop.  The whole result is
 /// [`ChunkRuns::whole`] over the cluster bounds.
 ///
 /// # Panics
 /// Panics if `values` is not as long as the chunk.
-pub fn simulate_decluster<T: Copy + Default>(
+pub fn simulate_decluster<T: Copy + Default, R: ResultPositions + ?Sized>(
     values: &[T],
-    result_positions: &[Oid],
+    positions: &R,
     chunk: &ChunkRuns,
     window_bytes: usize,
     mem: &mut MemorySystem,
@@ -260,7 +459,7 @@ pub fn simulate_decluster<T: Copy + Default>(
     let regions = probe_regions(
         &mut AddressSpace::new(),
         chunk.len(),
-        result_positions.len(),
+        positions,
         chunk.runs.len(),
         width.max(1),
     );
@@ -268,8 +467,8 @@ pub fn simulate_decluster<T: Copy + Default>(
     let mut out = vec![T::default(); chunk.len()];
     radix_decluster_windows_with_scratch(
         values,
-        result_positions,
-        chunk.runs.iter().cloned(),
+        positions,
+        chunk,
         chunk.result_range.start,
         window_elems(window_bytes, width),
         &mut DeclusterScratch::new(),
@@ -438,7 +637,6 @@ mod tests {
         struct NoDefault(i64);
 
         let mut scratch = DeclusterScratch::new();
-        let whole = |bounds: &[usize]| bounds.windows(2).map(|w| w[0]..w[1]).collect::<Vec<_>>();
         for &n in &[1usize, 17, 1_000, 4096] {
             let (values, positions, bounds) = clustered_input(n, 4, n as u64);
             let wrapped: Vec<NoDefault> = values.iter().map(|&v| NoDefault(v)).collect();
@@ -449,8 +647,8 @@ mod tests {
             let window = window_elems(256, std::mem::size_of::<NoDefault>());
             radix_decluster_windows_with_scratch(
                 &wrapped,
-                &positions,
-                whole(&bounds),
+                positions.as_slice(),
+                &ChunkRuns::whole(&bounds),
                 0,
                 window,
                 &mut scratch,
@@ -464,8 +662,8 @@ mod tests {
         let mut out: [i32; 0] = [];
         radix_decluster_windows_with_scratch(
             &[],
-            &[],
-            whole(&[0]),
+            &[] as &[Oid],
+            &ChunkRuns::whole(&[0]),
             0,
             1,
             &mut scratch,
@@ -497,7 +695,7 @@ mod tests {
         let mut mem = MemorySystem::new(&CacheParams::paper_pentium4());
         let (simulated, counts) = simulate_decluster(
             &values,
-            &positions,
+            positions.as_slice(),
             &ChunkRuns::whole(&bounds),
             4096,
             &mut mem,
@@ -517,9 +715,21 @@ mod tests {
         let whole = ChunkRuns::whole(&bounds);
 
         let mut mem_small = MemorySystem::new(&params);
-        let (_, small) = simulate_decluster(&values, &positions, &whole, 4 * 1024, &mut mem_small);
+        let (_, small) = simulate_decluster(
+            &values,
+            positions.as_slice(),
+            &whole,
+            4 * 1024,
+            &mut mem_small,
+        );
         let mut mem_big = MemorySystem::new(&params);
-        let (_, big) = simulate_decluster(&values, &positions, &whole, 64 * 1024, &mut mem_big);
+        let (_, big) = simulate_decluster(
+            &values,
+            positions.as_slice(),
+            &whole,
+            64 * 1024,
+            &mut mem_big,
+        );
 
         assert!(
             big.l2_misses > small.l2_misses * 2,
@@ -539,9 +749,16 @@ mod tests {
         let whole = ChunkRuns::whole(&bounds);
 
         let mut mem_tiny = MemorySystem::new(&params);
-        let (_, tiny) = simulate_decluster(&values, &positions, &whole, 256, &mut mem_tiny);
+        let (_, tiny) =
+            simulate_decluster(&values, positions.as_slice(), &whole, 256, &mut mem_tiny);
         let mut mem_good = MemorySystem::new(&params);
-        let (_, good) = simulate_decluster(&values, &positions, &whole, 4 * 1024, &mut mem_good);
+        let (_, good) = simulate_decluster(
+            &values,
+            positions.as_slice(),
+            &whole,
+            4 * 1024,
+            &mut mem_good,
+        );
 
         assert!(
             tiny.tlb_misses > good.tlb_misses,

@@ -5,7 +5,8 @@
 //! be cut into contiguous *window ranges* and each range handed to a worker
 //! together with the matching disjoint `&mut` result shard.  A worker finds
 //! its per-cluster start cursors by binary search (positions are ascending
-//! within every cluster — §3.2 property 2) and then runs the unchanged
+//! within every cluster — §3.2 property 2; over packed positions, inside the
+//! one block sub-run the block starts name) and then runs the unchanged
 //! sequential window loop
 //! ([`rdx_core::decluster::radix_decluster_windows_with_scratch`]) over its
 //! shard.  No synchronisation happens inside the loop, and the output is
@@ -17,6 +18,7 @@ use rdx_cache::{NoProbe, Probe};
 use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::{
     radix_decluster_windows_with_scratch, validate_inputs, window_elems, DeclusterScratch,
+    ResultPositions,
 };
 use rdx_dsm::Oid;
 
@@ -52,7 +54,8 @@ pub fn par_radix_decluster<T: Copy + Default + Send + Sync>(
 }
 
 /// Parallel Radix-Decluster of one chunk into a caller-provided output
-/// slice: `chunk`'s runs of `result_positions` are read in place, `values`
+/// slice: `chunk`'s runs of `result_positions`, wide or packed, are read in
+/// place, `values`
 /// holds their values run after run, and `out` receives the chunk's rows
 /// (the whole result is [`ChunkRuns::whole`]).  Every slot of `out` is
 /// overwritten, so no allocation or zero-fill is paid for the result; with
@@ -66,16 +69,20 @@ pub fn par_radix_decluster<T: Copy + Default + Send + Sync>(
 /// Panics if `values` or `out` is not as long as the chunk, or the runs
 /// violate the kernel's contract.
 #[allow(clippy::too_many_arguments)]
-pub fn par_radix_decluster_into<T: Copy + Send + Sync, P: Probe>(
+pub fn par_radix_decluster_into<T, R, P>(
     values: &[T],
-    result_positions: &[Oid],
+    result_positions: &R,
     chunk: &ChunkRuns,
     window_bytes: usize,
     policy: &ExecPolicy,
     scratch: &mut DeclusterScratch,
     out: &mut [T],
     probe: &mut P,
-) {
+) where
+    T: Copy + Send + Sync,
+    R: ResultPositions + Sync + ?Sized,
+    P: Probe,
+{
     let n = chunk.len();
     assert_eq!(values.len(), n, "values/chunk length mismatch");
     assert_eq!(out.len(), n, "output length mismatch");
@@ -85,12 +92,12 @@ pub fn par_radix_decluster_into<T: Copy + Send + Sync, P: Probe>(
     let elems = window_elems(window_bytes, std::mem::size_of::<T>());
     let windows = n.div_ceil(elems);
     let threads = policy.worker_threads().min(windows).max(1);
-    let (base, runs) = (chunk.result_range.start, || chunk.runs.iter().cloned());
+    let base = chunk.result_range.start;
     if threads == 1 || P::ACTIVE {
         radix_decluster_windows_with_scratch(
             values,
             result_positions,
-            runs(),
+            chunk,
             base,
             elems,
             scratch,
@@ -115,7 +122,7 @@ pub fn par_radix_decluster_into<T: Copy + Send + Sync, P: Probe>(
                 radix_decluster_windows_with_scratch(
                     values,
                     result_positions,
-                    runs(),
+                    chunk,
                     base + range.start * elems,
                     elems,
                     &mut DeclusterScratch::new(),
@@ -207,7 +214,7 @@ mod tests {
             buf.resize(n, i64::MIN);
             par_radix_decluster_into(
                 &values,
-                &positions,
+                positions.as_slice(),
                 &ChunkRuns::whole(&bounds),
                 512,
                 &ExecPolicy::with_threads(threads),
@@ -229,7 +236,7 @@ mod tests {
         let params = CacheParams::tiny_for_tests();
         let (expected, counts) = simulate_decluster(
             &values,
-            &positions,
+            positions.as_slice(),
             &chunk,
             512,
             &mut MemorySystem::new(&params),
@@ -238,7 +245,7 @@ mod tests {
             let regions = probe_regions(
                 &mut AddressSpace::new(),
                 chunk.len(),
-                positions.len(),
+                positions.as_slice(),
                 chunk.runs.len(),
                 std::mem::size_of::<i64>(),
             );
@@ -247,7 +254,7 @@ mod tests {
             let mut out = vec![0i64; values.len()];
             par_radix_decluster_into(
                 &values,
-                &positions,
+                positions.as_slice(),
                 &chunk,
                 512,
                 &ExecPolicy::with_threads(threads),
@@ -257,6 +264,80 @@ mod tests {
             );
             assert_eq!(out, expected, "threads={threads}");
             assert_eq!(probe.counts(), counts, "threads={threads}");
+        }
+    }
+
+    /// Packed ≡ wide around the 2^16-row blocks: results of 2^16 − 1, 2^16,
+    /// 2^16 + 1 and 3·2^16 + 5 rows and a cluster with an empty block,
+    /// declustered whole and in 40 000-row chunks (boundaries inside a
+    /// block), at 1 and 3 threads (3 000-row windows cut shards mid-block)
+    /// and with windows wider than a block, equal the `&[Oid]` kernel.
+    #[test]
+    fn packed_positions_decluster_like_wide_ones_around_the_blocks() {
+        use rdx_core::cluster::{PackedPositions, POSITION_BLOCK_ROWS as BLOCK};
+        use rdx_core::decluster::chunks::ChunkCursorState;
+
+        let mut cases: Vec<_> = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+            .into_iter()
+            .map(|n| clustered_input(n, 5, n as u64))
+            .collect();
+        // Block 1's rows all in cluster 1: cluster 0 skips a block.
+        let rows = 3 * BLOCK + 5;
+        let (ones, zeros): (Vec<Oid>, Vec<Oid>) =
+            (0..rows as Oid).partition(|&r| r as usize / BLOCK == 1 || r % 2 == 1);
+        let bounds = vec![0, zeros.len(), rows];
+        let positions: Vec<Oid> = zeros.into_iter().chain(ones).collect();
+        let values = positions.iter().map(|&p| p as i64 * 5).collect();
+        cases.push((values, positions, bounds));
+
+        for (values, wide, bounds) in cases {
+            let n = values.len();
+            let packed = PackedPositions::pack(&wide, &bounds);
+            for window_bytes in [3_000 * 8, 1 << 20] {
+                let expected = radix_decluster(&values, &wide, &bounds, window_bytes);
+                for threads in [1, 3] {
+                    let label = format!("n={n} window={window_bytes} threads={threads}");
+                    let policy = ExecPolicy::with_threads(threads);
+                    let mut scratch = DeclusterScratch::new();
+                    let mut whole = vec![i64::MIN; n];
+                    par_radix_decluster_into(
+                        &values,
+                        &packed,
+                        &ChunkRuns::whole(&bounds),
+                        window_bytes,
+                        &policy,
+                        &mut scratch,
+                        &mut whole,
+                        &mut NoProbe,
+                    );
+                    assert!(whole == expected, "{label}: whole result");
+
+                    let mut cursors = ChunkCursorState::new(&bounds);
+                    let mut wide_cursors = ChunkCursorState::new(&bounds);
+                    let mut streamed = vec![i64::MIN; n];
+                    while !cursors.is_done(n) {
+                        let end = cursors.consumed() + 40_000;
+                        let chunk = cursors.next_chunk(&packed, end);
+                        assert_eq!(chunk, wide_cursors.next_chunk(wide.as_slice(), end));
+                        let staged: Vec<i64> = chunk
+                            .runs
+                            .iter()
+                            .flat_map(|r| values[r.clone()].iter().copied())
+                            .collect();
+                        par_radix_decluster_into(
+                            &staged,
+                            &packed,
+                            &chunk,
+                            window_bytes,
+                            &policy,
+                            &mut scratch,
+                            &mut streamed[chunk.result_range.clone()],
+                            &mut NoProbe,
+                        );
+                    }
+                    assert!(streamed == expected, "{label}: chunked");
+                }
+            }
         }
     }
 

@@ -13,12 +13,13 @@
 //!
 //! 1. **join** (Partitioned Hash-Join on the key columns) and **reorder**
 //!    (the `u`/`s`/`c` code on the first side, a partial Radix-Cluster on
-//!    the second) build the clustered oid/position arrays — the `6 N`-byte
+//!    the second) build the clustered oid/position arrays — the `4 N`-byte
 //!    irreducible floor, the Fig. 4 `CLUST_SMALLER`/`CLUST_RESULT` analogue:
 //!    every radix-clustered oid array is stored as 2-byte low bits under its
-//!    cluster, [`PackedOids`]; this whole prefix is factored out as
-//!    [`PreparedProjection`] — a self-contained, *shareable* product (the
-//!    serving layer caches it across queries under an `Arc`);
+//!    cluster, [`PackedOids`], and every position as 2-byte low bits under
+//!    its result block, [`PackedPositions`]; this whole prefix is factored
+//!    out as [`PreparedProjection`] — a self-contained, *shareable* product
+//!    (the serving layer caches it across queries under an `Arc`);
 //! 2. the result rows are cut into chunks of
 //!    [`StreamingPlan::chunk_rows`] = `budget / bytes_per_row` rows;
 //! 3. per chunk, a [`ChunkCursorState`] advances one cursor per cluster
@@ -66,7 +67,7 @@ use crate::strategy::{
     par_gather_into, par_order_join_index, par_partial_cluster_join_index, par_project_columns_into,
 };
 use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, NoProbe, Region, SimProbe};
-use rdx_core::cluster::{plan_partial_cluster, PackedOids, RadixClusterSpec};
+use rdx_core::cluster::{plan_partial_cluster, PackedOids, PackedPositions, RadixClusterSpec};
 use rdx_core::decluster::chunks::{ChunkCursorState, ChunkRuns};
 use rdx_core::decluster::{probe_regions, DeclusterScratch};
 use rdx_core::error::{check_projection_widths, RdxError};
@@ -169,10 +170,11 @@ enum SecondSide {
     /// `u`: the smaller relation's oids in result order, fetched positionally.
     ResultOrder(Vec<Oid>),
     /// `d`: Fig. 4's `(oid, result position)` pairs, radix-clustered on oid:
-    /// `CLUST_SMALLER` packed under its clusters, `CLUST_RESULT` as is.
+    /// `CLUST_SMALLER` packed under its clusters, `CLUST_RESULT` under its
+    /// result blocks.
     Clustered {
         smaller: PackedOids,
-        positions: Vec<Oid>,
+        positions: PackedPositions,
     },
 }
 
@@ -215,14 +217,15 @@ impl PreparedProjection {
     /// side's reordered oids cost 2 B/row plus the `H + 1` cluster borders
     /// when `c` clustered them, 4 B/row for `u` and `s`.  The second side
     /// adds either its result-order oids (4 B/row, unsorted fetch) or its
-    /// packed `CLUST_SMALLER` (2 B/row), its `CLUST_RESULT` positions
-    /// (4 B/row) and the cluster borders (decluster).  A `c/d` prefix is
-    /// therefore 8 B/row + borders.
+    /// packed `CLUST_SMALLER` (2 B/row) and cluster borders, and its packed
+    /// `CLUST_RESULT` (2 B/row) and the 4 B start of each (cluster, 2^16-row
+    /// block) sub-run (decluster).  A `c/d` prefix is therefore 6 B/row +
+    /// borders and block starts, `u/d` and `s/d` 8 B/row.
     pub fn resident_bytes(&self) -> usize {
         let second = match &self.second {
             SecondSide::ResultOrder(oids) => std::mem::size_of_val(oids.as_slice()),
             SecondSide::Clustered { smaller, positions } => {
-                smaller.resident_bytes() + std::mem::size_of_val(positions.as_slice())
+                smaller.resident_bytes() + positions.resident_bytes()
             }
         };
         self.first.resident_bytes() + second
@@ -287,13 +290,20 @@ impl ChunkScratch {
             .sum();
         cols + self.staged.capacity() * 4
             + self.chunk.runs.capacity() * std::mem::size_of::<std::ops::Range<usize>>()
+            + self.chunk.clusters.capacity() * std::mem::size_of::<usize>()
             + self.decluster.resident_bytes()
     }
 }
 
 /// One chunk's smaller-side decluster inputs, shared by every column: the
 /// staged values, `CLUST_RESULT`, the chunk's runs, the window and the policy.
-type Sweep<'a> = (&'a [i32], &'a [Oid], &'a ChunkRuns, usize, &'a ExecPolicy);
+type Sweep<'a> = (
+    &'a [i32],
+    &'a PackedPositions,
+    &'a ChunkRuns,
+    usize,
+    &'a ExecPolicy,
+);
 
 /// Declusters one column under `probe`: the one call every column makes.
 fn decluster<P: rdx_cache::Probe>(
@@ -341,7 +351,7 @@ struct RunProfile {
     smaller_cols: Vec<Region>,
     chunk_out: Region,
     /// The probed decluster's arrays ([`probe_regions`]).
-    decluster_regions: [Region; 4],
+    decluster_regions: [Region; 5],
     /// What the current chunk's probed decluster charged.
     declustered: EventCounts,
 }
@@ -547,11 +557,18 @@ where
         let chunk_capacity = self.streaming.chunk_rows.min(n).max(1);
         let chunk_out = space.alloc(chunk_capacity, VALUE_WIDTH);
         // The cursor array follows the prefix the kernel indexes.
-        let clusters = match &self.prepared.second {
-            SecondSide::Clustered { smaller, .. } => smaller.bounds().len() - 1,
-            SecondSide::ResultOrder(_) => 0,
+        let decluster_regions = match &self.prepared.second {
+            SecondSide::Clustered { smaller, positions } => probe_regions(
+                &mut space,
+                chunk_capacity,
+                positions,
+                smaller.num_clusters(),
+                VALUE_WIDTH,
+            ),
+            SecondSide::ResultOrder(_) => {
+                probe_regions(&mut space, chunk_capacity, &[] as &[Oid], 0, VALUE_WIDTH)
+            }
         };
-        let decluster_regions = probe_regions(&mut space, chunk_capacity, n, clusters, VALUE_WIDTH);
         self.profile = Some(Box::new(RunProfile {
             profile,
             obs: obs.clone(),
@@ -671,7 +688,7 @@ where
                     // CLUST_VALUES, never the whole column.
                     par_gather_into(&self.smaller, b, oids, &self.policy, staged);
                     column.resize(rows, 0);
-                    let sweep = (&*staged, &positions[..], chunk, window, &self.policy);
+                    let sweep = (&*staged, positions, chunk, window, &self.policy);
                     // A profiled run's first column declusters under the
                     // simulator; the others charge the same pattern.
                     match self.profile.as_deref_mut().filter(|_| b == 0) {
@@ -935,7 +952,7 @@ impl ProjectionPipeline {
         drop(join_index);
         timings.reorder = t.elapsed();
 
-        // Phase 3: second-side partial clustering (the 6 N-byte packed
+        // Phase 3: second-side partial clustering (the 4 N-byte packed
         // CLUST_SMALLER / CLUST_RESULT floor the chunks stream over), on the
         // §3.1 spec `plan_streaming` also derives — the same
         // `plan_partial_cluster` rule, so prepared prefix and streaming plan
@@ -953,6 +970,7 @@ impl ProjectionPipeline {
                     cluster_spec,
                     policy,
                 ));
+                let positions = PackedPositions::pack(&positions, smaller.bounds());
                 SecondSide::Clustered { smaller, positions }
             }
             SecondSideCode::Unsorted => SecondSide::ResultOrder(second_oids),
@@ -1361,11 +1379,14 @@ mod tests {
                         assert_eq!(oids.len(), n);
                         4 * n
                     }
-                    // A 2 B packed oid and a 4 B position per row + borders.
+                    // A 2 B packed oid and a 2 B packed position per row,
+                    // the borders, and a 4 B start per (cluster, block):
+                    // 3 000 rows are one block.
                     SecondSide::Clustered { smaller, positions } => {
                         assert_eq!(second, SecondSideCode::Decluster);
                         assert_eq!((smaller.len(), positions.len()), (n, n));
-                        6 * n + std::mem::size_of_val(smaller.bounds())
+                        let starts = 4 * (smaller.num_clusters() + 1);
+                        4 * n + std::mem::size_of_val(smaller.bounds()) + starts
                     }
                 };
                 assert_eq!(
@@ -1374,6 +1395,32 @@ mod tests {
                     "{first:?}/{second:?}"
                 );
             }
+        }
+    }
+
+    /// Every `c/d` shape `planner::benchmark_shapes_keep_their_plans` pins
+    /// (the `scan_cold` pair and the six declustering `mix_budget_wire`
+    /// tenants), prepared the way the engine prepares it at a quarter of the
+    /// cache, charges at most 6.25 B per row: 2 B per first-side oid,
+    /// `CLUST_SMALLER` oid and `CLUST_RESULT` position, plus borders and
+    /// block starts.
+    #[test]
+    fn packed_prefix_of_every_declustering_benchmark_shape_is_at_most_6_25_bytes_per_row() {
+        let params = CacheParams::paper_pentium4().per_query_share(4);
+        let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
+            ProjectionCode::PartialCluster,
+            SecondSideCode::Decluster,
+        ));
+        for n in [1_000_000, 200_000, 150_000, 100_000, 80_000, 60_000] {
+            let w = JoinWorkloadBuilder::equal(n, 1).seed(11).build();
+            let prepared =
+                pipeline.prepare(&w.larger, &w.smaller, &params, &ExecPolicy::with_threads(2));
+            assert_eq!(prepared.result_rows(), n);
+            assert!(
+                prepared.resident_bytes() * 4 <= n * 25,
+                "n={n}: {} B",
+                prepared.resident_bytes()
+            );
         }
     }
 
@@ -1464,7 +1511,11 @@ mod tests {
                             "{}: CLUST_SMALLER",
                             label
                         );
-                        proptest::prop_assert!(positions == wide.payloads(), "{}", label);
+                        proptest::prop_assert!(
+                            positions.to_positions() == wide.payloads(),
+                            "{}: CLUST_RESULT",
+                            label
+                        );
                         proptest::prop_assert_eq!(smaller.bounds(), wide.bounds(), "{}", label);
                     }
                     SecondSide::ResultOrder(oids) => {
@@ -1886,7 +1937,7 @@ mod tests {
             regions.extend(&prof.larger_cols);
             regions.extend(&prof.smaller_cols);
             regions.extend(prof.decluster_regions);
-            assert_eq!(regions.len(), 11);
+            assert_eq!(regions.len(), 12);
             let span = |r: &Region| r.base()..r.base() + r.byte_size() as u64;
             for (i, a) in regions.iter().enumerate() {
                 for b in &regions[i + 1..] {

@@ -109,6 +109,7 @@ pub mod prelude {
         radix_cluster, radix_cluster_oids, scatter_cursor_budget, ClusterScratch, Clustered,
         RadixClusterSpec,
     };
+    pub use rdx_core::decluster::chunks::ChunkRuns;
     pub use rdx_core::decluster::{
         radix_decluster, radix_decluster_windows_with_scratch, DeclusterScratch,
     };

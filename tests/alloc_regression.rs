@@ -489,11 +489,12 @@ fn decluster_into_allocates_nothing_after_warmup() {
     let (values, positions, bounds) = clustered;
     let mut scratch = DeclusterScratch::new();
     let mut out = vec![0i32; n];
+    let whole = ChunkRuns::whole(&bounds);
     let mut decluster = || {
         radix_decluster_windows_with_scratch(
             &values,
-            &positions,
-            bounds.windows(2).map(|w| w[0]..w[1]),
+            positions.as_slice(),
+            &whole,
             0,
             4096 / 4,
             &mut scratch,

@@ -91,7 +91,8 @@ fn monolithic_decluster_misses_stay_within_the_model() {
             let (values, positions, bounds) = clustered_input(n, bits);
             let mut mem = MemorySystem::new(&params);
             let whole = ChunkRuns::whole(&bounds);
-            let (_, sim) = simulate_decluster(&values, &positions, &whole, window, &mut mem);
+            let (_, sim) =
+                simulate_decluster(&values, positions.as_slice(), &whole, window, &mut mem);
             let pred = cost::radix_decluster(n, 4, bits, window, &params);
             let ctx = format!("monolithic bits={bits} window={window}");
             assert!(sim.accesses > 0 && sim.l2_misses > 0, "{ctx}: trace empty");
@@ -140,7 +141,7 @@ fn streaming_never_costs_more_l2_misses_than_monolithic() {
         let (values, positions, bounds) = clustered_input(n, bits);
         let mut mem = MemorySystem::new(&params);
         let whole = ChunkRuns::whole(&bounds);
-        let (_, mono) = simulate_decluster(&values, &positions, &whole, 2_048, &mut mem);
+        let (_, mono) = simulate_decluster(&values, positions.as_slice(), &whole, 2_048, &mut mem);
         for chunks in [8usize, 64] {
             let mut mem = MemorySystem::new(&params);
             let (_, stream) = simulated_streaming_decluster(

@@ -315,7 +315,7 @@ fn decluster_kernel_grid_matches_scatter_oracle() {
                         radix_decluster_windows_with_scratch(
                             &staged,
                             positions,
-                            chunk.runs.iter().cloned(),
+                            &chunk,
                             chunk.result_range.start,
                             window_elems(window_bytes, 4),
                             &mut scratch,

@@ -226,7 +226,7 @@ proptest! {
         chunk_rows in 1usize..5_000,
         seed in 0u64..u64::MAX,
     ) {
-        use radix_decluster::core::decluster::chunks::ChunkCursorState;
+        use radix_decluster::core::decluster::chunks::{ChunkCursorState, ChunkRuns};
         use radix_decluster::core::decluster::window_elems;
 
         let mut smaller: Vec<Oid> = (0..n as Oid).collect();
@@ -256,7 +256,7 @@ proptest! {
         radix_decluster_windows_with_scratch(
             &values,
             positions,
-            bounds.windows(2).map(|w| w[0]..w[1]),
+            &ChunkRuns::whole(bounds),
             covered.start,
             elems,
             &mut scratch,
@@ -276,7 +276,7 @@ proptest! {
             radix_decluster_windows_with_scratch(
                 &staged,
                 positions,
-                chunk.runs.iter().cloned(),
+                &chunk,
                 chunk.result_range.start,
                 elems,
                 &mut scratch,
