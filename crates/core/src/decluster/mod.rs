@@ -132,9 +132,8 @@ pub trait ResultPositions {
     /// Entries of the block-start array the kernel's probe charges.
     fn starts_len(&self) -> usize;
 
-    /// The result row of a position stored as `stored` in a segment based
-    /// at `base`.
-    fn row(base: usize, stored: Self::Stored) -> usize;
+    /// A stored position's offset from its segment's base row.
+    fn offset(stored: Self::Stored) -> usize;
 
     /// The first tuple of `run`, inside cluster `cluster`, destined for
     /// row `row` or later (`run.end` if none is).
@@ -187,7 +186,7 @@ impl ResultPositions for [Oid] {
     }
 
     #[inline(always)]
-    fn row(_base: usize, stored: Oid) -> usize {
+    fn offset(stored: Oid) -> usize {
         stored as usize
     }
 
@@ -212,8 +211,8 @@ impl ResultPositions for PackedPositions {
     }
 
     #[inline(always)]
-    fn row(base: usize, stored: u16) -> usize {
-        base + usize::from(stored)
+    fn offset(stored: u16) -> usize {
+        usize::from(stored)
     }
 
     /// One block-start pair bounds the sub-run holding `row`; a binary
@@ -373,16 +372,21 @@ pub fn radix_decluster_windows_with_scratch<T, R, P>(
             loop {
                 let stop = end.min(live.segment_end);
                 let run = stored[cursor..stop].iter().zip(&values[at..]);
+                // Offsets from the segment's base: below `limit` inside the
+                // window, `to_out` past the segment's base into `out`.
+                let limit = window_limit.saturating_sub(live.base);
+                let to_out = live.base.wrapping_sub(base);
                 let mut drained = 0;
                 for (&pos, &value) in run {
                     probe.read(POSITIONS, cursor + drained);
-                    let pos = R::row(live.base, pos);
-                    if pos >= window_limit {
+                    let offset = R::offset(pos);
+                    if offset >= limit {
                         break;
                     }
+                    let row = offset.wrapping_add(to_out);
                     probe.read(VALUES, at + drained);
-                    probe.write(OUT, pos - base);
-                    out[pos - base] = value;
+                    probe.write(OUT, row);
+                    out[row] = value;
                     drained += 1;
                 }
                 cursor += drained;

@@ -16,11 +16,11 @@
 //!    `inflation += 1` so that a stale entry cannot block for ever.
 //!
 //! On the benchmark's 12-tenant zipf mix (1 500 lookups, 5 MB) this hits
-//! 0.803 with 180 evictions over 8 B/row packed prefixes, 0.584 with 292
-//! over 12 B/row ones; recency ranking over 16 B/row prefixes hit 0.365
-//! with 952.  Entries are `Arc`-shared: a hit hands the running query the
-//! same immutable prefix any number of concurrent runs may stream from, and
-//! eviction only drops the cache's reference — in-flight runs keep theirs.
+//! 1.000 with no eviction over 6 B/row packed prefixes, 0.803 with 180
+//! over 8 B/row, 0.584 with 292 over 12 B/row; recency ranking over 16 B/row
+//! hit 0.365 with 952.  Entries are `Arc`-shared: a hit hands the running
+//! query the same immutable prefix any number of concurrent runs may stream
+//! from; eviction drops only the cache's reference — in-flight runs keep it.
 //! The slots are the one record of what is resident: the resident byte
 //! count is their sum, taken on each miss and each [`ClusterCache::stats`].
 
