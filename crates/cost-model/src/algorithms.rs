@@ -21,12 +21,6 @@ pub const HASH_BUCKET_BYTES: usize = 56;
 /// (asserted equal by `rdx-core`'s join tests).
 pub const JOIN_FIRST_PASS_BITS: u32 = 5;
 
-/// Bytes one `CLUST_RESULT` entry is stored in: its position's 16 low bits
-/// under its `2^16`-row result block, mirroring
-/// `rdx_core::cluster::PackedPositions` (whose block starts add at most
-/// 0.25 B per row on every benchmark shape and are not priced).
-pub const CLUST_RESULT_BYTES: usize = 2;
-
 /// Cost of `radix_cluster(X, B, P)`:
 /// `⊕_{p=1..P} ( s_trav(X) ⊙ nest({X_j}, 2^{B_p}, s_trav, ran) )`.
 ///
@@ -203,6 +197,8 @@ pub fn radix_decluster(
         return PatternCost::zero();
     }
     let clusters = 1usize << bits;
+    let values = DataRegion::new(n, value_width);
+    let ids = DataRegion::new(n, 4);
     let output_bytes = n * value_width;
     let windows = output_bytes.div_ceil(window_bytes.max(1)).max(1);
     // Average tuples drained from one cluster while filling one window.
@@ -212,8 +208,8 @@ pub fn radix_decluster(
 
     // Sequential reads of CLUST_VALUES and CLUST_RESULT, chunked per
     // (window, cluster): every chunk start costs at least one line / one page.
-    for width in [value_width, CLUST_RESULT_BYTES] {
-        let chunk_bytes = w * width as f64;
+    for (region, idx_width) in [(values, value_width), (ids, 4usize)] {
+        let chunk_bytes = w * idx_width as f64;
         let mut chunk = PatternCost::zero();
         for i in 0..params.levels.len().min(2) {
             let lines = (chunk_bytes / params.levels[i].line_size as f64)
@@ -229,6 +225,7 @@ pub fn radix_decluster(
         };
         chunk.cpu_cycles = w * CPU_CYCLES_PER_ITEM;
         cost.accumulate(&chunk.scaled((windows * clusters) as f64));
+        let _ = region;
     }
 
     // Random insertions into the window: per window, |W| tuples inserted into
@@ -254,9 +251,8 @@ pub fn radix_decluster(
 /// 1. the per-chunk kernel cost, scaled by the chunk count — slightly more
 ///    than the monolithic run because every chunk pays its own window ramp-up;
 /// 2. a chunk-restart term: at every chunk boundary each of the `2^bits`
-///    cluster cursors is re-positioned with a binary search inside the one
-///    block sub-run its block starts name, whose final probe is a random
-///    access into `CLUST_RESULT` — this is the price of shrinking
+///    cluster cursors is re-positioned with a binary search whose final probe
+///    is a random access into `CLUST_RESULT` — this is the price of shrinking
 ///    the working set from `O(N)` to `O(N / chunks)` values, and it grows
 ///    linearly in `chunks · 2^bits` (why the planner never chunks finer than
 ///    the budget demands).
@@ -276,7 +272,7 @@ pub fn streaming_radix_decluster(
     let mut cost =
         radix_decluster(chunk_rows, value_width, bits, window_bytes, params).scaled(chunks as f64);
     let clusters = 1usize << bits;
-    let positions = DataRegion::new(n, CLUST_RESULT_BYTES);
+    let positions = DataRegion::new(n, 4);
     cost.accumulate(&patterns::r_acc(
         chunks.saturating_mul(clusters),
         &positions,
