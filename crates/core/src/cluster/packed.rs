@@ -262,7 +262,7 @@ pub const POSITION_BLOCK_ROWS: usize = 1 << PACKED_LOW_BITS;
 /// A clustered `CLUST_RESULT` array stored as each position's low 16 bits
 /// under its [`POSITION_BLOCK_ROWS`]-row result block: inside a cluster the
 /// positions ascend, so the entries of one block are one contiguous
-/// sub-run, and the block is where that sub-run lies.
+/// sub-run, and a position's block is the sub-run it lies in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedPositions {
     /// `position & 0xFFFF`, one per clustered tuple.
@@ -286,6 +286,7 @@ impl PackedPositions {
     /// two §3.2 properties a clustering of result positions guarantees.
     pub fn pack(positions: &[Oid], bounds: &[usize]) -> Self {
         let n = positions.len();
+        let end = u32::try_from(n).expect("a result of at most u32::MAX rows");
         assert_eq!(
             bounds.last(),
             Some(&n),
@@ -296,7 +297,8 @@ impl PackedPositions {
         let mut low = Vec::with_capacity(n);
         let mut ascending = true;
         for cluster in bounds.windows(2) {
-            // Blocks up to a tuple's own start at or before it.
+            // Block `b`'s sub-run starts at the cluster's first tuple in
+            // block `b` or later.
             let (mut next, mut last) = (0, None);
             for (i, &pos) in positions[cluster[0]..cluster[1]].iter().enumerate() {
                 ascending &= last < Some(pos);
@@ -313,7 +315,7 @@ impl PackedPositions {
             ascending && starts.len() == (bounds.len() - 1) * blocks,
             "clustered positions must ascend inside their result blocks"
         );
-        starts.push(n as u32);
+        starts.push(end);
         PackedPositions {
             low,
             starts,
