@@ -19,7 +19,7 @@
 //!   [`Ticket::poll`] reports [`QueryPoll::Queued`],
 //!   [`QueryPoll::Chunk`]`(progress)`, [`QueryPoll::Done`]`(report)` or
 //!   [`QueryPoll::Rejected`]`(RdxError)`, and [`Session::drive`] pumps the
-//!   stride scheduler a bounded number of chunk-steps per call.
+//!   chunk scheduler a bounded number of chunk-steps per call.
 //!
 //! Every fallible path reports the workspace-wide [`RdxError`].
 //!

@@ -100,8 +100,8 @@ impl<'s> Query<'s> {
     ///    grant.
     ///
     /// Admitted deadline queries also run *sooner*: remaining slack scales
-    /// the stride-scheduler weight (EDF-flavored), so tight deadlines win
-    /// more dispatches without starving the rest.  Deadline failures are
+    /// the scheduler's predicted-work-left key (EDF-flavored), so a tight
+    /// deadline runs ahead of equal work.  Deadline failures are
     /// never retried — the clock that rejected them keeps running.
     pub fn deadline(mut self, deadline_ns: u64) -> Self {
         self.request = self.request.with_deadline(deadline_ns);
@@ -109,8 +109,9 @@ impl<'s> Query<'s> {
     }
 
     /// Sets scheduling **priority** (default 1; 0 is treated as 1).
-    /// Priority divides the stride weight: priority 4 is dispatched four
-    /// times as often as priority 1, on top of any deadline urgency.
+    /// Priority divides the predicted work left the scheduler orders by, on
+    /// top of any deadline urgency: priority 4 outranks priority-1 peers
+    /// with more than a quarter of its work left.
     pub fn priority(mut self, priority: u32) -> Self {
         self.request = self.request.with_priority(priority);
         self

@@ -76,11 +76,11 @@ impl Session {
         Query::new(self, larger, smaller)
     }
 
-    /// Pumps the stride scheduler for at most `steps` chunk-steps and
+    /// Pumps the chunk scheduler for at most `steps` chunk-steps and
     /// returns how many actually ran (0 = the session is drained).  Each
     /// step admits from the FIFO queue while budget and concurrency slots
-    /// allow, then runs **one chunk of one query** under the stride
-    /// scheduler — so a caller alternating `drive` with [`Query::submit`] /
+    /// allow, then runs **one chunk of one query**, the one with the least
+    /// predicted work left (within the scheduler's starvation bound) — so a caller alternating `drive` with [`Query::submit`] /
     /// [`Ticket::poll`] gets exactly the bounded-latency loop an async
     /// front needs.
     pub fn drive(&mut self, steps: usize) -> usize {

@@ -11,8 +11,8 @@
 //!   async-front enabler the ROADMAP asks for);
 //! * [`QueryEngine::step`] pumps exactly one scheduler decision: admit from
 //!   the queue head while budget and slots allow, then run **one chunk of
-//!   one query** under the stride scheduler, resumable
-//!   from outside;
+//!   one query**, the one with the least predicted work left (see
+//!   [`crate::scheduler`]), resumable from outside;
 //! * [`QueryEngine::status`] / [`QueryEngine::take_outcome`] observe a
 //!   ticket without blocking.
 //!
@@ -49,7 +49,7 @@ use crate::registry::{Catalog, RelationId};
 use crate::request::{
     QueryOutcome, QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest,
 };
-use crate::scheduler::{self, Turn};
+use crate::scheduler;
 use crate::tenant::{Load, TenantId, TenantRegistry, TenantStats};
 use rdx_cache::CacheParams;
 use rdx_core::budget::{BudgetError, MemoryBudget};
@@ -204,6 +204,7 @@ struct Counters {
     queued: Gauge,
     queue_wait_ns: Histogram,
     service_ns: Histogram,
+    dispatch_wait: Histogram,
 }
 
 impl Counters {
@@ -224,6 +225,7 @@ impl Counters {
             queued: metrics.gauge("engine.queued"),
             queue_wait_ns: metrics.histogram("engine.queue_wait_ns"),
             service_ns: metrics.histogram("engine.service_ns"),
+            dispatch_wait: metrics.histogram("engine.dispatch_wait"),
         }
     }
 }
@@ -274,9 +276,9 @@ impl TicketSink {
 }
 
 /// One admitted, in-flight ticket: a parked run, the sink it fills, and
-/// everything it holds — its grant, its tenant charge and its turn.  The
-/// running set is the one record of these: each exists exactly while its
-/// entry does, so removing the entry is what returns them.
+/// everything it holds — its grant, its tenant charge and its dispatch
+/// key.  The running set is the one record of these: each exists exactly
+/// while its entry does, so removing the entry is what returns them.
 struct Running {
     pending: Pending,
     run: DsmPipelineRun<'static>,
@@ -295,8 +297,23 @@ struct Running {
     /// The tenant this admission is charged to, with the bytes charged
     /// against its byte cap (0 when it has none).
     tenant: Option<(TenantId, usize)>,
-    /// Its place in the stride order.
-    turn: Turn,
+    /// Predicted chunk cost × deadline urgency: its work left, the
+    /// dispatch key, is this times its chunks left.
+    chunk_work: f64,
+    /// The engine step it has waited since: its admission step, then the
+    /// step after each of its dispatches.
+    waiting_since: u64,
+    /// The most dispatches of other queries it waited between two of its
+    /// own, recorded at retire.
+    max_wait: u64,
+}
+
+impl Running {
+    /// Predicted work left: chunks left × the weighted chunk price.
+    fn work_left(&self) -> f64 {
+        let s = self.run.run_stats();
+        s.streaming.num_chunks.saturating_sub(s.chunks_emitted) as f64 * self.chunk_work
+    }
 }
 
 /// One query parked between retry attempts, waiting out its backoff in
@@ -641,7 +658,8 @@ impl QueryEngine {
     /// Pumps the engine by one scheduler decision: re-queue retries whose
     /// backoff expired, admit from the queue head while budget and
     /// concurrency slots allow, enforce deadlines at the chunk boundary,
-    /// then run **one chunk of one query** under the stride scheduler.
+    /// then run **one chunk of one query**, the one with the least predicted
+    /// work left unless another has waited out the starvation bound.
     /// Returns what happened; [`EngineStep::Idle`] means the engine is
     /// drained, [`EngineStep::Waiting`] means pending work could not run
     /// *this* step (retry backoff, or budget freed mid-step) — keep
@@ -677,8 +695,14 @@ impl QueryEngine {
         // reclaimed) before the next chunk is dispatched.
         self.enforce_deadlines();
 
-        // One chunk of one query, per the stride scheduler.
-        let Some(pos) = scheduler::dispatch(self.running.iter_mut().map(|r| &mut r.turn)) else {
+        // One chunk of one query: every step with a running query
+        // dispatches one, so steps count each run's wait.
+        let now = self.step_count;
+        let keys = self
+            .running
+            .iter()
+            .map(|r| (r.work_left(), r.waiting_since));
+        let Some(pos) = scheduler::dispatch(now, keys) else {
             if !self.queue.is_empty() || !self.retry_parked.is_empty() {
                 // A teardown this step freed budget the queue head will
                 // claim next step, or retries are waiting out backoff.
@@ -686,6 +710,9 @@ impl QueryEngine {
             }
             return EngineStep::Idle;
         };
+        let picked = &mut self.running[pos];
+        picked.max_wait = picked.max_wait.max(now - picked.waiting_since);
+        picked.waiting_since = now + 1;
         let ordinal = self.running[pos].pending.ordinal;
         let chunk_index = self.running[pos].run.run_stats().chunks_emitted;
         // Scripted worker panic?  Raised *inside* the catch below with the
@@ -759,13 +786,14 @@ impl QueryEngine {
         }
     }
 
-    /// Takes the running ticket at `pos` off the running set.  Its grant,
-    /// tenant charge and turn live only on its entry, so they leave with
-    /// it; what remains is to republish its tenant's gauges.  With
-    /// `harvest` its warmed chunk scratch — consistent between chunks —
-    /// goes back into the pool; a panicked run's is dropped with it.
+    /// Takes the running ticket at `pos` off the running set, keeping the
+    /// rest in admission order.  Its grant, tenant charge and dispatch key
+    /// live only on its entry, so they leave with it; what remains is to
+    /// republish its tenant's gauges.  With `harvest` its warmed chunk
+    /// scratch — consistent between chunks — goes back into the pool; a
+    /// panicked run's is dropped with it.
     fn teardown(&mut self, pos: usize, harvest: bool) -> Running {
-        let mut r = self.running.swap_remove(pos);
+        let mut r = self.running.remove(pos);
         self.publish_tenant(r.tenant);
         if harvest && self.scratch_pool.len() < self.config.max_concurrent {
             self.scratch_pool.push(r.run.take_scratch());
@@ -799,6 +827,7 @@ impl QueryEngine {
             },
         );
         self.counters.service_ns.record(service_ns);
+        self.counters.dispatch_wait.record(r.max_wait);
         let served = match r.sink {
             TicketSink::Columns(sink) => Served::Columns(QueryResult {
                 result: sink.into_result(),
@@ -863,7 +892,7 @@ impl QueryEngine {
                 pos += 1;
                 continue;
             };
-            // `swap_remove` moves another entry into `pos`: re-examine it.
+            // The next entry moves into `pos`: re-examine it.
             let r = self.teardown(pos, true);
             self.obs.record(
                 r.pending.query,
@@ -922,7 +951,7 @@ impl QueryEngine {
     /// deadline the price of those codes cannot meet, resolves the prepared
     /// prefix through the clustered-index cache, rejects a frame-form result
     /// its transport would refuse, warms the run from the scratch pool, and
-    /// prices its per-chunk cost for the stride scheduler.
+    /// prices its per-chunk cost for the scheduler.
     fn resolve_with(
         &mut self,
         request: &ServerRequest,
@@ -952,7 +981,7 @@ impl QueryEngine {
             plan_by_cost_with_threads(&larger, &smaller, &request.spec, shared_params, workers)
         });
         // One price for the plan the run executes: the deadline check, the
-        // scheduler's stride weight and the chunk loop's observed-vs-predicted
+        // scheduler's work-left key and the chunk loop's observed-vs-predicted
         // recording all read `predict_cost` of these codes at this query's
         // granted share and resolved thread count.
         let (larger_rows, smaller_rows) = (larger.cardinality(), smaller.cardinality());
@@ -1046,7 +1075,7 @@ impl QueryEngine {
             shared_params,
             &policy,
         );
-        // The stride weight, its deadline urgency and the observed-vs-
+        // The work-left key, its deadline urgency and the observed-vs-
         // predicted recording read the run's own price per chunk.
         let streaming = run.streaming();
         let predicted_chunk_ns =
@@ -1149,9 +1178,9 @@ impl QueryEngine {
     }
 
     /// Starts the admitted ticket `p` under its grant `share` and adds it
-    /// to the running set, which is what charges the grant, the tenant and
-    /// the turn; a start failure parks the typed error and has held
-    /// nothing.
+    /// to the running set, which is what charges the grant and the tenant
+    /// and keys its dispatch; a start failure parks the typed error and has
+    /// held nothing.
     fn admit(&mut self, p: Pending, share: MemoryBudget, replanned: bool) {
         let request = p.request;
         // The effective budget: the admission grant, tightened by the
@@ -1192,14 +1221,8 @@ impl QueryEngine {
                 if replanned {
                     self.counters.replans.inc();
                 }
-                // Admission order breaks stride ties: the admission count,
-                // which the start just bumped.
-                let turn = Turn::new(
-                    stats.predicted_chunk_cost_ms,
-                    deadline_urgency(&request, &stats, &run),
-                    self.counters.admissions.get(),
-                    self.running.iter().map(|r| &r.turn),
-                );
+                let chunk_work =
+                    stats.predicted_chunk_cost_ms * deadline_urgency(&request, &stats, &run);
                 self.running.push(Running {
                     pending: p,
                     run,
@@ -1212,7 +1235,9 @@ impl QueryEngine {
                     share,
                     consumed_ns: 0,
                     tenant,
-                    turn,
+                    chunk_work,
+                    waiting_since: self.step_count,
+                    max_wait: 0,
                 });
                 self.publish_tenant(tenant);
             }
@@ -1221,7 +1246,7 @@ impl QueryEngine {
     }
 
     /// The engine's bookkeeping invariants, asserted after every public
-    /// transition in debug builds.  Grants, tenant charges and turns exist
+    /// transition in debug builds.  Grants, tenant charges and keys exist
     /// only on the running set, so no second count can drift from it; what
     /// is left to check is what that set must satisfy: under a bounded
     /// budget its grants sum to at most the global budget, it holds at
@@ -1250,15 +1275,14 @@ impl QueryEngine {
     }
 }
 
-/// The EDF-flavored stride weight for an admitted query: deadline slack
-/// scales the stride down (an urgent query's pass advances slower, so it
-/// wins more dispatches) and priority divides it.  `1.0` — plain fair
-/// stride — for the default request.
+/// The EDF-flavored weight on an admitted query's work left: deadline
+/// slack scales it down (an urgent query looks closer to done, so it wins
+/// dispatches) and priority divides it.  `1.0` for the default request.
 ///
 /// Slack is measured against the *resolved* plan: predicted per-chunk cost
-/// × planned chunk count.  The urgency floor (1/16) keeps even a
-/// zero-slack query from monopolising the loop — deadlines shift service
-/// shares, they do not suspend fairness.
+/// × planned chunk count, floored at 1/16.  Urgency only reorders the
+/// key: what bounds any run's wait is
+/// [`scheduler::STARVATION_BOUND`].
 fn deadline_urgency(request: &ServerRequest, stats: &QueryStats, run: &DsmPipelineRun) -> f64 {
     let priority = f64::from(request.priority.max(1));
     let slack_factor = match request.deadline_ns {
@@ -1874,6 +1898,102 @@ mod tests {
         let qt = served(engine.take_outcome(tight).unwrap());
         let ql = served(engine.take_outcome(loose).unwrap());
         assert_eq!(columns(&qt.result), columns(&ql.result));
+    }
+
+    #[test]
+    fn a_long_run_behind_endless_one_chunk_queries_waits_at_most_the_starvation_bound() {
+        let long = JoinWorkloadBuilder::equal(2_000, 1).seed(41).build();
+        let short = JoinWorkloadBuilder::equal(50, 1).seed(43).build();
+        let mut engine = engine(MemoryBudget::bytes(4 * 1024));
+        let spec = QuerySpec::symmetric(1);
+        let (l, s) = (engine.register(long.larger), engine.register(long.smaller));
+        let long_request = ServerRequest::new(l, s, spec);
+        let (l, s) = (
+            engine.register(short.larger),
+            engine.register(short.smaller),
+        );
+        let short_request = ServerRequest::new(l, s, spec);
+        // Two slots: the long run shares the engine with one short query
+        // at a time, and another is always queued behind it.
+        engine.submit(short_request);
+        let ticket = engine.submit(long_request);
+        let (mut admitted, mut own_steps) = (None, Vec::new());
+        for step in 0..100_000 {
+            if engine.queued() == 0 {
+                engine.submit(short_request);
+            }
+            let ran = match engine.step() {
+                EngineStep::Chunk { ticket: t, .. } | EngineStep::Finished { ticket: t } => t,
+                other => panic!("unexpected {other:?}"),
+            };
+            if admitted.is_none()
+                && !matches!(engine.status(ticket), Some(TicketStatus::Queued { .. }))
+            {
+                admitted = Some(step);
+            }
+            if ran == ticket {
+                own_steps.push(step);
+                if engine.status(ticket) == Some(TicketStatus::Finished) {
+                    break;
+                }
+            }
+        }
+        assert_eq!(engine.status(ticket), Some(TicketStatus::Finished));
+        let q = served(engine.take_outcome(ticket).unwrap());
+        assert_eq!(q.result.cardinality(), long.expected_matches);
+        assert!(q.stats.chunks > 4, "the long run must span many chunks");
+        // Held back by every short query, each of its chunks waited
+        // exactly the bound; with none left it is the least work and
+        // finishes at once.  So the run, its chunks plus the finishing
+        // dispatch, ends within (chunks + 1) × (K + 1) steps.
+        let bound = scheduler::STARVATION_BOUND as usize;
+        let admitted = admitted.unwrap();
+        let mut since = admitted;
+        let waits: Vec<usize> = (own_steps.iter())
+            .map(|&step| step - std::mem::replace(&mut since, step + 1))
+            .collect();
+        let mut expected = vec![bound; q.stats.chunks];
+        expected.push(0);
+        assert_eq!(waits, expected);
+        assert!(own_steps.last().unwrap() - admitted < (q.stats.chunks + 1) * (bound + 1));
+        // The registry's count of the bound agrees: no query waited more.
+        let metrics = engine.obs().metrics_snapshot().unwrap();
+        let wait = metrics.histogram("engine.dispatch_wait").unwrap();
+        assert!(wait.count > 2 * q.stats.chunks as u64);
+        assert_eq!(wait.percentile(100.0), scheduler::STARVATION_BOUND);
+    }
+
+    #[test]
+    fn equal_queries_finish_first_come_first_served() {
+        let w = JoinWorkloadBuilder::equal(1_500, 1).seed(47).build();
+        let mut engine = QueryEngine::new(ServeConfig {
+            max_concurrent: 3,
+            ..config(MemoryBudget::bytes(12 * 1024))
+        });
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(1));
+        let tickets: Vec<TicketId> = (0..3).map(|_| engine.submit(request)).collect();
+        // All three are admitted at the first step with equal shares and
+        // prices; each then runs to completion before the next starts.
+        let mut order = Vec::new();
+        loop {
+            match engine.step() {
+                EngineStep::Chunk { ticket, .. } | EngineStep::Finished { ticket } => {
+                    order.push(ticket)
+                }
+                EngineStep::Idle => break,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(engine.stats().peak_concurrency, 3);
+        let runs: Vec<TicketId> = order.chunk_by(|a, b| a == b).map(|run| run[0]).collect();
+        assert_eq!(runs, tickets);
+        for t in tickets {
+            let q = served(engine.take_outcome(t).unwrap());
+            assert!(q.stats.chunks > 1);
+            assert_eq!(q.stats.rows, w.expected_matches);
+        }
     }
 
     #[test]

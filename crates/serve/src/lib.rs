@@ -18,12 +18,14 @@
 //!   tighter chunks when only a sliver is free, and rejecting — with a
 //!   typed error — queries that could never run.  `Σ grants ≤ global`
 //!   holds at every instant, so over-commit is impossible by construction.
-//! * [`scheduler`] — the stride rule ([`scheduler::Turn`],
-//!   [`scheduler::dispatch`]) that interleaves budget-sized pipeline
-//!   chunks from the active queries, weighted by the Appendix-A predicted
-//!   per-chunk cost at each query's cache share (round-robin at equal
-//!   costs), using the pipeline's chunk boundaries as preemption points so
-//!   a big scan cannot starve small lookups.
+//! * [`scheduler`] — the remaining-work-first rule
+//!   ([`scheduler::dispatch`]) that picks whose budget-sized pipeline
+//!   chunk runs next: the query with the least Appendix-A predicted work
+//!   left at its cache share (first-come first-served at equal work), so
+//!   the query closest to done finishes first, using the pipeline's chunk
+//!   boundaries as preemption points; a run that has waited
+//!   [`scheduler::STARVATION_BOUND`] dispatches goes next, so a big scan
+//!   behind a stream of small lookups still progresses.
 //! * [`cache`] — the [`ClusterCache`], a byte-budgeted, use-count-ranked
 //!   cache of [`rdx_exec::PreparedProjection`] prefixes keyed by
 //!   `(relation ids, codes, cluster spec)`: repeated queries over the same
@@ -36,7 +38,7 @@
 //!   every query is admitted under `Σ grants ≤ global` and planned by the
 //!   same single start-a-run step.  The engine's running set is the one
 //!   record of what is in flight: each running entry holds its grant, its
-//!   tenant charge and its stride turn, and admission, quotas and the
+//!   tenant charge and its dispatch key, and admission, quotas and the
 //!   scheduler read their load off it, so tearing a query down is
 //!   removing its entry.
 //! * [`tenant`] — the **per-tenant quota layer**: [`TenantQuotas`] caps a

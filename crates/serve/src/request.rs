@@ -99,11 +99,13 @@ pub struct ServerRequest {
     /// the first chunk boundary after its consumed service time passes the
     /// deadline ([`rdx_core::error::DeadlineError::Exceeded`]), reclaiming
     /// its budget grant.  Deadlines also feed the scheduler: slack scales
-    /// the stride (EDF-flavored), so tight-deadline queries win dispatches.
+    /// the query's predicted work left (EDF-flavored), so a tight-deadline
+    /// query runs ahead of equal work.
     pub deadline_ns: Option<u64>,
-    /// Scheduling priority, `1` (default) and up: the stride is divided by
-    /// the priority, so a priority-2 query receives twice the dispatch
-    /// share of a priority-1 peer.  `0` is treated as `1`.  Priorities
+    /// Scheduling priority, `1` (default) and up: the query's predicted
+    /// work left is divided by the priority, so a priority-2 query runs
+    /// ahead of a priority-1 peer with up to twice its work left.  `0` is
+    /// treated as `1`.  Priorities
     /// change only chunk interleaving, never bytes, so they cannot affect
     /// results.
     pub priority: u32,
@@ -194,8 +196,8 @@ impl ServerRequest {
         self
     }
 
-    /// Sets the scheduling priority (default 1; higher wins more
-    /// dispatches; 0 is treated as 1).
+    /// Sets the scheduling priority (default 1; higher runs sooner; 0 is
+    /// treated as 1).
     pub fn with_priority(mut self, priority: u32) -> Self {
         self.priority = priority;
         self
@@ -250,8 +252,8 @@ pub struct QueryStats {
     pub peak_chunk_bytes: usize,
     /// Predicted *per-chunk* cost of the plan this query runs, at its cache
     /// share, in modeled milliseconds (`predict_cost` of its codes over its
-    /// streaming plan, divided by the chunk count) — the stride the
-    /// cost-weighted scheduler charges per dispatched chunk.
+    /// streaming plan, divided by the chunk count) — times the chunks left
+    /// and the query's urgency, the work left the scheduler orders by.
     pub predicted_chunk_cost_ms: f64,
     /// Wall-clock phase breakdown of the work this query actually paid:
     /// chunk-loop phases always; the join/reorder/cluster prefix only when

@@ -1,247 +1,219 @@
-//! The **fair chunk scheduler**'s one rule: which running query's chunk
-//! runs next, so a big scan cannot starve small lookups.
+//! The chunk scheduler's one rule: which running query's chunk runs next.
 //!
 //! Chunk boundaries are natural preemption points — a
 //! [`rdx_exec::PipelineRun`] parks between chunks as a plain value — so
-//! fairness needs no threads and no signals: the serving loop just decides
-//! *whose* chunk runs next.  The decision rule is **stride scheduling**:
-//! every running query carries a [`Turn`] — a `pass` value, its `stride`
-//! and its admission order — and [`dispatch`] runs the query with the
-//! smallest pass (ties broken by admission order, keeping the whole loop
-//! deterministic), then advances that query's pass by its stride.  The
-//! turns live on the engine's running entries; nothing here keeps a list
-//! of its own.
+//! interleaving needs no threads and no signals: the serving loop just
+//! decides *whose* chunk runs next.  The rule is **remaining work first**
+//! (Schrage's SRPT): [`dispatch`] runs the query with the least predicted
+//! work left — its chunks left × its predicted chunk cost (the Appendix-A
+//! price [`rdx_core::strategy::planner::predict_cost`] of the codes it
+//! executes, over its chunk count) × its deadline urgency — the first
+//! admitted among equals.  The query closest to done finishes first and
+//! hands its grant back; equal queries run first-come first-served instead
+//! of all finishing late together.
 //!
-//! The stride is the predicted chunk cost of the run's own codes — the
-//! Appendix-A price of the plan it executes
-//! ([`rdx_core::strategy::planner::predict_cost`] at its cache share),
-//! divided by its chunk count — times its urgency: passes advance in
-//! predicted milliseconds, so each query receives an equal share of
-//! predicted machine time — a query with 10× cheaper chunks runs 10× as
-//! many of them, and short lookups drain quickly while a scan's expensive
-//! chunks space out.
-//! At equal costs and urgencies the rule is strict round-robin in
-//! admission order.
+//! One rule bounds what that costs a big run: a run that has waited
+//! [`STARVATION_BOUND`] dispatches since its own last chunk (or since its
+//! admission) goes next, oldest first.  With two queries in flight no run
+//! waits more than `STARVATION_BOUND` dispatches of others between two of
+//! its own; with `c` in flight, at most `c - 2` more, since runs that last
+//! ran at the same step fall due together and go one at a time.  The keys
+//! and the waiting stamps live on the engine's running entries.
 
-/// Floor on a cost-weighted stride: small enough that any genuinely cheap
-/// query still runs orders of magnitude more often than an expensive one,
-/// large enough that `pass += stride` always moves the pass for any
-/// realistic pass magnitude (f64 has ~16 significant digits; passes stay in
-/// predicted-milliseconds scale).  A sub-ulp stride — e.g. the naive
-/// `f64::MIN_POSITIVE` — would be absorbed by rounding and let one query
-/// monopolise the loop forever.
-const MIN_STRIDE: f64 = 1e-6;
+/// Dispatches of other queries a run may wait before it goes next.  Large
+/// enough to leave the benchmark mix to remaining-work-first: there a
+/// forced chunk delays the shorter co-runners while the long run keeps its
+/// slot either way, so a bound of 63 forced 2.7 % of the dispatches and
+/// cost the mix's p90 latency ×1.16–1.20, where 255 forces 0.15 % and
+/// reads like no bound (the mix's longest unbounded wait is 256–511).
+/// Small enough that a run behind an endless stream of one-chunk queries
+/// still gets one dispatch in 256.  And `2^8 - 1`, so a wait of exactly
+/// the bound is its log2 bucket's upper edge in the `engine.dispatch_wait`
+/// histogram.
+pub const STARVATION_BOUND: u64 = 255;
 
-/// Ceiling on a stride, so an infinite/overflowing cost prediction parks a
-/// query at the back of the service order instead of pushing its pass to
-/// infinity and starving it outright.
-const MAX_STRIDE: f64 = 1e12;
-
-/// One running query's place in the stride order: its pass, its stride
-/// and its admission order.  The engine keeps it on the query's running
-/// entry, so a turn exists exactly while its query runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Turn {
-    pass: f64,
-    stride: f64,
-    arrival: u64,
-}
-
-impl Turn {
-    /// A newcomer's turn.  `chunk_cost` is its predicted per-chunk cost
-    /// (any consistent unit) and `urgency` scales it — the EDF-flavored
-    /// deadline hook: an urgent query (low deadline slack) passes
-    /// `urgency < 1`, shrinking its stride so its pass advances slower and
-    /// it wins more dispatches; `1.0` is plain fair stride.  The product is
-    /// clamped to the `MIN_STRIDE`/`MAX_STRIDE` guards, so a zero or
-    /// infinite cost or urgency degrades gracefully instead of stalling the
-    /// loop, and a NaN either way counts as `1.0`.  `arrival` breaks pass
-    /// ties.  The newcomer starts at the minimum pass of the `running`
-    /// turns, so it neither starves nor gets to replay the service it
-    /// missed.
-    pub fn new<'a>(
-        chunk_cost: f64,
-        urgency: f64,
-        arrival: u64,
-        running: impl IntoIterator<Item = &'a Turn>,
-    ) -> Turn {
-        let or_one = |x: f64| if x.is_nan() { 1.0 } else { x };
-        let stride = (or_one(chunk_cost) * or_one(urgency)).clamp(MIN_STRIDE, MAX_STRIDE);
-        let pass = (running.into_iter().map(|t| t.pass)).fold(f64::INFINITY, f64::min);
-        Turn {
-            pass: if pass.is_finite() { pass } else { 0.0 },
-            stride,
-            arrival,
-        }
+/// Picks whose chunk runs next at engine step `now`.  `running` yields, in
+/// admission order, each run's predicted work left and the step it has
+/// waited since.  The oldest run goes once it has waited
+/// [`STARVATION_BOUND`] dispatches, else the least work left, the first
+/// admitted among equals.  `None` when nothing runs.
+pub fn dispatch(now: u64, running: impl Iterator<Item = (f64, u64)> + Clone) -> Option<usize> {
+    let stamps = running.clone().map(|(_, since)| since).enumerate();
+    let (oldest, since) = stamps.min_by_key(|&(_, since)| since)?;
+    if now.saturating_sub(since) >= STARVATION_BOUND {
+        return Some(oldest);
     }
-}
-
-/// Picks the turn whose chunk runs next (smallest pass, ties by arrival),
-/// charges it one stride and returns its index.  `None` when there is none.
-pub fn dispatch<'a>(turns: impl IntoIterator<Item = &'a mut Turn>) -> Option<usize> {
-    // `total_cmp` is NaN-safe: passes never are NaN (strides are clamped
-    // finite), but a total order costs nothing and removes the panic path
-    // outright.
-    let (at, next) = (turns.into_iter().enumerate())
-        .min_by(|(_, a), (_, b)| a.pass.total_cmp(&b.pass).then(a.arrival.cmp(&b.arrival)))?;
-    next.pass += next.stride;
-    Some(at)
+    // `total_cmp` orders every key, NaN included, so nothing can panic.
+    let work = running.map(|(work, _)| work).enumerate();
+    work.min_by(|(_, a), (_, b)| a.total_cmp(b))
+        .map(|(at, _)| at)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Query ids and their turns, standing in for the engine's running set:
-    /// a removal swaps the last entry in, as the engine's does.
+    /// One run as the engine keeps it: an id, its chunks left, its
+    /// weighted chunk price and the step it has waited since.
+    struct Run {
+        id: usize,
+        chunks: usize,
+        chunk_work: f64,
+        since: u64,
+        max_wait: u64,
+    }
+
+    /// A running set stepped the way the engine steps it: in admission
+    /// order, one dispatch per step, a run leaving after its last chunk.
     #[derive(Default)]
     struct Running {
-        ids: Vec<usize>,
-        turns: Vec<Turn>,
-        arrivals: u64,
+        runs: Vec<Run>,
+        step: u64,
+        /// `(id, max wait)` of every run that left.
+        retired: Vec<(usize, u64)>,
     }
 
     impl Running {
-        fn add(&mut self, id: usize, chunk_cost: f64) {
-            self.add_weighted(id, chunk_cost, 1.0);
-        }
-
-        fn add_weighted(&mut self, id: usize, chunk_cost: f64, urgency: f64) {
-            let turn = Turn::new(chunk_cost, urgency, self.arrivals, &self.turns);
-            self.arrivals += 1;
-            self.ids.push(id);
-            self.turns.push(turn);
+        fn add(&mut self, id: usize, chunks: usize, chunk_work: f64) {
+            let since = self.step;
+            (self.runs).push(Run {
+                id,
+                chunks,
+                chunk_work,
+                since,
+                max_wait: 0,
+            });
         }
 
         fn dispatch(&mut self) -> Option<usize> {
-            dispatch(&mut self.turns).map(|at| self.ids[at])
-        }
-
-        fn remove(&mut self, id: usize) {
-            let at = self.ids.iter().position(|&i| i == id).unwrap();
-            self.ids.swap_remove(at);
-            self.turns.swap_remove(at);
-        }
-
-        fn len(&self) -> usize {
-            self.ids.len()
-        }
-    }
-
-    #[test]
-    fn round_robin_alternates_in_arrival_order() {
-        // Equal costs are round-robin: strict alternation in arrival order.
-        let mut s = Running::default();
-        s.add(10, 5.0);
-        s.add(20, 5.0);
-        s.add(30, 5.0);
-        let order: Vec<_> = (0..6).map(|_| s.dispatch().unwrap()).collect();
-        assert_eq!(order, vec![10, 20, 30, 10, 20, 30]);
-        // Each query was charged two strides.
-        assert!(s.turns.iter().all(|t| t.pass == 10.0));
-    }
-
-    #[test]
-    fn cost_weighted_gives_cheap_chunks_more_turns() {
-        let mut s = Running::default();
-        s.add(1, 10.0); // expensive scan
-        s.add(2, 1.0); // cheap lookup
-        let mut counts = [0usize; 2];
-        for _ in 0..110 {
-            match s.dispatch().unwrap() {
-                1 => counts[0] += 1,
-                2 => counts[1] += 1,
-                _ => unreachable!(),
+            let keys = (self.runs.iter()).map(|r| (r.chunks as f64 * r.chunk_work, r.since));
+            let at = dispatch(self.step, keys)?;
+            let run = &mut self.runs[at];
+            run.max_wait = run.max_wait.max(self.step - run.since);
+            run.since = self.step + 1;
+            run.chunks -= 1;
+            let id = run.id;
+            if run.chunks == 0 {
+                let run = self.runs.remove(at);
+                self.retired.push((run.id, run.max_wait));
             }
+            self.step += 1;
+            Some(id)
         }
-        // Equal predicted-time shares: ~10 cheap chunks per expensive one.
-        assert_eq!(counts[0], 10);
-        assert_eq!(counts[1], 100);
+
+        fn drain(&mut self) -> Vec<usize> {
+            std::iter::from_fn(|| self.dispatch()).collect()
+        }
     }
 
     #[test]
-    fn completion_and_late_arrival() {
+    fn equal_work_runs_first_come_first_served() {
+        // Equal work left: the first admitted runs to completion, then the
+        // next — no query waits on a peer it arrived before.
         let mut s = Running::default();
-        s.add(1, 1.0);
-        s.add(2, 1.0);
-        for _ in 0..10 {
+        s.add(10, 2, 5.0);
+        s.add(20, 2, 5.0);
+        s.add(30, 2, 5.0);
+        assert_eq!(s.drain(), vec![10, 10, 20, 20, 30, 30]);
+        assert_eq!(s.retired, vec![(10, 0), (20, 2), (30, 4)]);
+    }
+
+    #[test]
+    fn least_predicted_work_left_runs_first() {
+        // Work left is chunks × weighted price, not chunk count and not
+        // chunk price alone: ten chunks at 1.0 (10) run before two at 10.0
+        // (20), and one chunk at 15.0 (15) runs between them.
+        let mut s = Running::default();
+        s.add(1, 2, 10.0);
+        s.add(2, 10, 1.0);
+        s.add(3, 1, 15.0);
+        let order = s.drain();
+        assert_eq!(order[..10], [2; 10]);
+        assert_eq!(order[10..], [3, 1, 1]);
+    }
+
+    #[test]
+    fn a_shorter_latecomer_runs_at_the_next_dispatch() {
+        let mut s = Running::default();
+        s.add(1, 6, 1.0);
+        assert_eq!((s.dispatch(), s.dispatch()), (Some(1), Some(1)));
+        // Four chunks left: a two-chunk latecomer goes at once and
+        // finishes, and a five-chunk one waits for both.
+        s.add(2, 2, 1.0);
+        s.add(3, 5, 1.0);
+        assert_eq!(s.drain(), vec![2, 2, 1, 1, 1, 1, 3, 3, 3, 3, 3]);
+    }
+
+    #[test]
+    fn urgency_scales_the_work_left() {
+        // Equal chunks and prices; the second carries urgency 1/4 (tight
+        // slack, or priority 4), so it runs first although admitted second.
+        let mut s = Running::default();
+        s.add(1, 4, 2.0);
+        s.add(2, 4, 2.0 * 0.25);
+        assert_eq!(s.drain(), vec![2, 2, 2, 2, 1, 1, 1, 1]);
+        // Urgency weighs work, not order: an urgent run with more than
+        // four times the work left still runs after the relaxed one.
+        let mut s = Running::default();
+        s.add(1, 4, 2.0);
+        s.add(2, 20, 2.0 * 0.25);
+        assert_eq!(s.drain()[..4], [1; 4]);
+    }
+
+    #[test]
+    fn a_run_waiting_the_bound_goes_next_oldest_first() {
+        // A long run behind a stream of one-chunk runs, two in flight: it
+        // gets exactly one dispatch in STARVATION_BOUND + 1.
+        let mut s = Running::default();
+        s.add(0, 3, 1.0);
+        let mut next = 1;
+        for _ in 0..10_000 {
+            if !s.runs.iter().any(|r| r.id == 0) {
+                break;
+            }
+            if s.runs.len() < 2 {
+                s.add(next, 1, 1e-3);
+                next += 1;
+            }
             s.dispatch();
         }
-        s.remove(1);
-        assert_eq!(s.len(), 1);
-        // A latecomer starts at the current minimum pass: it gets service
-        // immediately but cannot monopolise to "catch up".
-        s.add(3, 1.0);
-        let order: Vec<_> = (0..4).map(|_| s.dispatch().unwrap()).collect();
-        assert_eq!(order.iter().filter(|&&id| id == 3).count(), 2);
-        assert_eq!(order.iter().filter(|&&id| id == 2).count(), 2);
+        let bound = STARVATION_BOUND as usize;
+        assert_eq!(s.retired.iter().position(|r| r.0 == 0), Some(3 * bound));
+        assert_eq!(s.retired.iter().map(|r| r.1).max(), Some(STARVATION_BOUND));
+        // Two runs admitted at one step fall due together behind a
+        // zero-work third: the first admitted goes at the bound, the other
+        // one dispatch later (`c - 2` with `c = 3`).
+        let mut s = Running::default();
+        s.add(1, 2, 1.0);
+        s.add(2, 2, 1.0);
+        s.add(9, 1_000, 0.0);
+        for _ in 0..STARVATION_BOUND {
+            assert_eq!(s.dispatch(), Some(9));
+        }
+        assert_eq!((s.dispatch(), s.dispatch()), (Some(1), Some(2)));
+        let waits: Vec<u64> = s.runs.iter().map(|r| r.max_wait).collect();
+        assert_eq!(waits, vec![STARVATION_BOUND, STARVATION_BOUND + 1, 0]);
     }
 
     #[test]
-    fn urgency_weight_front_loads_tight_deadlines() {
-        // Two equal-cost queries; one carries an urgency of 1/4 (tight
-        // slack).  Equal predicted time per *pass unit* means the urgent
-        // query now runs ~4 chunks per relaxed chunk.
+    fn degenerate_keys_never_stall_the_loop() {
+        // A zero price keys a run at zero work left for good, yet its
+        // co-runner still gets every bound-th dispatch.
         let mut s = Running::default();
-        s.add_weighted(1, 2.0, 0.25);
-        s.add(2, 2.0);
-        let mut counts = [0usize; 2];
-        for _ in 0..100 {
-            match s.dispatch().unwrap() {
-                1 => counts[0] += 1,
-                2 => counts[1] += 1,
-                _ => unreachable!(),
-            }
-        }
-        assert_eq!(counts[0], 80, "{counts:?}");
-        assert_eq!(counts[1], 20, "{counts:?}");
-        // Urgency outranks equal-cost alternation too — a deadline query
-        // must be able to jump a round-robin.
-        let mut rr = Running::default();
-        rr.add_weighted(1, 99.0, 0.5);
-        rr.add(2, 99.0);
-        let order: Vec<_> = (0..6).map(|_| rr.dispatch().unwrap()).collect();
-        assert_eq!(order.iter().filter(|&&id| id == 1).count(), 4);
-        // Degenerate urgencies clamp like any stride.
-        let mut d = Running::default();
-        d.add_weighted(7, 1.0, 0.0);
-        d.add_weighted(8, 1.0, f64::NAN);
-        d.add_weighted(9, 1.0, f64::INFINITY);
-        for _ in 0..12 {
-            assert!(d.dispatch().is_some());
-        }
-    }
-
-    #[test]
-    fn degenerate_costs_never_stall_or_monopolise() {
-        // A zero predicted cost floors to a stride that still *advances the
-        // pass*: a co-runner three floors wide must keep getting turns.  (A
-        // sub-ulp fallback stride would be absorbed by fp rounding and hand
-        // the zero-cost query the loop forever.)
-        let mut s = Running::default();
-        s.add(1, 0.0);
-        s.add(2, 3.0 * MIN_STRIDE);
-        let mut counts = [0usize; 2];
-        for _ in 0..400 {
-            match s.dispatch().unwrap() {
-                1 => counts[0] += 1,
-                2 => counts[1] += 1,
-                _ => unreachable!(),
-            }
-        }
-        assert!(counts[0] > counts[1], "{counts:?}");
-        assert!(counts[1] >= 90, "co-runner starved: {counts:?}");
-        // NaN and infinity clamp to sane strides and keep the loop sound.
-        s.add(3, f64::NAN);
-        s.add(4, f64::INFINITY);
+        s.add(1, 1_000, 0.0);
+        s.add(2, 3, 1.0);
+        let order: Vec<_> = (0..3 * (STARVATION_BOUND as usize + 1))
+            .map(|_| s.dispatch())
+            .collect();
+        assert_eq!(order.iter().filter(|&&id| id == Some(2)).count(), 3);
+        // NaN and infinite keys order like any other and keep the loop sound.
+        s.add(3, 5, f64::NAN);
+        s.add(4, 5, f64::INFINITY);
         for _ in 0..30 {
             assert!(s.dispatch().is_some());
         }
-        assert_eq!(s.len(), 4);
-        for id in 1..=4 {
-            s.remove(id);
-        }
-        assert_eq!(s.len(), 0);
+        s.runs.clear();
         assert_eq!(s.dispatch(), None);
+        assert_eq!(dispatch(0, std::iter::empty()), None);
     }
 }

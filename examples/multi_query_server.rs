@@ -1,8 +1,8 @@
 //! A multi-tenant serving session through the **ticket front door**: a
 //! zipfian query mix is submitted as non-blocking tickets, pumped with
 //! [`Session::drive`] and observed with [`Ticket::poll`] — comparing serial
-//! execution, fair chunk interleaving, and interleaving with the
-//! clustered-join-index cache warm.  A final pass demonstrates the
+//! execution, remaining-work-first chunk interleaving, and interleaving
+//! with the clustered-join-index cache warm.  A final pass demonstrates the
 //! async-front enabler: new submissions landing between chunk steps of
 //! queries already in flight.
 //!
@@ -164,7 +164,8 @@ fn main() {
     let ids = register_all(&mut serial);
     summarize("serial (no cache)", &serve_pass(&mut serial, &mix, &ids));
 
-    // 2. Interleaved: admission + fair chunk scheduling, still cold.
+    // 2. Interleaved: admission + remaining-work-first chunk scheduling,
+    //    still cold.
     let mut interleaved = Session::new(base.clone());
     let ids = register_all(&mut interleaved);
     summarize(

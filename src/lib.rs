@@ -33,8 +33,9 @@
 //!   stream (`exec::ProjectionPipeline::materialize`).
 //! * [`serve`] — the cache-aware **multi-query serving layer**: a relation
 //!   catalog, an admission controller splitting one global memory budget
-//!   into per-query shares, a fair (stride) chunk scheduler interleaving
-//!   concurrent queries at chunk boundaries, a byte-budgeted cache of
+//!   into per-query shares, a remaining-work-first chunk scheduler (with a
+//!   starvation bound) interleaving concurrent queries at chunk
+//!   boundaries, a byte-budgeted cache of
 //!   clustered join indexes, ranked by use count, for cross-query reuse —
 //!   and the ticket-granular [`serve::QueryEngine`] underneath it all.
 //! * [`api`] — **one front door**: the unified [`api::Session`] /
