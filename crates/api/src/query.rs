@@ -71,9 +71,10 @@ impl<'s> Query<'s> {
         self
     }
 
-    /// Arms **cache-truth profiling** (default off): every emitted chunk's
-    /// memory-access pattern is replayed through the session's simulated
-    /// cache hierarchy, recording per-phase spans, per-chunk miss counts
+    /// Arms **cache-truth profiling** (default off): every chunk's gathers
+    /// and declusters report their array references to the session's
+    /// simulated cache hierarchy as they run (on one worker), recording
+    /// per-phase spans, per-chunk miss counts
     /// (`profile.*` metrics) and `ChunkProfile` trace events — deterministic
     /// numbers that survive any container, unlike wall-clock.  Output stays
     /// byte-identical by construction; requires the session's observability

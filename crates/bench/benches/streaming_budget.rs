@@ -13,7 +13,7 @@ use rdx_cache::CacheParams;
 use rdx_core::budget::MemoryBudget;
 use rdx_core::strategy::sink::RowChunkSink;
 use rdx_core::strategy::{DsmPostProjection, ProjectionCode, QuerySpec, SecondSideCode};
-use rdx_exec::{DsmPipelineRun, ExecPolicy, ProjectionPipeline};
+use rdx_exec::{ExecPolicy, PipelineRun, ProjectionPipeline};
 use rdx_workload::BudgetedWorkload;
 use std::sync::Arc;
 
@@ -65,9 +65,8 @@ fn bench_streaming_budget(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
                 let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
-                let mut run = DsmPipelineRun::over_dsm(
-                    prepared, &w.larger, &w.smaller, &spec, &params, &policy,
-                );
+                let mut run =
+                    PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
                 let mut sink = ChecksumSink::default();
                 run.run_to_completion(&mut sink);
                 assert_eq!(sink.rows, run.run_stats().rows_emitted);

@@ -668,7 +668,7 @@ fn join_entries_examined(n: usize, bits: u32, seed: u64) -> usize {
     examined
 }
 
-/// The deterministic miss-count measurement mode: replays the Radix-Decluster
+/// The deterministic miss-count measurement mode: runs the Radix-Decluster
 /// kernel and a profiled end-to-end pipeline through the cache simulator,
 /// counts the hash-join's table entries examined, and reports every count
 /// as a named cell.
@@ -708,7 +708,8 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
     }
 
     // End-to-end cell: a profiled pipeline run through the front door, with
-    // the per-chunk replay totals read back from the `profile.*` counters.
+    // the totals its probed kernels charged read back from the `profile.*`
+    // counters.
     let w = JoinWorkloadBuilder::equal(4_000, 2).seed(7).build();
     let mut session = rdx_api::Session::new(rdx_serve::ServeConfig {
         params: params.clone(),
@@ -793,7 +794,7 @@ fn scratch_bytes_per_row(w: &JoinWorkload, params: &CacheParams, budget: MemoryB
         SecondSideCode::Decluster,
     ));
     let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, params, &policy));
-    let mut run = rdx_exec::DsmPipelineRun::over_dsm(
+    let mut run = rdx_exec::PipelineRun::new(
         prepared,
         &w.larger,
         &w.smaller,

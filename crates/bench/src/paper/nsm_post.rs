@@ -216,7 +216,8 @@ mod tests {
 
     #[test]
     fn dsm_and_nsm_sources_serve_the_same_blocks() {
-        use rdx_core::positional::AttrSource;
+        use rdx_cache::NoProbe;
+        use rdx_core::positional::{AttrSource, OidBlock};
         let mut nsm = NsmRelation::new(3);
         for row in 0..50 {
             nsm.push_tuple(&[row, row * 10, -row]);
@@ -228,7 +229,7 @@ mod tests {
         let from_nsm = project_columns(&oids, 2, &nsm);
         for (attr, nsm_column) in from_nsm.iter().enumerate() {
             let mut from_dsm = [0; 5];
-            dsm.gather_into(attr, &oids, &mut from_dsm);
+            dsm.gather_into(attr, OidBlock::Wide(&oids), &mut from_dsm, &mut NoProbe);
             assert_eq!(from_dsm.as_slice(), nsm_column, "attr {attr}");
             assert_eq!(from_dsm[0], dsm.attr(attr).value(49));
         }

@@ -41,4 +41,4 @@ pub use calibrator::{CalibrationPoint, Calibrator};
 pub use counters::EventCounts;
 pub use hierarchy::{CacheLevelSim, MemorySystem, TlbSim};
 pub use params::{CacheLevel, CacheParams, Tlb};
-pub use probe::{NoProbe, Probe, SimProbe};
+pub use probe::{NoProbe, Probe, Remap, SimProbe};

@@ -94,6 +94,47 @@ impl Probe for SimProbe<'_> {
     }
 }
 
+/// A probe that forwards a kernel's references to `inner` in the caller's
+/// numbering: element `index` of the kernel's array `a` is element
+/// `index + map[a].1` of `inner`'s array `map[a].0`.  How one probe over a
+/// caller's whole layout observes a kernel that runs over a stretch of an
+/// array, or numbers its arrays its own way.  Over an inactive probe it
+/// does nothing, so it compiles away like [`NoProbe`].
+#[derive(Debug)]
+pub struct Remap<'p, P, const N: usize> {
+    inner: &'p mut P,
+    map: [(usize, usize); N],
+}
+
+impl<'p, P: Probe, const N: usize> Remap<'p, P, N> {
+    /// Forwards kernel array `a` to `map[a]` = (array of `inner`, index
+    /// shift).
+    #[inline(always)]
+    pub fn new(inner: &'p mut P, map: [(usize, usize); N]) -> Self {
+        Remap { inner, map }
+    }
+}
+
+impl<P: Probe, const N: usize> Probe for Remap<'_, P, N> {
+    const ACTIVE: bool = P::ACTIVE;
+
+    #[inline(always)]
+    fn read(&mut self, array: usize, index: usize) {
+        if P::ACTIVE {
+            let (array, shift) = self.map[array];
+            self.inner.read(array, index + shift);
+        }
+    }
+
+    #[inline(always)]
+    fn write(&mut self, array: usize, index: usize) {
+        if P::ACTIVE {
+            let (array, shift) = self.map[array];
+            self.inner.write(array, index + shift);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,5 +153,27 @@ mod tests {
         assert_eq!(counts.accesses, 2);
         assert_eq!(counts.tlb_misses, 2, "two distinct pages");
         assert_eq!(mem.counts().accesses, 3);
+    }
+
+    #[test]
+    fn remap_charges_the_caller_array_at_the_shifted_index() {
+        let params = CacheParams::tiny_for_tests();
+        let mut space = AddressSpace::new();
+        let regions = [space.alloc(64, 4), space.alloc(64, 4)];
+        let mut direct = MemorySystem::new(&params);
+        direct.read(regions[1].addr(40), 4);
+        direct.read(regions[1].addr(41), 4);
+        direct.write(regions[0].addr(9), 4);
+        direct.read(regions[1].addr(43), 4);
+        let mut mem = MemorySystem::new(&params);
+        let mut probe = SimProbe::new(&mut mem, &regions);
+        let mut remapped = Remap::new(&mut probe, [(1, 40), (0, 0)]);
+        remapped.read(0, 0);
+        remapped.read(0, 1);
+        remapped.write(1, 9);
+        // Remaps nest: element 1 of the outer kernel's array 0 is element
+        // 3 of the inner one's, 43 of array 1.
+        Remap::new(&mut remapped, [(0, 2)]).read(0, 1);
+        assert_eq!(mem.counts(), direct.counts());
     }
 }

@@ -201,9 +201,10 @@ impl<'a> PackedSlice<'a> {
         }
     }
 
-    /// The slice cut at its cluster borders, in order: `(base, low)` pairs
-    /// whose oids are `base + low[i]`.  Empty runs are skipped.
-    pub fn runs(&self) -> impl Iterator<Item = (Oid, &'a [u16])> + 'a {
+    /// The slice cut at its cluster borders, in order: `(at, base, low)`
+    /// triples, a run's first position in the packed array and its oids
+    /// `base + low[i]`.  Empty runs are skipped.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, Oid, &'a [u16])> + 'a {
         let (low, bounds, shift) = (self.low, self.bounds, self.shift);
         let mut left = self.len;
         let spans = std::iter::once(self.head).chain(self.tail.iter().map(|r| (r.start, r.end)));
@@ -225,23 +226,23 @@ impl<'a> PackedSlice<'a> {
                     .take_while(move |(cluster, _)| cluster[0] < end)
                     .filter_map(move |(cluster, j)| {
                         let (s, e) = (cluster[0].max(start), cluster[1].min(end));
-                        (s < e).then(|| ((j as Oid) << shift, &low[s..e]))
+                        (s < e).then(|| (s, (j as Oid) << shift, &low[s..e]))
                     })
             })
     }
 
-    /// Calls `f(base, low, block)` once per run of [`Self::runs`], with
+    /// Calls `f(at, base, low, block)` once per run of [`Self::runs`], with
     /// `block` the matching stretch of `out` — the loop a block fetch over a
     /// packed slice runs.
     ///
     /// # Panics
     /// Panics if `out` is not as long as the slice.
-    pub fn for_each_run<T>(&self, out: &mut [T], mut f: impl FnMut(Oid, &[u16], &mut [T])) {
+    pub fn for_each_run<T>(&self, out: &mut [T], mut f: impl FnMut(usize, Oid, &[u16], &mut [T])) {
         assert_eq!(self.len(), out.len(), "oid/output block length mismatch");
         let mut rest = out;
-        for (base, low) in self.runs() {
+        for (at, base, low) in self.runs() {
             let (block, tail) = std::mem::take(&mut rest).split_at_mut(low.len());
-            f(base, low, block);
+            f(at, base, low, block);
             rest = tail;
         }
     }
@@ -249,7 +250,7 @@ impl<'a> PackedSlice<'a> {
     /// Appends the slice's oids, widened to [`Oid`], to `out`.
     pub fn extend_into(&self, out: &mut Vec<Oid>) {
         out.reserve(self.len());
-        for (base, low) in self.runs() {
+        for (_, base, low) in self.runs() {
             out.extend(low.iter().map(|&l| base + Oid::from(l)));
         }
     }
@@ -452,11 +453,11 @@ mod tests {
         let c = radix_cluster_oids(&oids, &oids, RadixClusterSpec::partial(2, 1, 2));
         let (packed, _) = PackedOids::pack(c);
         let runs: Vec<_> = packed.slice(2..7).runs().collect();
-        assert_eq!(runs, [(0, &[2u16, 3][..]), (12, &[0, 1, 2][..])]);
+        assert_eq!(runs, [(2, 0, &[2u16, 3][..]), (4, 12, &[0, 1, 2][..])]);
         let mut out = [0u32; 5];
         packed
             .slice(2..7)
-            .for_each_run(&mut out, |base, low, block| {
+            .for_each_run(&mut out, |_, base, low, block| {
                 for (slot, &l) in block.iter_mut().zip(low) {
                     *slot = base + u32::from(l);
                 }

@@ -16,14 +16,18 @@
 //! holds only while the loop is a tight array loop.  Hence the one rule every
 //! executor in the workspace fetches by: **a source is asked for a block of
 //! one column, never for a value** ([`AttrSource::gather_into`]).  The column
-//! lookup, the seqbase / record stride and the dynamic call are paid once per
-//! block; what remains per value is one safe-indexed load and one store.  All
-//! variants end in the single loop [`Column::gather_into`].  A block of
-//! radix-clustered oids stored packed ([`PackedSlice`]) is fetched the same
-//! way, one loop per cluster run ([`AttrSource::gather_packed_into`]).
+//! lookup and the seqbase / record stride are paid once per block; what
+//! remains per value is one safe-indexed load and one store.  All variants
+//! end in the single loop [`Column::gather_into_probed`]; a block of
+//! radix-clustered oids stored packed ([`PackedSlice`]) runs its twin over
+//! 2-byte offsets, [`Column::gather_offsets_into_probed`], once per cluster
+//! run.  Both report their references to a [`Probe`], so a profiled run
+//! charges the cache simulator from the loop that ships.
 
 use crate::cluster::PackedSlice;
+use rdx_cache::{Probe, Remap};
 use rdx_dsm::{Column, DsmRelation, Oid, Selection};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -34,63 +38,84 @@ use std::sync::Arc;
 /// over cache-sized blocks (a morsel, a chunk, a cluster); there is
 /// deliberately no per-value entry point.
 pub trait AttrSource {
+    /// Number of projectable attributes.
+    fn width(&self) -> usize;
+
     /// Fills `out` (same length as `oids`) with attribute `attr` of the
-    /// tuples `oids` name, in that order.
+    /// tuples `oids` name, in that order.  `probe` sees, per oid, the oid's
+    /// read (array id 0, at its index in the stored oid array the block
+    /// views: within the slice of a wide block, within the whole packed
+    /// array of a packed one), the value's read (id 1, by position in the
+    /// column) and the write (id 2, `out`).
     ///
     /// # Panics
     /// Panics if the block lengths differ, or `attr` / an oid does not exist
     /// in the relation.
-    fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]);
-
-    /// [`AttrSource::gather_into`] over a block of packed clustered oids:
-    /// the same values, read through 2-byte offsets under each cluster's
-    /// base.
-    ///
-    /// # Panics
-    /// As [`AttrSource::gather_into`].
-    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]);
+    fn gather_into<P: Probe>(
+        &self,
+        attr: usize,
+        oids: OidBlock<'_>,
+        out: &mut [i32],
+        probe: &mut P,
+    );
 }
 
 impl AttrSource for DsmRelation {
-    fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
-        self.attr(attr).gather_into(oids, out);
+    fn width(&self) -> usize {
+        DsmRelation::width(self)
     }
 
-    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
+    fn gather_into<P: Probe>(
+        &self,
+        attr: usize,
+        oids: OidBlock<'_>,
+        out: &mut [i32],
+        probe: &mut P,
+    ) {
         let column = self.attr(attr);
-        oids.for_each_run(out, |base, offsets, block| {
-            column.gather_offsets_into(base, offsets, block);
-        });
+        match oids {
+            OidBlock::Wide(oids) => column.gather_into_probed(oids, out, probe),
+            OidBlock::Packed(oids) => {
+                let mut done = 0;
+                oids.for_each_run(out, |at, base, offsets, block| {
+                    let mut run = Remap::new(&mut *probe, [(0, at), (1, 0), (2, done)]);
+                    column.gather_offsets_into_probed(base, offsets, block, &mut run);
+                    done += block.len();
+                });
+            }
+        }
     }
 }
 
-impl<S: AttrSource + ?Sized> AttrSource for &S {
-    fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
-        (**self).gather_into(attr, oids, out);
+impl<S: AttrSource> AttrSource for &S {
+    fn width(&self) -> usize {
+        (**self).width()
     }
 
-    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
-        (**self).gather_packed_into(attr, oids, out);
-    }
-}
-
-impl<S: AttrSource + ?Sized> AttrSource for Box<S> {
-    fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
-        (**self).gather_into(attr, oids, out);
-    }
-
-    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
-        (**self).gather_packed_into(attr, oids, out);
+    fn gather_into<P: Probe>(
+        &self,
+        attr: usize,
+        oids: OidBlock<'_>,
+        out: &mut [i32],
+        probe: &mut P,
+    ) {
+        (**self).gather_into(attr, oids, out, probe);
     }
 }
 
-impl<S: AttrSource + ?Sized> AttrSource for Arc<S> {
-    fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
-        (**self).gather_into(attr, oids, out);
+impl<S: AttrSource> AttrSource for Arc<S> {
+    fn width(&self) -> usize {
+        (**self).width()
     }
 
-    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
-        (**self).gather_packed_into(attr, oids, out);
+    fn gather_into<P: Probe>(
+        &self,
+        attr: usize,
+        oids: OidBlock<'_>,
+        out: &mut [i32],
+        probe: &mut P,
+    ) {
+        (**self).gather_into(attr, oids, out, probe);
     }
 }
 
@@ -119,23 +144,22 @@ impl<'a> OidBlock<'a> {
         self.len() == 0
     }
 
+    /// The oids at positions `range` of this block.
+    ///
+    /// # Panics
+    /// Panics if `range` reaches past the block.
+    pub fn slice(&self, range: Range<usize>) -> OidBlock<'a> {
+        match self {
+            OidBlock::Wide(oids) => OidBlock::Wide(&oids[range]),
+            OidBlock::Packed(oids) => OidBlock::Packed(oids.slice(range)),
+        }
+    }
+
     /// Bytes each oid occupies in the array the block reads.
     pub fn index_width(&self) -> usize {
         match self {
             OidBlock::Wide(_) => std::mem::size_of::<Oid>(),
             OidBlock::Packed(_) => std::mem::size_of::<u16>(),
-        }
-    }
-
-    /// The block's oids widened to [`Oid`].
-    pub fn to_vec(&self) -> Vec<Oid> {
-        match self {
-            OidBlock::Wide(oids) => oids.to_vec(),
-            OidBlock::Packed(oids) => {
-                let mut out = Vec::new();
-                oids.extend_into(&mut out);
-                out
-            }
         }
     }
 }
@@ -187,14 +211,19 @@ impl<S> CountingSource<S> {
 }
 
 impl<S: AttrSource> AttrSource for CountingSource<S> {
-    fn gather_into(&self, attr: usize, oids: &[Oid], out: &mut [i32]) {
-        self.count(oids.len());
-        self.inner.gather_into(attr, oids, out);
+    fn width(&self) -> usize {
+        self.inner.width()
     }
 
-    fn gather_packed_into(&self, attr: usize, oids: PackedSlice<'_>, out: &mut [i32]) {
+    fn gather_into<P: Probe>(
+        &self,
+        attr: usize,
+        oids: OidBlock<'_>,
+        out: &mut [i32],
+        probe: &mut P,
+    ) {
         self.count(oids.len());
-        self.inner.gather_packed_into(attr, oids, out);
+        self.inner.gather_into(attr, oids, out, probe);
     }
 }
 
@@ -244,6 +273,7 @@ pub fn sparse_positional_join<T: Copy + Default>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdx_cache::NoProbe;
 
     fn column() -> Column<i32> {
         Column::from_vec((0..100).map(|i| i * 10).collect())
@@ -271,18 +301,75 @@ mod tests {
         let clustered = radix_cluster_oids(&oids, &oids, RadixClusterSpec::partial(3, 1, 6));
         let wide = clustered.keys().to_vec();
         let (packed, _) = PackedOids::pack(clustered);
-        let sources: [&dyn AttrSource; 2] = [&dsm, &CountingSource::new(&dsm)];
-        for source in sources {
+        fn check<S: AttrSource>(source: &S, wide: &[Oid], packed: &PackedOids) {
             for (attr, range) in [(0, 0..300), (1, 41..250)] {
                 let (mut expected, mut got) = (vec![0; range.len()], vec![0; range.len()]);
-                source.gather_into(attr, &wide[range.clone()], &mut expected);
-                source.gather_packed_into(attr, packed.slice(range.clone()), &mut got);
+                let oids = OidBlock::Wide(&wide[range.clone()]);
+                source.gather_into(attr, oids, &mut expected, &mut NoProbe);
+                let oids = OidBlock::Packed(packed.slice(range.clone()));
+                source.gather_into(attr, oids, &mut got, &mut NoProbe);
                 assert_eq!(got, expected, "attr {attr} {range:?}");
             }
         }
+        check(&dsm, &wide, &packed);
+        check(&CountingSource::new(&dsm), &wide, &packed);
         let counted = CountingSource::new(&dsm);
-        counted.gather_packed_into(0, packed.slice(5..105), &mut [0; 100]);
+        let oids = OidBlock::Packed(packed.slice(5..105));
+        counted.gather_into(0, oids, &mut [0; 100], &mut NoProbe);
         assert_eq!((counted.calls(), counted.values()), (1, 100));
+    }
+
+    /// A probed block fetch reports each oid at its position in the stored
+    /// array: within the slice of a wide block, within the whole packed
+    /// array of a packed one, whose runs need not be contiguous.
+    #[test]
+    fn a_probed_fetch_reports_each_oid_where_it_is_stored() {
+        use crate::cluster::{radix_cluster_oids, PackedOids, RadixClusterSpec};
+        #[derive(Default)]
+        struct Recorder(Vec<(usize, usize)>);
+        impl Probe for Recorder {
+            const ACTIVE: bool = true;
+            fn read(&mut self, array: usize, index: usize) {
+                self.0.push((array, index));
+            }
+            fn write(&mut self, array: usize, index: usize) {
+                self.0.push((array + 10, index));
+            }
+        }
+        let dsm = DsmRelation::new(
+            Column::from_vec((0..64).collect()),
+            vec![Column::with_seqbase(0, (0..64).map(|v| v * 3).collect())],
+        );
+        let oids: Vec<Oid> = (0..64).map(|i| (i * 37 + 5) % 64).collect();
+        let clustered = radix_cluster_oids(&oids, &oids, RadixClusterSpec::partial(2, 1, 4));
+        let wide = clustered.keys().to_vec();
+        let (packed, _) = PackedOids::pack(clustered);
+        let runs = [2..5, 20..22, 40..43];
+        let positions: Vec<usize> = runs.iter().flat_map(|r| r.clone()).collect();
+        // Per oid: its read where it is stored, its value's read, the write.
+        let expected = |stored: &[usize]| -> Vec<(usize, usize)> {
+            stored
+                .iter()
+                .zip(&positions)
+                .enumerate()
+                .flat_map(|(i, (&s, &at))| [(0, s), (1, wide[at] as usize), (12, i)])
+                .collect()
+        };
+        let mut probe = Recorder::default();
+        let mut out = [0; 8];
+        dsm.gather_into(
+            0,
+            OidBlock::Packed(packed.select(&runs)),
+            &mut out,
+            &mut probe,
+        );
+        assert_eq!(probe.0, expected(&positions));
+        let values: Vec<i32> = positions.iter().map(|&at| wide[at] as i32 * 3).collect();
+        assert_eq!(out.as_slice(), values);
+        let block: Vec<Oid> = positions.iter().map(|&at| wide[at]).collect();
+        let mut probe = Recorder::default();
+        dsm.gather_into(0, OidBlock::Wide(&block), &mut out, &mut probe);
+        assert_eq!(probe.0, expected(&(0..8).collect::<Vec<_>>()));
     }
 
     #[test]
@@ -290,8 +377,8 @@ mod tests {
         let rel = DsmRelation::new(Column::from_vec(vec![0; 100]), vec![column()]);
         let source = CountingSource::new(&rel);
         let mut out = [0; 4];
-        source.gather_into(0, &[3, 1, 4, 1], &mut out);
-        source.gather_into(0, &[5, 9], &mut out[..2]);
+        source.gather_into(0, OidBlock::Wide(&[3, 1, 4, 1]), &mut out, &mut NoProbe);
+        source.gather_into(0, OidBlock::Wide(&[5, 9]), &mut out[..2], &mut NoProbe);
         assert_eq!(out, [50, 90, 40, 10]);
         assert_eq!(
             (source.calls(), source.values(), source.largest_block()),

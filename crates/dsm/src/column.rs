@@ -157,22 +157,36 @@ impl<T: Copy> Column<T> {
         }
     }
 
-    /// [`Column::gather_into`] over oids given as `base + offsets[i]` — one
-    /// run of a clustered oid array stored as low bits under its cluster.
-    /// The rebasing is hoisted out of the loop, which reads 2-byte offsets.
+    /// [`Column::gather_into_probed`] over oids given as `base + offsets[i]`
+    /// — one run of a clustered oid array stored as low bits under its
+    /// cluster.  The rebasing is hoisted out of the loop, which reads 2-byte
+    /// offsets.  `probe` sees what [`Column::gather_into_probed`] reports:
+    /// per element the offset's read (array id 0, `offsets`), the value's
+    /// read (id 1, this column, by position) and the output write (id 2).
     ///
     /// # Panics
     /// Panics if `offsets` and `out` differ in length or any oid is out of
     /// range.
-    pub fn gather_offsets_into(&self, base: Oid, offsets: &[u16], out: &mut [T]) {
+    #[inline]
+    pub fn gather_offsets_into_probed<P: Probe>(
+        &self,
+        base: Oid,
+        offsets: &[u16],
+        out: &mut [T],
+        probe: &mut P,
+    ) {
         assert_eq!(offsets.len(), out.len(), "oid/output block length mismatch");
         // `base` may lie below the seqbase while every oid of the run does not.
-        let (data, below) = match base.checked_sub(self.seqbase) {
-            Some(start) => (&self.data[start as usize..], 0),
-            None => (self.data.as_slice(), (self.seqbase - base) as usize),
+        let (data, start, below) = match base.checked_sub(self.seqbase) {
+            Some(start) => (&self.data[start as usize..], start as usize, 0),
+            None => (self.data.as_slice(), 0, (self.seqbase - base) as usize),
         };
-        for (slot, &offset) in out.iter_mut().zip(offsets) {
-            *slot = data[usize::from(offset) - below];
+        for (i, (slot, &offset)) in out.iter_mut().zip(offsets).enumerate() {
+            let pos = usize::from(offset) - below;
+            probe.read(0, i);
+            probe.read(1, start + pos);
+            probe.write(2, i);
+            *slot = data[pos];
         }
     }
 
@@ -276,7 +290,7 @@ mod tests {
         for (base, offsets) in [(12, vec![0u16, 5, 1]), (8, vec![2, 9, 21])] {
             let oids: Vec<Oid> = offsets.iter().map(|&o| base + Oid::from(o)).collect();
             let mut out = [0; 3];
-            col.gather_offsets_into(base, &offsets, &mut out);
+            col.gather_offsets_into_probed(base, &offsets, &mut out, &mut NoProbe);
             assert_eq!(col.gather(&oids).as_slice(), &out, "base {base}");
         }
     }

@@ -55,7 +55,7 @@ pub use cluster::{par_radix_cluster, par_radix_cluster_oids};
 pub use decluster::{par_radix_decluster, par_radix_decluster_into};
 pub use join::par_partitioned_hash_join;
 pub use pipeline::{
-    cluster_spec_for, BoxedSource, ChunkScratch, DsmPipelineRun, PipelineRun, PipelineStats,
-    PreparedProjection, ProjectionPipeline,
+    cluster_spec_for, ChunkScratch, PipelineRun, PipelineStats, PreparedProjection,
+    ProjectionPipeline,
 };
 pub use pool::{ExecPolicy, MorselQueue, WorkerPanic};

@@ -56,20 +56,27 @@
 //! never asks a relation for a value: *a source is asked for a block of one
 //! column* ([`AttrSource::gather_into`]) — once per morsel × column, for the
 //! first side, the staged `CLUST_VALUES` fill and the unsorted second side
-//! alike.  The dynamic call, the column lookup and the seqbase / record
-//! stride are paid per block; a unit test pins the call count.
+//! alike.  The column lookup and the seqbase / record stride are paid per
+//! block; a unit test pins the call count.  The run is generic over its
+//! sources (`&DsmRelation`, `Arc<DsmRelation>`, a counting wrapper), so
+//! the fetch is a direct call into the one gather loop.
+//!
+//! **Profiling.**  Every kernel of a chunk — the gathers of both sides and
+//! each smaller-side column's decluster — takes a zero-sized
+//! [`rdx_cache::Probe`]: [`NoProbe`] in production, a [`SimProbe`] over the
+//! run's simulated layout when [`PipelineRun::attach_profile`] armed it.  A
+//! profiled run therefore charges the cache simulator from the loops that
+//! ship, each column from its own column and into its own output.
 
 use crate::cluster::par_radix_cluster_oids;
 use crate::decluster::par_radix_decluster_into;
 use crate::join::par_partitioned_hash_join;
 use crate::pool::ExecPolicy;
-use crate::strategy::{
-    par_gather_into, par_order_join_index, par_partial_cluster_join_index, par_project_columns_into,
-};
-use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, NoProbe, Region, SimProbe};
+use crate::strategy::{par_gather_into, par_order_join_index, par_partial_cluster_join_index};
+use rdx_cache::{AddressSpace, CacheParams, MemorySystem, NoProbe, Probe, Region, Remap, SimProbe};
 use rdx_core::cluster::{plan_partial_cluster, PackedOids, PackedPositions, RadixClusterSpec};
 use rdx_core::decluster::chunks::{ChunkCursorState, ChunkRuns};
-use rdx_core::decluster::{probe_regions, DeclusterScratch};
+use rdx_core::decluster::{DeclusterScratch, ResultPositions};
 use rdx_core::error::{check_projection_widths, RdxError};
 use rdx_core::join::join_cluster_spec;
 use rdx_core::positional::{AttrSource, OidBlock};
@@ -82,7 +89,7 @@ use rdx_dsm::{DsmRelation, Oid};
 use rdx_obs::{EventKind, MissCounts, Obs, Phase, QueryId};
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Width of the fixed-size attribute values (the paper's integer columns).
 const VALUE_WIDTH: usize = 4;
@@ -126,6 +133,7 @@ pub struct PreparedProjection {
     plan: DsmPostProjection,
     first: FirstSide,
     second: SecondSide,
+    larger_cardinality: usize,
     smaller_cardinality: usize,
     timings: PhaseTimings,
 }
@@ -295,28 +303,6 @@ impl ChunkScratch {
     }
 }
 
-/// One chunk's smaller-side decluster inputs, shared by every column: the
-/// staged values, `CLUST_RESULT`, the chunk's runs, the window and the policy.
-type Sweep<'a> = (
-    &'a [i32],
-    &'a PackedPositions,
-    &'a ChunkRuns,
-    usize,
-    &'a ExecPolicy,
-);
-
-/// Declusters one column under `probe`: the one call every column makes.
-fn decluster<P: rdx_cache::Probe>(
-    (values, positions, chunk, window, policy): Sweep<'_>,
-    scratch: &mut DeclusterScratch,
-    out: &mut [i32],
-    probe: &mut P,
-) {
-    par_radix_decluster_into(
-        values, positions, chunk, window, policy, scratch, out, probe,
-    );
-}
-
 /// The per-run observability state a [`PipelineRun`] carries when tracing
 /// is enabled: the query id its chunk events are keyed by, the cost
 /// model's per-chunk prediction, and the two histograms it records into —
@@ -332,76 +318,53 @@ struct RunObs {
 }
 
 /// The cache-truth profiling state a [`PipelineRun`] carries when the
-/// profiled mode is on: a persistent [`MemorySystem`], the regions standing
-/// for the operand arrays — laid out once, at attach, from one
-/// [`AddressSpace`], so no two alias — and the [`rdx_obs::Profile`]
-/// instruments.  The first smaller-side column's decluster runs under a
-/// [`SimProbe`] on this simulator as it emits; the fetches read `dyn`
-/// sources the simulator cannot see, so [`RunProfile::replay_chunk`]
-/// charges them after the emit.  Neither changes what a chunk computes.
-/// The replay allocates, which is why profiling is opt-in.
+/// profiled mode is on: a persistent [`MemorySystem`], one [`Region`] per
+/// array a chunk's kernels touch — laid out once, at attach, from one
+/// [`AddressSpace`], so no two alias, and indexed by the layout ids below —
+/// and the [`rdx_obs::Profile`] instruments.  Each chunk runs its kernels
+/// under a [`SimProbe`] over these regions, which changes nothing a chunk
+/// computes.  Profiling is opt-in because a probed kernel runs on one
+/// worker and every reference it makes goes through the simulator.
 struct RunProfile {
     profile: rdx_obs::Profile,
     obs: Obs,
     query: QueryId,
     mem: MemorySystem,
-    first_oids_region: Region,
-    second_oids_region: Region,
-    larger_cols: Vec<Region>,
-    smaller_cols: Vec<Region>,
-    chunk_out: Region,
-    /// The probed decluster's arrays ([`probe_regions`]).
-    decluster_regions: [Region; 5],
-    /// What the current chunk's probed decluster charged.
-    declustered: EventCounts,
+    regions: Vec<Region>,
 }
 
-impl RunProfile {
-    /// Replays one emitted chunk's fetches through the simulator and returns
-    /// the chunk's miss counts: per side and projected column, per row the
-    /// oid stream's read at the row's index (at the width the oids are
-    /// stored in), the column's read at its oid and the chunk's write; plus
-    /// the probed decluster's counts once per smaller-side column (its
-    /// address pattern is value-independent, so every column charges the
-    /// same).
-    fn replay_chunk(
-        &mut self,
-        first: (Vec<usize>, OidBlock<'_>),
-        second: (Vec<usize>, OidBlock<'_>),
-    ) -> EventCounts {
-        let before = self.mem.counts();
-        let sides = [
-            (self.first_oids_region, first, &self.larger_cols),
-            (self.second_oids_region, second, &self.smaller_cols),
-        ];
-        for (stream, (indices, oids), columns) in sides {
-            let oids = oids.to_vec();
-            for column in columns {
-                for (i, (&index, &oid)) in indices.iter().zip(&oids).enumerate() {
-                    self.mem.read(stream.addr(index), stream.elem_width());
-                    self.mem
-                        .read(column.addr(oid as usize), column.elem_width());
-                    self.mem.write(self.chunk_out.addr(i), VALUE_WIDTH);
-                }
-            }
-        }
-        let mut delta = self.mem.counts() - before;
-        let declustered = std::mem::take(&mut self.declustered);
-        for _ in 0..self.smaller_cols.len() {
-            delta.accumulate(&declustered);
-        }
-        delta
+/// Region ids of a profiled run's layout, in allocation order: each side's
+/// stored oids, the staged `CLUST_VALUES`, the windowed decluster's
+/// `CLUST_RESULT`, cursor array and block starts, then, per result column
+/// `c`, the column it is read from (`COLUMNS + 2c`) and its output
+/// (`COLUMNS + 2c + 1`).
+const FIRST_OIDS: usize = 0;
+const SECOND_OIDS: usize = 1;
+const STAGED: usize = 2;
+const STORED: usize = 3;
+const CURSORS: usize = 4;
+const STARTS: usize = 5;
+const COLUMNS: usize = 6;
+
+/// Gathers attribute `a` of `source` into `columns[a]`, for every column,
+/// through `oids`, whose element 0 is element `at` of the layout's array
+/// `stored`; `columns[0]` is result column `first`.
+fn fetch_columns<S: AttrSource + Sync, P: Probe>(
+    source: &S,
+    oids: OidBlock<'_>,
+    (stored, at): (usize, usize),
+    first: usize,
+    policy: &ExecPolicy,
+    columns: &mut [Vec<i32>],
+    probe: &mut P,
+) {
+    for (attr, column) in columns.iter_mut().enumerate() {
+        column.resize(oids.len(), 0);
+        let c = COLUMNS + 2 * (first + attr);
+        let mut probe = Remap::new(&mut *probe, [(stored, at), (c, 0), (c + 1, 0)]);
+        par_gather_into(source, attr, oids, policy, column, &mut probe);
     }
 }
-
-/// A boxed [`AttrSource`], the type-erased form the serving layer uses so
-/// runs over different storage models are homogeneous.  The dynamic call is
-/// per block (one morsel of one column), never per value.
-pub type BoxedSource<'a> = Box<dyn AttrSource + Sync + 'a>;
-
-/// A [`PipelineRun`] over boxed sources (what [`PipelineRun::over_dsm`]
-/// returns).
-pub type DsmPipelineRun<'a> = PipelineRun<BoxedSource<'a>, BoxedSource<'a>>;
 
 /// One in-flight streaming projection, resumable chunk by chunk.
 ///
@@ -438,13 +401,15 @@ where
     L: AttrSource + Sync,
     S: AttrSource + Sync,
 {
-    /// A run over a prepared prefix, with the chunking planned from the
-    /// policy's budget.
+    /// A run over a prepared prefix, fetching from `larger` and `smaller`
+    /// (`&DsmRelation`, an owning `Arc<DsmRelation>` a session can park
+    /// across calls, or a wrapper such as a counting source), with the
+    /// chunking planned from the policy's budget.
     ///
     /// # Panics
-    /// Panics (on the first step) if the query asks for more projection
-    /// columns than the sources can serve; callers that know the relations
-    /// check up front.
+    /// Panics with [`check_projection_widths`]' error if the query asks for
+    /// more projection columns than a source has; callers that must report
+    /// it as a typed error check up front.
     pub fn new(
         prepared: Arc<PreparedProjection>,
         larger: L,
@@ -453,6 +418,14 @@ where
         params: &CacheParams,
         policy: &ExecPolicy,
     ) -> Self {
+        if let Err(e) = check_projection_widths(
+            spec.project_larger,
+            larger.width(),
+            spec.project_smaller,
+            smaller.width(),
+        ) {
+            panic!("{e}");
+        }
         // Resolve an auto-detect (threads = 0) policy once, so the chunk
         // loop never re-queries the host's parallelism per morsel fill.
         let policy = ExecPolicy {
@@ -520,14 +493,14 @@ where
         }));
     }
 
-    /// Arms cache-truth profiling: every subsequent [`Self::step`] charges
-    /// the chunk's memory accesses to a simulated [`MemorySystem`] under
-    /// `params` — the decluster through its probe, the fetches by replay —
-    /// and records per-phase spans and per-chunk [`rdx_obs::MissCounts`]
-    /// into `obs` (`ChunkProfile` trace events adjacent to each
-    /// `ChunkStep`, `profile.*` metrics).  Output is untouched, so a
-    /// profiled run stays byte-identical to an unprofiled one.  An untraced
-    /// `obs` is a no-op: the run stays exactly as cheap as an unprofiled one.
+    /// Arms cache-truth profiling: every subsequent [`Self::step`] runs its
+    /// kernels under a [`SimProbe`], charging the chunk's memory accesses
+    /// to a simulated [`MemorySystem`] under `params`, and records per-phase
+    /// spans and per-chunk [`rdx_obs::MissCounts`] into `obs`
+    /// (`ChunkProfile` trace events adjacent to each `ChunkStep`,
+    /// `profile.*` metrics).  Output is untouched, so a profiled run stays
+    /// byte-identical to an unprofiled one.  An untraced `obs` is a no-op:
+    /// the run stays exactly as cheap as an unprofiled one.
     pub fn attach_profile(&mut self, obs: &Obs, query: QueryId, params: &CacheParams) {
         let Some(profile) = obs.profile() else {
             return; // untraced obs: stay as cheap as an unprofiled run
@@ -538,49 +511,45 @@ where
             Phase::Cluster,
             self.prepared.timings.decluster.as_nanos() as u64,
         );
-        let mut space = AddressSpace::new();
-        let n = self.prepared.result_rows();
-        let first_oids = self.prepared.first.block(0..n);
-        let first_oids_region = space.alloc(n.max(1), first_oids.index_width());
-        let second_oids_region = space.alloc(n.max(1), self.prepared.second.index_width());
-        let larger_rows = first_oids
-            .to_vec()
-            .into_iter()
-            .max()
-            .map_or(1, |oid| oid as usize + 1);
-        let larger_cols = (0..self.spec.project_larger)
-            .map(|_| space.alloc(larger_rows, VALUE_WIDTH))
-            .collect();
-        let smaller_cols = (0..self.spec.project_smaller)
-            .map(|_| space.alloc(self.prepared.smaller_cardinality.max(1), VALUE_WIDTH))
-            .collect();
-        let chunk_capacity = self.streaming.chunk_rows.min(n).max(1);
-        let chunk_out = space.alloc(chunk_capacity, VALUE_WIDTH);
-        // The cursor array follows the prefix the kernel indexes.
-        let decluster_regions = match &self.prepared.second {
-            SecondSide::Clustered { smaller, positions } => probe_regions(
-                &mut space,
-                chunk_capacity,
-                positions,
+        let prepared = &self.prepared;
+        let n = prepared.result_rows();
+        let chunk_rows = self.streaming.chunk_rows.min(n).max(1);
+        // The decluster's arrays as the prefix stores them: 2-byte
+        // positions, one 8-byte cursor border per run and one more, 4-byte
+        // block starts.
+        let (stored, runs, starts) = match &prepared.second {
+            SecondSide::Clustered { smaller, positions } => (
+                positions.stored().len(),
                 smaller.num_clusters(),
-                VALUE_WIDTH,
+                positions.starts_len(),
             ),
-            SecondSide::ResultOrder(_) => {
-                probe_regions(&mut space, chunk_capacity, &[] as &[Oid], 0, VALUE_WIDTH)
-            }
+            SecondSide::ResultOrder(_) => (0, 0, 0),
         };
+        let mut space = AddressSpace::new();
+        let mut regions = vec![
+            space.alloc(n.max(1), prepared.first.block(0..n).index_width()),
+            space.alloc(n.max(1), prepared.second.index_width()),
+            space.alloc(chunk_rows, VALUE_WIDTH),
+            space.alloc(stored.max(1), std::mem::size_of::<u16>()),
+            space.alloc(runs + 1, 8),
+            space.alloc(starts.max(1), 4),
+        ];
+        let sides = [
+            (self.spec.project_larger, prepared.larger_cardinality),
+            (self.spec.project_smaller, prepared.smaller_cardinality),
+        ];
+        for (columns, cardinality) in sides {
+            for _ in 0..columns {
+                regions.push(space.alloc(cardinality.max(1), VALUE_WIDTH));
+                regions.push(space.alloc(chunk_rows, VALUE_WIDTH));
+            }
+        }
         self.profile = Some(Box::new(RunProfile {
             profile,
             obs: obs.clone(),
             query,
             mem: MemorySystem::new(params),
-            first_oids_region,
-            second_oids_region,
-            larger_cols,
-            smaller_cols,
-            chunk_out,
-            decluster_regions,
-            declustered: EventCounts::zero(),
+            regions,
         }));
     }
 
@@ -641,87 +610,27 @@ where
         let emitted = self.emitted;
         let chunk_end = (emitted + self.streaming.chunk_rows).min(n);
         let rows = chunk_end - emitted;
-        let mut chunk_bytes = rows * self.spec.total() * VALUE_WIDTH;
+        // The chunk's output columns and, when it declusters, its staged
+        // values.
+        let staged = matches!(self.prepared.second, SecondSide::Clustered { .. });
+        let chunk_bytes = rows * (self.spec.total() + usize::from(staged)) * VALUE_WIDTH;
         // Chunk wall-clock is only measured when an observer consumes it.
         let chunk_start = self.obs.is_some().then(Instant::now);
 
-        // All chunk-local buffers come from the run's scratch: after the
-        // first (largest) chunk has grown them, a steady-state step
-        // allocates nothing.  Output columns a sink took are re-grown by
-        // the resizes below.
-        let scratch = &mut self.scratch;
-        scratch.columns.resize_with(self.spec.total(), Vec::new);
-
-        // First side: morsel-parallel gather straight into the chunk.
-        let t = Instant::now();
-        par_project_columns_into(
-            self.prepared.first.block(emitted..chunk_end),
-            &self.larger,
-            &self.policy,
-            &mut scratch.columns[..self.spec.project_larger],
-        );
-        let first_elapsed = t.elapsed();
-        self.timings.project_larger += first_elapsed;
-
-        // Second side.
-        let mut second_fetch_elapsed = None;
-        let mut decluster_elapsed = None;
-        let t = Instant::now();
-        match (&self.prepared.second, &mut self.cursors) {
-            (SecondSide::Clustered { smaller, positions }, Some(cursors)) => {
-                cursors.next_chunk_into(positions, chunk_end, &mut scratch.chunk);
-                let chunk = &scratch.chunk;
-                debug_assert_eq!(chunk.result_range, emitted..chunk_end);
-                // The chunk's runs of CLUST_SMALLER (still packed) and
-                // CLUST_RESULT, read in place by every smaller-side column; a
-                // whole-result chunk's runs are the clusters.
-                let oids = OidBlock::Packed(smaller.select(&chunk.runs));
-                scratch.staged.resize(rows, 0);
-                let staged = &mut scratch.staged[..rows];
-                chunk_bytes += staged.len() * VALUE_WIDTH;
-                let window = self.streaming.window_bytes;
-                for (b, column) in scratch.columns[self.spec.project_larger..]
-                    .iter_mut()
-                    .enumerate()
-                {
-                    // On-demand clustered positional join: the chunk's
-                    // CLUST_VALUES, never the whole column.
-                    par_gather_into(&self.smaller, b, oids, &self.policy, staged);
-                    column.resize(rows, 0);
-                    let sweep = (&*staged, positions, chunk, window, &self.policy);
-                    // A profiled run's first column declusters under the
-                    // simulator; the others charge the same pattern.
-                    match self.profile.as_deref_mut().filter(|_| b == 0) {
-                        Some(prof) => {
-                            let mut probe = SimProbe::new(&mut prof.mem, &prof.decluster_regions);
-                            decluster(sweep, &mut scratch.decluster, column, &mut probe);
-                            prof.declustered = probe.counts();
-                        }
-                        None => decluster(sweep, &mut scratch.decluster, column, &mut NoProbe),
-                    }
-                }
-                let elapsed = t.elapsed();
-                self.timings.decluster += elapsed;
-                decluster_elapsed = Some(elapsed);
+        // A profiled chunk runs every kernel under one probe over the run's
+        // layout; the profile is set aside while the kernels borrow the run.
+        let mut profile = self.profile.take();
+        let (spans, counts) = match profile.as_deref_mut() {
+            Some(prof) => {
+                let mut probe = SimProbe::new(&mut prof.mem, &prof.regions);
+                let spans = self.fetch_chunk(emitted..chunk_end, &mut probe);
+                (spans, Some(probe.counts()))
             }
-            (SecondSide::Clustered { .. }, None) => {
-                unreachable!("PipelineRun::new builds cursors for every clustered prefix")
-            }
-            (SecondSide::ResultOrder(second_oids), _) => {
-                par_project_columns_into(
-                    OidBlock::Wide(&second_oids[emitted..chunk_end]),
-                    &self.smaller,
-                    &self.policy,
-                    &mut scratch.columns[self.spec.project_larger..],
-                );
-                let elapsed = t.elapsed();
-                self.timings.project_smaller += elapsed;
-                second_fetch_elapsed = Some(elapsed);
-            }
-        }
+            None => (self.fetch_chunk(emitted..chunk_end, &mut NoProbe), None),
+        };
 
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(chunk_bytes);
-        sink.emit(emitted, &mut scratch.columns);
+        sink.emit(emitted, &mut self.scratch.columns);
         self.chunks_emitted += 1;
         self.emitted = chunk_end;
         if let (Some(run_obs), Some(start)) = (self.obs.as_deref(), chunk_start) {
@@ -744,36 +653,10 @@ where
                 },
             );
         }
-        // Profiled mode: replay this chunk's fetches through the simulator.
-        // Output was already emitted above — the replay only simulates.
-        if let Some(prof) = self.profile.as_deref_mut() {
-            // `profile` is a distinct field from `prepared`/`scratch`, so
-            // these immutable borrows coexist with the `&mut` taken above.
-            // The first side's fetch reads the chunk's stretch of its oids;
-            // the second side's the chunk's runs of the packed
-            // `CLUST_SMALLER`, or its stretch of the result-order oids.
-            let stretch = || (emitted..chunk_end).collect();
-            let first = (stretch(), self.prepared.first.block(emitted..chunk_end));
-            let second = match &self.prepared.second {
-                SecondSide::Clustered { smaller, .. } => {
-                    let runs = &self.scratch.chunk.runs;
-                    let indices = runs.iter().flat_map(|r| r.clone()).collect();
-                    (indices, OidBlock::Packed(smaller.select(runs)))
-                }
-                SecondSide::ResultOrder(oids) => {
-                    (stretch(), OidBlock::Wide(&oids[emitted..chunk_end]))
-                }
-            };
-            prof.profile
-                .record_span(Phase::Fetch, first_elapsed.as_nanos() as u64);
-            if let Some(d) = second_fetch_elapsed {
-                prof.profile.record_span(Phase::Fetch, d.as_nanos() as u64);
+        if let (Some(prof), Some(counts)) = (profile.as_deref_mut(), counts) {
+            for (phase, elapsed) in spans {
+                prof.profile.record_span(phase, elapsed.as_nanos() as u64);
             }
-            if let Some(d) = decluster_elapsed {
-                prof.profile
-                    .record_span(Phase::Decluster, d.as_nanos() as u64);
-            }
-            let counts = prof.replay_chunk(first, second);
             let params = prof.mem.params();
             let miss = MissCounts {
                 accesses: counts.accesses,
@@ -789,7 +672,120 @@ where
                 miss,
             );
         }
+        self.profile = profile;
         Some(rows)
+    }
+
+    /// Fills the scratch's output columns with result rows `rows`: the
+    /// first side's gathers, then per smaller-side column its gather into
+    /// the staged `CLUST_VALUES` and its decluster, or its gather.  Every
+    /// kernel reports to `probe` in the profiled layout's ids
+    /// ([`RunProfile`]).  Returns the fetch's and the second side's phase
+    /// spans.
+    fn fetch_chunk<P: Probe>(
+        &mut self,
+        rows: Range<usize>,
+        probe: &mut P,
+    ) -> [(Phase, Duration); 2] {
+        let larger = self.spec.project_larger;
+        // All chunk-local buffers come from the run's scratch: after the
+        // first (largest) chunk has grown them, a steady-state step
+        // allocates nothing.  Output columns a sink took are re-grown by
+        // the resizes below.
+        let ChunkScratch {
+            columns,
+            chunk,
+            staged,
+            decluster,
+        } = &mut self.scratch;
+        columns.resize_with(self.spec.total(), Vec::new);
+        let (first_columns, second_columns) = columns.split_at_mut(larger);
+
+        // First side: morsel-parallel gather straight into the chunk.  A
+        // wide block is its stretch of the stored oids; a packed one
+        // indexes the whole packed array.
+        let t = Instant::now();
+        let oids = self.prepared.first.block(rows.clone());
+        let at = match oids {
+            OidBlock::Wide(_) => rows.start,
+            OidBlock::Packed(_) => 0,
+        };
+        let policy = &self.policy;
+        fetch_columns(
+            &self.larger,
+            oids,
+            (FIRST_OIDS, at),
+            0,
+            policy,
+            first_columns,
+            probe,
+        );
+        let fetched = t.elapsed();
+        self.timings.project_larger += fetched;
+
+        // Second side.
+        let t = Instant::now();
+        let (phase, total) = match (&self.prepared.second, &mut self.cursors) {
+            (SecondSide::Clustered { smaller, positions }, Some(cursors)) => {
+                cursors.next_chunk_into(positions, rows.end, chunk);
+                let chunk = &*chunk;
+                debug_assert_eq!(chunk.result_range, rows);
+                // The chunk's runs of CLUST_SMALLER (still packed) and
+                // CLUST_RESULT, read in place by every smaller-side column; a
+                // whole-result chunk's runs are the clusters.
+                let oids = OidBlock::Packed(smaller.select(&chunk.runs));
+                staged.resize(rows.len(), 0);
+                let window = self.streaming.window_bytes;
+                for (b, column) in second_columns.iter_mut().enumerate() {
+                    let c = COLUMNS + 2 * (larger + b);
+                    // On-demand clustered positional join: the chunk's
+                    // CLUST_VALUES, never the whole column.
+                    let mut gather =
+                        Remap::new(&mut *probe, [(SECOND_OIDS, 0), (c, 0), (STAGED, 0)]);
+                    par_gather_into(&self.smaller, b, oids, policy, staged, &mut gather);
+                    column.resize(rows.len(), 0);
+                    // The windowed kernel's arrays, in `probe_regions` order.
+                    let arrays = [
+                        (STAGED, 0),
+                        (STORED, 0),
+                        (c + 1, 0),
+                        (CURSORS, 0),
+                        (STARTS, 0),
+                    ];
+                    par_radix_decluster_into(
+                        staged,
+                        positions,
+                        chunk,
+                        window,
+                        policy,
+                        decluster,
+                        column,
+                        &mut Remap::new(&mut *probe, arrays),
+                    );
+                }
+                (Phase::Decluster, &mut self.timings.decluster)
+            }
+            (SecondSide::Clustered { .. }, None) => {
+                unreachable!("PipelineRun::new builds cursors for every clustered prefix")
+            }
+            (SecondSide::ResultOrder(second_oids), _) => {
+                let oids = OidBlock::Wide(&second_oids[rows.clone()]);
+                let stored = (SECOND_OIDS, rows.start);
+                fetch_columns(
+                    &self.smaller,
+                    oids,
+                    stored,
+                    larger,
+                    policy,
+                    second_columns,
+                    probe,
+                );
+                (Phase::Fetch, &mut self.timings.project_smaller)
+            }
+        };
+        let elapsed = t.elapsed();
+        *total += elapsed;
+        [(Phase::Fetch, fetched), (phase, elapsed)]
     }
 
     /// Steps the run to completion.
@@ -822,78 +818,6 @@ where
     }
 }
 
-impl<'a> DsmPipelineRun<'a> {
-    /// A run fetching attribute values from two DSM relations — the form
-    /// the serving layer parks in its scheduler.
-    ///
-    /// # Panics
-    /// Panics if the query asks for more projection columns than a relation
-    /// has.
-    pub fn over_dsm(
-        prepared: Arc<PreparedProjection>,
-        larger: &'a DsmRelation,
-        smaller: &'a DsmRelation,
-        spec: &QuerySpec,
-        params: &CacheParams,
-        policy: &ExecPolicy,
-    ) -> Self {
-        assert!(
-            spec.project_larger <= larger.width(),
-            "larger side has too few columns"
-        );
-        assert!(
-            spec.project_smaller <= smaller.width(),
-            "smaller side has too few columns"
-        );
-        PipelineRun::new(
-            prepared,
-            Box::new(larger),
-            Box::new(smaller),
-            spec,
-            params,
-            policy,
-        )
-    }
-}
-
-impl DsmPipelineRun<'static> {
-    /// A run that *owns* its relations through `Arc`s instead of borrowing
-    /// them — a `'static` value a session can park across calls without
-    /// borrowing its own catalog (what the ticket-granular serving engine
-    /// and the `rdx-api` `Session` front door need: the catalog hands out
-    /// `Arc` clones, so an in-flight run never pins the catalog itself).
-    ///
-    /// # Panics
-    /// Panics if the query asks for more projection columns than a relation
-    /// has (callers with a catalog validate first and report the typed
-    /// `RdxError` instead).
-    pub fn over_dsm_arc(
-        prepared: Arc<PreparedProjection>,
-        larger: Arc<DsmRelation>,
-        smaller: Arc<DsmRelation>,
-        spec: &QuerySpec,
-        params: &CacheParams,
-        policy: &ExecPolicy,
-    ) -> Self {
-        assert!(
-            spec.project_larger <= larger.width(),
-            "larger side has too few columns"
-        );
-        assert!(
-            spec.project_smaller <= smaller.width(),
-            "smaller side has too few columns"
-        );
-        PipelineRun::new(
-            prepared,
-            Box::new(larger),
-            Box::new(smaller),
-            spec,
-            params,
-            policy,
-        )
-    }
-}
-
 impl ProjectionPipeline {
     /// A pipeline running the given projection codes.
     pub fn new(plan: DsmPostProjection) -> Self {
@@ -916,7 +840,8 @@ impl ProjectionPipeline {
             threads: policy.worker_threads(),
             ..*policy
         };
-        let smaller_cardinality = smaller.cardinality();
+        let (larger_cardinality, smaller_cardinality) =
+            (larger.cardinality(), smaller.cardinality());
         let mut timings = PhaseTimings::default();
 
         // Phase 1: join index over the key columns only.
@@ -937,7 +862,7 @@ impl ProjectionPipeline {
             ProjectionCode::PartialCluster => {
                 let (packed, second_oids) = PackedOids::pack(par_partial_cluster_join_index(
                     &join_index,
-                    larger.cardinality(),
+                    larger_cardinality,
                     params,
                     policy,
                 ));
@@ -945,7 +870,7 @@ impl ProjectionPipeline {
             }
             code => {
                 let (first_oids, second_oids) =
-                    par_order_join_index(&join_index, code, larger.cardinality(), params, policy);
+                    par_order_join_index(&join_index, code, larger_cardinality, params, policy);
                 (FirstSide::Wide(first_oids), second_oids)
             }
         };
@@ -981,6 +906,7 @@ impl ProjectionPipeline {
             plan: self.plan,
             first,
             second,
+            larger_cardinality,
             smaller_cardinality,
             timings,
         }
@@ -1012,7 +938,7 @@ impl ProjectionPipeline {
             smaller.width(),
         )?;
         let prepared = Arc::new(self.prepare(larger, smaller, params, policy));
-        let mut run = DsmPipelineRun::over_dsm(prepared, larger, smaller, spec, params, policy);
+        let mut run = PipelineRun::new(prepared, larger, smaller, spec, params, policy);
         let mut sink = MaterializeSink::new();
         run.run_to_completion(&mut sink);
         let stats = run.stats();
@@ -1046,6 +972,18 @@ mod tests {
         (ProjectionCode::PartialCluster, SecondSideCode::Decluster),
     ];
 
+    /// A block's oids widened to [`Oid`].
+    fn widen(block: OidBlock<'_>) -> Vec<Oid> {
+        match block {
+            OidBlock::Wide(oids) => oids.to_vec(),
+            OidBlock::Packed(oids) => {
+                let mut out = Vec::new();
+                oids.extend_into(&mut out);
+                out
+            }
+        }
+    }
+
     fn raw_columns(outcome: &StrategyOutcome) -> Vec<Vec<i32>> {
         outcome
             .result
@@ -1066,7 +1004,7 @@ mod tests {
         sink: &mut dyn RowChunkSink,
     ) -> PipelineStats {
         let prepared = Arc::new(pipeline.prepare(larger, smaller, params, policy));
-        let mut run = DsmPipelineRun::over_dsm(prepared, larger, smaller, spec, params, policy);
+        let mut run = PipelineRun::new(prepared, larger, smaller, spec, params, policy);
         run.run_to_completion(sink);
         run.stats()
     }
@@ -1492,7 +1430,7 @@ mod tests {
                     label
                 );
                 proptest::prop_assert!(
-                    prepared.first.block(0..rows).to_vec() == first_oids,
+                    widen(prepared.first.block(0..rows)) == first_oids,
                     "{}: first side",
                     label
                 );
@@ -1529,7 +1467,7 @@ mod tests {
                 let chunked = MemoryBudget::bytes((rows * row_bytes / 5).max(row_bytes));
                 for budget in [MemoryBudget::unbounded(), chunked] {
                     let policy = policy.budget(budget);
-                    let mut run = DsmPipelineRun::over_dsm(
+                    let mut run = PipelineRun::new(
                         prepared.clone(),
                         &w.larger,
                         &w.smaller,
@@ -1649,14 +1587,8 @@ mod tests {
                 second,
             ));
             let prepared = Arc::new(pipeline.prepare(&larger, &smaller, &params, &policy));
-            let mut run = DsmPipelineRun::over_dsm(
-                prepared.clone(),
-                &larger,
-                &smaller,
-                &spec,
-                &params,
-                &policy,
-            );
+            let mut run =
+                PipelineRun::new(prepared.clone(), &larger, &smaller, &spec, &params, &policy);
             let mut sink = MaterializeSink::new();
             run.run_to_completion(&mut sink);
             assert!(run.run_stats().chunks_emitted > 1);
@@ -1667,7 +1599,7 @@ mod tests {
             panic!("an unsorted plan keeps the result-order oids");
         };
         assert_eq!(prepared.result_rows(), n - base);
-        let first_oids = prepared.first.block(0..n - base).to_vec();
+        let first_oids = widen(prepared.first.block(0..n - base));
         let expected: Vec<Column<i32>> = (0..2)
             .map(|a| larger.attr(a).gather(&first_oids))
             .chain((0..2).map(|b| smaller.attr(b).gather(second_oids)))
@@ -1750,7 +1682,7 @@ mod tests {
 
         let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
         assert!(prepared.resident_bytes() > 0);
-        let mut run_a = DsmPipelineRun::over_dsm(
+        let mut run_a = PipelineRun::new(
             prepared.clone(),
             &w.larger,
             &w.smaller,
@@ -1758,7 +1690,7 @@ mod tests {
             &params,
             &policy,
         );
-        let mut run_b = DsmPipelineRun::over_dsm(
+        let mut run_b = PipelineRun::new(
             prepared.clone(),
             &w.larger,
             &w.smaller,
@@ -1801,7 +1733,7 @@ mod tests {
         );
         let pipeline = ProjectionPipeline::new(plan);
         let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
-        let mut borrowed = DsmPipelineRun::over_dsm(
+        let mut borrowed = PipelineRun::new(
             prepared.clone(),
             &w.larger,
             &w.smaller,
@@ -1810,7 +1742,7 @@ mod tests {
             &policy,
         );
         // The Arc-owning run is a 'static value: parkable without borrowing.
-        let mut owned: DsmPipelineRun<'static> = DsmPipelineRun::over_dsm_arc(
+        let mut owned: PipelineRun<Arc<DsmRelation>, Arc<DsmRelation>> = PipelineRun::new(
             prepared,
             Arc::new(w.larger.clone()),
             Arc::new(w.smaller.clone()),
@@ -1852,7 +1784,7 @@ mod tests {
             for _ in 0..2 {
                 let obs = Obs::enabled();
                 let query = QueryId::next();
-                let mut run = DsmPipelineRun::over_dsm(
+                let mut run = PipelineRun::new(
                     prepared.clone(),
                     &w.larger,
                     &w.smaller,
@@ -1908,6 +1840,68 @@ mod tests {
         }
     }
 
+    /// A profiled multi-chunk run charges the same per-chunk counts and
+    /// emits the same bytes at one and at two threads: a probed kernel runs
+    /// on one worker, so its reference sequence does not depend on the
+    /// thread count or the morsel split.
+    #[test]
+    fn a_profiled_multi_chunk_run_charges_the_same_counts_at_one_and_two_threads() {
+        use rdx_obs::{EventKind, Obs, QueryId};
+
+        let w = JoinWorkloadBuilder::equal(3_000, 2).seed(17).build();
+        let spec = QuerySpec::symmetric(2);
+        let params = CacheParams::tiny_for_tests();
+        for (first, second) in CODES {
+            let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
+            let label = pipeline.plan.label();
+            let profiled = |threads| {
+                let policy = ExecPolicy::with_threads(threads)
+                    .budget(MemoryBudget::bytes(4096))
+                    .morsel_tuples(64);
+                let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
+                let mut run =
+                    PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
+                let (obs, query) = (Obs::enabled(), QueryId::next());
+                run.attach_profile(&obs, query, &params);
+                let mut sink = MaterializeSink::new();
+                run.run_to_completion(&mut sink);
+                let chunks: Vec<EventKind> = obs
+                    .trace_snapshot()
+                    .unwrap()
+                    .events_for(query)
+                    .iter()
+                    .map(|e| e.kind)
+                    .filter(|kind| matches!(kind, EventKind::ChunkProfile { .. }))
+                    .collect();
+                assert_eq!(chunks.len(), run.run_stats().chunks_emitted, "{label}");
+                (chunks, sink.into_result())
+            };
+            let (chunks, result) = profiled(1);
+            assert!(chunks.len() > 1, "{label}: one chunk");
+            assert_eq!(
+                result_rows(&result),
+                reference_rows(&w.larger, &w.smaller, &spec)
+            );
+            assert_eq!(profiled(2), (chunks, result), "{label}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "smaller relation has 2 projectable columns, 3 requested")]
+    fn a_run_over_too_narrow_a_source_panics_with_the_typed_error() {
+        let w = JoinWorkloadBuilder::equal(100, 2).build();
+        let params = CacheParams::tiny_for_tests();
+        let policy = ExecPolicy::with_threads(1);
+        let pipeline =
+            ProjectionPipeline::new(DsmPostProjection::plan(&w.larger, &w.smaller, &params));
+        let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
+        let spec = QuerySpec {
+            project_larger: 2,
+            project_smaller: 3,
+        };
+        PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
+    }
+
     #[test]
     fn a_profiled_run_lays_out_every_region_disjointly() {
         use rdx_obs::{Obs, QueryId};
@@ -1918,7 +1912,7 @@ mod tests {
         for (first, second) in CODES {
             let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
             let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
-            let mut run = DsmPipelineRun::over_dsm(
+            let mut run = PipelineRun::new(
                 prepared,
                 &w.larger,
                 &w.smaller,
@@ -1929,15 +1923,17 @@ mod tests {
             let obs = Obs::enabled();
             run.attach_profile(&obs, QueryId::next(), &params);
             let prof = run.profile.as_deref().expect("profiling armed");
-            let mut regions = vec![
-                prof.first_oids_region,
-                prof.second_oids_region,
-                prof.chunk_out,
-            ];
-            regions.extend(&prof.larger_cols);
-            regions.extend(&prof.smaller_cols);
-            regions.extend(prof.decluster_regions);
-            assert_eq!(regions.len(), 12);
+            let regions = &prof.regions;
+            // Both sides' oids, the staged values the second side's gather
+            // writes, the decluster's three prefix arrays, and per projected
+            // column its source column and its own output.
+            assert_eq!(regions.len(), COLUMNS + 2 * 4);
+            let chunk_rows = run.streaming().chunk_rows.min(run.prepared().result_rows());
+            assert_eq!(regions[STAGED].elems(), chunk_rows);
+            for c in 0..4 {
+                let (source, out) = (regions[COLUMNS + 2 * c], regions[COLUMNS + 2 * c + 1]);
+                assert_eq!((source.elems(), out.elems()), (2_000, chunk_rows));
+            }
             let span = |r: &Region| r.base()..r.base() + r.byte_size() as u64;
             for (i, a) in regions.iter().enumerate() {
                 for b in &regions[i + 1..] {
@@ -1976,11 +1972,12 @@ mod tests {
                 ),
                 first: FirstSide::Wide(ascending.clone()),
                 second: SecondSide::ResultOrder(second_oids.to_vec()),
+                larger_cardinality: n,
                 smaller_cardinality: n,
                 timings: PhaseTimings::default(),
             });
             let mut run =
-                DsmPipelineRun::over_dsm(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
+                PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
             let obs = Obs::enabled();
             run.attach_profile(&obs, QueryId::next(), &params);
             let mut sink = MaterializeSink::new();
@@ -2012,8 +2009,7 @@ mod tests {
             SecondSideCode::Decluster,
         ));
         let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
-        let mut run =
-            DsmPipelineRun::over_dsm(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
+        let mut run = PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
         assert!(run.profile.is_none());
         run.attach_profile(&Obs::disabled(), QueryId::next(), &params);
         assert!(run.profile.is_none(), "disabled obs must not arm");
@@ -2033,8 +2029,7 @@ mod tests {
             SecondSideCode::Decluster,
         ));
         let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
-        let mut run =
-            DsmPipelineRun::over_dsm(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
+        let mut run = PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
         let mut sink = CountingSink::new(MaterializeSink::new());
         let mut steps = 0;
         while let Some(rows) = run.step(&mut sink) {

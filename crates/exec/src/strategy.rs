@@ -7,7 +7,7 @@
 
 use crate::cluster::par_radix_cluster_oids;
 use crate::pool::{for_each_output_morsel, ExecPolicy};
-use rdx_cache::CacheParams;
+use rdx_cache::{CacheParams, NoProbe, Probe};
 use rdx_core::cluster::{plan_partial_cluster, radix_sort_spec_for, Clustered};
 use rdx_core::positional::{AttrSource, OidBlock};
 use rdx_core::strategy::ProjectionCode;
@@ -69,38 +69,22 @@ pub fn par_partial_cluster_join_index(
 /// Morsel-parallel block fetch of one column: `out[r]` = attribute `attr` of
 /// tuple `oids[r]`, with the source asked once per **morsel** — never per
 /// value (the contract of [`AttrSource`]) — whether the oids are plain or
-/// packed.  The form is matched once per column, so each morsel loop is
-/// the plain one of its form.
-pub fn par_gather_into<S: AttrSource + Sync + ?Sized>(
+/// packed.  An active `probe` sees the whole block fetched in one call on
+/// one worker, so its reference sequence is the same at every thread count
+/// and morsel size; an inactive one is never called.
+pub fn par_gather_into<S: AttrSource + Sync, P: Probe>(
     source: &S,
     attr: usize,
     oids: OidBlock<'_>,
     policy: &ExecPolicy,
     out: &mut [i32],
+    probe: &mut P,
 ) {
-    match oids {
-        OidBlock::Wide(oids) => for_each_output_morsel(out, policy, |offset, block| {
-            source.gather_into(attr, &oids[offset..offset + block.len()], block);
-        }),
-        OidBlock::Packed(oids) => for_each_output_morsel(out, policy, |offset, block| {
-            source.gather_packed_into(attr, oids.slice(offset..offset + block.len()), block);
-        }),
+    if P::ACTIVE {
+        return source.gather_into(attr, oids, out, probe);
     }
-}
-
-/// Morsel-parallel positional joins into reused column buffers: column `b`
-/// is resized to `oids.len()` (keeping its capacity) and filled with
-/// attribute `b`, one [`par_gather_into`] per column, so a caller
-/// projecting chunk after chunk allocates nothing once the buffers have
-/// grown — the streaming pipeline's steady state.
-pub fn par_project_columns_into<S: AttrSource + Sync + ?Sized>(
-    oids: OidBlock<'_>,
-    source: &S,
-    policy: &ExecPolicy,
-    columns: &mut [Vec<i32>],
-) {
-    for (attr, column) in columns.iter_mut().enumerate() {
-        column.resize(oids.len(), 0);
-        par_gather_into(source, attr, oids, policy, column);
-    }
+    for_each_output_morsel(out, policy, |offset, block| {
+        let morsel = oids.slice(offset..offset + block.len());
+        source.gather_into(attr, morsel, block, &mut NoProbe);
+    });
 }

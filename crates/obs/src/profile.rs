@@ -66,7 +66,7 @@ impl Phase {
 
 /// Simulated cache truth for one unit of work — plain counts, so this crate
 /// needs no dependency on the cache simulator.  A pure function of the
-/// replayed access pattern: identical inputs give identical counts.
+/// probed kernels' access pattern: identical inputs give identical counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MissCounts {
     /// Memory accesses issued.

@@ -98,7 +98,7 @@ pub enum EventKind {
         /// Zero-based chunk index within this query (matches the adjacent
         /// `ChunkStep`).
         chunk: u32,
-        /// Memory accesses issued by the replayed chunk.
+        /// Memory accesses issued by the profiled chunk's kernels.
         accesses: u64,
         /// Simulated L1 data-cache misses.
         l1_misses: u64,

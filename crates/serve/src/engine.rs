@@ -53,14 +53,14 @@ use crate::scheduler;
 use crate::tenant::{Load, TenantId, TenantRegistry, TenantStats};
 use rdx_cache::CacheParams;
 use rdx_core::budget::{BudgetError, MemoryBudget};
-use rdx_core::error::{DeadlineError, RdxError, Side};
+use rdx_core::error::{check_projection_widths, DeadlineError, RdxError};
 use rdx_core::fault::{FaultInjector, FaultPlan};
 use rdx_core::strategy::planner::{
     plan_by_cost_with_threads, plan_streaming, predict_cost, streaming_bytes_per_row, StreamingPlan,
 };
 use rdx_core::strategy::{DoneHead, FrameSink, MaterializeSink, PhaseTimings, RowChunkSink};
 use rdx_dsm::DsmRelation;
-use rdx_exec::{DsmPipelineRun, ExecPolicy, ProjectionPipeline};
+use rdx_exec::{ExecPolicy, PipelineRun, ProjectionPipeline};
 use rdx_obs::{Counter, EventKind, Gauge, Histogram, MetricsRegistry, Obs, QueryId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -275,13 +275,17 @@ impl TicketSink {
     }
 }
 
+/// A parked run: it owns its relations through the catalog's `Arc`s, so it
+/// never borrows the catalog.
+type Run = PipelineRun<Arc<DsmRelation>, Arc<DsmRelation>>;
+
 /// One admitted, in-flight ticket: a parked run, the sink it fills, and
 /// everything it holds — its grant, its tenant charge and its dispatch
 /// key.  The running set is the one record of these: each exists exactly
 /// while its entry does, so removing the entry is what returns them.
 struct Running {
     pending: Pending,
-    run: DsmPipelineRun<'static>,
+    run: Run,
     /// Plan-time statistics, finalised from the run at completion.
     stats: QueryStats,
     /// When the run was started (its service time counts from here).
@@ -959,7 +963,7 @@ impl QueryEngine {
         query: QueryId,
         wait: Duration,
         ordinal: usize,
-    ) -> Result<(DsmPipelineRun<'static>, QueryStats), RdxError> {
+    ) -> Result<(Run, QueryStats), RdxError> {
         budget.check_one_row(streaming_bytes_per_row(&request.spec))?;
         let Some(larger) = self.catalog.get_arc(request.larger) else {
             return Err(RdxError::UnknownRelation {
@@ -1067,7 +1071,7 @@ impl QueryEngine {
         );
         self.obs
             .record(query, EventKind::CacheLookup { hit: cache_hit });
-        let mut run = DsmPipelineRun::over_dsm_arc(
+        let mut run = PipelineRun::new(
             prepared,
             larger,
             smaller.clone(),
@@ -1283,7 +1287,7 @@ impl QueryEngine {
 /// × planned chunk count, floored at 1/16.  Urgency only reorders the
 /// key: what bounds any run's wait is
 /// [`scheduler::STARVATION_BOUND`].
-fn deadline_urgency(request: &ServerRequest, stats: &QueryStats, run: &DsmPipelineRun) -> f64 {
+fn deadline_urgency(request: &ServerRequest, stats: &QueryStats, run: &Run) -> f64 {
     let priority = f64::from(request.priority.max(1));
     let slack_factor = match request.deadline_ns {
         Some(deadline_ns) => {
@@ -1309,21 +1313,12 @@ fn validate(catalog: &Catalog, request: &ServerRequest) -> Result<(), RdxError> 
         .ok_or(RdxError::UnknownRelation {
             id: request.smaller.raw(),
         })?;
-    if request.spec.project_larger > larger.width() {
-        return Err(RdxError::TooManyColumns {
-            side: Side::Larger,
-            requested: request.spec.project_larger,
-            available: larger.width(),
-        });
-    }
-    if request.spec.project_smaller > smaller.width() {
-        return Err(RdxError::TooManyColumns {
-            side: Side::Smaller,
-            requested: request.spec.project_smaller,
-            available: smaller.width(),
-        });
-    }
-    Ok(())
+    check_projection_widths(
+        request.spec.project_larger,
+        larger.width(),
+        request.spec.project_smaller,
+        smaller.width(),
+    )
 }
 
 #[cfg(test)]

@@ -82,13 +82,15 @@ pub struct ServerRequest {
     /// (what the conformance grid uses to drive every `u/s/c × u/d` cell
     /// through the one planner entry).
     pub codes: Option<DsmPostProjection>,
-    /// Runs this query in cache-truth **profiled** mode: each emitted
-    /// chunk's memory-access pattern is replayed through the simulated
-    /// [`CacheParams`] hierarchy, recording per-phase spans and per-chunk
-    /// miss counts (`profile.*` metrics, `ChunkProfile` trace events).
-    /// Requires [`ServeConfig::observability`]; output is byte-identical to
-    /// unprofiled runs by construction.  Off by default — the replay costs
-    /// simulator time, so it is a measurement mode, not a serving mode.
+    /// Runs this query in cache-truth **profiled** mode: each chunk's
+    /// kernels — the gathers and declusters that ship — report every array
+    /// reference to the simulated [`CacheParams`] hierarchy as they run,
+    /// recording per-phase spans and per-chunk miss counts (`profile.*`
+    /// metrics, `ChunkProfile` trace events).  Requires
+    /// [`ServeConfig::observability`]; output is byte-identical to
+    /// unprofiled runs by construction.  Off by default — a probed kernel
+    /// runs on one worker and pays simulator time per reference, so it is a
+    /// measurement mode, not a serving mode.
     /// Set it with [`ServerRequest::with_profiled`].
     pub profiled: bool,
     /// Optional completion deadline, nanoseconds of *service time* from

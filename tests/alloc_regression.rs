@@ -150,7 +150,7 @@ fn pipeline_step_allocates_nothing_in_steady_state() {
         DsmPostProjection::with_codes(ProjectionCode::PartialCluster, SecondSideCode::Decluster);
     let pipeline = ProjectionPipeline::new(plan);
     let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
-    let mut run = DsmPipelineRun::over_dsm(
+    let mut run = PipelineRun::new(
         prepared.clone(),
         &w.larger,
         &w.smaller,
@@ -192,8 +192,7 @@ fn pipeline_step_allocates_nothing_in_steady_state() {
 
     // The same prefix re-run on recycled scratch is warm from chunk one.
     let scratch = run.take_scratch();
-    let mut second =
-        DsmPipelineRun::over_dsm(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
+    let mut second = PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
     second.attach_scratch(scratch);
     let mut sink2 = NullSink { rows: 0, chunks: 0 };
     let first_chunk_allocs = allocations_during(|| {
@@ -218,7 +217,7 @@ fn observed_pipeline_step_allocates_nothing_in_steady_state() {
         DsmPostProjection::with_codes(ProjectionCode::PartialCluster, SecondSideCode::Decluster);
     let pipeline = ProjectionPipeline::new(plan);
     let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
-    let mut run = DsmPipelineRun::over_dsm(
+    let mut run = PipelineRun::new(
         prepared.clone(),
         &w.larger,
         &w.smaller,

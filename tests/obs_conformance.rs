@@ -288,7 +288,13 @@ fn a_whole_result_profiled_chunk_replays_the_same_counts() {
     // reads instead of at its row; the declustering one did not move when
     // its decluster began running under the simulator probe, and fell
     // 3 274 → 3 150 at the same accesses when `CLUST_RESULT` began to be
-    // stored as 2-byte low bits under its result block.
+    // stored as 2-byte low bits under its result block.  Neither moved
+    // (2 782 → 2 782, 3 150 → 3 150) when the fetch replay was retired for
+    // the probed gather loops, although the second side's gather now
+    // writes the staged `CLUST_VALUES`, each column writes its own output
+    // region and each column's decluster runs on the state the previous
+    // one left: 2 000 rows of 4-byte values fill the whole 8 KB simulated
+    // L2, so each of those write streams misses it wherever it lands.
     for (second, accesses, l2_misses) in [
         (SecondSideCode::Unsorted, 24_000u64, 2_782u64),
         (SecondSideCode::Decluster, 36_006, 3_150),
