@@ -15,24 +15,38 @@ use rdx_core::strategy::sink::RowChunkSink;
 use rdx_core::strategy::{DsmPostProjection, ProjectionCode, QuerySpec, SecondSideCode};
 use rdx_exec::{ExecPolicy, PipelineRun, ProjectionPipeline};
 use rdx_workload::BudgetedWorkload;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A sink that consumes the stream without retaining it (checksums every
 /// value), so the bench measures the pipeline, not a materialising consumer.
+/// It lends one chunk-sized buffer per column, reused for every chunk.
 #[derive(Default)]
 struct ChecksumSink {
     sum: i64,
     rows: usize,
+    columns: Vec<Vec<i32>>,
 }
 
 impl RowChunkSink for ChecksumSink {
-    fn emit(&mut self, _first_row: usize, columns: &mut [Vec<i32>]) {
-        for col in columns.iter() {
+    type Cell = i32;
+
+    fn begin(&mut self, _total_rows: usize, num_columns: usize) {
+        self.columns.resize_with(num_columns, Vec::new);
+    }
+
+    fn column(&mut self, c: usize, rows: Range<usize>) -> &mut [i32] {
+        self.columns[c].resize(rows.len(), 0);
+        &mut self.columns[c]
+    }
+
+    fn emit(&mut self, _first_row: usize, rows: usize) {
+        for col in &self.columns {
             for &v in col {
                 self.sum = self.sum.wrapping_add(v as i64);
             }
         }
-        self.rows += columns.first().map(|c| c.len()).unwrap_or(0);
+        self.rows += rows;
     }
 }
 

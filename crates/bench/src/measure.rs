@@ -784,9 +784,10 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
 /// What a query leaves in its chunk scratch, per row of its largest chunk:
 /// the `pipeline.e2e` relations and codes (π = 2) under `budget`, streamed
 /// into a `MaterializeSink`.  This is what the serving engine pools for the
-/// next query.  Unbounded, the one chunk's columns go to the sink; under
-/// the `pipeline.e2e` query's 64 KiB grant the run streams two chunks and
-/// the scratch keeps its columns too.
+/// next query.  The kernels write into the memory the sink lends, so the
+/// scratch holds only the staged values, runs and cursors, unbounded (one
+/// chunk) and under the `pipeline.e2e` query's 64 KiB grant (two chunks)
+/// alike.
 fn scratch_bytes_per_row(w: &JoinWorkload, params: &CacheParams, budget: MemoryBudget) -> usize {
     let policy = ExecPolicy::with_threads(1).budget(budget);
     let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(

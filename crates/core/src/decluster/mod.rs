@@ -19,7 +19,7 @@ use chunks::ChunkRuns;
 use rdx_cache::{
     AddressSpace, CacheParams, EventCounts, MemorySystem, NoProbe, Probe, Region, SimProbe,
 };
-use rdx_dsm::Oid;
+use rdx_dsm::{FromValue, Oid};
 use std::ops::Range;
 
 /// Picks an insertion-window size: half the (outermost) cache by default,
@@ -286,10 +286,10 @@ pub fn window_elems(window_bytes: usize, value_width: usize) -> usize {
 /// inside one cluster (`chunk.clusters`), holding only tuples destined for
 /// `chunk.result_range`; `values` holds the runs' values run after run, in
 /// the runs' order; `out` receives result rows `base..base + out.len()`,
-/// one insertion window of `window_elems` rows at a time.  A `base` past
-/// the chunk's first row skips each run's tuples destined before it
-/// ([`ResultPositions::seek`]), and the runs must hold every tuple destined
-/// for `out`'s rows.
+/// one insertion window of `window_elems` rows at a time, each value as its
+/// [`FromValue`] cell.  A `base` past the chunk's first row skips each
+/// run's tuples destined before it ([`ResultPositions::seek`]), and the
+/// runs must hold every tuple destined for `out`'s rows.
 ///
 /// The whole result is the case where the runs are the clusters and `base`
 /// is 0 ([`radix_decluster`]); a streamed chunk passes its
@@ -315,17 +315,18 @@ pub fn window_elems(window_bytes: usize, value_width: usize) -> usize {
 /// `out`, or if the inputs violate the [`radix_decluster`] contract.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub fn radix_decluster_windows_with_scratch<T, R, P>(
+pub fn radix_decluster_windows_with_scratch<T, C, R, P>(
     values: &[T],
     positions: &R,
     chunk: &ChunkRuns,
     base: usize,
     window_elems: usize,
     scratch: &mut DeclusterScratch,
-    out: &mut [T],
+    out: &mut [C],
     probe: &mut P,
 ) where
     T: Copy,
+    C: FromValue<T>,
     R: ResultPositions + ?Sized,
     P: Probe,
 {
@@ -386,7 +387,7 @@ pub fn radix_decluster_windows_with_scratch<T, R, P>(
                     let row = offset.wrapping_add(to_out);
                     probe.read(VALUES, at + drained);
                     probe.write(OUT, row);
-                    out[row] = value;
+                    out[row] = C::from_value(value);
                     drained += 1;
                 }
                 cursor += drained;

@@ -26,7 +26,7 @@
 
 use crate::cluster::PackedSlice;
 use rdx_cache::{Probe, Remap};
-use rdx_dsm::{Column, DsmRelation, Oid, Selection};
+use rdx_dsm::{Column, DsmRelation, FromValue, Oid, Selection};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,20 +42,20 @@ pub trait AttrSource {
     fn width(&self) -> usize;
 
     /// Fills `out` (same length as `oids`) with attribute `attr` of the
-    /// tuples `oids` name, in that order.  `probe` sees, per oid, the oid's
-    /// read (array id 0, at its index in the stored oid array the block
-    /// views: within the slice of a wide block, within the whole packed
-    /// array of a packed one), the value's read (id 1, by position in the
-    /// column) and the write (id 2, `out`).
+    /// tuples `oids` name, in that order, as [`FromValue`] cells.  `probe`
+    /// sees, per oid, the oid's read (array id 0, at its index in the
+    /// stored oid array the block views: within the slice of a wide block,
+    /// within the whole packed array of a packed one), the value's read
+    /// (id 1, by position in the column) and the write (id 2, `out`).
     ///
     /// # Panics
     /// Panics if the block lengths differ, or `attr` / an oid does not exist
     /// in the relation.
-    fn gather_into<P: Probe>(
+    fn gather_into<C: FromValue<i32>, P: Probe>(
         &self,
         attr: usize,
         oids: OidBlock<'_>,
-        out: &mut [i32],
+        out: &mut [C],
         probe: &mut P,
     );
 }
@@ -65,11 +65,11 @@ impl AttrSource for DsmRelation {
         DsmRelation::width(self)
     }
 
-    fn gather_into<P: Probe>(
+    fn gather_into<C: FromValue<i32>, P: Probe>(
         &self,
         attr: usize,
         oids: OidBlock<'_>,
-        out: &mut [i32],
+        out: &mut [C],
         probe: &mut P,
     ) {
         let column = self.attr(attr);
@@ -92,11 +92,11 @@ impl<S: AttrSource> AttrSource for &S {
         (**self).width()
     }
 
-    fn gather_into<P: Probe>(
+    fn gather_into<C: FromValue<i32>, P: Probe>(
         &self,
         attr: usize,
         oids: OidBlock<'_>,
-        out: &mut [i32],
+        out: &mut [C],
         probe: &mut P,
     ) {
         (**self).gather_into(attr, oids, out, probe);
@@ -108,11 +108,11 @@ impl<S: AttrSource> AttrSource for Arc<S> {
         (**self).width()
     }
 
-    fn gather_into<P: Probe>(
+    fn gather_into<C: FromValue<i32>, P: Probe>(
         &self,
         attr: usize,
         oids: OidBlock<'_>,
-        out: &mut [i32],
+        out: &mut [C],
         probe: &mut P,
     ) {
         (**self).gather_into(attr, oids, out, probe);
@@ -215,11 +215,11 @@ impl<S: AttrSource> AttrSource for CountingSource<S> {
         self.inner.width()
     }
 
-    fn gather_into<P: Probe>(
+    fn gather_into<C: FromValue<i32>, P: Probe>(
         &self,
         attr: usize,
         oids: OidBlock<'_>,
-        out: &mut [i32],
+        out: &mut [C],
         probe: &mut P,
     ) {
         self.count(oids.len());

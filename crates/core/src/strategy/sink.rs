@@ -9,29 +9,36 @@
 //! ([`FrameSink`]) — and only a consumer that explicitly chooses to
 //! materialise ([`MaterializeSink`]) or encode pays full-result memory.
 
-use rdx_dsm::{Column, ResultRelation};
+use rdx_dsm::{Column, FromValue, ResultRelation};
+use std::ops::Range;
 
-/// Receives the projected result incrementally, chunk by chunk.
+/// Receives the projected result chunk by chunk, lending the memory each
+/// chunk is written into.
 ///
 /// Chunks arrive in ascending, gap-free `first_row` order; every chunk
 /// carries all projected columns (larger-side columns first, then
-/// smaller-side, as in [`crate::strategy::StrategyOutcome`]), each of the
-/// same per-chunk length.
-///
-/// **Ownership.** `emit` lends the producer's own column buffers mutably.
-/// A sink may read them, or take any of them (`std::mem::take`, `swap`)
-/// instead of copying out of them; the producer re-grows whatever was
-/// taken before its next chunk.  A sink that only reads leaves the buffers
-/// where they are, so the producer reuses them without allocating.
+/// smaller-side, as in [`crate::strategy::StrategyOutcome`]).  Per chunk
+/// the producer borrows each column's rows ([`RowChunkSink::column`]),
+/// writes every value once into them as a [`FromValue`] cell, and then
+/// calls [`RowChunkSink::emit`].
 pub trait RowChunkSink {
+    /// What one result value is stored as in the lent memory.
+    type Cell: FromValue<i32> + Send;
+
     /// Called once before the first chunk with the result geometry.
     fn begin(&mut self, total_rows: usize, num_columns: usize) {
         let _ = (total_rows, num_columns);
     }
 
-    /// One chunk of result rows starting at `first_row`; the sink may take
-    /// the buffers (see the trait docs).
-    fn emit(&mut self, first_row: usize, columns: &mut [Vec<i32>]);
+    /// Lends the cells of result rows `rows` of column `c`, for the producer
+    /// to overwrite; `rows` is the chunk about to be emitted.
+    fn column(&mut self, c: usize, rows: Range<usize>) -> &mut [Self::Cell];
+
+    /// Notice that every column's cells of the `rows` rows starting at
+    /// `first_row` are written.
+    fn emit(&mut self, first_row: usize, rows: usize) {
+        let _ = (first_row, rows);
+    }
 
     /// Called once after the last chunk.
     fn finish(&mut self) {}
@@ -41,14 +48,13 @@ pub trait RowChunkSink {
 /// compatibility bridge to the non-streaming executors (and the conformance
 /// tests' way of comparing streamed and materialised results byte for byte).
 ///
-/// A chunk that is the whole result (`first_row == 0` and all the rows
-/// `begin` announced) is taken, not copied: its buffers become the result
-/// columns and the producer is left empty `Vec`s.  Partial chunks are
-/// concatenated; the first one reserves the full result.
+/// `begin` sizes the whole-result columns and each chunk is written straight
+/// into its rows of them, never copied.  A column lent anywhere but where
+/// the last chunk ended panics: chunks must come in order.
 #[derive(Debug, Default)]
 pub struct MaterializeSink {
     columns: Vec<Vec<i32>>,
-    total_rows: usize,
+    emitted: usize,
 }
 
 impl MaterializeSink {
@@ -68,26 +74,19 @@ impl MaterializeSink {
 }
 
 impl RowChunkSink for MaterializeSink {
+    type Cell = i32;
+
     fn begin(&mut self, total_rows: usize, num_columns: usize) {
-        self.total_rows = total_rows;
-        self.columns = (0..num_columns).map(|_| Vec::new()).collect();
+        self.columns = (0..num_columns).map(|_| vec![0; total_rows]).collect();
     }
 
-    fn emit(&mut self, first_row: usize, columns: &mut [Vec<i32>]) {
-        assert_eq!(columns.len(), self.columns.len(), "column count changed");
-        let rows = columns.first().map_or(0, Vec::len);
-        let whole = first_row == 0 && rows == self.total_rows;
-        for (acc, chunk) in self.columns.iter_mut().zip(columns) {
-            assert_eq!(acc.len(), first_row, "chunk out of order");
-            if whole {
-                *acc = std::mem::take(chunk);
-            } else {
-                if first_row == 0 {
-                    acc.reserve_exact(self.total_rows);
-                }
-                acc.extend_from_slice(chunk);
-            }
-        }
+    fn column(&mut self, c: usize, rows: Range<usize>) -> &mut [i32] {
+        assert_eq!(rows.start, self.emitted, "chunk out of order");
+        &mut self.columns[c][rows]
+    }
+
+    fn emit(&mut self, _first_row: usize, rows: usize) {
+        self.emitted += rows;
     }
 }
 
@@ -163,16 +162,14 @@ impl DoneHead {
     }
 }
 
-/// Writes rows `first_row..first_row + values.len()` of one `Done` column
-/// section into `section`, the column's `4 + 4 · rows` bytes: its `u32`
-/// length `rows`, then each value as a little-endian `i32` at its fixed
-/// offset.  The one column encoder — a bulk copy into a pre-sized slice,
-/// never a per-value push.
-pub fn put_column(section: &mut [u8], rows: usize, first_row: usize, values: &[i32]) {
+/// Writes one `Done` column section into `section`, the column's
+/// `4 + 4 · rows` bytes: its `u32` length `rows`, then `values` (its first
+/// rows) as little-endian `i32`s.  The one column encoder — a bulk copy
+/// into a pre-sized slice, never a per-value push.
+pub fn put_column(section: &mut [u8], rows: usize, values: &[i32]) {
     let (len, body) = section.split_at_mut(4);
     len.copy_from_slice(&(rows as u32).to_le_bytes());
-    let body = &mut body[4 * first_row..4 * (first_row + values.len())];
-    for (dst, v) in body.chunks_exact_mut(4).zip(values) {
+    for (dst, v) in body[..4 * values.len()].chunks_exact_mut(4).zip(values) {
         dst.copy_from_slice(&v.to_le_bytes());
     }
 }
@@ -197,11 +194,12 @@ pub fn read_column(bytes: &[u8]) -> Result<(Vec<i32>, usize), &'static str> {
 
 /// A sink that encodes the stream straight into one pre-sized `Done`
 /// frame: `begin` allocates [`DoneHead::FRAME_HEADER_LEN`] bytes for the
-/// wire header plus the whole payload, and since the payload is
-/// column-major with every column's length known at `begin`, `emit` copies
-/// each chunk's values to their fixed offsets, leaving the producer's
-/// buffers in place.  [`FrameSink::into_frame`] writes the head once the
-/// caller knows it.
+/// wire header plus the whole payload and writes each column's length.
+/// Since the payload is column-major with every column's length known at
+/// `begin`, each chunk is written straight into its rows of the column
+/// bodies, as little-endian `[u8; 4]` cells — a body starts at no 4-byte
+/// boundary.  [`FrameSink::into_frame`] writes the head once the caller
+/// knows it.
 #[derive(Debug, Default)]
 pub struct FrameSink {
     frame: Vec<u8>,
@@ -235,26 +233,25 @@ impl FrameSink {
 }
 
 impl RowChunkSink for FrameSink {
+    type Cell = [u8; 4];
+
     fn begin(&mut self, total_rows: usize, num_columns: usize) {
         self.rows = total_rows;
         self.num_columns = num_columns;
         self.frame =
             vec![0; DoneHead::FRAME_HEADER_LEN + DoneHead::payload_len(total_rows, num_columns)];
         for c in 0..num_columns {
-            put_column(self.section(c), total_rows, 0, &[]);
+            put_column(self.section(c), total_rows, &[]);
         }
     }
 
-    fn emit(&mut self, first_row: usize, columns: &mut [Vec<i32>]) {
-        assert_eq!(columns.len(), self.num_columns, "column count changed");
-        let rows = self.rows;
-        for (c, values) in columns.iter().enumerate() {
-            put_column(self.section(c), rows, first_row, values);
-        }
+    fn column(&mut self, c: usize, rows: Range<usize>) -> &mut [[u8; 4]] {
+        let (body, _) = self.section(c)[4..].as_chunks_mut();
+        &mut body[rows]
     }
 }
 
-/// A test/instrumentation sink decorator: forwards to `inner` while
+/// A test/instrumentation sink decorator: lends `inner`'s memory while
 /// recording chunk geometry (count, max rows per chunk) so tests can assert
 /// the streaming contract without re-implementing a consumer.
 #[derive(Debug)]
@@ -282,16 +279,21 @@ impl<S> CountingSink<S> {
 }
 
 impl<S: RowChunkSink> RowChunkSink for CountingSink<S> {
+    type Cell = S::Cell;
+
     fn begin(&mut self, total_rows: usize, num_columns: usize) {
         self.inner.begin(total_rows, num_columns);
     }
 
-    fn emit(&mut self, first_row: usize, columns: &mut [Vec<i32>]) {
-        let rows = columns.first().map(|c| c.len()).unwrap_or(0);
+    fn column(&mut self, c: usize, rows: Range<usize>) -> &mut [S::Cell] {
+        self.inner.column(c, rows)
+    }
+
+    fn emit(&mut self, first_row: usize, rows: usize) {
         self.chunks += 1;
         self.max_chunk_rows = self.max_chunk_rows.max(rows);
         self.rows += rows;
-        self.inner.emit(first_row, columns);
+        self.inner.emit(first_row, rows);
     }
 
     fn finish(&mut self) {
@@ -303,41 +305,26 @@ impl<S: RowChunkSink> RowChunkSink for CountingSink<S> {
 mod tests {
     use super::*;
 
-    fn chunk(cols: &[&[i32]]) -> Vec<Vec<i32>> {
-        cols.iter().map(|c| c.to_vec()).collect()
-    }
-
-    #[test]
-    fn materialize_sink_takes_a_whole_result_chunk() {
-        let mut sink = MaterializeSink::new();
-        sink.begin(3, 2);
-        let mut produced = chunk(&[&[1, 2, 3], &[10, 20, 30]]);
-        let buffers: Vec<*const i32> = produced.iter().map(|c| c.as_ptr()).collect();
-        sink.emit(0, &mut produced);
-        sink.finish();
-        assert!(
-            produced.iter().all(|c| c.capacity() == 0),
-            "the producer keeps empty Vecs"
-        );
-        let result = sink.into_result();
-        let kept: Vec<*const i32> = result
-            .columns()
-            .iter()
-            .map(|c| c.as_slice().as_ptr())
-            .collect();
-        assert_eq!(kept, buffers, "the result is the producer's buffers");
-        assert_eq!(result.columns()[0].as_slice(), &[1, 2, 3]);
-        assert_eq!(result.columns()[1].as_slice(), &[10, 20, 30]);
+    /// Writes one chunk through the lending API: each column's values into
+    /// the cells the sink lends for the chunk's rows, then the notice.
+    fn write<S: RowChunkSink>(sink: &mut S, first_row: usize, cols: &[&[i32]]) {
+        let rows = cols.first().map_or(0, |c| c.len());
+        for (c, values) in cols.iter().enumerate() {
+            let cells = sink.column(c, first_row..first_row + rows);
+            assert_eq!(cells.len(), rows);
+            for (cell, &v) in cells.iter_mut().zip(*values) {
+                *cell = S::Cell::from_value(v);
+            }
+        }
+        sink.emit(first_row, rows);
     }
 
     #[test]
     fn materialize_sink_concatenates_chunks() {
         let mut sink = MaterializeSink::new();
         sink.begin(5, 2);
-        let mut first = chunk(&[&[1, 2, 3], &[10, 20, 30]]);
-        sink.emit(0, &mut first);
-        assert_eq!(first[0], [1, 2, 3], "a partial chunk is copied, not taken");
-        sink.emit(3, &mut chunk(&[&[4, 5], &[40, 50]]));
+        write(&mut sink, 0, &[&[1, 2, 3], &[10, 20, 30]]);
+        write(&mut sink, 3, &[&[4, 5], &[40, 50]]);
         sink.finish();
         let result = sink.into_result();
         assert_eq!(result.cardinality(), 5);
@@ -350,17 +337,15 @@ mod tests {
     fn materialize_sink_rejects_out_of_order_chunks() {
         let mut sink = MaterializeSink::new();
         sink.begin(4, 1);
-        sink.emit(2, &mut chunk(&[&[3, 4]]));
+        write(&mut sink, 2, &[&[3, 4]]);
     }
 
     #[test]
     fn frame_sink_writes_each_chunk_at_its_fixed_offset() {
         let mut sink = FrameSink::new();
         sink.begin(3, 2);
-        let mut first = chunk(&[&[1, -2], &[10, 20]]);
-        sink.emit(0, &mut first);
-        assert_eq!(first[0], [1, -2], "the producer keeps its buffers");
-        sink.emit(2, &mut chunk(&[&[3], &[i32::MIN]]));
+        write(&mut sink, 0, &[&[1, -2], &[10, 20]]);
+        write(&mut sink, 2, &[&[3], &[i32::MIN]]);
         sink.finish();
         let head = DoneHead {
             ticket: 7,
@@ -404,8 +389,8 @@ mod tests {
     fn counting_sink_tracks_chunk_geometry() {
         let mut sink = CountingSink::new(MaterializeSink::new());
         sink.begin(4, 1);
-        sink.emit(0, &mut chunk(&[&[1, 2, 3]]));
-        sink.emit(3, &mut chunk(&[&[4]]));
+        write(&mut sink, 0, &[&[1, 2, 3]]);
+        write(&mut sink, 3, &[&[4]]);
         sink.finish();
         assert_eq!(sink.chunks, 2);
         assert_eq!(sink.max_chunk_rows, 3);

@@ -92,11 +92,6 @@ impl<T> Column<T> {
         &self.data
     }
 
-    /// Borrow the values as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Appends a value, returning the oid it received.
     pub fn push(&mut self, value: T) -> Oid {
         let oid = self.seqbase + self.data.len() as Oid;
@@ -136,16 +131,22 @@ impl<T: Copy> Column<T> {
         self.gather_into_probed(oids, out, &mut NoProbe);
     }
 
-    /// [`Column::gather_into`] reporting its references to `probe`: per
-    /// element, the oid read (array id 0, `oids`), the value read (id 1, this
-    /// column, by position) and the output write (id 2, `out`).  Under a
-    /// [`rdx_cache::SimProbe`] this is the Fig. 9c positional join's miss
-    /// count.
+    /// [`Column::gather_into`] into cells of any [`FromValue`] type — the
+    /// values themselves, or their wire bytes — reporting its references to
+    /// `probe`: per element, the oid read (array id 0, `oids`), the value
+    /// read (id 1, this column, by position) and the output write (id 2,
+    /// `out`).  Under a [`rdx_cache::SimProbe`] this is the Fig. 9c
+    /// positional join's miss count.
     ///
     /// # Panics
     /// As [`Column::gather_into`].
     #[inline]
-    pub fn gather_into_probed<P: Probe>(&self, oids: &[Oid], out: &mut [T], probe: &mut P) {
+    pub fn gather_into_probed<C: FromValue<T>, P: Probe>(
+        &self,
+        oids: &[Oid],
+        out: &mut [C],
+        probe: &mut P,
+    ) {
         assert_eq!(oids.len(), out.len(), "oid/output block length mismatch");
         let (seqbase, data) = (self.seqbase, self.data.as_slice());
         for (i, (slot, &oid)) in out.iter_mut().zip(oids).enumerate() {
@@ -153,7 +154,7 @@ impl<T: Copy> Column<T> {
             probe.read(0, i);
             probe.read(1, pos);
             probe.write(2, i);
-            *slot = data[pos];
+            *slot = C::from_value(data[pos]);
         }
     }
 
@@ -168,11 +169,11 @@ impl<T: Copy> Column<T> {
     /// Panics if `offsets` and `out` differ in length or any oid is out of
     /// range.
     #[inline]
-    pub fn gather_offsets_into_probed<P: Probe>(
+    pub fn gather_offsets_into_probed<C: FromValue<T>, P: Probe>(
         &self,
         base: Oid,
         offsets: &[u16],
-        out: &mut [T],
+        out: &mut [C],
         probe: &mut P,
     ) {
         assert_eq!(offsets.len(), out.len(), "oid/output block length mismatch");
@@ -186,7 +187,7 @@ impl<T: Copy> Column<T> {
             probe.read(0, i);
             probe.read(1, start + pos);
             probe.write(2, i);
-            *slot = data[pos];
+            *slot = C::from_value(data[pos]);
         }
     }
 
@@ -224,6 +225,30 @@ impl<T> std::ops::Index<usize> for Column<T> {
 impl<T> FromIterator<T> for Column<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         Column::from_vec(iter.into_iter().collect())
+    }
+}
+
+/// What a kernel stores in an output cell for a value of type `T`: the value
+/// itself (every `T`), or an `i32`'s little-endian bytes — a `Done` frame's
+/// column body, which starts at no 4-byte boundary.  The gathers and the
+/// decluster write through it, so a result value is written once, straight
+/// into whichever memory its consumer lends.
+pub trait FromValue<T>: Copy {
+    /// The cell holding `value`.
+    fn from_value(value: T) -> Self;
+}
+
+impl<T: Copy> FromValue<T> for T {
+    #[inline]
+    fn from_value(value: T) -> T {
+        value
+    }
+}
+
+impl FromValue<i32> for [u8; 4] {
+    #[inline]
+    fn from_value(value: i32) -> [u8; 4] {
+        value.to_le_bytes()
     }
 }
 

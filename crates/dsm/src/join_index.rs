@@ -78,11 +78,6 @@ impl JoinIndex {
         &self.smaller
     }
 
-    /// Consumes the index, returning `(larger, smaller)` oid vectors.
-    pub fn into_columns(self) -> (Vec<Oid>, Vec<Oid>) {
-        (self.larger, self.smaller)
-    }
-
     /// Iterate over `(larger_oid, smaller_oid)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Oid, Oid)> + '_ {
         self.larger
@@ -98,32 +93,6 @@ impl JoinIndex {
     pub fn is_valid_for(&self, larger_card: usize, smaller_card: usize) -> bool {
         self.larger.iter().all(|&o| (o as usize) < larger_card)
             && self.smaller.iter().all(|&o| (o as usize) < smaller_card)
-    }
-
-    /// Reorders the pairs so that the *larger* oids are ascending.
-    ///
-    /// This is the "(standard) improvement" of §3.1 in its full-sort form; the
-    /// cache-conscious replacement is `rdx-core::cluster::partial` (Radix-Sort
-    /// stopping early).  Kept here as the reference implementation the
-    /// property tests compare against.
-    pub fn sort_by_larger(&mut self) {
-        let mut perm: Vec<usize> = (0..self.len()).collect();
-        perm.sort_by_key(|&i| (self.larger[i], self.smaller[i]));
-        self.apply_permutation(&perm);
-    }
-
-    /// Reorders the pairs so that the *smaller* oids are ascending.
-    pub fn sort_by_smaller(&mut self) {
-        let mut perm: Vec<usize> = (0..self.len()).collect();
-        perm.sort_by_key(|&i| (self.smaller[i], self.larger[i]));
-        self.apply_permutation(&perm);
-    }
-
-    fn apply_permutation(&mut self, perm: &[usize]) {
-        let larger = perm.iter().map(|&i| self.larger[i]).collect();
-        let smaller = perm.iter().map(|&i| self.smaller[i]).collect();
-        self.larger = larger;
-        self.smaller = smaller;
     }
 
     /// Returns the multiset of pairs in a canonical (sorted) order, for
@@ -167,23 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_larger_orders_left_side() {
-        let mut ji = sample();
-        ji.sort_by_larger();
-        assert_eq!(ji.larger(), &[0, 2, 5, 5]);
-        // pairs stay intact
-        assert_eq!(ji.canonical_pairs(), sample().canonical_pairs());
-    }
-
-    #[test]
-    fn sort_by_smaller_orders_right_side() {
-        let mut ji = sample();
-        ji.sort_by_smaller();
-        assert_eq!(ji.smaller(), &[0, 1, 2, 3]);
-        assert_eq!(ji.canonical_pairs(), sample().canonical_pairs());
-    }
-
-    #[test]
     fn validity_check() {
         let ji = sample();
         assert!(ji.is_valid_for(6, 4));
@@ -196,12 +148,5 @@ mod tests {
         let ji = sample();
         let rebuilt: JoinIndex = ji.iter().collect();
         assert_eq!(rebuilt, ji);
-    }
-
-    #[test]
-    fn into_columns_returns_both_sides() {
-        let (l, s) = sample().into_columns();
-        assert_eq!(l, vec![5, 2, 5, 0]);
-        assert_eq!(s, vec![1, 0, 3, 2]);
     }
 }

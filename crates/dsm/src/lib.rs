@@ -7,7 +7,9 @@
 //! reproduces that storage substrate:
 //!
 //! * [`Oid`] — object identifiers from a dense domain `[0, N)`.
-//! * [`Column`] — a `[void, value]` table, i.e. a dense array indexed by oid.
+//! * [`Column`] — a `[void, value]` table, i.e. a dense array indexed by oid;
+//!   its gathers write through [`FromValue`], so a value lands as itself or
+//!   as its wire bytes.
 //! * [`VarColumn`] — a variable-size (string) column: an offset array into a
 //!   shared byte heap, mirroring MonetDB's string heaps (paper §3, footnote 3).
 //! * [`JoinIndex`] — the `[oid, oid]` result of a key join (Valduriez-style
@@ -29,7 +31,7 @@ pub mod relation;
 pub mod selection;
 pub mod varsize;
 
-pub use column::{mark, Column};
+pub use column::{mark, Column, FromValue};
 pub use join_index::JoinIndex;
 pub use relation::{DsmRelation, ResultRelation};
 pub use selection::Selection;

@@ -20,7 +20,7 @@ use rdx_core::decluster::{
     radix_decluster_windows_with_scratch, validate_inputs, window_elems, DeclusterScratch,
     ResultPositions,
 };
-use rdx_dsm::Oid;
+use rdx_dsm::{FromValue, Oid};
 
 /// Parallel Radix-Decluster; byte-identical to
 /// [`rdx_core::decluster::radix_decluster`] for every `(window, policy)`.
@@ -55,31 +55,31 @@ pub fn par_radix_decluster<T: Copy + Default + Send + Sync>(
 
 /// Parallel Radix-Decluster of one chunk into a caller-provided output
 /// slice: `chunk`'s runs of `result_positions`, wide or packed, are read in
-/// place, `values`
-/// holds their values run after run, and `out` receives the chunk's rows
-/// (the whole result is [`ChunkRuns::whole`]).  Every slot of `out` is
-/// overwritten, so no allocation or zero-fill is paid for the result; with
-/// one worker the whole sweep runs inline through `scratch` and is
-/// allocation-free in steady state (multi-worker sweeps still allocate
-/// their per-worker cursor arrays alongside the thread spawns they already
-/// require).  An active `probe` sees the sweep on one worker, so its
+/// place, `values` holds their values run after run, and `out` receives
+/// the chunk's rows as [`FromValue`] cells (the whole result is
+/// [`ChunkRuns::whole`]).  Every slot of `out` is overwritten, so no
+/// allocation or zero-fill is paid for the result; with one worker the
+/// whole sweep runs inline through `scratch` and is allocation-free in
+/// steady state (multi-worker sweeps still allocate their per-worker
+/// cursor arrays alongside the thread spawns they already require).  An active `probe` sees the sweep on one worker, so its
 /// reference sequence is the sequential kernel's at every thread count.
 ///
 /// # Panics
 /// Panics if `values` or `out` is not as long as the chunk, or the runs
 /// violate the kernel's contract.
 #[allow(clippy::too_many_arguments)]
-pub fn par_radix_decluster_into<T, R, P>(
+pub fn par_radix_decluster_into<T, C, R, P>(
     values: &[T],
     result_positions: &R,
     chunk: &ChunkRuns,
     window_bytes: usize,
     policy: &ExecPolicy,
     scratch: &mut DeclusterScratch,
-    out: &mut [T],
+    out: &mut [C],
     probe: &mut P,
 ) where
     T: Copy + Send + Sync,
+    C: FromValue<T> + Send,
     R: ResultPositions + Sync + ?Sized,
     P: Probe,
 {

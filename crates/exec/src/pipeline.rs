@@ -29,13 +29,12 @@
 //!    chunk's runs of the prefix's packed `CLUST_SMALLER`, declustered by the
 //!    windowed kernel over the same runs of its `CLUST_RESULT` — both read in
 //!    place, morsel-parallel across insertion windows — and emitted;
-//! 4. the sink decides what full-result memory (if any) to pay:
-//!    [`MaterializeSink`] concatenates the chunks into the whole result,
-//!    [`rdx_core::strategy::FrameSink`] encodes them into one wire frame.
-//!    The chunk's columns are lent to the sink, which may take them: when
-//!    one chunk is the whole result, [`MaterializeSink`] keeps the buffers
-//!    the kernels wrote, so each result column is written once, in result
-//!    order, and never copied.
+//! 4. the sink decides what full-result memory (if any) to pay, and lends
+//!    it: the kernels write each chunk's rows straight into the cells the
+//!    sink lends per column — [`MaterializeSink`]'s whole-result columns,
+//!    [`rdx_core::strategy::FrameSink`]'s `Done` frame bodies — so each
+//!    result value is written once, by a kernel, in result order, and never
+//!    copied.
 //!
 //! The chunk loop itself is a **resumable** [`PipelineRun`]: each
 //! [`PipelineRun::step`] emits exactly one chunk and returns, so a scheduler
@@ -242,11 +241,12 @@ impl PreparedProjection {
 
 /// What one pipeline run did: the chunking it planned, what it actually
 /// emitted, and the measured peak chunk working set: the bytes the chunk
-/// itself holds — its output columns and, when it declusters, its staged
-/// `CLUST_VALUES`.  The clustered index every chunk reads in place is the
-/// prefix's (counted by [`PreparedProjection::resident_bytes`]), so a
-/// declustering chunk holds exactly what
-/// [`rdx_core::strategy::planner::streaming_bytes_per_row`] prices.
+/// writes and stages — its rows of every output column and, when it
+/// declusters, its staged `CLUST_VALUES`.  The clustered index every chunk
+/// reads in place is the prefix's (counted by
+/// [`PreparedProjection::resident_bytes`]), so a declustering chunk holds
+/// exactly what [`rdx_core::strategy::planner::streaming_bytes_per_row`]
+/// prices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineStats {
     /// The chunking the planner derived from the budget.
@@ -263,12 +263,11 @@ pub struct PipelineStats {
 }
 
 /// The reusable per-run working memory of the streaming chunk loop: the
-/// output columns lent to the sink, the staged clustered values, the run
-/// list of the current chunk, and the decluster cursor scratch.
+/// staged clustered values, the run list of the current chunk, and the
+/// decluster cursor scratch.  It holds no output column — the kernels
+/// write into the memory the sink lends.
 ///
-/// A sink that takes the output columns leaves them empty, so a one-chunk
-/// query retains only its staged values, runs and cursors.  Otherwise
-/// every buffer grows to the chunk high-water mark on the first chunk and
+/// Every buffer grows to the chunk high-water mark on the first chunk and
 /// is reused afterwards, which is what makes a steady-state
 /// [`PipelineRun::step`] **allocation-free** on a single-threaded policy
 /// (multi-threaded chunks still pay their scoped thread spawns).  The
@@ -277,7 +276,6 @@ pub struct PipelineStats {
 /// stream of short queries stops paying per-query warm-up allocations too.
 #[derive(Debug, Default)]
 pub struct ChunkScratch {
-    columns: Vec<Vec<i32>>,
     chunk: ChunkRuns,
     staged: Vec<i32>,
     decluster: DeclusterScratch,
@@ -291,12 +289,7 @@ impl ChunkScratch {
 
     /// Resident heap bytes currently held (capacity, not length).
     pub fn resident_bytes(&self) -> usize {
-        let cols: usize = self
-            .columns
-            .iter()
-            .map(|c| c.capacity() * std::mem::size_of::<i32>())
-            .sum();
-        cols + self.staged.capacity() * 4
+        self.staged.capacity() * 4
             + self.chunk.runs.capacity() * std::mem::size_of::<std::ops::Range<usize>>()
             + self.chunk.clusters.capacity() * std::mem::size_of::<usize>()
             + self.decluster.resident_bytes()
@@ -346,23 +339,25 @@ const CURSORS: usize = 4;
 const STARTS: usize = 5;
 const COLUMNS: usize = 6;
 
-/// Gathers attribute `a` of `source` into `columns[a]`, for every column,
-/// through `oids`, whose element 0 is element `at` of the layout's array
-/// `stored`; `columns[0]` is result column `first`.
-fn fetch_columns<S: AttrSource + Sync, P: Probe>(
+/// Gathers attribute `a` of `source` into rows `rows` of result column
+/// `columns.start + a` of `sink`, for every column of `columns`, through
+/// `oids`, whose element 0 is element `at` of the layout's array `stored`.
+#[allow(clippy::too_many_arguments)]
+fn fetch_columns<S: AttrSource + Sync, K: RowChunkSink, P: Probe>(
     source: &S,
     oids: OidBlock<'_>,
     (stored, at): (usize, usize),
-    first: usize,
+    columns: Range<usize>,
+    rows: Range<usize>,
     policy: &ExecPolicy,
-    columns: &mut [Vec<i32>],
+    sink: &mut K,
     probe: &mut P,
 ) {
-    for (attr, column) in columns.iter_mut().enumerate() {
-        column.resize(oids.len(), 0);
-        let c = COLUMNS + 2 * (first + attr);
-        let mut probe = Remap::new(&mut *probe, [(stored, at), (c, 0), (c + 1, 0)]);
-        par_gather_into(source, attr, oids, policy, column, &mut probe);
+    for (attr, c) in columns.enumerate() {
+        let region = COLUMNS + 2 * c;
+        let mut probe = Remap::new(&mut *probe, [(stored, at), (region, 0), (region + 1, 0)]);
+        let out = sink.column(c, rows.clone());
+        par_gather_into(source, attr, oids, policy, out, &mut probe);
     }
 }
 
@@ -587,12 +582,13 @@ where
         self.finished
     }
 
-    /// Emits the next chunk into `sink` and returns its row count, or
-    /// `None` once the run is complete (the first `None` finishes the sink;
-    /// further calls are no-ops).  The sink's `begin` is called on the first
-    /// step, so a run that joins to an empty result still performs the full
-    /// `begin`/`finish` protocol while emitting zero chunks.
-    pub fn step(&mut self, sink: &mut dyn RowChunkSink) -> Option<usize> {
+    /// Writes the next chunk into the memory `sink` lends, emits it and
+    /// returns its row count, or `None` once the run is complete (the first
+    /// `None` finishes the sink; further calls are no-ops).  The sink's
+    /// `begin` is called on the first step, so a run that joins to an empty
+    /// result still performs the full `begin`/`finish` protocol while
+    /// emitting zero chunks.
+    pub fn step<K: RowChunkSink>(&mut self, sink: &mut K) -> Option<usize> {
         if self.finished {
             return None;
         }
@@ -609,9 +605,9 @@ where
 
         let emitted = self.emitted;
         let chunk_end = (emitted + self.streaming.chunk_rows).min(n);
-        let rows = chunk_end - emitted;
-        // The chunk's output columns and, when it declusters, its staged
-        // values.
+        let (rows, chunk) = (chunk_end - emitted, emitted..chunk_end);
+        // The chunk's rows of the output columns and, when it declusters,
+        // its staged values.
         let staged = matches!(self.prepared.second, SecondSide::Clustered { .. });
         let chunk_bytes = rows * (self.spec.total() + usize::from(staged)) * VALUE_WIDTH;
         // Chunk wall-clock is only measured when an observer consumes it.
@@ -623,14 +619,14 @@ where
         let (spans, counts) = match profile.as_deref_mut() {
             Some(prof) => {
                 let mut probe = SimProbe::new(&mut prof.mem, &prof.regions);
-                let spans = self.fetch_chunk(emitted..chunk_end, &mut probe);
+                let spans = self.fetch_chunk(chunk, sink, &mut probe);
                 (spans, Some(probe.counts()))
             }
-            None => (self.fetch_chunk(emitted..chunk_end, &mut NoProbe), None),
+            None => (self.fetch_chunk(chunk, sink, &mut NoProbe), None),
         };
 
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(chunk_bytes);
-        sink.emit(emitted, &mut self.scratch.columns);
+        sink.emit(emitted, rows);
         self.chunks_emitted += 1;
         self.emitted = chunk_end;
         if let (Some(run_obs), Some(start)) = (self.obs.as_deref(), chunk_start) {
@@ -676,30 +672,28 @@ where
         Some(rows)
     }
 
-    /// Fills the scratch's output columns with result rows `rows`: the
-    /// first side's gathers, then per smaller-side column its gather into
-    /// the staged `CLUST_VALUES` and its decluster, or its gather.  Every
-    /// kernel reports to `probe` in the profiled layout's ids
-    /// ([`RunProfile`]).  Returns the fetch's and the second side's phase
-    /// spans.
-    fn fetch_chunk<P: Probe>(
+    /// Writes result rows `rows` of every column into the cells `sink`
+    /// lends: the first side's gathers, then per smaller-side column its
+    /// gather into the staged `CLUST_VALUES` and its decluster, or its
+    /// gather.  Every kernel reports to `probe` in the profiled layout's
+    /// ids ([`RunProfile`]).  Returns the fetch's and the second side's
+    /// phase spans.
+    fn fetch_chunk<K: RowChunkSink, P: Probe>(
         &mut self,
         rows: Range<usize>,
+        sink: &mut K,
         probe: &mut P,
     ) -> [(Phase, Duration); 2] {
         let larger = self.spec.project_larger;
+        let second_columns = larger..self.spec.total();
         // All chunk-local buffers come from the run's scratch: after the
         // first (largest) chunk has grown them, a steady-state step
-        // allocates nothing.  Output columns a sink took are re-grown by
-        // the resizes below.
+        // allocates nothing.
         let ChunkScratch {
-            columns,
             chunk,
             staged,
             decluster,
         } = &mut self.scratch;
-        columns.resize_with(self.spec.total(), Vec::new);
-        let (first_columns, second_columns) = columns.split_at_mut(larger);
 
         // First side: morsel-parallel gather straight into the chunk.  A
         // wide block is its stretch of the stored oids; a packed one
@@ -715,9 +709,10 @@ where
             &self.larger,
             oids,
             (FIRST_OIDS, at),
-            0,
+            0..larger,
+            rows.clone(),
             policy,
-            first_columns,
+            sink,
             probe,
         );
         let fetched = t.elapsed();
@@ -736,14 +731,13 @@ where
                 let oids = OidBlock::Packed(smaller.select(&chunk.runs));
                 staged.resize(rows.len(), 0);
                 let window = self.streaming.window_bytes;
-                for (b, column) in second_columns.iter_mut().enumerate() {
-                    let c = COLUMNS + 2 * (larger + b);
+                for (b, col) in second_columns.enumerate() {
+                    let c = COLUMNS + 2 * col;
                     // On-demand clustered positional join: the chunk's
                     // CLUST_VALUES, never the whole column.
                     let mut gather =
                         Remap::new(&mut *probe, [(SECOND_OIDS, 0), (c, 0), (STAGED, 0)]);
                     par_gather_into(&self.smaller, b, oids, policy, staged, &mut gather);
-                    column.resize(rows.len(), 0);
                     // The windowed kernel's arrays, in `probe_regions` order.
                     let arrays = [
                         (STAGED, 0),
@@ -759,7 +753,7 @@ where
                         window,
                         policy,
                         decluster,
-                        column,
+                        sink.column(col, rows.clone()),
                         &mut Remap::new(&mut *probe, arrays),
                     );
                 }
@@ -775,9 +769,10 @@ where
                     &self.smaller,
                     oids,
                     stored,
-                    larger,
-                    policy,
                     second_columns,
+                    rows,
+                    policy,
+                    sink,
                     probe,
                 );
                 (Phase::Fetch, &mut self.timings.project_smaller)
@@ -789,7 +784,7 @@ where
     }
 
     /// Steps the run to completion.
-    pub fn run_to_completion(&mut self, sink: &mut dyn RowChunkSink) {
+    pub fn run_to_completion<K: RowChunkSink>(&mut self, sink: &mut K) {
         while self.step(sink).is_some() {}
     }
 
@@ -914,8 +909,8 @@ impl ProjectionPipeline {
 
     /// Materialises the whole result: validates the spec, prepares the
     /// prefix and streams a run into a [`MaterializeSink`] under the
-    /// policy's budget — one chunk under the default unbounded budget, in
-    /// which case the sink keeps the columns the kernels wrote.  The one
+    /// policy's budget — one chunk under the default unbounded budget.  The
+    /// kernels write straight into the sink's result columns.  The one
     /// whole-result entry; "sequential" is [`ExecPolicy::with_threads`]`(1)`.
     ///
     /// Empty relations and zero-width specs are degenerate successes.
@@ -1001,7 +996,7 @@ mod tests {
         spec: &QuerySpec,
         params: &CacheParams,
         policy: &ExecPolicy,
-        sink: &mut dyn RowChunkSink,
+        sink: &mut impl RowChunkSink,
     ) -> PipelineStats {
         let prepared = Arc::new(pipeline.prepare(larger, smaller, params, policy));
         let mut run = PipelineRun::new(prepared, larger, smaller, spec, params, policy);
@@ -1276,6 +1271,37 @@ mod tests {
                 "budget {budget_bytes}: the peak is the price"
             );
         }
+    }
+
+    /// The scratch a run hands back holds what its chunk stages — the
+    /// staged `CLUST_VALUES`, runs and cursors — and no output column: per
+    /// row of its largest chunk, a multi-chunk run leaves what a one-chunk
+    /// run leaves, one staged value.
+    #[test]
+    fn a_multi_chunk_run_hands_back_the_one_chunk_scratch_per_row() {
+        let w = JoinWorkloadBuilder::equal(4_000, 2).seed(7).build();
+        let spec = QuerySpec::symmetric(2);
+        let params = CacheParams::paper_pentium4();
+        let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(
+            ProjectionCode::PartialCluster,
+            SecondSideCode::Decluster,
+        ));
+        let per_row = |budget| {
+            let policy = ExecPolicy::with_threads(1).budget(budget);
+            let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
+            let mut run =
+                PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
+            run.run_to_completion(&mut MaterializeSink::new());
+            let largest_chunk = run.streaming().chunk_rows.min(run.rows_emitted());
+            let chunks = run.run_stats().chunks_emitted;
+            (chunks, run.take_scratch().resident_bytes() / largest_chunk)
+        };
+        let (one, whole) = per_row(MemoryBudget::unbounded());
+        let (chunks, multi) = per_row(MemoryBudget::bytes(16 * 1024));
+        assert_eq!(one, 1);
+        assert!(chunks > 1, "{chunks} chunks");
+        assert_eq!(multi, whole, "{chunks} chunks");
+        assert_eq!(whole, VALUE_WIDTH);
     }
 
     #[test]

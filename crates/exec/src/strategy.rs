@@ -11,7 +11,7 @@ use rdx_cache::{CacheParams, NoProbe, Probe};
 use rdx_core::cluster::{plan_partial_cluster, radix_sort_spec_for, Clustered};
 use rdx_core::positional::{AttrSource, OidBlock};
 use rdx_core::strategy::ProjectionCode;
-use rdx_dsm::{JoinIndex, Oid};
+use rdx_dsm::{FromValue, JoinIndex, Oid};
 
 /// Width of the fixed-size attribute values (the paper's integer columns).
 const VALUE_WIDTH: usize = 4;
@@ -67,17 +67,18 @@ pub fn par_partial_cluster_join_index(
 }
 
 /// Morsel-parallel block fetch of one column: `out[r]` = attribute `attr` of
-/// tuple `oids[r]`, with the source asked once per **morsel** — never per
-/// value (the contract of [`AttrSource`]) — whether the oids are plain or
-/// packed.  An active `probe` sees the whole block fetched in one call on
-/// one worker, so its reference sequence is the same at every thread count
-/// and morsel size; an inactive one is never called.
-pub fn par_gather_into<S: AttrSource + Sync, P: Probe>(
+/// tuple `oids[r]`, stored as its cell type (the value or its wire bytes),
+/// with the source asked once per **morsel** — never per value (the
+/// contract of [`AttrSource`]) — whether the oids are plain or packed.  An
+/// active `probe` sees the whole block fetched in one call on one worker,
+/// so its reference sequence is the same at every thread count and morsel
+/// size; an inactive one is never called.
+pub fn par_gather_into<S: AttrSource + Sync, C: FromValue<i32> + Send, P: Probe>(
     source: &S,
     attr: usize,
     oids: OidBlock<'_>,
     policy: &ExecPolicy,
-    out: &mut [i32],
+    out: &mut [C],
     probe: &mut P,
 ) {
     if P::ACTIVE {

@@ -23,10 +23,10 @@
 //!   engine's `rdx-obs` registry.  Each cycle reads, decodes and handles
 //!   a connection's frames and then flushes its replies, so a reply is on
 //!   the socket before the cycle's engine steps run.  A query's result is
-//!   encoded where it is emitted: every wire ticket is submitted in the
-//!   engine's frame form, so the engine's frame sink copies each chunk
-//!   into one pre-sized `Done` frame and the server only writes its header
-//!   before sending it.  A result whose frame would exceed
+//!   encoded where it is computed: every wire ticket is submitted in the
+//!   engine's frame form, so the kernels write each value's bytes into the
+//!   one pre-sized `Done` frame the engine's frame sink lends, and the
+//!   server only writes its header before sending it.  A result whose frame would exceed
 //!   [`NetConfig::max_payload`] is refused with a typed `ResultTooLarge`
 //!   before it runs.
 //! - [`client`] — [`NetClient`]: a small client for tests, examples, and

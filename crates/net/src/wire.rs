@@ -422,7 +422,7 @@ pub(crate) fn encode_done<'a>(
     let mut at = HEADER_LEN + DoneHead::LEN;
     for col in columns {
         let end = at + 4 + 4 * col.len();
-        put_column(&mut frame[at..end], col.len(), 0, col);
+        put_column(&mut frame[at..end], col.len(), col);
         at = end;
     }
     seal_done(frame);

@@ -11,9 +11,10 @@
 //! Histograms use power-of-two buckets: bucket `0` holds the value `0` and
 //! bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`, so 64 buckets cover the
 //! full `u64` range with a fixed-size atomic array and relative error
-//! bounded by 2×.  Percentiles ([`HistogramSnapshot::percentile`]) report
-//! the *inclusive upper bound* of the bucket where the requested rank
-//! falls — a conservative estimate that can never under-report a latency.
+//! bounded by 2×.  Percentiles ([`HistogramSnapshot::percentile`])
+//! interpolate the requested rank linearly between the bounds of the bucket
+//! it falls in, as Prometheus' `histogram_quantile` does, so a shift inside
+//! one bucket still moves them.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -95,10 +96,10 @@ struct HistogramInner {
 /// let snap = h.snapshot();
 /// assert_eq!(snap.count, 100);
 /// assert_eq!(snap.sum, 5050);
-/// // p50 falls in the [32, 64) bucket; the reported quantile is its
-/// // inclusive upper bound.
-/// assert_eq!(snap.percentile(50.0), 63);
-/// assert_eq!(snap.percentile(99.0), 127);
+/// // p50 is the 19th of the 32 samples in the [32, 63] bucket, read
+/// // 19/32 of the way between its bounds.
+/// assert_eq!(snap.percentile(50.0), 50);
+/// assert_eq!(snap.percentile(99.0), 125);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramInner>);
@@ -174,20 +175,30 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The value at percentile `p` (0–100): the inclusive upper bound of
-    /// the bucket containing the `⌈p/100 · count⌉`-th smallest sample.
+    /// The value at percentile `p` (0–100): the `⌈p/100 · count⌉`-th
+    /// smallest sample, estimated by linear interpolation inside the bucket
+    /// holding it.  The `k`-th of a bucket's `c` samples reads `k/c` of the
+    /// way from its lower bound `2^(i-1)` to its upper bound `2^i − 1`
+    /// (rounded down), so the bucket's last sample reads its upper bound.
     /// Returns 0 for an empty histogram.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
         let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
+        let mut below = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= rank {
-                return bucket_upper_bound(i);
+            if below + c >= rank {
+                let hi = bucket_upper_bound(i);
+                let lo = if i == 0 {
+                    0
+                } else {
+                    bucket_upper_bound(i - 1) + 1
+                };
+                let step = u128::from(hi - lo) * u128::from(rank - below) / u128::from(c);
+                return lo + step as u64;
             }
+            below += c;
         }
         bucket_upper_bound(HISTOGRAM_BUCKETS - 1)
     }
@@ -421,7 +432,7 @@ impl MetricsSnapshot {
                 MetricValue::Histogram(h) => {
                     let _ = writeln!(
                         out,
-                        "{name:<44} hist    count={} mean={:.1} p50<={} p90<={} p99<={}",
+                        "{name:<44} hist    count={} mean={:.1} p50={} p90={} p99={}",
                         h.count,
                         h.mean(),
                         h.percentile(50.0),
@@ -431,52 +442,6 @@ impl MetricsSnapshot {
                 }
             }
         }
-        out
-    }
-
-    /// A JSON object string (hand-rolled — names are static identifiers, so
-    /// no escaping is needed).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\"metrics\":[");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{name}\",\"type\":\"counter\",\"value\":{v}}}"
-                    );
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{name}\",\"type\":\"gauge\",\"value\":{v}}}"
-                    );
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{name}\",\"type\":\"histogram\",\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                        h.count,
-                        h.sum,
-                        h.percentile(50.0),
-                        h.percentile(90.0),
-                        h.percentile(99.0),
-                    );
-                    for (j, (le, cumulative)) in h.cumulative_buckets().into_iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{{\"le\":{le},\"count\":{cumulative}}}");
-                    }
-                    out.push_str("]}");
-                }
-            }
-        }
-        out.push_str("]}");
         out
     }
 
@@ -538,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_report_the_containing_bucket_upper_bound() {
+    fn percentiles_interpolate_inside_the_containing_bucket() {
         let h = Histogram::default();
         for v in 1..=100u64 {
             h.record(v);
@@ -547,14 +512,30 @@ mod tests {
         assert_eq!(s.count, 100);
         assert_eq!(s.sum, 5050);
         // Cumulative counts: [0,1], [2,3]→3, [4,7]→7, [8,15]→15,
-        // [16,31]→31, [32,63]→63, [64,127]→100.
-        assert_eq!(s.percentile(50.0), 63);
+        // [16,31]→31, [32,63]→63, [64,127]→100.  Rank 50 is the 19th of
+        // 32 in [32, 63]: 32 + 31·19/32 = 50.
+        assert_eq!(s.percentile(50.0), 50);
+        // A bucket's last sample reads its upper bound, the next rank the
+        // next bucket's first step: 64 + 63·1/37 = 65.
         assert_eq!(s.percentile(63.0), 63);
-        assert_eq!(s.percentile(64.0), 127);
-        assert_eq!(s.percentile(90.0), 127);
-        assert_eq!(s.percentile(99.0), 127);
+        assert_eq!(s.percentile(64.0), 65);
+        // 64 + 63·27/37 = 109 and 64 + 63·36/37 = 125.
+        assert_eq!(s.percentile(90.0), 109);
+        assert_eq!(s.percentile(99.0), 125);
+        assert_eq!(s.percentile(100.0), 127);
         assert_eq!(s.percentile(1.0), 1);
         assert!((s.mean() - 50.5).abs() < 1e-9);
+        // Two ranks inside one bucket read apart: 32 + 31·29/32 = 60.
+        assert_eq!(s.percentile(60.0), 60);
+        // The widest bucket does not overflow.
+        let top = Histogram::default();
+        top.record(u64::MAX);
+        top.record(u64::MAX);
+        assert_eq!(
+            top.snapshot().percentile(50.0),
+            (1 << 62) + (u64::MAX - (1 << 62)) / 2
+        );
+        assert_eq!(top.snapshot().percentile(100.0), u64::MAX);
     }
 
     #[test]
@@ -643,16 +624,7 @@ mod tests {
         let text = snap.to_text();
         assert!(text.contains("engine.served"));
         assert!(text.contains("counter 7"));
-        assert!(text.contains("p50<="));
-
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"metrics\":["));
-        assert!(json.contains("\"name\":\"engine.served\",\"type\":\"counter\",\"value\":7"));
-        assert!(json.contains("\"type\":\"histogram\",\"count\":2,\"sum\":1100"));
-        // 100 lands in [64,127], 1000 in [512,1023]: the bucket array is
-        // cumulative and ends at the highest non-empty bound.
-        assert!(json.contains("{\"le\":127,\"count\":1}"));
-        assert!(json.contains("{\"le\":1023,\"count\":2}]"));
+        assert!(text.contains("p50="));
 
         let prom = snap.to_prometheus();
         assert!(prom.contains("# TYPE rdx_engine_served counter"));

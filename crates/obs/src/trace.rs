@@ -346,76 +346,6 @@ impl TraceSnapshot {
         }
         out
     }
-
-    /// A JSON array-of-objects string (hand-rolled; all payloads are
-    /// numeric or static strings, so no escaping is needed).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\"dropped\":");
-        let _ = write!(out, "{}", self.dropped);
-        out.push_str(",\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"at_ns\":{},\"query\":{},\"kind\":\"{}\"",
-                e.seq,
-                e.at_ns,
-                e.query.raw(),
-                e.kind.label()
-            );
-            let _ = match e.kind {
-                EventKind::Submit => Ok(()),
-                EventKind::Tenant { tenant } => write!(out, ",\"tenant\":{tenant}"),
-                EventKind::Admit {
-                    share_bytes,
-                    queue_wait_ns,
-                } => write!(
-                    out,
-                    ",\"share_bytes\":{share_bytes},\"queue_wait_ns\":{queue_wait_ns}"
-                ),
-                EventKind::Reject { reason } => write!(out, ",\"reason\":\"{reason}\""),
-                EventKind::CacheLookup { hit } => write!(out, ",\"hit\":{hit}"),
-                EventKind::ChunkStep {
-                    chunk,
-                    rows,
-                    observed_ns,
-                    predicted_ns,
-                    working_set_bytes,
-                } => write!(
-                    out,
-                    ",\"chunk\":{chunk},\"rows\":{rows},\"observed_ns\":{observed_ns},\"predicted_ns\":{predicted_ns},\"working_set_bytes\":{working_set_bytes}"
-                ),
-                EventKind::ChunkProfile {
-                    chunk,
-                    accesses,
-                    l1_misses,
-                    l2_misses,
-                    tlb_misses,
-                    stall_cycles,
-                } => write!(
-                    out,
-                    ",\"chunk\":{chunk},\"accesses\":{accesses},\"l1_misses\":{l1_misses},\"l2_misses\":{l2_misses},\"tlb_misses\":{tlb_misses},\"stall_cycles\":{stall_cycles}"
-                ),
-                EventKind::DeadlineMiss {
-                    deadline_ns,
-                    consumed_ns,
-                } => write!(
-                    out,
-                    ",\"deadline_ns\":{deadline_ns},\"consumed_ns\":{consumed_ns}"
-                ),
-                EventKind::Cancel { reason } => write!(out, ",\"reason\":\"{reason}\""),
-                EventKind::Done { rows, wall_ns } => {
-                    write!(out, ",\"rows\":{rows},\"wall_ns\":{wall_ns}")
-                }
-            };
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -521,14 +451,6 @@ mod tests {
         assert!(text.contains("reject  unknown_relation"));
         assert!(text.contains("chunk   #0 rows=128"));
         assert!(text.contains("profile #0 accesses=4096 l1=300 l2=40 tlb=12 stall=9500cy"));
-
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"dropped\":0,\"events\":["));
-        assert!(json.contains("\"kind\":\"chunk_step\",\"chunk\":0,\"rows\":128"));
-        assert!(json.contains(
-            "\"kind\":\"chunk_profile\",\"chunk\":0,\"accesses\":4096,\"l1_misses\":300,\"l2_misses\":40,\"tlb_misses\":12,\"stall_cycles\":9500"
-        ));
-        assert!(json.contains("\"kind\":\"done\",\"rows\":128,\"wall_ns\":12000"));
     }
 
     #[test]
@@ -559,10 +481,5 @@ mod tests {
         assert!(text.contains("miss    deadline=1000ns consumed=2500ns"));
         assert!(text.contains("cancel  user"));
         assert!(text.contains("cancel  worker_panic"));
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"kind\":\"deadline_miss\",\"deadline_ns\":1000,\"consumed_ns\":2500")
-        );
-        assert!(json.contains("\"kind\":\"cancel\",\"reason\":\"deadline\""));
     }
 }

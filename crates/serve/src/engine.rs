@@ -58,7 +58,7 @@ use rdx_core::fault::{FaultInjector, FaultPlan};
 use rdx_core::strategy::planner::{
     plan_by_cost_with_threads, plan_streaming, predict_cost, streaming_bytes_per_row, StreamingPlan,
 };
-use rdx_core::strategy::{DoneHead, FrameSink, MaterializeSink, PhaseTimings, RowChunkSink};
+use rdx_core::strategy::{DoneHead, FrameSink, MaterializeSink, PhaseTimings};
 use rdx_dsm::DsmRelation;
 use rdx_exec::{ExecPolicy, PipelineRun, ProjectionPipeline};
 use rdx_obs::{Counter, EventKind, Gauge, Histogram, MetricsRegistry, Obs, QueryId};
@@ -264,15 +264,6 @@ struct Pending {
 enum TicketSink {
     Columns(MaterializeSink),
     Frame(FrameSink),
-}
-
-impl TicketSink {
-    fn as_dyn(&mut self) -> &mut dyn RowChunkSink {
-        match self {
-            TicketSink::Columns(sink) => sink,
-            TicketSink::Frame(sink) => sink,
-        }
-    }
 }
 
 /// A parked run: it owns its relations through the catalog's `Arc`s, so it
@@ -734,7 +725,10 @@ impl QueryEngine {
                 if let Some(worker) = injected_panic {
                     std::panic::panic_any(rdx_exec::WorkerPanic { worker });
                 }
-                running.run.step(running.sink.as_dyn())
+                match &mut running.sink {
+                    TicketSink::Columns(sink) => running.run.step(sink),
+                    TicketSink::Frame(sink) => running.run.step(sink),
+                }
             }))
         };
         match stepped {

@@ -136,8 +136,8 @@ pub enum ResultForm {
     #[default]
     Columns,
     /// One encoded `Done` frame ([`rdx_core::strategy::FrameSink`]): the
-    /// wire header's bytes, then the payload, filled chunk by chunk as the
-    /// run emits.  A result whose payload would exceed `max_payload` bytes
+    /// wire header's bytes, then the payload, which the run's kernels write
+    /// chunk by chunk.  A result whose payload would exceed `max_payload` bytes
     /// is refused with [`RdxError::ResultTooLarge`] before its first chunk.
     Frame {
         /// The transport's cap on one frame's payload.

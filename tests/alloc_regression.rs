@@ -93,17 +93,40 @@ fn bytes_allocated_during(f: impl FnOnce()) -> usize {
     BYTES.with(Cell::get) - before
 }
 
-/// A sink that verifies geometry but holds no memory: the steady-state
-/// consumer of the zero-allocation gate (a materialising sink would
-/// rightfully allocate for its own accumulation).
+/// A sink that verifies geometry and lends one chunk-sized buffer per
+/// column, reused for every chunk: the steady-state consumer of the
+/// zero-allocation gate (a materialising sink would rightfully allocate for
+/// its own accumulation).
 struct NullSink {
     rows: usize,
     chunks: usize,
+    columns: Vec<Vec<i32>>,
+}
+
+impl NullSink {
+    fn new(columns: Vec<Vec<i32>>) -> Self {
+        NullSink {
+            rows: 0,
+            chunks: 0,
+            columns,
+        }
+    }
 }
 
 impl RowChunkSink for NullSink {
-    fn emit(&mut self, _first_row: usize, columns: &mut [Vec<i32>]) {
-        self.rows += columns.first().map(|c| c.len()).unwrap_or(0);
+    type Cell = i32;
+
+    fn begin(&mut self, _total_rows: usize, num_columns: usize) {
+        self.columns.resize_with(num_columns, Vec::new);
+    }
+
+    fn column(&mut self, c: usize, rows: std::ops::Range<usize>) -> &mut [i32] {
+        self.columns[c].resize(rows.len(), 0);
+        &mut self.columns[c]
+    }
+
+    fn emit(&mut self, _first_row: usize, rows: usize) {
+        self.rows += rows;
         self.chunks += 1;
     }
 }
@@ -158,7 +181,7 @@ fn pipeline_step_allocates_nothing_in_steady_state() {
         &params,
         &policy,
     );
-    let mut sink = NullSink { rows: 0, chunks: 0 };
+    let mut sink = NullSink::new(Vec::new());
 
     // Warm-up: the first chunk grows the scratch to its high-water mark
     // (chunks after the first are never larger) — on this thread, where
@@ -194,7 +217,7 @@ fn pipeline_step_allocates_nothing_in_steady_state() {
     let scratch = run.take_scratch();
     let mut second = PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
     second.attach_scratch(scratch);
-    let mut sink2 = NullSink { rows: 0, chunks: 0 };
+    let mut sink2 = NullSink::new(sink.columns);
     let first_chunk_allocs = allocations_during(|| {
         second.step(&mut sink2);
         second.step(&mut sink2);
@@ -230,7 +253,7 @@ fn observed_pipeline_step_allocates_nothing_in_steady_state() {
     // through atomics and a pre-allocated ring only.
     let obs = Obs::enabled();
     run.attach_obs(&obs, QueryId::next(), 1_000);
-    let mut sink = NullSink { rows: 0, chunks: 0 };
+    let mut sink = NullSink::new(Vec::new());
 
     // Warm-up: first chunk grows scratch (and instantiates the histograms).
     assert!(run.step(&mut sink).is_some());
@@ -266,9 +289,9 @@ fn observed_pipeline_step_allocates_nothing_in_steady_state() {
 /// multi-chunk ticket has run its first chunk, every further
 /// [`QueryEngine::step`] in the middle of it — the scheduler decision, the
 /// chunk, and every count the engine keeps — allocates nothing.  That
-/// holds in both result forms: a columns ticket's sink reserved its result
-/// at the first chunk, and a frame ticket's sink allocated its whole frame
-/// at `begin`, so each later chunk's copy into either allocates nothing.
+/// holds in both result forms: a columns ticket's sink sized its result
+/// columns at `begin`, and a frame ticket's sink its whole frame, so each
+/// later chunk's writes into either allocate nothing.
 #[test]
 fn engine_step_allocates_nothing_mid_ticket() {
     let _guard = serialized();
@@ -322,7 +345,7 @@ fn engine_step_allocates_nothing_mid_ticket() {
 }
 
 /// A warm multi-chunk query served over the wire allocates its `Done`
-/// frame once: the engine copies every chunk into the frame its sink sized
+/// frame once: the kernels write every chunk into the frame its sink sized
 /// at `begin`, so no result column is allocated, and the server sends that
 /// frame instead of encoding a second one.  The server runs on the
 /// measuring thread; the client's allocations, on its own thread, are not
@@ -397,8 +420,8 @@ fn a_warm_multi_chunk_wire_query_allocates_its_frame_once() {
 }
 
 /// A warm query whose one chunk is the whole result allocates its result
-/// once: the chunk loop writes each column into a buffer the
-/// `MaterializeSink` keeps instead of copying, and reads the cached
+/// once: the chunk loop writes each column into the buffer the
+/// `MaterializeSink` sized at `begin`, and reads the cached
 /// prefix's clustered arrays in place.  What the engine pools for the next
 /// query is the staged column and the cursors, never a result column.
 #[test]
