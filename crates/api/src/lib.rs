@@ -215,6 +215,10 @@ mod tests {
         let smaller = session.register(w.smaller.clone());
         let ticket = session.query(larger, smaller).submit();
         assert!(matches!(ticket.poll(&mut session), QueryPoll::Queued));
+        // A step writes one column chunk; the default π = 1 + 1 takes two
+        // to make one row chunk's worth of progress.
+        assert_eq!(session.drive(1), 1);
+        assert!(matches!(ticket.poll(&mut session), QueryPoll::Chunk(p) if p.chunks == 0));
         assert_eq!(session.drive(1), 1);
         match ticket.poll(&mut session) {
             QueryPoll::Chunk(p) => {
@@ -433,19 +437,23 @@ mod tests {
         assert_eq!(labels[1], "admit");
         assert_eq!(labels[2], "cache_lookup");
         assert_eq!(labels.last(), Some(&"done"));
+        // One chunk step per column chunk: the default π = 1 + 1 writes two
+        // per row chunk.
+        let steps = 2 * report.stats.chunks;
         let chunk_events = labels.iter().filter(|l| **l == "chunk_step").count();
-        assert_eq!(chunk_events, report.stats.chunks);
+        assert_eq!(chunk_events, steps);
 
         let metrics = session.metrics().expect("enabled");
         assert_eq!(metrics.counter("engine.admissions"), Some(1));
         assert_eq!(metrics.counter("engine.cache_misses"), Some(1));
         assert_eq!(
             metrics.counter("engine.chunks_dispatched"),
-            // step() returns Some for each chunk plus a final None step.
-            Some(report.stats.chunks as u64)
+            // step() returns Some for each column chunk plus a final None
+            // step.
+            Some(steps as u64)
         );
         let h = metrics.histogram("pipeline.chunk_ns").expect("recorded");
-        assert_eq!(h.count, report.stats.chunks as u64);
+        assert_eq!(h.count, steps as u64);
     }
 
     #[test]

@@ -20,33 +20,29 @@ use std::sync::Arc;
 
 /// A sink that consumes the stream without retaining it (checksums every
 /// value), so the bench measures the pipeline, not a materialising consumer.
-/// It lends one chunk-sized buffer per column, reused for every chunk.
+/// It lends one chunk-sized buffer, reused for every column chunk.
 #[derive(Default)]
 struct ChecksumSink {
     sum: i64,
     rows: usize,
-    columns: Vec<Vec<i32>>,
+    buffer: Vec<i32>,
 }
 
 impl RowChunkSink for ChecksumSink {
     type Cell = i32;
 
-    fn begin(&mut self, _total_rows: usize, num_columns: usize) {
-        self.columns.resize_with(num_columns, Vec::new);
+    fn column(&mut self, _c: usize, rows: Range<usize>) -> &mut [i32] {
+        self.buffer.resize(rows.len(), 0);
+        &mut self.buffer
     }
 
-    fn column(&mut self, c: usize, rows: Range<usize>) -> &mut [i32] {
-        self.columns[c].resize(rows.len(), 0);
-        &mut self.columns[c]
-    }
-
-    fn emit(&mut self, _first_row: usize, rows: usize) {
-        for col in &self.columns {
-            for &v in col {
-                self.sum = self.sum.wrapping_add(v as i64);
-            }
+    fn emit(&mut self, c: usize, _first_row: usize, rows: usize) {
+        for &v in &self.buffer {
+            self.sum = self.sum.wrapping_add(v as i64);
         }
-        self.rows += rows;
+        if c == 0 {
+            self.rows += rows;
+        }
     }
 }
 

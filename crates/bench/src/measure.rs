@@ -707,48 +707,23 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
         );
     }
 
-    // End-to-end cell: a profiled pipeline run through the front door, with
-    // the totals its probed kernels charged read back from the `profile.*`
-    // counters.
+    // End-to-end cells: profiled pipeline runs through the front door.  The
+    // `pipeline.e2e` query's four columns fit the simulated L2, so its
+    // chunks interleave the columns; the `pipeline.column_major` query's
+    // eight outgrow it, so each column streams through all of its chunks
+    // before the next one.
     let w = JoinWorkloadBuilder::equal(4_000, 2).seed(7).build();
-    let mut session = rdx_api::Session::new(rdx_serve::ServeConfig {
-        params: params.clone(),
-        global_budget: MemoryBudget::bytes(64 * 1024),
-        max_concurrent: 1,
-        threads_per_query: 1,
-        observability: true,
-        ..rdx_serve::ServeConfig::default()
-    });
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
-    session
-        .query(larger, smaller)
-        .project(QuerySpec::symmetric(2))
-        .codes(DsmPostProjection::with_codes(
-            ProjectionCode::PartialCluster,
-            SecondSideCode::Decluster,
-        ))
-        .profiled()
-        .run()
-        .expect("profiled proxy query");
-    let metrics = session.metrics().expect("observability on");
-    for (name, unit) in [
-        ("accesses", "accesses"),
-        ("l1_misses", "misses"),
-        ("l2_misses", "misses"),
-        ("tlb_misses", "misses"),
-        ("stall_cycles", "cycles"),
-    ] {
-        let value = metrics
-            .counter(&format!("profile.{name}"))
-            .expect("profile counters recorded") as f64;
-        cells.push(MissProxyCell {
-            name: format!("pipeline.e2e.{name}"),
-            unit,
-            value,
-            higher_is_better: false,
-        });
-    }
+    let spec = QuerySpec::symmetric(2);
+    cells.extend(profiled_cells("e2e", params, &w, spec, 64 * 1024));
+    let wide = JoinWorkloadBuilder::equal(60_000, 4).seed(7).build();
+    let spec = QuerySpec::symmetric(4);
+    cells.extend(profiled_cells(
+        "column_major",
+        params,
+        &wide,
+        spec,
+        256 * 1024,
+    ));
 
     // Join cells: a probe of the per-partition hash table examines O(1)
     // entries whether or not the build side was Radix-Clustered first.
@@ -779,6 +754,57 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
         });
     }
     cells
+}
+
+/// The simulated totals of one profiled `c/d` query through the front door,
+/// on one worker under a `grant`-byte global budget, read back from the
+/// `profile.*` counters its probed kernels charged, as cells
+/// `pipeline.{name}.*`.
+fn profiled_cells(
+    name: &str,
+    params: &CacheParams,
+    w: &JoinWorkload,
+    spec: QuerySpec,
+    grant: usize,
+) -> Vec<MissProxyCell> {
+    let mut session = rdx_api::Session::new(rdx_serve::ServeConfig {
+        params: params.clone(),
+        global_budget: MemoryBudget::bytes(grant),
+        max_concurrent: 1,
+        threads_per_query: 1,
+        observability: true,
+        ..rdx_serve::ServeConfig::default()
+    });
+    let larger = session.register(w.larger.clone());
+    let smaller = session.register(w.smaller.clone());
+    session
+        .query(larger, smaller)
+        .project(spec)
+        .codes(DsmPostProjection::with_codes(
+            ProjectionCode::PartialCluster,
+            SecondSideCode::Decluster,
+        ))
+        .profiled()
+        .run()
+        .expect("profiled proxy query");
+    let metrics = session.metrics().expect("observability on");
+    [
+        ("accesses", "accesses"),
+        ("l1_misses", "misses"),
+        ("l2_misses", "misses"),
+        ("tlb_misses", "misses"),
+        ("stall_cycles", "cycles"),
+    ]
+    .into_iter()
+    .map(|(counter, unit)| MissProxyCell {
+        name: format!("pipeline.{name}.{counter}"),
+        unit,
+        value: metrics
+            .counter(&format!("profile.{counter}"))
+            .expect("profile counters recorded") as f64,
+        higher_is_better: false,
+    })
+    .collect()
 }
 
 /// What a query leaves in its chunk scratch, per row of its largest chunk:

@@ -88,7 +88,7 @@ impl ChunkRuns {
 /// struct with no self-referential lifetime — the positions live in a shared
 /// clustered prefix (possibly behind an `Arc` in a cross-query cache) and are
 /// passed back in on resume.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChunkCursorState {
     /// `(cursor, end)` per original cluster; drained clusters keep
     /// `cursor == end` (order is preserved so chunk-local staging is
@@ -102,11 +102,18 @@ impl ChunkCursorState {
     /// (`H + 1` offsets, as produced by
     /// [`crate::cluster::Clustered::bounds`]).
     pub fn new(bounds: &[usize]) -> Self {
-        let cursors = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-        ChunkCursorState {
-            cursors,
-            consumed: 0,
-        }
+        let mut state = ChunkCursorState::default();
+        state.reset(bounds);
+        state
+    }
+
+    /// Rewinds every cursor to the start of its cluster of `bounds`, in
+    /// place: a sweep over the same clustered index starts over without
+    /// allocating (a column-major run restarts the sweep per column).
+    pub fn reset(&mut self, bounds: &[usize]) {
+        self.cursors.clear();
+        self.cursors.extend(bounds.windows(2).map(|w| (w[0], w[1])));
+        self.consumed = 0;
     }
 
     /// Number of result rows already handed out.

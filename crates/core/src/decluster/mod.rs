@@ -268,6 +268,13 @@ impl DeclusterScratch {
         Self::default()
     }
 
+    /// Grows the cursor array to hold `clusters` live clusters, so sweeps
+    /// of at most that many allocate nothing.
+    pub fn reserve(&mut self, clusters: usize) {
+        self.clusters
+            .reserve(clusters.saturating_sub(self.clusters.len()));
+    }
+
     /// Resident heap bytes of the cursor array (capacity, not length).
     pub fn resident_bytes(&self) -> usize {
         self.clusters.capacity() * std::mem::size_of::<Live>()

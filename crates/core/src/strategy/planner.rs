@@ -63,6 +63,7 @@ pub fn plan_by_cost_with_threads(
     let (larger_rows, smaller_rows) = (larger.cardinality(), smaller.cardinality());
     let whole = plan_streaming(
         larger_rows,
+        larger_rows,
         smaller_rows,
         spec,
         params,
@@ -97,12 +98,13 @@ pub fn plan_by_cost_with_threads(
     best.1
 }
 
-/// Resident bytes one result row costs the streaming pipeline while its
-/// chunk is in flight: all `π` output column values held until the chunk is
-/// emitted, plus the staged clustered values of the column currently being
-/// declustered.  Every chunk, whole-result or partial, reads the prefix's
-/// clustered oids and result positions in place, so they cost the chunk
-/// nothing.
+/// The bytes a chunk budget is charged per result row: the row's cell in
+/// each of the `π` output columns the chunk writes, plus its staged
+/// clustered value.  The output cells are the sink's memory — whole-result
+/// columns or a `Done` frame, lent per column — so the chunk itself holds
+/// only the staged 4 B per row; every chunk, whole-result or partial, reads
+/// the prefix's clustered oids and result positions in place, so they cost
+/// it nothing.
 ///
 /// This is the `bytes_per_row` the chunk-count rule divides the
 /// [`MemoryBudget`] by — the analogue of `per_core_share` dividing the cache.
@@ -110,17 +112,31 @@ pub fn streaming_bytes_per_row(spec: &QuerySpec) -> usize {
     (spec.total() + 1) * VALUE_WIDTH
 }
 
+/// The order a streaming run visits its column chunks (one projected
+/// column × one row chunk) in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkOrder {
+    /// Row chunk by row chunk, every column of a chunk before the next
+    /// chunk: the columns share the chunk's reads of the clustered index.
+    Interleaved,
+    /// Column by column, each through all of its row chunks before the
+    /// next column, as the paper's DSM post-projection runs one column per
+    /// pass (Fig. 4): only one column's cluster regions compete for the
+    /// cache.
+    ColumnMajor,
+}
+
 /// The chunking a [`MemoryBudget`] imposes on a streaming projection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingPlan {
     /// Result rows per chunk (`≥ 1`).
     pub chunk_rows: usize,
-    /// Number of chunks the result splits into (`≥ 1`).
+    /// Number of row chunks the result splits into (`≥ 1`).
     pub num_chunks: usize,
     /// Insertion-window size `‖W‖` for the per-chunk declusters, clamped to
     /// never exceed one chunk's output.
     pub window_bytes: usize,
-    /// Resident bytes charged per in-flight result row (see
+    /// Bytes charged per in-flight result row (see
     /// [`streaming_bytes_per_row`]).
     pub bytes_per_row: usize,
     /// The second-side partial clustering the chunks stream over — the
@@ -128,6 +144,8 @@ pub struct StreamingPlan {
     /// [`predict_cost`] (which prices it), so the two can never drift
     /// apart.
     pub cluster_spec: RadixClusterSpec,
+    /// The order the run visits its column chunks in.
+    pub order: ChunkOrder,
 }
 
 impl StreamingPlan {
@@ -139,10 +157,11 @@ impl StreamingPlan {
     }
 }
 
-/// Picks the chunk count and per-chunk window for a streaming projection of
-/// `result_rows` rows over a smaller relation of `smaller_tuples` tuples of
-/// 4-byte integer columns, declustered by `threads` concurrent workers,
-/// under `budget`.
+/// Picks the chunk count, per-chunk window and column-chunk order for a
+/// streaming projection of `result_rows` rows joining a larger relation of
+/// `larger_tuples` and a smaller one of `smaller_tuples` tuples of 4-byte
+/// integer columns, declustered by `threads` concurrent workers, under
+/// `budget`.
 ///
 /// The rule mirrors [`choose_window_bytes`] one level up: the budget divided
 /// by the per-row resident cost gives the chunk size (floored at one row, so
@@ -151,6 +170,12 @@ impl StreamingPlan {
 /// the cache ([`CacheParams::per_core_share`], as the parallel executors do)
 /// and clamped to the chunk output so a tiny budget never asks for a window
 /// larger than the data it covers.
+///
+/// The order is one footprint test against the same share: a run of more
+/// than one chunk whose projected source columns (cardinality × 4 B each)
+/// outgrow the share's last-level capacity walks [`ChunkOrder::ColumnMajor`],
+/// so a chunk stops evicting the cluster regions the previous chunk of its
+/// column loaded; every other run interleaves.
 ///
 /// **Documented clamp:** a bounded budget smaller than one resident row
 /// ([`streaming_bytes_per_row`]) is clamped to a one-row chunk, so the
@@ -162,6 +187,7 @@ impl StreamingPlan {
 /// instead.
 pub fn plan_streaming(
     result_rows: usize,
+    larger_tuples: usize,
     smaller_tuples: usize,
     spec: &QuerySpec,
     params: &CacheParams,
@@ -172,18 +198,23 @@ pub fn plan_streaming(
     let chunk_rows = budget.chunk_rows(result_rows, bytes_per_row);
     let num_chunks = budget.num_chunks(result_rows, bytes_per_row);
     let cluster_spec = plan_partial_cluster(smaller_tuples, VALUE_WIDTH, params);
-    let window = choose_window_bytes(
-        VALUE_WIDTH,
-        cluster_spec.num_clusters(),
-        &params.per_core_share(threads),
-    );
+    let share = params.per_core_share(threads);
+    let window = choose_window_bytes(VALUE_WIDTH, cluster_spec.num_clusters(), &share);
     let window_bytes = window.min((chunk_rows * VALUE_WIDTH).max(VALUE_WIDTH));
+    let footprint =
+        (spec.project_larger * larger_tuples + spec.project_smaller * smaller_tuples) * VALUE_WIDTH;
+    let order = if num_chunks > 1 && footprint > share.cache_capacity() {
+        ChunkOrder::ColumnMajor
+    } else {
+        ChunkOrder::Interleaved
+    };
     StreamingPlan {
         chunk_rows,
         num_chunks,
         window_bytes,
         bytes_per_row,
         cluster_spec,
+        order,
     }
 }
 
@@ -289,7 +320,7 @@ mod tests {
         let spec_low = QuerySpec::symmetric(1);
         let spec_high = QuerySpec::symmetric(64);
         let whole =
-            |spec: &QuerySpec| plan_streaming(n, n, spec, &params, MemoryBudget::unbounded(), 1);
+            |spec: &QuerySpec| plan_streaming(n, n, n, spec, &params, MemoryBudget::unbounded(), 1);
         let price = |first, spec: &QuerySpec| {
             let codes = DsmPostProjection::with_codes(first, SecondSideCode::Unsorted);
             predict_cost(codes, &whole(spec), n, n, n, spec, &params)
@@ -347,6 +378,7 @@ mod tests {
             let plan = plan_streaming(
                 n,
                 n,
+                n,
                 &spec,
                 &params,
                 MemoryBudget::fraction_of(data_bytes, denom),
@@ -364,7 +396,7 @@ mod tests {
             last_chunks = plan.num_chunks;
         }
         // Unbounded budget degenerates to one chunk with the usual window.
-        let unbounded = plan_streaming(n, n, &spec, &params, MemoryBudget::unbounded(), 1);
+        let unbounded = plan_streaming(n, n, n, &spec, &params, MemoryBudget::unbounded(), 1);
         assert_eq!(unbounded.num_chunks, 1);
         assert_eq!(unbounded.chunk_rows, n);
     }
@@ -376,6 +408,7 @@ mod tests {
         let plan = plan_streaming(
             100_000,
             100_000,
+            100_000,
             &spec,
             &params,
             MemoryBudget::bytes(1024),
@@ -384,7 +417,7 @@ mod tests {
         assert!(plan.window_bytes <= plan.chunk_rows * 4);
         assert!(plan.window_bytes >= 4);
         // One-row floor: even absurd budgets make progress.
-        let tiny = plan_streaming(100, 100, &spec, &params, MemoryBudget::bytes(1), 1);
+        let tiny = plan_streaming(100, 100, 100, &spec, &params, MemoryBudget::bytes(1), 1);
         assert_eq!(tiny.chunk_rows, 1);
         assert_eq!(tiny.num_chunks, 100);
     }
@@ -398,6 +431,7 @@ mod tests {
         // One byte below the one-row floor clamps to a documented one-row
         // chunking instead of panicking anywhere downstream.
         let clamped = plan_streaming(
+            1_000,
             1_000,
             1_000,
             &spec,
@@ -414,10 +448,10 @@ mod tests {
         let params = CacheParams::paper_pentium4();
         let spec = QuerySpec::symmetric(1);
         let n = 1_000_000;
-        let one = plan_streaming(n, n, &spec, &params, MemoryBudget::unbounded(), 1);
+        let one = plan_streaming(n, n, n, &spec, &params, MemoryBudget::unbounded(), 1);
         // More concurrent workers shrink the per-worker insertion window
         // (each worker owns only a share of the cache).
-        let eight = plan_streaming(n, n, &spec, &params, MemoryBudget::unbounded(), 8);
+        let eight = plan_streaming(n, n, n, &spec, &params, MemoryBudget::unbounded(), 8);
         assert!(eight.window_bytes < one.window_bytes);
     }
 
@@ -432,6 +466,7 @@ mod tests {
         let monolithic = price(&plan_streaming(
             n,
             n,
+            n,
             &spec,
             &params,
             MemoryBudget::unbounded(),
@@ -439,6 +474,7 @@ mod tests {
         ));
         for denom in [4usize, 64] {
             let plan = plan_streaming(
+                n,
                 n,
                 n,
                 &spec,
@@ -469,6 +505,49 @@ mod tests {
                 "denom {denom}: {streamed} vs {monolithic}"
             );
         }
+    }
+
+    /// The column-chunk order: a multi-chunk run whose projected source
+    /// columns outgrow its per-core cache share walks column-major; a run
+    /// whose columns fit the share, or a one-chunk run, interleaves.
+    #[test]
+    fn the_order_rule_streams_column_major_only_when_the_columns_outgrow_the_share() {
+        use ChunkOrder::{ColumnMajor, Interleaved};
+        let pentium = CacheParams::paper_pentium4();
+        let order = |(larger, smaller): (usize, usize), pi, params: &CacheParams, budget| {
+            let spec = QuerySpec::symmetric(pi);
+            let plan = plan_streaming(larger, larger, smaller, &spec, params, budget, 1);
+            (plan.num_chunks, plan.order)
+        };
+        // `perf_proxy`'s `pipeline.e2e` query: 4 000 × 2, π = 2, one query
+        // in flight (the whole 512 KB L2) under its 64 KiB grant.  Its four
+        // columns' 64 000 B fit, so its two chunks interleave.
+        let e2e = order((4_000, 4_000), 2, &pentium, MemoryBudget::bytes(64 * 1024));
+        assert_eq!(e2e, (2, Interleaved));
+        // The mix's hottest tenant, 200 000 × 2 at π = 2, planned at a
+        // quarter of the cache under the fair share (200 000 B) of its
+        // 800 000 B global budget: 3.2 MB of columns against 128 KB.
+        let quarter = pentium.per_query_share(4);
+        let mix = order(
+            (200_000, 200_000),
+            2,
+            &quarter,
+            MemoryBudget::bytes(200_000),
+        );
+        assert_eq!(mix, (20, ColumnMajor));
+        // The same columns as one chunk interleave: one pass reads them all.
+        let whole = order((200_000, 200_000), 2, &quarter, MemoryBudget::unbounded());
+        assert_eq!(whole, (1, Interleaved));
+        // Each side's columns count at their own cardinality, against the
+        // share of every worker: 4 × 10 000 × 4 B is above a quarter of the
+        // cache (131 072 B), 2 × 10 000 × 4 B + 2 × 1 000 × 4 B is not …
+        let budget = MemoryBudget::bytes(16 * 1024);
+        assert_eq!(order((10_000, 10_000), 2, &quarter, budget).1, ColumnMajor);
+        assert_eq!(order((10_000, 1_000), 2, &quarter, budget).1, Interleaved);
+        // … and two workers halve the share.
+        let spec = QuerySpec::symmetric(2);
+        let two = plan_streaming(10_000, 10_000, 1_000, &spec, &quarter, budget, 2);
+        assert_eq!(two.order, ColumnMajor);
     }
 
     /// The engine plans every query at a quarter of the cache

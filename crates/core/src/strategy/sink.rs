@@ -15,12 +15,17 @@ use std::ops::Range;
 /// Receives the projected result chunk by chunk, lending the memory each
 /// chunk is written into.
 ///
-/// Chunks arrive in ascending, gap-free `first_row` order; every chunk
-/// carries all projected columns (larger-side columns first, then
-/// smaller-side, as in [`crate::strategy::StrategyOutcome`]).  Per chunk
-/// the producer borrows each column's rows ([`RowChunkSink::column`]),
+/// The producer writes the result one *column chunk* at a time: one
+/// projected column (larger-side columns first, then smaller-side, as in
+/// [`crate::strategy::StrategyOutcome`]) × one contiguous row chunk.  Per
+/// column chunk it borrows the column's rows ([`RowChunkSink::column`]),
 /// writes every value once into them as a [`FromValue`] cell, and then
-/// calls [`RowChunkSink::emit`].
+/// calls [`RowChunkSink::emit`].  Each column's chunks arrive in
+/// ascending, gap-free `first_row` order; how the columns' chunks
+/// interleave is the run's
+/// [`ChunkOrder`](crate::strategy::planner::ChunkOrder): every column of a
+/// row chunk before the next, or each column through all of its chunks
+/// before the next column.
 pub trait RowChunkSink {
     /// What one result value is stored as in the lent memory.
     type Cell: FromValue<i32> + Send;
@@ -31,13 +36,13 @@ pub trait RowChunkSink {
     }
 
     /// Lends the cells of result rows `rows` of column `c`, for the producer
-    /// to overwrite; `rows` is the chunk about to be emitted.
+    /// to overwrite; `rows` is the column chunk about to be emitted.
     fn column(&mut self, c: usize, rows: Range<usize>) -> &mut [Self::Cell];
 
-    /// Notice that every column's cells of the `rows` rows starting at
+    /// Notice that column `c`'s cells of the `rows` rows starting at
     /// `first_row` are written.
-    fn emit(&mut self, first_row: usize, rows: usize) {
-        let _ = (first_row, rows);
+    fn emit(&mut self, c: usize, first_row: usize, rows: usize) {
+        let _ = (c, first_row, rows);
     }
 
     /// Called once after the last chunk.
@@ -48,13 +53,14 @@ pub trait RowChunkSink {
 /// compatibility bridge to the non-streaming executors (and the conformance
 /// tests' way of comparing streamed and materialised results byte for byte).
 ///
-/// `begin` sizes the whole-result columns and each chunk is written straight
-/// into its rows of them, never copied.  A column lent anywhere but where
-/// the last chunk ended panics: chunks must come in order.
+/// `begin` sizes the whole-result columns and each column chunk is written
+/// straight into its rows of them, never copied.  A column lent anywhere but
+/// where its last chunk ended panics: each column's chunks must come in
+/// order.
 #[derive(Debug, Default)]
 pub struct MaterializeSink {
-    columns: Vec<Vec<i32>>,
-    emitted: usize,
+    /// Each whole-result column and the rows emitted into it so far.
+    columns: Vec<(Vec<i32>, usize)>,
 }
 
 impl MaterializeSink {
@@ -66,7 +72,7 @@ impl MaterializeSink {
     /// Consumes the sink, yielding the accumulated result.
     pub fn into_result(self) -> ResultRelation {
         let mut result = ResultRelation::new();
-        for col in self.columns {
+        for (col, _) in self.columns {
             result.push_column(Column::from_vec(col));
         }
         result
@@ -77,16 +83,17 @@ impl RowChunkSink for MaterializeSink {
     type Cell = i32;
 
     fn begin(&mut self, total_rows: usize, num_columns: usize) {
-        self.columns = (0..num_columns).map(|_| vec![0; total_rows]).collect();
+        self.columns = (0..num_columns).map(|_| (vec![0; total_rows], 0)).collect();
     }
 
     fn column(&mut self, c: usize, rows: Range<usize>) -> &mut [i32] {
-        assert_eq!(rows.start, self.emitted, "chunk out of order");
-        &mut self.columns[c][rows]
+        let (column, emitted) = &mut self.columns[c];
+        assert_eq!(rows.start, *emitted, "chunk out of order");
+        &mut column[rows]
     }
 
-    fn emit(&mut self, _first_row: usize, rows: usize) {
-        self.emitted += rows;
+    fn emit(&mut self, c: usize, _first_row: usize, rows: usize) {
+        self.columns[c].1 += rows;
     }
 }
 
@@ -252,18 +259,24 @@ impl RowChunkSink for FrameSink {
 }
 
 /// A test/instrumentation sink decorator: lends `inner`'s memory while
-/// recording chunk geometry (count, max rows per chunk) so tests can assert
-/// the streaming contract without re-implementing a consumer.
+/// recording chunk geometry (count, max rows per chunk) and the order the
+/// columns arrive in, so tests can assert the streaming contract without
+/// re-implementing a consumer.  Every column is cut into the same row
+/// chunks, so the row geometry is read off column 0.
 #[derive(Debug)]
 pub struct CountingSink<S> {
     /// The decorated sink.
     pub inner: S,
-    /// Chunks seen so far.
+    /// Row chunks seen so far (column 0's chunks).
     pub chunks: usize,
     /// Largest chunk (in rows) seen so far.
     pub max_chunk_rows: usize,
-    /// Total rows seen so far.
+    /// Total rows seen so far (column 0's rows).
     pub rows: usize,
+    /// The column of each run of consecutive column chunks: `0, 1, …` once
+    /// per row chunk when the columns interleave, once in all when they
+    /// stream column-major.
+    pub column_runs: Vec<usize>,
 }
 
 impl<S> CountingSink<S> {
@@ -274,6 +287,7 @@ impl<S> CountingSink<S> {
             chunks: 0,
             max_chunk_rows: 0,
             rows: 0,
+            column_runs: Vec::new(),
         }
     }
 }
@@ -289,11 +303,16 @@ impl<S: RowChunkSink> RowChunkSink for CountingSink<S> {
         self.inner.column(c, rows)
     }
 
-    fn emit(&mut self, first_row: usize, rows: usize) {
-        self.chunks += 1;
-        self.max_chunk_rows = self.max_chunk_rows.max(rows);
-        self.rows += rows;
-        self.inner.emit(first_row, rows);
+    fn emit(&mut self, c: usize, first_row: usize, rows: usize) {
+        if c == 0 {
+            self.chunks += 1;
+            self.max_chunk_rows = self.max_chunk_rows.max(rows);
+            self.rows += rows;
+        }
+        if self.column_runs.last() != Some(&c) {
+            self.column_runs.push(c);
+        }
+        self.inner.emit(c, first_row, rows);
     }
 
     fn finish(&mut self) {
@@ -315,8 +334,8 @@ mod tests {
             for (cell, &v) in cells.iter_mut().zip(*values) {
                 *cell = S::Cell::from_value(v);
             }
+            sink.emit(c, first_row, rows);
         }
-        sink.emit(first_row, rows);
     }
 
     #[test]
@@ -330,6 +349,36 @@ mod tests {
         assert_eq!(result.cardinality(), 5);
         assert_eq!(result.columns()[0].as_slice(), &[1, 2, 3, 4, 5]);
         assert_eq!(result.columns()[1].as_slice(), &[10, 20, 30, 40, 50]);
+    }
+
+    /// Each column's chunks arrive in order, and a column may run through
+    /// all of its chunks before the next column starts (column-major).
+    #[test]
+    fn materialize_sink_takes_each_column_through_its_chunks_in_turn() {
+        let mut sink = CountingSink::new(MaterializeSink::new());
+        sink.begin(5, 2);
+        for (c, values) in [[1, 2, 3, 4, 5], [10, 20, 30, 40, 50]].iter().enumerate() {
+            for rows in [0..3, 3..5] {
+                let cells = sink.column(c, rows.clone());
+                cells.copy_from_slice(&values[rows.clone()]);
+                sink.emit(c, rows.start, rows.len());
+            }
+        }
+        sink.finish();
+        assert_eq!((sink.chunks, sink.rows), (2, 5));
+        assert_eq!(sink.column_runs, [0, 1]);
+        let result = sink.inner.into_result();
+        assert_eq!(result.columns()[0].as_slice(), &[1, 2, 3, 4, 5]);
+        assert_eq!(result.columns()[1].as_slice(), &[10, 20, 30, 40, 50]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk out of order")]
+    fn materialize_sink_rejects_a_column_chunk_out_of_order() {
+        let mut sink = MaterializeSink::new();
+        sink.begin(4, 2);
+        write(&mut sink, 0, &[&[1, 2], &[3, 4]]);
+        sink.column(1, 0..2);
     }
 
     #[test]
@@ -395,6 +444,7 @@ mod tests {
         assert_eq!(sink.chunks, 2);
         assert_eq!(sink.max_chunk_rows, 3);
         assert_eq!(sink.rows, 4);
+        assert_eq!(sink.column_runs, [0]);
         assert_eq!(sink.inner.into_result().cardinality(), 4);
     }
 }

@@ -20,28 +20,38 @@
 //!    its result block, [`PackedPositions`]; this whole prefix is factored
 //!    out as [`PreparedProjection`] — a self-contained, *shareable* product
 //!    (the serving layer caches it across queries under an `Arc`);
-//! 2. the result rows are cut into chunks of
-//!    [`StreamingPlan::chunk_rows`] = `budget / bytes_per_row` rows;
-//! 3. per chunk, a [`ChunkCursorState`] advances one cursor per cluster
-//!    (§3.2's ascending-within-cluster property makes every result prefix a
-//!    prefix of every cluster), attribute values are fetched **on demand**
-//!    from the base relations into a chunk-local `CLUST_VALUES` through the
-//!    chunk's runs of the prefix's packed `CLUST_SMALLER`, declustered by the
-//!    windowed kernel over the same runs of its `CLUST_RESULT` — both read in
-//!    place, morsel-parallel across insertion windows — and emitted;
+//! 2. the result rows are cut into row chunks of
+//!    [`StreamingPlan::chunk_rows`] = `budget / bytes_per_row` rows, and
+//!    each projected column × row chunk is one **column chunk**, visited in
+//!    the plan's [`ChunkOrder`]: every column of a row chunk before the next
+//!    chunk, or — when the projected columns outgrow the per-core cache
+//!    share — each column through all of its chunks before the next column,
+//!    as Fig. 4 runs one column per pass, so a chunk stops evicting the
+//!    cluster regions the previous chunk of its column loaded;
+//! 3. per declustered column chunk, a [`ChunkCursorState`] advances one
+//!    cursor per cluster (§3.2's ascending-within-cluster property makes
+//!    every result prefix a prefix of every cluster; a column that starts
+//!    over rewinds the cursors in place), attribute values are fetched **on
+//!    demand** from the base relations into a chunk-local `CLUST_VALUES`
+//!    through the chunk's runs of the prefix's packed `CLUST_SMALLER`,
+//!    declustered by the windowed kernel over the same runs of its
+//!    `CLUST_RESULT` — both read in place, morsel-parallel across insertion
+//!    windows — and emitted; a first-side or unsorted column chunk is one
+//!    gather;
 //! 4. the sink decides what full-result memory (if any) to pay, and lends
-//!    it: the kernels write each chunk's rows straight into the cells the
-//!    sink lends per column — [`MaterializeSink`]'s whole-result columns,
-//!    [`rdx_core::strategy::FrameSink`]'s `Done` frame bodies — so each
-//!    result value is written once, by a kernel, in result order, and never
-//!    copied.
+//!    it: the kernels write each column chunk's rows straight into the
+//!    cells the sink lends for that column — [`MaterializeSink`]'s
+//!    whole-result columns, [`rdx_core::strategy::FrameSink`]'s `Done`
+//!    frame bodies — so each result value is written once, by a kernel, in
+//!    its column's row order, and never copied.
 //!
 //! The chunk loop itself is a **resumable** [`PipelineRun`]: each
-//! [`PipelineRun::step`] emits exactly one chunk and returns, so a scheduler
-//! can interleave chunks from many concurrent queries — chunk boundaries are
-//! natural preemption points, which is what makes the multi-query serving
-//! layer (`rdx-serve`) possible.  [`ProjectionPipeline::materialize`] is
-//! simply `prepare` + `step` until done into a [`MaterializeSink`].
+//! [`PipelineRun::step`] emits exactly one column chunk and returns, so a
+//! scheduler can interleave column chunks from many concurrent queries —
+//! their boundaries are natural preemption points, which is what makes the
+//! multi-query serving layer (`rdx-serve`) possible.
+//! [`ProjectionPipeline::materialize`] is simply `prepare` + `step` until
+//! done into a [`MaterializeSink`].
 //!
 //! The output is **byte-identical**, in row order, for every budget, thread
 //! count and step interleaving, because chunking changes only *when* a
@@ -79,7 +89,7 @@ use rdx_core::decluster::{DeclusterScratch, ResultPositions};
 use rdx_core::error::{check_projection_widths, RdxError};
 use rdx_core::join::join_cluster_spec;
 use rdx_core::positional::{AttrSource, OidBlock};
-use rdx_core::strategy::planner::{plan_streaming, StreamingPlan};
+use rdx_core::strategy::planner::{plan_streaming, ChunkOrder, StreamingPlan};
 use rdx_core::strategy::sink::{MaterializeSink, RowChunkSink};
 use rdx_core::strategy::{
     DsmPostProjection, PhaseTimings, ProjectionCode, QuerySpec, SecondSideCode, StrategyOutcome,
@@ -240,22 +250,24 @@ impl PreparedProjection {
 }
 
 /// What one pipeline run did: the chunking it planned, what it actually
-/// emitted, and the measured peak chunk working set: the bytes the chunk
-/// writes and stages — its rows of every output column and, when it
-/// declusters, its staged `CLUST_VALUES`.  The clustered index every chunk
-/// reads in place is the prefix's (counted by
-/// [`PreparedProjection::resident_bytes`]), so a declustering chunk holds
-/// exactly what [`rdx_core::strategy::planner::streaming_bytes_per_row`]
-/// prices.
+/// emitted, and the peak chunk working set the plan charged it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineStats {
     /// The chunking the planner derived from the budget.
     pub streaming: StreamingPlan,
-    /// Chunks handed to the sink.
+    /// Row chunks' worth of column chunks handed to the sink (column chunks
+    /// ÷ projected columns): the row-chunk count once the run is done.
     pub chunks_emitted: usize,
-    /// Total result rows handed to the sink.
+    /// The rows of those row chunks: the result's cardinality once the run
+    /// is done.
     pub rows_emitted: usize,
-    /// Largest per-chunk working set observed, in bytes.
+    /// Largest row chunk's charge, in bytes: what
+    /// [`rdx_core::strategy::planner::streaming_bytes_per_row`] prices — its
+    /// rows of every output column, written into the sink's memory, and,
+    /// when it declusters, its staged `CLUST_VALUES`, the only part the
+    /// chunk's own scratch holds.  The clustered index every chunk reads in
+    /// place is the prefix's (counted by
+    /// [`PreparedProjection::resident_bytes`]).
     pub peak_chunk_bytes: usize,
     /// Phase wall-clock breakdown ([`PhaseTimings`] semantics; chunked
     /// phases accumulate across chunks).
@@ -267,8 +279,9 @@ pub struct PipelineStats {
 /// decluster cursor scratch.  It holds no output column — the kernels
 /// write into the memory the sink lends.
 ///
-/// Every buffer grows to the chunk high-water mark on the first chunk and
-/// is reused afterwards, which is what makes a steady-state
+/// The run's first step grows every buffer to its high-water mark — a
+/// chunk's rows, one run per cluster — whichever column that step writes,
+/// and later steps reuse them, which is what makes a steady-state
 /// [`PipelineRun::step`] **allocation-free** on a single-threaded policy
 /// (multi-threaded chunks still pay their scoped thread spawns).  The
 /// serving layer pools these across queries in a batch
@@ -285,6 +298,16 @@ impl ChunkScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Grows every buffer to hold a chunk of `rows` rows over `clusters`
+    /// clusters.
+    fn reserve(&mut self, rows: usize, clusters: usize) {
+        self.staged.reserve(rows.saturating_sub(self.staged.len()));
+        let runs = clusters.saturating_sub(self.chunk.runs.len());
+        self.chunk.runs.reserve(runs);
+        self.chunk.clusters.reserve(runs);
+        self.decluster.reserve(clusters);
     }
 
     /// Resident heap bytes currently held (capacity, not length).
@@ -314,7 +337,7 @@ struct RunObs {
 /// profiled mode is on: a persistent [`MemorySystem`], one [`Region`] per
 /// array a chunk's kernels touch — laid out once, at attach, from one
 /// [`AddressSpace`], so no two alias, and indexed by the layout ids below —
-/// and the [`rdx_obs::Profile`] instruments.  Each chunk runs its kernels
+/// and the [`rdx_obs::Profile`] instruments.  Each step runs its kernels
 /// under a [`SimProbe`] over these regions, which changes nothing a chunk
 /// computes.  Profiling is opt-in because a probed kernel runs on one
 /// worker and every reference it makes goes through the simulator.
@@ -339,36 +362,16 @@ const CURSORS: usize = 4;
 const STARTS: usize = 5;
 const COLUMNS: usize = 6;
 
-/// Gathers attribute `a` of `source` into rows `rows` of result column
-/// `columns.start + a` of `sink`, for every column of `columns`, through
-/// `oids`, whose element 0 is element `at` of the layout's array `stored`.
-#[allow(clippy::too_many_arguments)]
-fn fetch_columns<S: AttrSource + Sync, K: RowChunkSink, P: Probe>(
-    source: &S,
-    oids: OidBlock<'_>,
-    (stored, at): (usize, usize),
-    columns: Range<usize>,
-    rows: Range<usize>,
-    policy: &ExecPolicy,
-    sink: &mut K,
-    probe: &mut P,
-) {
-    for (attr, c) in columns.enumerate() {
-        let region = COLUMNS + 2 * c;
-        let mut probe = Remap::new(&mut *probe, [(stored, at), (region, 0), (region + 1, 0)]);
-        let out = sink.column(c, rows.clone());
-        par_gather_into(source, attr, oids, policy, out, &mut probe);
-    }
-}
-
-/// One in-flight streaming projection, resumable chunk by chunk.
+/// One in-flight streaming projection, resumable column chunk by column
+/// chunk.
 ///
 /// A run owns its cursor state and chunk position but only *shares* the
 /// expensive [`PreparedProjection`] prefix (via `Arc`, so a cross-query
 /// cache can hand the same prefix to many concurrent runs).  Each call to
-/// [`PipelineRun::step`] emits exactly one chunk into the sink and returns;
-/// between calls the run is a plain parked value, which is what lets a fair
-/// scheduler interleave many queries at chunk granularity.  Stepping a run
+/// [`PipelineRun::step`] emits exactly one column chunk — one projected
+/// column × one row chunk — into the sink and returns; between calls the
+/// run is a plain parked value, which is what lets a fair scheduler
+/// interleave many queries at column-chunk granularity.  Stepping a run
 /// to completion produces output byte-identical to the one-chunk
 /// [`ProjectionPipeline::materialize`], independent of the budget and of
 /// how steps interleave with other runs.
@@ -381,8 +384,8 @@ pub struct PipelineRun<L, S> {
     streaming: StreamingPlan,
     cursors: Option<ChunkCursorState>,
     scratch: ChunkScratch,
-    emitted: usize,
-    chunks_emitted: usize,
+    /// Column chunks written so far.
+    steps: usize,
     peak_chunk_bytes: usize,
     timings: PhaseTimings,
     begun: bool,
@@ -429,6 +432,7 @@ where
         };
         let streaming = plan_streaming(
             prepared.result_rows(),
+            prepared.larger_cardinality,
             prepared.smaller_cardinality,
             spec,
             params,
@@ -455,8 +459,7 @@ where
             streaming,
             cursors,
             scratch: ChunkScratch::new(),
-            emitted: 0,
-            chunks_emitted: 0,
+            steps: 0,
             peak_chunk_bytes: 0,
             timings: PhaseTimings::default(),
             begun: false,
@@ -470,7 +473,7 @@ where
     /// records a `ChunkStep` trace event keyed by `query` plus the
     /// `pipeline.chunk_ns` and `pipeline.predicted_vs_observed_permille`
     /// histograms (observed ns × 1000 / `predicted_chunk_ns`, the caller's
-    /// per-chunk price of this run — the Fig. 9 measured-vs-modeled
+    /// price of one column chunk of this run — the Fig. 9 measured-vs-modeled
     /// comparison as a live distribution).  Histogram handles are resolved
     /// here, once, so the chunk loop itself never touches the registry.  An untraced `obs` is a no-op: the run stays
     /// exactly as cheap — and as clock-free — as an unobserved one.
@@ -489,9 +492,9 @@ where
     }
 
     /// Arms cache-truth profiling: every subsequent [`Self::step`] runs its
-    /// kernels under a [`SimProbe`], charging the chunk's memory accesses
-    /// to a simulated [`MemorySystem`] under `params`, and records per-phase
-    /// spans and per-chunk [`rdx_obs::MissCounts`] into `obs`
+    /// kernels under a [`SimProbe`], charging the column chunk's memory
+    /// accesses to a simulated [`MemorySystem`] under `params`, and records
+    /// per-phase spans and per-column-chunk [`rdx_obs::MissCounts`] into `obs`
     /// (`ChunkProfile` trace events adjacent to each `ChunkStep`,
     /// `profile.*` metrics).  Output is untouched, so a profiled run stays
     /// byte-identical to an unprofiled one.  An untraced `obs` is a no-op:
@@ -572,9 +575,36 @@ where
         &self.prepared
     }
 
-    /// Result rows emitted so far.
+    /// Column chunks per row chunk: one per projected column, and one that
+    /// writes nothing for a zero-width projection.
+    pub fn columns(&self) -> usize {
+        self.spec.total().max(1)
+    }
+
+    /// Column chunks this run has left to write — the unit of work a
+    /// scheduler prices.
+    pub fn column_chunks_left(&self) -> usize {
+        let n = self.prepared.result_rows();
+        let total = if n == 0 {
+            0
+        } else {
+            self.streaming.num_chunks * self.columns()
+        };
+        total - self.steps
+    }
+
+    /// Row chunks' worth of work done: column chunks written ÷ columns.
+    /// In either order it rises by one per row chunk's worth of column
+    /// chunks and ends at the row-chunk count.
+    fn chunks_emitted(&self) -> usize {
+        self.steps / self.columns()
+    }
+
+    /// Result rows' worth of work done: the rows of
+    /// [`PipelineStats::chunks_emitted`]'s row chunks, ending at the
+    /// result's cardinality.
     pub fn rows_emitted(&self) -> usize {
-        self.emitted
+        (self.chunks_emitted() * self.streaming.chunk_rows).min(self.prepared.result_rows())
     }
 
     /// `true` once the sink has been finished.
@@ -582,12 +612,13 @@ where
         self.finished
     }
 
-    /// Writes the next chunk into the memory `sink` lends, emits it and
-    /// returns its row count, or `None` once the run is complete (the first
-    /// `None` finishes the sink; further calls are no-ops).  The sink's
-    /// `begin` is called on the first step, so a run that joins to an empty
-    /// result still performs the full `begin`/`finish` protocol while
-    /// emitting zero chunks.
+    /// Writes the next column chunk into the memory `sink` lends, emits it
+    /// and returns its row count, or `None` once the run is complete (the
+    /// first `None` finishes the sink; further calls are no-ops).  The
+    /// plan's [`ChunkOrder`] picks the (column, row chunk) of each step.
+    /// The sink's `begin` is called on the first step, so a run that joins
+    /// to an empty result still performs the full `begin`/`finish`
+    /// protocol while emitting zero chunks.
     pub fn step<K: RowChunkSink>(&mut self, sink: &mut K) -> Option<usize> {
         if self.finished {
             return None;
@@ -595,40 +626,55 @@ where
         let n = self.prepared.result_rows();
         if !self.begun {
             sink.begin(n, self.spec.total());
+            // The first step sizes the scratch for every column chunk of the
+            // run, so no later step allocates, whichever column comes first.
+            if let SecondSide::Clustered { smaller, .. } = &self.prepared.second {
+                let rows = self.streaming.chunk_rows.min(n);
+                self.scratch.reserve(rows, smaller.num_clusters());
+            }
             self.begun = true;
         }
-        if self.emitted >= n {
+        if self.column_chunks_left() == 0 {
             sink.finish();
             self.finished = true;
             return None;
         }
 
-        let emitted = self.emitted;
-        let chunk_end = (emitted + self.streaming.chunk_rows).min(n);
-        let (rows, chunk) = (chunk_end - emitted, emitted..chunk_end);
-        // The chunk's rows of the output columns and, when it declusters,
-        // its staged values.
+        let (columns, chunks) = (self.columns(), self.streaming.num_chunks);
+        let (chunk, col) = match self.streaming.order {
+            ChunkOrder::Interleaved => (self.steps / columns, self.steps % columns),
+            ChunkOrder::ColumnMajor => (self.steps % chunks, self.steps / chunks),
+        };
+        let first = chunk * self.streaming.chunk_rows;
+        let rows = first..(first + self.streaming.chunk_rows).min(n);
+        // What the plan charges the row chunk: its rows of the output
+        // columns and, when it declusters, its staged values.
         let staged = matches!(self.prepared.second, SecondSide::Clustered { .. });
-        let chunk_bytes = rows * (self.spec.total() + usize::from(staged)) * VALUE_WIDTH;
+        let chunk_bytes = rows.len() * (self.spec.total() + usize::from(staged)) * VALUE_WIDTH;
         // Chunk wall-clock is only measured when an observer consumes it.
         let chunk_start = self.obs.is_some().then(Instant::now);
 
-        // A profiled chunk runs every kernel under one probe over the run's
+        // A profiled step runs its kernels under one probe over the run's
         // layout; the profile is set aside while the kernels borrow the run.
         let mut profile = self.profile.take();
-        let (spans, counts) = match profile.as_deref_mut() {
-            Some(prof) => {
-                let mut probe = SimProbe::new(&mut prof.mem, &prof.regions);
-                let spans = self.fetch_chunk(chunk, sink, &mut probe);
-                (spans, Some(probe.counts()))
-            }
-            None => (self.fetch_chunk(chunk, sink, &mut NoProbe), None),
-        };
+        let mut counts = None;
+        let span = (col < self.spec.total()).then(|| {
+            let span = match profile.as_deref_mut() {
+                Some(prof) => {
+                    let mut probe = SimProbe::new(&mut prof.mem, &prof.regions);
+                    let span = self.fetch_column(col, rows.clone(), sink, &mut probe);
+                    counts = Some(probe.counts());
+                    span
+                }
+                None => self.fetch_column(col, rows.clone(), sink, &mut NoProbe),
+            };
+            sink.emit(col, first, rows.len());
+            span
+        });
 
+        let step = self.steps as u32;
+        self.steps += 1;
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(chunk_bytes);
-        sink.emit(emitted, rows);
-        self.chunks_emitted += 1;
-        self.emitted = chunk_end;
         if let (Some(run_obs), Some(start)) = (self.obs.as_deref(), chunk_start) {
             let observed_ns = start.elapsed().as_nanos() as u64;
             run_obs.chunk_ns.record(observed_ns);
@@ -641,18 +687,18 @@ where
             run_obs.obs.record(
                 run_obs.query,
                 EventKind::ChunkStep {
-                    chunk: (self.chunks_emitted - 1) as u32,
-                    rows: rows as u32,
+                    chunk: step,
+                    rows: rows.len() as u32,
                     observed_ns,
                     predicted_ns: run_obs.predicted_chunk_ns,
                     working_set_bytes: chunk_bytes as u64,
                 },
             );
         }
-        if let (Some(prof), Some(counts)) = (profile.as_deref_mut(), counts) {
-            for (phase, elapsed) in spans {
-                prof.profile.record_span(phase, elapsed.as_nanos() as u64);
-            }
+        if let (Some(prof), Some(counts), Some((phase, elapsed))) =
+            (profile.as_deref_mut(), counts, span)
+        {
+            prof.profile.record_span(phase, elapsed.as_nanos() as u64);
             let params = prof.mem.params();
             let miss = MissCounts {
                 accesses: counts.accesses,
@@ -661,102 +707,95 @@ where
                 tlb_misses: counts.tlb_misses,
                 stall_cycles: counts.stall_cycles(params).round() as u64,
             };
-            prof.profile.record_chunk(
-                &prof.obs,
-                prof.query,
-                (self.chunks_emitted - 1) as u32,
-                miss,
-            );
+            prof.profile.record_chunk(&prof.obs, prof.query, step, miss);
         }
         self.profile = profile;
-        Some(rows)
+        Some(rows.len())
     }
 
-    /// Writes result rows `rows` of every column into the cells `sink`
-    /// lends: the first side's gathers, then per smaller-side column its
-    /// gather into the staged `CLUST_VALUES` and its decluster, or its
-    /// gather.  Every kernel reports to `probe` in the profiled layout's
-    /// ids ([`RunProfile`]).  Returns the fetch's and the second side's
-    /// phase spans.
-    fn fetch_chunk<K: RowChunkSink, P: Probe>(
+    /// Writes result rows `rows` of column `col` into the cells `sink`
+    /// lends: a first-side column's gather; a smaller-side column's gather
+    /// into the staged `CLUST_VALUES` and its decluster, or its gather.
+    /// Every kernel reports to `probe` in the profiled layout's ids
+    /// ([`RunProfile`]).  Returns the column's phase span.
+    fn fetch_column<K: RowChunkSink, P: Probe>(
         &mut self,
+        col: usize,
         rows: Range<usize>,
         sink: &mut K,
         probe: &mut P,
-    ) -> [(Phase, Duration); 2] {
+    ) -> (Phase, Duration) {
+        let t = Instant::now();
         let larger = self.spec.project_larger;
-        let second_columns = larger..self.spec.total();
-        // All chunk-local buffers come from the run's scratch: after the
-        // first (largest) chunk has grown them, a steady-state step
-        // allocates nothing.
-        let ChunkScratch {
-            chunk,
-            staged,
-            decluster,
-        } = &mut self.scratch;
-
-        // First side: morsel-parallel gather straight into the chunk.  A
-        // wide block is its stretch of the stored oids; a packed one
-        // indexes the whole packed array.
-        let t = Instant::now();
-        let oids = self.prepared.first.block(rows.clone());
-        let at = match oids {
-            OidBlock::Wide(_) => rows.start,
-            OidBlock::Packed(_) => 0,
-        };
         let policy = &self.policy;
-        fetch_columns(
-            &self.larger,
-            oids,
-            (FIRST_OIDS, at),
-            0..larger,
-            rows.clone(),
-            policy,
-            sink,
-            probe,
-        );
-        let fetched = t.elapsed();
-        self.timings.project_larger += fetched;
-
-        // Second side.
-        let t = Instant::now();
+        // The column's source region and its output region.
+        let (source, output) = (COLUMNS + 2 * col, COLUMNS + 2 * col + 1);
         let (phase, total) = match (&self.prepared.second, &mut self.cursors) {
+            _ if col < larger => {
+                // A wide block is its stretch of the stored oids; a packed
+                // one indexes the whole packed array.
+                let oids = self.prepared.first.block(rows.clone());
+                let at = match oids {
+                    OidBlock::Wide(_) => rows.start,
+                    OidBlock::Packed(_) => 0,
+                };
+                let arrays = [(FIRST_OIDS, at), (source, 0), (output, 0)];
+                let out = sink.column(col, rows);
+                let mut probe = Remap::new(probe, arrays);
+                par_gather_into(&self.larger, col, oids, policy, out, &mut probe);
+                (Phase::Fetch, &mut self.timings.project_larger)
+            }
             (SecondSide::Clustered { smaller, positions }, Some(cursors)) => {
-                cursors.next_chunk_into(positions, rows.end, chunk);
+                let ChunkScratch {
+                    chunk,
+                    staged,
+                    decluster,
+                } = &mut self.scratch;
+                // The cursors stand at the end of the last chunk they cut;
+                // a column that starts over rewinds them in place.
+                if cursors.consumed() != rows.end {
+                    if rows.start == 0 {
+                        cursors.reset(smaller.bounds());
+                    }
+                    cursors.next_chunk_into(positions, rows.end, chunk);
+                }
                 let chunk = &*chunk;
                 debug_assert_eq!(chunk.result_range, rows);
                 // The chunk's runs of CLUST_SMALLER (still packed) and
-                // CLUST_RESULT, read in place by every smaller-side column; a
-                // whole-result chunk's runs are the clusters.
+                // CLUST_RESULT, read in place; a whole-result chunk's runs
+                // are the clusters.
                 let oids = OidBlock::Packed(smaller.select(&chunk.runs));
                 staged.resize(rows.len(), 0);
-                let window = self.streaming.window_bytes;
-                for (b, col) in second_columns.enumerate() {
-                    let c = COLUMNS + 2 * col;
-                    // On-demand clustered positional join: the chunk's
-                    // CLUST_VALUES, never the whole column.
-                    let mut gather =
-                        Remap::new(&mut *probe, [(SECOND_OIDS, 0), (c, 0), (STAGED, 0)]);
-                    par_gather_into(&self.smaller, b, oids, policy, staged, &mut gather);
-                    // The windowed kernel's arrays, in `probe_regions` order.
-                    let arrays = [
-                        (STAGED, 0),
-                        (STORED, 0),
-                        (c + 1, 0),
-                        (CURSORS, 0),
-                        (STARTS, 0),
-                    ];
-                    par_radix_decluster_into(
-                        staged,
-                        positions,
-                        chunk,
-                        window,
-                        policy,
-                        decluster,
-                        sink.column(col, rows.clone()),
-                        &mut Remap::new(&mut *probe, arrays),
-                    );
-                }
+                // On-demand clustered positional join: the chunk's
+                // CLUST_VALUES, never the whole column.
+                let mut gather =
+                    Remap::new(&mut *probe, [(SECOND_OIDS, 0), (source, 0), (STAGED, 0)]);
+                par_gather_into(
+                    &self.smaller,
+                    col - larger,
+                    oids,
+                    policy,
+                    staged,
+                    &mut gather,
+                );
+                // The windowed kernel's arrays, in `probe_regions` order.
+                let arrays = [
+                    (STAGED, 0),
+                    (STORED, 0),
+                    (output, 0),
+                    (CURSORS, 0),
+                    (STARTS, 0),
+                ];
+                par_radix_decluster_into(
+                    staged,
+                    positions,
+                    chunk,
+                    self.streaming.window_bytes,
+                    policy,
+                    decluster,
+                    sink.column(col, rows),
+                    &mut Remap::new(probe, arrays),
+                );
                 (Phase::Decluster, &mut self.timings.decluster)
             }
             (SecondSide::Clustered { .. }, None) => {
@@ -764,23 +803,16 @@ where
             }
             (SecondSide::ResultOrder(second_oids), _) => {
                 let oids = OidBlock::Wide(&second_oids[rows.clone()]);
-                let stored = (SECOND_OIDS, rows.start);
-                fetch_columns(
-                    &self.smaller,
-                    oids,
-                    stored,
-                    second_columns,
-                    rows,
-                    policy,
-                    sink,
-                    probe,
-                );
+                let arrays = [(SECOND_OIDS, rows.start), (source, 0), (output, 0)];
+                let out = sink.column(col, rows);
+                let mut probe = Remap::new(probe, arrays);
+                par_gather_into(&self.smaller, col - larger, oids, policy, out, &mut probe);
                 (Phase::Fetch, &mut self.timings.project_smaller)
             }
         };
         let elapsed = t.elapsed();
         *total += elapsed;
-        [(Phase::Fetch, fetched), (phase, elapsed)]
+        (phase, elapsed)
     }
 
     /// Steps the run to completion.
@@ -794,8 +826,8 @@ where
     pub fn run_stats(&self) -> PipelineStats {
         PipelineStats {
             streaming: self.streaming,
-            chunks_emitted: self.chunks_emitted,
-            rows_emitted: self.emitted,
+            chunks_emitted: self.chunks_emitted(),
+            rows_emitted: self.rows_emitted(),
             peak_chunk_bytes: self.peak_chunk_bytes,
             timings: self.timings,
         }
@@ -1530,8 +1562,9 @@ mod tests {
     }
 
     /// The fetch contract, pinned by a count instead of a clock: one `step`
-    /// over `rows` rows asks each source exactly once per morsel and
-    /// projected column.  Any per-value path would make `calls == values`.
+    /// writes one projected column of `rows` rows and asks its source
+    /// exactly once per morsel.  Any per-value path would make
+    /// `calls == values`.
     #[test]
     fn a_step_asks_each_source_once_per_morsel_and_column() {
         use rdx_core::positional::CountingSource;
@@ -1570,11 +1603,14 @@ mod tests {
                     };
                     steps += 1;
                     let blocks = rows.div_ceil(morsel);
-                    let label = format!("{} chunk {steps}/{chunks}", plan.label());
-                    assert_eq!(larger.calls() - before.0, 2 * blocks, "{label}");
-                    assert_eq!(smaller.calls() - before.1, 3 * blocks, "{label}");
+                    let label = format!("{} column chunk {steps}/{chunks}", plan.label());
+                    let calls = (larger.calls() - before.0, smaller.calls() - before.1);
+                    assert!(calls == (blocks, 0) || calls == (0, blocks), "{label}");
                 }
-                assert_eq!(steps, chunks);
+                assert_eq!(steps, chunks * spec.total());
+                // Every chunk holds n / chunks rows.
+                let blocks = chunks * (n / chunks).div_ceil(morsel);
+                assert_eq!((larger.calls(), smaller.calls()), (2 * blocks, 3 * blocks));
                 assert_eq!((larger.values(), smaller.values()), (2 * n, 3 * n));
                 assert!(larger.largest_block() <= morsel && smaller.largest_block() <= morsel);
                 let (expected, _) = pipeline
@@ -1841,13 +1877,14 @@ mod tests {
                 .map(|m| snap.counter(m).unwrap());
                 assert!(total[0] > 0, "no accesses charged");
                 assert!(total[1] > 0, "no L1 misses charged");
-                // One ChunkProfile event per emitted chunk, adjacent to steps.
+                // One ChunkProfile event per emitted column chunk, adjacent
+                // to steps.
                 let events = obs.trace_snapshot().unwrap().events_for(query);
                 let profiles = events
                     .iter()
                     .filter(|e| e.kind.label() == "chunk_profile")
                     .count();
-                assert_eq!(profiles, run.run_stats().chunks_emitted);
+                assert_eq!(profiles, run.run_stats().chunks_emitted * spec.total());
                 // The last chunk's replay charged accesses too.
                 let last = events
                     .iter()
@@ -1899,7 +1936,8 @@ mod tests {
                     .map(|e| e.kind)
                     .filter(|kind| matches!(kind, EventKind::ChunkProfile { .. }))
                     .collect();
-                assert_eq!(chunks.len(), run.run_stats().chunks_emitted, "{label}");
+                let steps = run.run_stats().chunks_emitted * spec.total();
+                assert_eq!(chunks.len(), steps, "{label}");
                 (chunks, sink.into_result())
             };
             let (chunks, result) = profiled(1);
@@ -2044,6 +2082,73 @@ mod tests {
         assert_eq!(run.rows_emitted(), w.expected_matches);
     }
 
+    /// The plan's order is the order the sink sees the columns in: every
+    /// column of a row chunk before the next chunk when the columns fit the
+    /// cache share, each column through all of its chunks when they do not.
+    /// Either way the bytes are the one-chunk run's, at every budget, code
+    /// and thread count.
+    #[test]
+    fn the_sink_sees_the_columns_in_the_plans_order_and_the_bytes_never_move() {
+        use rdx_core::strategy::planner::streaming_bytes_per_row;
+
+        let w = JoinWorkloadBuilder::equal(3_000, 2).seed(23).build();
+        let spec = QuerySpec {
+            project_larger: 2,
+            project_smaller: 1,
+        };
+        let data_bytes = 3_000 * streaming_bytes_per_row(&spec);
+        let columns: Vec<usize> = (0..spec.total()).collect();
+        for (first, second) in CODES {
+            let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
+            let label = pipeline.plan.label();
+            // 36 000 B of source columns fit the 512 KB L2 and outgrow the
+            // 8 KB one.
+            for (params, order) in [
+                (CacheParams::paper_pentium4(), ChunkOrder::Interleaved),
+                (CacheParams::tiny_for_tests(), ChunkOrder::ColumnMajor),
+            ] {
+                let (expected, _) = pipeline
+                    .materialize(
+                        &w.larger,
+                        &w.smaller,
+                        &spec,
+                        &params,
+                        &ExecPolicy::default(),
+                    )
+                    .unwrap();
+                for (denom, threads) in [(1, 1), (3, 2), (16, 1), (200, 2)] {
+                    let budget = MemoryBudget::fraction_of(data_bytes, denom);
+                    let policy = ExecPolicy::with_threads(threads).budget(budget);
+                    let mut sink = CountingSink::new(MaterializeSink::new());
+                    let stats = stream(
+                        pipeline, &w.larger, &w.smaller, &spec, &params, &policy, &mut sink,
+                    );
+                    let (chunks, at) = (stats.streaming.num_chunks, format!("{label} 1/{denom}"));
+                    assert_eq!(
+                        stats.streaming.order,
+                        if chunks > 1 {
+                            order
+                        } else {
+                            ChunkOrder::Interleaved
+                        },
+                        "{at}"
+                    );
+                    let runs = match stats.streaming.order {
+                        ChunkOrder::Interleaved => columns.repeat(chunks),
+                        ChunkOrder::ColumnMajor => columns.clone(),
+                    };
+                    assert_eq!(sink.column_runs, runs, "{at}");
+                    assert_eq!(
+                        (sink.chunks, stats.chunks_emitted),
+                        (chunks, chunks),
+                        "{at}"
+                    );
+                    assert_eq!(sink.inner.into_result(), expected.result, "{at}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn step_protocol_begins_and_finishes_once() {
         let w = JoinWorkloadBuilder::equal(512, 1).seed(5).build();
@@ -2063,11 +2168,12 @@ mod tests {
             steps += 1;
         }
         assert!(run.is_done());
-        assert_eq!(steps, run.run_stats().chunks_emitted);
-        assert_eq!(sink.chunks, steps);
+        let chunks = run.run_stats().chunks_emitted;
+        assert_eq!(steps, chunks * spec.total());
+        assert_eq!(sink.chunks, chunks);
         // Stepping a finished run is a harmless no-op.
         assert_eq!(run.step(&mut sink), None);
-        assert_eq!(sink.chunks, steps);
+        assert_eq!(sink.chunks, chunks);
         assert_eq!(sink.rows, w.expected_matches);
     }
 }

@@ -10,8 +10,9 @@
 //!   time, including between chunk steps of other in-flight queries (the
 //!   async-front enabler the ROADMAP asks for);
 //! * [`QueryEngine::step`] pumps exactly one scheduler decision: admit from
-//!   the queue head while budget and slots allow, then run **one chunk of
-//!   one query**, the one with the least predicted work left (see
+//!   the queue head while budget and slots allow, then run **one column
+//!   chunk of one query** (one projected column × one row chunk), the one
+//!   with the least predicted work left (see
 //!   [`crate::scheduler`]), resumable from outside;
 //! * [`QueryEngine::status`] / [`QueryEngine::take_outcome`] observe a
 //!   ticket without blocking.
@@ -99,11 +100,13 @@ pub enum TicketStatus {
         /// Tickets ahead of this one.
         position: usize,
     },
-    /// Admitted and progressing chunk by chunk.
+    /// Admitted and progressing column chunk by column chunk.
     Running {
-        /// Chunks emitted so far.
+        /// Row chunks' worth of column chunks emitted so far (monotone,
+        /// ending at the row-chunk count).
         chunks: usize,
-        /// Result rows emitted so far.
+        /// The rows of those row chunks (monotone, ending at the result's
+        /// cardinality).
         rows: usize,
     },
     /// Complete; the outcome is parked until [`QueryEngine::take_outcome`].
@@ -113,11 +116,12 @@ pub enum TicketStatus {
 /// What one [`QueryEngine::step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineStep {
-    /// One chunk of `ticket` ran, emitting `rows` result rows.
+    /// One column chunk of `ticket` ran, emitting `rows` result rows of
+    /// one column.
     Chunk {
         /// The query that progressed.
         ticket: TicketId,
-        /// Rows in the emitted chunk.
+        /// Rows in the emitted column chunk.
         rows: usize,
     },
     /// `ticket` completed; its outcome is parked for
@@ -145,7 +149,7 @@ pub struct EngineStats {
     pub peak_concurrent_bytes: usize,
     /// Most queries in flight at once.
     pub peak_concurrency: usize,
-    /// Total chunks dispatched.
+    /// Total column chunks dispatched.
     pub chunks_dispatched: u64,
     /// Queries that started on pooled (already warmed) chunk scratch.
     pub scratch_reuses: u64,
@@ -292,9 +296,10 @@ struct Running {
     /// The tenant this admission is charged to, with the bytes charged
     /// against its byte cap (0 when it has none).
     tenant: Option<(TenantId, usize)>,
-    /// Predicted chunk cost × deadline urgency: its work left, the
-    /// dispatch key, is this times its chunks left.
-    chunk_work: f64,
+    /// Predicted column-chunk cost (the row-chunk price ÷ its columns) ×
+    /// deadline urgency: its work left, the dispatch key, is this times its
+    /// column chunks left.
+    step_work: f64,
     /// The engine step it has waited since: its admission step, then the
     /// step after each of its dispatches.
     waiting_since: u64,
@@ -304,10 +309,11 @@ struct Running {
 }
 
 impl Running {
-    /// Predicted work left: chunks left × the weighted chunk price.
+    /// Predicted work left: column chunks left × the weighted column-chunk
+    /// price.  At row-chunk boundaries this is row chunks left × the
+    /// weighted row-chunk price.
     fn work_left(&self) -> f64 {
-        let s = self.run.run_stats();
-        s.streaming.num_chunks.saturating_sub(s.chunks_emitted) as f64 * self.chunk_work
+        self.run.column_chunks_left() as f64 * self.step_work
     }
 }
 
@@ -653,8 +659,9 @@ impl QueryEngine {
     /// Pumps the engine by one scheduler decision: re-queue retries whose
     /// backoff expired, admit from the queue head while budget and
     /// concurrency slots allow, enforce deadlines at the chunk boundary,
-    /// then run **one chunk of one query**, the one with the least predicted
-    /// work left unless another has waited out the starvation bound.
+    /// then run **one column chunk of one query**, the one with the least
+    /// predicted work left unless another has waited out the starvation
+    /// bound.
     /// Returns what happened; [`EngineStep::Idle`] means the engine is
     /// drained, [`EngineStep::Waiting`] means pending work could not run
     /// *this* step (retry backoff, or budget freed mid-step) — keep
@@ -690,7 +697,7 @@ impl QueryEngine {
         // reclaimed) before the next chunk is dispatched.
         self.enforce_deadlines();
 
-        // One chunk of one query: every step with a running query
+        // One column chunk of one query: every step with a running query
         // dispatches one, so steps count each run's wait.
         let now = self.step_count;
         let keys = self
@@ -709,6 +716,8 @@ impl QueryEngine {
         picked.max_wait = picked.max_wait.max(now - picked.waiting_since);
         picked.waiting_since = now + 1;
         let ordinal = self.running[pos].pending.ordinal;
+        // Faults are scripted per row chunk: they fire at the first column
+        // chunk dispatched with that many row chunks' worth done.
         let chunk_index = self.running[pos].run.run_stats().chunks_emitted;
         // Scripted worker panic?  Raised *inside* the catch below with the
         // exact payload a real crashed worker produces, so the injected
@@ -1009,6 +1018,7 @@ impl QueryEngine {
         if let Some(deadline_ns) = request.deadline_ns {
             let streaming = plan_streaming(
                 larger_rows,
+                larger_rows,
                 smaller_rows,
                 &request.spec,
                 shared_params,
@@ -1074,12 +1084,13 @@ impl QueryEngine {
             &policy,
         );
         // The work-left key, its deadline urgency and the observed-vs-
-        // predicted recording read the run's own price per chunk.
+        // predicted recording read the run's own price per chunk; a step
+        // writes one of its columns.
         let streaming = run.streaming();
         let predicted_chunk_ns =
             price(streaming, run.prepared().result_rows()) / streaming.num_chunks.max(1) as u64;
         let predicted_chunk_cost_ms = predicted_chunk_ns as f64 / 1e6;
-        run.attach_obs(&self.obs, query, predicted_chunk_ns);
+        run.attach_obs(&self.obs, query, predicted_chunk_ns / run.columns() as u64);
         if request.profiled {
             run.attach_profile(&self.obs, query, shared_params);
         }
@@ -1219,8 +1230,8 @@ impl QueryEngine {
                 if replanned {
                     self.counters.replans.inc();
                 }
-                let chunk_work =
-                    stats.predicted_chunk_cost_ms * deadline_urgency(&request, &stats, &run);
+                let step_work = stats.predicted_chunk_cost_ms / run.columns() as f64
+                    * deadline_urgency(&request, &stats, &run);
                 self.running.push(Running {
                     pending: p,
                     run,
@@ -1233,7 +1244,7 @@ impl QueryEngine {
                     share,
                     consumed_ns: 0,
                     tenant,
-                    chunk_work,
+                    step_work,
                     waiting_since: self.step_count,
                     max_wait: 0,
                 });
@@ -1380,11 +1391,14 @@ mod tests {
             engine.status(ticket),
             Some(TicketStatus::Queued { position: 0 })
         );
-        // First step admits and runs one chunk.
-        assert!(matches!(
-            engine.step(),
-            EngineStep::Chunk { ticket: t, rows } if t == ticket && rows > 0
-        ));
+        // First step admits and runs one column chunk; the second column's
+        // makes one row chunk's worth of progress.
+        for _ in 0..spec.total() {
+            assert!(matches!(
+                engine.step(),
+                EngineStep::Chunk { ticket: t, rows } if t == ticket && rows > 0
+            ));
+        }
         assert!(matches!(
             engine.status(ticket),
             Some(TicketStatus::Running { chunks: 1, .. })
@@ -1677,7 +1691,7 @@ mod tests {
     ) -> (u64, StreamingPlan) {
         let spec = QuerySpec::symmetric(2);
         let params = engine.shared_params();
-        let plan = plan_streaming(result_rows, rows, &spec, params, budget, 1);
+        let plan = plan_streaming(result_rows, rows, rows, &spec, params, budget, 1);
         let ms = predict_cost(codes, &plan, rows, rows, result_rows, &spec, params);
         ((ms * 1e6) as u64, plan)
     }
@@ -1889,6 +1903,48 @@ mod tests {
         assert_eq!(columns(&qt.result), columns(&ql.result));
     }
 
+    /// The dispatch key is column chunks left × the weighted column-chunk
+    /// price: it falls by one step's price with every step the run takes,
+    /// reads row chunks left × the row-chunk price at each row-chunk
+    /// boundary, and is exactly 0 when the finishing step comes.
+    #[test]
+    fn the_work_left_key_falls_by_one_step_price_per_step_and_ends_at_zero() {
+        let w = JoinWorkloadBuilder::equal(1_500, 2).seed(5).build();
+        let mut engine = engine(MemoryBudget::bytes(2 * 1024));
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let spec = QuerySpec {
+            project_larger: 2,
+            project_smaller: 1,
+        };
+        let ticket = engine.submit(ServerRequest::new(larger, smaller, spec));
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1e-12);
+        assert!(matches!(engine.step(), EngineStep::Chunk { .. }));
+        let r = &engine.running[0];
+        let chunks = r.run.streaming().num_chunks;
+        let (step_work, chunk_price) = (r.step_work, r.stats.predicted_chunk_cost_ms);
+        assert!(chunks > 1 && step_work > 0.0);
+        assert!(close(step_work * 3.0, chunk_price));
+        let (mut steps, mut left) = (1, r.work_left());
+        loop {
+            assert!(close(left, (chunks * 3 - steps) as f64 * step_work));
+            if steps % 3 == 0 {
+                assert!(close(left, (chunks - steps / 3) as f64 * chunk_price));
+            }
+            match engine.step() {
+                EngineStep::Chunk { .. } => {
+                    let now = engine.running[0].work_left();
+                    assert!(close(left - now, step_work), "step {steps}");
+                    (steps, left) = (steps + 1, now);
+                }
+                EngineStep::Finished { ticket: t } if t == ticket => break,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(steps, chunks * 3);
+        assert_eq!(left, 0.0, "no work left at the finishing step");
+    }
+
     #[test]
     fn a_long_run_behind_endless_one_chunk_queries_waits_at_most_the_starvation_bound() {
         let long = JoinWorkloadBuilder::equal(2_000, 1).seed(41).build();
@@ -1931,24 +1987,25 @@ mod tests {
         let q = served(engine.take_outcome(ticket).unwrap());
         assert_eq!(q.result.cardinality(), long.expected_matches);
         assert!(q.stats.chunks > 4, "the long run must span many chunks");
-        // Held back by every short query, each of its chunks waited
+        // Held back by every short query, each of its column chunks waited
         // exactly the bound; with none left it is the least work and
-        // finishes at once.  So the run, its chunks plus the finishing
-        // dispatch, ends within (chunks + 1) × (K + 1) steps.
+        // finishes at once.  So the run, its column chunks plus the
+        // finishing dispatch, ends within (steps + 1) × (K + 1) steps.
+        let steps = q.stats.chunks * spec.total();
         let bound = scheduler::STARVATION_BOUND as usize;
         let admitted = admitted.unwrap();
         let mut since = admitted;
         let waits: Vec<usize> = (own_steps.iter())
             .map(|&step| step - std::mem::replace(&mut since, step + 1))
             .collect();
-        let mut expected = vec![bound; q.stats.chunks];
+        let mut expected = vec![bound; steps];
         expected.push(0);
         assert_eq!(waits, expected);
-        assert!(own_steps.last().unwrap() - admitted < (q.stats.chunks + 1) * (bound + 1));
+        assert!(own_steps.last().unwrap() - admitted < (steps + 1) * (bound + 1));
         // The registry's count of the bound agrees: no query waited more.
         let metrics = engine.obs().metrics_snapshot().unwrap();
         let wait = metrics.histogram("engine.dispatch_wait").unwrap();
-        assert!(wait.count > 2 * q.stats.chunks as u64);
+        assert!(wait.count > 2 * steps as u64);
         assert_eq!(wait.percentile(100.0), scheduler::STARVATION_BOUND);
     }
 

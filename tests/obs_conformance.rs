@@ -65,8 +65,9 @@ fn observed_results_are_byte_identical_to_unobserved() {
 }
 
 /// Σ per-query `chunk_step` events == the scheduler's `chunks_dispatched`,
-/// and each query's own event count matches the chunks its report claims —
-/// nothing double-counted, nothing dropped (under a sufficient ring).
+/// and each query's own event count matches the column chunks its report
+/// claims (row chunks × projected columns) — nothing double-counted,
+/// nothing dropped (under a sufficient ring).
 #[test]
 fn chunk_step_events_sum_to_scheduler_steps() {
     let w = JoinWorkloadBuilder::equal(3_000, 2).seed(47).build();
@@ -104,7 +105,7 @@ fn chunk_step_events_sum_to_scheduler_steps() {
             .iter()
             .filter(|e| e.kind.label() == "chunk_step")
             .count();
-        assert_eq!(steps, report.stats.chunks, "per-query chunk accounting");
+        assert_eq!(steps, 4 * report.stats.chunks, "per-query chunk accounting");
         total_chunks += steps as u64;
     }
 
@@ -259,10 +260,11 @@ fn per_query_profiled_flag_traces_only_that_query() {
             .filter(|e| e.kind.label() == "chunk_profile")
             .count()
     };
+    // The default π = 1 + 1: two column chunks per row chunk.
     assert_eq!(
         profile_events(profiled.stats.query_id),
-        profiled.stats.chunks,
-        "one ChunkProfile per chunk"
+        2 * profiled.stats.chunks,
+        "one ChunkProfile per column chunk"
     );
     assert_eq!(profile_events(plain.stats.query_id), 0);
     assert_eq!(
@@ -276,8 +278,8 @@ fn per_query_profiled_flag_traces_only_that_query() {
 /// whole result, so the sink takes the chunk's columns and the chunk reads
 /// the prefix's clustered arrays in place.  Its profile must still be
 /// charged (the declustering code probes the borrowed arrays as it emits)
-/// with the pinned simulated counts, with each `chunk_step` followed by its
-/// `chunk_profile`.
+/// with the pinned simulated counts, with each column's `chunk_step`
+/// followed by its `chunk_profile`.
 #[test]
 fn a_whole_result_profiled_chunk_replays_the_same_counts() {
     let w = JoinWorkloadBuilder::equal(2_000, 2).seed(71).build();
@@ -342,7 +344,11 @@ fn a_whole_result_profiled_chunk_replays_the_same_counts() {
             .map(|e| e.kind.label())
             .filter(|l| l.starts_with("chunk_"))
             .collect();
-        assert_eq!(labels, ["chunk_step", "chunk_profile"], "{second:?}");
+        assert_eq!(
+            labels,
+            ["chunk_step", "chunk_profile"].repeat(4),
+            "{second:?}"
+        );
     }
 }
 
