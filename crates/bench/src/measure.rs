@@ -707,11 +707,10 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
         );
     }
 
-    // End-to-end cells: profiled pipeline runs through the front door.  The
-    // `pipeline.e2e` query's four columns fit the simulated L2, so its
-    // chunks interleave the columns; the `pipeline.column_major` query's
-    // eight outgrow it, so each column streams through all of its chunks
-    // before the next one.
+    // End-to-end cells: profiled pipeline runs through the front door, each
+    // column streamed through all of its chunks before the next.  The
+    // `pipeline.e2e` query's four columns fit the simulated L2; the
+    // `pipeline.column_major` query's eight outgrow it.
     let w = JoinWorkloadBuilder::equal(4_000, 2).seed(7).build();
     let spec = QuerySpec::symmetric(2);
     cells.extend(profiled_cells("e2e", params, &w, spec, 64 * 1024));

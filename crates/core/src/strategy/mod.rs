@@ -22,7 +22,7 @@ pub mod sink;
 
 pub use common::{ProjectionCode, SecondSideCode};
 pub use dsm_post::DsmPostProjection;
-pub use planner::{plan_by_cost, plan_streaming, ChunkOrder, StreamingPlan};
+pub use planner::{plan_by_cost, plan_streaming, StreamingPlan};
 pub use sink::{CountingSink, DoneHead, FrameSink, MaterializeSink, RowChunkSink};
 
 use rdx_dsm::ResultRelation;

@@ -63,7 +63,6 @@ pub fn plan_by_cost_with_threads(
     let (larger_rows, smaller_rows) = (larger.cardinality(), smaller.cardinality());
     let whole = plan_streaming(
         larger_rows,
-        larger_rows,
         smaller_rows,
         spec,
         params,
@@ -87,9 +86,9 @@ pub fn plan_by_cost_with_threads(
                 larger_rows,
                 smaller_rows,
                 larger_rows,
-                spec,
                 params,
-            );
+            )
+            .total(spec);
             if predicted < best.0 {
                 best = (predicted, codes);
             }
@@ -112,20 +111,6 @@ pub fn streaming_bytes_per_row(spec: &QuerySpec) -> usize {
     (spec.total() + 1) * VALUE_WIDTH
 }
 
-/// The order a streaming run visits its column chunks (one projected
-/// column × one row chunk) in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkOrder {
-    /// Row chunk by row chunk, every column of a chunk before the next
-    /// chunk: the columns share the chunk's reads of the clustered index.
-    Interleaved,
-    /// Column by column, each through all of its row chunks before the
-    /// next column, as the paper's DSM post-projection runs one column per
-    /// pass (Fig. 4): only one column's cluster regions compete for the
-    /// cache.
-    ColumnMajor,
-}
-
 /// The chunking a [`MemoryBudget`] imposes on a streaming projection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingPlan {
@@ -144,8 +129,6 @@ pub struct StreamingPlan {
     /// [`predict_cost`] (which prices it), so the two can never drift
     /// apart.
     pub cluster_spec: RadixClusterSpec,
-    /// The order the run visits its column chunks in.
-    pub order: ChunkOrder,
 }
 
 impl StreamingPlan {
@@ -157,11 +140,10 @@ impl StreamingPlan {
     }
 }
 
-/// Picks the chunk count, per-chunk window and column-chunk order for a
-/// streaming projection of `result_rows` rows joining a larger relation of
-/// `larger_tuples` and a smaller one of `smaller_tuples` tuples of 4-byte
-/// integer columns, declustered by `threads` concurrent workers, under
-/// `budget`.
+/// Picks the chunk count and per-chunk window for a streaming projection of
+/// `result_rows` rows over a smaller relation of `smaller_tuples` tuples of
+/// 4-byte integer columns, declustered by `threads` concurrent workers,
+/// under `budget`.
 ///
 /// The rule mirrors [`choose_window_bytes`] one level up: the budget divided
 /// by the per-row resident cost gives the chunk size (floored at one row, so
@@ -170,12 +152,6 @@ impl StreamingPlan {
 /// the cache ([`CacheParams::per_core_share`], as the parallel executors do)
 /// and clamped to the chunk output so a tiny budget never asks for a window
 /// larger than the data it covers.
-///
-/// The order is one footprint test against the same share: a run of more
-/// than one chunk whose projected source columns (cardinality × 4 B each)
-/// outgrow the share's last-level capacity walks [`ChunkOrder::ColumnMajor`],
-/// so a chunk stops evicting the cluster regions the previous chunk of its
-/// column loaded; every other run interleaves.
 ///
 /// **Documented clamp:** a bounded budget smaller than one resident row
 /// ([`streaming_bytes_per_row`]) is clamped to a one-row chunk, so the
@@ -187,7 +163,6 @@ impl StreamingPlan {
 /// instead.
 pub fn plan_streaming(
     result_rows: usize,
-    larger_tuples: usize,
     smaller_tuples: usize,
     spec: &QuerySpec,
     params: &CacheParams,
@@ -198,31 +173,50 @@ pub fn plan_streaming(
     let chunk_rows = budget.chunk_rows(result_rows, bytes_per_row);
     let num_chunks = budget.num_chunks(result_rows, bytes_per_row);
     let cluster_spec = plan_partial_cluster(smaller_tuples, VALUE_WIDTH, params);
-    let share = params.per_core_share(threads);
-    let window = choose_window_bytes(VALUE_WIDTH, cluster_spec.num_clusters(), &share);
+    let window = choose_window_bytes(
+        VALUE_WIDTH,
+        cluster_spec.num_clusters(),
+        &params.per_core_share(threads),
+    );
     let window_bytes = window.min((chunk_rows * VALUE_WIDTH).max(VALUE_WIDTH));
-    let footprint =
-        (spec.project_larger * larger_tuples + spec.project_smaller * smaller_tuples) * VALUE_WIDTH;
-    let order = if num_chunks > 1 && footprint > share.cache_capacity() {
-        ChunkOrder::ColumnMajor
-    } else {
-        ChunkOrder::Interleaved
-    };
     StreamingPlan {
         chunk_rows,
         num_chunks,
         window_bytes,
         bytes_per_row,
         cluster_spec,
-        order,
     }
 }
 
-/// Predicted cost (milliseconds on the modeled platform) of the projection
-/// phase of a DSM post-projection running `codes`, streamed under `plan`:
-/// the one Appendix-A price of a plan.  The planner takes its arg-min at
-/// the one-chunk plan; the serving engine prices the chosen codes with it
-/// for the deadline check and the stride weight.
+/// The predicted cost (milliseconds on the modeled platform) of a DSM
+/// post-projection's projection phase, split the way a run spends it: each
+/// side's reordering, paid once, and one projected column of each side.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanPrice {
+    /// The first side's reordering (`s`/`c`; 0 under `u`).
+    pub first_reorder: f64,
+    /// One first-side column: its positional join.
+    pub first_column: f64,
+    /// The second side's partial Radix-Cluster (`d`; 0 under `u`).
+    pub second_reorder: f64,
+    /// One second-side column: its positional join and, under `d`, its
+    /// decluster.
+    pub second_column: f64,
+}
+
+impl PlanPrice {
+    /// The whole projection phase of `spec`.
+    pub fn total(&self, spec: &QuerySpec) -> f64 {
+        (self.first_reorder + spec.project_larger as f64 * self.first_column)
+            + (self.second_reorder + spec.project_smaller as f64 * self.second_column)
+    }
+}
+
+/// The [`PlanPrice`] of a DSM post-projection running `codes`, streamed
+/// under `plan`: the one Appendix-A price of a plan.  The planner takes the
+/// arg-min of its total at the one-chunk plan; the serving engine prices
+/// the chosen codes with it for the deadline check, the dispatch key and
+/// the observed-vs-predicted metric.
 ///
 /// The first side is priced by its `u`/`s`/`c` code; the second by `u`, or
 /// by `d` at the plan's cluster spec, window and chunk count
@@ -234,9 +228,8 @@ pub fn predict_cost(
     larger_rows: usize,
     smaller_rows: usize,
     result_rows: usize,
-    spec: &QuerySpec,
     params: &CacheParams,
-) -> f64 {
+) -> PlanPrice {
     let ms = |pattern: PatternCost| pattern.millis(params);
     let n = result_rows;
     let join_index = DataRegion::new(n, 8);
@@ -286,8 +279,12 @@ pub fn predict_cost(
             )
         }
     };
-    (first_reorder + spec.project_larger as f64 * first_column)
-        + (second_reorder + spec.project_smaller as f64 * second_column)
+    PlanPrice {
+        first_reorder,
+        first_column,
+        second_reorder,
+        second_column,
+    }
 }
 
 #[cfg(test)]
@@ -320,10 +317,10 @@ mod tests {
         let spec_low = QuerySpec::symmetric(1);
         let spec_high = QuerySpec::symmetric(64);
         let whole =
-            |spec: &QuerySpec| plan_streaming(n, n, n, spec, &params, MemoryBudget::unbounded(), 1);
+            |spec: &QuerySpec| plan_streaming(n, n, spec, &params, MemoryBudget::unbounded(), 1);
         let price = |first, spec: &QuerySpec| {
             let codes = DsmPostProjection::with_codes(first, SecondSideCode::Unsorted);
-            predict_cost(codes, &whole(spec), n, n, n, spec, &params)
+            predict_cost(codes, &whole(spec), n, n, n, &params).total(spec)
         };
         // Large N: unsorted loses to both reordering codes at high π (Fig. 8).
         assert!(
@@ -378,7 +375,6 @@ mod tests {
             let plan = plan_streaming(
                 n,
                 n,
-                n,
                 &spec,
                 &params,
                 MemoryBudget::fraction_of(data_bytes, denom),
@@ -396,7 +392,7 @@ mod tests {
             last_chunks = plan.num_chunks;
         }
         // Unbounded budget degenerates to one chunk with the usual window.
-        let unbounded = plan_streaming(n, n, n, &spec, &params, MemoryBudget::unbounded(), 1);
+        let unbounded = plan_streaming(n, n, &spec, &params, MemoryBudget::unbounded(), 1);
         assert_eq!(unbounded.num_chunks, 1);
         assert_eq!(unbounded.chunk_rows, n);
     }
@@ -408,7 +404,6 @@ mod tests {
         let plan = plan_streaming(
             100_000,
             100_000,
-            100_000,
             &spec,
             &params,
             MemoryBudget::bytes(1024),
@@ -417,7 +412,7 @@ mod tests {
         assert!(plan.window_bytes <= plan.chunk_rows * 4);
         assert!(plan.window_bytes >= 4);
         // One-row floor: even absurd budgets make progress.
-        let tiny = plan_streaming(100, 100, 100, &spec, &params, MemoryBudget::bytes(1), 1);
+        let tiny = plan_streaming(100, 100, &spec, &params, MemoryBudget::bytes(1), 1);
         assert_eq!(tiny.chunk_rows, 1);
         assert_eq!(tiny.num_chunks, 100);
     }
@@ -431,7 +426,6 @@ mod tests {
         // One byte below the one-row floor clamps to a documented one-row
         // chunking instead of panicking anywhere downstream.
         let clamped = plan_streaming(
-            1_000,
             1_000,
             1_000,
             &spec,
@@ -448,10 +442,10 @@ mod tests {
         let params = CacheParams::paper_pentium4();
         let spec = QuerySpec::symmetric(1);
         let n = 1_000_000;
-        let one = plan_streaming(n, n, n, &spec, &params, MemoryBudget::unbounded(), 1);
+        let one = plan_streaming(n, n, &spec, &params, MemoryBudget::unbounded(), 1);
         // More concurrent workers shrink the per-worker insertion window
         // (each worker owns only a share of the cache).
-        let eight = plan_streaming(n, n, n, &spec, &params, MemoryBudget::unbounded(), 8);
+        let eight = plan_streaming(n, n, &spec, &params, MemoryBudget::unbounded(), 8);
         assert!(eight.window_bytes < one.window_bytes);
     }
 
@@ -462,9 +456,8 @@ mod tests {
         let n = 4_000_000;
         let codes =
             DsmPostProjection::with_codes(ProjectionCode::Unsorted, SecondSideCode::Decluster);
-        let price = |plan: &StreamingPlan| predict_cost(codes, plan, n, n, n, &spec, &params);
+        let price = |plan: &StreamingPlan| predict_cost(codes, plan, n, n, n, &params).total(&spec);
         let monolithic = price(&plan_streaming(
-            n,
             n,
             n,
             &spec,
@@ -474,7 +467,6 @@ mod tests {
         ));
         for denom in [4usize, 64] {
             let plan = plan_streaming(
-                n,
                 n,
                 n,
                 &spec,
@@ -505,49 +497,6 @@ mod tests {
                 "denom {denom}: {streamed} vs {monolithic}"
             );
         }
-    }
-
-    /// The column-chunk order: a multi-chunk run whose projected source
-    /// columns outgrow its per-core cache share walks column-major; a run
-    /// whose columns fit the share, or a one-chunk run, interleaves.
-    #[test]
-    fn the_order_rule_streams_column_major_only_when_the_columns_outgrow_the_share() {
-        use ChunkOrder::{ColumnMajor, Interleaved};
-        let pentium = CacheParams::paper_pentium4();
-        let order = |(larger, smaller): (usize, usize), pi, params: &CacheParams, budget| {
-            let spec = QuerySpec::symmetric(pi);
-            let plan = plan_streaming(larger, larger, smaller, &spec, params, budget, 1);
-            (plan.num_chunks, plan.order)
-        };
-        // `perf_proxy`'s `pipeline.e2e` query: 4 000 × 2, π = 2, one query
-        // in flight (the whole 512 KB L2) under its 64 KiB grant.  Its four
-        // columns' 64 000 B fit, so its two chunks interleave.
-        let e2e = order((4_000, 4_000), 2, &pentium, MemoryBudget::bytes(64 * 1024));
-        assert_eq!(e2e, (2, Interleaved));
-        // The mix's hottest tenant, 200 000 × 2 at π = 2, planned at a
-        // quarter of the cache under the fair share (200 000 B) of its
-        // 800 000 B global budget: 3.2 MB of columns against 128 KB.
-        let quarter = pentium.per_query_share(4);
-        let mix = order(
-            (200_000, 200_000),
-            2,
-            &quarter,
-            MemoryBudget::bytes(200_000),
-        );
-        assert_eq!(mix, (20, ColumnMajor));
-        // The same columns as one chunk interleave: one pass reads them all.
-        let whole = order((200_000, 200_000), 2, &quarter, MemoryBudget::unbounded());
-        assert_eq!(whole, (1, Interleaved));
-        // Each side's columns count at their own cardinality, against the
-        // share of every worker: 4 × 10 000 × 4 B is above a quarter of the
-        // cache (131 072 B), 2 × 10 000 × 4 B + 2 × 1 000 × 4 B is not …
-        let budget = MemoryBudget::bytes(16 * 1024);
-        assert_eq!(order((10_000, 10_000), 2, &quarter, budget).1, ColumnMajor);
-        assert_eq!(order((10_000, 1_000), 2, &quarter, budget).1, Interleaved);
-        // … and two workers halve the share.
-        let spec = QuerySpec::symmetric(2);
-        let two = plan_streaming(10_000, 10_000, 1_000, &spec, &quarter, budget, 2);
-        assert_eq!(two.order, ColumnMajor);
     }
 
     /// The engine plans every query at a quarter of the cache

@@ -21,11 +21,9 @@ use std::ops::Range;
 /// column chunk it borrows the column's rows ([`RowChunkSink::column`]),
 /// writes every value once into them as a [`FromValue`] cell, and then
 /// calls [`RowChunkSink::emit`].  Each column's chunks arrive in
-/// ascending, gap-free `first_row` order; how the columns' chunks
-/// interleave is the run's
-/// [`ChunkOrder`](crate::strategy::planner::ChunkOrder): every column of a
-/// row chunk before the next, or each column through all of its chunks
-/// before the next column.
+/// ascending, gap-free `first_row` order; the streaming pipeline runs each
+/// column through all of its chunks before the next column starts, as the
+/// paper's DSM post-projection runs one column per pass (Fig. 4).
 pub trait RowChunkSink {
     /// What one result value is stored as in the lent memory.
     type Cell: FromValue<i32> + Send;
@@ -273,9 +271,9 @@ pub struct CountingSink<S> {
     pub max_chunk_rows: usize,
     /// Total rows seen so far (column 0's rows).
     pub rows: usize,
-    /// The column of each run of consecutive column chunks: `0, 1, …` once
-    /// per row chunk when the columns interleave, once in all when they
-    /// stream column-major.
+    /// The column of each run of consecutive column chunks: `0, 1, …`
+    /// once in all when each column streams through all of its chunks
+    /// before the next.
     pub column_runs: Vec<usize>,
 }
 

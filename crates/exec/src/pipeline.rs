@@ -22,12 +22,11 @@
 //!    (the serving layer caches it across queries under an `Arc`);
 //! 2. the result rows are cut into row chunks of
 //!    [`StreamingPlan::chunk_rows`] = `budget / bytes_per_row` rows, and
-//!    each projected column × row chunk is one **column chunk**, visited in
-//!    the plan's [`ChunkOrder`]: every column of a row chunk before the next
-//!    chunk, or — when the projected columns outgrow the per-core cache
-//!    share — each column through all of its chunks before the next column,
-//!    as Fig. 4 runs one column per pass, so a chunk stops evicting the
-//!    cluster regions the previous chunk of its column loaded;
+//!    each projected column × row chunk is one **column chunk**; each
+//!    column runs through all of its chunks before the next column, as
+//!    Fig. 4 runs one column per pass, so only one column's cluster
+//!    regions compete for the cache and a chunk never evicts the regions
+//!    the previous chunk of its column loaded;
 //! 3. per declustered column chunk, a [`ChunkCursorState`] advances one
 //!    cursor per cluster (§3.2's ascending-within-cluster property makes
 //!    every result prefix a prefix of every cluster; a column that starts
@@ -89,7 +88,7 @@ use rdx_core::decluster::{DeclusterScratch, ResultPositions};
 use rdx_core::error::{check_projection_widths, RdxError};
 use rdx_core::join::join_cluster_spec;
 use rdx_core::positional::{AttrSource, OidBlock};
-use rdx_core::strategy::planner::{plan_streaming, ChunkOrder, StreamingPlan};
+use rdx_core::strategy::planner::{plan_streaming, StreamingPlan};
 use rdx_core::strategy::sink::{MaterializeSink, RowChunkSink};
 use rdx_core::strategy::{
     DsmPostProjection, PhaseTimings, ProjectionCode, QuerySpec, SecondSideCode, StrategyOutcome,
@@ -321,14 +320,15 @@ impl ChunkScratch {
 
 /// The per-run observability state a [`PipelineRun`] carries when tracing
 /// is enabled: the query id its chunk events are keyed by, the cost
-/// model's per-chunk prediction, and the two histograms it records into —
+/// model's prediction of a first-side and of a second-side column chunk,
+/// and the two histograms it records into —
 /// resolved **once** at attach time, so the chunk loop's recording is
 /// atomics plus one short trace-ring lock, with no registry lookups and no
 /// allocations.
 struct RunObs {
     obs: Obs,
     query: QueryId,
-    predicted_chunk_ns: u64,
+    predicted_ns: [u64; 2],
     chunk_ns: rdx_obs::Histogram,
     ratio_permille: rdx_obs::Histogram,
 }
@@ -432,7 +432,6 @@ where
         };
         let streaming = plan_streaming(
             prepared.result_rows(),
-            prepared.larger_cardinality,
             prepared.smaller_cardinality,
             spec,
             params,
@@ -472,12 +471,14 @@ where
     /// Attaches an observability handle: every subsequent [`Self::step`]
     /// records a `ChunkStep` trace event keyed by `query` plus the
     /// `pipeline.chunk_ns` and `pipeline.predicted_vs_observed_permille`
-    /// histograms (observed ns × 1000 / `predicted_chunk_ns`, the caller's
-    /// price of one column chunk of this run — the Fig. 9 measured-vs-modeled
-    /// comparison as a live distribution).  Histogram handles are resolved
-    /// here, once, so the chunk loop itself never touches the registry.  An untraced `obs` is a no-op: the run stays
-    /// exactly as cheap — and as clock-free — as an unobserved one.
-    pub fn attach_obs(&mut self, obs: &Obs, query: QueryId, predicted_chunk_ns: u64) {
+    /// histograms (observed ns × 1000 / the step's entry of `predicted_ns`,
+    /// the caller's price of one first-side and of one second-side column
+    /// chunk of this run — the Fig. 9 measured-vs-modeled comparison as a
+    /// live distribution).  Histogram handles are resolved here, once, so
+    /// the chunk loop itself never touches the registry.  An untraced `obs`
+    /// is a no-op: the run stays exactly as cheap — and as clock-free — as
+    /// an unobserved one.
+    pub fn attach_obs(&mut self, obs: &Obs, query: QueryId, predicted_ns: [u64; 2]) {
         if !obs.is_enabled() {
             return;
         }
@@ -485,7 +486,7 @@ where
         self.obs = Some(Box::new(RunObs {
             obs: obs.clone(),
             query,
-            predicted_chunk_ns,
+            predicted_ns,
             chunk_ns: metrics.histogram("pipeline.chunk_ns"),
             ratio_permille: metrics.histogram("pipeline.predicted_vs_observed_permille"),
         }));
@@ -581,21 +582,19 @@ where
         self.spec.total().max(1)
     }
 
-    /// Column chunks this run has left to write — the unit of work a
+    /// Column chunks this run has left to write, the first side's and the
+    /// second side's (whose columns run last) — the units of work a
     /// scheduler prices.
-    pub fn column_chunks_left(&self) -> usize {
-        let n = self.prepared.result_rows();
-        let total = if n == 0 {
-            0
-        } else {
-            self.streaming.num_chunks * self.columns()
-        };
-        total - self.steps
+    pub fn column_chunks_left(&self) -> [usize; 2] {
+        let chunks = self.streaming.num_chunks;
+        let total = chunks * self.columns() * usize::from(self.prepared.result_rows() > 0);
+        let second = (total - self.steps).min(self.spec.project_smaller * chunks);
+        [total - self.steps - second, second]
     }
 
     /// Row chunks' worth of work done: column chunks written ÷ columns.
-    /// In either order it rises by one per row chunk's worth of column
-    /// chunks and ends at the row-chunk count.
+    /// It rises by one per row chunk's worth of column chunks and ends at
+    /// the row-chunk count.
     fn chunks_emitted(&self) -> usize {
         self.steps / self.columns()
     }
@@ -614,8 +613,8 @@ where
 
     /// Writes the next column chunk into the memory `sink` lends, emits it
     /// and returns its row count, or `None` once the run is complete (the
-    /// first `None` finishes the sink; further calls are no-ops).  The
-    /// plan's [`ChunkOrder`] picks the (column, row chunk) of each step.
+    /// first `None` finishes the sink; further calls are no-ops).  Column
+    /// 0 runs through all of its row chunks, then column 1, and so on.
     /// The sink's `begin` is called on the first step, so a run that joins
     /// to an empty result still performs the full `begin`/`finish`
     /// protocol while emitting zero chunks.
@@ -634,17 +633,14 @@ where
             }
             self.begun = true;
         }
-        if self.column_chunks_left() == 0 {
+        if self.column_chunks_left() == [0, 0] {
             sink.finish();
             self.finished = true;
             return None;
         }
 
-        let (columns, chunks) = (self.columns(), self.streaming.num_chunks);
-        let (chunk, col) = match self.streaming.order {
-            ChunkOrder::Interleaved => (self.steps / columns, self.steps % columns),
-            ChunkOrder::ColumnMajor => (self.steps % chunks, self.steps / chunks),
-        };
+        let chunks = self.streaming.num_chunks;
+        let (chunk, col) = (self.steps % chunks, self.steps / chunks);
         let first = chunk * self.streaming.chunk_rows;
         let rows = first..(first + self.streaming.chunk_rows).min(n);
         // What the plan charges the row chunk: its rows of the output
@@ -678,10 +674,8 @@ where
         if let (Some(run_obs), Some(start)) = (self.obs.as_deref(), chunk_start) {
             let observed_ns = start.elapsed().as_nanos() as u64;
             run_obs.chunk_ns.record(observed_ns);
-            if let Some(permille) = observed_ns
-                .saturating_mul(1000)
-                .checked_div(run_obs.predicted_chunk_ns)
-            {
+            let predicted_ns = run_obs.predicted_ns[usize::from(col >= self.spec.project_larger)];
+            if let Some(permille) = observed_ns.saturating_mul(1000).checked_div(predicted_ns) {
                 run_obs.ratio_permille.record(permille);
             }
             run_obs.obs.record(
@@ -690,7 +684,7 @@ where
                     chunk: step,
                     rows: rows.len() as u32,
                     observed_ns,
-                    predicted_ns: run_obs.predicted_chunk_ns,
+                    predicted_ns,
                     working_set_bytes: chunk_bytes as u64,
                 },
             );
@@ -751,8 +745,9 @@ where
                     staged,
                     decluster,
                 } = &mut self.scratch;
-                // The cursors stand at the end of the last chunk they cut;
-                // a column that starts over rewinds them in place.
+                // The cursors stand at the end of the last chunk they cut:
+                // a column that starts over rewinds them in place, and a
+                // one-chunk run's columns share its one cut.
                 if cursors.consumed() != rows.end {
                     if rows.start == 0 {
                         cursors.reset(smaller.bounds());
@@ -2082,13 +2077,11 @@ mod tests {
         assert_eq!(run.rows_emitted(), w.expected_matches);
     }
 
-    /// The plan's order is the order the sink sees the columns in: every
-    /// column of a row chunk before the next chunk when the columns fit the
-    /// cache share, each column through all of its chunks when they do not.
-    /// Either way the bytes are the one-chunk run's, at every budget, code
-    /// and thread count.
+    /// The sink sees each column through all of its chunks before the next
+    /// column, and the bytes are the one-chunk run's, at every budget,
+    /// code, cache and thread count.
     #[test]
-    fn the_sink_sees_the_columns_in_the_plans_order_and_the_bytes_never_move() {
+    fn the_sink_sees_each_column_through_all_of_its_chunks_and_the_bytes_never_move() {
         use rdx_core::strategy::planner::streaming_bytes_per_row;
 
         let w = JoinWorkloadBuilder::equal(3_000, 2).seed(23).build();
@@ -2101,12 +2094,7 @@ mod tests {
         for (first, second) in CODES {
             let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
             let label = pipeline.plan.label();
-            // 36 000 B of source columns fit the 512 KB L2 and outgrow the
-            // 8 KB one.
-            for (params, order) in [
-                (CacheParams::paper_pentium4(), ChunkOrder::Interleaved),
-                (CacheParams::tiny_for_tests(), ChunkOrder::ColumnMajor),
-            ] {
+            for params in [CacheParams::paper_pentium4(), CacheParams::tiny_for_tests()] {
                 let (expected, _) = pipeline
                     .materialize(
                         &w.larger,
@@ -2124,20 +2112,7 @@ mod tests {
                         pipeline, &w.larger, &w.smaller, &spec, &params, &policy, &mut sink,
                     );
                     let (chunks, at) = (stats.streaming.num_chunks, format!("{label} 1/{denom}"));
-                    assert_eq!(
-                        stats.streaming.order,
-                        if chunks > 1 {
-                            order
-                        } else {
-                            ChunkOrder::Interleaved
-                        },
-                        "{at}"
-                    );
-                    let runs = match stats.streaming.order {
-                        ChunkOrder::Interleaved => columns.repeat(chunks),
-                        ChunkOrder::ColumnMajor => columns.clone(),
-                    };
-                    assert_eq!(sink.column_runs, runs, "{at}");
+                    assert_eq!(sink.column_runs, columns, "{at}");
                     assert_eq!(
                         (sink.chunks, stats.chunks_emitted),
                         (chunks, chunks),

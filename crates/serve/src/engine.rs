@@ -296,10 +296,11 @@ struct Running {
     /// The tenant this admission is charged to, with the bytes charged
     /// against its byte cap (0 when it has none).
     tenant: Option<(TenantId, usize)>,
-    /// Predicted column-chunk cost (the row-chunk price ÷ its columns) ×
-    /// deadline urgency: its work left, the dispatch key, is this times its
-    /// column chunks left.
-    step_work: f64,
+    /// Predicted column-chunk cost of a first-side and of a second-side
+    /// column (their shares of the row-chunk price) × deadline urgency: its
+    /// work left, the dispatch key, is each side's column chunks left times
+    /// its price.
+    step_work: [f64; 2],
     /// The engine step it has waited since: its admission step, then the
     /// step after each of its dispatches.
     waiting_since: u64,
@@ -309,11 +310,12 @@ struct Running {
 }
 
 impl Running {
-    /// Predicted work left: column chunks left × the weighted column-chunk
-    /// price.  At row-chunk boundaries this is row chunks left × the
+    /// Predicted work left: each side's column chunks left × its weighted
+    /// column-chunk price.  Before the first step this is row chunks × the
     /// weighted row-chunk price.
     fn work_left(&self) -> f64 {
-        self.run.column_chunks_left() as f64 * self.step_work
+        let [first, second] = self.run.column_chunks_left();
+        first as f64 * self.step_work[0] + second as f64 * self.step_work[1]
     }
 }
 
@@ -966,7 +968,7 @@ impl QueryEngine {
         query: QueryId,
         wait: Duration,
         ordinal: usize,
-    ) -> Result<(Run, QueryStats), RdxError> {
+    ) -> Result<(Run, QueryStats, [f64; 2]), RdxError> {
         budget.check_one_row(streaming_bytes_per_row(&request.spec))?;
         let Some(larger) = self.catalog.get_arc(request.larger) else {
             return Err(RdxError::UnknownRelation {
@@ -993,20 +995,21 @@ impl QueryEngine {
         // granted share and resolved thread count.
         let (larger_rows, smaller_rows) = (larger.cardinality(), smaller.cardinality());
         let price = |streaming: &StreamingPlan, result_rows: usize| {
-            let ms = predict_cost(
+            let price = predict_cost(
                 plan,
                 streaming,
                 larger_rows,
                 smaller_rows,
                 result_rows,
-                &request.spec,
                 shared_params,
             );
-            if ms.is_finite() {
+            let ms = price.total(&request.spec);
+            let ns = if ms.is_finite() {
                 (ms * 1e6).max(0.0) as u64
             } else {
                 u64::MAX
-            }
+            };
+            (ns, price)
         };
         // Deadline-aware admission: price the whole run before spending
         // anything on it.  An infeasible deadline is rejected here — the
@@ -1018,14 +1021,13 @@ impl QueryEngine {
         if let Some(deadline_ns) = request.deadline_ns {
             let streaming = plan_streaming(
                 larger_rows,
-                larger_rows,
                 smaller_rows,
                 &request.spec,
                 shared_params,
                 budget,
                 workers,
             );
-            let predicted_ns = price(&streaming, larger_rows);
+            let (predicted_ns, _) = price(&streaming, larger_rows);
             if predicted_ns > deadline_ns {
                 return Err(RdxError::Deadline(DeadlineError::Infeasible {
                     predicted_ns,
@@ -1084,13 +1086,23 @@ impl QueryEngine {
             &policy,
         );
         // The work-left key, its deadline urgency and the observed-vs-
-        // predicted recording read the run's own price per chunk; a step
-        // writes one of its columns.
+        // predicted recording read the run's own price per row chunk.  A
+        // step writes one column of it and is charged its side's share: a
+        // first-side column chunk is a gather, a second-side one under `d`
+        // also declusters.
         let streaming = run.streaming();
-        let predicted_chunk_ns =
-            price(streaming, run.prepared().result_rows()) / streaming.num_chunks.max(1) as u64;
+        let (run_ns, split) = price(streaming, run.prepared().result_rows());
+        let predicted_chunk_ns = run_ns / streaming.num_chunks.max(1) as u64;
         let predicted_chunk_cost_ms = predicted_chunk_ns as f64 / 1e6;
-        run.attach_obs(&self.obs, query, predicted_chunk_ns / run.columns() as u64);
+        let spec = request.spec;
+        let row_chunk = spec.project_larger as f64 * split.first_column
+            + spec.project_smaller as f64 * split.second_column;
+        let even = 1.0 / run.columns() as f64;
+        let column_ns = [split.first_column, split.second_column].map(|column| {
+            let share = Some(column / row_chunk).filter(|s| s.is_finite());
+            (predicted_chunk_ns as f64 * share.unwrap_or(even)) as u64
+        });
+        run.attach_obs(&self.obs, query, column_ns);
         if request.profiled {
             run.attach_profile(&self.obs, query, shared_params);
         }
@@ -1116,7 +1128,7 @@ impl QueryEngine {
             wait,
             service: Duration::ZERO,
         };
-        Ok((run, stats))
+        Ok((run, stats, column_ns.map(|ns| ns as f64 / 1e6)))
     }
 
     /// Admits from the queue head while budget and slots allow (FIFO —
@@ -1225,13 +1237,13 @@ impl QueryEngine {
         }
         let wait = p.submitted_at.elapsed();
         match self.resolve_with(&request, effective, p.query, wait, p.ordinal) {
-            Ok((run, mut stats)) => {
+            Ok((run, mut stats, column_ms)) => {
                 stats.replanned = replanned;
                 if replanned {
                     self.counters.replans.inc();
                 }
-                let step_work = stats.predicted_chunk_cost_ms / run.columns() as f64
-                    * deadline_urgency(&request, &stats, &run);
+                let urgency = deadline_urgency(&request, &stats, &run);
+                let step_work = column_ms.map(|ms| ms * urgency);
                 self.running.push(Running {
                     pending: p,
                     run,
@@ -1691,8 +1703,8 @@ mod tests {
     ) -> (u64, StreamingPlan) {
         let spec = QuerySpec::symmetric(2);
         let params = engine.shared_params();
-        let plan = plan_streaming(result_rows, rows, rows, &spec, params, budget, 1);
-        let ms = predict_cost(codes, &plan, rows, rows, result_rows, &spec, params);
+        let plan = plan_streaming(result_rows, rows, &spec, params, budget, 1);
+        let ms = predict_cost(codes, &plan, rows, rows, result_rows, params).total(&spec);
         ((ms * 1e6) as u64, plan)
     }
 
@@ -1903,12 +1915,15 @@ mod tests {
         assert_eq!(columns(&qt.result), columns(&ql.result));
     }
 
-    /// The dispatch key is column chunks left × the weighted column-chunk
-    /// price: it falls by one step's price with every step the run takes,
-    /// reads row chunks left × the row-chunk price at each row-chunk
-    /// boundary, and is exactly 0 when the finishing step comes.
+    /// The dispatch key is each side's column chunks left × its weighted
+    /// column-chunk price.  Under `c/d` a first-side column chunk (one
+    /// gather) is priced below a second-side one (a gather and a
+    /// decluster), one row chunk's columns sum to the row-chunk price, the
+    /// key falls by each step's own price, and it is exactly 0 when the
+    /// finishing step comes.
     #[test]
     fn the_work_left_key_falls_by_one_step_price_per_step_and_ends_at_zero() {
+        use rdx_core::strategy::{ProjectionCode as F, SecondSideCode as S};
         let w = JoinWorkloadBuilder::equal(1_500, 2).seed(5).build();
         let mut engine = engine(MemoryBudget::bytes(2 * 1024));
         let larger = engine.register(w.larger.clone());
@@ -1917,24 +1932,25 @@ mod tests {
             project_larger: 2,
             project_smaller: 1,
         };
-        let ticket = engine.submit(ServerRequest::new(larger, smaller, spec));
+        let codes = DsmPostProjection::with_codes(F::PartialCluster, S::Decluster);
+        let ticket = engine.submit(ServerRequest::new(larger, smaller, spec).with_codes(codes));
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1e-12);
         assert!(matches!(engine.step(), EngineStep::Chunk { .. }));
         let r = &engine.running[0];
         let chunks = r.run.streaming().num_chunks;
-        let (step_work, chunk_price) = (r.step_work, r.stats.predicted_chunk_cost_ms);
-        assert!(chunks > 1 && step_work > 0.0);
-        assert!(close(step_work * 3.0, chunk_price));
+        let ([first, second], chunk_price) = (r.step_work, r.stats.predicted_chunk_cost_ms);
+        assert!(chunks > 1 && 0.0 < first && first < second);
+        // Column prices are whole nanoseconds: within 1 ns a column.
+        assert!((2.0 * first + second - chunk_price).abs() <= 3e-6);
+        // Both first-side columns run through their chunks first.
+        let price = |step: usize| if step < 2 * chunks { first } else { second };
         let (mut steps, mut left) = (1, r.work_left());
+        assert!(close(left + first, chunks as f64 * (2.0 * first + second)));
         loop {
-            assert!(close(left, (chunks * 3 - steps) as f64 * step_work));
-            if steps % 3 == 0 {
-                assert!(close(left, (chunks - steps / 3) as f64 * chunk_price));
-            }
             match engine.step() {
                 EngineStep::Chunk { .. } => {
                     let now = engine.running[0].work_left();
-                    assert!(close(left - now, step_work), "step {steps}");
+                    assert!(close(left - now, price(steps)), "step {steps}");
                     (steps, left) = (steps + 1, now);
                 }
                 EngineStep::Finished { ticket: t } if t == ticket => break,

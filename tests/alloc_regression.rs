@@ -250,7 +250,7 @@ fn observed_pipeline_step_allocates_nothing_in_steady_state() {
     // and sized up-front by `attach_obs`, so the chunk loop itself records
     // through atomics and a pre-allocated ring only.
     let obs = Obs::enabled();
-    run.attach_obs(&obs, QueryId::next(), 1_000);
+    run.attach_obs(&obs, QueryId::next(), [1_000; 2]);
     let mut sink = NullSink::new(Vec::new());
 
     // Warm-up: first chunk grows scratch (and instantiates the histograms).

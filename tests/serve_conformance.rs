@@ -151,7 +151,7 @@ fn degenerate_budgets_surface_typed_errors_not_panics() {
     // Plan-time: the planner documents a clamp to one-row chunks…
     let spec = QuerySpec::symmetric(1);
     let params = CacheParams::tiny_for_tests();
-    let clamped = plan_streaming(300, 300, 300, &spec, &params, MemoryBudget::bytes(2), 1);
+    let clamped = plan_streaming(300, 300, &spec, &params, MemoryBudget::bytes(2), 1);
     assert_eq!(clamped.chunk_rows, 1);
     // …while in the serving layer the same condition is a typed rejection
     // per request.
