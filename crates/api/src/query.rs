@@ -94,9 +94,9 @@ impl<'s> Query<'s> {
     ///    rejected with [`rdx_core::error::DeadlineError::Infeasible`]
     ///    *before a single chunk runs*, so a doomed query never holds a
     ///    grant.
-    /// 2. **Chunk boundaries** — consumed service time (chunk wall-clock
-    ///    plus any injected slowdowns) is checked between chunk steps; an
-    ///    overrun tears the run down with
+    /// 2. **Chunk boundaries** — consumed service time (its chunk loop's
+    ///    `PhaseTimings` plus injected slowdowns) is checked between chunk
+    ///    steps; an overrun tears the run down with
     ///    [`rdx_core::error::DeadlineError::Exceeded`] and reclaims its
     ///    grant.
     ///

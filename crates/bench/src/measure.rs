@@ -2,7 +2,7 @@
 //! benches: one function per experiment family, each returning plain numbers
 //! so callers can print, plot or assert on them.
 
-use crate::paper::jive::{jive_bits, jive_join_projection};
+use crate::paper::jive::jive_join_projection;
 use crate::paper::{
     dsm_pre_projection, nsm_post_projection_decluster, nsm_post_projection_jive,
     nsm_pre_projection_hash, nsm_pre_projection_phash,
@@ -18,7 +18,7 @@ use rdx_core::cluster::{
 };
 use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::{choose_window_bytes, radix_decluster, simulate_decluster};
-use rdx_core::join::{hash_join, join_cluster_spec, partitioned_hash_join, HashTable};
+use rdx_core::join::{partitioned_hash_join, HashTable};
 use rdx_core::positional::{
     clustered_positional_join, positional_join, sparse_positional_join, CountingSource,
 };
@@ -586,23 +586,6 @@ pub fn sanity_check() -> bool {
     let b = nsm_pre_projection_phash(&w.larger_nsm, &w.smaller_nsm, &spec, &params);
     matches!(a, Ok((a, _)) if result_rows(&a.result) == expected)
         && matches!(b, Ok(b) if result_rows(&b.result) == expected)
-}
-
-/// Fallback naive join used in the harness's own tests.
-pub fn naive_join_len(n: usize) -> usize {
-    let keys: Vec<u64> = (0..n as u64).collect();
-    hash_join(&keys, &keys).len()
-}
-
-/// Picks the Jive partition bits the same way the NSM-post-jive strategy does
-/// (re-exported for the Fig. 9e/f sweeps).
-pub fn default_jive_bits(n: usize, params: &CacheParams) -> u32 {
-    jive_bits(n, 4, params.cache_capacity())
-}
-
-/// Picks the Partitioned Hash-Join clustering the same way the strategies do.
-pub fn default_join_bits(n: usize, params: &CacheParams) -> u32 {
-    join_cluster_spec(n, params.cache_capacity()).bits
 }
 
 /// One cell of the deterministic perf-proxy gate: a named simulated count.

@@ -160,19 +160,6 @@ pub fn classify(baseline: &BootstrapCi, candidate: &BootstrapCi) -> Comparison {
     }
 }
 
-/// Collects `iters` timing samples (milliseconds) of `f`, discarding one
-/// unrecorded warm-up call first.
-pub fn measure_ms_samples<F: FnMut()>(iters: usize, mut f: F) -> Vec<f64> {
-    f(); // warm-up: first call pays allocator/page-fault costs
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = std::time::Instant::now();
-        f();
-        samples.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    samples
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

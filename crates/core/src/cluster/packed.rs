@@ -231,22 +231,6 @@ impl<'a> PackedSlice<'a> {
             })
     }
 
-    /// Calls `f(at, base, low, block)` once per run of [`Self::runs`], with
-    /// `block` the matching stretch of `out` — the loop a block fetch over a
-    /// packed slice runs.
-    ///
-    /// # Panics
-    /// Panics if `out` is not as long as the slice.
-    pub fn for_each_run<T>(&self, out: &mut [T], mut f: impl FnMut(usize, Oid, &[u16], &mut [T])) {
-        assert_eq!(self.len(), out.len(), "oid/output block length mismatch");
-        let mut rest = out;
-        for (at, base, low) in self.runs() {
-            let (block, tail) = std::mem::take(&mut rest).split_at_mut(low.len());
-            f(at, base, low, block);
-            rest = tail;
-        }
-    }
-
     /// Appends the slice's oids, widened to [`Oid`], to `out`.
     pub fn extend_into(&self, out: &mut Vec<Oid>) {
         out.reserve(self.len());
@@ -454,14 +438,8 @@ mod tests {
         let (packed, _) = PackedOids::pack(c);
         let runs: Vec<_> = packed.slice(2..7).runs().collect();
         assert_eq!(runs, [(2, 0, &[2u16, 3][..]), (4, 12, &[0, 1, 2][..])]);
-        let mut out = [0u32; 5];
-        packed
-            .slice(2..7)
-            .for_each_run(&mut out, |_, base, low, block| {
-                for (slot, &l) in block.iter_mut().zip(low) {
-                    *slot = base + u32::from(l);
-                }
-            });
+        let mut out = Vec::new();
+        packed.slice(2..7).extend_into(&mut out);
         assert_eq!(out, [2, 3, 12, 13, 14]);
     }
 

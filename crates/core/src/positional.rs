@@ -18,11 +18,11 @@
 //! one column, never for a value** ([`AttrSource::gather_into`]).  The column
 //! lookup and the seqbase / record stride are paid once per block; what
 //! remains per value is one safe-indexed load and one store.  All variants
-//! end in the single loop [`Column::gather_into_probed`]; a block of
-//! radix-clustered oids stored packed ([`PackedSlice`]) runs its twin over
-//! 2-byte offsets, [`Column::gather_offsets_into_probed`], once per cluster
-//! run.  Both report their references to a [`Probe`], so a profiled run
-//! charges the cache simulator from the loop that ships.
+//! end in the single loop [`Column::gather_into_probed`]: a block of plain
+//! oids in one call, a block of radix-clustered oids stored packed
+//! ([`PackedSlice`]) once per cluster run, over its 2-byte offsets under the
+//! run's base.  The loop reports its references to a [`Probe`], so a
+//! profiled run charges the cache simulator from the loop that ships.
 
 use crate::cluster::PackedSlice;
 use rdx_cache::{Probe, Remap};
@@ -74,14 +74,16 @@ impl AttrSource for DsmRelation {
     ) {
         let column = self.attr(attr);
         match oids {
-            OidBlock::Wide(oids) => column.gather_into_probed(oids, out, probe),
+            OidBlock::Wide(oids) => column.gather_into_probed(0, oids, out, probe),
             OidBlock::Packed(oids) => {
+                assert_eq!(oids.len(), out.len(), "oid/output block length mismatch");
                 let mut done = 0;
-                oids.for_each_run(out, |at, base, offsets, block| {
+                for (at, base, offsets) in oids.runs() {
+                    let block = &mut out[done..done + offsets.len()];
                     let mut run = Remap::new(&mut *probe, [(0, at), (1, 0), (2, done)]);
-                    column.gather_offsets_into_probed(base, offsets, block, &mut run);
-                    done += block.len();
-                });
+                    column.gather_into_probed(base, offsets, block, &mut run);
+                    done += offsets.len();
+                }
             }
         }
     }

@@ -63,10 +63,16 @@ pub struct PhaseTimings {
     /// Re-ordering of the join index (Radix-Sort / partial Radix-Cluster).
     pub reorder: Duration,
     /// Positional joins / record projections for the first (larger) side.
+    /// In the streaming pipeline: the fetch and emit of its column chunks,
+    /// the interval `pipeline.chunk_ns` records.
     pub project_larger: Duration,
     /// Positional joins for the second (smaller) side, excluding decluster.
+    /// In the streaming pipeline: the fetch and emit of a `u` second side's
+    /// column chunks.
     pub project_smaller: Duration,
-    /// Radix-Decluster passes (second side only).
+    /// Radix-Decluster passes (second side only).  In the streaming
+    /// pipeline: the staged fetch, decluster and emit of a `d` second
+    /// side's column chunks, plus the prefix's clustering when folded in.
     pub decluster: Duration,
 }
 

@@ -117,75 +117,50 @@ impl<T: Copy> Column<T> {
     /// Positional gather into a caller-provided block:
     /// `out[i] = self[oids[i]]`, honouring the void seqbase.
     ///
-    /// This is the one DSM gather loop of the workspace — [`Column::gather`],
-    /// `rdx-core`'s positional joins and the streaming pipeline's per-morsel
-    /// fetch all run it — so an oid means the same thing on every path.  The
-    /// value slice and the seqbase are hoisted out of the loop; each element
-    /// is safe-indexed.
+    /// It runs the one DSM gather loop of the workspace,
+    /// [`Column::gather_into_probed`] — [`Column::gather`], `rdx-core`'s
+    /// positional joins and the streaming pipeline's per-morsel fetch over
+    /// wide and packed oids all run it — so an oid means the same thing on
+    /// every path.  The value slice and the seqbase are hoisted out of the
+    /// loop; each element is safe-indexed.
     ///
     /// # Panics
     /// Panics if `oids` and `out` differ in length or any oid is out of range
     /// — a join index referring to oids that do not exist in the projection
     /// column is a logic error, never data.
     pub fn gather_into(&self, oids: &[Oid], out: &mut [T]) {
-        self.gather_into_probed(oids, out, &mut NoProbe);
+        self.gather_into_probed(0, oids, out, &mut NoProbe);
     }
 
-    /// [`Column::gather_into`] into cells of any [`FromValue`] type — the
-    /// values themselves, or their wire bytes — reporting its references to
-    /// `probe`: per element, the oid read (array id 0, `oids`), the value
-    /// read (id 1, this column, by position) and the output write (id 2,
-    /// `out`).  Under a [`rdx_cache::SimProbe`] this is the Fig. 9c
-    /// positional join's miss count.
+    /// [`Column::gather_into`] over the oids `base + index[i]`, into cells
+    /// of any [`FromValue`] type — the values themselves, or their wire
+    /// bytes — reporting its references to `probe`.  `index` holds either
+    /// plain [`Oid`]s (under base 0) or the 2-byte offsets of one run of a
+    /// clustered oid array stored as low bits under its cluster's base.
+    /// Per element, `probe` sees the index entry's read (array id 0,
+    /// `index`), the value's read (id 1, this column, by position) and the
+    /// output write (id 2, `out`).  Under a [`rdx_cache::SimProbe`] this is
+    /// the Fig. 9c positional join's miss count.
     ///
     /// # Panics
     /// As [`Column::gather_into`].
     #[inline]
-    pub fn gather_into_probed<C: FromValue<T>, P: Probe>(
-        &self,
-        oids: &[Oid],
-        out: &mut [C],
-        probe: &mut P,
-    ) {
-        assert_eq!(oids.len(), out.len(), "oid/output block length mismatch");
-        let (seqbase, data) = (self.seqbase, self.data.as_slice());
-        for (i, (slot, &oid)) in out.iter_mut().zip(oids).enumerate() {
-            let pos = (oid - seqbase) as usize;
-            probe.read(0, i);
-            probe.read(1, pos);
-            probe.write(2, i);
-            *slot = C::from_value(data[pos]);
-        }
-    }
-
-    /// [`Column::gather_into_probed`] over oids given as `base + offsets[i]`
-    /// — one run of a clustered oid array stored as low bits under its
-    /// cluster.  The rebasing is hoisted out of the loop, which reads 2-byte
-    /// offsets.  `probe` sees what [`Column::gather_into_probed`] reports:
-    /// per element the offset's read (array id 0, `offsets`), the value's
-    /// read (id 1, this column, by position) and the output write (id 2).
-    ///
-    /// # Panics
-    /// Panics if `offsets` and `out` differ in length or any oid is out of
-    /// range.
-    #[inline]
-    pub fn gather_offsets_into_probed<C: FromValue<T>, P: Probe>(
+    pub fn gather_into_probed<I: GatherIndex, C: FromValue<T>, P: Probe>(
         &self,
         base: Oid,
-        offsets: &[u16],
+        index: &[I],
         out: &mut [C],
         probe: &mut P,
     ) {
-        assert_eq!(offsets.len(), out.len(), "oid/output block length mismatch");
-        // `base` may lie below the seqbase while every oid of the run does not.
-        let (data, start, below) = match base.checked_sub(self.seqbase) {
-            Some(start) => (&self.data[start as usize..], start as usize, 0),
-            None => (self.data.as_slice(), 0, (self.seqbase - base) as usize),
-        };
-        for (i, (slot, &offset)) in out.iter_mut().zip(offsets).enumerate() {
-            let pos = usize::from(offset) - below;
+        assert_eq!(index.len(), out.len(), "oid/output block length mismatch");
+        // `base` may lie below the seqbase while every oid it offsets does
+        // not, so positions are taken modulo 2^32: an oid below the seqbase
+        // wraps past the column's end and fails the bounds check.
+        let (origin, data) = (base.wrapping_sub(self.seqbase), self.data.as_slice());
+        for (i, (slot, &entry)) in out.iter_mut().zip(index).enumerate() {
+            let pos = origin.wrapping_add(entry.widen()) as usize;
             probe.read(0, i);
-            probe.read(1, start + pos);
+            probe.read(1, pos);
             probe.write(2, i);
             *slot = C::from_value(data[pos]);
         }
@@ -225,6 +200,27 @@ impl<T> std::ops::Index<usize> for Column<T> {
 impl<T> FromIterator<T> for Column<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         Column::from_vec(iter.into_iter().collect())
+    }
+}
+
+/// An entry of the index a gather reads ([`Column::gather_into_probed`]):
+/// a plain [`Oid`], or a `u16` offset under its run's base.
+pub trait GatherIndex: Copy {
+    /// The entry as an offset from the gather's base.
+    fn widen(self) -> Oid;
+}
+
+impl GatherIndex for Oid {
+    #[inline]
+    fn widen(self) -> Oid {
+        self
+    }
+}
+
+impl GatherIndex for u16 {
+    #[inline]
+    fn widen(self) -> Oid {
+        Oid::from(self)
     }
 }
 
@@ -309,33 +305,86 @@ mod tests {
         assert_eq!(col.gather(&[12, 10, 11]).as_slice(), &out);
     }
 
+    /// Every reference a probed gather reports, in order: `(write, array,
+    /// index)`.
+    #[derive(Default)]
+    struct Recorder(Vec<(bool, usize, usize)>);
+
+    impl Probe for Recorder {
+        const ACTIVE: bool = true;
+
+        fn read(&mut self, array: usize, index: usize) {
+            self.0.push((false, array, index));
+        }
+
+        fn write(&mut self, array: usize, index: usize) {
+            self.0.push((true, array, index));
+        }
+    }
+
     #[test]
     fn gather_offsets_into_matches_gather_on_either_side_of_the_seqbase() {
+        fn probed<I: GatherIndex>(
+            col: &Column<i32>,
+            base: Oid,
+            index: &[I],
+        ) -> ([i32; 3], Vec<(bool, usize, usize)>) {
+            let (mut out, mut probe) = ([0; 3], Recorder::default());
+            col.gather_into_probed(base, index, &mut out, &mut probe);
+            (out, probe.0)
+        }
         let col = Column::with_seqbase(10, (0..20).map(|v| v * 3).collect::<Vec<i32>>());
         for (base, offsets) in [(12, vec![0u16, 5, 1]), (8, vec![2, 9, 21])] {
             let oids: Vec<Oid> = offsets.iter().map(|&o| base + Oid::from(o)).collect();
-            let mut out = [0; 3];
-            col.gather_offsets_into_probed(base, &offsets, &mut out, &mut NoProbe);
-            assert_eq!(col.gather(&oids).as_slice(), &out, "base {base}");
+            let wide: Vec<Oid> = offsets.iter().map(|&o| Oid::from(o)).collect();
+            // Per element: the index entry, the value by its position in
+            // the column, the output.
+            let references: Vec<_> = oids
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &oid)| [(false, 0, i), (false, 1, oid as usize - 10), (true, 2, i)])
+                .collect();
+            let expected = (col.gather(&oids).into_vec(), references);
+            // One loop over 2-byte offsets under the base, 4-byte offsets
+            // under it, and plain oids.
+            for (label, (out, seen)) in [
+                ("u16 offsets", probed(&col, base, &offsets)),
+                ("u32 offsets", probed(&col, base, &wide)),
+                ("u32 oids", probed(&col, 0, &oids)),
+            ] {
+                assert_eq!((out.to_vec(), seen), expected, "base {base}, {label}");
+            }
         }
     }
 
     #[test]
     fn probed_gather_matches_and_shows_the_fig9c_contrast() {
-        use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, SimProbe};
-        let gather = |oids: &[Oid], column: &Column<i32>| -> (Vec<i32>, EventCounts) {
+        use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, Remap, SimProbe};
+        // Oids as runs of `(base, offsets)`, each gathered by the one loop
+        // with its references shifted to where the run sits in the block.
+        fn gather<I: GatherIndex>(
+            runs: &[(Oid, Vec<I>)],
+            column: &Column<i32>,
+        ) -> (Vec<i32>, EventCounts) {
+            let len = runs.iter().map(|(_, run)| run.len()).sum::<usize>();
             let mut space = AddressSpace::new();
             let regions = [
-                space.alloc(oids.len().max(1), 4),
+                space.alloc(len.max(1), 4),
                 space.alloc(column.len().max(1), 4),
-                space.alloc(oids.len().max(1), 4),
+                space.alloc(len.max(1), 4),
             ];
             let mut mem = MemorySystem::new(&CacheParams::tiny_for_tests()); // 8 KB L2
             let mut probe = SimProbe::new(&mut mem, &regions);
-            let mut out = vec![0; oids.len()];
-            column.gather_into_probed(oids, &mut out, &mut probe);
+            let mut out = vec![0; len];
+            let mut done = 0;
+            for (base, run) in runs {
+                let mut shifted = Remap::new(&mut probe, [(0, done), (1, 0), (2, done)]);
+                let block = &mut out[done..done + run.len()];
+                column.gather_into_probed(*base, run, block, &mut shifted);
+                done += run.len();
+            }
             (out, probe.counts())
-        };
+        }
         let n: usize = 16_384; // 64 KB column, 8× the cache
         let column: Column<i32> = (0..n as i32).collect();
 
@@ -351,9 +400,23 @@ mod tests {
         let mut clustered = unsorted.clone();
         clustered.sort_by_key(|&oid| oid >> 8);
 
-        let (out_u, misses_u) = gather(&unsorted, &column);
-        let (out_c, misses_c) = gather(&clustered, &column);
+        let (out_u, misses_u) = gather(&[(0, unsorted.clone())], &column);
+        let (out_c, misses_c) = gather(&[(0, clustered.clone())], &column);
         assert_eq!(out_u, column.gather(&unsorted).into_vec());
+
+        // The clustered oids as a packed array stores them — 2-byte offsets
+        // under each cluster's base — fetch the same values at the same
+        // counts, run by run.
+        let packed: Vec<(Oid, Vec<u16>)> = clustered
+            .chunk_by(|a, b| a >> 8 == b >> 8)
+            .map(|run| {
+                (
+                    run[0] >> 8 << 8,
+                    run.iter().map(|&oid| oid as u16 & 0xFF).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(gather(&packed, &column), (out_c.clone(), misses_c));
 
         // Same values fetched (as multisets).
         let mut a = out_u;
@@ -369,7 +432,7 @@ mod tests {
             misses_c.l2_misses
         );
         // An empty block charges nothing.
-        assert_eq!(gather(&[], &column).1.accesses, 0);
+        assert_eq!(gather::<Oid>(&[(0, vec![])], &column).1.accesses, 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod relation;
 pub mod selection;
 pub mod varsize;
 
-pub use column::{mark, Column, FromValue};
+pub use column::{mark, Column, FromValue, GatherIndex};
 pub use join_index::JoinIndex;
 pub use relation::{DsmRelation, ResultRelation};
 pub use selection::Selection;

@@ -67,14 +67,25 @@
 //! alike.  The column lookup and the seqbase / record stride are paid per
 //! block; a unit test pins the call count.  The run is generic over its
 //! sources (`&DsmRelation`, `Arc<DsmRelation>`, a counting wrapper), so
-//! the fetch is a direct call into the one gather loop.
+//! the fetch is a direct call into the one gather loop,
+//! `rdx_dsm::Column::gather_into_probed`, which a packed block runs once
+//! per cluster run.  A side whose oids are stored in result order — the
+//! first side, a `u` second side — is fetched by one arm; only a `d`
+//! second side stages and declusters.
 //!
-//! **Profiling.**  Every kernel of a chunk — the gathers of both sides and
-//! each smaller-side column's decluster — takes a zero-sized
-//! [`rdx_cache::Probe`]: [`NoProbe`] in production, a [`SimProbe`] over the
-//! run's simulated layout when [`PipelineRun::attach_profile`] armed it.  A
-//! profiled run therefore charges the cache simulator from the loops that
-//! ship, each column from its own column and into its own output.
+//! **Profiling.**  Every kernel of a chunk — the one gather loop, for
+//! both sides, and each smaller-side column's decluster — takes a
+//! zero-sized [`rdx_cache::Probe`]: [`NoProbe`] in production, a
+//! [`SimProbe`] over the run's simulated layout when
+//! [`PipelineRun::attach_profile`] armed it.  A profiled run therefore
+//! charges the cache simulator from the loops that ship, each column from
+//! its own column and into its own output.
+//!
+//! **One clock.**  [`PipelineRun::step`] reads the clock once before a
+//! column chunk's fetch and once after its emit, traced or not.  That one
+//! interval is charged to the side's [`PhaseTimings`] field, and is what
+//! an observer records (`pipeline.chunk_ns`, the `ChunkStep` event's
+//! `observed_ns`) and a profile spans.
 
 use crate::cluster::par_radix_cluster_oids;
 use crate::decluster::par_radix_decluster_into;
@@ -139,69 +150,68 @@ pub struct ProjectionPipeline {
 #[derive(Debug, Clone)]
 pub struct PreparedProjection {
     plan: DsmPostProjection,
-    first: FirstSide,
-    second: SecondSide,
+    /// The first side's oids, then the second side's.  The first side's
+    /// are always in result order.
+    sides: [SideOids; 2],
     larger_cardinality: usize,
     smaller_cardinality: usize,
     timings: PhaseTimings,
 }
 
-/// The first side's oids in result order.  A `c` reorder radix-clusters
-/// them, so they are stored packed under their clusters; `u` and `s` keep
-/// one [`Oid`] per row.
+/// What the chunk loop reads to fetch one side, and nothing else: a
+/// declustering prefix cannot carry the column it was clustered from.
 #[derive(Debug, Clone)]
-enum FirstSide {
-    Wide(Vec<Oid>),
-    Packed(PackedOids),
-}
-
-impl FirstSide {
-    fn len(&self) -> usize {
-        match self {
-            FirstSide::Wide(oids) => oids.len(),
-            FirstSide::Packed(oids) => oids.len(),
-        }
-    }
-
-    /// The oids of result rows `rows`.
-    fn block(&self, rows: Range<usize>) -> OidBlock<'_> {
-        match self {
-            FirstSide::Wide(oids) => OidBlock::Wide(&oids[rows]),
-            FirstSide::Packed(oids) => OidBlock::Packed(oids.slice(rows)),
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        match self {
-            FirstSide::Wide(oids) => std::mem::size_of_val(oids.as_slice()),
-            FirstSide::Packed(oids) => oids.resident_bytes(),
-        }
-    }
-}
-
-/// What the chunk loop reads for the plan's [`SecondSideCode`], and nothing
-/// else: a declustering prefix cannot carry the column it was clustered from.
-#[derive(Debug, Clone)]
-enum SecondSide {
-    /// `u`: the smaller relation's oids in result order, fetched positionally.
-    ResultOrder(Vec<Oid>),
-    /// `d`: Fig. 4's `(oid, result position)` pairs, radix-clustered on oid:
-    /// `CLUST_SMALLER` packed under its clusters, `CLUST_RESULT` under its
-    /// result blocks.
+enum SideOids {
+    /// The side's oids in result order, fetched positionally: the first
+    /// side under every code, and a `u` second side.
+    InOrder(InOrder),
+    /// A `d` second side: Fig. 4's `(oid, result position)` pairs,
+    /// radix-clustered on oid — `CLUST_SMALLER` packed under its clusters,
+    /// `CLUST_RESULT` under its result blocks.
     Clustered {
         smaller: PackedOids,
         positions: PackedPositions,
     },
 }
 
-impl SecondSide {
-    /// Bytes per oid of the array the smaller side is fetched through: the
-    /// result-order oids (`u`) or the packed `CLUST_SMALLER` (`d`).
-    fn index_width(&self) -> usize {
+/// Oids in result order.  A `c` reorder radix-clusters the first side's,
+/// so they are stored packed under their clusters; `u` and `s`, and a `u`
+/// second side, keep one [`Oid`] per row.
+#[derive(Debug, Clone)]
+enum InOrder {
+    Wide(Vec<Oid>),
+    Packed(PackedOids),
+}
+
+impl InOrder {
+    /// The oids of result rows `rows`, with the index of the stored array
+    /// the block's first oid is reported at: a wide block is its stretch of
+    /// the stored oids, a packed one indexes the whole packed array.
+    fn block(&self, rows: Range<usize>) -> (OidBlock<'_>, usize) {
         match self {
-            SecondSide::ResultOrder(oids) => OidBlock::Wide(oids).index_width(),
-            SecondSide::Clustered { smaller, .. } => {
-                OidBlock::Packed(smaller.as_slice()).index_width()
+            InOrder::Wide(oids) => (OidBlock::Wide(&oids[rows.clone()]), rows.start),
+            InOrder::Packed(oids) => (OidBlock::Packed(oids.slice(rows)), 0),
+        }
+    }
+}
+
+impl SideOids {
+    /// Every oid of the side, as the array it is fetched through stores
+    /// them.
+    fn oids(&self) -> OidBlock<'_> {
+        match self {
+            SideOids::InOrder(InOrder::Wide(oids)) => OidBlock::Wide(oids),
+            SideOids::InOrder(InOrder::Packed(oids))
+            | SideOids::Clustered { smaller: oids, .. } => OidBlock::Packed(oids.as_slice()),
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        match self {
+            SideOids::InOrder(InOrder::Wide(oids)) => std::mem::size_of_val(oids.as_slice()),
+            SideOids::InOrder(InOrder::Packed(oids)) => oids.resident_bytes(),
+            SideOids::Clustered { smaller, positions } => {
+                smaller.resident_bytes() + positions.resident_bytes()
             }
         }
     }
@@ -215,7 +225,7 @@ impl PreparedProjection {
 
     /// Result cardinality (join-index length).
     pub fn result_rows(&self) -> usize {
-        self.first.len()
+        self.sides[0].oids().len()
     }
 
     /// Cardinality of the smaller relation the clustering was sized for.
@@ -238,13 +248,16 @@ impl PreparedProjection {
     /// block) sub-run (decluster).  A `c/d` prefix is therefore 6 B/row +
     /// borders and block starts, `u/d` and `s/d` 8 B/row.
     pub fn resident_bytes(&self) -> usize {
-        let second = match &self.second {
-            SecondSide::ResultOrder(oids) => std::mem::size_of_val(oids.as_slice()),
-            SecondSide::Clustered { smaller, positions } => {
-                smaller.resident_bytes() + positions.resident_bytes()
-            }
-        };
-        self.first.resident_bytes() + second
+        self.sides.iter().map(SideOids::resident_bytes).sum()
+    }
+
+    /// The second side's clustered `CLUST_SMALLER` and `CLUST_RESULT`, when
+    /// it declusters.
+    fn clustered(&self) -> Option<(&PackedOids, &PackedPositions)> {
+        match &self.sides[1] {
+            SideOids::Clustered { smaller, positions } => Some((smaller, positions)),
+            SideOids::InOrder(_) => None,
+        }
     }
 }
 
@@ -268,8 +281,9 @@ pub struct PipelineStats {
     /// place is the prefix's (counted by
     /// [`PreparedProjection::resident_bytes`]).
     pub peak_chunk_bytes: usize,
-    /// Phase wall-clock breakdown ([`PhaseTimings`] semantics; chunked
-    /// phases accumulate across chunks).
+    /// Phase wall-clock breakdown ([`PhaseTimings`] semantics): each
+    /// chunk-loop phase is the sum of its column chunks' fetch and emit,
+    /// the interval `pipeline.chunk_ns` records.
     pub timings: PhaseTimings,
 }
 
@@ -375,14 +389,15 @@ const COLUMNS: usize = 6;
 /// to completion produces output byte-identical to the one-chunk
 /// [`ProjectionPipeline::materialize`], independent of the budget and of
 /// how steps interleave with other runs.
-pub struct PipelineRun<L, S> {
+pub struct PipelineRun<R> {
     prepared: Arc<PreparedProjection>,
-    larger: L,
-    smaller: S,
+    /// The larger relation, then the smaller one.
+    sources: [R; 2],
     spec: QuerySpec,
     policy: ExecPolicy,
     streaming: StreamingPlan,
-    cursors: Option<ChunkCursorState>,
+    /// One cursor per cluster of a declustering prefix (none otherwise).
+    cursors: ChunkCursorState,
     scratch: ChunkScratch,
     /// Column chunks written so far.
     steps: usize,
@@ -394,11 +409,7 @@ pub struct PipelineRun<L, S> {
     profile: Option<Box<RunProfile>>,
 }
 
-impl<L, S> PipelineRun<L, S>
-where
-    L: AttrSource + Sync,
-    S: AttrSource + Sync,
-{
+impl<R: AttrSource + Sync> PipelineRun<R> {
     /// A run over a prepared prefix, fetching from `larger` and `smaller`
     /// (`&DsmRelation`, an owning `Arc<DsmRelation>` a session can park
     /// across calls, or a wrapper such as a counting source), with the
@@ -410,8 +421,8 @@ where
     /// it as a typed error check up front.
     pub fn new(
         prepared: Arc<PreparedProjection>,
-        larger: L,
-        smaller: S,
+        larger: R,
+        smaller: R,
         spec: &QuerySpec,
         params: &CacheParams,
         policy: &ExecPolicy,
@@ -438,21 +449,20 @@ where
             policy.budget,
             policy.threads,
         );
-        let cursors = match &prepared.second {
-            SecondSide::Clustered { smaller, .. } => {
+        let cursors = match prepared.clustered() {
+            Some((smaller, _)) => {
                 debug_assert_eq!(
                     *smaller.spec(),
                     streaming.cluster_spec,
                     "prepared clustering drifted from the streaming plan"
                 );
-                Some(ChunkCursorState::new(smaller.bounds()))
+                ChunkCursorState::new(smaller.bounds())
             }
-            SecondSide::ResultOrder(_) => None,
+            None => ChunkCursorState::default(),
         };
         PipelineRun {
             prepared,
-            larger,
-            smaller,
+            sources: [larger, smaller],
             spec: *spec,
             policy,
             streaming,
@@ -475,9 +485,11 @@ where
     /// the caller's price of one first-side and of one second-side column
     /// chunk of this run — the Fig. 9 measured-vs-modeled comparison as a
     /// live distribution).  Histogram handles are resolved here, once, so
-    /// the chunk loop itself never touches the registry.  An untraced `obs`
-    /// is a no-op: the run stays exactly as cheap — and as clock-free — as
-    /// an unobserved one.
+    /// the chunk loop itself never touches the registry.  Every column chunk
+    /// reads one clock pair, observed or not — the reading its
+    /// [`PhaseTimings`] field is charged — so observing adds only the
+    /// recording.  An untraced `obs` is a no-op: the run stays exactly as
+    /// cheap as an unobserved one.
     pub fn attach_obs(&mut self, obs: &Obs, query: QueryId, predicted_ns: [u64; 2]) {
         if !obs.is_enabled() {
             return;
@@ -516,18 +528,18 @@ where
         // The decluster's arrays as the prefix stores them: 2-byte
         // positions, one 8-byte cursor border per run and one more, 4-byte
         // block starts.
-        let (stored, runs, starts) = match &prepared.second {
-            SecondSide::Clustered { smaller, positions } => (
+        let (stored, runs, starts) = match prepared.clustered() {
+            Some((smaller, positions)) => (
                 positions.stored().len(),
                 smaller.num_clusters(),
                 positions.starts_len(),
             ),
-            SecondSide::ResultOrder(_) => (0, 0, 0),
+            None => (0, 0, 0),
         };
         let mut space = AddressSpace::new();
         let mut regions = vec![
-            space.alloc(n.max(1), prepared.first.block(0..n).index_width()),
-            space.alloc(n.max(1), prepared.second.index_width()),
+            space.alloc(n.max(1), prepared.sides[0].oids().index_width()),
+            space.alloc(n.max(1), prepared.sides[1].oids().index_width()),
             space.alloc(chunk_rows, VALUE_WIDTH),
             space.alloc(stored.max(1), std::mem::size_of::<u16>()),
             space.alloc(runs + 1, 8),
@@ -627,7 +639,7 @@ where
             sink.begin(n, self.spec.total());
             // The first step sizes the scratch for every column chunk of the
             // run, so no later step allocates, whichever column comes first.
-            if let SecondSide::Clustered { smaller, .. } = &self.prepared.second {
+            if let Some((smaller, _)) = self.prepared.clustered() {
                 let rows = self.streaming.chunk_rows.min(n);
                 self.scratch.reserve(rows, smaller.num_clusters());
             }
@@ -645,34 +657,38 @@ where
         let rows = first..(first + self.streaming.chunk_rows).min(n);
         // What the plan charges the row chunk: its rows of the output
         // columns and, when it declusters, its staged values.
-        let staged = matches!(self.prepared.second, SecondSide::Clustered { .. });
+        let staged = self.prepared.clustered().is_some();
         let chunk_bytes = rows.len() * (self.spec.total() + usize::from(staged)) * VALUE_WIDTH;
-        // Chunk wall-clock is only measured when an observer consumes it.
-        let chunk_start = self.obs.is_some().then(Instant::now);
 
         // A profiled step runs its kernels under one probe over the run's
         // layout; the profile is set aside while the kernels borrow the run.
         let mut profile = self.profile.take();
         let mut counts = None;
+        // One clock pair per column chunk, traced or not, around its fetch
+        // and emit: the side's `PhaseTimings` field, the observer and the
+        // profile span all read that one interval.
         let span = (col < self.spec.total()).then(|| {
-            let span = match profile.as_deref_mut() {
+            let start = Instant::now();
+            let (phase, total) = match profile.as_deref_mut() {
                 Some(prof) => {
                     let mut probe = SimProbe::new(&mut prof.mem, &prof.regions);
-                    let span = self.fetch_column(col, rows.clone(), sink, &mut probe);
+                    let fetched = self.fetch_column(col, rows.clone(), sink, &mut probe);
                     counts = Some(probe.counts());
-                    span
+                    fetched
                 }
                 None => self.fetch_column(col, rows.clone(), sink, &mut NoProbe),
             };
             sink.emit(col, first, rows.len());
-            span
+            let elapsed = start.elapsed();
+            *total += elapsed;
+            (phase, elapsed.as_nanos() as u64)
         });
+        let observed_ns = span.map_or(0, |(_, ns)| ns);
 
         let step = self.steps as u32;
         self.steps += 1;
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(chunk_bytes);
-        if let (Some(run_obs), Some(start)) = (self.obs.as_deref(), chunk_start) {
-            let observed_ns = start.elapsed().as_nanos() as u64;
+        if let Some(run_obs) = self.obs.as_deref() {
             run_obs.chunk_ns.record(observed_ns);
             let predicted_ns = run_obs.predicted_ns[usize::from(col >= self.spec.project_larger)];
             if let Some(permille) = observed_ns.saturating_mul(1000).checked_div(predicted_ns) {
@@ -689,10 +705,10 @@ where
                 },
             );
         }
-        if let (Some(prof), Some(counts), Some((phase, elapsed))) =
+        if let (Some(prof), Some(counts), Some((phase, ns))) =
             (profile.as_deref_mut(), counts, span)
         {
-            prof.profile.record_span(phase, elapsed.as_nanos() as u64);
+            prof.profile.record_span(phase, ns);
             let params = prof.mem.params();
             let miss = MissCounts {
                 accesses: counts.accesses,
@@ -708,38 +724,39 @@ where
     }
 
     /// Writes result rows `rows` of column `col` into the cells `sink`
-    /// lends: a first-side column's gather; a smaller-side column's gather
-    /// into the staged `CLUST_VALUES` and its decluster, or its gather.
-    /// Every kernel reports to `probe` in the profiled layout's ids
-    /// ([`RunProfile`]).  Returns the column's phase span.
+    /// lends: one gather for a side whose oids are stored in result order,
+    /// and for a `d` second side a gather into the staged `CLUST_VALUES`
+    /// and its decluster.  Every kernel reports to `probe` in the profiled
+    /// layout's ids ([`RunProfile`]).  Returns the column's phase and the
+    /// [`PhaseTimings`] field its wall-clock is charged to.
     fn fetch_column<K: RowChunkSink, P: Probe>(
         &mut self,
         col: usize,
         rows: Range<usize>,
         sink: &mut K,
         probe: &mut P,
-    ) -> (Phase, Duration) {
-        let t = Instant::now();
-        let larger = self.spec.project_larger;
-        let policy = &self.policy;
-        // The column's source region and its output region.
-        let (source, output) = (COLUMNS + 2 * col, COLUMNS + 2 * col + 1);
-        let (phase, total) = match (&self.prepared.second, &mut self.cursors) {
-            _ if col < larger => {
-                // A wide block is its stretch of the stored oids; a packed
-                // one indexes the whole packed array.
-                let oids = self.prepared.first.block(rows.clone());
-                let at = match oids {
-                    OidBlock::Wide(_) => rows.start,
-                    OidBlock::Packed(_) => 0,
-                };
-                let arrays = [(FIRST_OIDS, at), (source, 0), (output, 0)];
+    ) -> (Phase, &mut Duration) {
+        let side = usize::from(col >= self.spec.project_larger);
+        let attr = col - side * self.spec.project_larger;
+        let (source, policy) = (&self.sources[side], &self.policy);
+        // The side's stored oids, the column's source and its output.
+        let oids_region = [FIRST_OIDS, SECOND_OIDS][side];
+        let (column, output) = (COLUMNS + 2 * col, COLUMNS + 2 * col + 1);
+        let timings = &mut self.timings;
+        match &self.prepared.sides[side] {
+            SideOids::InOrder(oids) => {
+                let (oids, at) = oids.block(rows.clone());
+                let arrays = [(oids_region, at), (column, 0), (output, 0)];
                 let out = sink.column(col, rows);
                 let mut probe = Remap::new(probe, arrays);
-                par_gather_into(&self.larger, col, oids, policy, out, &mut probe);
-                (Phase::Fetch, &mut self.timings.project_larger)
+                par_gather_into(source, attr, oids, policy, out, &mut probe);
+                let total = match side {
+                    0 => &mut timings.project_larger,
+                    _ => &mut timings.project_smaller,
+                };
+                (Phase::Fetch, total)
             }
-            (SecondSide::Clustered { smaller, positions }, Some(cursors)) => {
+            SideOids::Clustered { smaller, positions } => {
                 let ChunkScratch {
                     chunk,
                     staged,
@@ -748,6 +765,7 @@ where
                 // The cursors stand at the end of the last chunk they cut:
                 // a column that starts over rewinds them in place, and a
                 // one-chunk run's columns share its one cut.
+                let cursors = &mut self.cursors;
                 if cursors.consumed() != rows.end {
                     if rows.start == 0 {
                         cursors.reset(smaller.bounds());
@@ -764,15 +782,8 @@ where
                 // On-demand clustered positional join: the chunk's
                 // CLUST_VALUES, never the whole column.
                 let mut gather =
-                    Remap::new(&mut *probe, [(SECOND_OIDS, 0), (source, 0), (STAGED, 0)]);
-                par_gather_into(
-                    &self.smaller,
-                    col - larger,
-                    oids,
-                    policy,
-                    staged,
-                    &mut gather,
-                );
+                    Remap::new(&mut *probe, [(oids_region, 0), (column, 0), (STAGED, 0)]);
+                par_gather_into(source, attr, oids, policy, staged, &mut gather);
                 // The windowed kernel's arrays, in `probe_regions` order.
                 let arrays = [
                     (STAGED, 0),
@@ -791,23 +802,9 @@ where
                     sink.column(col, rows),
                     &mut Remap::new(probe, arrays),
                 );
-                (Phase::Decluster, &mut self.timings.decluster)
+                (Phase::Decluster, &mut timings.decluster)
             }
-            (SecondSide::Clustered { .. }, None) => {
-                unreachable!("PipelineRun::new builds cursors for every clustered prefix")
-            }
-            (SecondSide::ResultOrder(second_oids), _) => {
-                let oids = OidBlock::Wide(&second_oids[rows.clone()]);
-                let arrays = [(SECOND_OIDS, rows.start), (source, 0), (output, 0)];
-                let out = sink.column(col, rows);
-                let mut probe = Remap::new(probe, arrays);
-                par_gather_into(&self.smaller, col - larger, oids, policy, out, &mut probe);
-                (Phase::Fetch, &mut self.timings.project_smaller)
-            }
-        };
-        let elapsed = t.elapsed();
-        *total += elapsed;
-        (phase, elapsed)
+        }
     }
 
     /// Steps the run to completion.
@@ -888,12 +885,12 @@ impl ProjectionPipeline {
                     params,
                     policy,
                 ));
-                (FirstSide::Packed(packed), second_oids)
+                (InOrder::Packed(packed), second_oids)
             }
             code => {
                 let (first_oids, second_oids) =
                     par_order_join_index(&join_index, code, larger_cardinality, params, policy);
-                (FirstSide::Wide(first_oids), second_oids)
+                (InOrder::Wide(first_oids), second_oids)
             }
         };
         drop(join_index);
@@ -905,7 +902,8 @@ impl ProjectionPipeline {
         // `plan_partial_cluster` rule, so prepared prefix and streaming plan
         // can never drift apart, including the pass count.  Counted as
         // decluster time.
-        let n = first.len();
+        let first = SideOids::InOrder(first);
+        let n = first.oids().len();
         let cluster_spec = cluster_spec_for(smaller_cardinality, params);
         let t = Instant::now();
         let second = match self.plan.second_side {
@@ -918,16 +916,15 @@ impl ProjectionPipeline {
                     policy,
                 ));
                 let positions = PackedPositions::pack(&positions, smaller.bounds());
-                SecondSide::Clustered { smaller, positions }
+                SideOids::Clustered { smaller, positions }
             }
-            SecondSideCode::Unsorted => SecondSide::ResultOrder(second_oids),
+            SecondSideCode::Unsorted => SideOids::InOrder(InOrder::Wide(second_oids)),
         };
         timings.decluster += t.elapsed();
 
         PreparedProjection {
             plan: self.plan,
-            first,
-            second,
+            sides: [first, second],
             larger_cardinality,
             smaller_cardinality,
             timings,
@@ -993,6 +990,14 @@ mod tests {
         (ProjectionCode::PartialCluster, SecondSideCode::Unsorted),
         (ProjectionCode::PartialCluster, SecondSideCode::Decluster),
     ];
+
+    /// The first side's oids of result rows `rows`, widened.
+    fn first_side(prepared: &PreparedProjection, rows: Range<usize>) -> Vec<Oid> {
+        let SideOids::InOrder(oids) = &prepared.sides[0] else {
+            panic!("the first side is in result order");
+        };
+        widen(oids.block(rows).0)
+    }
 
     /// A block's oids widened to [`Oid`].
     fn widen(block: OidBlock<'_>) -> Vec<Oid> {
@@ -1230,11 +1235,14 @@ mod tests {
         ));
         let policy = ExecPolicy::with_threads(1);
         let prepared = pipeline.prepare(&w.larger, &w.smaller, &params, &policy);
-        let SecondSide::Clustered { smaller, .. } = &prepared.second else {
+        let SideOids::Clustered { smaller, .. } = &prepared.sides[1] else {
             panic!("a decluster plan clusters the second side");
         };
         assert_eq!(smaller.spec().ignore, rdx_core::cluster::PACKED_LOW_BITS);
-        assert!(matches!(prepared.first, FirstSide::Packed(_)));
+        assert!(matches!(
+            prepared.sides[0],
+            SideOids::InOrder(InOrder::Packed(_))
+        ));
         let (out, _) = pipeline
             .materialize(&w.larger, &w.smaller, &spec, &params, &policy)
             .unwrap();
@@ -1352,8 +1360,8 @@ mod tests {
                 assert_eq!(prepared.result_rows(), n);
                 // First side: a 2 B packed oid per row plus borders for `c`,
                 // a 4 B oid for `u` and `s`.
-                let first_bytes = match &prepared.first {
-                    FirstSide::Packed(oids) => {
+                let first_bytes = match &prepared.sides[0] {
+                    SideOids::InOrder(InOrder::Packed(oids)) => {
                         assert_eq!(first, ProjectionCode::PartialCluster);
                         assert!(
                             oids.num_clusters() > 1,
@@ -1361,11 +1369,12 @@ mod tests {
                         );
                         2 * n + std::mem::size_of_val(oids.bounds())
                     }
-                    FirstSide::Wide(_) => 4 * n,
+                    SideOids::InOrder(InOrder::Wide(_)) => 4 * n,
+                    SideOids::Clustered { .. } => panic!("the first side is in result order"),
                 };
-                let second_bytes = match &prepared.second {
+                let second_bytes = match &prepared.sides[1] {
                     // A 4 B second-side oid per row.
-                    SecondSide::ResultOrder(oids) => {
+                    SideOids::InOrder(InOrder::Wide(oids)) => {
                         assert_eq!(second, SecondSideCode::Unsorted);
                         assert_eq!(oids.len(), n);
                         4 * n
@@ -1373,11 +1382,14 @@ mod tests {
                     // A 2 B packed oid and a 2 B packed position per row,
                     // the borders, and a 4 B start per (cluster, block):
                     // 3 000 rows are one block.
-                    SecondSide::Clustered { smaller, positions } => {
+                    SideOids::Clustered { smaller, positions } => {
                         assert_eq!(second, SecondSideCode::Decluster);
                         assert_eq!((smaller.len(), positions.len()), (n, n));
                         let starts = 4 * (smaller.num_clusters() + 1);
                         4 * n + std::mem::size_of_val(smaller.bounds()) + starts
+                    }
+                    SideOids::InOrder(InOrder::Packed(_)) => {
+                        panic!("a `u` second side keeps one oid per row")
                     }
                 };
                 assert_eq!(
@@ -1477,18 +1489,18 @@ mod tests {
                 let rows = first_oids.len();
                 proptest::prop_assert_eq!(prepared.result_rows(), rows, "{}", label);
                 proptest::prop_assert_eq!(
-                    matches!(prepared.first, FirstSide::Packed(_)),
+                    matches!(prepared.sides[0], SideOids::InOrder(InOrder::Packed(_))),
                     first == C,
                     "{}",
                     label
                 );
                 proptest::prop_assert!(
-                    widen(prepared.first.block(0..rows)) == first_oids,
+                    first_side(&prepared, 0..rows) == first_oids,
                     "{}: first side",
                     label
                 );
-                match &prepared.second {
-                    SecondSide::Clustered { smaller, positions } => {
+                match &prepared.sides[1] {
+                    SideOids::Clustered { smaller, positions } => {
                         let result_positions: Vec<Oid> = (0..rows as Oid).collect();
                         let wide = radix_cluster_oids(
                             &second_oids,
@@ -1509,8 +1521,12 @@ mod tests {
                         );
                         proptest::prop_assert_eq!(smaller.bounds(), wide.bounds(), "{}", label);
                     }
-                    SecondSide::ResultOrder(oids) => {
-                        proptest::prop_assert!(*oids == second_oids, "{}", label);
+                    SideOids::InOrder(oids) => {
+                        proptest::prop_assert!(
+                            matches!(oids, InOrder::Wide(oids) if *oids == second_oids),
+                            "{}",
+                            label
+                        );
                     }
                 }
 
@@ -1652,11 +1668,11 @@ mod tests {
             (prepared, sink.into_result())
         };
         let (prepared, unsorted) = run_codes(SecondSideCode::Unsorted);
-        let SecondSide::ResultOrder(second_oids) = &prepared.second else {
+        let SideOids::InOrder(InOrder::Wide(second_oids)) = &prepared.sides[1] else {
             panic!("an unsorted plan keeps the result-order oids");
         };
         assert_eq!(prepared.result_rows(), n - base);
-        let first_oids = widen(prepared.first.block(0..n - base));
+        let first_oids = first_side(&prepared, 0..n - base);
         let expected: Vec<Column<i32>> = (0..2)
             .map(|a| larger.attr(a).gather(&first_oids))
             .chain((0..2).map(|b| smaller.attr(b).gather(second_oids)))
@@ -1799,7 +1815,7 @@ mod tests {
             &policy,
         );
         // The Arc-owning run is a 'static value: parkable without borrowing.
-        let mut owned: PipelineRun<Arc<DsmRelation>, Arc<DsmRelation>> = PipelineRun::new(
+        let mut owned: PipelineRun<Arc<DsmRelation>> = PipelineRun::new(
             prepared,
             Arc::new(w.larger.clone()),
             Arc::new(w.smaller.clone()),
@@ -1945,6 +1961,60 @@ mod tests {
         }
     }
 
+    /// Each column chunk reads one clock pair, traced or not: the
+    /// `ChunkStep` events of a traced run add up, to the nanosecond, to the
+    /// chunk-loop phases of its `PhaseTimings`, for every code and budget.
+    #[test]
+    fn the_chunk_steps_observe_exactly_the_run_timings() {
+        use rdx_core::strategy::planner::streaming_bytes_per_row;
+        use rdx_obs::{EventKind, Obs, QueryId};
+
+        let w = JoinWorkloadBuilder::equal(3_000, 2).seed(31).build();
+        let spec = QuerySpec::symmetric(2);
+        let params = CacheParams::tiny_for_tests();
+        let quarter = MemoryBudget::bytes(3_000 * streaming_bytes_per_row(&spec) / 4);
+        for (first, second) in CODES {
+            let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
+            for budget in [
+                MemoryBudget::unbounded(),
+                quarter,
+                MemoryBudget::bytes(4096),
+            ] {
+                let label = format!("{} at {budget:?}", pipeline.plan.label());
+                let policy = ExecPolicy::with_threads(1).budget(budget);
+                let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
+                let mut run =
+                    PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
+                let (obs, query) = (Obs::enabled(), QueryId::next());
+                run.attach_obs(&obs, query, [1, 1]);
+                run.run_to_completion(&mut MaterializeSink::new());
+                let observed: Vec<u64> = obs
+                    .trace_snapshot()
+                    .unwrap()
+                    .events_for(query)
+                    .iter()
+                    .filter_map(|e| match e.kind {
+                        EventKind::ChunkStep { observed_ns, .. } => Some(observed_ns),
+                        _ => None,
+                    })
+                    .collect();
+                let stats = run.run_stats();
+                assert_eq!(
+                    observed.len(),
+                    stats.chunks_emitted * spec.total(),
+                    "{label}"
+                );
+                let t = stats.timings;
+                let timed = t.project_larger + t.project_smaller + t.decluster;
+                assert_eq!(
+                    observed.iter().sum::<u64>(),
+                    timed.as_nanos() as u64,
+                    "{label}"
+                );
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "smaller relation has 2 projectable columns, 3 requested")]
     fn a_run_over_too_narrow_a_source_panics_with_the_typed_error() {
@@ -2029,8 +2099,10 @@ mod tests {
                     ProjectionCode::PartialCluster,
                     SecondSideCode::Unsorted,
                 ),
-                first: FirstSide::Wide(ascending.clone()),
-                second: SecondSide::ResultOrder(second_oids.to_vec()),
+                sides: [
+                    SideOids::InOrder(InOrder::Wide(ascending.clone())),
+                    SideOids::InOrder(InOrder::Wide(second_oids.to_vec())),
+                ],
                 larger_cardinality: n,
                 smaller_cardinality: n,
                 timings: PhaseTimings::default(),

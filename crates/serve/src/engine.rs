@@ -272,7 +272,7 @@ enum TicketSink {
 
 /// A parked run: it owns its relations through the catalog's `Arc`s, so it
 /// never borrows the catalog.
-type Run = PipelineRun<Arc<DsmRelation>, Arc<DsmRelation>>;
+type Run = PipelineRun<Arc<DsmRelation>>;
 
 /// One admitted, in-flight ticket: a parked run, the sink it fills, and
 /// everything it holds — its grant, its tenant charge and its dispatch
@@ -289,10 +289,9 @@ struct Running {
     /// The admission grant (may exceed the effective budget when a hint
     /// tightened it).
     share: MemoryBudget,
-    /// Service time charged against the deadline so far: wall-clock of
-    /// this query's chunk steps (measured only when a deadline is armed)
-    /// plus any injected artificial slowdowns.
-    consumed_ns: u64,
+    /// The slowdowns injected into its steps so far.  Its deadline is
+    /// charged these plus its run's chunk-loop [`PhaseTimings`].
+    slowed_ns: u64,
     /// The tenant this admission is charged to, with the bytes charged
     /// against its byte cap (0 when it has none).
     tenant: Option<(TenantId, usize)>,
@@ -725,11 +724,6 @@ impl QueryEngine {
         // exact payload a real crashed worker produces, so the injected
         // path and the real path are one recovery path.
         let injected_panic = self.faults.panic_at(ordinal, chunk_index);
-        let chunk_started = self.running[pos]
-            .pending
-            .request
-            .deadline_ns
-            .map(|_| Instant::now());
         let stepped = {
             let running = &mut self.running[pos];
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -744,15 +738,9 @@ impl QueryEngine {
         };
         match stepped {
             Ok(Some(rows)) => {
-                let wall_ns = chunk_started
-                    .map(|t| t.elapsed().as_nanos() as u64)
-                    .unwrap_or(0);
                 let slow_ns = self.faults.slowdown_ns(ordinal, chunk_index);
                 let running = &mut self.running[pos];
-                running.consumed_ns = running
-                    .consumed_ns
-                    .saturating_add(wall_ns)
-                    .saturating_add(slow_ns);
+                running.slowed_ns = running.slowed_ns.saturating_add(slow_ns);
                 let ticket = running.pending.ticket;
                 self.counters.chunks_dispatched.inc();
                 EngineStep::Chunk { ticket, rows }
@@ -896,7 +884,9 @@ impl QueryEngine {
         let mut pos = 0;
         while pos < self.running.len() {
             let r = &self.running[pos];
-            let (consumed_ns, deadline) = (r.consumed_ns, r.pending.request.deadline_ns);
+            let chunk_loop = r.run.run_stats().timings.total().as_nanos() as u64;
+            let consumed_ns = chunk_loop.saturating_add(r.slowed_ns);
+            let deadline = r.pending.request.deadline_ns;
             let Some(deadline_ns) = deadline.filter(|&d| consumed_ns > d) else {
                 pos += 1;
                 continue;
@@ -1254,7 +1244,7 @@ impl QueryEngine {
                         ResultForm::Frame { .. } => TicketSink::Frame(FrameSink::new()),
                     },
                     share,
-                    consumed_ns: 0,
+                    slowed_ns: 0,
                     tenant,
                     step_work,
                     waiting_since: self.step_count,
@@ -1814,6 +1804,47 @@ mod tests {
         }
         assert_eq!(engine.committed_bytes(), 0);
         assert_eq!(engine.stats().cancellations, 1);
+    }
+
+    /// A deadline is charged the clock the chunk loop already reads: a
+    /// torn-down ticket's consumed time is exactly its observed column
+    /// chunks plus the slowdown its fault plan injected.
+    #[test]
+    fn a_deadline_is_charged_the_observed_chunk_steps_and_the_injected_slowdowns() {
+        let w = JoinWorkloadBuilder::equal(1_500, 1).seed(23).build();
+        let mut engine = QueryEngine::new(ServeConfig {
+            observability: true,
+            ..config(MemoryBudget::bytes(64))
+        });
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let slow_ns = 1_000_000_000_000;
+        engine.inject_faults(FaultPlan::new().slow_at(0, 2, slow_ns));
+        let ticket = engine.submit(
+            ServerRequest::new(larger, smaller, QuerySpec::symmetric(1))
+                .with_deadline(1_000_000_000),
+        );
+        while engine.step() != EngineStep::Idle {}
+        let consumed_ns = match engine.take_outcome(ticket).unwrap().outcome {
+            Err(RdxError::Deadline(DeadlineError::Exceeded { consumed_ns, .. })) => consumed_ns,
+            other => panic!("expected deadline-exceeded, got {other:?}"),
+        };
+        let trace = engine.obs().trace_snapshot().unwrap();
+        let [query] = trace.queries()[..] else {
+            panic!("one query traced");
+        };
+        let observed: Vec<u64> = trace
+            .events_for(query)
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ChunkStep { observed_ns, .. } => Some(observed_ns),
+                _ => None,
+            })
+            .collect();
+        // Two columns per row chunk: the slowdown fired at row chunk 2's
+        // first column chunk, and the run was torn down after it.
+        assert_eq!(observed.len(), 5);
+        assert_eq!(consumed_ns, observed.iter().sum::<u64>() + slow_ns);
     }
 
     #[test]

@@ -34,9 +34,10 @@ pub struct ServeConfig {
     pub plan_shares: Option<usize>,
     /// Whether the engine traces (`rdx-obs`).  The registry — every engine,
     /// cache, tenant and `net.*` count — is kept either way; this switches
-    /// on the trace ring, per-chunk timing (`pipeline.chunk_ns` and the
-    /// predicted-vs-observed histogram) and profiling's permission to arm.
-    /// Off by default: the chunk loop then reads no clock.
+    /// on the trace ring, recording per-chunk timing (`pipeline.chunk_ns`
+    /// and the predicted-vs-observed histogram) and profiling's permission
+    /// to arm.  Off by default.  Every column chunk reads one clock pair
+    /// either way; observability adds only the recording.
     pub observability: bool,
     /// Per-tenant admission caps layered on top of [`Self::global_budget`]
     /// (see [`crate::tenant`]): max in-flight queries and max resident
@@ -258,8 +259,9 @@ pub struct QueryStats {
     /// and the query's urgency, the work left the scheduler orders by.
     pub predicted_chunk_cost_ms: f64,
     /// Wall-clock phase breakdown of the work this query actually paid:
-    /// chunk-loop phases always; the join/reorder/cluster prefix only when
-    /// this query built it (a cache hit skips it).
+    /// chunk-loop phases always, summing its column chunks' fetch and emit
+    /// (what `pipeline.chunk_ns` records); the join/reorder/cluster prefix
+    /// only when this query built it (a cache hit skips it).
     pub timings: PhaseTimings,
     /// Time from submission to admission.
     pub wait: Duration,
