@@ -9,13 +9,13 @@
 //! independent and scale with cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rdx_bench::measure::make_decluster_input;
+use rdx_bench::measure::{make_decluster_input, par_decluster_whole};
 use rdx_cache::CacheParams;
 use rdx_core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use rdx_core::decluster::{choose_window_bytes, radix_decluster};
 use rdx_core::strategy::{DsmPostProjection, ProjectionCode, QuerySpec, SecondSideCode};
 use rdx_dsm::Oid;
-use rdx_exec::{par_radix_cluster_oids, par_radix_decluster, ExecPolicy, ProjectionPipeline};
+use rdx_exec::{par_radix_cluster_oids, ExecPolicy, ProjectionPipeline};
 use rdx_workload::JoinWorkloadBuilder;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -41,7 +41,7 @@ fn bench_parallel_decluster(c: &mut Criterion) {
             &policy,
             |b, policy| {
                 b.iter(|| {
-                    par_radix_decluster(
+                    par_decluster_whole(
                         &input.values,
                         &input.positions,
                         &input.bounds,

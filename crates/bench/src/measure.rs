@@ -10,14 +10,16 @@ use crate::paper::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
-use rdx_cache::{CacheParams, MemorySystem};
+use rdx_cache::{CacheParams, MemorySystem, NoProbe};
 use rdx_core::budget::MemoryBudget;
 use rdx_core::cluster::{
     passes_for_budget, radix_cluster, radix_cluster_oids, radix_sort_spec_for,
     scatter_cursor_budget, RadixClusterSpec,
 };
 use rdx_core::decluster::chunks::ChunkRuns;
-use rdx_core::decluster::{choose_window_bytes, radix_decluster, simulate_decluster};
+use rdx_core::decluster::{
+    choose_window_bytes, radix_decluster, simulate_decluster, DeclusterScratch,
+};
 use rdx_core::join::{partitioned_hash_join, HashTable};
 use rdx_core::positional::{
     clustered_positional_join, positional_join, sparse_positional_join, CountingSource,
@@ -68,6 +70,31 @@ pub fn make_decluster_input(n: usize, bits: u32, seed: u64) -> DeclusterInput {
         positions: clustered.payloads().to_vec(),
         bounds: clustered.bounds().to_vec(),
     }
+}
+
+/// The whole result of the parallel Radix-Decluster on `policy`'s workers,
+/// in a fresh buffer: [`rdx_exec::par_radix_decluster_into`] over
+/// [`ChunkRuns::whole`], what the scaling bench and the agreement tests
+/// compare with [`radix_decluster`].
+pub fn par_decluster_whole<T: Copy + Default + Send + Sync>(
+    values: &[T],
+    positions: &[Oid],
+    bounds: &[usize],
+    window_bytes: usize,
+    policy: &ExecPolicy,
+) -> Vec<T> {
+    let mut out = vec![T::default(); values.len()];
+    rdx_exec::par_radix_decluster_into(
+        values,
+        positions,
+        &ChunkRuns::whole(bounds),
+        window_bytes,
+        policy,
+        &mut DeclusterScratch::new(),
+        &mut out,
+        &mut NoProbe,
+    );
+    out
 }
 
 /// One point of the Fig. 7a insertion-window sweep.

@@ -1,24 +1,20 @@
 //! Parallel Radix-Cluster: per-thread local clustering + prefix-sum merge.
 //!
-//! Each worker radix-clusters one contiguous shard of the input with
-//! [`ClusterScratch::cluster_into`], in its own arena and into its own
-//! output (so every per-pass cursor set stays cache-contained *per core*),
+//! Each worker radix-clusters the contiguous input shards it claims with
+//! [`ClusterScratch::cluster_into`], in its own arena and into each shard's
+//! own output (so every per-pass cursor set stays cache-contained *per core*),
 //! then the per-shard cluster sizes are prefix-summed into global cluster
-//! borders and the shards are merged — in worker order, so the result is
+//! borders and the shards are merged — in shard order, so the result is
 //! **byte-identical** to the sequential
 //! [`rdx_core::cluster::radix_cluster`]: the sequential kernel is a stable
 //! counting sort, worker shards are contiguous input ranges, and
 //! concatenating each cluster's per-shard segments in shard order reproduces
 //! exactly the stable global order.
 //!
-//! The merge builds the output with `Vec::with_capacity` + per-cluster
-//! `extend_from_slice` — the earlier design initialised the output with
-//! `vec![keys[0]; n]` and then overwrote every slot from worker threads,
-//! writing each output byte twice; since the initialising fill was itself a
-//! full sequential write, the fill-then-parallel-copy scheme could never
-//! beat a single sequential pass, so the double-init is simply gone.
+//! The merge appends into capacity-reserved outputs, so every output byte
+//! is written once.
 
-use crate::pool::{partition_ranges, ExecPolicy};
+use crate::pool::{run_workers, Claims, ExecPolicy};
 use rdx_cache::NoProbe;
 use rdx_core::cluster::{ClusterScratch, Clustered, RadixClusterSpec};
 use rdx_dsm::Oid;
@@ -64,33 +60,29 @@ where
 {
     assert_eq!(keys.len(), payloads.len(), "keys/payloads length mismatch");
     let n = keys.len();
-    let threads = policy.worker_threads();
+    let threads = policy.threads;
     if threads == 1 || n == 0 || spec.bits == 0 {
         let mut out = Clustered::default();
         ClusterScratch::new().cluster_into(keys, payloads, spec, bucket_of, &mut out, &mut NoProbe);
         return out;
     }
 
-    // Phase 1 — per-worker local clustering: each worker runs the full
-    // (multi-pass, stable) scatter engine on its contiguous shard, in its
-    // own arena, into its own output.
-    let shards = partition_ranges(n, threads);
-    let mut locals: Vec<Clustered<K, P>> = shards.iter().map(|_| Clustered::default()).collect();
-    std::thread::scope(|scope| {
-        let bucket_of = &bucket_of;
-        for (local, range) in locals.iter_mut().zip(&shards) {
-            let r = range.clone();
-            scope.spawn(move || {
-                let (keys, payloads) = (&keys[r.clone()], &payloads[r]);
-                ClusterScratch::new().cluster_into(
-                    keys,
-                    payloads,
-                    spec,
-                    bucket_of,
-                    local,
-                    &mut NoProbe,
-                );
-            });
+    // Phase 1 — per-shard local clustering: each worker runs the full
+    // (multi-pass, stable) scatter engine on the contiguous shards it
+    // claims, in its own arena, into each shard's own output.
+    let shard = n.div_ceil(threads);
+    let mut locals: Vec<Clustered<K, P>> = (0..n.div_ceil(shard))
+        .map(|_| Clustered::default())
+        .collect();
+    let queue = Claims::new(
+        locals
+            .iter_mut()
+            .zip(keys.chunks(shard).zip(payloads.chunks(shard))),
+    );
+    run_workers(threads, |_| {
+        let mut scratch = ClusterScratch::new();
+        while let Some((local, (keys, payloads))) = queue.claim() {
+            scratch.cluster_into(keys, payloads, spec, &bucket_of, local, &mut NoProbe);
         }
     });
 

@@ -13,45 +13,13 @@
 //! **byte-identical** to the sequential kernel: every tuple's destination is
 //! data-determined, workers merely split who writes it.
 
-use crate::pool::{partition_ranges, split_by_bounds, ExecPolicy};
+use crate::pool::{run_workers, Claims, ExecPolicy};
 use rdx_cache::{NoProbe, Probe};
 use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::{
-    radix_decluster_windows_with_scratch, validate_inputs, window_elems, DeclusterScratch,
-    ResultPositions,
+    radix_decluster_windows_with_scratch, window_elems, DeclusterScratch, ResultPositions,
 };
-use rdx_dsm::{FromValue, Oid};
-
-/// Parallel Radix-Decluster; byte-identical to
-/// [`rdx_core::decluster::radix_decluster`] for every `(window, policy)`.
-///
-/// Allocates (and zero-fills) its result per call; hot paths that hold a
-/// reusable output buffer should use [`par_radix_decluster_into`].
-///
-/// # Panics
-/// Panics if the borders do not cover the values or the positions (same
-/// contract as the sequential kernel).
-pub fn par_radix_decluster<T: Copy + Default + Send + Sync>(
-    values: &[T],
-    result_positions: &[Oid],
-    bounds: &[usize],
-    window_bytes: usize,
-    policy: &ExecPolicy,
-) -> Vec<T> {
-    debug_assert!(validate_inputs(result_positions, bounds));
-    let mut result = vec![T::default(); values.len()];
-    par_radix_decluster_into(
-        values,
-        result_positions,
-        &ChunkRuns::whole(bounds),
-        window_bytes,
-        policy,
-        &mut DeclusterScratch::new(),
-        &mut result,
-        &mut NoProbe,
-    );
-    result
-}
+use rdx_dsm::FromValue;
 
 /// Parallel Radix-Decluster of one chunk into a caller-provided output
 /// slice: `chunk`'s runs of `result_positions`, wide or packed, are read in
@@ -91,9 +59,9 @@ pub fn par_radix_decluster_into<T, C, R, P>(
     }
     let elems = window_elems(window_bytes, std::mem::size_of::<T>());
     let windows = n.div_ceil(elems);
-    let threads = policy.worker_threads().min(windows).max(1);
+    let threads = policy.threads.min(windows);
     let base = chunk.result_range.start;
-    if threads == 1 || P::ACTIVE {
+    if threads <= 1 || P::ACTIVE {
         radix_decluster_windows_with_scratch(
             values,
             result_positions,
@@ -107,29 +75,24 @@ pub fn par_radix_decluster_into<T, C, R, P>(
         return;
     }
 
-    // Cut the window sequence into contiguous per-worker ranges and split the
-    // chunk's rows at the corresponding offsets: window range [a, b) owns
-    // rows [a·elems, min(b·elems, n)) of the chunk.
-    let groups = partition_ranges(windows, threads);
-    let cuts: Vec<usize> = std::iter::once(0)
-        .chain(groups.iter().map(|g| (g.end * elems).min(n)))
-        .collect();
-    let shards = split_by_bounds(out, &cuts);
-
-    std::thread::scope(|scope| {
-        for (range, shard) in groups.into_iter().zip(shards) {
-            scope.spawn(move || {
-                radix_decluster_windows_with_scratch(
-                    values,
-                    result_positions,
-                    chunk,
-                    base + range.start * elems,
-                    elems,
-                    &mut DeclusterScratch::new(),
-                    shard,
-                    &mut NoProbe,
-                )
-            });
+    // Cut the window sequence into one contiguous group per worker and the
+    // chunk's rows at the same offsets: group `g` owns rows
+    // [g·rows, (g + 1)·rows) of the chunk, `rows` a whole number of windows.
+    let rows = windows.div_ceil(threads) * elems;
+    let queue = Claims::new(out.chunks_mut(rows).enumerate());
+    run_workers(threads, |_| {
+        let mut scratch = DeclusterScratch::new();
+        while let Some((g, shard)) = queue.claim() {
+            radix_decluster_windows_with_scratch(
+                values,
+                result_positions,
+                chunk,
+                base + g * rows,
+                elems,
+                &mut scratch,
+                shard,
+                &mut NoProbe,
+            );
         }
     });
 }
@@ -142,6 +105,7 @@ mod tests {
     use rand::SeedableRng;
     use rdx_core::cluster::{radix_cluster_oids, RadixClusterSpec};
     use rdx_core::decluster::radix_decluster;
+    use rdx_dsm::Oid;
 
     /// The §3.2 pipeline input: cluster a permutation, attach values.
     fn clustered_input(n: usize, bits: u32, seed: u64) -> (Vec<i64>, Vec<Oid>, Vec<usize>) {
@@ -158,6 +122,29 @@ mod tests {
         )
     }
 
+    /// The whole result of the parallel kernel on `threads` workers, in a
+    /// fresh buffer.
+    fn decluster<T: Copy + Default + Send + Sync>(
+        values: &[T],
+        positions: &[Oid],
+        bounds: &[usize],
+        window_bytes: usize,
+        threads: usize,
+    ) -> Vec<T> {
+        let mut out = vec![T::default(); values.len()];
+        par_radix_decluster_into(
+            values,
+            positions,
+            &ChunkRuns::whole(bounds),
+            window_bytes,
+            &ExecPolicy::with_threads(threads),
+            &mut DeclusterScratch::new(),
+            &mut out,
+            &mut NoProbe,
+        );
+        out
+    }
+
     #[test]
     fn parallel_equals_sequential_across_thread_counts_and_windows() {
         for &n in &[1usize, 17, 1_000, 20_000] {
@@ -165,13 +152,7 @@ mod tests {
             for window_bytes in [8usize, 256, 4 * 1024, 1 << 20] {
                 let expected = radix_decluster(&values, &positions, &bounds, window_bytes);
                 for threads in [1usize, 2, 3, 8] {
-                    let got = par_radix_decluster(
-                        &values,
-                        &positions,
-                        &bounds,
-                        window_bytes,
-                        &ExecPolicy::with_threads(threads),
-                    );
+                    let got = decluster(&values, &positions, &bounds, window_bytes, threads);
                     assert_eq!(
                         got, expected,
                         "n={n} window={window_bytes} threads={threads}"
@@ -186,19 +167,13 @@ mod tests {
         let (values, positions, bounds) = clustered_input(100, 3, 4);
         // One giant window: only one window exists, so only one worker runs.
         let expected = radix_decluster(&values, &positions, &bounds, 1 << 20);
-        let got = par_radix_decluster(
-            &values,
-            &positions,
-            &bounds,
-            1 << 20,
-            &ExecPolicy::with_threads(8),
-        );
+        let got = decluster(&values, &positions, &bounds, 1 << 20, 8);
         assert_eq!(got, expected);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<i32> = par_radix_decluster(&[], &[], &[0], 1024, &ExecPolicy::with_threads(4));
+        let out: Vec<i32> = decluster(&[], &[], &[0], 1024, 4);
         assert!(out.is_empty());
     }
 
@@ -346,13 +321,7 @@ mod tests {
         let (values, positions, bounds) = clustered_input(2_000, 4, 11);
         let wide: Vec<[i64; 4]> = values.iter().map(|&v| [v, v + 1, v + 2, v + 3]).collect();
         let expected = radix_decluster(&wide, &positions, &bounds, 2048);
-        let got = par_radix_decluster(
-            &wide,
-            &positions,
-            &bounds,
-            2048,
-            &ExecPolicy::with_threads(4),
-        );
+        let got = decluster(&wide, &positions, &bounds, 2048, 4);
         assert_eq!(got, expected);
     }
 }

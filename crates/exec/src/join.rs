@@ -4,17 +4,17 @@
 //! After the (parallel) out-of-cache first pass over both inputs, the
 //! partitions are independent: partition `p` of the larger side only ever
 //! joins partition `p` of the smaller side.  Workers claim partitions
-//! morsel-style, each runs the sequential join's own per-partition kernel
+//! one at a time, each runs the sequential join's own per-partition kernel
 //! ([`PartitionJoiner`]: in-cache split, then one table per sub-partition)
-//! into per-partition oid columns, and the columns are concatenated in
+//! into the partition's own output slot, and the slots are concatenated in
 //! partition order — which is exactly the order the sequential loop emits,
 //! so the resulting [`JoinIndex`] is byte-identical to
 //! [`rdx_core::join::partitioned_hash_join`].
 
 use crate::cluster::par_radix_cluster;
-use crate::pool::{run_workers, ExecPolicy, MorselQueue};
+use crate::pool::{run_workers, Claims, ExecPolicy};
 use rdx_core::cluster::RadixClusterSpec;
-use rdx_core::join::{join_first_pass, partitioned_hash_join, PartitionJoiner};
+use rdx_core::join::{join_first_pass, partitioned_hash_join, JoinColumns, PartitionJoiner};
 use rdx_dsm::{JoinIndex, Oid};
 
 /// Parallel Partitioned Hash-Join; byte-identical to the sequential
@@ -25,7 +25,7 @@ pub fn par_partitioned_hash_join(
     spec: RadixClusterSpec,
     policy: &ExecPolicy,
 ) -> JoinIndex {
-    if spec.bits == 0 || policy.worker_threads() == 1 {
+    if spec.bits == 0 || policy.threads == 1 {
         return partitioned_hash_join(larger_keys, smaller_keys, spec);
     }
     let (n_l, n_s) = (larger_keys.len(), smaller_keys.len());
@@ -35,29 +35,20 @@ pub fn par_partitioned_hash_join(
     let smaller = par_radix_cluster(smaller_keys, &oids[..n_s], first, policy);
 
     // Workers claim partitions dynamically (join cost is highly skew
-    // sensitive) and keep their output columns tagged by partition id.
-    let queue = MorselQueue::new(first.num_clusters(), 1);
-    let mut tagged: Vec<(usize, Vec<Oid>, Vec<Oid>)> = run_workers(policy.worker_threads(), |_| {
+    // sensitive), each writing into its partition's own output slot.
+    let mut slots: Vec<JoinColumns> = vec![Default::default(); first.num_clusters()];
+    let queue = Claims::new(slots.iter_mut().enumerate());
+    run_workers(policy.threads, |_| {
         let mut joiner = PartitionJoiner::new(spec);
-        let mut mine = Vec::new();
-        while let Some(range) = queue.claim() {
-            for p in range {
-                let mut out = (Vec::new(), Vec::new());
-                joiner.join(larger.cluster(p), smaller.cluster(p), &mut out);
-                mine.push((p, out.0, out.1));
-            }
+        while let Some((p, slot)) = queue.claim() {
+            joiner.join(larger.cluster(p), smaller.cluster(p), slot);
         }
-        mine
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    });
 
     // Concatenate in partition order — the sequential emission order.
-    tagged.sort_unstable_by_key(|&(p, ..)| p);
-    let total = tagged.iter().map(|(_, l, _)| l.len()).sum();
+    let total = slots.iter().map(|(l, _)| l.len()).sum();
     let (mut out_larger, mut out_smaller) = (Vec::with_capacity(total), Vec::with_capacity(total));
-    for (_, l, s) in &tagged {
+    for (l, s) in &slots {
         out_larger.extend_from_slice(l);
         out_smaller.extend_from_slice(s);
     }

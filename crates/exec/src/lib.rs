@@ -1,21 +1,21 @@
-//! # rdx-exec — morsel-driven parallel execution engine
+//! # rdx-exec — parallel execution engine
 //!
 //! The paper's kernels are embarrassingly partitionable: Radix-Cluster is a
 //! stable counting sort (per-thread histograms merge with a prefix sum),
 //! Radix-Decluster's insertion windows tile the result disjointly, and
 //! Partitioned Hash-Join's partitions are independent by construction.  This
-//! crate exploits that with a *morsel-driven* runtime in the style of
-//! HyPer's morsel-driven parallelism: work is cut into contiguous tuple
-//! ranges sized to each core's **share** of the cache, idle workers steal
-//! the next morsel, and all mutation happens through disjoint `&mut` slices
-//! (`split_at_mut` / `chunks_mut`) so the whole engine stays inside
-//! `#![forbid(unsafe_code)]`.
+//! crate exploits that with one worker runtime: every parallel kernel cuts
+//! its work into disjoint items — input shards, window groups, gather
+//! morsels, join partitions — that idle workers claim one at a time, and
+//! all mutation happens through disjoint `&mut` slices (`chunks_mut`) so
+//! the whole engine stays inside `#![forbid(unsafe_code)]`.  On one worker
+//! every wrapper is one call of its sequential `rdx-core` kernel.
 //!
 //! Layering:
 //!
-//! * [`pool`] — [`ExecPolicy`] (thread count + morsel size), scoped worker
-//!   spawning, the work-stealing [`MorselQueue`], and safe disjoint-slice
-//!   distribution helpers.
+//! * [`pool`] — [`ExecPolicy`] (thread count + memory budget), the one
+//!   spawn site [`pool::run_workers`], which re-raises a crashed worker as
+//!   a [`WorkerPanic`], and the one claim helper [`pool::Claims`].
 //! * [`cluster`] — parallel Radix-Cluster (a Radix-Sort is one on
 //!   `radix_sort_spec_for`): each worker fills its own `Clustered` from its
 //!   shard, the per-shard cluster sizes prefix-sum into global borders and
@@ -28,9 +28,9 @@
 //!   cluster → decluster → fetch in chunks sized by an explicit
 //!   [`rdx_core::budget::MemoryBudget`], emitting through a
 //!   [`rdx_core::strategy::RowChunkSink`]; a whole result is the one-chunk
-//!   stream, [`ProjectionPipeline::materialize`].
-//! * [`strategy`] — the morsel-parallel reorder and positional-join phases
-//!   the pipeline runs, byte-identical to their sequential counterparts.
+//!   stream, [`ProjectionPipeline::materialize`].  Its `u`/`s`/`c` reorder
+//!   runs on the parallel cluster kernel and its positional joins on
+//!   [`par_gather_into`].
 //!
 //! ## Thread count and the cost model
 //!
@@ -49,13 +49,12 @@ pub mod decluster;
 pub mod join;
 pub mod pipeline;
 pub mod pool;
-pub mod strategy;
 
 pub use cluster::{par_radix_cluster, par_radix_cluster_oids};
-pub use decluster::{par_radix_decluster, par_radix_decluster_into};
+pub use decluster::par_radix_decluster_into;
 pub use join::par_partitioned_hash_join;
 pub use pipeline::{
-    cluster_spec_for, ChunkScratch, PipelineRun, PipelineStats, PreparedProjection,
-    ProjectionPipeline,
+    cluster_spec_for, par_gather_into, ChunkScratch, PipelineRun, PipelineStats,
+    PreparedProjection, ProjectionPipeline,
 };
-pub use pool::{ExecPolicy, MorselQueue, WorkerPanic};
+pub use pool::{ExecPolicy, WorkerPanic};

@@ -34,9 +34,9 @@
 //!    demand** from the base relations into a chunk-local `CLUST_VALUES`
 //!    through the chunk's runs of the prefix's packed `CLUST_SMALLER`,
 //!    declustered by the windowed kernel over the same runs of its
-//!    `CLUST_RESULT` — both read in place, morsel-parallel across insertion
-//!    windows — and emitted; a first-side or unsorted column chunk is one
-//!    gather;
+//!    `CLUST_RESULT` — both read in place, the decluster parallel across
+//!    insertion windows — and emitted; a first-side or unsorted column
+//!    chunk is one gather;
 //! 4. the sink decides what full-result memory (if any) to pay, and lends
 //!    it: the kernels write each column chunk's rows straight into the
 //!    cells the sink lends for that column — [`MaterializeSink`]'s
@@ -62,10 +62,11 @@
 //! **Fetch contract.**  §3's positional joins are "pointer-based joins …
 //! with negligible CPU cost" only as tight array loops, so the chunk loop
 //! never asks a relation for a value: *a source is asked for a block of one
-//! column* ([`AttrSource::gather_into`]) — once per morsel × column, for the
-//! first side, the staged `CLUST_VALUES` fill and the unsorted second side
-//! alike.  The column lookup and the seqbase / record stride are paid per
-//! block; a unit test pins the call count.  The run is generic over its
+//! column* ([`AttrSource::gather_into`]) — once per column chunk on one
+//! worker and once per morsel on more, for the first side, the staged
+//! `CLUST_VALUES` fill and the unsorted second side alike.  The column
+//! lookup and the seqbase / record stride are paid per block; a unit test
+//! pins the call count.  The run is generic over its
 //! sources (`&DsmRelation`, `Arc<DsmRelation>`, a counting wrapper), so
 //! the fetch is a direct call into the one gather loop,
 //! `rdx_dsm::Column::gather_into_probed`, which a packed block runs once
@@ -90,10 +91,11 @@
 use crate::cluster::par_radix_cluster_oids;
 use crate::decluster::par_radix_decluster_into;
 use crate::join::par_partitioned_hash_join;
-use crate::pool::ExecPolicy;
-use crate::strategy::{par_gather_into, par_order_join_index, par_partial_cluster_join_index};
+use crate::pool::{run_workers, Claims, ExecPolicy, DEFAULT_MORSEL_TUPLES};
 use rdx_cache::{AddressSpace, CacheParams, MemorySystem, NoProbe, Probe, Region, Remap, SimProbe};
-use rdx_core::cluster::{plan_partial_cluster, PackedOids, PackedPositions, RadixClusterSpec};
+use rdx_core::cluster::{
+    plan_partial_cluster, radix_sort_spec_for, PackedOids, PackedPositions, RadixClusterSpec,
+};
 use rdx_core::decluster::chunks::{ChunkCursorState, ChunkRuns};
 use rdx_core::decluster::{DeclusterScratch, ResultPositions};
 use rdx_core::error::{check_projection_widths, RdxError};
@@ -104,7 +106,7 @@ use rdx_core::strategy::sink::{MaterializeSink, RowChunkSink};
 use rdx_core::strategy::{
     DsmPostProjection, PhaseTimings, ProjectionCode, QuerySpec, SecondSideCode, StrategyOutcome,
 };
-use rdx_dsm::{DsmRelation, Oid};
+use rdx_dsm::{DsmRelation, FromValue, Oid};
 use rdx_obs::{EventKind, MissCounts, Obs, Phase, QueryId};
 use std::ops::Range;
 use std::sync::Arc;
@@ -122,6 +124,38 @@ const VALUE_WIDTH: usize = 4;
 /// function [`ProjectionPipeline::prepare`] uses, and cannot drift.
 pub fn cluster_spec_for(smaller_tuples: usize, params: &CacheParams) -> RadixClusterSpec {
     plan_partial_cluster(smaller_tuples, VALUE_WIDTH, params)
+}
+
+/// Parallel block fetch of one column: `out[r]` = attribute `attr` of tuple
+/// `oids[r]`, stored as its cell type (the value or its wire bytes), with
+/// the source asked for blocks — never per value (the contract of
+/// [`AttrSource`]) — whether the oids are plain or packed.  On one worker,
+/// and under an active `probe`, the whole block is one call of the
+/// source's gather on the caller's thread, so a probe's reference sequence
+/// is the same at every thread count; more workers claim morsels of
+/// [`DEFAULT_MORSEL_TUPLES`] rows, one call each.
+pub fn par_gather_into<S: AttrSource + Sync, C: FromValue<i32> + Send, P: Probe>(
+    source: &S,
+    attr: usize,
+    oids: OidBlock<'_>,
+    policy: &ExecPolicy,
+    out: &mut [C],
+    probe: &mut P,
+) {
+    let threads = policy
+        .threads
+        .min(out.len().div_ceil(DEFAULT_MORSEL_TUPLES));
+    if threads <= 1 || P::ACTIVE {
+        return source.gather_into(attr, oids, out, probe);
+    }
+    let queue = Claims::new(out.chunks_mut(DEFAULT_MORSEL_TUPLES).enumerate());
+    run_workers(threads, |_| {
+        while let Some((i, block)) = queue.claim() {
+            let offset = i * DEFAULT_MORSEL_TUPLES;
+            let morsel = oids.slice(offset..offset + block.len());
+            source.gather_into(attr, morsel, block, &mut NoProbe);
+        }
+    });
 }
 
 /// A planned streaming projection: the `u/s/c × u/d` codes of the underlying
@@ -435,12 +469,6 @@ impl<R: AttrSource + Sync> PipelineRun<R> {
         ) {
             panic!("{e}");
         }
-        // Resolve an auto-detect (threads = 0) policy once, so the chunk
-        // loop never re-queries the host's parallelism per morsel fill.
-        let policy = ExecPolicy {
-            threads: policy.worker_threads(),
-            ..*policy
-        };
         let streaming = plan_streaming(
             prepared.result_rows(),
             prepared.smaller_cardinality,
@@ -464,7 +492,7 @@ impl<R: AttrSource + Sync> PipelineRun<R> {
             prepared,
             sources: [larger, smaller],
             spec: *spec,
-            policy,
+            policy: *policy,
             streaming,
             cursors,
             scratch: ChunkScratch::new(),
@@ -855,10 +883,6 @@ impl ProjectionPipeline {
         params: &CacheParams,
         policy: &ExecPolicy,
     ) -> PreparedProjection {
-        let policy = &ExecPolicy {
-            threads: policy.worker_threads(),
-            ..*policy
-        };
         let (larger_cardinality, smaller_cardinality) =
             (larger.cardinality(), smaller.cardinality());
         let mut timings = PhaseTimings::default();
@@ -874,23 +898,26 @@ impl ProjectionPipeline {
         );
         timings.join = t.elapsed();
 
-        // Phase 2: reorder for the first side (determines the result order);
-        // a partial clustering is packed under its clusters.
+        // Phase 2: reorder for the first side (determines the result order):
+        // `u` keeps the join index, `s` Radix-Sorts it on the first side's
+        // oids with the pass count the cost planner prices, and `c`
+        // partially Radix-Clusters it (§3.1) and packs it under its clusters.
         let t = Instant::now();
+        let (larger_oids, smaller_oids) = (join_index.larger(), join_index.smaller());
+        let reorder = |spec| par_radix_cluster_oids(larger_oids, smaller_oids, spec, policy);
         let (first, second_oids) = match self.plan.first_side {
-            ProjectionCode::PartialCluster => {
-                let (packed, second_oids) = PackedOids::pack(par_partial_cluster_join_index(
-                    &join_index,
-                    larger_cardinality,
-                    params,
-                    policy,
-                ));
-                (InOrder::Packed(packed), second_oids)
+            ProjectionCode::Unsorted => {
+                (InOrder::Wide(larger_oids.to_vec()), smaller_oids.to_vec())
             }
-            code => {
-                let (first_oids, second_oids) =
-                    par_order_join_index(&join_index, code, larger_cardinality, params, policy);
+            ProjectionCode::Sorted => {
+                let spec = radix_sort_spec_for(larger_cardinality, params);
+                let (first_oids, second_oids, _) = reorder(spec).into_parts();
                 (InOrder::Wide(first_oids), second_oids)
+            }
+            ProjectionCode::PartialCluster => {
+                let spec = cluster_spec_for(larger_cardinality, params);
+                let (packed, second_oids) = PackedOids::pack(reorder(spec));
+                (InOrder::Packed(packed), second_oids)
             }
         };
         drop(join_index);
@@ -1456,7 +1483,7 @@ mod tests {
                 CacheParams::tiny_for_tests()
             };
             let spec = QuerySpec::symmetric(2);
-            let policy = ExecPolicy::with_threads(2).morsel_tuples(4_096);
+            let policy = ExecPolicy::with_threads(2);
             let sizes = [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, random_rows];
             for (i, n) in sizes.into_iter().enumerate() {
                 let (first, second) = codes[(i + code_offset) % codes.len()];
@@ -1573,39 +1600,43 @@ mod tests {
     }
 
     /// The fetch contract, pinned by a count instead of a clock: one `step`
-    /// writes one projected column of `rows` rows and asks its source
-    /// exactly once per morsel.  Any per-value path would make
-    /// `calls == values`.
+    /// writes one projected column of `rows` rows and asks its source once
+    /// on one worker, and once per [`DEFAULT_MORSEL_TUPLES`]-row morsel on
+    /// two.  Any per-value path would make `calls == values`.
     #[test]
     fn a_step_asks_each_source_once_per_morsel_and_column() {
         use rdx_core::positional::CountingSource;
         use rdx_core::strategy::planner::streaming_bytes_per_row;
 
-        let n = 19 * 160;
+        // Three 20 000-row chunks, each two morsels; the whole result four.
+        let n = 60_000;
         let w = JoinWorkloadBuilder::equal(n, 3).seed(13).build();
         let spec = QuerySpec {
             project_larger: 2,
             project_smaller: 3,
         };
         let params = CacheParams::tiny_for_tests();
-        let chunked = MemoryBudget::bytes(160 * streaming_bytes_per_row(&spec));
+        let chunked = MemoryBudget::bytes(20_000 * streaming_bytes_per_row(&spec));
         for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
             let plan = DsmPostProjection::with_codes(ProjectionCode::PartialCluster, second);
             let pipeline = ProjectionPipeline::new(plan);
-            for (budget, chunks, morsel, threads) in [
-                (MemoryBudget::unbounded(), 1, 1_000, 1),
-                (chunked, 19, 64, 1),
-                (chunked, 19, 64, 2),
+            for (budget, chunks, threads) in [
+                (MemoryBudget::unbounded(), 1, 1),
+                (chunked, 3, 1),
+                (MemoryBudget::unbounded(), 1, 2),
+                (chunked, 3, 2),
             ] {
-                let policy = ExecPolicy::with_threads(threads)
-                    .budget(budget)
-                    .morsel_tuples(morsel);
+                let policy = ExecPolicy::with_threads(threads).budget(budget);
                 let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
                 let larger = CountingSource::new(&w.larger);
                 let smaller = CountingSource::new(&w.smaller);
                 let mut run =
                     PipelineRun::new(prepared, &larger, &smaller, &spec, &params, &policy);
                 let mut sink = MaterializeSink::new();
+                let blocks = |rows: usize| match threads {
+                    1 => 1,
+                    _ => rows.div_ceil(DEFAULT_MORSEL_TUPLES),
+                };
                 let mut steps = 0;
                 loop {
                     let before = (larger.calls(), smaller.calls());
@@ -1613,17 +1644,26 @@ mod tests {
                         break;
                     };
                     steps += 1;
-                    let blocks = rows.div_ceil(morsel);
                     let label = format!("{} column chunk {steps}/{chunks}", plan.label());
                     let calls = (larger.calls() - before.0, smaller.calls() - before.1);
+                    let blocks = blocks(rows);
                     assert!(calls == (blocks, 0) || calls == (0, blocks), "{label}");
                 }
                 assert_eq!(steps, chunks * spec.total());
                 // Every chunk holds n / chunks rows.
-                let blocks = chunks * (n / chunks).div_ceil(morsel);
+                let blocks = chunks * blocks(n / chunks);
+                assert!(
+                    threads == 1 || blocks >= 2 * chunks,
+                    "several morsels a chunk"
+                );
                 assert_eq!((larger.calls(), smaller.calls()), (2 * blocks, 3 * blocks));
                 assert_eq!((larger.values(), smaller.values()), (2 * n, 3 * n));
-                assert!(larger.largest_block() <= morsel && smaller.largest_block() <= morsel);
+                let largest = match threads {
+                    1 => n / chunks,
+                    _ => DEFAULT_MORSEL_TUPLES,
+                };
+                assert_eq!(larger.largest_block(), largest);
+                assert_eq!(smaller.largest_block(), largest);
                 let (expected, _) = pipeline
                     .materialize(&w.larger, &w.smaller, &spec, &params, &policy)
                     .unwrap();
@@ -1719,7 +1759,7 @@ mod tests {
             &w.smaller,
             &spec,
             &params,
-            sequential.worker_threads(),
+            sequential.threads,
         ));
         let (whole, _) = pipeline
             .materialize(&w.larger, &w.smaller, &spec, &params, &sequential)
@@ -1929,9 +1969,7 @@ mod tests {
             let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
             let label = pipeline.plan.label();
             let profiled = |threads| {
-                let policy = ExecPolicy::with_threads(threads)
-                    .budget(MemoryBudget::bytes(4096))
-                    .morsel_tuples(64);
+                let policy = ExecPolicy::with_threads(threads).budget(MemoryBudget::bytes(4096));
                 let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
                 let mut run =
                     PipelineRun::new(prepared, &w.larger, &w.smaller, &spec, &params, &policy);

@@ -974,7 +974,7 @@ impl QueryEngine {
             .threads_hint
             .unwrap_or(self.config.threads_per_query);
         let policy = ExecPolicy::with_threads(threads).budget(budget);
-        let workers = policy.worker_threads();
+        let workers = policy.threads;
         let shared_params = &self.shared_params;
         let plan = request.codes.unwrap_or_else(|| {
             plan_by_cost_with_threads(&larger, &smaller, &request.spec, shared_params, workers)

@@ -123,7 +123,7 @@ pub mod prelude {
     };
     pub use rdx_dsm::{Column, DsmRelation, JoinIndex, Oid, ResultRelation};
     pub use rdx_exec::{
-        par_partitioned_hash_join, par_radix_cluster, par_radix_cluster_oids, par_radix_decluster,
+        par_partitioned_hash_join, par_radix_cluster, par_radix_cluster_oids,
         par_radix_decluster_into, ChunkScratch, ExecPolicy, PipelineRun, PreparedProjection,
         ProjectionPipeline,
     };

@@ -11,10 +11,13 @@
 
 use radix_decluster::core::cluster::{radix_cluster_oids, RadixClusterSpec};
 use radix_decluster::core::decluster::{choose_window_bytes, radix_decluster};
+use radix_decluster::core::positional::OidBlock;
 use radix_decluster::core::strategy::reference::{reference_rows, result_rows};
-use radix_decluster::exec::{par_radix_cluster_oids, par_radix_decluster};
+use radix_decluster::dsm::FromValue;
+use radix_decluster::exec::{par_gather_into, par_radix_cluster_oids, WorkerPanic};
 use radix_decluster::prelude::*;
 use radix_decluster::workload::HitRate;
+use rdx_bench::measure::par_decluster_whole;
 use rdx_bench::paper::nsm_post_projection_decluster;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -84,7 +87,7 @@ fn parallel_decluster_agrees_for_every_window_and_thread_count() {
     for window in windows {
         let expected = radix_decluster(&values, clustered.payloads(), clustered.bounds(), window);
         for threads in THREAD_COUNTS {
-            let got = par_radix_decluster(
+            let got = par_decluster_whole(
                 &values,
                 clustered.payloads(),
                 clustered.bounds(),
@@ -198,4 +201,74 @@ fn planned_parallel_execution_is_correct_end_to_end() {
         assert_eq!(result_rows(&out.result), expected, "threads {threads}");
         assert_eq!(out.result.cardinality(), w.expected_matches);
     }
+}
+
+/// A result cell that trips — panics — when built from [`TRIPWIRE`].
+#[derive(Clone, Copy)]
+struct Tripwire;
+
+const TRIPWIRE: i32 = 40_000;
+
+impl FromValue<i32> for Tripwire {
+    fn from_value(value: i32) -> Self {
+        assert_ne!(value, TRIPWIRE, "tripwire");
+        Tripwire
+    }
+}
+
+/// A worker that crashes inside a parallel kernel unwinds to the caller as
+/// a `WorkerPanic` naming one of the kernel's workers — the payload the
+/// serving engine turns into `RdxError::WorkerPanicked` for that query
+/// alone — from the decluster's window groups and the gather's morsels
+/// alike.
+#[test]
+fn a_crashed_worker_unwinds_as_worker_panic_from_every_kernel() {
+    let n = 50_000;
+    let policy = ExecPolicy::with_threads(2);
+    let worker_of = |kernel: &dyn Fn(&mut [Tripwire])| {
+        let mut out = vec![Tripwire; n];
+        let unwind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(&mut out)))
+            .expect_err("a worker built the tripwire cell");
+        unwind.downcast_ref::<WorkerPanic>().map(|wp| wp.worker)
+    };
+
+    // Each row's value is its result position, so row 40 000 trips.
+    let mut smaller: Vec<Oid> = (0..n as Oid).collect();
+    smaller.reverse();
+    let positions: Vec<Oid> = (0..n as Oid).collect();
+    let clustered = radix_cluster_oids(&smaller, &positions, RadixClusterSpec::single_pass(5));
+    let values: Vec<i32> = clustered.payloads().iter().map(|&p| p as i32).collect();
+    let decluster = |out: &mut [Tripwire]| {
+        par_radix_decluster_into(
+            &values,
+            clustered.payloads(),
+            &ChunkRuns::whole(clustered.bounds()),
+            256,
+            &policy,
+            &mut DeclusterScratch::new(),
+            out,
+            &mut NoProbe,
+        )
+    };
+    assert!(
+        matches!(worker_of(&decluster), Some(w) if w < 2),
+        "decluster"
+    );
+
+    // A gather of one column over every oid, several morsels long.
+    let relation = DsmRelation::new(
+        Column::from_vec((0..n as u64).collect()),
+        vec![Column::from_vec((0..n as i32).collect())],
+    );
+    let gather = |out: &mut [Tripwire]| {
+        par_gather_into(
+            &relation,
+            0,
+            OidBlock::Wide(&positions),
+            &policy,
+            out,
+            &mut NoProbe,
+        )
+    };
+    assert!(matches!(worker_of(&gather), Some(w) if w < 2), "gather");
 }

@@ -143,7 +143,7 @@ proptest! {
         threads in 1usize..9,
         seed in 0u64..u64::MAX,
     ) {
-        use radix_decluster::exec::par_radix_decluster;
+        use rdx_bench::measure::par_decluster_whole;
         let mut smaller: Vec<Oid> = (0..n as Oid).collect();
         let mut state = seed | 1;
         for i in (1..n).rev() {
@@ -156,7 +156,7 @@ proptest! {
         let values: Vec<i64> = clustered.keys().iter().map(|&o| o as i64 * 3 + 1).collect();
 
         let sequential = radix_decluster(&values, clustered.payloads(), clustered.bounds(), window_bytes);
-        let parallel = par_radix_decluster(
+        let parallel = par_decluster_whole(
             &values,
             clustered.payloads(),
             clustered.bounds(),
