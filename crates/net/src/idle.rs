@@ -20,7 +20,9 @@ pub(crate) const QUIET_WINDOW: Duration = Duration::from_millis(2);
 
 /// One sleep of a server that has been quiet for longer than
 /// [`QUIET_WINDOW`]: the bound on how late a request into a sleeping
-/// server is noticed.
+/// server is noticed.  It is also the interval at which a server with a
+/// connection open polls its listener (`NetServer::poll_cycle`), so a new
+/// connection is noticed as late, busy server or sleeping one.
 pub(crate) const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 /// What a waiting end does before its next poll.

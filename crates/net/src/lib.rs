@@ -20,7 +20,10 @@
 //!   after progress, yield between polls for a short quiet window after
 //!   the last progress, timed sleeps only after that) whose two waits are
 //!   counted in [`NetStats`], a read of the `net.*` counters in the
-//!   engine's `rdx-obs` registry.  Each cycle reads, decodes and handles
+//!   engine's `rdx-obs` registry.  A cycle polls the listener on every
+//!   cycle while the server has no connection and at most once per 200 µs
+//!   (the idle sleep) while one is open, counted in
+//!   [`NetStats::accept_polls`].  Each cycle reads, decodes and handles
 //!   a connection's frames and then flushes its replies, so a reply is on
 //!   the socket before the cycle's engine steps run.  A query's result is
 //!   encoded where it is computed: every wire ticket is submitted in the

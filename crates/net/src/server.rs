@@ -6,12 +6,20 @@
 //! so a slow client never stalls query execution and a long chunk never
 //! stalls `accept` for longer than one chunk's work.
 //!
-//! **Cycle order.**  Each connection is serviced read → decode and handle
-//! → flush, once per cycle: the replies its frames produced reach the
-//! socket in the cycle that asked for them, before the cycle's engine
-//! steps run, so a `Submitted`, status or `Done` reply never waits behind
-//! up to four chunk steps (`STEPS_PER_CYCLE`).  What a cycle cannot
-//! write (a full socket buffer) stays queued for the next one.
+//! **Cycle order.**  A cycle first polls the listener — but only when a
+//! new connection can be used at once: on every cycle while the server has
+//! no connection, and otherwise at most once per 200 µs (the idle sleep),
+//! each poll draining the accept queue.  With a connection open nearly
+//! every `accept` returns `WouldBlock`, and one per cycle cost a busy
+//! point-query loop about a third of its busy time; bounded, a server with
+//! a connection open notices a new one within the same 200 µs a sleeping
+//! server takes.  [`NetStats::accept_polls`] counts the `accept` calls.
+//! Then each connection is serviced read → decode and handle → flush,
+//! once per cycle: the replies its frames produced reach the socket in
+//! the cycle that asked for them, before the cycle's engine steps run, so
+//! a `Submitted`, status or `Done` reply never waits behind up to four
+//! chunk steps (`STEPS_PER_CYCLE`).  What a cycle cannot write (a full
+//! socket buffer) stays queued for the next one.
 //!
 //! **Waiting.**  [`NetServer::poll_cycle`] never blocks; what happens
 //! between cycles is the caller's choice.  [`NetServer::serve`] wakes on
@@ -26,7 +34,9 @@
 //! a plain sleep loop would.  [`NetStats::idle_yields`] and
 //! [`NetStats::idle_sleeps`] count the two kinds of wait.
 //! [`crate::NetClient`] waits for replies under the same policy.
-//! Embedders that call `poll_cycle()` themselves pick their own wait.
+//! Embedders that call `poll_cycle()` themselves pick their own wait; the
+//! listener bound above is the cycle's own, so it holds whatever they
+//! pick.
 //!
 //! Backpressure is
 //! per-connection: each connection has a bounded outbound queue, and when
@@ -40,7 +50,7 @@
 //! tears down that connection only — the listener, the other connections,
 //! and the engine all survive.
 
-use crate::idle::{IdleAction, IdlePolicy};
+use crate::idle::{IdleAction, IdlePolicy, IDLE_SLEEP};
 use crate::wire::{
     decode_frame, encode_frame, seal_done, Frame, SubmitSpec, DEFAULT_MAX_PAYLOAD, WIRE_VERSION,
 };
@@ -214,6 +224,12 @@ impl Default for NetConfig {
 pub struct NetStats {
     /// Connections accepted.
     pub accepted: u64,
+    /// Calls the server made to its listener's `accept`, each pending
+    /// connection's and the `WouldBlock` that ends each poll alike.  While
+    /// a connection is open the listener is polled at most once per 200 µs
+    /// (the idle sleep), so a busy server adds at most one poll per 200 µs
+    /// of wall time, however many cycles it runs.
+    pub accept_polls: u64,
     /// Connections closed (all causes: client EOF, protocol teardown,
     /// socket errors).
     pub closed: u64,
@@ -241,6 +257,7 @@ pub struct NetStats {
 /// The `net.*` registry counters, resolved once when the server is built.
 struct NetCounters {
     accepted: Counter,
+    accept_polls: Counter,
     closed: Counter,
     frames_in: Counter,
     frames_out: Counter,
@@ -318,6 +335,12 @@ pub struct NetServer {
     /// `serve` runs until the server has seen at least one client and then
     /// drained back to zero connections with an idle engine.
     seen_any: bool,
+    /// When the listener was last polled: with a connection open, the next
+    /// poll waits until [`IDLE_SLEEP`] has passed since.
+    last_accept_poll: Instant,
+    /// The machine's cores, resolved once: the cap on a peer's thread
+    /// count.
+    cores: usize,
 }
 
 impl NetServer {
@@ -328,6 +351,7 @@ impl NetServer {
         NetServer {
             counters: NetCounters {
                 accepted: metrics.counter("net.accepted"),
+                accept_polls: metrics.counter("net.accept_polls"),
                 closed: metrics.counter("net.closed"),
                 frames_in: metrics.counter("net.frames_in"),
                 frames_out: metrics.counter("net.frames_out"),
@@ -341,6 +365,10 @@ impl NetServer {
             config,
             conns: Vec::new(),
             seen_any: false,
+            last_accept_poll: Instant::now(),
+            // std reads the affinity mask and the cgroup quota on every
+            // call, so the count is read here, not per `Submit`.
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -365,6 +393,7 @@ impl NetServer {
         let c = &self.counters;
         NetStats {
             accepted: c.accepted.get(),
+            accept_polls: c.accept_polls.get(),
             closed: c.closed.get(),
             frames_in: c.frames_in.get(),
             frames_out: c.frames_out.get(),
@@ -380,27 +409,43 @@ impl NetServer {
         self.conns.len()
     }
 
-    /// Runs one cycle: accept pending connections; for each connection
-    /// read what its socket has, decode and handle its requests
-    /// (respecting per-connection backpressure) and flush the replies
-    /// that produced; then run up to `STEPS_PER_CYCLE` (four) engine
-    /// steps.  A reply to a frame this cycle decoded is therefore on the
-    /// socket when the cycle returns, unless the socket's buffer is full.
-    /// Returns `true` when the cycle did any work (socket bytes moved,
-    /// frames handled, or engine progress).  Never blocks: after a `false`
-    /// the caller decides how to wait — yield, sleep, or poll again (see
-    /// the module docs for what [`NetServer::serve`] does).
+    /// Runs one cycle: accept pending connections, if the listener is due
+    /// a poll; for each connection read what its socket has, decode and
+    /// handle its requests (respecting per-connection backpressure) and
+    /// flush the replies that produced; then run up to `STEPS_PER_CYCLE`
+    /// (four) engine steps.  A reply to a frame this cycle decoded is
+    /// therefore on the socket when the cycle returns, unless the socket's
+    /// buffer is full.  Returns `true` when the cycle did any work (a
+    /// connection accepted, socket bytes moved, frames handled, or engine
+    /// progress).  Never blocks: after a `false` the caller decides how to
+    /// wait — yield, sleep, or poll again (see the module docs for what
+    /// [`NetServer::serve`] does).
+    ///
+    /// The listener is due on every cycle while the server has no
+    /// connection, so a first client is accepted by the first cycle after
+    /// it connects; with a connection open it is due once 200 µs (the idle
+    /// sleep) have passed since its last poll, so a client connecting to a
+    /// busy server is accepted within 200 µs and one cycle.  Each poll
+    /// drains the accept queue, counted in [`NetStats::accept_polls`].
     pub fn poll_cycle(&mut self) -> bool {
         let mut progressed = false;
 
         // Accept everything pending; each new socket goes non-blocking so
         // it can never stall the loop.
-        while let Ok(Some(stream)) = self.listener.accept() {
-            if stream.set_nonblocking(true).is_ok() {
-                self.conns.push(Conn::new(stream));
-                self.counters.accepted.inc();
-                self.seen_any = true;
-                progressed = true;
+        let now = Instant::now();
+        if self.conns.is_empty() || now.duration_since(self.last_accept_poll) >= IDLE_SLEEP {
+            self.last_accept_poll = now;
+            loop {
+                self.counters.accept_polls.inc();
+                let Ok(Some(stream)) = self.listener.accept() else {
+                    break;
+                };
+                if stream.set_nonblocking(true).is_ok() {
+                    self.conns.push(Conn::new(stream));
+                    self.counters.accepted.inc();
+                    self.seen_any = true;
+                    progressed = true;
+                }
             }
         }
 
@@ -452,7 +497,14 @@ impl NetServer {
     /// its core busy; a quiet one costs what a sleep loop costs.  The two
     /// waits are counted in [`NetStats::idle_yields`] and
     /// [`NetStats::idle_sleeps`].
+    ///
+    /// On a server already drained — called again after a run — it
+    /// returns at once, without a cycle: a connection queued since is left
+    /// for the caller's next `poll_cycle()`.
     pub fn serve(&mut self) -> NetStats {
+        if self.drained() {
+            return self.stats();
+        }
         let mut idle = IdlePolicy::default();
         let mut last_cycle = Instant::now();
         loop {
@@ -522,6 +574,11 @@ impl NetServer {
         }
 
         // --- decode + handle, while the outbound queue has room ---
+        // Frames are decoded in place, at an offset into the buffered
+        // bytes, which are drained once when decoding stops: a drain per
+        // frame would move every byte still buffered, so a client's many
+        // frames in one write would cost time quadratic in their number.
+        let mut consumed = 0;
         loop {
             let conn = &mut self.conns[idx];
             if conn.close_after_flush {
@@ -535,10 +592,10 @@ impl NetServer {
                 break;
             }
             conn.paused = false;
-            match decode_frame(&conn.inbound, self.config.max_payload) {
+            match decode_frame(&conn.inbound[consumed..], self.config.max_payload) {
                 Ok(None) => break,
-                Ok(Some((frame, consumed))) => {
-                    conn.inbound.drain(..consumed);
+                Ok(Some((frame, used))) => {
+                    consumed += used;
                     self.counters.frames_in.inc();
                     *progressed = true;
                     self.handle_frame(idx, frame);
@@ -559,6 +616,7 @@ impl NetServer {
                 }
             }
         }
+        self.conns[idx].inbound.drain(..consumed);
 
         // --- flush queued replies (partial writes resume at write_pos) ---
         loop {
@@ -683,8 +741,7 @@ impl NetServer {
             // still means auto): results are byte-identical at every count,
             // and an unbounded one would have the kernels allocate and
             // spawn per worker until the process aborts.
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            request = request.with_threads((t as usize).min(cores));
+            request = request.with_threads((t as usize).min(self.cores));
         }
         if let Some(codes) = spec.codes {
             request = request.with_codes(codes);
@@ -965,5 +1022,215 @@ mod tests {
         assert_eq!((stats.idle_yields, stats.idle_sleeps), (0, 0));
         // serve() on a drained server returns on its first cycle.
         assert_eq!(server.serve(), stats);
+    }
+
+    /// A unix socket path, unlinked when the test ends.
+    #[cfg(unix)]
+    struct SocketPath(std::path::PathBuf);
+
+    #[cfg(unix)]
+    impl Drop for SocketPath {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    /// A server with no relations on a fresh unix socket.  A unix
+    /// `connect` queues the connection on the listener before it returns,
+    /// so a peer connected before a cycle is pending in that cycle.
+    #[cfg(unix)]
+    fn unix_server(name: &str) -> (NetServer, SocketPath) {
+        let path = SocketPath(
+            std::env::temp_dir().join(format!("rdx-net-{name}-{}.sock", std::process::id())),
+        );
+        let _ = std::fs::remove_file(&path.0);
+        let listener = NetListener::bind_unix(&path.0).expect("bind");
+        let engine = QueryEngine::new(ServeConfig::default());
+        (NetServer::new(listener, engine, NetConfig::default()), path)
+    }
+
+    fn encoded(frame: &Frame) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_frame(frame, &mut bytes);
+        bytes
+    }
+
+    /// Appends what a non-blocking peer can read now.
+    #[cfg(unix)]
+    fn read_available(peer: &mut UnixStream, into: &mut Vec<u8>) {
+        let mut buf = [0u8; 4096];
+        loop {
+            match peer.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => into.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_server_with_no_connection_accepts_in_its_first_cycle() {
+        let (mut server, path) = unix_server("first-cycle");
+        let peer = UnixStream::connect(&path.0).expect("connect");
+        assert!(server.poll_cycle(), "an accept is progress");
+        assert_eq!(server.connections(), 1);
+        // The pending connection's accept, and the `WouldBlock` that ends
+        // the drain.
+        assert_eq!(server.stats().accept_polls, 2);
+
+        // Once the only client has gone, the next is again accepted by the
+        // first cycle after it connects.
+        drop(peer);
+        while server.connections() > 0 {
+            server.poll_cycle();
+        }
+        let _next = UnixStream::connect(&path.0).expect("reconnect");
+        server.poll_cycle();
+        assert_eq!(server.connections(), 1);
+        assert_eq!(server.stats().accepted, 2);
+    }
+
+    /// With a connection open, `poll_cycle()` in a tight loop polls the
+    /// listener at most once per `IDLE_SLEEP` of wall time, plus the two
+    /// calls of the cycle that accepted the connection.
+    #[cfg(unix)]
+    #[test]
+    fn a_busy_server_polls_its_listener_at_most_once_per_idle_sleep() {
+        let (mut server, path) = unix_server("accept-bound");
+        let _peer = UnixStream::connect(&path.0).expect("connect");
+        let start = Instant::now();
+        let mut cycles = 0u64;
+        while start.elapsed() < std::time::Duration::from_millis(10) {
+            server.poll_cycle();
+            cycles += 1;
+        }
+        let elapsed = start.elapsed();
+        assert_eq!(server.connections(), 1);
+        let polls = server.stats().accept_polls;
+        let bound = (elapsed.as_nanos() / IDLE_SLEEP.as_nanos()) as u64 + 2;
+        assert!(
+            polls <= bound,
+            "{polls} accept polls over {cycles} cycles in {elapsed:?}: at most {bound}"
+        );
+    }
+
+    /// A second client that connects while the first keeps every cycle
+    /// busy is accepted within `IDLE_SLEEP` and one cycle, and its `Hello`
+    /// is answered by the cycle that accepts it.
+    #[cfg(unix)]
+    #[test]
+    fn a_client_connecting_to_a_busy_server_is_answered_within_an_idle_sleep_and_a_cycle() {
+        let (mut server, path) = unix_server("busy-accept");
+        let mut first = UnixStream::connect(&path.0).expect("connect");
+        first.set_nonblocking(true).expect("non-blocking peer");
+        server.poll_cycle();
+        let poll = encoded(&Frame::Poll { ticket: 0 });
+        let mut replies = Vec::new();
+        // One of the first client's polls answered per cycle.
+        let mut busy_cycle = |server: &mut NetServer| {
+            first.write_all(&poll).expect("send a poll");
+            let progressed = server.poll_cycle();
+            read_available(&mut first, &mut replies);
+            replies.clear();
+            progressed
+        };
+        let warm = Instant::now();
+        while warm.elapsed() < 2 * IDLE_SLEEP {
+            assert!(busy_cycle(&mut server));
+        }
+
+        let mut second = UnixStream::connect(&path.0).expect("connect");
+        second
+            .write_all(&encoded(&Frame::Hello { tenant: None }))
+            .expect("send a hello");
+        let connected = Instant::now();
+        let mut passed_by = None;
+        loop {
+            let start = Instant::now();
+            assert!(busy_cycle(&mut server), "the first client keeps it busy");
+            if server.connections() == 2 {
+                break;
+            }
+            passed_by = Some(start);
+        }
+        // Its last poll came before the connect, so the listener was due
+        // again at most `IDLE_SLEEP` after it: every cycle that passed the
+        // new connection by started inside that interval.
+        if let Some(start) = passed_by {
+            assert!(
+                start < connected + IDLE_SLEEP,
+                "a cycle {:?} after the connect did not accept it",
+                start - connected
+            );
+        }
+        second.set_nonblocking(true).expect("non-blocking peer");
+        let mut reply = Vec::new();
+        read_available(&mut second, &mut reply);
+        assert!(
+            matches!(
+                decode_frame(&reply, DEFAULT_MAX_PAYLOAD),
+                Ok(Some((Frame::HelloOk { .. }, used))) if used == reply.len()
+            ),
+            "expected exactly one HelloOk, got {reply:?}"
+        );
+    }
+
+    /// Frames a client pipelines in one write are decoded at an offset
+    /// into the buffered bytes, across the backpressure pauses the outbound
+    /// bound forces: 2 000 `Poll`s sent at once are all answered, in order,
+    /// byte for byte as when each is sent after the previous reply.
+    #[cfg(unix)]
+    #[test]
+    fn pipelined_polls_in_one_write_are_answered_in_order_as_one_at_a_time() {
+        const POLLS: u64 = 2_000;
+        let (mut server, path) = unix_server("pipelined");
+        let mut peer = UnixStream::connect(&path.0).expect("connect");
+        peer.set_nonblocking(true).expect("non-blocking peer");
+        server.poll_cycle();
+        let mut one_at_a_time = Vec::new();
+        for ticket in 0..POLLS {
+            peer.write_all(&encoded(&Frame::Poll { ticket }))
+                .expect("send a poll");
+            server.poll_cycle();
+            read_available(&mut peer, &mut one_at_a_time);
+        }
+        assert_eq!(server.stats().backpressure_pauses, 0);
+
+        let batch: Vec<u8> = (0..POLLS)
+            .flat_map(|ticket| encoded(&Frame::Poll { ticket }))
+            .collect();
+        // The socket buffers the whole batch, so one blocking write sends
+        // it before any cycle reads it.
+        peer.set_nonblocking(false).expect("blocking peer");
+        peer.write_all(&batch).expect("send the batch");
+        peer.set_nonblocking(true).expect("non-blocking peer");
+        let mut pipelined = Vec::new();
+        for _ in 0..100_000 {
+            if pipelined.len() >= one_at_a_time.len() {
+                break;
+            }
+            server.poll_cycle();
+            read_available(&mut peer, &mut pipelined);
+        }
+        assert!(
+            server.stats().backpressure_pauses > 0,
+            "the batch outran the outbound bound"
+        );
+        assert_eq!(server.stats().frames_in, 2 * POLLS);
+        assert!(pipelined == one_at_a_time, "the same bytes either way");
+
+        let mut at = 0;
+        for ticket in 0..POLLS {
+            let Ok(Some((Frame::Rejected { ticket: t, .. }, used))) =
+                decode_frame(&pipelined[at..], DEFAULT_MAX_PAYLOAD)
+            else {
+                panic!("reply {ticket} is not a Rejected frame");
+            };
+            assert_eq!(t, ticket, "replies in request order");
+            at += used;
+        }
+        assert_eq!(at, pipelined.len());
     }
 }
