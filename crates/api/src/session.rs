@@ -147,7 +147,9 @@ impl Session {
         self.engine.inject_faults(plan);
     }
 
-    /// Queries waiting for admission.
+    /// Queries waiting for admission in the live queue.  A query parked
+    /// for retry backoff is not counted here, though its ticket's status
+    /// reports `Queued` (behind the live queue).
     pub fn queued(&self) -> usize {
         self.engine.queued()
     }
@@ -157,7 +159,8 @@ impl Session {
         self.engine.in_flight()
     }
 
-    /// `true` when nothing is queued or running.
+    /// `true` when nothing is queued, running, or parked for retry
+    /// backoff (see [`QueryEngine::is_idle`]).
     pub fn is_idle(&self) -> bool {
         self.engine.is_idle()
     }

@@ -504,7 +504,9 @@ impl QueryEngine {
             .sum()
     }
 
-    /// Tickets waiting for admission.
+    /// Tickets waiting for admission in the live queue.  A ticket parked
+    /// for retry backoff is not counted here, though its
+    /// [`status`](Self::status) reports `Queued` (behind the live queue).
     pub fn queued(&self) -> usize {
         self.queue.len()
     }

@@ -22,8 +22,9 @@
 //!   post-projection, Jive-Join, the buffer-manager decluster) live in
 //!   `rdx_bench::paper`, beside the figure harness; the facade does not
 //!   re-export them.
-//! * [`exec`] — the morsel-driven parallel execution engine: work-stealing
-//!   morsel scheduling over scoped threads, parallel Radix-Cluster /
+//! * [`exec`] — the parallel execution engine: one worker runtime
+//!   (`exec::pool::run_workers` on one `std::thread::scope`, with work
+//!   items handed out by `exec::pool::Claims`), parallel Radix-Cluster /
 //!   Radix-Decluster / Partitioned Hash-Join kernels (all byte-identical to
 //!   their sequential counterparts), and the memory-budgeted **streaming
 //!   projection pipeline** (`exec::pipeline`), the one executor of the DSM
