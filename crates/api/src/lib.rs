@@ -15,40 +15,26 @@
 //!   [`Query::run`] (one-shot materialise), which is that same ticket
 //!   submitted and driven until it finishes — one query lifecycle either
 //!   way;
-//! * [`Query::submit`] returns a **non-blocking [`Ticket`]** whose
-//!   [`Ticket::poll`] reports [`QueryPoll::Queued`],
-//!   [`QueryPoll::Chunk`]`(progress)`, [`QueryPoll::Done`]`(report)` or
-//!   [`QueryPoll::Rejected`]`(RdxError)`, and [`Session::drive`] pumps the
-//!   chunk scheduler a bounded number of chunk-steps per call.
+//! * [`Query::submit`] returns a **non-blocking [`TicketId`]**,
+//!   [`Session::poll`] reports where it is and [`Session::drive`] pumps
+//!   the chunk scheduler a bounded number of chunk-steps per call.
 //!
 //! Every fallible path reports the workspace-wide [`RdxError`].
 //!
-//! ## The `Ticket` state machine
-//!
-//! ```text
-//!              ┌─────────────────────────── Rejected(RdxError) ◄─┐
-//!              ▼                                                 │ (validation /
-//! submit() ─► Queued ──admit──► Chunk{..} ──last chunk──► Done(report)
-//!              FIFO              progress                  taken exactly once
-//! ```
-//!
-//! A ticket moves strictly left to right; polls never block and never run
-//! chunks.  `Queued` tickets wait in FIFO admission order under the global
-//! memory budget; `Chunk` carries live progress (chunks/rows emitted so
-//! far); the terminal states are delivered **exactly once** — the first
-//! poll that observes completion takes the parked report (or error) with
-//! it, and any later poll of the same ticket reports
-//! [`RdxError::UnknownTicket`].  Work only happens inside
-//! [`Session::drive`] (which the blocking [`Query::run`] calls): `submit`
-//! and `poll` are safe to call between chunk steps of any
-//! in-flight query, which is exactly the surface an async network front
-//! needs — accept and observe queries while a batch is in flight, without
-//! touching the executors.
+//! A ticket's life is the engine's one state machine (drawn in
+//! [`rdx_serve::engine`]): [`Session::poll`] hands on the engine's
+//! [`TicketPoll`] as is — `Queued`, `Running` with live progress, then
+//! `Done(Served)` or `Rejected(RdxError)` delivered to exactly one poll,
+//! after which the ticket reports [`RdxError::UnknownTicket`].  Polls
+//! never block and never run chunks; work only happens inside
+//! [`Session::drive`] (which the blocking [`Query::run`] calls), so
+//! `submit` and `poll` are safe between chunk steps of any in-flight
+//! query — the surface an async network front needs.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use rdx_api::{QueryPoll, Session};
+//! use rdx_api::{Served, Session, TicketPoll};
 //! use rdx_core::strategy::QuerySpec;
 //! use rdx_workload::JoinWorkloadBuilder;
 //!
@@ -71,8 +57,10 @@
 //!     .project(QuerySpec::symmetric(1))
 //!     .submit();
 //! while session.drive(8) > 0 {}
-//! match ticket.poll(&mut session) {
-//!     QueryPoll::Done(report) => assert_eq!(report.stats.rows, w.expected_matches),
+//! match session.poll(ticket) {
+//!     TicketPoll::Done(Served::Columns(report)) => {
+//!         assert_eq!(report.stats.rows, w.expected_matches)
+//!     }
 //!     other => panic!("expected Done, got {other:?}"),
 //! }
 //! ```
@@ -82,11 +70,9 @@
 
 mod query;
 mod session;
-mod ticket;
 
 pub use query::Query;
 pub use session::Session;
-pub use ticket::{ChunkProgress, QueryPoll, Ticket};
 
 // The session vocabulary, re-exported so `rdx_api` alone is a complete
 // front door.
@@ -99,7 +85,8 @@ pub use rdx_obs::{
     EventKind, HistogramSnapshot, MetricValue, MetricsSnapshot, QueryId, TraceEvent, TraceSnapshot,
 };
 pub use rdx_serve::{
-    CacheStats, Catalog, QueryResult, QueryStats, RelationId, ServeConfig, TicketId,
+    CacheStats, Catalog, QueryResult, QueryStats, RelationId, ServeConfig, Served, TicketId,
+    TicketPoll,
 };
 
 #[cfg(test)]
@@ -193,8 +180,10 @@ mod tests {
         assert_eq!(report.stats.share_bytes, 2_048);
         assert!(report.stats.wait > std::time::Duration::ZERO);
         for ticket in [a, b] {
-            match ticket.poll(&mut session) {
-                QueryPoll::Done(q) => assert_eq!(columns(&q.result), columns(&report.result)),
+            match session.poll(ticket) {
+                TicketPoll::Done(Served::Columns(q)) => {
+                    assert_eq!(columns(&q.result), columns(&report.result))
+                }
                 other => panic!("expected Done before the run returned, got {other:?}"),
             }
         }
@@ -214,29 +203,34 @@ mod tests {
         let larger = session.register(w.larger.clone());
         let smaller = session.register(w.smaller.clone());
         let ticket = session.query(larger, smaller).submit();
-        assert!(matches!(ticket.poll(&mut session), QueryPoll::Queued));
+        assert!(matches!(session.poll(ticket), TicketPoll::Queued { .. }));
         // A step writes one column chunk; the default π = 1 + 1 takes two
         // to make one row chunk's worth of progress.
         assert_eq!(session.drive(1), 1);
-        assert!(matches!(ticket.poll(&mut session), QueryPoll::Chunk(p) if p.chunks == 0));
+        assert!(matches!(
+            session.poll(ticket),
+            TicketPoll::Running { chunks: 0, .. }
+        ));
         assert_eq!(session.drive(1), 1);
-        match ticket.poll(&mut session) {
-            QueryPoll::Chunk(p) => {
-                assert_eq!(p.chunks, 1);
-                assert!(p.rows > 0);
+        match session.poll(ticket) {
+            TicketPoll::Running { chunks, rows } => {
+                assert_eq!(chunks, 1);
+                assert!(rows > 0);
             }
             other => panic!("expected Chunk, got {other:?}"),
         }
         while session.drive(16) > 0 {}
         assert!(session.is_idle());
-        match ticket.poll(&mut session) {
-            QueryPoll::Done(report) => assert_eq!(report.stats.rows, w.expected_matches),
+        match session.poll(ticket) {
+            TicketPoll::Done(Served::Columns(report)) => {
+                assert_eq!(report.stats.rows, w.expected_matches)
+            }
             other => panic!("expected Done, got {other:?}"),
         }
         // The outcome was taken: the ticket is now unknown.
-        match ticket.poll(&mut session) {
-            QueryPoll::Rejected(RdxError::UnknownTicket { ticket: id }) => {
-                assert_eq!(id, ticket.id().raw())
+        match session.poll(ticket) {
+            TicketPoll::Rejected(RdxError::UnknownTicket { ticket: id }) => {
+                assert_eq!(id, ticket.raw())
             }
             other => panic!("expected UnknownTicket, got {other:?}"),
         }
@@ -255,13 +249,15 @@ mod tests {
         let smaller = session.register(w.smaller.clone());
         let a = session.query(larger, smaller).submit();
         session.drive(3);
-        assert!(matches!(a.poll(&mut session), QueryPoll::Chunk(_)));
+        assert!(matches!(session.poll(a), TicketPoll::Running { .. }));
         // The async-front enabler: a new submission lands while A is
         // mid-flight, and both finish correctly.
         let b = session.query(larger, smaller).submit();
         while session.drive(32) > 0 {}
-        let (ra, rb) = match (a.poll(&mut session), b.poll(&mut session)) {
-            (QueryPoll::Done(ra), QueryPoll::Done(rb)) => (ra, rb),
+        let (ra, rb) = match (session.poll(a), session.poll(b)) {
+            (TicketPoll::Done(Served::Columns(ra)), TicketPoll::Done(Served::Columns(rb))) => {
+                (ra, rb)
+            }
             other => panic!("expected two Done, got {other:?}"),
         };
         assert_eq!(columns(&ra.result), columns(&rb.result));
@@ -286,8 +282,8 @@ mod tests {
             other.register(w.larger.clone())
         };
         let ghost = session.query(foreign, smaller).submit();
-        match ghost.poll(&mut session) {
-            QueryPoll::Rejected(RdxError::UnknownRelation { id }) => {
+        match session.poll(ghost) {
+            TicketPoll::Rejected(RdxError::UnknownRelation { id }) => {
                 assert_eq!(id, foreign.raw())
             }
             other => panic!("expected UnknownRelation, got {other:?}"),
@@ -322,7 +318,10 @@ mod tests {
         ));
         assert_eq!(session.engine_mut().stats().retries, 0);
         while session.drive(16) > 0 {}
-        assert!(matches!(holder.poll(&mut session), QueryPoll::Done(_)));
+        assert!(matches!(
+            session.poll(holder),
+            TicketPoll::Done(Served::Columns(_))
+        ));
     }
 
     #[test]
@@ -338,15 +337,17 @@ mod tests {
         while b.drive(16) > 0 {}
         // Ticket ids are process-unique: A's ticket polled against B can
         // never take (and so consume) B's outcome.
-        match ticket_a.poll(&mut b) {
-            QueryPoll::Rejected(RdxError::UnknownTicket { ticket }) => {
-                assert_eq!(ticket, ticket_a.id().raw())
+        match b.poll(ticket_a) {
+            TicketPoll::Rejected(RdxError::UnknownTicket { ticket }) => {
+                assert_eq!(ticket, ticket_a.raw())
             }
             other => panic!("expected UnknownTicket, got {other:?}"),
         }
         // B's rightful owner still gets its result.
-        match ticket_b.poll(&mut b) {
-            QueryPoll::Done(report) => assert_eq!(report.stats.rows, w.expected_matches),
+        match b.poll(ticket_b) {
+            TicketPoll::Done(Served::Columns(report)) => {
+                assert_eq!(report.stats.rows, w.expected_matches)
+            }
             other => panic!("expected Done, got {other:?}"),
         }
     }
@@ -379,8 +380,8 @@ mod tests {
             .project(QuerySpec::symmetric(2))
             .submit();
         while session.drive(16) > 0 {}
-        match ticket.poll(&mut session) {
-            QueryPoll::Done(done) => {
+        match session.poll(ticket) {
+            TicketPoll::Done(Served::Columns(done)) => {
                 assert!(done.stats.cache_hit, "prefix warmed by the one-shot run");
                 // A cache hit never paid the join prefix…
                 assert_eq!(done.stats.timings.join, std::time::Duration::ZERO);
@@ -425,8 +426,8 @@ mod tests {
         let smaller = session.register(w.smaller.clone());
         let ticket = session.query(larger, smaller).submit();
         while session.drive(16) > 0 {}
-        let report = match ticket.poll(&mut session) {
-            QueryPoll::Done(report) => report,
+        let report = match session.poll(ticket) {
+            TicketPoll::Done(Served::Columns(report)) => report,
             other => panic!("expected Done, got {other:?}"),
         };
 
@@ -472,8 +473,8 @@ mod tests {
         assert_eq!(run.stats.plan, plan);
         let ticket = session.query(larger, smaller).codes(plan).submit();
         while session.drive(16) > 0 {}
-        match ticket.poll(&mut session) {
-            QueryPoll::Done(report) => {
+        match session.poll(ticket) {
+            TicketPoll::Done(Served::Columns(report)) => {
                 assert_eq!(report.stats.plan, plan);
                 assert_eq!(columns(&report.result), columns(&run.result));
                 // Same codes + same cluster spec: the second mode hit the

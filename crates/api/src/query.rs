@@ -1,12 +1,11 @@
 //! The fluent [`Query`] builder and its two execution modes.
 
-use crate::ticket::{QueryPoll, Ticket};
 use crate::Session;
 use rdx_core::budget::MemoryBudget;
 use rdx_core::error::RdxError;
 use rdx_core::fault::RetryPolicy;
 use rdx_core::strategy::{DsmPostProjection, QuerySpec};
-use rdx_serve::{QueryResult, RelationId, ServerRequest, TenantId};
+use rdx_serve::{QueryResult, RelationId, Served, ServerRequest, TenantId, TicketId, TicketPoll};
 
 /// A projection query under construction:
 /// `session.query(larger, smaller).project(spec).budget(b).threads(t)`
@@ -20,9 +19,9 @@ use rdx_serve::{QueryResult, RelationId, ServerRequest, TenantId};
 /// makes their outputs byte-identical by construction.
 ///
 /// * [`Query::submit`] — enqueue into the serve scheduler and return a
-///   non-blocking [`Ticket`] immediately.
-/// * [`Query::run`] — submit, then drive the session until that ticket
-///   finishes and return its outcome.
+///   non-blocking [`TicketId`] immediately.
+/// * [`Query::run`] — submit, then poll and drive the session until that
+///   ticket's poll is terminal and return its outcome.
 ///
 /// A chunked run into a caller's own `RowChunkSink` is
 /// `rdx_exec::PipelineRun::step`.
@@ -141,30 +140,37 @@ impl<'s> Query<'s> {
         self
     }
 
-    /// **One-shot materialise**: submits this query, drives the session
-    /// until its ticket finishes and returns the outcome — the materialised
-    /// result with its statistics, or the typed error its ticket parked.
-    /// Tickets already in flight keep running: the loop steps the whole
-    /// engine, and this query waits its FIFO turn behind them.
+    /// **One-shot materialise**: submits this query, then polls its ticket
+    /// and drives the session one step at a time until the poll is
+    /// terminal, and returns the outcome — the materialised result with its
+    /// statistics, or the typed error its ticket parked.  Tickets already
+    /// in flight keep running: each step is the whole engine's, and this
+    /// query waits its FIFO turn behind them.
     pub fn run(self) -> Result<QueryResult, RdxError> {
         let Query { session, request } = self;
-        let ticket = Ticket::new(session.engine().submit(request));
+        let ticket = session.engine().submit(request);
         loop {
-            match ticket.poll(session) {
-                QueryPoll::Done(report) => return Ok(report),
-                QueryPoll::Rejected(e) => return Err(e),
-                QueryPoll::Queued | QueryPoll::Chunk(_) => session.drive(1),
+            match session.poll(ticket) {
+                TicketPoll::Queued { .. } | TicketPoll::Running { .. } => session.drive(1),
+                TicketPoll::Done(Served::Columns(report)) => return Ok(report),
+                // A query is submitted in the columns form: a frame is no
+                // outcome of this ticket's.
+                TicketPoll::Done(Served::Frame { .. }) => {
+                    return Err(RdxError::UnknownTicket {
+                        ticket: ticket.raw(),
+                    })
+                }
+                TicketPoll::Rejected(e) => return Err(e),
             };
         }
     }
 
     /// **Non-blocking submission**: enqueues into the serve scheduler and
-    /// returns a [`Ticket`] immediately — never runs a chunk, so it is safe
-    /// between chunk steps of in-flight queries.  Validation and admission
-    /// failures surface through [`Ticket::poll`] as
-    /// [`crate::QueryPoll::Rejected`]; progress requires
-    /// [`Session::drive`].
-    pub fn submit(self) -> Ticket {
-        Ticket::new(self.session.engine().submit(self.request))
+    /// returns a [`TicketId`] immediately — never runs a chunk, so it is
+    /// safe between chunk steps of in-flight queries.  Validation and
+    /// admission failures surface through [`Session::poll`] as
+    /// [`TicketPoll::Rejected`]; progress requires [`Session::drive`].
+    pub fn submit(self) -> TicketId {
+        self.session.engine().submit(self.request)
     }
 }

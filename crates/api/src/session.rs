@@ -1,15 +1,13 @@
 //! The [`Session`]: owner of everything a stream of queries shares.
 
-use crate::ticket::{ChunkProgress, QueryPoll, Ticket};
 use crate::Query;
 use rdx_cache::CacheParams;
-use rdx_core::error::RdxError;
 use rdx_dsm::DsmRelation;
 use rdx_net::{NetConfig, NetListener, NetServer, NetStats};
 use rdx_obs::{MetricsSnapshot, TraceSnapshot};
 use rdx_serve::{
-    CacheStats, Catalog, EngineStep, QueryEngine, RelationId, ServeConfig, Served, TenantId,
-    TenantStats, TicketStatus,
+    CacheStats, Catalog, EngineStep, QueryEngine, RelationId, ServeConfig, TenantId, TenantStats,
+    TicketId, TicketPoll,
 };
 use std::sync::Arc;
 
@@ -21,7 +19,7 @@ use std::sync::Arc;
 /// Queries start at [`Session::query`] (a fluent builder) and become
 /// tickets of one engine; they are pumped by [`Session::drive`] (which a
 /// one-shot [`Query::run`] calls itself) and observed with
-/// [`Ticket::poll`].
+/// [`Session::poll`].
 pub struct Session {
     engine: QueryEngine,
 }
@@ -80,8 +78,9 @@ impl Session {
     /// returns how many actually ran (0 = the session is drained).  Each
     /// step admits from the FIFO queue while budget and concurrency slots
     /// allow, then runs **one chunk of one query**, the one with the least
-    /// predicted work left (within the scheduler's starvation bound) — so a caller alternating `drive` with [`Query::submit`] /
-    /// [`Ticket::poll`] gets exactly the bounded-latency loop an async
+    /// predicted work left (within the scheduler's starvation bound) — so a
+    /// caller alternating `drive` with [`Query::submit`] /
+    /// [`Session::poll`] gets exactly the bounded-latency loop an async
     /// front needs.
     pub fn drive(&mut self, steps: usize) -> usize {
         let mut ran = 0;
@@ -94,46 +93,21 @@ impl Session {
         ran
     }
 
-    /// Where `ticket` is in its state machine (see the crate docs).  The
-    /// first poll that observes completion takes the parked outcome with
-    /// it; later polls report [`RdxError::UnknownTicket`].
-    pub fn poll(&mut self, ticket: &Ticket) -> QueryPoll {
-        match self.engine.status(ticket.id()) {
-            None => QueryPoll::Rejected(RdxError::UnknownTicket {
-                ticket: ticket.id().raw(),
-            }),
-            Some(TicketStatus::Queued { .. }) => QueryPoll::Queued,
-            Some(TicketStatus::Running { chunks, rows }) => {
-                QueryPoll::Chunk(ChunkProgress { chunks, rows })
-            }
-            Some(TicketStatus::Finished) => {
-                // Finished status and a parked outcome are written together,
-                // so the take always succeeds; report the typed unknown-
-                // ticket error rather than trusting that with a panic.
-                let Some(outcome) = self.engine.take_outcome(ticket.id()) else {
-                    return QueryPoll::Rejected(RdxError::UnknownTicket {
-                        ticket: ticket.id().raw(),
-                    });
-                };
-                match outcome.outcome {
-                    Ok(Served::Columns(report)) => QueryPoll::Done(report),
-                    Ok(Served::Frame { .. }) => {
-                        unreachable!("a session submits every ticket in the columns form")
-                    }
-                    Err(e) => QueryPoll::Rejected(e),
-                }
-            }
-        }
+    /// Where `ticket` is in its state machine: the engine's
+    /// [`QueryEngine::poll`], as is.  The poll that observes `Done` or
+    /// `Rejected` takes the outcome; later polls report
+    /// [`rdx_core::error::RdxError::UnknownTicket`].
+    pub fn poll(&mut self, ticket: TicketId) -> TicketPoll {
+        self.engine.poll(ticket)
     }
 
     /// Cancels a submitted query wherever it is — queued, parked for
     /// retry, or mid-flight (torn down at the next chunk boundary, its
     /// grant reclaimed immediately).  Returns `true` if the ticket was
-    /// live; the cancelled ticket's next poll observes
-    /// [`QueryPoll::Rejected`] with [`RdxError::Cancelled`], exactly once.
+    /// live; its next poll is then `Rejected(Cancelled)`.
     /// Already-finished or unknown tickets return `false` untouched.
-    pub fn cancel(&mut self, ticket: &Ticket) -> bool {
-        self.engine.cancel(ticket.id())
+    pub fn cancel(&mut self, ticket: TicketId) -> bool {
+        self.engine.cancel(ticket)
     }
 
     /// Replaces the session's **fault-injection script** (see
@@ -148,7 +122,7 @@ impl Session {
     }
 
     /// Queries waiting for admission in the live queue.  A query parked
-    /// for retry backoff is not counted here, though its ticket's status
+    /// for retry backoff is not counted here, though its ticket's poll
     /// reports `Queued` (behind the live queue).
     pub fn queued(&self) -> usize {
         self.engine.queued()

@@ -11,7 +11,8 @@
 //! the one-chunk plan and picks the cheapest, adapting to π, N and the cache
 //! parameters instead of using only the fits-in-cache rule of
 //! [`DsmPostProjection::plan`]; the serving engine prices the chosen plan
-//! with the same function for its deadline check and stride weight.
+//! with the same function for its deadline check and its work-left
+//! dispatch key.
 
 use crate::budget::MemoryBudget;
 use crate::cluster::{

@@ -5,7 +5,8 @@
 //!
 //! - [`wire`] — the pure codec: a versioned, length-prefixed binary frame
 //!   format ([`Frame`], [`encode_frame`], [`decode_frame`]) whose server
-//!   frames mirror the engine's `TicketStatus` exactly, and whose
+//!   frames mirror the engine's one ticket poll
+//!   ([`rdx_serve::TicketPoll`]) exactly, and whose
 //!   `Rejected` frame carries the workspace-wide
 //!   [`rdx_core::error::RdxError`] losslessly.  Byte-in/byte-out total
 //!   functions: incomplete input asks for more, malformed input fails

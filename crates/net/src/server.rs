@@ -59,7 +59,7 @@ use rdx_core::error::RdxError;
 use rdx_core::strategy::QuerySpec;
 use rdx_obs::Counter;
 use rdx_serve::{
-    QueryEngine, RelationId, ResultForm, Served, ServerRequest, TenantId, TicketId, TicketStatus,
+    QueryEngine, RelationId, ResultForm, Served, ServerRequest, TenantId, TicketId, TicketPoll,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -539,7 +539,7 @@ impl NetServer {
     fn teardown(&mut self, conn: Conn) {
         for (_, ticket) in conn.tickets {
             self.engine.cancel(ticket);
-            let _ = self.engine.take_outcome(ticket);
+            self.engine.poll(ticket);
         }
     }
 
@@ -758,64 +758,42 @@ impl NetServer {
         self.enqueue(idx, &Frame::Submitted { ticket: raw });
     }
 
+    /// Answers a poll with the frame that mirrors the engine's
+    /// [`TicketPoll`].  A ticket this connection did not submit is unknown
+    /// to it; a terminal poll took the outcome, so the ticket is spent.
     fn handle_poll(&mut self, idx: usize, ticket: u64) {
-        let Some(&tid) = self.conns[idx].tickets.get(&ticket) else {
-            self.enqueue(
-                idx,
-                &Frame::Rejected {
-                    ticket,
-                    error: RdxError::UnknownTicket { ticket },
-                },
-            );
-            return;
+        let poll = match self.conns[idx].tickets.get(&ticket) {
+            Some(&tid) => self.engine.poll(tid),
+            None => TicketPoll::Rejected(RdxError::UnknownTicket { ticket }),
         };
-        match self.engine.status(tid) {
-            Some(TicketStatus::Queued { position }) => self.enqueue(
-                idx,
-                &Frame::Queued {
-                    ticket,
-                    position: position as u64,
-                },
-            ),
-            Some(TicketStatus::Running { chunks, rows }) => self.enqueue(
-                idx,
-                &Frame::Chunk {
-                    ticket,
-                    chunks: chunks as u64,
-                    rows: rows as u64,
-                },
-            ),
-            Some(TicketStatus::Finished) => {
-                // Consume the parked outcome; the ticket is spent.
-                let outcome = self.engine.take_outcome(tid).map(|o| o.outcome);
-                self.conns[idx].tickets.remove(&ticket);
-                match outcome {
-                    // The engine filled the frame as the query emitted;
-                    // only its header is left to write.
-                    Some(Ok(Served::Frame { mut frame, .. })) => {
-                        seal_done(&mut frame);
-                        self.enqueue_bytes(idx, frame);
-                    }
-                    Some(Err(error)) => self.enqueue(idx, &Frame::Rejected { ticket, error }),
-                    // Every wire ticket is submitted in the frame form, so
-                    // no columns outcome is this connection's to send.
-                    Some(Ok(Served::Columns(_))) | None => self.enqueue(
-                        idx,
-                        &Frame::Rejected {
-                            ticket,
-                            error: RdxError::UnknownTicket { ticket },
-                        },
-                    ),
-                }
-            }
-            None => self.enqueue(
-                idx,
-                &Frame::Rejected {
-                    ticket,
-                    error: RdxError::UnknownTicket { ticket },
-                },
-            ),
+        if matches!(poll, TicketPoll::Done(_) | TicketPoll::Rejected(_)) {
+            self.conns[idx].tickets.remove(&ticket);
         }
+        let frame = match poll {
+            TicketPoll::Queued { position } => Frame::Queued {
+                ticket,
+                position: position as u64,
+            },
+            TicketPoll::Running { chunks, rows } => Frame::Chunk {
+                ticket,
+                chunks: chunks as u64,
+                rows: rows as u64,
+            },
+            // The engine filled the frame as the query emitted; only its
+            // header is left to write.
+            TicketPoll::Done(Served::Frame { mut frame, .. }) => {
+                seal_done(&mut frame);
+                return self.enqueue_bytes(idx, frame);
+            }
+            // Every wire ticket is submitted in the frame form, so no
+            // columns outcome is this connection's to send.
+            TicketPoll::Done(Served::Columns(_)) => Frame::Rejected {
+                ticket,
+                error: RdxError::UnknownTicket { ticket },
+            },
+            TicketPoll::Rejected(error) => Frame::Rejected { ticket, error },
+        };
+        self.enqueue(idx, &frame);
     }
 }
 
@@ -891,11 +869,10 @@ mod tests {
                 max_payload: usize::MAX,
             }));
             while engine.step() != EngineStep::Idle {}
-            let mut outcome = |t| engine.take_outcome(t).map(|o| o.outcome);
-            let Some(Ok(Served::Columns(result))) = outcome(columns) else {
+            let TicketPoll::Done(Served::Columns(result)) = engine.poll(columns) else {
                 panic!("{cell}: columns ticket not served");
             };
-            let Some(Ok(Served::Frame { mut frame, stats })) = outcome(framed) else {
+            let TicketPoll::Done(Served::Frame { mut frame, stats }) = engine.poll(framed) else {
                 panic!("{cell}: frame ticket not served");
             };
             assert!(

@@ -149,9 +149,10 @@ pub struct WireReport {
 
 /// One protocol message, client or server.
 ///
-/// The server frames mirror the engine's `TicketStatus` exactly:
-/// `Queued { position }` ⇄ [`Frame::Queued`], `Running { chunks, rows }` ⇄
-/// [`Frame::Chunk`], and a `Finished` ticket's outcome ⇄ [`Frame::Done`] /
+/// The server frames mirror the engine's one ticket poll
+/// ([`rdx_serve::TicketPoll`]) exactly: `Queued { position }` ⇄
+/// [`Frame::Queued`], `Running { chunks, rows }` ⇄ [`Frame::Chunk`],
+/// `Done(Served)` ⇄ [`Frame::Done`] and `Rejected(RdxError)` ⇄
 /// [`Frame::Rejected`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -187,14 +188,14 @@ pub enum Frame {
         ticket: u64,
     },
     /// Server: the ticket is waiting for admission (mirrors
-    /// `TicketStatus::Queued`).
+    /// `TicketPoll::Queued`).
     Queued {
         /// The polled ticket.
         ticket: u64,
         /// 0-based position in the admission queue.
         position: u64,
     },
-    /// Server: the ticket is running (mirrors `TicketStatus::Running`).
+    /// Server: the ticket is running (mirrors `TicketPoll::Running`).
     Chunk {
         /// The polled ticket.
         ticket: u64,

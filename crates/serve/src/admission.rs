@@ -1,17 +1,23 @@
 //! **Admission**: how one global [`MemoryBudget`] is split across
-//! concurrently admitted queries so their combined streaming working sets
-//! can never exceed it.
+//! concurrently admitted queries so their combined chunk scratch stays
+//! within it.
 //!
 //! Each admitted query receives a byte *grant* it plans its chunking under
 //! ([`rdx_core::strategy::planner::plan_streaming`] turns the grant into
 //! `chunk_rows = grant / bytes_per_row`), the RAM analogue of
 //! [`rdx_cache::CacheParams::per_core_share`] dividing the shared cache.
-//! Because a streaming plan's peak working set never exceeds the budget it
-//! was planned under (PR 2's asserted invariant), `Σ grants ≤ global`
-//! implies `Σ peak working sets ≤ global` — over-commit is impossible by
-//! construction, not by monitoring.  Every query the engine runs holds a
-//! grant, a front-door `run()` included (it is a ticket like any other);
-//! nothing runs on whatever budget happens to be left over.
+//! What a grant bounds is that run's chunk scratch, priced at
+//! [`rdx_core::strategy::planner::streaming_bytes_per_row`] per row: a
+//! streaming plan's peak chunk working set never exceeds the grant it was
+//! planned under, so `Σ grants ≤ global` bounds the chunk scratch of every
+//! running query together.  Result memory lies outside every grant: the
+//! [`rdx_core::strategy::MaterializeSink`] columns of a columns-form
+//! result, the [`rdx_core::strategy::FrameSink`] `Done` frame of a
+//! frame-form result, and the outcomes the engine parks until a poll takes
+//! them all grow with the result's rows, whatever the grant.  Every query
+//! the engine runs holds a grant, a front-door `run()` included (it is a
+//! ticket like any other); nothing runs on whatever budget happens to be
+//! left over.
 //!
 //! [`decide`] is a pure function of the budget, the concurrency cap and
 //! the load the engine reads off its running set — how many queries run

@@ -14,42 +14,45 @@
 //!   chunk of one query** (one projected column × one row chunk), the one
 //!   with the least predicted work left (see
 //!   [`crate::scheduler`]), resumable from outside;
-//! * [`QueryEngine::status`] / [`QueryEngine::take_outcome`] observe a
-//!   ticket without blocking.
+//! * [`QueryEngine::poll`] observes a ticket without blocking; the poll
+//!   that observes a terminal state takes it.
 //!
 //! ## The ticket state machine
 //!
 //! ```text
-//! submit ──► Queued ──admit──► Running ──last chunk──► Finished ──take──► gone
-//!    │                                                    ▲
-//!    └── validation / admission failure ──────────────────┘  (outcome = Err)
+//! submit ──► Queued ──admit──► Running ──last chunk──► Done(Served) ─────────┐
+//!    │         │ ▲                │                                          ├─ first poll ──► gone
+//!    │         │ └──── retry ─────┤                                          │
+//!    └─────────┴──────────────────┴─ refused / failed ─► Rejected(RdxError) ─┘
 //! ```
 //!
-//! A ticket moves strictly left to right.  `Queued` tickets wait in FIFO
-//! order (admission never skips the queue head, so arrival order bounds
-//! waiting); `Running` tickets are parked [`rdx_exec::PipelineRun`]s that
-//! own `Arc` clones of their relations (never borrowing the catalog, which
-//! is what lets the engine hold them across calls); `Finished` tickets park
-//! their outcome — the materialised result or a typed
-//! [`RdxError`] — until exactly one [`QueryEngine::take_outcome`] claims it.
+//! [`QueryEngine::poll`] reports exactly these four states as a
+//! [`TicketPoll`], the one observer of a ticket: every front end (the
+//! `rdx-api` `Session`, the `rdx-net` wire) hands it on as is.  `Queued`
+//! tickets wait in FIFO order (admission never skips the queue head, so
+//! arrival order bounds waiting; a retry re-enters behind the live queue);
+//! `Running` tickets are parked [`rdx_exec::PipelineRun`]s that own `Arc`
+//! clones of their relations (never borrowing the catalog, which is what
+//! lets the engine hold them across calls).  A finished ticket parks its
+//! outcome — the served result or a typed [`RdxError`] — and the first
+//! poll that observes it takes it, so each outcome is delivered exactly
+//! once by construction; a later poll, like a poll of a ticket this engine
+//! never issued, reports [`RdxError::UnknownTicket`].
 //!
 //! Everything fallible reports the workspace-wide [`RdxError`]; the engine
 //! never panics on untrusted input.
 //!
 //! Every query is a ticket; there is no second lifecycle beside this one.
 //! Serving a whole batch is these primitives in a row: submit all, step
-//! until [`EngineStep::Idle`], take every outcome.  The front door's
-//! one-shot `run()` is the one-ticket case: submit, step until that
-//! ticket is `Finished`, take its outcome — so it is admitted, shed,
-//! retried, deadline-checked and panic-isolated exactly like any other
-//! ticket.
+//! until [`EngineStep::Idle`], poll every ticket once.  The front door's
+//! one-shot `run()` is the one-ticket case: submit, then poll and step
+//! until the poll is terminal — so it is admitted, shed, retried,
+//! deadline-checked and panic-isolated exactly like any other ticket.
 
 use crate::admission::{self, AdmissionDecision};
 use crate::cache::{CacheStats, ClusterCache, ClusterKey};
 use crate::registry::{Catalog, RelationId};
-use crate::request::{
-    QueryOutcome, QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest,
-};
+use crate::request::{QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest};
 use crate::scheduler;
 use crate::tenant::{Load, TenantId, TenantRegistry, TenantStats};
 use rdx_cache::CacheParams;
@@ -92,25 +95,32 @@ impl std::fmt::Display for TicketId {
     }
 }
 
-/// Where a ticket currently is in its state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TicketStatus {
-    /// Waiting for admission (FIFO; `position` 0 is the queue head).
+/// What one [`QueryEngine::poll`] observed: where a ticket is in its
+/// state machine.  `Done` and `Rejected` are terminal and delivered to
+/// exactly one poll.
+#[derive(Debug)]
+pub enum TicketPoll {
+    /// Waiting for admission (FIFO; `position` 0 is the queue head, and a
+    /// ticket parked for retry backoff counts behind the live queue).
     Queued {
         /// Tickets ahead of this one.
         position: usize,
     },
     /// Admitted and progressing column chunk by column chunk.
     Running {
-        /// Row chunks' worth of column chunks emitted so far (monotone,
-        /// ending at the row-chunk count).
+        /// Row chunks' worth of column chunks emitted so far (monotone
+        /// within one attempt, ending at the row-chunk count).
         chunks: usize,
-        /// The rows of those row chunks (monotone, ending at the result's
-        /// cardinality).
+        /// The rows of those row chunks (monotone within one attempt,
+        /// ending at the result's cardinality).
         rows: usize,
     },
-    /// Complete; the outcome is parked until [`QueryEngine::take_outcome`].
-    Finished,
+    /// Complete: the result in the request's [`ResultForm`].
+    Done(Served),
+    /// Refused, cancelled or failed with a typed error — or
+    /// [`RdxError::UnknownTicket`] for a ticket this engine never issued
+    /// or whose outcome an earlier poll took.
+    Rejected(RdxError),
 }
 
 /// What one [`QueryEngine::step`] call did.
@@ -124,8 +134,8 @@ pub enum EngineStep {
         /// Rows in the emitted column chunk.
         rows: usize,
     },
-    /// `ticket` completed; its outcome is parked for
-    /// [`QueryEngine::take_outcome`].
+    /// `ticket` completed; its outcome is parked for the next
+    /// [`QueryEngine::poll`].
     Finished {
         /// The query that completed.
         ticket: TicketId,
@@ -330,7 +340,7 @@ struct RetryParked {
 /// The persistent, ticket-granular serving core.
 ///
 /// ```
-/// use rdx_serve::{QueryEngine, EngineStep, ServeConfig, Served, ServerRequest, TicketStatus};
+/// use rdx_serve::{QueryEngine, EngineStep, ServeConfig, Served, ServerRequest, TicketPoll};
 /// use rdx_core::strategy::QuerySpec;
 /// use rdx_workload::JoinWorkloadBuilder;
 ///
@@ -340,10 +350,11 @@ struct RetryParked {
 /// let smaller = engine.register(w.smaller.clone());
 /// let ticket = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(1)));
 /// while engine.step() != EngineStep::Idle {}
-/// assert_eq!(engine.status(ticket), Some(TicketStatus::Finished));
-/// let outcome = engine.take_outcome(ticket).unwrap().outcome;
-/// let Ok(Served::Columns(result)) = outcome else { panic!("not served") };
+/// let TicketPoll::Done(Served::Columns(result)) = engine.poll(ticket) else {
+///     panic!("not served")
+/// };
 /// assert_eq!(result.stats.rows, w.expected_matches);
+/// assert!(matches!(engine.poll(ticket), TicketPoll::Rejected(_)), "taken once");
 /// ```
 pub struct QueryEngine {
     config: ServeConfig,
@@ -354,7 +365,7 @@ pub struct QueryEngine {
     queue: VecDeque<Pending>,
     running: Vec<Running>,
     retry_parked: Vec<RetryParked>,
-    finished: HashMap<u64, QueryOutcome>,
+    finished: HashMap<u64, Result<Served, RdxError>>,
     obs: Obs,
     counters: Counters,
     peak_concurrency: usize,
@@ -506,7 +517,7 @@ impl QueryEngine {
 
     /// Tickets waiting for admission in the live queue.  A ticket parked
     /// for retry backoff is not counted here, though its
-    /// [`status`](Self::status) reports `Queued` (behind the live queue).
+    /// [`poll`](Self::poll) reports `Queued` (behind the live queue).
     pub fn queued(&self) -> usize {
         self.queue.len()
     }
@@ -547,7 +558,7 @@ impl QueryEngine {
 
     /// Submits a query, returning its ticket **without blocking**: the call
     /// never runs a chunk, so it is safe between chunk steps of any
-    /// in-flight query.  Validation failures park an `Err` outcome
+    /// in-flight query.  Validation failures park a `Rejected` outcome
     /// immediately (an invalid request never occupies a queue slot).
     pub fn submit(&mut self, request: ServerRequest) -> TicketId {
         let ticket = TicketId(NEXT_TICKET.fetch_add(1, Ordering::Relaxed));
@@ -578,16 +589,10 @@ impl QueryEngine {
         ticket
     }
 
-    /// Parks `outcome` for [`QueryEngine::take_outcome`] — the one place a
-    /// ticket reaches `Finished`.
-    fn finish(
-        &mut self,
-        ticket: TicketId,
-        request: ServerRequest,
-        outcome: Result<Served, RdxError>,
-    ) {
-        self.finished
-            .insert(ticket.0, QueryOutcome { request, outcome });
+    /// Parks `outcome` for the next [`QueryEngine::poll`] — the one place a
+    /// ticket reaches `Done` or `Rejected`.
+    fn finish(&mut self, ticket: TicketId, outcome: Result<Served, RdxError>) {
+        self.finished.insert(ticket.0, outcome);
     }
 
     /// Refuses a ticket that never ran: counts the refusal (per reason),
@@ -609,7 +614,7 @@ impl QueryEngine {
                 reason: reject_reason(&e),
             },
         );
-        self.finish(p.ticket, p.request, Err(e));
+        self.finish(p.ticket, Err(e));
     }
 
     /// Tears a ticket off the engine before completion: records its
@@ -617,46 +622,38 @@ impl QueryEngine {
     fn cancelled(&mut self, p: Pending, reason: &'static str, e: RdxError) {
         self.obs.record(p.query, EventKind::Cancel { reason });
         self.counters.cancellations.inc();
-        self.finish(p.ticket, p.request, Err(e));
+        self.finish(p.ticket, Err(e));
     }
 
-    /// Where `ticket` is in its state machine, or `None` for a ticket this
-    /// engine never issued (or whose outcome was already taken).
-    pub fn status(&self, ticket: TicketId) -> Option<TicketStatus> {
+    /// Where `ticket` is in its state machine, without blocking.  The poll
+    /// that observes `Done` or `Rejected` takes the parked outcome, so each
+    /// outcome is delivered exactly once; a later poll, like a poll of a
+    /// ticket this engine never issued, reports
+    /// [`RdxError::UnknownTicket`].
+    pub fn poll(&mut self, ticket: TicketId) -> TicketPoll {
         if let Some(position) = self.queue.iter().position(|p| p.ticket == ticket) {
-            return Some(TicketStatus::Queued { position });
+            return TicketPoll::Queued { position };
         }
         if let Some(r) = self.running.iter().find(|r| r.pending.ticket == ticket) {
             let s = r.run.run_stats();
-            return Some(TicketStatus::Running {
+            return TicketPoll::Running {
                 chunks: s.chunks_emitted,
                 rows: s.rows_emitted,
-            });
+            };
         }
-        if let Some(idx) = self
-            .retry_parked
-            .iter()
-            .position(|r| r.pending.ticket == ticket)
-        {
+        if let Some(idx) = (self.retry_parked.iter()).position(|r| r.pending.ticket == ticket) {
             // Parked retries re-enter behind the live queue.
-            return Some(TicketStatus::Queued {
+            return TicketPoll::Queued {
                 position: self.queue.len() + idx,
-            });
+            };
         }
-        if self.finished.contains_key(&ticket.0) {
-            return Some(TicketStatus::Finished);
-        }
-        None
-    }
-
-    /// Claims a finished ticket's outcome.  Each outcome can be taken
-    /// exactly once; `None` for unknown, already-taken, or still-unfinished
-    /// tickets (check [`QueryEngine::status`] to tell these apart).
-    pub fn take_outcome(&mut self, ticket: TicketId) -> Option<QueryOutcome> {
         let outcome = self.finished.remove(&ticket.0);
         #[cfg(debug_assertions)]
         self.check_invariants();
-        outcome
+        match outcome.unwrap_or(Err(RdxError::UnknownTicket { ticket: ticket.0 })) {
+            Ok(served) => TicketPoll::Done(served),
+            Err(e) => TicketPoll::Rejected(e),
+        }
     }
 
     /// Pumps the engine by one scheduler decision: re-queue retries whose
@@ -843,7 +840,7 @@ impl QueryEngine {
                 stats,
             },
         };
-        self.finish(r.pending.ticket, r.pending.request, Ok(served));
+        self.finish(r.pending.ticket, Ok(served));
     }
 
     /// Cancels `ticket` wherever it is — queued, retry-parked, or running
@@ -852,9 +849,10 @@ impl QueryEngine {
     /// holds through cancellation).  A running query is torn down at the
     /// current chunk boundary: parked runs are plain values between
     /// chunks, so teardown is just dropping the run (its warmed scratch is
-    /// harvested back into the pool first).  Returns `false` for tickets
-    /// that are already finished or were never issued — their outcome (if
-    /// any) is untouched.
+    /// harvested back into the pool first).  Returns `true` when the
+    /// ticket was live: its next [`QueryEngine::poll`] is
+    /// `Rejected(Cancelled)`.  Returns `false` for tickets that are already
+    /// finished or were never issued — their outcome (if any) is untouched.
     pub fn cancel(&mut self, ticket: TicketId) -> bool {
         let pending = if let Some(idx) = self.queue.iter().position(|p| p.ticket == ticket) {
             self.queue.remove(idx)
@@ -1363,15 +1361,23 @@ mod tests {
         while engine.step() != EngineStep::Idle {}
         tickets
             .into_iter()
-            .map(|t| served(engine.take_outcome(t).unwrap()))
+            .map(|t| served(engine.poll(t)))
             .collect()
     }
 
     /// A columns ticket's served result.
-    fn served(outcome: QueryOutcome) -> QueryResult {
-        match outcome.outcome {
-            Ok(Served::Columns(result)) => result,
+    fn served(poll: TicketPoll) -> QueryResult {
+        match poll {
+            TicketPoll::Done(Served::Columns(result)) => result,
             other => panic!("expected served columns, got {other:?}"),
+        }
+    }
+
+    /// A rejected ticket's error.
+    fn rejected(poll: TicketPoll) -> RdxError {
+        match poll {
+            TicketPoll::Rejected(e) => e,
+            other => panic!("expected a rejection, got {other:?}"),
         }
     }
 
@@ -1391,10 +1397,10 @@ mod tests {
         let smaller = engine.register(w.smaller.clone());
         let spec = QuerySpec::symmetric(1);
         let ticket = engine.submit(ServerRequest::new(larger, smaller, spec));
-        assert_eq!(
-            engine.status(ticket),
-            Some(TicketStatus::Queued { position: 0 })
-        );
+        assert!(matches!(
+            engine.poll(ticket),
+            TicketPoll::Queued { position: 0 }
+        ));
         // First step admits and runs one column chunk; the second column's
         // makes one row chunk's worth of progress.
         for _ in 0..spec.total() {
@@ -1404,18 +1410,56 @@ mod tests {
             ));
         }
         assert!(matches!(
-            engine.status(ticket),
-            Some(TicketStatus::Running { chunks: 1, .. })
+            engine.poll(ticket),
+            TicketPoll::Running { chunks: 1, .. }
         ));
         while engine.step() != EngineStep::Idle {}
-        assert_eq!(engine.status(ticket), Some(TicketStatus::Finished));
-        let outcome = engine.take_outcome(ticket).expect("outcome parked");
-        let q = served(outcome);
+        let q = served(engine.poll(ticket));
         assert_eq!(q.stats.rows, w.expected_matches);
         assert!(q.stats.chunks > 1);
         // Taken exactly once.
-        assert!(engine.take_outcome(ticket).is_none());
-        assert_eq!(engine.status(ticket), None);
+        assert_eq!(
+            rejected(engine.poll(ticket)),
+            RdxError::UnknownTicket { ticket: ticket.0 }
+        );
+    }
+
+    #[test]
+    fn each_outcome_is_delivered_to_exactly_one_poll() {
+        let w = JoinWorkloadBuilder::equal(600, 1).seed(9).build();
+        let mut engine = engine(MemoryBudget::bytes(4 * 1024));
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(1));
+        let columns = engine.submit(request);
+        let frame = engine.submit(request.with_form(ResultForm::Frame {
+            max_payload: 1 << 20,
+        }));
+        let invalid = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(9)));
+        while engine.step() != EngineStep::Idle {}
+        assert_eq!(served(engine.poll(columns)).stats.rows, w.expected_matches);
+        match engine.poll(frame) {
+            TicketPoll::Done(Served::Frame {
+                frame: bytes,
+                stats,
+            }) => {
+                assert_eq!(stats.rows, w.expected_matches);
+                let payload = &bytes[DoneHead::FRAME_HEADER_LEN..];
+                let (head, _) = DoneHead::read(payload).expect("a Done head");
+                assert_eq!((head.ticket, head.rows), (frame.0, stats.rows as u64));
+            }
+            other => panic!("expected a served frame, got {other:?}"),
+        }
+        assert!(matches!(
+            rejected(engine.poll(invalid)),
+            RdxError::TooManyColumns { .. }
+        ));
+        for ticket in [columns, frame, invalid] {
+            assert_eq!(
+                rejected(engine.poll(ticket)),
+                RdxError::UnknownTicket { ticket: ticket.0 }
+            );
+        }
     }
 
     #[test]
@@ -1433,13 +1477,10 @@ mod tests {
         // …then submit B *between chunk steps of the in-flight A* — the
         // async-front enabler.
         let b = engine.submit(ServerRequest::new(larger, smaller, spec));
-        assert!(matches!(
-            engine.status(a),
-            Some(TicketStatus::Running { .. })
-        ));
+        assert!(matches!(engine.poll(a), TicketPoll::Running { .. }));
         while engine.step() != EngineStep::Idle {}
-        let ra = served(engine.take_outcome(a).unwrap());
-        let rb = served(engine.take_outcome(b).unwrap());
+        let ra = served(engine.poll(a));
+        let rb = served(engine.poll(b));
         // Interleaving is invisible in the results.
         assert_eq!(columns(&ra.result), columns(&rb.result));
         assert_eq!(ra.stats.rows, w.expected_matches);
@@ -1559,14 +1600,13 @@ mod tests {
             smaller,
             QuerySpec::symmetric(1),
         ));
-        assert_eq!(engine.status(ghost), Some(TicketStatus::Finished));
         assert_eq!(
-            engine.take_outcome(ghost).unwrap().outcome.unwrap_err(),
+            rejected(engine.poll(ghost)),
             RdxError::UnknownRelation { id: 99 }
         );
         let wide = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(9)));
         assert!(matches!(
-            engine.take_outcome(wide).unwrap().outcome.unwrap_err(),
+            rejected(engine.poll(wide)),
             RdxError::TooManyColumns { .. }
         ));
         // A hint below the one-row floor fails at admission time, without
@@ -1578,15 +1618,17 @@ mod tests {
         let valid = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(1)));
         while engine.step() != EngineStep::Idle {}
         assert!(matches!(
-            engine.take_outcome(starved).unwrap().outcome.unwrap_err(),
+            rejected(engine.poll(starved)),
             RdxError::Budget(BudgetError::BelowOneRow { .. })
         ));
-        let served = served(engine.take_outcome(valid).unwrap());
+        let served = served(engine.poll(valid));
         assert_eq!(served.stats.rows, w.expected_matches);
-        // Unknown tickets report None, not a panic.  (u64::MAX is never
-        // issued: the process-wide counter counts up from zero.)
-        assert_eq!(engine.status(TicketId(u64::MAX)), None);
-        assert!(engine.take_outcome(TicketId(u64::MAX)).is_none());
+        // Unknown tickets report a typed error, not a panic.  (u64::MAX is
+        // never issued: the process-wide counter counts up from zero.)
+        assert_eq!(
+            rejected(engine.poll(TicketId(u64::MAX))),
+            RdxError::UnknownTicket { ticket: u64::MAX }
+        );
     }
 
     #[test]
@@ -1600,11 +1642,7 @@ mod tests {
         // Cancel while still queued: no grant was ever held.
         let queued = engine.submit(request);
         assert!(engine.cancel(queued));
-        assert_eq!(engine.status(queued), Some(TicketStatus::Finished));
-        assert_eq!(
-            engine.take_outcome(queued).unwrap().outcome.unwrap_err(),
-            RdxError::Cancelled
-        );
+        assert_eq!(rejected(engine.poll(queued)), RdxError::Cancelled);
         assert_eq!(engine.committed_bytes(), 0);
 
         // Cancel mid-flight: the grant comes back at the chunk boundary.
@@ -1615,12 +1653,12 @@ mod tests {
         assert!(engine.committed_bytes() > 0);
         assert!(engine.cancel(running));
         assert_eq!(engine.committed_bytes(), 0);
-        assert_eq!(
-            engine.take_outcome(running).unwrap().outcome.unwrap_err(),
-            RdxError::Cancelled
-        );
+        assert_eq!(rejected(engine.poll(running)), RdxError::Cancelled);
         // Exactly one terminal observation; cancelling again is a no-op.
-        assert!(engine.take_outcome(running).is_none());
+        assert!(matches!(
+            rejected(engine.poll(running)),
+            RdxError::UnknownTicket { .. }
+        ));
         assert!(!engine.cancel(running));
         assert_eq!(engine.stats().cancellations, 2);
         assert_eq!(engine.step(), EngineStep::Idle);
@@ -1628,7 +1666,7 @@ mod tests {
         // A survivor submitted afterwards is unaffected.
         let survivor = engine.submit(request);
         while engine.step() != EngineStep::Idle {}
-        let q = served(engine.take_outcome(survivor).unwrap());
+        let q = served(engine.poll(survivor));
         assert_eq!(q.stats.rows, w.expected_matches);
     }
 
@@ -1643,7 +1681,7 @@ mod tests {
         // 1 ns of service time can never cover a 2 000-row projection.
         let doomed = engine.submit(ServerRequest::new(larger, smaller, spec).with_deadline(1));
         while engine.step() != EngineStep::Idle {}
-        match engine.take_outcome(doomed).unwrap().outcome.unwrap_err() {
+        match rejected(engine.poll(doomed)) {
             RdxError::Deadline(DeadlineError::Infeasible {
                 predicted_ns,
                 deadline_ns,
@@ -1661,7 +1699,7 @@ mod tests {
         // A generous deadline admits and completes normally.
         let fine = engine.submit(ServerRequest::new(larger, smaller, spec).with_deadline(u64::MAX));
         while engine.step() != EngineStep::Idle {}
-        let q = served(engine.take_outcome(fine).unwrap());
+        let q = served(engine.poll(fine));
         assert_eq!(q.stats.rows, w.expected_matches);
     }
 
@@ -1723,7 +1761,8 @@ mod tests {
             assert_eq!(q.stats.predicted_chunk_cost_ms, chunk_ms, "{codes:?}");
             prices.push(q.stats.predicted_chunk_cost_ms);
         }
-        // Three codes, three prices: the stride reads what each run executes.
+        // Three codes, three prices: the work-left dispatch key reads what
+        // each run executes.
         assert!(prices[0] != prices[1] && prices[1] != prices[2] && prices[0] != prices[2]);
     }
 
@@ -1740,8 +1779,8 @@ mod tests {
         for codes in pinned {
             let ticket = engine.submit(request.with_codes(codes).with_deadline(1));
             while engine.step() != EngineStep::Idle {}
-            let Err(RdxError::Deadline(DeadlineError::Infeasible { predicted_ns, .. })) =
-                engine.take_outcome(ticket).unwrap().outcome
+            let RdxError::Deadline(DeadlineError::Infeasible { predicted_ns, .. }) =
+                rejected(engine.poll(ticket))
             else {
                 panic!("{codes:?}: expected an infeasible deadline");
             };
@@ -1768,8 +1807,8 @@ mod tests {
         let mut verdict = |threads: usize| {
             let ticket = engine.submit(request.with_threads(threads).with_deadline(1));
             while engine.step() != EngineStep::Idle {}
-            match engine.take_outcome(ticket).unwrap().outcome {
-                Err(RdxError::Deadline(e @ DeadlineError::Infeasible { .. })) => e,
+            match rejected(engine.poll(ticket)) {
+                RdxError::Deadline(e @ DeadlineError::Infeasible { .. }) => e,
                 other => panic!("threads {threads}: expected infeasible, got {other:?}"),
             }
         };
@@ -1794,7 +1833,7 @@ mod tests {
                 .with_deadline(1_000_000_000),
         );
         while engine.step() != EngineStep::Idle {}
-        match engine.take_outcome(ticket).unwrap().outcome.unwrap_err() {
+        match rejected(engine.poll(ticket)) {
             RdxError::Deadline(DeadlineError::Exceeded {
                 consumed_ns,
                 deadline_ns,
@@ -1827,8 +1866,8 @@ mod tests {
                 .with_deadline(1_000_000_000),
         );
         while engine.step() != EngineStep::Idle {}
-        let consumed_ns = match engine.take_outcome(ticket).unwrap().outcome {
-            Err(RdxError::Deadline(DeadlineError::Exceeded { consumed_ns, .. })) => consumed_ns,
+        let consumed_ns = match rejected(engine.poll(ticket)) {
+            RdxError::Deadline(DeadlineError::Exceeded { consumed_ns, .. }) => consumed_ns,
             other => panic!("expected deadline-exceeded, got {other:?}"),
         };
         let trace = engine.obs().trace_snapshot().unwrap();
@@ -1862,7 +1901,7 @@ mod tests {
         let doomed = engine.submit(request);
         while engine.step() != EngineStep::Idle {}
         assert_eq!(
-            engine.take_outcome(doomed).unwrap().outcome.unwrap_err(),
+            rejected(engine.poll(doomed)),
             RdxError::WorkerPanicked { worker: 3 }
         );
         assert_eq!(engine.committed_bytes(), 0);
@@ -1873,8 +1912,8 @@ mod tests {
         let retried = engine.submit(request.with_retry(RetryPolicy::with_retries(1)));
         let clean = engine.submit(request);
         while engine.step() != EngineStep::Idle {}
-        let qr = served(engine.take_outcome(retried).unwrap());
-        let qc = served(engine.take_outcome(clean).unwrap());
+        let qr = served(engine.poll(retried));
+        let qc = served(engine.poll(clean));
         assert_eq!(columns(&qr.result), columns(&qc.result));
         assert_eq!(qr.stats.rows, w.expected_matches);
         let stats = engine.stats();
@@ -1902,7 +1941,7 @@ mod tests {
             }
         }
         assert!(saw_waiting, "backoff steps surface as Waiting, not Idle");
-        let q = served(engine.take_outcome(ticket).unwrap());
+        let q = served(engine.poll(ticket));
         assert_eq!(q.stats.rows, w.expected_matches);
         assert_eq!(engine.stats().retries, 2);
         assert_eq!(engine.stats().budget_rejects, 0, "retried, never rejected");
@@ -1912,7 +1951,7 @@ mod tests {
         let doomed = engine.submit(request.with_retry(RetryPolicy::with_retries(1)));
         while engine.step() != EngineStep::Idle {}
         assert!(matches!(
-            engine.take_outcome(doomed).unwrap().outcome.unwrap_err(),
+            rejected(engine.poll(doomed)),
             RdxError::Budget(BudgetError::ZeroBytes)
         ));
         assert_eq!(engine.stats().budget_rejects, 1);
@@ -1943,8 +1982,8 @@ mod tests {
             }
         }
         assert_eq!(finish_order, vec![tight, loose]);
-        let qt = served(engine.take_outcome(tight).unwrap());
-        let ql = served(engine.take_outcome(loose).unwrap());
+        let qt = served(engine.poll(tight));
+        let ql = served(engine.poll(loose));
         assert_eq!(columns(&qt.result), columns(&ql.result));
     }
 
@@ -2016,24 +2055,22 @@ mod tests {
             if engine.queued() == 0 {
                 engine.submit(short_request);
             }
-            let ran = match engine.step() {
-                EngineStep::Chunk { ticket: t, .. } | EngineStep::Finished { ticket: t } => t,
+            let (ran, finished) = match engine.step() {
+                EngineStep::Chunk { ticket: t, .. } => (t, false),
+                EngineStep::Finished { ticket: t } => (t, true),
                 other => panic!("unexpected {other:?}"),
             };
-            if admitted.is_none()
-                && !matches!(engine.status(ticket), Some(TicketStatus::Queued { .. }))
-            {
+            if admitted.is_none() && !matches!(engine.poll(ticket), TicketPoll::Queued { .. }) {
                 admitted = Some(step);
             }
             if ran == ticket {
                 own_steps.push(step);
-                if engine.status(ticket) == Some(TicketStatus::Finished) {
+                if finished {
                     break;
                 }
             }
         }
-        assert_eq!(engine.status(ticket), Some(TicketStatus::Finished));
-        let q = served(engine.take_outcome(ticket).unwrap());
+        let q = served(engine.poll(ticket));
         assert_eq!(q.result.cardinality(), long.expected_matches);
         assert!(q.stats.chunks > 4, "the long run must span many chunks");
         // Held back by every short query, each of its column chunks waited
@@ -2085,7 +2122,7 @@ mod tests {
         let runs: Vec<TicketId> = order.chunk_by(|a, b| a == b).map(|run| run[0]).collect();
         assert_eq!(runs, tickets);
         for t in tickets {
-            let q = served(engine.take_outcome(t).unwrap());
+            let q = served(engine.poll(t));
             assert!(q.stats.chunks > 1);
             assert_eq!(q.stats.rows, w.expected_matches);
         }
@@ -2120,14 +2157,14 @@ mod tests {
         let other = engine.submit(ServerRequest::new(larger, smaller, spec).with_tenant(free));
         while engine.step() != EngineStep::Idle {}
 
-        let shed = engine.take_outcome(second).unwrap().outcome.unwrap_err();
+        let shed = rejected(engine.poll(second));
         assert!(matches!(
             shed,
             RdxError::TenantQuota { tenant, kind: rdx_core::error::TenantQuotaKind::InFlight { limit: 1, .. } }
                 if tenant == burst.raw()
         ));
-        let ok_first = served(engine.take_outcome(first).unwrap());
-        let ok_other = served(engine.take_outcome(other).unwrap());
+        let ok_first = served(engine.poll(first));
+        let ok_other = served(engine.poll(other));
         assert_eq!(columns(&ok_first.result), columns(&ok_other.result));
         assert_eq!(engine.stats().tenant_quota_rejects, 1);
 
@@ -2137,7 +2174,7 @@ mod tests {
         assert_eq!((bs.admissions, bs.rejections), (1, 1));
         let third = engine.submit(ServerRequest::new(larger, smaller, spec).with_tenant(burst));
         while engine.step() != EngineStep::Idle {}
-        assert!(engine.take_outcome(third).unwrap().outcome.is_ok());
+        assert!(matches!(engine.poll(third), TicketPoll::Done(_)));
     }
 
     #[test]
@@ -2174,13 +2211,13 @@ mod tests {
             }
         }
         assert_eq!(seen_charge, 512);
-        let q = served(engine.take_outcome(t).unwrap());
+        let q = served(engine.poll(t));
         assert_eq!(q.stats.share_bytes, 512);
         assert_eq!(q.result.cardinality(), w.expected_matches);
         // Untagged queries on the same engine bypass tenant accounting.
         let untagged = engine.submit(ServerRequest::new(larger, smaller, spec));
         while engine.step() != EngineStep::Idle {}
-        let qu = served(engine.take_outcome(untagged).unwrap());
+        let qu = served(engine.poll(untagged));
         assert!(qu.stats.share_bytes > 512);
         assert_eq!(columns(&q.result), columns(&qu.result));
     }

@@ -17,7 +17,8 @@
 //!   share), queueing queries that do not fit, re-planning queries to
 //!   tighter chunks when only a sliver is free, and rejecting — with a
 //!   typed error — queries that could never run.  `Σ grants ≤ global`
-//!   holds at every instant, so over-commit is impossible by construction.
+//!   holds at every instant; a grant bounds a run's chunk scratch, and
+//!   result memory lies outside every grant (see [`admission`]).
 //! * [`scheduler`] — the remaining-work-first rule
 //!   ([`scheduler::dispatch`]) that picks whose budget-sized pipeline
 //!   chunk runs next: the query with the least Appendix-A predicted work
@@ -51,8 +52,8 @@
 //!   counts.
 //!
 //! [`request`] holds what goes in and comes out: the engine-wide
-//! [`ServeConfig`], one query's [`ServerRequest`], and the [`QueryOutcome`]
-//! each ticket resolves to.  The load-bearing guarantee, exercised by the
+//! [`ServeConfig`], one query's [`ServerRequest`], and the [`Served`]
+//! result a ticket's terminal [`TicketPoll`] carries.  The load-bearing guarantee, exercised by the
 //! workspace conformance grid: **any** interleaving of **any** admitted mix
 //! produces, per query, output byte-identical to running that query alone —
 //! scheduling changes *when* chunks run, never what they contain.
@@ -99,9 +100,7 @@ pub mod tenant;
 
 pub use admission::AdmissionDecision;
 pub use cache::{CacheStats, ClusterCache, ClusterKey};
-pub use engine::{EngineStats, EngineStep, QueryEngine, TicketId, TicketStatus};
+pub use engine::{EngineStats, EngineStep, QueryEngine, TicketId, TicketPoll};
 pub use registry::{Catalog, RelationId};
-pub use request::{
-    QueryOutcome, QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest,
-};
+pub use request::{QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest};
 pub use tenant::{TenantId, TenantQuota, TenantQuotas, TenantStats};

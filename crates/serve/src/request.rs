@@ -1,12 +1,11 @@
 //! What goes into the [`crate::engine::QueryEngine`] and what comes out:
 //! the engine-wide [`ServeConfig`], one query's [`ServerRequest`], and the
-//! [`QueryOutcome`] a ticket resolves to — its result ([`Served`]) in the
-//! [`ResultForm`] its submitter chose, or a typed [`RdxError`].
+//! result a served ticket resolves to ([`Served`]) in the [`ResultForm`]
+//! its submitter chose.
 
 use crate::registry::RelationId;
 use rdx_cache::CacheParams;
 use rdx_core::budget::MemoryBudget;
-use rdx_core::error::RdxError;
 use rdx_core::fault::RetryPolicy;
 use rdx_core::strategy::{DsmPostProjection, PhaseTimings, QuerySpec};
 use rdx_dsm::ResultRelation;
@@ -43,8 +42,8 @@ pub struct ServeConfig {
     /// (see [`crate::tenant`]): max in-flight queries and max resident
     /// grant bytes per tenant, enforced *before* the global
     /// `per_query_share` and rejected with the typed
-    /// [`RdxError::TenantQuota`].  The default is unlimited for every
-    /// tenant, so untagged deployments pay nothing.
+    /// [`rdx_core::error::RdxError::TenantQuota`].  The default is
+    /// unlimited for every tenant, so untagged deployments pay nothing.
     pub tenant_quotas: crate::tenant::TenantQuotas,
 }
 
@@ -138,8 +137,9 @@ pub enum ResultForm {
     Columns,
     /// One encoded `Done` frame ([`rdx_core::strategy::FrameSink`]): the
     /// wire header's bytes, then the payload, which the run's kernels write
-    /// chunk by chunk.  A result whose payload would exceed `max_payload` bytes
-    /// is refused with [`RdxError::ResultTooLarge`] before its first chunk.
+    /// chunk by chunk.  A result whose payload would exceed `max_payload`
+    /// bytes is refused with [`rdx_core::error::RdxError::ResultTooLarge`]
+    /// before its first chunk.
     Frame {
         /// The transport's cap on one frame's payload.
         max_payload: usize,
@@ -300,13 +300,4 @@ pub enum Served {
         /// Execution statistics.
         stats: QueryStats,
     },
-}
-
-/// The outcome of one submitted request.
-#[derive(Debug)]
-pub struct QueryOutcome {
-    /// The request as submitted.
-    pub request: ServerRequest,
-    /// The result, or why it was refused.
-    pub outcome: Result<Served, RdxError>,
 }

@@ -54,10 +54,13 @@ impl std::fmt::Display for TenantId {
 pub struct TenantQuota {
     /// Most queries the tenant may have admitted at once.
     pub max_in_flight: Option<usize>,
-    /// Most resident grant bytes the tenant's in-flight queries may hold
-    /// in total.  Also tightens grants: a query is admitted at
-    /// `min(share, hint, tenant remaining)`, so the cap is enforced by
-    /// construction, not monitoring.
+    /// Most grant bytes the tenant's in-flight queries may hold in total.
+    /// A grant bounds a run's chunk scratch, priced at
+    /// [`rdx_core::strategy::planner::streaming_bytes_per_row`]; result
+    /// memory (the `MaterializeSink` columns, the `FrameSink` `Done` frame,
+    /// outcomes parked until polled) lies outside it, so this caps the
+    /// tenant's chunk scratch, not its resident memory.  Also tightens
+    /// grants: a query is admitted at `min(share, hint, tenant remaining)`.
     pub max_resident_bytes: Option<usize>,
 }
 

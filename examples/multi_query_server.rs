@@ -1,6 +1,6 @@
 //! A multi-tenant serving session through the **ticket front door**: a
 //! zipfian query mix is submitted as non-blocking tickets, pumped with
-//! [`Session::drive`] and observed with [`Ticket::poll`] — comparing serial
+//! [`Session::drive`] and observed with [`Session::poll`] — comparing serial
 //! execution, remaining-work-first chunk interleaving, and interleaving
 //! with the clustered-join-index cache warm.  A final pass demonstrates the
 //! async-front enabler: new submissions landing between chunk steps of
@@ -65,7 +65,7 @@ fn serve_pass(
 ) -> PassReport {
     let started = std::time::Instant::now();
     let before = session.engine_mut().stats();
-    let tickets: Vec<Ticket> = mix
+    let tickets: Vec<TicketId> = mix
         .queries
         .iter()
         .map(|q| {
@@ -77,18 +77,18 @@ fn serve_pass(
         })
         .collect();
     let mut latencies = Vec::with_capacity(tickets.len());
-    let mut open: Vec<Ticket> = tickets;
+    let mut open: Vec<TicketId> = tickets;
     // The async-front loop shape: run a bounded burst of chunk-steps, then
     // poll — submissions, polls and drives interleave freely.
     loop {
         let ran = session.drive(8);
-        open.retain(|t| match t.poll(session) {
-            QueryPoll::Done(report) => {
+        open.retain(|&t| match session.poll(t) {
+            TicketPoll::Done(Served::Columns(report)) => {
                 latencies.push(report.stats.wait + report.stats.service);
                 false
             }
-            QueryPoll::Rejected(e) => panic!("query rejected: {e}"),
-            QueryPoll::Queued | QueryPoll::Chunk(_) => true,
+            TicketPoll::Queued { .. } | TicketPoll::Running { .. } => true,
+            other => panic!("query not served: {other:?}"),
         });
         if ran == 0 && open.is_empty() {
             break;
@@ -207,8 +207,8 @@ fn main() {
         .project(QuerySpec::symmetric(2))
         .submit();
     cached.drive_until_idle();
-    match (early.poll(&mut cached), late.poll(&mut cached)) {
-        (QueryPoll::Done(a), QueryPoll::Done(b)) => {
+    match (cached.poll(early), cached.poll(late)) {
+        (TicketPoll::Done(Served::Columns(a)), TicketPoll::Done(Served::Columns(b))) => {
             assert_eq!(a.result.cardinality(), b.result.cardinality());
             println!(
                 "late submission joined mid-flight and finished: {} rows each \
@@ -239,10 +239,10 @@ fn main() {
         .project(QuerySpec::symmetric(2))
         .submit();
     cached.drive(6);
-    let was_live = straggler.cancel(&mut cached);
+    let was_live = cached.cancel(straggler);
     cached.drive_until_idle();
-    match doomed.poll(&mut cached) {
-        QueryPoll::Rejected(RdxError::Deadline(DeadlineError::Infeasible {
+    match cached.poll(doomed) {
+        TicketPoll::Rejected(RdxError::Deadline(DeadlineError::Infeasible {
             predicted_ns,
             deadline_ns,
         })) => println!(
@@ -251,19 +251,19 @@ fn main() {
         ),
         other => panic!("infeasible deadline must be rejected, got {other:?}"),
     }
-    match straggler.poll(&mut cached) {
-        QueryPoll::Rejected(RdxError::Cancelled) => println!(
+    match cached.poll(straggler) {
+        TicketPoll::Rejected(RdxError::Cancelled) => println!(
             "straggler cancelled mid-flight (was_live={was_live}): grant reclaimed \
              at the chunk boundary"
         ),
         // A small mix can finish the straggler before the cancel lands.
-        QueryPoll::Done(_) if !was_live => {
+        TicketPoll::Done(Served::Columns(_)) if !was_live => {
             println!("straggler finished before the cancel landed — delivered once")
         }
         other => panic!("straggler must cancel or finish, got {other:?}"),
     }
-    match in_flight.poll(&mut cached) {
-        QueryPoll::Done(q) => println!(
+    match cached.poll(in_flight) {
+        TicketPoll::Done(Served::Columns(q)) => println!(
             "the in-flight query never noticed: {} rows, byte-identical by \
              construction ({} cancellation(s), {} deadline reject(s) this session)",
             q.stats.rows,

@@ -1,8 +1,9 @@
 //! A wire-protocol client for `examples/net_server.rs`: opens the session
 //! with `Hello`, submits post-projection queries over TCP, polls their
 //! tickets to completion, and exercises the cancel path — the same
-//! `submit → poll → take outcome` state machine the in-process ticket
-//! front door speaks, carried over length-prefixed frames.
+//! `submit → poll` state machine the in-process front door speaks (the
+//! first terminal poll takes the outcome), carried over length-prefixed
+//! frames.
 //!
 //! Start the server first (`cargo run --release --example net_server`),
 //! then run with `cargo run --release --example net_client [addr]`

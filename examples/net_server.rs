@@ -6,7 +6,9 @@
 //! The server runs single-threaded: socket I/O and engine chunk-steps
 //! interleave in one loop, so a slow client can never block another
 //! query's progress — its replies queue under per-connection
-//! backpressure instead.  Between requests the loop wakes on arrival
+//! backpressure instead.  Each `Poll` is answered with the frame that
+//! mirrors the engine's one ticket poll (`Queued`, `Chunk` while running,
+//! then `Done` or `Rejected` exactly once).  Between requests the loop wakes on arrival
 //! (yielding for 2 ms after the last progress, sleeping only after that);
 //! it exits once at least one client has been seen and every connection
 //! has drained.

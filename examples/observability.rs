@@ -48,7 +48,7 @@ fn main() {
         .collect();
 
     println!("serving {queries} queries over {} tenants…\n", ids.len());
-    let tickets: Vec<Ticket> = mix
+    let tickets: Vec<TicketId> = mix
         .queries
         .iter()
         .map(|q| {
@@ -62,8 +62,8 @@ fn main() {
     while session.drive(64) > 0 {}
     let reports: Vec<_> = tickets
         .iter()
-        .map(|t| match t.poll(&mut session) {
-            QueryPoll::Done(report) => report,
+        .map(|&t| match session.poll(t) {
+            TicketPoll::Done(Served::Columns(report)) => report,
             other => panic!("every ticket must finish, got {other:?}"),
         })
         .collect();

@@ -20,7 +20,9 @@ fn main() {
 
     // One front door: the session owns the catalog, the cache params every
     // plan is priced against, and the planner entry every mode resolves
-    // through.
+    // through.  `run()` submits one ticket, then polls it and steps the
+    // engine until the poll is terminal (`Session::poll` for a submitted
+    // ticket reports the same states).
     let mut session = Session::with_params(CacheParams::paper_pentium4());
     let larger = session.register(workload.larger);
     let smaller = session.register(workload.smaller);

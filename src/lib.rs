@@ -43,9 +43,11 @@
 //!   [`api::Query`] surface with non-blocking submission tickets.  A
 //!   `Session` owns the catalog, shared cache params, global budget,
 //!   join-index cache and scratch pools; the fluent builder ends in
-//!   `submit()` (a [`api::Ticket`] polled without blocking, pumped by
-//!   [`api::Session::drive`]) or `run()`, which is one such ticket
-//!   submitted and driven until it finishes.
+//!   `submit()` (a [`serve::TicketId`] observed without blocking by
+//!   [`api::Session::poll`], which hands on the engine's one
+//!   [`serve::TicketPoll`], and pumped by [`api::Session::drive`]) or
+//!   `run()`, which is one such ticket polled and stepped until it
+//!   finishes.
 //!   Requests may carry a **deadline** (checked against the cost model at
 //!   admission, enforced at chunk boundaries), a **priority**, and a capped
 //!   **retry policy**; tickets can be **cancelled** mid-flight, worker
@@ -54,7 +56,8 @@
 //!   deterministically.
 //! * [`net`] — the std-only **network serving layer**: a versioned,
 //!   length-prefixed binary wire protocol (`net::wire`, a pure codec whose
-//!   server frames mirror ticket statuses and carry typed `RdxError`s), a
+//!   server frames mirror the engine's one ticket poll and carry typed
+//!   `RdxError`s), a
 //!   single-threaded non-blocking [`net::NetServer`] multiplexing TCP and
 //!   unix-domain connections between [`serve::QueryEngine`] steps with
 //!   per-connection backpressure, and a blocking [`net::NetClient`].
@@ -104,7 +107,7 @@ pub use rdx_workload as workload;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use rdx_api::{ChunkProgress, Query, QueryPoll, Session, Ticket};
+    pub use rdx_api::{Query, Session};
     pub use rdx_cache::{CacheParams, MemorySystem, NoProbe};
     pub use rdx_core::budget::{BudgetError, MemoryBudget};
     pub use rdx_core::cluster::{
@@ -138,9 +141,9 @@ pub mod prelude {
         TraceEvent, TraceSnapshot,
     };
     pub use rdx_serve::{
-        CacheStats, Catalog, EngineStats, EngineStep, QueryEngine, QueryOutcome, QueryResult,
-        QueryStats, RelationId, ResultForm, ServeConfig, Served, ServerRequest, TenantId,
-        TenantQuota, TenantQuotas, TenantStats, TicketId, TicketStatus,
+        CacheStats, Catalog, EngineStats, EngineStep, QueryEngine, QueryResult, QueryStats,
+        RelationId, ResultForm, ServeConfig, Served, ServerRequest, TenantId, TenantQuota,
+        TenantQuotas, TenantStats, TicketId, TicketPoll,
     };
     pub use rdx_workload::{
         self as workload, BudgetedWorkload, JoinWorkloadBuilder, MixConfig, QueryMix,

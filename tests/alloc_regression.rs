@@ -333,10 +333,10 @@ fn engine_step_allocates_nothing_mid_ticket() {
             "budget should force many chunks, got {steady_chunks}"
         );
         while engine.step() != EngineStep::Idle {}
-        let stats = match engine.take_outcome(ticket).expect("finished").outcome {
-            Ok(Served::Columns(result)) => result.stats,
-            Ok(Served::Frame { stats, .. }) => stats,
-            Err(e) => panic!("{form:?}: not served: {e}"),
+        let stats = match engine.poll(ticket) {
+            TicketPoll::Done(Served::Columns(result)) => result.stats,
+            TicketPoll::Done(Served::Frame { stats, .. }) => stats,
+            other => panic!("{form:?}: not served: {other:?}"),
         };
         assert_eq!(stats.rows, w.expected_matches);
     }

@@ -5,7 +5,7 @@
 //! workspace `(N, h, ω, π, params)` grid and every `u/s/c × u/d` code
 //! combination;
 //! and the non-blocking ticket loop (`submit` / `Session::drive` /
-//! `Ticket::poll`) must reproduce a submit-all, drain-to-idle pass
+//! `Session::poll`) must reproduce a submit-all, drain-to-idle pass
 //! **chunk for chunk**, while accepting new submissions between chunk
 //! steps of in-flight queries (the async-front enabler of the
 //! one-front-door redesign).
@@ -112,8 +112,8 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
                             .threads(2)
                             .submit();
                         session.drive_until_idle();
-                        let chunked = match ticket.poll(&mut session) {
-                            QueryPoll::Done(report) => report,
+                        let chunked = match session.poll(ticket) {
+                            TicketPoll::Done(Served::Columns(report)) => report,
                             other => panic!("{cell} session ticket: {other:?}"),
                         };
                         assert_eq!(
@@ -184,7 +184,7 @@ fn interleaved_tickets_reproduce_drain_to_idle_chunk_for_chunk() {
         session.register(w.smaller.clone()),
         spec,
     );
-    let tickets: Vec<Ticket> = requests2
+    let tickets: Vec<TicketId> = requests2
         .iter()
         .map(|r| {
             session
@@ -204,10 +204,10 @@ fn interleaved_tickets_reproduce_drain_to_idle_chunk_for_chunk() {
             if reports[i].is_some() {
                 continue;
             }
-            match t.poll(&mut session) {
-                QueryPoll::Done(r) => reports[i] = Some(r),
-                QueryPoll::Queued | QueryPoll::Chunk(_) => {}
-                QueryPoll::Rejected(e) => panic!("query {i} rejected: {e}"),
+            match session.poll(*t) {
+                TicketPoll::Done(Served::Columns(r)) => reports[i] = Some(r),
+                TicketPoll::Queued { .. } | TicketPoll::Running { .. } => {}
+                other => panic!("query {i} not served: {other:?}"),
             }
         }
         if ran == 0 {
@@ -274,26 +274,26 @@ fn a_submission_lands_between_chunk_steps_of_an_in_flight_query() {
 
     let a = session.query(larger, smaller).submit();
     assert_eq!(session.drive(4), 4);
-    let progress_before = match a.poll(&mut session) {
-        QueryPoll::Chunk(p) => p,
+    let chunks_before = match session.poll(a) {
+        TicketPoll::Running { chunks, .. } => chunks,
         other => panic!("A should be mid-flight, got {other:?}"),
     };
-    assert!(progress_before.chunks >= 1);
+    assert!(chunks_before >= 1);
 
     // New work arrives while A is in flight; it is admitted alongside A
     // rather than waiting for A to finish.
     let b = session.query(larger, smaller).submit();
     session.drive(2);
-    assert!(matches!(b.poll(&mut session), QueryPoll::Chunk(_)));
+    assert!(matches!(session.poll(b), TicketPoll::Running { .. }));
     assert!(
-        matches!(a.poll(&mut session), QueryPoll::Chunk(p) if p.chunks > progress_before.chunks),
+        matches!(session.poll(a), TicketPoll::Running { chunks, .. } if chunks > chunks_before),
         "A kept progressing after B joined"
     );
     assert_eq!(session.in_flight(), 2);
 
     while session.drive(64) > 0 {}
-    let (ra, rb) = match (a.poll(&mut session), b.poll(&mut session)) {
-        (QueryPoll::Done(ra), QueryPoll::Done(rb)) => (ra, rb),
+    let (ra, rb) = match (session.poll(a), session.poll(b)) {
+        (TicketPoll::Done(Served::Columns(ra)), TicketPoll::Done(Served::Columns(rb))) => (ra, rb),
         other => panic!("both must finish, got {other:?}"),
     };
     // Interleaving is invisible in the bytes: both equal the solo run.

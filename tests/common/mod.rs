@@ -66,7 +66,7 @@ pub fn register_mix(
 }
 
 /// Submits every request as a ticket, drains the session until idle, and
-/// takes the outcomes back in submission order.
+/// polls the outcomes back in submission order.
 pub fn serve_all(
     session: &mut Session,
     requests: &[ServerRequest],
@@ -77,15 +77,13 @@ pub fn serve_all(
     let engine = session.engine_mut();
     tickets
         .into_iter()
-        .map(|t| {
-            let outcome = engine
-                .take_outcome(t)
-                .expect("every ticket resolves before the session idles")
-                .outcome;
-            outcome.map(|served| match served {
-                Served::Columns(result) => result,
-                Served::Frame { .. } => panic!("a request submitted as columns"),
-            })
+        .map(|t| match engine.poll(t) {
+            TicketPoll::Done(Served::Columns(result)) => Ok(result),
+            TicketPoll::Rejected(RdxError::UnknownTicket { .. }) => {
+                panic!("every ticket resolves before the session idles")
+            }
+            TicketPoll::Rejected(e) => Err(e),
+            other => panic!("{t}: a request submitted as columns ended {other:?}"),
         })
         .collect()
 }

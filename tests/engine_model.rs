@@ -1,11 +1,14 @@
 //! The engine against a reference model: seeded scripts of `submit`,
-//! `step`, `status`, `cancel` and `take_outcome`, under a `FaultPlan`
-//! (worker panics, grant denials, cache evictions) armed up front and
-//! small global and tenant budgets.  After every op the model checks:
+//! `step`, `poll` and `cancel`, under a `FaultPlan` (worker panics, grant
+//! denials, cache evictions) armed up front and small global and tenant
+//! budgets.  After every op the model checks:
 //!
-//! * every ticket ends in exactly one terminal outcome, delivered once —
-//!   a second `take_outcome` returns `None` and `status` forgets it, and a
-//!   ticket the script cancelled ends `Cancelled`;
+//! * a poll at any step matches the model: `Queued` or `Running` while the
+//!   ticket may be live, then `Done` or `Rejected` exactly once, then
+//!   `Rejected(UnknownTicket)`; a ticket the engine reported finished (its
+//!   `Finished` step, a `cancel` that found it done, or an idle engine)
+//!   polls terminal, and one that `cancel` reported live polls
+//!   `Rejected(Cancelled)` next;
 //! * a served result (columns or a `Done` frame) is byte-identical to the
 //!   same query run alone through `run()`;
 //! * `committed_bytes() ≤ global`, no tenant is over its in-flight or byte
@@ -143,14 +146,41 @@ fn frame_columns(frame: &[u8], ticket: TicketId) -> Result<Vec<Vec<i32>>, TestCa
 struct Model {
     ticket: TicketId,
     request: ServerRequest,
+    /// `cancel` reported it live, so its outcome is `Cancelled`.
     cancelled: bool,
+    /// Known to be finished, so its next poll is terminal.
+    finished: bool,
+    /// A poll took its outcome, so every later poll is `UnknownTicket`.
     taken: bool,
 }
 
+/// Polls `m`'s ticket and checks the poll against the model.
+fn poll(engine: &mut QueryEngine, m: &mut Model) -> Result<(), TestCaseError> {
+    let poll = engine.poll(m.ticket);
+    if m.taken {
+        prop_assert!(
+            matches!(poll, TicketPoll::Rejected(RdxError::UnknownTicket { ticket }) if ticket == m.ticket.raw()),
+            "{} polled {:?} after its outcome was taken",
+            m.ticket,
+            poll
+        );
+        return Ok(());
+    }
+    let outcome = match poll {
+        live @ (TicketPoll::Queued { .. } | TicketPoll::Running { .. }) => {
+            prop_assert!(!m.finished, "{} finished but polled {:?}", m.ticket, live);
+            return Ok(());
+        }
+        TicketPoll::Done(served) => Ok(served),
+        TicketPoll::Rejected(e) => Err(e),
+    };
+    m.taken = true;
+    check_outcome(m, outcome)
+}
+
 /// Checks one taken outcome against the model.
-fn check_outcome(m: &Model, outcome: QueryOutcome) -> Result<(), TestCaseError> {
-    prop_assert_eq!(outcome.request, m.request);
-    let served = match outcome.outcome {
+fn check_outcome(m: &Model, outcome: Result<Served, RdxError>) -> Result<(), TestCaseError> {
+    let served = match outcome {
         Err(e) => {
             prop_assert_eq!(
                 m.cancelled,
@@ -186,6 +216,17 @@ fn check_outcome(m: &Model, outcome: QueryOutcome) -> Result<(), TestCaseError> 
         m.ticket
     );
     Ok(())
+}
+
+/// One engine step; a `Finished` step marks its ticket finished.
+fn step(engine: &mut QueryEngine, model: &mut [Model]) -> EngineStep {
+    let step = engine.step();
+    if let EngineStep::Finished { ticket } = step {
+        if let Some(m) = model.iter_mut().find(|m| m.ticket == ticket) {
+            m.finished = true;
+        }
+    }
+    step
 }
 
 /// The budget and quota bounds that hold after every op.
@@ -281,9 +322,13 @@ fn fault_plan(mut f: u64) -> FaultPlan {
 }
 
 /// Steps until `Idle`, checking the bounds after every step.
-fn drain(engine: &mut QueryEngine, tenants: &[TenantId]) -> Result<(), TestCaseError> {
+fn drain(
+    engine: &mut QueryEngine,
+    model: &mut [Model],
+    tenants: &[TenantId],
+) -> Result<(), TestCaseError> {
     for _ in 0..20_000 {
-        if engine.step() == EngineStep::Idle {
+        if step(engine, model) == EngineStep::Idle {
             return check_idle(engine, tenants);
         }
         check_bounds(engine, tenants)?;
@@ -315,62 +360,50 @@ proptest! {
                 (0..=5, _) | (_, None) => {
                     let request = request(&tenants, r);
                     let ticket = engine.submit(request);
-                    model.push(Model { ticket, request, cancelled: false, taken: false });
+                    model.push(Model {
+                        ticket,
+                        request,
+                        cancelled: false,
+                        finished: false,
+                        taken: false,
+                    });
                 }
                 (6..=10, _) => {
-                    if engine.step() == EngineStep::Idle {
+                    if step(&mut engine, &mut model) == EngineStep::Idle {
                         check_idle(&engine, &tenants)?;
                     }
                 }
-                (11, Some(i)) => {
-                    let status = engine.status(model[i].ticket);
-                    prop_assert_eq!(status.is_none(), model[i].taken, "{}", model[i].ticket);
-                }
+                (11, Some(i)) => poll(&mut engine, &mut model[i])?,
                 (12, Some(i)) => {
                     let m = &mut model[i];
-                    let live = matches!(
-                        engine.status(m.ticket),
-                        Some(TicketStatus::Queued { .. } | TicketStatus::Running { .. })
-                    );
-                    prop_assert_eq!(engine.cancel(m.ticket), live, "{}", m.ticket);
-                    if live {
-                        m.cancelled = true;
-                        prop_assert_eq!(engine.status(m.ticket), Some(TicketStatus::Finished));
-                    }
+                    let live = engine.cancel(m.ticket);
+                    let done = m.finished || m.taken;
+                    prop_assert!(!(live && done), "{} cancelled after it finished", m.ticket);
+                    // Live, it is cancelled now; not, it had finished.
+                    m.cancelled |= live;
+                    m.finished = true;
                 }
                 (13..=14, Some(i)) => {
-                    let finished = engine.status(model[i].ticket) == Some(TicketStatus::Finished);
-                    match engine.take_outcome(model[i].ticket) {
-                        Some(outcome) => {
-                            prop_assert!(finished && !model[i].taken, "{}", model[i].ticket);
-                            model[i].taken = true;
-                            check_outcome(&model[i], outcome)?;
-                        }
-                        None => prop_assert!(!finished, "{}", model[i].ticket),
-                    }
+                    // A second poll right after a terminal one is unknown.
+                    poll(&mut engine, &mut model[i])?;
+                    poll(&mut engine, &mut model[i])?;
                 }
                 _ => {
                     for _ in 0..8 {
-                        engine.step();
+                        step(&mut engine, &mut model);
                         check_bounds(&engine, &tenants)?;
                     }
                 }
             }
             check_bounds(&engine, &tenants)?;
         }
-        drain(&mut engine, &tenants)?;
+        drain(&mut engine, &mut model, &tenants)?;
+        // Idle: every ticket has resolved, and its outcome is polled once.
         for m in &mut model {
-            if m.taken {
-                prop_assert!(engine.take_outcome(m.ticket).is_none());
-                continue;
-            }
-            prop_assert_eq!(engine.status(m.ticket), Some(TicketStatus::Finished));
-            let outcome = engine.take_outcome(m.ticket);
-            prop_assert!(outcome.is_some(), "{} has no outcome", m.ticket);
-            m.taken = true;
-            check_outcome(m, outcome.expect("checked"))?;
-            prop_assert!(engine.take_outcome(m.ticket).is_none(), "{} twice", m.ticket);
-            prop_assert_eq!(engine.status(m.ticket), None);
+            m.finished = true;
+            poll(&mut engine, m)?;
+            prop_assert!(m.taken, "{} has no outcome", m.ticket);
+            poll(&mut engine, m)?;
         }
     }
 }

@@ -43,8 +43,8 @@ fn serial_columns(
     let smaller = session.register(w.smaller.clone());
     let ticket = session.query(larger, smaller).project(spec).submit();
     while session.drive(64) > 0 {}
-    match ticket.poll(&mut session) {
-        QueryPoll::Done(q) => columns(&q.result),
+    match session.poll(ticket) {
+        TicketPoll::Done(Served::Columns(q)) => columns(&q.result),
         other => panic!("serial oracle must complete, got {other:?}"),
     }
 }
@@ -65,17 +65,17 @@ fn injected_worker_panic_poisons_exactly_one_query() {
     let survivor = session.query(larger, smaller).project(spec).submit();
     while session.drive(64) > 0 {}
 
-    match victim.poll(&mut session) {
-        QueryPoll::Rejected(RdxError::WorkerPanicked { worker }) => assert_eq!(worker, 1),
+    match session.poll(victim) {
+        TicketPoll::Rejected(RdxError::WorkerPanicked { worker }) => assert_eq!(worker, 1),
         other => panic!("victim must report its panic, got {other:?}"),
     }
     // The terminal outcome is delivered to exactly one poll.
     assert!(matches!(
-        victim.poll(&mut session),
-        QueryPoll::Rejected(RdxError::UnknownTicket { .. })
+        session.poll(victim),
+        TicketPoll::Rejected(RdxError::UnknownTicket { .. })
     ));
-    match survivor.poll(&mut session) {
-        QueryPoll::Done(q) => assert_eq!(columns(&q.result), expected),
+    match session.poll(survivor) {
+        TicketPoll::Done(Served::Columns(q)) => assert_eq!(columns(&q.result), expected),
         other => panic!("survivor must finish clean, got {other:?}"),
     }
     let engine = session.engine_mut();
@@ -103,8 +103,8 @@ fn infeasible_deadline_never_runs_a_chunk() {
         .deadline(1)
         .submit();
     while session.drive(64) > 0 {}
-    match doomed.poll(&mut session) {
-        QueryPoll::Rejected(RdxError::Deadline(DeadlineError::Infeasible {
+    match session.poll(doomed) {
+        TicketPoll::Rejected(RdxError::Deadline(DeadlineError::Infeasible {
             predicted_ns,
             deadline_ns,
         })) => {
@@ -137,8 +137,8 @@ fn scripted_slowdown_exceeds_the_deadline_deterministically() {
         .deadline(1_000_000_000)
         .submit();
     while session.drive(64) > 0 {}
-    match ticket.poll(&mut session) {
-        QueryPoll::Rejected(RdxError::Deadline(DeadlineError::Exceeded {
+    match session.poll(ticket) {
+        TicketPoll::Rejected(RdxError::Deadline(DeadlineError::Exceeded {
             consumed_ns,
             deadline_ns,
         })) => {
@@ -208,29 +208,29 @@ proptest! {
                 // The admission invariant holds at every boundary.
                 prop_assert!(session.engine_mut().committed_bytes() <= global);
             }
-            let was_live = victim.cancel(&mut session);
+            let was_live = session.cancel(victim);
             if was_live {
-                match victim.poll(&mut session) {
-                    QueryPoll::Rejected(RdxError::Cancelled) => {}
+                match session.poll(victim) {
+                    TicketPoll::Rejected(RdxError::Cancelled) => {}
                     other => panic!("k={k}: cancelled victim polled {other:?}"),
                 }
             } else {
                 // Cancel arrived after the finish line; the parked outcome
                 // is still delivered exactly once.
-                match victim.poll(&mut session) {
-                    QueryPoll::Done(q) => prop_assert_eq!(&columns(&q.result), &expected),
+                match session.poll(victim) {
+                    TicketPoll::Done(Served::Columns(q)) => prop_assert_eq!(&columns(&q.result), &expected),
                     other => panic!("k={k}: finished victim polled {other:?}"),
                 }
             }
             // Exactly one terminal poll either way.
             let second_poll_is_unknown = matches!(
-                victim.poll(&mut session),
-                QueryPoll::Rejected(RdxError::UnknownTicket { .. })
+                session.poll(victim),
+                TicketPoll::Rejected(RdxError::UnknownTicket { .. })
             );
             prop_assert!(second_poll_is_unknown, "terminal outcome delivered twice");
             while session.drive(64) > 0 {}
-            match survivor.poll(&mut session) {
-                QueryPoll::Done(q) => prop_assert_eq!(&columns(&q.result), &expected),
+            match session.poll(survivor) {
+                TicketPoll::Done(Served::Columns(q)) => prop_assert_eq!(&columns(&q.result), &expected),
                 other => panic!("k={k}: survivor polled {other:?}"),
             }
             prop_assert_eq!(session.engine_mut().committed_bytes(), 0);
@@ -256,8 +256,8 @@ fn retry_policy_recovers_scripted_grant_denials() {
         .retry(RetryPolicy::with_retries(2))
         .submit();
     while session.drive(64) > 0 {}
-    match ticket.poll(&mut session) {
-        QueryPoll::Done(q) => assert_eq!(columns(&q.result), expected),
+    match session.poll(ticket) {
+        TicketPoll::Done(Served::Columns(q)) => assert_eq!(columns(&q.result), expected),
         other => panic!("retried query must complete, got {other:?}"),
     }
     let stats = session.engine_mut().stats();
@@ -284,8 +284,8 @@ fn retry_exhaustion_surfaces_the_underlying_error() {
         .submit();
     while session.drive(64) > 0 {}
     assert!(matches!(
-        ticket.poll(&mut session),
-        QueryPoll::Rejected(RdxError::Budget(BudgetError::ZeroBytes))
+        session.poll(ticket),
+        TicketPoll::Rejected(RdxError::Budget(BudgetError::ZeroBytes))
     ));
     let stats = session.engine_mut().stats();
     assert_eq!((stats.retries, stats.budget_rejects), (1, 1));
@@ -306,8 +306,8 @@ fn panicked_query_with_retry_completes_byte_identical() {
         .retry(RetryPolicy::with_retries(1))
         .submit();
     while session.drive(64) > 0 {}
-    match ticket.poll(&mut session) {
-        QueryPoll::Done(q) => assert_eq!(columns(&q.result), expected),
+    match session.poll(ticket) {
+        TicketPoll::Done(Served::Columns(q)) => assert_eq!(columns(&q.result), expected),
         other => panic!("re-run after panic must complete, got {other:?}"),
     }
     let stats = session.engine_mut().stats();
@@ -328,8 +328,8 @@ fn scripted_cache_eviction_forces_a_rebuild() {
     let hits = [false, false, true].map(|expect_hit| {
         let ticket = session.query(larger, smaller).project(spec).submit();
         while session.drive(64) > 0 {}
-        match ticket.poll(&mut session) {
-            QueryPoll::Done(q) => {
+        match session.poll(ticket) {
+            TicketPoll::Done(Served::Columns(q)) => {
                 assert_eq!(q.stats.cache_hit, expect_hit);
                 columns(&q.result)
             }
@@ -374,16 +374,19 @@ fn identical_fault_scripts_produce_identical_traces() {
             .submit();
         let cancelled = session.query(larger, smaller).project(spec).submit();
         session.drive(3);
-        cancelled.cancel(&mut session);
+        session.cancel(cancelled);
         while session.drive(64) > 0 {}
         assert!(matches!(
-            panicked.poll(&mut session),
-            QueryPoll::Rejected(RdxError::WorkerPanicked { worker: 2 })
+            session.poll(panicked),
+            TicketPoll::Rejected(RdxError::WorkerPanicked { worker: 2 })
         ));
-        assert!(matches!(retried.poll(&mut session), QueryPoll::Done(_)));
         assert!(matches!(
-            cancelled.poll(&mut session),
-            QueryPoll::Rejected(RdxError::Cancelled)
+            session.poll(retried),
+            TicketPoll::Done(Served::Columns(_))
+        ));
+        assert!(matches!(
+            session.poll(cancelled),
+            TicketPoll::Rejected(RdxError::Cancelled)
         ));
         trace_labels(&session.trace_snapshot().expect("observability on"))
     };

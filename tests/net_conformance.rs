@@ -813,11 +813,11 @@ fn a_scripted_fault_plan_produces_the_same_trace_over_the_wire() {
         let survivor = session.query(larger, smaller).project(spec).submit();
         while session.drive(64) > 0 {}
         assert!(matches!(
-            victim.poll(&mut session),
-            QueryPoll::Rejected(RdxError::WorkerPanicked { worker: 1 })
+            session.poll(victim),
+            TicketPoll::Rejected(RdxError::WorkerPanicked { worker: 1 })
         ));
-        let columns = match survivor.poll(&mut session) {
-            QueryPoll::Done(q) => columns(&q.result),
+        let columns = match session.poll(survivor) {
+            TicketPoll::Done(Served::Columns(q)) => columns(&q.result),
             other => panic!("survivor must finish, got {other:?}"),
         };
         (session.trace_snapshot().expect("trace"), columns)

@@ -82,7 +82,7 @@ fn chunk_step_events_sum_to_scheduler_steps() {
     let smaller = session.register(w.smaller.clone());
 
     // Ticket-only workload: every chunk is stepped by the engine scheduler.
-    let tickets: Vec<Ticket> = (0..4)
+    let tickets: Vec<TicketId> = (0..4)
         .map(|_| {
             session
                 .query(larger, smaller)
@@ -95,9 +95,9 @@ fn chunk_step_events_sum_to_scheduler_steps() {
     let mut total_chunks = 0u64;
     let trace = session.trace_snapshot().expect("observability on");
     assert_eq!(trace.dropped, 0, "default ring must hold this workload");
-    for ticket in &tickets {
-        let report = match ticket.poll(&mut session) {
-            QueryPoll::Done(report) => report,
+    for &ticket in &tickets {
+        let report = match session.poll(ticket) {
+            TicketPoll::Done(Served::Columns(report)) => report,
             other => panic!("expected Done, got {other:?}"),
         };
         let life = trace.events_for(QueryId(report.stats.query_id));
@@ -137,11 +137,11 @@ fn trace_replays_each_lifecycle_in_order() {
         .submit();
     while session.drive(64) > 0 {}
 
-    let done = match ok.poll(&mut session) {
-        QueryPoll::Done(report) => report,
+    let done = match session.poll(ok) {
+        TicketPoll::Done(Served::Columns(report)) => report,
         other => panic!("expected Done, got {other:?}"),
     };
-    assert!(matches!(bad.poll(&mut session), QueryPoll::Rejected(_)));
+    assert!(matches!(session.poll(bad), TicketPoll::Rejected(_)));
 
     let trace = session.trace_snapshot().expect("observability on");
     let labels: Vec<&str> = trace

@@ -255,6 +255,15 @@ const GATES: &[Gate] = &[
         ..LIBRARY
     },
     Gate {
+        name: "One ticket observer",
+        scope: CODE_AND_EXAMPLES,
+        needles: &[Token(
+            "TicketStatus|take_outcome|QueryOutcome|QueryPoll|ChunkProgress|fn status(",
+        )],
+        message: "a second way to observe a ticket — poll it with QueryEngine::poll instead",
+        ..LIBRARY
+    },
+    Gate {
         name: "One ledger",
         scope: CODE,
         needles: &[Token(
@@ -498,7 +507,8 @@ const NAMED: &[(&str, &[&str], &[&str])] = &[
         &["concurrent_share_raises_predicted_cost_monotonically"],
         &[],
     ),
-    // The prefix cache, the one price and remaining-work-first dispatch.
+    // The prefix cache, the one price, remaining-work-first dispatch and
+    // the one ticket observer.
     (
         "crates/serve",
         &[
@@ -507,6 +517,7 @@ const NAMED: &[(&str, &[&str], &[&str])] = &[
             "equal_queries_finish_first_come_first_served",
             "tight_deadlines_outrun_loose_ones_under_contention",
             "a_deadline_is_charged_the_observed_chunk_steps_and_the_injected_slowdowns",
+            "each_outcome_is_delivered_to_exactly_one_poll",
         ],
         &["cache", "priced", "scheduler::tests"],
     ),
