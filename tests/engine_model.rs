@@ -7,8 +7,8 @@
 //!   ticket may be live, then `Done` or `Rejected` exactly once, then
 //!   `Rejected(UnknownTicket)`; a ticket the engine reported finished (its
 //!   `Finished` step, a `cancel` that found it done, or an idle engine)
-//!   polls terminal, and one that `cancel` reported live polls
-//!   `Rejected(Cancelled)` next;
+//!   polls terminal; every `cancel` is polled at once, and that poll is
+//!   `Rejected(Cancelled)` exactly when `cancel` reported the ticket live;
 //! * a served result (columns or a `Done` frame) is byte-identical to the
 //!   same query run alone through `run()`;
 //! * `committed_bytes() ≤ global`, no tenant is over its in-flight or byte
@@ -379,9 +379,12 @@ proptest! {
                     let live = engine.cancel(m.ticket);
                     let done = m.finished || m.taken;
                     prop_assert!(!(live && done), "{} cancelled after it finished", m.ticket);
-                    // Live, it is cancelled now; not, it had finished.
+                    // Live, it is cancelled now; not, it had finished.  Either
+                    // way the poll right after is terminal: `Cancelled` when
+                    // live, else its parked outcome (or unknown once taken).
                     m.cancelled |= live;
                     m.finished = true;
+                    poll(&mut engine, m)?;
                 }
                 (13..=14, Some(i)) => {
                     // A second poll right after a terminal one is unknown.
