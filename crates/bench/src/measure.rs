@@ -765,7 +765,7 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
     cells
 }
 
-/// The simulated totals of one profiled `c/d` query through the front door,
+/// The simulated totals of one profiled `c/d` query through the engine,
 /// on one worker under a `grant`-byte global budget, read back from the
 /// `profile.*` counters its probed kernels charged, as cells
 /// `pipeline.{name}.*`.
@@ -776,7 +776,7 @@ fn profiled_cells(
     spec: QuerySpec,
     grant: usize,
 ) -> Vec<MissProxyCell> {
-    let mut session = rdx_api::Session::new(rdx_serve::ServeConfig {
+    let mut engine = rdx_serve::QueryEngine::new(rdx_serve::ServeConfig {
         params: params.clone(),
         global_budget: MemoryBudget::bytes(grant),
         max_concurrent: 1,
@@ -784,9 +784,9 @@ fn profiled_cells(
         observability: true,
         ..rdx_serve::ServeConfig::default()
     });
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
-    session
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
+    engine
         .query(larger, smaller)
         .project(spec)
         .codes(DsmPostProjection::with_codes(
@@ -796,7 +796,7 @@ fn profiled_cells(
         .profiled()
         .run()
         .expect("profiled proxy query");
-    let metrics = session.metrics().expect("observability on");
+    let metrics = engine.obs().metrics_snapshot().expect("observability on");
     [
         ("accesses", "accesses"),
         ("l1_misses", "misses"),
@@ -877,7 +877,7 @@ const FROZEN_ZIPF12_CACHE_BYTES: usize = 43_236;
 
 /// Serve-layer cells — the cache-hit vs cache-miss split of a query's cost,
 /// as counts: twelve pairs in the `mix_budget_wire` size ratios (1/100
-/// scale, hottest = largest, every plan declustering) behind one `Session`
+/// scale, hottest = largest, every plan declustering) behind one engine
 /// whose prefix cache holds half of what the twelve prefixes need — and
 /// again at [`FROZEN_ZIPF12_CACHE_BYTES`] — driven by a fixed
 /// zipf-expectation sequence of 600 queries.
@@ -890,7 +890,7 @@ fn serve_cache_cells(params: &CacheParams) -> Vec<MissProxyCell> {
     // Replays `sequence` against a cache of `cache_bytes`; returns the
     // final cache counters and the prefix rows rebuilt on misses.
     let replay = |cache_bytes: usize, sequence: &[usize]| {
-        let mut session = rdx_api::Session::new(rdx_serve::ServeConfig {
+        let mut engine = rdx_serve::QueryEngine::new(rdx_serve::ServeConfig {
             params: params.clone(),
             max_concurrent: 1,
             threads_per_query: 1,
@@ -901,14 +901,14 @@ fn serve_cache_cells(params: &CacheParams) -> Vec<MissProxyCell> {
             .iter()
             .map(|(l, s)| {
                 (
-                    session.register_arc(l.clone()),
-                    session.register_arc(s.clone()),
+                    engine.register_arc(l.clone()),
+                    engine.register_arc(s.clone()),
                 )
             })
             .collect();
         let mut rebuilt_rows = 0;
         for &t in sequence {
-            let stats = session
+            let stats = engine
                 .query(ids[t].0, ids[t].1)
                 .project(QuerySpec::symmetric(1))
                 .codes(DsmPostProjection::with_codes(
@@ -920,7 +920,7 @@ fn serve_cache_cells(params: &CacheParams) -> Vec<MissProxyCell> {
                 .stats;
             rebuilt_rows += if stats.cache_hit { 0 } else { stats.rows };
         }
-        (session.cache_stats(), rebuilt_rows)
+        (engine.cache_stats(), rebuilt_rows)
     };
     let (all_resident, all_rows) = replay(usize::MAX, &(0..ROWS.len()).collect::<Vec<_>>());
     let sequence = rdx_workload::Zipf::new(ROWS.len(), 1.0).expectation_sequence(600, 11);

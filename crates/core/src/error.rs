@@ -1,7 +1,7 @@
 //! The unified error hierarchy of the workspace: every fallible path — from
 //! kernel-level budget checks to catalog lookups in the serving layer —
-//! reports one [`RdxError`], so callers of the `Session`/`Query` front door
-//! (`rdx-api`) match on a single type instead of per-crate error zoos.
+//! reports one [`RdxError`], so callers of `QueryEngine::query` and of the
+//! wire match on a single type instead of per-crate error zoos.
 //!
 //! Layering: this type lives at the bottom of the workspace (everything
 //! depends on `rdx-core`), so upper layers attach their failures to it

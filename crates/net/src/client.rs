@@ -3,7 +3,7 @@
 //! machinery.  Each call returns once its reply is in; the wait for it
 //! follows the server's own idle policy (see [`NetClient`]).
 
-use crate::idle::{IdleAction, IdlePolicy};
+use crate::idle::{IdleAction, IdlePolicy, IDLE_SLEEP};
 use crate::server::NetStream;
 use crate::wire::{
     announced_payload_len, decode_frame, encode_frame, Frame, SubmitSpec, WireError, WireReport,
@@ -13,7 +13,7 @@ use rdx_core::error::RdxError;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -198,8 +198,6 @@ impl FrameReader {
 pub struct NetClient {
     stream: NetStream,
     inbound: FrameReader,
-    /// Delay between polls inside [`NetClient::wait`].
-    poll_interval: Duration,
 }
 
 impl NetClient {
@@ -222,7 +220,6 @@ impl NetClient {
         Ok(NetClient {
             stream,
             inbound: FrameReader::new(crate::wire::DEFAULT_MAX_PAYLOAD),
-            poll_interval: Duration::from_micros(200),
         })
     }
 
@@ -309,15 +306,16 @@ impl NetClient {
         }
     }
 
-    /// Polls until the ticket finishes: the completion report on success,
-    /// the typed engine error on refusal — the same `Result` shape the
-    /// in-process `run` returns.
+    /// Polls until the ticket finishes, sleeping the server's 200 µs idle
+    /// sleep between polls: the completion report on success, the typed
+    /// engine error on refusal — the same `Result` shape the in-process
+    /// `Query::run` returns.
     pub fn wait(&mut self, ticket: u64) -> Result<Result<WireReport, RdxError>, ClientError> {
         loop {
             match self.poll(ticket)? {
                 Frame::Done { report, .. } => return Ok(Ok(report)),
                 Frame::Rejected { error, .. } => return Ok(Err(error)),
-                _ => std::thread::sleep(self.poll_interval),
+                _ => std::thread::sleep(IDLE_SLEEP),
             }
         }
     }
@@ -330,6 +328,7 @@ mod tests {
     use crate::wire::DEFAULT_MAX_PAYLOAD;
     use std::cell::Cell;
     use std::collections::VecDeque;
+    use std::time::Duration;
 
     /// One scripted answer of a [`Script`].
     enum Delivery {

@@ -719,39 +719,31 @@ impl NetServer {
             },
             None => None,
         };
-        let mut request = ServerRequest::new(
-            RelationId::from_raw(spec.larger),
-            RelationId::from_raw(spec.smaller),
-            QuerySpec {
-                project_larger: spec.project_larger as usize,
-                project_smaller: spec.project_smaller as usize,
-            },
-        )
-        .with_priority(spec.priority)
-        // The engine encodes the result into its `Done` frame as it emits,
-        // and refuses one the client's decoder would.
-        .with_form(ResultForm::Frame {
-            max_payload: self.config.max_payload as usize,
-        });
-        if let Some(b) = budget {
-            request = request.with_budget_hint(b);
-        }
-        if let Some(t) = spec.threads {
+        let request = ServerRequest {
+            budget_hint: budget,
             // A peer's thread count is clamped to the machine's cores (`0`
             // still means auto): results are byte-identical at every count,
             // and an unbounded one would have the kernels allocate and
             // spawn per worker until the process aborts.
-            request = request.with_threads((t as usize).min(self.cores));
-        }
-        if let Some(codes) = spec.codes {
-            request = request.with_codes(codes);
-        }
-        if let Some(d) = spec.deadline_ns {
-            request = request.with_deadline(d);
-        }
-        if let Some(t) = self.conns[idx].tenant {
-            request = request.with_tenant(t);
-        }
+            threads_hint: spec.threads.map(|t| (t as usize).min(self.cores)),
+            codes: spec.codes,
+            deadline_ns: spec.deadline_ns,
+            priority: spec.priority,
+            tenant: self.conns[idx].tenant,
+            // The engine encodes the result into its `Done` frame as it
+            // emits, and refuses one the client's decoder would.
+            form: ResultForm::Frame {
+                max_payload: self.config.max_payload as usize,
+            },
+            ..ServerRequest::new(
+                RelationId::from_raw(spec.larger),
+                RelationId::from_raw(spec.smaller),
+                QuerySpec {
+                    project_larger: spec.project_larger as usize,
+                    project_smaller: spec.project_smaller as usize,
+                },
+            )
+        };
         let ticket = self.engine.submit(request);
         let raw = ticket.raw();
         self.conns[idx].tickets.insert(raw, ticket);
@@ -860,14 +852,17 @@ mod tests {
         ];
         for (l, s, spec, denominator, min_chunks) in cases {
             let cell = format!("π = {spec:?} at 1/{denominator:?}");
-            let mut request = ServerRequest::new(l, s, spec);
-            if let Some(d) = denominator {
-                request = request.with_budget_hint(MemoryBudget::fraction_of(data_bytes, d));
-            }
+            let request = ServerRequest {
+                budget_hint: denominator.map(|d| MemoryBudget::fraction_of(data_bytes, d)),
+                ..ServerRequest::new(l, s, spec)
+            };
             let columns = engine.submit(request);
-            let framed = engine.submit(request.with_form(ResultForm::Frame {
-                max_payload: usize::MAX,
-            }));
+            let framed = engine.submit(ServerRequest {
+                form: ResultForm::Frame {
+                    max_payload: usize::MAX,
+                },
+                ..request
+            });
             while engine.step() != EngineStep::Idle {}
             let TicketPoll::Done(Served::Columns(result)) = engine.poll(columns) else {
                 panic!("{cell}: columns ticket not served");

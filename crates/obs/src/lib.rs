@@ -4,7 +4,7 @@
 //! (counters, gauges, power-of-two latency histograms with p50/p90/p99),
 //! a bounded [`EventTrace`] of per-query lifecycle spans, and text / JSON /
 //! Prometheus exporters.  The serving engine, the streaming pipeline and
-//! the `rdx-api` front door all record through one shared [`Obs`] handle,
+//! the `rdx-net` wire all record through one shared [`Obs`] handle,
 //! so a single snapshot can replay a query's whole life — submit →
 //! admit → cache lookup → chunk steps (observed vs predicted cost) → done.
 //!

@@ -1,10 +1,12 @@
 //! The **ticket-granular query engine**: the persistent core the whole
-//! serving layer (and the `rdx-api` `Session` front door) runs on.
+//! serving layer runs on, and the one front door in process.
 //!
 //! Admission, scheduling and chunk execution live in a value with *open*
 //! edges, so a query can be accepted or observed while others are in
 //! flight:
 //!
+//! * [`QueryEngine::query`] builds a request ([`Query`]) and ends in
+//!   [`Query::submit`] or the one-shot [`Query::run`];
 //! * [`QueryEngine::submit`] validates a request against the catalog and
 //!   enqueues it, returning a non-blocking [`TicketId`] immediately — at any
 //!   time, including between chunk steps of other in-flight queries (the
@@ -27,8 +29,8 @@
 //! ```
 //!
 //! [`QueryEngine::poll`] reports exactly these four states as a
-//! [`TicketPoll`], the one observer of a ticket: every front end (the
-//! `rdx-api` `Session`, the `rdx-net` wire) hands it on as is.  `Queued`
+//! [`TicketPoll`], the one observer of a ticket: in-process callers poll
+//! the engine, and the `rdx-net` wire hands the poll on as is.  `Queued`
 //! tickets wait in FIFO order (admission never skips the queue head, so
 //! arrival order bounds waiting; a retry re-enters behind the live queue);
 //! `Running` tickets are parked [`rdx_exec::PipelineRun`]s that own `Arc`
@@ -44,15 +46,17 @@
 //!
 //! Every query is a ticket; there is no second lifecycle beside this one.
 //! Serving a whole batch is these primitives in a row: submit all, step
-//! until [`EngineStep::Idle`], poll every ticket once.  The front door's
-//! one-shot `run()` is the one-ticket case: submit, then poll and step
+//! until [`EngineStep::Idle`], poll every ticket once.  The one-shot
+//! [`Query::run`] is the one-ticket case: submit, then poll and step
 //! until the poll is terminal — so it is admitted, shed, retried,
 //! deadline-checked and panic-isolated exactly like any other ticket.
 
 use crate::admission::{self, AdmissionDecision};
 use crate::cache::{CacheStats, ClusterCache, ClusterKey};
 use crate::registry::{Catalog, RelationId};
-use crate::request::{QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest};
+use crate::request::{
+    Query, QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest,
+};
 use crate::scheduler;
 use crate::tenant::{Load, TenantId, TenantRegistry, TenantStats};
 use rdx_cache::CacheParams;
@@ -340,15 +344,14 @@ struct RetryParked {
 /// The persistent, ticket-granular serving core.
 ///
 /// ```
-/// use rdx_serve::{QueryEngine, EngineStep, ServeConfig, Served, ServerRequest, TicketPoll};
-/// use rdx_core::strategy::QuerySpec;
+/// use rdx_serve::{QueryEngine, EngineStep, ServeConfig, Served, TicketPoll};
 /// use rdx_workload::JoinWorkloadBuilder;
 ///
 /// let mut engine = QueryEngine::new(ServeConfig::default());
 /// let w = JoinWorkloadBuilder::equal(1_000, 1).build();
 /// let larger = engine.register(w.larger.clone());
 /// let smaller = engine.register(w.smaller.clone());
-/// let ticket = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(1)));
+/// let ticket = engine.query(larger, smaller).submit();
 /// while engine.step() != EngineStep::Idle {}
 /// let TicketPoll::Done(Served::Columns(result)) = engine.poll(ticket) else {
 ///     panic!("not served")
@@ -424,7 +427,7 @@ impl QueryEngine {
     /// registering its `engine.tenant.<name>.*` instruments on first
     /// sight.  Idempotent: the same name always returns the same id.
     /// Requests carrying the returned [`TenantId`] (see
-    /// [`ServerRequest::with_tenant`]) are quota-checked at admission.
+    /// [`ServerRequest::tenant`]) are quota-checked at admission.
     pub fn tenant_id(&mut self, name: &str) -> TenantId {
         self.tenants.intern(name, self.obs.metrics())
     }
@@ -468,8 +471,8 @@ impl QueryEngine {
         bounded.map(|r| r.share.limit_bytes()).sum()
     }
 
-    /// The engine's observability handle — where the `rdx-api` `Session`
-    /// takes metrics and trace snapshots from.  Its registry holds every
+    /// The engine's observability handle — where metrics and trace
+    /// snapshots are taken from.  Its registry holds every
     /// count the engine keeps; its trace ring exists only when
     /// [`ServeConfig::observability`] was set.
     pub fn obs(&self) -> &Obs {
@@ -554,6 +557,13 @@ impl QueryEngine {
             retries: c.retries.get(),
             tenant_quota_rejects: c.tenant_quota_rejects.get(),
         }
+    }
+
+    /// Starts building a query over the registered pair
+    /// `(larger, smaller)`, projecting one column from each side until
+    /// [`Query::project`] says otherwise.
+    pub fn query(&mut self, larger: RelationId, smaller: RelationId) -> Query<'_> {
+        Query::new(self, larger, smaller)
     }
 
     /// Submits a query, returning its ticket **without blocking**: the call
@@ -1432,9 +1442,12 @@ mod tests {
         let smaller = engine.register(w.smaller.clone());
         let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(1));
         let columns = engine.submit(request);
-        let frame = engine.submit(request.with_form(ResultForm::Frame {
-            max_payload: 1 << 20,
-        }));
+        let frame = engine.submit(ServerRequest {
+            form: ResultForm::Frame {
+                max_payload: 1 << 20,
+            },
+            ..request
+        });
         let invalid = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(9)));
         while engine.step() != EngineStep::Idle {}
         assert_eq!(served(engine.poll(columns)).stats.rows, w.expected_matches);
@@ -1568,10 +1581,12 @@ mod tests {
             rdx_core::strategy::ProjectionCode::Unsorted,
             rdx_core::strategy::SecondSideCode::Decluster,
         );
-        let request = ServerRequest::new(larger, smaller, spec)
-            .with_codes(pinned)
-            .with_threads(2)
-            .with_budget_hint(MemoryBudget::bytes(256));
+        let request = ServerRequest {
+            codes: Some(pinned),
+            threads_hint: Some(2),
+            budget_hint: Some(MemoryBudget::bytes(256)),
+            ..ServerRequest::new(larger, smaller, spec)
+        };
         let q = serve_all(&mut engine, &[request]).remove(0);
         assert_eq!(q.stats.plan, pinned);
         // The hint tightened the share below the fair split.
@@ -1611,10 +1626,10 @@ mod tests {
         ));
         // A hint below the one-row floor fails at admission time, without
         // blocking the valid query queued behind it.
-        let starved = engine.submit(
-            ServerRequest::new(larger, smaller, QuerySpec::symmetric(1))
-                .with_budget_hint(MemoryBudget::bytes(1)),
-        );
+        let starved = engine
+            .query(larger, smaller)
+            .budget(MemoryBudget::bytes(1))
+            .submit();
         let valid = engine.submit(ServerRequest::new(larger, smaller, QuerySpec::symmetric(1)));
         while engine.step() != EngineStep::Idle {}
         assert!(matches!(
@@ -1679,7 +1694,11 @@ mod tests {
         let spec = QuerySpec::symmetric(1);
 
         // 1 ns of service time can never cover a 2 000-row projection.
-        let doomed = engine.submit(ServerRequest::new(larger, smaller, spec).with_deadline(1));
+        let doomed = engine
+            .query(larger, smaller)
+            .project(spec)
+            .deadline(1)
+            .submit();
         while engine.step() != EngineStep::Idle {}
         match rejected(engine.poll(doomed)) {
             RdxError::Deadline(DeadlineError::Infeasible {
@@ -1697,7 +1716,9 @@ mod tests {
         assert_eq!(engine.committed_bytes(), 0);
 
         // A generous deadline admits and completes normally.
-        let fine = engine.submit(ServerRequest::new(larger, smaller, spec).with_deadline(u64::MAX));
+        let fine = (engine.query(larger, smaller).project(spec))
+            .deadline(u64::MAX)
+            .submit();
         while engine.step() != EngineStep::Idle {}
         let q = served(engine.poll(fine));
         assert_eq!(q.stats.rows, w.expected_matches);
@@ -1716,8 +1737,10 @@ mod tests {
         });
         let larger = engine.register(w.larger);
         let smaller = engine.register(w.smaller);
-        let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(2))
-            .with_budget_hint(MemoryBudget::bytes(hint_bytes));
+        let request = ServerRequest {
+            budget_hint: Some(MemoryBudget::bytes(hint_bytes)),
+            ..ServerRequest::new(larger, smaller, QuerySpec::symmetric(2))
+        };
         (engine, request, rows)
     }
 
@@ -1748,7 +1771,10 @@ mod tests {
             DsmPostProjection::with_codes(F::PartialCluster, S::Decluster),
             DsmPostProjection::with_codes(F::Sorted, S::Unsorted),
         ];
-        let requests = pinned.map(|codes| request.with_codes(codes));
+        let requests = pinned.map(|codes| ServerRequest {
+            codes: Some(codes),
+            ..request
+        });
         let served = serve_all(&mut engine, &requests);
         let mut prices = Vec::new();
         for (codes, q) in pinned.into_iter().zip(&served) {
@@ -1777,7 +1803,11 @@ mod tests {
         ];
         let mut verdicts = Vec::new();
         for codes in pinned {
-            let ticket = engine.submit(request.with_codes(codes).with_deadline(1));
+            let ticket = engine.submit(ServerRequest {
+                codes: Some(codes),
+                deadline_ns: Some(1),
+                ..request
+            });
             while engine.step() != EngineStep::Idle {}
             let RdxError::Deadline(DeadlineError::Infeasible { predicted_ns, .. }) =
                 rejected(engine.poll(ticket))
@@ -1799,13 +1829,20 @@ mod tests {
         // One chunk, so the window is the thread share's, not the chunk's;
         // a `d` plan, so the window is priced.
         let (mut engine, request, _) = pricing_fixture(1 << 20);
-        let request = request.with_codes(DsmPostProjection::with_codes(
-            F::PartialCluster,
-            S::Decluster,
-        ));
+        let request = ServerRequest {
+            codes: Some(DsmPostProjection::with_codes(
+                F::PartialCluster,
+                S::Decluster,
+            )),
+            ..request
+        };
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut verdict = |threads: usize| {
-            let ticket = engine.submit(request.with_threads(threads).with_deadline(1));
+            let ticket = engine.submit(ServerRequest {
+                threads_hint: Some(threads),
+                deadline_ns: Some(1),
+                ..request
+            });
             while engine.step() != EngineStep::Idle {}
             match rejected(engine.poll(ticket)) {
                 RdxError::Deadline(e @ DeadlineError::Infeasible { .. }) => e,
@@ -1828,10 +1865,10 @@ mod tests {
         // 1 s of real slack dwarfs actual wall time; the scripted 10¹² ns
         // slowdown at chunk 2 is what trips it — deterministically.
         engine.inject_faults(FaultPlan::new().slow_at(0, 2, 1_000_000_000_000));
-        let ticket = engine.submit(
-            ServerRequest::new(larger, smaller, QuerySpec::symmetric(1))
-                .with_deadline(1_000_000_000),
-        );
+        let ticket = engine
+            .query(larger, smaller)
+            .deadline(1_000_000_000)
+            .submit();
         while engine.step() != EngineStep::Idle {}
         match rejected(engine.poll(ticket)) {
             RdxError::Deadline(DeadlineError::Exceeded {
@@ -1861,10 +1898,10 @@ mod tests {
         let smaller = engine.register(w.smaller.clone());
         let slow_ns = 1_000_000_000_000;
         engine.inject_faults(FaultPlan::new().slow_at(0, 2, slow_ns));
-        let ticket = engine.submit(
-            ServerRequest::new(larger, smaller, QuerySpec::symmetric(1))
-                .with_deadline(1_000_000_000),
-        );
+        let ticket = engine
+            .query(larger, smaller)
+            .deadline(1_000_000_000)
+            .submit();
         while engine.step() != EngineStep::Idle {}
         let consumed_ns = match rejected(engine.poll(ticket)) {
             RdxError::Deadline(DeadlineError::Exceeded { consumed_ns, .. }) => consumed_ns,
@@ -1909,7 +1946,10 @@ mod tests {
 
         // With one, the re-run completes and matches a clean run exactly.
         engine.inject_faults(FaultPlan::new().panic_at(1, 1, 0));
-        let retried = engine.submit(request.with_retry(RetryPolicy::with_retries(1)));
+        let retried = engine.submit(ServerRequest {
+            retry: Some(RetryPolicy::with_retries(1)),
+            ..request
+        });
         let clean = engine.submit(request);
         while engine.step() != EngineStep::Idle {}
         let qr = served(engine.poll(retried));
@@ -1931,7 +1971,10 @@ mod tests {
 
         // Two scripted denials; two retries in the policy → eventually done.
         engine.inject_faults(FaultPlan::new().deny_grant(0).deny_grant(0));
-        let ticket = engine.submit(request.with_retry(RetryPolicy::with_retries(2)));
+        let ticket = engine.submit(ServerRequest {
+            retry: Some(RetryPolicy::with_retries(2)),
+            ..request
+        });
         let mut saw_waiting = false;
         loop {
             match engine.step() {
@@ -1948,7 +1991,10 @@ mod tests {
 
         // Exhausting the policy surfaces the budget error.
         engine.inject_faults(FaultPlan::new().deny_grant(1).deny_grant(1));
-        let doomed = engine.submit(request.with_retry(RetryPolicy::with_retries(1)));
+        let doomed = engine.submit(ServerRequest {
+            retry: Some(RetryPolicy::with_retries(1)),
+            ..request
+        });
         while engine.step() != EngineStep::Idle {}
         assert!(matches!(
             rejected(engine.poll(doomed)),
@@ -1966,13 +2012,13 @@ mod tests {
         let spec = QuerySpec::symmetric(1);
         // Same work, but one has almost no slack: the EDF weight should
         // finish it first even though it was submitted second.
-        let loose =
-            engine.submit(ServerRequest::new(larger, smaller, spec).with_deadline(u64::MAX));
-        let tight = engine.submit(
-            ServerRequest::new(larger, smaller, spec)
-                .with_deadline(60_000_000_000)
-                .with_priority(4),
-        );
+        let loose = (engine.query(larger, smaller).project(spec))
+            .deadline(u64::MAX)
+            .submit();
+        let tight = (engine.query(larger, smaller).project(spec))
+            .deadline(60_000_000_000)
+            .priority(4)
+            .submit();
         let mut finish_order = Vec::new();
         loop {
             match engine.step() {
@@ -2005,7 +2051,11 @@ mod tests {
             project_smaller: 1,
         };
         let codes = DsmPostProjection::with_codes(F::PartialCluster, S::Decluster);
-        let ticket = engine.submit(ServerRequest::new(larger, smaller, spec).with_codes(codes));
+        let ticket = engine
+            .query(larger, smaller)
+            .project(spec)
+            .codes(codes)
+            .submit();
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1e-12);
         assert!(matches!(engine.step(), EngineStep::Chunk { .. }));
         let r = &engine.running[0];
@@ -2152,9 +2202,21 @@ mod tests {
         // Two tagged submissions from the capped tenant plus one from an
         // uncapped one: the first "burst" query is admitted, the second is
         // shed at its own cap, and the "free" tenant is untouched.
-        let first = engine.submit(ServerRequest::new(larger, smaller, spec).with_tenant(burst));
-        let second = engine.submit(ServerRequest::new(larger, smaller, spec).with_tenant(burst));
-        let other = engine.submit(ServerRequest::new(larger, smaller, spec).with_tenant(free));
+        let first = engine
+            .query(larger, smaller)
+            .project(spec)
+            .tenant(burst)
+            .submit();
+        let second = engine
+            .query(larger, smaller)
+            .project(spec)
+            .tenant(burst)
+            .submit();
+        let other = engine
+            .query(larger, smaller)
+            .project(spec)
+            .tenant(free)
+            .submit();
         while engine.step() != EngineStep::Idle {}
 
         let shed = rejected(engine.poll(second));
@@ -2172,7 +2234,11 @@ mod tests {
         let bs = engine.tenant_stats(burst).unwrap();
         assert_eq!((bs.in_flight, bs.committed_bytes), (0, 0));
         assert_eq!((bs.admissions, bs.rejections), (1, 1));
-        let third = engine.submit(ServerRequest::new(larger, smaller, spec).with_tenant(burst));
+        let third = engine
+            .query(larger, smaller)
+            .project(spec)
+            .tenant(burst)
+            .submit();
         while engine.step() != EngineStep::Idle {}
         assert!(matches!(engine.poll(third), TicketPoll::Done(_)));
     }
@@ -2197,7 +2263,11 @@ mod tests {
         let spec = QuerySpec::symmetric(1);
         let capped = engine.tenant_id("capped");
 
-        let t = engine.submit(ServerRequest::new(larger, smaller, spec).with_tenant(capped));
+        let t = engine
+            .query(larger, smaller)
+            .project(spec)
+            .tenant(capped)
+            .submit();
         // While running, the tenant's byte charge equals the tightened
         // grant — never the (much larger) global share.
         let mut seen_charge = 0;

@@ -32,7 +32,8 @@
 //!   `(relation ids, codes, cluster spec)`: repeated queries over the same
 //!   join reuse the radix-clustered product instead of re-clustering.
 //! * [`engine`] — the **ticket-granular [`QueryEngine`]** tying them
-//!   together as a persistent value with open edges: non-blocking
+//!   together as a persistent value with open edges, and the one front
+//!   door in process: [`QueryEngine::query`] builds a request, non-blocking
 //!   [`QueryEngine::submit`] returns a [`TicketId`] at any time (including
 //!   between chunk steps of in-flight queries) and [`QueryEngine::step`]
 //!   pumps one admission-plus-chunk decision.  Every query is a ticket, so
@@ -52,8 +53,9 @@
 //!   counts.
 //!
 //! [`request`] holds what goes in and comes out: the engine-wide
-//! [`ServeConfig`], one query's [`ServerRequest`], and the [`Served`]
-//! result a ticket's terminal [`TicketPoll`] carries.  The load-bearing guarantee, exercised by the
+//! [`ServeConfig`], one query's [`ServerRequest`] and the [`Query`] that
+//! builds it, and the [`Served`] result a ticket's terminal [`TicketPoll`]
+//! carries.  The load-bearing guarantee, exercised by the
 //! workspace conformance grid: **any** interleaving of **any** admitted mix
 //! produces, per query, output byte-identical to running that query alone —
 //! scheduling changes *when* chunks run, never what they contain.
@@ -61,7 +63,7 @@
 //! ## Robustness
 //!
 //! The engine degrades *per query*, never per process.  A request may carry
-//! a **deadline** ([`ServerRequest::with_deadline`]): admission prices the
+//! a **deadline** ([`ServerRequest::deadline_ns`]): admission prices the
 //! chosen plan at the query's cache share and rejects infeasible requests
 //! with [`rdx_core::error::DeadlineError::Infeasible`] before a single chunk
 //! runs, and admitted queries that overrun are torn down at the next chunk
@@ -79,10 +81,45 @@
 //! All fallible paths report the workspace-wide
 //! [`rdx_core::error::RdxError`].
 //!
+//! ## Quickstart
+//!
+//! ```
+//! use rdx_core::strategy::QuerySpec;
+//! use rdx_serve::{EngineStep, QueryEngine, ServeConfig, Served, TicketPoll};
+//! use rdx_workload::JoinWorkloadBuilder;
+//!
+//! let mut engine = QueryEngine::new(ServeConfig::default());
+//! let w = JoinWorkloadBuilder::equal(2_000, 2).seed(1).build();
+//! let larger = engine.register(w.larger.clone());
+//! let smaller = engine.register(w.smaller.clone());
+//!
+//! // One-shot: plan, execute, materialise.
+//! let report = engine
+//!     .query(larger, smaller)
+//!     .project(QuerySpec::symmetric(2))
+//!     .run();
+//! let rows = report.map(|r| r.result.cardinality());
+//! assert_eq!(rows, Ok(w.expected_matches));
+//!
+//! // Non-blocking: submit, step, poll.
+//! let ticket = engine
+//!     .query(larger, smaller)
+//!     .project(QuerySpec::symmetric(1))
+//!     .submit();
+//! while engine.step() != EngineStep::Idle {}
+//! match engine.poll(ticket) {
+//!     TicketPoll::Done(Served::Columns(report)) => {
+//!         assert_eq!(report.stats.rows, w.expected_matches)
+//!     }
+//!     other => panic!("expected Done, got {other:?}"),
+//! }
+//! ```
+//!
 //! [`Catalog`]: registry::Catalog
 //! [`RelationId`]: registry::RelationId
 //! [`ClusterCache`]: cache::ClusterCache
 //! [`QueryEngine`]: engine::QueryEngine
+//! [`QueryEngine::query`]: engine::QueryEngine::query
 //! [`QueryEngine::submit`]: engine::QueryEngine::submit
 //! [`QueryEngine::step`]: engine::QueryEngine::step
 //! [`TicketId`]: engine::TicketId
@@ -102,5 +139,5 @@ pub use admission::AdmissionDecision;
 pub use cache::{CacheStats, ClusterCache, ClusterKey};
 pub use engine::{EngineStats, EngineStep, QueryEngine, TicketId, TicketPoll};
 pub use registry::{Catalog, RelationId};
-pub use request::{QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest};
+pub use request::{Query, QueryResult, QueryStats, ResultForm, ServeConfig, Served, ServerRequest};
 pub use tenant::{TenantId, TenantQuota, TenantQuotas, TenantStats};

@@ -1,6 +1,6 @@
-//! A multi-tenant serving session through the **ticket front door**: a
+//! A multi-tenant serving engine through the **ticket front door**: a
 //! zipfian query mix is submitted as non-blocking tickets, pumped with
-//! [`Session::drive`] and observed with [`Session::poll`] — comparing serial
+//! [`QueryEngine::step`] and observed with [`QueryEngine::poll`] — comparing serial
 //! execution, remaining-work-first chunk interleaving, and interleaving
 //! with the clustered-join-index cache warm.  A final pass demonstrates the
 //! async-front enabler: new submissions landing between chunk steps of
@@ -26,7 +26,7 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 }
 
 /// One served pass: per-query latency (wait + service), the pass's counts
-/// (deltas of the engine's cumulative stats) and the session's peaks.
+/// (deltas of the engine's cumulative stats) and the engine's peaks.
 struct PassReport {
     latencies: Vec<Duration>,
     cache_hits: u64,
@@ -42,7 +42,7 @@ fn summarize(label: &str, pass: &PassReport) {
     let wall = pass.wall.as_secs_f64();
     println!(
         "{label:<28} wall {:>7.1} ms  thr {:>6.1} q/s  p50 {:>7.1} ms  p99 {:>7.1} ms  \
-         chunks {:>5}  cache-hits {}  session peak-conc {}  peak-bytes {:>9}",
+         chunks {:>5}  cache-hits {}  engine peak-conc {}  peak-bytes {:>9}",
         wall * 1e3,
         latencies.len() as f64 / wall.max(1e-9),
         percentile(&latencies, 0.50).as_secs_f64() * 1e3,
@@ -54,23 +54,23 @@ fn summarize(label: &str, pass: &PassReport) {
     );
 }
 
-/// Submits every query of the mix as a ticket, drives the session to
-/// completion with bounded `drive` calls, and polls outcomes as they land.
+/// Submits every query of the mix as a ticket, steps the engine to
+/// completion in bounded bursts, and polls outcomes as they land.
 /// Counts are this pass's share of the engine's lifetime totals; the peaks
-/// cannot be windowed, so they are the session's so far.
+/// cannot be windowed, so they are the engine's so far.
 fn serve_pass(
-    session: &mut Session,
+    engine: &mut QueryEngine,
     mix: &QueryMix,
     ids: &[(RelationId, RelationId)],
 ) -> PassReport {
     let started = std::time::Instant::now();
-    let before = session.engine_mut().stats();
+    let before = engine.stats();
     let tickets: Vec<TicketId> = mix
         .queries
         .iter()
         .map(|q| {
             let (larger, smaller) = ids[q.tenant];
-            session
+            engine
                 .query(larger, smaller)
                 .project(QuerySpec::symmetric(q.project))
                 .submit()
@@ -79,10 +79,10 @@ fn serve_pass(
     let mut latencies = Vec::with_capacity(tickets.len());
     let mut open: Vec<TicketId> = tickets;
     // The async-front loop shape: run a bounded burst of chunk-steps, then
-    // poll — submissions, polls and drives interleave freely.
+    // poll — submissions, polls and steps interleave freely.
     loop {
-        let ran = session.drive(8);
-        open.retain(|&t| match session.poll(t) {
+        let idle = (0..8).any(|_| engine.step() == EngineStep::Idle);
+        open.retain(|&t| match engine.poll(t) {
             TicketPoll::Done(Served::Columns(report)) => {
                 latencies.push(report.stats.wait + report.stats.service);
                 false
@@ -90,11 +90,11 @@ fn serve_pass(
             TicketPoll::Queued { .. } | TicketPoll::Running { .. } => true,
             other => panic!("query not served: {other:?}"),
         });
-        if ran == 0 && open.is_empty() {
+        if idle && open.is_empty() {
             break;
         }
     }
-    let after = session.engine_mut().stats();
+    let after = engine.stats();
     PassReport {
         latencies,
         cache_hits: after.cache_hits - before.cache_hits,
@@ -127,7 +127,7 @@ fn main() {
 
     // Global budget: a quarter of the hottest tenant's data, split across
     // up to four admitted queries.  The tenants' relations are Arc-shared
-    // across all three sessions — registered, never copied.
+    // across all three engines — registered, never copied.
     let budget = MemoryBudget::bytes(mix.tenant_data_bytes(0) / 4);
     let relations: Vec<(Arc<DsmRelation>, Arc<DsmRelation>)> = mix
         .tenants
@@ -144,20 +144,20 @@ fn main() {
         observability: false,
         ..ServeConfig::default()
     };
-    let register_all = |session: &mut Session| -> Vec<(RelationId, RelationId)> {
+    let register_all = |engine: &mut QueryEngine| -> Vec<(RelationId, RelationId)> {
         relations
             .iter()
             .map(|(l, s)| {
                 (
-                    session.register_arc(l.clone()),
-                    session.register_arc(s.clone()),
+                    engine.register_arc(l.clone()),
+                    engine.register_arc(s.clone()),
                 )
             })
             .collect()
     };
 
     // 1. Serial: one query at a time, no reuse.
-    let mut serial = Session::new(ServeConfig {
+    let mut serial = QueryEngine::new(ServeConfig {
         max_concurrent: 1,
         ..base.clone()
     });
@@ -166,7 +166,7 @@ fn main() {
 
     // 2. Interleaved: admission + remaining-work-first chunk scheduling,
     //    still cold.
-    let mut interleaved = Session::new(base.clone());
+    let mut interleaved = QueryEngine::new(base.clone());
     let ids = register_all(&mut interleaved);
     summarize(
         "interleaved (no cache)",
@@ -174,7 +174,7 @@ fn main() {
     );
 
     // 3. Interleaved + clustered-index cache, cold then warm pass.
-    let mut cached = Session::new(ServeConfig {
+    let mut cached = QueryEngine::new(ServeConfig {
         cache_bytes: 256 << 20,
         ..base
     });
@@ -187,7 +187,7 @@ fn main() {
         "interleaved + cache (warm)",
         &serve_pass(&mut cached, &mix, &ids),
     );
-    println!("(the warm pass runs on the cold pass's session: its peaks are session-lifetime)");
+    println!("(the warm pass runs on the cold pass's engine: its peaks are engine-lifetime)");
     let stats = cached.cache_stats();
     println!(
         "cache after both passes: {} hits / {} misses / {} evictions, {} B resident",
@@ -201,12 +201,14 @@ fn main() {
         .query(l0, s0)
         .project(QuerySpec::symmetric(2))
         .submit();
-    cached.drive(3);
+    for _ in 0..3 {
+        cached.step();
+    }
     let late = cached
         .query(l0, s0)
         .project(QuerySpec::symmetric(2))
         .submit();
-    cached.drive_until_idle();
+    while cached.step() != EngineStep::Idle {}
     match (cached.poll(early), cached.poll(late)) {
         (TicketPoll::Done(Served::Columns(a)), TicketPoll::Done(Served::Columns(b))) => {
             assert_eq!(a.result.cardinality(), b.result.cardinality());
@@ -220,15 +222,17 @@ fn main() {
     }
 
     // 5. Robustness: a latecomer with an impossible deadline is rejected at
-    // admission — the cost model prices it at this session's cache share
+    // admission — the cost model prices it at this engine's cache share
     // and refuses before a single chunk runs — while a straggler cancelled
     // mid-flight hands its memory grant back at the next chunk boundary.
-    // Neither disturbs the in-flight query they share the session with.
+    // Neither disturbs the in-flight query they share the engine with.
     let in_flight = cached
         .query(l0, s0)
         .project(QuerySpec::symmetric(2))
         .submit();
-    cached.drive(3);
+    for _ in 0..3 {
+        cached.step();
+    }
     let doomed = cached
         .query(l0, s0)
         .project(QuerySpec::symmetric(2))
@@ -238,9 +242,11 @@ fn main() {
         .query(l0, s0)
         .project(QuerySpec::symmetric(2))
         .submit();
-    cached.drive(6);
+    for _ in 0..6 {
+        cached.step();
+    }
     let was_live = cached.cancel(straggler);
-    cached.drive_until_idle();
+    while cached.step() != EngineStep::Idle {}
     match cached.poll(doomed) {
         TicketPoll::Rejected(RdxError::Deadline(DeadlineError::Infeasible {
             predicted_ns,
@@ -265,10 +271,10 @@ fn main() {
     match cached.poll(in_flight) {
         TicketPoll::Done(Served::Columns(q)) => println!(
             "the in-flight query never noticed: {} rows, byte-identical by \
-             construction ({} cancellation(s), {} deadline reject(s) this session)",
+             construction ({} cancellation(s), {} deadline reject(s) this engine)",
             q.stats.rows,
-            cached.engine_mut().stats().cancellations,
-            cached.engine_mut().stats().deadline_rejects,
+            cached.stats().cancellations,
+            cached.stats().deadline_rejects,
         ),
         other => panic!("the in-flight query must finish, got {other:?}"),
     }

@@ -1,5 +1,5 @@
 //! A standalone wire-protocol server: registers a deterministic join
-//! workload, binds a TCP listener, and hands the session to the `rdx-net`
+//! workload, binds a TCP listener, and hands the engine to the `rdx-net`
 //! poll loop — clients connect with `examples/net_client.rs` (or any
 //! speaker of the versioned frame format in `net::wire`).
 //!
@@ -30,12 +30,12 @@ fn main() {
         .seed(42)
         .build();
 
-    let mut session = Session::new(ServeConfig {
+    let mut engine = QueryEngine::new(ServeConfig {
         observability: true,
         ..ServeConfig::default()
     });
-    let larger = session.register(workload.larger.clone());
-    let smaller = session.register(workload.smaller.clone());
+    let larger = engine.register(workload.larger.clone());
+    let smaller = engine.register(workload.smaller.clone());
 
     let listener = NetListener::bind_tcp(&addr).expect("bind listener");
     let bound = listener.tcp_addr().expect("tcp listener has an address");
@@ -51,10 +51,10 @@ fn main() {
     );
     println!("  connect with: cargo run --release --example net_client {bound}");
 
-    // `into_server` (rather than `Session::serve`) keeps the engine
-    // reachable after the loop exits, so we can report engine-side stats
-    // next to the connection-lifecycle ones.
-    let mut server = session.into_server(listener, NetConfig::default());
+    // The server owns the engine and keeps it reachable after the loop
+    // exits, so we can report engine-side stats next to the
+    // connection-lifecycle ones.
+    let mut server = NetServer::new(listener, engine, NetConfig::default());
     let net = server.serve();
     let engine = server.engine_mut().stats();
     println!(

@@ -1,10 +1,10 @@
 //! The observability layer end to end: a zipfian ticket mix runs through a
-//! [`Session`] built with [`ServeConfig::observability`] on, then the
+//! [`QueryEngine`] built with [`ServeConfig::observability`] on, then the
 //! example prints the metrics registry (engine counters and gauges,
 //! queue-wait / service / chunk-latency histograms, the cost model's
 //! predicted-vs-observed ratio) and replays **one query's complete
 //! lifecycle** — submit → admit → cache lookup → chunk steps → done —
-//! from a single [`Session::trace_snapshot`].
+//! from a single trace snapshot ([`Obs::trace_snapshot`]).
 //!
 //! Run with `cargo run --release --example observability [queries]`
 //! (default 16).
@@ -27,7 +27,7 @@ fn main() {
         ..MixConfig::default()
     });
 
-    let mut session = Session::new(ServeConfig {
+    let mut engine = QueryEngine::new(ServeConfig {
         params: CacheParams::paper_pentium4(),
         global_budget: MemoryBudget::bytes(mix.tenant_data_bytes(0) / 4),
         max_concurrent: 3,
@@ -41,8 +41,8 @@ fn main() {
         .iter()
         .map(|w| {
             (
-                session.register(w.larger.clone()),
-                session.register(w.smaller.clone()),
+                engine.register(w.larger.clone()),
+                engine.register(w.smaller.clone()),
             )
         })
         .collect();
@@ -53,29 +53,32 @@ fn main() {
         .iter()
         .map(|q| {
             let (larger, smaller) = ids[q.tenant];
-            session
+            engine
                 .query(larger, smaller)
                 .project(QuerySpec::symmetric(q.project))
                 .submit()
         })
         .collect();
-    while session.drive(64) > 0 {}
+    while engine.step() != EngineStep::Idle {}
     let reports: Vec<_> = tickets
         .iter()
-        .map(|&t| match session.poll(t) {
+        .map(|&t| match engine.poll(t) {
             TicketPoll::Done(Served::Columns(report)) => report,
             other => panic!("every ticket must finish, got {other:?}"),
         })
         .collect();
 
-    // 1. The whole session in one text snapshot.
-    let metrics = session.metrics().expect("observability is on");
+    // 1. The whole engine in one text snapshot.
+    let metrics = engine
+        .obs()
+        .metrics_snapshot()
+        .expect("observability is on");
     println!("=== metrics snapshot ===\n{}", metrics.to_text());
 
     // 2. One query's complete lifecycle, replayed from the shared trace.
     // Pick the last report: under zipfian repetition it is usually a warm
     // (cache-hit) lifecycle with no join prefix to pay.
-    let trace = session.trace_snapshot().expect("observability is on");
+    let trace = engine.obs().trace_snapshot().expect("observability is on");
     let stats = &reports.last().expect("served at least one query").stats;
     let query = QueryId(stats.query_id);
     println!(

@@ -1,6 +1,7 @@
-//! Quickstart through the **one front door**: open a [`Session`], register
-//! the relations, and run one projected join with the cost-planned strategy
-//! — then print the phase breakdown the session measured.
+//! Quickstart through the **one front door**: open a [`QueryEngine`],
+//! register the relations, and run one projected join with the
+//! cost-planned strategy — then print the phase breakdown the engine
+//! measured.
 //!
 //! ```text
 //! cargo run --release --example quickstart [cardinality] [projected_columns]
@@ -18,16 +19,21 @@ fn main() {
     );
     let workload = JoinWorkloadBuilder::equal(cardinality, pi).seed(7).build();
 
-    // One front door: the session owns the catalog, the cache params every
-    // plan is priced against, and the planner entry every mode resolves
-    // through.  `run()` submits one ticket, then polls it and steps the
-    // engine until the poll is terminal (`Session::poll` for a submitted
-    // ticket reports the same states).
-    let mut session = Session::with_params(CacheParams::paper_pentium4());
-    let larger = session.register(workload.larger);
-    let smaller = session.register(workload.smaller);
+    // One front door: the engine owns the catalog, the cache params every
+    // plan is priced against (here the whole cache, `plan_shares = 1`),
+    // and the planner entry every mode resolves through.  `run()` submits
+    // one ticket, then polls it and steps the engine until the poll is
+    // terminal (`QueryEngine::poll` of a submitted ticket reports the same
+    // states).
+    let mut engine = QueryEngine::new(ServeConfig {
+        params: CacheParams::paper_pentium4(),
+        plan_shares: Some(1),
+        ..ServeConfig::default()
+    });
+    let larger = engine.register(workload.larger);
+    let smaller = engine.register(workload.smaller);
 
-    let report = session
+    let report = engine
         .query(larger, smaller)
         .project(QuerySpec::symmetric(pi))
         .run()

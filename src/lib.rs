@@ -32,20 +32,17 @@
 //!   `core::budget::MemoryBudget` through a `RowChunkSink`, resumable chunk
 //!   by chunk (`exec::PipelineRun`), and a whole result is its one-chunk
 //!   stream (`exec::ProjectionPipeline::materialize`).
-//! * [`serve`] — the cache-aware **multi-query serving layer**: a relation
-//!   catalog, an admission controller splitting one global memory budget
-//!   into per-query shares, a remaining-work-first chunk scheduler (with a
-//!   starvation bound) interleaving concurrent queries at chunk
-//!   boundaries, a byte-budgeted cache of
-//!   clustered join indexes, ranked by use count, for cross-query reuse —
-//!   and the ticket-granular [`serve::QueryEngine`] underneath it all.
-//! * [`api`] — **one front door**: the unified [`api::Session`] /
-//!   [`api::Query`] surface with non-blocking submission tickets.  A
-//!   `Session` owns the catalog, shared cache params, global budget,
-//!   join-index cache and scratch pools; the fluent builder ends in
-//!   `submit()` (a [`serve::TicketId`] observed without blocking by
-//!   [`api::Session::poll`], which hands on the engine's one
-//!   [`serve::TicketPoll`], and pumped by [`api::Session::drive`]) or
+//! * [`serve`] — the cache-aware **multi-query serving layer** and the one
+//!   front door: a relation catalog, an admission controller splitting one
+//!   global memory budget into per-query shares, a remaining-work-first
+//!   chunk scheduler (with a starvation bound) interleaving concurrent
+//!   queries at chunk boundaries, a byte-budgeted cache of clustered join
+//!   indexes, ranked by use count, for cross-query reuse — all held by the
+//!   ticket-granular [`serve::QueryEngine`].  A query starts at
+//!   [`serve::QueryEngine::query`], a fluent [`serve::Query`] builder that
+//!   ends in `submit()` (a [`serve::TicketId`] observed without blocking
+//!   by [`serve::QueryEngine::poll`], which returns the one
+//!   [`serve::TicketPoll`], and pumped by [`serve::QueryEngine::step`]) or
 //!   `run()`, which is one such ticket polled and stepped until it
 //!   finishes.
 //!   Requests may carry a **deadline** (checked against the cost model at
@@ -81,10 +78,14 @@
 //! // Two relations of equal size that join on `key`, two projection columns each.
 //! let workload = workload::JoinWorkloadBuilder::equal(10_000, 2).seed(1).build();
 //!
-//! let mut session = Session::with_params(CacheParams::paper_pentium4());
-//! let larger = session.register(workload.larger.clone());
-//! let smaller = session.register(workload.smaller.clone());
-//! let report = session
+//! let mut engine = QueryEngine::new(ServeConfig {
+//!     params: CacheParams::paper_pentium4(),
+//!     plan_shares: Some(1),
+//!     ..ServeConfig::default()
+//! });
+//! let larger = engine.register(workload.larger.clone());
+//! let smaller = engine.register(workload.smaller.clone());
+//! let report = engine
 //!     .query(larger, smaller)
 //!     .project(QuerySpec::symmetric(2))
 //!     .run()
@@ -93,7 +94,6 @@
 //! assert_eq!(report.result.cardinality(), workload.expected_matches);
 //! ```
 
-pub use rdx_api as api;
 pub use rdx_cache as cache;
 pub use rdx_core as core;
 pub use rdx_cost as cost;
@@ -107,7 +107,6 @@ pub use rdx_workload as workload;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use rdx_api::{Query, Session};
     pub use rdx_cache::{CacheParams, MemorySystem, NoProbe};
     pub use rdx_core::budget::{BudgetError, MemoryBudget};
     pub use rdx_core::cluster::{
@@ -141,7 +140,7 @@ pub mod prelude {
         TraceEvent, TraceSnapshot,
     };
     pub use rdx_serve::{
-        CacheStats, Catalog, EngineStats, EngineStep, QueryEngine, QueryResult, QueryStats,
+        CacheStats, Catalog, EngineStats, EngineStep, Query, QueryEngine, QueryResult, QueryStats,
         RelationId, ResultForm, ServeConfig, Served, ServerRequest, TenantId, TenantQuota,
         TenantQuotas, TenantStats, TicketId, TicketPoll,
     };
@@ -164,5 +163,45 @@ pub mod prelude {
     ) -> (RadixClusterSpec, ()) {
         let spec = rdx_core::cluster::plan_partial_cluster(column_tuples, value_width, params);
         (spec, ())
+    }
+
+    /// The engine under the name the `benchmark/` package gives it: it
+    /// calls `Session::new(config)`, `register_arc`, `query(..)` and
+    /// `cache_stats()`, which the engine has, and the four calls of
+    /// [`SessionShim`], which it does not.  Like `plan_partial_cluster`
+    /// above, it keeps that frozen package compiling and is the only
+    /// place the name survives; new code names [`QueryEngine`].
+    pub type Session = QueryEngine;
+
+    /// The four calls the `benchmark/` package makes on a [`Session`] that
+    /// the engine lacks, each one line over the engine.  New code calls
+    /// the engine, its [`Obs`] handle and [`NetServer::new`] directly.
+    pub trait SessionShim {
+        /// The engine itself.
+        fn engine_mut(&mut self) -> &mut QueryEngine;
+        /// [`Obs::metrics_snapshot`] of the engine's handle.
+        fn metrics(&self) -> Option<MetricsSnapshot>;
+        /// [`Obs::trace_snapshot`] of the engine's handle.
+        fn trace_snapshot(&self) -> Option<TraceSnapshot>;
+        /// [`NetServer::new`] over the engine.
+        fn into_server(self, listener: NetListener, config: NetConfig) -> NetServer;
+    }
+
+    impl SessionShim for QueryEngine {
+        fn engine_mut(&mut self) -> &mut QueryEngine {
+            self
+        }
+
+        fn metrics(&self) -> Option<MetricsSnapshot> {
+            self.obs().metrics_snapshot()
+        }
+
+        fn trace_snapshot(&self) -> Option<TraceSnapshot> {
+            self.obs().trace_snapshot()
+        }
+
+        fn into_server(self, listener: NetListener, config: NetConfig) -> NetServer {
+            NetServer::new(listener, self, config)
+        }
     }
 }

@@ -309,8 +309,10 @@ fn engine_step_allocates_nothing_mid_ticket() {
         });
         let larger = engine.register(w.larger.clone());
         let smaller = engine.register(w.smaller.clone());
-        let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(2));
-        let ticket = engine.submit(request.with_form(form));
+        let ticket = engine.submit(ServerRequest {
+            form,
+            ..ServerRequest::new(larger, smaller, QuerySpec::symmetric(2))
+        });
 
         // Warm-up: admission, the prefix build and the first chunk allocate.
         assert!(matches!(engine.step(), EngineStep::Chunk { .. }));
@@ -427,15 +429,15 @@ fn a_warm_whole_result_query_allocates_its_result_once() {
     let _guard = serialized();
     let w = JoinWorkloadBuilder::equal(20_000, 2).seed(79).build();
     let spec = QuerySpec::symmetric(2);
-    let mut session = Session::new(ServeConfig {
+    let mut engine = QueryEngine::new(ServeConfig {
         max_concurrent: 1,
         threads_per_query: 1,
         ..ServeConfig::default()
     });
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
-    let run = |session: &mut Session| {
-        session
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
+    let run = |engine: &mut QueryEngine| {
+        engine
             .query(larger, smaller)
             .project(spec)
             .codes(DsmPostProjection::with_codes(
@@ -446,10 +448,10 @@ fn a_warm_whole_result_query_allocates_its_result_once() {
             .expect("serves")
     };
     // Cold: builds and caches the prefix, and pools the chunk scratch.
-    drop(run(&mut session));
+    drop(run(&mut engine));
 
     let mut warm = None;
-    let bytes = bytes_allocated_during(|| warm = Some(run(&mut session)));
+    let bytes = bytes_allocated_during(|| warm = Some(run(&mut engine)));
     let warm = warm.expect("ran");
     assert!(warm.stats.cache_hit && warm.stats.scratch_reused);
     assert_eq!(
@@ -462,7 +464,7 @@ fn a_warm_whole_result_query_allocates_its_result_once() {
         (result_bytes..result_bytes + result_bytes / 8).contains(&bytes),
         "a warm query allocated {bytes} B for a {result_bytes} B result"
     );
-    let pooled = session.engine_mut().pooled_scratch_bytes();
+    let pooled = engine.pooled_scratch_bytes();
     assert_eq!(
         pooled / rows,
         4,

@@ -1,11 +1,11 @@
-//! API-equivalence conformance: the `Session`/`Query` front door must
+//! API-equivalence conformance: the `QueryEngine::query` front door must
 //! compute the reference multiset of rows and be **byte-identical** to the
 //! one materialise entry, `ProjectionPipeline::materialize` — one chunk on
 //! one worker, on two workers, and chunked at 1/16 of the data — across the
 //! workspace `(N, h, ω, π, params)` grid and every `u/s/c × u/d` code
 //! combination;
-//! and the non-blocking ticket loop (`submit` / `Session::drive` /
-//! `Session::poll`) must reproduce a submit-all, drain-to-idle pass
+//! and the non-blocking ticket loop (`submit` / `QueryEngine::step` /
+//! `QueryEngine::poll`) must reproduce a submit-all, drain-to-idle pass
 //! **chunk for chunk**, while accepting new submissions between chunk
 //! steps of in-flight queries (the async-front enabler of the
 //! one-front-door redesign).
@@ -13,7 +13,6 @@
 mod common;
 
 use common::{columns, materialize, serve_all};
-use radix_decluster::api::Session;
 use radix_decluster::core::strategy::planner::streaming_bytes_per_row;
 use radix_decluster::core::strategy::reference::{reference_rows, result_rows};
 use radix_decluster::prelude::*;
@@ -60,11 +59,15 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
                 for params in grid_params() {
                     let cell = format!("N={n} h={h} ω={omega} π=({pi_l},{pi_s})");
                     let reference = reference_rows(&w.larger, &w.smaller, &spec);
-                    // plan_shares = 1 ⇒ the session plans at exactly
+                    // plan_shares = 1 ⇒ the engine plans at exactly
                     // `params`, like the materialise entry.
-                    let mut session = Session::with_params(params.clone());
-                    let larger = session.register(w.larger.clone());
-                    let smaller = session.register(w.smaller.clone());
+                    let mut engine = QueryEngine::new(ServeConfig {
+                        params: params.clone(),
+                        plan_shares: Some(1),
+                        ..ServeConfig::default()
+                    });
+                    let larger = engine.register(w.larger.clone());
+                    let smaller = engine.register(w.smaller.clone());
                     for plan in all_codes() {
                         let run = |policy: &ExecPolicy| {
                             columns(
@@ -80,46 +83,46 @@ fn session_is_byte_identical_to_every_legacy_entry_point_across_the_grid() {
                             .budget(MemoryBudget::fraction_of(data_bytes, 16));
                         assert_eq!(run(&policy), expected, "{cell} pipeline");
                         // The front door: one-shot run with pinned codes.
-                        let report = session
+                        let report = engine
                             .query(larger, smaller)
                             .project(spec)
                             .codes(plan)
                             .run()
-                            .expect("session run");
+                            .expect("engine run");
                         assert_eq!(
                             result_rows(&report.result),
                             reference,
-                            "{cell} session ≡ oracle {}",
+                            "{cell} engine ≡ oracle {}",
                             plan.label()
                         );
                         assert_eq!(
                             columns(&report.result),
                             expected,
-                            "{cell} session run {}",
+                            "{cell} engine run {}",
                             plan.label()
                         );
                         assert_eq!(report.stats.plan, plan);
                         // The front door, chunked: a submitted ticket
                         // under the same 1/16 budget (floored at one
-                        // resident row — the session's checked planner
+                        // resident row — the engine's checked planner
                         // rejects anything smaller by design), threads = 2.
                         let floored = (data_bytes / 16).max(streaming_bytes_per_row(&spec));
-                        let ticket = session
+                        let ticket = engine
                             .query(larger, smaller)
                             .project(spec)
                             .codes(plan)
                             .budget(MemoryBudget::bytes(floored))
                             .threads(2)
                             .submit();
-                        session.drive_until_idle();
-                        let chunked = match session.poll(ticket) {
+                        while engine.step() != EngineStep::Idle {}
+                        let chunked = match engine.poll(ticket) {
                             TicketPoll::Done(Served::Columns(report)) => report,
-                            other => panic!("{cell} session ticket: {other:?}"),
+                            other => panic!("{cell} engine ticket: {other:?}"),
                         };
                         assert_eq!(
                             columns(&chunked.result),
                             expected,
-                            "{cell} session ticket {}",
+                            "{cell} engine ticket {}",
                             plan.label()
                         );
                         assert_eq!(chunked.stats.rows, w.expected_matches, "{cell}");
@@ -142,12 +145,21 @@ fn mixed_requests(larger: RelationId, smaller: RelationId, spec: QuerySpec) -> V
     vec![
         ServerRequest::new(larger, smaller, spec),
         ServerRequest::new(larger, smaller, QuerySpec::symmetric(1)),
-        ServerRequest::new(larger, smaller, spec).with_budget_hint(MemoryBudget::bytes(256)),
-        ServerRequest::new(larger, smaller, spec).with_codes(DsmPostProjection::with_codes(
-            ProjectionCode::Unsorted,
-            SecondSideCode::Decluster,
-        )),
-        ServerRequest::new(larger, smaller, spec).with_threads(2),
+        ServerRequest {
+            budget_hint: Some(MemoryBudget::bytes(256)),
+            ..ServerRequest::new(larger, smaller, spec)
+        },
+        ServerRequest {
+            codes: Some(DsmPostProjection::with_codes(
+                ProjectionCode::Unsorted,
+                SecondSideCode::Decluster,
+            )),
+            ..ServerRequest::new(larger, smaller, spec)
+        },
+        ServerRequest {
+            threads_hint: Some(2),
+            ..ServerRequest::new(larger, smaller, spec)
+        },
         ServerRequest::new(larger, smaller, spec),
     ]
 }
@@ -168,7 +180,7 @@ fn interleaved_tickets_reproduce_drain_to_idle_chunk_for_chunk() {
     };
 
     // Submit everything, then drain the engine to idle.
-    let mut drained = Session::new(config.clone());
+    let mut drained = QueryEngine::new(config.clone());
     let requests = mixed_requests(
         drained.register(w.larger.clone()),
         drained.register(w.smaller.clone()),
@@ -178,16 +190,16 @@ fn interleaved_tickets_reproduce_drain_to_idle_chunk_for_chunk() {
 
     // Ticket shape: same config, same requests, driven incrementally with
     // polls between steps.
-    let mut session = Session::new(config);
+    let mut engine = QueryEngine::new(config);
     let requests2 = mixed_requests(
-        session.register(w.larger.clone()),
-        session.register(w.smaller.clone()),
+        engine.register(w.larger.clone()),
+        engine.register(w.smaller.clone()),
         spec,
     );
     let tickets: Vec<TicketId> = requests2
         .iter()
         .map(|r| {
-            session
+            engine
                 .query(r.larger, r.smaller)
                 .project(r.spec)
                 .pipe_hints(r)
@@ -199,18 +211,18 @@ fn interleaved_tickets_reproduce_drain_to_idle_chunk_for_chunk() {
     // Drive one chunk-step at a time, polling every still-open ticket in
     // between — the access pattern of an async front.
     loop {
-        let ran = session.drive(1);
+        let idle = engine.step() == EngineStep::Idle;
         for (i, t) in tickets.iter().enumerate() {
             if reports[i].is_some() {
                 continue;
             }
-            match session.poll(*t) {
+            match engine.poll(*t) {
                 TicketPoll::Done(Served::Columns(r)) => reports[i] = Some(r),
                 TicketPoll::Queued { .. } | TicketPoll::Running { .. } => {}
                 other => panic!("query {i} not served: {other:?}"),
             }
         }
-        if ran == 0 {
+        if idle {
             break;
         }
     }
@@ -259,7 +271,7 @@ impl<'s> PipeHints<'s> for Query<'s> {
 #[test]
 fn a_submission_lands_between_chunk_steps_of_an_in_flight_query() {
     let w = JoinWorkloadBuilder::equal(3_000, 1).seed(73).build();
-    let mut session = Session::new(ServeConfig {
+    let mut engine = QueryEngine::new(ServeConfig {
         params: CacheParams::tiny_for_tests(),
         global_budget: MemoryBudget::bytes(4 * 1024),
         max_concurrent: 4,
@@ -269,12 +281,14 @@ fn a_submission_lands_between_chunk_steps_of_an_in_flight_query() {
         observability: false,
         ..ServeConfig::default()
     });
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
 
-    let a = session.query(larger, smaller).submit();
-    assert_eq!(session.drive(4), 4);
-    let chunks_before = match session.poll(a) {
+    let a = engine.query(larger, smaller).submit();
+    for _ in 0..4 {
+        assert_ne!(engine.step(), EngineStep::Idle);
+    }
+    let chunks_before = match engine.poll(a) {
         TicketPoll::Running { chunks, .. } => chunks,
         other => panic!("A should be mid-flight, got {other:?}"),
     };
@@ -282,17 +296,19 @@ fn a_submission_lands_between_chunk_steps_of_an_in_flight_query() {
 
     // New work arrives while A is in flight; it is admitted alongside A
     // rather than waiting for A to finish.
-    let b = session.query(larger, smaller).submit();
-    session.drive(2);
-    assert!(matches!(session.poll(b), TicketPoll::Running { .. }));
+    let b = engine.query(larger, smaller).submit();
+    for _ in 0..2 {
+        engine.step();
+    }
+    assert!(matches!(engine.poll(b), TicketPoll::Running { .. }));
     assert!(
-        matches!(session.poll(a), TicketPoll::Running { chunks, .. } if chunks > chunks_before),
+        matches!(engine.poll(a), TicketPoll::Running { chunks, .. } if chunks > chunks_before),
         "A kept progressing after B joined"
     );
-    assert_eq!(session.in_flight(), 2);
+    assert_eq!(engine.in_flight(), 2);
 
-    while session.drive(64) > 0 {}
-    let (ra, rb) = match (session.poll(a), session.poll(b)) {
+    while engine.step() != EngineStep::Idle {}
+    let (ra, rb) = match (engine.poll(a), engine.poll(b)) {
         (TicketPoll::Done(Served::Columns(ra)), TicketPoll::Done(Served::Columns(rb))) => (ra, rb),
         other => panic!("both must finish, got {other:?}"),
     };
@@ -302,10 +318,10 @@ fn a_submission_lands_between_chunk_steps_of_an_in_flight_query() {
         &w.larger,
         &w.smaller,
         &QuerySpec::symmetric(1),
-        session.params(),
+        engine.shared_params(),
         &ExecPolicy::with_threads(1),
     );
     assert_eq!(columns(&ra.result), columns(&solo));
     assert_eq!(columns(&rb.result), columns(&solo));
-    assert!(session.engine_mut().stats().peak_concurrency >= 2);
+    assert!(engine.stats().peak_concurrency >= 2);
 }

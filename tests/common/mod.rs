@@ -35,7 +35,7 @@ pub fn columns(result: &ResultRelation) -> Vec<Vec<i32>> {
 /// Registers every tenant pair of `mix` and builds one request per drawn
 /// query, capped at its budget preset when `budget_hints` is set.
 pub fn register_mix(
-    session: &mut Session,
+    engine: &mut QueryEngine,
     mix: &QueryMix,
     budget_hints: bool,
 ) -> Vec<ServerRequest> {
@@ -44,8 +44,8 @@ pub fn register_mix(
         .iter()
         .map(|w| {
             (
-                session.register(w.larger.clone()),
-                session.register(w.smaller.clone()),
+                engine.register(w.larger.clone()),
+                engine.register(w.smaller.clone()),
             )
         })
         .collect();
@@ -53,34 +53,30 @@ pub fn register_mix(
         .iter()
         .map(|q| {
             let (larger, smaller) = ids[q.tenant];
-            let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(q.project));
-            match q.budget_denominator {
-                Some(d) if budget_hints => request.with_budget_hint(MemoryBudget::fraction_of(
-                    mix.tenant_data_bytes(q.tenant),
-                    d,
-                )),
-                _ => request,
+            let budget_hint = q.budget_denominator.filter(|_| budget_hints);
+            ServerRequest {
+                budget_hint: budget_hint
+                    .map(|d| MemoryBudget::fraction_of(mix.tenant_data_bytes(q.tenant), d)),
+                ..ServerRequest::new(larger, smaller, QuerySpec::symmetric(q.project))
             }
         })
         .collect()
 }
 
-/// Submits every request as a ticket, drains the session until idle, and
+/// Submits every request as a ticket, steps the engine until idle, and
 /// polls the outcomes back in submission order.
 pub fn serve_all(
-    session: &mut Session,
+    engine: &mut QueryEngine,
     requests: &[ServerRequest],
 ) -> Vec<Result<QueryResult, RdxError>> {
-    let engine = session.engine_mut();
     let tickets: Vec<TicketId> = requests.iter().map(|r| engine.submit(*r)).collect();
-    session.drive_until_idle();
-    let engine = session.engine_mut();
+    while engine.step() != EngineStep::Idle {}
     tickets
         .into_iter()
         .map(|t| match engine.poll(t) {
             TicketPoll::Done(Served::Columns(result)) => Ok(result),
             TicketPoll::Rejected(RdxError::UnknownTicket { .. }) => {
-                panic!("every ticket resolves before the session idles")
+                panic!("every ticket resolves before the engine idles")
             }
             TicketPoll::Rejected(e) => Err(e),
             other => panic!("{t}: a request submitted as columns ended {other:?}"),

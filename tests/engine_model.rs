@@ -91,18 +91,18 @@ fn config(global: Option<usize>) -> ServeConfig {
 }
 
 /// The columns `request` yields run alone through `run()` on an idle,
-/// unbounded session planned at the same cache share, memoised per
+/// unbounded engine planned at the same cache share, memoised per
 /// (pair, spec, pinned codes).
 fn solo(request: &ServerRequest) -> Vec<Vec<i32>> {
     type Memo = HashMap<String, Vec<Vec<i32>>>;
     thread_local! {
-        static SOLO: RefCell<(Session, Memo)> = RefCell::new({
-            let mut session = Session::new(config(None));
+        static SOLO: RefCell<(QueryEngine, Memo)> = RefCell::new({
+            let mut engine = QueryEngine::new(config(None));
             for w in pairs() {
-                session.register(w.larger.clone());
-                session.register(w.smaller.clone());
+                engine.register(w.larger.clone());
+                engine.register(w.smaller.clone());
             }
-            (session, HashMap::new())
+            (engine, HashMap::new())
         });
     }
     let key = format!(
@@ -110,10 +110,10 @@ fn solo(request: &ServerRequest) -> Vec<Vec<i32>> {
         request.larger, request.spec, request.codes
     );
     SOLO.with(|solo| {
-        let (session, memo) = &mut *solo.borrow_mut();
+        let (engine, memo) = &mut *solo.borrow_mut();
         memo.entry(key)
             .or_insert_with(|| {
-                let query = session.query(request.larger, request.smaller);
+                let query = engine.query(request.larger, request.smaller);
                 let query = query.project(request.spec);
                 let query = match request.codes {
                     Some(codes) => query.codes(codes),
@@ -280,28 +280,26 @@ fn request(tenants: &[TenantId], mut r: u64) -> ServerRequest {
         RelationId::from_raw(2 * pair),
         RelationId::from_raw(2 * pair + 1),
         spec,
-    )
-    .with_priority(1 + draw(3) as u32);
-    if let Some(&t) = tenants.get(draw(4)) {
-        req = req.with_tenant(t);
-    }
-    if let Some(&bytes) = [16, 200, 1_000].get(draw(6)) {
-        req = req.with_budget_hint(MemoryBudget::bytes(bytes));
-    }
+    );
+    req.priority = 1 + draw(3) as u32;
+    req.tenant = tenants.get(draw(4)).copied();
+    req.budget_hint = [16, 200, 1_000]
+        .get(draw(6))
+        .map(|&b| MemoryBudget::bytes(b));
     if draw(3) == 0 {
         let retries = 1 + draw(2) as u32;
-        req = req.with_retry(RetryPolicy::with_retries(retries).backoff(1 + draw(3) as u64));
+        req.retry = Some(RetryPolicy::with_retries(retries).backoff(1 + draw(3) as u64));
     }
-    if let Some(&(first, second)) = CODES.get(draw(6)) {
-        req = req.with_codes(DsmPostProjection::with_codes(first, second));
-    }
-    req.with_form(match draw(4) {
+    req.codes =
+        (CODES.get(draw(6))).map(|&(first, second)| DsmPostProjection::with_codes(first, second));
+    req.form = match draw(4) {
         0 => ResultForm::Frame {
             max_payload: 1 << 20,
         },
         1 => ResultForm::Frame { max_payload: 2_000 },
         _ => ResultForm::Columns,
-    })
+    };
+    req
 }
 
 /// A fault plan of up to four actions over the first sixteen submissions.

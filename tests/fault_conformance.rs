@@ -38,12 +38,12 @@ fn serial_columns(
 ) -> Vec<Vec<i32>> {
     let mut cfg = config(budget_bytes, false);
     cfg.max_concurrent = 1;
-    let mut session = Session::new(cfg);
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
-    let ticket = session.query(larger, smaller).project(spec).submit();
-    while session.drive(64) > 0 {}
-    match session.poll(ticket) {
+    let mut engine = QueryEngine::new(cfg);
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
+    let ticket = engine.query(larger, smaller).project(spec).submit();
+    while engine.step() != EngineStep::Idle {}
+    match engine.poll(ticket) {
         TicketPoll::Done(Served::Columns(q)) => columns(&q.result),
         other => panic!("serial oracle must complete, got {other:?}"),
     }
@@ -55,55 +55,54 @@ fn injected_worker_panic_poisons_exactly_one_query() {
     let spec = QuerySpec::symmetric(1);
     let expected = serial_columns(&w, spec, 4 * 1024);
 
-    let mut session = Session::new(config(4 * 1024, false));
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
+    let mut engine = QueryEngine::new(config(4 * 1024, false));
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
     // Submission ordinal 0 panics on worker 1 at its third chunk step;
     // ordinal 1 is untouched and runs concurrently with the failure.
-    session.inject_faults(FaultPlan::new().panic_at(0, 2, 1));
-    let victim = session.query(larger, smaller).project(spec).submit();
-    let survivor = session.query(larger, smaller).project(spec).submit();
-    while session.drive(64) > 0 {}
+    engine.inject_faults(FaultPlan::new().panic_at(0, 2, 1));
+    let victim = engine.query(larger, smaller).project(spec).submit();
+    let survivor = engine.query(larger, smaller).project(spec).submit();
+    while engine.step() != EngineStep::Idle {}
 
-    match session.poll(victim) {
+    match engine.poll(victim) {
         TicketPoll::Rejected(RdxError::WorkerPanicked { worker }) => assert_eq!(worker, 1),
         other => panic!("victim must report its panic, got {other:?}"),
     }
     // The terminal outcome is delivered to exactly one poll.
     assert!(matches!(
-        session.poll(victim),
+        engine.poll(victim),
         TicketPoll::Rejected(RdxError::UnknownTicket { .. })
     ));
-    match session.poll(survivor) {
+    match engine.poll(survivor) {
         TicketPoll::Done(Served::Columns(q)) => assert_eq!(columns(&q.result), expected),
         other => panic!("survivor must finish clean, got {other:?}"),
     }
-    let engine = session.engine_mut();
     assert_eq!(engine.stats().worker_panics, 1);
     assert_eq!(engine.committed_bytes(), 0, "panicked grant reclaimed");
 
     // A one-shot run() is a ticket too (submission ordinal 2): a scripted
     // panic poisons it on its first chunk, typed, with its grant back.
-    session.inject_faults(FaultPlan::new().panic_at(2, 0, 1));
-    let err = session.query(larger, smaller).project(spec).run();
+    engine.inject_faults(FaultPlan::new().panic_at(2, 0, 1));
+    let err = engine.query(larger, smaller).project(spec).run();
     assert_eq!(err.unwrap_err(), RdxError::WorkerPanicked { worker: 1 });
-    assert_eq!(session.engine_mut().committed_bytes(), 0);
+    assert_eq!(engine.committed_bytes(), 0);
 }
 
 #[test]
 fn infeasible_deadline_never_runs_a_chunk() {
     let w = JoinWorkloadBuilder::equal(2_000, 1).seed(43).build();
     let spec = QuerySpec::symmetric(1);
-    let mut session = Session::new(config(4 * 1024, false));
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
-    let doomed = session
+    let mut engine = QueryEngine::new(config(4 * 1024, false));
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
+    let doomed = engine
         .query(larger, smaller)
         .project(spec)
         .deadline(1)
         .submit();
-    while session.drive(64) > 0 {}
-    match session.poll(doomed) {
+    while engine.step() != EngineStep::Idle {}
+    match engine.poll(doomed) {
         TicketPoll::Rejected(RdxError::Deadline(DeadlineError::Infeasible {
             predicted_ns,
             deadline_ns,
@@ -113,7 +112,7 @@ fn infeasible_deadline_never_runs_a_chunk() {
         }
         other => panic!("expected infeasible rejection, got {other:?}"),
     }
-    let stats = session.engine_mut().stats();
+    let stats = engine.stats();
     assert_eq!(stats.deadline_rejects, 1);
     assert_eq!(
         stats.chunks_dispatched, 0,
@@ -125,19 +124,19 @@ fn infeasible_deadline_never_runs_a_chunk() {
 fn scripted_slowdown_exceeds_the_deadline_deterministically() {
     let w = JoinWorkloadBuilder::equal(1_500, 1).seed(47).build();
     let spec = QuerySpec::symmetric(1);
-    let mut session = Session::new(config(2 * 1024, false));
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
+    let mut engine = QueryEngine::new(config(2 * 1024, false));
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
     // A second of real slack dwarfs actual wall time; only the scripted
     // 10¹² ns slowdown at chunk 1 can trip the deadline.
-    session.inject_faults(FaultPlan::new().slow_at(0, 1, 1_000_000_000_000));
-    let ticket = session
+    engine.inject_faults(FaultPlan::new().slow_at(0, 1, 1_000_000_000_000));
+    let ticket = engine
         .query(larger, smaller)
         .project(spec)
         .deadline(1_000_000_000)
         .submit();
-    while session.drive(64) > 0 {}
-    match session.poll(ticket) {
+    while engine.step() != EngineStep::Idle {}
+    match engine.poll(ticket) {
         TicketPoll::Rejected(RdxError::Deadline(DeadlineError::Exceeded {
             consumed_ns,
             deadline_ns,
@@ -147,11 +146,11 @@ fn scripted_slowdown_exceeds_the_deadline_deterministically() {
         }
         other => panic!("expected deadline-exceeded teardown, got {other:?}"),
     }
-    assert_eq!(session.engine_mut().committed_bytes(), 0);
+    assert_eq!(engine.committed_bytes(), 0);
 
     // A one-shot run() (ordinal 1) is enforced at the same chunk boundary.
-    session.inject_faults(FaultPlan::new().slow_at(1, 1, 1_000_000_000_000));
-    let err = session
+    engine.inject_faults(FaultPlan::new().slow_at(1, 1, 1_000_000_000_000));
+    let err = engine
         .query(larger, smaller)
         .project(spec)
         .deadline(1_000_000_000)
@@ -162,14 +161,14 @@ fn scripted_slowdown_exceeds_the_deadline_deterministically() {
         RdxError::Deadline(DeadlineError::Exceeded { consumed_ns, deadline_ns })
             if consumed_ns > deadline_ns && deadline_ns == 1_000_000_000
     ));
-    assert_eq!(session.engine_mut().committed_bytes(), 0);
+    assert_eq!(engine.committed_bytes(), 0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Cancellation at **every** chunk boundary: for each workload seed the
-    /// inner loop cancels the victim after exactly `k` drive steps, for all
+    /// inner loop cancels the victim after exactly `k` engine steps, for all
     /// `k` from "still queued" past "already finished".  At every boundary:
     /// the grant comes back (`Σ grants ≤ global` → committed bytes reach 0),
     /// the terminal outcome is observed exactly once, and the surviving
@@ -182,15 +181,15 @@ proptest! {
         let global = budget;
         let expected = serial_columns(&w, spec, budget);
 
-        // How many drive steps a clean two-query mix takes end to end.
+        // How many engine steps a clean two-query mix takes end to end.
         let total_steps = {
-            let mut session = Session::new(config(budget, false));
-            let larger = session.register(w.larger.clone());
-            let smaller = session.register(w.smaller.clone());
-            session.query(larger, smaller).project(spec).submit();
-            session.query(larger, smaller).project(spec).submit();
+            let mut engine = QueryEngine::new(config(budget, false));
+            let larger = engine.register(w.larger.clone());
+            let smaller = engine.register(w.smaller.clone());
+            engine.query(larger, smaller).project(spec).submit();
+            engine.query(larger, smaller).project(spec).submit();
             let mut steps = 0usize;
-            while session.drive(1) > 0 {
+            while engine.step() != EngineStep::Idle {
                 steps += 1;
             }
             steps
@@ -198,42 +197,42 @@ proptest! {
         prop_assert!(total_steps > 2);
 
         for k in 0..=total_steps {
-            let mut session = Session::new(config(budget, false));
-            let larger = session.register(w.larger.clone());
-            let smaller = session.register(w.smaller.clone());
-            let victim = session.query(larger, smaller).project(spec).submit();
-            let survivor = session.query(larger, smaller).project(spec).submit();
+            let mut engine = QueryEngine::new(config(budget, false));
+            let larger = engine.register(w.larger.clone());
+            let smaller = engine.register(w.smaller.clone());
+            let victim = engine.query(larger, smaller).project(spec).submit();
+            let survivor = engine.query(larger, smaller).project(spec).submit();
             for _ in 0..k {
-                session.drive(1);
+                engine.step();
                 // The admission invariant holds at every boundary.
-                prop_assert!(session.engine_mut().committed_bytes() <= global);
+                prop_assert!(engine.committed_bytes() <= global);
             }
-            let was_live = session.cancel(victim);
+            let was_live = engine.cancel(victim);
             if was_live {
-                match session.poll(victim) {
+                match engine.poll(victim) {
                     TicketPoll::Rejected(RdxError::Cancelled) => {}
                     other => panic!("k={k}: cancelled victim polled {other:?}"),
                 }
             } else {
                 // Cancel arrived after the finish line; the parked outcome
                 // is still delivered exactly once.
-                match session.poll(victim) {
+                match engine.poll(victim) {
                     TicketPoll::Done(Served::Columns(q)) => prop_assert_eq!(&columns(&q.result), &expected),
                     other => panic!("k={k}: finished victim polled {other:?}"),
                 }
             }
             // Exactly one terminal poll either way.
             let second_poll_is_unknown = matches!(
-                session.poll(victim),
+                engine.poll(victim),
                 TicketPoll::Rejected(RdxError::UnknownTicket { .. })
             );
             prop_assert!(second_poll_is_unknown, "terminal outcome delivered twice");
-            while session.drive(64) > 0 {}
-            match session.poll(survivor) {
+            while engine.step() != EngineStep::Idle {}
+            match engine.poll(survivor) {
                 TicketPoll::Done(Served::Columns(q)) => prop_assert_eq!(&columns(&q.result), &expected),
                 other => panic!("k={k}: survivor polled {other:?}"),
             }
-            prop_assert_eq!(session.engine_mut().committed_bytes(), 0);
+            prop_assert_eq!(engine.committed_bytes(), 0);
         }
     }
 }
@@ -243,24 +242,24 @@ fn retry_policy_recovers_scripted_grant_denials() {
     let w = JoinWorkloadBuilder::equal(800, 1).seed(53).build();
     let spec = QuerySpec::symmetric(1);
     let expected = serial_columns(&w, spec, 4 * 1024);
-    let mut session = Session::new(config(4 * 1024, false));
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
+    let mut engine = QueryEngine::new(config(4 * 1024, false));
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
 
     // Two scripted denials against two allowed retries: the third attempt
     // is admitted and the result is indistinguishable from a clean run.
-    session.inject_faults(FaultPlan::new().deny_grant(0).deny_grant(0));
-    let ticket = session
+    engine.inject_faults(FaultPlan::new().deny_grant(0).deny_grant(0));
+    let ticket = engine
         .query(larger, smaller)
         .project(spec)
         .retry(RetryPolicy::with_retries(2))
         .submit();
-    while session.drive(64) > 0 {}
-    match session.poll(ticket) {
+    while engine.step() != EngineStep::Idle {}
+    match engine.poll(ticket) {
         TicketPoll::Done(Served::Columns(q)) => assert_eq!(columns(&q.result), expected),
         other => panic!("retried query must complete, got {other:?}"),
     }
-    let stats = session.engine_mut().stats();
+    let stats = engine.stats();
     assert_eq!(stats.retries, 2);
     assert_eq!(
         stats.budget_rejects, 0,
@@ -272,22 +271,22 @@ fn retry_policy_recovers_scripted_grant_denials() {
 fn retry_exhaustion_surfaces_the_underlying_error() {
     let w = JoinWorkloadBuilder::equal(800, 1).seed(59).build();
     let spec = QuerySpec::symmetric(1);
-    let mut session = Session::new(config(4 * 1024, false));
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
+    let mut engine = QueryEngine::new(config(4 * 1024, false));
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
     // Two denials against one allowed retry: the second rejection is final.
-    session.inject_faults(FaultPlan::new().deny_grant(0).deny_grant(0));
-    let ticket = session
+    engine.inject_faults(FaultPlan::new().deny_grant(0).deny_grant(0));
+    let ticket = engine
         .query(larger, smaller)
         .project(spec)
         .retry(RetryPolicy::with_retries(1))
         .submit();
-    while session.drive(64) > 0 {}
+    while engine.step() != EngineStep::Idle {}
     assert!(matches!(
-        session.poll(ticket),
+        engine.poll(ticket),
         TicketPoll::Rejected(RdxError::Budget(BudgetError::ZeroBytes))
     ));
-    let stats = session.engine_mut().stats();
+    let stats = engine.stats();
     assert_eq!((stats.retries, stats.budget_rejects), (1, 1));
 }
 
@@ -296,21 +295,21 @@ fn panicked_query_with_retry_completes_byte_identical() {
     let w = JoinWorkloadBuilder::equal(1_200, 1).seed(61).build();
     let spec = QuerySpec::symmetric(1);
     let expected = serial_columns(&w, spec, 4 * 1024);
-    let mut session = Session::new(config(4 * 1024, false));
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
-    session.inject_faults(FaultPlan::new().panic_at(0, 1, 0));
-    let ticket = session
+    let mut engine = QueryEngine::new(config(4 * 1024, false));
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
+    engine.inject_faults(FaultPlan::new().panic_at(0, 1, 0));
+    let ticket = engine
         .query(larger, smaller)
         .project(spec)
         .retry(RetryPolicy::with_retries(1))
         .submit();
-    while session.drive(64) > 0 {}
-    match session.poll(ticket) {
+    while engine.step() != EngineStep::Idle {}
+    match engine.poll(ticket) {
         TicketPoll::Done(Served::Columns(q)) => assert_eq!(columns(&q.result), expected),
         other => panic!("re-run after panic must complete, got {other:?}"),
     }
-    let stats = session.engine_mut().stats();
+    let stats = engine.stats();
     assert_eq!((stats.worker_panics, stats.retries), (1, 1));
 }
 
@@ -318,17 +317,17 @@ fn panicked_query_with_retry_completes_byte_identical() {
 fn scripted_cache_eviction_forces_a_rebuild() {
     let w = JoinWorkloadBuilder::equal(1_000, 1).seed(67).build();
     let spec = QuerySpec::symmetric(1);
-    let mut session = Session::new(config(4 * 1024, false));
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
+    let mut engine = QueryEngine::new(config(4 * 1024, false));
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
     // Ordinal 0 warms the clustered-prefix cache; the scripted eviction
     // fires as ordinal 1 resolves, so it must rebuild; ordinal 2 then hits
     // what 1 re-inserted.
-    session.inject_faults(FaultPlan::new().evict_cache(1));
+    engine.inject_faults(FaultPlan::new().evict_cache(1));
     let hits = [false, false, true].map(|expect_hit| {
-        let ticket = session.query(larger, smaller).project(spec).submit();
-        while session.drive(64) > 0 {}
-        match session.poll(ticket) {
+        let ticket = engine.query(larger, smaller).project(spec).submit();
+        while engine.step() != EngineStep::Idle {}
+        match engine.poll(ticket) {
             TicketPoll::Done(Served::Columns(q)) => {
                 assert_eq!(q.stats.cache_hit, expect_hit);
                 columns(&q.result)
@@ -339,7 +338,7 @@ fn scripted_cache_eviction_forces_a_rebuild() {
     // Eviction changes where the prefix came from, never the bytes.
     assert_eq!(hits[0], hits[1]);
     assert_eq!(hits[1], hits[2]);
-    assert!(session.cache_stats().evictions >= 1);
+    assert!(engine.cache_stats().evictions >= 1);
 }
 
 /// Maps a trace to its replayable shape: event labels (plus the cancel
@@ -360,35 +359,37 @@ fn identical_fault_scripts_produce_identical_traces() {
     let w = JoinWorkloadBuilder::equal(900, 1).seed(71).build();
     let spec = QuerySpec::symmetric(1);
     let run = || {
-        let mut session = Session::new(config(4 * 1024, true));
-        let larger = session.register(w.larger.clone());
-        let smaller = session.register(w.smaller.clone());
+        let mut engine = QueryEngine::new(config(4 * 1024, true));
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
         // One of everything: a panic, a denial retried to success, a clean
         // survivor and a user cancellation.
-        session.inject_faults(FaultPlan::new().panic_at(0, 1, 2).deny_grant(1));
-        let panicked = session.query(larger, smaller).project(spec).submit();
-        let retried = session
+        engine.inject_faults(FaultPlan::new().panic_at(0, 1, 2).deny_grant(1));
+        let panicked = engine.query(larger, smaller).project(spec).submit();
+        let retried = engine
             .query(larger, smaller)
             .project(spec)
             .retry(RetryPolicy::with_retries(1))
             .submit();
-        let cancelled = session.query(larger, smaller).project(spec).submit();
-        session.drive(3);
-        session.cancel(cancelled);
-        while session.drive(64) > 0 {}
+        let cancelled = engine.query(larger, smaller).project(spec).submit();
+        for _ in 0..3 {
+            engine.step();
+        }
+        engine.cancel(cancelled);
+        while engine.step() != EngineStep::Idle {}
         assert!(matches!(
-            session.poll(panicked),
+            engine.poll(panicked),
             TicketPoll::Rejected(RdxError::WorkerPanicked { worker: 2 })
         ));
         assert!(matches!(
-            session.poll(retried),
+            engine.poll(retried),
             TicketPoll::Done(Served::Columns(_))
         ));
         assert!(matches!(
-            session.poll(cancelled),
+            engine.poll(cancelled),
             TicketPoll::Rejected(RdxError::Cancelled)
         ));
-        trace_labels(&session.trace_snapshot().expect("observability on"))
+        trace_labels(&engine.obs().trace_snapshot().expect("observability on"))
     };
     let first = run();
     let second = run();

@@ -15,7 +15,6 @@
 mod common;
 
 use common::columns;
-use radix_decluster::api::Session;
 use radix_decluster::net::{encode_frame, NO_TICKET};
 use radix_decluster::prelude::*;
 use radix_decluster::workload::HitRate;
@@ -128,13 +127,17 @@ fn grid_is_byte_identical_over(transport: Transport) {
                     let cell = format!("N={n} h={h} ω={omega} π=({pi_l},{pi_s})");
                     // In-process oracle: the same plan sequence through
                     // the one planner entry.
-                    let mut session = Session::with_params(params.clone());
-                    let larger = session.register(w.larger.clone());
-                    let smaller = session.register(w.smaller.clone());
+                    let mut engine = QueryEngine::new(ServeConfig {
+                        params: params.clone(),
+                        plan_shares: Some(1),
+                        ..ServeConfig::default()
+                    });
+                    let larger = engine.register(w.larger.clone());
+                    let smaller = engine.register(w.smaller.clone());
                     let expected: Vec<Vec<Vec<i32>>> = all_codes()
                         .into_iter()
                         .map(|plan| {
-                            let report = session
+                            let report = engine
                                 .query(larger, smaller)
                                 .project(spec)
                                 .codes(plan)
@@ -237,10 +240,14 @@ fn drain_frames(stream: &mut TcpStream) -> Vec<Frame> {
 fn malformed_frames_tear_down_the_connection_but_never_the_server() {
     let w = JoinWorkloadBuilder::equal(100, 1).seed(9).build();
     let expected = {
-        let mut session = Session::with_params(CacheParams::tiny_for_tests());
-        let larger = session.register(w.larger.clone());
-        let smaller = session.register(w.smaller.clone());
-        let report = session.query(larger, smaller).run().expect("oracle");
+        let mut engine = QueryEngine::new(ServeConfig {
+            params: CacheParams::tiny_for_tests(),
+            plan_shares: Some(1),
+            ..ServeConfig::default()
+        });
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let report = engine.query(larger, smaller).run().expect("oracle");
         columns(&report.result)
     };
     let cfg = ServeConfig {
@@ -339,7 +346,7 @@ fn over_quota_tenant_is_shed_while_the_other_tenant_stays_byte_identical() {
     let spec = QuerySpec::symmetric(2);
 
     // Solo oracle for the unconstrained tenant: the same query alone in a
-    // fresh session with the same knobs (quotas change admission only, so
+    // fresh engine with the same knobs (quotas change admission only, so
     // the quota table's presence must not perturb its bytes).
     let quotas = TenantQuotas::default()
         // 8 bytes cannot hold one result row, so every "capped" submission
@@ -352,10 +359,10 @@ fn over_quota_tenant_is_shed_while_the_other_tenant_stays_byte_identical() {
         ..ServeConfig::default()
     };
     let expected = {
-        let mut session = Session::new(cfg.clone());
-        let larger = session.register(w.larger.clone());
-        let smaller = session.register(w.smaller.clone());
-        let report = session
+        let mut engine = QueryEngine::new(cfg.clone());
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let report = engine
             .query(larger, smaller)
             .project(spec)
             .run()
@@ -705,10 +712,10 @@ fn a_busy_connection_is_not_served_on_a_timer() {
         ..ServeConfig::default()
     };
     let expected = {
-        let mut session = Session::new(cfg.clone());
-        let larger = session.register(w.larger.clone());
-        let smaller = session.register(w.smaller.clone());
-        let report = session
+        let mut engine = QueryEngine::new(cfg.clone());
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let report = engine
             .query(larger, smaller)
             .project(QuerySpec::symmetric(1))
             .run()
@@ -805,22 +812,22 @@ fn a_scripted_fault_plan_produces_the_same_trace_over_the_wire() {
 
     // In-process run of the script.
     let (expected_trace, expected_columns) = {
-        let mut session = Session::new(cfg.clone());
-        let larger = session.register(w.larger.clone());
-        let smaller = session.register(w.smaller.clone());
-        session.inject_faults(fault.clone());
-        let victim = session.query(larger, smaller).project(spec).submit();
-        let survivor = session.query(larger, smaller).project(spec).submit();
-        while session.drive(64) > 0 {}
+        let mut engine = QueryEngine::new(cfg.clone());
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        engine.inject_faults(fault.clone());
+        let victim = engine.query(larger, smaller).project(spec).submit();
+        let survivor = engine.query(larger, smaller).project(spec).submit();
+        while engine.step() != EngineStep::Idle {}
         assert!(matches!(
-            session.poll(victim),
+            engine.poll(victim),
             TicketPoll::Rejected(RdxError::WorkerPanicked { worker: 1 })
         ));
-        let columns = match session.poll(survivor) {
+        let columns = match engine.poll(survivor) {
             TicketPoll::Done(Served::Columns(q)) => columns(&q.result),
             other => panic!("survivor must finish, got {other:?}"),
         };
-        (session.trace_snapshot().expect("trace"), columns)
+        (engine.obs().trace_snapshot().expect("trace"), columns)
     };
 
     // The identical script over the wire.

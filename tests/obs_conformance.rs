@@ -47,11 +47,11 @@ fn observed_results_are_byte_identical_to_unobserved() {
         for threads in [1usize, 2] {
             for budget_bytes in [32 * 1024usize, 128 * 1024] {
                 let budget = MemoryBudget::bytes(budget_bytes);
-                let mut plain = Session::new(config(budget, threads, false));
+                let mut plain = QueryEngine::new(config(budget, threads, false));
                 let requests = register_mix(&mut plain, &mix, false);
                 let expected = result_columns(&serve_all(&mut plain, &requests));
 
-                let mut observed = Session::new(config(budget, threads, true));
+                let mut observed = QueryEngine::new(config(budget, threads, true));
                 let requests = register_mix(&mut observed, &mix, false);
                 let outcomes = serve_all(&mut observed, &requests);
                 assert_eq!(
@@ -71,32 +71,32 @@ fn observed_results_are_byte_identical_to_unobserved() {
 #[test]
 fn chunk_step_events_sum_to_scheduler_steps() {
     let w = JoinWorkloadBuilder::equal(3_000, 2).seed(47).build();
-    let mut session = Session::new(ServeConfig {
+    let mut engine = QueryEngine::new(ServeConfig {
         params: CacheParams::tiny_for_tests(),
         global_budget: MemoryBudget::bytes(24 * 1024),
         plan_shares: Some(2),
         observability: true,
         ..ServeConfig::default()
     });
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
 
     // Ticket-only workload: every chunk is stepped by the engine scheduler.
     let tickets: Vec<TicketId> = (0..4)
         .map(|_| {
-            session
+            engine
                 .query(larger, smaller)
                 .project(QuerySpec::symmetric(2))
                 .submit()
         })
         .collect();
-    while session.drive(64) > 0 {}
+    while engine.step() != EngineStep::Idle {}
 
     let mut total_chunks = 0u64;
-    let trace = session.trace_snapshot().expect("observability on");
+    let trace = engine.obs().trace_snapshot().expect("observability on");
     assert_eq!(trace.dropped, 0, "default ring must hold this workload");
     for &ticket in &tickets {
-        let report = match session.poll(ticket) {
+        let report = match engine.poll(ticket) {
             TicketPoll::Done(Served::Columns(report)) => report,
             other => panic!("expected Done, got {other:?}"),
         };
@@ -109,9 +109,9 @@ fn chunk_step_events_sum_to_scheduler_steps() {
         total_chunks += steps as u64;
     }
 
-    let stats = session.engine_mut().stats();
+    let stats = engine.stats();
     assert_eq!(total_chunks, stats.chunks_dispatched);
-    let metrics = session.metrics().expect("always kept");
+    let metrics = engine.obs().metrics_snapshot().expect("always kept");
     let h = metrics.histogram("pipeline.chunk_ns").expect("recorded");
     assert_eq!(h.count, total_chunks);
 }
@@ -121,29 +121,29 @@ fn chunk_step_events_sum_to_scheduler_steps() {
 #[test]
 fn trace_replays_each_lifecycle_in_order() {
     let w = JoinWorkloadBuilder::equal(1_200, 1).seed(53).build();
-    let mut session = Session::new(ServeConfig {
+    let mut engine = QueryEngine::new(ServeConfig {
         params: CacheParams::tiny_for_tests(),
         observability: true,
         ..ServeConfig::default()
     });
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
 
-    let ok = session.query(larger, smaller).submit();
+    let ok = engine.query(larger, smaller).submit();
     // A below-one-row budget is a typed rejection — traced, never admitted.
-    let bad = session
+    let bad = engine
         .query(larger, smaller)
         .budget(MemoryBudget::bytes(2))
         .submit();
-    while session.drive(64) > 0 {}
+    while engine.step() != EngineStep::Idle {}
 
-    let done = match session.poll(ok) {
+    let done = match engine.poll(ok) {
         TicketPoll::Done(Served::Columns(report)) => report,
         other => panic!("expected Done, got {other:?}"),
     };
-    assert!(matches!(session.poll(bad), TicketPoll::Rejected(_)));
+    assert!(matches!(engine.poll(bad), TicketPoll::Rejected(_)));
 
-    let trace = session.trace_snapshot().expect("observability on");
+    let trace = engine.obs().trace_snapshot().expect("observability on");
     let labels: Vec<&str> = trace
         .events_for(QueryId(done.stats.query_id))
         .iter()
@@ -166,7 +166,7 @@ fn trace_replays_each_lifecycle_in_order() {
     let labels: Vec<&str> = rejected.iter().map(|e| e.kind.label()).collect();
     assert_eq!(labels, ["submit", "reject"]);
 
-    let stats = session.engine_mut().stats();
+    let stats = engine.stats();
     assert_eq!(stats.admissions, 1);
     assert_eq!(stats.rejections, 1);
     assert_eq!(stats.cache_misses, 1);
@@ -184,20 +184,20 @@ fn profiled_execution_is_byte_identical_and_deterministic() {
     for second in [SecondSideCode::Unsorted, SecondSideCode::Decluster] {
         let codes = DsmPostProjection::with_codes(ProjectionCode::PartialCluster, second);
         let run = |profiled: bool| {
-            let mut session = Session::new(ServeConfig {
+            let mut engine = QueryEngine::new(ServeConfig {
                 params: CacheParams::tiny_for_tests(),
                 global_budget: MemoryBudget::bytes(4 * 1024),
                 plan_shares: Some(1),
                 observability: true,
                 ..ServeConfig::default()
             });
-            let larger = session.register(w.larger.clone());
-            let smaller = session.register(w.smaller.clone());
-            let query = session.query(larger, smaller).project(spec).codes(codes);
+            let larger = engine.register(w.larger.clone());
+            let smaller = engine.register(w.smaller.clone());
+            let query = engine.query(larger, smaller).project(spec).codes(codes);
             let query = if profiled { query.profiled() } else { query };
             let out = query.run().expect("serves");
             let cols = columns(&out.result);
-            let metrics = session.metrics().expect("always kept");
+            let metrics = engine.obs().metrics_snapshot().expect("always kept");
             let counts = [
                 "profile.accesses",
                 "profile.l1_misses",
@@ -230,29 +230,29 @@ fn profiled_execution_is_byte_identical_and_deterministic() {
 }
 
 /// The per-request `profiled` flag works through the `Query` front door —
-/// one profiled query in an otherwise unprofiled session records
+/// one profiled query in an otherwise unprofiled engine records
 /// `ChunkProfile` trace events adjacent to its chunk steps, while its
 /// unprofiled neighbour records none.
 #[test]
 fn per_query_profiled_flag_traces_only_that_query() {
     let w = JoinWorkloadBuilder::equal(1_500, 1).seed(67).build();
-    let mut session = Session::new(ServeConfig {
+    let mut engine = QueryEngine::new(ServeConfig {
         params: CacheParams::tiny_for_tests(),
         global_budget: MemoryBudget::bytes(4 * 1024),
         plan_shares: Some(1),
         observability: true,
         ..ServeConfig::default()
     });
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
-    let profiled = session
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
+    let profiled = engine
         .query(larger, smaller)
         .profiled()
         .run()
         .expect("serves");
-    let plain = session.query(larger, smaller).run().expect("serves");
+    let plain = engine.query(larger, smaller).run().expect("serves");
 
-    let trace = session.trace_snapshot().expect("observability on");
+    let trace = engine.obs().trace_snapshot().expect("observability on");
     let profile_events = |query_id: u64| {
         trace
             .events_for(QueryId(query_id))
@@ -301,17 +301,17 @@ fn a_whole_result_profiled_chunk_replays_the_same_counts() {
         (SecondSideCode::Unsorted, 24_000u64, 2_782u64),
         (SecondSideCode::Decluster, 36_006, 3_150),
     ] {
-        let mut session = Session::new(ServeConfig {
+        let mut engine = QueryEngine::new(ServeConfig {
             params: CacheParams::tiny_for_tests(),
             plan_shares: Some(1),
             observability: true,
             ..ServeConfig::default()
         });
-        let larger = session.register(w.larger.clone());
-        let smaller = session.register(w.smaller.clone());
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
         let codes = DsmPostProjection::with_codes(ProjectionCode::PartialCluster, second);
-        let query = |session: &mut Session, profiled: bool| {
-            let q = session
+        let query = |engine: &mut QueryEngine, profiled: bool| {
+            let q = engine
                 .query(larger, smaller)
                 .project(QuerySpec::symmetric(2))
                 .codes(codes);
@@ -319,8 +319,8 @@ fn a_whole_result_profiled_chunk_replays_the_same_counts() {
                 .run()
                 .expect("serves")
         };
-        let profiled = query(&mut session, true);
-        let plain = query(&mut session, false);
+        let profiled = query(&mut engine, true);
+        let plain = query(&mut engine, false);
         assert_eq!(
             profiled.stats.chunks, 1,
             "{second:?}: one whole-result chunk"
@@ -328,7 +328,7 @@ fn a_whole_result_profiled_chunk_replays_the_same_counts() {
         assert_eq!(profiled.stats.rows, w.expected_matches);
         assert_eq!(columns(&profiled.result), columns(&plain.result));
 
-        let metrics = session.metrics().expect("always kept");
+        let metrics = engine.obs().metrics_snapshot().expect("always kept");
         assert_eq!(
             (
                 metrics.counter("profile.accesses"),
@@ -337,7 +337,7 @@ fn a_whole_result_profiled_chunk_replays_the_same_counts() {
             (Some(accesses), Some(l2_misses)),
             "{second:?}: replay counts drifted"
         );
-        let trace = session.trace_snapshot().expect("observability on");
+        let trace = engine.obs().trace_snapshot().expect("observability on");
         let labels: Vec<&str> = trace
             .events_for(QueryId(profiled.stats.query_id))
             .iter()
@@ -357,12 +357,12 @@ fn a_whole_result_profiled_chunk_replays_the_same_counts() {
 #[test]
 fn engine_counters_agree_with_per_query_reports() {
     let mix = mix(2_000, 2);
-    let mut session = Session::new(config(MemoryBudget::bytes(48 * 1024), 1, true));
-    let requests = register_mix(&mut session, &mix, false);
-    let cold = serve_all(&mut session, &requests);
-    let after_cold = session.engine_mut().stats();
-    let warm = serve_all(&mut session, &requests);
-    let warm_hits = session.engine_mut().stats().cache_hits - after_cold.cache_hits;
+    let mut engine = QueryEngine::new(config(MemoryBudget::bytes(48 * 1024), 1, true));
+    let requests = register_mix(&mut engine, &mix, false);
+    let cold = serve_all(&mut engine, &requests);
+    let after_cold = engine.stats();
+    let warm = serve_all(&mut engine, &requests);
+    let warm_hits = engine.stats().cache_hits - after_cold.cache_hits;
 
     let hits = |outcomes: &[Result<QueryResult, RdxError>]| {
         outcomes

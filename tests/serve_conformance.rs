@@ -55,10 +55,10 @@ fn concurrent_equals_serial_across_threads_and_fairness() {
         // The serial oracle at this thread count: one query at a time,
         // cache disabled.  (Plans adapt to the worker count, so the oracle
         // must run on the same one; `plan_shares` is pinned by `config`.)
-        let mut serial = Session::new(config(budget, 1, threads, 0));
+        let mut serial = QueryEngine::new(config(budget, 1, threads, 0));
         let serial_requests = register_mix(&mut serial, &mix, true);
         let expected = result_columns(&serve_all(&mut serial, &serial_requests));
-        assert_eq!(serial.engine_mut().stats().peak_concurrency, 1);
+        assert_eq!(serial.stats().peak_concurrency, 1);
         assert_eq!(serial.cache_stats().hits, 0);
 
         // Two interleavings of the same mix: equal priorities, then skewed
@@ -68,20 +68,20 @@ fn concurrent_equals_serial_across_threads_and_fairness() {
         for skewed in [false, true] {
             let mut cfg = config(budget, 4, threads, 1 << 20);
             cfg.observability = true;
-            let mut session = Session::new(cfg);
-            let mut requests = register_mix(&mut session, &mix, true);
+            let mut engine = QueryEngine::new(cfg);
+            let mut requests = register_mix(&mut engine, &mix, true);
             if skewed {
                 for (i, request) in requests.iter_mut().enumerate() {
-                    *request = request.with_priority(1 << (i % 4));
+                    request.priority = 1 << (i % 4);
                 }
             }
-            let outcomes = serve_all(&mut session, &requests);
+            let outcomes = serve_all(&mut engine, &requests);
             assert_eq!(
                 result_columns(&outcomes),
                 expected,
                 "threads {threads} skewed priorities {skewed}"
             );
-            let trace = session.trace_snapshot().expect("observability is on");
+            let trace = engine.obs().trace_snapshot().expect("observability is on");
             chunk_orders.push(
                 trace
                     .events
@@ -91,11 +91,11 @@ fn concurrent_equals_serial_across_threads_and_fairness() {
                     .collect::<Vec<_>>(),
             );
             // Genuinely concurrent, and interleaved at chunk granularity.
-            let stats = session.engine_mut().stats();
+            let stats = engine.stats();
             assert!(stats.peak_concurrency > 1, "threads {threads}");
             assert!(stats.chunks_dispatched as usize > mix.queries.len());
             // The zipfian mix repeats joins: the cache must see hits.
-            assert!(session.cache_stats().hits > 0, "threads {threads}");
+            assert!(engine.cache_stats().hits > 0, "threads {threads}");
         }
         assert_ne!(
             chunk_orders[0], chunk_orders[1],
@@ -107,14 +107,14 @@ fn concurrent_equals_serial_across_threads_and_fairness() {
 #[test]
 fn warm_cache_path_is_byte_identical_to_cold() {
     let mix = mix();
-    let mut session = Session::new(config(MemoryBudget::bytes(48 * 1024), 3, 1, 1 << 20));
-    let requests = register_mix(&mut session, &mix, true);
-    let cold = serve_all(&mut session, &requests);
-    let cold_misses = session.cache_stats().misses;
-    let warm = serve_all(&mut session, &requests);
+    let mut engine = QueryEngine::new(config(MemoryBudget::bytes(48 * 1024), 3, 1, 1 << 20));
+    let requests = register_mix(&mut engine, &mix, true);
+    let cold = serve_all(&mut engine, &requests);
+    let cold_misses = engine.cache_stats().misses;
+    let warm = serve_all(&mut engine, &requests);
     assert_eq!(result_columns(&cold), result_columns(&warm));
     // Second pass: every prepared prefix is already resident.
-    assert_eq!(session.cache_stats().misses, cold_misses);
+    assert_eq!(engine.cache_stats().misses, cold_misses);
     let warm_hits: usize = warm
         .iter()
         .filter(|o| o.as_ref().unwrap().stats.cache_hit)
@@ -127,10 +127,10 @@ fn admission_never_over_commits_the_global_budget() {
     let mix = mix();
     for budget_bytes in [16 * 1024usize, 64 * 1024, 256 * 1024] {
         let budget = MemoryBudget::bytes(budget_bytes);
-        let mut session = Session::new(config(budget, 4, 2, 1 << 20));
-        let requests = register_mix(&mut session, &mix, true);
-        let outcomes = serve_all(&mut session, &requests);
-        let peak = session.engine_mut().stats().peak_concurrent_bytes;
+        let mut engine = QueryEngine::new(config(budget, 4, 2, 1 << 20));
+        let requests = register_mix(&mut engine, &mix, true);
+        let outcomes = serve_all(&mut engine, &requests);
+        let peak = engine.stats().peak_concurrent_bytes;
         assert!(peak <= budget_bytes, "budget {budget_bytes}: peak {peak}");
         for outcome in &outcomes {
             let q = outcome.as_ref().expect("query served");
@@ -155,10 +155,10 @@ fn degenerate_budgets_surface_typed_errors_not_panics() {
     assert_eq!(clamped.chunk_rows, 1);
     // …while in the serving layer the same condition is a typed rejection
     // per request.
-    let mut session = Session::new(config(MemoryBudget::bytes(3), 2, 1, 0));
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
-    let outcomes = serve_all(&mut session, &[ServerRequest::new(larger, smaller, spec)]);
+    let mut engine = QueryEngine::new(config(MemoryBudget::bytes(3), 2, 1, 0));
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
+    let outcomes = serve_all(&mut engine, &[ServerRequest::new(larger, smaller, spec)]);
     assert!(matches!(
         outcomes[0].as_ref().unwrap_err(),
         RdxError::Budget(BudgetError::BelowOneRow { .. })
@@ -170,14 +170,14 @@ fn degenerate_budgets_surface_typed_errors_not_panics() {
     let Err(RdxError::Budget(BudgetError::BelowOneRow { bytes_per_row, .. })) = outcomes[0] else {
         unreachable!()
     };
-    let mut session = Session::new(config(MemoryBudget::bytes(bytes_per_row), 2, 1, 0));
-    let larger = session.register(w.larger.clone());
-    let smaller = session.register(w.smaller.clone());
-    let outcomes = serve_all(&mut session, &[ServerRequest::new(larger, smaller, spec)]);
+    let mut engine = QueryEngine::new(config(MemoryBudget::bytes(bytes_per_row), 2, 1, 0));
+    let larger = engine.register(w.larger.clone());
+    let smaller = engine.register(w.smaller.clone());
+    let outcomes = serve_all(&mut engine, &[ServerRequest::new(larger, smaller, spec)]);
     let q = outcomes[0].as_ref().expect("admitted at the one-row floor");
     assert!(q.stats.replanned);
     assert_eq!(q.stats.share_bytes, bytes_per_row);
-    assert_eq!(session.engine_mut().stats().replans, 1);
+    assert_eq!(engine.stats().replans, 1);
     // And zero-byte budget construction is a typed error, not a panic.
     assert!(matches!(
         MemoryBudget::try_bytes(0),
