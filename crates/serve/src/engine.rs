@@ -1434,6 +1434,57 @@ mod tests {
         );
     }
 
+    /// `Queued { position }` counts the live-queued tickets ahead; a
+    /// ticket parked for retry backoff counts behind the live queue, in
+    /// park order, and re-enters behind every ticket queued meanwhile.
+    #[test]
+    fn queued_positions_count_the_live_queue_ahead_and_a_retry_reenters_behind_it() {
+        let w = JoinWorkloadBuilder::equal(1_500, 1).seed(3).build();
+        let mut engine = QueryEngine::new(ServeConfig {
+            max_concurrent: 1,
+            ..config(MemoryBudget::bytes(64))
+        });
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let request = ServerRequest::new(larger, smaller, QuerySpec::symmetric(1));
+        let position = |engine: &mut QueryEngine, ticket| match engine.poll(ticket) {
+            TicketPoll::Queued { position } => position,
+            other => panic!("{ticket} is not queued: {other:?}"),
+        };
+        // A long run holds the one slot throughout.
+        engine.inject_faults(FaultPlan::new().deny_grant(1));
+        let long = engine.submit(request);
+        assert!(matches!(engine.step(), EngineStep::Chunk { ticket, .. } if ticket == long));
+        let denied = engine.submit(ServerRequest {
+            retry: Some(RetryPolicy::with_retries(1)),
+            ..request
+        });
+        let (middle, last) = (engine.submit(request), engine.submit(request));
+        let queued = [denied, middle, last].map(|t| position(&mut engine, t));
+        assert_eq!(queued, [0, 1, 2]);
+        assert!(engine.cancel(middle));
+        assert_eq!(position(&mut engine, last), 1);
+        // The denied queue head parks; the live queue moves up past it.
+        assert!(matches!(engine.step(), EngineStep::Chunk { ticket, .. } if ticket == long));
+        assert_eq!(engine.stats().retries, 1);
+        assert_eq!(engine.queued(), 1);
+        assert_eq!(position(&mut engine, last), 0);
+        assert_eq!(position(&mut engine, denied), engine.queued());
+        // Submitted while it was parked, so it stands ahead once it
+        // re-enters the live queue.
+        let newcomer = engine.submit(request);
+        assert_eq!(position(&mut engine, newcomer), 1);
+        assert_eq!(position(&mut engine, denied), engine.queued());
+        assert!(matches!(engine.step(), EngineStep::Chunk { ticket, .. } if ticket == long));
+        assert_eq!(engine.queued(), 3);
+        let order = [last, newcomer, denied].map(|t| position(&mut engine, t));
+        assert_eq!(order, [0, 1, 2]);
+        while engine.step() != EngineStep::Idle {}
+        for ticket in [long, denied, last, newcomer] {
+            assert_eq!(served(engine.poll(ticket)).stats.rows, w.expected_matches);
+        }
+    }
+
     #[test]
     fn each_outcome_is_delivered_to_exactly_one_poll() {
         let w = JoinWorkloadBuilder::equal(600, 1).seed(9).build();
