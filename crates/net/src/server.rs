@@ -791,8 +791,8 @@ impl NetServer {
 
 /// The sentinel ticket number on a [`Frame::Rejected`] for a submit that
 /// was refused before a ticket could be issued (only a zero-byte budget,
-/// which no `MemoryBudget` value can represent).  Real tickets count up
-/// from zero and can never reach it.
+/// which no `MemoryBudget` value can represent).  Real tickets are query
+/// ids, which count up from one and can never reach it.
 pub const NO_TICKET: u64 = u64::MAX;
 
 #[cfg(test)]

@@ -38,11 +38,11 @@
 //!   between chunk steps of in-flight queries) and [`QueryEngine::step`]
 //!   pumps one admission-plus-chunk decision.  Every query is a ticket, so
 //!   every query is admitted under `Σ grants ≤ global` and planned by the
-//!   same single start-a-run step.  The engine's running set is the one
-//!   record of what is in flight: each running entry holds its grant, its
-//!   tenant charge and its dispatch key, and admission, quotas and the
-//!   scheduler read their load off it, so tearing a query down is
-//!   removing its entry.
+//!   same single start-a-run step.  The engine's one ticket table is the
+//!   one record of what is in flight: each running ticket holds its grant,
+//!   its tenant charge and its dispatch key, and admission, quotas and the
+//!   scheduler read their load off it, so tearing a query down is moving
+//!   its ticket out of `Running`.
 //! * [`tenant`] — the **per-tenant quota layer**: [`TenantQuotas`] caps a
 //!   tenant's in-flight queries and resident grant bytes, checked at
 //!   admission *before* the global `per_query_share` (typed

@@ -303,9 +303,9 @@ impl<'e> Query<'e> {
 pub struct QueryStats {
     /// The process-unique observability query id this execution's trace
     /// events are keyed by — what lets a caller pull one query's lifecycle
-    /// out of a `TraceSnapshot` (`events_for`).  Minted even when
-    /// observability is disabled (one relaxed atomic), so the field is
-    /// always populated.
+    /// out of a `TraceSnapshot` (`events_for`).  It equals the ticket
+    /// number ([`crate::TicketId::raw`]).  Minted at submit even when
+    /// observability is disabled, so the field is always populated.
     pub query_id: u64,
     /// The projection codes the planner chose (or the request pinned).
     pub plan: DsmPostProjection,

@@ -10,7 +10,8 @@
 //!   polls terminal; every `cancel` is polled at once, and that poll is
 //!   `Rejected(Cancelled)` exactly when `cancel` reported the ticket live;
 //! * a served result (columns or a `Done` frame) is byte-identical to the
-//!   same query run alone through `run()`;
+//!   same query run alone through `run()`, and its `stats.query_id` is
+//!   its ticket's number;
 //! * `committed_bytes() ≤ global`, no tenant is over its in-flight or byte
 //!   cap, and no more than `max_concurrent` tickets run;
 //! * at idle, `committed_bytes()`, every tenant's in-flight and committed
@@ -206,10 +207,16 @@ fn check_outcome(m: &Model, outcome: Result<Served, RdxError>) -> Result<(), Tes
         Ok(served) => served,
     };
     prop_assert!(!m.cancelled, "{} was cancelled but served", m.ticket);
-    let got = match served {
-        Served::Columns(q) => columns(&q.result),
-        Served::Frame { frame, .. } => frame_columns(&frame, m.ticket)?,
+    let (got, stats) = match served {
+        Served::Columns(q) => (columns(&q.result), q.stats),
+        Served::Frame { frame, stats } => (frame_columns(&frame, m.ticket)?, stats),
     };
+    prop_assert_eq!(
+        stats.query_id,
+        m.ticket.raw(),
+        "{} has another query id",
+        m.ticket
+    );
     prop_assert!(
         got == solo(&m.request),
         "{} differs from its solo run",
