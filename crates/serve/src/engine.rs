@@ -540,10 +540,8 @@ impl QueryEngine {
     /// The tickets ahead of `at` in the table that are in its state.
     fn ahead(&self, at: usize) -> usize {
         let arm = std::mem::discriminant(&self.tickets[at].state);
-        let ahead = self.tickets.range(..at);
-        ahead
-            .filter(|t| std::mem::discriminant(&t.state) == arm)
-            .count()
+        let same = |t: &&Ticket| std::mem::discriminant(&t.state) == arm;
+        self.tickets.range(..at).filter(same).count()
     }
 
     /// The engine's observability handle — where metrics and trace
