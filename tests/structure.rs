@@ -281,7 +281,7 @@ const GATES: &[Gate] = &[
         needles: &[Token(
             "struct Pending|struct RetryParked|retry_parked|NEXT_TICKET|finished: HashMap",
         )],
-        message: "a second ticket container or counter — give the ticket a State arm in the one table, keyed by its query id",
+        message: "a second ticket container or counter — give the ticket a State arm in the one table; its number is its query id",
         ..LIBRARY
     },
     Gate {
