@@ -2045,6 +2045,42 @@ mod tests {
         assert_eq!(engine.stats().budget_rejects, 1);
     }
 
+    /// A tenant refusal is decided before a scripted grant denial is
+    /// probed: the over-cap ticket is shed by its quota, and the denial
+    /// fires on its retry, once its tenant's slot is free.
+    #[test]
+    fn a_tenant_refusal_comes_before_a_denied_grant() {
+        use crate::tenant::{TenantQuota, TenantQuotas};
+        let w = JoinWorkloadBuilder::equal(800, 1).seed(53).build();
+        let mut engine = QueryEngine::new(ServeConfig {
+            tenant_quotas: TenantQuotas::unlimited()
+                .with_tenant("solo", TenantQuota::unlimited().in_flight(1)),
+            ..config(MemoryBudget::bytes(4 * 1024))
+        });
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let solo = engine.tenant_id("solo");
+        let request = ServerRequest {
+            tenant: Some(solo),
+            ..ServerRequest::new(larger, smaller, QuerySpec::symmetric(1))
+        };
+        engine.inject_faults(FaultPlan::new().deny_grant(1));
+        let first = engine.submit(request);
+        let capped = engine.submit(ServerRequest {
+            retry: Some(RetryPolicy::with_retries(1).backoff(10_000)),
+            ..request
+        });
+        while engine.step() != EngineStep::Idle {}
+        assert_eq!(served(engine.poll(first)).stats.rows, w.expected_matches);
+        assert_eq!(
+            rejected(engine.poll(capped)),
+            RdxError::Budget(BudgetError::ZeroBytes)
+        );
+        let stats = engine.stats();
+        assert_eq!((stats.retries, stats.budget_rejects), (1, 1));
+        assert_eq!(stats.tenant_quota_rejects, 0, "retried, never shed");
+    }
+
     #[test]
     fn tight_deadlines_outrun_loose_ones_under_contention() {
         let w = JoinWorkloadBuilder::equal(2_000, 1).seed(37).build();
