@@ -1,8 +1,9 @@
-//! **Admission**: how one global [`MemoryBudget`] is split across
-//! concurrently admitted queries so their combined chunk scratch stays
-//! within it.
+//! **Admission**: how many bytes a query may run under — its *grant* —
+//! decided once per queue head, splitting one global [`MemoryBudget`]
+//! across concurrently admitted queries so their combined chunk scratch
+//! stays within it.
 //!
-//! Each admitted query receives a byte *grant* it plans its chunking under
+//! Each admitted query receives a byte grant it plans its chunking under
 //! ([`rdx_core::strategy::planner::plan_streaming`] turns the grant into
 //! `chunk_rows = grant / bytes_per_row`), the RAM analogue of
 //! [`rdx_cache::CacheParams::per_core_share`] dividing the shared cache.
@@ -18,6 +19,19 @@
 //! the engine runs holds a grant, a front-door `run()` included (it is a
 //! ticket like any other); nothing runs on whatever budget happens to be
 //! left over.
+//!
+//! `admit` decides the whole grant, in order:
+//! 1. the tenant's caps ([`crate::TenantQuota`]): at its in-flight cap, or
+//!    with less byte headroom than one row, the query is **refused** with
+//!    [`RdxError::TenantQuota`] before the global budget is consulted, so
+//!    a tenant's burst sheds at its own cap;
+//! 2. the global split, [`decide`];
+//! 3. the tightening: the share shrinks to the request's budget hint and
+//!    the tenant's byte headroom, whichever is smaller (each holds a row).
+//!
+//! The grant is one number, the budget the run plans under, and it is
+//! charged to the global budget (`Σ grants ≤ global`) and to a tenant with
+//! a byte cap (`Σ` of its grants `≤` its cap) alike.
 //!
 //! [`decide`] is a pure function of the budget, the concurrency cap and
 //! the load the engine reads off its running set — how many queries run
@@ -35,7 +49,9 @@
 //! * nothing is running and the whole budget cannot hold one row →
 //!   **reject** with the typed [`BudgetError`] (the query can never run).
 
+use crate::tenant::{Load, TenantId, TenantQuota};
 use rdx_core::budget::{BudgetError, MemoryBudget};
+use rdx_core::error::{RdxError, TenantQuotaKind};
 
 /// What admission decided for one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +69,82 @@ pub enum AdmissionDecision {
     Queue,
     /// The query can never be admitted under this global budget.
     Reject(BudgetError),
+}
+
+/// One admitted query's grant, held while it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Grant {
+    /// The budget the run plans under, charged to the global budget.
+    pub(crate) budget: MemoryBudget,
+    /// Whether the global split gave less than the fair share.
+    pub(crate) replanned: bool,
+    /// The tenant charged, with the bytes charged against its byte cap:
+    /// the budget, or 0 when it has no byte cap.
+    pub(crate) tenant: Option<(TenantId, usize)>,
+}
+
+/// What `admit` decided for one queue head.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// Run now under the grant.
+    Grant(Grant),
+    /// Wait for a running query to return its grant.
+    Queue,
+    /// A tenant cap ([`RdxError::TenantQuota`]) or the global budget
+    /// ([`RdxError::Budget`]) refused the query.
+    Refuse(RdxError),
+}
+
+/// The tenant a queue head is charged to: its id, its quota and its load.
+pub(crate) type Tenant = (TenantId, TenantQuota, Load);
+
+/// Decides the grant of a query needing `bytes_per_row` (`≥ 1`) resident
+/// bytes per in-flight result row, with an optional budget `hint`, for
+/// `tenant`, while the running queries' `load` holds `committed` bytes of
+/// `global` at most `max_concurrent` at once.
+pub(crate) fn admit(
+    global: MemoryBudget,
+    max_concurrent: usize,
+    (in_flight, committed): Load,
+    bytes_per_row: usize,
+    hint: Option<MemoryBudget>,
+    tenant: Option<Tenant>,
+) -> Admission {
+    let mut headroom = None;
+    if let Some((id, quota, (running, in_use))) = tenant {
+        let refuse = |kind| Admission::Refuse(RdxError::TenantQuota { tenant: id.0, kind });
+        if let Some(limit) = quota.max_in_flight.filter(|&limit| running >= limit) {
+            return refuse(TenantQuotaKind::InFlight {
+                in_flight: running,
+                limit,
+            });
+        }
+        if let Some(limit) = quota.max_resident_bytes {
+            let left = limit.saturating_sub(in_use);
+            if left < bytes_per_row {
+                return refuse(TenantQuotaKind::ResidentBytes {
+                    needed: bytes_per_row,
+                    in_use,
+                    limit,
+                });
+            }
+            headroom = Some(MemoryBudget::bytes(left));
+        }
+    }
+    let (share, replanned) =
+        match decide(global, max_concurrent, in_flight, committed, bytes_per_row) {
+            AdmissionDecision::Admit { share, replanned } => (share, replanned),
+            AdmissionDecision::Queue => return Admission::Queue,
+            AdmissionDecision::Reject(e) => return Admission::Refuse(RdxError::Budget(e)),
+        };
+    let caps = [Some(share), hint, headroom].into_iter().flatten();
+    let budget = caps.min_by_key(MemoryBudget::limit_bytes).unwrap_or(share);
+    let charge = headroom.map_or(0, |_| budget.limit_bytes());
+    Admission::Grant(Grant {
+        budget,
+        replanned,
+        tenant: tenant.map(|(id, ..)| (id, charge)),
+    })
 }
 
 /// Decides whether a query whose streaming plan needs `bytes_per_row`
@@ -102,6 +194,8 @@ pub fn decide(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::{TenantQuotas, TenantRegistry};
+    use rdx_obs::MetricsRegistry;
 
     /// The grants admitted so far, standing in for the engine's running
     /// set: admission reads its load off them, and returning a grant is
@@ -238,5 +332,91 @@ mod tests {
         assert_eq!(ac.committed_bytes(), 0);
         ac.release(MemoryBudget::unbounded());
         assert_eq!(ac.in_flight(), 1);
+    }
+
+    /// The tenant caps refuse before the global split, and the headroom
+    /// left tightens the grant; the global budget (4 KiB over four slots)
+    /// holds the tenant's load.
+    #[test]
+    fn tenant_caps_refuse_first_and_the_headroom_tightens_the_grant() {
+        let quotas = TenantQuotas::unlimited().with_tenant(
+            "capped",
+            TenantQuota::unlimited().in_flight(2).resident_bytes(100),
+        );
+        let mut reg = TenantRegistry::new(quotas);
+        let metrics = MetricsRegistry::new();
+        let (capped, free) = (reg.intern("capped", &metrics), reg.intern("free", &metrics));
+        let global = MemoryBudget::bytes(4096);
+        let ask = |t: TenantId, load: Load, bytes_per_row: usize| {
+            let tenant = Some((t, reg.quota(t), load));
+            admit(global, 4, load, bytes_per_row, None, tenant)
+        };
+        let granted = |a: Admission| match a {
+            Admission::Grant(grant) => grant,
+            other => panic!("expected a grant, got {other:?}"),
+        };
+
+        // First admission fits; two running queries of 30 bytes each
+        // exhaust the in-flight cap, and one of them finishing clears it.
+        granted(ask(capped, (0, 0), 16));
+        assert!(matches!(
+            ask(capped, (2, 60), 16),
+            Admission::Refuse(RdxError::TenantQuota {
+                kind: TenantQuotaKind::InFlight {
+                    in_flight: 2,
+                    limit: 2
+                },
+                ..
+            })
+        ));
+        granted(ask(capped, (1, 30), 16));
+
+        // The byte cap fires when the headroom cannot hold one row: one
+        // query holding 90 of 100 bytes leaves an in-flight slot free but
+        // only 10 bytes of headroom.
+        let quota_err = ask(capped, (1, 90), 16);
+        assert!(matches!(
+            quota_err,
+            Admission::Refuse(RdxError::TenantQuota {
+                kind: TenantQuotaKind::ResidentBytes {
+                    needed: 16,
+                    limit: 100,
+                    ..
+                },
+                ..
+            })
+        ));
+        // A narrower row fits those 10 bytes: the grant is the headroom,
+        // and the tenant is charged that one grant.
+        let grant = granted(ask(capped, (1, 90), 8));
+        assert_eq!(grant.budget, MemoryBudget::bytes(10));
+        assert_eq!(grant.tenant, Some((capped, 10)));
+        // A hint tighter than the headroom wins, and is the charge.
+        let tenant = Some((capped, reg.quota(capped), (1, 30)));
+        let hinted = admit(
+            global,
+            4,
+            (1, 30),
+            16,
+            Some(MemoryBudget::bytes(50)),
+            tenant,
+        );
+        assert_eq!(granted(hinted).tenant, Some((capped, 50)));
+
+        // Unlimited tenants have no headroom notion and always pass: the
+        // grant is the global share, and no bytes are charged.
+        let grant = granted(ask(free, (0, 0), 16));
+        assert_eq!(grant.budget, MemoryBudget::bytes(1024));
+        assert_eq!(grant.tenant, Some((free, 0)));
+        let tenant = Some((free, reg.quota(free), (0, 0)));
+        let unbounded = admit(
+            MemoryBudget::unbounded(),
+            4,
+            (0, 0),
+            usize::MAX,
+            None,
+            tenant,
+        );
+        assert!(!granted(unbounded).budget.is_bounded());
     }
 }

@@ -59,7 +59,7 @@
 //! until the poll is terminal — so it is admitted, shed, retried,
 //! deadline-checked and panic-isolated exactly like any other ticket.
 
-use crate::admission::{self, AdmissionDecision};
+use crate::admission::{self, Admission, Grant};
 use crate::cache::{CacheStats, ClusterCache, ClusterKey};
 use crate::registry::{Catalog, RelationId};
 use crate::request::{
@@ -321,8 +321,8 @@ enum TicketSink {
 type Run = PipelineRun<Arc<DsmRelation>>;
 
 /// What a `Running` ticket holds: a parked run, the sink it fills, its
-/// grant, its tenant charge and its dispatch key.  Each exists exactly
-/// while its ticket is `Running`, so leaving that state returns them.
+/// grant and its dispatch key.  Each exists exactly while its ticket is
+/// `Running`, so leaving that state returns them.
 struct Running {
     run: Run,
     /// Plan-time statistics, finalised from the run at completion.
@@ -330,15 +330,12 @@ struct Running {
     /// When the run was started (its service time counts from here).
     started: Instant,
     sink: TicketSink,
-    /// The admission grant (may exceed the effective budget when a hint
-    /// tightened it).
-    share: MemoryBudget,
+    /// The admission grant: the budget the run plans under, which is what
+    /// the global budget and its tenant's byte cap are charged.
+    grant: Grant,
     /// The slowdowns injected into its steps so far.  Its deadline is
     /// charged these plus its run's chunk-loop [`PhaseTimings`].
     slowed_ns: u64,
-    /// The tenant this admission is charged to, with the bytes charged
-    /// against its byte cap (0 when it has none).
-    tenant: Option<(TenantId, usize)>,
     /// Predicted column-chunk cost of a first-side and of a second-side
     /// column (their shares of the row-chunk price) × deadline urgency: its
     /// work left, the dispatch key, is each side's column chunks left times
@@ -502,7 +499,7 @@ impl QueryEngine {
     /// The tenant's load, read off the running tickets: how many it has
     /// and the bytes they hold against its byte cap.
     fn tenant_load(&self, tenant: TenantId) -> Load {
-        let charges = self.running().filter_map(|r| r.tenant);
+        let charges = self.running().filter_map(|r| r.grant.tenant);
         (charges.filter(|&(t, _)| t == tenant)).fold((0, 0), |(n, sum), (_, b)| (n + 1, sum + b))
     }
 
@@ -525,11 +522,13 @@ impl QueryEngine {
 
     /// `Σ` bytes currently granted to admitted queries — the left side of
     /// the `Σ grants ≤ global` admission invariant, summed over the running
-    /// tickets (0 under an unbounded budget), exposed so robustness tests
-    /// can assert the invariant across cancellations and panics.
+    /// tickets' bounded grants.  A grant is the budget its run plans under,
+    /// after a budget hint or a tenant's byte headroom tightened it.
+    /// Exposed so robustness tests can assert the invariant across
+    /// cancellations and panics.
     pub fn committed_bytes(&self) -> usize {
-        let bounded = self.running().filter(|r| r.share.is_bounded());
-        bounded.map(|r| r.share.limit_bytes()).sum()
+        let bounded = self.running().filter(|r| r.grant.budget.is_bounded());
+        bounded.map(|r| r.grant.budget.limit_bytes()).sum()
     }
 
     /// The running tickets, in admission order.
@@ -661,12 +660,10 @@ impl QueryEngine {
             state: State::Queued,
         });
         self.next_ordinal += 1;
-        match validate(&self.catalog, &request) {
-            Ok(()) => self.counters.queued.set(self.queued() as i64),
-            Err(e) => self.reject(self.tickets.len() - 1, e),
+        if let Err(e) = validate(&self.catalog, &request) {
+            self.reject(self.tickets.len() - 1, e);
         }
-        #[cfg(debug_assertions)]
-        self.check_invariants();
+        self.settle();
         TicketId(query.raw())
     }
 
@@ -684,7 +681,7 @@ impl QueryEngine {
         let State::Running(run) = left else {
             return None;
         };
-        self.publish_tenant(run.tenant);
+        self.publish_tenant(run.grant.tenant);
         Some(run)
     }
 
@@ -752,8 +749,7 @@ impl QueryEngine {
             State::Finished(outcome) => {
                 let outcome = std::mem::replace(outcome, Err(unknown));
                 self.tickets.remove(at);
-                #[cfg(debug_assertions)]
-                self.check_invariants();
+                self.settle();
                 return outcome.map_or_else(TicketPoll::Rejected, TicketPoll::Done);
             }
         };
@@ -772,8 +768,7 @@ impl QueryEngine {
     /// stepping.
     pub fn step(&mut self) -> EngineStep {
         let step = self.advance();
-        #[cfg(debug_assertions)]
-        self.check_invariants();
+        self.settle();
         step
     }
 
@@ -782,11 +777,7 @@ impl QueryEngine {
         self.step_count += 1;
         self.requeue_ready_retries();
         self.admit_from_queue();
-        let in_flight = self.in_flight();
-        self.counters.in_flight.set(in_flight as i64);
-        self.counters.queued.set(self.queued() as i64);
-
-        self.peak_concurrency = self.peak_concurrency.max(in_flight);
+        self.peak_concurrency = self.peak_concurrency.max(self.in_flight());
         let concurrent_bytes: usize = self
             .running()
             .map(|r| r.run.streaming().max_working_set_bytes())
@@ -894,8 +885,7 @@ impl QueryEngine {
         };
         let run = self.cancelled(at, "user", RdxError::Cancelled);
         self.harvest(run);
-        #[cfg(debug_assertions)]
-        self.check_invariants();
+        self.settle();
         true
     }
 
@@ -963,13 +953,13 @@ impl QueryEngine {
         }
     }
 
-    /// Starts an admitted query under `budget`: checks the budget can hold
-    /// one resident result row, chooses the projection codes (cost-based at
-    /// the shared cache share unless the request pinned them), rejects a
-    /// deadline the price of those codes cannot meet, resolves the prepared
-    /// prefix through the clustered-index cache, rejects a frame-form result
-    /// its transport would refuse, warms the run from the scratch pool, and
-    /// prices its per-chunk cost for the scheduler.
+    /// Starts an admitted query under `budget`: chooses the projection
+    /// codes (cost-based at the shared cache share unless the request pinned
+    /// them), rejects a deadline the price of those codes cannot meet,
+    /// resolves the prepared prefix through the clustered-index cache,
+    /// rejects a frame-form result its transport would refuse, warms the run
+    /// from the scratch pool, and prices its per-chunk cost for the
+    /// scheduler.
     fn resolve_with(
         &mut self,
         request: &ServerRequest,
@@ -978,17 +968,7 @@ impl QueryEngine {
         wait: Duration,
         ordinal: usize,
     ) -> Result<(Run, QueryStats, [f64; 2]), RdxError> {
-        budget.check_one_row(streaming_bytes_per_row(&request.spec))?;
-        let Some(larger) = self.catalog.get_arc(request.larger) else {
-            return Err(RdxError::UnknownRelation {
-                id: request.larger.raw(),
-            });
-        };
-        let Some(smaller) = self.catalog.get_arc(request.smaller) else {
-            return Err(RdxError::UnknownRelation {
-                id: request.smaller.raw(),
-            });
-        };
+        let (larger, smaller) = relations(&self.catalog, request)?;
         let threads = request
             .threads_hint
             .unwrap_or(self.config.threads_per_query);
@@ -1141,7 +1121,8 @@ impl QueryEngine {
     }
 
     /// Admits from the queue head while budget and slots allow (FIFO —
-    /// admission never skips the head, so arrival order bounds waiting).
+    /// admission never skips the head, so arrival order bounds waiting),
+    /// asking [`crate::admission`] once per queue head.
     fn admit_from_queue(&mut self) {
         let mut at = 0;
         while let Some(head) =
@@ -1149,51 +1130,27 @@ impl QueryEngine {
         {
             at = head;
             let (request, ordinal) = (self.tickets[at].request, self.tickets[at].ordinal);
-            let effective_row_bytes = streaming_bytes_per_row(&request.spec);
-            // A hint below the one-row floor can never run — permanently,
-            // so retry policies do not apply; reject before it holds up
-            // the queue.
-            if let Some(Err(e)) = request
-                .budget_hint
-                .map(|hint| hint.check_one_row(effective_row_bytes))
-            {
-                self.reject(at, RdxError::Budget(e));
-                continue;
-            }
-            // Tenant quotas are checked *before* the global budget is even
-            // consulted: an over-quota tenant sheds at its own cap without
-            // consuming a shared-pool admission decision.  Over-quota is
-            // transient (a release cures it), so retry policies apply like
-            // budget rejections.
-            let quota = |t| {
-                self.tenants
-                    .check_admit(t, self.tenant_load(t), effective_row_bytes)
-            };
-            let refusal = match request.tenant.map(quota) {
-                Some(Err(e)) => e,
-                _ => {
-                    // A scripted grant denial rides the ordinary
-                    // budget-rejection path (and so also exercises retry
-                    // policies).
-                    let decision = if self.faults.deny_grant(ordinal) {
-                        AdmissionDecision::Reject(BudgetError::ZeroBytes)
-                    } else {
-                        admission::decide(
-                            self.config.global_budget,
-                            self.config.max_concurrent,
-                            self.in_flight(),
-                            self.committed_bytes(),
-                            effective_row_bytes,
-                        )
-                    };
-                    match decision {
-                        AdmissionDecision::Queue => break,
-                        AdmissionDecision::Reject(e) => RdxError::Budget(e),
-                        AdmissionDecision::Admit { share, replanned } => {
-                            self.admit(at, share, replanned);
-                            continue;
-                        }
-                    }
+            let tenant = (request.tenant).map(|t| (t, self.tenants.quota(t), self.tenant_load(t)));
+            let admission = admission::admit(
+                self.config.global_budget,
+                self.config.max_concurrent,
+                (self.in_flight(), self.committed_bytes()),
+                streaming_bytes_per_row(&request.spec),
+                request.budget_hint,
+                tenant,
+            );
+            // A tenant refusal comes first, so an over-quota tenant sheds
+            // at its own cap.  A scripted grant denial then rides the
+            // ordinary budget-refusal path.  Both are transient (a release
+            // cures them), so retry policies apply.
+            let refusal = match admission {
+                Admission::Refuse(e @ RdxError::TenantQuota { .. }) => e,
+                _ if self.faults.deny_grant(ordinal) => RdxError::Budget(BudgetError::ZeroBytes),
+                Admission::Queue => break,
+                Admission::Refuse(e) => e,
+                Admission::Grant(grant) => {
+                    self.admit(at, grant);
+                    continue;
                 }
             };
             if !self.retry(at) {
@@ -1202,48 +1159,21 @@ impl QueryEngine {
         }
     }
 
-    /// Starts the admitted ticket at `at` under its grant `share`: entering
-    /// `Running` is what charges the grant and the tenant and keys its
-    /// dispatch; a start failure parks the typed error and has held nothing.
-    fn admit(&mut self, at: usize, share: MemoryBudget, replanned: bool) {
+    /// Starts the admitted ticket at `at` under its `grant`: entering
+    /// `Running` is what charges the grant to the global budget and the
+    /// tenant and keys its dispatch; a start failure parks the typed error
+    /// and has held nothing.
+    fn admit(&mut self, at: usize, grant: Grant) {
         let t = &self.tickets[at];
         let (request, query, ordinal) = (t.request, t.query, t.ordinal);
         let wait = t.submitted_at.elapsed();
-        // The effective budget: the admission grant, tightened by the
-        // request's own hint if any (a hint can only shrink the share,
-        // never grow it).
-        let effective = match request.budget_hint {
-            Some(hint) if hint.limit_bytes() < share.limit_bytes() => hint,
-            _ => share,
-        };
-        // A tenant byte cap tightens the grant further — the same
-        // mechanism as the hint — and the final limit is charged against
-        // the tenant, so `Σ` of a tenant's grants `≤` its cap holds by
-        // construction.  The check before admission guaranteed the
-        // headroom holds one row.
-        let tenant = request.tenant.map(|t| {
-            match self.tenants.remaining_bytes(t, self.tenant_load(t).1) {
-                Some(remaining)
-                    if !effective.is_bounded() || remaining < effective.limit_bytes() =>
-                {
-                    (t, remaining)
-                }
-                Some(_) => (t, effective.limit_bytes()),
-                // No byte cap: track the in-flight slot only.
-                None => (t, 0),
-            }
-        });
-        let effective = match tenant {
-            Some((_, bytes)) if bytes > 0 => MemoryBudget::bytes(bytes),
-            _ => effective,
-        };
-        if let Some((t, _)) = tenant {
+        if let Some((t, _)) = grant.tenant {
             self.tenants.count_admit(t);
         }
-        match self.resolve_with(&request, effective, query, wait, ordinal) {
+        match self.resolve_with(&request, grant.budget, query, wait, ordinal) {
             Ok((run, mut stats, column_ms)) => {
-                stats.replanned = replanned;
-                if replanned {
+                stats.replanned = grant.replanned;
+                if grant.replanned {
                     self.counters.replans.inc();
                 }
                 let urgency = deadline_urgency(&request, &stats, &run);
@@ -1256,34 +1186,38 @@ impl QueryEngine {
                         ResultForm::Columns => TicketSink::Columns(MaterializeSink::new()),
                         ResultForm::Frame { .. } => TicketSink::Frame(FrameSink::new()),
                     },
-                    share,
+                    grant,
                     slowed_ns: 0,
-                    tenant,
                     step_work,
                     waiting_since: self.step_count,
                     max_wait: 0,
                 };
                 self.enter(at, State::Running(Box::new(running)));
-                self.publish_tenant(tenant);
+                self.publish_tenant(grant.tenant);
             }
             Err(e) => self.reject(at, e),
         }
     }
 
-    /// The engine's bookkeeping invariants, asserted after every public
-    /// transition in debug builds.  Grants, tenant charges and keys exist
-    /// only on running tickets, and each ticket holds one state, so no
-    /// second count can drift and no ticket can be in two states; what is
-    /// left to check is what the running tickets must satisfy: under a
-    /// bounded budget their grants sum to at most the global budget, and
-    /// at most `max_concurrent` of them run.
-    #[cfg(debug_assertions)]
-    fn check_invariants(&self) {
+    /// Ends every public transition: publishes the `engine.in_flight` and
+    /// `engine.queued` gauges and, in debug builds, asserts the engine's
+    /// invariants.  Grants, tenant charges and keys exist only on running
+    /// tickets, and each ticket holds one state, so no second count can
+    /// drift and no ticket can be in two states; what is left to check is
+    /// what the running tickets must satisfy: under a bounded budget their
+    /// grants sum to at most the global budget, and at most
+    /// `max_concurrent` of them run.
+    fn settle(&self) {
+        let in_flight = self.in_flight();
+        self.counters.in_flight.set(in_flight as i64);
+        self.counters.queued.set(self.queued() as i64);
         let global = self.config.global_budget;
-        let fits = !global.is_bounded() || self.committed_bytes() <= global.limit_bytes();
-        assert!(fits, "Σ grants above the global budget");
+        debug_assert!(
+            !global.is_bounded() || self.committed_bytes() <= global.limit_bytes(),
+            "Σ grants above the global budget"
+        );
         let slots = self.config.max_concurrent;
-        assert!(self.in_flight() <= slots, "more than {slots} running");
+        debug_assert!(in_flight <= slots, "more than {slots} running");
     }
 }
 
@@ -1309,24 +1243,31 @@ fn deadline_urgency(request: &ServerRequest, stats: &QueryStats, run: &Run) -> f
     slack_factor / priority
 }
 
-/// Request validation against the catalog, in workspace-wide error terms.
+/// The pair `request` names, or [`RdxError::UnknownRelation`] for the
+/// first id the catalog does not hold.
+fn relations(
+    catalog: &Catalog,
+    request: &ServerRequest,
+) -> Result<(Arc<DsmRelation>, Arc<DsmRelation>), RdxError> {
+    let get =
+        |id: RelationId| (catalog.get_arc(id)).ok_or(RdxError::UnknownRelation { id: id.raw() });
+    Ok((get(request.larger)?, get(request.smaller)?))
+}
+
+/// Request validation at submit, in workspace-wide error terms: the pair
+/// is registered, each side has the columns projected, and a budget hint
+/// holds one resident row (below that floor it can never run).
 fn validate(catalog: &Catalog, request: &ServerRequest) -> Result<(), RdxError> {
-    let larger = catalog
-        .get(request.larger)
-        .ok_or(RdxError::UnknownRelation {
-            id: request.larger.raw(),
-        })?;
-    let smaller = catalog
-        .get(request.smaller)
-        .ok_or(RdxError::UnknownRelation {
-            id: request.smaller.raw(),
-        })?;
+    let (larger, smaller) = relations(catalog, request)?;
     check_projection_widths(
         request.spec.project_larger,
         larger.width(),
         request.spec.project_smaller,
         smaller.width(),
-    )
+    )?;
+    let hint = request.budget_hint.unwrap_or(MemoryBudget::unbounded());
+    let floor = hint.check_one_row(streaming_bytes_per_row(&request.spec));
+    floor.map_err(RdxError::Budget)
 }
 
 #[cfg(test)]
@@ -2079,6 +2020,47 @@ mod tests {
         let stats = engine.stats();
         assert_eq!((stats.retries, stats.budget_rejects), (1, 1));
         assert_eq!(stats.tenant_quota_rejects, 0, "retried, never shed");
+    }
+
+    /// A budget hint below the one-row floor can never run: it is refused
+    /// at submit, before it holds a queue slot.
+    #[test]
+    fn a_hint_below_one_row_is_refused_at_submit() {
+        let w = JoinWorkloadBuilder::equal(300, 1).seed(59).build();
+        let mut engine = engine(MemoryBudget::bytes(4 * 1024));
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let spec = QuerySpec::symmetric(1);
+        let ticket = (engine.query(larger, smaller).project(spec))
+            .budget(MemoryBudget::bytes(1))
+            .submit();
+        assert!(matches!(
+            rejected(engine.poll(ticket)),
+            RdxError::Budget(BudgetError::BelowOneRow {
+                budget_bytes: 1,
+                ..
+            })
+        ));
+        assert_eq!((engine.queued(), engine.stats().budget_rejects), (0, 1));
+    }
+
+    /// A running query holds one grant, the budget it plans under: a hint
+    /// tightens what the global budget is charged, not only the plan.
+    #[test]
+    fn a_hinted_query_is_charged_its_hint() {
+        let w = JoinWorkloadBuilder::equal(1_000, 1).seed(61).build();
+        let mut engine = engine(MemoryBudget::bytes(4 * 1024));
+        let larger = engine.register(w.larger.clone());
+        let smaller = engine.register(w.smaller.clone());
+        let spec = QuerySpec::symmetric(1);
+        let ticket = (engine.query(larger, smaller).project(spec))
+            .budget(MemoryBudget::bytes(64))
+            .submit();
+        assert!(matches!(engine.step(), EngineStep::Chunk { .. }));
+        assert_eq!(engine.committed_bytes(), 64);
+        while engine.step() != EngineStep::Idle {}
+        assert_eq!(served(engine.poll(ticket)).stats.share_bytes, 64);
+        assert_eq!(engine.committed_bytes(), 0);
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! * [`registry`] — the relation [`Catalog`]: queries name data by
 //!   [`RelationId`], which is what makes cached intermediates safely
 //!   shareable.
-//! * [`admission`] — [`admission::decide`] splits a global
-//!   [`rdx_core::budget::MemoryBudget`] into per-query grants
-//!   (`per_query_share`, the RAM analogue of the paper's per-core cache
-//!   share), queueing queries that do not fit, re-planning queries to
-//!   tighter chunks when only a sliver is free, and rejecting — with a
-//!   typed error — queries that could never run.  `Σ grants ≤ global`
-//!   holds at every instant; a grant bounds a run's chunk scratch, and
-//!   result memory lies outside every grant (see [`admission`]).
+//! * [`admission`] — the one decision of a query's grant: it checks the
+//!   tenant's caps, splits a global [`rdx_core::budget::MemoryBudget`]
+//!   ([`admission::decide`], `per_query_share`, the RAM analogue of the
+//!   paper's per-core cache share) and tightens the share by the hint and
+//!   the tenant's headroom — queueing queries that do not fit, re-planning
+//!   to tighter chunks when only a sliver is free, refusing with a typed
+//!   error.  The one grant is charged to the global budget and the tenant
+//!   alike, so `Σ grants ≤ global` holds; result memory is outside it.
 //! * [`scheduler`] — the remaining-work-first rule
 //!   ([`scheduler::dispatch`]) that picks whose budget-sized pipeline
 //!   chunk runs next: the query with the least Appendix-A predicted work
@@ -39,18 +39,18 @@
 //!   pumps one admission-plus-chunk decision.  Every query is a ticket, so
 //!   every query is admitted under `Σ grants ≤ global` and planned by the
 //!   same single start-a-run step.  The engine's one ticket table is the
-//!   one record of what is in flight: each running ticket holds its grant,
-//!   its tenant charge and its dispatch key, and admission, quotas and the
+//!   one record of what is in flight: each running ticket holds one grant
+//!   (with its tenant charge) and its dispatch key, and admission and the
 //!   scheduler read their load off it, so tearing a query down is moving
 //!   its ticket out of `Running`.
 //! * [`tenant`] — the **per-tenant quota layer**: [`TenantQuotas`] caps a
-//!   tenant's in-flight queries and resident grant bytes, checked at
-//!   admission *before* the global `per_query_share` (typed
-//!   [`rdx_core::error::RdxError::TenantQuota`] rejection) with per-tenant
+//!   tenant's in-flight queries and resident grant bytes, which admission
+//!   enforces *before* the global `per_query_share` (typed
+//!   [`rdx_core::error::RdxError::TenantQuota`] rejection), with per-tenant
 //!   `engine.tenant.*` instruments — the paper's memory-budgeted execution
-//!   model extended from queries to principals.  A tenant's load is read
-//!   off the engine's running set; the registry keeps names, quotas and
-//!   counts.
+//!   model extended from queries to principals.  The registry keeps names,
+//!   quotas, counts and gauges; a tenant's load is read off the running
+//!   set.
 //!
 //! [`request`] holds what goes in and comes out: the engine-wide
 //! [`ServeConfig`], one query's [`ServerRequest`] and the [`Query`] that

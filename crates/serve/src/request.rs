@@ -78,7 +78,7 @@ pub struct ServerRequest {
     /// Optional cap on this query's resident working set: it tightens the
     /// admission grant (default: the fair share of the global budget) and
     /// can only shrink it, never grow it.  A hint below the one-row floor
-    /// is rejected for good, never retried.
+    /// is refused at submit, for good, never retried.
     pub budget_hint: Option<MemoryBudget>,
     /// Optional per-query worker-thread count (`0` = auto-detect),
     /// overriding [`ServeConfig::threads_per_query`].  Threads change only
@@ -315,7 +315,7 @@ pub struct QueryStats {
     /// handed down from an earlier query (the engine's scratch pool),
     /// instead of growing its own.
     pub scratch_reused: bool,
-    /// The admitted budget share (`usize::MAX` when unbounded).
+    /// The admission grant the run planned under (`usize::MAX` if unbounded).
     pub share_bytes: usize,
     /// Whether admission granted less than the fair share (tighter chunks).
     pub replanned: bool,

@@ -1,41 +1,40 @@
 //! The **per-tenant quota layer**: admission caps per principal, on top of
-//! the global [`rdx_core::budget::MemoryBudget`] that
-//! [`crate::admission::decide`] splits.
+//! the global [`rdx_core::budget::MemoryBudget`].
 //!
 //! The paper's execution model budgets *queries*; a serving front budgets
 //! *principals* — the tenants behind the connections.  A [`TenantQuota`]
 //! caps how many queries a tenant may have in flight and how many resident
-//! grant bytes those queries may hold in total.  Quotas are enforced at
-//! admission **before** the global `per_query_share` is consulted, so one
-//! tenant's burst is shed at its own cap (typed
-//! [`RdxError::TenantQuota`]) and never dips into the shared pool; the
-//! byte cap also *tightens* an admitted query's grant the same way a
-//! request's budget hint does, so `Σ` of a tenant's grants `≤` its cap
-//! holds at every instant, by the same construction as the global
+//! grant bytes those queries may hold in total.  [`crate::admission`]
+//! enforces both, **before** the global `per_query_share` is consulted, so
+//! one tenant's burst is shed at its own cap (typed
+//! `RdxError::TenantQuota`) and never dips into the shared pool; it also
+//! tightens an admitted query's grant to the tenant's byte headroom and
+//! charges the tenant that one grant, so `Σ` of a tenant's grants `≤` its
+//! cap holds at every instant, by the same construction as the global
 //! invariant.
 //!
 //! Tenants are interned by name ([`crate::engine::QueryEngine::tenant_id`])
 //! into the `Copy` [`TenantId`] requests carry.  A tenant's *load* — its
 //! running queries and the bytes charged against its byte cap — is read
 //! off the engine's running set, which is the one record of who holds
-//! what; the registry keeps names, quotas and the admission and rejection
-//! counts.  Each tenant's `engine.tenant.<name>.*` instruments publish
-//! both: the engine writes the load gauges from its running set after
-//! every admission and teardown, and no check reads them.
+//! what; this registry keeps names, quotas, the admission and rejection
+//! counts and the load gauges.  Each tenant's `engine.tenant.<name>.*`
+//! instruments publish both: the engine writes the load gauges from its
+//! running set after every admission and teardown, and no check reads
+//! them.
 
-use rdx_core::error::{RdxError, TenantQuotaKind};
 use rdx_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::HashMap;
 
 /// Opaque handle to an interned tenant — what [`crate::ServerRequest`]
 /// carries.  Interned per engine; the raw value is what
-/// [`RdxError::TenantQuota`] reports (the newtype is not visible from
+/// `RdxError::TenantQuota` reports (the newtype is not visible from
 /// `rdx-core`, like `RelationId`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub(crate) u32);
 
 impl TenantId {
-    /// The raw id — what [`RdxError::TenantQuota`] carries.
+    /// The raw id — what `RdxError::TenantQuota` carries.
     pub fn raw(&self) -> u32 {
         self.0
     }
@@ -60,7 +59,8 @@ pub struct TenantQuota {
     /// memory (the `MaterializeSink` columns, the `FrameSink` `Done` frame,
     /// outcomes parked until polled) lies outside it, so this caps the
     /// tenant's chunk scratch, not its resident memory.  Also tightens
-    /// grants: a query is admitted at `min(share, hint, tenant remaining)`.
+    /// grants: a query is admitted at `min(share, hint, tenant headroom)`,
+    /// and that one grant is what the tenant is charged.
     pub max_resident_bytes: Option<usize>,
 }
 
@@ -140,7 +140,7 @@ pub struct TenantStats {
     pub committed_bytes: usize,
     /// Queries admitted over the tenant's lifetime.
     pub admissions: u64,
-    /// Queries refused with [`RdxError::TenantQuota`].
+    /// Queries refused with `RdxError::TenantQuota`.
     pub rejections: u64,
 }
 
@@ -200,48 +200,12 @@ impl TenantRegistry {
         TenantId(id)
     }
 
-    /// Whether the tenant, under `load`, can admit one more query needing
-    /// at least `bytes_per_row` resident bytes — the check that runs
-    /// *before* [`crate::admission::decide`].
-    pub(crate) fn check_admit(
-        &self,
-        t: TenantId,
-        (in_flight, committed): Load,
-        bytes_per_row: usize,
-    ) -> Result<(), RdxError> {
-        let Some(state) = self.tenants.get(t.0 as usize) else {
-            return Ok(());
-        };
-        if let Some(limit) = state.quota.max_in_flight {
-            if in_flight >= limit {
-                return Err(RdxError::TenantQuota {
-                    tenant: t.0,
-                    kind: TenantQuotaKind::InFlight { in_flight, limit },
-                });
-            }
-        }
-        if let Some(limit) = state.quota.max_resident_bytes {
-            if limit.saturating_sub(committed) < bytes_per_row {
-                return Err(RdxError::TenantQuota {
-                    tenant: t.0,
-                    kind: TenantQuotaKind::ResidentBytes {
-                        needed: bytes_per_row,
-                        in_use: committed,
-                        limit,
-                    },
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The tenant's uncommitted resident-byte headroom when its queries
-    /// hold `committed` bytes, or `None` when it has no byte cap (nothing
-    /// to tighten grants against).
-    pub(crate) fn remaining_bytes(&self, t: TenantId, committed: usize) -> Option<usize> {
-        let state = self.tenants.get(t.0 as usize)?;
-        let limit = state.quota.max_resident_bytes?;
-        Some(limit.saturating_sub(committed))
+    /// The quota `t` resolved to at interning time, or no caps for a
+    /// foreign id.
+    pub(crate) fn quota(&self, t: TenantId) -> TenantQuota {
+        self.tenants
+            .get(t.0 as usize)
+            .map_or(TenantQuota::unlimited(), |s| s.quota)
     }
 
     /// Counts one admission of the tenant's.
@@ -251,7 +215,7 @@ impl TenantRegistry {
         }
     }
 
-    /// Counts one [`RdxError::TenantQuota`] refusal against the tenant.
+    /// Counts one `RdxError::TenantQuota` refusal against the tenant.
     pub(crate) fn count_reject(&self, t: TenantId) {
         if let Some(state) = self.tenants.get(t.0 as usize) {
             state.rejections.inc();
@@ -301,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn interning_is_stable_and_checks_enforce_both_axes() {
+    fn interning_is_stable_and_foreign_ids_resolve_to_no_state() {
         let quotas = TenantQuotas::unlimited().with_tenant(
             "capped",
             TenantQuota::unlimited().in_flight(2).resident_bytes(100),
@@ -314,44 +278,9 @@ mod tests {
         assert_ne!(capped, free);
         assert_eq!(capped.to_string(), "tenant#0");
 
-        // First admission fits; two running queries of 30 bytes each
-        // exhaust the in-flight cap, and one of them finishing clears it.
-        assert_eq!(reg.check_admit(capped, (0, 0), 16), Ok(()));
-        assert!(matches!(
-            reg.check_admit(capped, (2, 60), 16),
-            Err(RdxError::TenantQuota {
-                kind: TenantQuotaKind::InFlight {
-                    in_flight: 2,
-                    limit: 2
-                },
-                ..
-            })
-        ));
-        assert_eq!(reg.check_admit(capped, (1, 30), 16), Ok(()));
-
-        // The byte cap fires when the headroom cannot hold one row: one
-        // query holding 90 of 100 bytes leaves an in-flight slot free but
-        // only 10 bytes of headroom.
-        let quota_err = reg.check_admit(capped, (1, 90), 16);
-        assert!(matches!(
-            quota_err,
-            Err(RdxError::TenantQuota {
-                kind: TenantQuotaKind::ResidentBytes {
-                    needed: 16,
-                    limit: 100,
-                    ..
-                },
-                ..
-            })
-        ));
-        assert_eq!(reg.remaining_bytes(capped, 90), Some(10));
-        // Unlimited tenants have no headroom notion and always pass.
-        assert_eq!(reg.remaining_bytes(free, 0), None);
-        assert_eq!(reg.check_admit(free, (0, 0), usize::MAX), Ok(()));
-
-        // Foreign ids resolve to no state: checks pass, counts no-op.
+        // Foreign ids resolve to no state: no caps, counts no-op.
         let foreign = TenantId(99);
-        assert_eq!(reg.check_admit(foreign, (0, 0), 1), Ok(()));
+        assert_eq!(reg.quota(foreign), TenantQuota::unlimited());
         reg.count_admit(foreign);
         reg.publish(foreign, (1, 10));
         assert!(reg.stats(foreign, (1, 10)).is_none());

@@ -13,7 +13,9 @@
 //!   same query run alone through `run()`, and its `stats.query_id` is
 //!   its ticket's number;
 //! * `committed_bytes() ≤ global`, no tenant is over its in-flight or byte
-//!   cap, and no more than `max_concurrent` tickets run;
+//!   cap, no more than `max_concurrent` tickets run, and the
+//!   `engine.in_flight` / `engine.queued` gauges read `in_flight()` /
+//!   `queued()`;
 //! * at idle, `committed_bytes()`, every tenant's in-flight and committed
 //!   counts and the `engine.in_flight` / `engine.queued` gauges are 0.
 //!
@@ -236,8 +238,15 @@ fn step(engine: &mut QueryEngine, model: &mut [Model]) -> EngineStep {
     step
 }
 
-/// The budget and quota bounds that hold after every op.
+/// The budget and quota bounds that hold after every op, and the load
+/// gauges agreeing with the ticket table.
 fn check_bounds(engine: &QueryEngine, tenants: &[TenantId]) -> Result<(), TestCaseError> {
+    let snap = engine.obs().metrics().snapshot();
+    prop_assert_eq!(
+        snap.gauge("engine.in_flight"),
+        Some(engine.in_flight() as i64)
+    );
+    prop_assert_eq!(snap.gauge("engine.queued"), Some(engine.queued() as i64));
     let global = engine.config().global_budget;
     if global.is_bounded() {
         prop_assert!(engine.committed_bytes() <= global.limit_bytes());

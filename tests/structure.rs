@@ -285,6 +285,13 @@ const GATES: &[Gate] = &[
         ..LIBRARY
     },
     Gate {
+        name: "One admission decision",
+        scope: &["crates/serve/src/engine.rs", "crates/serve/src/tenant.rs"],
+        needles: &[Token("check_admit|remaining_bytes|admission::decide")],
+        message: "a second admission decision — ask admission::admit once per queue head; it checks the tenant caps, splits the budget and tightens the grant",
+        ..LIBRARY
+    },
+    Gate {
         name: "One request builder",
         scope: &["crates/serve/src/request.rs"],
         needles: &[Token("fn with_")],
