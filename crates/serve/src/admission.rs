@@ -72,7 +72,7 @@ pub enum AdmissionDecision {
 }
 
 /// One admitted query's grant, held while it runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Grant {
     /// The budget the run plans under, charged to the global budget.
     pub(crate) budget: MemoryBudget,
@@ -84,7 +84,7 @@ pub(crate) struct Grant {
 }
 
 /// What `admit` decided for one queue head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) enum Admission {
     /// Run now under the grant.
     Grant(Grant),
@@ -100,8 +100,8 @@ pub(crate) type Tenant = (TenantId, TenantQuota, Load);
 
 /// Decides the grant of a query needing `bytes_per_row` (`≥ 1`) resident
 /// bytes per in-flight result row, with an optional budget `hint`, for
-/// `tenant`, while the running queries' `load` holds `committed` bytes of
-/// `global` at most `max_concurrent` at once.
+/// `tenant`, while `in_flight` running queries' grants hold `committed`
+/// bytes of `global`, at most `max_concurrent` at once.
 pub(crate) fn admit(
     global: MemoryBudget,
     max_concurrent: usize,
@@ -149,8 +149,8 @@ pub(crate) fn admit(
 
 /// Decides whether a query whose streaming plan needs `bytes_per_row`
 /// resident bytes per in-flight result row runs now, given `in_flight`
-/// running queries whose grants hold `committed` bytes of `global`
-/// (0 under an unbounded budget), at most `max_concurrent` at once.
+/// running queries whose grants hold `committed` bytes of `global` (not
+/// read under an unbounded budget), at most `max_concurrent` at once.
 pub fn decide(
     global: MemoryBudget,
     max_concurrent: usize,
