@@ -1,15 +1,18 @@
 //! A minimal client for the wire protocol — enough to drive a server from
 //! tests, examples, and other processes without pulling in any async
 //! machinery.  Each call returns once its reply is in; the wait for it
-//! follows the server's own idle policy (see [`NetClient`]).
+//! follows the server's own idle policy (see [`NetClient`]).  The server
+//! pushes each ticket's outcome unasked, so the client keeps the outcomes
+//! that arrive while a call waits for its own reply.
 
-use crate::idle::{IdleAction, IdlePolicy, IDLE_SLEEP};
-use crate::server::NetStream;
+use crate::idle::{IdleAction, IdlePolicy};
+use crate::server::{NetStream, NO_TICKET};
 use crate::wire::{
     announced_payload_len, decode_frame, encode_frame, Frame, SubmitSpec, WireError, WireReport,
     HEADER_LEN,
 };
 use rdx_core::error::RdxError;
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::path::Path;
@@ -178,11 +181,43 @@ impl FrameReader {
     }
 }
 
+/// A ticket's outcome: the completion report, or the typed engine error.
+type Outcome = Result<WireReport, RdxError>;
+
+/// Splits off a frame only a push carries, as its ticket and outcome: a
+/// `Done`, or a `Rejected` of an issued ticket.  The server's replies
+/// refuse only with `UnknownTicket` (a `Poll`) or under [`NO_TICKET`] (a
+/// `Submit`).
+fn pushed(frame: Frame) -> Result<(u64, Outcome), Frame> {
+    match frame {
+        Frame::Done { ticket, report } => Ok((ticket, Ok(report))),
+        Frame::Rejected { ticket, error }
+            if ticket != NO_TICKET && !matches!(error, RdxError::UnknownTicket { .. }) =>
+        {
+            Ok((ticket, Err(error)))
+        }
+        frame => Err(frame),
+    }
+}
+
+/// The terminal frame that carries `ticket`'s outcome.
+fn terminal_frame(ticket: u64, outcome: Outcome) -> Frame {
+    match outcome {
+        Ok(report) => Frame::Done { ticket, report },
+        Err(error) => Frame::Rejected { ticket, error },
+    }
+}
+
 /// A connection to a [`crate::NetServer`].
 ///
-/// One request/reply at a time: each helper sends its frame and returns
-/// once the matching reply is in.  [`NetClient::wait`] layers a poll loop
-/// on top to wait until a ticket finishes.
+/// Each helper sends its frame and returns once the matching reply is in.
+/// The server pushes every ticket's terminal frame (`Done` or `Rejected`)
+/// unasked, in the cycle the ticket finishes, so a pushed frame can arrive
+/// while a helper waits for its own reply: the client keeps it, by ticket,
+/// until [`NetClient::poll`] or [`NetClient::wait`] asks for that ticket.
+/// `wait` sends nothing; it reads until the ticket's frame is in.  Raw
+/// [`NetClient::recv`] returns whatever frame comes next, a pushed one
+/// included, and keeps nothing.
 ///
 /// **Waiting.**  The stream is non-blocking, and a reply that is not in
 /// yet is waited for under the same policy [`crate::NetServer::serve`]
@@ -198,6 +233,9 @@ impl FrameReader {
 pub struct NetClient {
     stream: NetStream,
     inbound: FrameReader,
+    /// The tickets [`NetClient::submit`] returned whose outcome `poll` or
+    /// `wait` has not handed out yet, each with its outcome once pushed.
+    tickets: HashMap<u64, Option<Outcome>>,
 }
 
 impl NetClient {
@@ -220,6 +258,7 @@ impl NetClient {
         Ok(NetClient {
             stream,
             inbound: FrameReader::new(crate::wire::DEFAULT_MAX_PAYLOAD),
+            tickets: HashMap::new(),
         })
     }
 
@@ -237,7 +276,8 @@ impl NetClient {
         Ok(())
     }
 
-    /// Waits until the next complete frame arrives.
+    /// Waits until the next complete frame arrives — a reply, or an
+    /// outcome the server pushed, which this call does not keep.
     pub fn recv(&mut self) -> Result<Frame, ClientError> {
         self.inbound.read_frame(&mut self.stream)
     }
@@ -251,6 +291,25 @@ impl NetClient {
         }
     }
 
+    /// Receives the reply to the request just sent, keeping every pushed
+    /// outcome that arrives ahead of it.
+    fn reply(&mut self) -> Result<Frame, ClientError> {
+        loop {
+            match pushed(self.recv_expected()?) {
+                Ok((ticket, outcome)) => {
+                    self.tickets.insert(ticket, Some(outcome));
+                }
+                Err(frame) => return Ok(frame),
+            }
+        }
+    }
+
+    /// Hands out `ticket`'s outcome if it has been pushed.
+    fn take_pushed(&mut self, ticket: u64) -> Option<Outcome> {
+        self.tickets.get(&ticket)?.as_ref()?;
+        self.tickets.remove(&ticket).flatten()
+    }
+
     /// Opens the session, optionally naming the tenant every subsequent
     /// submit is billed to.  Returns the server's wire version and the
     /// interned raw tenant id.
@@ -258,7 +317,7 @@ impl NetClient {
         self.send(&Frame::Hello {
             tenant: tenant.map(str::to_owned),
         })?;
-        match self.recv_expected()? {
+        match self.reply()? {
             Frame::HelloOk { version, tenant } => Ok((version, tenant)),
             other => Err(ClientError::Protocol(format!(
                 "expected HelloOk, got {other:?}"
@@ -270,8 +329,11 @@ impl NetClient {
     /// (zero-byte budget) surfaces as [`ClientError::Rejected`].
     pub fn submit(&mut self, spec: SubmitSpec) -> Result<u64, ClientError> {
         self.send(&Frame::Submit(spec))?;
-        match self.recv_expected()? {
-            Frame::Submitted { ticket } => Ok(ticket),
+        match self.reply()? {
+            Frame::Submitted { ticket } => {
+                self.tickets.insert(ticket, None);
+                Ok(ticket)
+            }
             Frame::Rejected { error, .. } => Err(ClientError::Rejected(error)),
             other => Err(ClientError::Protocol(format!(
                 "expected Submitted, got {other:?}"
@@ -279,15 +341,25 @@ impl NetClient {
         }
     }
 
-    /// Polls a ticket once, returning the raw status frame (`Queued`,
-    /// `Chunk`, `Done`, or `Rejected`).
+    /// The ticket's status frame (`Queued`, `Chunk`, `Done`, or
+    /// `Rejected`).  A pushed outcome is handed out without sending
+    /// anything; otherwise this is one `Poll` round trip.  An outcome is
+    /// handed out once: a later poll of its ticket is
+    /// `Rejected(UnknownTicket)`.
     pub fn poll(&mut self, ticket: u64) -> Result<Frame, ClientError> {
+        if let Some(outcome) = self.take_pushed(ticket) {
+            return Ok(terminal_frame(ticket, outcome));
+        }
         self.send(&Frame::Poll { ticket })?;
-        match self.recv_expected()? {
-            frame @ (Frame::Queued { .. }
-            | Frame::Chunk { .. }
-            | Frame::Done { .. }
-            | Frame::Rejected { .. }) => Ok(frame),
+        match self.reply()? {
+            frame @ (Frame::Queued { .. } | Frame::Chunk { .. }) => Ok(frame),
+            // The server forgets a ticket as it pushes the outcome, and
+            // TCP keeps frame order: an outcome pushed while this poll was
+            // on its way came in ahead of the `UnknownTicket` answering it.
+            frame @ Frame::Rejected { .. } => Ok(match self.tickets.remove(&ticket).flatten() {
+                Some(outcome) => terminal_frame(ticket, outcome),
+                None => frame,
+            }),
             other => Err(ClientError::Protocol(format!(
                 "expected a status frame, got {other:?}"
             ))),
@@ -298,7 +370,7 @@ impl NetClient {
     /// never this connection's).
     pub fn cancel(&mut self, ticket: u64) -> Result<bool, ClientError> {
         self.send(&Frame::Cancel { ticket })?;
-        match self.recv_expected()? {
+        match self.reply()? {
             Frame::CancelResult { cancelled, .. } => Ok(cancelled),
             other => Err(ClientError::Protocol(format!(
                 "expected CancelResult, got {other:?}"
@@ -306,18 +378,20 @@ impl NetClient {
         }
     }
 
-    /// Polls until the ticket finishes, sleeping the server's 200 µs idle
-    /// sleep between polls: the completion report on success, the typed
-    /// engine error on refusal — the same `Result` shape the in-process
-    /// `Query::run` returns.
+    /// Waits until the ticket's pushed outcome is in, sending nothing:
+    /// the completion report on success, the typed engine error on
+    /// refusal — the same `Result` shape the in-process `Query::run`
+    /// returns.  A ticket this client's `submit` did not return, or whose
+    /// outcome was handed out already, is `UnknownTicket` at once.
     pub fn wait(&mut self, ticket: u64) -> Result<Result<WireReport, RdxError>, ClientError> {
-        loop {
-            match self.poll(ticket)? {
-                Frame::Done { report, .. } => return Ok(Ok(report)),
-                Frame::Rejected { error, .. } => return Ok(Err(error)),
-                _ => std::thread::sleep(IDLE_SLEEP),
-            }
+        while let Some(None) = self.tickets.get(&ticket) {
+            let (pushed_ticket, outcome) = pushed(self.recv_expected()?).map_err(|frame| {
+                ClientError::Protocol(format!("expected a pushed outcome, got {frame:?}"))
+            })?;
+            self.tickets.insert(pushed_ticket, Some(outcome));
         }
+        let unknown = Err(RdxError::UnknownTicket { ticket });
+        Ok(self.tickets.remove(&ticket).flatten().unwrap_or(unknown))
     }
 }
 
@@ -513,7 +587,7 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         // A scripted server: answer each submit (the first one late), then
-        // its poll with a `Done`.
+        // push its `Done` unasked.
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().expect("accept");
             let mut stream = NetStream::Tcp(stream);
@@ -530,10 +604,6 @@ mod tests {
                 ));
                 std::thread::sleep(delay);
                 reply(&mut stream, &Frame::Submitted { ticket });
-                assert_eq!(
-                    reader.read_frame(&mut stream).expect("poll"),
-                    Frame::Poll { ticket }
-                );
                 let report = report(ticket);
                 reply(&mut stream, &Frame::Done { ticket, report });
             }
@@ -559,6 +629,85 @@ mod tests {
             let done = client.wait(ticket).expect("wait").expect("done");
             assert_eq!(done, report(ticket));
         }
+        server.join().expect("server thread");
+    }
+
+    /// Pushed outcomes are kept until asked for, and handed out once.  A
+    /// `Done` pushed ahead of the next `Submitted` is kept by `submit` and
+    /// handed out by `poll` without a `Poll` on the wire; a `Poll` that
+    /// crosses its ticket's pushed `Done` is answered `UnknownTicket` behind
+    /// it, and `poll` returns the `Done`; after that the ticket is spent.
+    #[test]
+    fn pushed_outcomes_are_kept_until_asked_for_and_handed_out_once() {
+        let done = |ticket: u64| Frame::Done {
+            ticket,
+            report: WireReport {
+                rows: 1,
+                chunks: 1,
+                cache_hit: false,
+                share_bytes: 64,
+                columns: vec![vec![ticket as i32]],
+            },
+        };
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut stream = NetStream::Tcp(stream);
+            let mut reader = FrameReader::new(DEFAULT_MAX_PAYLOAD);
+            let unknown = RdxError::UnknownTicket { ticket: 8 };
+            // (the request read, the frames written), in order.
+            let transcript = [
+                (None, vec![Frame::Submitted { ticket: 7 }, done(7)]),
+                (None, vec![Frame::Submitted { ticket: 8 }]),
+                (
+                    Some(Frame::Poll { ticket: 8 }),
+                    vec![
+                        done(8),
+                        Frame::Rejected {
+                            ticket: 8,
+                            error: unknown,
+                        },
+                    ],
+                ),
+            ];
+            for (request, frames) in transcript {
+                let read = reader.read_frame(&mut stream).expect("a request");
+                match request {
+                    Some(request) => assert_eq!(read, request),
+                    None => assert!(matches!(read, Frame::Submit(_)), "{read:?}"),
+                }
+                stream.write_all(&encoded(&frames)).expect("reply");
+            }
+            // The client sends nothing more before it hangs up.
+            assert!(matches!(
+                reader.read_frame(&mut stream),
+                Err(ClientError::Disconnected)
+            ));
+        });
+        let spec = SubmitSpec {
+            larger: 0,
+            smaller: 1,
+            project_larger: 1,
+            project_smaller: 1,
+            budget_bytes: None,
+            threads: None,
+            codes: None,
+            deadline_ns: None,
+            priority: 1,
+        };
+        let mut client = NetClient::connect_tcp(addr).expect("connect");
+        assert_eq!(client.submit(spec).expect("submit"), 7);
+        assert_eq!(client.submit(spec).expect("submit past a push"), 8);
+        assert_eq!(client.poll(7).expect("kept"), done(7));
+        assert_eq!(client.poll(8).expect("crossed"), done(8));
+        for ticket in [7, 8] {
+            assert!(matches!(
+                client.wait(ticket),
+                Ok(Err(RdxError::UnknownTicket { .. }))
+            ));
+        }
+        drop(client);
         server.join().expect("server thread");
     }
 

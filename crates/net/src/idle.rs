@@ -12,18 +12,17 @@ use std::time::Duration;
 
 /// How long after the last progress a waiting end keeps re-polling
 /// (yielding in between) before it falls back to a kernel wait.  Long
-/// enough to cover a closed-loop client's turnaround — including the
-/// [`IDLE_SLEEP`] between the polls of [`crate::NetClient::wait`] and the
-/// timer slack on top of it — short enough that an abandoned loop spins
-/// for a negligible time.
+/// enough to cover a closed-loop client's turnaround — including a
+/// generator that sleeps an [`IDLE_SLEEP`] after a sweep of polls that
+/// completed nothing, and the timer slack on top of it — short enough
+/// that an abandoned loop spins for a negligible time.
 pub(crate) const QUIET_WINDOW: Duration = Duration::from_millis(2);
 
 /// One sleep of a server that has been quiet for longer than
 /// [`QUIET_WINDOW`]: the bound on how late a request into a sleeping
 /// server is noticed.  It is also the interval at which a server with a
 /// connection open polls its listener (`NetServer::poll_cycle`), so a new
-/// connection is noticed as late, busy server or sleeping one; and the
-/// wait between the polls of [`crate::NetClient::wait`].
+/// connection is noticed as late, busy server or sleeping one.
 pub(crate) const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 /// What a waiting end does before its next poll.

@@ -26,7 +26,10 @@
 //!   (the idle sleep) while one is open, counted in
 //!   [`NetStats::accept_polls`].  Each cycle reads, decodes and handles
 //!   a connection's frames and then flushes its replies, so a reply is on
-//!   the socket before the cycle's engine steps run.  A query's result is
+//!   the socket before the cycle's engine steps run; after the steps it
+//!   pushes every ticket that became terminal, `Done` or `Rejected`, to
+//!   the connection that submitted it, unasked, so an outcome costs no
+//!   `Poll` round trip.  Both ends set `TCP_NODELAY`.  A query's result is
 //!   encoded where it is computed: every wire ticket is submitted in the
 //!   engine's frame form, so the kernels write each value's bytes into the
 //!   one pre-sized `Done` frame the engine's frame sink lends, and the
@@ -36,8 +39,10 @@
 //! - [`client`] — [`NetClient`]: a small client for tests, examples, and
 //!   other processes.  Its stream is non-blocking, and it waits for a
 //!   reply under the server's idle policy (yield-and-retry for the quiet
-//!   window, then one blocking read).  It reads each frame straight into a
-//!   buffer sized by the validated header, never beyond the payload cap.
+//!   window, then one blocking read).  It keeps the outcomes pushed while
+//!   it waits for a reply, so `poll` of a finished ticket and `wait` send
+//!   nothing.  It reads each frame straight into a buffer sized by the
+//!   validated header, never beyond the payload cap.
 //!
 //! The result columns ride the wire in full, so a networked query is
 //! byte-identical to the same query run in-process — the conformance

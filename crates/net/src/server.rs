@@ -17,9 +17,19 @@
 //! Then each connection is serviced read → decode and handle → flush,
 //! once per cycle: the replies its frames produced reach the socket in
 //! the cycle that asked for them, before the cycle's engine steps run, so
-//! a `Submitted`, status or `Done` reply never waits behind up to four
-//! chunk steps (`STEPS_PER_CYCLE`).  What a cycle cannot write (a full
-//! socket buffer) stays queued for the next one.
+//! a `Submitted`, status or `CancelResult` reply never waits behind up to
+//! four chunk steps (`STEPS_PER_CYCLE`).  Then the engine steps.  Last,
+//! the cycle **pushes** every outcome that became terminal — the last
+//! chunk, a refusal at submit or at admission, a tenant-quota shed, a
+//! deadline teardown, a cancel, a poisoned run alike: it lists the
+//! engine's finished tickets ([`QueryEngine::finished`]), takes each one a
+//! connection owns through [`QueryEngine::poll`], queues its `Done` or
+//! `Rejected` frame on that connection and forgets the ticket, so a later
+//! `Poll` of it answers `UnknownTicket`.  The next cycle's service flushes
+//! it, so an outcome costs the client no `Poll` round trip.  A `Done` is
+//! the engine's frame itself, moved into the queue with its header
+//! written, never copied or encoded again.  What a cycle cannot write (a
+//! full socket buffer) stays queued for the next one.
 //!
 //! **Waiting.**  [`NetServer::poll_cycle`] never blocks; what happens
 //! between cycles is the caller's choice.  [`NetServer::serve`] wakes on
@@ -111,7 +121,14 @@ impl NetListener {
     fn accept(&self) -> io::Result<Option<NetStream>> {
         match self {
             NetListener::Tcp(l) => match l.accept() {
-                Ok((stream, _)) => Ok(Some(NetStream::Tcp(stream))),
+                Ok((stream, _)) => {
+                    // A pushed `Done` is followed by the reply to the
+                    // client's next request; Nagle would hold that small
+                    // write until the client ACKs the `Done`, which a
+                    // delayed ACK puts off by up to tens of milliseconds.
+                    stream.set_nodelay(true)?;
+                    Ok(Some(NetStream::Tcp(stream)))
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
                 Err(e) => Err(e),
             },
@@ -139,15 +156,30 @@ pub enum NetStream {
 impl NetStream {
     /// Connects to a TCP server (blocking mode — callers that poll flip
     /// it with [`NetStream::set_nonblocking`], as [`crate::NetClient`]
-    /// does).
+    /// does) with `TCP_NODELAY` set, as the server sets it on every
+    /// connection it accepts: each end's small frames leave at once.
     pub fn connect_tcp(addr: SocketAddr) -> io::Result<NetStream> {
-        Ok(NetStream::Tcp(TcpStream::connect(addr)?))
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(NetStream::Tcp(stream))
     }
 
     /// Connects to a unix-domain server.
     #[cfg(unix)]
     pub fn connect_unix(path: &Path) -> io::Result<NetStream> {
         Ok(NetStream::Unix(UnixStream::connect(path)?))
+    }
+
+    /// Whether a small write leaves at once instead of waiting for the
+    /// peer to acknowledge earlier bytes: `TCP_NODELAY` on TCP, which
+    /// [`NetStream::connect_tcp`] and the server's accept both set; always
+    /// `true` on a unix socket, which has no such delay.
+    pub fn nodelay(&self) -> io::Result<bool> {
+        match self {
+            NetStream::Tcp(s) => s.nodelay(),
+            #[cfg(unix)]
+            NetStream::Unix(_) => Ok(true),
+        }
     }
 
     /// Switches the stream between blocking and non-blocking mode.
@@ -205,7 +237,9 @@ pub struct NetConfig {
     pub max_payload: u32,
     /// Bound on a connection's queued outbound frames.  At the bound the
     /// server stops decoding that connection's requests until the client
-    /// drains replies — backpressure that never blocks the engine.
+    /// drains replies — backpressure that never blocks the engine.  Pushed
+    /// outcomes are queued past it: there is at most one per ticket the
+    /// connection holds.
     pub outbound_limit: usize,
 }
 
@@ -235,7 +269,8 @@ pub struct NetStats {
     pub closed: u64,
     /// Frames decoded from clients.
     pub frames_in: u64,
-    /// Frames queued to clients.
+    /// Frames queued to clients: replies to their frames and pushed
+    /// outcomes, which answer no frame.
     pub frames_out: u64,
     /// Malformed-input events (each also tears its connection down).
     pub decode_errors: u64,
@@ -279,9 +314,9 @@ struct Conn {
     /// Interned tenant from this connection's `Hello`, billed on every
     /// subsequent `Submit`.
     tenant: Option<TenantId>,
-    /// Tickets issued to this connection: raw wire number → engine handle.
-    /// Tickets are connection-scoped — polling another client's ticket is
-    /// `UnknownTicket` by construction.
+    /// Tickets issued to this connection whose outcome is not pushed yet:
+    /// raw wire number → engine handle.  Tickets are connection-scoped —
+    /// polling another client's ticket is `UnknownTicket` by construction.
     tickets: HashMap<u64, TicketId>,
     /// Tear down once the outbound queue drains (EOF seen, or a protocol
     /// error reply is on its way out).
@@ -341,6 +376,9 @@ pub struct NetServer {
     /// The machine's cores, resolved once: the cap on a peer's thread
     /// count.
     cores: usize,
+    /// The engine's finished tickets, listed once per cycle; kept so the
+    /// listing reuses one buffer.
+    finished: Vec<TicketId>,
 }
 
 impl NetServer {
@@ -369,6 +407,7 @@ impl NetServer {
             // std reads the affinity mask and the cgroup quota on every
             // call, so the count is read here, not per `Submit`.
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            finished: Vec::new(),
         }
     }
 
@@ -413,12 +452,14 @@ impl NetServer {
     /// a poll; for each connection read what its socket has, decode and
     /// handle its requests (respecting per-connection backpressure) and
     /// flush the replies that produced; then run up to `STEPS_PER_CYCLE`
-    /// (four) engine steps.  A reply to a frame this cycle decoded is
-    /// therefore on the socket when the cycle returns, unless the socket's
-    /// buffer is full.  Returns `true` when the cycle did any work (a
-    /// connection accepted, socket bytes moved, frames handled, or engine
-    /// progress).  Never blocks: after a `false` the caller decides how to
-    /// wait — yield, sleep, or poll again (see the module docs for what
+    /// (four) engine steps; then queue every terminal outcome a connection
+    /// owns on that connection, for the next cycle to flush.  A reply to a
+    /// frame this cycle decoded is therefore on the socket when the cycle
+    /// returns, unless the socket's buffer is full.  Returns `true` when
+    /// the cycle did any work (a connection accepted, socket bytes moved,
+    /// frames handled, engine progress, or an outcome pushed).  Never
+    /// blocks: after a `false` the caller decides how to wait — yield,
+    /// sleep, or poll again (see the module docs for what
     /// [`NetServer::serve`] does).
     ///
     /// The listener is due on every cycle while the server has no
@@ -480,7 +521,48 @@ impl NetServer {
             }
         }
 
+        progressed |= self.push_finished();
         progressed
+    }
+
+    /// Pushes every finished ticket a connection owns to that connection;
+    /// `true` when it pushed any.  A finished ticket no connection owns (an
+    /// embedder's own submission) waits for its submitter's poll.
+    fn push_finished(&mut self) -> bool {
+        let mut finished = std::mem::take(&mut self.finished);
+        finished.extend(self.engine.finished());
+        let mut pushed = false;
+        for ticket in finished.drain(..) {
+            let raw = ticket.raw();
+            let owner = self.conns.iter().position(|c| c.tickets.contains_key(&raw));
+            if let Some(idx) = owner {
+                let outcome = self.engine.poll(ticket);
+                self.push(idx, raw, outcome);
+                pushed = true;
+            }
+        }
+        self.finished = finished;
+        pushed
+    }
+
+    /// Queues the terminal frame of `ticket`, whose `outcome` a poll just
+    /// took, and forgets the ticket: its outcome is delivered.
+    fn push(&mut self, idx: usize, ticket: u64, outcome: TicketPoll) {
+        self.conns[idx].tickets.remove(&ticket);
+        let error = match outcome {
+            // The engine filled the frame as the query emitted; only its
+            // header is left to write.
+            TicketPoll::Done(Served::Frame { mut frame, .. }) => {
+                seal_done(&mut frame);
+                return self.enqueue_bytes(idx, frame);
+            }
+            TicketPoll::Rejected(error) => error,
+            // Every wire ticket is submitted in the frame form and only a
+            // terminal poll is pushed, so no other outcome is this
+            // connection's to send.
+            _ => RdxError::UnknownTicket { ticket },
+        };
+        self.enqueue(idx, &Frame::Rejected { ticket, error });
     }
 
     /// Serves until at least one client has connected and then *all*
@@ -750,18 +832,22 @@ impl NetServer {
         self.enqueue(idx, &Frame::Submitted { ticket: raw });
     }
 
-    /// Answers a poll with the frame that mirrors the engine's
-    /// [`TicketPoll`].  A ticket this connection did not submit is unknown
-    /// to it; a terminal poll took the outcome, so the ticket is spent.
+    /// Answers a poll of a live ticket with the frame that mirrors the
+    /// engine's [`TicketPoll`] (`Queued` or `Chunk`).  Any other ticket is
+    /// unknown to this connection: another client's, never issued, or one
+    /// whose outcome was pushed.  A ticket that became terminal since the
+    /// last push (refused at submit, or cancelled, earlier in this cycle)
+    /// is pushed first, so a poll never takes an outcome: it answers
+    /// `UnknownTicket` behind the pushed frame.
     fn handle_poll(&mut self, idx: usize, ticket: u64) {
-        let poll = match self.conns[idx].tickets.get(&ticket) {
-            Some(&tid) => self.engine.poll(tid),
-            None => TicketPoll::Rejected(RdxError::UnknownTicket { ticket }),
+        let unknown = Frame::Rejected {
+            ticket,
+            error: RdxError::UnknownTicket { ticket },
         };
-        if matches!(poll, TicketPoll::Done(_) | TicketPoll::Rejected(_)) {
-            self.conns[idx].tickets.remove(&ticket);
-        }
-        let frame = match poll {
+        let Some(&tid) = self.conns[idx].tickets.get(&ticket) else {
+            return self.enqueue(idx, &unknown);
+        };
+        let frame = match self.engine.poll(tid) {
             TicketPoll::Queued { position } => Frame::Queued {
                 ticket,
                 position: position as u64,
@@ -771,19 +857,10 @@ impl NetServer {
                 chunks: chunks as u64,
                 rows: rows as u64,
             },
-            // The engine filled the frame as the query emitted; only its
-            // header is left to write.
-            TicketPoll::Done(Served::Frame { mut frame, .. }) => {
-                seal_done(&mut frame);
-                return self.enqueue_bytes(idx, frame);
+            outcome => {
+                self.push(idx, ticket, outcome);
+                unknown
             }
-            // Every wire ticket is submitted in the frame form, so no
-            // columns outcome is this connection's to send.
-            TicketPoll::Done(Served::Columns(_)) => Frame::Rejected {
-                ticket,
-                error: RdxError::UnknownTicket { ticket },
-            },
-            TicketPoll::Rejected(error) => Frame::Rejected { ticket, error },
         };
         self.enqueue(idx, &frame);
     }
@@ -994,6 +1071,26 @@ mod tests {
         assert_eq!((stats.idle_yields, stats.idle_sleeps), (0, 0));
         // serve() on a drained server returns on its first cycle.
         assert_eq!(server.serve(), stats);
+    }
+
+    /// Small frames leave at once from both ends of a TCP connection: the
+    /// server sets `TCP_NODELAY` on the stream it accepts, `connect_tcp`
+    /// on the one it opens.
+    #[test]
+    fn both_ends_of_a_tcp_connection_set_nodelay() {
+        let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
+        let addr = listener.tcp_addr().expect("addr");
+        let engine = QueryEngine::new(ServeConfig::default());
+        let mut server = NetServer::new(listener, engine, NetConfig::default());
+        let client = NetStream::connect_tcp(addr).expect("connect");
+        while server.connections() == 0 {
+            server.poll_cycle();
+        }
+        assert!(client.nodelay().expect("the client's stream"));
+        assert!(server.conns[0]
+            .stream
+            .nodelay()
+            .expect("the accepted stream"));
     }
 
     /// A unix socket path, unlinked when the test ends.

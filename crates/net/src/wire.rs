@@ -24,6 +24,20 @@
 //! considered, so protocol evolution is: bump [`WIRE_VERSION`], keep
 //! decoding old versions where the layout allows, and let old servers
 //! refuse new clients with a typed error instead of garbage.
+//!
+//! **Pushed outcomes.**  Every client frame gets exactly one reply
+//! (`Hello` → `HelloOk`, `Submit` → `Submitted`, `Poll` → `Queued`,
+//! `Chunk` or `Rejected(UnknownTicket)`, `Cancel` → `CancelResult`), and
+//! besides the replies the server **pushes** each ticket's terminal frame,
+//! `Done` or `Rejected`, unasked, in the server cycle the ticket finishes,
+//! whatever finished it.  It pushes each outcome once and then forgets the
+//! ticket, so a later `Poll` of it answers `UnknownTicket`; the stream's
+//! order puts the push ahead of that reply.  A `Done` is therefore always
+//! a push, and so is a `Rejected` unless it carries `UnknownTicket` (a
+//! poll's reply) or [`crate::NO_TICKET`] (a submit refused before a ticket
+//! existed).  Version 2 introduced the push; frame layouts are those of
+//! version 1, whose peers would read a pushed frame as the reply to their
+//! next request, so they are refused with `UnsupportedVersion`.
 
 use rdx_core::budget::BudgetError;
 use rdx_core::error::{DeadlineError, RdxError, Side, TenantQuotaKind};
@@ -34,8 +48,9 @@ use rdx_core::strategy::{DoneHead, DsmPostProjection};
 /// The two magic bytes every frame starts with: `"RD"`.
 pub const MAGIC: [u8; 2] = [0x52, 0x44];
 
-/// The protocol version this build speaks.
-pub const WIRE_VERSION: u8 = 1;
+/// The protocol version this build speaks: 2, where the server pushes
+/// each ticket's outcome (see the module docs).
+pub const WIRE_VERSION: u8 = 2;
 
 /// Header size in bytes (magic + version + type + payload length) — the
 /// bytes the engine's frame sink leaves in front of a `Done` payload.
@@ -153,7 +168,8 @@ pub struct WireReport {
 /// ([`rdx_serve::TicketPoll`]) exactly: `Queued { position }` ⇄
 /// [`Frame::Queued`], `Running { chunks, rows }` ⇄ [`Frame::Chunk`],
 /// `Done(Served)` ⇄ [`Frame::Done`] and `Rejected(RdxError)` ⇄
-/// [`Frame::Rejected`].
+/// [`Frame::Rejected`]; the two terminal frames reach the client pushed
+/// (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client: opens the connection, optionally naming the tenant every
@@ -164,7 +180,8 @@ pub enum Frame {
     },
     /// Client: submits one projection query.
     Submit(SubmitSpec),
-    /// Client: asks where a ticket is in its state machine.
+    /// Client: asks where a live ticket is in its state machine.  Its
+    /// outcome needs no poll: the server pushes it.
     Poll {
         /// The ticket, as returned by [`Frame::Submitted`].
         ticket: u64,
@@ -204,16 +221,20 @@ pub enum Frame {
         /// Rows emitted so far.
         rows: u64,
     },
-    /// Server: the ticket finished; the report carries the full result.
+    /// Server, pushed unasked: the ticket finished; the report carries the
+    /// full result.
     Done {
-        /// The polled ticket.
+        /// The finished ticket.
         ticket: u64,
         /// Result columns and headline stats.
         report: WireReport,
     },
-    /// Server: the ticket failed with a typed engine error.
+    /// Server: the ticket failed with a typed engine error — pushed unasked
+    /// when the ticket was issued, or the reply to a `Poll` of a ticket
+    /// unknown to the connection (`UnknownTicket`) or to a `Submit` refused
+    /// before a ticket existed ([`crate::NO_TICKET`]).
     Rejected {
-        /// The polled ticket.
+        /// The refused ticket.
         ticket: u64,
         /// Why — the workspace-wide error, encoded losslessly.
         error: RdxError,

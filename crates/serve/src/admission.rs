@@ -25,7 +25,7 @@
 //!    with less byte headroom than one row, the query is **refused** with
 //!    [`RdxError::TenantQuota`] before the global budget is consulted, so
 //!    a tenant's burst sheds at its own cap;
-//! 2. the global split, [`decide`];
+//! 2. the global split, `decide`;
 //! 3. the tightening: the share shrinks to the request's budget hint and
 //!    the tenant's byte headroom, whichever is smaller (each holds a row).
 //!
@@ -33,7 +33,7 @@
 //! charged to the global budget (`Σ grants ≤ global`) and to a tenant with
 //! a byte cap (`Σ` of its grants `≤` its cap) alike.
 //!
-//! [`decide`] is a pure function of the budget, the concurrency cap and
+//! `decide` is a pure function of the budget, the concurrency cap and
 //! the load the engine reads off its running set — how many queries run
 //! and the bytes their grants hold — so no count is kept here to drift
 //! from that set.  Decisions, in order (the *residual* is the budget not
@@ -55,7 +55,7 @@ use rdx_core::error::{RdxError, TenantQuotaKind};
 
 /// What admission decided for one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionDecision {
+enum AdmissionDecision {
     /// Run now under `share`; `replanned` is `true` when the grant is
     /// tighter than the fair share (the query was re-planned to smaller
     /// chunks instead of queueing).
@@ -151,7 +151,7 @@ pub(crate) fn admit(
 /// resident bytes per in-flight result row runs now, given `in_flight`
 /// running queries whose grants hold `committed` bytes of `global` (not
 /// read under an unbounded budget), at most `max_concurrent` at once.
-pub fn decide(
+fn decide(
     global: MemoryBudget,
     max_concurrent: usize,
     in_flight: usize,

@@ -30,7 +30,9 @@
 //!
 //! [`QueryEngine::poll`] reports exactly these four states as a
 //! [`TicketPoll`], the one observer of a ticket: in-process callers poll
-//! the engine, and the `rdx-net` wire hands the poll on as is.
+//! the engine, and the `rdx-net` wire hands the poll on as is — a live
+//! state to the client's `Poll`, a terminal one pushed unasked to the
+//! ticket's connection once [`QueryEngine::finished`] lists it.
 //!
 //! The engine stores the diagram as drawn: one table of tickets, each one
 //! record holding one state — `Queued`, `Parked` (a retry waiting out its
@@ -608,6 +610,17 @@ impl QueryEngine {
     /// (finished outcomes may still be parked).
     pub fn is_idle(&self) -> bool {
         (self.tickets.iter()).all(|t| matches!(t.state, State::Finished(_)))
+    }
+
+    /// The tickets whose outcome (`Done` or `Rejected`) waits for the
+    /// [`poll`](Self::poll) that takes it, in table order.  Reading the
+    /// list takes nothing; a front end that delivers outcomes unasked
+    /// (the `rdx-net` server) polls each ticket it lists.
+    pub fn finished(&self) -> impl Iterator<Item = TicketId> + '_ {
+        let finished = self.tickets.iter();
+        finished
+            .filter(|t| matches!(t.state, State::Finished(_)))
+            .map(Ticket::id)
     }
 
     /// Cumulative counters over the engine's lifetime, read from its

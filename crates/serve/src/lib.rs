@@ -13,7 +13,7 @@
 //!   shareable.
 //! * [`admission`] — the one decision of a query's grant: it checks the
 //!   tenant's caps, splits a global [`rdx_core::budget::MemoryBudget`]
-//!   ([`admission::decide`], `per_query_share`, the RAM analogue of the
+//!   (`per_query_share`, the RAM analogue of the
 //!   paper's per-core cache share) and tightens the share by the hint and
 //!   the tenant's headroom — queueing queries that do not fit, re-planning
 //!   to tighter chunks when only a sliver is free, refusing with a typed
@@ -135,7 +135,6 @@ pub mod request;
 pub mod scheduler;
 pub mod tenant;
 
-pub use admission::AdmissionDecision;
 pub use cache::{CacheStats, ClusterCache, ClusterKey};
 pub use engine::{EngineStats, EngineStep, QueryEngine, TicketId, TicketPoll};
 pub use registry::{Catalog, RelationId};

@@ -1,9 +1,8 @@
 //! A wire-protocol client for `examples/net_server.rs`: opens the session
-//! with `Hello`, submits post-projection queries over TCP, polls their
-//! tickets to completion, and exercises the cancel path — the same
-//! `submit → poll` state machine the in-process front door speaks (the
-//! first terminal poll takes the outcome), carried over length-prefixed
-//! frames.
+//! with `Hello`, submits post-projection queries over TCP, waits for the
+//! outcomes the server pushes, and exercises the cancel path — the same
+//! ticket state machine the in-process front door speaks (each outcome is
+//! delivered once), carried over length-prefixed frames.
 //!
 //! Start the server first (`cargo run --release --example net_server`),
 //! then run with `cargo run --release --example net_client [addr]`

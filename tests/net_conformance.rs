@@ -289,14 +289,14 @@ fn malformed_frames_tear_down_the_connection_but_never_the_server() {
         ),
         (
             "oversized declaration",
-            vec![0x52, 0x44, 1, 0x03, 255, 255, 255, 255],
+            vec![0x52, 0x44, WIRE_VERSION, 0x03, 255, 255, 255, 255],
             "exceeds the 1024 B cap",
         ),
         (
             "truncated payload",
             // A Poll frame whose header claims 4 payload bytes — too few
             // for its u64 ticket field.
-            vec![0x52, 0x44, 1, 0x03, 4, 0, 0, 0, 1, 2, 3, 4],
+            vec![0x52, 0x44, WIRE_VERSION, 0x03, 4, 0, 0, 0, 1, 2, 3, 4],
             "malformed frame payload",
         ),
     ];
@@ -682,7 +682,9 @@ fn the_registry_counts_engine_and_wire_with_observability_off() {
     let metrics = metrics.expect("the registry exists with observability off");
     assert_eq!(engine.admissions, 3);
     assert_eq!(engine.cache_hits, 2);
-    assert!(net.frames_in >= 7 && net.frames_out == net.frames_in);
+    // In: the `Hello` and three `Submit`s — `wait` sends no `Poll`.  Out:
+    // their four replies and the three pushed `Done`s.
+    assert_eq!((net.frames_in, net.frames_out), (4, 7));
     assert_eq!(
         metrics.counter("engine.admissions"),
         Some(engine.admissions)
@@ -868,4 +870,221 @@ fn a_scripted_fault_plan_produces_the_same_trace_over_the_wire() {
         trace_shapes(&expected_trace),
         "wire trace diverged from the in-process trace"
     );
+}
+
+/// The server pushes a ticket's outcome unasked: after one `Submit` on a
+/// raw socket, `Submitted` and then the `Done` arrive with no `Poll` sent.
+/// The outcome arrives once: a later `Poll` of the ticket answers
+/// `UnknownTicket`, and it is the only frame after the `Done`.
+#[test]
+fn a_done_is_pushed_once_without_a_poll() {
+    let w = JoinWorkloadBuilder::equal(100, 1).seed(9).build();
+    let cfg = ServeConfig {
+        params: CacheParams::tiny_for_tests(),
+        plan_shares: Some(1),
+        ..ServeConfig::default()
+    };
+    let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
+    let addr = listener.tcp_addr().expect("addr");
+    let handle = run_server(
+        listener,
+        cfg,
+        vec![w.larger.clone(), w.smaller.clone()],
+        NetConfig::default(),
+        None,
+        |_, stats| stats,
+    );
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    // A server that does not push leaves the read below waiting: fail
+    // instead of hanging.
+    let patience = std::time::Duration::from_secs(10);
+    stream.set_read_timeout(Some(patience)).expect("timeout");
+    let mut bytes = Vec::new();
+    encode_frame(&Frame::Submit(wire_spec(1, 1, None)), &mut bytes);
+    stream.write_all(&bytes).expect("send the submit");
+
+    let (mut received, mut frames) = (Vec::new(), Vec::new());
+    let mut buf = [0u8; 4096];
+    while frames.len() < 2 {
+        let n = stream.read(&mut buf).expect("the outcome arrives unasked");
+        assert!(n > 0, "the server closed the connection");
+        received.extend_from_slice(&buf[..n]);
+        while let Ok(Some((frame, used))) =
+            radix_decluster::net::decode_frame(&received, radix_decluster::net::DEFAULT_MAX_PAYLOAD)
+        {
+            frames.push(frame);
+            received.drain(..used);
+        }
+    }
+    let ticket = match &frames[..] {
+        [Frame::Submitted { ticket }, Frame::Done {
+            ticket: done,
+            report,
+        }] => {
+            assert_eq!(done, ticket);
+            assert_eq!(report.rows as usize, w.expected_matches);
+            *ticket
+        }
+        other => panic!("expected Submitted, then a pushed Done, got {other:?}"),
+    };
+    assert!(received.is_empty(), "nothing after the Done");
+
+    bytes.clear();
+    encode_frame(&Frame::Poll { ticket }, &mut bytes);
+    stream.write_all(&bytes).expect("send the poll");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("shutdown");
+    assert_eq!(
+        drain_frames(&mut stream),
+        [Frame::Rejected {
+            ticket,
+            error: RdxError::UnknownTicket { ticket }
+        }],
+        "the pushed ticket is spent"
+    );
+    drop(stream);
+    let stats = handle.join().expect("server thread");
+    assert_eq!((stats.frames_in, stats.frames_out), (2, 3));
+}
+
+/// One case per way a wire ticket ends.
+struct TerminalCase {
+    name: &'static str,
+    /// The tenant the case's connection names in its `Hello`.
+    tenant: Option<&'static str>,
+    spec: SubmitSpec,
+    /// Cancel the ticket right after its `Submitted`.
+    cancel: bool,
+    expect: fn(&Result<WireReport, RdxError>) -> bool,
+}
+
+/// Every terminal path reaches `NetClient::wait` as a pushed outcome:
+/// exactly once, and without a `Poll` — the server decodes only each
+/// case's `Hello`, `Submit` and `Cancel`, and queues only their replies
+/// and one outcome per ticket, leaving no outcome behind in the engine.
+#[test]
+fn every_terminal_outcome_reaches_wait_pushed_once_without_a_poll() {
+    let w = JoinWorkloadBuilder::equal(20_000, 2).seed(29).build();
+    let rows = w.expected_matches;
+    // A one-column-per-side result fits the payload cap exactly; two
+    // columns per side do not.
+    let cap = 35 + 2 * (4 + 4 * rows);
+    let cfg = ServeConfig {
+        params: CacheParams::tiny_for_tests(),
+        plan_shares: Some(1),
+        // 8 bytes cannot hold one result row: "capped" is shed at
+        // admission.
+        tenant_quotas: TenantQuotas::default()
+            .with_tenant("capped", TenantQuota::unlimited().resident_bytes(8)),
+        ..ServeConfig::default()
+    };
+    let spec = wire_spec(1, 1, None);
+    // Submission ordinals are the cases' positions in the table below.
+    let (deadline, panic) = (4, 5);
+    let fault = FaultPlan::new()
+        .slow_at(deadline, 0, 2_000_000_000)
+        .panic_at(panic, 0, 0);
+    let cases = [
+        TerminalCase {
+            name: "done",
+            tenant: None,
+            spec,
+            cancel: false,
+            expect: |r| matches!(r, Ok(report) if report.rows == 20_000),
+        },
+        TerminalCase {
+            name: "refused at submit",
+            tenant: None,
+            spec: SubmitSpec { larger: 7, ..spec },
+            cancel: false,
+            expect: |r| matches!(r, Err(RdxError::UnknownRelation { .. })),
+        },
+        TerminalCase {
+            name: "result too large",
+            tenant: None,
+            spec: wire_spec(2, 2, None),
+            cancel: false,
+            expect: |r| matches!(r, Err(RdxError::ResultTooLarge { .. })),
+        },
+        TerminalCase {
+            name: "tenant shed",
+            tenant: Some("capped"),
+            spec,
+            cancel: false,
+            expect: |r| matches!(r, Err(RdxError::TenantQuota { .. })),
+        },
+        TerminalCase {
+            name: "deadline",
+            tenant: None,
+            spec: SubmitSpec {
+                deadline_ns: Some(1_000_000_000),
+                ..spec
+            },
+            cancel: false,
+            expect: |r| matches!(r, Err(RdxError::Deadline(DeadlineError::Exceeded { .. }))),
+        },
+        TerminalCase {
+            name: "worker panic",
+            tenant: None,
+            spec,
+            cancel: false,
+            expect: |r| matches!(r, Err(RdxError::WorkerPanicked { worker: 0 })),
+        },
+        TerminalCase {
+            name: "cancel",
+            tenant: None,
+            // One result row per chunk: 40 000 column chunks, so the
+            // cancel lands long before the last.
+            spec: SubmitSpec {
+                budget_bytes: Some(12),
+                ..spec
+            },
+            cancel: true,
+            expect: |r| matches!(r, Err(RdxError::Cancelled)),
+        },
+    ];
+    assert_eq!(cases[deadline].name, "deadline");
+    assert_eq!(cases[panic].name, "worker panic");
+
+    let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind");
+    let addr = listener.tcp_addr().expect("addr");
+    let handle = run_server(
+        listener,
+        cfg,
+        vec![w.larger.clone(), w.smaller.clone()],
+        NetConfig {
+            max_payload: cap as u32,
+            ..NetConfig::default()
+        },
+        Some(fault),
+        |engine, stats| (stats, engine.finished().count()),
+    );
+    // Holds the server up across the cases' sequential connections.
+    let keepalive = TcpStream::connect(addr).expect("keepalive");
+    for case in &cases {
+        let name = case.name;
+        let mut client = NetClient::connect_tcp(addr).expect("connect");
+        client.hello(case.tenant).expect("hello");
+        let ticket = client.submit(case.spec).expect("submit");
+        if case.cancel {
+            assert!(client.cancel(ticket).expect("cancel"), "{name}: live");
+        }
+        let outcome = client.wait(ticket).expect("wait");
+        assert!((case.expect)(&outcome), "{name}: got {outcome:?}");
+        // Handed out once, and the client asks the server nothing more.
+        assert!(
+            matches!(client.wait(ticket), Ok(Err(RdxError::UnknownTicket { .. }))),
+            "{name}: the outcome is spent"
+        );
+    }
+    drop(keepalive);
+    let (stats, left) = handle.join().expect("server thread");
+    let (n, cancels) = (cases.len() as u64, 1);
+    // In: a `Hello` and a `Submit` per case, and the one `Cancel` — no
+    // `Poll`.  Out: their replies and one outcome per ticket.
+    assert_eq!(stats.frames_in, 2 * n + cancels);
+    assert_eq!(stats.frames_out, 3 * n + cancels);
+    assert_eq!(left, 0, "every outcome was pushed");
+    assert_eq!(stats.decode_errors, 0);
 }
