@@ -72,7 +72,7 @@ impl From<WireError> for ClientError {
 /// Room offered to a read while the next frame's length is not known yet:
 /// enough that a small reply arrives in one `read`, small enough to cost a
 /// new connection nothing.
-const MIN_READ: usize = 4096;
+pub(crate) const MIN_READ: usize = 4096;
 
 /// A stream whose blocking mode can be switched, so a wait that has
 /// outlasted the quiet window can hand itself to the kernel.
@@ -126,56 +126,86 @@ fn until_ready<S: Blocking>(
     }
 }
 
-/// The receive side of a connection: bytes read off the stream but not yet
-/// decoded, in a buffer the stream reads into **directly**.
+/// The receive side of a connection, at both ends of the wire: bytes read
+/// off the stream but not yet decoded, in a buffer the stream reads into
+/// **directly**.  The client waits with [`FrameReader::read_frame`]; the
+/// server's cycle calls [`FrameReader::decode`], and [`FrameReader::fill`]
+/// only when no frame is buffered and it has room to answer one.
 ///
-/// `buf[..filled]` holds received bytes; the rest of `buf` is initialised
-/// room for the next read.  Once a header has been decoded — and thereby
-/// validated, so the announced length is at most `max_payload` — the
-/// buffer grows once to exactly the frame's size and the remaining reads
-/// fill it in place: a multi-megabyte `Done` costs one allocation and as
-/// many `read`s as the socket needs, not one per 4 KB.
-struct FrameReader {
+/// `buf[start..filled]` holds received bytes; the rest of `buf` is
+/// initialised room for the next read.  Frames decode at the `start`
+/// offset, so a burst that one read brought in is not moved per frame.
+/// Once a header has been decoded — and thereby validated, so the announced
+/// length is at most `max_payload` — the buffer grows once to exactly the
+/// frame's size and the remaining reads fill it in place: a multi-megabyte
+/// `Done` costs one allocation and as many `read`s as the socket needs,
+/// not one per 4 KB.  Small frames never grow it past
+/// [`HEADER_LEN`] + [`MIN_READ`].
+pub(crate) struct FrameReader {
     buf: Vec<u8>,
+    start: usize,
     filled: usize,
     max_payload: u32,
 }
 
 impl FrameReader {
-    fn new(max_payload: u32) -> FrameReader {
+    pub(crate) fn new(max_payload: u32) -> FrameReader {
         FrameReader {
             buf: Vec::new(),
+            start: 0,
             filled: 0,
             max_payload,
         }
     }
 
-    /// Waits until the next complete frame has arrived on `stream`.
-    fn read_frame<S: Read + Blocking>(&mut self, stream: &mut S) -> Result<Frame, ClientError> {
-        loop {
-            let received = &self.buf[..self.filled];
-            // A malformed or oversized header fails here, before the
-            // buffer grows to meet whatever length it announces.
-            if let Some((frame, consumed)) = decode_frame(received, self.max_payload)? {
-                self.buf.copy_within(consumed..self.filled, 0);
-                self.filled -= consumed;
-                return Ok(frame);
-            }
-            // Incomplete: make room up to the end of the frame if its
-            // header is in, for a first read otherwise.
-            let want = match announced_payload_len(received) {
-                Some(payload) => HEADER_LEN + payload as usize,
-                None => self.filled + MIN_READ,
-            };
+    /// The next frame already buffered, if one is complete; does no I/O.
+    /// A malformed or oversized header fails here, before the buffer grows
+    /// to meet whatever length it announces.
+    pub(crate) fn decode(&mut self) -> Result<Option<Frame>, WireError> {
+        let received = &self.buf[self.start..self.filled];
+        let Some((frame, used)) = decode_frame(received, self.max_payload)? else {
+            return Ok(None);
+        };
+        self.start += used;
+        if self.start == self.filled {
+            // All decoded: the next read starts at the front.
+            (self.start, self.filled) = (0, 0);
+        }
+        Ok(Some(frame))
+    }
+
+    /// Makes one `read` from `stream` once [`FrameReader::decode`] has found
+    /// no complete frame (and so validated any header that is in), into room
+    /// for the rest of that frame, or for [`MIN_READ`] bytes before its
+    /// header is in.  The undecoded bytes move to the front only when that
+    /// room does not fit behind them.  `Ok(0)` is EOF.
+    pub(crate) fn fill<S: Read>(&mut self, stream: &mut S) -> io::Result<usize> {
+        let pending = self.filled - self.start;
+        let want = match announced_payload_len(&self.buf[self.start..self.filled]) {
+            Some(payload) => HEADER_LEN + payload as usize,
+            None => pending + MIN_READ,
+        };
+        if self.start + want > self.buf.len() {
+            self.buf.copy_within(self.start..self.filled, 0);
+            (self.start, self.filled) = (0, pending);
             if self.buf.len() < want {
                 self.buf.reserve_exact(want - self.buf.len());
                 self.buf.resize(want, 0);
             }
-            let room = &mut self.buf[self.filled..];
-            match until_ready(stream, |s| s.read(room)) {
-                Ok(0) => return Err(ClientError::Disconnected),
-                Ok(n) => self.filled += n,
-                Err(e) => return Err(ClientError::Io(e)),
+        }
+        let n = stream.read(&mut self.buf[self.filled..])?;
+        self.filled += n;
+        Ok(n)
+    }
+
+    /// Waits until the next complete frame has arrived on `stream`.
+    fn read_frame<S: Read + Blocking>(&mut self, stream: &mut S) -> Result<Frame, ClientError> {
+        loop {
+            if let Some(frame) = self.decode()? {
+                return Ok(frame);
+            }
+            if until_ready(stream, |s| self.fill(s))? == 0 {
+                return Err(ClientError::Disconnected);
             }
         }
     }
@@ -403,6 +433,13 @@ mod tests {
     use std::cell::Cell;
     use std::collections::VecDeque;
     use std::time::Duration;
+
+    impl FrameReader {
+        /// The bytes the reader holds: received, and room for the next read.
+        pub(crate) fn capacity(&self) -> usize {
+            self.buf.capacity()
+        }
+    }
 
     /// One scripted answer of a [`Script`].
     enum Delivery {
@@ -716,6 +753,28 @@ mod tests {
         let frames = sample_frames();
         let mut stream = Script::new(encoded(&frames).into_iter().map(|b| vec![b]));
         assert_reads(&mut stream, &frames, "1-byte dribble");
+    }
+
+    /// A burst that one read brings in is decoded at an offset, frame by
+    /// frame, from that one read: 256 `Poll`s fill exactly [`MIN_READ`],
+    /// and the buffer never grows past one read's room to hold them.
+    #[test]
+    fn a_burst_in_one_read_decodes_without_another_read_or_growth() {
+        let frames: Vec<Frame> = (0..256).map(|ticket| Frame::Poll { ticket }).collect();
+        let bytes = encoded(&frames);
+        assert_eq!(bytes.len(), MIN_READ, "the burst fills one read");
+        let mut stream = Script::new([bytes]);
+        let mut reader = FrameReader::new(DEFAULT_MAX_PAYLOAD);
+        for frame in &frames {
+            assert_eq!(&reader.read_frame(&mut stream).expect("read"), frame);
+        }
+        assert_eq!(stream.reads, 1, "every frame decoded from the first read");
+        assert!(
+            reader.capacity() <= HEADER_LEN + MIN_READ,
+            "buffer grew to {} B",
+            reader.capacity()
+        );
+        assert!(matches!(reader.decode(), Ok(None)), "nothing left over");
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! point-query loop about a third of its busy time; bounded, a server with
 //! a connection open notices a new one within the same 200 µs a sleeping
 //! server takes.  [`NetStats::accept_polls`] counts the `accept` calls.
-//! Then each connection is serviced read → decode and handle → flush,
-//! once per cycle: the replies its frames produced reach the socket in
-//! the cycle that asked for them, before the cycle's engine steps run, so
+//! Then each connection is serviced once per cycle: its frames are decoded
+//! and handled, its socket read at most once and only for a frame not yet
+//! buffered (through the `FrameReader` [`crate::NetClient`] reads with),
+//! then its replies are flushed: they reach the socket in the cycle that
+//! asked for them, before the cycle's engine steps run, so
 //! a `Submitted`, status or `CancelResult` reply never waits behind up to
 //! four chunk steps (`STEPS_PER_CYCLE`).  Then the engine steps.  Last,
 //! the cycle **pushes** every outcome that became terminal — the last
@@ -48,22 +50,21 @@
 //! listener bound above is the cycle's own, so it holds whatever they
 //! pick.
 //!
-//! Backpressure is
-//! per-connection: each connection has a bounded outbound queue, and when
-//! a client stops draining replies the server stops *decoding that
-//! connection's requests* (bytes stay in its inbound buffer, the socket's
-//! own flow control eventually pushes back on the client) while every
-//! other connection and the engine proceed untouched.
+//! **Backpressure** is per-connection: each connection has a bounded
+//! outbound queue, and when a client stops draining replies the server
+//! stops *reading that connection's requests* — unread bytes stay in the
+//! kernel's socket buffers, whose flow control stops the client's writes,
+//! and the server holds at most one frame and one read's room — while
+//! every other connection and the engine proceed untouched.
 //!
 //! Protocol violations are connection-scoped by the same principle: a
 //! malformed frame gets a best-effort [`Frame::ProtocolError`] reply and
 //! tears down that connection only — the listener, the other connections,
 //! and the engine all survive.
 
+use crate::client::FrameReader;
 use crate::idle::{IdleAction, IdlePolicy, IDLE_SLEEP};
-use crate::wire::{
-    decode_frame, encode_frame, seal_done, Frame, SubmitSpec, DEFAULT_MAX_PAYLOAD, WIRE_VERSION,
-};
+use crate::wire::{encode_frame, seal_done, Frame, SubmitSpec, DEFAULT_MAX_PAYLOAD, WIRE_VERSION};
 use rdx_core::budget::MemoryBudget;
 use rdx_core::error::RdxError;
 use rdx_core::strategy::QuerySpec;
@@ -236,10 +237,10 @@ pub struct NetConfig {
     /// refused with `RdxError::ResultTooLarge` before it runs.
     pub max_payload: u32,
     /// Bound on a connection's queued outbound frames.  At the bound the
-    /// server stops decoding that connection's requests until the client
-    /// drains replies — backpressure that never blocks the engine.  Pushed
-    /// outcomes are queued past it: there is at most one per ticket the
-    /// connection holds.
+    /// server stops reading that connection's socket until the client
+    /// drains replies, and the socket's flow control stops the client —
+    /// backpressure that never blocks the engine.  Pushed outcomes are
+    /// queued past it: there is at most one per ticket the connection holds.
     pub outbound_limit: usize,
 }
 
@@ -274,7 +275,7 @@ pub struct NetStats {
     pub frames_out: u64,
     /// Malformed-input events (each also tears its connection down).
     pub decode_errors: u64,
-    /// Times a connection's request decoding paused because its outbound
+    /// Times a connection's request reading paused because its outbound
     /// queue hit [`NetConfig::outbound_limit`].
     pub backpressure_pauses: u64,
     /// Idle cycles [`NetServer::serve`] answered with a
@@ -302,12 +303,12 @@ struct NetCounters {
     idle_sleeps: Counter,
 }
 
-/// Per-connection state: buffered bytes in, queued frames out, and the
+/// Per-connection state: a frame reader in, queued frames out, and the
 /// session facts (tenant, issued tickets) the protocol scopes per
 /// connection.
 struct Conn {
     stream: NetStream,
-    inbound: Vec<u8>,
+    inbound: FrameReader,
     outbound: VecDeque<Vec<u8>>,
     /// Bytes of `outbound.front()` already written (partial writes).
     write_pos: usize,
@@ -327,10 +328,10 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: NetStream) -> Conn {
+    fn new(stream: NetStream, max_payload: u32) -> Conn {
         Conn {
             stream,
-            inbound: Vec::new(),
+            inbound: FrameReader::new(max_payload),
             outbound: VecDeque::new(),
             write_pos: 0,
             tenant: None,
@@ -449,11 +450,12 @@ impl NetServer {
     }
 
     /// Runs one cycle: accept pending connections, if the listener is due
-    /// a poll; for each connection read what its socket has, decode and
-    /// handle its requests (respecting per-connection backpressure) and
-    /// flush the replies that produced; then run up to `STEPS_PER_CYCLE`
-    /// (four) engine steps; then queue every terminal outcome a connection
-    /// owns on that connection, for the next cycle to flush.  A reply to a
+    /// a poll; for each connection decode and handle its requests while its
+    /// outbound queue has room (per-connection backpressure), reading its
+    /// socket once if no frame is buffered, and flush the replies; then run
+    /// up to `STEPS_PER_CYCLE` (four) engine steps; then queue every
+    /// terminal outcome a connection owns on that connection, for the next
+    /// cycle to flush.  A reply to a
     /// frame this cycle decoded is therefore on the socket when the cycle
     /// returns, unless the socket's buffer is full.  Returns `true` when
     /// the cycle did any work (a connection accepted, socket bytes moved,
@@ -482,7 +484,7 @@ impl NetServer {
                     break;
                 };
                 if stream.set_nonblocking(true).is_ok() {
-                    self.conns.push(Conn::new(stream));
+                    self.conns.push(Conn::new(stream, self.config.max_payload));
                     self.counters.accepted.inc();
                     self.seen_any = true;
                     progressed = true;
@@ -490,9 +492,9 @@ impl NetServer {
             }
         }
 
-        // Service each connection: reads, then decoding, then one flush of
-        // everything queued — so replies leave before the engine steps
-        // below, and a drained queue lifts backpressure next cycle.
+        // Service each connection: decoding with at most one read, then one
+        // flush of everything queued — so replies leave before the engine
+        // steps below, and a drained queue lifts backpressure next cycle.
         let mut idx = 0;
         while idx < self.conns.len() {
             let fate = self.service_conn(idx, &mut progressed);
@@ -626,45 +628,14 @@ impl NetServer {
     }
 
     fn service_conn(&mut self, idx: usize, progressed: &mut bool) -> ConnFate {
-        // --- read whatever the socket has ---
-        let mut buf = [0u8; 4096];
+        // --- decode + handle while the outbound queue has room ---
+        // The socket is read at most once, for a frame not yet buffered, so
+        // a paused connection reads nothing and its client meets flow control.
+        let mut read = false;
         loop {
             let conn = &mut self.conns[idx];
             if conn.close_after_flush {
                 break; // tearing down: ignore further input
-            }
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    // EOF: finish flushing replies, then close.
-                    conn.close_after_flush = true;
-                    break;
-                }
-                Ok(n) => {
-                    *progressed = true;
-                    conn.inbound.extend_from_slice(&buf[..n]);
-                    if n < buf.len() {
-                        // A short read emptied the socket; asking again
-                        // would only buy a `WouldBlock`.  (An EOF behind
-                        // these bytes is seen next cycle.)
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return ConnFate::Close,
-            }
-        }
-
-        // --- decode + handle, while the outbound queue has room ---
-        // Frames are decoded in place, at an offset into the buffered
-        // bytes, which are drained once when decoding stops: a drain per
-        // frame would move every byte still buffered, so a client's many
-        // frames in one write would cost time quadratic in their number.
-        let mut consumed = 0;
-        loop {
-            let conn = &mut self.conns[idx];
-            if conn.close_after_flush {
-                break;
             }
             if conn.outbound.len() >= self.config.outbound_limit {
                 if !conn.paused {
@@ -674,31 +645,29 @@ impl NetServer {
                 break;
             }
             conn.paused = false;
-            match decode_frame(&conn.inbound[consumed..], self.config.max_payload) {
-                Ok(None) => break,
-                Ok(Some((frame, used))) => {
-                    consumed += used;
+            match conn.inbound.decode() {
+                Ok(Some(frame)) => {
                     self.counters.frames_in.inc();
                     *progressed = true;
                     self.handle_frame(idx, frame);
                 }
+                Ok(None) if read => break,
+                Ok(None) => {
+                    read = true;
+                    match conn.inbound.fill(&mut conn.stream).map_err(|e| e.kind()) {
+                        // EOF: finish flushing replies, then close.
+                        Ok(0) => conn.close_after_flush = true,
+                        Ok(_) => *progressed = true,
+                        Err(io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) => break,
+                        Err(_) => return ConnFate::Close,
+                    }
+                }
                 Err(err) => {
-                    // Protocol violation: best-effort notice, then tear
-                    // down this connection only.
-                    self.counters.decode_errors.inc();
                     *progressed = true;
-                    self.enqueue(
-                        idx,
-                        &Frame::ProtocolError {
-                            detail: err.to_string(),
-                        },
-                    );
-                    self.conns[idx].close_after_flush = true;
-                    break;
+                    self.refuse(idx, err.to_string());
                 }
             }
         }
-        self.conns[idx].inbound.drain(..consumed);
 
         // --- flush queued replies (partial writes resume at write_pos) ---
         loop {
@@ -727,6 +696,14 @@ impl NetServer {
         } else {
             ConnFate::Keep
         }
+    }
+
+    /// Refuses a protocol violation: a best-effort [`Frame::ProtocolError`]
+    /// notice, then this connection only is torn down once it is flushed.
+    fn refuse(&mut self, idx: usize, detail: String) {
+        self.counters.decode_errors.inc();
+        self.enqueue(idx, &Frame::ProtocolError { detail });
+        self.conns[idx].close_after_flush = true;
     }
 
     fn enqueue(&mut self, idx: usize, frame: &Frame) {
@@ -765,16 +742,7 @@ impl NetServer {
             }
             // A client echoing server frames is a protocol violation of
             // the same severity as unparseable bytes.
-            _ => {
-                self.counters.decode_errors.inc();
-                self.enqueue(
-                    idx,
-                    &Frame::ProtocolError {
-                        detail: "server-to-client frame sent by client".into(),
-                    },
-                );
-                self.conns[idx].close_after_flush = true;
-            }
+            _ => self.refuse(idx, "server-to-client frame sent by client".into()),
         }
     }
 
@@ -875,7 +843,8 @@ pub const NO_TICKET: u64 = u64::MAX;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::WireReport;
+    use crate::client::MIN_READ;
+    use crate::wire::{decode_frame, WireReport, HEADER_LEN};
     use rdx_dsm::{Column, DsmRelation};
     use rdx_serve::{EngineStep, ServeConfig};
     use rdx_workload::JoinWorkloadBuilder;
@@ -1243,6 +1212,58 @@ mod tests {
                 Ok(Some((Frame::HelloOk { .. }, used))) if used == reply.len()
             ),
             "expected exactly one HelloOk, got {reply:?}"
+        );
+    }
+
+    /// A client that writes `Poll`s and never reads a reply meets the
+    /// socket's flow control: once its connection pauses at the outbound
+    /// bound the server reads nothing more from it, so the peer's writes
+    /// stop, and the connection's reader never holds more than one read's
+    /// room.  A unix socket's write lands in the peer's receive queue before
+    /// it returns, so each round's verdict is decided by byte counts alone.
+    #[cfg(unix)]
+    #[test]
+    fn a_peer_that_never_reads_is_stopped_by_flow_control() {
+        const ROUNDS: usize = 32;
+        const CYCLES_PER_ROUND: usize = 16;
+        let (mut server, path) = unix_server("flow-control");
+        let mut peer = UnixStream::connect(&path.0).expect("connect");
+        peer.set_nonblocking(true).expect("non-blocking peer");
+        server.poll_cycle();
+        let batch: Vec<u8> = (0..256)
+            .flat_map(|_| encoded(&Frame::Poll { ticket: 99 }))
+            .collect();
+        // Where the endless stream of `Poll`s stands within `batch`.
+        let mut at = 0;
+        let mut written = Vec::new();
+        for round in 0..ROUNDS {
+            let mut bytes = 0;
+            loop {
+                match peer.write(&batch[at..]) {
+                    Ok(n) => {
+                        bytes += n;
+                        at = (at + n) % batch.len();
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) => panic!("write: {e}"),
+                }
+            }
+            written.push(bytes);
+            for _ in 0..CYCLES_PER_ROUND {
+                server.poll_cycle();
+            }
+            let held = server.conns[0].inbound.capacity();
+            assert!(
+                held <= HEADER_LEN + MIN_READ,
+                "round {round}: the reader holds {held} B after {written:?} B written"
+            );
+        }
+        assert_eq!(server.connections(), 1, "the connection stays open");
+        assert!(server.stats().backpressure_pauses > 0);
+        assert_eq!(server.stats().decode_errors, 0);
+        assert!(
+            written[ROUNDS / 2..].iter().all(|&bytes| bytes == 0),
+            "the peer still writes: {written:?}"
         );
     }
 

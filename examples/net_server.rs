@@ -6,12 +6,13 @@
 //! The server runs single-threaded: socket I/O and engine chunk-steps
 //! interleave in one loop, so a slow client can never block another
 //! query's progress — its replies queue under per-connection
-//! backpressure instead.  Each `Poll` is answered with the frame that
-//! mirrors the engine's one ticket poll (`Queued`, `Chunk` while running,
-//! then `Done` or `Rejected` exactly once).  Between requests the loop wakes on arrival
-//! (yielding for 2 ms after the last progress, sleeping only after that);
-//! it exits once at least one client has been seen and every connection
-//! has drained.
+//! backpressure instead, and a client that never reads is stopped by its
+//! socket's flow control.  Each ticket's outcome, `Done` or `Rejected`, is
+//! pushed exactly once, in the cycle it finishes, without a `Poll`; a `Poll`
+//! of a live ticket is answered `Queued` or `Chunk`.  Between requests the
+//! loop wakes on arrival (yielding for 2 ms after the last progress,
+//! sleeping only after that); it exits once at least one client has been
+//! seen and every connection has drained.
 //!
 //! Run with `cargo run --release --example net_server [addr]`
 //! (default `127.0.0.1:7744`), then in another terminal:

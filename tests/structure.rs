@@ -371,6 +371,16 @@ const GATES: &[Gate] = &[
         message: "a count kept outside the registry — bump its rdx-obs Counter instead",
         ..LIBRARY
     },
+    // Both ends of the wire read frames through client.rs' `FrameReader`:
+    // its `decode` is the one caller of the codec's decoder.
+    Gate {
+        name: "One frame reader",
+        scope: &["crates/net/src"],
+        needles: &[Token("decode_frame(")],
+        allowed: &["crates/net/src/wire.rs", "crates/net/src/client.rs"],
+        message: "a second frame decode loop — read frames through FrameReader's decode and fill instead",
+        ..LIBRARY
+    },
 ];
 
 /// One exact count: the library lines of `scope` that hold `needle` or,
