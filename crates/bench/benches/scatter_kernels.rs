@@ -22,7 +22,12 @@
 //! for the join's hashed `(u64, u32)` pairs and the reordering codes'
 //! `(u32, u32)` oid pairs, clustered by a reused arena into a reused output
 //! so no allocation is timed.  It shows where one plain pass falls off
-//! the TLB cliff `rdx_core::cluster::TLB_BOUNDED_FANOUT` is set by.
+//! the TLB cliff that sets `rdx_core::cluster::pass_fanout`, the one pass
+//! rule: half the TLB entries (two write streams per cluster), or half the
+//! last-level lines if fewer.  On the simulated Pentium 4 the rule's two
+//! 32-way-bounded passes over 2^20 shuffled oid pairs cost 225 M stall
+//! cycles against one 64-way pass's 494 M (234 M against 780 M at 256
+//! ways).
 //!
 //! Writes the grid, env-stamped and with its key-mix seed, to
 //! `scatter_kernels.json` in the cargo profile directory
@@ -40,17 +45,14 @@ use rand::{Rng, SeedableRng};
 use rdx_bench::stats::{bootstrap_median_ci, classify, BootstrapCi, MIN_SAMPLES};
 use rdx_bench::EnvMeta;
 use rdx_cache::{CacheLevel, CacheParams, NoProbe};
-use rdx_core::cluster::{
-    passes_for_budget, radix_cluster, scatter_cursor_budget, ClusterScratch, Clustered,
-    RadixClusterSpec,
-};
+use rdx_core::cluster::{radix_cluster, ClusterScratch, Clustered, RadixClusterSpec};
 use rdx_core::hash::hash_key;
 use std::time::{Duration, Instant};
 
-/// The host's data-cache geometry from sysfs (sizes and line widths are all
-/// the pass planner consumes), falling back to the paper's Pentium 4 when
-/// sysfs is unavailable.  Latency/bandwidth fields keep nominal values —
-/// `scatter_cursor_budget` only reads the geometry.
+/// The host's data-cache geometry from sysfs, falling back to the paper's
+/// Pentium 4 when sysfs is unavailable.  The TLB (which sysfs does not
+/// describe) and the latency/bandwidth fields keep the Pentium 4's values;
+/// the pass rule reads only the TLB entries and the last level's lines.
 fn host_params() -> CacheParams {
     let read = |idx: usize, file: &str| -> Option<String> {
         std::fs::read_to_string(format!(
@@ -118,9 +120,8 @@ fn seed_radix_cluster(
     let mut out_keys = cur_keys.clone();
     let mut out_pay = cur_pay.clone();
     let mut segments: Vec<usize> = vec![0, n];
-    let pass_bits = spec.pass_bits();
     let mut bits_remaining = spec.bits;
-    for bp in pass_bits {
+    for bp in spec.pass_bits() {
         bits_remaining -= bp;
         let shift = spec.ignore + bits_remaining;
         let hp = 1usize << bp;
@@ -293,11 +294,8 @@ fn main() {
             // The seed pass rule: two passes beyond 2^11 cursors.
             let passes = if bits > 11 { 2 } else { 1 };
             let spec = RadixClusterSpec::partial(bits, passes, 0);
-            // What the hardware-aware planner ships for this fan-out —
-            // on hosts with large outer caches this is one pass where the
-            // seed rule took two.
-            let planned_passes = passes_for_budget(bits, scatter_cursor_budget(&params));
-            let planned_spec = RadixClusterSpec::partial(bits, planned_passes, 0);
+            // What the pass rule plans for this fan-out on this host.
+            let planned_spec = RadixClusterSpec::planned(bits, 0, &params);
 
             // Correctness gate before timing: every variant byte-identical.
             let reference = seed_radix_cluster(&keys, &payloads, spec);
@@ -347,7 +345,7 @@ fn main() {
                 n,
                 bits,
                 seed_passes: passes,
-                planned_passes,
+                planned_passes: planned_spec.passes,
                 seed,
                 plain,
                 scratch_plain,

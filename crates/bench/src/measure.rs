@@ -13,8 +13,7 @@ use rand::{RngCore, SeedableRng};
 use rdx_cache::{CacheParams, MemorySystem, NoProbe};
 use rdx_core::budget::MemoryBudget;
 use rdx_core::cluster::{
-    passes_for_budget, radix_cluster, radix_cluster_oids, radix_sort_spec_for,
-    scatter_cursor_budget, RadixClusterSpec,
+    radix_cluster, radix_cluster_oids, radix_sort_spec_for, simulate_cluster, RadixClusterSpec,
 };
 use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::{
@@ -54,7 +53,8 @@ pub struct DeclusterInput {
 ///
 /// The clustering uses the *uppermost* significant bits (ignoring the rest),
 /// as the §3.1 partial Radix-Cluster does, so each cluster's oids cover a
-/// contiguous range of the source column.
+/// contiguous range of the source column.  Its passes are planned for the
+/// paper's Pentium 4; every pass structure yields the same bytes.
 pub fn make_decluster_input(n: usize, bits: u32, seed: u64) -> DeclusterInput {
     let mut smaller: Vec<Oid> = (0..n as Oid).collect();
     smaller.shuffle(&mut StdRng::seed_from_u64(seed));
@@ -63,7 +63,7 @@ pub fn make_decluster_input(n: usize, bits: u32, seed: u64) -> DeclusterInput {
     let clustered = radix_cluster_oids(
         &smaller,
         &result_positions,
-        RadixClusterSpec::partial(bits, if bits > 11 { 2 } else { 1 }, significant - bits),
+        RadixClusterSpec::planned(bits, significant - bits, &CacheParams::paper_pentium4()),
     );
     DeclusterInput {
         values: clustered.keys().iter().map(|&o| o as i32).collect(),
@@ -202,14 +202,9 @@ pub fn decluster_components_sweep(
     bits_list
         .iter()
         .map(|&bits| {
-            let passes = passes_for_budget(bits, scatter_cursor_budget(params));
-            let (clustered, cluster_ms) = time_ms(|| {
-                radix_cluster_oids(
-                    &smaller,
-                    &result_positions,
-                    RadixClusterSpec::new(bits, passes),
-                )
-            });
+            let spec = RadixClusterSpec::planned(bits, 0, params);
+            let (clustered, cluster_ms) =
+                time_ms(|| radix_cluster_oids(&smaller, &result_positions, spec));
             let (clust_values, positional_ms) = time_ms(|| {
                 clustered_positional_join(clustered.keys(), clustered.bounds(), &column)
             });
@@ -225,7 +220,7 @@ pub fn decluster_components_sweep(
             let model_total_ms = rdx_cost::algorithms::radix_cluster(
                 rdx_cost::DataRegion::new(n, 8),
                 bits,
-                passes,
+                spec.passes,
                 params,
             )
             .millis(params)
@@ -572,16 +567,11 @@ pub fn sparse_clustered_positional_ms(
     bits: u32,
     params: &CacheParams,
 ) -> f64 {
-    let _ = params;
     let sparse = SparseWorkload::generate(selected, selectivity, 1, 23);
     let mut oids: Vec<Oid> = (0..selected as Oid).collect();
     oids.shuffle(&mut StdRng::seed_from_u64(24));
     let payload: Vec<Oid> = (0..selected as Oid).collect();
-    let clustered = radix_cluster_oids(
-        &oids,
-        &payload,
-        RadixClusterSpec::new(bits, if bits > 11 { 2 } else { 1 }),
-    );
+    let clustered = radix_cluster_oids(&oids, &payload, RadixClusterSpec::planned(bits, 0, params));
     let (_, ms) = time_ms(|| {
         std::hint::black_box(sparse_positional_join(
             clustered.keys(),
@@ -715,6 +705,21 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
             &counts,
             params,
         );
+    }
+
+    // Cluster cells: the planned Radix-Cluster of 2^18 shuffled oid pairs
+    // on their top `bits` bits, in as many passes as the pass rule asks.
+    let n = 1usize << 18;
+    let mut oids: Vec<Oid> = (0..n as Oid).collect();
+    oids.shuffle(&mut StdRng::seed_from_u64(17));
+    for bits in [6u32, 8] {
+        let spec = RadixClusterSpec::planned(bits, 18 - bits, params);
+        let (_, counts) = simulate_cluster(&oids, &oids, spec, &mut MemorySystem::new(params));
+        let mut all = Vec::new();
+        push_counts(&mut all, &format!("cluster.n{n}.b{bits}"), &counts, params);
+        cells.extend(all.into_iter().filter(|cell| {
+            cell.name.ends_with(".tlb_misses") || cell.name.ends_with(".stall_cycles")
+        }));
     }
 
     // End-to-end cells: profiled pipeline runs through the front door, each

@@ -3,7 +3,9 @@
 //! `radix_cluster(B, P)` partitions its input into `H = 2^B` clusters on the
 //! lower `B` radix bits of the (hashed) key, using `P` sequential passes so
 //! that no single pass creates more output cursors than the caches and TLB can
-//! sustain.  The *partial* variant additionally ignores the lowermost `I` bits
+//! sustain.  One rule sizes every planned pass: [`pass_fanout`], and
+//! [`RadixClusterSpec::planned`] splits the bits under it.  The *partial*
+//! variant additionally ignores the lowermost `I` bits
 //! — stopping early — which is what turns Radix-Sort of a join index into the
 //! much cheaper partial clustering that Positional-Join needs (§3.1).  A
 //! partial clustering's oids can then be stored as their low bits under
@@ -17,10 +19,8 @@ mod scratch;
 mod spec;
 
 pub use packed::{PackedOids, PackedPositions, PackedSlice, PACKED_LOW_BITS, POSITION_BLOCK_ROWS};
-pub use scratch::{
-    plan_partial_cluster, scatter_cursor_budget, ClusterScratch, DEFAULT_SCATTER_CURSOR_BUDGET,
-    TLB_BOUNDED_FANOUT,
-};
+pub use scratch::{plan_partial_cluster, simulate_cluster, ClusterScratch};
+pub(crate) use spec::bits_to_fit;
 pub use spec::RadixClusterSpec;
 
 use crate::hash::{hash_key, radix_field, significant_bits};
@@ -176,31 +176,36 @@ fn cluster_fresh<K: Copy, P: Copy>(
     out
 }
 
-/// The Radix-Sort of a dense oid `domain`: a Radix-Cluster on *all*
-/// significant bits with no ignore bits, "equivalent to Radix-Sort" (§3.1).
-/// A pass never creates more cursors than [`scatter_cursor_budget`] allows,
-/// so the pass rule and the cost-model planner can never disagree about
-/// where single-pass clustering stops scaling.  (For
-/// [`CacheParams::paper_pentium4`] the budget is 2048 cursors: two passes
-/// from 12 bits up, the paper's observation that one pass stops scaling at a
-/// few thousand output cursors.)
-pub fn radix_sort_spec_for(domain: usize, params: &CacheParams) -> RadixClusterSpec {
-    let bits = significant_bits(domain);
-    RadixClusterSpec::partial(
-        bits,
-        passes_for_budget(bits, scatter_cursor_budget(params)),
-        0,
-    )
+/// The one pass rule (§2.1): the widest fan-out one Radix-Cluster pass may
+/// run under `params`.  A pass over `(key, payload)` pairs writes two
+/// streams per cluster, so it gets half the TLB entries or half the
+/// outermost cache's lines, whichever is less: 32 clusters on the paper's
+/// Pentium 4, where one 64-way pass over 2^20 shuffled oid pairs stalls
+/// 494 M simulated cycles and the rule's two 225 M.  Every planned pass
+/// count comes from it through [`RadixClusterSpec::planned`].
+pub fn pass_fanout(params: &CacheParams) -> usize {
+    let (tlb, lines) = (params.tlb.entries, params.last_level().lines());
+    (tlb.min(lines) / 2).max(2)
 }
 
-/// Smallest pass count splitting `bits` so no pass exceeds `cursor_budget`
-/// output cursors.
-pub fn passes_for_budget(bits: u32, cursor_budget: usize) -> u32 {
-    if bits == 0 {
-        return 1;
-    }
-    let bits_per_pass = (usize::BITS - 1 - cursor_budget.max(2).leading_zeros()).max(1);
-    bits.div_ceil(bits_per_pass).max(1)
+/// Where the entry points that take a cache size but no [`CacheParams`]
+/// (`optimal_partial` and the join's) read the pass rule: the paper's
+/// Pentium 4, the platform the benchmark fixes (32 clusters a pass).
+pub(crate) fn paper_platform() -> CacheParams {
+    CacheParams::paper_pentium4()
+}
+
+/// The Radix-Sort of a dense oid `domain`: a Radix-Cluster on *all*
+/// significant bits with no ignore bits, "equivalent to Radix-Sort" (§3.1),
+/// in as many passes as [`pass_fanout`] asks for.
+pub fn radix_sort_spec_for(domain: usize, params: &CacheParams) -> RadixClusterSpec {
+    RadixClusterSpec::planned(significant_bits(domain), 0, params)
+}
+
+/// Smallest pass count splitting `bits` so no pass exceeds `fanout`
+/// clusters.
+fn passes_for_budget(bits: u32, fanout: usize) -> u32 {
+    bits.div_ceil(fanout.max(2).ilog2()).max(1)
 }
 
 /// `radix_count`: recomputes the cluster sizes (as boundary offsets) of an
@@ -426,22 +431,30 @@ mod tests {
 
     #[test]
     fn radix_sort_spec_for_splits_passes_at_the_cursor_budget() {
-        // The paper platform's budget is 2048 cursors: one pass up to 11
-        // bits, two from 12.
+        // The paper platform's pass fan-out is 32 clusters, 5 bits: one
+        // pass up to 5 bits, two from 6, three from 11.
         let p = CacheParams::paper_pentium4();
-        assert_eq!(scatter_cursor_budget(&p), DEFAULT_SCATTER_CURSOR_BUDGET);
-        assert_eq!(radix_sort_spec_for(10_000, &p).passes, 2);
-        assert_eq!(radix_sort_spec_for(2_048, &p).passes, 1);
-        // A smaller cache tightens the threshold: the tiny hierarchy's
-        // budget is 64 cursors, so 10 bits already need two passes.
+        assert_eq!(pass_fanout(&p), 32);
+        assert_eq!(
+            radix_sort_spec_for(10_000, &p)
+                .pass_bits()
+                .collect::<Vec<_>>(),
+            [5, 5, 4]
+        );
+        assert_eq!(radix_sort_spec_for(2_048, &p).passes, 3);
+        assert_eq!(radix_sort_spec_for(33, &p).passes, 2);
+        assert_eq!(radix_sort_spec_for(32, &p).passes, 1);
+        // A smaller TLB tightens it: the tiny hierarchy's 8 entries allow
+        // 4 clusters, 2 bits a pass.
         let tiny = CacheParams::tiny_for_tests();
-        assert_eq!(scatter_cursor_budget(&tiny), 64);
-        assert_eq!(radix_sort_spec_for(1 << 10, &tiny).passes, 2);
-        assert_eq!(radix_sort_spec_for(1 << 5, &tiny).passes, 1);
+        assert_eq!(pass_fanout(&tiny), 4);
+        assert_eq!(radix_sort_spec_for(1 << 10, &tiny).passes, 5);
+        assert_eq!(radix_sort_spec_for(1 << 5, &tiny).passes, 3);
+        assert_eq!(radix_sort_spec_for(1 << 2, &tiny).passes, 1);
         // The helper floors sanely.
-        assert_eq!(passes_for_budget(0, 2048), 1);
-        assert_eq!(passes_for_budget(11, 2048), 1);
-        assert_eq!(passes_for_budget(12, 2048), 2);
+        assert_eq!(passes_for_budget(0, 32), 1);
+        assert_eq!(passes_for_budget(5, 32), 1);
+        assert_eq!(passes_for_budget(6, 32), 2);
         assert_eq!(passes_for_budget(33, 2048), 3);
         assert_eq!(passes_for_budget(4, 1), 4);
     }

@@ -18,65 +18,22 @@
 //!
 //! Every pass is the paper's plain scatter, one output cursor per cluster.
 //! A fan-out too wide for one pass gets more passes (§2.1), never a second
-//! scatter loop: [`scatter_cursor_budget`] bounds each pass and
-//! [`super::passes_for_budget`] splits the bits.  The output is
+//! scatter loop: [`super::pass_fanout`] bounds each planned pass and
+//! [`RadixClusterSpec::planned`] splits the bits.  The output is
 //! **byte-identical** to the original kernel, since every pass is a stable
 //! counting sort.
 
-use super::spec::RadixClusterSpec;
+use super::spec::{bits_to_fit, RadixClusterSpec};
 use super::Clustered;
-use rdx_cache::{CacheParams, Probe};
+use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, Probe, SimProbe};
+use rdx_dsm::Oid;
 
-/// The documented default plain-scatter cursor budget: the "few thousand
-/// output cursors" beyond which the paper observes single-pass clustering
-/// stops scaling (§2.1).  Used where no [`CacheParams`] is at hand — the
-/// join's in-cache split; [`scatter_cursor_budget`] derives the same number
-/// from the hardware model instead (and reproduces exactly 2048 for the
-/// paper's Pentium 4).
-pub const DEFAULT_SCATTER_CURSOR_BUDGET: usize = 2048;
-
-/// The widest plain scatter one pass may run over data that is **not**
-/// cache-resident.  Every open output page needs a data-TLB entry, and a
-/// pass over `(key, payload)` pairs keeps two output arrays open per
-/// cluster, so a 64-entry data TLB — the paper's Pentium 4, and the x86
-/// cores the join was measured on — holds the write streams of 32 clusters.
-/// Past that the scatter falls off a cliff: one plain pass over 1 M hashed
-/// `(u64, u32)` pairs took 4.3 ms to 32 clusters and 13.2 ms to 64, with
-/// the cursor lines still cache-resident (median of 7, 2-vCPU Xeon with
-/// 48 KB L1d / 2 MB L2 / 105 MB L3; `benches/scatter_kernels.rs`' fan-out
-/// sweep).  Partitioned Hash-Join takes its one out-of-cache pass at this
-/// fan-out and splits the remaining radix bits inside the cache.
-pub const TLB_BOUNDED_FANOUT: usize = 64 / 2;
-
-/// The largest number of scatter cursors one *plain* pass can sustain under
-/// `params` before the cursors start evicting each other: half the
-/// outermost cache's lines (the same conservative usable-line rule the
-/// `rdx-cost` `nest` pattern applies, so the pass rule and the cost model
-/// can never disagree), floored by the TLB entry count.
-///
-/// The rule counts clusters, not write streams, and lets a pass outgrow the
-/// TLB while its cursor lines fit the cache.  Measured, that costs more than
-/// it saves: a plain pass over `(key, payload)` pairs slows about threefold
-/// per tuple once its `2 · 2^B` streams exceed the TLB, with every cursor
-/// line still cache-resident (see [`TLB_BOUNDED_FANOUT`]).  The rule stays
-/// as is for the reordering codes' clusterings and the radix sorts, whose
-/// plans it decides; the join does not use it.
-///
-/// For [`CacheParams::paper_pentium4`] this is exactly
-/// [`DEFAULT_SCATTER_CURSOR_BUDGET`] (4096 L2 lines / 2 = 2048 > 64 TLB
-/// entries).
-pub fn scatter_cursor_budget(params: &CacheParams) -> usize {
-    (params.last_level().lines() / 2)
-        .max(params.tlb.entries)
-        .max(1)
-}
-
-/// The §3.1 `optimal_partial` clustering with its pass structure derived
-/// from the hardware model: bits from the fits-in-cache rule, passes from
-/// [`super::passes_for_budget`] under [`scatter_cursor_budget`].  The
-/// single source of truth shared by the planners (which price it), the
-/// pipeline's prepare phase (which runs it) and the serving layer's cache
-/// keys (which name it) — so the three can never drift apart.
+/// The §3.1 `optimal_partial` clustering under `params`: bits from the
+/// fits-in-cache rule, passes from the one pass rule
+/// ([`RadixClusterSpec::planned`]).  The single source of truth shared by
+/// the planners (which price it), the pipeline's prepare phase (which runs
+/// it) and the serving layer's cache keys (which name it), so the three can
+/// never drift apart.
 ///
 /// One more rule rides along: `bits` is raised to at least
 /// `significant_bits(column_tuples) − 16`, so no cluster spans more than
@@ -89,17 +46,43 @@ pub fn plan_partial_cluster(
     value_width: usize,
     params: &CacheParams,
 ) -> RadixClusterSpec {
-    let base =
-        RadixClusterSpec::optimal_partial(column_tuples, value_width, params.cache_capacity());
     let significant = crate::hash::significant_bits(column_tuples);
-    let bits = base
-        .bits
-        .max(significant.saturating_sub(super::PACKED_LOW_BITS));
-    RadixClusterSpec {
-        bits,
-        passes: super::passes_for_budget(bits, scatter_cursor_budget(params)),
-        ignore: significant.saturating_sub(bits),
-    }
+    let bytes = column_tuples.saturating_mul(value_width);
+    let fits = bits_to_fit(bytes, params.cache_capacity(), 30);
+    let bits = fits.max(significant.saturating_sub(super::PACKED_LOW_BITS));
+    RadixClusterSpec::planned(bits, significant.saturating_sub(bits), params)
+}
+
+/// [`ClusterScratch::cluster_into`] of `(oid, payload)` pairs on the
+/// unhashed oid under a [`SimProbe`] charging `mem`, every array the
+/// engine touches laid out in a fresh address space in probe-id order.
+/// Returns the clustering and the simulated events: the Fig. 9a miss
+/// counts of the shipped loop.
+pub fn simulate_cluster<P: Copy>(
+    oids: &[Oid],
+    payloads: &[P],
+    spec: RadixClusterSpec,
+    mem: &mut MemorySystem,
+) -> (Clustered<Oid, P>, EventCounts) {
+    let (n, fanout) = (oids.len().max(1), 1usize << spec.bits);
+    let (key, pay) = (std::mem::size_of::<Oid>(), std::mem::size_of::<P>().max(1));
+    let elems = [n, n, n, n, n, n, n, fanout, fanout, fanout + 1, fanout + 1];
+    let widths = [key, pay, key, pay, key, pay, 4, 8, 8, 8, 8];
+    let mut space = AddressSpace::new();
+    let regions: Vec<_> = (elems.into_iter().zip(widths))
+        .map(|(elems, width)| space.alloc(elems, width))
+        .collect();
+    let mut probe = SimProbe::new(mem, &regions);
+    let mut clustered = Clustered::default();
+    ClusterScratch::new().cluster_into(
+        oids,
+        payloads,
+        spec,
+        |&o| o as u64,
+        &mut clustered,
+        &mut probe,
+    );
+    (clustered, probe.counts())
 }
 
 /// The reusable working memory of the multi-pass radix scatter: the ping
@@ -262,12 +245,7 @@ fn run_passes<K: Copy, P: Copy, Pr: Probe>(
 ) {
     let n = keys.len();
     debug_assert!(n > 0 && spec.bits > 0);
-    // The per-pass bit split of `RadixClusterSpec::pass_bits` (leftmost
-    // passes take the remainder bit), computed arithmetically so even this
-    // bookkeeping allocates nothing.
-    let num_passes = spec.passes.clamp(1, spec.bits) as usize;
-    let base_bits = spec.bits / num_passes as u32;
-    let extra_bits = spec.bits % num_passes as u32;
+    let num_passes = spec.pass_bits().len();
 
     scratch.segments.clear();
     scratch.segments.push(0);
@@ -278,12 +256,7 @@ fn run_passes<K: Copy, P: Copy, Pr: Probe>(
     let mut src = IN;
 
     let mut bits_remaining = spec.bits;
-    for pass in 0..num_passes {
-        let bp = if (pass as u32) < extra_bits {
-            base_bits + 1
-        } else {
-            base_bits
-        };
+    for (pass, bp) in spec.pass_bits().enumerate() {
         bits_remaining -= bp;
         let shift = spec.ignore + bits_remaining;
         assert!(bp <= 31, "per-pass fan-out beyond 2^31 is not supported");
@@ -387,7 +360,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
-    use rdx_cache::{AddressSpace, EventCounts, MemorySystem, NoProbe, SimProbe};
+    use rdx_cache::{MemorySystem, NoProbe};
     use rdx_dsm::Oid;
 
     fn shuffled_oids(n: usize, seed: u64) -> Vec<Oid> {
@@ -398,45 +371,6 @@ mod tests {
 
     fn reversed_oids(n: usize) -> Vec<Oid> {
         (0..n as Oid).rev().collect()
-    }
-
-    /// Clusters oids into a fresh output under a [`SimProbe`] on a fresh
-    /// simulator for `params`, every array the engine touches laid out in a
-    /// fresh address space; returns the clustering and its events.
-    fn probed<P: Copy>(
-        oids: &[Oid],
-        payloads: &[P],
-        spec: RadixClusterSpec,
-        mem: &mut MemorySystem,
-    ) -> (Clustered<Oid, P>, EventCounts) {
-        let (n, fanout) = (oids.len().max(1), 1usize << spec.bits);
-        let (key, pay) = (4, std::mem::size_of::<P>().max(1));
-        let mut space = AddressSpace::new();
-        let regions = [
-            (n, key),
-            (n, pay),
-            (n, key),
-            (n, pay),
-            (n, key),
-            (n, pay),
-            (n, 4),
-            (fanout, 8),
-            (fanout, 8),
-            (fanout + 1, 8),
-            (fanout + 1, 8),
-        ]
-        .map(|(elems, width)| space.alloc(elems, width));
-        let mut probe = SimProbe::new(mem, &regions);
-        let mut clustered = Clustered::default();
-        ClusterScratch::new().cluster_into(
-            oids,
-            payloads,
-            spec,
-            |&o| o as u64,
-            &mut clustered,
-            &mut probe,
-        );
-        (clustered, probe.counts())
     }
 
     #[test]
@@ -451,7 +385,7 @@ mod tests {
             RadixClusterSpec::partial(6, 3, 1),
         ] {
             let mut mem = MemorySystem::new(&CacheParams::tiny_for_tests());
-            let (probed, counts) = probed(&oids, &payloads, spec, &mut mem);
+            let (probed, counts) = simulate_cluster(&oids, &payloads, spec, &mut mem);
             let plain = radix_cluster_oids(&oids, &payloads, spec);
             assert_eq!(probed.keys(), plain.keys());
             assert_eq!(probed.payloads(), plain.payloads());
@@ -468,7 +402,7 @@ mod tests {
         let run = |bits: u32| {
             let mut mem = MemorySystem::new(&params);
             let spec = RadixClusterSpec::single_pass(bits);
-            probed(&oids, &payloads, spec, &mut mem).1
+            simulate_cluster(&oids, &payloads, spec, &mut mem).1
         };
         // With 1 radix bit the scatter touches 3 input streams plus 2×2 output
         // cursors and the cursor array = 8 concurrent pages, within the
@@ -488,14 +422,14 @@ mod tests {
     fn probed_cluster_handles_empty_and_skewed_inputs() {
         let mut mem = MemorySystem::new(&CacheParams::tiny_for_tests());
         let spec = RadixClusterSpec::single_pass(3);
-        let (c, counts) = probed::<u32>(&[], &[], spec, &mut mem);
+        let (c, counts) = simulate_cluster::<u32>(&[], &[], spec, &mut mem);
         assert!(c.is_empty());
         assert_eq!(counts.accesses, 0);
         // All-one-cluster skew: every other cursor stays untouched.
         let oids = vec![0 as Oid; 77];
         let payloads: Vec<u32> = (0..77).collect();
         let spec = RadixClusterSpec::single_pass(4);
-        let (c, _) = probed(&oids, &payloads, spec, &mut mem);
+        let (c, _) = simulate_cluster(&oids, &payloads, spec, &mut mem);
         assert_eq!(&c, &radix_cluster_oids(&oids, &payloads, spec));
     }
 
@@ -610,9 +544,17 @@ mod tests {
 
     #[test]
     fn cursor_budgets_match_the_paper_platform() {
+        // 64 TLB entries / 2 streams per cluster = 32, below 4096 L2 lines
+        // / 2; a quarter of the L2 (1024 lines) leaves the TLB the bound.
         let p = CacheParams::paper_pentium4();
-        // 4096 L2 lines / 2 = 2048 — exactly the documented default.
-        assert_eq!(scatter_cursor_budget(&p), DEFAULT_SCATTER_CURSOR_BUDGET);
+        assert_eq!(crate::cluster::pass_fanout(&p), 32);
+        assert_eq!(crate::cluster::pass_fanout(&p.per_query_share(4)), 32);
+        assert_eq!(
+            plan_partial_cluster(1 << 26, 4, &p)
+                .pass_bits()
+                .collect::<Vec<_>>(),
+            [5, 5]
+        );
     }
 
     /// The packing rule: a cache share large enough for one cluster to span

@@ -1,6 +1,8 @@
 //! Clustering specifications and the §3.1 parameter formulas.
 
+use super::{paper_platform, pass_fanout, passes_for_budget};
 use crate::hash::significant_bits;
+use rdx_cache::CacheParams;
 
 /// A Radix-Cluster configuration: `B` radix bits split over `P` passes,
 /// ignoring the lowermost `I` bits (the *partial* Radix-Cluster of §3.1).
@@ -50,19 +52,20 @@ impl RadixClusterSpec {
         1usize << self.bits
     }
 
-    /// The per-pass bit counts, leftmost (most significant) pass first.
-    /// Passes never exceed `bits`, so asking for more passes than bits simply
-    /// collapses to `bits` one-bit passes.
-    pub fn pass_bits(&self) -> Vec<u32> {
-        if self.bits == 0 {
-            return vec![];
-        }
-        let passes = self.passes.min(self.bits).max(1);
-        let base = self.bits / passes;
-        let extra = self.bits % passes;
-        (0..passes)
-            .map(|p| if p < extra { base + 1 } else { base })
-            .collect()
+    /// A clustering on `bits` bits ignoring the lowermost `ignore`, over
+    /// the fewest passes that keep every pass at or under
+    /// [`pass_fanout`]`(params)` clusters: the one source of a planned
+    /// pass count.
+    pub fn planned(bits: u32, ignore: u32, params: &CacheParams) -> Self {
+        Self::partial(bits, passes_for_budget(bits, pass_fanout(params)), ignore)
+    }
+
+    /// The per-pass bit counts, leftmost (most significant) pass first,
+    /// without allocating.  Passes never exceed `bits`, so asking for more
+    /// passes than bits simply collapses to `bits` one-bit passes.
+    pub fn pass_bits(&self) -> impl ExactSizeIterator<Item = u32> {
+        let (bits, passes) = (self.bits, self.passes.clamp(1, self.bits.max(1)));
+        (0..passes.min(bits)).map(move |p| bits / passes + u32::from(p < bits % passes))
     }
 
     /// The §3.1 formula for projecting from a column of `column_tuples` values
@@ -73,23 +76,26 @@ impl RadixClusterSpec {
     ///   (`‖COLUMN‖ / 2^B`) just fits in a cache of `cache_bytes`;
     /// * `I` is whatever remains of the oid's significant bits, i.e. the bits
     ///   Radix-Sort may ignore ("stop early").
+    ///
+    /// It takes a cache size but no [`CacheParams`], so its passes follow
+    /// the pass rule at the paper's platform; [`super::plan_partial_cluster`]
+    /// plans the same bits under a query's own cache.
     pub fn optimal_partial(column_tuples: usize, value_width: usize, cache_bytes: usize) -> Self {
-        let column_bytes = column_tuples.saturating_mul(value_width);
-        let mut bits = 0u32;
-        while (column_bytes >> bits) > cache_bytes && bits < 30 {
-            bits += 1;
-        }
-        let significant = significant_bits(column_tuples);
-        let ignore = significant.saturating_sub(bits);
-        // Use two passes once a single pass would create more clusters than a
-        // few thousand output cursors can sustain (§2.1).
-        let passes = if bits > 11 { 2 } else { 1 };
-        RadixClusterSpec {
-            bits,
-            passes,
-            ignore,
-        }
+        let bits = bits_to_fit(column_tuples.saturating_mul(value_width), cache_bytes, 30);
+        let ignore = significant_bits(column_tuples).saturating_sub(bits);
+        Self::planned(bits, ignore, &paper_platform())
     }
+}
+
+/// The fewest radix bits, at most `max_bits`, that cut `bytes` into
+/// clusters of at most `cache_bytes` each: the fits-in-cache rule of the
+/// projection clusterings (§3.1) and the join's build partitions (§2.1).
+pub(crate) fn bits_to_fit(bytes: usize, cache_bytes: usize, max_bits: u32) -> u32 {
+    let mut bits = 0u32;
+    while (bytes >> bits) > cache_bytes && bits < max_bits {
+        bits += 1;
+    }
+    bits
 }
 
 #[cfg(test)]
@@ -98,11 +104,17 @@ mod tests {
 
     #[test]
     fn pass_bits_split_evenly_leftmost_heavy() {
-        assert_eq!(RadixClusterSpec::new(8, 1).pass_bits(), vec![8]);
-        assert_eq!(RadixClusterSpec::new(8, 2).pass_bits(), vec![4, 4]);
-        assert_eq!(RadixClusterSpec::new(7, 2).pass_bits(), vec![4, 3]);
-        assert_eq!(RadixClusterSpec::new(3, 5).pass_bits(), vec![1, 1, 1]);
-        assert_eq!(RadixClusterSpec::new(0, 2).pass_bits(), Vec::<u32>::new());
+        let split = |bits, passes| {
+            RadixClusterSpec::new(bits, passes)
+                .pass_bits()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(split(8, 1), [8]);
+        assert_eq!(split(8, 2), [4, 4]);
+        assert_eq!(split(7, 2), [4, 3]);
+        assert_eq!(split(3, 5), [1, 1, 1]);
+        assert_eq!(split(0, 2), []);
+        assert_eq!(RadixClusterSpec::new(7, 2).pass_bits().len(), 2);
     }
 
     #[test]
@@ -125,10 +137,11 @@ mod tests {
     }
 
     #[test]
-    fn optimal_partial_switches_to_two_passes_for_many_clusters() {
+    fn optimal_partial_splits_many_clusters_at_the_pass_fanout() {
+        // 17 bits at the paper platform's 32-cluster passes: 5 + 4 + 4 + 4.
         let spec = RadixClusterSpec::optimal_partial(500_000_000, 4, 16 * 1024);
-        assert!(spec.bits > 11);
-        assert_eq!(spec.passes, 2);
+        assert_eq!(spec.bits, 17);
+        assert_eq!(spec.pass_bits().collect::<Vec<_>>(), [5, 4, 4, 4]);
     }
 
     #[test]

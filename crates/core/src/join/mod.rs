@@ -6,8 +6,11 @@
 //! at — [`HashTable`] indexes by the top hash bits.
 //!
 //! Each input makes one pass over memory, on the high bits of the `B`-bit
-//! field at no more than [`TLB_BOUNDED_FANOUT`] clusters; [`PartitionJoiner`]
-//! splits the remaining bits of each partition while it is cache-resident.
+//! field at no more than [`pass_fanout`] clusters; [`PartitionJoiner`]
+//! splits the remaining bits of each partition while it is cache-resident,
+//! in passes the same rule sizes.  The entry points take no
+//! [`rdx_cache::CacheParams`], so every join pass reads the rule at the
+//! paper's Pentium 4 (32 clusters), the platform the benchmark fixes.
 //! Every pass is stable, so the output is the same for every pass structure.
 
 mod hash_table;
@@ -15,8 +18,7 @@ mod hash_table;
 pub use hash_table::HashTable;
 
 use crate::cluster::{
-    passes_for_budget, ClusterScratch, Clustered, RadixClusterSpec, DEFAULT_SCATTER_CURSOR_BUDGET,
-    TLB_BOUNDED_FANOUT,
+    bits_to_fit, paper_platform, pass_fanout, ClusterScratch, Clustered, RadixClusterSpec,
 };
 use crate::hash::hash_key;
 use rdx_cache::NoProbe;
@@ -40,10 +42,10 @@ pub fn hash_join(larger_keys: &[u64], smaller_keys: &[u64]) -> JoinIndex {
 }
 
 /// The one out-of-cache Radix-Cluster pass of a Partitioned Hash-Join on
-/// `spec`: the high `min(B, log2 TLB_BOUNDED_FANOUT)` bits of the `B`-bit
-/// field, in one plain pass.
+/// `spec`: the high `min(B, log2 pass_fanout)` bits of the `B`-bit field,
+/// in one plain pass.
 pub fn join_first_pass(spec: RadixClusterSpec) -> RadixClusterSpec {
-    let bits = spec.bits.min(TLB_BOUNDED_FANOUT.trailing_zeros());
+    let bits = spec.bits.min(pass_fanout(&paper_platform()).ilog2());
     RadixClusterSpec::partial(bits, 1, spec.ignore + spec.bits - bits)
 }
 
@@ -64,9 +66,8 @@ impl PartitionJoiner {
     /// A joiner for the first-pass partitions of a join on `spec`.
     pub fn new(spec: RadixClusterSpec) -> Self {
         let bits = spec.bits - join_first_pass(spec).bits;
-        let passes = passes_for_budget(bits, DEFAULT_SCATTER_CURSOR_BUDGET);
         PartitionJoiner {
-            split: RadixClusterSpec::partial(bits, passes, spec.ignore),
+            split: RadixClusterSpec::planned(bits, spec.ignore, &paper_platform()),
             table: HashTable::default(),
             larger: Default::default(),
             smaller: Default::default(),
@@ -130,23 +131,19 @@ pub fn partitioned_hash_join(
 /// build partition fits the cache at 12 bytes per tuple — 8 key + 4 oid; the
 /// table's 28–56 bytes come on top.  On a 1M × 1M join one plain pass to all
 /// `2^B` clusters took 42–43 ms at B = 5 and 54–56 at B = 7; bounded by
-/// [`TLB_BOUNDED_FANOUT`], 34–36 and 38–39 ms (fastest of 7, 2-vCPU Xeon,
+/// [`pass_fanout`], 34–36 and 38–39 ms (fastest of 7, 2-vCPU Xeon,
 /// 2 MB L2).  The planner prices its plans with this B.
 ///
-/// The spec also says two passes beyond 2^11 clusters, the §2 recipe, but
-/// only the pre-projection baselines of `rdx_bench::paper` read `passes`:
-/// the served join ([`partitioned_hash_join`] and `rdx-exec`'s
-/// `par_partitioned_hash_join`) always runs one [`join_first_pass`] plus
+/// Its passes follow the pass rule at the paper's platform, as every join
+/// pass does.  Only the pre-projection baselines of `rdx_bench::paper` read
+/// `passes`: the served join ([`partitioned_hash_join`] and `rdx-exec`'s
+/// `par_partitioned_hash_join`) runs one [`join_first_pass`] plus
 /// [`PartitionJoiner`]'s split.
 pub fn join_cluster_spec(smaller_tuples: usize, cache_bytes: usize) -> RadixClusterSpec {
     const BYTES_PER_BUILD_TUPLE: usize = 12;
     let build_bytes = smaller_tuples.saturating_mul(BYTES_PER_BUILD_TUPLE);
-    let mut bits = 0u32;
-    while (build_bytes >> bits) > cache_bytes && bits < 24 {
-        bits += 1;
-    }
-    let passes = if bits > 11 { 2 } else { 1 };
-    RadixClusterSpec::new(bits, passes)
+    let bits = bits_to_fit(build_bytes, cache_bytes, 24);
+    RadixClusterSpec::planned(bits, 0, &paper_platform())
 }
 
 #[cfg(test)]
@@ -248,7 +245,7 @@ mod tests {
     #[test]
     fn the_first_pass_takes_the_high_bits_at_tlb_bounded_fanout() {
         assert_eq!(
-            TLB_BOUNDED_FANOUT,
+            pass_fanout(&paper_platform()),
             1 << rdx_cost::algorithms::JOIN_FIRST_PASS_BITS
         );
         let first = |bits, passes| join_first_pass(RadixClusterSpec::new(bits, passes));
@@ -260,6 +257,47 @@ mod tests {
             join_first_pass(RadixClusterSpec::partial(9, 2, 3)),
             RadixClusterSpec::partial(5, 1, 7)
         );
+    }
+
+    /// The one pass rule as a property: every pass of every clustering the
+    /// planners plan under a query's cache is at most `pass_fanout` of it
+    /// wide, and every pass of the entry points that take a cache size
+    /// only (the join's spec, first pass and split, and `optimal_partial`)
+    /// is at most `pass_fanout` of the paper's platform, where they read it.
+    #[test]
+    fn every_planned_pass_stays_within_the_pass_fanout() {
+        use crate::cluster::{plan_partial_cluster, radix_sort_spec_for};
+        use rdx_cache::CacheParams;
+        let widest = |spec: RadixClusterSpec| spec.pass_bits().map(|b| 1 << b).max().unwrap_or(1);
+        let paper = pass_fanout(&paper_platform());
+        let p4 = CacheParams::paper_pentium4();
+        for params in [
+            p4.clone(),
+            p4.per_query_share(4),
+            CacheParams::tiny_for_tests(),
+        ] {
+            let fanout = pass_fanout(&params);
+            for n in (10..=26).flat_map(|k| [(1usize << k) - 1, 1 << k, 3 << (k - 1)]) {
+                for spec in [
+                    plan_partial_cluster(n, 4, &params),
+                    radix_sort_spec_for(n, &params),
+                ] {
+                    assert!(widest(spec) <= fanout, "{spec:?}, n = {n}, {params:?}");
+                }
+                let join = join_cluster_spec(n, params.cache_capacity());
+                for spec in [
+                    join,
+                    join_first_pass(join),
+                    PartitionJoiner::new(join).split,
+                    RadixClusterSpec::optimal_partial(n, 4, params.cache_capacity()),
+                ] {
+                    assert!(widest(spec) <= paper, "{spec:?}, n = {n}, {params:?}");
+                }
+            }
+        }
+        // The benchmark's platform and its quarter share read the same rule.
+        assert_eq!(pass_fanout(&p4), paper);
+        assert_eq!(pass_fanout(&p4.per_query_share(4)), paper);
     }
 
     #[test]

@@ -45,8 +45,7 @@ pub mod strategy;
 
 pub use budget::{BudgetError, MemoryBudget};
 pub use cluster::{
-    radix_cluster, radix_cluster_oids, radix_count, scatter_cursor_budget, ClusterScratch,
-    Clustered, RadixClusterSpec,
+    radix_cluster, radix_cluster_oids, radix_count, ClusterScratch, Clustered, RadixClusterSpec,
 };
 pub use decluster::chunks::{ChunkCursorState, ChunkRuns};
 pub use decluster::{

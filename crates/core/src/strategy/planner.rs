@@ -15,11 +15,8 @@
 //! dispatch key.
 
 use crate::budget::MemoryBudget;
-use crate::cluster::{
-    passes_for_budget, plan_partial_cluster, scatter_cursor_budget, RadixClusterSpec,
-};
+use crate::cluster::{plan_partial_cluster, radix_sort_spec_for, RadixClusterSpec};
 use crate::decluster::choose_window_bytes;
-use crate::hash::significant_bits;
 use crate::strategy::common::{ProjectionCode, SecondSideCode};
 use crate::strategy::{DsmPostProjection, QuerySpec};
 use rdx_cache::CacheParams;
@@ -251,10 +248,9 @@ pub fn predict_cost(
     let (first_reorder, first_column) = match codes.first_side {
         ProjectionCode::Unsorted => (0.0, unsorted(larger)),
         ProjectionCode::Sorted => {
-            let bits = significant_bits(larger_rows);
+            let s = radix_sort_spec_for(larger_rows, params);
             let sorted = cost::positional_join_sorted(n, larger, VALUE_WIDTH, params);
-            let passes = passes_for_budget(bits, scatter_cursor_budget(params));
-            (cluster(bits, passes), ms(sorted))
+            (cluster(s.bits, s.passes), ms(sorted))
         }
         ProjectionCode::PartialCluster => {
             let c = plan_partial_cluster(larger_rows, VALUE_WIDTH, params);
@@ -507,28 +503,32 @@ mod tests {
     /// `mix_budget_wire` tenant whose columns outgrow that share.
     #[test]
     fn benchmark_shapes_keep_their_plans() {
+        use crate::join::{join_cluster_spec, join_first_pass};
         use ProjectionCode::{PartialCluster as C, Unsorted as U};
         use SecondSideCode::{Decluster as D, Unsorted as Uu};
         let params = CacheParams::paper_pentium4().per_query_share(4);
         let relation = |n: usize| DsmRelation::from_key(rdx_dsm::Column::from_vec(vec![0; n]));
-        // (rows per side, width, plan at every π ≤ width): `scan_cold`, then
-        // the twelve `mix_budget_wire` tenants.
+        // (rows per side, width, plan at every π ≤ width, the one-pass
+        // partial clustering of either side as (bits, ignore), the join's
+        // one-pass first pass as (bits, ignore), its ignore bits being what
+        // the in-cache split takes): `scan_cold`, then the twelve
+        // `mix_budget_wire` tenants.
         let shapes = [
-            (1_000_000, 4, (C, D)),
-            (200_000, 2, (C, D)),
-            (150_000, 4, (C, D)),
-            (100_000, 1, (C, D)),
-            (80_000, 2, (C, D)),
-            (60_000, 4, (C, D)),
-            (40_000, 2, (C, Uu)),
-            (30_000, 1, (U, Uu)),
-            (20_000, 2, (U, Uu)),
-            (15_000, 4, (U, Uu)),
-            (10_000, 2, (U, Uu)),
-            (8_000, 1, (U, Uu)),
-            (6_000, 2, (U, Uu)),
+            (1_000_000, 4, (C, D), (5, 15), (5, 2)),
+            (200_000, 2, (C, D), (3, 15), (5, 0)),
+            (150_000, 4, (C, D), (3, 15), (4, 0)),
+            (100_000, 1, (C, D), (2, 15), (4, 0)),
+            (80_000, 2, (C, D), (2, 15), (3, 0)),
+            (60_000, 4, (C, D), (1, 15), (3, 0)),
+            (40_000, 2, (C, Uu), (1, 15), (2, 0)),
+            (30_000, 1, (U, Uu), (0, 15), (2, 0)),
+            (20_000, 2, (U, Uu), (0, 15), (1, 0)),
+            (15_000, 4, (U, Uu), (0, 14), (1, 0)),
+            (10_000, 2, (U, Uu), (0, 14), (0, 0)),
+            (8_000, 1, (U, Uu), (0, 13), (0, 0)),
+            (6_000, 2, (U, Uu), (0, 13), (0, 0)),
         ];
-        for (n, width, (first, second)) in shapes {
+        for (n, width, (first, second), (bits, ignore), (join_bits, split_bits)) in shapes {
             let (larger, smaller) = (relation(n), relation(n));
             for pi in 1..=width {
                 let spec = QuerySpec::symmetric(pi);
@@ -538,7 +538,22 @@ mod tests {
                     DsmPostProjection::with_codes(first, second),
                     "n={n} π={pi}"
                 );
+                let cluster = RadixClusterSpec::partial(bits, 1, ignore);
+                let unbounded = MemoryBudget::unbounded();
+                let streaming = plan_streaming(n, n, &spec, &params, unbounded, 1);
+                assert_eq!(streaming.cluster_spec, cluster, "`d` side, n={n} π={pi}");
+                assert_eq!(
+                    plan_partial_cluster(n, VALUE_WIDTH, &params),
+                    cluster,
+                    "`c` side"
+                );
             }
+            let join = join_first_pass(join_cluster_spec(n, params.cache_capacity()));
+            assert_eq!(
+                join,
+                RadixClusterSpec::partial(join_bits, 1, split_bits),
+                "n={n}"
+            );
         }
     }
 

@@ -16,9 +16,10 @@ pub const JOIN_INDEX_PAIR_BYTES: usize = 8;
 /// without a cycle; `rdx-core`'s join tests assert the two agree).
 pub const HASH_BUCKET_BYTES: usize = 56;
 
-/// Radix bits of the one out-of-cache Radix-Cluster pass Partitioned
-/// Hash-Join runs per input: `log2` of `rdx_core::cluster::TLB_BOUNDED_FANOUT`
-/// (asserted equal by `rdx-core`'s join tests).
+/// Radix bits of each Radix-Cluster pass Partitioned Hash-Join runs, its one
+/// out-of-cache pass per input and its in-cache split passes alike: `log2`
+/// of `rdx_core::cluster::pass_fanout` at the paper's Pentium 4, where the
+/// join reads it (asserted equal by `rdx-core`'s join tests).
 pub const JOIN_FIRST_PASS_BITS: u32 = 5;
 
 /// Cost of `radix_cluster(X, B, P)`:
@@ -98,8 +99,8 @@ pub fn partitioned_hash_join(
     let (partitions, clusters) = (1usize << first, 1usize << bits);
     let mut cost = radix_cluster(outer, first, 1, params);
     cost.accumulate(&radix_cluster(inner, first, 1, params));
-    // Split passes of at most 11 bits (the 2048-cursor default budget).
-    let split_passes = split.div_ceil(11).max(1);
+    // Split passes of at most the same bits, as `PartitionJoiner` plans them.
+    let split_passes = split.div_ceil(JOIN_FIRST_PASS_BITS).max(1);
     for side in [outer, inner] {
         cost.accumulate(
             &radix_cluster(side.split(partitions), split, split_passes, params)

@@ -110,8 +110,7 @@ pub mod prelude {
     pub use rdx_cache::{CacheParams, MemorySystem, NoProbe};
     pub use rdx_core::budget::{BudgetError, MemoryBudget};
     pub use rdx_core::cluster::{
-        radix_cluster, radix_cluster_oids, scatter_cursor_budget, ClusterScratch, Clustered,
-        RadixClusterSpec,
+        radix_cluster, radix_cluster_oids, ClusterScratch, Clustered, RadixClusterSpec,
     };
     pub use rdx_core::decluster::chunks::ChunkRuns;
     pub use rdx_core::decluster::{

@@ -381,6 +381,26 @@ const GATES: &[Gate] = &[
         message: "a second frame decode loop — read frames through FrameReader's decode and fill instead",
         ..LIBRARY
     },
+    // Every planned Radix-Cluster pass is sized by `cluster::pass_fanout`
+    // and split by `RadixClusterSpec::planned`, the one caller of the
+    // splitter: no fan-out constant, no second pass rule.
+    Gate {
+        name: "One pass rule",
+        scope: CODE,
+        needles: &[Token(
+            "TLB_BOUNDED_FANOUT|DEFAULT_SCATTER_CURSOR_BUDGET|scatter_cursor_budget|bits > 11",
+        )],
+        message: "a second pass rule — plan passes with RadixClusterSpec::planned instead",
+        ..LIBRARY
+    },
+    Gate {
+        name: "One pass rule, one splitter",
+        scope: CODE,
+        needles: &[Token("passes_for_budget(")],
+        allowed: &["crates/core/src/cluster/mod.rs", "crates/core/src/cluster/spec.rs"],
+        message: "a pass count split outside the pass rule — call RadixClusterSpec::planned instead",
+        ..LIBRARY
+    },
 ];
 
 /// One exact count: the library lines of `scope` that hold `needle` or,
