@@ -45,7 +45,7 @@ use rand::{Rng, SeedableRng};
 use rdx_bench::stats::{bootstrap_median_ci, classify, BootstrapCi, MIN_SAMPLES};
 use rdx_bench::EnvMeta;
 use rdx_cache::{CacheLevel, CacheParams, NoProbe};
-use rdx_core::cluster::{radix_cluster, ClusterScratch, Clustered, RadixClusterSpec};
+use rdx_core::cluster::{pass_fanout, radix_cluster, ClusterScratch, Clustered, RadixClusterSpec};
 use rdx_core::hash::hash_key;
 use std::time::{Duration, Instant};
 
@@ -295,7 +295,7 @@ fn main() {
             let passes = if bits > 11 { 2 } else { 1 };
             let spec = RadixClusterSpec::partial(bits, passes, 0);
             // What the pass rule plans for this fan-out on this host.
-            let planned_spec = RadixClusterSpec::planned(bits, 0, &params);
+            let planned_spec = RadixClusterSpec::planned(bits, 0, pass_fanout(&params));
 
             // Correctness gate before timing: every variant byte-identical.
             let reference = seed_radix_cluster(&keys, &payloads, spec);

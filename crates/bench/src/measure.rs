@@ -13,7 +13,8 @@ use rand::{RngCore, SeedableRng};
 use rdx_cache::{CacheParams, MemorySystem, NoProbe};
 use rdx_core::budget::MemoryBudget;
 use rdx_core::cluster::{
-    radix_cluster, radix_cluster_oids, radix_sort_spec_for, simulate_cluster, RadixClusterSpec,
+    pass_fanout, radix_cluster, radix_cluster_oids, radix_sort_spec_for, simulate_cluster,
+    RadixClusterSpec,
 };
 use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::{
@@ -63,7 +64,11 @@ pub fn make_decluster_input(n: usize, bits: u32, seed: u64) -> DeclusterInput {
     let clustered = radix_cluster_oids(
         &smaller,
         &result_positions,
-        RadixClusterSpec::planned(bits, significant - bits, &CacheParams::paper_pentium4()),
+        RadixClusterSpec::planned(
+            bits,
+            significant - bits,
+            pass_fanout(&CacheParams::paper_pentium4()),
+        ),
     );
     DeclusterInput {
         values: clustered.keys().iter().map(|&o| o as i32).collect(),
@@ -202,7 +207,7 @@ pub fn decluster_components_sweep(
     bits_list
         .iter()
         .map(|&bits| {
-            let spec = RadixClusterSpec::planned(bits, 0, params);
+            let spec = RadixClusterSpec::planned(bits, 0, pass_fanout(params));
             let (clustered, cluster_ms) =
                 time_ms(|| radix_cluster_oids(&smaller, &result_positions, spec));
             let (clust_values, positional_ms) = time_ms(|| {
@@ -571,7 +576,11 @@ pub fn sparse_clustered_positional_ms(
     let mut oids: Vec<Oid> = (0..selected as Oid).collect();
     oids.shuffle(&mut StdRng::seed_from_u64(24));
     let payload: Vec<Oid> = (0..selected as Oid).collect();
-    let clustered = radix_cluster_oids(&oids, &payload, RadixClusterSpec::planned(bits, 0, params));
+    let clustered = radix_cluster_oids(
+        &oids,
+        &payload,
+        RadixClusterSpec::planned(bits, 0, pass_fanout(params)),
+    );
     let (_, ms) = time_ms(|| {
         std::hint::black_box(sparse_positional_join(
             clustered.keys(),
@@ -713,7 +722,7 @@ pub fn miss_count_proxies(params: &CacheParams, detune_window: bool) -> Vec<Miss
     let mut oids: Vec<Oid> = (0..n as Oid).collect();
     oids.shuffle(&mut StdRng::seed_from_u64(17));
     for bits in [6u32, 8] {
-        let spec = RadixClusterSpec::planned(bits, 18 - bits, params);
+        let spec = RadixClusterSpec::planned(bits, 18 - bits, pass_fanout(params));
         let (_, counts) = simulate_cluster(&oids, &oids, spec, &mut MemorySystem::new(params));
         let mut all = Vec::new();
         push_counts(&mut all, &format!("cluster.n{n}.b{bits}"), &counts, params);

@@ -188,18 +188,20 @@ pub fn pass_fanout(params: &CacheParams) -> usize {
     (tlb.min(lines) / 2).max(2)
 }
 
-/// Where the entry points that take a cache size but no [`CacheParams`]
-/// (`optimal_partial` and the join's) read the pass rule: the paper's
-/// Pentium 4, the platform the benchmark fixes (32 clusters a pass).
-pub(crate) fn paper_platform() -> CacheParams {
-    CacheParams::paper_pentium4()
+/// The pass rule read once at the paper's Pentium 4, the platform the
+/// benchmark fixes (32 clusters a pass): where the entry points that take
+/// a cache size but no [`CacheParams`] (`optimal_partial` and the join's)
+/// read it.
+pub(crate) fn paper_pass_fanout() -> usize {
+    static FANOUT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *FANOUT.get_or_init(|| pass_fanout(&CacheParams::paper_pentium4()))
 }
 
 /// The Radix-Sort of a dense oid `domain`: a Radix-Cluster on *all*
 /// significant bits with no ignore bits, "equivalent to Radix-Sort" (§3.1),
 /// in as many passes as [`pass_fanout`] asks for.
 pub fn radix_sort_spec_for(domain: usize, params: &CacheParams) -> RadixClusterSpec {
-    RadixClusterSpec::planned(significant_bits(domain), 0, params)
+    RadixClusterSpec::planned(significant_bits(domain), 0, pass_fanout(params))
 }
 
 /// Smallest pass count splitting `bits` so no pass exceeds `fanout`

@@ -23,7 +23,7 @@
 //! **byte-identical** to the original kernel, since every pass is a stable
 //! counting sort.
 
-use super::spec::{bits_to_fit, RadixClusterSpec};
+use super::spec::RadixClusterSpec;
 use super::Clustered;
 use rdx_cache::{AddressSpace, CacheParams, EventCounts, MemorySystem, Probe, SimProbe};
 use rdx_dsm::Oid;
@@ -47,10 +47,12 @@ pub fn plan_partial_cluster(
     params: &CacheParams,
 ) -> RadixClusterSpec {
     let significant = crate::hash::significant_bits(column_tuples);
-    let bytes = column_tuples.saturating_mul(value_width);
-    let fits = bits_to_fit(bytes, params.cache_capacity(), 30);
-    let bits = fits.max(significant.saturating_sub(super::PACKED_LOW_BITS));
-    RadixClusterSpec::planned(bits, significant.saturating_sub(bits), params)
+    let bits =
+        RadixClusterSpec::optimal_partial(column_tuples, value_width, params.cache_capacity())
+            .bits
+            .max(significant.saturating_sub(super::PACKED_LOW_BITS));
+    let fanout = super::pass_fanout(params);
+    RadixClusterSpec::planned(bits, significant.saturating_sub(bits), fanout)
 }
 
 /// [`ClusterScratch::cluster_into`] of `(oid, payload)` pairs on the

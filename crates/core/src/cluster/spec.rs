@@ -1,8 +1,7 @@
 //! Clustering specifications and the §3.1 parameter formulas.
 
-use super::{paper_platform, pass_fanout, passes_for_budget};
+use super::{paper_pass_fanout, passes_for_budget};
 use crate::hash::significant_bits;
-use rdx_cache::CacheParams;
 
 /// A Radix-Cluster configuration: `B` radix bits split over `P` passes,
 /// ignoring the lowermost `I` bits (the *partial* Radix-Cluster of §3.1).
@@ -53,11 +52,11 @@ impl RadixClusterSpec {
     }
 
     /// A clustering on `bits` bits ignoring the lowermost `ignore`, over
-    /// the fewest passes that keep every pass at or under
-    /// [`pass_fanout`]`(params)` clusters: the one source of a planned
-    /// pass count.
-    pub fn planned(bits: u32, ignore: u32, params: &CacheParams) -> Self {
-        Self::partial(bits, passes_for_budget(bits, pass_fanout(params)), ignore)
+    /// the fewest passes that keep every pass at or under `fanout`
+    /// clusters: the one source of a planned pass count.  Planners pass
+    /// [`super::pass_fanout`] of their cache.
+    pub fn planned(bits: u32, ignore: u32, fanout: usize) -> Self {
+        Self::partial(bits, passes_for_budget(bits, fanout), ignore)
     }
 
     /// The per-pass bit counts, leftmost (most significant) pass first,
@@ -77,13 +76,13 @@ impl RadixClusterSpec {
     /// * `I` is whatever remains of the oid's significant bits, i.e. the bits
     ///   Radix-Sort may ignore ("stop early").
     ///
-    /// It takes a cache size but no [`CacheParams`], so its passes follow
+    /// It takes a cache size but no `CacheParams`, so its passes follow
     /// the pass rule at the paper's platform; [`super::plan_partial_cluster`]
     /// plans the same bits under a query's own cache.
     pub fn optimal_partial(column_tuples: usize, value_width: usize, cache_bytes: usize) -> Self {
         let bits = bits_to_fit(column_tuples.saturating_mul(value_width), cache_bytes, 30);
         let ignore = significant_bits(column_tuples).saturating_sub(bits);
-        Self::planned(bits, ignore, &paper_platform())
+        Self::planned(bits, ignore, paper_pass_fanout())
     }
 }
 

@@ -6,20 +6,20 @@
 //! at — [`HashTable`] indexes by the top hash bits.
 //!
 //! Each input makes one pass over memory, on the high bits of the `B`-bit
-//! field at no more than [`pass_fanout`] clusters; [`PartitionJoiner`]
-//! splits the remaining bits of each partition while it is cache-resident,
-//! in passes the same rule sizes.  The entry points take no
+//! field at no more than [`pass_fanout`](crate::cluster::pass_fanout)
+//! clusters; [`PartitionJoiner`] splits the remaining bits of each
+//! partition in passes the same rule sizes.  The entry points take no
 //! [`rdx_cache::CacheParams`], so every join pass reads the rule at the
 //! paper's Pentium 4 (32 clusters), the platform the benchmark fixes.
+//! A split wider than 5 bits (no benchmark shape's) gets a second pass,
+//! which the simulator does not find cheaper for these hashed pairs.
 //! Every pass is stable, so the output is the same for every pass structure.
 
 mod hash_table;
 
 pub use hash_table::HashTable;
 
-use crate::cluster::{
-    bits_to_fit, paper_platform, pass_fanout, ClusterScratch, Clustered, RadixClusterSpec,
-};
+use crate::cluster::{bits_to_fit, paper_pass_fanout, ClusterScratch, Clustered, RadixClusterSpec};
 use crate::hash::hash_key;
 use rdx_cache::NoProbe;
 use rdx_dsm::{JoinIndex, Oid};
@@ -45,7 +45,7 @@ pub fn hash_join(larger_keys: &[u64], smaller_keys: &[u64]) -> JoinIndex {
 /// `spec`: the high `min(B, log2 pass_fanout)` bits of the `B`-bit field,
 /// in one plain pass.
 pub fn join_first_pass(spec: RadixClusterSpec) -> RadixClusterSpec {
-    let bits = spec.bits.min(pass_fanout(&paper_platform()).ilog2());
+    let bits = spec.bits.min(paper_pass_fanout().ilog2());
     RadixClusterSpec::partial(bits, 1, spec.ignore + spec.bits - bits)
 }
 
@@ -67,7 +67,7 @@ impl PartitionJoiner {
     pub fn new(spec: RadixClusterSpec) -> Self {
         let bits = spec.bits - join_first_pass(spec).bits;
         PartitionJoiner {
-            split: RadixClusterSpec::planned(bits, spec.ignore, &paper_platform()),
+            split: RadixClusterSpec::planned(bits, spec.ignore, paper_pass_fanout()),
             table: HashTable::default(),
             larger: Default::default(),
             smaller: Default::default(),
@@ -131,7 +131,7 @@ pub fn partitioned_hash_join(
 /// build partition fits the cache at 12 bytes per tuple — 8 key + 4 oid; the
 /// table's 28–56 bytes come on top.  On a 1M × 1M join one plain pass to all
 /// `2^B` clusters took 42–43 ms at B = 5 and 54–56 at B = 7; bounded by
-/// [`pass_fanout`], 34–36 and 38–39 ms (fastest of 7, 2-vCPU Xeon,
+/// [`pass_fanout`](crate::cluster::pass_fanout), 34–36 and 38–39 ms (fastest of 7, 2-vCPU Xeon,
 /// 2 MB L2).  The planner prices its plans with this B.
 ///
 /// Its passes follow the pass rule at the paper's platform, as every join
@@ -143,12 +143,13 @@ pub fn join_cluster_spec(smaller_tuples: usize, cache_bytes: usize) -> RadixClus
     const BYTES_PER_BUILD_TUPLE: usize = 12;
     let build_bytes = smaller_tuples.saturating_mul(BYTES_PER_BUILD_TUPLE);
     let bits = bits_to_fit(build_bytes, cache_bytes, 24);
-    RadixClusterSpec::planned(bits, 0, &paper_platform())
+    RadixClusterSpec::planned(bits, 0, paper_pass_fanout())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::pass_fanout;
     use std::collections::HashSet;
 
     /// Reference nested-loop join for verification.
@@ -245,7 +246,7 @@ mod tests {
     #[test]
     fn the_first_pass_takes_the_high_bits_at_tlb_bounded_fanout() {
         assert_eq!(
-            pass_fanout(&paper_platform()),
+            paper_pass_fanout(),
             1 << rdx_cost::algorithms::JOIN_FIRST_PASS_BITS
         );
         let first = |bits, passes| join_first_pass(RadixClusterSpec::new(bits, passes));
@@ -269,7 +270,7 @@ mod tests {
         use crate::cluster::{plan_partial_cluster, radix_sort_spec_for};
         use rdx_cache::CacheParams;
         let widest = |spec: RadixClusterSpec| spec.pass_bits().map(|b| 1 << b).max().unwrap_or(1);
-        let paper = pass_fanout(&paper_platform());
+        let paper = paper_pass_fanout();
         let p4 = CacheParams::paper_pentium4();
         for params in [
             p4.clone(),
