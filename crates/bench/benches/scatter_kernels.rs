@@ -15,8 +15,8 @@
 //!   hardware-aware planner picks for this host.
 //!
 //! Every variant is checked byte-identical to `seed` before timing.
-//! Radix-Cluster has one scatter, the plain one; a fan-out past the cursor
-//! budget runs more passes (§2.1).
+//! Radix-Cluster has one scatter, the plain one; a fan-out past the pass
+//! rule's runs more passes (§2.1).
 //!
 //! First, a **fan-out sweep**: one pass of 1M pairs to 16 … 256 clusters,
 //! for the join's hashed `(u64, u32)` pairs and the reordering codes'
@@ -354,7 +354,7 @@ fn main() {
                 planned_ci,
             };
             println!(
-                "n={:>9} B={:>2}  seed(P={}) {:>8.2?}  plain {:>8.2?}  scratch_p {:>8.2?}  planned(P={}) {:>8.2?}  -{:.1}%",
+                "n={:>9} B={:>2}  seed(P={}) {:>8.2?}  plain {:>8.2?}  scratch_p {:>8.2?}  planned(P={}) {:>8.2?}  {:+.1}%",
                 cell.n,
                 cell.bits,
                 cell.seed_passes,
@@ -363,7 +363,7 @@ fn main() {
                 cell.scratch_plain,
                 cell.planned_passes,
                 cell.planned,
-                cell.improvement_pct(),
+                -cell.improvement_pct(),
             );
             cells.push(cell);
         }

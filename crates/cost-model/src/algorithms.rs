@@ -29,8 +29,8 @@ pub const JOIN_FIRST_PASS_BITS: u32 = 5;
 /// output cursors; once the cursor count exceeds the cache-line or TLB budget
 /// the nest term degrades to per-tuple random misses (the thrashing that
 /// motivates multi-pass clustering, §2.1/§2.2).  This plain scatter is the
-/// only one the kernels run: a fan-out past the cursor budget is priced,
-/// and run, as more passes.
+/// only one the kernels run: a fan-out past the pass rule's
+/// (`rdx_core::cluster::pass_fanout`) is priced, and run, as more passes.
 pub fn radix_cluster(
     input: DataRegion,
     bits: u32,
