@@ -20,7 +20,7 @@ use rdx_core::decluster::chunks::ChunkRuns;
 use rdx_core::decluster::{
     choose_window_bytes, radix_decluster, simulate_decluster, DeclusterScratch,
 };
-use rdx_core::join::{partitioned_hash_join, HashTable};
+use rdx_core::join::{join_passes, partitioned_hash_join, HashTable};
 use rdx_core::positional::{
     clustered_positional_join, positional_join, sparse_positional_join, CountingSource,
 };
@@ -224,8 +224,7 @@ pub fn decluster_components_sweep(
             });
             let model_total_ms = rdx_cost::algorithms::radix_cluster(
                 rdx_cost::DataRegion::new(n, 8),
-                bits,
-                spec.passes,
+                spec.pass_bits(),
                 params,
             )
             .millis(params)
@@ -320,16 +319,12 @@ pub fn fig9_radix_cluster(n: usize, bits: u32, params: &CacheParams) -> ModelPoi
     let mut oids: Vec<Oid> = (0..n as Oid).collect();
     oids.shuffle(&mut StdRng::seed_from_u64(1));
     let payload: Vec<Oid> = (0..n as Oid).collect();
-    let (_, measured_ms) = time_ms(|| {
-        std::hint::black_box(radix_cluster_oids(
-            &oids,
-            &payload,
-            RadixClusterSpec::single_pass(bits),
-        ))
-    });
+    let spec = RadixClusterSpec::single_pass(bits);
+    let (_, measured_ms) =
+        time_ms(|| std::hint::black_box(radix_cluster_oids(&oids, &payload, spec)));
+    let region = rdx_cost::DataRegion::new(n, 8);
     let modeled_ms =
-        rdx_cost::algorithms::radix_cluster(rdx_cost::DataRegion::new(n, 8), bits, 1, params)
-            .millis(params);
+        rdx_cost::algorithms::radix_cluster(region, spec.pass_bits(), params).millis(params);
     ModelPoint {
         bits,
         measured_ms,
@@ -347,16 +342,20 @@ pub fn fig9_partitioned_hash_join(n: usize, bits: u32, params: &CacheParams) -> 
     };
     let larger = keys(1);
     let smaller = keys(2);
-    let (_, measured_ms) = time_ms(|| {
-        std::hint::black_box(partitioned_hash_join(
-            &larger,
-            &smaller,
-            RadixClusterSpec::single_pass(bits),
-        ))
-    });
+    let spec = RadixClusterSpec::single_pass(bits);
+    let (_, measured_ms) =
+        time_ms(|| std::hint::black_box(partitioned_hash_join(&larger, &smaller, spec)));
     let region = rdx_cost::DataRegion::new(n, 8);
-    let modeled_ms =
-        rdx_cost::algorithms::partitioned_hash_join(region, region, bits, n, params).millis(params);
+    let [first, split] = join_passes(spec);
+    let modeled_ms = rdx_cost::algorithms::partitioned_hash_join(
+        region,
+        region,
+        first.pass_bits(),
+        split.pass_bits(),
+        n,
+        params,
+    )
+    .millis(params);
     ModelPoint {
         bits,
         measured_ms,

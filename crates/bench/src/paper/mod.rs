@@ -15,6 +15,11 @@
 //! | `NSM-post-decluster`     | NSM     | post, Radix-Decluster | [`nsm_post`] |
 //! | `NSM-post-jive`          | NSM     | post, Jive-Join | [`nsm_post`] |
 //!
+//! The three pre-projection plans differ only in their scan: each builds
+//! row-major wide tuples, and one private module (`wide`) holds their
+//! one multi-pass wide-tuple Radix-Cluster, planned by
+//! `RadixClusterSpec::pass_bits`, and their one per-partition Hash-Join.
+//!
 //! [`jive`] is Jive-Join \[LR99\] itself (Figs. 9e/f), and [`paged`] the §5
 //! Radix-Decluster into buffer-manager pages with variable-size values
 //! (Fig. 12).  Every strategy returns a
@@ -27,6 +32,7 @@ pub mod jive;
 pub mod nsm_post;
 pub mod nsm_pre;
 pub mod paged;
+mod wide;
 
 pub use dsm_pre::dsm_pre_projection;
 pub use nsm_post::{nsm_post_projection_decluster, nsm_post_projection_jive};

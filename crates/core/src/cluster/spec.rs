@@ -62,7 +62,7 @@ impl RadixClusterSpec {
     /// The per-pass bit counts, leftmost (most significant) pass first,
     /// without allocating.  Passes never exceed `bits`, so asking for more
     /// passes than bits simply collapses to `bits` one-bit passes.
-    pub fn pass_bits(&self) -> impl ExactSizeIterator<Item = u32> {
+    pub fn pass_bits(&self) -> impl ExactSizeIterator<Item = u32> + Clone {
         let (bits, passes) = (self.bits, self.passes.clamp(1, self.bits.max(1)));
         (0..passes.min(bits)).map(move |p| bits / passes + u32::from(p < bits % passes))
     }

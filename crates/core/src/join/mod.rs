@@ -41,17 +41,24 @@ pub fn hash_join(larger_keys: &[u64], smaller_keys: &[u64]) -> JoinIndex {
     partitioned_hash_join(larger_keys, smaller_keys, RadixClusterSpec::single_pass(0))
 }
 
-/// The one out-of-cache Radix-Cluster pass of a Partitioned Hash-Join on
-/// `spec`: the high `min(B, log2 pass_fanout)` bits of the `B`-bit field,
-/// in one plain pass.
-pub fn join_first_pass(spec: RadixClusterSpec) -> RadixClusterSpec {
+/// The two clusterings of a Partitioned Hash-Join on `spec`: the one
+/// out-of-cache pass per input, on the high `min(B, log2 pass_fanout)` bits
+/// of the `B`-bit field in one plain pass, then [`PartitionJoiner`]'s split
+/// of each partition on the remaining bits, in passes the pass rule sizes.
+/// Both join kernels run these, and `rdx_cost`'s price reads their
+/// [`pass_bits`](RadixClusterSpec::pass_bits).
+pub fn join_passes(spec: RadixClusterSpec) -> [RadixClusterSpec; 2] {
     let bits = spec.bits.min(paper_pass_fanout().ilog2());
-    RadixClusterSpec::partial(bits, 1, spec.ignore + spec.bits - bits)
+    let split = spec.bits - bits;
+    [
+        RadixClusterSpec::partial(bits, 1, spec.ignore + split),
+        RadixClusterSpec::planned(split, spec.ignore, paper_pass_fanout()),
+    ]
 }
 
 /// The per-partition kernel of Partitioned Hash-Join, shared by the
 /// sequential and the parallel executor: splits both sides of one
-/// [`join_first_pass`] partition on the remaining bits and joins the
+/// first-pass partition on the remaining bits and joins the
 /// sub-partitions in order, reusing one table and, per side, one split
 /// arena and output.
 #[derive(Debug)]
@@ -65,9 +72,8 @@ pub struct PartitionJoiner {
 impl PartitionJoiner {
     /// A joiner for the first-pass partitions of a join on `spec`.
     pub fn new(spec: RadixClusterSpec) -> Self {
-        let bits = spec.bits - join_first_pass(spec).bits;
         PartitionJoiner {
-            split: RadixClusterSpec::planned(bits, spec.ignore, paper_pass_fanout()),
+            split: join_passes(spec)[1],
             table: HashTable::default(),
             larger: Default::default(),
             smaller: Default::default(),
@@ -93,8 +99,8 @@ impl PartitionJoiner {
 /// Partitioned Hash-Join (§2.1): both inputs are Radix-Clustered on `B` bits
 /// of the hashed key, then a simple Hash-Join is run per pair of matching
 /// partitions, keeping every build partition (plus its hash table) inside the
-/// CPU cache.  The clustering is one [`join_first_pass`] per input plus
-/// [`PartitionJoiner`]'s split, whatever `spec.passes` says.
+/// CPU cache.  The clustering is [`join_passes`]: one first pass per input
+/// plus [`PartitionJoiner`]'s split, whatever `spec.passes` says.
 ///
 /// The produced [`JoinIndex`] refers to the *original* oids of both inputs;
 /// as §3.1 notes, neither side comes out in ascending order, which is exactly
@@ -114,7 +120,7 @@ pub fn partitioned_hash_join(
     if spec.bits == 0 {
         joiner.join(larger, smaller, &mut out);
     } else {
-        let first = join_first_pass(spec);
+        let [first, _] = join_passes(spec);
         let (mut scratch, hash) = (ClusterScratch::new(), |&k: &u64| hash_key(k));
         let (mut l, mut s) = (Clustered::default(), Clustered::default());
         scratch.cluster_into(larger.0, larger.1, first, hash, &mut l, &mut NoProbe);
@@ -137,8 +143,7 @@ pub fn partitioned_hash_join(
 /// Its passes follow the pass rule at the paper's platform, as every join
 /// pass does.  Only the pre-projection baselines of `rdx_bench::paper` read
 /// `passes`: the served join ([`partitioned_hash_join`] and `rdx-exec`'s
-/// `par_partitioned_hash_join`) runs one [`join_first_pass`] plus
-/// [`PartitionJoiner`]'s split.
+/// `par_partitioned_hash_join`) runs [`join_passes`].
 pub fn join_cluster_spec(smaller_tuples: usize, cache_bytes: usize) -> RadixClusterSpec {
     const BYTES_PER_BUILD_TUPLE: usize = 12;
     let build_bytes = smaller_tuples.saturating_mul(BYTES_PER_BUILD_TUPLE);
@@ -245,19 +250,47 @@ mod tests {
 
     #[test]
     fn the_first_pass_takes_the_high_bits_at_tlb_bounded_fanout() {
+        use RadixClusterSpec as S;
+        let passes = |bits, passes| join_passes(S::new(bits, passes));
+        assert_eq!(passes(3, 1), [S::partial(3, 1, 0), S::partial(0, 1, 0)]);
+        assert_eq!(passes(5, 1), [S::partial(5, 1, 0), S::partial(0, 1, 0)]);
+        assert_eq!(passes(7, 1), [S::partial(5, 1, 2), S::partial(2, 1, 0)]);
+        assert_eq!(passes(14, 2), [S::partial(5, 1, 9), S::partial(9, 2, 0)]);
         assert_eq!(
-            paper_pass_fanout(),
-            1 << rdx_cost::algorithms::JOIN_FIRST_PASS_BITS
+            join_passes(S::partial(9, 2, 3)),
+            [S::partial(5, 1, 7), S::partial(4, 1, 3)]
         );
-        let first = |bits, passes| join_first_pass(RadixClusterSpec::new(bits, passes));
-        assert_eq!(first(3, 1), RadixClusterSpec::partial(3, 1, 0));
-        assert_eq!(first(5, 1), RadixClusterSpec::partial(5, 1, 0));
-        assert_eq!(first(7, 1), RadixClusterSpec::partial(5, 1, 2));
-        assert_eq!(first(14, 2), RadixClusterSpec::partial(5, 1, 9));
-        assert_eq!(
-            join_first_pass(RadixClusterSpec::partial(9, 2, 3)),
-            RadixClusterSpec::partial(5, 1, 7)
+    }
+
+    /// Fig. 9b's model, priced at the passes the join runs: the clustering
+    /// is part of the price (Fig. 9b's measurement always did include it).
+    #[test]
+    fn partitioned_hash_join_improves_with_bits_then_flattens() {
+        use rdx_cache::CacheParams;
+        use rdx_cost::{algorithms as cost, DataRegion};
+        const MB8: usize = 8_000_000;
+        let p = CacheParams::paper_pentium4();
+        let r = DataRegion::new(MB8, 8);
+        let at = |bits| {
+            let [first, split] = join_passes(RadixClusterSpec::single_pass(bits));
+            let price =
+                cost::partitioned_hash_join(r, r, first.pass_bits(), split.pass_bits(), MB8, &p);
+            price.millis(&p)
+        };
+        let unpartitioned = cost::hash_join(r, r, MB8, &p).millis(&p);
+        assert_eq!(at(0), unpartitioned);
+        // At 8M its two passes per input are a third of the naive join, so
+        // partitioning saves a third of it, not half.
+        assert!(
+            at(10) < unpartitioned * 0.7,
+            "partitioned {} vs naive {unpartitioned}",
+            at(10)
         );
+        assert!(at(10) < at(5));
+        // Flat after the knee: every B from 9 to 16 within 1.5× of the best.
+        let tail: Vec<f64> = (9..=16).map(at).collect();
+        let best = tail.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(tail.iter().all(|&c| c < best * 1.5), "{tail:?}");
     }
 
     /// The one pass rule as a property: every pass of every clustering the
@@ -286,10 +319,11 @@ mod tests {
                     assert!(widest(spec) <= fanout, "{spec:?}, n = {n}, {params:?}");
                 }
                 let join = join_cluster_spec(n, params.cache_capacity());
+                let [first, split] = join_passes(join);
                 for spec in [
                     join,
-                    join_first_pass(join),
-                    PartitionJoiner::new(join).split,
+                    first,
+                    split,
                     RadixClusterSpec::optimal_partial(n, 4, params.cache_capacity()),
                 ] {
                     assert!(widest(spec) <= paper, "{spec:?}, n = {n}, {params:?}");

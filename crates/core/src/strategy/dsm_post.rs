@@ -13,10 +13,7 @@
 
 use crate::strategy::common::{ProjectionCode, SecondSideCode};
 use rdx_cache::CacheParams;
-use rdx_dsm::DsmRelation;
-
-/// Width of the fixed-size attribute values (the paper's all-integer columns).
-const VALUE_WIDTH: usize = 4;
+use rdx_dsm::{DsmRelation, VALUE_WIDTH};
 
 /// A planned DSM post-projection: which one-letter code to use on each side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -22,10 +22,7 @@ use crate::strategy::{DsmPostProjection, QuerySpec};
 use rdx_cache::CacheParams;
 use rdx_cost::algorithms as cost;
 use rdx_cost::{DataRegion, PatternCost};
-use rdx_dsm::DsmRelation;
-
-/// Value width of the paper's integer attribute columns.
-const VALUE_WIDTH: usize = 4;
+use rdx_dsm::{DsmRelation, VALUE_WIDTH};
 
 /// Picks the cheapest `u/s/c × u/d` combination under the cost model.
 pub fn plan_by_cost(
@@ -231,7 +228,8 @@ pub fn predict_cost(
     let ms = |pattern: PatternCost| pattern.millis(params);
     let n = result_rows;
     let join_index = DataRegion::new(n, 8);
-    let cluster = |bits, passes| ms(cost::radix_cluster(join_index, bits, passes, params));
+    let cluster =
+        |spec: RadixClusterSpec| ms(cost::radix_cluster(join_index, spec.pass_bits(), params));
     let unsorted = |col| ms(cost::positional_join_unsorted(n, col, VALUE_WIDTH, params));
     let clustered = |col, b| {
         ms(cost::positional_join_clustered(
@@ -250,11 +248,11 @@ pub fn predict_cost(
         ProjectionCode::Sorted => {
             let s = radix_sort_spec_for(larger_rows, params);
             let sorted = cost::positional_join_sorted(n, larger, VALUE_WIDTH, params);
-            (cluster(s.bits, s.passes), ms(sorted))
+            (cluster(s), ms(sorted))
         }
         ProjectionCode::PartialCluster => {
             let c = plan_partial_cluster(larger_rows, VALUE_WIDTH, params);
-            (cluster(c.bits, c.passes), clustered(larger, c.bits))
+            (cluster(c), clustered(larger, c.bits))
         }
     };
     let smaller = DataRegion::new(smaller_rows, VALUE_WIDTH);
@@ -270,10 +268,7 @@ pub fn predict_cost(
                 plan.num_chunks,
                 params,
             );
-            (
-                cluster(c.bits, c.passes),
-                clustered(smaller, c.bits) + ms(decluster),
-            )
+            (cluster(c), clustered(smaller, c.bits) + ms(decluster))
         }
     };
     PlanPrice {
@@ -503,7 +498,7 @@ mod tests {
     /// `mix_budget_wire` tenant whose columns outgrow that share.
     #[test]
     fn benchmark_shapes_keep_their_plans() {
-        use crate::join::{join_cluster_spec, join_first_pass};
+        use crate::join::{join_cluster_spec, join_passes};
         use ProjectionCode::{PartialCluster as C, Unsorted as U};
         use SecondSideCode::{Decluster as D, Unsorted as Uu};
         let params = CacheParams::paper_pentium4().per_query_share(4);
@@ -548,7 +543,7 @@ mod tests {
                     "`c` side"
                 );
             }
-            let join = join_first_pass(join_cluster_spec(n, params.cache_capacity()));
+            let [join, _] = join_passes(join_cluster_spec(n, params.cache_capacity()));
             assert_eq!(
                 join,
                 RadixClusterSpec::partial(join_bits, 1, split_bits),

@@ -16,37 +16,24 @@ pub const JOIN_INDEX_PAIR_BYTES: usize = 8;
 /// without a cycle; `rdx-core`'s join tests assert the two agree).
 pub const HASH_BUCKET_BYTES: usize = 56;
 
-/// Radix bits of each Radix-Cluster pass Partitioned Hash-Join runs, its one
-/// out-of-cache pass per input and its in-cache split passes alike: `log2`
-/// of `rdx_core::cluster::pass_fanout` at the paper's Pentium 4, where the
-/// join reads it (asserted equal by `rdx-core`'s join tests).
-pub const JOIN_FIRST_PASS_BITS: u32 = 5;
-
 /// Cost of `radix_cluster(X, B, P)`:
 /// `⊕_{p=1..P} ( s_trav(X) ⊙ nest({X_j}, 2^{B_p}, s_trav, ran) )`.
 ///
-/// Every pass reads the whole input sequentially and appends to `2^{B_p}`
-/// output cursors; once the cursor count exceeds the cache-line or TLB budget
-/// the nest term degrades to per-tuple random misses (the thrashing that
-/// motivates multi-pass clustering, §2.1/§2.2).  This plain scatter is the
-/// only one the kernels run: a fan-out past the pass rule's
+/// `pass_bits` are the `B_p`, leftmost pass first, as
+/// `rdx_core::cluster::RadixClusterSpec::pass_bits` plans them (no passes,
+/// no cost).  Every pass reads the whole input sequentially and appends to
+/// `2^{B_p}` output cursors; once the cursor count exceeds the cache-line
+/// or TLB budget the nest term degrades to per-tuple random misses (the
+/// thrashing that motivates multi-pass clustering, §2.1/§2.2).  This plain
+/// scatter is the only one the kernels run: a fan-out past the pass rule's
 /// (`rdx_core::cluster::pass_fanout`) is priced, and run, as more passes.
 pub fn radix_cluster(
     input: DataRegion,
-    bits: u32,
-    passes: u32,
+    pass_bits: impl IntoIterator<Item = u32>,
     params: &CacheParams,
 ) -> PatternCost {
-    if bits == 0 || passes == 0 {
-        return PatternCost::zero();
-    }
-    let passes = passes.min(bits);
-    let mut per_pass_bits = vec![bits / passes; passes as usize];
-    for bp in per_pass_bits.iter_mut().take((bits % passes) as usize) {
-        *bp += 1;
-    }
     let mut total = PatternCost::zero();
-    for bp in per_pass_bits {
+    for bp in pass_bits {
         let partitions = 1usize << bp;
         let read = patterns::s_trav(&input, params);
         let write = patterns::nest(&input, partitions, params);
@@ -83,28 +70,27 @@ pub fn hash_join(
 }
 
 /// Cost of `part_hash_join(X, Y, B)` as it runs: one plain Radix-Cluster
-/// pass per input on at most [`JOIN_FIRST_PASS_BITS`] bits, the remaining
-/// bits split per first-pass partition while it is cache-resident, then a
-/// simple Hash-Join per pair of matching clusters.  `B = 0` is the plain
-/// [`hash_join`].
+/// pass per input on the `first` pass's bits, the remaining bits split per
+/// first-pass partition in the `split` passes while it is cache-resident,
+/// then a simple Hash-Join per pair of matching clusters.  Both come from
+/// `rdx_core::join::join_passes`, the passes the join runs; no passes at
+/// all is the plain [`hash_join`].
 pub fn partitioned_hash_join(
     outer: DataRegion,
     inner: DataRegion,
-    bits: u32,
+    first: impl IntoIterator<Item = u32> + Clone,
+    split: impl IntoIterator<Item = u32> + Clone,
     result_tuples: usize,
     params: &CacheParams,
 ) -> PatternCost {
-    let first = bits.min(JOIN_FIRST_PASS_BITS);
-    let split = bits - first;
-    let (partitions, clusters) = (1usize << first, 1usize << bits);
-    let mut cost = radix_cluster(outer, first, 1, params);
-    cost.accumulate(&radix_cluster(inner, first, 1, params));
-    // Split passes of at most the same bits, as `PartitionJoiner` plans them.
-    let split_passes = split.div_ceil(JOIN_FIRST_PASS_BITS).max(1);
+    let first_bits: u32 = first.clone().into_iter().sum();
+    let bits = first_bits + split.clone().into_iter().sum::<u32>();
+    let (partitions, clusters) = (1usize << first_bits, 1usize << bits);
+    let mut cost = radix_cluster(outer, first.clone(), params);
+    cost.accumulate(&radix_cluster(inner, first, params));
     for side in [outer, inner] {
         cost.accumulate(
-            &radix_cluster(side.split(partitions), split, split_passes, params)
-                .scaled(partitions as f64),
+            &radix_cluster(side.split(partitions), split.clone(), params).scaled(partitions as f64),
         );
     }
     let per_cluster = hash_join(
@@ -198,8 +184,6 @@ pub fn radix_decluster(
         return PatternCost::zero();
     }
     let clusters = 1usize << bits;
-    let values = DataRegion::new(n, value_width);
-    let ids = DataRegion::new(n, 4);
     let output_bytes = n * value_width;
     let windows = output_bytes.div_ceil(window_bytes.max(1)).max(1);
     // Average tuples drained from one cluster while filling one window.
@@ -207,9 +191,10 @@ pub fn radix_decluster(
 
     let mut cost = PatternCost::zero();
 
-    // Sequential reads of CLUST_VALUES and CLUST_RESULT, chunked per
-    // (window, cluster): every chunk start costs at least one line / one page.
-    for (region, idx_width) in [(values, value_width), (ids, 4usize)] {
+    // Sequential reads of CLUST_VALUES and CLUST_RESULT (4-byte ids), chunked
+    // per (window, cluster): every chunk start costs at least one line / one
+    // page.
+    for idx_width in [value_width, 4] {
         let chunk_bytes = w * idx_width as f64;
         let mut chunk = PatternCost::zero();
         for i in 0..params.levels.len().min(2) {
@@ -226,7 +211,6 @@ pub fn radix_decluster(
         };
         chunk.cpu_cycles = w * CPU_CYCLES_PER_ITEM;
         cost.accumulate(&chunk.scaled((windows * clusters) as f64));
-        let _ = region;
     }
 
     // Random insertions into the window: per window, |W| tuples inserted into
@@ -343,35 +327,13 @@ mod tests {
     fn radix_cluster_has_sweet_spot_in_bits() {
         let p = params();
         let input = DataRegion::new(MB8, 8);
-        let cheap = radix_cluster(input, 8, 1, &p).millis(&p);
-        let thrash = radix_cluster(input, 16, 1, &p).millis(&p);
+        let cheap = radix_cluster(input, [8], &p).millis(&p);
+        let thrash = radix_cluster(input, [16], &p).millis(&p);
         // 2^16 single-pass cursors thrash the TLB/caches; 2^8 do not.
         assert!(thrash > 2.0 * cheap, "thrash {thrash} vs cheap {cheap}");
         // Two passes tame the 16-bit clustering.
-        let two_pass = radix_cluster(input, 16, 2, &p).millis(&p);
+        let two_pass = radix_cluster(input, [8, 8], &p).millis(&p);
         assert!(two_pass < thrash);
-    }
-
-    #[test]
-    fn partitioned_hash_join_improves_with_bits_then_flattens() {
-        let p = params();
-        let r = DataRegion::new(MB8, 8);
-        let at = |bits: u32| partitioned_hash_join(r, r, bits, MB8, &p).millis(&p);
-        let unpartitioned = hash_join(r, r, MB8, &p).millis(&p);
-        assert_eq!(at(0), unpartitioned);
-        // The price includes the clustering (Fig. 9b's measurement always
-        // did): at 8M its two passes per input are a third of the naive
-        // join, so partitioning saves a third of it, not half.
-        assert!(
-            at(10) < unpartitioned * 0.7,
-            "partitioned {} vs naive {unpartitioned}",
-            at(10)
-        );
-        assert!(at(10) < at(5));
-        // Flat after the knee: every B from 9 to 16 within 1.5× of the best.
-        let tail: Vec<f64> = (9..=16).map(at).collect();
-        let best = tail.iter().copied().fold(f64::INFINITY, f64::min);
-        assert!(tail.iter().all(|&c| c < best * 1.5), "{tail:?}");
     }
 
     #[test]
@@ -477,7 +439,7 @@ mod tests {
     fn zero_sized_inputs_cost_nothing() {
         let p = params();
         assert_eq!(
-            radix_cluster(DataRegion::new(0, 8), 0, 1, &p),
+            radix_cluster(DataRegion::new(0, 8), [], &p),
             PatternCost::zero()
         );
         assert_eq!(radix_decluster(0, 4, 8, 1024, &p), PatternCost::zero());

@@ -15,6 +15,13 @@
 //!   Radix-Decluster and Left/Right Jive-Join.  These are the "modeled
 //!   (lines)" of Figs. 7 and 9.
 //!
+//! A clustering is priced pass by pass: [`algorithms::radix_cluster`] and
+//! [`algorithms::partitioned_hash_join`] take the bits of each pass, which
+//! callers read from `rdx_core::cluster::RadixClusterSpec::pass_bits` of the
+//! spec the kernels run (`rdx_core::join::join_passes` for the join), so
+//! the model prices the passes the kernels plan.  This crate sits below
+//! `rdx-core` and keeps no copy of either rule.
+//!
 //! ## Converting misses to time
 //!
 //! Random misses at level *i* are charged the full miss latency `l_i`.

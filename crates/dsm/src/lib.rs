@@ -48,6 +48,10 @@ pub type Oid = u32;
 /// Width, in bytes, of an [`Oid`] — the `R̄` of the cost models for oid columns.
 pub const OID_BYTES: usize = std::mem::size_of::<Oid>();
 
+/// Width, in bytes, of one `i32` attribute cell — the `R̄` of the cost
+/// models for the paper's all-integer projection columns.
+pub const VALUE_WIDTH: usize = std::mem::size_of::<i32>();
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,5 +61,6 @@ mod tests {
         // The Appendix-A cost models and the radix-bit formulas in §3.1 assume
         // 4-byte oids; widening Oid silently would skew every B/I computation.
         assert_eq!(OID_BYTES, 4);
+        assert_eq!(VALUE_WIDTH, 4);
     }
 }

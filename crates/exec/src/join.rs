@@ -14,7 +14,7 @@
 use crate::cluster::par_radix_cluster;
 use crate::pool::{run_workers, Claims, ExecPolicy};
 use rdx_core::cluster::RadixClusterSpec;
-use rdx_core::join::{join_first_pass, partitioned_hash_join, JoinColumns, PartitionJoiner};
+use rdx_core::join::{join_passes, partitioned_hash_join, JoinColumns, PartitionJoiner};
 use rdx_dsm::{JoinIndex, Oid};
 
 /// Parallel Partitioned Hash-Join; byte-identical to the sequential
@@ -30,7 +30,7 @@ pub fn par_partitioned_hash_join(
     }
     let (n_l, n_s) = (larger_keys.len(), smaller_keys.len());
     let oids: Vec<Oid> = (0..n_l.max(n_s) as Oid).collect();
-    let first = join_first_pass(spec);
+    let [first, _] = join_passes(spec);
     let larger = par_radix_cluster(larger_keys, &oids[..n_l], first, policy);
     let smaller = par_radix_cluster(smaller_keys, &oids[..n_s], first, policy);
 

@@ -106,14 +106,11 @@ use rdx_core::strategy::sink::{MaterializeSink, RowChunkSink};
 use rdx_core::strategy::{
     DsmPostProjection, PhaseTimings, ProjectionCode, QuerySpec, SecondSideCode, StrategyOutcome,
 };
-use rdx_dsm::{DsmRelation, FromValue, Oid};
+use rdx_dsm::{DsmRelation, FromValue, Oid, VALUE_WIDTH};
 use rdx_obs::{EventKind, MissCounts, Obs, Phase, QueryId};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Width of the fixed-size attribute values (the paper's integer columns).
-const VALUE_WIDTH: usize = 4;
 
 /// The second-side clustering spec the streaming pipeline uses for a
 /// smaller relation of `smaller_tuples` tuples of 4-byte DSM values:

@@ -401,6 +401,21 @@ const GATES: &[Gate] = &[
         message: "a pass count split outside the pass rule — call RadixClusterSpec::planned instead",
         ..LIBRARY
     },
+    // `RadixClusterSpec::pass_bits` is the one split of B bits into passes:
+    // the kernels, the pre-projection baselines' wide-tuple scatter and the
+    // cost model's prices all read it, and `join::join_passes` names the
+    // join's first pass and split for both join kernels and the price.
+    Gate {
+        name: "One bit split",
+        scope: CODE,
+        cut: Cut::Whole,
+        needles: &[Token(
+            "bits % passes|bits / passes|JOIN_FIRST_PASS_BITS|join_first_pass|WideBuffer",
+        )],
+        allowed: &["crates/core/src/cluster/spec.rs"],
+        message: "a second split of bits into passes — read RadixClusterSpec::pass_bits, or join::join_passes for the join",
+        ..LIBRARY
+    },
 ];
 
 /// One exact count: the library lines of `scope` that hold `needle` or,
