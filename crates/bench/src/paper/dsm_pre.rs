@@ -1,6 +1,6 @@
 //! DSM pre-projection ("DSM-pre-phash" in Fig. 10): the scans fetch the
 //! projected DSM columns into wide tuples before the join, which runs the
-//! one pre-projection Partitioned Hash-Join of [`super::wide`].
+//! one pre-projection Partitioned Hash-Join (the private `paper::wide`).
 
 use super::wide::{self, WideTuples};
 use rdx_cache::CacheParams;

@@ -4,9 +4,9 @@
 //! The table scans use the NSM record-projection routine to extract the key
 //! plus the projected attributes from each ω-wide record into a pipeline
 //! tuple; those tuples then flow through either a naive Hash-Join or the
-//! cache-conscious Partitioned Hash-Join of [`super::wide`].  The big
-//! Fig. 10a gap between the two variants is the point the paper makes about
-//! Partitioned Hash-Join "carrying generic merit" beyond MonetDB.
+//! cache-conscious Partitioned Hash-Join, both of the private `paper::wide`.
+//! The big Fig. 10a gap between the two variants is the point the paper
+//! makes about Partitioned Hash-Join "carrying generic merit" beyond MonetDB.
 
 use super::wide::{self, WideTuples};
 use rdx_cache::CacheParams;
